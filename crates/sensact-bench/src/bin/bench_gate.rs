@@ -2,7 +2,7 @@
 //! the exact shared workloads ([`sensact_bench::obsbench`]) and compare them
 //! against the committed baselines with a tolerance band.
 //!
-//! Three headline checks:
+//! Four headline checks:
 //!
 //! * `BENCH_obs.json` → `realistic.disabled_overhead_pct` — the paired
 //!   baseline-vs-disabled-tracer tick (the plane's always-on cost);
@@ -14,7 +14,12 @@
 //!   regression means batching stopped paying for itself). The two modes
 //!   are interleaved round-by-round so machine-load epochs cancel out of
 //!   the paired quotients; the p99 ratio is the tail headline, the median
-//!   cost ratio the tight (±1 pp) sustained-cost one.
+//!   cost ratio the tight (±1 pp) sustained-cost one;
+//! * `BENCH_kernels.json` → `deconv3d_forward.cost_ratio_pct` — the R-MAE
+//!   `deconv1` forward (register-tiled `gemm_transa` in cache-sized blocks
+//!   plus the fold) as a percentage of the scatter-loop reference, paired in
+//!   one process. Losing the tiled kernel or the hoisted bounds tests
+//!   roughly doubles it.
 //!
 //! Overheads are percentages of a microsecond-scale tick, so the band is
 //! absolute percentage points: a fresh measurement may exceed its committed
@@ -25,6 +30,7 @@
 //! scheduling hiccup only pollutes one. Exits 1 on regression; the
 //! `scripts/ci.sh` bench_gate step.
 
+use sensact_bench::convbench::deconv_forward_headline;
 use sensact_bench::obsbench::{paired_realistic, sched_overhead_case};
 use sensact_bench::servebench::serve_gate_headline;
 use sensact_core::Tracer;
@@ -135,6 +141,25 @@ fn main() {
         "serving batched/unbatched median",
         committed_median,
         fresh_median,
+        tol_pp,
+        &mut failures,
+    );
+
+    let kern = std::fs::read_to_string(format!("{root}/BENCH_kernels.json"))
+        .expect("read BENCH_kernels.json at the repo root");
+    let deconv_at = kern
+        .find("\"deconv3d_forward\"")
+        .expect("BENCH_kernels.json carries a deconv3d_forward object");
+    let committed_deconv = json_number(&kern[deconv_at..], "cost_ratio_pct")
+        .expect("BENCH_kernels.json carries deconv3d_forward.cost_ratio_pct");
+    let fresh_deconv = best_of_three(|| {
+        let (reference_ns, lowered_ns) = deconv_forward_headline(8, 2);
+        100.0 * lowered_ns / reference_ns
+    });
+    check(
+        "deconv forward / scatter reference",
+        committed_deconv,
+        fresh_deconv,
         tol_pp,
         &mut failures,
     );

@@ -172,6 +172,36 @@ fn max_ratio(reference: &[f64], candidate: &[f64], bound: &[f64]) -> f64 {
         .fold(0.0, f64::max)
 }
 
+/// `gemm_transa` against `gemm_naive` on the explicit transpose, at
+/// `beta = 0` (stale contents must be ignored) and `beta = 1` (`c0` is the
+/// accumulator seed): worst `(ulp, abs)` difference, both contractually 0.
+fn transa_vs_naive(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    c0: &[f64],
+) -> (u64, f64) {
+    let mut at = vec![0.0; m * k];
+    kernels::transpose_into(m, k, a, &mut at);
+    let (mut ulp, mut abs) = (0u64, 0.0f64);
+    for beta in [0.0, 1.0] {
+        let mut c_ref = c0.to_vec();
+        kernels::gemm_naive(m, n, k, alpha, a, b, beta, &mut c_ref);
+        let mut c = if beta == 0.0 {
+            vec![f64::NAN; m * n]
+        } else {
+            c0.to_vec()
+        };
+        kernels::gemm_transa(m, n, k, alpha, &at, b, beta, &mut c);
+        ulp = ulp.max(max_ulp(&c_ref, &c));
+        abs = abs.max(max_abs_diff(&c_ref, &c));
+    }
+    (ulp, abs)
+}
+
 fn gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
     let shapes: &[(usize, usize, usize)] = if smoke {
         &[(5, 7, 11), (16, 16, 16), (24, 1, 32)]
@@ -227,9 +257,9 @@ fn gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
             }
         }
 
-        // Transposed layouts and matvec, beta = 0 (the layout kernels fold
-        // beta into a different accumulation order, so only the overwrite
-        // case carries the bitwise contract).
+        // Transposed-B layout and matvec, beta = 0 (they fold beta into a
+        // different accumulation order, so only the overwrite case carries
+        // their contract).
         let alpha = 1.5;
         let mut c_ref = vec![0.0; m * n];
         kernels::gemm_naive(m, n, k, alpha, &a, &b, 0.0, &mut c_ref);
@@ -244,12 +274,10 @@ fn gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
         tb_ratio = tb_ratio.max(max_ratio(&c_ref, &c, &bound));
         tb_cases += 1;
 
-        let mut at = vec![0.0; m * k];
-        kernels::transpose_into(m, k, &a, &mut at);
-        let mut c = vec![-2.0; m * n];
-        kernels::gemm_transa(m, n, k, alpha, &at, &b, 0.0, &mut c);
-        trans_ulp = trans_ulp.max(max_ulp(&c_ref, &c));
-        trans_abs = trans_abs.max(max_abs_diff(&c_ref, &c));
+        // transa stays on the bitwise tier on every ISA, accumulating too.
+        let (ulp, abs) = transa_vs_naive(m, n, k, alpha, &a, &b, &c0);
+        trans_ulp = trans_ulp.max(ulp);
+        trans_abs = trans_abs.max(abs);
 
         let x = &b[..k]; // first column layout: use a dedicated n=1 product
         let mut y_ref = vec![0.0; m];
@@ -258,6 +286,18 @@ fn gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
         kernels::matvec_into(m, k, &a, x, &mut y);
         trans_ulp = trans_ulp.max(max_ulp(&y_ref, &y));
         trans_abs = trans_abs.max(max_abs_diff(&y_ref, &y));
+        trans_cases += 3;
+    }
+    // The two R-MAE deconv products (`RmaeConfig::full`): the shapes whose
+    // bits every edge-loop trace hash and benchmark golden carries.
+    for (m, n, k) in [(1080, 216, 16), (1080, 64, 8)] {
+        let mut mat = |len: usize| -> Vec<f64> {
+            (0..len).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect()
+        };
+        let (a, b, c0) = (mat(m * k), mat(k * n), mat(m * n));
+        let (ulp, abs) = transa_vs_naive(m, n, k, 1.0, &a, &b, &c0);
+        trans_ulp = trans_ulp.max(ulp);
+        trans_abs = trans_abs.max(abs);
         trans_cases += 2;
     }
     pairs.push(Pair::check(

@@ -12,6 +12,7 @@
 //! budget for CI; combine with `SENSACT_FORCE_SCALAR=1` to time the scalar
 //! fallbacks on a SIMD host.
 
+use sensact_bench::convbench;
 use sensact_bench::harness::Harness;
 use sensact_core::stage::{FnController, FnPerceptor, FnSensor, StageContext, Trust};
 use sensact_core::LoopBuilder;
@@ -131,6 +132,60 @@ fn main() {
         bch.iter(|| black_box(conv.forward(black_box(&input), false)))
     });
 
+    // --- R-MAE conv stack: the shapes the closed loop spends its tick in --
+    // (bitwise tier: `gemm_transa` and the deconv built on it must match
+    // the naive kernel exactly; the conv forward is on the FMA tier.)
+    let (tm, tn, tk) = (1080, 216, 16);
+    let at: Vec<f64> = (0..tk * tm).map(|_| rng.random::<f64>() - 0.5).collect();
+    let tb: Vec<f64> = (0..tk * tn).map(|_| rng.random::<f64>() - 0.5).collect();
+    let mut ta = vec![0.0; tm * tk];
+    kernels::transpose_into(tk, tm, &at, &mut ta);
+    let mut tc_naive = vec![0.0; tm * tn];
+    let mut tc = vec![f64::NAN; tm * tn];
+    kernels::gemm_naive(tm, tn, tk, 1.0, &ta, &tb, 0.0, &mut tc_naive);
+    kernels::gemm_transa(tm, tn, tk, 1.0, &at, &tb, 0.0, &mut tc);
+    assert!(
+        tc_naive
+            .iter()
+            .zip(&tc)
+            .all(|(x, y)| x.to_bits() == y.to_bits()),
+        "gemm_transa is not bit-identical to the naive kernel"
+    );
+    h.bench_function("gemm_transa/1080x216x16", |bch| {
+        bch.iter(|| kernels::gemm_transa(tm, tn, tk, 1.0, black_box(&at), &tb, 0.0, &mut tc))
+    });
+    let (mut conv2, x2) = convbench::rmae_conv2();
+    let conv2_diff = max_abs_diff(
+        conv2.forward_reference(&x2).as_slice(),
+        conv2.forward(&x2, false).as_slice(),
+    );
+    assert!(
+        conv2_diff <= 1e-12,
+        "conv2 lowering diverged: {conv2_diff:e}"
+    );
+    h.bench_function("conv3d_forward/rmae_full_conv2", |bch| {
+        bch.iter(|| black_box(conv2.forward(black_box(&x2), false)))
+    });
+    let (mut deconv1, xd) = convbench::rmae_deconv1();
+    let deconv_diff = max_abs_diff(
+        deconv1.forward_reference(&xd).as_slice(),
+        deconv1.forward(&xd, false).as_slice(),
+    );
+    assert!(
+        deconv_diff <= 1e-12,
+        "deconv1 lowering diverged: {deconv_diff:e}"
+    );
+    h.bench_function("deconv3d_forward/rmae_full_deconv1", |bch| {
+        bch.iter(|| black_box(deconv1.forward(black_box(&xd), false)))
+    });
+    // The gate's headline: lowered forward as a share of the scatter-loop
+    // reference, paired so host load cancels out of the quotient.
+    let (deconv_ref, deconv_low) = if sensact_bench::quick() {
+        convbench::deconv_forward_headline(5, 2)
+    } else {
+        convbench::deconv_forward_headline(40, 4)
+    };
+
     // --- Raycast: naive vs azimuth-bucketed vs parallel 64x512 scan ------
     let lidar = Lidar::new(LidarConfig::default());
     let scene = SceneGenerator::new(1).generate();
@@ -186,6 +241,9 @@ fn main() {
     let gemm_int8 = mean("gemm_int8/256");
     let conv_ref = mean("conv3d_forward_reference/4x8x10^3");
     let conv_fast = mean("conv3d_forward_im2col/4x8x10^3");
+    let transa = mean("gemm_transa/1080x216x16");
+    let conv2_ns = mean("conv3d_forward/rmae_full_conv2");
+    let deconv1_ns = mean("deconv3d_forward/rmae_full_deconv1");
     let ray_naive = mean("raycast_naive/64x512");
     let ray_bucketed = mean("raycast_bucketed/64x512");
     let ray_parallel = mean("raycast_parallel/64x512");
@@ -215,6 +273,14 @@ fn main() {
            \"im2col_ns\": {conv_fast:.0},\n    \
            \"speedup\": {:.2},\n    \
            \"max_abs_diff\": {conv_diff:e}\n  }},\n  \
+         \"rmae_full\": {{\n    \
+           \"gemm_transa_1080x216x16_ns\": {transa:.0},\n    \
+           \"conv2_forward_ns\": {conv2_ns:.0},\n    \
+           \"deconv1_forward_ns\": {deconv1_ns:.0}\n  }},\n  \
+         \"deconv3d_forward\": {{\n    \
+           \"reference_ns\": {deconv_ref:.0},\n    \
+           \"lowered_ns\": {deconv_low:.0},\n    \
+           \"cost_ratio_pct\": {:.2}\n  }},\n  \
          \"raycast_64x512\": {{\n    \
            \"naive_ns\": {ray_naive:.0},\n    \
            \"bucketed_ns\": {ray_bucketed:.0},\n    \
@@ -229,6 +295,7 @@ fn main() {
         gemm_simd / gemm_f32,
         gemm_simd / gemm_int8,
         conv_ref / conv_fast,
+        100.0 * deconv_low / deconv_ref,
         ray_naive / ray_bucketed,
         ray_naive / ray_parallel,
     );

@@ -25,6 +25,7 @@
 use std::io::Write;
 use std::path::PathBuf;
 
+pub mod convbench;
 pub mod harness;
 pub mod obsbench;
 pub mod servebench;

@@ -7,10 +7,13 @@
 //!
 //! Numerics contract: for each output element, products are accumulated in
 //! ascending-`k` order regardless of blocking or thread partitioning, so
-//! [`gemm_naive`], [`gemm_blocked`] and the parallel path produce **bitwise
-//! identical** results. Unlike the old `Matrix::matmul`, no zero-operand
-//! skipping is performed: NaN and signed-zero inputs propagate with full IEEE
-//! semantics.
+//! [`gemm_naive`], [`gemm_blocked`], the parallel path and every path of
+//! [`gemm_transa`] produce **bitwise identical** results; the entry points
+//! that may take the fused multiply-add microkernel ([`gemm`],
+//! [`gemm_transb`], the batched and panel-source forms) stay within its
+//! analytic forward-error bound. Unlike the old `Matrix::matmul`, no
+//! zero-operand skipping is performed: NaN and signed-zero inputs propagate
+//! with full IEEE semantics.
 //!
 //! All kernels compute `C = alpha * op(A) * op(B) + beta * C` with `C`
 //! pre-scaled by `beta` (`beta == 0.0` overwrites, ignoring any stale or NaN
@@ -20,6 +23,8 @@
 // BLAS-style entry points take (m, n, k, alpha, a, b, beta, c) — one argument
 // over clippy's limit, kept for parity with the conventional GEMM signature.
 #![allow(clippy::too_many_arguments)]
+
+use crate::simd::{PanelSource, RowMajor, Transposed};
 
 /// Columns per k-block: 256 f64 = 2 KiB per A-row slice, so an A block row and
 /// the matching B rows stay resident in L1/L2 while a C row is updated.
@@ -210,17 +215,7 @@ pub fn gemm(
     c: &mut [f64],
 ) {
     check_gemm(m, n, k, a, b, c);
-    if crate::simd::gemm_f64(
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-        crate::simd::BLayout::RowMajor,
-    ) {
+    if crate::simd::gemm_f64(m, n, k, alpha, a, &RowMajor { b, n }, beta, c) {
         return;
     }
     if m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_OPS && m >= 2 {
@@ -245,17 +240,7 @@ pub fn gemm_simd(
     c: &mut [f64],
 ) {
     check_gemm(m, n, k, a, b, c);
-    if !crate::simd::gemm_f64(
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-        crate::simd::BLayout::RowMajor,
-    ) {
+    if !crate::simd::gemm_f64(m, n, k, alpha, a, &RowMajor { b, n }, beta, c) {
         gemm_blocked(m, n, k, alpha, a, b, beta, c);
     }
 }
@@ -278,17 +263,7 @@ pub fn gemm_transb(
     assert_eq!(a.len(), m * k, "gemm_transb: A must be m*k");
     assert_eq!(b.len(), n * k, "gemm_transb: B must be n*k");
     assert_eq!(c.len(), m * n, "gemm_transb: C must be m*n");
-    if crate::simd::gemm_f64(
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-        crate::simd::BLayout::Transposed,
-    ) {
+    if crate::simd::gemm_f64(m, n, k, alpha, a, &Transposed { b, k }, beta, c) {
         return;
     }
     scale_c(beta, c);
@@ -374,10 +349,9 @@ pub fn gemm_batched(
             k,
             alpha,
             a_stack,
-            b,
+            &RowMajor { b, n },
             beta,
             c_stack,
-            crate::simd::BLayout::RowMajor,
         )
     {
         return;
@@ -522,27 +496,67 @@ pub fn gemm_transb_gathered(
         m * batch * n,
         "gemm_transb_gathered: C must be m * batch*n"
     );
-    if batch < 2 || !crate::simd::simd_f64_eligible(m, n, k) {
-        return false;
-    }
-    crate::simd::gemm_f64(
-        m,
-        batch * n,
-        k,
-        alpha,
-        a,
-        b_stack,
-        beta,
-        big,
-        crate::simd::BLayout::Transposed,
-    )
+    batch >= 2
+        && gemm_panel_source(
+            batch,
+            m,
+            n,
+            k,
+            alpha,
+            a,
+            &Transposed { b: b_stack, k },
+            beta,
+            big,
+        )
 }
+
+/// `C = alpha * A * B + beta * C` with B read through a [`PanelSource`]
+/// instead of from memory: B is `[k × batch·n]` (item `t` supplies columns
+/// `t·n..(t+1)·n`), `c` is `[m × batch·n]` row-major, and each packed panel
+/// is filled by `b` moments before the microkernel consumes it. This is the
+/// entry the conv layers lower onto — their source unfolds input taps
+/// straight into the panel, so the im2col matrix is never materialised.
+///
+/// Same contract as [`gemm_transb_gathered`]: the path is pinned on the
+/// **per-item** `(m, n, k)`, each element accumulates in ascending `k` from
+/// its own `beta * C` seed, and `false` is returned — `c` untouched — when
+/// that shape is pinned to the scalar path and the caller must run the
+/// per-item kernel on a materialised operand.
+pub fn gemm_panel_source<S: PanelSource<f64> + Sync>(
+    batch: usize,
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    b: &S,
+    beta: f64,
+    c: &mut [f64],
+) -> bool {
+    assert_eq!(a.len(), m * k, "gemm_panel_source: A must be m*k");
+    assert_eq!(
+        c.len(),
+        m * batch * n,
+        "gemm_panel_source: C must be m * batch*n"
+    );
+    batch > 0
+        && crate::simd::simd_f64_eligible(m, n, k)
+        && crate::simd::gemm_f64(m, batch * n, k, alpha, a, b, beta, c)
+}
+
+/// Doubles of C a row block of the scalar [`gemm_transa`] loop covers
+/// (32 KiB): the block stays L1-resident while `k` sweeps over it.
+const TRANSA_BLOCK: usize = 1 << 12;
 
 /// `C = alpha * A^T * B + beta * C`, with `a` stored row-major as `[k×m]`
 /// (i.e. A-transposed is never materialised).
 ///
-/// Streams one row of A and one row of B per `k` step; used for `X^T * G`
-/// gradient shapes and the `B^T P A` terms of the Riccati recursion.
+/// Used for `X^T * G` gradient shapes, the deconv lowering and the
+/// `B^T P A` terms of the Riccati recursion. Every path — the register-tiled
+/// SIMD kernels and the row-blocked scalar loop — multiplies, then adds, in
+/// ascending `k`, so the result is **bitwise identical** to
+/// [`gemm_naive`] on the explicit transpose on every host (never FMA:
+/// trace hashes and goldens pin these bits).
 pub fn gemm_transa(
     m: usize,
     n: usize,
@@ -556,15 +570,23 @@ pub fn gemm_transa(
     assert_eq!(a.len(), k * m, "gemm_transa: A must be k*m");
     assert_eq!(b.len(), k * n, "gemm_transa: B must be k*n");
     assert_eq!(c.len(), m * n, "gemm_transa: C must be m*n");
+    if crate::simd::gemm_transa_f64(m, n, k, alpha, a, b, beta, c) {
+        return;
+    }
     scale_c(beta, c);
-    for kk in 0..k {
-        let a_row = &a[kk * m..(kk + 1) * m];
-        let b_row = &b[kk * n..(kk + 1) * n];
-        for (i, &aki) in a_row.iter().enumerate() {
-            let scaled = alpha * aki;
-            let c_row = &mut c[i * n..(i + 1) * n];
-            for (cj, &bj) in c_row.iter_mut().zip(b_row) {
-                *cj += scaled * bj;
+    let rows = (TRANSA_BLOCK / n.max(1)).max(1);
+    for i0 in (0..m).step_by(rows) {
+        let i1 = (i0 + rows).min(m);
+        for kk in 0..k {
+            let b_row = &b[kk * n..(kk + 1) * n];
+            for (&aki, c_row) in a[kk * m + i0..kk * m + i1]
+                .iter()
+                .zip(c[i0 * n..i1 * n].chunks_exact_mut(n.max(1)))
+            {
+                let scaled = alpha * aki;
+                for (cj, &bj) in c_row.iter_mut().zip(b_row) {
+                    *cj += scaled * bj;
+                }
             }
         }
     }
@@ -608,37 +630,6 @@ pub fn transpose_into(rows: usize, cols: usize, src: &[f64], dst: &mut [f64]) {
                     dst[c * rows + r] = src[r * cols + c];
                 }
             }
-        }
-    }
-}
-
-/// One row-band of `C += alpha * A * op(B)` with `C` already pre-scaled
-/// (portable fallback for the SIMD driver on non-x86 targets).
-pub(crate) fn gemm_rows_scaled(
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a_band: &[f64],
-    b: &[f64],
-    c_band: &mut [f64],
-    b_transposed: bool,
-) {
-    if n == 0 || k == 0 {
-        return;
-    }
-    if !b_transposed {
-        gemm_rows(n, k, alpha, a_band, b, 1.0, c_band);
-        return;
-    }
-    let rows = c_band.len() / n;
-    for i in 0..rows {
-        let a_row = &a_band[i * k..(i + 1) * k];
-        for (cij, b_row) in c_band[i * n..(i + 1) * n].iter_mut().zip(b.chunks_exact(k)) {
-            let mut acc = 0.0;
-            for (&x, &y) in a_row.iter().zip(b_row) {
-                acc += alpha * x * y;
-            }
-            *cij += acc;
         }
     }
 }
@@ -758,17 +749,7 @@ pub fn gemm_f32(
     assert_eq!(a.len(), m * k, "gemm_f32: A must be m*k");
     assert_eq!(b.len(), k * n, "gemm_f32: B must be k*n");
     assert_eq!(c.len(), m * n, "gemm_f32: C must be m*n");
-    if crate::simd::gemm_f32(
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-        crate::simd::BLayout::RowMajor,
-    ) {
+    if crate::simd::gemm_f32(m, n, k, alpha, a, &RowMajor { b, n }, beta, c) {
         return;
     }
     gemm_rows_f32(n, k, alpha, a, b, beta, c);
@@ -790,17 +771,7 @@ pub fn gemm_transb_f32(
     assert_eq!(a.len(), m * k, "gemm_transb_f32: A must be m*k");
     assert_eq!(b.len(), n * k, "gemm_transb_f32: B must be n*k");
     assert_eq!(c.len(), m * n, "gemm_transb_f32: C must be m*n");
-    if crate::simd::gemm_f32(
-        m,
-        n,
-        k,
-        alpha,
-        a,
-        b,
-        beta,
-        c,
-        crate::simd::BLayout::Transposed,
-    ) {
+    if crate::simd::gemm_f32(m, n, k, alpha, a, &Transposed { b, k }, beta, c) {
         return;
     }
     scale_c_f32(beta, c);
@@ -1217,23 +1188,41 @@ mod tests {
         }
     }
 
+    /// `gemm_transa` is on the bitwise tier: trace hashes and goldens rely
+    /// on it matching the naive kernel bit for bit on every path (the
+    /// register tiles on the host ISA, the row-blocked loop under
+    /// `SENSACT_FORCE_SCALAR=1`), over ragged tiles, `alpha != 1`, every
+    /// `beta` class, and stale NaNs that `beta == 0` must overwrite.
     #[test]
     fn transa_matches_explicit_transpose() {
         let mut rng = StdRng::seed_from_u64(13);
-        for &(m, n, k) in SHAPES {
-            let at = random_mat(&mut rng, k * m); // stored as [k, m]
-            let b = random_mat(&mut rng, k * n);
-            let mut a = vec![0.0; m * k];
-            transpose_into(k, m, &at, &mut a); // a = A as [m, k]
-
-            let mut c_ref = vec![0.0; m * n];
-            gemm_naive(m, n, k, 1.0, &a, &b, 0.0, &mut c_ref);
-            let mut c = vec![0.0; m * n];
-            gemm_transa(m, n, k, 1.0, &at, &b, 0.0, &mut c);
-            assert!(
-                max_abs_diff(&c_ref, &c) <= 1e-12,
-                "transa mismatch at {m}x{n}x{k}"
-            );
+        for &m in &[1usize, 3, 4, 5, 1080] {
+            for &n in &[1usize, 7, 8, 9, 64, 216] {
+                for &k in &[0usize, 1, 8, 16, 257] {
+                    let at = random_mat(&mut rng, k * m); // stored as [k, m]
+                    let b = random_mat(&mut rng, k * n);
+                    let mut a = vec![0.0; m * k];
+                    transpose_into(k, m, &at, &mut a); // a = A as [m, k]
+                    for &beta in &[0.0, 1.0, 0.5] {
+                        let base = if beta == 0.0 {
+                            vec![f64::NAN; m * n]
+                        } else {
+                            random_mat(&mut rng, m * n)
+                        };
+                        let mut c_ref = base.clone();
+                        gemm_naive(m, n, k, -0.75, &a, &b, beta, &mut c_ref);
+                        let mut c = base;
+                        gemm_transa(m, n, k, -0.75, &at, &b, beta, &mut c);
+                        assert!(
+                            c_ref
+                                .iter()
+                                .zip(&c)
+                                .all(|(x, y)| x.to_bits() == y.to_bits()),
+                            "transa not bitwise at {m}x{n}x{k} beta={beta}"
+                        );
+                    }
+                }
+            }
         }
     }
 

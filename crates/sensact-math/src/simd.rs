@@ -25,6 +25,15 @@
 //!   `SENSACT_FORCE_SCALAR` environment variable (satisfied by any value
 //!   other than `0`/empty).
 //!
+//! [`gemm_transa`](crate::kernels::gemm_transa) runs on the same driver but
+//! never on the FMA tile: its `4×8` AVX tile (and the SSE2 tile below AVX2)
+//! multiplies, then adds, so that entry point is bitwise identical to the
+//! naive kernel on every host.
+//!
+//! The driver reads B through a [`PanelSource`], one packed panel at a
+//! time, so an operand that is a view of something smaller (a conv's im2col
+//! patches) is unfolded straight into the panel and never materialised.
+//!
 //! The int8 quantized path shares the symmetric max-abs/127 grid of
 //! `sensact_nn`'s `fake_quantize` and accumulates exactly in 32-bit integers
 //! (`_mm256_madd_epi16` under AVX2), so its only error is the quantization
@@ -37,6 +46,10 @@ use std::sync::OnceLock;
 pub const MR_FMA: usize = 6;
 /// Register-tile height of the SSE2 microkernel.
 pub const MR_SSE: usize = 4;
+/// Register-tile height of the AVX multiply-then-add microkernel (8 YMM
+/// accumulators; the unfused product needs a register of its own).
+#[cfg(target_arch = "x86_64")]
+const MR_AVX: usize = 4;
 /// Columns per packed B panel on the AVX2 f64 path.
 pub const NR_F64: usize = 8;
 /// Columns per packed B panel on the SSE2 f64 path.
@@ -145,17 +158,66 @@ fn detect() -> CpuFeatures {
     }
 }
 
-/// How the B operand is stored in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum BLayout {
-    /// Row-major `[k × n]` (plain GEMM).
-    RowMajor,
-    /// Row-major `[n × k]`, i.e. `B` transposed (the `gemm_transb` shape).
-    Transposed,
+/// Where a packed-panel driver reads its B operand from.
+///
+/// The drivers never index B themselves: they ask the source for one
+/// `NR`-wide column panel of one `k` block at a time. The crate's own
+/// row-major and transposed sources cover the plain GEMM shapes; a lowering
+/// whose B is a *view* of something smaller (the conv layers' im2col
+/// patches) implements the trait itself and unfolds straight into the
+/// panel, so the column matrix is never written to memory.
+pub trait PanelSource<T> {
+    /// Write rows `k0..k0 + kc` of B's columns `j0..j0 + nr` into `dst`, a
+    /// row-major `kc × ld` panel (`nr <= ld`). Every element of `dst` must
+    /// be written; the lanes `nr..ld` of each row are zero.
+    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [T]);
+}
+
+/// Row-major `[k × n]` B (plain GEMM).
+pub(crate) struct RowMajor<'a, T> {
+    pub b: &'a [T],
+    pub n: usize,
+}
+
+/// Row-major `[n × k]` B, i.e. `B` transposed (the `gemm_transb` shape).
+pub(crate) struct Transposed<'a, T> {
+    pub b: &'a [T],
+    pub k: usize,
+}
+
+impl<T: Copy + Default> PanelSource<T> for RowMajor<'_, T> {
+    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [T]) {
+        for (kk, row) in dst[..kc * ld].chunks_exact_mut(ld).enumerate() {
+            let at = (k0 + kk) * self.n + j0;
+            row[..nr].copy_from_slice(&self.b[at..at + nr]);
+            row[nr..].fill(T::default());
+        }
+    }
+}
+
+impl<T: Copy + Default> PanelSource<T> for Transposed<'_, T> {
+    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [T]) {
+        for (kk, row) in dst[..kc * ld].chunks_exact_mut(ld).enumerate() {
+            for (l, d) in row[..nr].iter_mut().enumerate() {
+                *d = self.b[(j0 + l) * self.k + k0 + kk];
+            }
+            row[nr..].fill(T::default());
+        }
+    }
+}
+
+/// Layout of the A operand: element `(i, kk)` lives at `a[i * row + kk * col]`
+/// (`(k, 1)` for row-major `[m × k]`, `(1, m)` for the `gemm_transa` shape).
+#[derive(Clone, Copy)]
+#[cfg(target_arch = "x86_64")]
+struct AStrides {
+    row: usize,
+    col: usize,
 }
 
 /// Signature of an `MR × NR` microkernel: accumulate `kc` packed steps into
 /// the C tile at `c` with row stride `ldc`.
+#[cfg(target_arch = "x86_64")]
 type PanelKernel = unsafe fn(usize, *const f64, *const f64, *mut f64, usize);
 #[cfg(target_arch = "x86_64")]
 type PanelKernelF32 = unsafe fn(usize, *const f32, *const f32, *mut f32, usize);
@@ -164,11 +226,91 @@ type PanelKernelF32 = unsafe fn(usize, *const f32, *const f32, *mut f32, usize);
 // f64 path
 // ---------------------------------------------------------------------------
 
-/// SIMD GEMM attempt: `C = alpha*A*B + beta*C` (`b_layout` selects the
-/// `gemm_transb` operand shape). Returns `false` — leaving `c` untouched —
-/// when no SIMD path applies and the caller must run its scalar kernel.
+/// SIMD GEMM attempt on the FMA tier: `C = alpha*A*B + beta*C` with B read
+/// through `b`. Returns `false` — leaving `c` untouched — when no SIMD path
+/// applies and the caller must run its scalar kernel.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f64(
+pub(crate) fn gemm_f64<S: PanelSource<f64> + Sync>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    b: &S,
+    beta: f64,
+    c: &mut [f64],
+) -> bool {
+    if !simd_f64_eligible(m, n, k) {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        let ops = m.saturating_mul(n).saturating_mul(k);
+        crate::kernels::scale_c(beta, c);
+        let nthreads = crate::kernels::threads()
+            .min(m)
+            .min((ops / crate::kernels::PAR_MIN_OPS).max(1))
+            .max(1);
+        let f = cpu_features();
+        let serial = |rows: usize, a_band: &[f64], c_band: &mut [f64]| {
+            let at = AStrides { row: k, col: 1 };
+            if f.avx2 && f.fma {
+                gemm_panels::<MR_FMA, NR_F64, S>(
+                    rows,
+                    n,
+                    k,
+                    alpha,
+                    a_band,
+                    at,
+                    b,
+                    c_band,
+                    kernel_6x8_f64_fma,
+                );
+            } else {
+                gemm_panels::<MR_SSE, NR_SSE, S>(
+                    rows,
+                    n,
+                    k,
+                    alpha,
+                    a_band,
+                    at,
+                    b,
+                    c_band,
+                    kernel_4x4_f64_sse2,
+                );
+            }
+        };
+        if nthreads > 1 {
+            // Parallel over row bands: each thread owns a disjoint horizontal
+            // slice of A and C and packs its own panels (B packing is repeated
+            // per band — bounded overhead versus the saved wall-clock).
+            let band = m.div_ceil(nthreads).div_ceil(MR_FMA) * MR_FMA;
+            std::thread::scope(|scope| {
+                for (a_band, c_band) in a.chunks(band * k).zip(c.chunks_mut(band * n)) {
+                    scope.spawn(move || serial(c_band.len() / n, a_band, c_band));
+                }
+            });
+        } else {
+            serial(m, a, c);
+        }
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (alpha, a, b, beta, c);
+        false
+    }
+}
+
+/// SIMD attempt at `C = alpha * A^T * B + beta * C` (`a` row-major `[k × m]`)
+/// on the **bitwise** tier: the microkernels multiply, *then* add, in
+/// ascending `k` — the rounding sequence of the scalar loop in
+/// [`gemm_transa`](crate::kernels::gemm_transa), so every path of that entry
+/// point produces the same bits (goldens and trace hashes pin them).
+/// 256-bit where AVX2 is present, 128-bit otherwise; returns `false` with
+/// `c` untouched when the caller must run the scalar loop.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_transa_f64(
     m: usize,
     n: usize,
     k: usize,
@@ -177,118 +319,35 @@ pub(crate) fn gemm_f64(
     b: &[f64],
     beta: f64,
     c: &mut [f64],
-    b_layout: BLayout,
 ) -> bool {
     if !simd_f64_eligible(m, n, k) {
         return false;
     }
-    let ops = m.saturating_mul(n).saturating_mul(k);
-    crate::kernels::scale_c(beta, c);
-    let nthreads = crate::kernels::threads()
-        .min(m)
-        .min((ops / crate::kernels::PAR_MIN_OPS).max(1))
-        .max(1);
-    if nthreads > 1 {
-        // Parallel over row bands: each thread owns a disjoint horizontal
-        // slice of A and C and packs its own panels (B packing is repeated
-        // per band — bounded overhead versus the saved wall-clock).
-        let band = m.div_ceil(nthreads).div_ceil(MR_FMA) * MR_FMA;
-        std::thread::scope(|scope| {
-            for (a_band, c_band) in a.chunks(band * k).zip(c.chunks_mut(band * n)) {
-                scope.spawn(move || {
-                    let rows = c_band.len() / n;
-                    gemm_f64_serial(rows, n, k, alpha, a_band, b, c_band, b_layout);
-                });
-            }
-        });
-    } else {
-        gemm_f64_serial(m, n, k, alpha, a, b, c, b_layout);
-    }
-    true
-}
-
-/// Serial packed-panel driver (C pre-scaled by beta; computes `C += αAB`).
-#[allow(clippy::too_many_arguments)]
-fn gemm_f64_serial(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    b_layout: BLayout,
-) {
-    let f = cpu_features();
     #[cfg(target_arch = "x86_64")]
-    if f.avx2 && f.fma {
-        return gemm_panels::<MR_FMA, NR_F64>(
-            m,
-            n,
-            k,
-            alpha,
-            a,
-            b,
-            c,
-            b_layout,
-            kernel_6x8_f64_fma,
-        );
-    }
-    #[cfg(target_arch = "x86_64")]
-    if f.sse2 {
-        return gemm_panels::<MR_SSE, NR_SSE>(
-            m,
-            n,
-            k,
-            alpha,
-            a,
-            b,
-            c,
-            b_layout,
-            kernel_4x4_f64_sse2,
-        );
-    }
-    // Unreachable when simd_f64() gated the call, but keep a correct
-    // portable fallback: the caller's scalar kernel semantics.
-    let _ = f;
-    crate::kernels::gemm_rows_scaled(n, k, alpha, a, b, c, b_layout == BLayout::Transposed);
-}
-
-/// Pack one `NR`-wide column panel of B for the `[k0, k0+kc)` block.
-#[allow(clippy::too_many_arguments)]
-fn pack_b_panel<const NR: usize>(
-    n: usize,
-    k: usize,
-    k0: usize,
-    kc: usize,
-    j0: usize,
-    b: &[f64],
-    bp: &mut [f64],
-    b_layout: BLayout,
-) {
-    let nr = (n - j0).min(NR);
-    for kk in 0..kc {
-        let dst = &mut bp[kk * NR..(kk + 1) * NR];
-        match b_layout {
-            BLayout::RowMajor => {
-                let src = &b[(k0 + kk) * n + j0..];
-                dst[..nr].copy_from_slice(&src[..nr]);
-            }
-            BLayout::Transposed => {
-                for (l, d) in dst.iter_mut().take(nr).enumerate() {
-                    *d = b[(j0 + l) * k + k0 + kk];
-                }
-            }
+    {
+        crate::kernels::scale_c(beta, c);
+        let at = AStrides { row: 1, col: m };
+        let b = &RowMajor { b, n };
+        if cpu_features().avx2 {
+            gemm_panels::<MR_AVX, NR_F64, _>(m, n, k, alpha, a, at, b, c, kernel_4x8_f64_avx);
+        } else {
+            gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, alpha, a, at, b, c, kernel_4x4_f64_sse2);
         }
-        dst[nr..].fill(0.0);
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (alpha, a, b, beta, c);
+        false
     }
 }
 
 /// Pack one `MR`-high row panel of A (alpha folded in, short panels
 /// zero-padded).
+#[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 fn pack_a_panel<const MR: usize>(
-    k: usize,
+    at: AStrides,
     k0: usize,
     kc: usize,
     i0: usize,
@@ -297,17 +356,23 @@ fn pack_a_panel<const MR: usize>(
     a: &[f64],
     ap: &mut [f64],
 ) {
-    for kk in 0..kc {
-        let dst = &mut ap[kk * MR..(kk + 1) * MR];
-        for (r, d) in dst.iter_mut().take(mr).enumerate() {
-            *d = alpha * a[(i0 + r) * k + k0 + kk];
+    for (kk, dst) in ap[..kc * MR].chunks_exact_mut(MR).enumerate() {
+        for (r, d) in dst[..mr].iter_mut().enumerate() {
+            *d = alpha * a[(i0 + r) * at.row + (k0 + kk) * at.col];
         }
         dst[mr..].fill(0.0);
     }
 }
 
+/// Rows of A packed at a time. A multiple of every tile height, sized so a
+/// full block (`MC × KC` doubles, 192 KiB) stays L2-resident while the B
+/// panels stream past it.
+#[cfg(target_arch = "x86_64")]
+const MC: usize = 96;
+
+#[cfg(target_arch = "x86_64")]
 thread_local! {
-    /// Per-thread packing scratch (B panels, A panel). Reused across GEMM
+    /// Per-thread packing scratch (B panels, A block). Reused across GEMM
     /// dispatches: small serving-sized calls would otherwise spend more on
     /// allocating (and, for wide batched panels, page-faulting) the packing
     /// buffers than on the arithmetic itself.
@@ -315,92 +380,123 @@ thread_local! {
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// Packed-panel GEMM driver, generic over the tile shape and microkernel.
+/// Packed-panel GEMM driver, generic over the tile shape, the B source and
+/// the microkernel (C pre-scaled by beta; computes `C += αAB`).
+///
+/// A is packed `MC` rows at a time; each B panel is packed when the first A
+/// block reaches it and is multiplied against every packed A panel while it
+/// is still in L1. When one block holds all of A (the conv shapes:
+/// `m = cout`) no panel is needed twice, so all of them share one slot and
+/// B — which for a conv is the column matrix — never exists in memory.
+/// Every packed region is fully written (short panels zero-padded) before
+/// the microkernel reads it, so stale scratch contents are harmless.
+#[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-fn gemm_panels<const MR: usize, const NR: usize>(
+fn gemm_panels<const MR: usize, const NR: usize, S: PanelSource<f64>>(
     m: usize,
     n: usize,
     k: usize,
     alpha: f64,
     a: &[f64],
-    b: &[f64],
+    at: AStrides,
+    b: &S,
     c: &mut [f64],
-    b_layout: BLayout,
     kernel: PanelKernel,
 ) {
     PACK_F64.with(|scratch| {
         let mut scratch = scratch.borrow_mut();
         let (bp, ap) = &mut *scratch;
-        gemm_panels_in::<MR, NR>(m, n, k, alpha, a, b, c, b_layout, kernel, bp, ap);
-    });
-}
-
-/// [`gemm_panels`] body with caller-provided packing scratch. Every packed
-/// region is fully written (short panels zero-padded) before the microkernel
-/// reads it, so stale scratch contents are harmless.
-#[allow(clippy::too_many_arguments)]
-fn gemm_panels_in<const MR: usize, const NR: usize>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    b_layout: BLayout,
-    kernel: PanelKernel,
-    bp: &mut Vec<f64>,
-    ap: &mut Vec<f64>,
-) {
-    let np = n.div_ceil(NR);
-    if bp.len() < np * KC.min(k) * NR {
-        bp.resize(np * KC.min(k) * NR, 0.0);
-    }
-    if ap.len() < KC.min(k) * MR {
-        ap.resize(KC.min(k) * MR, 0.0);
-    }
-    for k0 in (0..k).step_by(KC) {
-        let kc = (k0 + KC).min(k) - k0;
-        for jp in 0..np {
-            pack_b_panel::<NR>(
-                n,
-                k,
-                k0,
-                kc,
-                jp * NR,
-                b,
-                &mut bp[jp * kc * NR..(jp + 1) * kc * NR],
-                b_layout,
-            );
+        let np = n.div_ceil(NR);
+        let kc_max = KC.min(k);
+        let slots = if m <= MC { 1 } else { np };
+        if bp.len() < slots * kc_max * NR {
+            bp.resize(slots * kc_max * NR, 0.0);
         }
-        for i0 in (0..m).step_by(MR) {
-            let mr = (m - i0).min(MR);
-            pack_a_panel::<MR>(k, k0, kc, i0, mr, alpha, a, &mut ap[..kc * MR]);
-            for jp in 0..np {
-                let j0 = jp * NR;
-                let nr = (n - j0).min(NR);
-                let bpp = bp[jp * kc * NR..].as_ptr();
-                if mr == MR && nr == NR {
-                    // Full tile: accumulate straight into C.
-                    unsafe { kernel(kc, ap.as_ptr(), bpp, c.as_mut_ptr().add(i0 * n + j0), n) };
-                } else {
-                    // Edge tile: stage through a stack tile so the kernel
-                    // never reads or writes past the valid C region. The
-                    // padded A rows / B columns are zero, so the dead lanes
-                    // accumulate zeros and are simply not copied back.
-                    let mut tile = [0.0f64; MAX_TILE];
-                    for r in 0..mr {
-                        tile[r * NR..r * NR + nr]
-                            .copy_from_slice(&c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr]);
+        let a_rows = MC.min(m).next_multiple_of(MR);
+        if ap.len() < a_rows * kc_max {
+            ap.resize(a_rows * kc_max, 0.0);
+        }
+        for k0 in (0..k).step_by(KC) {
+            let kc = (k0 + KC).min(k) - k0;
+            for ib in (0..m).step_by(MC) {
+                let mb = (m - ib).min(MC);
+                for (panel, i0) in ap.chunks_exact_mut(kc * MR).zip((ib..ib + mb).step_by(MR)) {
+                    pack_a_panel::<MR>(at, k0, kc, i0, (m - i0).min(MR), alpha, a, panel);
+                }
+                for jp in 0..np {
+                    let j0 = jp * NR;
+                    let nr = (n - j0).min(NR);
+                    let slot = if slots == 1 { 0 } else { jp };
+                    let bpanel = &mut bp[slot * kc * NR..(slot + 1) * kc * NR];
+                    if ib == 0 {
+                        b.pack(k0, kc, j0, nr, NR, bpanel);
                     }
-                    unsafe { kernel(kc, ap.as_ptr(), bpp, tile.as_mut_ptr(), NR) };
-                    for r in 0..mr {
-                        c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr]
-                            .copy_from_slice(&tile[r * NR..r * NR + nr]);
+                    let bpp = bpanel.as_ptr();
+                    for (panel, i0) in ap.chunks_exact(kc * MR).zip((ib..ib + mb).step_by(MR)) {
+                        let mr = (m - i0).min(MR);
+                        let app = panel.as_ptr();
+                        if mr == MR && nr == NR {
+                            // Full tile: accumulate straight into C.
+                            // SAFETY: `app`/`bpp` point at `kc * MR` / `kc * NR`
+                            // packed doubles, and rows `i0..i0 + MR`, columns
+                            // `j0..j0 + NR` of the `m × n` matrix `c` are in
+                            // bounds because the tile is full.
+                            unsafe { kernel(kc, app, bpp, c.as_mut_ptr().add(i0 * n + j0), n) };
+                        } else {
+                            // Edge tile: stage through a stack tile so the kernel
+                            // never reads or writes past the valid C region. The
+                            // padded A rows / B columns are zero, so the dead lanes
+                            // accumulate zeros and are simply not copied back.
+                            let mut tile = [0.0f64; MAX_TILE];
+                            for r in 0..mr {
+                                tile[r * NR..r * NR + nr]
+                                    .copy_from_slice(&c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr]);
+                            }
+                            // SAFETY: packed operands as above; `tile` holds
+                            // `MAX_TILE >= MR * NR` doubles with row stride `NR`.
+                            unsafe { kernel(kc, app, bpp, tile.as_mut_ptr(), NR) };
+                            for r in 0..mr {
+                                c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr]
+                                    .copy_from_slice(&tile[r * NR..r * NR + nr]);
+                            }
+                        }
                     }
                 }
             }
         }
+    });
+}
+
+/// AVX `4×8` f64 microkernel for the bitwise tier: 8 YMM accumulators,
+/// multiply **then** add per step in ascending `k` (never fused), so each
+/// element sees the rounding sequence of the scalar loops.
+///
+/// # Safety
+///
+/// The host must support AVX; `ap` and `bp` must point at `kc * 4` and
+/// `kc * 8` packed doubles; `c` must be valid for reads and writes of 4
+/// rows of 8 doubles at row stride `ldc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+unsafe fn kernel_4x8_f64_avx(kc: usize, ap: *const f64, bp: *const f64, c: *mut f64, ldc: usize) {
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm256_setzero_pd(); 2]; MR_AVX];
+    for (r, row) in acc.iter_mut().enumerate() {
+        row[0] = _mm256_loadu_pd(c.add(r * ldc));
+        row[1] = _mm256_loadu_pd(c.add(r * ldc + 4));
+    }
+    for kk in 0..kc {
+        let b0 = _mm256_loadu_pd(bp.add(kk * NR_F64));
+        let b1 = _mm256_loadu_pd(bp.add(kk * NR_F64 + 4));
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = _mm256_broadcast_sd(&*ap.add(kk * MR_AVX + r));
+            row[0] = _mm256_add_pd(row[0], _mm256_mul_pd(av, b0));
+            row[1] = _mm256_add_pd(row[1], _mm256_mul_pd(av, b1));
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        _mm256_storeu_pd(c.add(r * ldc), row[0]);
+        _mm256_storeu_pd(c.add(r * ldc + 4), row[1]);
     }
 }
 
@@ -471,16 +567,15 @@ unsafe fn kernel_4x4_f64_sse2(kc: usize, ap: *const f64, bp: *const f64, c: *mut
 /// SIMD f32 GEMM attempt (AVX2+FMA only). Returns `false` — leaving `c`
 /// untouched — when the caller must run the scalar f32 kernel.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f32(
+pub(crate) fn gemm_f32<S: PanelSource<f32>>(
     m: usize,
     n: usize,
     k: usize,
     alpha: f32,
     a: &[f32],
-    b: &[f32],
+    b: &S,
     beta: f32,
     c: &mut [f32],
-    b_layout: BLayout,
 ) -> bool {
     let f = cpu_features();
     let ops = m.saturating_mul(n).saturating_mul(k);
@@ -490,12 +585,12 @@ pub(crate) fn gemm_f32(
     #[cfg(target_arch = "x86_64")]
     {
         crate::kernels::scale_c_f32(beta, c);
-        gemm_panels_f32(m, n, k, alpha, a, b, c, b_layout, kernel_6x16_f32_fma);
+        gemm_panels_f32(m, n, k, alpha, a, b, c, kernel_6x16_f32_fma);
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (alpha, beta);
+        let _ = (alpha, a, b, beta, c);
         false
     }
 }
@@ -503,15 +598,14 @@ pub(crate) fn gemm_f32(
 /// f32 packed-panel driver (`6×16` tiles; mirrors [`gemm_panels`]).
 #[allow(clippy::too_many_arguments)]
 #[cfg(target_arch = "x86_64")]
-fn gemm_panels_f32(
+fn gemm_panels_f32<S: PanelSource<f32>>(
     m: usize,
     n: usize,
     k: usize,
     alpha: f32,
     a: &[f32],
-    b: &[f32],
+    b: &S,
     c: &mut [f32],
-    b_layout: BLayout,
     kernel: PanelKernelF32,
 ) {
     const MR: usize = MR_FMA;
@@ -536,22 +630,14 @@ fn gemm_panels_f32(
             for jp in 0..np {
                 let j0 = jp * NR;
                 let nr = (n - j0).min(NR);
-                let panel = &mut bp[jp * kc * NR..(jp + 1) * kc * NR];
-                for kk in 0..kc {
-                    let dst = &mut panel[kk * NR..(kk + 1) * NR];
-                    match b_layout {
-                        BLayout::RowMajor => {
-                            dst[..nr]
-                                .copy_from_slice(&b[(k0 + kk) * n + j0..(k0 + kk) * n + j0 + nr]);
-                        }
-                        BLayout::Transposed => {
-                            for (l, d) in dst.iter_mut().take(nr).enumerate() {
-                                *d = b[(j0 + l) * k + k0 + kk];
-                            }
-                        }
-                    }
-                    dst[nr..].fill(0.0);
-                }
+                b.pack(
+                    k0,
+                    kc,
+                    j0,
+                    nr,
+                    NR,
+                    &mut bp[jp * kc * NR..(jp + 1) * kc * NR],
+                );
             }
             for i0 in (0..m).step_by(MR) {
                 let mr = (m - i0).min(MR);
@@ -688,18 +774,35 @@ mod tests {
             let mut c_ref = vec![0.0; m * n];
             gemm_blocked(m, n, k, 1.25, &a, &b, 0.0, &mut c_ref);
             let mut c = vec![0.0; m * n];
-            gemm_panels::<MR_SSE, NR_SSE>(
+            gemm_panels::<MR_SSE, NR_SSE, _>(
                 m,
                 n,
                 k,
                 1.25,
                 &a,
-                &b,
+                AStrides { row: k, col: 1 },
+                &RowMajor { b: &b, n },
                 &mut c,
-                BLayout::RowMajor,
                 kernel_4x4_f64_sse2,
             );
             assert_eq!(c_ref, c, "sse2 path not bitwise at {m}x{n}x{k}");
+
+            // The same tile on a transposed A (`gemm_transa` below AVX2).
+            let mut at = vec![0.0; k * m];
+            crate::kernels::transpose_into(m, k, &a, &mut at);
+            let mut c_t = vec![0.0; m * n];
+            gemm_panels::<MR_SSE, NR_SSE, _>(
+                m,
+                n,
+                k,
+                1.25,
+                &at,
+                AStrides { row: 1, col: m },
+                &RowMajor { b: &b, n },
+                &mut c_t,
+                kernel_4x4_f64_sse2,
+            );
+            assert_eq!(c_ref, c_t, "sse2 transa path not bitwise at {m}x{n}x{k}");
         }
     }
 
@@ -718,15 +821,15 @@ mod tests {
             let mut c_ref = vec![0.0; m * n];
             gemm_naive(m, n, k, alpha, &a, &b, 0.0, &mut c_ref);
             let mut c = vec![0.0; m * n];
-            gemm_panels::<MR_FMA, NR_F64>(
+            gemm_panels::<MR_FMA, NR_F64, _>(
                 m,
                 n,
                 k,
                 alpha,
                 &a,
-                &b,
+                AStrides { row: k, col: 1 },
+                &RowMajor { b: &b, n },
                 &mut c,
-                BLayout::RowMajor,
                 kernel_6x8_f64_fma,
             );
             let bound = fma_bound(m, n, k, alpha, &a, &b);

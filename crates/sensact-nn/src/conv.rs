@@ -7,12 +7,17 @@
 //!
 //! Tensors are laid out `[batch, channels * depth * height * width]` with the
 //! spatial dimensions carried by the layer configuration. Forward and backward
-//! are lowered onto the cache-blocked GEMM kernels in `sensact_math::kernels`
-//! via an im2col/col2im buffer that is allocated once per call and reused
-//! across batch items. The original gather-formulation loop (which skips
-//! all-zero input voxels — the "spatially sparse" trick the paper's encoder
-//! relies on) is kept as [`Conv3d::forward_reference`] /
-//! [`Deconv3d::forward_reference`] for equivalence testing and benchmarking.
+//! are lowered onto the GEMM kernels in `sensact_math::kernels`. The f64 conv
+//! forward never writes the `[out_volume × cin·k³]` column matrix: a
+//! [`PanelSource`] unfolds input taps straight into the packed B panel the
+//! microkernel is about to read. Shapes pinned to the scalar kernels, the
+//! reduced-precision tiers and the weight gradients still unfold into a
+//! layer-owned scratch; the transposed products (deconv forward, conv
+//! backward) run in cache-sized blocks of sites with the fold applied per
+//! block. The original gather-formulation loop (which skips all-zero input
+//! voxels — the "spatially sparse" trick the paper's encoder relies on) is
+//! kept as [`Conv3d::forward_reference`] / [`Deconv3d::forward_reference`]
+//! for equivalence testing and benchmarking.
 
 use crate::init::Initializer;
 use crate::layers::Layer;
@@ -20,6 +25,7 @@ use crate::tensor::Tensor;
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use sensact_math::kernels;
 use sensact_math::kernels::Precision as RunPrecision;
+use sensact_math::simd::PanelSource;
 
 /// Spatial extents of a 3-D feature volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +54,223 @@ fn conv_out(extent: usize, kernel: usize, stride: usize, pad: usize) -> usize {
     (extent + 2 * pad - kernel) / stride + 1
 }
 
-fn deconv_out(extent: usize, kernel: usize, stride: usize, pad: usize) -> usize {
-    (extent - 1) * stride + kernel - 2 * pad
+/// `(extent - 1) * stride + kernel - 2 * pad`, or `None` where that is not
+/// a representable extent (empty input, padding wider than the rest).
+fn deconv_out(extent: usize, kernel: usize, stride: usize, pad: usize) -> Option<usize> {
+    extent
+        .checked_sub(1)?
+        .checked_mul(stride)?
+        .checked_add(kernel)?
+        .checked_sub(pad.checked_mul(2)?)
+}
+
+/// Doubles in one block of the transposed lowerings' column scratch
+/// (128 KiB): a block of sites is multiplied and folded while it is still
+/// L2-resident, so the full column matrix never exists.
+const FOLD_BLOCK: usize = 1 << 14;
+
+/// The first `len` elements of a layer-owned scratch buffer, grown on
+/// demand (contents are whatever the last call left: callers overwrite).
+fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Sliding-window geometry both layers lower through: one `kernel³` window
+/// per *site*, sliding with `stride` over a `grid` zero-padded by `pad`.
+/// A conv's sites are its output voxels and its grid the input; a deconv is
+/// the mirror image (sites = input voxels, grid = output), so unfolding and
+/// folding are written once. Columns are laid out `[channel, kd, kh, kw]`.
+#[derive(Debug, Clone, Copy)]
+struct Window {
+    channels: usize,
+    kernel: usize,
+    stride: usize,
+    pad: usize,
+    grid: Dims3,
+    sites: Dims3,
+}
+
+impl Window {
+    /// Column length: `channels * kernel³`.
+    #[inline]
+    fn patch_len(&self) -> usize {
+        self.channels * self.kernel * self.kernel * self.kernel
+    }
+
+    /// Half-open range of the taps of the window at site coordinate `site`
+    /// that land inside a grid axis of `extent` (the rest are padding).
+    /// Tap `t` of the range sits at grid coordinate
+    /// `site * stride + t - pad`.
+    #[inline]
+    fn taps(&self, site: usize, extent: usize) -> (usize, usize) {
+        let first = site * self.stride;
+        let hi = self.kernel.min((extent + self.pad).saturating_sub(first));
+        (self.pad.saturating_sub(first).min(hi), hi)
+    }
+
+    /// `(z, y, x)` coordinates of site `p`.
+    #[inline]
+    fn site(&self, p: usize) -> (usize, usize, usize) {
+        let (h, w) = (self.sites.h, self.sites.w);
+        (p / (h * w), p / w % h, p % w)
+    }
+
+    /// Visit every in-grid run of `kw` taps of the sites `p0..p0 + count`,
+    /// in ascending site order: `f(row, q, at, len)` is called with the
+    /// site's index within the range, the column offset of the run's first
+    /// tap, the grid offset it lands on and its length.
+    #[inline]
+    fn for_each_run(&self, p0: usize, count: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
+        let (k, s, g) = (self.kernel, self.stride, self.grid);
+        for row in 0..count {
+            let (sz, sy, sx) = self.site(p0 + row);
+            let (d0, d1) = self.taps(sz, g.d);
+            let (h0, h1) = self.taps(sy, g.h);
+            let (w0, w1) = self.taps(sx, g.w);
+            if w0 == w1 {
+                continue;
+            }
+            let x = sx * s + w0 - self.pad;
+            for c in 0..self.channels {
+                for kd in d0..d1 {
+                    let z = sz * s + kd - self.pad;
+                    for kh in h0..h1 {
+                        let y = sy * s + kh - self.pad;
+                        let q = ((c * k + kd) * k + kh) * k + w0;
+                        let at = ((c * g.d + z) * g.h + y) * g.w + x;
+                        f(row, q, at, w1 - w0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Unfold `src` (`[channels, grid]`) into `col`, laid out
+    /// `[sites, channels·k³]` row-major (im2col). Padding taps are written
+    /// as zero, so the buffer never needs pre-clearing.
+    fn unfold(&self, src: &[f64], col: &mut [f64]) {
+        let len = self.patch_len();
+        col.fill(0.0);
+        self.for_each_run(0, self.sites.volume(), |row, q, at, run| {
+            let dst = &mut col[row * len + q..][..run];
+            for (d, v) in dst.iter_mut().zip(&src[at..at + run]) {
+                *d = *v;
+            }
+        });
+    }
+
+    /// Fold the columns of sites `p0..` (`col` holds one `channels·k³` row
+    /// per site) back onto `dst` (`[channels, grid]`): scatter-add, padding
+    /// taps dropped. Each `dst` element takes at most one contribution per
+    /// site and sites are visited in ascending order, so folding block by
+    /// block adds in exactly the order one pass over all sites would.
+    fn fold_add(&self, p0: usize, col: &[f64], dst: &mut [f64]) {
+        let len = self.patch_len();
+        self.for_each_run(p0, col.len() / len, |row, q, at, run| {
+            let src = &col[row * len + q..][..run];
+            for (d, v) in dst[at..at + run].iter_mut().zip(src) {
+                *d += *v;
+            }
+        });
+    }
+
+    /// `dst += fold(aᵀ · w)`: the product both transposed lowerings share
+    /// (deconv forward: `a` = input row, `dst` = bias-filled output; conv
+    /// backward: `a` = output gradient, `dst` = input gradient). `a` is
+    /// `[k × sites]`, `w` is `[k × channels·k³]`. Runs in blocks of sites
+    /// sized to stay in L2: gather the block's columns of `a`, multiply,
+    /// fold, move on.
+    fn fold_product(&self, k: usize, a: &[f64], w: &[f64], scratch: &mut Scratch, dst: &mut [f64]) {
+        let (len, sites) = (self.patch_len(), self.sites.volume());
+        // A multiple of every register-tile height, so only the last block
+        // of a call runs edge tiles.
+        let rows = (FOLD_BLOCK / len / 8 * 8).clamp(1, sites);
+        let col = grown(&mut scratch.block, rows * len);
+        let a_block = grown(&mut scratch.a_block, k * rows);
+        for p0 in (0..sites).step_by(rows) {
+            let r = (sites - p0).min(rows);
+            for (dst_row, src_row) in a_block.chunks_exact_mut(r).zip(a.chunks_exact(sites)) {
+                dst_row.copy_from_slice(&src_row[p0..p0 + r]);
+            }
+            let col = &mut col[..r * len];
+            kernels::gemm_transa(r, len, k, 1.0, &a_block[..k * r], w, 0.0, col);
+            self.fold_add(p0, col, dst);
+        }
+    }
+}
+
+/// Lowering scratch a layer owns: grown on demand, reused across calls,
+/// never checkpointed.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// One item's full column matrix, for the arms that still materialise.
+    col: Vec<f64>,
+    /// One block of columns of a transposed lowering.
+    block: Vec<f64>,
+    /// The matching block of the transposed operand, gathered contiguous.
+    a_block: Vec<f64>,
+}
+
+/// The conv forward's B operand, never materialised: column `j` of the
+/// `[cin·k³ × batch·sites]` patch matrix is the window at site `j % sites`
+/// of `rows[j / sites]`, unfolded straight into the packed panel.
+struct Patches<'a> {
+    window: Window,
+    rows: &'a [&'a [f64]],
+}
+
+impl PanelSource<f64> for Patches<'_> {
+    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [f64]) {
+        let win = &self.window;
+        let (k, s, pad, g) = (win.kernel, win.stride, win.pad, win.grid);
+        let (k3, vol) = (k * k * k, win.sites.volume());
+        dst[..kc * ld].fill(0.0);
+        // Channels with a tap inside this k block.
+        let (c0, c1) = (k0 / k3, (k0 + kc).div_ceil(k3));
+        let mut l = 0;
+        while l < nr {
+            // Lanes l..l+run are consecutive sites of one row of one item:
+            // they share their z/y taps, and for a fixed tap their grid
+            // columns are `stride` apart.
+            let (sz, sy, sx) = win.site((j0 + l) % vol);
+            let run = (win.sites.w - sx).min(nr - l);
+            let src = self.rows[(j0 + l) / vol];
+            let (d0, d1) = win.taps(sz, g.d);
+            let (h0, h1) = win.taps(sy, g.h);
+            for kw in 0..k {
+                // Lanes whose tap `kw` lands inside the grid row: lane i
+                // sits at padded column (sx + i) * s + kw.
+                let first = sx * s + kw;
+                let la = pad.saturating_sub(first).div_ceil(s).min(run);
+                let lb = (g.w + pad).saturating_sub(first).div_ceil(s).min(run);
+                if la >= lb {
+                    continue;
+                }
+                let x = first + la * s - pad;
+                for c in c0..c1 {
+                    for kd in d0..d1 {
+                        let z = sz * s + kd - pad;
+                        for kh in h0..h1 {
+                            let q = ((c * k + kd) * k + kh) * k + kw;
+                            if q < k0 || q >= k0 + kc {
+                                continue;
+                            }
+                            let y = sy * s + kh - pad;
+                            let at = ((c * g.d + z) * g.h + y) * g.w + x;
+                            let lanes = &mut dst[(q - k0) * ld + l + la..][..lb - la];
+                            for (i, d) in lanes.iter_mut().enumerate() {
+                                *d = src[at + i * s];
+                            }
+                        }
+                    }
+                }
+            }
+            l += run;
+        }
+    }
 }
 
 /// Strided 3-D convolution.
@@ -71,27 +292,22 @@ pub struct Conv3d {
     /// Lazily-built f32 copy of `weights` for the reduced-precision forward
     /// path; invalidated whenever the parameters become mutable.
     weights_f32: Option<Vec<f32>>,
-    /// Cross-loop batching scratch: the stacked im2col panels of every
-    /// member in a batched forward call (`batch × out_volume × cin·k³`).
-    /// Grown on demand, reused across calls, never checkpointed.
+    scratch: Scratch,
+    /// Reduced-precision batching scratch: the stacked im2col panels of
+    /// every member in a batched forward call (`batch × out_volume ×
+    /// cin·k³`). Grown on demand, reused across calls, never checkpointed.
     batch_col: Vec<f64>,
-    /// Gathered `[cout × batch·vol]` output panel for the reduced-precision
-    /// batched paths (the f64 path scatters inside the batched kernel).
+    /// Gathered `[cout × batch·vol]` output panel of the batched paths.
     batch_panel: Vec<f64>,
 }
 
 impl Conv3d {
-    /// Rows per sub-batch of the bitwise (f64) batched forward: bounds the
-    /// stacked im2col scratch to `chunk · out_volume · cin·k³` doubles so
-    /// the panel a GEMM reads was unfolded into cache moments earlier,
-    /// independent of fleet size.
-    const F64_BATCH_CHUNK: usize = 32;
-
     /// Convolution with cubic kernel `kernel`, stride and zero padding.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration produces an empty output volume.
+    /// Panics if the input volume is empty or the kernel is larger than
+    /// the padded input.
     pub fn new(
         cin: usize,
         cout: usize,
@@ -105,6 +321,7 @@ impl Conv3d {
             kernel > 0 && stride > 0,
             "kernel and stride must be positive"
         );
+        assert!(in_dims.volume() > 0, "conv input is empty");
         assert!(
             in_dims.d + 2 * pad >= kernel
                 && in_dims.h + 2 * pad >= kernel
@@ -132,6 +349,7 @@ impl Conv3d {
             grad_b: vec![0.0; cout],
             cached_input: None,
             weights_f32: None,
+            scratch: Scratch::default(),
             batch_col: Vec::new(),
             batch_panel: Vec::new(),
         }
@@ -167,98 +385,46 @@ impl Conv3d {
         ((c * self.out_dims.d + z) * self.out_dims.h + y) * self.out_dims.w + x
     }
 
-    /// Patch length of the im2col matrix: `cin * kernel³`.
+    /// The layer's window geometry: one site per output voxel, sliding
+    /// over the input.
     #[inline]
-    fn patch_len(&self) -> usize {
-        self.cin * self.kernel * self.kernel * self.kernel
-    }
-
-    /// Unfold one batch row into `col`, laid out `[out_volume, cin*k³]`
-    /// row-major. Out-of-bounds (padding) taps are written as zero, so the
-    /// buffer never needs pre-clearing.
-    fn im2col(&self, xrow: &[f64], col: &mut [f64]) {
-        let k = self.kernel;
-        let ckk = self.patch_len();
-        let mut p = 0;
-        for oz in 0..self.out_dims.d {
-            for oy in 0..self.out_dims.h {
-                for ox in 0..self.out_dims.w {
-                    let dst = &mut col[p * ckk..(p + 1) * ckk];
-                    let mut q = 0;
-                    for ci in 0..self.cin {
-                        for kd in 0..k {
-                            let z = oz * self.stride + kd;
-                            for kh in 0..k {
-                                let y = oy * self.stride + kh;
-                                for kw in 0..k {
-                                    let x = ox * self.stride + kw;
-                                    dst[q] = if z < self.pad
-                                        || y < self.pad
-                                        || x < self.pad
-                                        || z - self.pad >= self.in_dims.d
-                                        || y - self.pad >= self.in_dims.h
-                                        || x - self.pad >= self.in_dims.w
-                                    {
-                                        0.0
-                                    } else {
-                                        xrow[self.in_idx(
-                                            ci,
-                                            z - self.pad,
-                                            y - self.pad,
-                                            x - self.pad,
-                                        )]
-                                    };
-                                    q += 1;
-                                }
-                            }
-                        }
-                    }
-                    p += 1;
-                }
-            }
+    fn window(&self) -> Window {
+        Window {
+            channels: self.cin,
+            kernel: self.kernel,
+            stride: self.stride,
+            pad: self.pad,
+            grid: self.in_dims,
+            sites: self.out_dims,
         }
     }
 
-    /// Fold a `[out_volume, cin*k³]` column-gradient buffer back onto the
-    /// input gradient row (scatter-add; padding taps are dropped).
-    fn col2im_add(&self, col: &[f64], grad_row: &mut [f64]) {
-        let k = self.kernel;
-        let ckk = self.patch_len();
-        let mut p = 0;
-        for oz in 0..self.out_dims.d {
-            for oy in 0..self.out_dims.h {
-                for ox in 0..self.out_dims.w {
-                    let src = &col[p * ckk..(p + 1) * ckk];
-                    let mut q = 0;
-                    for ci in 0..self.cin {
-                        for kd in 0..k {
-                            let z = oz * self.stride + kd;
-                            for kh in 0..k {
-                                let y = oy * self.stride + kh;
-                                for kw in 0..k {
-                                    let x = ox * self.stride + kw;
-                                    if z >= self.pad
-                                        && y >= self.pad
-                                        && x >= self.pad
-                                        && z - self.pad < self.in_dims.d
-                                        && y - self.pad < self.in_dims.h
-                                        && x - self.pad < self.in_dims.w
-                                    {
-                                        grad_row[self.in_idx(
-                                            ci,
-                                            z - self.pad,
-                                            y - self.pad,
-                                            x - self.pad,
-                                        )] += src[q];
-                                    }
-                                    q += 1;
-                                }
-                            }
-                        }
-                    }
-                    p += 1;
-                }
-            }
+    /// Patch length of the im2col matrix: `cin * kernel³`.
+    #[inline]
+    fn patch_len(&self) -> usize {
+        self.window().patch_len()
+    }
+
+    /// Full-precision forward of one input row into `orow` (fully
+    /// overwritten): `out[co, p] = bias[co] + Σ_q W[co, q] · patch[p, q]`,
+    /// the transposed-B GEMM with the bias as accumulator seed (beta = 1).
+    /// The patches are unfolded inside the panel packer; only a shape the
+    /// kernels pin to their scalar path unfolds into scratch first.
+    fn forward_row(&mut self, xrow: &[f64], orow: &mut [f64]) {
+        let win = self.window();
+        let (vol, ckk) = (win.sites.volume(), win.patch_len());
+        for (o, &b) in orow.chunks_exact_mut(vol).zip(&self.bias) {
+            o.fill(b);
+        }
+        let patches = Patches {
+            window: win,
+            rows: &[xrow],
+        };
+        let w = &self.weights;
+        if !kernels::gemm_panel_source(1, self.cout, vol, ckk, 1.0, w, &patches, 1.0, orow) {
+            let col = grown(&mut self.scratch.col, vol * ckk);
+            win.unfold(xrow, col);
+            kernels::gemm_transb(self.cout, vol, ckk, 1.0, w, col, 1.0, orow);
         }
     }
 
@@ -341,8 +507,9 @@ impl Conv3d {
     /// mixed-precision mode a loop's
     /// `StageContext::precision` carries):
     ///
-    /// - [`RunPrecision::F64`] — the production im2col + f64 GEMM path,
-    ///   bit-identical to [`Layer::forward`].
+    /// - [`RunPrecision::F64`] — the production path ([`Layer::forward`] is
+    ///   this arm plus the input cache): patches unfolded inside the GEMM's
+    ///   panel packer, no column matrix.
     /// - [`RunPrecision::F32`] — weights cast once into a cached f32 copy,
     ///   the im2col buffer cast per batch, lowered onto the f32 SIMD GEMM.
     /// - [`RunPrecision::Int8`] — weights and columns quantized to the
@@ -358,27 +525,23 @@ impl Conv3d {
         let vol = self.out_dims.volume();
         let ckk = self.patch_len();
         let mut out = Tensor::zeros(vec![batch, self.cout * vol]);
-        let mut col = vec![0.0; vol * ckk];
+        let win = self.window();
         match precision {
             RunPrecision::F64 => {
                 for b in 0..batch {
-                    self.im2col(input.row(b), &mut col);
-                    let orow = out.row_mut(b);
-                    for co in 0..self.cout {
-                        orow[co * vol..(co + 1) * vol].fill(self.bias[co]);
-                    }
-                    kernels::gemm_transb(self.cout, vol, ckk, 1.0, &self.weights, &col, 1.0, orow);
+                    self.forward_row(input.row(b), out.row_mut(b));
                 }
             }
             RunPrecision::F32 => {
                 if self.weights_f32.is_none() {
                     self.weights_f32 = Some(self.weights.iter().map(|w| *w as f32).collect());
                 }
+                let col = grown(&mut self.scratch.col, vol * ckk);
                 let mut colf = vec![0.0f32; vol * ckk];
                 let mut outf = vec![0.0f32; self.cout * vol];
                 for b in 0..batch {
-                    self.im2col(input.row(b), &mut col);
-                    for (dst, src) in colf.iter_mut().zip(&col) {
+                    win.unfold(input.row(b), col);
+                    for (dst, src) in colf.iter_mut().zip(col.iter()) {
                         *dst = *src as f32;
                     }
                     for co in 0..self.cout {
@@ -392,9 +555,10 @@ impl Conv3d {
                 }
             }
             RunPrecision::Int8 => {
+                let col = grown(&mut self.scratch.col, vol * ckk);
                 let mut prod = vec![0.0; self.cout * vol];
                 for b in 0..batch {
-                    self.im2col(input.row(b), &mut col);
+                    win.unfold(input.row(b), col);
                     // Integer accumulation is exact; the bias is added after
                     // dequantization so it is not quantized away.
                     let _ = kernels::gemm_transb_int8(
@@ -402,7 +566,7 @@ impl Conv3d {
                         vol,
                         ckk,
                         &self.weights,
-                        &col,
+                        col,
                         &mut prod,
                     );
                     let orow = out.row_mut(b);
@@ -431,9 +595,9 @@ impl Conv3d {
     }
 
     /// Cross-loop batched inference at full precision: run
-    /// `rows.len()` independent input rows through **one** stacked
-    /// im2col + batched GEMM call. Bitwise identical to calling the
-    /// per-row forward once per input — see
+    /// `rows.len()` independent input rows through **one** wide GEMM whose
+    /// panel packer unfolds every row's patches. Bitwise identical to
+    /// calling the per-row forward once per input — see
     /// [`forward_batch_with_precision`](Conv3d::forward_batch_with_precision).
     pub fn forward_batch(&mut self, rows: &[&[f64]], out: &mut [f64]) {
         self.forward_batch_with_precision(rows, RunPrecision::F64, out);
@@ -443,15 +607,14 @@ impl Conv3d {
     /// rows (one per leased loop), `out` receives the stacked output rows
     /// (`rows.len() × cout·out_volume`, fully overwritten).
     ///
-    /// All members' im2col panels are unfolded into one persistent stacked
-    /// scratch buffer and lowered onto a single batched GEMM, so kernel
-    /// dispatch, weight-panel packing and cache warm-up are paid once per
-    /// fleet tick instead of once per loop. Numerics per precision:
+    /// All members are lowered onto a single wide GEMM, so kernel dispatch,
+    /// weight-panel packing and cache warm-up are paid once per fleet tick
+    /// instead of once per loop. Numerics per precision:
     ///
     /// - [`RunPrecision::F64`] — **bitwise identical** to the per-row
-    ///   forward for every batch size: the batched kernel pins its dispatch
-    ///   on the per-item shape
-    ///   ([`gemm_transb_batched`](sensact_math::kernels::gemm_transb_batched)).
+    ///   forward for every batch size
+    ///   ([`forward_batch_into`](Conv3d::forward_batch_into) on the rows of
+    ///   `out`).
     /// - [`RunPrecision::F32`] — one stacked f32 GEMM; each element stays
     ///   within the same analytic single-precision envelope as the per-row
     ///   f32 path (the bound depends only on the reduction depth `cin·k³`).
@@ -466,62 +629,24 @@ impl Conv3d {
         out: &mut [f64],
     ) {
         let batch = rows.len();
-        let in_feat = self.in_features();
-        let vol = self.out_dims.volume();
-        let ckk = self.patch_len();
+        let feat = self.out_features();
         assert_eq!(
             out.len(),
-            batch * self.cout * vol,
+            batch * feat,
             "Conv3d::forward_batch: output must be batch * cout * out_volume"
         );
         if batch == 0 {
             return;
         }
-        let panel = vol * ckk;
         if precision == RunPrecision::F64 {
-            // Bitwise-per-item path: process the batch in cache-sized
-            // chunks so the stacked im2col scratch stays L2-resident — a
-            // whole large fleet's panels at once would stream multiple
-            // megabytes through cache between unfold and GEMM, losing to
-            // the per-row path it exists to beat. Each item's results
-            // depend only on its own panel, so chunking leaves every
-            // element's rounding path (and therefore its bits) unchanged.
-            let chunk = Self::F64_BATCH_CHUNK.max(1);
-            if self.batch_col.len() < chunk.min(batch) * panel {
-                self.batch_col.resize(chunk.min(batch) * panel, 0.0);
+            // Per-loop serving dispatch is a batch of one: no list to build.
+            if batch == 1 {
+                return self.forward_batch_into(rows, &mut [out]);
             }
-            let mut col = std::mem::take(&mut self.batch_col);
-            for c0 in (0..batch).step_by(chunk) {
-                let c1 = (c0 + chunk).min(batch);
-                for (t, row) in rows[c0..c1].iter().enumerate() {
-                    assert_eq!(
-                        row.len(),
-                        in_feat,
-                        "Conv3d::forward_batch: input row feature mismatch"
-                    );
-                    self.im2col(row, &mut col[t * panel..(t + 1) * panel]);
-                }
-                let ob = &mut out[c0 * self.cout * vol..c1 * self.cout * vol];
-                for orow in ob.chunks_mut(self.cout * vol) {
-                    for co in 0..self.cout {
-                        orow[co * vol..(co + 1) * vol].fill(self.bias[co]);
-                    }
-                }
-                kernels::gemm_transb_batched(
-                    c1 - c0,
-                    self.cout,
-                    vol,
-                    ckk,
-                    1.0,
-                    &self.weights,
-                    &col[..(c1 - c0) * panel],
-                    1.0,
-                    ob,
-                );
-            }
-            self.batch_col = col;
-            return;
+            let mut outs: Vec<&mut [f64]> = out.chunks_exact_mut(feat).collect();
+            return self.forward_batch_into(rows, &mut outs);
         }
+        let panel = self.out_dims.volume() * self.patch_len();
         if self.batch_col.len() < batch * panel {
             self.batch_col.resize(batch * panel, 0.0);
         }
@@ -534,13 +659,14 @@ impl Conv3d {
     /// overwritten) instead of one contiguous stacked slice.
     ///
     /// This is the serving fast path: the batch planner hands the leases'
-    /// own feature buffers directly, so the stacked GEMM's gathered
-    /// `[cout × batch·vol]` panel is scattered **once** — straight into
-    /// the per-lease buffers — with no intermediate stacked copy and no
-    /// gather before the kernel (the bias is filled into the gathered
-    /// panel directly). Bitwise identical to the per-row forward for every
-    /// batch size, by the same per-item dispatch pinning as
-    /// [`gemm_transb_batched`](sensact_math::kernels::gemm_transb_batched).
+    /// own feature buffers directly. The wide GEMM reads every item's
+    /// patches through the panel packer (no stacked im2col) into a gathered
+    /// `[cout × batch·vol]` panel seeded with the bias, which is scattered
+    /// **once** — straight into the per-lease buffers. Bitwise identical to
+    /// the per-row forward for every batch size: the path is pinned on the
+    /// per-item shape
+    /// ([`gemm_panel_source`](sensact_math::kernels::gemm_panel_source)),
+    /// and a shape pinned to the scalar kernels runs the per-row forward.
     pub fn forward_batch_into(&mut self, rows: &[&[f64]], outs: &mut [&mut [f64]]) {
         assert_eq!(
             rows.len(),
@@ -548,88 +674,49 @@ impl Conv3d {
             "Conv3d::forward_batch_into: one output row per input row"
         );
         let batch = rows.len();
-        let in_feat = self.in_features();
         let vol = self.out_dims.volume();
-        let ckk = self.patch_len();
-        let panel = vol * ckk;
-        let chunk = Self::F64_BATCH_CHUNK.max(1);
-        if self.batch_col.len() < chunk.min(batch.max(1)) * panel {
-            self.batch_col.resize(chunk.min(batch.max(1)) * panel, 0.0);
+        for (row, orow) in rows.iter().zip(outs.iter()) {
+            assert_eq!(
+                row.len(),
+                self.in_features(),
+                "Conv3d::forward_batch_into: input row feature mismatch"
+            );
+            assert_eq!(
+                orow.len(),
+                self.cout * vol,
+                "Conv3d::forward_batch_into: output row must be cout * out_volume"
+            );
         }
-        let mut col = std::mem::take(&mut self.batch_col);
-        let mut big = std::mem::take(&mut self.batch_panel);
-        for c0 in (0..batch).step_by(chunk) {
-            let c1 = (c0 + chunk).min(batch);
-            let cur = c1 - c0;
-            for (t, row) in rows[c0..c1].iter().enumerate() {
-                assert_eq!(
-                    row.len(),
-                    in_feat,
-                    "Conv3d::forward_batch_into: input row feature mismatch"
-                );
-                self.im2col(row, &mut col[t * panel..(t + 1) * panel]);
+        let nn = batch * vol;
+        let mut wide = false;
+        if batch >= 2 {
+            let patches = Patches {
+                window: self.window(),
+                rows,
+            };
+            let (ckk, w) = (self.patch_len(), &self.weights);
+            // The gathered panel starts as the bias, replicated along the
+            // stacked column axis — the same accumulator seed the per-row
+            // path loads, laid down as cout contiguous fills.
+            let big = grown(&mut self.batch_panel, self.cout * nn);
+            for (o, &b) in big.chunks_exact_mut(nn).zip(&self.bias) {
+                o.fill(b);
             }
-            for orow in outs[c0..c1].iter() {
-                assert_eq!(
-                    orow.len(),
-                    self.cout * vol,
-                    "Conv3d::forward_batch_into: output row must be cout * out_volume"
-                );
-            }
-            let nn = cur * vol;
-            let mut wide = false;
-            if cur >= 2 {
-                if big.len() < self.cout * nn {
-                    big.resize(self.cout * nn, 0.0);
-                }
-                // The gathered panel starts as the bias, replicated along
-                // the stacked column axis — the same accumulator seed the
-                // per-row path loads, laid down as cout contiguous fills.
-                for (co, &b) in self.bias.iter().enumerate() {
-                    big[co * nn..(co + 1) * nn].fill(b);
-                }
-                wide = kernels::gemm_transb_gathered(
-                    cur,
-                    self.cout,
-                    vol,
-                    ckk,
-                    1.0,
-                    &self.weights,
-                    &col[..cur * panel],
-                    1.0,
-                    &mut big[..self.cout * nn],
-                );
-            }
+            wide =
+                kernels::gemm_panel_source(batch, self.cout, vol, ckk, 1.0, w, &patches, 1.0, big);
             if wide {
-                for (t, orow) in outs[c0..c1].iter_mut().enumerate() {
-                    for co in 0..self.cout {
-                        orow[co * vol..(co + 1) * vol]
-                            .copy_from_slice(&big[co * nn + t * vol..co * nn + (t + 1) * vol]);
+                for (t, orow) in outs.iter_mut().enumerate() {
+                    for (o, src) in orow.chunks_exact_mut(vol).zip(big.chunks_exact(nn)) {
+                        o.copy_from_slice(&src[t * vol..(t + 1) * vol]);
                     }
-                }
-            } else {
-                // Pinned per-item path (scalar shapes, or a chunk of one):
-                // bias-fill and accumulate each row in place, exactly the
-                // per-row forward.
-                for (t, orow) in outs[c0..c1].iter_mut().enumerate() {
-                    for co in 0..self.cout {
-                        orow[co * vol..(co + 1) * vol].fill(self.bias[co]);
-                    }
-                    kernels::gemm_transb(
-                        self.cout,
-                        vol,
-                        ckk,
-                        1.0,
-                        &self.weights,
-                        &col[t * panel..(t + 1) * panel],
-                        1.0,
-                        orow,
-                    );
                 }
             }
         }
-        self.batch_col = col;
-        self.batch_panel = big;
+        if !wide {
+            for (row, orow) in rows.iter().zip(outs.iter_mut()) {
+                self.forward_row(row, orow);
+            }
+        }
     }
 
     /// The non-f64 arms of
@@ -646,20 +733,18 @@ impl Conv3d {
         let in_feat = self.in_features();
         let vol = self.out_dims.volume();
         let ckk = self.patch_len();
-        // Borrow-split: im2col reads layer config only, never the scratch.
-        let mut col = std::mem::take(&mut self.batch_col);
-        for (t, row) in rows.iter().enumerate() {
+        let win = self.window();
+        for (row, col) in rows.iter().zip(self.batch_col.chunks_exact_mut(panel)) {
             assert_eq!(
                 row.len(),
                 in_feat,
                 "Conv3d::forward_batch: input row feature mismatch"
             );
-            self.im2col(row, &mut col[t * panel..(t + 1) * panel]);
+            win.unfold(row, col);
         }
-        self.batch_col = col;
         let nn = batch * vol;
         match precision {
-            RunPrecision::F64 => unreachable!("handled by the chunked path above"),
+            RunPrecision::F64 => unreachable!("forward_batch_into handles full precision"),
             RunPrecision::F32 => {
                 if self.weights_f32.is_none() {
                     self.weights_f32 = Some(self.weights.iter().map(|w| *w as f32).collect());
@@ -720,25 +805,7 @@ impl Conv3d {
 
 impl Layer for Conv3d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let batch = input.shape()[0];
-        let in_feat = self.cin * self.in_dims.volume();
-        assert_eq!(input.shape()[1], in_feat, "Conv3d: input feature mismatch");
-        let vol = self.out_dims.volume();
-        let ckk = self.patch_len();
-        let mut out = Tensor::zeros(vec![batch, self.cout * vol]);
-        // im2col scratch, allocated once and reused for every batch item.
-        let mut col = vec![0.0; vol * ckk];
-        for b in 0..batch {
-            self.im2col(input.row(b), &mut col);
-            let orow = out.row_mut(b);
-            for co in 0..self.cout {
-                orow[co * vol..(co + 1) * vol].fill(self.bias[co]);
-            }
-            // out[co, p] = bias[co] + Σ_q W[co, q] · col[p, q]
-            // weights are [cout, cin*k³] row-major and col is [P, cin*k³], so
-            // this is exactly the transposed-B GEMM (beta = 1 keeps the bias).
-            kernels::gemm_transb(self.cout, vol, ckk, 1.0, &self.weights, &col, 1.0, orow);
-        }
+        let out = self.forward_with_precision(input, RunPrecision::F64);
         self.cached_input = Some(input.clone());
         out
     }
@@ -749,31 +816,21 @@ impl Layer for Conv3d {
             .as_ref()
             .expect("Conv3d::backward before forward");
         let batch = input.shape()[0];
-        let vol = self.out_dims.volume();
-        let ckk = self.patch_len();
+        let win = self.window();
+        let (vol, ckk) = (win.sites.volume(), win.patch_len());
         let mut grad_in = Tensor::zeros(vec![batch, self.cin * self.in_dims.volume()]);
-        let mut col = vec![0.0; vol * ckk];
-        let mut gcol = vec![0.0; vol * ckk];
         for b in 0..batch {
             let grow = grad_out.row(b);
-            for co in 0..self.cout {
-                self.grad_b[co] += grow[co * vol..(co + 1) * vol].iter().sum::<f64>();
+            for (gb, g) in self.grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
+                *gb += g.iter().sum::<f64>();
             }
-            self.im2col(input.row(b), &mut col);
+            let col = grown(&mut self.scratch.col, vol * ckk);
+            win.unfold(input.row(b), col);
             // grad_w += g [cout, P] · col [P, cin*k³]  (beta = 1 accumulates)
-            kernels::gemm(self.cout, ckk, vol, 1.0, grow, &col, 1.0, &mut self.grad_w);
-            // grad_col = gᵀ W : [P, cin*k³]
-            kernels::gemm_transa(
-                vol,
-                ckk,
-                self.cout,
-                1.0,
-                grow,
-                &self.weights,
-                0.0,
-                &mut gcol,
-            );
-            self.col2im_add(&gcol, grad_in.row_mut(b));
+            kernels::gemm(self.cout, ckk, vol, 1.0, grow, col, 1.0, &mut self.grad_w);
+            // grad_in += fold(gᵀ W), W as [cout, cin*k³]
+            let w = &self.weights;
+            win.fold_product(self.cout, grow, w, &mut self.scratch, grad_in.row_mut(b));
         }
         grad_in
     }
@@ -856,6 +913,7 @@ pub struct Deconv3d {
     grad_w: Vec<f64>,
     grad_b: Vec<f64>,
     cached_input: Option<Tensor>,
+    scratch: Scratch,
 }
 
 impl Deconv3d {
@@ -877,12 +935,11 @@ impl Deconv3d {
             kernel > 0 && stride > 0,
             "kernel and stride must be positive"
         );
-        let out_dims = Dims3::new(
-            deconv_out(in_dims.d, kernel, stride, pad),
-            deconv_out(in_dims.h, kernel, stride, pad),
-            deconv_out(in_dims.w, kernel, stride, pad),
-        );
-        assert!(out_dims.volume() > 0, "deconv output is empty");
+        let extent = |e| deconv_out(e, kernel, stride, pad).filter(|&o| o > 0);
+        let out_dims = match (extent(in_dims.d), extent(in_dims.h), extent(in_dims.w)) {
+            (Some(d), Some(h), Some(w)) => Dims3::new(d, h, w),
+            _ => panic!("deconv output is empty"),
+        };
         let fan_in = cin * kernel * kernel * kernel;
         let wcount = cin * cout * kernel * kernel * kernel;
         Deconv3d {
@@ -898,12 +955,27 @@ impl Deconv3d {
             grad_w: vec![0.0; wcount],
             grad_b: vec![0.0; cout],
             cached_input: None,
+            scratch: Scratch::default(),
         }
     }
 
     /// Output spatial dimensions.
     pub fn out_dims(&self) -> Dims3 {
         self.out_dims
+    }
+
+    /// The layer's window geometry: one site per input voxel, scattering
+    /// onto the output.
+    #[inline]
+    fn window(&self) -> Window {
+        Window {
+            channels: self.cout,
+            kernel: self.kernel,
+            stride: self.stride,
+            pad: self.pad,
+            grid: self.out_dims,
+            sites: self.in_dims,
+        }
     }
 
     #[inline]
@@ -950,76 +1022,6 @@ impl Deconv3d {
                 })
             })
         })
-    }
-
-    /// Patch length of the column buffer: `cout * kernel³`.
-    #[inline]
-    fn patch_len(&self) -> usize {
-        self.cout * self.kernel * self.kernel * self.kernel
-    }
-
-    /// Scatter a `[in_volume, cout*k³]` column buffer onto an output row
-    /// (add-accumulate; taps landing in the padding margin are dropped).
-    fn col2out_add(&self, col: &[f64], orow: &mut [f64]) {
-        let k = self.kernel;
-        let k3 = k * k * k;
-        let cokk = self.patch_len();
-        let mut p = 0;
-        for z in 0..self.in_dims.d {
-            for y in 0..self.in_dims.h {
-                for x in 0..self.in_dims.w {
-                    let src = &col[p * cokk..(p + 1) * cokk];
-                    for (kd, kh, kw, oz, oy, ox) in self.scatter_targets(z, y, x) {
-                        let koff = (kd * k + kh) * k + kw;
-                        for co in 0..self.cout {
-                            orow[self.out_idx(co, oz, oy, ox)] += src[co * k3 + koff];
-                        }
-                    }
-                    p += 1;
-                }
-            }
-        }
-    }
-
-    /// Gather an output-shaped gradient into a `[in_volume, cout*k³]` column
-    /// buffer (full overwrite; out-of-bounds taps become zero).
-    fn out2col(&self, grow: &[f64], col: &mut [f64]) {
-        let k = self.kernel;
-        let (s, p) = (self.stride, self.pad);
-        let cokk = self.patch_len();
-        let mut pi = 0;
-        for z in 0..self.in_dims.d {
-            for y in 0..self.in_dims.h {
-                for x in 0..self.in_dims.w {
-                    let dst = &mut col[pi * cokk..(pi + 1) * cokk];
-                    let mut j = 0;
-                    for co in 0..self.cout {
-                        for kd in 0..k {
-                            let oz = z * s + kd;
-                            for kh in 0..k {
-                                let oy = y * s + kh;
-                                for kw in 0..k {
-                                    let ox = x * s + kw;
-                                    dst[j] = if oz < p
-                                        || oy < p
-                                        || ox < p
-                                        || oz - p >= self.out_dims.d
-                                        || oy - p >= self.out_dims.h
-                                        || ox - p >= self.out_dims.w
-                                    {
-                                        0.0
-                                    } else {
-                                        grow[self.out_idx(co, oz - p, oy - p, ox - p)]
-                                    };
-                                    j += 1;
-                                }
-                            }
-                        }
-                    }
-                    pi += 1;
-                }
-            }
-        }
     }
 
     /// Reference scatter-formulation forward pass (skips all-zero input
@@ -1093,28 +1095,24 @@ impl StageState for Deconv3d {
 impl Layer for Deconv3d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let batch = input.shape()[0];
-        let pin = self.in_dims.volume();
+        let win = self.window();
         assert_eq!(
             input.shape()[1],
-            self.cin * pin,
+            self.cin * win.sites.volume(),
             "Deconv3d: input feature mismatch"
         );
         let vol = self.out_dims.volume();
-        let cokk = self.patch_len();
         let mut out = Tensor::zeros(vec![batch, self.cout * vol]);
-        // Column scratch, allocated once and reused for every batch item.
-        let mut col = vec![0.0; pin * cokk];
         for b in 0..batch {
-            let xrow = input.row(b);
-            // col[p, j] = Σ_ci x[ci, p] · W[ci, j] — the input row is
-            // [cin, Pin] row-major and weights are [cin, cout*k³], so this is
-            // the transposed-A GEMM.
-            kernels::gemm_transa(pin, cokk, self.cin, 1.0, xrow, &self.weights, 0.0, &mut col);
             let orow = out.row_mut(b);
-            for co in 0..self.cout {
-                orow[co * vol..(co + 1) * vol].fill(self.bias[co]);
+            for (o, &bias) in orow.chunks_exact_mut(vol).zip(&self.bias) {
+                o.fill(bias);
             }
-            self.col2out_add(&col, orow);
+            // out += fold(col), col[p, j] = Σ_ci x[ci, p] · W[ci, j] — the
+            // input row is [cin, Pin] row-major and weights are
+            // [cin, cout*k³], so this is the transposed-A GEMM.
+            let (x, w) = (input.row(b), &self.weights);
+            win.fold_product(self.cin, x, w, &mut self.scratch, orow);
         }
         self.cached_input = Some(input.clone());
         out
@@ -1126,20 +1124,20 @@ impl Layer for Deconv3d {
             .as_ref()
             .expect("Deconv3d::backward before forward");
         let batch = input.shape()[0];
-        let pin = self.in_dims.volume();
+        let win = self.window();
+        let (pin, cokk) = (win.sites.volume(), win.patch_len());
         let vol = self.out_dims.volume();
-        let cokk = self.patch_len();
         let mut grad_in = Tensor::zeros(vec![batch, self.cin * pin]);
-        let mut gcol = vec![0.0; pin * cokk];
+        let gcol = grown(&mut self.scratch.col, pin * cokk);
         for b in 0..batch {
             let xrow = input.row(b);
             let grow = grad_out.row(b);
-            for co in 0..self.cout {
-                self.grad_b[co] += grow[co * vol..(co + 1) * vol].iter().sum::<f64>();
+            for (gb, g) in self.grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
+                *gb += g.iter().sum::<f64>();
             }
-            self.out2col(grow, &mut gcol);
+            win.unfold(grow, gcol);
             // grad_w += x [cin, Pin] · gcol [Pin, cout*k³]  (beta = 1 accumulates)
-            kernels::gemm(self.cin, cokk, pin, 1.0, xrow, &gcol, 1.0, &mut self.grad_w);
+            kernels::gemm(self.cin, cokk, pin, 1.0, xrow, gcol, 1.0, &mut self.grad_w);
             // grad_in[ci, p] = Σ_j W[ci, j] · gcol[p, j] — transposed-B GEMM.
             kernels::gemm_transb(
                 self.cin,
@@ -1147,7 +1145,7 @@ impl Layer for Deconv3d {
                 cokk,
                 1.0,
                 &self.weights,
-                &gcol,
+                gcol,
                 0.0,
                 grad_in.row_mut(b),
             );
@@ -1372,7 +1370,289 @@ mod tests {
         let _ = Conv3d::new(1, 1, 5, 1, 0, Dims3::new(3, 3, 3), &mut init);
     }
 
+    #[test]
+    #[should_panic(expected = "conv input is empty")]
+    fn conv_rejects_zero_extent_input() {
+        // 0 + 2·1 >= 2 passes the kernel check, so the extent needs its own.
+        let mut init = Initializer::new(0);
+        let _ = Conv3d::new(1, 1, 2, 1, 1, Dims3::new(0, 3, 3), &mut init);
+    }
+
+    #[test]
+    #[should_panic(expected = "deconv output is empty")]
+    fn deconv_rejects_zero_extent_input() {
+        // (0 - 1) * stride wrapped to a huge extent in release builds.
+        let mut init = Initializer::new(0);
+        let _ = Deconv3d::new(1, 1, 3, 2, 0, Dims3::new(2, 0, 2), &mut init);
+    }
+
+    #[test]
+    #[should_panic(expected = "deconv output is empty")]
+    fn deconv_rejects_padding_wider_than_output() {
+        // (2 - 1) * 1 + 2 - 2·2 is negative.
+        let mut init = Initializer::new(0);
+        let _ = Deconv3d::new(1, 1, 2, 1, 2, Dims3::new(2, 2, 2), &mut init);
+    }
+
     use sensact_math::rng::StdRng;
+
+    /// The pre-change lowering, kept as the oracle the fused and blocked
+    /// paths must match bit for bit: per-element bounds tests, the whole
+    /// column matrix in memory, one unblocked `k`-outer transposed product.
+    mod oracle {
+        use super::super::*;
+
+        pub fn unfold(w: &Window, src: &[f64], col: &mut [f64]) {
+            visit(w, |p, q, at| {
+                col[p * w.patch_len() + q] = at.map_or(0.0, |i| src[i])
+            });
+        }
+
+        pub fn fold_add(w: &Window, col: &[f64], dst: &mut [f64]) {
+            visit(w, |p, q, at| {
+                if let Some(i) = at {
+                    dst[i] += col[p * w.patch_len() + q];
+                }
+            });
+        }
+
+        /// Every `(site, tap)` pair in column order with the grid index
+        /// the tap lands on (`None` in the padding margin).
+        fn visit(w: &Window, mut f: impl FnMut(usize, usize, Option<usize>)) {
+            let (k, s, pad, g) = (w.kernel, w.stride, w.pad, w.grid);
+            let mut p = 0;
+            for sz in 0..w.sites.d {
+                for sy in 0..w.sites.h {
+                    for sx in 0..w.sites.w {
+                        let mut q = 0;
+                        for c in 0..w.channels {
+                            for kd in 0..k {
+                                for kh in 0..k {
+                                    for kw in 0..k {
+                                        let (z, y, x) = (sz * s + kd, sy * s + kh, sx * s + kw);
+                                        let inside = z >= pad
+                                            && y >= pad
+                                            && x >= pad
+                                            && z - pad < g.d
+                                            && y - pad < g.h
+                                            && x - pad < g.w;
+                                        let at = inside.then(|| {
+                                            ((c * g.d + z - pad) * g.h + y - pad) * g.w + x - pad
+                                        });
+                                        f(p, q, at);
+                                        q += 1;
+                                    }
+                                }
+                            }
+                        }
+                        p += 1;
+                    }
+                }
+            }
+        }
+
+        /// `C = Aᵀ·B` with `a` `[k × m]`: the `k`-outer loop `gemm_transa`
+        /// was before it was register-tiled.
+        pub fn transa(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+            c.fill(0.0);
+            for kk in 0..k {
+                for i in 0..m {
+                    let scaled = 1.0 * a[kk * m + i];
+                    for j in 0..n {
+                        c[i * n + j] += scaled * b[kk * n + j];
+                    }
+                }
+            }
+        }
+
+        pub fn conv_forward(c: &Conv3d, x: &[f64], out: &mut [f64]) {
+            let win = c.window();
+            let (vol, ckk) = (win.sites.volume(), win.patch_len());
+            let mut col = vec![f64::NAN; vol * ckk];
+            unfold(&win, x, &mut col);
+            for (o, &b) in out.chunks_exact_mut(vol).zip(&c.bias) {
+                o.fill(b);
+            }
+            kernels::gemm_transb(c.cout, vol, ckk, 1.0, &c.weights, &col, 1.0, out);
+        }
+
+        /// `(grad_in, grad_w, grad_b)` of one row, gradients from zero.
+        pub fn conv_backward(c: &Conv3d, x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
+            let win = c.window();
+            let (vol, ckk) = (win.sites.volume(), win.patch_len());
+            let grad_b = g.chunks_exact(vol).map(|r| 0.0 + r.iter().sum::<f64>());
+            let mut col = vec![f64::NAN; vol * ckk];
+            unfold(&win, x, &mut col);
+            let mut grad_w = vec![0.0; c.weights.len()];
+            kernels::gemm(c.cout, ckk, vol, 1.0, g, &col, 1.0, &mut grad_w);
+            let mut gcol = vec![f64::NAN; vol * ckk];
+            transa(vol, ckk, c.cout, g, &c.weights, &mut gcol);
+            let mut grad_in = vec![0.0; x.len()];
+            fold_add(&win, &gcol, &mut grad_in);
+            [grad_in, grad_w, grad_b.collect()]
+        }
+
+        pub fn deconv_forward(d: &Deconv3d, x: &[f64], out: &mut [f64]) {
+            let win = d.window();
+            let (pin, cokk) = (win.sites.volume(), win.patch_len());
+            let mut col = vec![f64::NAN; pin * cokk];
+            transa(pin, cokk, d.cin, x, &d.weights, &mut col);
+            for (o, &b) in out.chunks_exact_mut(d.out_dims.volume()).zip(&d.bias) {
+                o.fill(b);
+            }
+            fold_add(&win, &col, out);
+        }
+
+        pub fn deconv_backward(d: &Deconv3d, x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
+            let win = d.window();
+            let (pin, cokk) = (win.sites.volume(), win.patch_len());
+            let vol = d.out_dims.volume();
+            let grad_b = g.chunks_exact(vol).map(|r| 0.0 + r.iter().sum::<f64>());
+            let mut gcol = vec![f64::NAN; pin * cokk];
+            unfold(&win, g, &mut gcol);
+            let mut grad_w = vec![0.0; d.weights.len()];
+            kernels::gemm(d.cin, cokk, pin, 1.0, x, &gcol, 1.0, &mut grad_w);
+            let mut grad_in = vec![f64::NAN; x.len()];
+            kernels::gemm_transb(d.cin, pin, cokk, 1.0, &d.weights, &gcol, 0.0, &mut grad_in);
+            [grad_in, grad_w, grad_b.collect()]
+        }
+    }
+
+    /// Bit equality, with every NaN equal to every other: a NaN must come
+    /// out exactly where the oracle has one, but which operand's payload an
+    /// add or multiply of two NaNs keeps is the compiler's choice.
+    fn assert_same_bits(got: &[f64], want: &[f64], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (a, b)) in got.iter().zip(want).enumerate() {
+            assert!(
+                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                "{what}: element {i} is {a:e}, oracle has {b:e}"
+            );
+        }
+    }
+
+    /// Mostly-finite rows with exact zeros (the reference paths skip them)
+    /// and a sprinkling of `-0.0`, `NaN` and `±inf`: the lowerings promise
+    /// no zero-skipping and full IEEE propagation.
+    fn hostile_input(rng: &mut StdRng, batch: usize, feat: usize) -> Tensor {
+        let mut x = sparse_input(rng, batch, feat);
+        let specials = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for row in 0..batch {
+            for &v in &specials {
+                let at = rng.random_range(0..feat);
+                x.row_mut(row)[at] = v;
+            }
+        }
+        x
+    }
+
+    fn grads(layer: &mut dyn Layer) -> Vec<Vec<f64>> {
+        let mut out = Vec::new();
+        layer.visit_params(&mut |_, g| out.push(g.to_vec()));
+        out
+    }
+
+    /// `[cin, cout, kernel, stride, pad, d, h, w]`: every stride/pad/kernel
+    /// the issue names, volumes that are no multiple of a panel width,
+    /// `cout` below and above a register-tile height, shapes on both sides
+    /// of the SIMD dispatch threshold, and a reduction (`16·3³ = 432`)
+    /// deeper than one `KC` block.
+    const LOWERING_CASES: &[[usize; 8]] = &[
+        [1, 1, 1, 1, 0, 2, 3, 3],
+        [2, 3, 1, 2, 1, 3, 4, 5],
+        [1, 2, 3, 1, 0, 3, 4, 5],
+        [2, 3, 3, 1, 1, 3, 5, 7],
+        [2, 5, 3, 2, 1, 5, 9, 13],
+        [3, 7, 3, 2, 0, 5, 7, 9],
+        [2, 3, 4, 1, 1, 4, 5, 6],
+        [1, 4, 4, 2, 1, 6, 10, 10],
+        [2, 2, 4, 2, 0, 6, 6, 7],
+        [16, 5, 3, 1, 1, 2, 5, 7],
+        [8, 16, 3, 1, 1, 2, 6, 11],
+    ];
+
+    #[test]
+    fn prop_conv_lowering_is_bit_identical_to_the_materialised_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xF05ED);
+        for &[cin, cout, kernel, stride, pad, d, h, w] in LOWERING_CASES {
+            let dims = Dims3::new(d, h, w);
+            let mut init = Initializer::new(rng.next_u64());
+            let mut c = Conv3d::new(cin, cout, kernel, stride, pad, dims, &mut init);
+            for b in c.bias.iter_mut() {
+                *b = rng.random_range(-0.5..0.5);
+            }
+            let case = format!("conv {cin}->{cout} k{kernel} s{stride} p{pad} {d}x{h}x{w}");
+            let feat = c.out_features();
+            for &batch in &[1usize, 2, 33] {
+                let x = hostile_input(&mut rng, batch, c.in_features());
+                let mut want = vec![f64::NAN; batch * feat];
+                for (row, out) in want.chunks_exact_mut(feat).enumerate() {
+                    oracle::conv_forward(&c, x.row(row), out);
+                }
+                let got = c.forward(&x, true);
+                assert_same_bits(got.as_slice(), &want, &format!("{case} forward b{batch}"));
+
+                let rows: Vec<&[f64]> = (0..batch).map(|b| x.row(b)).collect();
+                let mut per_item = vec![vec![f64::NAN; feat]; batch];
+                let mut views: Vec<&mut [f64]> =
+                    per_item.iter_mut().map(Vec::as_mut_slice).collect();
+                c.forward_batch_into(&rows, &mut views);
+                assert_same_bits(
+                    &per_item.concat(),
+                    &want,
+                    &format!("{case} forward_batch_into b{batch}"),
+                );
+            }
+            // Backward, one row (the oracle starts its gradients from zero).
+            let x = hostile_input(&mut rng, 1, c.in_features());
+            let g = hostile_input(&mut rng, 1, feat);
+            c.zero_grad();
+            let _ = c.forward(&x, true);
+            let grad_in = c.backward(&g);
+            let [want_in, want_w, want_b] = oracle::conv_backward(&c, x.row(0), g.row(0));
+            assert_same_bits(grad_in.as_slice(), &want_in, &format!("{case} grad_in"));
+            let got = grads(&mut c);
+            assert_same_bits(&got[0], &want_w, &format!("{case} grad_w"));
+            assert_same_bits(&got[1], &want_b, &format!("{case} grad_b"));
+        }
+    }
+
+    #[test]
+    fn prop_deconv_lowering_is_bit_identical_to_the_materialised_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xDEC0_F05E);
+        for &[cin, cout, kernel, stride, pad, d, h, w] in LOWERING_CASES {
+            if deconv_out(d, kernel, stride, pad).is_none_or(|o| o == 0) {
+                continue; // kernel 1 under padding 1 leaves nothing of a depth-1 axis
+            }
+            let dims = Dims3::new(d, h, w);
+            let mut init = Initializer::new(rng.next_u64());
+            let mut dc = Deconv3d::new(cin, cout, kernel, stride, pad, dims, &mut init);
+            for b in dc.bias.iter_mut() {
+                *b = rng.random_range(-0.5..0.5);
+            }
+            let case = format!("deconv {cin}->{cout} k{kernel} s{stride} p{pad} {d}x{h}x{w}");
+            let (in_feat, feat) = (cin * dims.volume(), cout * dc.out_dims().volume());
+            for &batch in &[1usize, 2, 33] {
+                let x = hostile_input(&mut rng, batch, in_feat);
+                let mut want = vec![f64::NAN; batch * feat];
+                for (row, out) in want.chunks_exact_mut(feat).enumerate() {
+                    oracle::deconv_forward(&dc, x.row(row), out);
+                }
+                let got = dc.forward(&x, true);
+                assert_same_bits(got.as_slice(), &want, &format!("{case} forward b{batch}"));
+            }
+            let x = hostile_input(&mut rng, 1, in_feat);
+            let g = hostile_input(&mut rng, 1, feat);
+            dc.zero_grad();
+            let _ = dc.forward(&x, true);
+            let grad_in = dc.backward(&g);
+            let [want_in, want_w, want_b] = oracle::deconv_backward(&dc, x.row(0), g.row(0));
+            assert_same_bits(grad_in.as_slice(), &want_in, &format!("{case} grad_in"));
+            let got = grads(&mut dc);
+            assert_same_bits(&got[0], &want_w, &format!("{case} grad_w"));
+            assert_same_bits(&got[1], &want_b, &format!("{case} grad_b"));
+        }
+    }
 
     /// Random input with a sparse fraction of exact zeros, so the reference
     /// path's zero-skip branch is exercised too.

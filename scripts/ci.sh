@@ -47,6 +47,9 @@ cargo run --offline --release -p sensact-bench --bin conformance -- --smoke
 echo "== conformance smoke (forced-scalar path) =="
 SENSACT_FORCE_SCALAR=1 cargo run --offline --release -p sensact-bench --bin conformance -- --smoke
 
+echo "== bitwise kernel + conv lowering tests (forced-scalar path) =="
+SENSACT_FORCE_SCALAR=1 cargo test --offline -q -p sensact-math -p sensact-nn --lib
+
 echo "== kernels bench smoke (SIMD + precision tiers, host ISA) =="
 cargo run --offline --release -p sensact-bench --bin kernels -- --smoke
 
@@ -76,5 +79,11 @@ cargo run --offline --release -p sensact-bench --bin bench_serve -- --smoke
 
 echo "== serving bench smoke (forced-scalar path) =="
 SENSACT_FORCE_SCALAR=1 cargo run --offline --release -p sensact-bench --bin bench_serve -- --smoke
+
+echo "== benchmark package (fmt, clippy, BENCHMARK.json in sync) =="
+benchmark/run.sh --check
+
+echo "== benchmark smoke (seven workloads, golden hashes + output checks) =="
+benchmark/run.sh --smoke
 
 echo "CI gate passed."
