@@ -14,11 +14,12 @@
 //!   sensor or perceptor that injects dropouts, stuck-at readings, latency
 //!   spikes and NaN poisoning with configurable per-tick probabilities
 //!   ([`FaultProfile`]);
-//! * [`FallibleLoop`] — a loop runner with graceful-degradation policies
-//!   ([`RecoveryPolicy`]): bounded retry with energy accounting,
-//!   last-good-value hold with staleness-decayed trust, and a fail-safe
-//!   fallback action supplied by the controller ([`FailSafe`] /
-//!   [`WithFallback`]).
+//! * [`FallibleLoop`] — the shared loop state and tick frame of
+//!   [`SensingActionLoop`](crate::SensingActionLoop) with a recovery ladder
+//!   ([`RecoveryPolicy`]) in the feature-acquisition slot: bounded retry
+//!   with energy accounting, last-good-value hold with staleness-decayed
+//!   trust, and a fail-safe fallback action supplied by the controller
+//!   ([`FailSafe`] / [`WithFallback`]).
 //!
 //! Dropouts and timeouts surface as [`StageError`]s the runner can retry;
 //! stuck-at and NaN faults are *silent* — the injector returns them as
@@ -35,49 +36,13 @@ use crate::budget::EnergyBudget;
 use crate::checkpoint::{
     get_opt_state, put_opt_state, Checkpoint, CheckpointError, Section, StageState, StateVec,
 };
+use crate::loop_::{LoopBuilder, LoopRunner, LoopState, TickFrame};
 use crate::precision::{Precision, PrecisionGovernor, PrecisionPolicy};
 use crate::stage::{Controller, Monitor, Perceptor, Sensor, StageContext, Trust};
 use crate::telemetry::LoopTelemetry;
-use crate::trace::{StageBreakdown, StageId, Tracer};
+use crate::trace::{StageId, Tracer};
 use sensact_math::rng::StdRng;
-
-/// Tracks one tick's per-stage attribution: a cursor into the [`StageContext`]
-/// ledger plus the accumulating [`StageBreakdown`].
-struct Attribution {
-    tick: u64,
-    cursor: (f64, f64),
-    stages: StageBreakdown,
-}
-
-impl Attribution {
-    fn new(tick: u64) -> Self {
-        Attribution {
-            tick,
-            cursor: (0.0, 0.0),
-            stages: StageBreakdown::new(),
-        }
-    }
-
-    /// Close one stage's window: compute the ledger delta since the cursor,
-    /// attribute it to `stage`, and emit a span (no-op when the tracer is
-    /// disabled).
-    fn close(
-        &mut self,
-        tracer: &mut Tracer,
-        ctx: &StageContext,
-        stage: StageId,
-        t0: f64,
-        ok: bool,
-    ) {
-        let (de, dl) = (
-            ctx.energy_j() - self.cursor.0,
-            ctx.latency_s() - self.cursor.1,
-        );
-        self.cursor = (ctx.energy_j(), ctx.latency_s());
-        self.stages.add(stage, de, dl);
-        tracer.finish(self.tick, stage, t0, de, dl, ok);
-    }
-}
+use std::ops::{Deref, DerefMut};
 
 /// Which loop stage produced a fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -633,7 +598,11 @@ pub struct FallibleOutput<A> {
 }
 
 /// A sensing-to-action loop over *fallible* stages with graceful
-/// degradation.
+/// degradation: the shared [`LoopState`] (which it dereferences to for name,
+/// stages, budget, telemetry, tracer and precision governor) plus a recovery
+/// ladder. Its tick is the same frame
+/// [`SensingActionLoop`](crate::SensingActionLoop) runs, with retry → hold →
+/// fail-safe where that loop has a plain sense → perceive.
 ///
 /// The type parameter `F` is the feature type held across ticks for the
 /// last-good-value recovery path (it equals the perceptor's
@@ -641,19 +610,23 @@ pub struct FallibleOutput<A> {
 /// [`FallibleLoop::tick`] call).
 #[derive(Debug)]
 pub struct FallibleLoop<S, P, M, C, Ad, F> {
-    name: String,
-    sensor: S,
-    perceptor: P,
-    monitor: M,
-    controller: C,
-    policy: Ad,
-    budget: EnergyBudget,
-    telemetry: LoopTelemetry,
+    state: LoopState<S, P, M, C, Ad>,
     recovery: RecoveryPolicy,
     held: Option<F>,
     staleness: u32,
-    tracer: Tracer,
-    governor: PrecisionGovernor,
+}
+
+impl<S, P, M, C, Ad, F> Deref for FallibleLoop<S, P, M, C, Ad, F> {
+    type Target = LoopState<S, P, M, C, Ad>;
+    fn deref(&self) -> &Self::Target {
+        &self.state
+    }
+}
+
+impl<S, P, M, C, Ad, F> DerefMut for FallibleLoop<S, P, M, C, Ad, F> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.state
+    }
 }
 
 impl<S, P, M, C, F> FallibleLoop<S, P, M, C, NoAdaptation, F> {
@@ -667,19 +640,12 @@ impl<S, P, M, C, F> FallibleLoop<S, P, M, C, NoAdaptation, F> {
         controller: C,
     ) -> Self {
         FallibleLoop {
-            name: name.into(),
-            sensor,
-            perceptor,
-            monitor,
-            controller,
-            policy: NoAdaptation,
-            budget: EnergyBudget::unlimited(),
-            telemetry: LoopTelemetry::new(),
+            state: LoopBuilder::new(name)
+                .build_monitored(sensor, perceptor, monitor, controller)
+                .state,
             recovery: RecoveryPolicy::default(),
             held: None,
             staleness: 0,
-            tracer: Tracer::disabled(),
-            governor: PrecisionGovernor::disabled(),
         }
     }
 }
@@ -687,7 +653,7 @@ impl<S, P, M, C, F> FallibleLoop<S, P, M, C, NoAdaptation, F> {
 impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
     /// Attach an energy budget.
     pub fn with_budget(mut self, budget: EnergyBudget) -> Self {
-        self.budget = budget;
+        self.state.budget = budget;
         self
     }
 
@@ -699,84 +665,39 @@ impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
 
     /// Replace the adaptation policy (action-to-sensing feedback).
     pub fn with_policy<Ad2>(self, policy: Ad2) -> FallibleLoop<S, P, M, C, Ad2, F> {
+        let s = self.state;
         FallibleLoop {
-            name: self.name,
-            sensor: self.sensor,
-            perceptor: self.perceptor,
-            monitor: self.monitor,
-            controller: self.controller,
-            policy,
-            budget: self.budget,
-            telemetry: self.telemetry,
+            state: LoopState {
+                name: s.name,
+                sensor: s.sensor,
+                perceptor: s.perceptor,
+                monitor: s.monitor,
+                controller: s.controller,
+                policy,
+                budget: s.budget,
+                telemetry: s.telemetry,
+                tracer: s.tracer,
+                governor: s.governor,
+            },
             recovery: self.recovery,
             held: self.held,
             staleness: self.staleness,
-            tracer: self.tracer,
-            governor: self.governor,
         }
     }
 
     /// Enable runtime mixed precision under the given policy (see
     /// [`LoopBuilder::with_precision`](crate::LoopBuilder::with_precision)).
     pub fn with_precision(mut self, policy: PrecisionPolicy) -> Self {
-        self.governor = PrecisionGovernor::new(policy);
+        self.state.governor = PrecisionGovernor::new(policy);
         self
-    }
-
-    /// The precision governor deciding each tick's numeric mode.
-    pub fn precision_governor(&self) -> &PrecisionGovernor {
-        &self.governor
-    }
-
-    /// Install or clear a fleet-level precision hint (e.g. from the
-    /// scheduler's energy arbiter). A disabled governor ignores hints.
-    pub fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.governor.set_hint(hint);
     }
 
     /// Cap the number of per-tick telemetry records retained.
     pub fn with_telemetry_capacity(mut self, capacity: usize) -> Self {
-        let counters_fresh = self.telemetry.ticks() == 0;
+        let counters_fresh = self.state.telemetry.ticks() == 0;
         debug_assert!(counters_fresh, "set capacity before ticking");
-        self.telemetry = LoopTelemetry::with_capacity(capacity);
+        self.state.telemetry = LoopTelemetry::with_capacity(capacity);
         self
-    }
-
-    /// Loop name (for reports).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Telemetry accumulated so far (including fault counters).
-    pub fn telemetry(&self) -> &LoopTelemetry {
-        &self.telemetry
-    }
-
-    /// Mutably borrow the telemetry — lets an external runtime (e.g. a fleet
-    /// scheduler) attribute events it observes from outside the loop, such as
-    /// a deadline miss surfaced as a [`StageError::Timeout`] fault.
-    pub fn telemetry_mut(&mut self) -> &mut LoopTelemetry {
-        &mut self.telemetry
-    }
-
-    /// Budget state.
-    pub fn budget(&self) -> &EnergyBudget {
-        &self.budget
-    }
-
-    /// Borrow the sensor (e.g. to read its adapted knobs).
-    pub fn sensor(&self) -> &S {
-        &self.sensor
-    }
-
-    /// Mutably borrow the sensor.
-    pub fn sensor_mut(&mut self) -> &mut S {
-        &mut self.sensor
-    }
-
-    /// Borrow the controller.
-    pub fn controller(&self) -> &C {
-        &self.controller
     }
 
     /// Active recovery policy.
@@ -788,259 +709,48 @@ impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
     /// Defaults to [`Tracer::disabled`]. Failed sense/perceive attempts emit
     /// spans with `ok == false`.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.state.tracer = tracer;
         self
-    }
-
-    /// Borrow the tracer (e.g. to export collected spans).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    /// Mutably borrow the tracer (e.g. to drain spans via
-    /// [`Tracer::take_spans`]).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
     }
 
     /// One sense→perceive attempt with timeout and poison detection.
     ///
-    /// Both stages are attributed to `stages` — *failed* attempts included
+    /// Both stages are attributed to the frame — *failed* attempts included
     /// (failure is charged where it happened) — and emit spans with
     /// `ok == false` on error when tracing is enabled.
-    fn attempt<E>(
-        &mut self,
-        env: &E,
-        ctx: &mut StageContext,
-        attr: &mut Attribution,
-    ) -> Result<F, (StageKind, StageError)>
+    fn attempt<E>(&mut self, env: &E, frame: &mut TickFrame) -> Result<F, StageError>
     where
         S: TrySensor<E>,
         P: TryPerceptor<S::Reading, Features = F>,
         F: FiniteCheck,
     {
-        let budget_s = self.recovery.latency_budget_s;
-        let lat0 = ctx.latency_s();
-        let t0 = self.tracer.start();
-        let sensed = self.sensor.try_sense(env, ctx);
-        let sense_result = match sensed {
-            Err(e) => Err((StageKind::Sensing, e)),
-            Ok(reading) => match budget_s {
-                Some(b) if ctx.latency_s() - lat0 > b => Err((
-                    StageKind::Sensing,
-                    StageError::Timeout {
-                        latency_s: ctx.latency_s() - lat0,
-                        budget_s: b,
-                    },
-                )),
-                _ => Ok(reading),
-            },
-        };
-        attr.close(
-            &mut self.tracer,
-            ctx,
+        let (state, budget_s) = (&mut self.state, self.recovery.latency_budget_s);
+        let reading = try_staged(
+            state,
+            frame,
             StageId::Sense,
-            t0,
-            sense_result.is_ok(),
-        );
-        let reading = sense_result?;
-
-        let lat1 = ctx.latency_s();
-        let t1 = self.tracer.start();
-        let perceived = self.perceptor.try_perceive(&reading, ctx);
-        let perceive_result = match perceived {
-            Err(e) => Err((StageKind::Perception, e)),
-            Ok(features) => match budget_s {
-                Some(b) if ctx.latency_s() - lat1 > b => Err((
-                    StageKind::Perception,
-                    StageError::Timeout {
-                        latency_s: ctx.latency_s() - lat1,
-                        budget_s: b,
-                    },
-                )),
-                _ if !features.all_finite() => Err((StageKind::Perception, StageError::Poisoned)),
-                _ => Ok(features),
-            },
-        };
-        attr.close(
-            &mut self.tracer,
-            ctx,
+            budget_s,
+            |s, ctx| s.sensor.try_sense(env, ctx),
+            |_| true,
+        )?;
+        try_staged(
+            state,
+            frame,
             StageId::Perceive,
-            t1,
-            perceive_result.is_ok(),
-        );
-        perceive_result
+            budget_s,
+            |s, ctx| s.perceptor.try_perceive(&reading, ctx),
+            F::all_finite,
+        )
     }
 
     /// Run one tick: sense → perceive (with retry/timeout/poison handling) →
     /// assess → decide — or degrade to held features / the fail-safe action.
     /// Never panics on stage faults; every tick yields an action.
-    pub fn tick<E>(&mut self, env: &E) -> FallibleOutput<C::Action>
+    pub fn tick<E>(&mut self, env: &E) -> <Self as LoopRunner<E>>::Output
     where
-        S: TrySensor<E>,
-        P: TryPerceptor<S::Reading, Features = F>,
-        F: Clone + FiniteCheck,
-        M: Monitor<F>,
-        C: FailSafe<F>,
-        Ad: AdaptationPolicy<S, C::Action>,
+        Self: LoopRunner<E>,
     {
-        let tick = self.telemetry.ticks();
-        self.tracer.new_tick();
-        let mut ctx = StageContext::new();
-        // Decide this tick's numeric mode from current budget pressure and
-        // stamp it into the context before any stage runs.
-        let precision = self.governor.decide(self.budget.pressure());
-        ctx.set_precision(precision);
-        let mut attr = Attribution::new(tick);
-        let mut retries = 0u32;
-        let mut faults = 0u32;
-        let fresh: Option<F> = loop {
-            match self.attempt(env, &mut ctx, &mut attr) {
-                Ok(features) => break Some(features),
-                Err((_kind, error)) => {
-                    faults += 1;
-                    self.telemetry.record_fault(&error);
-                    if retries < self.recovery.max_retries && !self.budget.exhausted() {
-                        retries += 1;
-                        // The re-arm surcharge lands before the next
-                        // attempt's sense window closes, so it is
-                        // attributed to the Sense stage.
-                        ctx.charge(self.recovery.retry_energy_j, 0.0);
-                        continue;
-                    }
-                    break None;
-                }
-            }
-        };
-        if retries > 0 {
-            self.telemetry.record_retries(retries);
-        }
-        let (action, trust, resolution) = match fresh {
-            Some(features) => {
-                let t0 = self.tracer.start();
-                let trust = self.monitor.assess(&features, &mut ctx);
-                attr.close(&mut self.tracer, &ctx, StageId::Monitor, t0, true);
-                let t0 = self.tracer.start();
-                let action = self.controller.decide(&features, trust, &mut ctx);
-                attr.close(&mut self.tracer, &ctx, StageId::Control, t0, true);
-                self.held = Some(features);
-                self.staleness = 0;
-                (action, trust, TickResolution::Fresh)
-            }
-            None => {
-                let can_hold = self.held.is_some() && self.staleness < self.recovery.max_hold_ticks;
-                if can_hold {
-                    self.staleness += 1;
-                    let staleness = self.staleness;
-                    let held = self.held.clone().expect("checked above");
-                    let t0 = self.tracer.start();
-                    let base = self.monitor.assess(&held, &mut ctx);
-                    let trust = base.degraded(staleness as f64 * self.recovery.staleness_decay);
-                    attr.close(&mut self.tracer, &ctx, StageId::Monitor, t0, true);
-                    let t0 = self.tracer.start();
-                    let action = self.controller.decide(&held, trust, &mut ctx);
-                    attr.close(&mut self.tracer, &ctx, StageId::Control, t0, true);
-                    self.telemetry.record_hold();
-                    (action, trust, TickResolution::Held { staleness })
-                } else {
-                    let t0 = self.tracer.start();
-                    let action = self.controller.fail_safe(&mut ctx);
-                    attr.close(&mut self.tracer, &ctx, StageId::Control, t0, true);
-                    self.telemetry.record_fallback();
-                    (action, Trust::Untrusted, TickResolution::Fallback)
-                }
-            }
-        };
-        // Act: consume before adapting — the policy sees this tick's
-        // pressure.
-        let t0 = self.tracer.start();
-        self.budget.consume(ctx.energy_j(), ctx.latency_s());
-        self.policy
-            .adapt(&mut self.sensor, &action, trust, &self.budget);
-        attr.close(&mut self.tracer, &ctx, StageId::Act, t0, true);
-        // Trust drift (fresh, degraded-held or fallback verdicts alike)
-        // feeds back into the governor for the next tick.
-        self.governor.observe_trust(trust);
-        self.telemetry.record_with_precision(
-            ctx.energy_j(),
-            ctx.latency_s(),
-            trust,
-            attr.stages,
-            precision,
-        );
-        FallibleOutput {
-            action,
-            trust,
-            resolution,
-            faults,
-            retries,
-            energy_j: ctx.energy_j(),
-            latency_s: ctx.latency_s(),
-            tick,
-        }
-    }
-
-    /// Serialize the loop's complete live state — telemetry, budget,
-    /// precision governor, tracer ring, held features and staleness, plus
-    /// every stage's [`StageState`] (fault-injector RNG position included) —
-    /// into a [`Checkpoint`] for kill-and-resume or live migration.
-    ///
-    /// The contract: [`FallibleLoop::restore`] of this checkpoint onto an
-    /// *identically constructed* loop (same stages, seeds, policies) makes
-    /// every subsequent tick bit-identical to the uninterrupted run.
-    pub fn snapshot(&self) -> Checkpoint
-    where
-        S: StageState,
-        P: StageState,
-        M: StageState,
-        C: StageState,
-        Ad: StageState,
-        F: StateVec,
-    {
-        let mut ckpt = Checkpoint::new(&self.name);
-        let mut s = Section::new("loop");
-        s.put_u64("staleness", self.staleness as u64);
-        put_opt_state(&mut s, "held", &self.held);
-        ckpt.push(s);
-        self.telemetry.save_state(&mut ckpt, "telemetry");
-        self.budget.save_state(&mut ckpt, "budget");
-        self.governor.save_state(&mut ckpt, "governor");
-        self.tracer.save_state(&mut ckpt, "tracer");
-        self.sensor.save_state(&mut ckpt, "sensor");
-        self.perceptor.save_state(&mut ckpt, "perceptor");
-        self.monitor.save_state(&mut ckpt, "monitor");
-        self.controller.save_state(&mut ckpt, "controller");
-        self.policy.save_state(&mut ckpt, "policy");
-        ckpt
-    }
-
-    /// Restore live state saved by [`FallibleLoop::snapshot`]. The loop must
-    /// be constructed with the same configuration (stages, recovery policy,
-    /// budget capacity, precision policy) as the one that was snapshotted;
-    /// only mutable state travels through the checkpoint.
-    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError>
-    where
-        S: StageState,
-        P: StageState,
-        M: StageState,
-        C: StageState,
-        Ad: StageState,
-        F: StateVec,
-    {
-        let s = ckpt.section("loop")?;
-        let staleness = s.get_u64("staleness")?;
-        self.staleness = u32::try_from(staleness)
-            .map_err(|_| CheckpointError::BadValue("loop.staleness".into()))?;
-        self.held = get_opt_state(s, "held")?;
-        self.telemetry.restore_state(ckpt, "telemetry")?;
-        self.budget.restore_state(ckpt, "budget")?;
-        self.governor.restore_state(ckpt, "governor")?;
-        self.tracer.restore_state(ckpt, "tracer")?;
-        self.sensor.restore_state(ckpt, "sensor")?;
-        self.perceptor.restore_state(ckpt, "perceptor")?;
-        self.monitor.restore_state(ckpt, "monitor")?;
-        self.controller.restore_state(ckpt, "controller")?;
-        self.policy.restore_state(ckpt, "policy")
+        LoopRunner::tick(self, env)
     }
 
     /// Run `n` ticks against a mutable environment, applying each action via
@@ -1049,29 +759,177 @@ impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
         &mut self,
         env: &mut E,
         n: usize,
-        mut apply: impl FnMut(&mut E, &C::Action),
-    ) -> Vec<FallibleOutput<C::Action>>
+        apply: impl FnMut(&mut E, &<Self as LoopRunner<E>>::Action),
+    ) -> Vec<<Self as LoopRunner<E>>::Output>
     where
-        S: TrySensor<E>,
-        P: TryPerceptor<S::Reading, Features = F>,
-        F: Clone + FiniteCheck,
-        M: Monitor<F>,
-        C: FailSafe<F>,
-        Ad: AdaptationPolicy<S, C::Action>,
+        Self: LoopRunner<E>,
     {
-        let mut outputs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let out = self.tick(env);
-            apply(env, &out.action);
-            outputs.push(out);
+        LoopRunner::run(self, env, n, apply)
+    }
+}
+
+impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState, F: StateVec>
+    FallibleLoop<S, P, M, C, Ad, F>
+{
+    /// Serialize the loop's complete live state — telemetry, budget,
+    /// precision governor, tracer ring, held features and staleness, plus
+    /// every stage's [`StageState`] (fault-injector RNG position included) —
+    /// into a [`Checkpoint`] for kill-and-resume or live migration.
+    ///
+    /// The contract: [`FallibleLoop::restore`] of this checkpoint onto an
+    /// *identically constructed* loop (same stages, seeds, policies) makes
+    /// every subsequent tick bit-identical to the uninterrupted run.
+    pub fn snapshot(&self) -> Checkpoint {
+        let mut ckpt = Checkpoint::new(&self.state.name);
+        let mut s = Section::new("loop");
+        s.put_u64("staleness", self.staleness as u64);
+        put_opt_state(&mut s, "held", &self.held);
+        ckpt.push(s);
+        self.state.save_sections(&mut ckpt);
+        ckpt
+    }
+
+    /// Restore live state saved by [`FallibleLoop::snapshot`]. The loop must
+    /// be constructed with the same configuration (stages, recovery policy,
+    /// budget capacity, precision policy) as the one that was snapshotted;
+    /// only mutable state travels through the checkpoint.
+    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
+        let s = ckpt.section("loop")?;
+        let staleness = s.get_u64("staleness")?;
+        self.staleness = u32::try_from(staleness)
+            .map_err(|_| CheckpointError::BadValue("loop.staleness".into()))?;
+        self.held = get_opt_state(s, "held")?;
+        self.state.restore_sections(ckpt)
+    }
+}
+
+/// One fallible stage of an attempt: run it, hold its charged latency to the
+/// per-attempt budget and its output to the poison check, and charge it to
+/// the frame whether or not it worked.
+#[inline]
+fn try_staged<S, P, M, C, Ad, T>(
+    state: &mut LoopState<S, P, M, C, Ad>,
+    frame: &mut TickFrame,
+    stage: StageId,
+    budget_s: Option<f64>,
+    run: impl FnOnce(&mut LoopState<S, P, M, C, Ad>, &mut StageContext) -> Result<T, StageError>,
+    finite: impl FnOnce(&T) -> bool,
+) -> Result<T, StageError> {
+    let lat0 = frame.ctx.latency_s();
+    let t0 = state.tracer.start();
+    let out = run(state, &mut frame.ctx).and_then(|v| {
+        let latency_s = frame.ctx.latency_s() - lat0;
+        match budget_s {
+            Some(budget_s) if latency_s > budget_s => Err(StageError::Timeout {
+                latency_s,
+                budget_s,
+            }),
+            _ if !finite(&v) => Err(StageError::Poisoned),
+            _ => Ok(v),
         }
-        outputs
+    });
+    frame.close(&mut state.tracer, stage, t0, out.is_ok());
+    out
+}
+
+impl<S, P, M, C, Ad, F, E> LoopRunner<E> for FallibleLoop<S, P, M, C, Ad, F>
+where
+    S: TrySensor<E>,
+    P: TryPerceptor<S::Reading, Features = F>,
+    F: Clone + FiniteCheck,
+    M: Monitor<F>,
+    C: FailSafe<F>,
+    Ad: AdaptationPolicy<S, C::Action>,
+{
+    type Action = C::Action;
+    type Output = FallibleOutput<C::Action>;
+
+    fn tick(&mut self, env: &E) -> Self::Output {
+        let mut frame = self.state.begin_tick();
+        let mut retries = 0u32;
+        let mut faults = 0u32;
+        let fresh: Option<F> = loop {
+            match self.attempt(env, &mut frame) {
+                Ok(features) => break Some(features),
+                Err(error) => {
+                    faults += 1;
+                    self.state.telemetry.record_fault(&error);
+                    if retries < self.recovery.max_retries && !self.state.budget.exhausted() {
+                        retries += 1;
+                        // The re-arm surcharge lands before the next
+                        // attempt's sense window closes, so it is
+                        // attributed to the Sense stage.
+                        frame.ctx.charge(self.recovery.retry_energy_j, 0.0);
+                        continue;
+                    }
+                    break None;
+                }
+            }
+        };
+        if retries > 0 {
+            self.state.telemetry.record_retries(retries);
+        }
+        let (action, trust, resolution) = match (fresh, &self.held) {
+            (Some(features), _) => {
+                let (action, trust) = self.state.decide(&mut frame, &features, None);
+                self.held = Some(features);
+                self.staleness = 0;
+                (action, trust, TickResolution::Fresh)
+            }
+            (None, Some(held)) if self.staleness < self.recovery.max_hold_ticks => {
+                self.staleness += 1;
+                let staleness = self.staleness;
+                let suspicion = staleness as f64 * self.recovery.staleness_decay;
+                let (action, trust) = self.state.decide(&mut frame, held, Some(suspicion));
+                self.state.telemetry.record_hold();
+                (action, trust, TickResolution::Held { staleness })
+            }
+            (None, _) => {
+                let action = self.state.staged(&mut frame, StageId::Control, |s, ctx| {
+                    s.controller.fail_safe(ctx)
+                });
+                self.state.telemetry.record_fallback();
+                (action, Trust::Untrusted, TickResolution::Fallback)
+            }
+        };
+        let out = self.state.finish_tick(frame, action, trust);
+        FallibleOutput {
+            action: out.action,
+            trust,
+            resolution,
+            faults,
+            retries,
+            energy_j: out.energy_j,
+            latency_s: out.latency_s,
+            tick: out.tick,
+        }
+    }
+
+    fn charged(out: &Self::Output) -> (&C::Action, f64, f64, u32) {
+        (&out.action, out.energy_j, out.latency_s, out.faults)
+    }
+
+    fn name(&self) -> &str {
+        &self.state.name
+    }
+
+    fn telemetry(&self) -> &LoopTelemetry {
+        &self.state.telemetry
+    }
+
+    fn telemetry_mut(&mut self) -> &mut LoopTelemetry {
+        &mut self.state.telemetry
+    }
+
+    fn set_precision_hint(&mut self, hint: Option<Precision>) {
+        self.state.set_precision_hint(hint);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapt::{ActionMagnitudeRate, SensingKnobs};
     use crate::stage::{AlwaysTrust, FnController, FnMonitor, FnPerceptor, FnSensor};
 
     fn scalar_sensor() -> FnSensor<impl FnMut(&f64, &mut StageContext) -> f64> {
@@ -1091,6 +949,61 @@ mod tests {
             FnController::new(|f: &f64, _t: Trust, _: &mut StageContext| -0.5 * f),
             0.0,
         )
+    }
+
+    /// A sensor with an adaptable rate knob; the rate scales its energy cost.
+    #[derive(Debug)]
+    struct KnobSensor {
+        rate: f64,
+    }
+    impl SensingKnobs for KnobSensor {
+        fn rate(&self) -> f64 {
+            self.rate
+        }
+        fn set_rate(&mut self, r: f64) {
+            self.rate = r.clamp(0.0, 1.0);
+        }
+        fn resolution(&self) -> f64 {
+            1.0
+        }
+        fn set_resolution(&mut self, _: f64) {}
+    }
+    impl Sensor<f64> for KnobSensor {
+        type Reading = f64;
+        fn sense(&mut self, env: &f64, ctx: &mut StageContext) -> f64 {
+            ctx.charge(1e-3 * self.rate, 0.0);
+            *env
+        }
+    }
+    // Let adaptation reach the wrapped sensor through the injector.
+    impl<V> SensingKnobs for FaultInjector<KnobSensor, V> {
+        fn rate(&self) -> f64 {
+            self.inner().rate()
+        }
+        fn set_rate(&mut self, r: f64) {
+            self.inner_mut().set_rate(r);
+        }
+        fn resolution(&self) -> f64 {
+            self.inner().resolution()
+        }
+        fn set_resolution(&mut self, r: f64) {
+            self.inner_mut().set_resolution(r);
+        }
+    }
+    // `Reliable` is a transparent lift for the knobs too.
+    impl SensingKnobs for Reliable<KnobSensor> {
+        fn rate(&self) -> f64 {
+            self.0.rate()
+        }
+        fn set_rate(&mut self, r: f64) {
+            self.0.set_rate(r);
+        }
+        fn resolution(&self) -> f64 {
+            self.0.resolution()
+        }
+        fn set_resolution(&mut self, r: f64) {
+            self.0.set_resolution(r);
+        }
     }
 
     #[test]
@@ -1142,6 +1055,99 @@ mod tests {
         assert_eq!((c.faults, c.retries, c.holds, c.fallbacks), (0, 0, 0, 0));
         assert_eq!(looop.telemetry().ticks(), 40);
         assert_eq!(looop.name(), "clean");
+
+        // The two runners are one frame: over `Reliable(..)` copies of the
+        // same stages — budgeted, adaptive precision with a trust spike that
+        // arms the f64 hold, action-to-sensing adaptation, sim-traced — the
+        // fallible runner is the infallible one, bit for bit, every tick.
+        let perceptor = || {
+            FnPerceptor::new(|r: &f64, ctx: &mut StageContext| {
+                ctx.charge(2e-4, 5e-5);
+                *r
+            })
+        };
+        let monitor = || {
+            FnMonitor::new(|f: &f64, ctx: &mut StageContext| {
+                ctx.charge(1e-5, 0.0);
+                if f.abs() > 10.0 {
+                    Trust::Suspect(0.9)
+                } else {
+                    Trust::Trusted
+                }
+            })
+        };
+        let controller = || {
+            FnController::new(|f: &f64, _t: Trust, ctx: &mut StageContext| {
+                ctx.charge(1e-4, 2e-5);
+                -0.3 * f
+            })
+        };
+        let precision = || PrecisionPolicy::adaptive(0.3, 0.6).with_hold_ticks(3);
+        let mut plain = LoopBuilder::new("plain")
+            .with_budget(EnergyBudget::new(0.05))
+            .with_precision(precision())
+            .with_tracer(Tracer::sim(0.5))
+            .build_full(
+                KnobSensor { rate: 1.0 },
+                perceptor(),
+                monitor(),
+                controller(),
+                ActionMagnitudeRate::default(),
+            );
+        let mut lifted = FallibleLoop::new(
+            "lifted",
+            Reliable(KnobSensor { rate: 1.0 }),
+            Reliable(perceptor()),
+            monitor(),
+            WithFallback::new(controller(), 0.0),
+        )
+        .with_budget(EnergyBudget::new(0.05))
+        .with_precision(precision())
+        .with_tracer(Tracer::sim(0.5))
+        .with_policy(ActionMagnitudeRate::default());
+        let (mut env_plain, mut env_lifted) = (8.0f64, 8.0f64);
+        let mut held_f64 = false;
+        for t in 0..60 {
+            if t == 30 {
+                // Deep in the cheap-precision era: arm the trust-drift hold.
+                (env_plain, env_lifted) = (50.0, 50.0);
+            }
+            let a = plain.tick(&env_plain);
+            let b = lifted.tick(&env_lifted);
+            assert_eq!(a.action.to_bits(), b.action.to_bits(), "tick {t} action");
+            assert_eq!((a.trust, a.tick), (b.trust, b.tick));
+            assert_eq!(b.resolution, TickResolution::Fresh);
+            let (ra, rb) = (
+                plain.telemetry().last_record(),
+                lifted.telemetry().last_record(),
+            );
+            assert_eq!(crate::replay::diff_records(ra.unwrap(), rb.unwrap()), None);
+            env_plain += a.action;
+            env_lifted += b.action;
+            held_f64 |= plain.precision_governor().holding();
+            assert_eq!(
+                plain.precision_governor().holding(),
+                lifted.precision_governor().holding()
+            );
+        }
+        assert!(held_f64, "the spike must arm the forced-f64 hold");
+        let schedule: Vec<Precision> = plain.telemetry().records().map(|r| r.precision).collect();
+        assert!(schedule.contains(&Precision::F64) && schedule.contains(&Precision::Int8));
+        assert!(
+            plain.sensor().rate() < 1.0,
+            "adaptation must have moved the knob"
+        );
+        assert_eq!(
+            plain.sensor().rate().to_bits(),
+            lifted.sensor().rate().to_bits()
+        );
+        assert_eq!(
+            plain.budget().consumed_j().to_bits(),
+            lifted.budget().consumed_j().to_bits()
+        );
+        let spans = |t: &Tracer| t.spans().copied().collect::<Vec<_>>();
+        assert_eq!(spans(plain.tracer()), spans(lifted.tracer()));
+        assert_eq!(plain.tracer().len(), 60 * 5);
     }
 
     #[test]
@@ -1531,47 +1537,6 @@ mod tests {
 
     #[test]
     fn with_policy_adapts_sensor_through_injector() {
-        use crate::adapt::{ActionMagnitudeRate, SensingKnobs};
-
-        #[derive(Debug)]
-        struct KnobSensor {
-            rate: f64,
-        }
-        impl SensingKnobs for KnobSensor {
-            fn rate(&self) -> f64 {
-                self.rate
-            }
-            fn set_rate(&mut self, r: f64) {
-                self.rate = r.clamp(0.0, 1.0);
-            }
-            fn resolution(&self) -> f64 {
-                1.0
-            }
-            fn set_resolution(&mut self, _: f64) {}
-        }
-        impl Sensor<f64> for KnobSensor {
-            type Reading = f64;
-            fn sense(&mut self, env: &f64, ctx: &mut StageContext) -> f64 {
-                ctx.charge(1e-3 * self.rate, 0.0);
-                *env
-            }
-        }
-        // Let adaptation reach the wrapped sensor through the injector.
-        impl<V> SensingKnobs for FaultInjector<KnobSensor, V> {
-            fn rate(&self) -> f64 {
-                self.inner().rate()
-            }
-            fn set_rate(&mut self, r: f64) {
-                self.inner_mut().set_rate(r);
-            }
-            fn resolution(&self) -> f64 {
-                self.inner().resolution()
-            }
-            fn set_resolution(&mut self, r: f64) {
-                self.inner_mut().set_resolution(r);
-            }
-        }
-
         let inj: FaultInjector<_, f64> =
             FaultInjector::new(KnobSensor { rate: 1.0 }, FaultProfile::none(), 0);
         let mut looop = FallibleLoop::new(

@@ -71,6 +71,7 @@ pub mod telemetry;
 pub mod trace;
 
 mod loop_;
+mod ring;
 
 pub use budget::EnergyBudget;
 pub use checkpoint::{
@@ -81,7 +82,7 @@ pub use fault::{
     StageError, TickResolution, TryPerceptor, TrySensor, WithFallback,
 };
 pub use health::{FleetHealth, HealthPolicy, HealthScorer, HealthSignals, HealthStatus};
-pub use loop_::{LoopBuilder, LoopOutput, SensingActionLoop};
+pub use loop_::{LoopBuilder, LoopOutput, LoopRunner, LoopState, SensingActionLoop};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use precision::{Precision, PrecisionGovernor, PrecisionPolicy};
 pub use replay::{first_divergence, Divergence, Recording, RecordingMeta};

@@ -1,12 +1,23 @@
-//! The sensing-to-action loop runner.
+//! The sensing-to-action loop: the state every runner shares, the one tick
+//! frame both runners execute, and the infallible runner.
+//!
+//! A tick is `begin_tick` (numeric mode, fresh ledger) → *feature
+//! acquisition* → `decide` (monitor → control) → `finish_tick` (Act: consume,
+//! adapt, record). [`SensingActionLoop`] fills the acquisition slot with a
+//! plain sense → perceive; [`FallibleLoop`](crate::fault::FallibleLoop) fills
+//! it with its retry / hold / fail-safe ladder. Everything else — state,
+//! accessors, per-stage charging, the checkpoint sections, `run` and `replay`
+//! ([`LoopRunner`]) — is written once, here.
 
 use crate::adapt::{AdaptationPolicy, NoAdaptation};
 use crate::budget::EnergyBudget;
 use crate::checkpoint::{Checkpoint, CheckpointError, StageState};
 use crate::precision::{Precision, PrecisionGovernor, PrecisionPolicy};
+use crate::replay::{diff_records, Divergence, Recording};
 use crate::stage::{AlwaysTrust, Controller, Monitor, Perceptor, Sensor, StageContext, Trust};
 use crate::telemetry::LoopTelemetry;
 use crate::trace::{StageBreakdown, StageId, Tracer};
+use std::ops::{Deref, DerefMut};
 
 /// Output of one loop tick.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,32 +34,57 @@ pub struct LoopOutput<A> {
     pub tick: u64,
 }
 
-/// A complete sensing-to-action loop: sensor → perceptor → monitor →
-/// controller, with an action-to-sensing adaptation policy and an energy
-/// budget.
-///
-/// Construct through [`LoopBuilder`].
-#[derive(Debug)]
-pub struct SensingActionLoop<S, P, M, C, Ad> {
-    name: String,
-    sensor: S,
-    perceptor: P,
-    monitor: M,
-    controller: C,
-    policy: Ad,
-    budget: EnergyBudget,
-    telemetry: LoopTelemetry,
-    tracer: Tracer,
-    governor: PrecisionGovernor,
+/// One tick in flight: the ledger its stages charge, the per-stage
+/// attribution of that ledger (a cursor into it plus the accumulating
+/// [`StageBreakdown`]), and the numeric mode the prologue decided.
+pub(crate) struct TickFrame {
+    pub(crate) ctx: StageContext,
+    tick: u64,
+    cursor: (f64, f64),
+    stages: StageBreakdown,
+    precision: Precision,
 }
 
-impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
+impl TickFrame {
+    /// Close one stage's window: compute the ledger delta since the cursor,
+    /// attribute it to `stage` — a *failed* attempt's too (`ok == false`):
+    /// failure is charged where it happened — and emit a span (no-op when
+    /// the tracer is disabled).
+    #[inline]
+    pub(crate) fn close(&mut self, tracer: &mut Tracer, stage: StageId, t0: f64, ok: bool) {
+        let (energy_j, latency_s) = (self.ctx.energy_j(), self.ctx.latency_s());
+        let (de, dl) = (energy_j - self.cursor.0, latency_s - self.cursor.1);
+        self.cursor = (energy_j, latency_s);
+        self.stages.add(stage, de, dl);
+        tracer.finish(self.tick, stage, t0, de, dl, ok);
+    }
+}
+
+/// The state every loop runner shares — name, the five stages, energy
+/// budget, telemetry, tracer and precision governor — and its accessors.
+/// Both [`SensingActionLoop`] and [`FallibleLoop`](crate::fault::FallibleLoop)
+/// dereference to it.
+#[derive(Debug)]
+pub struct LoopState<S, P, M, C, Ad> {
+    pub(crate) name: String,
+    pub(crate) sensor: S,
+    pub(crate) perceptor: P,
+    pub(crate) monitor: M,
+    pub(crate) controller: C,
+    pub(crate) policy: Ad,
+    pub(crate) budget: EnergyBudget,
+    pub(crate) telemetry: LoopTelemetry,
+    pub(crate) tracer: Tracer,
+    pub(crate) governor: PrecisionGovernor,
+}
+
+impl<S, P, M, C, Ad> LoopState<S, P, M, C, Ad> {
     /// Loop name (for reports).
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// Telemetry accumulated so far.
+    /// Telemetry accumulated so far (including fault counters).
     pub fn telemetry(&self) -> &LoopTelemetry {
         &self.telemetry
     }
@@ -93,8 +129,9 @@ impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
     }
 
     /// The precision governor deciding each tick's numeric mode (disabled —
-    /// always f64 — unless [`LoopBuilder::with_precision`] installed a
-    /// policy).
+    /// always f64 — unless a policy was installed with
+    /// [`LoopBuilder::with_precision`] or
+    /// [`FallibleLoop::with_precision`](crate::fault::FallibleLoop::with_precision)).
     pub fn precision_governor(&self) -> &PrecisionGovernor {
         &self.governor
     }
@@ -106,127 +143,122 @@ impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
         self.governor.set_hint(hint);
     }
 
-    /// Run one tick against an environment snapshot: sense, perceive, assess,
-    /// decide, then adapt the sensor for the next tick.
-    ///
-    /// Every stage's charged energy/latency is attributed to a
-    /// [`StageBreakdown`] carried by the tick's telemetry record; when the
-    /// loop's [`Tracer`] is enabled, each stage also emits a [`Span`](crate::trace::Span).
-    pub fn tick<E>(&mut self, env: &E) -> LoopOutput<C::Action>
-    where
-        S: Sensor<E>,
-        P: Perceptor<S::Reading>,
-        M: Monitor<P::Features>,
-        C: Controller<P::Features>,
-        Ad: AdaptationPolicy<S, C::Action>,
-    {
-        let tick = self.telemetry.ticks();
+    /// Tick prologue: decide this tick's numeric mode from current budget
+    /// pressure and stamp it into a fresh ledger before any stage runs.
+    #[inline]
+    pub(crate) fn begin_tick(&mut self) -> TickFrame {
         self.tracer.new_tick();
         let mut ctx = StageContext::new();
-        // Decide this tick's numeric mode from current budget pressure and
-        // stamp it into the context before any stage runs.
         let precision = self.governor.decide(self.budget.pressure());
         ctx.set_precision(precision);
-        let mut stages = StageBreakdown::new();
-        // Attribute each stage by snapshotting the ledger around it. The
-        // closure-free repetition keeps the hot path monomorphic and branch-
-        // predictable; tracer start/finish are single branches when disabled.
-        let (mut e0, mut l0) = (0.0f64, 0.0f64);
-        let mut charge = |ctx: &StageContext,
-                          stages: &mut StageBreakdown,
-                          tracer: &mut Tracer,
-                          stage: StageId,
-                          t0: f64| {
-            let (de, dl) = (ctx.energy_j() - e0, ctx.latency_s() - l0);
-            (e0, l0) = (ctx.energy_j(), ctx.latency_s());
-            stages.add(stage, de, dl);
-            tracer.finish(tick, stage, t0, de, dl, true);
-        };
-
-        let t0 = self.tracer.start();
-        let reading = self.sensor.sense(env, &mut ctx);
-        charge(&ctx, &mut stages, &mut self.tracer, StageId::Sense, t0);
-
-        let t0 = self.tracer.start();
-        let features = self.perceptor.perceive(&reading, &mut ctx);
-        charge(&ctx, &mut stages, &mut self.tracer, StageId::Perceive, t0);
-
-        let t0 = self.tracer.start();
-        let trust = self.monitor.assess(&features, &mut ctx);
-        charge(&ctx, &mut stages, &mut self.tracer, StageId::Monitor, t0);
-        // Trust drift feeds back into the governor: suspicion at or above
-        // the policy's drift threshold forces f64 from the next tick on.
-        self.governor.observe_trust(trust);
-
-        let t0 = self.tracer.start();
-        let action = self.controller.decide(&features, trust, &mut ctx);
-        charge(&ctx, &mut stages, &mut self.tracer, StageId::Control, t0);
-
-        // Act stage: consume *before* adapting — the policy must see this
-        // tick's budget pressure, not last tick's, or a single huge-energy
-        // tick could not throttle the very next one.
-        let t0 = self.tracer.start();
-        self.budget.consume(ctx.energy_j(), ctx.latency_s());
-        self.policy
-            .adapt(&mut self.sensor, &action, trust, &self.budget);
-        charge(&ctx, &mut stages, &mut self.tracer, StageId::Act, t0);
-
-        self.telemetry.record_with_precision(
-            ctx.energy_j(),
-            ctx.latency_s(),
-            trust,
-            stages,
+        TickFrame {
+            ctx,
+            tick: self.telemetry.ticks(),
+            cursor: (0.0, 0.0),
+            stages: StageBreakdown::new(),
             precision,
+        }
+    }
+
+    /// Run one infallible stage inside the frame and charge what it added to
+    /// the ledger to `stage` (tracer start/finish are single branches when
+    /// disabled).
+    #[inline]
+    pub(crate) fn staged<T>(
+        &mut self,
+        frame: &mut TickFrame,
+        stage: StageId,
+        run: impl FnOnce(&mut Self, &mut StageContext) -> T,
+    ) -> T {
+        let t0 = self.tracer.start();
+        let out = run(self, &mut frame.ctx);
+        frame.close(&mut self.tracer, stage, t0, true);
+        out
+    }
+
+    /// Monitor → control over `features`. `staleness` is the extra suspicion
+    /// held (stale) features carry; fresh features pass `None` and the
+    /// monitor's verdict stands as is.
+    #[inline]
+    pub(crate) fn decide<F>(
+        &mut self,
+        frame: &mut TickFrame,
+        features: &F,
+        staleness: Option<f64>,
+    ) -> (C::Action, Trust)
+    where
+        M: Monitor<F>,
+        C: Controller<F>,
+    {
+        let trust = self.staged(frame, StageId::Monitor, |s, ctx| {
+            let verdict = s.monitor.assess(features, ctx);
+            staleness.map_or(verdict, |extra| verdict.degraded(extra))
+        });
+        let action = self.staged(frame, StageId::Control, |s, ctx| {
+            s.controller.decide(features, trust, ctx)
+        });
+        (action, trust)
+    }
+
+    /// Tick epilogue — the Act stage and the books. Consume *before*
+    /// adapting: the policy must see this tick's budget pressure, not last
+    /// tick's, or a single huge-energy tick could not throttle the very next
+    /// one. The verdict (fresh, staleness-degraded or fail-safe alike) then
+    /// feeds the governor: suspicion at or above the policy's drift threshold
+    /// forces f64 from the next tick on.
+    #[inline]
+    pub(crate) fn finish_tick<A>(
+        &mut self,
+        mut frame: TickFrame,
+        action: A,
+        trust: Trust,
+    ) -> LoopOutput<A>
+    where
+        Ad: AdaptationPolicy<S, A>,
+    {
+        let (energy_j, latency_s) = (frame.ctx.energy_j(), frame.ctx.latency_s());
+        self.staged(&mut frame, StageId::Act, |s, _| {
+            s.budget.consume(energy_j, latency_s);
+            s.policy.adapt(&mut s.sensor, &action, trust, &s.budget);
+        });
+        self.governor.observe_trust(trust);
+        self.telemetry.record_with_precision(
+            energy_j,
+            latency_s,
+            trust,
+            frame.stages,
+            frame.precision,
         );
         LoopOutput {
             action,
             trust,
-            energy_j: ctx.energy_j(),
-            latency_s: ctx.latency_s(),
-            tick,
+            energy_j,
+            latency_s,
+            tick: frame.tick,
         }
     }
+}
 
-    /// Serialize the loop's complete live state — telemetry, budget,
-    /// precision governor, tracer ring, plus every stage's [`StageState`] —
-    /// into a versioned [`Checkpoint`] for kill-and-resume or live migration.
-    ///
-    /// The contract: [`SensingActionLoop::restore`] of this checkpoint onto
-    /// an *identically constructed* loop makes every subsequent tick
-    /// bit-identical to the uninterrupted run.
-    pub fn snapshot(&self) -> Checkpoint
-    where
-        S: StageState,
-        P: StageState,
-        M: StageState,
-        C: StageState,
-        Ad: StageState,
-    {
-        let mut ckpt = Checkpoint::new(&self.name);
-        self.telemetry.save_state(&mut ckpt, "telemetry");
-        self.budget.save_state(&mut ckpt, "budget");
-        self.governor.save_state(&mut ckpt, "governor");
-        self.tracer.save_state(&mut ckpt, "tracer");
-        self.sensor.save_state(&mut ckpt, "sensor");
-        self.perceptor.save_state(&mut ckpt, "perceptor");
-        self.monitor.save_state(&mut ckpt, "monitor");
-        self.controller.save_state(&mut ckpt, "controller");
-        self.policy.save_state(&mut ckpt, "policy");
-        ckpt
+impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState>
+    LoopState<S, P, M, C, Ad>
+{
+    /// The checkpoint sections every runner writes, in wire order: telemetry,
+    /// budget, precision governor, tracer ring, then each stage's
+    /// [`StageState`].
+    pub(crate) fn save_sections(&self, ckpt: &mut Checkpoint) {
+        self.telemetry.save_state(ckpt, "telemetry");
+        self.budget.save_state(ckpt, "budget");
+        self.governor.save_state(ckpt, "governor");
+        self.tracer.save_state(ckpt, "tracer");
+        self.sensor.save_state(ckpt, "sensor");
+        self.perceptor.save_state(ckpt, "perceptor");
+        self.monitor.save_state(ckpt, "monitor");
+        self.controller.save_state(ckpt, "controller");
+        self.policy.save_state(ckpt, "policy");
     }
 
-    /// Restore live state saved by [`SensingActionLoop::snapshot`]. The loop
-    /// must be built with the same configuration (stages, budget capacity,
-    /// precision policy, telemetry capacity) as the snapshotted one; only
-    /// mutable state travels through the checkpoint.
-    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError>
-    where
-        S: StageState,
-        P: StageState,
-        M: StageState,
-        C: StageState,
-        Ad: StageState,
-    {
+    /// Restore what [`LoopState::save_sections`] wrote.
+    pub(crate) fn restore_sections(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         self.telemetry.restore_state(ckpt, "telemetry")?;
         self.budget.restore_state(ckpt, "budget")?;
         self.governor.restore_state(ckpt, "governor")?;
@@ -237,6 +269,121 @@ impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
         self.controller.restore_state(ckpt, "controller")?;
         self.policy.restore_state(ckpt, "policy")
     }
+}
+
+/// What a driver needs from a loop runner, whichever way it acquires its
+/// features: one tick against an environment, the shared bookkeeping, and —
+/// written once on top of those — [`run`](LoopRunner::run) and
+/// [`replay`](LoopRunner::replay). Implemented by [`SensingActionLoop`] and
+/// [`FallibleLoop`](crate::fault::FallibleLoop); a fleet runtime closes either
+/// over its environment through this trait alone.
+pub trait LoopRunner<E> {
+    /// What the controller decides.
+    type Action;
+    /// What one tick returns ([`LoopOutput`] or
+    /// [`FallibleOutput`](crate::fault::FallibleOutput)).
+    type Output;
+
+    /// Run one tick against an environment snapshot.
+    fn tick(&mut self, env: &E) -> Self::Output;
+
+    /// The action a tick decided and what the tick charged:
+    /// `(action, energy_j, latency_s, stage faults)`.
+    fn charged(out: &Self::Output) -> (&Self::Action, f64, f64, u32);
+
+    /// Loop name (for reports).
+    fn name(&self) -> &str;
+
+    /// Telemetry accumulated so far.
+    fn telemetry(&self) -> &LoopTelemetry;
+
+    /// Mutably borrow the telemetry — how a fleet runtime attributes a
+    /// deadline miss to the loop's own fault counters.
+    fn telemetry_mut(&mut self) -> &mut LoopTelemetry;
+
+    /// Install or clear a fleet-level precision hint.
+    fn set_precision_hint(&mut self, hint: Option<Precision>);
+
+    /// Run `n` ticks against a mutable environment, applying each action via
+    /// `apply`. Returns the outputs.
+    fn run(
+        &mut self,
+        env: &mut E,
+        n: usize,
+        mut apply: impl FnMut(&mut E, &Self::Action),
+    ) -> Vec<Self::Output> {
+        let mut outputs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let out = self.tick(env);
+            apply(env, Self::charged(&out).0);
+            outputs.push(out);
+        }
+        outputs
+    }
+
+    /// Re-drive this (freshly built) loop against a recording, one tick per
+    /// recorded tick, comparing each produced telemetry record bit-for-bit
+    /// as it lands (so the loop's ring may be smaller than the recording).
+    /// Returns the number of ticks verified, or the first [`Divergence`].
+    fn replay(
+        &mut self,
+        env: &mut E,
+        recording: &Recording,
+        mut apply: impl FnMut(&mut E, &Self::Action),
+    ) -> Result<u64, Divergence> {
+        let mut verified = 0u64;
+        for rec in &recording.ticks {
+            let out = self.tick(env);
+            apply(env, Self::charged(&out).0);
+            let produced = self.telemetry().last_record().expect("tick() records");
+            if let Some(d) = diff_records(rec, produced) {
+                return Err(d);
+            }
+            verified += 1;
+        }
+        Ok(verified)
+    }
+}
+
+/// A complete sensing-to-action loop: sensor → perceptor → monitor →
+/// controller, with an action-to-sensing adaptation policy and an energy
+/// budget.
+///
+/// Construct through [`LoopBuilder`]. Name, telemetry, budget, stages,
+/// tracer and precision governor are read through the [`LoopState`] it
+/// dereferences to.
+#[derive(Debug)]
+pub struct SensingActionLoop<S, P, M, C, Ad> {
+    pub(crate) state: LoopState<S, P, M, C, Ad>,
+}
+
+impl<S, P, M, C, Ad> Deref for SensingActionLoop<S, P, M, C, Ad> {
+    type Target = LoopState<S, P, M, C, Ad>;
+    fn deref(&self) -> &Self::Target {
+        &self.state
+    }
+}
+
+impl<S, P, M, C, Ad> DerefMut for SensingActionLoop<S, P, M, C, Ad> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.state
+    }
+}
+
+impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
+    /// Run one tick against an environment snapshot: sense, perceive, assess,
+    /// decide, then adapt the sensor for the next tick.
+    ///
+    /// Every stage's charged energy/latency is attributed to a
+    /// [`StageBreakdown`] carried by the tick's telemetry record; when the
+    /// loop's [`Tracer`] is enabled, each stage also emits a [`Span`](crate::trace::Span).
+    #[inline]
+    pub fn tick<E>(&mut self, env: &E) -> <Self as LoopRunner<E>>::Output
+    where
+        Self: LoopRunner<E>,
+    {
+        LoopRunner::tick(self, env)
+    }
 
     /// Run `n` ticks against a mutable environment, applying each action via
     /// `apply`. Returns the outputs.
@@ -244,22 +391,83 @@ impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
         &mut self,
         env: &mut E,
         n: usize,
-        mut apply: impl FnMut(&mut E, &C::Action),
-    ) -> Vec<LoopOutput<C::Action>>
+        apply: impl FnMut(&mut E, &<Self as LoopRunner<E>>::Action),
+    ) -> Vec<<Self as LoopRunner<E>>::Output>
     where
-        S: Sensor<E>,
-        P: Perceptor<S::Reading>,
-        M: Monitor<P::Features>,
-        C: Controller<P::Features>,
-        Ad: AdaptationPolicy<S, C::Action>,
+        Self: LoopRunner<E>,
     {
-        let mut outputs = Vec::with_capacity(n);
-        for _ in 0..n {
-            let out = self.tick(env);
-            apply(env, &out.action);
-            outputs.push(out);
-        }
-        outputs
+        LoopRunner::run(self, env, n, apply)
+    }
+}
+
+impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState>
+    SensingActionLoop<S, P, M, C, Ad>
+{
+    /// Serialize the loop's complete live state — telemetry, budget,
+    /// precision governor, tracer ring, plus every stage's [`StageState`] —
+    /// into a versioned [`Checkpoint`] for kill-and-resume or live migration.
+    ///
+    /// The contract: [`SensingActionLoop::restore`] of this checkpoint onto
+    /// an *identically constructed* loop makes every subsequent tick
+    /// bit-identical to the uninterrupted run.
+    pub fn snapshot(&self) -> Checkpoint {
+        let mut ckpt = Checkpoint::new(&self.state.name);
+        self.state.save_sections(&mut ckpt);
+        ckpt
+    }
+
+    /// Restore live state saved by [`SensingActionLoop::snapshot`]. The loop
+    /// must be built with the same configuration (stages, budget capacity,
+    /// precision policy, telemetry capacity) as the snapshotted one; only
+    /// mutable state travels through the checkpoint.
+    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
+        self.state.restore_sections(ckpt)
+    }
+}
+
+impl<S, P, M, C, Ad, E> LoopRunner<E> for SensingActionLoop<S, P, M, C, Ad>
+where
+    S: Sensor<E>,
+    P: Perceptor<S::Reading>,
+    M: Monitor<P::Features>,
+    C: Controller<P::Features>,
+    Ad: AdaptationPolicy<S, C::Action>,
+{
+    type Action = C::Action;
+    type Output = LoopOutput<C::Action>;
+
+    #[inline]
+    fn tick(&mut self, env: &E) -> Self::Output {
+        let state = &mut self.state;
+        let mut frame = state.begin_tick();
+        let reading = state.staged(&mut frame, StageId::Sense, |s, ctx| {
+            s.sensor.sense(env, ctx)
+        });
+        let features = state.staged(&mut frame, StageId::Perceive, |s, ctx| {
+            s.perceptor.perceive(&reading, ctx)
+        });
+        let (action, trust) = state.decide(&mut frame, &features, None);
+        state.finish_tick(frame, action, trust)
+    }
+
+    fn charged(out: &Self::Output) -> (&C::Action, f64, f64, u32) {
+        (&out.action, out.energy_j, out.latency_s, 0)
+    }
+
+    fn name(&self) -> &str {
+        &self.state.name
+    }
+
+    fn telemetry(&self) -> &LoopTelemetry {
+        &self.state.telemetry
+    }
+
+    fn telemetry_mut(&mut self) -> &mut LoopTelemetry {
+        &mut self.state.telemetry
+    }
+
+    fn set_precision_hint(&mut self, hint: Option<Precision>) {
+        self.state.set_precision_hint(hint);
     }
 }
 
@@ -347,16 +555,18 @@ impl LoopBuilder {
         policy: Ad,
     ) -> SensingActionLoop<S, P, M, C, Ad> {
         SensingActionLoop {
-            name: self.name,
-            sensor,
-            perceptor,
-            monitor,
-            controller,
-            policy,
-            budget: self.budget,
-            telemetry: LoopTelemetry::with_capacity(self.telemetry_capacity),
-            tracer: self.tracer,
-            governor: self.governor,
+            state: LoopState {
+                name: self.name,
+                sensor,
+                perceptor,
+                monitor,
+                controller,
+                policy,
+                budget: self.budget,
+                telemetry: LoopTelemetry::with_capacity(self.telemetry_capacity),
+                tracer: self.tracer,
+                governor: self.governor,
+            },
         }
     }
 }

@@ -51,13 +51,12 @@
 //! assert_eq!(ticks, 32);
 //! ```
 
-use crate::adapt::AdaptationPolicy;
 use crate::export::{
     field, parse_flat, parse_span, parse_tick, span_to_json, str_field, tick_to_json,
 };
-use crate::fault::{FailSafe, FallibleLoop, FiniteCheck, TryPerceptor, TrySensor};
-use crate::loop_::SensingActionLoop;
-use crate::stage::{Controller, Monitor, Perceptor, Sensor, Trust};
+use crate::fault::FallibleLoop;
+use crate::loop_::{LoopRunner, SensingActionLoop};
+use crate::stage::Trust;
 use crate::telemetry::{LoopTelemetry, TickRecord};
 use crate::trace::{Span, StageId};
 use std::fmt::Write as _;
@@ -339,26 +338,12 @@ impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
         &mut self,
         env: &mut E,
         recording: &Recording,
-        mut apply: impl FnMut(&mut E, &C::Action),
+        apply: impl FnMut(&mut E, &<Self as LoopRunner<E>>::Action),
     ) -> Result<u64, Divergence>
     where
-        S: Sensor<E>,
-        P: Perceptor<S::Reading>,
-        M: Monitor<P::Features>,
-        C: Controller<P::Features>,
-        Ad: AdaptationPolicy<S, C::Action>,
+        Self: LoopRunner<E>,
     {
-        let mut verified = 0u64;
-        for rec in &recording.ticks {
-            let out = self.tick(env);
-            apply(env, &out.action);
-            let produced = self.telemetry().last_record().expect("tick() records");
-            if let Some(d) = diff_records(rec, produced) {
-                return Err(d);
-            }
-            verified += 1;
-        }
-        Ok(verified)
+        LoopRunner::replay(self, env, recording, apply)
     }
 }
 
@@ -373,27 +358,12 @@ impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
         &mut self,
         env: &mut E,
         recording: &Recording,
-        mut apply: impl FnMut(&mut E, &C::Action),
+        apply: impl FnMut(&mut E, &<Self as LoopRunner<E>>::Action),
     ) -> Result<u64, Divergence>
     where
-        S: TrySensor<E>,
-        P: TryPerceptor<S::Reading, Features = F>,
-        F: Clone + FiniteCheck,
-        M: Monitor<F>,
-        C: FailSafe<F>,
-        Ad: AdaptationPolicy<S, C::Action>,
+        Self: LoopRunner<E>,
     {
-        let mut verified = 0u64;
-        for rec in &recording.ticks {
-            let out = self.tick(env);
-            apply(env, &out.action);
-            let produced = self.telemetry().last_record().expect("tick() records");
-            if let Some(d) = diff_records(rec, produced) {
-                return Err(d);
-            }
-            verified += 1;
-        }
-        Ok(verified)
+        LoopRunner::replay(self, env, recording, apply)
     }
 }
 

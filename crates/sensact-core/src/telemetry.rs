@@ -22,6 +22,7 @@ use crate::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use crate::fault::StageError;
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::precision::Precision;
+use crate::ring::Ring;
 use crate::stage::Trust;
 use crate::trace::{StageBreakdown, StageId, STAGE_COUNT};
 use sensact_math::RunningStats;
@@ -127,10 +128,7 @@ impl std::fmt::Display for CommCounters {
 /// Aggregated telemetry of one loop.
 #[derive(Debug, Clone)]
 pub struct LoopTelemetry {
-    records: Vec<TickRecord>,
-    /// Oldest record's index once the ring is full.
-    head: usize,
-    capacity: usize,
+    records: Ring<TickRecord>,
     ticks: u64,
     total_energy_j: f64,
     total_latency_s: f64,
@@ -169,9 +167,7 @@ impl LoopTelemetry {
     /// regardless of capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         LoopTelemetry {
-            records: Vec::new(),
-            head: 0,
-            capacity: capacity.max(1),
+            records: Ring::new(capacity),
             ticks: 0,
             total_energy_j: 0.0,
             total_latency_s: 0.0,
@@ -216,20 +212,14 @@ impl LoopTelemetry {
         stages: StageBreakdown,
         precision: Precision,
     ) {
-        let rec = TickRecord {
+        self.records.push(TickRecord {
             tick: self.ticks,
             energy_j,
             latency_s,
             trust,
             precision,
             stages,
-        };
-        if self.records.len() < self.capacity {
-            self.records.push(rec);
-        } else {
-            self.records[self.head] = rec;
-            self.head = (self.head + 1) % self.capacity;
-        }
+        });
         self.ticks += 1;
         self.total_energy_j += energy_j;
         self.total_latency_s += latency_s;
@@ -312,28 +302,19 @@ impl LoopTelemetry {
     /// across ring wraparound. At most [`LoopTelemetry::capacity`] of the
     /// most recent ticks are kept.
     pub fn records(&self) -> impl Iterator<Item = &TickRecord> {
-        let (wrapped, ordered) = self.records.split_at(self.head);
-        ordered.iter().chain(wrapped.iter())
+        self.records.iter()
     }
 
     /// The most recently recorded tick, if any; O(1). This is what a replay
     /// driver compares against after each tick, so replay verification works
     /// even when the ring capacity is smaller than the run length.
     pub fn last_record(&self) -> Option<&TickRecord> {
-        if self.records.is_empty() {
-            return None;
-        }
-        let idx = if self.head == 0 {
-            self.records.len() - 1
-        } else {
-            self.head - 1
-        };
-        Some(&self.records[idx])
+        self.records.last()
     }
 
     /// Maximum number of per-tick records retained.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.records.capacity()
     }
 
     /// Total energy over all ticks (joules); O(1).
@@ -485,7 +466,7 @@ fn restore_stats(section: &Section, prefix: &str) -> Result<RunningStats, Checkp
 impl StageState for LoopTelemetry {
     fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
         let mut s = Section::new(ns);
-        s.put_u64("capacity", self.capacity as u64);
+        s.put_u64("capacity", self.capacity() as u64);
         s.put_u64("ticks", self.ticks);
         s.put_f64("total_energy_j", self.total_energy_j);
         s.put_f64("total_latency_s", self.total_latency_s);
@@ -535,10 +516,8 @@ impl StageState for LoopTelemetry {
         s.put_u64s("precision_ticks", &self.precision_ticks);
 
         // Retained records, serialized in *chronological* order as parallel
-        // arrays. Restore rebuilds them from index 0 with `head = 0`, which
-        // makes the on-disk form canonical: a ring snapshotted exactly at
-        // its wrap boundary restores with identical record order (the
-        // head-vs-len ambiguity at len == capacity never reaches the wire).
+        // arrays; restore rebuilds the ring from them (`Ring::from_ordered`),
+        // so the on-disk form is canonical.
         let recs: Vec<&TickRecord> = self.records().collect();
         s.put_u64s("rec_tick", &recs.iter().map(|r| r.tick).collect::<Vec<_>>());
         s.put_f64s(
@@ -636,21 +615,21 @@ impl StageState for LoopTelemetry {
         let stage_e = s.get_f64s("rec_stage_e")?;
         let stage_l = s.get_f64s("rec_stage_l")?;
         let n = ticks.len();
-        if n > t.capacity
-            || [
-                energies.len(),
-                latencies.len(),
-                trusts.len(),
-                susps.len(),
-                precs.len(),
-            ]
-            .iter()
-            .any(|&l| l != n)
+        if [
+            energies.len(),
+            latencies.len(),
+            trusts.len(),
+            susps.len(),
+            precs.len(),
+        ]
+        .iter()
+        .any(|&l| l != n)
             || stage_e.len() != n * STAGE_COUNT
             || stage_l.len() != n * STAGE_COUNT
         {
             return Err(bad("rec_tick"));
         }
+        let mut records = Vec::with_capacity(n);
         for i in 0..n {
             let mut stages = StageBreakdown::new();
             for (j, st) in StageId::ALL.into_iter().enumerate() {
@@ -660,7 +639,7 @@ impl StageState for LoopTelemetry {
                     stage_l[i * STAGE_COUNT + j],
                 );
             }
-            t.records.push(TickRecord {
+            records.push(TickRecord {
                 tick: ticks[i],
                 energy_j: energies[i],
                 latency_s: latencies[i],
@@ -669,7 +648,7 @@ impl StageState for LoopTelemetry {
                 stages,
             });
         }
-        t.head = 0;
+        t.records = Ring::from_ordered(t.capacity(), records).ok_or_else(|| bad("rec_tick"))?;
         *self = t;
         Ok(())
     }

@@ -24,6 +24,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
+use crate::ring::Ring;
 
 /// The number of canonical loop stages ([`StageId::ALL`]).
 pub const STAGE_COUNT: usize = 5;
@@ -304,10 +305,7 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 16384;
 #[derive(Debug)]
 pub struct Tracer {
     clock: Option<Box<dyn Clock>>,
-    spans: Vec<Span>,
-    /// Oldest span's index once the ring is full.
-    head: usize,
-    capacity: usize,
+    spans: Ring<Span>,
     /// Coarse stamping: reuse the previous span's end as the next span's
     /// start, halving clock queries for back-to-back stages.
     coarse: bool,
@@ -320,9 +318,7 @@ impl Tracer {
     pub fn disabled() -> Self {
         Tracer {
             clock: None,
-            spans: Vec::new(),
-            head: 0,
-            capacity: DEFAULT_SPAN_CAPACITY,
+            spans: Ring::new(DEFAULT_SPAN_CAPACITY),
             coarse: false,
             pending_stamp: None,
         }
@@ -332,11 +328,7 @@ impl Tracer {
     pub fn new(clock: Box<dyn Clock>) -> Self {
         Tracer {
             clock: Some(clock),
-            spans: Vec::new(),
-            head: 0,
-            capacity: DEFAULT_SPAN_CAPACITY,
-            coarse: false,
-            pending_stamp: None,
+            ..Tracer::disabled()
         }
     }
 
@@ -375,7 +367,7 @@ impl Tracer {
 
     /// Cap the number of retained spans (clamped to ≥ 1).
     pub fn with_span_capacity(mut self, capacity: usize) -> Self {
-        self.capacity = capacity.max(1);
+        self.spans = Ring::new(capacity);
         self
     }
 
@@ -427,7 +419,7 @@ impl Tracer {
         if self.coarse {
             self.pending_stamp = Some(end_s);
         }
-        self.push(Span {
+        self.store(Span {
             tick,
             stage,
             start_s,
@@ -438,13 +430,11 @@ impl Tracer {
         });
     }
 
-    fn push(&mut self, span: Span) {
-        if self.spans.len() < self.capacity {
-            self.spans.push(span);
-        } else {
-            self.spans[self.head] = span;
-            self.head = (self.head + 1) % self.capacity;
-        }
+    /// Out of line on purpose: `finish` is inlined into every stage of every
+    /// tick, and the ring write would bloat the (common) disabled path.
+    #[inline(never)]
+    fn store(&mut self, span: Span) {
+        self.spans.push(span);
     }
 
     /// Open an RAII span; it records itself on drop. Set the charged costs
@@ -464,8 +454,7 @@ impl Tracer {
 
     /// Retained spans, oldest first (at most the configured capacity).
     pub fn spans(&self) -> impl Iterator<Item = &Span> {
-        let (wrapped, ordered) = self.spans.split_at(self.head);
-        ordered.iter().chain(wrapped.iter())
+        self.spans.iter()
     }
 
     /// Number of retained spans.
@@ -480,16 +469,12 @@ impl Tracer {
 
     /// Drain all retained spans in chronological order.
     pub fn take_spans(&mut self) -> Vec<Span> {
-        let out: Vec<Span> = self.spans().copied().collect();
-        self.spans.clear();
-        self.head = 0;
-        out
+        self.spans.take()
     }
 
     /// Drop all retained spans.
     pub fn clear(&mut self) {
         self.spans.clear();
-        self.head = 0;
     }
 }
 
@@ -507,7 +492,7 @@ impl StageState for Tracer {
         // replay conformance compares telemetry, which carries the charged
         // costs, not tracer timestamps). The span ring and the pending
         // coarse stamp are the mutable state.
-        s.put_u64("capacity", self.capacity as u64);
+        s.put_u64("capacity", self.spans.capacity() as u64);
         s.put_bool("pending_some", self.pending_stamp.is_some());
         s.put_f64("pending", self.pending_stamp.unwrap_or(0.0));
         let spans: Vec<&Span> = self.spans().collect();
@@ -542,7 +527,7 @@ impl StageState for Tracer {
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
         let bad = |key: &str| CheckpointError::BadValue(format!("{ns}.{key}"));
-        self.capacity = (s.get_u64("capacity")? as usize).max(1);
+        let capacity = s.get_u64("capacity")? as usize;
         self.pending_stamp = if s.get_bool("pending_some")? {
             Some(s.get_f64("pending")?)
         } else {
@@ -556,29 +541,25 @@ impl StageState for Tracer {
         let latencies = s.get_f64s("sp_latency")?;
         let oks = s.get_u64s("sp_ok")?;
         let n = ticks.len();
-        if n > self.capacity
-            || [
-                stages.len(),
-                starts.len(),
-                ends.len(),
-                energies.len(),
-                latencies.len(),
-                oks.len(),
-            ]
-            .iter()
-            .any(|&l| l != n)
+        if [
+            stages.len(),
+            starts.len(),
+            ends.len(),
+            energies.len(),
+            latencies.len(),
+            oks.len(),
+        ]
+        .iter()
+        .any(|&l| l != n)
         {
             return Err(bad("sp_tick"));
         }
-        // Chronological rebuild with head = 0: the wire form is canonical,
-        // so a ring snapshotted at its wrap boundary restores in order.
-        self.spans.clear();
-        self.head = 0;
+        let mut spans = Vec::with_capacity(n);
         for i in 0..n {
             let stage = *StageId::ALL
                 .get(stages[i] as usize)
                 .ok_or_else(|| bad("sp_stage"))?;
-            self.spans.push(Span {
+            spans.push(Span {
                 tick: ticks[i],
                 stage,
                 start_s: starts[i],
@@ -588,6 +569,7 @@ impl StageState for Tracer {
                 ok: oks[i] != 0,
             });
         }
+        self.spans = Ring::from_ordered(capacity, spans).ok_or_else(|| bad("sp_tick"))?;
         Ok(())
     }
 }
@@ -835,9 +817,8 @@ pub const DEFAULT_CAUSAL_CAPACITY: usize = 1 << 16;
 
 #[derive(Debug)]
 struct CausalRing {
-    spans: Vec<CausalSpan>,
-    head: usize,
-    capacity: usize,
+    spans: Ring<CausalSpan>,
+    /// Spans ever recorded, evicted ones included.
     recorded: u64,
 }
 
@@ -859,12 +840,7 @@ impl FleetTracer {
     pub fn disabled() -> Self {
         FleetTracer {
             enabled: false,
-            inner: Mutex::new(CausalRing {
-                spans: Vec::new(),
-                head: 0,
-                capacity: DEFAULT_CAUSAL_CAPACITY,
-                recorded: 0,
-            }),
+            ..FleetTracer::new()
         }
     }
 
@@ -878,9 +854,7 @@ impl FleetTracer {
         FleetTracer {
             enabled: true,
             inner: Mutex::new(CausalRing {
-                spans: Vec::new(),
-                head: 0,
-                capacity: capacity.max(1),
+                spans: Ring::new(capacity),
                 recorded: 0,
             }),
         }
@@ -904,13 +878,7 @@ impl FleetTracer {
         }
         let mut ring = self.lock();
         ring.recorded += 1;
-        if ring.spans.len() < ring.capacity {
-            ring.spans.push(span);
-        } else {
-            let head = ring.head;
-            ring.spans[head] = span;
-            ring.head = (head + 1) % ring.capacity;
-        }
+        ring.spans.push(span);
     }
 
     /// Number of retained spans (≤ capacity).
@@ -930,26 +898,17 @@ impl FleetTracer {
 
     /// Snapshot the retained spans, oldest first.
     pub fn spans(&self) -> Vec<CausalSpan> {
-        let ring = self.lock();
-        let (wrapped, ordered) = ring.spans.split_at(ring.head);
-        ordered.iter().chain(wrapped.iter()).copied().collect()
+        self.lock().spans.iter().copied().collect()
     }
 
     /// Drain all retained spans in chronological order.
     pub fn take_spans(&self) -> Vec<CausalSpan> {
-        let mut ring = self.lock();
-        let (wrapped, ordered) = ring.spans.split_at(ring.head);
-        let out: Vec<CausalSpan> = ordered.iter().chain(wrapped.iter()).copied().collect();
-        ring.spans.clear();
-        ring.head = 0;
-        out
+        self.lock().spans.take()
     }
 
     /// Drop all retained spans (keeps the recorded total).
     pub fn clear(&self) {
-        let mut ring = self.lock();
-        ring.spans.clear();
-        ring.head = 0;
+        self.lock().spans.clear();
     }
 }
 
@@ -963,10 +922,9 @@ impl StageState for FleetTracer {
     fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
         let mut s = Section::new(ns);
         let ring = self.lock();
-        s.put_u64("capacity", ring.capacity as u64);
+        s.put_u64("capacity", ring.spans.capacity() as u64);
         s.put_u64("recorded", ring.recorded);
-        let (wrapped, ordered) = ring.spans.split_at(ring.head);
-        let spans: Vec<&CausalSpan> = ordered.iter().chain(wrapped.iter()).collect();
+        let spans: Vec<&CausalSpan> = ring.spans.iter().collect();
         s.put_u64s(
             "cs_trace",
             &spans.iter().map(|x| x.trace_id).collect::<Vec<_>>(),
@@ -1012,21 +970,20 @@ impl StageState for FleetTracer {
         let starts = s.get_f64s("cs_start")?;
         let ends = s.get_f64s("cs_end")?;
         let oks = s.get_u64s("cs_ok")?;
-        let capacity = (s.get_u64("capacity")? as usize).max(1);
+        let capacity = s.get_u64("capacity")? as usize;
         let n = traces.len();
-        if n > capacity
-            || [
-                span_ids.len(),
-                parents.len(),
-                kinds.len(),
-                nodes.len(),
-                details.len(),
-                starts.len(),
-                ends.len(),
-                oks.len(),
-            ]
-            .iter()
-            .any(|&l| l != n)
+        if [
+            span_ids.len(),
+            parents.len(),
+            kinds.len(),
+            nodes.len(),
+            details.len(),
+            starts.len(),
+            ends.len(),
+            oks.len(),
+        ]
+        .iter()
+        .any(|&l| l != n)
         {
             return Err(bad("cs_trace"));
         }
@@ -1049,11 +1006,8 @@ impl StageState for FleetTracer {
             });
         }
         let recorded = s.get_u64("recorded")?;
-        let mut ring = self.lock();
-        ring.capacity = capacity;
-        ring.recorded = recorded;
-        ring.spans = spans;
-        ring.head = 0;
+        let spans = Ring::from_ordered(capacity, spans).ok_or_else(|| bad("cs_trace"))?;
+        *self.lock() = CausalRing { spans, recorded };
         Ok(())
     }
 }

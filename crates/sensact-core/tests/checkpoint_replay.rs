@@ -13,10 +13,13 @@
 
 use sensact_core::checkpoint::{Checkpoint, Section};
 use sensact_core::fault::FnTryPerceptor;
-use sensact_core::stage::{AlwaysTrust, FnController, FnSensor, StageContext};
+use sensact_core::stage::{
+    AlwaysTrust, FnController, FnMonitor, FnPerceptor, FnSensor, StageContext,
+};
 use sensact_core::{
-    EnergyBudget, FallibleLoop, FaultInjector, FaultProfile, Precision, PrecisionPolicy, Recording,
-    RecoveryPolicy, WithFallback,
+    EnergyBudget, FallibleLoop, FaultInjector, FaultProfile, LoopBuilder, LoopRunner, Precision,
+    PrecisionPolicy, Recording, RecoveryPolicy, SensingActionLoop, TickResolution, Tracer, Trust,
+    WithFallback, CHECKPOINT_VERSION,
 };
 
 const TICKS: usize = 1000;
@@ -154,4 +157,206 @@ fn restore_mid_recording_replays_tail_with_zero_divergence() {
             "cut {cut}: resumed environment must land bit-identically"
         );
     }
+}
+
+/// Documents written by the commit *before* the two runners were folded onto
+/// one tick frame (`data/*.ckpt.jsonl`). They pin the checkpoint wire: same
+/// section ids in the same order (`loop` first for the fallible runner), same
+/// key names, same `CHECKPOINT_VERSION`, same bytes.
+const PINNED_FALLIBLE: &str = include_str!("data/fallible_mid_hold.ckpt.jsonl");
+const PINNED_INFALLIBLE: &str = include_str!("data/sensing_action_mid_hold.ckpt.jsonl");
+
+/// Ticks replayed after each pinned snapshot.
+const PIN_TAIL: usize = 64;
+
+/// Append the environment to a loop snapshot, as a closed handle would.
+fn with_env(mut ckpt: Checkpoint, env: f64) -> Checkpoint {
+    let mut s = Section::new("env");
+    s.put_f64("state", env);
+    ckpt.push(s);
+    ckpt
+}
+
+/// A runner restored from a pinned document must replay the tail recorded by
+/// the uninterrupted run with zero divergence and land on its environment.
+fn assert_pinned_tail_replays<L: LoopRunner<f64, Action = f64>>(
+    resumed: &mut L,
+    pinned: &Checkpoint,
+    tail: &Recording,
+    final_env: f64,
+) {
+    let mut env = pinned.section("env").unwrap().get_f64("state").unwrap();
+    let verified = resumed
+        .replay(&mut env, tail, |e, a| *e += a)
+        .unwrap_or_else(|d| panic!("pinned {} tail diverged: {d}", tail.meta.name));
+    assert_eq!(verified as usize, PIN_TAIL);
+    assert_eq!(env.to_bits(), final_env.to_bits());
+}
+
+fn section_ids(ckpt: &Checkpoint) -> Vec<&str> {
+    ckpt.sections().iter().map(|s| s.id()).collect()
+}
+
+#[test]
+fn fallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores() {
+    let build = || {
+        FallibleLoop::new(
+            "pin-fallible",
+            FaultInjector::new(
+                FnSensor::new(|e: &f64, ctx: &mut StageContext| {
+                    ctx.charge(3e-4 * (1.0 + 0.05 * e.abs()), 1e-4);
+                    *e
+                }),
+                FaultProfile {
+                    dropout: 0.3,
+                    stuck: 0.1,
+                    latency_spike: 0.05,
+                    spike_latency_s: 5e-4,
+                    nan: 0.05,
+                },
+                SEED,
+            ),
+            FnTryPerceptor::new(|r: &f64, _: &mut StageContext| Ok(*r)),
+            FnMonitor::new(|f: &f64, _: &mut StageContext| {
+                if f.abs() > 6.0 {
+                    Trust::Suspect(0.6)
+                } else {
+                    Trust::Trusted
+                }
+            }),
+            WithFallback::new(
+                FnController::new(|f: &f64, _t, _: &mut StageContext| -0.3 * f + 0.05),
+                0.0,
+            ),
+        )
+        .with_budget(EnergyBudget::new(0.1))
+        .with_recovery(RecoveryPolicy {
+            max_retries: 1,
+            retry_energy_j: 2e-5,
+            max_hold_ticks: 3,
+            staleness_decay: 0.35,
+            latency_budget_s: None,
+        })
+        .with_precision(PrecisionPolicy::adaptive(0.1, 0.8).with_hold_ticks(3))
+        .with_telemetry_capacity(8)
+        .with_tracer(Tracer::sim(0.25).with_span_capacity(12))
+    };
+
+    // Run to the first held tick past the ring's first wrap, snapshot there
+    // (staleness > 0, held features present), then record the tail.
+    let mut reference = build();
+    let mut env = 8.0f64;
+    let mut cut = None;
+    for t in 0..400 {
+        let out = reference.tick(&env);
+        env += out.action;
+        if t >= 24 && matches!(out.resolution, TickResolution::Held { .. }) {
+            cut = Some(t + 1);
+            break;
+        }
+    }
+    cut.expect("a 30 % dropout run must hold within 400 ticks");
+    let ckpt = with_env(reference.snapshot(), env);
+    let loop_section = ckpt.section("loop").unwrap();
+    assert!(loop_section.get_u64("staleness").unwrap() > 0, "mid-hold");
+    assert!(loop_section.has("held"), "held features travel");
+    assert_eq!(ckpt.version(), CHECKPOINT_VERSION);
+    assert_eq!(
+        section_ids(&ckpt),
+        [
+            "loop",
+            "telemetry",
+            "budget",
+            "governor",
+            "tracer",
+            "sensor",
+            "env"
+        ],
+        "section order is part of the wire: `loop` leads, stateless stages write nothing"
+    );
+    assert_eq!(
+        ckpt.to_jsonl(),
+        PINNED_FALLIBLE,
+        "the snapshot must be byte-identical to the pre-merge document"
+    );
+
+    let mut records = Vec::with_capacity(PIN_TAIL);
+    for _ in 0..PIN_TAIL {
+        let out = reference.tick(&env);
+        env += out.action;
+        records.push(*reference.telemetry().last_record().unwrap());
+    }
+    // The file the old runner wrote restores onto the new one and replays
+    // the recorded tail with zero divergence.
+    let pinned = Checkpoint::from_jsonl(PINNED_FALLIBLE).unwrap();
+    let mut resumed = build();
+    resumed.restore(&pinned).unwrap();
+    let mut tail = Recording::capture("pin-fallible", SEED, reference.telemetry());
+    tail.ticks = records;
+    assert_pinned_tail_replays(&mut resumed, &pinned, &tail, env);
+}
+
+#[test]
+fn infallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores() {
+    let build = || {
+        LoopBuilder::new("pin-infallible")
+            .with_budget(EnergyBudget::new(1.0))
+            .with_precision(PrecisionPolicy::adaptive(0.3, 0.6).with_hold_ticks(3))
+            .with_telemetry_capacity(8)
+            .with_tracer(Tracer::sim(0.25).with_span_capacity(12))
+            .build_monitored(
+                FnSensor::new(|e: &f64, ctx: &mut StageContext| {
+                    ctx.charge(0.02, 1e-4);
+                    *e
+                }),
+                FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
+                FnMonitor::new(|f: &f64, _: &mut StageContext| {
+                    if f.abs() > 10.0 {
+                        Trust::Suspect(0.9)
+                    } else {
+                        Trust::Trusted
+                    }
+                }),
+                FnController::new(|f: &f64, _t, _: &mut StageContext| -0.3 * f),
+            )
+    };
+    // A spike at tick 24 arms the governor's f64 hold; the snapshot at tick
+    // 26 lands inside it.
+    let drive =
+        |l: &mut SensingActionLoop<_, _, _, _, _>, env: &mut f64, from: usize, to: usize| {
+            let mut records = Vec::new();
+            for i in from..to {
+                if i == 24 {
+                    *env = 50.0;
+                }
+                let out = l.tick(env);
+                *env += out.action;
+                records.push(*l.telemetry().last_record().unwrap());
+            }
+            records
+        };
+    let mut reference = build();
+    let mut env = 8.0f64;
+    drive(&mut reference, &mut env, 0, 26);
+    assert!(reference.precision_governor().holding(), "mid-hold");
+    let ckpt = with_env(reference.snapshot(), env);
+    assert_eq!(ckpt.version(), CHECKPOINT_VERSION);
+    assert_eq!(
+        section_ids(&ckpt),
+        ["telemetry", "budget", "governor", "tracer", "env"],
+        "section order is part of the wire (stateless stages write nothing)"
+    );
+    assert_eq!(
+        ckpt.to_jsonl(),
+        PINNED_INFALLIBLE,
+        "the snapshot must be byte-identical to the pre-merge document"
+    );
+
+    let records = drive(&mut reference, &mut env, 26, 26 + PIN_TAIL);
+    let pinned = Checkpoint::from_jsonl(PINNED_INFALLIBLE).unwrap();
+    let mut resumed = build();
+    resumed.restore(&pinned).unwrap();
+    let mut tail = Recording::capture("pin-infallible", 0, reference.telemetry());
+    tail.ticks = records;
+    assert_pinned_tail_replays(&mut resumed, &pinned, &tail, env);
 }

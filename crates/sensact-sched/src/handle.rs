@@ -1,4 +1,4 @@
-//! Object-safe loop adapters.
+//! The object-safe loop adapter.
 //!
 //! A fleet mixes loops of different stage types — a lidar→STARNet
 //! [`FallibleLoop`] and a cartpole→Koopman [`SensingActionLoop`] must coexist
@@ -6,14 +6,16 @@
 //! directly (they are generic over the environment), so the runtime closes
 //! each loop over its own environment first: a [`LoopHandle`] owns the loop,
 //! the environment, and the actuation closure, and exposes the object-safe
-//! [`DynLoop`] surface the scheduler drives.
+//! [`DynLoop`] surface the scheduler drives. Both runners go through one
+//! adapter, written against [`LoopRunner`]; whether it can checkpoint is a
+//! capability its constructor attaches, not a second adapter.
 
 use sensact_core::adapt::AdaptationPolicy;
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState, StateVec};
 use sensact_core::fault::{FailSafe, FiniteCheck, TryPerceptor, TrySensor};
 use sensact_core::stage::{Controller, Monitor, Perceptor, Sensor};
 use sensact_core::{
-    FallibleLoop, LoopTelemetry, Precision, SensingActionLoop, StageError, TraceContext,
+    FallibleLoop, LoopRunner, LoopTelemetry, Precision, SensingActionLoop, StageError, TraceContext,
 };
 
 /// What one multiplexed tick cost, as observed by the scheduler.
@@ -83,8 +85,9 @@ pub trait DynLoop: Send {
     /// Serialize the loop's complete live state — stages, telemetry, and the
     /// closed-over environment — into a [`Checkpoint`] for kill-and-resume
     /// or live migration ([`FleetScheduler::snapshot_member`](crate::FleetScheduler::snapshot_member)).
-    /// Only the checkpointable adapters ([`LoopHandle::closed_checkpointable`],
-    /// [`LoopHandle::closed_fallible_checkpointable`]) override this; other
+    /// Only handles built by the checkpointable constructors
+    /// ([`LoopHandle::closed_checkpointable`],
+    /// [`LoopHandle::closed_fallible_checkpointable`]) support this; other
     /// loops are honest about not supporting it rather than snapshotting
     /// partial state.
     fn save_state(&self) -> Result<Checkpoint, CheckpointError> {
@@ -98,142 +101,51 @@ pub trait DynLoop: Send {
     }
 }
 
-/// A [`SensingActionLoop`] closed over its environment.
-struct ClosedLoop<S, P, M, C, Ad, E, F> {
-    inner: SensingActionLoop<S, P, M, C, Ad>,
-    env: E,
-    apply: F,
-}
-
-impl<S, P, M, C, Ad, E, F> DynLoop for ClosedLoop<S, P, M, C, Ad, E, F>
-where
-    S: Sensor<E> + Send,
-    P: Perceptor<S::Reading> + Send,
-    M: Monitor<P::Features> + Send,
-    C: Controller<P::Features> + Send,
-    Ad: AdaptationPolicy<S, C::Action> + Send,
-    E: Send,
-    F: FnMut(&mut E, &C::Action) + Send,
-{
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn tick_once(&mut self) -> TickOutcome {
-        let out = self.inner.tick(&self.env);
-        (self.apply)(&mut self.env, &out.action);
-        TickOutcome {
-            energy_j: out.energy_j,
-            latency_s: out.latency_s,
-            comm_s: 0.0,
-            faults: 0,
-        }
-    }
-
-    fn telemetry(&self) -> &LoopTelemetry {
-        self.inner.telemetry()
-    }
-
-    fn record_deadline_miss(&mut self, latency_s: f64, budget_s: f64) {
-        self.inner
-            .telemetry_mut()
-            .record_fault(&StageError::Timeout {
-                latency_s,
-                budget_s,
-            });
-    }
-
-    fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.inner.set_precision_hint(hint);
-    }
-}
-
-/// A [`FallibleLoop`] closed over its environment.
-struct ClosedFallibleLoop<S, P, M, C, Ad, Feat, E, F> {
-    inner: FallibleLoop<S, P, M, C, Ad, Feat>,
-    env: E,
-    apply: F,
-}
-
-impl<S, P, M, C, Ad, Feat, E, F> DynLoop for ClosedFallibleLoop<S, P, M, C, Ad, Feat, E, F>
-where
-    S: TrySensor<E> + Send,
-    P: TryPerceptor<S::Reading, Features = Feat> + Send,
-    Feat: Clone + FiniteCheck + Send,
-    M: Monitor<Feat> + Send,
-    C: FailSafe<Feat> + Send,
-    Ad: AdaptationPolicy<S, C::Action> + Send,
-    E: Send,
-    F: FnMut(&mut E, &C::Action) + Send,
-{
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn tick_once(&mut self) -> TickOutcome {
-        let out = self.inner.tick(&self.env);
-        (self.apply)(&mut self.env, &out.action);
-        TickOutcome {
-            energy_j: out.energy_j,
-            latency_s: out.latency_s,
-            comm_s: 0.0,
-            faults: out.faults,
-        }
-    }
-
-    fn telemetry(&self) -> &LoopTelemetry {
-        self.inner.telemetry()
-    }
-
-    fn record_deadline_miss(&mut self, latency_s: f64, budget_s: f64) {
-        self.inner
-            .telemetry_mut()
-            .record_fault(&StageError::Timeout {
-                latency_s,
-                budget_s,
-            });
-    }
-
-    fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.inner.set_precision_hint(hint);
-    }
+/// Saves and restores a closed loop together with its environment. Only the
+/// `*_checkpointable` constructors know that every stage implements
+/// [`StageState`] and the environment [`StateVec`], so they attach the
+/// monomorphised functions; a [`Closed`] without them reports
+/// [`CheckpointError::Unsupported`].
+struct Codec<L, E> {
+    snapshot: fn(&L) -> Checkpoint,
+    restore: fn(&mut L, &Checkpoint) -> Result<(), CheckpointError>,
+    with_env: fn(Checkpoint, &E) -> Checkpoint,
+    env_of: fn(&Checkpoint) -> Result<E, CheckpointError>,
 }
 
 /// Section id under which the closed-over environment travels in a
 /// checkpointed handle (alongside the loop's own sections).
 const ENV_SECTION: &str = "env";
 
-/// Save a closed-over environment into a loop checkpoint.
-fn save_env<E: StateVec>(ckpt: &mut Checkpoint, env: &E) {
+/// Append a closed-over environment to its loop's checkpoint.
+fn with_env<E: StateVec>(mut ckpt: Checkpoint, env: &E) -> Checkpoint {
     let mut s = Section::new(ENV_SECTION);
     s.put_f64s("state", &env.to_state());
     ckpt.push(s);
+    ckpt
 }
 
-/// Restore a closed-over environment from a loop checkpoint.
-fn restore_env<E: StateVec>(ckpt: &Checkpoint) -> Result<E, CheckpointError> {
+/// Read a closed-over environment back from a loop checkpoint.
+fn env_of<E: StateVec>(ckpt: &Checkpoint) -> Result<E, CheckpointError> {
     let state = ckpt.section(ENV_SECTION)?.get_f64s("state")?;
     E::from_state(&state).ok_or_else(|| CheckpointError::BadValue("env.state".into()))
 }
 
-/// A [`SensingActionLoop`] closed over its environment whose every stage
-/// implements [`StageState`]: the checkpointable variant of [`ClosedLoop`],
-/// able to serialize loop *and* environment for kill-and-resume.
-struct CheckpointableLoop<S, P, M, C, Ad, E, F> {
-    inner: SensingActionLoop<S, P, M, C, Ad>,
+/// A loop runner — [`SensingActionLoop`] or [`FallibleLoop`] — closed over
+/// its environment and actuation closure: the one adapter behind every
+/// `LoopHandle::closed*` constructor.
+struct Closed<L, E, F> {
+    inner: L,
     env: E,
     apply: F,
+    codec: Option<Codec<L, E>>,
 }
 
-impl<S, P, M, C, Ad, E, F> DynLoop for CheckpointableLoop<S, P, M, C, Ad, E, F>
+impl<L, E, F> DynLoop for Closed<L, E, F>
 where
-    S: Sensor<E> + StageState + Send,
-    P: Perceptor<S::Reading> + StageState + Send,
-    M: Monitor<P::Features> + StageState + Send,
-    C: Controller<P::Features> + StageState + Send,
-    Ad: AdaptationPolicy<S, C::Action> + StageState + Send,
-    E: StateVec + Send,
-    F: FnMut(&mut E, &C::Action) + Send,
+    L: LoopRunner<E> + Send,
+    E: Send,
+    F: FnMut(&mut E, &L::Action) + Send,
 {
     fn name(&self) -> &str {
         self.inner.name()
@@ -241,12 +153,13 @@ where
 
     fn tick_once(&mut self) -> TickOutcome {
         let out = self.inner.tick(&self.env);
-        (self.apply)(&mut self.env, &out.action);
+        let (action, energy_j, latency_s, faults) = L::charged(&out);
+        (self.apply)(&mut self.env, action);
         TickOutcome {
-            energy_j: out.energy_j,
-            latency_s: out.latency_s,
+            energy_j,
+            latency_s,
             comm_s: 0.0,
-            faults: 0,
+            faults,
         }
     }
 
@@ -268,78 +181,14 @@ where
     }
 
     fn save_state(&self) -> Result<Checkpoint, CheckpointError> {
-        let mut ckpt = self.inner.snapshot();
-        save_env(&mut ckpt, &self.env);
-        Ok(ckpt)
+        let codec = self.codec.as_ref().ok_or(CheckpointError::Unsupported)?;
+        Ok((codec.with_env)((codec.snapshot)(&self.inner), &self.env))
     }
 
     fn restore_from(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        self.inner.restore(ckpt)?;
-        self.env = restore_env(ckpt)?;
-        Ok(())
-    }
-}
-
-/// A [`FallibleLoop`] closed over its environment, checkpointable like
-/// [`CheckpointableLoop`] (held features and fault-injector RNG included).
-struct CheckpointableFallibleLoop<S, P, M, C, Ad, Feat, E, F> {
-    inner: FallibleLoop<S, P, M, C, Ad, Feat>,
-    env: E,
-    apply: F,
-}
-
-impl<S, P, M, C, Ad, Feat, E, F> DynLoop for CheckpointableFallibleLoop<S, P, M, C, Ad, Feat, E, F>
-where
-    S: TrySensor<E> + StageState + Send,
-    P: TryPerceptor<S::Reading, Features = Feat> + StageState + Send,
-    Feat: Clone + FiniteCheck + StateVec + Send,
-    M: Monitor<Feat> + StageState + Send,
-    C: FailSafe<Feat> + StageState + Send,
-    Ad: AdaptationPolicy<S, C::Action> + StageState + Send,
-    E: StateVec + Send,
-    F: FnMut(&mut E, &C::Action) + Send,
-{
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn tick_once(&mut self) -> TickOutcome {
-        let out = self.inner.tick(&self.env);
-        (self.apply)(&mut self.env, &out.action);
-        TickOutcome {
-            energy_j: out.energy_j,
-            latency_s: out.latency_s,
-            comm_s: 0.0,
-            faults: out.faults,
-        }
-    }
-
-    fn telemetry(&self) -> &LoopTelemetry {
-        self.inner.telemetry()
-    }
-
-    fn record_deadline_miss(&mut self, latency_s: f64, budget_s: f64) {
-        self.inner
-            .telemetry_mut()
-            .record_fault(&StageError::Timeout {
-                latency_s,
-                budget_s,
-            });
-    }
-
-    fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.inner.set_precision_hint(hint);
-    }
-
-    fn save_state(&self) -> Result<Checkpoint, CheckpointError> {
-        let mut ckpt = self.inner.snapshot();
-        save_env(&mut ckpt, &self.env);
-        Ok(ckpt)
-    }
-
-    fn restore_from(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        self.inner.restore(ckpt)?;
-        self.env = restore_env(ckpt)?;
+        let codec = self.codec.as_ref().ok_or(CheckpointError::Unsupported)?;
+        (codec.restore)(&mut self.inner, ckpt)?;
+        self.env = (codec.env_of)(ckpt)?;
         Ok(())
     }
 }
@@ -363,6 +212,21 @@ impl std::fmt::Debug for LoopHandle {
 }
 
 impl LoopHandle {
+    fn close<L, E, F>(inner: L, env: E, apply: F, codec: Option<Codec<L, E>>) -> Self
+    where
+        L: LoopRunner<E> + Send + 'static,
+        E: Send + 'static,
+        F: FnMut(&mut E, &L::Action) + Send + 'static,
+    {
+        let inner = Box::new(Closed {
+            inner,
+            env,
+            apply,
+            codec,
+        });
+        LoopHandle { inner }
+    }
+
     /// Close a [`SensingActionLoop`] over its environment; `apply` actuates
     /// each decided action back into the environment (the closed-loop edge).
     pub fn closed<S, P, M, C, Ad, E, F>(
@@ -379,9 +243,7 @@ impl LoopHandle {
         E: Send + 'static,
         F: FnMut(&mut E, &C::Action) + Send + 'static,
     {
-        LoopHandle {
-            inner: Box::new(ClosedLoop { inner, env, apply }),
-        }
+        LoopHandle::close(inner, env, apply, None)
     }
 
     /// Close a [`FallibleLoop`] over its environment.
@@ -400,9 +262,7 @@ impl LoopHandle {
         E: Send + 'static,
         F: FnMut(&mut E, &C::Action) + Send + 'static,
     {
-        LoopHandle {
-            inner: Box::new(ClosedFallibleLoop { inner, env, apply }),
-        }
+        LoopHandle::close(inner, env, apply, None)
     }
 
     /// Like [`LoopHandle::closed`], but checkpointable: every stage
@@ -423,9 +283,13 @@ impl LoopHandle {
         E: StateVec + Send + 'static,
         F: FnMut(&mut E, &C::Action) + Send + 'static,
     {
-        LoopHandle {
-            inner: Box::new(CheckpointableLoop { inner, env, apply }),
-        }
+        let codec = Some(Codec {
+            snapshot: SensingActionLoop::snapshot,
+            restore: SensingActionLoop::restore,
+            with_env,
+            env_of,
+        });
+        LoopHandle::close(inner, env, apply, codec)
     }
 
     /// Like [`LoopHandle::closed_fallible`], but checkpointable (see
@@ -446,9 +310,13 @@ impl LoopHandle {
         E: StateVec + Send + 'static,
         F: FnMut(&mut E, &C::Action) + Send + 'static,
     {
-        LoopHandle {
-            inner: Box::new(CheckpointableFallibleLoop { inner, env, apply }),
-        }
+        let codec = Some(Codec {
+            snapshot: FallibleLoop::snapshot,
+            restore: FallibleLoop::restore,
+            with_env,
+            env_of,
+        });
+        LoopHandle::close(inner, env, apply, codec)
     }
 
     /// Wrap a custom [`DynLoop`] implementation.

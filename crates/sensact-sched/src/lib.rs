@@ -8,9 +8,10 @@
 //! heterogeneous loops over a bounded worker pool. This crate provides it,
 //! std-only and dependency-free:
 //!
-//! * [`LoopHandle`] / [`DynLoop`] — object-safe adapters closing a
+//! * [`LoopHandle`] / [`DynLoop`] — one object-safe adapter closing any
+//!   [`LoopRunner`](sensact_core::LoopRunner) — a
 //!   [`SensingActionLoop`](sensact_core::SensingActionLoop) or
-//!   [`FallibleLoop`](sensact_core::FallibleLoop) of any stage types over
+//!   [`FallibleLoop`](sensact_core::FallibleLoop) of any stage types — over
 //!   its environment, so one fleet mixes lidar→STARNet and cartpole→Koopman
 //!   members;
 //! * [`FleetScheduler`] — deadline-aware (EDF) scheduling over a sharded

@@ -11,7 +11,8 @@
 //! through the loop's own
 //! [`StageError::Timeout`](sensact_core::StageError) fault path.
 //!
-//! Two execution modes share these semantics:
+//! Two execution modes share these semantics — and one begin-run /
+//! finish-run frame; only their event loops differ:
 //!
 //! * [`FleetScheduler::run`] — OS worker threads over the sharded
 //!   work-stealing EDF queue. Throughput-oriented: the OS threads *are* the
@@ -482,19 +483,26 @@ fn sane_latency(latency_s: f64) -> f64 {
     }
 }
 
-/// What executing one release did, on the virtual timeline.
-struct Executed {
-    /// When the tick started (worker free, release due, loop sequential).
-    start_s: f64,
-    /// When the *worker* is free again: `start + charged latency`.
-    busy_end_s: f64,
-    /// When the tick fully completes: `busy_end + comm tail`. This is what
-    /// the loop's sequential timeline, deadlines, and fleet makespan use.
-    completion_s: f64,
+/// What executing one release did on the virtual timeline — scheduled by a
+/// run mode or driven externally ([`FleetScheduler::tick_member_at`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MemberTickOutcome {
+    /// When the tick started: the release time, or later if the member's
+    /// previous tick had not yet completed (a loop is sequential) or — in
+    /// deterministic mode — its virtual worker was still busy.
+    pub start_s: f64,
+    /// When compute finished and the *worker* is free again
+    /// (`start + charged latency`).
+    pub busy_end_s: f64,
+    /// When the tick fully completed (`busy_end + comm tail`) — the
+    /// member's new sequential frontier, and what deadlines and the fleet
+    /// makespan use.
+    pub completion_s: f64,
     /// Energy the tick charged (joules), as reported.
-    energy_j: f64,
-    /// Whether the completion blew the loop's latency budget.
-    missed: bool,
+    pub energy_j: f64,
+    /// Whether the completion blew the member's latency budget (also
+    /// recorded in its stats and fault telemetry).
+    pub missed: bool,
 }
 
 /// Execute one release on a slot: tick the loop, advance accounting, check
@@ -505,16 +513,25 @@ struct Executed {
 /// occupied only for the charged compute latency; a communication tail
 /// ([`TickOutcome::comm_s`](crate::handle::TickOutcome)) extends the loop's
 /// completion — and its deadline check — without burning worker capacity.
+///
+/// With tracing enabled the loop is handed the release's [`TraceContext`]
+/// before it ticks, and the tick's SchedTick span (plus a CommTail child when
+/// it had an off-worker tail) is recorded and returned, so deterministic
+/// mode can also feed its flight recorder.
 fn execute_release(
     slot: &mut Slot,
     release: &Release,
     worker_avail_s: f64,
-    ctx: Option<TraceContext>,
-) -> Executed {
+    seed: u64,
+    tracer: &FleetTracer,
+) -> (MemberTickOutcome, Option<(CausalSpan, Option<CausalSpan>)>) {
     let start_s = worker_avail_s
         .max(release.release_s)
         .max(slot.last_completion_s);
     slot.handle.set_tick_start(start_s);
+    let ctx = tracer
+        .is_enabled()
+        .then(|| sched_tick_context(seed, release.loop_idx, release.release_idx));
     if let Some(ctx) = ctx {
         slot.handle.set_trace_context(ctx);
     }
@@ -540,13 +557,37 @@ fn execute_release(
             slot.handle.record_deadline_miss(response_s, budget_s);
         }
     }
-    Executed {
+    let exec = MemberTickOutcome {
         start_s,
         busy_end_s,
         completion_s,
         energy_j: out.energy_j,
         missed,
-    }
+    };
+    let span = |ctx: TraceContext, kind, start_s, end_s| {
+        let span = CausalSpan {
+            trace_id: ctx.trace_id,
+            span_id: ctx.span_id,
+            parent_id: ctx.parent_id,
+            kind,
+            node: release.loop_idx as u64,
+            detail: release.release_idx,
+            start_s,
+            end_s,
+            ok: !missed,
+        };
+        tracer.record(span);
+        span
+    };
+    let spans = ctx.map(|ctx| {
+        let tick = span(ctx, SpanKind::SchedTick, start_s, busy_end_s);
+        let tail = (completion_s > busy_end_s).then(|| {
+            let child = ctx.child(&[SpanKind::CommTail.tag()]);
+            span(child, SpanKind::CommTail, busy_end_s, completion_s)
+        });
+        (tick, tail)
+    });
+    (exec, spans)
 }
 
 /// The root context of one release's scheduler tick trace. Pure function of
@@ -555,46 +596,6 @@ fn execute_release(
 fn sched_tick_context(seed: u64, loop_idx: usize, release_idx: u64) -> TraceContext {
     let trace_id = trace_mix(seed ^ SCHED_TRACE_SALT, &[loop_idx as u64, release_idx]);
     TraceContext::root(trace_id, &[SpanKind::SchedTick.tag()])
-}
-
-/// Record a release's SchedTick span (and its CommTail child when the tick
-/// had an off-worker tail). Returns the spans so deterministic mode can also
-/// feed its flight recorder.
-fn record_tick_spans(
-    tracer: &FleetTracer,
-    ctx: TraceContext,
-    release: &Release,
-    exec: &Executed,
-) -> (CausalSpan, Option<CausalSpan>) {
-    let tick = CausalSpan {
-        trace_id: ctx.trace_id,
-        span_id: ctx.span_id,
-        parent_id: ctx.parent_id,
-        kind: SpanKind::SchedTick,
-        node: release.loop_idx as u64,
-        detail: release.release_idx,
-        start_s: exec.start_s,
-        end_s: exec.busy_end_s,
-        ok: !exec.missed,
-    };
-    tracer.record(tick);
-    let tail = (exec.completion_s > exec.busy_end_s).then(|| {
-        let child = ctx.child(&[SpanKind::CommTail.tag()]);
-        let span = CausalSpan {
-            trace_id: child.trace_id,
-            span_id: child.span_id,
-            parent_id: child.parent_id,
-            kind: SpanKind::CommTail,
-            node: release.loop_idx as u64,
-            detail: release.release_idx,
-            start_s: exec.busy_end_s,
-            end_s: exec.completion_s,
-            ok: !exec.missed,
-        };
-        tracer.record(span);
-        span
-    });
-    (tick, tail)
 }
 
 /// Compute the loop's next release after a completion, applying drop-oldest
@@ -701,30 +702,11 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 #[derive(Debug)]
 pub struct FleetScheduler {
     config: FleetConfig,
-    slots: Vec<Mutex<Slot>>,
+    slots: Vec<Slot>,
     /// Indices of retired slots available for reuse by `register`.
     free: Vec<usize>,
     tracer: Arc<FleetTracer>,
     health_policy: HealthPolicy,
-}
-
-/// What one externally-driven member tick
-/// ([`FleetScheduler::tick_member_at`]) did on the virtual timeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MemberTickOutcome {
-    /// When the tick started: the release time, or later if the member's
-    /// previous tick had not yet completed (a loop is sequential).
-    pub start_s: f64,
-    /// When compute finished (`start + charged latency`).
-    pub busy_end_s: f64,
-    /// When the tick fully completed (`busy_end + comm tail`) — the
-    /// member's new sequential frontier.
-    pub completion_s: f64,
-    /// Energy the tick charged (joules).
-    pub energy_j: f64,
-    /// Whether the completion blew the member's latency budget (also
-    /// recorded in its stats and fault telemetry).
-    pub missed: bool,
 }
 
 impl FleetScheduler {
@@ -813,10 +795,10 @@ impl FleetScheduler {
         // Reuse a retired slot if one exists (membership churn keeps ids
         // dense); otherwise grow the table.
         if let Some(idx) = self.free.pop() {
-            *self.slots[idx].get_mut().unwrap_or_else(|e| e.into_inner()) = slot;
+            self.slots[idx] = slot;
             LoopId(idx)
         } else {
-            self.slots.push(Mutex::new(slot));
+            self.slots.push(slot);
             LoopId(self.slots.len() - 1)
         }
     }
@@ -831,7 +813,7 @@ impl FleetScheduler {
     ///
     /// Panics if the member is already retired.
     pub fn retire_member(&mut self, id: LoopId) -> LoopHandle {
-        let slot = self.slot_mut(id);
+        let slot = &mut self.slots[id.0];
         assert!(!slot.retired, "retire_member: member already retired");
         slot.retired = true;
         let handle = std::mem::replace(
@@ -854,32 +836,24 @@ impl FleetScheduler {
         self.len() == 0
     }
 
-    /// Indices of active (non-retired) slots, registration order.
-    fn active_indices(&mut self) -> Vec<usize> {
-        (0..self.slots.len())
-            .filter(|&i| !self.slot_mut(LoopId(i)).retired)
-            .collect()
-    }
-
-    fn slot_mut(&mut self, id: LoopId) -> &mut Slot {
-        self.slots[id.0]
-            .get_mut()
-            .unwrap_or_else(|e| e.into_inner())
+    /// Active (non-retired) slots with their indices, registration order.
+    fn active(&self) -> impl Iterator<Item = (usize, &Slot)> {
+        self.slots.iter().enumerate().filter(|(_, s)| !s.retired)
     }
 
     /// A member loop's telemetry (preserved across scheduling).
-    pub fn loop_telemetry(&mut self, id: LoopId) -> &LoopTelemetry {
-        self.slot_mut(id).handle.telemetry()
+    pub fn loop_telemetry(&self, id: LoopId) -> &LoopTelemetry {
+        self.slots[id.0].handle.telemetry()
     }
 
     /// A member loop's scheduler-side stats (cumulative).
-    pub fn loop_stats(&mut self, id: LoopId) -> LoopStats {
-        self.slot_mut(id).stats
+    pub fn loop_stats(&self, id: LoopId) -> LoopStats {
+        self.slots[id.0].stats
     }
 
     /// A member loop's name.
-    pub fn loop_name(&mut self, id: LoopId) -> String {
-        self.slot_mut(id).handle.name().to_string()
+    pub fn loop_name(&self, id: LoopId) -> String {
+        self.slots[id.0].handle.name().to_string()
     }
 
     /// Serialize member `id` for kill-and-resume or live migration: the
@@ -891,8 +865,8 @@ impl FleetScheduler {
     /// `Err(Unsupported)` for members not registered through a
     /// checkpointable constructor. Snapshot between runs, not mid-run — the
     /// run methods hold the slots.
-    pub fn snapshot_member(&mut self, id: LoopId) -> Result<Checkpoint, CheckpointError> {
-        let slot = self.slot_mut(id);
+    pub fn snapshot_member(&self, id: LoopId) -> Result<Checkpoint, CheckpointError> {
+        let slot = &self.slots[id.0];
         let mut ckpt = slot.handle.save_state()?;
         let mut s = Section::new("sched.slot");
         s.put_u64("ticks", slot.stats.ticks);
@@ -916,12 +890,22 @@ impl FleetScheduler {
     /// completion frontier are restored too, so subsequent deterministic
     /// runs are bit-identical to a fleet whose member was never killed. On
     /// error the existing member is left untouched.
+    ///
+    /// `id` must name a live member: to adopt into a retired slot,
+    /// [`register`](FleetScheduler::register) a twin first (it reuses the
+    /// slot) and adopt over that. Adopting straight into a retired id is
+    /// `BadValue("sched.slot retired")`.
     pub fn adopt_member(
         &mut self,
         id: LoopId,
         mut handle: LoopHandle,
         ckpt: &Checkpoint,
     ) -> Result<(), CheckpointError> {
+        // A retired id sits on the freelist: `len()` would not count the
+        // adopted member and the next `register` would overwrite it.
+        if self.slots[id.0].retired {
+            return Err(CheckpointError::BadValue("sched.slot retired".into()));
+        }
         handle.restore_from(ckpt)?;
         let s = ckpt.section("sched.slot")?;
         let stats = LoopStats {
@@ -935,12 +919,11 @@ impl FleetScheduler {
         };
         let last_completion_s = s.get_f64("last_completion_s")?;
         let ext_releases = s.get_u64("ext_releases")?;
-        let slot = self.slot_mut(id);
+        let slot = &mut self.slots[id.0];
         slot.handle = handle;
         slot.stats = stats;
         slot.last_completion_s = last_completion_s;
         slot.ext_releases = ext_releases;
-        slot.retired = false;
         Ok(())
     }
 
@@ -959,9 +942,7 @@ impl FleetScheduler {
     /// Panics if the member is retired.
     pub fn tick_member_at(&mut self, id: LoopId, release_s: f64) -> MemberTickOutcome {
         let seed = self.config.seed;
-        let tracer = Arc::clone(&self.tracer);
-        let traced = tracer.is_enabled();
-        let slot = self.slot_mut(id);
+        let slot = &mut self.slots[id.0];
         assert!(!slot.retired, "tick_member_at: member is retired");
         let release_idx = slot.ext_releases;
         slot.ext_releases += 1;
@@ -972,18 +953,7 @@ impl FleetScheduler {
             release_idx,
             release_s,
         );
-        let ctx = traced.then(|| sched_tick_context(seed, id.0, release_idx));
-        let exec = execute_release(slot, &release, 0.0, ctx);
-        if let Some(ctx) = ctx {
-            record_tick_spans(&tracer, ctx, &release, &exec);
-        }
-        MemberTickOutcome {
-            start_s: exec.start_s,
-            busy_end_s: exec.busy_end_s,
-            completion_s: exec.completion_s,
-            energy_j: exec.energy_j,
-            missed: exec.missed,
-        }
+        execute_release(slot, &release, 0.0, seed, &self.tracer).0
     }
 
     /// Charge `n` dropped releases to member `id` — the accounting hook for
@@ -991,77 +961,19 @@ impl FleetScheduler {
     /// (the same drop-oldest backpressure the run modes apply, moved to the
     /// admission edge).
     pub fn record_member_drops(&mut self, id: LoopId, n: u64) {
-        self.slot_mut(id).stats.drops += n;
+        self.slots[id.0].stats.drops += n;
     }
 
     /// A member loop's timing spec (as registered).
-    pub fn member_spec(&mut self, id: LoopId) -> LoopSpec {
-        self.slot_mut(id).spec
+    pub fn member_spec(&self, id: LoopId) -> LoopSpec {
+        self.slots[id.0].spec
     }
 
     /// A member loop's sequential-completion frontier (virtual seconds):
     /// when its latest tick fully completed. The admission-control input —
     /// pending work can start no earlier than this.
-    pub fn member_frontier_s(&mut self, id: LoopId) -> f64 {
-        self.slot_mut(id).last_completion_s
-    }
-
-    fn initial_release(&mut self, idx: usize) -> Release {
-        let seed = self.config.seed;
-        let slot = self.slot_mut(LoopId(idx));
-        // Virtual time restarts at zero for every run.
-        slot.last_completion_s = 0.0;
-        Release::new(
-            slot.spec.deadline_s(0.0),
-            tie_break(seed, idx, 0),
-            idx,
-            0,
-            0.0,
-        )
-    }
-
-    /// Fleet-wide (ticks, drops, deadline misses) so far — slot stats are
-    /// cumulative, so per-run report counters subtract a pre-run snapshot.
-    fn totals(&mut self) -> (u64, u64, u64) {
-        (0..self.slots.len()).fold((0, 0, 0), |acc, i| {
-            let s = self.slot_mut(LoopId(i)).stats;
-            (acc.0 + s.ticks, acc.1 + s.drops, acc.2 + s.deadline_misses)
-        })
-    }
-
-    /// Per-loop stats snapshot, registration order.
-    fn stats_snapshot(&mut self) -> Vec<LoopStats> {
-        (0..self.slots.len())
-            .map(|i| self.slot_mut(LoopId(i)).stats)
-            .collect()
-    }
-
-    /// End-of-run health: classify every loop's whole-run signals
-    /// (hysteresis-free — one window covers the run) and roll them up.
-    fn classify_health(
-        &mut self,
-        base: &[LoopStats],
-        makespan_s: f64,
-    ) -> (Vec<HealthStatus>, FleetHealth) {
-        let policy = self.health_policy;
-        let statuses: Vec<HealthStatus> = self
-            .active_indices()
-            .into_iter()
-            .map(|i| {
-                let slot = self.slot_mut(LoopId(i));
-                let signals = window_signals(
-                    &slot.stats,
-                    &base[i],
-                    slot.handle.telemetry(),
-                    &slot.spec,
-                    makespan_s,
-                    slot.last_completion_s,
-                );
-                policy.classify(&signals)
-            })
-            .collect();
-        let fleet = FleetHealth::roll_up(statuses.iter().copied(), &policy);
-        (statuses, fleet)
+    pub fn member_frontier_s(&self, id: LoopId) -> f64 {
+        self.slots[id.0].last_completion_s
     }
 
     /// Roll every member loop's telemetry up into one fleet-level registry:
@@ -1069,36 +981,43 @@ impl FleetScheduler {
     /// counters add, gauges sum, histograms merge bucket-wise in
     /// O(buckets) — so the result equals a single registry that had
     /// observed every loop directly.
-    pub fn rollup_metrics(&mut self) -> MetricsRegistry {
+    pub fn rollup_metrics(&self) -> MetricsRegistry {
         let mut fleet = MetricsRegistry::new();
-        for i in self.active_indices() {
+        for (_, slot) in self.active() {
             let mut per_loop = MetricsRegistry::new();
-            self.slot_mut(LoopId(i))
-                .handle
-                .telemetry()
-                .export_into(&mut per_loop);
+            slot.handle.telemetry().export_into(&mut per_loop);
             fleet.merge(&per_loop);
         }
         fleet
     }
 
-    fn summaries(&mut self) -> Vec<LoopSummary> {
-        self.active_indices()
-            .into_iter()
-            .map(|i| {
-                let slot = self.slot_mut(LoopId(i));
-                LoopSummary {
-                    name: slot.handle.name().to_string(),
-                    stats: slot.stats,
-                }
+    /// Open a run: snapshot every slot's cumulative stats, and — unless the
+    /// fleet is empty or the horizon is not a positive finite time — restart
+    /// virtual time and release tick 0 of every active member. The returned
+    /// report is what a run that executes nothing reports; the event loops
+    /// fill in what they measure and [`FleetScheduler::finish_run`] the rest.
+    fn begin_run(&mut self, horizon_s: f64) -> (RunFrame, FleetReport) {
+        let workers = self.config.workers.max(1);
+        let seed = self.config.seed;
+        let runnable = horizon_s.is_finite() && horizon_s > 0.0;
+        let base = self.slots.iter().map(|s| s.stats).collect();
+        let releases = self
+            .slots
+            .iter_mut()
+            .enumerate()
+            .filter(|(_, slot)| runnable && !slot.retired)
+            .map(|(idx, slot)| {
+                slot.last_completion_s = 0.0;
+                let deadline_s = slot.spec.deadline_s(0.0);
+                Release::new(deadline_s, tie_break(seed, idx, 0), idx, 0, 0.0)
             })
-            .collect()
-    }
-
-    fn empty_report(&mut self, horizon_s: f64, workers: usize) -> FleetReport {
-        let base = self.stats_snapshot();
-        let (loop_health, health) = self.classify_health(&base, 0.0);
-        FleetReport {
+            .collect();
+        let frame = RunFrame {
+            wall_start: std::time::Instant::now(),
+            base,
+            releases,
+        };
+        let idle = FleetReport {
             horizon_s,
             workers,
             ticks: 0,
@@ -1112,11 +1031,42 @@ impl FleetScheduler {
             worker_busy_s: vec![0.0; workers],
             queue_depth: Histogram::new(),
             trace_hash: FNV_OFFSET,
-            loops: self.summaries(),
-            loop_health,
-            health,
+            loops: Vec::new(),
+            loop_health: Vec::new(),
+            health: FleetHealth::default(),
             incidents: Vec::new(),
+        };
+        (frame, idle)
+    }
+
+    /// Close a run: per-run counters are the slots' cumulative stats minus
+    /// the frame's snapshot, and every active loop's whole-run signals are
+    /// classified (hysteresis-free — one window covers the run) and rolled
+    /// up into the fleet's health.
+    fn finish_run(&self, frame: RunFrame, mut report: FleetReport) -> FleetReport {
+        for (slot, base) in self.slots.iter().zip(&frame.base) {
+            report.ticks += slot.stats.ticks - base.ticks;
+            report.drops += slot.stats.drops - base.drops;
+            report.deadline_misses += slot.stats.deadline_misses - base.deadline_misses;
         }
+        let policy = self.health_policy;
+        for (i, slot) in self.active() {
+            report.loops.push(LoopSummary {
+                name: slot.handle.name().to_string(),
+                stats: slot.stats,
+            });
+            report.loop_health.push(policy.classify(&window_signals(
+                &slot.stats,
+                &frame.base[i],
+                slot.handle.telemetry(),
+                &slot.spec,
+                report.makespan_s,
+                slot.last_completion_s,
+            )));
+        }
+        report.health = FleetHealth::roll_up(report.loop_health.iter().copied(), &policy);
+        report.wall_s = frame.wall_start.elapsed().as_secs_f64();
+        report
     }
 
     /// Run the fleet to the virtual horizon on OS worker threads pulling
@@ -1128,25 +1078,22 @@ impl FleetScheduler {
     /// counts, wall time, and utilization do depend on OS scheduling — use
     /// [`FleetScheduler::run_deterministic`] for fully reproducible runs.
     pub fn run(&mut self, horizon_s: f64) -> FleetReport {
-        let workers = self.config.workers.max(1);
-        let runnable = horizon_s.is_finite() && horizon_s > 0.0;
-        if self.is_empty() || !runnable {
-            return self.empty_report(horizon_s, workers);
+        let (frame, mut report) = self.begin_run(horizon_s);
+        if frame.releases.is_empty() {
+            return self.finish_run(frame, report);
         }
-        let wall_start = std::time::Instant::now();
-        let base = self.stats_snapshot();
-        let (base_ticks, base_drops, base_misses) = self.totals();
-        let active = self.active_indices();
+        let workers = report.workers;
         let queue = ShardedQueue::new(workers);
-        for &i in &active {
-            let r = self.initial_release(i);
+        for &r in &frame.releases {
             queue.push(r);
         }
-        let outstanding = AtomicUsize::new(active.len());
+        let outstanding = AtomicUsize::new(frame.releases.len());
         let arbiter = Mutex::new(EnergyArbiter::new(self.config.watts_cap));
         let seed = self.config.seed;
-        let traced = self.tracer.is_enabled();
-        let slots = &self.slots;
+        // The only place slots are shared across threads: each worker locks
+        // the slot of the release it popped, for the length of this run.
+        let slots: Vec<Mutex<&mut Slot>> = self.slots.iter_mut().map(Mutex::new).collect();
+        let slots = &slots;
         let queue_ref = &queue;
         let outstanding_ref = &outstanding;
         let arbiter_ref = &arbiter;
@@ -1179,13 +1126,8 @@ impl FleetScheduler {
                             // timeline depends only on its own history and
                             // drop/miss accounting is interleaving-
                             // independent (given no watts cap).
-                            let ctx = traced.then(|| {
-                                sched_tick_context(seed, release.loop_idx, release.release_idx)
-                            });
-                            let exec = execute_release(&mut slot, &release, 0.0, ctx);
-                            if let Some(ctx) = ctx {
-                                record_tick_spans(tracer_ref, ctx, &release, &exec);
-                            }
+                            let (exec, _) =
+                                execute_release(&mut slot, &release, 0.0, seed, tracer_ref);
                             busy_s += exec.busy_end_s - exec.start_s;
                             frontier_s = frontier_s.max(exec.completion_s);
                             let (stretch, hint) = {
@@ -1223,38 +1165,18 @@ impl FleetScheduler {
         });
 
         let arbiter = arbiter.into_inner().unwrap_or_else(|e| e.into_inner());
-        let mut queue_depth = Histogram::new();
-        let mut worker_busy_s = Vec::with_capacity(workers);
-        let mut makespan_s = 0.0f64;
-        for (frontier_s, busy_s, depth) in &worker_results {
-            makespan_s = makespan_s.max(*frontier_s);
-            worker_busy_s.push(*busy_s);
-            queue_depth.merge(depth);
+        for (w, (frontier_s, busy_s, depth)) in worker_results.iter().enumerate() {
+            report.makespan_s = report.makespan_s.max(*frontier_s);
+            report.worker_busy_s[w] = *busy_s;
+            report.queue_depth.merge(depth);
         }
-        let (ticks, drops, misses) = self.totals();
-        let loops = self.summaries();
-        let (loop_health, health) = self.classify_health(&base, makespan_s);
-        FleetReport {
-            horizon_s,
-            workers,
-            ticks: ticks - base_ticks,
-            drops: drops - base_drops,
-            deadline_misses: misses - base_misses,
-            steals: queue.steals(),
-            throttle_events: arbiter.throttle_events(),
-            makespan_s,
-            energy_j: arbiter.energy_j(),
-            wall_s: wall_start.elapsed().as_secs_f64(),
-            worker_busy_s,
-            queue_depth,
-            trace_hash: 0,
-            loops,
-            loop_health,
-            health,
-            // Flight recording needs a deterministic span order per worker —
-            // threaded mode leaves it to `run_deterministic`.
-            incidents: Vec::new(),
-        }
+        report.steals = queue.steals();
+        report.throttle_events = arbiter.throttle_events();
+        report.energy_j = arbiter.energy_j();
+        // No execution trace to fold, and no flight recording — both need a
+        // deterministic order per worker; `run_deterministic` has one.
+        report.trace_hash = 0;
+        self.finish_run(frame, report)
     }
 
     /// Run the fleet to the virtual horizon as a single-threaded,
@@ -1268,28 +1190,19 @@ impl FleetScheduler {
     /// seed reorders equal-deadline releases and is observable through the
     /// hash.
     pub fn run_deterministic(&mut self, horizon_s: f64, clock: &mut SimClock) -> FleetReport {
-        let workers = self.config.workers.max(1);
-        let runnable = horizon_s.is_finite() && horizon_s > 0.0;
-        if self.is_empty() || !runnable {
-            return self.empty_report(horizon_s, workers);
+        let (frame, mut report) = self.begin_run(horizon_s);
+        if frame.releases.is_empty() {
+            return self.finish_run(frame, report);
         }
-        let wall_start = std::time::Instant::now();
-        let base = self.stats_snapshot();
-        let (base_ticks, base_drops, base_misses) = self.totals();
+        let workers = report.workers;
         let seed = self.config.seed;
-        let tracer = Arc::clone(&self.tracer);
+        let tracer = &self.tracer;
         let traced = tracer.is_enabled();
         let policy = self.health_policy;
-        let mut heap: BinaryHeap<Reverse<Release>> = BinaryHeap::new();
-        for i in self.active_indices() {
-            let r = self.initial_release(i);
-            heap.push(Reverse(r));
-        }
+        let mut heap: BinaryHeap<Reverse<Release>> =
+            frame.releases.iter().copied().map(Reverse).collect();
         let mut worker_clock_s = vec![0.0f64; workers];
-        let mut worker_busy_s = vec![0.0f64; workers];
         let mut arbiter = EnergyArbiter::new(self.config.watts_cap);
-        let mut queue_depth = Histogram::new();
-        let mut trace_hash = FNV_OFFSET;
         // Fleet makespan frontier: the latest *full* completion, including
         // off-worker comm tails that finish after their worker was freed.
         let mut frontier_s = 0.0f64;
@@ -1297,15 +1210,14 @@ impl FleetScheduler {
         // health scorers evaluated on fixed completion windows.
         let mut recorder: Vec<VecDeque<CausalSpan>> = vec![VecDeque::new(); workers];
         let mut miss_window: Vec<VecDeque<bool>> = vec![VecDeque::new(); workers];
-        let mut incidents: Vec<Incident> = Vec::new();
         let mut scorers: Vec<HealthScorer> = (0..self.slots.len())
             .map(|_| HealthScorer::new(policy))
             .collect();
-        let mut window_base: Vec<LoopStats> = base.clone();
+        let mut window_base: Vec<LoopStats> = frame.base.clone();
         let mut health_evals: Vec<u64> = vec![0; self.slots.len()];
 
         while let Some(Reverse(release)) = heap.pop() {
-            queue_depth.record(heap.len() as f64);
+            report.queue_depth.record(heap.len() as f64);
             // Earliest-available worker takes the earliest deadline; ties on
             // the clock break by worker index. Deterministic by construction.
             let mut wid = 0usize;
@@ -1314,15 +1226,11 @@ impl FleetScheduler {
                     wid = w;
                 }
             }
-            let slot = self.slots[release.loop_idx]
-                .get_mut()
-                .unwrap_or_else(|e| e.into_inner());
-            let ctx =
-                traced.then(|| sched_tick_context(seed, release.loop_idx, release.release_idx));
-            let exec = execute_release(slot, &release, worker_clock_s[wid], ctx);
+            let slot = &mut self.slots[release.loop_idx];
+            let (exec, spans) = execute_release(slot, &release, worker_clock_s[wid], seed, tracer);
             // The worker is free once compute ends; a comm tail keeps the
             // *loop* busy (sequential + deadline) but not the worker.
-            worker_busy_s[wid] += exec.busy_end_s - exec.start_s;
+            report.worker_busy_s[wid] += exec.busy_end_s - exec.start_s;
             worker_clock_s[wid] = exec.busy_end_s;
             frontier_s = frontier_s.max(exec.completion_s);
             // Clock plumbing: keep the caller's SimClock at the fleet's
@@ -1331,12 +1239,11 @@ impl FleetScheduler {
             let stretch = arbiter.on_completion(exec.energy_j, exec.completion_s);
             slot.handle
                 .set_precision_hint(arbiter.recommended_precision());
-            trace_hash = fnv_fold(trace_hash, release.loop_idx as u64);
-            trace_hash = fnv_fold(trace_hash, release.release_idx);
-            trace_hash = fnv_fold(trace_hash, wid as u64);
-            trace_hash = fnv_fold(trace_hash, exec.completion_s.to_bits());
-            if let Some(ctx) = ctx {
-                let (tick_span, tail_span) = record_tick_spans(&tracer, ctx, &release, &exec);
+            report.trace_hash = fnv_fold(report.trace_hash, release.loop_idx as u64);
+            report.trace_hash = fnv_fold(report.trace_hash, release.release_idx);
+            report.trace_hash = fnv_fold(report.trace_hash, wid as u64);
+            report.trace_hash = fnv_fold(report.trace_hash, exec.completion_s.to_bits());
+            if let Some((tick_span, tail_span)) = spans {
                 let ring = &mut recorder[wid];
                 for span in std::iter::once(tick_span).chain(tail_span) {
                     if ring.len() == FLIGHT_RECORDER_CAPACITY {
@@ -1353,9 +1260,9 @@ impl FleetScheduler {
                 misses.push_back(exec.missed);
                 if misses.len() == MISS_STORM_WINDOW
                     && misses.iter().filter(|&&m| m).count() >= MISS_STORM_THRESHOLD
-                    && incidents.len() < MAX_INCIDENTS
+                    && report.incidents.len() < MAX_INCIDENTS
                 {
-                    incidents.push(Incident {
+                    report.incidents.push(Incident {
                         worker: wid,
                         loop_idx: release.loop_idx,
                         at_s: exec.completion_s,
@@ -1398,11 +1305,11 @@ impl FleetScheduler {
                             ok: to == HealthStatus::Healthy,
                         };
                         tracer.record(span);
-                        if to == HealthStatus::Critical && incidents.len() < MAX_INCIDENTS {
+                        if to == HealthStatus::Critical && report.incidents.len() < MAX_INCIDENTS {
                             let mut spans: Vec<CausalSpan> =
                                 recorder[wid].iter().copied().collect();
                             spans.push(span);
-                            incidents.push(Incident {
+                            report.incidents.push(Incident {
                                 worker: wid,
                                 loop_idx: li,
                                 at_s: exec.completion_s,
@@ -1420,30 +1327,21 @@ impl FleetScheduler {
             }
         }
 
-        let makespan_s = worker_clock_s.iter().fold(frontier_s, |a, &b| a.max(b));
-        let (ticks, drops, misses) = self.totals();
-        let loops = self.summaries();
-        let (loop_health, health) = self.classify_health(&base, makespan_s);
-        FleetReport {
-            horizon_s,
-            workers,
-            ticks: ticks - base_ticks,
-            drops: drops - base_drops,
-            deadline_misses: misses - base_misses,
-            steals: 0,
-            throttle_events: arbiter.throttle_events(),
-            makespan_s,
-            energy_j: arbiter.energy_j(),
-            wall_s: wall_start.elapsed().as_secs_f64(),
-            worker_busy_s,
-            queue_depth,
-            trace_hash,
-            loops,
-            loop_health,
-            health,
-            incidents,
-        }
+        report.makespan_s = worker_clock_s.iter().fold(frontier_s, |a, &b| a.max(b));
+        report.throttle_events = arbiter.throttle_events();
+        report.energy_j = arbiter.energy_j();
+        self.finish_run(frame, report)
     }
+}
+
+/// What the two run modes share before their event loops diverge.
+struct RunFrame {
+    wall_start: std::time::Instant,
+    /// Every slot's cumulative stats when the run began (slot stats never
+    /// reset, so per-run report counters subtract this).
+    base: Vec<LoopStats>,
+    /// Tick 0 of every active member; empty when there is nothing to run.
+    releases: Vec<Release>,
 }
 
 #[cfg(test)]
@@ -2308,5 +2206,40 @@ mod tests {
             reference.loop_stats(rid),
             "resumed stats must match the uninterrupted member"
         );
+    }
+
+    /// Regression: adopting straight into a *retired* id used to revive the
+    /// slot while leaving it on the freelist — `len()` under-counted and the
+    /// next `register` silently overwrote the adopted member. It is an error
+    /// now, and neither the freelist nor the slot changes.
+    #[test]
+    fn adopt_into_retired_slot_is_rejected_and_leaves_the_freelist_intact() {
+        let mut sched = FleetScheduler::new(FleetConfig::default());
+        let id = sched.register(stateful_handle("lease"), LoopSpec::periodic(1e-2));
+        let _ = sched.tick_member_at(id, 0.0);
+        let ckpt = sched.snapshot_member(id).unwrap();
+        drop(sched.retire_member(id));
+        assert_eq!(sched.len(), 0);
+        let err = sched
+            .adopt_member(id, stateful_handle("lease"), &ckpt)
+            .unwrap_err();
+        assert_eq!(err, CheckpointError::BadValue("sched.slot retired".into()));
+        assert_eq!(sched.len(), 0, "a rejected adopt must not revive the slot");
+        assert_eq!(sched.loop_name(id), "<retired>");
+        // The supported protocol — register a twin (reusing the slot), then
+        // adopt over it — keeps the count and the member.
+        let twin = sched.register(stateful_handle("lease"), LoopSpec::periodic(1e-2));
+        assert_eq!(twin, id, "the freelist still holds the retired index");
+        sched
+            .adopt_member(twin, stateful_handle("lease"), &ckpt)
+            .unwrap();
+        assert_eq!(sched.len(), 1);
+        let newcomer = sched.register(handle("newcomer", 1e-6, 1e-4), LoopSpec::periodic(1e-2));
+        assert_ne!(
+            newcomer, id,
+            "a later register must not overwrite the adoptee"
+        );
+        assert_eq!(sched.loop_name(id), "lease");
+        assert_eq!(sched.loop_stats(id).ticks, 1, "adopted stats survive");
     }
 }

@@ -1,5 +1,6 @@
 //! Cross-loop batch planning: group ready leases sharing a perceptor
-//! signature and lower their ticks onto one batched im2col + GEMM call.
+//! signature and lower their ticks onto one wide GEMM call (patches are
+//! unfolded by its panel packer, not into an im2col matrix).
 //!
 //! The planner collects admitted observations (already shed-checked by the
 //! pool) during an ingress drain, then [`BatchPlanner::flush`] executes

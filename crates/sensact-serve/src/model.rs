@@ -26,7 +26,7 @@ pub enum ModelKind {
     /// grid (1 input channel, 4 output channels, stride 2) feeding a
     /// per-channel damped-integrator controller. This is the batchable
     /// signature: all LidarConv leases share one weight set and their
-    /// im2col panels stack into one GEMM.
+    /// patches are packed into the panels of one GEMM.
     LidarConv,
     /// Classic 4-state cart-pole with a per-lease linear gain vector and an
     /// integral term. Perception is the identity (4 floats in, 4 out), so
@@ -205,9 +205,9 @@ impl SharedPerceptor {
         }
     }
 
-    /// Cross-loop batched forward: all rows through **one** stacked
-    /// im2col + batched GEMM ([`Conv3d::forward_batch`]), bitwise identical
-    /// to the per-row path for every batch size.
+    /// Cross-loop batched forward: all rows through **one** wide GEMM whose
+    /// panel packer unfolds each row's patches ([`Conv3d::forward_batch`]),
+    /// bitwise identical to the per-row path for every batch size.
     pub fn forward_many(&mut self, rows: &[&[f64]], feats_out: &mut [f64]) {
         match &mut self.conv {
             Some(conv) => conv.forward_batch(rows, feats_out),

@@ -23,6 +23,8 @@ if [[ "$quick" == "0" ]]; then
     cargo build --offline --release --examples
 fi
 
+# The root package is a workspace member, so this also runs the replay
+# round-trip, checkpoint conformance and serving integration suites.
 echo "== cargo test (workspace) =="
 cargo test --offline --workspace -q
 
@@ -34,12 +36,6 @@ SENSACT_QUICK=1 cargo bench --offline -p sensact-bench --bench bench_obs
 
 echo "== bench_gate (perf-regression gate vs committed baselines) =="
 cargo run --offline --release -p sensact-bench --bin bench_gate
-
-echo "== replay round-trip (1k-tick faulty run) =="
-cargo test --offline -q --test replay_integration
-
-echo "== checkpoint conformance (restore mid-recording, zero-divergence tail) =="
-cargo test --offline -q -p sensact-core --test checkpoint_replay
 
 echo "== conformance smoke (differential kernel matrix, host ISA) =="
 cargo run --offline --release -p sensact-bench --bin conformance -- --smoke
@@ -70,9 +66,6 @@ cargo run --offline --release -p sensact-bench --bin bench_fed -- --smoke
 
 echo "== federated fleet smoke (forced-scalar path) =="
 SENSACT_FORCE_SCALAR=1 cargo run --offline --release -p sensact-bench --bin bench_fed -- --smoke
-
-echo "== serving integration (batched bitwise identity + crash recovery) =="
-cargo test --offline -q --test serve_integration
 
 echo "== serving bench smoke (loopback throughput, host ISA) =="
 cargo run --offline --release -p sensact-bench --bin bench_serve -- --smoke

@@ -2,8 +2,15 @@
 //! real subsystem stages (LiDAR sensing, STARNet monitoring, adaptation).
 
 use sensact::core::adapt::{ActionMagnitudeRate, SensingKnobs};
-use sensact::core::stage::{FnController, FnPerceptor, FnSensor, Sensor, StageContext, Trust};
-use sensact::core::{EnergyBudget, LoopBuilder};
+use sensact::core::fault::TrySensor;
+use sensact::core::replay::diff_records;
+use sensact::core::stage::{
+    FnController, FnMonitor, FnPerceptor, FnSensor, Sensor, StageContext, Trust,
+};
+use sensact::core::{
+    EnergyBudget, FallibleLoop, LoopBuilder, Precision, PrecisionPolicy, Reliable, StageError,
+    TickResolution, Tracer, WithFallback,
+};
 use sensact::lidar::corrupt::{Corruption, CorruptionKind};
 use sensact::lidar::raycast::{Lidar, LidarConfig};
 use sensact::lidar::scene::SceneGenerator;
@@ -156,4 +163,109 @@ fn action_to_sensing_adaptation_cuts_lidar_energy_when_quiet() {
         adaptive < fixed * 0.6,
         "adaptive {adaptive} J vs fixed {fixed} J"
     );
+}
+
+/// A scalar sensor with a rate knob that is both a `Sensor` and a (never
+/// failing) `TrySensor`, so the same stage drives either runner.
+struct RateSensor {
+    rate: f64,
+}
+
+impl SensingKnobs for RateSensor {
+    fn rate(&self) -> f64 {
+        self.rate
+    }
+    fn set_rate(&mut self, r: f64) {
+        self.rate = r.clamp(0.0, 1.0);
+    }
+    fn resolution(&self) -> f64 {
+        1.0
+    }
+    fn set_resolution(&mut self, _: f64) {}
+}
+
+impl Sensor<f64> for RateSensor {
+    type Reading = f64;
+    fn sense(&mut self, env: &f64, ctx: &mut StageContext) -> f64 {
+        ctx.charge(1e-3 * self.rate, 1e-4);
+        *env
+    }
+}
+
+impl TrySensor<f64> for RateSensor {
+    type Reading = f64;
+    fn try_sense(&mut self, env: &f64, ctx: &mut StageContext) -> Result<f64, StageError> {
+        Ok(self.sense(env, ctx))
+    }
+}
+
+/// The two runners are one tick frame: over the same never-failing stages —
+/// budgeted, mixed precision with a trust spike, adaptive sensing, traced —
+/// `FallibleLoop` is `SensingActionLoop`, bit for bit, every tick. (Short
+/// mirror of `fault::tests::clean_loop_matches_infallible_behavior`.)
+#[test]
+fn fallible_runner_over_reliable_stages_is_the_infallible_runner() {
+    let perceptor = || FnPerceptor::new(|r: &f64, _: &mut StageContext| *r);
+    let monitor = || {
+        FnMonitor::new(|f: &f64, _: &mut StageContext| {
+            if f.abs() > 10.0 {
+                Trust::Suspect(0.9)
+            } else {
+                Trust::Trusted
+            }
+        })
+    };
+    let controller = || FnController::new(|f: &f64, _t: Trust, _: &mut StageContext| -0.3 * f);
+    let precision = || PrecisionPolicy::adaptive(0.3, 0.6).with_hold_ticks(3);
+    let mut plain = LoopBuilder::new("plain")
+        .with_budget(EnergyBudget::new(0.03))
+        .with_precision(precision())
+        .with_tracer(Tracer::sim(0.5))
+        .build_full(
+            RateSensor { rate: 1.0 },
+            perceptor(),
+            monitor(),
+            controller(),
+            ActionMagnitudeRate::default(),
+        );
+    let mut lifted = FallibleLoop::new(
+        "lifted",
+        RateSensor { rate: 1.0 },
+        Reliable(perceptor()),
+        monitor(),
+        WithFallback::new(controller(), 0.0),
+    )
+    .with_budget(EnergyBudget::new(0.03))
+    .with_precision(precision())
+    .with_tracer(Tracer::sim(0.5))
+    .with_policy(ActionMagnitudeRate::default());
+    let (mut env_plain, mut env_lifted) = (8.0f64, 8.0f64);
+    for t in 0..48 {
+        if t == 30 {
+            (env_plain, env_lifted) = (50.0, 50.0);
+        }
+        let a = plain.tick(&env_plain);
+        let b = lifted.tick(&env_lifted);
+        assert_eq!(a.action.to_bits(), b.action.to_bits(), "tick {t} action");
+        assert_eq!(b.resolution, TickResolution::Fresh);
+        let (ra, rb) = (
+            plain.telemetry().last_record().unwrap(),
+            lifted.telemetry().last_record().unwrap(),
+        );
+        assert_eq!(diff_records(ra, rb), None, "tick {t} record");
+        env_plain += a.action;
+        env_lifted += b.action;
+    }
+    let schedule: Vec<Precision> = plain.telemetry().records().map(|r| r.precision).collect();
+    assert!(schedule.contains(&Precision::F64) && schedule.iter().any(|p| *p != Precision::F64));
+    assert_eq!(
+        plain.sensor().rate().to_bits(),
+        lifted.sensor().rate().to_bits()
+    );
+    assert_eq!(
+        plain.budget().consumed_j().to_bits(),
+        lifted.budget().consumed_j().to_bits()
+    );
+    let spans = |t: &Tracer| t.spans().copied().collect::<Vec<_>>();
+    assert_eq!(spans(plain.tracer()), spans(lifted.tracer()));
 }
