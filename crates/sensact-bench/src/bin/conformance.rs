@@ -11,25 +11,20 @@
 //! The matrix, tiered by precision mode:
 //! - `gemm_blocked`/`gemm_parallel` vs. `gemm_naive` over shape/alpha/beta
 //!   sweeps — **bitwise** (ascending-k contract)
-//! - `gemm` (dispatcher)/`gemm_simd`/`gemm_transb` vs. `gemm_naive` —
+//! - `gemm` (dispatcher)/`gemm_transb` vs. `gemm_naive` —
 //!   per-element error ratio against the analytic FMA forward-error bound
 //!   `2·γ_{k+2}·(|αA|·|B|)` ≤ 1; collapses to bitwise (ratio 0) on SSE2,
 //!   scalar, and `SENSACT_FORCE_SCALAR=1` hosts
-//! - `gemm_f32`/`gemm_transb_f32` vs. f64 accumulation of the f32-rounded
-//!   operands — ratio against the single-precision bound ≤ 1
-//! - `gemm_int8`/`gemm_transb_int8` vs. `gemm_naive` — ratio against the
-//!   quantization bound `k·(max|A|·s_b/2 + (max|B|+s_b/2)·s_a/2)` ≤ 1
-//!   (integer accumulation is exact; the two int8 layouts are bitwise equal)
 //! - `gemm_transa`/`matvec_into` vs. `gemm_naive` on explicitly transposed
 //!   operands, `beta = 0` — **bitwise**
 //! - `Conv3d::forward`/`Deconv3d::forward` vs. `forward_reference` —
 //!   max |Δ| ≤ 1e-12 (im2col reorders additions), ULP reported
-//! - `gemm_batched`/`gemm_transb_batched` vs. the per-item kernels over
-//!   seeded shapes *including ragged tail batches* — **bitwise** (the
-//!   batched kernels pin dispatch on the per-item shape)
-//! - `Conv3d::forward_batch` vs. the per-row forward — **bitwise** at f64
-//!   for every batch size; f32/int8 batched outputs stay within their
-//!   analytic precision tiers of the f64 per-row reference
+//! - `gemm_transb_gathered` (the kernel batched serving runs) vs. per-item
+//!   `gemm_transb` over seeded shapes *including ragged tail batches* —
+//!   **bitwise** where it takes the wide path, output bit-untouched where
+//!   the per-item shape pins it to the scalar kernels
+//! - `Conv3d::forward_batch` vs. the per-row forward — **bitwise** for
+//!   every batch size
 //! - `Lidar::scan`/`scan_serial` vs. `scan_reference` — **bitwise**
 //! - fake-quantize grid invariants (on-grid, idempotent, half-step error
 //!   bound, poisoned-buffer saturation) over seeded buffers
@@ -244,17 +239,15 @@ fn gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
                 duo_abs = duo_abs.max(max_abs_diff(&c_ref, &c));
                 duo_cases += 1;
             }
-            // SIMD tier: the dispatcher and the pinned SIMD entry point may
-            // take the FMA microkernel, which rounds once per step — checked
-            // against the per-element analytic bound instead of bitwise.
+            // SIMD tier: the dispatcher may take the FMA microkernel, which
+            // rounds once per step — checked against the per-element
+            // analytic bound instead of bitwise.
             let bound = fma_bound(m, n, k, alpha, &a, &b, beta, &c0);
-            for gemm in [kernels::gemm, kernels::gemm_simd] {
-                let mut c = c0.clone();
-                gemm(m, n, k, alpha, &a, &b, beta, &mut c);
-                simd_ulp = simd_ulp.max(max_ulp(&c_ref, &c));
-                simd_ratio = simd_ratio.max(max_ratio(&c_ref, &c, &bound));
-                simd_cases += 1;
-            }
+            let mut c = c0.clone();
+            kernels::gemm(m, n, k, alpha, &a, &b, beta, &mut c);
+            simd_ulp = simd_ulp.max(max_ulp(&c_ref, &c));
+            simd_ratio = simd_ratio.max(max_ratio(&c_ref, &c, &bound));
+            simd_cases += 1;
         }
 
         // Transposed-B layout and matvec, beta = 0 (they fold beta into a
@@ -308,7 +301,7 @@ fn gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
         0.0,
     ));
     pairs.push(Pair::check(
-        "gemm_simd_dispatch_fma_error_ratio",
+        "gemm_dispatch_fma_error_ratio",
         simd_cases,
         simd_ulp,
         simd_ratio,
@@ -327,97 +320,6 @@ fn gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
         trans_ulp,
         trans_abs,
         0.0,
-    ));
-}
-
-/// Per-precision tolerance tiers for the f32 and int8 GEMM paths, each
-/// checked as a ratio against its own analytic bound.
-fn precision_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
-    let shapes: &[(usize, usize, usize)] = if smoke {
-        &[(4, 7, 5), (16, 16, 64)]
-    } else {
-        &[(4, 7, 5), (1, 33, 16), (64, 64, 64), (40, 50, 300)]
-    };
-    let mut rng = StdRng::seed_from_u64(0xC0F0_0004);
-    let (mut f_ulp, mut f_ratio, mut f_cases) = (0u64, 0.0f64, 0usize);
-    let (mut q_ulp, mut q_ratio, mut q_cases) = (0u64, 0.0f64, 0usize);
-    for &(m, n, k) in shapes {
-        // f32 tier: reference is f64 accumulation of the *f32-rounded*
-        // operands, so the measured error is purely the f32 accumulation.
-        let a32: Vec<f32> = (0..m * k)
-            .map(|_| rng.random::<f64>() as f32 - 0.5)
-            .collect();
-        let b32: Vec<f32> = (0..k * n)
-            .map(|_| rng.random::<f64>() as f32 - 0.5)
-            .collect();
-        let a64: Vec<f64> = a32.iter().map(|&x| x as f64).collect();
-        let b64: Vec<f64> = b32.iter().map(|&x| x as f64).collect();
-        let mut c_ref = vec![0.0f64; m * n];
-        kernels::gemm_naive(m, n, k, 1.0, &a64, &b64, 0.0, &mut c_ref);
-        let mut bound = fma_bound(m, n, k, 1.0, &a64, &b64, 0.0, &[]);
-        for x in bound.iter_mut() {
-            // Same |A|·|B| magnitude profile, single-precision epsilon.
-            *x = *x / f64::EPSILON * f32::EPSILON as f64 + 1e-30;
-        }
-        let mut c32 = vec![f32::NAN; m * n];
-        kernels::gemm_f32(m, n, k, 1.0, &a32, &b32, 0.0, &mut c32);
-        let mut bt32 = vec![0.0f32; n * k];
-        for kk in 0..k {
-            for j in 0..n {
-                bt32[j * k + kk] = b32[kk * n + j];
-            }
-        }
-        let mut c32t = vec![f32::NAN; m * n];
-        kernels::gemm_transb_f32(m, n, k, 1.0, &a32, &bt32, 0.0, &mut c32t);
-        for c in [&c32, &c32t] {
-            let c64: Vec<f64> = c.iter().map(|&x| x as f64).collect();
-            f_ulp = f_ulp.max(max_ulp(&c_ref, &c64));
-            f_ratio = f_ratio.max(max_ratio(&c_ref, &c64, &bound));
-            f_cases += 1;
-        }
-
-        // int8 tier: integer accumulation is exact, so the whole error is
-        // input quantization — bounded by the scales the call reports.
-        let a: Vec<f64> = (0..m * k)
-            .map(|_| rng.random::<f64>() * 2.0 - 1.0)
-            .collect();
-        let b: Vec<f64> = (0..k * n)
-            .map(|_| rng.random::<f64>() * 2.0 - 1.0)
-            .collect();
-        let mut c_ref = vec![0.0f64; m * n];
-        kernels::gemm_naive(m, n, k, 1.0, &a, &b, 0.0, &mut c_ref);
-        let mut c_q = vec![f64::NAN; m * n];
-        let report = kernels::gemm_int8(m, n, k, &a, &b, &mut c_q);
-        let max_a = a.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
-        let max_b = b.iter().fold(0.0f64, |acc, &x| acc.max(x.abs()));
-        let half_a = report.scale_a / 2.0;
-        let half_b = report.scale_b / 2.0;
-        let tol = k as f64 * (max_a * half_b + (max_b + half_b) * half_a) + 1e-12;
-        q_ulp = q_ulp.max(max_ulp(&c_ref, &c_q));
-        q_ratio = q_ratio.max(max_abs_diff(&c_ref, &c_q) / tol);
-        // The transb layout quantizes to the same codes: bitwise equal.
-        let mut bt = vec![0.0f64; n * k];
-        kernels::transpose_into(k, n, &b, &mut bt);
-        let mut c_qt = vec![f64::NAN; m * n];
-        let report_t = kernels::gemm_transb_int8(m, n, k, &a, &bt, &mut c_qt);
-        if c_qt != c_q || report_t != report {
-            q_ratio = f64::INFINITY;
-        }
-        q_cases += 2;
-    }
-    pairs.push(Pair::check(
-        "gemm_f32_error_ratio",
-        f_cases,
-        f_ulp,
-        f_ratio,
-        1.0,
-    ));
-    pairs.push(Pair::check(
-        "gemm_int8_quant_error_ratio",
-        q_cases,
-        q_ulp,
-        q_ratio,
-        1.0,
     ));
 }
 
@@ -469,112 +371,72 @@ fn conv_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
     ));
 }
 
-/// Batched GEMM vs. per-item dispatch: the serving front-end's cross-loop
-/// batching contract. Both batched kernels pin their internal dispatch on
-/// the PER-ITEM shape, so every slab must be bitwise identical to calling
-/// the per-item kernel on it — including ragged batch sizes that don't
-/// fill the register blocking.
-fn batched_gemm_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
+/// `gemm_transb_gathered` — the kernel batched serving runs — vs. per-item
+/// `gemm_transb`: the serving front-end's cross-loop batching contract. The
+/// path is pinned on the PER-ITEM shape: where the wide call runs, item
+/// `t`'s columns of the gathered panel must be bitwise what the per-item
+/// kernel produces from the same seed; where it declines (scalar-pinned
+/// shapes, `batch < 2`, `SENSACT_FORCE_SCALAR`) the panel must come back
+/// bit-untouched for the caller's per-item loop.
+fn gathered_gemm_pair(smoke: bool, pairs: &mut Vec<Pair>) {
     let batches: &[usize] = if smoke { &[1, 3] } else { &[1, 2, 3, 5, 8] };
     let shapes: &[(usize, usize, usize)] = if smoke {
         &[(4, 4, 8), (8, 16, 27)]
     } else {
-        // Shapes straddle the SIMD eligibility threshold so both the
-        // vectorized and scalar per-item paths are exercised; k = 0 checks
-        // the pure beta-scaling edge.
+        // Shapes straddle the SIMD eligibility threshold so both verdicts
+        // are exercised; k = 0 never takes the wide path.
         &[(4, 4, 8), (3, 5, 7), (8, 16, 27), (16, 64, 27), (4, 4, 0)]
     };
     let params: &[(f64, f64)] = &[(1.0, 0.0), (1.0, 1.0), (-0.5, 0.75)];
     let mut rng = StdRng::seed_from_u64(0xC0F0_0005);
-    let (mut b_ulp, mut b_abs, mut b_cases) = (0u64, 0.0f64, 0usize);
-    let (mut t_ulp, mut t_abs, mut t_cases) = (0u64, 0.0f64, 0usize);
+    let (mut ulp, mut abs, mut cases) = (0u64, 0.0f64, 0usize);
     for &batch in batches {
         for &(m, n, k) in shapes {
             let mut rand = |len: usize| -> Vec<f64> {
                 (0..len).map(|_| rng.random::<f64>() * 2.0 - 1.0).collect()
             };
+            let nn = batch * n;
             for &(alpha, beta) in params {
-                // Stacked-A form: per-item A slabs against one shared B.
-                let a_stack = rand(batch * m * k);
-                let b = rand(k * n);
-                let c0 = rand(batch * m * n);
-                let mut c_batched = c0.clone();
-                kernels::gemm_batched(batch, m, n, k, alpha, &a_stack, &b, beta, &mut c_batched);
-                let mut c_items = c0.clone();
-                for t in 0..batch {
-                    kernels::gemm(
-                        m,
-                        n,
-                        k,
-                        alpha,
-                        &a_stack[t * m * k..(t + 1) * m * k],
-                        &b,
-                        beta,
-                        &mut c_items[t * m * n..(t + 1) * m * n],
-                    );
-                }
-                b_ulp = b_ulp.max(max_ulp(&c_items, &c_batched));
-                b_abs = b_abs.max(max_abs_diff(&c_items, &c_batched));
-                b_cases += 1;
-
-                // Stacked-Bᵀ form (the im2col layout): shared A weights
-                // against per-item transposed panels.
+                // Shared A weights against per-item transposed panels (the
+                // im2col layout); `c0` is already gathered `[m × batch·n]`.
                 let a = rand(m * k);
                 let bt_stack = rand(batch * n * k);
-                let c0 = rand(batch * m * n);
-                let mut c_batched = c0.clone();
-                kernels::gemm_transb_batched(
-                    batch,
-                    m,
-                    n,
-                    k,
-                    alpha,
-                    &a,
-                    &bt_stack,
-                    beta,
-                    &mut c_batched,
+                let c0 = rand(m * nn);
+                let mut big = c0.clone();
+                let wide = kernels::gemm_transb_gathered(
+                    batch, m, n, k, alpha, &a, &bt_stack, beta, &mut big,
                 );
-                let mut c_items = c0.clone();
-                for t in 0..batch {
-                    kernels::gemm_transb(
-                        m,
-                        n,
-                        k,
-                        alpha,
-                        &a,
-                        &bt_stack[t * n * k..(t + 1) * n * k],
-                        beta,
-                        &mut c_items[t * m * n..(t + 1) * m * n],
-                    );
+                let mut want = c0;
+                if wide {
+                    for t in 0..batch {
+                        let mut c_t: Vec<f64> = (0..m)
+                            .flat_map(|i| want[i * nn + t * n..][..n].iter().copied())
+                            .collect();
+                        let bt = &bt_stack[t * n * k..(t + 1) * n * k];
+                        kernels::gemm_transb(m, n, k, alpha, &a, bt, beta, &mut c_t);
+                        for (i, row) in c_t.chunks_exact(n).enumerate() {
+                            want[i * nn + t * n..][..n].copy_from_slice(row);
+                        }
+                    }
                 }
-                t_ulp = t_ulp.max(max_ulp(&c_items, &c_batched));
-                t_abs = t_abs.max(max_abs_diff(&c_items, &c_batched));
-                t_cases += 1;
+                ulp = ulp.max(max_ulp(&want, &big));
+                abs = abs.max(max_abs_diff(&want, &big));
+                cases += 1;
             }
         }
     }
     pairs.push(Pair::check(
-        "gemm_batched_vs_per_item",
-        b_cases,
-        b_ulp,
-        b_abs,
-        0.0,
-    ));
-    pairs.push(Pair::check(
-        "gemm_transb_batched_vs_per_item",
-        t_cases,
-        t_ulp,
-        t_abs,
+        "gemm_transb_gathered_vs_per_item",
+        cases,
+        ulp,
+        abs,
         0.0,
     ));
 }
 
-/// Batched conv forward vs. the per-row forward, per precision tier: f64
-/// bitwise for every batch size (ragged tails included); f32 and int8
-/// within analytic envelopes of the f64 per-row reference (the batched
-/// low-precision paths share grids/panels across the batch, so they are
-/// not bitwise — but their error stays inside the tier).
-fn batched_conv_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
+/// Batched conv forward vs. the per-row forward: bitwise for every batch
+/// size (ragged tails included).
+fn batched_conv_pair(smoke: bool, pairs: &mut Vec<Pair>) {
     // (cin, cout, kernel, stride, pad, edge); first entry is the serving
     // front-end's LidarConv signature.
     let configs: &[(usize, usize, usize, usize, usize, usize)] = if smoke {
@@ -585,65 +447,29 @@ fn batched_conv_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
     let batches: &[usize] = if smoke { &[1, 3] } else { &[1, 2, 3, 5] };
     let mut rng = StdRng::seed_from_u64(0xC0F0_0006);
     let (mut f64_ulp, mut f64_abs, mut f64_cases) = (0u64, 0.0f64, 0usize);
-    let (mut f32_ulp, mut f32_ratio, mut f32_cases) = (0u64, 0.0f64, 0usize);
-    let (mut i8_ulp, mut i8_ratio, mut i8_cases) = (0u64, 0.0f64, 0usize);
     for &(cin, cout, kernel, stride, pad, edge) in configs {
         let dims = Dims3::new(edge, edge, edge);
         let mut init = Initializer::new(0x5E2E);
         let mut conv = Conv3d::new(cin, cout, kernel, stride, pad, dims, &mut init);
         let in_feat = conv.in_features();
         let out_feat = conv.out_features();
-        let ckk = cin * kernel * kernel * kernel;
-        let max_weight = conv_weight_max(&mut conv, in_feat, out_feat);
         for &batch in batches {
             let rows: Vec<Vec<f64>> = (0..batch)
                 .map(|_| (0..in_feat).map(|_| rng.random::<f64>() - 0.5).collect())
                 .collect();
             let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-            // Per-row f64 reference (the canonical per-loop path).
+            // Per-row reference (the canonical per-loop path).
             let mut per_row = vec![0.0; batch * out_feat];
             for (t, row) in rows.iter().enumerate() {
                 let input = Tensor::from_vec(vec![1, in_feat], row.to_vec());
-                let out = conv.forward_with_precision(&input, RunPrecision::F64);
+                let out = conv.forward(&input, false);
                 per_row[t * out_feat..(t + 1) * out_feat].copy_from_slice(out.as_slice());
             }
-            // f64 tier: bitwise.
             let mut batched = vec![0.0; batch * out_feat];
             conv.forward_batch(&refs, &mut batched);
             f64_ulp = f64_ulp.max(max_ulp(&per_row, &batched));
             f64_abs = f64_abs.max(max_abs_diff(&per_row, &batched));
             f64_cases += 1;
-
-            // Uniform analytic magnitudes: every im2col entry is an input
-            // entry (or zero padding), so max|col| ≤ max|row|.
-            let max_in = rows
-                .iter()
-                .flatten()
-                .fold(0.0f64, |acc, &x| acc.max(x.abs()));
-            // f32 tier: |Δ| vs. f64 reference bounded by the single-
-            // precision FMA envelope over the reduction depth, plus the
-            // f32 rounding of inputs/weights themselves.
-            let mut batched32 = vec![0.0; batch * out_feat];
-            conv.forward_batch_with_precision(&refs, RunPrecision::F32, &mut batched32);
-            let eps32 = f32::EPSILON as f64;
-            let mag = ckk as f64 * max_weight * max_in;
-            let tol32 = (2.0 * (ckk as f64 + 4.0) * eps32) * mag + 1e-30;
-            f32_ulp = f32_ulp.max(max_ulp(&per_row, &batched32));
-            f32_ratio = f32_ratio.max(max_abs_diff(&per_row, &batched32) / tol32);
-            f32_cases += 1;
-
-            // int8 tier: symmetric max-abs/127 grids on weights and the
-            // stacked column panel; integer accumulation is exact, so the
-            // whole error is input quantization.
-            let mut batched8 = vec![0.0; batch * out_feat];
-            conv.forward_batch_with_precision(&refs, RunPrecision::Int8, &mut batched8);
-            let s_w = max_weight / 127.0;
-            let s_c = max_in / 127.0;
-            let tol8 =
-                ckk as f64 * (max_weight * s_c / 2.0 + (max_in + s_c / 2.0) * s_w / 2.0) + 1e-12;
-            i8_ulp = i8_ulp.max(max_ulp(&per_row, &batched8));
-            i8_ratio = i8_ratio.max(max_abs_diff(&per_row, &batched8) / tol8);
-            i8_cases += 1;
         }
     }
     pairs.push(Pair::check(
@@ -653,41 +479,6 @@ fn batched_conv_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
         f64_abs,
         0.0,
     ));
-    pairs.push(Pair::check(
-        "conv3d_forward_batch_f32_error_ratio",
-        f32_cases,
-        f32_ulp,
-        f32_ratio,
-        1.0,
-    ));
-    pairs.push(Pair::check(
-        "conv3d_forward_batch_int8_error_ratio",
-        i8_cases,
-        i8_ulp,
-        i8_ratio,
-        1.0,
-    ));
-}
-
-/// Max |weight| of a conv layer, probed through delta inputs (the weights
-/// themselves are private). One delta voxel per input feature lights up
-/// exactly the kernel taps that touch it, so the max response over all
-/// deltas bounds max|W| from below *and* above once the bias is removed.
-fn conv_weight_max(conv: &mut Conv3d, in_feat: usize, out_feat: usize) -> f64 {
-    // Bias-only baseline.
-    let zero = Tensor::zeros(vec![1, in_feat]);
-    let base = conv.forward_with_precision(&zero, RunPrecision::F64);
-    let mut max_w = 0.0f64;
-    for i in 0..in_feat {
-        let mut x = vec![0.0; in_feat];
-        x[i] = 1.0;
-        let out =
-            conv.forward_with_precision(&Tensor::from_vec(vec![1, in_feat], x), RunPrecision::F64);
-        for j in 0..out_feat {
-            max_w = max_w.max((out.as_slice()[j] - base.as_slice()[j]).abs());
-        }
-    }
-    max_w
 }
 
 fn raycast_pair(smoke: bool, pairs: &mut Vec<Pair>) {
@@ -1005,10 +796,9 @@ fn main() {
 
     let mut pairs = Vec::new();
     gemm_pairs(smoke, &mut pairs);
-    precision_pairs(smoke, &mut pairs);
     conv_pairs(smoke, &mut pairs);
-    batched_gemm_pairs(smoke, &mut pairs);
-    batched_conv_pairs(smoke, &mut pairs);
+    gathered_gemm_pair(smoke, &mut pairs);
+    batched_conv_pair(smoke, &mut pairs);
     raycast_pair(smoke, &mut pairs);
     quant_pair(smoke, &mut pairs);
     export_pair(&mut pairs);

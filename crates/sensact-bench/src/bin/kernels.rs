@@ -1,12 +1,11 @@
-//! Kernel micro-benchmarks: naive vs blocked vs parallel vs register-blocked
-//! SIMD GEMM (f64/f32/int8), im2col conv forward, full raycast scan, and an
-//! end-to-end loop tick.
+//! Kernel micro-benchmarks: naive vs blocked vs parallel vs the dispatching
+//! `gemm` (register-blocked SIMD where the host has it), im2col conv forward,
+//! full raycast scan, and an end-to-end loop tick.
 //!
 //! Emits `BENCH_kernels.json` (tagged with the host ISA) in the working
 //! directory so later PRs have a perf trajectory, and verifies on the way
 //! that the fast paths agree with the reference kernels — the scalar GEMM
-//! and raycast paths bitwise, the SIMD/f32/int8 paths within their analytic
-//! precision-tier bounds.
+//! and raycast paths bitwise, the SIMD path within its analytic FMA bound.
 //!
 //! `--smoke` (or `--quick` / `SENSACT_QUICK=1`) shrinks the measurement
 //! budget for CI; combine with `SENSACT_FORCE_SCALAR=1` to time the scalar
@@ -58,7 +57,7 @@ fn main() {
     kernels::gemm_naive(n, n, n, 1.0, &a, &b, 0.0, &mut c_naive);
     kernels::gemm_blocked(n, n, n, 1.0, &a, &b, 0.0, &mut c_blocked);
     kernels::gemm_parallel(n, n, n, 1.0, &a, &b, 0.0, &mut c_parallel);
-    kernels::gemm_simd(n, n, n, 1.0, &a, &b, 0.0, &mut c_simd);
+    kernels::gemm(n, n, n, 1.0, &a, &b, 0.0, &mut c_simd);
     let gemm_diff = max_abs_diff(&c_naive, &c_blocked).max(max_abs_diff(&c_naive, &c_parallel));
     assert!(gemm_diff <= 1e-12, "GEMM kernels diverged: {gemm_diff:e}");
     // FMA rounds once per step: analytic bound 2·γ_{k+2}·max|c| for inputs
@@ -79,39 +78,8 @@ fn main() {
     h.bench_function("gemm_parallel/256", |bch| {
         bch.iter(|| kernels::gemm_parallel(n, n, n, 1.0, black_box(&a), &b, 0.0, &mut c_parallel))
     });
-    h.bench_function("gemm_simd/256", |bch| {
-        bch.iter(|| kernels::gemm_simd(n, n, n, 1.0, black_box(&a), &b, 0.0, &mut c_simd))
-    });
-
-    // --- Mixed-precision GEMM: f32 and int8 perception tiers -------------
-    let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-    let b32: Vec<f32> = b.iter().map(|&x| x as f32).collect();
-    let mut c32 = vec![0.0f32; n * n];
-    kernels::gemm_f32(n, n, n, 1.0, &a32, &b32, 0.0, &mut c32);
-    let c32_as_f64: Vec<f64> = c32.iter().map(|&x| x as f64).collect();
-    let f32_diff = max_abs_diff(&c_naive, &c32_as_f64);
-    let f32_tol = 2.0 * (n as f64 + 2.0) * f32::EPSILON as f64 * n as f64 / 4.0 + 1e-6;
-    assert!(
-        f32_diff <= f32_tol,
-        "f32 GEMM out of bound: {f32_diff:e} > {f32_tol:e}"
-    );
-    let mut c_int8 = vec![0.0f64; n * n];
-    let report = kernels::gemm_int8(n, n, n, &a, &b, &mut c_int8);
-    let int8_diff = max_abs_diff(&c_naive, &c_int8);
-    let (max_a, max_b) = (127.0 * report.scale_a, 127.0 * report.scale_b);
-    let int8_tol = n as f64
-        * (max_a * report.scale_b / 2.0 + (max_b + report.scale_b / 2.0) * report.scale_a / 2.0)
-        + 1e-12;
-    assert!(
-        int8_diff <= int8_tol,
-        "int8 GEMM out of bound: {int8_diff:e} > {int8_tol:e}"
-    );
-
-    h.bench_function("gemm_f32/256", |bch| {
-        bch.iter(|| kernels::gemm_f32(n, n, n, 1.0, black_box(&a32), &b32, 0.0, &mut c32))
-    });
-    h.bench_function("gemm_int8/256", |bch| {
-        bch.iter(|| kernels::gemm_int8(n, n, n, black_box(&a), &b, &mut c_int8))
+    h.bench_function("gemm/256", |bch| {
+        bch.iter(|| kernels::gemm(n, n, n, 1.0, black_box(&a), &b, 0.0, &mut c_simd))
     });
 
     // --- Conv3d forward: gather-loop reference vs im2col+GEMM ------------
@@ -236,9 +204,7 @@ fn main() {
     let gemm_naive = mean("gemm_naive/256");
     let gemm_blocked = mean("gemm_blocked/256");
     let gemm_parallel = mean("gemm_parallel/256");
-    let gemm_simd = mean("gemm_simd/256");
-    let gemm_f32 = mean("gemm_f32/256");
-    let gemm_int8 = mean("gemm_int8/256");
+    let gemm_simd = mean("gemm/256");
     let conv_ref = mean("conv3d_forward_reference/4x8x10^3");
     let conv_fast = mean("conv3d_forward_im2col/4x8x10^3");
     let transa = mean("gemm_transa/1080x216x16");
@@ -257,17 +223,11 @@ fn main() {
            \"blocked_ns\": {gemm_blocked:.0},\n    \
            \"parallel_ns\": {gemm_parallel:.0},\n    \
            \"simd_ns\": {gemm_simd:.0},\n    \
-           \"f32_ns\": {gemm_f32:.0},\n    \
-           \"int8_ns\": {gemm_int8:.0},\n    \
            \"blocked_speedup\": {:.2},\n    \
            \"parallel_speedup\": {:.2},\n    \
            \"simd_speedup\": {:.2},\n    \
-           \"f32_over_simd\": {:.2},\n    \
-           \"int8_over_simd\": {:.2},\n    \
            \"max_abs_diff\": {gemm_diff:e},\n    \
-           \"simd_max_abs_diff\": {simd_diff:e},\n    \
-           \"f32_max_abs_diff\": {f32_diff:e},\n    \
-           \"int8_max_abs_diff\": {int8_diff:e}\n  }},\n  \
+           \"simd_max_abs_diff\": {simd_diff:e}\n  }},\n  \
          \"conv3d_forward\": {{\n    \
            \"reference_ns\": {conv_ref:.0},\n    \
            \"im2col_ns\": {conv_fast:.0},\n    \
@@ -292,8 +252,6 @@ fn main() {
         gemm_naive / gemm_blocked,
         gemm_naive / gemm_parallel,
         gemm_naive / gemm_simd,
-        gemm_simd / gemm_f32,
-        gemm_simd / gemm_int8,
         conv_ref / conv_fast,
         100.0 * deconv_low / deconv_ref,
         ray_naive / ray_bucketed,

@@ -44,24 +44,6 @@ use crate::trace::{StageId, Tracer};
 use sensact_math::rng::StdRng;
 use std::ops::{Deref, DerefMut};
 
-/// Which loop stage produced a fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StageKind {
-    /// The sensor failed to produce a reading.
-    Sensing,
-    /// The perceptor failed to produce features.
-    Perception,
-}
-
-impl std::fmt::Display for StageKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StageKind::Sensing => write!(f, "sensing"),
-            StageKind::Perception => write!(f, "perception"),
-        }
-    }
-}
-
 /// A typed stage failure.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum StageError {
@@ -1023,8 +1005,6 @@ mod tests {
         .to_string()
         .contains("out of range"));
         assert!(StageError::Poisoned.to_string().contains("poisoned"));
-        assert_eq!(StageKind::Sensing.to_string(), "sensing");
-        assert_eq!(StageKind::Perception.to_string(), "perception");
     }
 
     #[test]

@@ -50,8 +50,7 @@ impl Trust {
 /// (seconds) they consumed; the loop accumulates these into its budget and
 /// telemetry. The context also carries the tick's numeric
 /// [`Precision`] mode, decided by the loop's precision governor before the
-/// sense stage runs — precision-aware perceptors read it to route their
-/// compute through the matching kernel family.
+/// sense stage runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageContext {
     energy_j: f64,
@@ -65,7 +64,9 @@ impl StageContext {
         StageContext::default()
     }
 
-    /// The numeric precision mode stages should compute at this tick.
+    /// The precision mode the governor scheduled for this tick: recorded,
+    /// replayed and used to size federated uploads. No in-repo stage
+    /// computes at reduced precision; a stage that does would read it here.
     pub fn precision(&self) -> Precision {
         self.precision
     }

@@ -860,5 +860,9 @@ mod tests {
         assert_eq!(m.column(1), vec![2.0, 4.0, 6.0]);
         let mut short = [0.0; 2];
         assert!(m.matvec_into(&[1.0, 1.0], &mut short).is_err());
+        // A reused buffer through a `rows × 0` matrix is overwritten too.
+        let mut stale = [f64::NAN, 7.0];
+        Matrix::zeros(2, 0).matvec_into(&[], &mut stale).unwrap();
+        assert_eq!(stale, [0.0, 0.0]);
     }
 }

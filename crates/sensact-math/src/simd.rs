@@ -11,7 +11,7 @@
 //!
 //! Three paths exist, selected once per process by [`cpu_features`]:
 //!
-//! - **AVX2+FMA** (`6×8` f64 tile, `6×16` f32 tile; 12 YMM accumulators):
+//! - **AVX2+FMA** (`6×8` f64 tile; 12 YMM accumulators):
 //!   fused multiply-add changes rounding versus the scalar kernels (one
 //!   rounding per step instead of two), so results differ from
 //!   [`gemm_naive`](crate::kernels::gemm_naive) by a forward error bounded
@@ -33,11 +33,6 @@
 //! The driver reads B through a [`PanelSource`], one packed panel at a
 //! time, so an operand that is a view of something smaller (a conv's im2col
 //! patches) is unfolded straight into the panel and never materialised.
-//!
-//! The int8 quantized path shares the symmetric max-abs/127 grid of
-//! `sensact_nn`'s `fake_quantize` and accumulates exactly in 32-bit integers
-//! (`_mm256_madd_epi16` under AVX2), so its only error is the quantization
-//! itself — also bounded analytically in the conformance harness.
 
 use std::sync::OnceLock;
 
@@ -54,8 +49,6 @@ const MR_AVX: usize = 4;
 pub const NR_F64: usize = 8;
 /// Columns per packed B panel on the SSE2 f64 path.
 pub const NR_SSE: usize = 4;
-/// Columns per packed B panel on the AVX2 f32 path.
-pub const NR_F32: usize = 16;
 
 /// `k`-block depth: panels of `KC` rows of B (2 KiB per f64 column panel)
 /// stay L1/L2-resident while a C tile is updated.
@@ -64,9 +57,9 @@ const KC: usize = 256;
 /// Minimum `m*n*k` before packing overhead pays for itself.
 const SIMD_MIN_OPS: usize = 1 << 14;
 
-/// Largest microkernel tile in scalar lanes (edge tiles stage through a
-/// stack buffer of this size).
-const MAX_TILE: usize = MR_FMA * NR_F32;
+/// Largest microkernel tile in doubles (edge tiles stage through a stack
+/// buffer of this size).
+const MAX_TILE: usize = MR_FMA * NR_F64;
 
 /// CPU feature detection results, resolved once per process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,16 +78,6 @@ impl CpuFeatures {
     /// Whether any f64 SIMD path may be taken.
     pub fn simd_f64(&self) -> bool {
         !self.forced_scalar && ((self.avx2 && self.fma) || self.sse2)
-    }
-
-    /// Whether the f32 SIMD path may be taken (requires AVX2+FMA).
-    pub fn simd_f32(&self) -> bool {
-        !self.forced_scalar && self.avx2 && self.fma
-    }
-
-    /// Whether the vectorized int8 dot path may be taken.
-    pub fn simd_int8(&self) -> bool {
-        !self.forced_scalar && self.avx2
     }
 
     /// Name of the ISA path GEMM dispatch takes on this host.
@@ -158,50 +141,50 @@ fn detect() -> CpuFeatures {
     }
 }
 
-/// Where a packed-panel driver reads its B operand from.
+/// Where the packed-panel driver reads its B operand from.
 ///
-/// The drivers never index B themselves: they ask the source for one
+/// The driver never indexes B itself: it asks the source for one
 /// `NR`-wide column panel of one `k` block at a time. The crate's own
 /// row-major and transposed sources cover the plain GEMM shapes; a lowering
 /// whose B is a *view* of something smaller (the conv layers' im2col
 /// patches) implements the trait itself and unfolds straight into the
 /// panel, so the column matrix is never written to memory.
-pub trait PanelSource<T> {
+pub trait PanelSource {
     /// Write rows `k0..k0 + kc` of B's columns `j0..j0 + nr` into `dst`, a
     /// row-major `kc × ld` panel (`nr <= ld`). Every element of `dst` must
     /// be written; the lanes `nr..ld` of each row are zero.
-    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [T]);
+    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [f64]);
 }
 
 /// Row-major `[k × n]` B (plain GEMM).
-pub(crate) struct RowMajor<'a, T> {
-    pub b: &'a [T],
+pub(crate) struct RowMajor<'a> {
+    pub b: &'a [f64],
     pub n: usize,
 }
 
 /// Row-major `[n × k]` B, i.e. `B` transposed (the `gemm_transb` shape).
-pub(crate) struct Transposed<'a, T> {
-    pub b: &'a [T],
+pub(crate) struct Transposed<'a> {
+    pub b: &'a [f64],
     pub k: usize,
 }
 
-impl<T: Copy + Default> PanelSource<T> for RowMajor<'_, T> {
-    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [T]) {
+impl PanelSource for RowMajor<'_> {
+    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [f64]) {
         for (kk, row) in dst[..kc * ld].chunks_exact_mut(ld).enumerate() {
             let at = (k0 + kk) * self.n + j0;
             row[..nr].copy_from_slice(&self.b[at..at + nr]);
-            row[nr..].fill(T::default());
+            row[nr..].fill(0.0);
         }
     }
 }
 
-impl<T: Copy + Default> PanelSource<T> for Transposed<'_, T> {
-    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [T]) {
+impl PanelSource for Transposed<'_> {
+    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [f64]) {
         for (kk, row) in dst[..kc * ld].chunks_exact_mut(ld).enumerate() {
             for (l, d) in row[..nr].iter_mut().enumerate() {
                 *d = self.b[(j0 + l) * self.k + k0 + kk];
             }
-            row[nr..].fill(T::default());
+            row[nr..].fill(0.0);
         }
     }
 }
@@ -219,18 +202,12 @@ struct AStrides {
 /// the C tile at `c` with row stride `ldc`.
 #[cfg(target_arch = "x86_64")]
 type PanelKernel = unsafe fn(usize, *const f64, *const f64, *mut f64, usize);
-#[cfg(target_arch = "x86_64")]
-type PanelKernelF32 = unsafe fn(usize, *const f32, *const f32, *mut f32, usize);
-
-// ---------------------------------------------------------------------------
-// f64 path
-// ---------------------------------------------------------------------------
 
 /// SIMD GEMM attempt on the FMA tier: `C = alpha*A*B + beta*C` with B read
 /// through `b`. Returns `false` — leaving `c` untouched — when no SIMD path
 /// applies and the caller must run its scalar kernel.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f64<S: PanelSource<f64> + Sync>(
+pub(crate) fn gemm_f64<S: PanelSource + Sync>(
     m: usize,
     n: usize,
     k: usize,
@@ -392,7 +369,7 @@ thread_local! {
 /// the microkernel reads it, so stale scratch contents are harmless.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
-fn gemm_panels<const MR: usize, const NR: usize, S: PanelSource<f64>>(
+fn gemm_panels<const MR: usize, const NR: usize, S: PanelSource>(
     m: usize,
     n: usize,
     k: usize,
@@ -560,182 +537,6 @@ unsafe fn kernel_4x4_f64_sse2(kc: usize, ap: *const f64, bp: *const f64, c: *mut
     }
 }
 
-// ---------------------------------------------------------------------------
-// f32 path
-// ---------------------------------------------------------------------------
-
-/// SIMD f32 GEMM attempt (AVX2+FMA only). Returns `false` — leaving `c`
-/// untouched — when the caller must run the scalar f32 kernel.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f32<S: PanelSource<f32>>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &S,
-    beta: f32,
-    c: &mut [f32],
-) -> bool {
-    let f = cpu_features();
-    let ops = m.saturating_mul(n).saturating_mul(k);
-    if !f.simd_f32() || n == 0 || k == 0 || ops < SIMD_MIN_OPS {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        crate::kernels::scale_c_f32(beta, c);
-        gemm_panels_f32(m, n, k, alpha, a, b, c, kernel_6x16_f32_fma);
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (alpha, a, b, beta, c);
-        false
-    }
-}
-
-/// f32 packed-panel driver (`6×16` tiles; mirrors [`gemm_panels`]).
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-fn gemm_panels_f32<S: PanelSource<f32>>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f32,
-    a: &[f32],
-    b: &S,
-    c: &mut [f32],
-    kernel: PanelKernelF32,
-) {
-    const MR: usize = MR_FMA;
-    const NR: usize = NR_F32;
-    thread_local! {
-        /// Per-thread f32 packing scratch; same rationale as [`PACK_F64`].
-        static PACK_F32: std::cell::RefCell<(Vec<f32>, Vec<f32>)> =
-            const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-    }
-    let np = n.div_ceil(NR);
-    PACK_F32.with(|scratch| {
-        let mut scratch = scratch.borrow_mut();
-        let (bp, ap) = &mut *scratch;
-        if bp.len() < np * KC.min(k) * NR {
-            bp.resize(np * KC.min(k) * NR, 0.0);
-        }
-        if ap.len() < KC.min(k) * MR {
-            ap.resize(KC.min(k) * MR, 0.0);
-        }
-        for k0 in (0..k).step_by(KC) {
-            let kc = (k0 + KC).min(k) - k0;
-            for jp in 0..np {
-                let j0 = jp * NR;
-                let nr = (n - j0).min(NR);
-                b.pack(
-                    k0,
-                    kc,
-                    j0,
-                    nr,
-                    NR,
-                    &mut bp[jp * kc * NR..(jp + 1) * kc * NR],
-                );
-            }
-            for i0 in (0..m).step_by(MR) {
-                let mr = (m - i0).min(MR);
-                for kk in 0..kc {
-                    let dst = &mut ap[kk * MR..(kk + 1) * MR];
-                    for (r, d) in dst.iter_mut().take(mr).enumerate() {
-                        *d = alpha * a[(i0 + r) * k + k0 + kk];
-                    }
-                    dst[mr..].fill(0.0);
-                }
-                for jp in 0..np {
-                    let j0 = jp * NR;
-                    let nr = (n - j0).min(NR);
-                    let bpp = bp[jp * kc * NR..].as_ptr();
-                    if mr == MR && nr == NR {
-                        unsafe { kernel(kc, ap.as_ptr(), bpp, c.as_mut_ptr().add(i0 * n + j0), n) };
-                    } else {
-                        let mut tile = [0.0f32; MAX_TILE];
-                        for r in 0..mr {
-                            tile[r * NR..r * NR + nr]
-                                .copy_from_slice(&c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr]);
-                        }
-                        unsafe { kernel(kc, ap.as_ptr(), bpp, tile.as_mut_ptr(), NR) };
-                        for r in 0..mr {
-                            c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr]
-                                .copy_from_slice(&tile[r * NR..r * NR + nr]);
-                        }
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// AVX2+FMA `6×16` f32 microkernel (12 YMM accumulators, 8 lanes each).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn kernel_6x16_f32_fma(kc: usize, ap: *const f32, bp: *const f32, c: *mut f32, ldc: usize) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm256_setzero_ps(); 2]; MR_FMA];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[0] = _mm256_loadu_ps(c.add(r * ldc));
-        row[1] = _mm256_loadu_ps(c.add(r * ldc + 8));
-    }
-    for kk in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.add(kk * NR_F32));
-        let b1 = _mm256_loadu_ps(bp.add(kk * NR_F32 + 8));
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = _mm256_broadcast_ss(&*ap.add(kk * MR_FMA + r));
-            row[0] = _mm256_fmadd_ps(av, b0, row[0]);
-            row[1] = _mm256_fmadd_ps(av, b1, row[1]);
-        }
-    }
-    for (r, row) in acc.iter().enumerate() {
-        _mm256_storeu_ps(c.add(r * ldc), row[0]);
-        _mm256_storeu_ps(c.add(r * ldc + 8), row[1]);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// int8 path
-// ---------------------------------------------------------------------------
-
-/// Signed 16-bit dot product over `len` entries, exact in integer
-/// arithmetic. Values are int8-range (`|x| ≤ 127`), so the i32 lanes of the
-/// AVX2 `madd` accumulation cannot overflow for `k < 2^20`.
-pub(crate) fn dot_i16(x: &[i16], y: &[i16]) -> i64 {
-    debug_assert_eq!(x.len(), y.len());
-    #[cfg(target_arch = "x86_64")]
-    if cpu_features().simd_int8() {
-        return unsafe { dot_i16_avx2(x.as_ptr(), y.as_ptr(), x.len()) };
-    }
-    x.iter()
-        .zip(y)
-        .map(|(&a, &b)| a as i64 * b as i64)
-        .sum::<i64>()
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_i16_avx2(x: *const i16, y: *const i16, len: usize) -> i64 {
-    use std::arch::x86_64::*;
-    let chunks = len / 16;
-    let mut acc = _mm256_setzero_si256();
-    for t in 0..chunks {
-        let xv = _mm256_loadu_si256(x.add(t * 16) as *const __m256i);
-        let yv = _mm256_loadu_si256(y.add(t * 16) as *const __m256i);
-        acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xv, yv));
-    }
-    let mut lanes = [0i32; 8];
-    _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-    let mut sum: i64 = lanes.iter().map(|&v| v as i64).sum();
-    for t in chunks * 16..len {
-        sum += *x.add(t) as i64 * *y.add(t) as i64;
-    }
-    sum
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -844,28 +645,13 @@ mod tests {
     }
 
     #[test]
-    fn dot_i16_matches_scalar_reference() {
-        let mut rng = StdRng::seed_from_u64(0xD07);
-        for len in [0usize, 1, 15, 16, 17, 64, 257] {
-            let x: Vec<i16> = (0..len)
-                .map(|_| (rng.random_range(0..255u32) as i16) - 127)
-                .collect();
-            let y: Vec<i16> = (0..len)
-                .map(|_| (rng.random_range(0..255u32) as i16) - 127)
-                .collect();
-            let reference: i64 = x.iter().zip(&y).map(|(&a, &b)| a as i64 * b as i64).sum();
-            assert_eq!(dot_i16(&x, &y), reference, "len {len}");
-        }
-    }
-
-    #[test]
     fn feature_report_is_coherent() {
         let f = cpu_features();
         // The name must be one of the three documented paths, and forcing
-        // scalar implies every simd_* gate is closed.
+        // scalar closes the SIMD gate.
         assert!(["avx2+fma", "sse2", "scalar"].contains(&f.isa_name()));
         if f.forced_scalar {
-            assert!(!f.simd_f64() && !f.simd_f32() && !f.simd_int8());
+            assert!(!f.simd_f64());
             assert_eq!(f.isa_name(), "scalar");
         }
         assert_eq!(isa_name(), f.isa_name());

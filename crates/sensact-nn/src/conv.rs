@@ -7,11 +7,11 @@
 //!
 //! Tensors are laid out `[batch, channels * depth * height * width]` with the
 //! spatial dimensions carried by the layer configuration. Forward and backward
-//! are lowered onto the GEMM kernels in `sensact_math::kernels`. The f64 conv
+//! are lowered onto the GEMM kernels in `sensact_math::kernels`. The conv
 //! forward never writes the `[out_volume × cin·k³]` column matrix: a
 //! [`PanelSource`] unfolds input taps straight into the packed B panel the
-//! microkernel is about to read. Shapes pinned to the scalar kernels, the
-//! reduced-precision tiers and the weight gradients still unfold into a
+//! microkernel is about to read. Shapes pinned to the scalar kernels and
+//! the weight gradients still unfold into a
 //! layer-owned scratch; the transposed products (deconv forward, conv
 //! backward) run in cache-sized blocks of sites with the fold applied per
 //! block. The original gather-formulation loop (which skips all-zero input
@@ -24,7 +24,6 @@ use crate::layers::Layer;
 use crate::tensor::Tensor;
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use sensact_math::kernels;
-use sensact_math::kernels::Precision as RunPrecision;
 use sensact_math::simd::PanelSource;
 
 /// Spatial extents of a 3-D feature volume.
@@ -222,7 +221,7 @@ struct Patches<'a> {
     rows: &'a [&'a [f64]],
 }
 
-impl PanelSource<f64> for Patches<'_> {
+impl PanelSource for Patches<'_> {
     fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [f64]) {
         let win = &self.window;
         let (k, s, pad, g) = (win.kernel, win.stride, win.pad, win.grid);
@@ -289,15 +288,8 @@ pub struct Conv3d {
     grad_w: Vec<f64>,
     grad_b: Vec<f64>,
     cached_input: Option<Tensor>,
-    /// Lazily-built f32 copy of `weights` for the reduced-precision forward
-    /// path; invalidated whenever the parameters become mutable.
-    weights_f32: Option<Vec<f32>>,
     scratch: Scratch,
-    /// Reduced-precision batching scratch: the stacked im2col panels of
-    /// every member in a batched forward call (`batch × out_volume ×
-    /// cin·k³`). Grown on demand, reused across calls, never checkpointed.
-    batch_col: Vec<f64>,
-    /// Gathered `[cout × batch·vol]` output panel of the batched paths.
+    /// Gathered `[cout × batch·vol]` output panel of the batched path.
     batch_panel: Vec<f64>,
 }
 
@@ -348,9 +340,7 @@ impl Conv3d {
             grad_w: vec![0.0; wcount],
             grad_b: vec![0.0; cout],
             cached_input: None,
-            weights_f32: None,
             scratch: Scratch::default(),
-            batch_col: Vec::new(),
             batch_panel: Vec::new(),
         }
     }
@@ -405,8 +395,8 @@ impl Conv3d {
         self.window().patch_len()
     }
 
-    /// Full-precision forward of one input row into `orow` (fully
-    /// overwritten): `out[co, p] = bias[co] + Σ_q W[co, q] · patch[p, q]`,
+    /// Forward of one input row into `orow` (fully overwritten):
+    /// `out[co, p] = bias[co] + Σ_q W[co, q] · patch[p, q]`,
     /// the transposed-B GEMM with the bias as accumulator seed (beta = 1).
     /// The patches are unfolded inside the panel packer; only a shape the
     /// kernels pin to their scalar path unfolds into scratch first.
@@ -503,87 +493,6 @@ impl Conv3d {
         out
     }
 
-    /// Inference forward pass at a runtime-selected numeric precision (the
-    /// mixed-precision mode a loop's
-    /// `StageContext::precision` carries):
-    ///
-    /// - [`RunPrecision::F64`] — the production path ([`Layer::forward`] is
-    ///   this arm plus the input cache): patches unfolded inside the GEMM's
-    ///   panel packer, no column matrix.
-    /// - [`RunPrecision::F32`] — weights cast once into a cached f32 copy,
-    ///   the im2col buffer cast per batch, lowered onto the f32 SIMD GEMM.
-    /// - [`RunPrecision::Int8`] — weights and columns quantized to the
-    ///   symmetric int8 grid (the same grid as
-    ///   [`fake_quantize`](crate::quant::fake_quantize) at 8 bits) with exact
-    ///   integer accumulation.
-    ///
-    /// Inference-only: does not cache the input for [`Layer::backward`].
-    pub fn forward_with_precision(&mut self, input: &Tensor, precision: RunPrecision) -> Tensor {
-        let batch = input.shape()[0];
-        let in_feat = self.cin * self.in_dims.volume();
-        assert_eq!(input.shape()[1], in_feat, "Conv3d: input feature mismatch");
-        let vol = self.out_dims.volume();
-        let ckk = self.patch_len();
-        let mut out = Tensor::zeros(vec![batch, self.cout * vol]);
-        let win = self.window();
-        match precision {
-            RunPrecision::F64 => {
-                for b in 0..batch {
-                    self.forward_row(input.row(b), out.row_mut(b));
-                }
-            }
-            RunPrecision::F32 => {
-                if self.weights_f32.is_none() {
-                    self.weights_f32 = Some(self.weights.iter().map(|w| *w as f32).collect());
-                }
-                let col = grown(&mut self.scratch.col, vol * ckk);
-                let mut colf = vec![0.0f32; vol * ckk];
-                let mut outf = vec![0.0f32; self.cout * vol];
-                for b in 0..batch {
-                    win.unfold(input.row(b), col);
-                    for (dst, src) in colf.iter_mut().zip(col.iter()) {
-                        *dst = *src as f32;
-                    }
-                    for co in 0..self.cout {
-                        outf[co * vol..(co + 1) * vol].fill(self.bias[co] as f32);
-                    }
-                    let wf = self.weights_f32.as_ref().expect("built above");
-                    kernels::gemm_transb_f32(self.cout, vol, ckk, 1.0, wf, &colf, 1.0, &mut outf);
-                    for (dst, src) in out.row_mut(b).iter_mut().zip(&outf) {
-                        *dst = *src as f64;
-                    }
-                }
-            }
-            RunPrecision::Int8 => {
-                let col = grown(&mut self.scratch.col, vol * ckk);
-                let mut prod = vec![0.0; self.cout * vol];
-                for b in 0..batch {
-                    win.unfold(input.row(b), col);
-                    // Integer accumulation is exact; the bias is added after
-                    // dequantization so it is not quantized away.
-                    let _ = kernels::gemm_transb_int8(
-                        self.cout,
-                        vol,
-                        ckk,
-                        &self.weights,
-                        col,
-                        &mut prod,
-                    );
-                    let orow = out.row_mut(b);
-                    for co in 0..self.cout {
-                        for (dst, src) in orow[co * vol..(co + 1) * vol]
-                            .iter_mut()
-                            .zip(&prod[co * vol..(co + 1) * vol])
-                        {
-                            *dst = self.bias[co] + *src;
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
     /// Feature count of one input row (`cin · in_volume`).
     pub fn in_features(&self) -> usize {
         self.cin * self.in_dims.volume()
@@ -594,66 +503,31 @@ impl Conv3d {
         self.cout * self.out_dims.volume()
     }
 
-    /// Cross-loop batched inference at full precision: run
-    /// `rows.len()` independent input rows through **one** wide GEMM whose
-    /// panel packer unfolds every row's patches. Bitwise identical to
-    /// calling the per-row forward once per input — see
-    /// [`forward_batch_with_precision`](Conv3d::forward_batch_with_precision).
+    /// Cross-loop batched inference: `rows` are independent input rows (one
+    /// per leased loop), `out` receives the stacked output rows
+    /// (`rows.len() × cout·out_volume`, fully overwritten). All members run
+    /// through **one** wide GEMM whose panel packer unfolds every row's
+    /// patches, so kernel dispatch, weight-panel packing and cache warm-up
+    /// are paid once per fleet tick instead of once per loop. Bitwise
+    /// identical to the per-row forward for every batch size
+    /// ([`forward_batch_into`](Conv3d::forward_batch_into) on the rows of
+    /// `out`).
     pub fn forward_batch(&mut self, rows: &[&[f64]], out: &mut [f64]) {
-        self.forward_batch_with_precision(rows, RunPrecision::F64, out);
-    }
-
-    /// Cross-loop batched inference forward: `rows` are independent input
-    /// rows (one per leased loop), `out` receives the stacked output rows
-    /// (`rows.len() × cout·out_volume`, fully overwritten).
-    ///
-    /// All members are lowered onto a single wide GEMM, so kernel dispatch,
-    /// weight-panel packing and cache warm-up are paid once per fleet tick
-    /// instead of once per loop. Numerics per precision:
-    ///
-    /// - [`RunPrecision::F64`] — **bitwise identical** to the per-row
-    ///   forward for every batch size
-    ///   ([`forward_batch_into`](Conv3d::forward_batch_into) on the rows of
-    ///   `out`).
-    /// - [`RunPrecision::F32`] — one stacked f32 GEMM; each element stays
-    ///   within the same analytic single-precision envelope as the per-row
-    ///   f32 path (the bound depends only on the reduction depth `cin·k³`).
-    /// - [`RunPrecision::Int8`] — one stacked quantized GEMM. The column
-    ///   grid is shared across the batch (max-abs over the stacked panels),
-    ///   so elements may differ from the per-row path within the sum of the
-    ///   two analytic quantization bounds.
-    pub fn forward_batch_with_precision(
-        &mut self,
-        rows: &[&[f64]],
-        precision: RunPrecision,
-        out: &mut [f64],
-    ) {
-        let batch = rows.len();
         let feat = self.out_features();
         assert_eq!(
             out.len(),
-            batch * feat,
+            rows.len() * feat,
             "Conv3d::forward_batch: output must be batch * cout * out_volume"
         );
-        if batch == 0 {
-            return;
+        // Per-loop serving dispatch is a batch of one: no list to build.
+        if rows.len() == 1 {
+            return self.forward_batch_into(rows, &mut [out]);
         }
-        if precision == RunPrecision::F64 {
-            // Per-loop serving dispatch is a batch of one: no list to build.
-            if batch == 1 {
-                return self.forward_batch_into(rows, &mut [out]);
-            }
-            let mut outs: Vec<&mut [f64]> = out.chunks_exact_mut(feat).collect();
-            return self.forward_batch_into(rows, &mut outs);
-        }
-        let panel = self.out_dims.volume() * self.patch_len();
-        if self.batch_col.len() < batch * panel {
-            self.batch_col.resize(batch * panel, 0.0);
-        }
-        self.forward_batch_dispatch_reduced(rows, precision, out, panel);
+        let mut outs: Vec<&mut [f64]> = out.chunks_exact_mut(feat).collect();
+        self.forward_batch_into(rows, &mut outs);
     }
 
-    /// Scatter-free batched inference at full precision: like
+    /// Scatter-free batched inference: like
     /// [`forward_batch`](Conv3d::forward_batch) but each item's output row
     /// is an independent caller-owned buffer (`outs[t]`, fully
     /// overwritten) instead of one contiguous stacked slice.
@@ -718,94 +592,20 @@ impl Conv3d {
             }
         }
     }
-
-    /// The non-f64 arms of
-    /// [`forward_batch_with_precision`](Conv3d::forward_batch_with_precision)
-    /// (full-batch im2col, one reduced-precision stacked GEMM).
-    fn forward_batch_dispatch_reduced(
-        &mut self,
-        rows: &[&[f64]],
-        precision: RunPrecision,
-        out: &mut [f64],
-        panel: usize,
-    ) {
-        let batch = rows.len();
-        let in_feat = self.in_features();
-        let vol = self.out_dims.volume();
-        let ckk = self.patch_len();
-        let win = self.window();
-        for (row, col) in rows.iter().zip(self.batch_col.chunks_exact_mut(panel)) {
-            assert_eq!(
-                row.len(),
-                in_feat,
-                "Conv3d::forward_batch: input row feature mismatch"
-            );
-            win.unfold(row, col);
-        }
-        let nn = batch * vol;
-        match precision {
-            RunPrecision::F64 => unreachable!("forward_batch_into handles full precision"),
-            RunPrecision::F32 => {
-                if self.weights_f32.is_none() {
-                    self.weights_f32 = Some(self.weights.iter().map(|w| *w as f32).collect());
-                }
-                let colf: Vec<f32> = self.batch_col[..batch * panel]
-                    .iter()
-                    .map(|v| *v as f32)
-                    .collect();
-                // Gathered [cout × batch·vol] panel pre-filled with the bias
-                // (beta = 1 keeps it, matching the per-row path).
-                let mut outf = vec![0.0f32; self.cout * nn];
-                for (co, &b) in self.bias.iter().enumerate() {
-                    outf[co * nn..(co + 1) * nn].fill(b as f32);
-                }
-                let wf = self.weights_f32.as_ref().expect("built above");
-                kernels::gemm_transb_f32(self.cout, nn, ckk, 1.0, wf, &colf, 1.0, &mut outf);
-                for t in 0..batch {
-                    let orow = &mut out[t * self.cout * vol..(t + 1) * self.cout * vol];
-                    for co in 0..self.cout {
-                        for (dst, src) in orow[co * vol..(co + 1) * vol]
-                            .iter_mut()
-                            .zip(&outf[co * nn + t * vol..co * nn + (t + 1) * vol])
-                        {
-                            *dst = *src as f64;
-                        }
-                    }
-                }
-            }
-            RunPrecision::Int8 => {
-                if self.batch_panel.len() < self.cout * nn {
-                    self.batch_panel.resize(self.cout * nn, 0.0);
-                }
-                let mut prod = std::mem::take(&mut self.batch_panel);
-                let _ = kernels::gemm_transb_int8(
-                    self.cout,
-                    nn,
-                    ckk,
-                    &self.weights,
-                    &self.batch_col[..batch * panel],
-                    &mut prod[..self.cout * nn],
-                );
-                for t in 0..batch {
-                    let orow = &mut out[t * self.cout * vol..(t + 1) * self.cout * vol];
-                    for co in 0..self.cout {
-                        for (dst, src) in orow[co * vol..(co + 1) * vol]
-                            .iter_mut()
-                            .zip(&prod[co * nn + t * vol..co * nn + (t + 1) * vol])
-                        {
-                            *dst = self.bias[co] + *src;
-                        }
-                    }
-                }
-                self.batch_panel = prod;
-            }
-        }
-    }
 }
 
 impl Layer for Conv3d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let out = self.forward_with_precision(input, RunPrecision::F64);
+        let batch = input.shape()[0];
+        assert_eq!(
+            input.shape()[1],
+            self.in_features(),
+            "Conv3d: input feature mismatch"
+        );
+        let mut out = Tensor::zeros(vec![batch, self.out_features()]);
+        for b in 0..batch {
+            self.forward_row(input.row(b), out.row_mut(b));
+        }
         self.cached_input = Some(input.clone());
         out
     }
@@ -836,9 +636,6 @@ impl Layer for Conv3d {
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        // The caller may mutate the weights (optimizer step, quantization) —
-        // the reduced-precision copy must be rebuilt.
-        self.weights_f32 = None;
         f(&mut self.weights, &mut self.grad_w);
         f(&mut self.bias, &mut self.grad_b);
     }
@@ -868,10 +665,6 @@ impl StageState for Conv3d {
         let mut s = Section::new(ns);
         s.put_f64s("weights", &self.weights);
         s.put_f64s("bias", &self.bias);
-        // The f32 panel itself is a pure function of the weights, but
-        // *whether it exists* is state: a resumed layer must take the same
-        // lazy-init branch the original would have.
-        s.put_bool("f32_panel", self.weights_f32.is_some());
         ckpt.push(s);
     }
 
@@ -890,9 +683,6 @@ impl StageState for Conv3d {
         // Per-step transients (gradients, cached activations) do not travel;
         // a checkpoint always lands between forward/backward pairs.
         self.cached_input = None;
-        self.weights_f32 = s
-            .get_bool("f32_panel")?
-            .then(|| self.weights.iter().map(|w| *w as f32).collect());
         Ok(())
     }
 }
@@ -1708,61 +1498,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn precision_forward_routes_through_matching_kernels() {
-        let mut rng = StdRng::seed_from_u64(0xF0DD);
-        let mut init = Initializer::new(0xBEEF);
-        let mut c = Conv3d::new(2, 3, 3, 1, 1, Dims3::new(6, 6, 6), &mut init);
-        for b in c.bias.iter_mut() {
-            *b = rng.random_range(-0.5..0.5);
-        }
-        let vol_in = Dims3::new(6, 6, 6).volume();
-        let x = sparse_input(&mut rng, 2, 2 * vol_in);
-        let reference = c.forward(&x, false);
-
-        // f64 mode is the production path, bit for bit.
-        let out64 = c.forward_with_precision(&x, RunPrecision::F64);
-        assert_eq!(out64.as_slice(), reference.as_slice());
-
-        // f32 mode stays within a coarse single-precision envelope.
-        let max_ref = reference
-            .as_slice()
-            .iter()
-            .fold(0.0f64, |m, v| m.max(v.abs()));
-        let out32 = c.forward_with_precision(&x, RunPrecision::F32);
-        for (a, b) in out32.as_slice().iter().zip(reference.as_slice()) {
-            assert!(
-                (a - b).abs() <= 1e-4 * (1.0 + max_ref),
-                "f32 conv drifted: {a} vs {b}"
-            );
-        }
-
-        // int8 mode stays within the analytic quantization bound
-        // k·(max|W|·s_col/2 + (max|col| + s_col/2)·s_w/2), using the input's
-        // max-abs as an upper proxy for the column buffer's.
-        let ckk = 2 * 27;
-        let wmax = c.weights.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let inmax = x.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        let (sw, sc) = (wmax / 127.0, inmax / 127.0);
-        let bound = ckk as f64 * (wmax * sc / 2.0 + (inmax + sc / 2.0) * sw / 2.0) + 1e-12;
-        let out8 = c.forward_with_precision(&x, RunPrecision::Int8);
-        for (a, b) in out8.as_slice().iter().zip(reference.as_slice()) {
-            assert!(
-                (a - b).abs() <= bound,
-                "int8 conv outside bound {bound}: {a} vs {b}"
-            );
-        }
-
-        // The f32 weight cache is invalidated when params become mutable.
-        assert!(c.weights_f32.is_some());
-        c.visit_params(&mut |_, _| {});
-        assert!(c.weights_f32.is_none());
-    }
-
     /// The serving plane's conv guarantee: batching N loops' rows through
-    /// one stacked GEMM is bitwise identical (f64) to running each row
-    /// alone, for every batch size including ragged tails, and the
-    /// reduced-precision paths stay inside their analytic envelopes.
+    /// one stacked GEMM is bitwise identical to running each row alone, for
+    /// every batch size including ragged tails.
     #[test]
     fn batched_forward_matches_per_row_forward() {
         let mut rng = StdRng::seed_from_u64(0xBA7C2);
@@ -1776,7 +1514,7 @@ mod tests {
         let out_feat = c.out_features();
         for &batch in &[1usize, 2, 3, 7, 13] {
             let x = sparse_input(&mut rng, batch, in_feat);
-            let reference = c.forward_with_precision(&x, RunPrecision::F64);
+            let reference = c.forward(&x, false);
             let rows: Vec<&[f64]> = (0..batch).map(|b| x.row(b)).collect();
 
             let mut out = vec![f64::NAN; batch * out_feat];
@@ -1787,7 +1525,7 @@ mod tests {
                     .iter()
                     .zip(&out)
                     .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "batched f64 conv not bitwise at batch={batch}"
+                "batched conv not bitwise at batch={batch}"
             );
 
             // The scatter-free serving variant writes each row into its own
@@ -1805,46 +1543,16 @@ mod tests {
                     "forward_batch_into not bitwise at batch={batch} row {t}"
                 );
             }
-
-            // f32: same analytic envelope as the per-row f32 path.
-            let max_ref = reference
-                .as_slice()
-                .iter()
-                .fold(0.0f64, |m, v| m.max(v.abs()));
-            let mut out32 = vec![f64::NAN; batch * out_feat];
-            c.forward_batch_with_precision(&rows, RunPrecision::F32, &mut out32);
-            for (a, b) in reference.as_slice().iter().zip(&out32) {
-                assert!(
-                    (a - b).abs() <= 1e-4 * (1.0 + max_ref),
-                    "batched f32 conv drifted at batch={batch}: {a} vs {b}"
-                );
-            }
-
-            // int8: the batch shares one column grid, so bound against f64
-            // with the stacked-panel scales (analytic tier, PR 6 form).
-            let ckk = 27;
-            let wmax = c.weights.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            let inmax = x.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            let (sw, sc) = (wmax / 127.0, inmax / 127.0);
-            let bound = ckk as f64 * (wmax * sc / 2.0 + (inmax + sc / 2.0) * sw / 2.0) + 1e-12;
-            let mut out8 = vec![f64::NAN; batch * out_feat];
-            c.forward_batch_with_precision(&rows, RunPrecision::Int8, &mut out8);
-            for (a, b) in reference.as_slice().iter().zip(&out8) {
-                assert!(
-                    (a - b).abs() <= bound,
-                    "batched int8 conv outside bound {bound} at batch={batch}: {a} vs {b}"
-                );
-            }
         }
         // Empty batch is a no-op, not a panic.
         c.forward_batch(&[], &mut []);
         c.forward_batch_into(&[], &mut []);
     }
 
-    /// Conv weights (and the f32 panel's existence) restore bit-exactly:
-    /// both precision paths of a restored layer match the original.
+    /// Conv weights restore bit-exactly, and the section is exactly
+    /// `weights` + `bias`.
     #[test]
-    fn conv_checkpoint_round_trips_weights_and_panel() {
+    fn conv_checkpoint_round_trips_weights() {
         let mut rng = StdRng::seed_from_u64(0xCC01);
         let dims = Dims3::new(4, 4, 4);
         let mut init_a = Initializer::new(7);
@@ -1853,27 +1561,45 @@ mod tests {
             *b = rng.random_range(-0.5..0.5);
         }
         let x = sparse_input(&mut rng, 2, 2 * dims.volume());
-        // Build the lazy f32 panel so its presence must survive the trip.
-        let _ = a.forward_with_precision(&x, RunPrecision::F32);
         let mut ckpt = Checkpoint::new("conv");
         a.save_state(&mut ckpt, "enc");
         let ckpt = Checkpoint::from_jsonl(&ckpt.to_jsonl()).unwrap();
+        let section = ckpt.section("enc").unwrap();
+        assert_eq!(section.len(), 2);
+        assert!(!section.has("f32_panel"), "the writer dropped the key");
         // Differently-initialized twin with the same architecture.
         let mut init_b = Initializer::new(991);
         let mut b = Conv3d::new(2, 3, 3, 1, 1, dims, &mut init_b);
         b.restore_state(&ckpt, "enc").unwrap();
-        assert!(b.weights_f32.is_some(), "panel presence must be restored");
-        for prec in [RunPrecision::F64, RunPrecision::F32, RunPrecision::Int8] {
-            let ya = a.forward_with_precision(&x, prec);
-            let yb = b.forward_with_precision(&x, prec);
-            assert_eq!(ya.as_slice(), yb.as_slice(), "{prec:?} path diverged");
-        }
+        assert_eq!(
+            a.forward(&x, false).as_slice(),
+            b.forward(&x, false).as_slice()
+        );
         // Architecture mismatch is a typed error, not a panic.
         let mut tiny = Conv3d::new(1, 1, 1, 1, 0, dims, &mut init_b);
         assert!(matches!(
             tiny.restore_state(&ckpt, "enc"),
             Err(CheckpointError::BadValue(_))
         ));
+    }
+
+    /// Documents written while the layer kept a reduced-precision weight
+    /// copy carry an `f32_panel` flag beside the weights; they still restore.
+    #[test]
+    fn conv_restores_a_section_written_with_the_f32_panel_flag() {
+        let dims = Dims3::new(4, 4, 4);
+        let mut c = Conv3d::new(1, 2, 3, 1, 1, dims, &mut Initializer::new(3));
+        let weights: Vec<f64> = (0..c.weights.len()).map(|i| i as f64 * 0.125).collect();
+        let mut s = Section::new("enc");
+        s.put_f64s("weights", &weights);
+        s.put_f64s("bias", &[0.5, -0.25]);
+        s.put_bool("f32_panel", true);
+        let mut ckpt = Checkpoint::new("conv");
+        ckpt.push(s);
+        let ckpt = Checkpoint::from_jsonl(&ckpt.to_jsonl()).unwrap();
+        c.restore_state(&ckpt, "enc").unwrap();
+        assert_eq!(c.weights, weights);
+        assert_eq!(c.bias, [0.5, -0.25]);
     }
 
     #[test]

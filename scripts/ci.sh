@@ -46,7 +46,7 @@ SENSACT_FORCE_SCALAR=1 cargo run --offline --release -p sensact-bench --bin conf
 echo "== bitwise kernel + conv lowering tests (forced-scalar path) =="
 SENSACT_FORCE_SCALAR=1 cargo test --offline -q -p sensact-math -p sensact-nn --lib
 
-echo "== kernels bench smoke (SIMD + precision tiers, host ISA) =="
+echo "== kernels bench smoke (host ISA) =="
 cargo run --offline --release -p sensact-bench --bin kernels -- --smoke
 
 echo "== kernels bench smoke (forced-scalar path) =="
