@@ -33,16 +33,12 @@ use sensact_sched::{FleetConfig, FleetScheduler, LoopHandle, LoopSpec};
 use std::hint::black_box;
 use std::time::Instant;
 
-fn smoke() -> bool {
-    sensact_bench::quick() || std::env::args().any(|a| a == "--smoke")
-}
-
 fn mean_us(total_s: f64, iters: usize) -> f64 {
     total_s * 1e6 / iters as f64
 }
 
 fn main() {
-    let smoke = smoke();
+    let smoke = sensact_bench::smoke();
     let warm_ticks = if smoke { 256 } else { 2048 };
     let iters = if smoke { 64 } else { 2000 };
     let members = if smoke { 8 } else { 64 };
@@ -218,8 +214,6 @@ fn main() {
         let json = format!(
             "{{\n  \"loop\": {{\n    \"warm_ticks\": {warm_ticks},\n    \"snapshot_us\": {snapshot_us:.2},\n    \"to_jsonl_us\": {to_jsonl_us:.2},\n    \"restore_us\": {restore_us:.2},\n    \"wire_bytes\": {wire_bytes}\n  }},\n  \"fleet\": {{\n    \"members\": {members},\n    \"migrate_us_mean\": {migrate_us:.2},\n    \"wire_bytes_mean\": {member_bytes}\n  }}\n}}\n"
         );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ckpt.json");
-        std::fs::write(path, json).expect("write BENCH_ckpt.json");
-        println!("wrote BENCH_ckpt.json");
+        sensact_bench::write_record("BENCH_ckpt.json", &json);
     }
 }

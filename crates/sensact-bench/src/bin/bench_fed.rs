@@ -27,10 +27,6 @@ use sensact_fed::sim::NetworkConfig;
 use sensact_fed::{run_federated_scheduled, FedFleetConfig, FedFleetReport};
 use std::time::Instant;
 
-fn smoke() -> bool {
-    sensact_bench::quick() || std::env::args().any(|a| a == "--smoke")
-}
-
 /// A heterogeneous non-IID fleet (tiers round-robin) plus a held-out test set.
 fn fleet(n: usize, samples: usize, seed: u64) -> (Vec<Client>, Dataset) {
     let all = Dataset::generate(samples, seed);
@@ -117,7 +113,7 @@ fn print_row(r: &SweepRow, label: &str) {
 }
 
 fn main() {
-    let smoke = smoke();
+    let smoke = sensact_bench::smoke();
     let (fleet_size, samples, rounds) = if smoke { (9, 360, 3) } else { (24, 1440, 8) };
 
     header(&format!(
@@ -247,8 +243,6 @@ fn main() {
                 None => "null".to_string(),
             }
         );
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fed.json");
-        std::fs::write(path, json).expect("write BENCH_fed.json");
-        println!("wrote BENCH_fed.json");
+        sensact_bench::write_record("BENCH_fed.json", &json);
     }
 }

@@ -35,8 +35,9 @@
 //! - the same round-trip for a budget-pressured mixed-precision loop that
 //!   must visit all three precision modes and replay its exact schedule
 //!
-//! Results land in `BENCH_conformance.json` (tagged with the host ISA). Run
-//! with `--smoke` for the small CI matrix.
+//! Writes `BENCH_conformance.json` (tagged with the host ISA) at the repo
+//! root in full mode only, so CI smoke runs don't clobber the committed
+//! record. Run with `--smoke` (or `SENSACT_QUICK=1`) for the small CI matrix.
 
 use sensact_core::export::{parse_span, parse_tick, span_to_json, tick_to_json};
 use sensact_core::replay::Recording;
@@ -56,7 +57,6 @@ use sensact_nn::init::Initializer;
 use sensact_nn::layers::Layer;
 use sensact_nn::quant::{fake_quantize, try_fake_quantize, Precision, QuantError};
 use sensact_nn::Tensor;
-use std::io::Write as _;
 
 /// Map a float to an order-preserving integer so ULP distance is a
 /// subtraction: negative floats flip to descending-from-zero, positives
@@ -787,7 +787,7 @@ fn mixed_precision_replay_pair(smoke: bool, pairs: &mut Vec<Pair>) {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let smoke = sensact_bench::smoke();
     let mode = if smoke { "smoke" } else { "full" };
     println!("== conformance matrix ({mode}) ==");
 
@@ -838,11 +838,9 @@ fn main() {
     let all_pass = pairs.iter().all(|p| p.pass);
     json.push_str(&format!("  }},\n  \"pass\": {all_pass}\n}}\n"));
 
-    let path = "BENCH_conformance.json";
-    let mut f = std::fs::File::create(path).expect("create BENCH_conformance.json");
-    f.write_all(json.as_bytes())
-        .expect("write BENCH_conformance.json");
-    println!("[json] {path}");
+    if !smoke {
+        sensact_bench::write_record("BENCH_conformance.json", &json);
+    }
 
     if !all_pass {
         eprintln!("conformance: divergent kernel pairs detected");

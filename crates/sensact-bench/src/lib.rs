@@ -17,18 +17,18 @@
 //! | `conclusions` | §VIII headline claims (8 % sensing, 3× fleet energy, monitor recovery) |
 //!
 //! Every binary prints a paper-vs-measured comparison and appends a CSV under
-//! `target/experiments/`. Set `SENSACT_QUICK=1` for reduced problem sizes.
-//! Micro-benchmarks live in `benches/`, driven by the in-repo [`harness`]
+//! the repo root's `target/experiments/`. Set `SENSACT_QUICK=1` for reduced
+//! problem sizes. Beside them: `conformance` (the differential kernel and
+//! replay matrix), `bench_ckpt` and `bench_fed` (the two paths the
+//! performance ledger in `benchmark/` does not cover), and the paper-module
+//! micro-benchmarks in `benches/`, driven by the in-repo [`harness`]
 //! (wall-clock timing, no external dependencies — the workspace builds
-//! offline).
+//! offline). Every other timing lives in `benchmark/`.
 
 use std::io::Write;
 use std::path::PathBuf;
 
-pub mod convbench;
 pub mod harness;
-pub mod obsbench;
-pub mod servebench;
 
 /// Whether quick mode is requested (smaller problem sizes).
 pub fn quick() -> bool {
@@ -36,6 +36,12 @@ pub fn quick() -> bool {
         .map(|v| v == "1")
         .unwrap_or(false)
         || std::env::args().any(|a| a == "--quick")
+}
+
+/// Whether the reduced CI matrix is requested: `--smoke`, or quick mode.
+/// Smoke runs never rewrite a committed `BENCH_*.json`.
+pub fn smoke() -> bool {
+    quick() || std::env::args().any(|a| a == "--smoke")
 }
 
 /// Scale a size by quick mode (quarter size, at least `min`).
@@ -57,10 +63,24 @@ pub fn compare(label: &str, paper: &str, measured: &str) {
     println!("{label:<44} paper: {paper:<18} measured: {measured}");
 }
 
-/// Append CSV rows to `target/experiments/<name>.csv` (creates the dir);
-/// errors are reported but not fatal — the printed output is the artifact.
+/// The repo root, wherever the binary is started from: where the committed
+/// `BENCH_*.json` records and `target/experiments/` live.
+fn repo_root() -> PathBuf {
+    PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
+}
+
+/// Write a committed `BENCH_*.json` record at the repo root. Callers record
+/// in full mode only (see [`smoke`]), so CI runs leave the tree clean.
+pub fn write_record(file: &str, json: &str) {
+    std::fs::write(repo_root().join(file), json).unwrap_or_else(|e| panic!("write {file}: {e}"));
+    println!("wrote {file}");
+}
+
+/// Write CSV rows to `target/experiments/<name>.csv` under the repo root
+/// (creates the dir); errors are reported but not fatal — the printed
+/// output is the artifact.
 pub fn write_csv(name: &str, header_row: &str, rows: &[String]) {
-    let dir = PathBuf::from("target/experiments");
+    let dir = repo_root().join("target/experiments");
     let write = || -> std::io::Result<PathBuf> {
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.csv"));
@@ -94,7 +114,8 @@ mod tests {
     #[test]
     fn csv_writer_creates_file() {
         write_csv("unit_test", "a,b", &["1,2".to_string(), "3,4".to_string()]);
-        let content = std::fs::read_to_string("target/experiments/unit_test.csv").unwrap();
+        let path = repo_root().join("target/experiments/unit_test.csv");
+        let content = std::fs::read_to_string(path).unwrap();
         assert!(content.contains("a,b"));
         assert!(content.contains("3,4"));
     }

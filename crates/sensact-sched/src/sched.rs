@@ -1396,6 +1396,49 @@ mod tests {
     }
 
     #[test]
+    fn eight_virtual_workers_run_an_exact_capacity_schedule_eight_times_faster() {
+        const WORKERS: usize = 8;
+        const TICKS_PER_LOOP: u64 = 5;
+        const TICK_LATENCY_S: f64 = 1e-4;
+        // N loops at exact capacity: the period is chosen so the aggregate
+        // charged latency just saturates the 8-worker pool, so the ideal
+        // speed-up over one worker is 8.
+        let fleet_run = |n: usize, workers: usize| {
+            let period_s = n as f64 * TICK_LATENCY_S / WORKERS as f64;
+            let mut sched = FleetScheduler::new(FleetConfig {
+                workers,
+                watts_cap: None,
+                seed: 42,
+            });
+            for i in 0..n {
+                sched.register(
+                    handle(&format!("m{i}"), 1e-6, TICK_LATENCY_S),
+                    // Unbounded queue: the single worker runs far behind the
+                    // release schedule and must not shed load, so both runs
+                    // execute the identical N·K ticks.
+                    LoopSpec::periodic(period_s).with_queue_capacity(usize::MAX),
+                );
+            }
+            sched.run_deterministic(TICKS_PER_LOOP as f64 * period_s, &mut SimClock::new())
+        };
+        let speedup = |n: usize| {
+            let pool = fleet_run(n, WORKERS);
+            let single = fleet_run(n, 1);
+            assert_eq!(pool.ticks, n as u64 * TICKS_PER_LOOP);
+            assert_eq!(pool.ticks, single.ticks, "identical schedule");
+            assert_eq!(pool.drops + single.drops, 0, "no run may drop ticks");
+            single.makespan_s / pool.makespan_s
+        };
+        // 100 loops: 500 ticks over 8 workers leave a 4-tick tail (7.937×).
+        let at_100 = speedup(100);
+        assert!((7.9..=8.0).contains(&at_100), "speed-up {at_100}");
+        // 1 000 loops: 5 000 ticks divide evenly — 8× up to the rounding of
+        // the summed virtual latencies.
+        let at_1000 = speedup(1000);
+        assert!((at_1000 - 8.0).abs() < 1e-9, "speed-up {at_1000}");
+    }
+
+    #[test]
     fn threaded_run_matches_release_schedule() {
         let mut sched = fleet(8, 4, 7);
         let report = sched.run(0.1);

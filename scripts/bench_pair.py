@@ -1,0 +1,134 @@
+#!/usr/bin/env python3
+"""Parent-vs-change verdict on the performance ledger, the way a PR is judged.
+
+    scripts/bench_pair.py <parent-rev> [workload ...]
+
+Exports <parent-rev> into a temp dir (under $TMPDIR), builds its `benchmark/`
+and the working tree's each into its own CARGO_TARGET_DIR, then runs ten
+pairs per workload through the public line
+
+    benchmark/run.sh --workload <w> --seed <n> --seconds 6 --trace 0
+
+alternating which side goes first, one fresh seed per pair. For each workload
+x end-to-end metric it prints both medians, the parent's interquartile range,
+the pairs the change won, and a verdict against the metric's `bound` in
+BENCHMARK.json:
+
+    gain          change wins >= 9/10 of the pairs and the medians differ by
+                  more than the parent IQR
+    worse         the change's median is worse than the parent's by more
+                  than the bound
+    unresolved    the parent IQR is wider than the bound: the runs cannot tell
+    inside bound  none of the above
+
+Exits 1 on any `worse`, failed operation or incorrect output. Pairs, seconds
+and seeds are constants so every PR's table is the same experiment.
+"""
+import json
+import os
+import pathlib
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+PAIRS = 10
+SECONDS = 6
+FIRST_SEED = 1601
+
+root = pathlib.Path(__file__).resolve().parent.parent
+manifest = json.loads((root / "BENCHMARK.json").read_text())
+metrics = manifest["end_to_end"]
+known = [w["name"] for w in manifest["workloads"]]
+
+if len(sys.argv) < 2 or sys.argv[1].startswith("-"):
+    sys.exit(__doc__)
+parent_rev = sys.argv[1]
+workloads = sys.argv[2:] or known
+for w in workloads:
+    if w not in known:
+        sys.exit(f"unknown workload `{w}`; BENCHMARK.json has: {', '.join(known)}")
+
+tmp = pathlib.Path(tempfile.mkdtemp(prefix="bench_pair."))
+trees = {"parent": tmp / "parent", "change": root}
+
+
+def run_once(side, workload, seed):
+    """One run of `side`'s benchmark; the last stdout line is its JSON result."""
+    env = dict(os.environ, CARGO_TARGET_DIR=str(tmp / f"target-{side}"))
+    cmd = [
+        "bash", str(trees[side] / "benchmark" / "run.sh"),
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", str(SECONDS), "--trace", "0",
+    ]
+    out = subprocess.run(cmd, cwd=trees[side], env=env, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"{side} {workload} seed {seed} exited {out.returncode}:\n{out.stderr}")
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def verdict(metric, parent, change):
+    """(parent median, change median, worsening share, IQR share, wins, verdict)."""
+    sign = 1.0 if metric["better"] == "lower" else -1.0
+    mp, mc = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    iqr = q3 - q1
+    wins = sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+    worsening = sign * (mc - mp)
+    bound = metric["bound"] * abs(mp)
+    if wins * 10 >= len(parent) * 9 and -worsening > iqr:
+        word = "gain"
+    elif worsening > bound:
+        word = "worse"
+    elif iqr > bound:
+        word = "unresolved"
+    else:
+        word = "inside bound"
+    base = abs(mp) or 1.0
+    return mp, mc, worsening / base, iqr / base, wins, word
+
+
+bad = False
+try:
+    trees["parent"].mkdir()
+    archive = subprocess.run(["git", "archive", parent_rev], cwd=root,
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive.stdout, check=True)
+    for side, tree in trees.items():
+        print(f"building {side} benchmark ...", flush=True)
+        subprocess.run(
+            ["cargo", "build", "--offline", "--release", "--quiet",
+             "--manifest-path", str(tree / "benchmark" / "Cargo.toml")],
+            env=dict(os.environ, CARGO_TARGET_DIR=str(tmp / f"target-{side}")), check=True)
+
+    for workload in workloads:
+        values = {side: {m["name"]: [] for m in metrics} for side in trees}
+        failed = {side: [0, 0] for side in trees}
+        for pair in range(PAIRS):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(side, workload, FIRST_SEED + pair)
+                failed[side][0] += result["failed"]
+                failed[side][1] += result["attempted"]
+                if not result["correct"]:
+                    print(f"  {side} seed {FIRST_SEED + pair}: output checks failed")
+                    bad = True
+                for m in metrics:
+                    values[side][m["name"]].append(result["metrics"][m["name"]]["value"])
+        print(f"\n{workload}  ({PAIRS} pairs x {SECONDS} s, seeds {FIRST_SEED}-"
+              f"{FIRST_SEED + PAIRS - 1}; failed ops parent {failed['parent'][0]}/"
+              f"{failed['parent'][1]}, change {failed['change'][0]}/{failed['change'][1]})")
+        print(f"  {'metric':<18} {'parent':>13} {'change':>13} {'worse by':>9} "
+              f"{'parent IQR':>10} {'bound':>6} {'won':>5}  verdict")
+        bad |= failed["parent"][0] + failed["change"][0] > 0
+        for m in metrics:
+            mp, mc, worsening, iqr, wins, word = verdict(
+                m, values["parent"][m["name"]], values["change"][m["name"]])
+            bad |= word == "worse"
+            print(f"  {m['name']:<18} {mp:>13.4f} {mc:>13.4f} {worsening * 100:>+8.1f}% "
+                  f"{iqr * 100:>9.1f}% {m['bound'] * 100:>5.0f}% {wins:>2}/{PAIRS}  {word}",
+                  flush=True)
+finally:
+    shutil.rmtree(tmp, ignore_errors=True)
+sys.exit(1 if bad else 0)
