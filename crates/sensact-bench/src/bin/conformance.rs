@@ -21,8 +21,11 @@
 //!   max |Δ| ≤ 1e-12 (im2col reorders additions), ULP reported
 //! - `gemm_transb_gathered` (the kernel batched serving runs) vs. per-item
 //!   `gemm_transb` over seeded shapes *including ragged tail batches* —
-//!   **bitwise** where it takes the wide path, output bit-untouched where
-//!   the per-item shape pins it to the scalar kernels
+//!   **bitwise** where it takes the wide path (the FMA tier from 2¹⁴
+//!   multiply-adds per item, the bitwise dot tier below — the served
+//!   `4 × 64 × 27` lidar conv), output bit-untouched where it declines (a
+//!   batch of one, a small item with `k > 256`, every shape under
+//!   `SENSACT_FORCE_SCALAR`)
 //! - `Conv3d::forward_batch` vs. the per-row forward — **bitwise** for
 //!   every batch size
 //! - `Lidar::scan`/`scan_serial` vs. `scan_reference` — **bitwise**
@@ -373,19 +376,30 @@ fn conv_pairs(smoke: bool, pairs: &mut Vec<Pair>) {
 
 /// `gemm_transb_gathered` — the kernel batched serving runs — vs. per-item
 /// `gemm_transb`: the serving front-end's cross-loop batching contract. The
-/// path is pinned on the PER-ITEM shape: where the wide call runs, item
-/// `t`'s columns of the gathered panel must be bitwise what the per-item
-/// kernel produces from the same seed; where it declines (scalar-pinned
-/// shapes, `batch < 2`, `SENSACT_FORCE_SCALAR`) the panel must come back
+/// rounding tier is pinned on the PER-ITEM shape: where the wide call runs
+/// — FMA tier or, below 2¹⁴ multiply-adds per item, the bitwise dot tier —
+/// item `t`'s columns of the gathered panel must be bitwise what the
+/// per-item kernel produces from the same seed; where it declines
+/// (`batch < 2`, an empty shape, a small item deeper than one 256-step `k`
+/// block, everything under `SENSACT_FORCE_SCALAR`) the panel must come back
 /// bit-untouched for the caller's per-item loop.
 fn gathered_gemm_pair(smoke: bool, pairs: &mut Vec<Pair>) {
     let batches: &[usize] = if smoke { &[1, 3] } else { &[1, 2, 3, 5, 8] };
     let shapes: &[(usize, usize, usize)] = if smoke {
-        &[(4, 4, 8), (8, 16, 27)]
+        &[(4, 4, 8), (8, 16, 27), (4, 64, 27), (2, 3, 257)]
     } else {
-        // Shapes straddle the SIMD eligibility threshold so both verdicts
-        // are exercised; k = 0 never takes the wide path.
-        &[(4, 4, 8), (3, 5, 7), (8, 16, 27), (16, 64, 27), (4, 4, 0)]
+        // Both tiers (16·64·27 is the one FMA shape; 4·64·27 is the served
+        // lidar conv on the dot tier) and both declining shapes: k = 0, and
+        // a small item whose dot would span two k blocks.
+        &[
+            (4, 4, 8),
+            (3, 5, 7),
+            (8, 16, 27),
+            (4, 64, 27),
+            (16, 64, 27),
+            (2, 3, 257),
+            (4, 4, 0),
+        ]
     };
     let params: &[(f64, f64)] = &[(1.0, 0.0), (1.0, 1.0), (-0.5, 0.75)];
     let mut rng = StdRng::seed_from_u64(0xC0F0_0005);

@@ -15,8 +15,10 @@
 //!   stage invocation, retained in a bounded ring buffer.
 //!
 //! Tracing is **off by default** ([`Tracer::disabled`]): the disabled path
-//! costs one predictable branch per stage, bounded < 3 % of a realistic tick
-//! by `benches/bench_obs.rs`. Per-stage energy/latency *attribution* (the
+//! costs one predictable branch per stage — the ledger's `fleet_sched`
+//! workload runs on it, and `bench.trace_overhead_pct` on
+//! `fleet_sched_traced` prices the enabled path against it
+//! (`core.trace.span_us` per span). Per-stage energy/latency *attribution* (the
 //! [`StageBreakdown`]) is always on — it only snapshots the
 //! [`StageContext`](crate::stage::StageContext) ledger around each stage.
 

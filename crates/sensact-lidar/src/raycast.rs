@@ -296,7 +296,7 @@ impl Lidar {
 
     /// Naive full scan: every pulse tested against every scene object, no
     /// broad phase, no threads. Ground truth for the equivalence tests and
-    /// the baseline of the `kernels` benchmark.
+    /// the conformance matrix (`raycast_bucketed_parallel_vs_naive`).
     pub fn scan_reference(&self, scene: &Scene) -> PointCloud {
         let mut cloud = PointCloud::new();
         for beam in 0..self.config.beams {

@@ -11,9 +11,12 @@
 //! [`gemm_transa`] produce **bitwise identical** results; the entry points
 //! that may take the fused multiply-add microkernel ([`gemm`],
 //! [`gemm_transb`], the gathered and panel-source forms) stay within its
-//! analytic forward-error bound. Unlike the old `Matrix::matmul`, no
-//! zero-operand skipping is performed: NaN and signed-zero inputs propagate
-//! with full IEEE semantics.
+//! analytic forward-error bound. They take it only from `2¹⁴` multiply-adds
+//! per item up; below that each produces the bits of its scalar loop — by
+//! running it, or, for the gathered and panel-source forms, on the
+//! multiply-then-add SIMD tile in its dot mode ([`gemm_panel_source`]).
+//! Unlike the old `Matrix::matmul`, no zero-operand skipping is performed:
+//! NaN and signed-zero inputs propagate with full IEEE semantics.
 //!
 //! All kernels compute `C = alpha * op(A) * op(B) + beta * C` with `C`
 //! pre-scaled by `beta` (`beta == 0.0` overwrites, ignoring any stale or NaN
@@ -72,8 +75,9 @@ pub(crate) fn threads() -> usize {
 
 /// Reference triple-loop GEMM: `C = alpha * A[m×k] * B[k×n] + beta * C`.
 ///
-/// Kept as the ground truth for equivalence tests and the `kernels` bench;
-/// accumulation order per element matches the blocked/parallel kernels.
+/// Kept as the ground truth for equivalence tests and the conformance
+/// matrix; accumulation order per element matches the blocked/parallel
+/// kernels.
 pub fn gemm_naive(
     m: usize,
     n: usize,
@@ -274,14 +278,15 @@ pub fn gemm_transb(
 /// the result in that layout — no gather before the call, no scatter after
 /// it.
 ///
-/// Returns `true` if the wide SIMD invocation ran. Returns `false` — with
-/// `big` untouched — when the per-item shape is pinned to the scalar path
-/// (or `batch < 2`): the caller must then run the per-item
-/// [`gemm_transb`] loop itself on its natural layout, which is exactly
-/// what makes the scalar fallback copy-free too. Each output element is a
-/// single dot product accumulated in ascending-`k` order regardless of
-/// its column position, so the wide call is **bitwise identical** to the
-/// per-item call for every batch size.
+/// Returns `true` if the wide SIMD invocation ran — on the tier the
+/// **per-item** shape selects, see [`gemm_panel_source`]. Returns `false` —
+/// with `big` untouched — for `batch < 2` and wherever that entry declines
+/// (SIMD off, or a small item with `k` deeper than one `k` block): the
+/// caller must then run the per-item [`gemm_transb`] loop itself on its
+/// natural layout, which is exactly what makes the scalar fallback
+/// copy-free too. Each output element is a single dot product accumulated
+/// in ascending-`k` order regardless of its column position, so the wide
+/// call is **bitwise identical** to the per-item call for every batch size.
 pub fn gemm_transb_gathered(
     batch: usize,
     m: usize,
@@ -325,11 +330,21 @@ pub fn gemm_transb_gathered(
 /// entry the conv layers lower onto — their source unfolds input taps
 /// straight into the panel, so the im2col matrix is never materialised.
 ///
-/// Same contract as [`gemm_transb_gathered`]: the path is pinned on the
-/// **per-item** `(m, n, k)`, each element accumulates in ascending `k` from
-/// its own `beta * C` seed, and `false` is returned — `c` untouched — when
-/// that shape is pinned to the scalar path and the caller must run the
-/// per-item kernel on a materialised operand.
+/// The rounding tier is pinned on the **per-item** `(m, n, k)`, never on
+/// the stacked width, so a batch computes what its items would alone:
+///
+/// - `m·n·k ≥ 2¹⁴`: the FMA tier (one chain per element from its `beta·C`
+///   seed, within the analytic bound of the scalar kernels);
+/// - below that: the **bitwise dot** tier — the packed driver over the
+///   multiply-then-add tile with the sum started at `+0.0` and added to the
+///   seed once, `to_bits`-identical to the scalar [`gemm_transb`] row-dot
+///   these shapes have always run.
+///
+/// `false` is returned — `c` untouched — when SIMD is off
+/// (`SENSACT_FORCE_SCALAR`, non-x86), for `batch == 0`, empty shapes, and
+/// for a small item whose `k` exceeds one 256-deep block (a dot must not be
+/// split): the caller must then run the per-item kernel on a materialised
+/// operand.
 pub fn gemm_panel_source<S: PanelSource + Sync>(
     batch: usize,
     m: usize,
@@ -347,9 +362,11 @@ pub fn gemm_panel_source<S: PanelSource + Sync>(
         m * batch * n,
         "gemm_panel_source: C must be m * batch*n"
     );
-    batch > 0
-        && crate::simd::simd_f64_eligible(m, n, k)
-        && crate::simd::gemm_f64(m, batch * n, k, alpha, a, b, beta, c)
+    if crate::simd::simd_f64_eligible(m, n, k) {
+        batch > 0 && crate::simd::gemm_f64(m, batch * n, k, alpha, a, b, beta, c)
+    } else {
+        crate::simd::gemm_dot_f64(m, batch * n, k, alpha, a, b, beta, c)
+    }
 }
 
 /// Doubles of C a row block of the scalar [`gemm_transa`] loop covers
@@ -507,12 +524,29 @@ impl std::fmt::Display for Precision {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::rng::StdRng;
 
     fn random_mat(rng: &mut StdRng, len: usize) -> Vec<f64> {
         (0..len).map(|_| rng.gen_f64() * 2.0 - 1.0).collect()
+    }
+
+    /// The quiet NaN x86 itself produces for `inf − inf` and `0 · inf`. The
+    /// hostile grids salt with it rather than `f64::NAN` (sign bit clear)
+    /// so that every NaN in play has one bit pattern: which operand's
+    /// payload an add of two *different* NaNs keeps follows the compiler's
+    /// operand order, and a `to_bits` comparison must not hang on that.
+    pub(crate) const X86_NAN: f64 = f64::from_bits(0xfff8_0000_0000_0000);
+
+    /// Overwrite one random element of `buf` with each IEEE special (NaN,
+    /// `±inf`, `±0.0`): the kernels promise full propagation, no skipping.
+    pub(crate) fn salt_hostile(rng: &mut StdRng, buf: &mut [f64]) {
+        for v in [X86_NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0] {
+            if !buf.is_empty() {
+                buf[rng.random_range(0..buf.len())] = v;
+            }
+        }
     }
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
@@ -737,66 +771,99 @@ mod tests {
 
     /// The serving plane's core numeric guarantee: batching loops that
     /// share an operand must not change a single bit of any loop's output.
-    /// Shapes straddle the SIMD dispatch threshold — the middle cases are
-    /// exactly the trap where a naive implementation would let the *stacked*
-    /// size pull small per-item problems onto the FMA path.
+    /// The oracle is the per-item scalar-dispatched `gemm_transb`; the wide
+    /// call must match it with `to_bits` on both rounding tiers — the FMA
+    /// tier from 2^14 multiply-adds per item up (where a naive
+    /// implementation would let the *stacked* size pick the tier) and the
+    /// bitwise dot tier below — and must decline, leaving the panel
+    /// untouched, exactly where the contract says it does.
     #[test]
     fn gathered_transb_is_bitwise_identical_to_per_item_dispatch() {
-        // (batch, m, n, k): per-item ops span ~16 .. ~200k around the
-        // 2^14 SIMD threshold; batches include 0, 1, odd, and large-enough-to
-        // -cross-the-threshold-when-stacked counts (the ragged-tail shapes
-        // the conv planner produces).
-        const CASES: &[(usize, usize, usize, usize)] = &[
+        // (batch, m, n, k): per-item ops span ~1 .. ~200k around the 2^14
+        // tier boundary; batches include 0, 1, odd, and large-enough-to-
+        // cross-the-boundary-when-stacked counts (the ragged-tail shapes the
+        // conv planner produces).
+        let mut cases = vec![
             (0, 3, 4, 5),
             (1, 4, 4, 4),
-            (1, 16, 64, 32), // SIMD shape, but a batch of one is the caller's
+            (1, 16, 64, 32), // a batch of one is the caller's
             (3, 1, 1, 1),
-            (32, 4, 16, 16), // 1k ops/item, 32k stacked: must stay scalar
-            (7, 4, 64, 27),  // conv-like small lidar shape
-            (5, 8, 64, 32),  // 16k ops/item: exactly at the SIMD threshold
-            (3, 16, 64, 32), // comfortably SIMD per item
+            (32, 4, 16, 16), // 1k ops/item, 32k stacked: must stay bitwise
+            (32, 4, 64, 27), // the served lidar conv
+            (7, 4, 64, 27),
+            (5, 8, 64, 32),  // 16k ops/item: exactly at the tier boundary
+            (3, 16, 64, 32), // comfortably FMA per item
             (2, 32, 32, 32),
             (17, 6, 50, 13), // ragged: m not a multiple of any tile height
             (4, 5, 0, 9),    // n == 0: C is empty
             (4, 5, 9, 0),    // k == 0: nothing to accumulate
+            (3, 2, 3, 255),
+            (3, 2, 3, 256), // one full k block: the deepest dot the tier takes
+            (3, 2, 3, 257), // a dot is never split across k blocks: declined
+            (2, 3, 5, 1),
         ];
-        let mut rng = StdRng::seed_from_u64(0xBA7C);
-        for &(batch, m, n, k) in CASES {
-            for &beta in &[0.0, 1.0, 0.5] {
-                let a = random_mat(&mut rng, m * k);
-                let b_stack = random_mat(&mut rng, batch * n * k);
-                let base = random_mat(&mut rng, m * batch * n);
-                let mut big = base.clone();
-                let wide = gemm_transb_gathered(batch, m, n, k, 0.7, &a, &b_stack, beta, &mut big);
-                let case = format!("batch={batch} {m}x{n}x{k} beta={beta}");
-                assert_eq!(
-                    wide,
-                    batch >= 2 && crate::simd::simd_f64_eligible(m, n, k),
-                    "path not pinned on the item shape at {case}"
-                );
-                let mut want = base;
-                if wide {
-                    // Item t is columns t·n..(t+1)·n of the gathered panel.
-                    let nn = batch * n;
-                    for t in 0..batch {
-                        let mut c_t: Vec<f64> = (0..m)
-                            .flat_map(|i| want[i * nn + t * n..][..n].iter().copied())
-                            .collect();
-                        let b_t = &b_stack[t * n * k..(t + 1) * n * k];
-                        gemm_transb(m, n, k, 0.7, &a, b_t, beta, &mut c_t);
-                        for (i, row) in c_t.chunks_exact(n).enumerate() {
-                            want[i * nn + t * n..][..n].copy_from_slice(row);
-                        }
-                    }
-                }
-                assert!(
-                    want.iter()
-                        .zip(&big)
-                        .all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "gemm_transb_gathered not bitwise at {case} (wide={wide})"
-                );
+        // Every (m mod MR, n mod NR) residue of both bitwise tiles, the
+        // stacked width `batch·n` included (batch = 3 keeps it ragged).
+        for m in 1..=8 {
+            for n in 1..=8 {
+                cases.push((3, m, n, 11));
             }
         }
+        let simd = crate::simd::cpu_features().simd_f64();
+        let mut rng = StdRng::seed_from_u64(0xBA7C);
+        let mut wide_cases = 0;
+        for &(batch, m, n, k) in &cases {
+            for &(alpha, beta) in &[(0.7, 0.0), (0.7, 1.0), (-1.25, 0.5), (1.0, 1.0)] {
+                for hostile in [false, true] {
+                    let mut a = random_mat(&mut rng, m * k);
+                    let mut b_stack = random_mat(&mut rng, batch * n * k);
+                    let mut base = random_mat(&mut rng, m * batch * n);
+                    if hostile {
+                        for buf in [&mut a, &mut b_stack, &mut base] {
+                            salt_hostile(&mut rng, buf);
+                        }
+                    }
+                    let mut big = base.clone();
+                    let wide =
+                        gemm_transb_gathered(batch, m, n, k, alpha, &a, &b_stack, beta, &mut big);
+                    let case =
+                        format!("batch={batch} {m}x{n}x{k} alpha={alpha} beta={beta} {hostile}");
+                    let ops = m * n * k;
+                    assert_eq!(
+                        wide,
+                        simd && batch >= 2 && ops > 0 && (ops >= 1 << 14 || k <= KC),
+                        "tier not pinned on the item shape at {case}"
+                    );
+                    wide_cases += usize::from(wide);
+                    let mut want = base;
+                    if wide {
+                        // Item t is columns t·n..(t+1)·n of the gathered panel.
+                        let nn = batch * n;
+                        for t in 0..batch {
+                            let mut c_t: Vec<f64> = (0..m)
+                                .flat_map(|i| want[i * nn + t * n..][..n].iter().copied())
+                                .collect();
+                            let b_t = &b_stack[t * n * k..(t + 1) * n * k];
+                            gemm_transb(m, n, k, alpha, &a, b_t, beta, &mut c_t);
+                            for (i, row) in c_t.chunks_exact(n).enumerate() {
+                                want[i * nn + t * n..][..n].copy_from_slice(row);
+                            }
+                        }
+                    }
+                    for (i, (x, y)) in want.iter().zip(&big).enumerate() {
+                        assert!(
+                            x.to_bits() == y.to_bits(),
+                            "gemm_transb_gathered not bitwise at {case} (wide={wide}): \
+                             element {i} is {y:e} ({:#x}), per-item has {x:e} ({:#x})",
+                            y.to_bits(),
+                            x.to_bits()
+                        );
+                    }
+                }
+            }
+        }
+        // Forced scalar declines everything; otherwise most of the grid ran.
+        assert_eq!(wide_cases > 500, simd, "{wide_cases} wide cases");
     }
 
     #[test]

@@ -30,6 +30,16 @@
 //! multiplies, then adds, so that entry point is bitwise identical to the
 //! naive kernel on every host.
 //!
+//! The same two multiply-then-add tiles have a second, **dot** accumulator
+//! mode for the products *below* `SIMD_MIN_OPS` that reach the driver
+//! through a panel source (the conv forward, the gathered cross-loop GEMM):
+//! the accumulators start at `+0.0` and the finished tile is added to the
+//! `beta·C` seed once — the rounding sequence of the scalar row-dot in
+//! [`gemm_transb`](crate::kernels::gemm_transb), which is what those shapes
+//! have always computed and what every golden pins. `SIMD_MIN_OPS`
+//! therefore chooses a *rounding tier* for those entry points (FMA at and
+//! above it, bitwise dot below), not SIMD versus scalar.
+//!
 //! The driver reads B through a [`PanelSource`], one packed panel at a
 //! time, so an operand that is a view of something smaller (a conv's im2col
 //! patches) is unfolded straight into the panel and never materialised.
@@ -54,7 +64,10 @@ pub const NR_SSE: usize = 4;
 /// stay L1/L2-resident while a C tile is updated.
 const KC: usize = 256;
 
-/// Minimum `m*n*k` before packing overhead pays for itself.
+/// Per-item `m*n*k` at which a product moves from the bitwise tiers (the
+/// scalar row-dots, or [`gemm_dot_f64`] where B comes through a panel
+/// source) onto the FMA tile. The value is pinned by the goldens: it decides
+/// which shapes round once per step and which round twice.
 const SIMD_MIN_OPS: usize = 1 << 14;
 
 /// Largest microkernel tile in doubles (edge tiles stage through a stack
@@ -101,7 +114,7 @@ pub fn cpu_features() -> &'static CpuFeatures {
     FEATURES.get_or_init(detect)
 }
 
-/// Whether an f64 GEMM of this shape takes a SIMD path on this host — the
+/// Whether an f64 GEMM of this shape takes the FMA tier on this host — the
 /// exact gate [`gemm_f64`] applies. The batched kernels pin their dispatch
 /// on the *per-item* shape through this predicate so a stack of small
 /// problems never crosses onto a different rounding path than the same
@@ -253,7 +266,7 @@ pub(crate) fn gemm_f64<S: PanelSource + Sync>(
                     at,
                     b,
                     c_band,
-                    kernel_4x4_f64_sse2,
+                    kernel_4x4_f64_sse2::<false>,
                 );
             }
         };
@@ -302,20 +315,76 @@ pub(crate) fn gemm_transa_f64(
     }
     #[cfg(target_arch = "x86_64")]
     {
-        crate::kernels::scale_c(beta, c);
         let at = AStrides { row: 1, col: m };
-        let b = &RowMajor { b, n };
-        if cpu_features().avx2 {
-            gemm_panels::<MR_AVX, NR_F64, _>(m, n, k, alpha, a, at, b, c, kernel_4x8_f64_avx);
-        } else {
-            gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, alpha, a, at, b, c, kernel_4x4_f64_sse2);
-        }
+        gemm_bitwise::<false, _>(m, n, k, alpha, a, at, &RowMajor { b, n }, beta, c);
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
         let _ = (alpha, a, b, beta, c);
         false
+    }
+}
+
+/// SIMD attempt at a product *below* [`SIMD_MIN_OPS`] on the **bitwise dot**
+/// tier: `C = alpha*A*B + beta*C` with `a` row-major `[m × k]` and B read
+/// through `b`, every element computed as `beta·c + Σ_k (alpha·a)·b` with
+/// the sum started at `+0.0` and taken in ascending `k`, multiply then add —
+/// bit for bit the scalar row-dot of
+/// [`gemm_transb`](crate::kernels::gemm_transb). The sum of one element
+/// must stay in one accumulator, so a `k` deeper than one `KC` block is
+/// declined; returns `false` with `c` untouched then, when SIMD is off
+/// (`SENSACT_FORCE_SCALAR`, non-x86) and on empty shapes.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_dot_f64<S: PanelSource>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    b: &S,
+    beta: f64,
+    c: &mut [f64],
+) -> bool {
+    if !cpu_features().simd_f64() || m == 0 || n == 0 || k == 0 || k > KC {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        let at = AStrides { row: k, col: 1 };
+        gemm_bitwise::<true, _>(m, n, k, alpha, a, at, b, beta, c);
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (alpha, a, b, beta, c);
+        false
+    }
+}
+
+/// The packed-panel driver over the multiply-then-add tile of the host
+/// (`4×8` AVX where AVX2 is present, `4×4` SSE2 otherwise), in chain mode
+/// (`DOT = false`: accumulate onto the `beta·C` seed) or dot mode.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_bitwise<const DOT: bool, S: PanelSource>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    at: AStrides,
+    b: &S,
+    beta: f64,
+    c: &mut [f64],
+) {
+    crate::kernels::scale_c(beta, c);
+    if cpu_features().avx2 {
+        let kernel = kernel_4x8_f64_avx::<DOT>;
+        gemm_panels::<MR_AVX, NR_F64, _>(m, n, k, alpha, a, at, b, c, kernel);
+    } else {
+        let kernel = kernel_4x4_f64_sse2::<DOT>;
+        gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, alpha, a, at, b, c, kernel);
     }
 }
 
@@ -444,9 +513,13 @@ fn gemm_panels<const MR: usize, const NR: usize, S: PanelSource>(
     });
 }
 
-/// AVX `4×8` f64 microkernel for the bitwise tier: 8 YMM accumulators,
+/// AVX `4×8` f64 microkernel for the bitwise tiers: 8 YMM accumulators,
 /// multiply **then** add per step in ascending `k` (never fused), so each
-/// element sees the rounding sequence of the scalar loops.
+/// element sees the rounding sequence of the scalar loops. The accumulators
+/// start from the C tile (`DOT = false`: one chain from the `beta·C` seed,
+/// the `gemm_transa` loop) or from `+0.0` with the C tile added once after
+/// the last step (`DOT = true`: the `gemm_transb` row-dot, which needs the
+/// whole of `k` in this one call).
 ///
 /// # Safety
 ///
@@ -455,12 +528,20 @@ fn gemm_panels<const MR: usize, const NR: usize, S: PanelSource>(
 /// rows of 8 doubles at row stride `ldc`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx")]
-unsafe fn kernel_4x8_f64_avx(kc: usize, ap: *const f64, bp: *const f64, c: *mut f64, ldc: usize) {
+unsafe fn kernel_4x8_f64_avx<const DOT: bool>(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+) {
     use std::arch::x86_64::*;
     let mut acc = [[_mm256_setzero_pd(); 2]; MR_AVX];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row[0] = _mm256_loadu_pd(c.add(r * ldc));
-        row[1] = _mm256_loadu_pd(c.add(r * ldc + 4));
+    if !DOT {
+        for (r, row) in acc.iter_mut().enumerate() {
+            row[0] = _mm256_loadu_pd(c.add(r * ldc));
+            row[1] = _mm256_loadu_pd(c.add(r * ldc + 4));
+        }
     }
     for kk in 0..kc {
         let b0 = _mm256_loadu_pd(bp.add(kk * NR_F64));
@@ -472,8 +553,14 @@ unsafe fn kernel_4x8_f64_avx(kc: usize, ap: *const f64, bp: *const f64, c: *mut 
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        _mm256_storeu_pd(c.add(r * ldc), row[0]);
-        _mm256_storeu_pd(c.add(r * ldc + 4), row[1]);
+        let (c0, c1) = (c.add(r * ldc), c.add(r * ldc + 4));
+        if DOT {
+            _mm256_storeu_pd(c0, _mm256_add_pd(_mm256_loadu_pd(c0), row[0]));
+            _mm256_storeu_pd(c1, _mm256_add_pd(_mm256_loadu_pd(c1), row[1]));
+        } else {
+            _mm256_storeu_pd(c0, row[0]);
+            _mm256_storeu_pd(c1, row[1]);
+        }
     }
 }
 
@@ -505,23 +592,25 @@ unsafe fn kernel_6x8_f64_fma(kc: usize, ap: *const f64, bp: *const f64, c: *mut 
 
 /// SSE2 `4×4` f64 microkernel. Multiply **then** add per step, ascending
 /// `k` — the same rounding sequence as the scalar blocked kernel, so this
-/// path is bitwise identical to it.
+/// path is bitwise identical to it. `DOT` selects the accumulator mode
+/// exactly as on [`kernel_4x8_f64_avx`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse2")]
-unsafe fn kernel_4x4_f64_sse2(kc: usize, ap: *const f64, bp: *const f64, c: *mut f64, ldc: usize) {
+unsafe fn kernel_4x4_f64_sse2<const DOT: bool>(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+) {
     use std::arch::x86_64::*;
-    let mut acc: [[__m128d; 2]; MR_SSE] = [
-        [_mm_loadu_pd(c), _mm_loadu_pd(c.add(2))],
-        [_mm_loadu_pd(c.add(ldc)), _mm_loadu_pd(c.add(ldc + 2))],
-        [
-            _mm_loadu_pd(c.add(2 * ldc)),
-            _mm_loadu_pd(c.add(2 * ldc + 2)),
-        ],
-        [
-            _mm_loadu_pd(c.add(3 * ldc)),
-            _mm_loadu_pd(c.add(3 * ldc + 2)),
-        ],
-    ];
+    let mut acc = [[_mm_setzero_pd(); 2]; MR_SSE];
+    if !DOT {
+        for (r, row) in acc.iter_mut().enumerate() {
+            row[0] = _mm_loadu_pd(c.add(r * ldc));
+            row[1] = _mm_loadu_pd(c.add(r * ldc + 2));
+        }
+    }
     for kk in 0..kc {
         let b0 = _mm_loadu_pd(bp.add(kk * NR_SSE));
         let b1 = _mm_loadu_pd(bp.add(kk * NR_SSE + 2));
@@ -532,14 +621,21 @@ unsafe fn kernel_4x4_f64_sse2(kc: usize, ap: *const f64, bp: *const f64, c: *mut
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        _mm_storeu_pd(c.add(r * ldc), row[0]);
-        _mm_storeu_pd(c.add(r * ldc + 2), row[1]);
+        let (c0, c1) = (c.add(r * ldc), c.add(r * ldc + 2));
+        if DOT {
+            _mm_storeu_pd(c0, _mm_add_pd(_mm_loadu_pd(c0), row[0]));
+            _mm_storeu_pd(c1, _mm_add_pd(_mm_loadu_pd(c1), row[1]));
+        } else {
+            _mm_storeu_pd(c0, row[0]);
+            _mm_storeu_pd(c1, row[1]);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::tests::salt_hostile;
     use crate::kernels::{gemm_blocked, gemm_naive};
     use crate::rng::StdRng;
 
@@ -584,7 +680,7 @@ mod tests {
                 AStrides { row: k, col: 1 },
                 &RowMajor { b: &b, n },
                 &mut c,
-                kernel_4x4_f64_sse2,
+                kernel_4x4_f64_sse2::<false>,
             );
             assert_eq!(c_ref, c, "sse2 path not bitwise at {m}x{n}x{k}");
 
@@ -601,9 +697,66 @@ mod tests {
                 AStrides { row: 1, col: m },
                 &RowMajor { b: &b, n },
                 &mut c_t,
-                kernel_4x4_f64_sse2,
+                kernel_4x4_f64_sse2::<false>,
             );
             assert_eq!(c_ref, c_t, "sse2 transa path not bitwise at {m}x{n}x{k}");
+        }
+    }
+
+    /// Both dot-mode tiles, driven directly (so the SSE2 tile is covered on
+    /// an AVX2 host), against the scalar row-dot written out: sum from
+    /// `+0.0` in ascending `k`, added to the `beta·C` seed once. Ragged and
+    /// full tiles, `k` up to one whole block, IEEE specials in every operand.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn dot_mode_tiles_are_bitwise_vs_the_scalar_row_dot() {
+        let f = cpu_features();
+        let mut rng = StdRng::seed_from_u64(0xD07);
+        for &(m, n, k) in &[(4, 8, 27), (1, 1, 1), (5, 9, 255), (7, 13, KC), (9, 31, 40)] {
+            for hostile in [false, true] {
+                let mut a = random_mat(&mut rng, m * k);
+                let mut bt = random_mat(&mut rng, n * k); // stored as [n, k]
+                let mut base = random_mat(&mut rng, m * n);
+                if hostile {
+                    for buf in [&mut a, &mut bt, &mut base] {
+                        salt_hostile(&mut rng, buf);
+                    }
+                }
+                let alpha = -1.25;
+                let mut want = base.clone();
+                for i in 0..m {
+                    for j in 0..n {
+                        let mut acc = 0.0;
+                        for kk in 0..k {
+                            acc += alpha * a[i * k + kk] * bt[j * k + kk];
+                        }
+                        want[i * n + j] += acc;
+                    }
+                }
+                let (at, src) = (AStrides { row: k, col: 1 }, Transposed { b: &bt, k });
+                let mut tiles = vec![];
+                if f.sse2 {
+                    let mut c = base.clone();
+                    let kernel = kernel_4x4_f64_sse2::<true>;
+                    gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, alpha, &a, at, &src, &mut c, kernel);
+                    tiles.push(("sse2", c));
+                }
+                if f.avx2 {
+                    let mut c = base.clone();
+                    let kernel = kernel_4x8_f64_avx::<true>;
+                    gemm_panels::<MR_AVX, NR_F64, _>(m, n, k, alpha, &a, at, &src, &mut c, kernel);
+                    tiles.push(("avx", c));
+                }
+                for (tile, c) in tiles {
+                    for (i, (x, y)) in want.iter().zip(&c).enumerate() {
+                        assert!(
+                            x.to_bits() == y.to_bits(),
+                            "{tile} dot tile not bitwise at {m}x{n}x{k} hostile={hostile}: \
+                             element {i} is {y:e}, row-dot has {x:e}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -10,14 +10,17 @@
 //! are lowered onto the GEMM kernels in `sensact_math::kernels`. The conv
 //! forward never writes the `[out_volume × cin·k³]` column matrix: a
 //! [`PanelSource`] unfolds input taps straight into the packed B panel the
-//! microkernel is about to read. Shapes pinned to the scalar kernels and
-//! the weight gradients still unfold into a
-//! layer-owned scratch; the transposed products (deconv forward, conv
-//! backward) run in cache-sized blocks of sites with the fold applied per
-//! block. The original gather-formulation loop (which skips all-zero input
-//! voxels — the "spatially sparse" trick the paper's encoder relies on) is
-//! kept as [`Conv3d::forward_reference`] / [`Deconv3d::forward_reference`]
-//! for equivalence testing and benchmarking.
+//! microkernel is about to read — on the FMA tile from `2¹⁴` multiply-adds
+//! per row up, on the bitwise dot tile below (the served lidar conv), so
+//! small layers keep the bits of the scalar row-dot. Only the weight
+//! gradients, and the forward where the kernels decline the panel path
+//! (`SENSACT_FORCE_SCALAR`, non-x86, a small layer with `cin·k³ > 256`),
+//! still unfold into a layer-owned scratch; the transposed products (deconv
+//! forward, conv backward) run in cache-sized blocks of sites with the fold
+//! applied per block. The original gather-formulation loop (which skips
+//! all-zero input voxels — the "spatially sparse" trick the paper's encoder
+//! relies on) is kept as [`Conv3d::forward_reference`] /
+//! [`Deconv3d::forward_reference`] for equivalence testing and benchmarking.
 
 use crate::init::Initializer;
 use crate::layers::Layer;
@@ -398,8 +401,9 @@ impl Conv3d {
     /// Forward of one input row into `orow` (fully overwritten):
     /// `out[co, p] = bias[co] + Σ_q W[co, q] · patch[p, q]`,
     /// the transposed-B GEMM with the bias as accumulator seed (beta = 1).
-    /// The patches are unfolded inside the panel packer; only a shape the
-    /// kernels pin to their scalar path unfolds into scratch first.
+    /// The patches are unfolded inside the panel packer; only where the
+    /// kernels decline the panel path (SIMD off, or a small layer whose
+    /// `cin·k³` exceeds one `k` block) do they unfold into scratch first.
     fn forward_row(&mut self, xrow: &[f64], orow: &mut [f64]) {
         let win = self.window();
         let (vol, ckk) = (win.sites.volume(), win.patch_len());
@@ -419,8 +423,8 @@ impl Conv3d {
     }
 
     /// Reference gather-formulation forward pass (sparse-friendly: all-zero
-    /// input voxels are skipped entirely). Kept for equivalence tests and as
-    /// the naive baseline in the kernel benchmarks; the production
+    /// input voxels are skipped entirely). Kept for equivalence tests and
+    /// the conformance matrix (`conv3d_im2col_vs_reference`); the production
     /// [`Layer::forward`] lowers to im2col + GEMM instead.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         let batch = input.shape()[0];
@@ -537,10 +541,12 @@ impl Conv3d {
     /// patches through the panel packer (no stacked im2col) into a gathered
     /// `[cout × batch·vol]` panel seeded with the bias, which is scattered
     /// **once** — straight into the per-lease buffers. Bitwise identical to
-    /// the per-row forward for every batch size: the path is pinned on the
-    /// per-item shape
-    /// ([`gemm_panel_source`](sensact_math::kernels::gemm_panel_source)),
-    /// and a shape pinned to the scalar kernels runs the per-row forward.
+    /// the per-row forward for every batch size: the rounding tier is
+    /// pinned on the per-item shape
+    /// ([`gemm_panel_source`](sensact_math::kernels::gemm_panel_source)) —
+    /// small layers such as the served `4 × 64 × 27` lidar conv go wide on
+    /// the bitwise dot tile — and where the kernels decline the panel path
+    /// altogether the rows run the per-row forward.
     pub fn forward_batch_into(&mut self, rows: &[&[f64]], outs: &mut [&mut [f64]]) {
         assert_eq!(
             rows.len(),
@@ -1345,8 +1351,8 @@ mod tests {
     /// `[cin, cout, kernel, stride, pad, d, h, w]`: every stride/pad/kernel
     /// the issue names, volumes that are no multiple of a panel width,
     /// `cout` below and above a register-tile height, shapes on both sides
-    /// of the SIMD dispatch threshold, and a reduction (`16·3³ = 432`)
-    /// deeper than one `KC` block.
+    /// of the FMA/dot tier boundary (the served lidar conv among the small
+    /// ones), and a reduction (`16·3³ = 432`) deeper than one `KC` block.
     const LOWERING_CASES: &[[usize; 8]] = &[
         [1, 1, 1, 1, 0, 2, 3, 3],
         [2, 3, 1, 2, 1, 3, 4, 5],
@@ -1359,6 +1365,7 @@ mod tests {
         [2, 2, 4, 2, 0, 6, 6, 7],
         [16, 5, 3, 1, 1, 2, 5, 7],
         [8, 16, 3, 1, 1, 2, 6, 11],
+        [1, 4, 3, 2, 1, 8, 8, 8],
     ];
 
     #[test]
@@ -1373,7 +1380,7 @@ mod tests {
             }
             let case = format!("conv {cin}->{cout} k{kernel} s{stride} p{pad} {d}x{h}x{w}");
             let feat = c.out_features();
-            for &batch in &[1usize, 2, 33] {
+            for &batch in &[1usize, 2, 7, 32, 33] {
                 let x = hostile_input(&mut rng, batch, c.in_features());
                 let mut want = vec![f64::NAN; batch * feat];
                 for (row, out) in want.chunks_exact_mut(feat).enumerate() {

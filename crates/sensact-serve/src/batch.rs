@@ -75,8 +75,8 @@ impl BatchPlanner {
 
     /// Queue an admitted observation under its [`AdmitTicket`]. The pool
     /// has already validated the lease and run the shed arithmetic
-    /// (counting this observation as pending), so the planner's only job is
-    /// ordering and grouping.
+    /// (advancing the lease's projected frontier past this observation), so
+    /// the planner's only job is ordering and grouping.
     pub fn enqueue(&mut self, ticket: AdmitTicket, seq: u64, obs: Vec<f64>, arrival_s: f64) {
         self.pending.push(PendingObs {
             ticket,

@@ -13,10 +13,15 @@
 //! Admission control is the scheduler's own arithmetic moved to the edge:
 //! a lease is rejected when the fleet's summed latency demand would exceed
 //! the worker pool, and an individual observation is shed when
-//! `max(frontier, now) + (pending + 1)·latency − now > budget` — the same
-//! pending-tick reasoning the run modes use for drop-oldest backpressure,
-//! applied *before* the tick is released so a doomed observation costs a
-//! frame, not a worker.
+//! `max(frontier, now) + latency − now > budget` — the same pending-tick
+//! reasoning the run modes use for drop-oldest backpressure, applied
+//! *before* the tick is released so a doomed observation costs a frame, not
+//! a worker. `frontier` is where the lease's admitted work ends: the
+//! scheduler's completion frontier, advanced by that same
+//! `max(frontier, arrival) + latency` step for every observation admitted
+//! but not yet released — the recurrence the scheduler will apply at
+//! release — so deferred (batched) admission and per-loop dispatch decide
+//! every observation, boundary cases included, with identical arithmetic.
 
 use crate::model::{ModelKind, ModelSpec, SharedPerceptor};
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
@@ -28,7 +33,6 @@ use sensact_sched::{
     DynLoop, FleetConfig, FleetScheduler, LoopHandle, LoopId, LoopSpec, TickOutcome,
 };
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Checkpoint section carrying a lease's controller identity and state.
@@ -225,11 +229,11 @@ pub(crate) struct LeaseEntry {
     pub(crate) kind: ModelKind,
     pub(crate) cell: SharedCell,
     pub(crate) last_seen_s: f64,
-    /// Observations queued with the batch planner but not yet ticked —
-    /// the `pending` term of the shed arithmetic. Shared with the
-    /// [`AdmitTicket`]s of in-flight observations so the planner can
-    /// release ticks without re-walking the lease table.
-    pub(crate) pending: Arc<AtomicU64>,
+    /// Where the scheduler's frontier will stand once every observation
+    /// admitted for deferred execution has been released: advanced on each
+    /// admit by the step the scheduler applies at release. Behind the
+    /// scheduler's own frontier whenever nothing is queued.
+    pub(crate) projected_frontier_s: f64,
     pub(crate) sheds: u64,
 }
 
@@ -244,7 +248,6 @@ pub struct AdmitTicket {
     pub(crate) kind: ModelKind,
     pub(crate) loop_id: LoopId,
     pub(crate) cell: SharedCell,
-    pub(crate) pending: Arc<AtomicU64>,
 }
 
 /// Outcome of [`LeasePool::admit_deferred`].
@@ -387,7 +390,7 @@ impl LeasePool {
                 kind,
                 cell,
                 last_seen_s: now_s,
-                pending: Arc::new(AtomicU64::new(0)),
+                projected_frontier_s: 0.0,
                 sheds: 0,
             },
         );
@@ -396,24 +399,31 @@ impl LeasePool {
     }
 
     /// The shed decision for one more observation on `lease` at `now_s`:
-    /// `Some(outcome)` if it must be shed, `None` if it is admissible.
-    fn shed_check(&mut self, lease: u64, now_s: f64) -> Option<ObsOutcome> {
-        let entry = self.leases.get(&lease)?;
-        let (loop_id, pending) = (entry.loop_id, entry.pending.load(Ordering::Relaxed));
+    /// `Err(outcome)` if it must be shed, `Ok(completion_s)` — when its tick
+    /// will complete — if it is admissible. One step of the scheduler's
+    /// release recurrence (`max(frontier, release) + latency`) from the end
+    /// of the lease's admitted work, so both dispatch modes do the
+    /// arithmetic the scheduler does.
+    fn shed_check(&mut self, lease: u64, now_s: f64) -> Result<f64, ObsOutcome> {
+        let entry = self
+            .leases
+            .get_mut(&lease)
+            .expect("validated by the caller");
         let spec = entry.kind.spec();
-        let frontier = self.sched.member_frontier_s(loop_id);
-        let start = frontier.max(now_s);
-        let projected_response = start + (pending + 1) as f64 * spec.latency_s - now_s;
-        if projected_response > spec.budget_s {
-            self.sched.record_member_drops(loop_id, 1);
-            let entry = self.leases.get_mut(&lease).expect("checked above");
+        let frontier = self
+            .sched
+            .member_frontier_s(entry.loop_id)
+            .max(entry.projected_frontier_s);
+        let completion_s = frontier.max(now_s) + spec.latency_s;
+        if completion_s - now_s > spec.budget_s {
             entry.sheds += 1;
             entry.last_seen_s = now_s;
-            return Some(ObsOutcome::Shed {
+            self.sched.record_member_drops(entry.loop_id, 1);
+            return Err(ObsOutcome::Shed {
                 retry_after_ms: self.cfg.retry_after_ms,
             });
         }
-        None
+        Ok(completion_s)
     }
 
     fn validate(&self, lease: u64, obs_len: usize) -> Result<(), LeaseError> {
@@ -434,7 +444,7 @@ impl LeasePool {
         now_s: f64,
     ) -> Result<ObsOutcome, LeaseError> {
         self.validate(lease, obs.len())?;
-        if let Some(shed) = self.shed_check(lease, now_s) {
+        if let Err(shed) = self.shed_check(lease, now_s) {
             return Ok(shed);
         }
         let entry = self.leases.get_mut(&lease).expect("validated above");
@@ -445,7 +455,8 @@ impl LeasePool {
     }
 
     /// Admit one observation for deferred (batched) execution: validate and
-    /// shed-check now, count it pending, and hand the caller an
+    /// shed-check now, advance the lease's projected frontier past it, and
+    /// hand the caller an
     /// [`AdmitTicket`] so the batch planner can stage features into the
     /// lease cell and release the tick (`LeasePool::tick_ready`) without
     /// any further lease-table lookups.
@@ -456,18 +467,18 @@ impl LeasePool {
         now_s: f64,
     ) -> Result<Admitted, LeaseError> {
         self.validate(lease, obs_len)?;
-        if let Some(shed) = self.shed_check(lease, now_s) {
-            return Ok(Admitted::Shed(shed));
-        }
+        let completion_s = match self.shed_check(lease, now_s) {
+            Ok(completion_s) => completion_s,
+            Err(shed) => return Ok(Admitted::Shed(shed)),
+        };
         let entry = self.leases.get_mut(&lease).expect("validated above");
         entry.last_seen_s = now_s;
-        entry.pending.fetch_add(1, Ordering::Relaxed);
+        entry.projected_frontier_s = completion_s;
         Ok(Admitted::Queued(AdmitTicket {
             lease,
             kind: entry.kind,
             loop_id: entry.loop_id,
             cell: Arc::clone(&entry.cell),
-            pending: Arc::clone(&entry.pending),
         }))
     }
 
@@ -478,8 +489,6 @@ impl LeasePool {
     /// every handle the release needs — the flush hot path never walks the
     /// lease table.
     pub(crate) fn tick_ready(&mut self, ticket: &AdmitTicket, release_s: f64) -> ObsOutcome {
-        let was = ticket.pending.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(was > 0, "one admit per release");
         debug_assert!(matches!(
             ticket.cell.lock().unwrap_or_else(|e| e.into_inner()).staged,
             Staged::Ready
@@ -621,7 +630,7 @@ impl LeasePool {
                 kind,
                 cell,
                 last_seen_s: now_s,
-                pending: Arc::new(AtomicU64::new(0)),
+                projected_frontier_s: 0.0,
                 sheds: 0,
             },
         );

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Parent-vs-change verdict on the performance ledger, the way a PR is judged.
 
-    scripts/bench_pair.py <parent-rev> [workload ...]
+    scripts/bench_pair.py <parent-rev> [--layers a,b,c] [workload ...]
 
 Exports <parent-rev> into a temp dir (under $TMPDIR), builds its `benchmark/`
 and the working tree's each into its own CARGO_TARGET_DIR, then runs ten
@@ -20,6 +20,11 @@ BENCHMARK.json:
                   than the bound
     unresolved    the parent IQR is wider than the bound: the runs cannot tell
     inside bound  none of the above
+
+With `--layers`, the ten untraced pairs of a workload are followed by one
+`--trace 1` run per side on the first seed, and the named per-layer rows of
+BENCHMARK.json are printed parent vs change: where the saving sits. One traced
+run a side is a pointer, not a verdict; the verdicts stay untraced.
 
 Exits 1 on any `worse`, failed operation or incorrect output. Pairs, seconds
 and seeds are constants so every PR's table is the same experiment.
@@ -42,25 +47,37 @@ manifest = json.loads((root / "BENCHMARK.json").read_text())
 metrics = manifest["end_to_end"]
 known = [w["name"] for w in manifest["workloads"]]
 
-if len(sys.argv) < 2 or sys.argv[1].startswith("-"):
+args = sys.argv[1:]
+layers = []
+if "--layers" in args:
+    at = args.index("--layers")
+    if at + 1 == len(args):
+        sys.exit(__doc__)
+    layers = args[at + 1].split(",")
+    del args[at:at + 2]
+if not args or args[0].startswith("-"):
     sys.exit(__doc__)
-parent_rev = sys.argv[1]
-workloads = sys.argv[2:] or known
+parent_rev = args[0]
+workloads = args[1:] or known
 for w in workloads:
     if w not in known:
         sys.exit(f"unknown workload `{w}`; BENCHMARK.json has: {', '.join(known)}")
+units = {m["name"]: m["unit"] for m in manifest["per_layer"]}
+for name in layers:
+    if name not in units:
+        sys.exit(f"unknown per-layer metric `{name}`; see `per_layer` in BENCHMARK.json")
 
 tmp = pathlib.Path(tempfile.mkdtemp(prefix="bench_pair."))
 trees = {"parent": tmp / "parent", "change": root}
 
 
-def run_once(side, workload, seed):
+def run_once(side, workload, seed, trace=0):
     """One run of `side`'s benchmark; the last stdout line is its JSON result."""
     env = dict(os.environ, CARGO_TARGET_DIR=str(tmp / f"target-{side}"))
     cmd = [
         "bash", str(trees[side] / "benchmark" / "run.sh"),
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(SECONDS), "--trace", "0",
+        "--seconds", str(SECONDS), "--trace", str(trace),
     ]
     out = subprocess.run(cmd, cwd=trees[side], env=env, capture_output=True, text=True)
     if out.returncode != 0:
@@ -129,6 +146,14 @@ try:
             print(f"  {m['name']:<18} {mp:>13.4f} {mc:>13.4f} {worsening * 100:>+8.1f}% "
                   f"{iqr * 100:>9.1f}% {m['bound'] * 100:>5.0f}% {wins:>2}/{PAIRS}  {word}",
                   flush=True)
+        if layers:
+            traced = {side: run_once(side, workload, FIRST_SEED, trace=1)["metrics"]
+                      for side in trees}
+            print(f"  per layer (one --trace 1 run a side, seed {FIRST_SEED})")
+            for name in layers:
+                cells = [f"{traced[side][name]['value']:>13.4f}" if name in traced[side]
+                         else f"{'-':>13}" for side in trees]
+                print(f"  {name:<40} {cells[0]} {cells[1]}  {units[name]}", flush=True)
 finally:
     shutil.rmtree(tmp, ignore_errors=True)
 sys.exit(1 if bad else 0)

@@ -126,6 +126,83 @@ fn batched_loopback_is_bitwise_identical_to_per_loop_dispatch() {
     );
 }
 
+/// The shed boundary: a burst landing on an *idle* lease (its frontier
+/// behind the first arrival, so `start == now`), 0.1 µs apart, long enough to
+/// cross `budget / latency` for both model kinds. Per-loop dispatch advances
+/// the scheduler frontier tick by tick; deferred admission must project with
+/// that same recurrence, or the observation sitting on the budget is served
+/// in one mode and shed in the other. Replies are compared per burst as a
+/// sorted set: sheds are answered inline, batched acts at the flush.
+#[test]
+fn burst_on_an_idle_lease_sheds_identically_batched_and_per_loop() {
+    const BURST: u64 = 16;
+    const STAGGER_S: f64 = 1e-7;
+    let mut batched = Loopback::new(config(true));
+    let mut per_loop = Loopback::new(config(false));
+    // Two of each kind, so the lidar bursts really stack.
+    let kinds = [
+        ModelKind::LidarConv,
+        ModelKind::LidarConv,
+        ModelKind::Cartpole,
+        ModelKind::Cartpole,
+    ];
+    let mut conns = Vec::new();
+    for (slot, kind) in kinds.iter().enumerate() {
+        let (b, u) = (batched.connect(), per_loop.connect());
+        let grant = batched.request_lease(b, kind.wire(), slot as u64, 0.0);
+        assert_eq!(
+            grant,
+            per_loop.request_lease(u, kind.wire(), slot as u64, 0.0)
+        );
+        let (lease, obs_len, _) = grant.expect("pool sized for four leases");
+        conns.push((b, lease, obs_len, kind.spec()));
+    }
+    let sorted = |frames: Vec<Frame>| {
+        let mut encoded: Vec<Vec<u8>> = frames.iter().map(wire::encode_to_vec).collect();
+        encoded.sort();
+        encoded
+    };
+    for round in 0..24u64 {
+        // A second apart: every lease is idle again, and the burst's start
+        // sweeps across binades so the boundary sum rounds both ways.
+        let start = 0.37 + 1.013 * round as f64;
+        for k in 0..BURST {
+            let now = start + k as f64 * STAGGER_S;
+            for &(conn, lease, obs_len, _) in &conns {
+                let frame = Frame::Obs {
+                    lease,
+                    seq: round * BURST + k,
+                    values: obs(obs_len, lease, round + k),
+                };
+                batched.send_frame(conn, &frame, now);
+                per_loop.send_frame(conn, &frame, now);
+            }
+        }
+        batched.flush(start);
+        per_loop.flush(start);
+        for &(conn, lease, _, spec) in &conns {
+            let reference = per_loop.take_frames(conn);
+            let served = reference
+                .iter()
+                .filter(|f| matches!(f, Frame::Act { .. }))
+                .count();
+            // Response k is (k + 1)·latency − k·stagger: the burst is served
+            // up to budget / latency and shed from there on.
+            assert_eq!(
+                served,
+                (spec.budget_s / spec.latency_s).round() as usize,
+                "round {round} lease {lease}: per-loop dispatch is the reference"
+            );
+            assert_eq!(reference.len(), BURST as usize);
+            assert_eq!(
+                sorted(batched.take_frames(conn)),
+                sorted(reference),
+                "round {round} lease {lease}: batched admission decided the burst differently"
+            );
+        }
+    }
+}
+
 /// Kill-and-restore: serve half the stream on server A, snapshot the lease
 /// between flushes, "crash", restore the checkpoint (through JSONL) onto a
 /// fresh server B with the same seed, and serve the remaining rounds there
