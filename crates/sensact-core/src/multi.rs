@@ -2,17 +2,12 @@
 //!
 //! The core coordination primitive: `N` agents that each need full 360°
 //! situational awareness split the azimuth circle into arcs proportional to
-//! their remaining battery, sense only their own arc, and share observations
-//! over a message bus. Communication is orders of magnitude cheaper than
+//! their remaining battery, sense only their own arc, and receive the rest
+//! from their peers. Communication is orders of magnitude cheaper than
 //! active sensing, so coordinated awareness costs roughly `1/N` of solo
 //! sensing — the paper's conclusion reports a ~3× reduction with this scheme.
-
-use crate::metrics::MetricsRegistry;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc as StdArc;
-use std::sync::Mutex;
+//! This module assigns the arcs and prices the exchange; the messages
+//! themselves travel over `sensact-fed`'s simulated network.
 
 /// Identifier of an agent in a fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -189,201 +184,6 @@ impl CoverageCoordinator {
     }
 }
 
-/// One shared observation: an agent covered an arc and publishes a summary.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArcObservation {
-    /// Publishing agent.
-    pub from: AgentId,
-    /// Covered arc.
-    pub arc: AzimuthArc,
-    /// Arbitrary feature payload (e.g. detected-object summaries).
-    pub payload: Vec<f64>,
-}
-
-/// Snapshot of an [`ObservationBus`]'s traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusCounters {
-    /// Publish calls accepted (the `from` agent was a bus member).
-    pub published: u64,
-    /// Per-peer deliveries that reached a live receiver.
-    pub delivered: u64,
-    /// Publish calls rejected (out-of-range `from`) plus deliveries dropped
-    /// on disconnected peers.
-    pub rejected: u64,
-}
-
-/// A broadcast bus connecting fleet members (`std::sync::mpsc` channels under
-/// the hood). Every published observation is delivered to every *other* agent.
-///
-/// Traffic is counted with atomics ([`ObservationBus::counters`]) because
-/// [`ObservationBus::publish`] takes `&self` and may be called from several
-/// threads.
-#[derive(Debug)]
-pub struct ObservationBus {
-    senders: Vec<Sender<ArcObservation>>,
-    /// Untaken receiving endpoints, behind a mutex so the bus as a whole is
-    /// `Sync` (a bare `Receiver` is not) and can be shared across publisher
-    /// threads as its documentation promises.
-    receivers: Mutex<Vec<Option<Receiver<ArcObservation>>>>,
-    published: AtomicU64,
-    delivered: AtomicU64,
-    rejected: AtomicU64,
-}
-
-impl ObservationBus {
-    /// A bus for `n` agents.
-    pub fn new(n: usize) -> Self {
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(Some(rx));
-        }
-        ObservationBus {
-            senders,
-            receivers: Mutex::new(receivers),
-            published: AtomicU64::new(0),
-            delivered: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
-    }
-
-    /// Take agent `i`'s receiving endpoint (each can be taken once).
-    ///
-    /// Returns `None` when `i` is out of range or the endpoint was already
-    /// taken — a runtime that restarts a loop probes for its endpoint rather
-    /// than trusting that nobody claimed it first, so neither case panics.
-    pub fn take_receiver(&self, i: usize) -> Option<Receiver<ArcObservation>> {
-        self.receivers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get_mut(i)?
-            .take()
-    }
-
-    /// Publish an observation from agent `from` to all other agents.
-    ///
-    /// `from` must identify a bus member: an out-of-range id would otherwise
-    /// skip the self-delivery exclusion and broadcast to *everyone*,
-    /// spoofing a nonexistent peer. Debug builds panic on an out-of-range
-    /// `from`; release builds deliver to no one.
-    pub fn publish(&self, from: AgentId, obs: ArcObservation) {
-        debug_assert!(
-            from.0 < self.senders.len(),
-            "{from} is not a member of this {}-agent bus",
-            self.senders.len()
-        );
-        if from.0 >= self.senders.len() {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // `published` is bumped with Release *before* any delivery counter,
-        // and `counters()` reads it *after* the delivery counters with
-        // Acquire — so a concurrent snapshot can never observe deliveries
-        // from a publish it has not yet counted (see `counters`).
-        self.published.fetch_add(1, Ordering::Release);
-        for (i, tx) in self.senders.iter().enumerate() {
-            if i != from.0 {
-                // A disconnected peer (dropped receiver) is not an error.
-                match tx.send(obs.clone()) {
-                    Ok(()) => {
-                        self.delivered.fetch_add(1, Ordering::Release);
-                    }
-                    Err(_) => {
-                        self.rejected.fetch_add(1, Ordering::Release);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Snapshot the traffic counters.
-    ///
-    /// The snapshot is *causally consistent* under concurrent publishing:
-    /// delivery counters are loaded first (Acquire) and `published` last, so
-    /// every delivery or rejection the snapshot contains is matched by its
-    /// publish. Three independent `Relaxed` loads could instead observe a
-    /// torn state — deliveries from a publish whose `published` increment is
-    /// missing — which a concurrent exporter would report as
-    /// `delivered > published × (n−1)`.
-    pub fn counters(&self) -> BusCounters {
-        let delivered = self.delivered.load(Ordering::Acquire);
-        let rejected = self.rejected.load(Ordering::Acquire);
-        let published = self.published.load(Ordering::Acquire);
-        BusCounters {
-            published,
-            delivered,
-            rejected,
-        }
-    }
-
-    /// Number of agents on the bus.
-    pub fn len(&self) -> usize {
-        self.senders.len()
-    }
-
-    /// Whether the bus has no members.
-    pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
-    }
-
-    /// Export the traffic counters into a [`MetricsRegistry`] under
-    /// `bus.*` names. Idempotent: the counters are absolute totals, so
-    /// re-exporting the same bus overwrites rather than double-counts.
-    pub fn export_into(&self, registry: &mut MetricsRegistry) {
-        let c = self.counters();
-        registry.set_counter("bus.published_total", c.published);
-        registry.set_counter("bus.delivered_total", c.delivered);
-        registry.set_counter("bus.rejected_total", c.rejected);
-    }
-}
-
-/// A shared fleet blackboard combining everyone's latest arc observations;
-/// protected by a mutex for cross-thread use.
-///
-/// The mutex is poison-tolerant: if one agent thread panics while posting,
-/// the rest of the fleet keeps reading and writing the board (each entry is
-/// a complete `insert`, so the map is never left half-updated) instead of
-/// cascading the panic fleet-wide.
-#[derive(Debug, Clone, Default)]
-pub struct FleetBlackboard {
-    inner: StdArc<Mutex<HashMap<AgentId, ArcObservation>>>,
-}
-
-impl FleetBlackboard {
-    /// Empty blackboard.
-    pub fn new() -> Self {
-        FleetBlackboard::default()
-    }
-
-    /// Lock the board, recovering the guard from a poisoned mutex — one
-    /// panicked agent must not take down every other loop in the fleet.
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<AgentId, ArcObservation>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Post (or replace) an agent's latest observation.
-    pub fn post(&self, obs: ArcObservation) {
-        self.lock().insert(obs.from, obs);
-    }
-
-    /// Total azimuth coverage (degrees, ≤ 360) of all posted observations,
-    /// assuming coordinator-assigned (disjoint) arcs.
-    pub fn coverage_deg(&self) -> f64 {
-        self.lock()
-            .values()
-            .map(|o| o.arc.width())
-            .sum::<f64>()
-            .min(360.0)
-    }
-
-    /// Number of agents that have posted.
-    pub fn contributors(&self) -> usize {
-        self.lock().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,224 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn bus_broadcasts_to_others_only() {
-        let bus = ObservationBus::new(3);
-        let rx0 = bus.take_receiver(0).unwrap();
-        let rx1 = bus.take_receiver(1).unwrap();
-        let rx2 = bus.take_receiver(2).unwrap();
-        let obs = ArcObservation {
-            from: AgentId(0),
-            arc: AzimuthArc {
-                start_deg: 0.0,
-                end_deg: 120.0,
-            },
-            payload: vec![1.0, 2.0],
-        };
-        bus.publish(AgentId(0), obs.clone());
-        assert!(rx0.try_recv().is_err(), "publisher must not self-receive");
-        assert_eq!(rx1.try_recv().unwrap(), obs);
-        assert_eq!(rx2.try_recv().unwrap(), obs);
-    }
-
-    #[test]
-    fn bus_works_across_threads() {
-        let bus = ObservationBus::new(2);
-        let rx1 = bus.take_receiver(1).unwrap();
-        let handle = std::thread::spawn(move || rx1.recv().unwrap());
-        bus.publish(
-            AgentId(0),
-            ArcObservation {
-                from: AgentId(0),
-                arc: AzimuthArc {
-                    start_deg: 0.0,
-                    end_deg: 180.0,
-                },
-                payload: vec![],
-            },
-        );
-        let got = handle.join().unwrap();
-        assert_eq!(got.from, AgentId(0));
-    }
-
-    #[test]
-    fn bus_counters_track_publishes_deliveries_and_drops() {
-        let bus = ObservationBus::new(3);
-        let _rx0 = bus.take_receiver(0).unwrap();
-        let rx1 = bus.take_receiver(1).unwrap();
-        drop(bus.take_receiver(2).unwrap()); // agent 2 went offline
-        let obs = ArcObservation {
-            from: AgentId(0),
-            arc: AzimuthArc {
-                start_deg: 0.0,
-                end_deg: 90.0,
-            },
-            payload: vec![],
-        };
-        bus.publish(AgentId(0), obs.clone());
-        bus.publish(AgentId(1), obs.clone());
-        assert_eq!(rx1.try_recv().unwrap(), obs);
-        let c = bus.counters();
-        assert_eq!(c.published, 2);
-        // Tick 1: delivered to 1 and dropped on 2; tick 2: delivered to 0
-        // and dropped on 2.
-        assert_eq!(c.delivered, 2);
-        assert_eq!(c.rejected, 2);
-        let mut reg = MetricsRegistry::new();
-        bus.export_into(&mut reg);
-        assert_eq!(reg.counter("bus.published_total"), 2);
-        assert_eq!(reg.counter("bus.delivered_total"), 2);
-        assert_eq!(reg.counter("bus.rejected_total"), 2);
-        // Re-export is idempotent: a scrape endpoint reading the same bus
-        // twice must not double-count.
-        bus.export_into(&mut reg);
-        assert_eq!(reg.counter("bus.published_total"), 2);
-        assert_eq!(reg.counter("bus.delivered_total"), 2);
-        assert_eq!(reg.counter("bus.rejected_total"), 2);
-        assert_eq!(bus.len(), 3);
-        assert!(!bus.is_empty());
-    }
-
-    #[test]
-    fn bus_counter_snapshots_are_causally_consistent_under_contention() {
-        // Two publisher threads hammer the bus while the main thread
-        // snapshots. Every snapshot must satisfy the causal invariant:
-        // deliveries + rejections never exceed published × (n−1) — i.e. no
-        // snapshot observes a delivery whose publish it has not counted.
-        let n = 4;
-        let bus = ObservationBus::new(n);
-        // Receivers stay alive (undrained) so sends succeed.
-        let _rxs: Vec<_> = (0..n).map(|i| bus.take_receiver(i).unwrap()).collect();
-        let bus = StdArc::new(bus);
-        let obs = |from: usize| ArcObservation {
-            from: AgentId(from),
-            arc: AzimuthArc {
-                start_deg: 0.0,
-                end_deg: 1.0,
-            },
-            payload: vec![],
-        };
-        let mut handles = Vec::new();
-        for from in 0..2 {
-            let bus = StdArc::clone(&bus);
-            let o = obs(from);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..2000 {
-                    bus.publish(AgentId(from), o.clone());
-                }
-            }));
-        }
-        for _ in 0..20_000 {
-            let c = bus.counters();
-            assert!(
-                c.delivered + c.rejected <= c.published * (n as u64 - 1),
-                "torn snapshot: {c:?}"
-            );
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let c = bus.counters();
-        assert_eq!(c.published, 4000);
-        assert_eq!(c.delivered + c.rejected, c.published * (n as u64 - 1));
-    }
-
-    #[test]
-    fn blackboard_accumulates_coverage() {
-        let board = FleetBlackboard::new();
-        let coordinator = CoverageCoordinator::new();
-        let agents = fleet(3);
-        for asg in coordinator.assign(&agents) {
-            board.post(ArcObservation {
-                from: asg.id,
-                arc: asg.arc,
-                payload: vec![],
-            });
-        }
-        assert_eq!(board.contributors(), 3);
-        assert!((board.coverage_deg() - 360.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn blackboard_replaces_per_agent() {
-        let board = FleetBlackboard::new();
-        for _ in 0..5 {
-            board.post(ArcObservation {
-                from: AgentId(0),
-                arc: AzimuthArc {
-                    start_deg: 0.0,
-                    end_deg: 90.0,
-                },
-                payload: vec![],
-            });
-        }
-        assert_eq!(board.contributors(), 1);
-        assert_eq!(board.coverage_deg(), 90.0);
-    }
-
-    #[test]
-    fn blackboard_survives_poisoned_lock() {
-        // Regression: a panic while holding the blackboard mutex poisons it;
-        // `lock().unwrap()` then cascaded the panic into every other agent.
-        // The board must recover the guard and keep serving the fleet.
-        let board = FleetBlackboard::new();
-        board.post(ArcObservation {
-            from: AgentId(0),
-            arc: AzimuthArc {
-                start_deg: 0.0,
-                end_deg: 90.0,
-            },
-            payload: vec![],
-        });
-        let cloned = board.clone();
-        let result = std::thread::spawn(move || {
-            let _guard = cloned.inner.lock().unwrap();
-            panic!("agent crashed mid-post");
-        })
-        .join();
-        assert!(result.is_err(), "the posting thread must have panicked");
-        assert!(board.inner.is_poisoned(), "the mutex must be poisoned");
-        // Reads and writes still work for the surviving agents.
-        assert_eq!(board.contributors(), 1);
-        board.post(ArcObservation {
-            from: AgentId(1),
-            arc: AzimuthArc {
-                start_deg: 90.0,
-                end_deg: 180.0,
-            },
-            payload: vec![],
-        });
-        assert_eq!(board.contributors(), 2);
-        assert!((board.coverage_deg() - 180.0).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "no agents")]
     fn empty_fleet_panics() {
         let _ = CoverageCoordinator::new().assign(&[]);
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "not a member"))]
-    fn publish_from_nonmember_reaches_no_one() {
-        let bus = ObservationBus::new(2);
-        let rx0 = bus.take_receiver(0).unwrap();
-        let rx1 = bus.take_receiver(1).unwrap();
-        // AgentId(2) is not on a 2-agent bus. Debug builds panic; release
-        // builds must deliver to no one (previously this spoofed a
-        // broadcast to every member).
-        bus.publish(
-            AgentId(2),
-            ArcObservation {
-                from: AgentId(2),
-                arc: AzimuthArc {
-                    start_deg: 0.0,
-                    end_deg: 90.0,
-                },
-                payload: vec![],
-            },
-        );
-        assert!(rx0.try_recv().is_err());
-        assert!(rx1.try_recv().is_err());
     }
 
     #[test]
@@ -754,17 +339,6 @@ mod tests {
     }
 
     #[test]
-    fn take_receiver_is_none_on_repeat_or_out_of_range() {
-        let bus = ObservationBus::new(2);
-        assert!(bus.take_receiver(5).is_none(), "out-of-range index");
-        let rx = bus.take_receiver(0);
-        assert!(rx.is_some());
-        assert!(bus.take_receiver(0).is_none(), "repeated take");
-        // A restarting loop can still claim the untouched endpoint.
-        assert!(bus.take_receiver(1).is_some());
-    }
-
-    #[test]
     fn reassign_keeps_survivors_stable_through_join_and_leave() {
         // The 1 → 2 → 1 membership transition: agent 0 runs solo, agent 1
         // joins, then leaves again.
@@ -797,80 +371,5 @@ mod tests {
         // agent list: listing the fleet in reverse must not reshuffle arcs.
         let reversed: Vec<AgentProfile> = pair.iter().rev().copied().collect();
         assert_eq!(coordinator.reassign(&joined, &reversed), joined);
-    }
-
-    #[test]
-    fn blackboard_contention_is_monotone_and_recovers_from_poison() {
-        // ≥8 posters race `post` against a sampler calling `coverage_deg`.
-        // Arcs are coordinator-assigned (disjoint), and a re-post replaces an
-        // identical entry, so observed coverage must be monotone
-        // non-decreasing. Midway, one poster panics while holding the lock;
-        // the PR 4 poison recovery must keep everyone else running.
-        let board = FleetBlackboard::new();
-        let assignments = CoverageCoordinator::new().assign(&fleet(8));
-
-        let sampler = {
-            let board = board.clone();
-            std::thread::spawn(move || {
-                let mut last = 0.0f64;
-                for _ in 0..400 {
-                    let c = board.coverage_deg();
-                    assert!(
-                        c >= last,
-                        "coverage went backwards under contention: {c} < {last}"
-                    );
-                    last = c;
-                    std::thread::yield_now();
-                }
-                last
-            })
-        };
-
-        let posters: Vec<_> = assignments
-            .iter()
-            .map(|asg| {
-                let board = board.clone();
-                let asg = *asg;
-                std::thread::spawn(move || {
-                    for _ in 0..100 {
-                        board.post(ArcObservation {
-                            from: asg.id,
-                            arc: asg.arc,
-                            payload: vec![asg.arc.start_deg],
-                        });
-                        std::thread::yield_now();
-                    }
-                })
-            })
-            .collect();
-
-        // A ninth participant crashes while holding the raw mutex, poisoning
-        // it in the middle of the race.
-        let crasher = {
-            let board = board.clone();
-            std::thread::spawn(move || {
-                let _guard = board.inner.lock().unwrap_or_else(|e| e.into_inner());
-                panic!("agent crashed mid-post");
-            })
-        };
-        assert!(crasher.join().is_err(), "the crasher must have panicked");
-        assert!(board.inner.is_poisoned(), "the mutex must be poisoned");
-
-        for p in posters {
-            p.join().expect("poster survived the poisoned mutex");
-        }
-        let final_sampled = sampler.join().expect("sampler survived");
-        assert!(final_sampled <= 360.0);
-
-        // Recovery engaged: reads and writes still work, and the fleet ended
-        // fully covered despite the poisoned lock.
-        assert_eq!(board.contributors(), 8);
-        assert!((board.coverage_deg() - 360.0).abs() < 1e-9);
-        board.post(ArcObservation {
-            from: AgentId(0),
-            arc: assignments[0].arc,
-            payload: vec![],
-        });
-        assert_eq!(board.contributors(), 8);
     }
 }

@@ -14,11 +14,11 @@
 //!   [`FallibleLoop`](sensact_core::FallibleLoop) of any stage types — over
 //!   its environment, so one fleet mixes lidar→STARNet and cartpole→Koopman
 //!   members;
-//! * [`FleetScheduler`] — deadline-aware (EDF) scheduling over a sharded
-//!   ready queue with work stealing; each loop registers a tick period and
-//!   latency budget ([`LoopSpec`]), and a tick that overruns its budget is
-//!   surfaced through the loop's own
-//!   [`StageError::Timeout`](sensact_core::StageError) fault path;
+//! * [`FleetScheduler`] — deadline-aware (EDF) scheduling onto a pool of
+//!   virtual workers; each loop registers a tick period and latency budget
+//!   ([`LoopSpec`]), and a tick that overruns its budget is surfaced through
+//!   the loop's own [`StageError::Timeout`](sensact_core::StageError) fault
+//!   path;
 //! * admission control and backpressure — a bounded pending-tick backlog
 //!   per loop with drop-oldest semantics and per-loop drop accounting, plus
 //!   an [`EnergyArbiter`] that stretches release strides when the fleet's
@@ -26,14 +26,15 @@
 //! * full observability — per-loop
 //!   [`LoopTelemetry`](sensact_core::LoopTelemetry) preserved, and
 //!   scheduler-level [`FleetReport::export_into`] publishing queue depth,
-//!   steal count, deadline misses and per-worker utilization into a
+//!   deadline misses and per-worker utilization into a
 //!   [`MetricsRegistry`](sensact_core::MetricsRegistry);
-//! * a deterministic mode — [`FleetScheduler::run_deterministic`] simulates
-//!   the worker pool event-by-event under a caller-provided
+//! * one event loop — [`FleetScheduler::run_deterministic`] simulates the
+//!   worker pool event-by-event under a caller-provided
 //!   [`SimClock`](sensact_core::trace::SimClock) with seeded EDF
 //!   tie-breaking, so a fleet run is reproducible tick-for-tick and member
 //!   loops still verify bit-exactly through the
-//!   [`replay`](sensact_core::replay) path.
+//!   [`replay`](sensact_core::replay) path; [`FleetScheduler::run`] puts
+//!   that same loop on OS threads, one partition of the fleet each.
 //!
 //! ## Example
 //!

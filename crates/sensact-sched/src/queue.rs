@@ -1,17 +1,6 @@
-//! Sharded EDF ready-queue with work stealing.
-//!
-//! Each worker owns one shard (a binary min-heap ordered by absolute
-//! deadline); a loop's releases always land on its *home* shard
-//! (`loop_idx % workers`), so an unloaded fleet runs shard-local with no
-//! cross-worker traffic. A worker whose shard runs dry scans the other
-//! shards round-robin and *steals* the earliest-deadline release it finds —
-//! stealing keeps tail latency bounded when the battery-heavy loops cluster
-//! on one shard, and every steal is counted for the metrics export.
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+//! The ready queue's element: a pending tick release with a total EDF
+//! order, and the seeded key that breaks its deadline ties. The queue itself
+//! is a `BinaryHeap<Reverse<Release>>` owned by the event loop.
 
 /// One pending tick release, ordered by absolute deadline (EDF).
 ///
@@ -112,71 +101,11 @@ pub(crate) fn tie_break(seed: u64, loop_idx: usize, release_idx: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The multi-worker ready queue: one mutex-guarded heap per worker plus
-/// relaxed counters for depth sampling and steal accounting.
-#[derive(Debug)]
-pub(crate) struct ShardedQueue {
-    shards: Vec<Mutex<BinaryHeap<Reverse<Release>>>>,
-    len: AtomicUsize,
-    steals: AtomicU64,
-}
-
-impl ShardedQueue {
-    pub fn new(workers: usize) -> Self {
-        ShardedQueue {
-            shards: (0..workers.max(1)).map(|_| Mutex::default()).collect(),
-            len: AtomicUsize::new(0),
-            steals: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, i: usize) -> std::sync::MutexGuard<'_, BinaryHeap<Reverse<Release>>> {
-        // A worker that panicked mid-push cannot corrupt a BinaryHeap
-        // invariant we rely on for safety — recover rather than cascade.
-        self.shards[i].lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Push onto the release's home shard.
-    pub fn push(&self, release: Release) {
-        let home = release.loop_idx % self.shards.len();
-        self.shard(home).push(Reverse(release));
-        self.len.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Pop the earliest-deadline release visible to `worker`: its own shard
-    /// first, then the other shards round-robin (a hit there is a steal).
-    pub fn pop(&self, worker: usize) -> Option<Release> {
-        let n = self.shards.len();
-        let own = worker % n;
-        if let Some(Reverse(r)) = self.shard(own).pop() {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-            return Some(r);
-        }
-        for k in 1..n {
-            let victim = (own + k) % n;
-            if let Some(Reverse(r)) = self.shard(victim).pop() {
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(r);
-            }
-        }
-        None
-    }
-
-    /// Approximate total queued releases (for depth sampling).
-    pub fn depth(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    /// Steals so far.
-    pub fn steals(&self) -> u64 {
-        self.steals.load(Ordering::Relaxed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn release(loop_idx: usize, deadline_s: f64, tie: u64) -> Release {
         Release {
@@ -197,38 +126,20 @@ mod tests {
     }
 
     #[test]
-    fn pop_is_edf_within_a_shard() {
-        let q = ShardedQueue::new(1);
-        q.push(release(0, 3.0, 0));
-        q.push(release(0, 1.0, 0));
-        q.push(release(0, 2.0, 0));
-        let order: Vec<f64> = (0..3)
-            .map(|_| f64::from_bits(q.pop(0).unwrap().deadline_bits))
+    fn heap_pops_earliest_deadline_first_and_breaks_ties_by_key() {
+        let mut q = BinaryHeap::new();
+        for r in [
+            release(0, 3.0, 0),
+            release(5, 1.0, 20),
+            release(9, 1.0, 10),
+            release(0, 2.0, 0),
+        ] {
+            q.push(Reverse(r));
+        }
+        let order: Vec<(f64, usize)> = std::iter::from_fn(|| q.pop())
+            .map(|Reverse(r)| (f64::from_bits(r.deadline_bits), r.loop_idx))
             .collect();
-        assert_eq!(order, vec![1.0, 2.0, 3.0]);
-        assert_eq!(q.steals(), 0);
-        assert!(q.pop(0).is_none());
-    }
-
-    #[test]
-    fn equal_deadlines_break_by_tie_key() {
-        let q = ShardedQueue::new(1);
-        q.push(release(5, 1.0, 20));
-        q.push(release(9, 1.0, 10));
-        assert_eq!(q.pop(0).unwrap().loop_idx, 9);
-        assert_eq!(q.pop(0).unwrap().loop_idx, 5);
-    }
-
-    #[test]
-    fn empty_own_shard_steals_from_victims() {
-        let q = ShardedQueue::new(2);
-        // Loop 1's home is shard 1; worker 0 must steal it.
-        q.push(release(1, 1.0, 0));
-        assert_eq!(q.depth(), 1);
-        let got = q.pop(0).unwrap();
-        assert_eq!(got.loop_idx, 1);
-        assert_eq!(q.steals(), 1);
-        assert_eq!(q.depth(), 0);
+        assert_eq!(order, vec![(1.0, 9), (1.0, 5), (2.0, 0), (3.0, 0)]);
     }
 
     #[test]
@@ -250,15 +161,11 @@ mod tests {
         assert_eq!(clamp_deadline(2.5), 2.5);
         // A release whose budget arithmetic went negative (network delay
         // subtracted past zero) is popped before any positive deadline.
-        let q = ShardedQueue::new(1);
-        q.push(Release::new(clamp_deadline(-0.5), 0, 0, 0, 0.0));
-        q.push(Release::new(1.0, 0, 1, 0, 0.0));
-        assert_eq!(
-            q.pop(0).unwrap().loop_idx,
-            0,
-            "clamped release is due first"
-        );
-        assert_eq!(q.pop(0).unwrap().loop_idx, 1);
+        let mut q = BinaryHeap::new();
+        q.push(Reverse(Release::new(1.0, 0, 1, 0, 0.0)));
+        q.push(Reverse(Release::new(clamp_deadline(-0.5), 0, 0, 0, 0.0)));
+        assert_eq!(q.pop().unwrap().0.loop_idx, 0, "clamped release is first");
+        assert_eq!(q.pop().unwrap().0.loop_idx, 1);
     }
 
     #[test]

@@ -11,36 +11,32 @@
 //! through the loop's own
 //! [`StageError::Timeout`](sensact_core::StageError) fault path.
 //!
-//! Two execution modes share these semantics — and one begin-run /
-//! finish-run frame; only their event loops differ:
+//! There is one event loop: an EDF heap over a set of loops, simulating a
+//! number of *virtual* workers — a tick additionally waits for the
+//! earliest-free one, so makespan reflects worker capacity. EDF ties break
+//! by seeded per-release keys and the execution trace is folded into
+//! [`FleetReport::trace_hash`], so two runs can be compared tick-for-tick.
 //!
-//! * [`FleetScheduler::run`] — OS worker threads over the sharded
-//!   work-stealing EDF queue. Throughput-oriented: the OS threads *are* the
-//!   capacity, so no virtual worker clock is modeled and — absent a watts
-//!   cap — every loop's tick/drop/miss schedule is independent of the
-//!   interleaving; only steals, wall time, and utilization vary.
-//! * [`FleetScheduler::run_deterministic`] — a single-threaded event-driven
-//!   simulation of W *virtual* workers under a caller-provided
-//!   [`SimClock`]: a tick additionally waits for the earliest-free virtual
-//!   worker, so fleet makespan reflects worker capacity. The interleaving
-//!   is a pure function of the seed: EDF ties break by seeded per-release
-//!   keys, and the run's execution trace is folded into
-//!   [`FleetReport::trace_hash`] so two runs can be compared
-//!   tick-for-tick.
+//! * [`FleetScheduler::run_deterministic`] is that loop over the whole
+//!   fleet on W virtual workers under a caller-provided [`SimClock`]: a
+//!   pure function of the fleet and the seed.
+//! * [`FleetScheduler::run`] is W OS threads, each running that loop over
+//!   its own contiguous partition of the fleet on one virtual worker. The
+//!   threads share only the energy arbiter, so absent a watts cap the run
+//!   repeats as well.
 
 use crate::arbiter::EnergyArbiter;
 use crate::handle::{DynLoop, LoopHandle, TickOutcome};
-use crate::queue::{tie_break, Release, ShardedQueue};
+use crate::queue::{tie_break, Release};
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section};
 use sensact_core::health::{encode_transition, HealthScorer};
 use sensact_core::trace::{trace_mix, SimClock};
 use sensact_core::{
     CausalSpan, FleetHealth, FleetTracer, HealthPolicy, HealthSignals, HealthStatus, Histogram,
-    LoopTelemetry, MetricsRegistry, SpanKind, TraceContext,
+    LoopTelemetry, MetricsRegistry, Precision, SpanKind, TraceContext,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Default bound on a loop's pending-tick backlog.
@@ -56,9 +52,9 @@ const HEALTH_TRACE_SALT: u64 = 0x5C4E_D41F;
 /// Causal spans each worker's flight recorder retains (ring buffer).
 pub const FLIGHT_RECORDER_CAPACITY: usize = 32;
 
-/// Per-loop completion window between health evaluations in deterministic
-/// runs — small enough to catch a storm mid-run, large enough for the rates
-/// to mean something.
+/// Per-loop completion window between health evaluations in a run — small
+/// enough to catch a storm mid-run, large enough for the rates to mean
+/// something.
 pub const HEALTH_WINDOW_TICKS: u64 = 16;
 
 /// Bound on flight-recorder incidents one run will capture.
@@ -126,8 +122,9 @@ impl Default for LoopSpec {
 /// Fleet-level configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
-    /// Worker count (virtual workers in deterministic mode, OS threads in
-    /// threaded mode). Clamped to ≥ 1.
+    /// Worker count: virtual workers in [`FleetScheduler::run_deterministic`],
+    /// OS threads of one virtual worker each in [`FleetScheduler::run`].
+    /// Clamped to ≥ 1.
     pub workers: usize,
     /// Optional fleet-average power cap (watts) enforced by the
     /// [`EnergyArbiter`].
@@ -273,9 +270,6 @@ pub struct FleetReport {
     pub drops: u64,
     /// Deadline misses this run.
     pub deadline_misses: u64,
-    /// Cross-shard steals this run (0 in deterministic mode — it models an
-    /// ideal shared queue).
-    pub steals: u64,
     /// Completions that observed an over-cap fleet.
     pub throttle_events: u64,
     /// Fleet virtual makespan: the latest tick completion, including
@@ -290,18 +284,18 @@ pub struct FleetReport {
     /// Ready-queue depth sampled at every pop.
     pub queue_depth: Histogram,
     /// Order-sensitive FNV-1a fold of the execution trace
-    /// `(loop, release, worker, completion)`; `0` in threaded mode.
+    /// `(loop, release, worker, completion)`. A threaded run folds each
+    /// partition's trace, then the partitions' hashes in worker order.
     pub trace_hash: u64,
     /// Per-loop summaries (cumulative stats, registration order).
     pub loops: Vec<LoopSummary>,
     /// End-of-run per-loop health classification (whole-run rates against
-    /// the scheduler's [`HealthPolicy`], registration order).
+    /// the default [`HealthPolicy`], registration order).
     pub loop_health: Vec<HealthStatus>,
     /// Fleet-level roll-up of `loop_health`.
     pub health: FleetHealth,
-    /// Flight-recorder dumps captured when an invariant tripped
-    /// (deterministic mode with tracing enabled; bounded by
-    /// [`MAX_INCIDENTS`]).
+    /// Flight-recorder dumps captured when an invariant tripped (tracing
+    /// enabled; bounded by [`MAX_INCIDENTS`]).
     pub incidents: Vec<Incident>,
 }
 
@@ -345,7 +339,7 @@ impl FleetReport {
     }
 
     /// Export scheduler-level metrics under `sched.*` names: counters for
-    /// ticks/drops/deadline-misses/steals/throttles, gauges for
+    /// ticks/drops/deadline-misses/throttles, gauges for
     /// makespan/energy/watts and health, and histograms for queue depth and
     /// per-worker utilization.
     ///
@@ -357,7 +351,6 @@ impl FleetReport {
         registry.set_counter("sched.ticks_total", self.ticks);
         registry.set_counter("sched.drops_total", self.drops);
         registry.set_counter("sched.deadline_miss_total", self.deadline_misses);
-        registry.set_counter("sched.steals_total", self.steals);
         registry.set_counter("sched.throttle_total", self.throttle_events);
         registry.set_counter("sched.incidents_total", self.incidents.len() as u64);
         registry.set_counter("sched.health.healthy", self.health.healthy as u64);
@@ -416,8 +409,8 @@ impl std::fmt::Display for FleetReport {
         )?;
         writeln!(
             f,
-            "  ticks {}  drops {}  deadline-misses {}  steals {}  throttles {}",
-            self.ticks, self.drops, self.deadline_misses, self.steals, self.throttle_events
+            "  ticks {}  drops {}  deadline-misses {}  throttles {}",
+            self.ticks, self.drops, self.deadline_misses, self.throttle_events
         )?;
         writeln!(
             f,
@@ -488,8 +481,8 @@ fn sane_latency(latency_s: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MemberTickOutcome {
     /// When the tick started: the release time, or later if the member's
-    /// previous tick had not yet completed (a loop is sequential) or — in
-    /// deterministic mode — its virtual worker was still busy.
+    /// previous tick had not yet completed (a loop is sequential) or — in a
+    /// run — its virtual worker was still busy.
     pub start_s: f64,
     /// When compute finished and the *worker* is free again
     /// (`start + charged latency`).
@@ -507,17 +500,17 @@ pub struct MemberTickOutcome {
 
 /// Execute one release on a slot: tick the loop, advance accounting, check
 /// the deadline. A tick starts when its release is due, its loop's previous
-/// tick has completed (a loop is sequential), and — in deterministic mode —
-/// its assigned virtual worker is free (`worker_avail_s`; threaded mode
-/// passes `0` because OS threads provide real capacity). The worker is
+/// tick has completed (a loop is sequential), and its assigned virtual
+/// worker is free (`worker_avail_s`; an externally-driven tick passes `0`,
+/// its caller being the capacity). The worker is
 /// occupied only for the charged compute latency; a communication tail
 /// ([`TickOutcome::comm_s`](crate::handle::TickOutcome)) extends the loop's
 /// completion — and its deadline check — without burning worker capacity.
 ///
 /// With tracing enabled the loop is handed the release's [`TraceContext`]
 /// before it ticks, and the tick's SchedTick span (plus a CommTail child when
-/// it had an off-worker tail) is recorded and returned, so deterministic
-/// mode can also feed its flight recorder.
+/// it had an off-worker tail) is recorded and returned, so the event loop
+/// can also feed its flight recorder.
 fn execute_release(
     slot: &mut Slot,
     release: &Release,
@@ -706,7 +699,6 @@ pub struct FleetScheduler {
     /// Indices of retired slots available for reuse by `register`.
     free: Vec<usize>,
     tracer: Arc<FleetTracer>,
-    health_policy: HealthPolicy,
 }
 
 impl FleetScheduler {
@@ -717,7 +709,6 @@ impl FleetScheduler {
             slots: Vec::new(),
             free: Vec::new(),
             tracer: Arc::new(FleetTracer::disabled()),
-            health_policy: HealthPolicy::default(),
         }
     }
 
@@ -745,22 +736,6 @@ impl FleetScheduler {
     /// The attached tracer (disabled unless one was set).
     pub fn tracer(&self) -> &Arc<FleetTracer> {
         &self.tracer
-    }
-
-    /// Replace the health policy used for per-loop SLO scoring.
-    pub fn set_health_policy(&mut self, policy: HealthPolicy) {
-        self.health_policy = policy;
-    }
-
-    /// Builder-style [`FleetScheduler::set_health_policy`].
-    pub fn with_health_policy(mut self, policy: HealthPolicy) -> Self {
-        self.health_policy = policy;
-        self
-    }
-
-    /// The active health policy.
-    pub fn health_policy(&self) -> &HealthPolicy {
-        &self.health_policy
     }
 
     /// Register a member loop under a timing spec.
@@ -994,8 +969,8 @@ impl FleetScheduler {
     /// Open a run: snapshot every slot's cumulative stats, and — unless the
     /// fleet is empty or the horizon is not a positive finite time — restart
     /// virtual time and release tick 0 of every active member. The returned
-    /// report is what a run that executes nothing reports; the event loops
-    /// fill in what they measure and [`FleetScheduler::finish_run`] the rest.
+    /// report is what a run that executes nothing reports;
+    /// [`FleetScheduler::finish_run`] fills in the rest.
     fn begin_run(&mut self, horizon_s: f64) -> (RunFrame, FleetReport) {
         let workers = self.config.workers.max(1);
         let seed = self.config.seed;
@@ -1014,6 +989,9 @@ impl FleetScheduler {
             .collect();
         let frame = RunFrame {
             wall_start: std::time::Instant::now(),
+            horizon_s,
+            seed,
+            tracer: self.tracer.clone(),
             base,
             releases,
         };
@@ -1023,7 +1001,6 @@ impl FleetScheduler {
             ticks: 0,
             drops: 0,
             deadline_misses: 0,
-            steals: 0,
             throttle_events: 0,
             makespan_s: 0.0,
             energy_j: 0.0,
@@ -1039,17 +1016,42 @@ impl FleetScheduler {
         (frame, idle)
     }
 
-    /// Close a run: per-run counters are the slots' cumulative stats minus
-    /// the frame's snapshot, and every active loop's whole-run signals are
-    /// classified (hysteresis-free — one window covers the run) and rolled
-    /// up into the fleet's health.
-    fn finish_run(&self, frame: RunFrame, mut report: FleetReport) -> FleetReport {
+    /// Close a run. What the lanes measured merges into the report: busy
+    /// time per worker, the latest makespan, queue depths, incidents in
+    /// worker order up to [`MAX_INCIDENTS`], and the lanes' trace hashes
+    /// folded in worker order (a single lane's hash is the run's). Per-run
+    /// counters are the slots' cumulative stats minus the frame's snapshot,
+    /// and every active loop's whole-run signals are classified
+    /// (hysteresis-free — one window covers the run) and rolled up into the
+    /// fleet's health.
+    fn finish_run(
+        &self,
+        frame: RunFrame,
+        mut report: FleetReport,
+        lanes: Vec<Lane>,
+        arbiter: &EnergyArbiter,
+    ) -> FleetReport {
+        if let Some(hash) = lanes.iter().map(|l| l.trace_hash).reduce(fnv_fold) {
+            report.trace_hash = hash;
+        }
+        for lane in lanes {
+            report.worker_busy_s[lane.first_worker..][..lane.worker_busy_s.len()]
+                .copy_from_slice(&lane.worker_busy_s);
+            report.makespan_s = report.makespan_s.max(lane.makespan_s);
+            report.queue_depth.merge(&lane.queue_depth);
+            let room = MAX_INCIDENTS - report.incidents.len();
+            report
+                .incidents
+                .extend(lane.incidents.into_iter().take(room));
+        }
+        report.throttle_events = arbiter.throttle_events();
+        report.energy_j = arbiter.energy_j();
         for (slot, base) in self.slots.iter().zip(&frame.base) {
             report.ticks += slot.stats.ticks - base.ticks;
             report.drops += slot.stats.drops - base.drops;
             report.deadline_misses += slot.stats.deadline_misses - base.deadline_misses;
         }
-        let policy = self.health_policy;
+        let policy = HealthPolicy::default();
         for (i, slot) in self.active() {
             report.loops.push(LoopSummary {
                 name: slot.handle.name().to_string(),
@@ -1069,114 +1071,53 @@ impl FleetScheduler {
         report
     }
 
-    /// Run the fleet to the virtual horizon on OS worker threads pulling
-    /// from the sharded work-stealing EDF queue.
+    /// Run the fleet to the virtual horizon on OS threads: the slots are
+    /// split into `workers` contiguous partitions and each thread drives its
+    /// partition through the one event loop on one virtual worker, so a loop
+    /// only ever waits for its own partition's worker. The threads share
+    /// nothing but the energy arbiter.
     ///
-    /// Per-loop telemetry and stats are exact, and — absent a watts cap —
-    /// each loop's tick/drop/miss schedule is interleaving-independent
-    /// (a loop's virtual timeline depends only on its own history). Steal
-    /// counts, wall time, and utilization do depend on OS scheduling — use
-    /// [`FleetScheduler::run_deterministic`] for fully reproducible runs.
+    /// Absent a watts cap the arbiter never feeds back into the schedule, so
+    /// everything in the report but `wall_s` and the last bits of the summed
+    /// `energy_j` repeats run to run — [`FleetReport::trace_hash`] included —
+    /// and with one worker the run *is*
+    /// [`FleetScheduler::run_deterministic`]. Under a cap the stride stretch
+    /// depends on which thread's completion the arbiter saw first.
+    ///
+    /// # Panics
+    ///
+    /// A panic in a member's tick is re-raised here once every other
+    /// partition has run to the horizon.
     pub fn run(&mut self, horizon_s: f64) -> FleetReport {
-        let (frame, mut report) = self.begin_run(horizon_s);
-        if frame.releases.is_empty() {
-            return self.finish_run(frame, report);
-        }
-        let workers = report.workers;
-        let queue = ShardedQueue::new(workers);
-        for &r in &frame.releases {
-            queue.push(r);
-        }
-        let outstanding = AtomicUsize::new(frame.releases.len());
+        let (frame, report) = self.begin_run(horizon_s);
         let arbiter = Mutex::new(EnergyArbiter::new(self.config.watts_cap));
-        let seed = self.config.seed;
-        // The only place slots are shared across threads: each worker locks
-        // the slot of the release it popped, for the length of this run.
-        let slots: Vec<Mutex<&mut Slot>> = self.slots.iter_mut().map(Mutex::new).collect();
-        let slots = &slots;
-        let queue_ref = &queue;
-        let outstanding_ref = &outstanding;
-        let arbiter_ref = &arbiter;
-        let tracer_ref = &self.tracer;
-
-        // (virtual clock, busy, depth histogram) per worker.
-        let worker_results: Vec<(f64, f64, Histogram)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|wid| {
+        let per_lane = self.slots.len().div_ceil(report.workers).max(1);
+        let lanes: Vec<Lane> = std::thread::scope(|scope| {
+            let (frame, arbiter) = (&frame, &arbiter);
+            let threads: Vec<_> = self
+                .slots
+                .chunks_mut(per_lane)
+                .enumerate()
+                .map(|(w, part)| {
                     scope.spawn(move || {
-                        let mut frontier_s = 0.0f64;
-                        let mut busy_s = 0.0f64;
-                        let mut depth = Histogram::new();
-                        loop {
-                            if outstanding_ref.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                            let Some(release) = queue_ref.pop(wid) else {
-                                // Releases in flight on other workers will
-                                // repopulate the queue (or retire).
-                                std::thread::yield_now();
-                                continue;
-                            };
-                            depth.record(queue_ref.depth() as f64);
-                            let mut slot = slots[release.loop_idx]
+                        drive(part, w * per_lane, w, 1, frame, |exec| {
+                            let mut arbiter = arbiter
                                 .lock()
-                                .unwrap_or_else(|e| e.into_inner());
-                            // Virtual capacity is not modeled here — the OS
-                            // threads are the capacity — so each loop's
-                            // timeline depends only on its own history and
-                            // drop/miss accounting is interleaving-
-                            // independent (given no watts cap).
-                            let (exec, _) =
-                                execute_release(&mut slot, &release, 0.0, seed, tracer_ref);
-                            busy_s += exec.busy_end_s - exec.start_s;
-                            frontier_s = frontier_s.max(exec.completion_s);
-                            let (stretch, hint) = {
-                                let mut arb = arbiter_ref.lock().unwrap_or_else(|e| e.into_inner());
-                                let stretch = arb.on_completion(exec.energy_j, exec.completion_s);
-                                (stretch, arb.recommended_precision())
-                            };
-                            slot.handle.set_precision_hint(hint);
-                            match next_release(
-                                &mut slot,
-                                &release,
-                                exec.completion_s,
-                                stretch,
-                                horizon_s,
-                                seed,
-                            ) {
-                                Some(next) => {
-                                    drop(slot);
-                                    queue_ref.push(next);
-                                }
-                                None => {
-                                    drop(slot);
-                                    outstanding_ref.fetch_sub(1, Ordering::AcqRel);
-                                }
-                            }
-                        }
-                        (frontier_s, busy_s, depth)
+                                .expect("no thread panics holding the arbiter");
+                            arbitrate(&mut arbiter, exec)
+                        })
                     })
                 })
                 .collect();
-            handles
+            threads
                 .into_iter()
-                .map(|h| h.join().expect("fleet worker panicked"))
+                .map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         });
-
-        let arbiter = arbiter.into_inner().unwrap_or_else(|e| e.into_inner());
-        for (w, (frontier_s, busy_s, depth)) in worker_results.iter().enumerate() {
-            report.makespan_s = report.makespan_s.max(*frontier_s);
-            report.worker_busy_s[w] = *busy_s;
-            report.queue_depth.merge(depth);
-        }
-        report.steals = queue.steals();
-        report.throttle_events = arbiter.throttle_events();
-        report.energy_j = arbiter.energy_j();
-        // No execution trace to fold, and no flight recording — both need a
-        // deterministic order per worker; `run_deterministic` has one.
-        report.trace_hash = 0;
-        self.finish_run(frame, report)
+        let arbiter = arbiter
+            .into_inner()
+            .expect("no thread panics holding the arbiter");
+        self.finish_run(frame, report, lanes, &arbiter)
     }
 
     /// Run the fleet to the virtual horizon as a single-threaded,
@@ -1190,158 +1131,205 @@ impl FleetScheduler {
     /// seed reorders equal-deadline releases and is observable through the
     /// hash.
     pub fn run_deterministic(&mut self, horizon_s: f64, clock: &mut SimClock) -> FleetReport {
-        let (frame, mut report) = self.begin_run(horizon_s);
-        if frame.releases.is_empty() {
-            return self.finish_run(frame, report);
-        }
-        let workers = report.workers;
-        let seed = self.config.seed;
-        let tracer = &self.tracer;
-        let traced = tracer.is_enabled();
-        let policy = self.health_policy;
-        let mut heap: BinaryHeap<Reverse<Release>> =
-            frame.releases.iter().copied().map(Reverse).collect();
-        let mut worker_clock_s = vec![0.0f64; workers];
+        let (frame, report) = self.begin_run(horizon_s);
         let mut arbiter = EnergyArbiter::new(self.config.watts_cap);
-        // Fleet makespan frontier: the latest *full* completion, including
-        // off-worker comm tails that finish after their worker was freed.
-        let mut frontier_s = 0.0f64;
-        // Per-worker flight recorders + miss-storm windows, and per-loop
-        // health scorers evaluated on fixed completion windows.
-        let mut recorder: Vec<VecDeque<CausalSpan>> = vec![VecDeque::new(); workers];
-        let mut miss_window: Vec<VecDeque<bool>> = vec![VecDeque::new(); workers];
-        let mut scorers: Vec<HealthScorer> = (0..self.slots.len())
-            .map(|_| HealthScorer::new(policy))
-            .collect();
-        let mut window_base: Vec<LoopStats> = frame.base.clone();
-        let mut health_evals: Vec<u64> = vec![0; self.slots.len()];
-
-        while let Some(Reverse(release)) = heap.pop() {
-            report.queue_depth.record(heap.len() as f64);
-            // Earliest-available worker takes the earliest deadline; ties on
-            // the clock break by worker index. Deterministic by construction.
-            let mut wid = 0usize;
-            for w in 1..workers {
-                if worker_clock_s[w] < worker_clock_s[wid] {
-                    wid = w;
-                }
-            }
-            let slot = &mut self.slots[release.loop_idx];
-            let (exec, spans) = execute_release(slot, &release, worker_clock_s[wid], seed, tracer);
-            // The worker is free once compute ends; a comm tail keeps the
-            // *loop* busy (sequential + deadline) but not the worker.
-            report.worker_busy_s[wid] += exec.busy_end_s - exec.start_s;
-            worker_clock_s[wid] = exec.busy_end_s;
-            frontier_s = frontier_s.max(exec.completion_s);
-            // Clock plumbing: keep the caller's SimClock at the fleet's
-            // virtual frontier (advance clamps regressions to zero).
+        let lane = drive(&mut self.slots, 0, 0, report.workers, &frame, |exec| {
+            // Keep the caller's SimClock at the fleet's virtual frontier
+            // (advance clamps regressions to zero).
             clock.advance(exec.completion_s - clock.peek_s());
-            let stretch = arbiter.on_completion(exec.energy_j, exec.completion_s);
-            slot.handle
-                .set_precision_hint(arbiter.recommended_precision());
-            report.trace_hash = fnv_fold(report.trace_hash, release.loop_idx as u64);
-            report.trace_hash = fnv_fold(report.trace_hash, release.release_idx);
-            report.trace_hash = fnv_fold(report.trace_hash, wid as u64);
-            report.trace_hash = fnv_fold(report.trace_hash, exec.completion_s.to_bits());
-            if let Some((tick_span, tail_span)) = spans {
-                let ring = &mut recorder[wid];
-                for span in std::iter::once(tick_span).chain(tail_span) {
-                    if ring.len() == FLIGHT_RECORDER_CAPACITY {
-                        ring.pop_front();
-                    }
-                    ring.push_back(span);
-                }
-                // Miss-storm invariant: mostly-missing completions inside
-                // one worker's recent window freeze that worker's recorder.
-                let misses = &mut miss_window[wid];
-                if misses.len() == MISS_STORM_WINDOW {
-                    misses.pop_front();
-                }
-                misses.push_back(exec.missed);
-                if misses.len() == MISS_STORM_WINDOW
-                    && misses.iter().filter(|&&m| m).count() >= MISS_STORM_THRESHOLD
-                    && report.incidents.len() < MAX_INCIDENTS
-                {
-                    report.incidents.push(Incident {
-                        worker: wid,
-                        loop_idx: release.loop_idx,
-                        at_s: exec.completion_s,
-                        reason: IncidentReason::MissStorm,
-                        spans: ring.iter().copied().collect(),
-                    });
-                    misses.clear();
-                }
-            }
-            // Health window: every HEALTH_WINDOW_TICKS completions of a loop,
-            // feed its windowed signals through the hysteresis scorer.
-            let li = release.loop_idx;
-            if slot.stats.ticks - window_base[li].ticks >= HEALTH_WINDOW_TICKS {
-                let signals = window_signals(
-                    &slot.stats,
-                    &window_base[li],
-                    slot.handle.telemetry(),
-                    &slot.spec,
-                    frontier_s,
-                    slot.last_completion_s,
-                );
-                window_base[li] = slot.stats;
-                health_evals[li] += 1;
-                if let Some((from, to)) = scorers[li].observe(&signals) {
-                    if traced {
-                        let trace_id = trace_mix(seed ^ HEALTH_TRACE_SALT, &[li as u64]);
-                        let hctx = TraceContext::root(
-                            trace_id,
-                            &[SpanKind::Health.tag(), health_evals[li]],
-                        );
-                        let span = CausalSpan {
-                            trace_id: hctx.trace_id,
-                            span_id: hctx.span_id,
-                            parent_id: hctx.parent_id,
-                            kind: SpanKind::Health,
-                            node: li as u64,
-                            detail: encode_transition(from, to),
-                            start_s: exec.completion_s,
-                            end_s: exec.completion_s,
-                            ok: to == HealthStatus::Healthy,
-                        };
-                        tracer.record(span);
-                        if to == HealthStatus::Critical && report.incidents.len() < MAX_INCIDENTS {
-                            let mut spans: Vec<CausalSpan> =
-                                recorder[wid].iter().copied().collect();
-                            spans.push(span);
-                            report.incidents.push(Incident {
-                                worker: wid,
-                                loop_idx: li,
-                                at_s: exec.completion_s,
-                                reason: IncidentReason::HealthCollapse,
-                                spans,
-                            });
-                        }
-                    }
-                }
-            }
-            if let Some(next) =
-                next_release(slot, &release, exec.completion_s, stretch, horizon_s, seed)
-            {
-                heap.push(Reverse(next));
-            }
-        }
-
-        report.makespan_s = worker_clock_s.iter().fold(frontier_s, |a, &b| a.max(b));
-        report.throttle_events = arbiter.throttle_events();
-        report.energy_j = arbiter.energy_j();
-        self.finish_run(frame, report)
+            arbitrate(&mut arbiter, exec)
+        });
+        self.finish_run(frame, report, vec![lane], &arbiter)
     }
 }
 
-/// What the two run modes share before their event loops diverge.
+/// What [`FleetScheduler::run`] and [`FleetScheduler::run_deterministic`]
+/// share around the event loop.
 struct RunFrame {
     wall_start: std::time::Instant,
+    horizon_s: f64,
+    seed: u64,
+    tracer: Arc<FleetTracer>,
     /// Every slot's cumulative stats when the run began (slot stats never
     /// reset, so per-run report counters subtract this).
     base: Vec<LoopStats>,
     /// Tick 0 of every active member; empty when there is nothing to run.
     releases: Vec<Release>,
+}
+
+/// What one pass of the event loop over one partition of the fleet measured.
+struct Lane {
+    /// Fleet-wide index of this lane's first virtual worker.
+    first_worker: usize,
+    /// Executed charged latency per virtual worker of this lane.
+    worker_busy_s: Vec<f64>,
+    /// Latest completion, off-worker comm tails included.
+    makespan_s: f64,
+    queue_depth: Histogram,
+    /// FNV-1a fold of `(loop, release, worker, completion)` in pop order.
+    trace_hash: u64,
+    incidents: Vec<Incident>,
+}
+
+/// Account one completion with the energy arbiter: the stride stretch for
+/// the loop's next release and the fleet-wide precision hint.
+fn arbitrate(arbiter: &mut EnergyArbiter, exec: &MemberTickOutcome) -> (f64, Option<Precision>) {
+    let stretch = arbiter.on_completion(exec.energy_j, exec.completion_s);
+    (stretch, arbiter.recommended_precision())
+}
+
+/// The scheduler's event loop: earliest-deadline-first over `slots` — loops
+/// `first_loop..` of the fleet — on `workers` virtual workers numbered from
+/// `first_worker`, until every loop's next release falls past the horizon.
+/// `on_completion` sees each executed tick and answers with the stride
+/// stretch and precision hint to apply to that loop.
+///
+/// With tracing on, each virtual worker keeps a flight recorder and a
+/// miss-storm window, and each loop's hysteresis health scorer — evaluated
+/// every [`HEALTH_WINDOW_TICKS`] completions — emits its transitions as
+/// spans; either can freeze a recorder into an [`Incident`].
+fn drive(
+    slots: &mut [Slot],
+    first_loop: usize,
+    first_worker: usize,
+    workers: usize,
+    frame: &RunFrame,
+    mut on_completion: impl FnMut(&MemberTickOutcome) -> (f64, Option<Precision>),
+) -> Lane {
+    let (seed, horizon_s, tracer) = (frame.seed, frame.horizon_s, &*frame.tracer);
+    let traced = tracer.is_enabled();
+    let mine = first_loop..first_loop + slots.len();
+    let mut heap: BinaryHeap<Reverse<Release>> = frame
+        .releases
+        .iter()
+        .filter(|r| mine.contains(&r.loop_idx))
+        .map(|&r| Reverse(r))
+        .collect();
+    let mut lane = Lane {
+        first_worker,
+        worker_busy_s: vec![0.0; workers],
+        makespan_s: 0.0,
+        queue_depth: Histogram::new(),
+        trace_hash: FNV_OFFSET,
+        incidents: Vec::new(),
+    };
+    let mut worker_clock_s = vec![0.0f64; workers];
+    let mut recorder: Vec<VecDeque<CausalSpan>> = vec![VecDeque::new(); workers];
+    let mut miss_window: Vec<VecDeque<bool>> = vec![VecDeque::new(); workers];
+    let mut scorers = vec![HealthScorer::new(HealthPolicy::default()); slots.len()];
+    let mut window_base: Vec<LoopStats> = frame.base[mine].to_vec();
+    let mut health_evals: Vec<u64> = vec![0; slots.len()];
+
+    while let Some(Reverse(release)) = heap.pop() {
+        lane.queue_depth.record(heap.len() as f64);
+        // Earliest-available worker takes the earliest deadline; ties on
+        // the clock break by worker index. Deterministic by construction.
+        let mut w = 0usize;
+        for other in 1..workers {
+            if worker_clock_s[other] < worker_clock_s[w] {
+                w = other;
+            }
+        }
+        let wid = first_worker + w;
+        let li = release.loop_idx - first_loop;
+        let slot = &mut slots[li];
+        let (exec, spans) = execute_release(slot, &release, worker_clock_s[w], seed, tracer);
+        // The worker is free once compute ends; a comm tail keeps the
+        // *loop* busy (sequential + deadline) but not the worker.
+        lane.worker_busy_s[w] += exec.busy_end_s - exec.start_s;
+        worker_clock_s[w] = exec.busy_end_s;
+        lane.makespan_s = lane.makespan_s.max(exec.completion_s);
+        let (stretch, hint) = on_completion(&exec);
+        slot.handle.set_precision_hint(hint);
+        for folded in [
+            release.loop_idx as u64,
+            release.release_idx,
+            wid as u64,
+            exec.completion_s.to_bits(),
+        ] {
+            lane.trace_hash = fnv_fold(lane.trace_hash, folded);
+        }
+        if let Some((tick_span, tail_span)) = spans {
+            let ring = &mut recorder[w];
+            for span in std::iter::once(tick_span).chain(tail_span) {
+                if ring.len() == FLIGHT_RECORDER_CAPACITY {
+                    ring.pop_front();
+                }
+                ring.push_back(span);
+            }
+            // Miss-storm invariant: mostly-missing completions inside
+            // one worker's recent window freeze that worker's recorder.
+            let misses = &mut miss_window[w];
+            if misses.len() == MISS_STORM_WINDOW {
+                misses.pop_front();
+            }
+            misses.push_back(exec.missed);
+            if misses.len() == MISS_STORM_WINDOW
+                && misses.iter().filter(|&&m| m).count() >= MISS_STORM_THRESHOLD
+                && lane.incidents.len() < MAX_INCIDENTS
+            {
+                lane.incidents.push(Incident {
+                    worker: wid,
+                    loop_idx: release.loop_idx,
+                    at_s: exec.completion_s,
+                    reason: IncidentReason::MissStorm,
+                    spans: ring.iter().copied().collect(),
+                });
+                misses.clear();
+            }
+        }
+        // Health window: every HEALTH_WINDOW_TICKS completions of a loop,
+        // feed its windowed signals through the hysteresis scorer.
+        if slot.stats.ticks - window_base[li].ticks >= HEALTH_WINDOW_TICKS {
+            let signals = window_signals(
+                &slot.stats,
+                &window_base[li],
+                slot.handle.telemetry(),
+                &slot.spec,
+                lane.makespan_s,
+                slot.last_completion_s,
+            );
+            window_base[li] = slot.stats;
+            health_evals[li] += 1;
+            if let Some((from, to)) = scorers[li].observe(&signals) {
+                if traced {
+                    let node = release.loop_idx as u64;
+                    let trace_id = trace_mix(seed ^ HEALTH_TRACE_SALT, &[node]);
+                    let hctx =
+                        TraceContext::root(trace_id, &[SpanKind::Health.tag(), health_evals[li]]);
+                    let span = CausalSpan {
+                        trace_id: hctx.trace_id,
+                        span_id: hctx.span_id,
+                        parent_id: hctx.parent_id,
+                        kind: SpanKind::Health,
+                        node,
+                        detail: encode_transition(from, to),
+                        start_s: exec.completion_s,
+                        end_s: exec.completion_s,
+                        ok: to == HealthStatus::Healthy,
+                    };
+                    tracer.record(span);
+                    if to == HealthStatus::Critical && lane.incidents.len() < MAX_INCIDENTS {
+                        let mut spans: Vec<CausalSpan> = recorder[w].iter().copied().collect();
+                        spans.push(span);
+                        lane.incidents.push(Incident {
+                            worker: wid,
+                            loop_idx: release.loop_idx,
+                            at_s: exec.completion_s,
+                            reason: IncidentReason::HealthCollapse,
+                            spans,
+                        });
+                    }
+                }
+            }
+        }
+        if let Some(next) =
+            next_release(slot, &release, exec.completion_s, stretch, horizon_s, seed)
+        {
+            heap.push(Reverse(next));
+        }
+    }
+    lane
 }
 
 #[cfg(test)]

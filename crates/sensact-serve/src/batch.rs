@@ -86,6 +86,39 @@ impl BatchPlanner {
         });
     }
 
+    /// Execute `lease`'s queued observations now, on the per-loop path and
+    /// each at its own arrival time — what per-loop dispatch did when they
+    /// arrived. The engine calls this before it releases a lease: an
+    /// observation left queued would be ticked at the flush against a
+    /// retired slot, or against whichever lease reused it.
+    pub(crate) fn flush_lease(&mut self, lease: u64, pool: &mut LeasePool) -> Vec<FlushedObs> {
+        if !self.pending.iter().any(|p| p.ticket.lease == lease) {
+            return Vec::new(); // the common release: nothing to re-queue
+        }
+        let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.pending)
+            .into_iter()
+            .partition(|p| p.ticket.lease == lease);
+        self.pending = rest;
+        mine.into_iter()
+            .map(|p| FlushedObs {
+                lease,
+                seq: p.seq,
+                outcome: pool.tick_obs(p.ticket.loop_id, &p.ticket.cell, p.obs, p.arrival_s),
+            })
+            .collect()
+    }
+
+    /// Drop the queued observations of `leases` (reaped by TTL expiry: no
+    /// slot left to tick, no route left to reply on); returns how many.
+    pub(crate) fn discard(&mut self, leases: &[u64]) -> usize {
+        if leases.is_empty() {
+            return 0;
+        }
+        let before = self.pending.len();
+        self.pending.retain(|p| !leases.contains(&p.ticket.lease));
+        before - self.pending.len()
+    }
+
     /// Execute every pending observation, returning results in arrival
     /// order along with per-group occupancy (for the histogram). Each
     /// batchable group runs ONE stacked forward that writes every member's

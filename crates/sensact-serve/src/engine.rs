@@ -25,9 +25,10 @@ use crate::wire::{self, Frame};
 use sensact_core::checkpoint::{Checkpoint, CheckpointError};
 use sensact_core::MetricsRegistry;
 
-/// Cap on a connection's unconsumed input buffer; beyond it the peer is
-/// not making protocol progress and the connection is marked dead.
-const MAX_CONN_BUF: usize = 4 << 20;
+/// Cap on a connection's unconsumed input buffer — and, in the TCP
+/// front-end, on its unsent output; beyond it the peer is not making
+/// protocol progress and the connection is marked dead.
+pub(crate) const MAX_CONN_BUF: usize = 4 << 20;
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
@@ -236,20 +237,29 @@ impl ServeEngine {
                     );
                 }
             }
-            Frame::Release { lease } => match self.pool.release(lease) {
-                Ok(ticks) => {
-                    self.metrics.inc(m::LEASES_RELEASED);
-                    result.released.push(lease);
-                    self.send(result, &Frame::Released { lease, ticks });
+            Frame::Release { lease } => {
+                // Observations still queued for this lease (batched mode)
+                // run first and reply inline, ahead of `Released` — the
+                // frames per-loop dispatch sends for the same input.
+                for f in self.planner.flush_lease(lease, &mut self.pool) {
+                    let frame = self.outcome_frame(f.lease, f.seq, f.outcome);
+                    self.send(result, &frame);
                 }
-                Err(_) => self.send(
-                    result,
-                    &Frame::Error {
-                        code: wire::code::UNKNOWN_LEASE,
-                        message: format!("lease {lease} unknown"),
-                    },
-                ),
-            },
+                match self.pool.release(lease) {
+                    Ok(ticks) => {
+                        self.metrics.inc(m::LEASES_RELEASED);
+                        result.released.push(lease);
+                        self.send(result, &Frame::Released { lease, ticks });
+                    }
+                    Err(_) => self.send(
+                        result,
+                        &Frame::Error {
+                            code: wire::code::UNKNOWN_LEASE,
+                            message: format!("lease {lease} unknown"),
+                        },
+                    ),
+                }
+            }
             // Server→client frames arriving at the server are protocol
             // violations (but not framing corruption — the connection
             // survives).
@@ -373,10 +383,13 @@ impl ServeEngine {
 
     /// Reap leases that have outlived the TTL without a heartbeat or
     /// observation. Returns the expired lease ids (the transport forgets
-    /// their routes).
+    /// their routes). Observations still queued for a reaped lease are
+    /// dropped and counted as shed.
     pub fn expire(&mut self, now_s: f64) -> Vec<u64> {
         let expired = self.pool.expire(now_s);
         self.metrics.add(m::LEASES_EXPIRED, expired.len() as u64);
+        let dropped = self.planner.discard(&expired);
+        self.metrics.add(m::OBS_SHED, dropped as u64);
         expired
     }
 

@@ -450,8 +450,22 @@ impl LeasePool {
         let entry = self.leases.get_mut(&lease).expect("validated above");
         entry.last_seen_s = now_s;
         let (loop_id, cell) = (entry.loop_id, Arc::clone(&entry.cell));
+        Ok(self.tick_obs(loop_id, &cell, obs, now_s))
+    }
+
+    /// Release one tick on the per-loop path: stage the raw observation and
+    /// let the tick run perception inline. What [`LeasePool::observe`] does
+    /// once an observation is admitted, and what the batch planner does for
+    /// the queued observations of a lease that is released before the flush.
+    pub(crate) fn tick_obs(
+        &mut self,
+        loop_id: LoopId,
+        cell: &SharedCell,
+        obs: Vec<f64>,
+        release_s: f64,
+    ) -> ObsOutcome {
         cell.lock().unwrap_or_else(|e| e.into_inner()).staged = Staged::Obs(obs);
-        Ok(self.run_tick(loop_id, &cell, now_s))
+        self.run_tick(loop_id, cell, release_s)
     }
 
     /// Admit one observation for deferred (batched) execution: validate and

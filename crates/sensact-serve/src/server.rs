@@ -3,16 +3,18 @@
 //! A shared nonblocking listener is accepted from by every worker thread
 //! (kernel-balanced), and each worker owns the connections it accepted:
 //! it drains their sockets, feeds the bytes to the shared [`ServeEngine`],
-//! writes inline replies, and closes the batching window with one
-//! [`ServeEngine::flush`] per drain cycle. Flushed replies are routed
-//! through a shared per-lease outbox so a lease's actions always return on
-//! the connection that leased it, whichever worker flushed.
+//! and closes the batching window with one [`ServeEngine::flush`] per drain
+//! cycle. Flushed replies are routed through a shared per-lease outbox so a
+//! lease's actions always return on the connection that leased it,
+//! whichever worker flushed. Every reply goes through the connection's
+//! outbound buffer: the sockets are non-blocking, so what one cycle cannot
+//! write waits for the next.
 //!
 //! All protocol logic lives in the engine; this module is only sockets,
 //! threads, and the wall clock ([`Instant`] → seconds since start). The
 //! deterministic counterpart is [`loopback`](crate::loopback).
 
-use crate::engine::{ConnState, ServeConfig, ServeEngine};
+use crate::engine::{ConnState, ServeConfig, ServeEngine, MAX_CONN_BUF};
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -109,6 +111,32 @@ struct Conn {
     /// Leases granted on this connection (their flushed replies route
     /// here).
     leases: Vec<u64>,
+    /// Reply bytes the socket has not accepted yet.
+    out: Vec<u8>,
+}
+
+/// Write as much of `out` as `w` accepts now and keep the rest, in order,
+/// for the next cycle. `Err` means close the connection: the write failed
+/// with something other than `WouldBlock`, or the peer has let more than
+/// [`MAX_CONN_BUF`] pile up unread.
+fn drain_out(w: &mut impl Write, out: &mut Vec<u8>) -> std::io::Result<()> {
+    let mut sent = 0;
+    let result = loop {
+        if sent == out.len() {
+            break Ok(());
+        }
+        match w.write(&out[sent..]) {
+            Ok(0) => break Err(ErrorKind::WriteZero.into()),
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock && out.len() - sent <= MAX_CONN_BUF => {
+                break Ok(())
+            }
+            Err(e) => break Err(e),
+        }
+    };
+    out.drain(..sent);
+    result
 }
 
 fn worker_loop(worker: usize, listener: TcpListener, shared: Arc<Shared>) {
@@ -125,6 +153,7 @@ fn worker_loop(worker: usize, listener: TcpListener, shared: Arc<Shared>) {
                             stream,
                             state: ConnState::new(),
                             leases: Vec::new(),
+                            out: Vec::new(),
                         });
                         progressed = true;
                     }
@@ -144,7 +173,10 @@ fn worker_loop(worker: usize, listener: TcpListener, shared: Arc<Shared>) {
                 }
                 Pump::Closed => {
                     // The engine expires abandoned leases by TTL; nothing
-                    // to tear down eagerly here.
+                    // to tear down eagerly here. Replies already produced
+                    // (the error that killed the connection, say) get one
+                    // best-effort write.
+                    let _ = drain_out(&mut conn.stream, &mut conn.out);
                     progressed = true;
                 }
             }
@@ -164,8 +196,10 @@ fn worker_loop(worker: usize, listener: TcpListener, shared: Arc<Shared>) {
                 }
             }
         }
-        // Route flushed replies for the leases this worker owns.
+        // Route flushed replies for the leases this worker owns, then write
+        // what each socket will take.
         deliver_outbox(&mut conns, &shared.outbox);
+        conns.retain_mut(|conn| drain_out(&mut conn.stream, &mut conn.out).is_ok());
         if worker == 0 {
             let expired = shared
                 .engine
@@ -205,11 +239,8 @@ fn pump(conn: &mut Conn, shared: &Shared, buf: &mut [u8], now_s: f64) -> Pump {
                     .ingest(&mut conn.state, &buf[..n], now_s);
                 conn.leases.extend_from_slice(&result.granted);
                 conn.leases.retain(|l| !result.released.contains(l));
-                if !result.reply.is_empty() && conn.stream.write_all(&result.reply).is_err() {
-                    return Pump::Closed;
-                }
+                conn.out.extend_from_slice(&result.reply);
                 if conn.state.is_dead() {
-                    let _ = conn.stream.flush();
                     return Pump::Closed;
                 }
             }
@@ -230,17 +261,11 @@ fn deliver_outbox(conns: &mut [Conn], outbox: &Outbox) {
         if conn.leases.is_empty() {
             continue;
         }
-        let mut pending: Vec<Vec<u8>> = Vec::new();
-        {
-            let mut outbox = outbox.lock().unwrap_or_else(|e| e.into_inner());
-            for lease in &conn.leases {
-                if let Some(bytes) = outbox.remove(lease) {
-                    pending.push(bytes);
-                }
+        let mut outbox = outbox.lock().unwrap_or_else(|e| e.into_inner());
+        for lease in &conn.leases {
+            if let Some(bytes) = outbox.remove(lease) {
+                conn.out.extend_from_slice(&bytes);
             }
-        }
-        for bytes in pending {
-            let _ = conn.stream.write_all(&bytes);
         }
     }
 }
@@ -275,6 +300,93 @@ mod tests {
             }
         }
         frames
+    }
+
+    /// A writer that takes `quota` bytes, then reports `WouldBlock` once
+    /// (a full socket buffer) before taking `quota` more.
+    struct Choppy {
+        taken: Vec<u8>,
+        quota: usize,
+        room: usize,
+    }
+
+    impl Write for Choppy {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                self.room = self.quota;
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.room);
+            self.taken.extend_from_slice(&buf[..n]);
+            self.room -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Regression: replies were `write_all`'d to a non-blocking socket and
+    /// the error ignored, so a full socket cut a frame mid-write. Across
+    /// injected `WouldBlock`s every byte must arrive once and in order.
+    #[test]
+    fn outbound_buffer_delivers_every_byte_once_across_would_block() {
+        let replies: Vec<Vec<u8>> = (0..40u64)
+            .map(|seq| {
+                wire::encode_to_vec(&Frame::Act {
+                    lease: 3,
+                    seq,
+                    latency_s: 1e-3,
+                    energy_j: 1e-6,
+                    values: vec![seq as f64; (seq % 5) as usize],
+                })
+            })
+            .collect();
+        for quota in [1, 7, 64, 1 << 20] {
+            let mut w = Choppy {
+                taken: Vec::new(),
+                quota,
+                room: quota,
+            };
+            let mut out = Vec::new();
+            for reply in &replies {
+                // One cycle: a reply is produced, the socket takes what it can.
+                out.extend_from_slice(reply);
+                drain_out(&mut w, &mut out).expect("WouldBlock keeps the connection");
+            }
+            while !out.is_empty() {
+                drain_out(&mut w, &mut out).unwrap();
+            }
+            assert_eq!(w.taken, replies.concat(), "quota {quota}");
+        }
+    }
+
+    #[test]
+    fn outbound_buffer_closes_on_a_hard_error_or_a_stalled_peer() {
+        struct Broken;
+        impl Write for Broken {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(ErrorKind::BrokenPipe.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = vec![1, 2, 3];
+        let err = drain_out(&mut Broken, &mut out).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::BrokenPipe);
+        // A peer that stopped reading: the backlog may not grow unbounded.
+        let mut stalled = Choppy {
+            taken: Vec::new(),
+            quota: 0,
+            room: 0,
+        };
+        let mut out = vec![0u8; MAX_CONN_BUF];
+        assert!(drain_out(&mut stalled, &mut out).is_ok());
+        out.push(0);
+        let err = drain_out(&mut stalled, &mut out).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
     }
 
     fn try_server(batched: bool) -> Option<ServeServer> {

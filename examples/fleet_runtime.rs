@@ -92,15 +92,15 @@ fn main() {
     );
     assert_eq!(report.trace_hash, replayed.trace_hash);
 
-    // The same fleet on real OS threads: per-loop schedules are identical
-    // when uncapped; here the watts cap makes throttling timing-dependent,
-    // so thread the report through for the wall-clock view only.
+    // The same fleet on real OS threads, one partition of the loops each.
+    // Uncapped, the trace hash would repeat run to run; here the watts cap
+    // makes throttling depend on which thread reached the arbiter first.
     let threaded = build_fleet(7).run(horizon_s);
     println!("\n== threaded run ==");
     println!(
-        "{} ticks in {:.1} ms wall ({} steals)",
+        "{} ticks in {:.1} ms wall (trace hash {:#018x})",
         threaded.ticks,
         1e3 * threaded.wall_s,
-        threaded.steals
+        threaded.trace_hash
     );
 }

@@ -25,8 +25,10 @@ fi
 
 # The root package is a workspace member, so this also runs the replay
 # round-trip, checkpoint conformance and serving integration suites.
+# Test steps run under a wall-clock bound, so a deadlocked test (a scheduler
+# worker spinning on a counter, say) fails the gate instead of stalling it.
 echo "== cargo test (workspace) =="
-cargo test --offline --workspace -q
+timeout 30m cargo test --offline --workspace -q
 
 echo "== cargo doc (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
@@ -42,7 +44,7 @@ for leg in "${SENSACT_FORCE_SCALAR:-0}" 1; do
     SENSACT_FORCE_SCALAR="$leg" cargo run --offline --release -p sensact-bench --bin conformance -- --smoke
 
     echo "== bitwise kernel + conv lowering tests ($isa) =="
-    SENSACT_FORCE_SCALAR="$leg" cargo test --offline -q -p sensact-math -p sensact-nn --lib
+    SENSACT_FORCE_SCALAR="$leg" timeout 30m cargo test --offline -q -p sensact-math -p sensact-nn --lib
 
     echo "== checkpoint bench smoke (snapshot/restore/migration, $isa) =="
     SENSACT_FORCE_SCALAR="$leg" cargo run --offline --release -p sensact-bench --bin bench_ckpt -- --smoke

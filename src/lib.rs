@@ -17,8 +17,9 @@
 //! * [`fed`] — §VII federated multi-agent loops: DC-NAS, HaLo-FL,
 //!   speculative decoding.
 //! * [`sched`] — §VII fleet runtime: deadline-aware multiplexing of
-//!   heterogeneous loops over a worker pool, with work stealing, drop-oldest
-//!   backpressure, an energy arbiter and a deterministic mode.
+//!   heterogeneous loops over a worker pool, with drop-oldest
+//!   backpressure, an energy arbiter and one event loop that runs
+//!   deterministically under a simulated clock or partitioned over threads.
 //! * [`serve`] — fleets-as-a-service ingress: leased loops behind a framed
 //!   TCP/HTTP front-end with cross-loop batched inference, admission
 //!   control, load shedding and checkpoint-based lease recovery.

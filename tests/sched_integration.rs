@@ -1,6 +1,6 @@
 //! Cross-crate fleet-runtime integration.
 //!
-//! Two pillars:
+//! Three pillars:
 //!
 //! 1. A **mixed fleet** — a fault-injected lidar → STARNet monitor loop, two
 //!    cartpole → Koopman control loops under disturbances, and a handful of
@@ -13,12 +13,15 @@
 //!    freshly built identical loop replays the recording standalone with
 //!    zero [`Divergence`] — scheduling thousands of interleaved ticks does
 //!    not perturb a member's virtual-time behavior by a single bit.
+//! 3. The **threaded driver is the same event loop**: with one worker
+//!    `run` equals `run_deterministic` field for field, without a watts cap
+//!    it repeats, and a panicking member surfaces instead of hanging.
 
 use sensact::core::fault::{FaultInjector, FaultProfile, RecoveryPolicy, Reliable, WithFallback};
-use sensact::core::replay::Recording;
+use sensact::core::replay::{first_divergence, Recording};
 use sensact::core::stage::{AlwaysTrust, FnController, FnPerceptor, FnSensor, StageContext, Trust};
 use sensact::core::trace::SimClock;
-use sensact::core::{FallibleLoop, LoopBuilder, MetricsRegistry};
+use sensact::core::{FallibleLoop, FleetTracer, LoopBuilder, MetricsRegistry, TickRecord};
 use sensact::koopman::baselines::LatentModel;
 use sensact::koopman::cartpole::{CartPole, CartPoleConfig, Disturbance, OBS_DIM};
 use sensact::koopman::control::LqrLatentController;
@@ -27,7 +30,9 @@ use sensact::koopman::train::collect_dataset;
 use sensact::lidar::raycast::{Lidar, LidarConfig};
 use sensact::lidar::scene::SceneGenerator;
 use sensact::lidar::PointCloud;
-use sensact::sched::{FleetConfig, FleetScheduler, LoopHandle, LoopSpec};
+use sensact::sched::{
+    FleetConfig, FleetReport, FleetScheduler, LoopHandle, LoopId, LoopSpec, LoopStats,
+};
 use sensact::starnet::features::extract_features;
 use sensact::starnet::monitor::{train_on_clouds, StarnetConfig};
 use sensact::starnet::regret::RegretConfig;
@@ -135,9 +140,14 @@ fn koopman_member(seed: u64) -> LoopHandle {
 
 /// A trivial scalar control member.
 fn scalar_member(name: &str) -> LoopHandle {
+    costed_member(name, 1e-4)
+}
+
+/// A scalar control member charging `latency_s` per tick.
+fn costed_member(name: &str, latency_s: f64) -> LoopHandle {
     let looop = LoopBuilder::new(name).build(
-        FnSensor::new(|e: &f64, ctx: &mut StageContext| {
-            ctx.charge(1e-6, 1e-4);
+        FnSensor::new(move |e: &f64, ctx: &mut StageContext| {
+            ctx.charge(1e-6, latency_s);
             *e
         }),
         FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
@@ -321,4 +331,191 @@ fn seeded_fleet_run_replays_member_loop_with_zero_divergence() {
     let recording2 =
         Recording::capture("replay-member", FAULT_SEED, fleet2.loop_telemetry(member2));
     assert_eq!(recording2, recording);
+}
+
+/// A scalar member whose sensor panics on its fourth tick.
+fn panicking_member() -> LoopHandle {
+    let mut ticks = 0u32;
+    let looop = LoopBuilder::new("doomed").build(
+        FnSensor::new(move |e: &f64, ctx: &mut StageContext| {
+            ticks += 1;
+            assert!(ticks < 4, "member exploded");
+            ctx.charge(1e-6, 1e-4);
+            *e
+        }),
+        FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
+        FnController::new(|f: &f64, _t: Trust, _: &mut StageContext| -0.4 * f),
+    );
+    LoopHandle::closed(looop, 1.0f64, |e, a| *e += a)
+}
+
+/// A member panic used to leave the other workers spinning on a counter
+/// that could no longer reach zero, so `run` never returned. The run is on
+/// its own thread and bounded through a channel so that regression fails
+/// this test instead of stalling the harness.
+#[test]
+fn threaded_run_propagates_a_member_panic() {
+    let mut fleet = FleetScheduler::new(FleetConfig {
+        workers: 4,
+        watts_cap: None,
+        seed: 1,
+    });
+    for i in 0..7 {
+        fleet.register(scalar_member(&format!("ok-{i}")), LoopSpec::periodic(1e-3));
+    }
+    fleet.register(panicking_member(), LoopSpec::periodic(1e-3));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let run = std::panic::AssertUnwindSafe(move || fleet.run(0.05));
+        let _ = tx.send(std::panic::catch_unwind(run).map(|report| report.ticks));
+    });
+    let panic = rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .expect("run must return or unwind, not hang")
+        .expect_err("the member's panic must surface from run");
+    let message = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_default();
+    assert!(message.contains("member exploded"), "{message:?}");
+}
+
+/// Every [`FleetReport`] field but `wall_s`, floats by bit pattern.
+fn assert_same_report(a: &FleetReport, b: &FleetReport) {
+    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(a.trace_hash, b.trace_hash);
+    assert_eq!(
+        (
+            a.workers,
+            a.ticks,
+            a.drops,
+            a.deadline_misses,
+            a.throttle_events
+        ),
+        (
+            b.workers,
+            b.ticks,
+            b.drops,
+            b.deadline_misses,
+            b.throttle_events
+        )
+    );
+    assert_eq!(
+        bits(&[a.horizon_s, a.makespan_s, a.energy_j]),
+        bits(&[b.horizon_s, b.makespan_s, b.energy_j])
+    );
+    assert_eq!(bits(&a.worker_busy_s), bits(&b.worker_busy_s));
+    let depth = |r: &FleetReport| {
+        let q = &r.queue_depth;
+        (
+            q.count(),
+            bits(&[q.sum(), q.min(), q.max()]),
+            q.nonzero_buckets().iter().map(|b| b.2).collect::<Vec<_>>(),
+        )
+    };
+    assert_eq!(depth(a), depth(b));
+    assert_eq!(a.loops, b.loops);
+    assert_eq!(a.loop_health, b.loop_health);
+    assert_eq!(a.health, b.health);
+    assert_eq!(a.incidents.len(), b.incidents.len());
+    for (x, y) in a.incidents.iter().zip(&b.incidents) {
+        assert_eq!(
+            (x.worker, x.loop_idx, x.at_s.to_bits(), x.reason, &x.spans),
+            (y.worker, y.loop_idx, y.at_s.to_bits(), y.reason, &y.spans)
+        );
+    }
+}
+
+/// One thread over the whole fleet on one virtual worker is the
+/// deterministic run: same report — flight-recorder incidents of a miss
+/// storm included — and the same telemetry in every member.
+#[test]
+fn one_worker_threaded_run_equals_the_deterministic_run() {
+    let build = || {
+        let mut fleet = FleetScheduler::new(FleetConfig {
+            workers: 1,
+            watts_cap: None,
+            seed: 3,
+        })
+        .with_tracer(std::sync::Arc::new(FleetTracer::new()));
+        // Every tick of the first member misses: 5 ms against a 1 ms budget.
+        fleet.register(
+            costed_member("stormy", 5e-3),
+            LoopSpec::periodic(1e-2).with_budget(1e-3),
+        );
+        fleet.register(scalar_member("calm"), LoopSpec::periodic(1e-2));
+        fleet.register(
+            costed_member("swamped", 9e-3),
+            LoopSpec::periodic(2e-3).with_queue_capacity(2),
+        );
+        fleet
+    };
+    let mut simulated = build();
+    let mut threaded = build();
+    let want = simulated.run_deterministic(2.0, &mut SimClock::new());
+    let got = threaded.run(2.0);
+    assert!(
+        !want.incidents.is_empty(),
+        "the storm must trip the recorder"
+    );
+    assert!(want.drops > 0 && want.deadline_misses > 0);
+    assert_same_report(&got, &want);
+    for i in 0..simulated.len() {
+        let records = |fleet: &FleetScheduler| -> Vec<TickRecord> {
+            fleet.loop_telemetry(LoopId(i)).records().copied().collect()
+        };
+        assert_eq!(
+            first_divergence(&records(&simulated), &records(&threaded)),
+            None
+        );
+        assert_eq!(
+            threaded.loop_stats(LoopId(i)),
+            simulated.loop_stats(LoopId(i))
+        );
+    }
+    assert_eq!(
+        threaded.tracer().spans(),
+        simulated.tracer().spans(),
+        "one lane records the same span stream"
+    );
+}
+
+/// Partitions share nothing but the arbiter, and without a watts cap the
+/// arbiter never feeds back: the threaded run is reproducible.
+#[test]
+fn threaded_run_repeats_without_a_watts_cap() {
+    let run = |workers: usize, loops: usize| -> (FleetReport, Vec<LoopStats>) {
+        let mut fleet = FleetScheduler::new(FleetConfig {
+            workers,
+            watts_cap: None,
+            seed: 13,
+        });
+        for i in 0..loops {
+            // Mixed load: most members idle along, every fifth overruns its
+            // budget, every seventh sheds releases.
+            let (latency_s, spec) = match i {
+                _ if i % 5 == 4 => (3e-3, LoopSpec::periodic(4e-3).with_budget(2e-3)),
+                _ if i % 7 == 6 => (2e-3, LoopSpec::periodic(5e-4).with_queue_capacity(2)),
+                _ => (1e-4 + 1e-5 * i as f64, LoopSpec::periodic(2e-3)),
+            };
+            fleet.register(costed_member(&format!("m{i}"), latency_s), spec);
+        }
+        let report = fleet.run(0.2);
+        let stats = (0..loops).map(|i| fleet.loop_stats(LoopId(i))).collect();
+        (report, stats)
+    };
+    let (first, first_stats) = run(4, 37);
+    let (second, second_stats) = run(4, 37);
+    assert_ne!(first.trace_hash, 0);
+    assert_eq!(first.trace_hash, second.trace_hash);
+    assert_eq!(first_stats, second_stats);
+    assert!(first.drops > 0 && first.deadline_misses > 0);
+    assert!(first.worker_busy_s.iter().all(|&busy| busy > 0.0));
+
+    // More workers than loops: one loop per thread, the rest never start.
+    let (sparse, _) = run(8, 3);
+    assert_eq!(sparse.worker_busy_s.len(), 8);
+    assert!(sparse.worker_busy_s[..3].iter().all(|&busy| busy > 0.0));
+    assert!(sparse.worker_busy_s[3..].iter().all(|&busy| busy == 0.0));
 }

@@ -2,7 +2,7 @@
 //! end-to-end over the deterministic loopback transport under virtual
 //! time.
 //!
-//! Two contracts pin the serving stack's semantics:
+//! Three contracts pin the serving stack's semantics:
 //!
 //! * **Batching is invisible in the bits.** A fleet whose lidar leases
 //!   share one perceptor must produce byte-identical reply frames whether
@@ -13,6 +13,9 @@
 //!   server, and replay the remaining observations: the reply frames and
 //!   the telemetry ledger must match the uninterrupted run bit for bit
 //!   (zero [`Divergence`](sensact::core::replay::Divergence) findings).
+//! * **A batching window strands nothing.** A lease released or expired
+//!   while it still has an observation queued for the next flush must not
+//!   leave that tick behind for a retired — or reused — scheduler slot.
 
 use sensact::core::checkpoint::Checkpoint;
 use sensact::core::replay::{diff_records, Recording};
@@ -341,4 +344,94 @@ fn killed_then_restored_lease_replays_tail_with_zero_divergence() {
         divergences.is_empty(),
         "killed-then-restored lease diverged: {divergences:?}"
     );
+}
+
+/// A server with one lidar lease on each of two connections — two, so a
+/// batched flush really stacks — and the `(conn, lease)` pairs.
+fn lidar_pair(batched: bool) -> (Loopback, [(usize, u64); 2]) {
+    let mut lb = Loopback::new(config(batched));
+    let clients = [0, 1].map(|seed| {
+        let conn = lb.connect();
+        let (lease, ..) = lb
+            .request_lease(conn, ModelKind::LidarConv.wire(), seed, 0.0)
+            .expect("pool sized for two leases");
+        (conn, lease)
+    });
+    (lb, clients)
+}
+
+fn send_lidar_obs(lb: &mut Loopback, (conn, lease): (usize, u64), seq: u64, now_s: f64) {
+    let values = obs(ModelKind::LidarConv.spec().obs_len, lease, seq);
+    lb.send_frame(conn, &Frame::Obs { lease, seq, values }, now_s);
+}
+
+/// Every admitted observation is accounted for exactly once.
+fn assert_observations_conserved(lb: &mut Loopback, admitted: u64) {
+    let metrics = lb.engine().metrics();
+    let served = metrics.counter("serve.obs.served");
+    let shed = metrics.counter("serve.obs.shed");
+    assert_eq!(served + shed, admitted, "served {served} + shed {shed}");
+}
+
+/// `[Obs, Release]` and `[Obs, Release, LeaseReq, Obs]` inside one batching
+/// window. Batched dispatch used to leave the queued observation for the
+/// flush, which then ticked a retired slot (`member is retired`) or — once
+/// the next lease had reused the slot — released it against the *new*
+/// lease's loop. The queued observation now runs at the release, so each
+/// connection reads the bytes per-loop dispatch sends it.
+#[test]
+fn release_inside_a_batching_window_replies_like_per_loop_dispatch() {
+    let now = ModelKind::LidarConv.spec().period_s;
+    for reuse_slot in [false, true] {
+        let [batched, per_loop] = [true, false].map(|batched| {
+            let (mut lb, [a, b]) = lidar_pair(batched);
+            send_lidar_obs(&mut lb, a, 0, now);
+            send_lidar_obs(&mut lb, b, 0, now);
+            lb.send_frame(a.0, &Frame::Release { lease: a.1 }, now);
+            // Collected now: `request_lease` empties the inbox for its grant.
+            let mut to_a = lb.take_frames(a.0);
+            let mut admitted = 2;
+            if reuse_slot {
+                let (lease_c, ..) = lb
+                    .request_lease(a.0, ModelKind::LidarConv.wire(), 7, now)
+                    .expect("the released lease made room");
+                send_lidar_obs(&mut lb, (a.0, lease_c), 1, now + 1e-4);
+                admitted += 1;
+            }
+            lb.flush(now + 1e-4);
+            to_a.extend(lb.take_frames(a.0));
+            assert_observations_conserved(&mut lb, admitted);
+            assert!(
+                matches!(
+                    to_a[..2],
+                    [Frame::Act { seq: 0, .. }, Frame::Released { ticks: 1, .. }]
+                ),
+                "batched = {batched}: {to_a:?}"
+            );
+            [to_a, lb.take_frames(b.0)].map(|frames| frames_bytes(&frames))
+        });
+        assert_eq!(batched, per_loop, "reuse_slot = {reuse_slot}");
+    }
+}
+
+/// A lease reaped by its TTL while an observation is still queued: the
+/// flush used to tick the retired slot. The observation is dropped and
+/// counted as shed; the surviving lease's tick still runs.
+#[test]
+fn expiry_inside_a_batching_window_sheds_the_queued_observation() {
+    let (mut lb, [a, b]) = lidar_pair(true);
+    let now = ModelKind::LidarConv.spec().period_s;
+    send_lidar_obs(&mut lb, a, 0, now);
+    send_lidar_obs(&mut lb, b, 0, now);
+    let ttl = lb.engine().pool().config().lease_ttl_s;
+    lb.send_frame(b.0, &Frame::Heartbeat { lease: b.1 }, now + ttl);
+    assert_eq!(lb.expire(now + ttl + 1.0), vec![a.1]);
+    lb.flush(now + ttl + 1.0);
+    assert!(lb.take_frames(a.0).is_empty());
+    assert!(matches!(
+        lb.take_frames(b.0)[..],
+        [Frame::Act { seq: 0, .. }]
+    ));
+    assert_observations_conserved(&mut lb, 2);
+    assert_eq!(lb.engine().metrics().counter("serve.obs.shed"), 1);
 }
