@@ -18,9 +18,8 @@
 //!
 //! Every binary prints a paper-vs-measured comparison and appends a CSV under
 //! the repo root's `target/experiments/`. Set `SENSACT_QUICK=1` for reduced
-//! problem sizes. Beside them: `conformance` (the differential kernel and
-//! replay matrix), `bench_ckpt` and `bench_fed` (the two paths the
-//! performance ledger in `benchmark/` does not cover), and the paper-module
+//! problem sizes. Beside them: `bench_ckpt` and `bench_fed` (the two paths
+//! the performance ledger in `benchmark/` does not cover) and the paper-module
 //! micro-benchmarks in `benches/`, driven by the in-repo [`harness`]
 //! (wall-clock timing, no external dependencies — the workspace builds
 //! offline). Every other timing lives in `benchmark/`.

@@ -342,11 +342,6 @@ impl Checkpoint {
             .ok_or_else(|| CheckpointError::MissingSection(id.to_string()))
     }
 
-    /// Look up a section by id.
-    pub fn section_opt(&self, id: &str) -> Option<&Section> {
-        self.sections.iter().rev().find(|s| s.id == id)
-    }
-
     /// Serialize as a length-prefixed JSONL document (trailing newline).
     pub fn to_jsonl(&self) -> String {
         let mut out = format!(

@@ -402,6 +402,12 @@ mod tests {
         }
     }
 
+    /// Floats a shortest-round-trip printer can get wrong: signed zero, the
+    /// smallest normal and subnormal, both ends of the range, a value below
+    /// the unit roundoff. `==` cannot tell `-0.0` from `0.0`, so the hostile
+    /// cases also compare bits.
+    const HOSTILE_FLOATS: [f64; 6] = [-0.0, f64::MIN_POSITIVE, 5e-324, f64::MAX, -1.7e308, 1e-17];
+
     #[test]
     fn span_round_trips() {
         let s = sample_span();
@@ -410,6 +416,20 @@ mod tests {
         // And through the multi-line path.
         let doc = spans_to_jsonl(&[s, s]);
         assert_eq!(parse_spans(&doc), vec![s, s]);
+        for v in HOSTILE_FLOATS {
+            let s = Span {
+                start_s: v,
+                end_s: v * 2.0, // overflows to ±inf at the extremes
+                energy_j: v,
+                latency_s: v.abs(),
+                ..sample_span()
+            };
+            let line = span_to_json(&s);
+            let parsed = parse_span(&line).expect("hostile span parses");
+            assert_eq!(parsed, s, "line: {line}");
+            let bits = |s: &Span| [s.start_s, s.end_s, s.energy_j, s.latency_s].map(f64::to_bits);
+            assert_eq!(bits(&parsed), bits(&s), "line: {line}");
+        }
     }
 
     #[test]
@@ -418,22 +438,28 @@ mod tests {
             Trust::Trusted,
             Trust::Suspect(0.123456789),
             Trust::Suspect(1.0 / 3.0), // not exactly representable in decimal
+            Trust::Suspect(5e-324),    // smallest subnormal
             Trust::Untrusted,
         ] {
             for precision in Precision::ALL {
-                let mut stages = StageBreakdown::new();
-                stages.add(StageId::Sense, 1e-3, 0.1 + 0.2); // 0.30000000000000004
-                stages.add(StageId::Act, 7.25e-9, 0.0);
-                let rec = TickRecord {
-                    tick: 999,
-                    energy_j: 0.1 + 0.2,
-                    latency_s: 1e-4,
-                    trust,
-                    precision,
-                    stages,
-                };
-                let line = tick_to_json(&rec);
-                assert_eq!(parse_tick(&line), Some(rec), "line: {line}");
+                // 0.1 + 0.2 is 0.30000000000000004
+                for v in [0.1 + 0.2].into_iter().chain(HOSTILE_FLOATS) {
+                    let mut stages = StageBreakdown::new();
+                    stages.add(StageId::Sense, 1e-3, v);
+                    stages.add(StageId::Act, 7.25e-9, 0.0);
+                    let rec = TickRecord {
+                        tick: 999,
+                        energy_j: v,
+                        latency_s: 1e-4,
+                        trust,
+                        precision,
+                        stages,
+                    };
+                    let line = tick_to_json(&rec);
+                    let parsed = parse_tick(&line).expect("tick parses");
+                    assert_eq!(parsed, rec, "line: {line}");
+                    assert_eq!(parsed.energy_j.to_bits(), v.to_bits(), "line: {line}");
+                }
             }
         }
     }

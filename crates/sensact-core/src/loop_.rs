@@ -107,11 +107,6 @@ impl<S, P, M, C, Ad> LoopState<S, P, M, C, Ad> {
         &self.sensor
     }
 
-    /// Mutably borrow the sensor.
-    pub fn sensor_mut(&mut self) -> &mut S {
-        &mut self.sensor
-    }
-
     /// Borrow the controller.
     pub fn controller(&self) -> &C {
         &self.controller

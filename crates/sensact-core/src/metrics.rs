@@ -174,11 +174,6 @@ impl Histogram {
         self.quantile(0.50)
     }
 
-    /// 90th-percentile upper bound.
-    pub fn p90(&self) -> f64 {
-        self.quantile(0.90)
-    }
-
     /// 99th-percentile upper bound.
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)

@@ -94,18 +94,10 @@ pub struct Recording {
 
 impl Recording {
     /// Capture the retained tick records of a telemetry as a recording.
-    ///
-    /// The loop `name` must not contain `"`, `,`, braces or backslashes (the
-    /// flat JSONL format stores it unescaped).
     pub fn capture(name: impl Into<String>, seed: u64, telemetry: &LoopTelemetry) -> Self {
-        let name = name.into();
-        debug_assert!(
-            !name.contains(['"', ',', '{', '}', '\\']),
-            "recording name {name:?} needs JSON escaping, which flat JSONL does not do"
-        );
         Recording {
             meta: RecordingMeta {
-                name,
+                name: name.into(),
                 seed,
                 ticks: telemetry.ticks(),
                 isa: sensact_math::simd::isa_name().to_string(),
@@ -134,13 +126,21 @@ impl Recording {
     }
 
     /// Serialize as JSONL: one meta line, then span events, then tick events.
-    /// Round-trips bit-exactly through [`Recording::from_jsonl`].
+    /// Round-trips bit-exactly through [`Recording::from_jsonl`], except that
+    /// the flat format stores the name unescaped: a `"`, `,`, brace,
+    /// backslash or control character in it is written as `_`, so the header
+    /// — and the seed a replay is rebuilt from — parses whatever the loop
+    /// was called.
     pub fn to_jsonl(&self) -> String {
+        let unescapable = |c: char| c.is_control() || matches!(c, '"' | ',' | '{' | '}' | '\\');
         let mut out = String::new();
         let _ = writeln!(
             out,
             "{{\"type\":\"replay_meta\",\"name\":\"{}\",\"seed\":{},\"ticks\":{},\"isa\":\"{}\"}}",
-            self.meta.name, self.meta.seed, self.meta.ticks, self.meta.isa
+            self.meta.name.replace(unescapable, "_"),
+            self.meta.seed,
+            self.meta.ticks,
+            self.meta.isa
         );
         for s in &self.spans {
             out.push_str(&span_to_json(s));
@@ -411,6 +411,15 @@ mod tests {
         assert_eq!(parsed.meta.ticks, 2);
         assert_eq!(parsed.len(), 2);
         assert!(!parsed.is_empty());
+
+        // A name the flat format cannot hold must not cost the header: the
+        // seed is what a replay is rebuilt from.
+        let hostile = Recording::capture("a,b{\"c\"}\\", 7, &t);
+        let parsed = Recording::from_jsonl(&hostile.to_jsonl());
+        assert_eq!(parsed.meta.name, "a_b__c___");
+        assert_eq!(parsed.meta.seed, 7);
+        assert_eq!(parsed.meta.ticks, 2);
+        assert_eq!(parsed.ticks, hostile.ticks);
     }
 
     #[test]

@@ -347,24 +347,12 @@ impl Tracer {
     /// fencepost is truthful), cutting `Instant::now` queries per 5-stage
     /// tick from 10 to 6. Loops reset the pending stamp at tick entry via
     /// [`Tracer::new_tick`] so inter-tick gaps are never folded into the
-    /// first stage. Opt out with [`Tracer::with_exact_stamps`].
+    /// first stage. Tracers over any other clock ([`Tracer::new`],
+    /// [`Tracer::sim`]) query it at every span start.
     pub fn wall() -> Self {
         let mut t = Tracer::new(Box::new(WallClock::new()));
         t.coarse = true;
         t
-    }
-
-    /// Disable coarse stamping: every span start queries the clock.
-    pub fn with_exact_stamps(mut self) -> Self {
-        self.coarse = false;
-        self.pending_stamp = None;
-        self
-    }
-
-    /// Enable coarse stamping over any clock (see [`Tracer::wall`]).
-    pub fn with_coarse_stamps(mut self) -> Self {
-        self.coarse = true;
-        self
     }
 
     /// Cap the number of retained spans (clamped to ≥ 1).
@@ -1196,7 +1184,8 @@ mod tests {
     fn coarse_stamping_reuses_previous_end() {
         // SimClock advances 1.0 per query; with coarse stamps the second
         // span's start must *reuse* the first span's end (no query).
-        let mut t = Tracer::sim(1.0).with_coarse_stamps();
+        let mut t = Tracer::sim(1.0);
+        t.coarse = true;
         let s0 = t.start(); // query: 0.0 (clock -> 1.0)
         t.finish(0, StageId::Sense, s0, 0.0, 0.0, true); // query: 1.0 (clock -> 2.0)
         let s1 = t.start(); // reused: 1.0, no query
@@ -1209,14 +1198,15 @@ mod tests {
 
     #[test]
     fn new_tick_drops_pending_coarse_stamp() {
-        let mut t = Tracer::sim(1.0).with_coarse_stamps();
+        let mut t = Tracer::sim(1.0);
+        t.coarse = true;
         let s0 = t.start();
         t.finish(0, StageId::Act, s0, 0.0, 0.0, true); // pending = 1.0
         t.new_tick();
         let s1 = t.start(); // fresh query: 2.0
         assert_eq!(s1, 2.0, "tick boundary must re-query the clock");
         // Exact mode never leaves a pending stamp.
-        let mut exact = Tracer::sim(1.0).with_coarse_stamps().with_exact_stamps();
+        let mut exact = Tracer::sim(1.0);
         let s = exact.start();
         exact.finish(0, StageId::Sense, s, 0.0, 0.0, true);
         assert_eq!(exact.start(), 2.0);

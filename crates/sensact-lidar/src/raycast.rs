@@ -295,8 +295,7 @@ impl Lidar {
     }
 
     /// Naive full scan: every pulse tested against every scene object, no
-    /// broad phase, no threads. Ground truth for the equivalence tests and
-    /// the conformance matrix (`raycast_bucketed_parallel_vs_naive`).
+    /// broad phase, no threads. Ground truth for the equivalence tests.
     pub fn scan_reference(&self, scene: &Scene) -> PointCloud {
         let mut cloud = PointCloud::new();
         for beam in 0..self.config.beams {
@@ -477,7 +476,7 @@ mod tests {
     fn parallel_scan_matches_serial_bit_for_bit() {
         // Default config (64×512 = 32768 pulses) takes the threaded path.
         assert!(LidarConfig::default().pulses_per_scan() >= PAR_MIN_PULSES);
-        for seed in [2u64, 11, 42] {
+        for seed in [1u64, 2, 3, 11, 42] {
             let scene = SceneGenerator::new(seed).generate();
             let lidar = Lidar::new(LidarConfig::default());
             let reference = lidar.scan_reference(&scene);

@@ -75,9 +75,8 @@ pub(crate) fn threads() -> usize {
 
 /// Reference triple-loop GEMM: `C = alpha * A[m×k] * B[k×n] + beta * C`.
 ///
-/// Kept as the ground truth for equivalence tests and the conformance
-/// matrix; accumulation order per element matches the blocked/parallel
-/// kernels.
+/// Kept as the ground truth for the equivalence tests; accumulation order
+/// per element matches the blocked/parallel kernels.
 pub fn gemm_naive(
     m: usize,
     n: usize,
@@ -195,8 +194,8 @@ pub fn gemm_parallel(
 ///
 /// On SSE2 and scalar paths the result is bitwise identical to
 /// [`gemm_blocked`]; the AVX2+FMA path differs only within the analytic
-/// forward-error bound checked by the conformance harness (fused
-/// multiply-add rounds once per step instead of twice).
+/// forward-error bound the dispatch tests check (fused multiply-add rounds
+/// once per step instead of twice).
 pub fn gemm(
     m: usize,
     n: usize,
@@ -619,7 +618,9 @@ pub(crate) mod tests {
     }
 
     /// Satellite: every dispatch path over non-square and degenerate shapes
-    /// (k = 0 pure beta-scale, single-row, single-column, tall/skinny).
+    /// (k = 0 pure beta-scale, single-row, single-column, tall/skinny, one
+    /// shape past `PAR_MIN_OPS` so the parallel kernel really bands), under
+    /// every `beta` class (0 overwrites stale contents, 1, other).
     #[test]
     fn dispatch_paths_agree_on_degenerate_and_skinny_shapes() {
         const ODD_SHAPES: &[(usize, usize, usize)] = &[
@@ -634,45 +635,56 @@ pub(crate) mod tests {
             (500, 3, 9),
             (37, 2, 400),
             (2, 37, 400),
+            (160, 160, 96),
+        ];
+        const PARAMS: &[(f64, f64)] = &[
+            (0.7, 0.3),
+            (1.0, 0.0),
+            (0.5, 0.0),
+            (-1.25, 0.75),
+            (1.0, 1.0),
         ];
         let mut rng = StdRng::seed_from_u64(0xD15);
         for &(m, n, k) in ODD_SHAPES {
             let a = random_mat(&mut rng, m * k);
             let b = random_mat(&mut rng, k * n);
             let base = random_mat(&mut rng, m * n);
+            let bt = random_mat(&mut rng, n * k);
+            let mut b_rm = vec![0.0; k * n];
+            transpose_into(n, k, &bt, &mut b_rm);
 
-            let mut c_ref = base.clone();
-            gemm_naive(m, n, k, 0.7, &a, &b, 0.3, &mut c_ref);
+            for &(alpha, beta) in PARAMS {
+                let case = format!("{m}x{n}x{k} alpha={alpha} beta={beta}");
+                let mut c_ref = base.clone();
+                gemm_naive(m, n, k, alpha, &a, &b, beta, &mut c_ref);
 
-            // Scalar paths: bitwise.
-            let mut c_blk = base.clone();
-            gemm_blocked(m, n, k, 0.7, &a, &b, 0.3, &mut c_blk);
-            assert_eq!(c_ref, c_blk, "blocked at {m}x{n}x{k}");
-            let mut c_par = base.clone();
-            gemm_parallel(m, n, k, 0.7, &a, &b, 0.3, &mut c_par);
-            assert_eq!(c_ref, c_par, "parallel at {m}x{n}x{k}");
+                // Scalar paths: bitwise.
+                let mut c_blk = base.clone();
+                gemm_blocked(m, n, k, alpha, &a, &b, beta, &mut c_blk);
+                assert_eq!(c_ref, c_blk, "blocked at {case}");
+                let mut c_par = base.clone();
+                gemm_parallel(m, n, k, alpha, &a, &b, beta, &mut c_par);
+                assert_eq!(c_ref, c_par, "parallel at {case}");
 
-            // Auto dispatch: within the FMA bound.
-            let mut c_auto = base.clone();
-            gemm(m, n, k, 0.7, &a, &b, 0.3, &mut c_auto);
-            assert!(
-                max_abs_diff(&c_ref, &c_auto) <= auto_tol(k),
-                "auto at {m}x{n}x{k}"
-            );
-
-            // Transposed-B path over the same shapes.
-            if m > 0 && n > 0 {
-                let bt = random_mat(&mut rng, n * k);
-                let mut b_rm = vec![0.0; k * n];
-                transpose_into(n, k, &bt, &mut b_rm);
-                let mut c_t_ref = base.clone();
-                gemm_naive(m, n, k, 0.7, &a, &b_rm, 0.3, &mut c_t_ref);
-                let mut c_t = base.clone();
-                gemm_transb(m, n, k, 0.7, &a, &bt, 0.3, &mut c_t);
+                // Auto dispatch: within the FMA bound.
+                let mut c_auto = base.clone();
+                gemm(m, n, k, alpha, &a, &b, beta, &mut c_auto);
                 assert!(
-                    max_abs_diff(&c_t_ref, &c_t) <= auto_tol(k).max(1e-12),
-                    "transb at {m}x{n}x{k}"
+                    max_abs_diff(&c_ref, &c_auto) <= auto_tol(k),
+                    "auto at {case}"
                 );
+
+                // Transposed-B path over the same shapes.
+                if m > 0 && n > 0 {
+                    let mut c_t_ref = base.clone();
+                    gemm_naive(m, n, k, alpha, &a, &b_rm, beta, &mut c_t_ref);
+                    let mut c_t = base.clone();
+                    gemm_transb(m, n, k, alpha, &a, &bt, beta, &mut c_t);
+                    assert!(
+                        max_abs_diff(&c_t_ref, &c_t) <= auto_tol(k).max(1e-12),
+                        "transb at {case}"
+                    );
+                }
             }
         }
     }
@@ -889,7 +901,7 @@ pub(crate) mod tests {
             matvec_into(m, k, &a, &x, &mut y);
             let mut y_ref = vec![0.0; m];
             gemm_naive(m, 1, k, 1.0, &a, &x, 0.0, &mut y_ref);
-            assert!(max_abs_diff(&y, &y_ref) <= 1e-12, "matvec mismatch {m}x{k}");
+            assert_eq!(y, y_ref, "matvec not bitwise at {m}x{k}");
         }
     }
 

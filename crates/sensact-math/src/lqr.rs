@@ -38,11 +38,6 @@ impl LqrProblem {
         LqrProblem { a, b, q, r }
     }
 
-    /// State dimension n.
-    pub fn state_dim(&self) -> usize {
-        self.a.rows()
-    }
-
     /// Input dimension m.
     pub fn input_dim(&self) -> usize {
         self.b.cols()

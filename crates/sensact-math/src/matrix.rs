@@ -387,11 +387,6 @@ impl Matrix {
         }
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Maximum absolute entry.
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))

@@ -15,8 +15,8 @@
 //!   fused multiply-add changes rounding versus the scalar kernels (one
 //!   rounding per step instead of two), so results differ from
 //!   [`gemm_naive`](crate::kernels::gemm_naive) by a forward error bounded
-//!   by `2·γ_{k+2}·(|αA|·|B|)_ij` — the conformance harness checks this
-//!   bound analytically per element.
+//!   by `2·γ_{k+2}·(|αA|·|B|)_ij` — `fma_panel_path_is_within_forward_error_bound`
+//!   checks this bound analytically per element.
 //! - **SSE2** (`4×4` f64 tile): multiply *then* add per step, in ascending
 //!   `k` order — the exact rounding sequence of the scalar blocked kernel,
 //!   so this path stays **bitwise identical** to it.

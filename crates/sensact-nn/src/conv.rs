@@ -358,11 +358,6 @@ impl Conv3d {
         self.in_dims
     }
 
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.cout
-    }
-
     #[inline]
     fn widx(&self, co: usize, ci: usize, kd: usize, kh: usize, kw: usize) -> usize {
         (((co * self.cin + ci) * self.kernel + kd) * self.kernel + kh) * self.kernel + kw
@@ -423,9 +418,8 @@ impl Conv3d {
     }
 
     /// Reference gather-formulation forward pass (sparse-friendly: all-zero
-    /// input voxels are skipped entirely). Kept for equivalence tests and
-    /// the conformance matrix (`conv3d_im2col_vs_reference`); the production
-    /// [`Layer::forward`] lowers to im2col + GEMM instead.
+    /// input voxels are skipped entirely). Kept for equivalence tests; the
+    /// production [`Layer::forward`] lowers to im2col + GEMM instead.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         let batch = input.shape()[0];
         let in_feat = self.cin * self.in_dims.volume();
@@ -508,33 +502,11 @@ impl Conv3d {
     }
 
     /// Cross-loop batched inference: `rows` are independent input rows (one
-    /// per leased loop), `out` receives the stacked output rows
-    /// (`rows.len() × cout·out_volume`, fully overwritten). All members run
-    /// through **one** wide GEMM whose panel packer unfolds every row's
-    /// patches, so kernel dispatch, weight-panel packing and cache warm-up
-    /// are paid once per fleet tick instead of once per loop. Bitwise
-    /// identical to the per-row forward for every batch size
-    /// ([`forward_batch_into`](Conv3d::forward_batch_into) on the rows of
-    /// `out`).
-    pub fn forward_batch(&mut self, rows: &[&[f64]], out: &mut [f64]) {
-        let feat = self.out_features();
-        assert_eq!(
-            out.len(),
-            rows.len() * feat,
-            "Conv3d::forward_batch: output must be batch * cout * out_volume"
-        );
-        // Per-loop serving dispatch is a batch of one: no list to build.
-        if rows.len() == 1 {
-            return self.forward_batch_into(rows, &mut [out]);
-        }
-        let mut outs: Vec<&mut [f64]> = out.chunks_exact_mut(feat).collect();
-        self.forward_batch_into(rows, &mut outs);
-    }
-
-    /// Scatter-free batched inference: like
-    /// [`forward_batch`](Conv3d::forward_batch) but each item's output row
-    /// is an independent caller-owned buffer (`outs[t]`, fully
-    /// overwritten) instead of one contiguous stacked slice.
+    /// per leased loop), and each item's output row is an independent
+    /// caller-owned buffer (`outs[t]`, `cout·out_volume` long, fully
+    /// overwritten). All members run through **one** wide GEMM, so kernel
+    /// dispatch, weight-panel packing and cache warm-up are paid once per
+    /// fleet tick instead of once per loop.
     ///
     /// This is the serving fast path: the batch planner hands the leases'
     /// own feature buffers directly. The wide GEMM reads every item's
@@ -1469,15 +1441,22 @@ mod tests {
     #[test]
     fn prop_im2col_conv_matches_reference() {
         let mut rng = StdRng::seed_from_u64(0xC04301);
-        for _ in 0..24 {
-            let cin = rng.random_range(1..3usize);
-            let cout = rng.random_range(1..4usize);
-            let kernel = rng.random_range(1..4usize);
-            let stride = rng.random_range(1..3usize);
-            let pad = rng.random_range(0..2usize);
-            let d = rng.random_range(kernel..kernel + 3);
-            let h = rng.random_range(kernel..kernel + 3);
-            let w = rng.random_range(kernel..kernel + 3);
+        // No random draw reaches 2¹⁴ multiply-adds per row, where the forward
+        // moves to the FMA tier: `LOWERING_CASES` follow them.
+        for round in 0..24 + LOWERING_CASES.len() {
+            let [cin, cout, kernel, stride, pad, d, h, w] = if round < 24 {
+                let cin = rng.random_range(1..3usize);
+                let cout = rng.random_range(1..4usize);
+                let kernel = rng.random_range(1..4usize);
+                let stride = rng.random_range(1..3usize);
+                let pad = rng.random_range(0..2usize);
+                let d = rng.random_range(kernel..kernel + 3);
+                let h = rng.random_range(kernel..kernel + 3);
+                let w = rng.random_range(kernel..kernel + 3);
+                [cin, cout, kernel, stride, pad, d, h, w]
+            } else {
+                LOWERING_CASES[round - 24]
+            };
             let mut init = Initializer::new(rng.next_u64());
             let mut c = Conv3d::new(
                 cin,
@@ -1524,19 +1503,8 @@ mod tests {
             let reference = c.forward(&x, false);
             let rows: Vec<&[f64]> = (0..batch).map(|b| x.row(b)).collect();
 
-            let mut out = vec![f64::NAN; batch * out_feat];
-            c.forward_batch(&rows, &mut out);
-            assert!(
-                reference
-                    .as_slice()
-                    .iter()
-                    .zip(&out)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "batched conv not bitwise at batch={batch}"
-            );
-
-            // The scatter-free serving variant writes each row into its own
-            // caller-owned buffer — same bits as the per-row forward.
+            // Each row lands in its own caller-owned buffer — same bits as
+            // the per-row forward.
             let mut per_item: Vec<Vec<f64>> = vec![vec![f64::NAN; out_feat]; batch];
             let mut views: Vec<&mut [f64]> =
                 per_item.iter_mut().map(|v| v.as_mut_slice()).collect();
@@ -1552,7 +1520,6 @@ mod tests {
             }
         }
         // Empty batch is a no-op, not a panic.
-        c.forward_batch(&[], &mut []);
         c.forward_batch_into(&[], &mut []);
     }
 
@@ -1634,15 +1601,26 @@ mod tests {
     #[test]
     fn prop_gemm_deconv_matches_reference() {
         let mut rng = StdRng::seed_from_u64(0xDC4301);
-        for _ in 0..24 {
-            let cin = rng.random_range(1..3usize);
-            let cout = rng.random_range(1..4usize);
-            let kernel = rng.random_range(2..4usize);
-            let stride = rng.random_range(1..3usize);
-            let pad = rng.random_range(0..2usize);
-            let d = rng.random_range(2..5usize);
-            let h = rng.random_range(2..5usize);
-            let w = rng.random_range(2..5usize);
+        // No random draw reaches 2¹⁴ multiply-adds per row, where
+        // `gemm_transa` moves to its register tiles: `LOWERING_CASES` follow
+        // them.
+        for round in 0..24 + LOWERING_CASES.len() {
+            let [cin, cout, kernel, stride, pad, d, h, w] = if round < 24 {
+                let cin = rng.random_range(1..3usize);
+                let cout = rng.random_range(1..4usize);
+                let kernel = rng.random_range(2..4usize);
+                let stride = rng.random_range(1..3usize);
+                let pad = rng.random_range(0..2usize);
+                let d = rng.random_range(2..5usize);
+                let h = rng.random_range(2..5usize);
+                let w = rng.random_range(2..5usize);
+                [cin, cout, kernel, stride, pad, d, h, w]
+            } else {
+                LOWERING_CASES[round - 24]
+            };
+            if deconv_out(d, kernel, stride, pad).is_none_or(|o| o == 0) {
+                continue; // kernel 1 under padding 1 leaves nothing of a depth-1 axis
+            }
             let mut init = Initializer::new(rng.next_u64());
             let mut dc = Deconv3d::new(
                 cin,

@@ -105,20 +105,6 @@ impl Adam {
             v: Vec::new(),
         }
     }
-
-    /// Adam with explicit betas.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both betas are in `[0, 1)`.
-    pub fn with_betas(lr: f64, beta1: f64, beta2: f64) -> Self {
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        Adam {
-            beta1,
-            beta2,
-            ..Adam::new(lr)
-        }
-    }
 }
 
 impl Optimizer for Adam {

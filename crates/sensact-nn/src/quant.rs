@@ -322,7 +322,7 @@ mod prop_tests {
         for _ in 0..64 {
             let len = rng.random_range(1..64usize);
             let buf: Vec<f64> = (0..len).map(|_| rng.random_range(-10.0..10.0)).collect();
-            for precision in [Precision::Int4, Precision::Int8, Precision::Int16] {
+            for precision in Precision::fixed_point() {
                 let mut q = buf.clone();
                 let report = fake_quantize(&mut q, precision);
                 for (orig, quant) in buf.iter().zip(&q) {

@@ -111,40 +111,6 @@ impl Detector {
     }
 }
 
-/// Diagnostic: describe every cluster and its classification decision.
-#[doc(hidden)]
-pub fn debug_clusters(grid: &VoxelGrid) -> Vec<String> {
-    cluster_objects(grid)
-        .into_iter()
-        .map(|cluster| {
-            let n = cluster.len();
-            let (mut min_x, mut max_x) = (usize::MAX, 0usize);
-            let (mut min_y, mut max_y) = (usize::MAX, 0usize);
-            let mut max_z = 0usize;
-            for &(ix, iy, iz) in &cluster {
-                min_x = min_x.min(ix);
-                max_x = max_x.max(ix);
-                min_y = min_y.min(iy);
-                max_y = max_y.max(iy);
-                max_z = max_z.max(iz);
-            }
-            let vs = grid.config().voxel_size;
-            let cx = grid.config().min[0] + (min_x + max_x + 1) as f64 / 2.0 * vs;
-            let cy = grid.config().min[1] + (min_y + max_y + 1) as f64 / 2.0 * vs;
-            let verdict = match classify(&cluster, grid) {
-                Some(Classified::Object(d)) => format!("{:?} score {:.2}", d.class, d.score),
-                Some(Classified::Structure(_)) => "STRUCTURE".to_string(),
-                None => "rejected".to_string(),
-            };
-            format!(
-                "cluster n={n} at ({cx:.1},{cy:.1}) ext {:.1}x{:.1} maxz {max_z} -> {verdict}",
-                (max_x - min_x + 1) as f64 * vs,
-                (max_y - min_y + 1) as f64 * vs
-            )
-        })
-        .collect()
-}
-
 /// Class-aware center-distance NMS: within each class, suppress detections
 /// whose center lies within the class radius of a higher-scoring detection.
 fn nms(mut detections: Vec<Detection3d>) -> Vec<Detection3d> {

@@ -9,7 +9,7 @@
 //!    identity lives entirely in its controller state, so any number of
 //!    leases can share one [`SharedPerceptor`] and their forward passes can
 //!    be stacked into a single batched GEMM
-//!    ([`Conv3d::forward_batch`]) without coupling their trajectories.
+//!    ([`Conv3d::forward_batch_into`]) without coupling their trajectories.
 //! 2. Controller arithmetic uses exactly representable binary-fraction
 //!    coefficients, so an action is a pure function of (weights, state,
 //!    observation) bits — the wire carries it bit-exactly and a restored
@@ -196,36 +196,21 @@ impl SharedPerceptor {
     }
 
     /// Per-loop forward: one observation row to one feature row. The
-    /// canonical numeric path — [`SharedPerceptor::forward_many`] is
+    /// canonical numeric path — [`SharedPerceptor::forward_many_into`] is
     /// bitwise identical to repeating this per row.
     pub fn forward_one(&mut self, obs: &[f64], feats: &mut [f64]) {
         match &mut self.conv {
-            Some(conv) => conv.forward_batch(&[obs], feats),
+            Some(conv) => conv.forward_batch_into(&[obs], &mut [feats]),
             None => feats.copy_from_slice(obs),
         }
     }
 
     /// Cross-loop batched forward: all rows through **one** wide GEMM whose
-    /// panel packer unfolds each row's patches ([`Conv3d::forward_batch`]),
-    /// bitwise identical to the per-row path for every batch size.
-    pub fn forward_many(&mut self, rows: &[&[f64]], feats_out: &mut [f64]) {
-        match &mut self.conv {
-            Some(conv) => conv.forward_batch(rows, feats_out),
-            None => {
-                let n = self.kind.feat_len();
-                for (row, out) in rows.iter().zip(feats_out.chunks_mut(n)) {
-                    out.copy_from_slice(row);
-                }
-            }
-        }
-    }
-
-    /// Copy-free batched forward: like
-    /// [`forward_many`](SharedPerceptor::forward_many) but each member's
-    /// feature row is written directly into its own buffer (the lease
-    /// cell's scratch), so the planner needs no intermediate stacked copy.
-    /// Bitwise identical to the per-row path for every batch size
-    /// ([`Conv3d::forward_batch_into`]).
+    /// panel packer unfolds each row's patches
+    /// ([`Conv3d::forward_batch_into`]), each member's feature row written
+    /// directly into its own buffer (the lease cell's scratch), so the
+    /// planner needs no intermediate stacked copy. Bitwise identical to the
+    /// per-row path for every batch size.
     pub fn forward_many_into(&mut self, rows: &[&[f64]], outs: &mut [&mut [f64]]) {
         match &mut self.conv {
             Some(conv) => conv.forward_batch_into(rows, outs),
@@ -283,34 +268,23 @@ mod tests {
                 })
                 .collect();
             let refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
-            let mut batched = vec![0.0; rows.len() * kind.feat_len()];
-            SharedPerceptor::new(kind, 42).forward_many(&refs, &mut batched);
-            // The copy-free variant (per-member output buffers) must agree
-            // bit-for-bit as well.
-            let mut into_rows: Vec<Vec<f64>> = vec![vec![f64::NAN; kind.feat_len()]; rows.len()];
-            let mut views: Vec<&mut [f64]> =
-                into_rows.iter_mut().map(|v| v.as_mut_slice()).collect();
+            let mut batched: Vec<Vec<f64>> = vec![vec![f64::NAN; kind.feat_len()]; rows.len()];
+            let mut views: Vec<&mut [f64]> = batched.iter_mut().map(|v| v.as_mut_slice()).collect();
             SharedPerceptor::new(kind, 42).forward_many_into(&refs, &mut views);
             let mut single = SharedPerceptor::new(kind, 42);
             for (t, row) in rows.iter().enumerate() {
                 let mut feats = vec![0.0; kind.feat_len()];
                 single.forward_one(row, &mut feats);
-                let got = &batched[t * kind.feat_len()..(t + 1) * kind.feat_len()];
                 assert!(
                     feats
                         .iter()
-                        .zip(got)
+                        .zip(&batched[t])
                         .all(|(a, b)| a.to_bits() == b.to_bits()),
                     "{kind:?} row {t} diverged between batched and per-row perception"
                 );
-                assert!(
-                    feats
-                        .iter()
-                        .zip(&into_rows[t])
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                    "{kind:?} row {t} diverged between forward_many_into and per-row"
-                );
             }
+            // The empty batch is a no-op, not a panic.
+            single.forward_many_into(&[], &mut []);
         }
     }
 

@@ -139,11 +139,6 @@ impl Starnet {
     pub fn suspect_threshold(&self) -> f64 {
         self.suspect_threshold
     }
-
-    /// Borrow the underlying VAE (e.g. for LoRA merging experiments).
-    pub fn vae_mut(&mut self) -> &mut Vae {
-        &mut self.vae
-    }
 }
 
 impl StageState for Starnet {

@@ -35,13 +35,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 
 # The steps whose answer depends on the kernel dispatch run twice: on the host
 # ISA and on the forced-scalar fallback (both legs are scalar when the caller
-# already exports SENSACT_FORCE_SCALAR=1). None of them gates on a timing —
-# every timing the repo judges is a benchmark/ row (scripts/bench_pair.py).
+# already exports SENSACT_FORCE_SCALAR=1). The math + nn lib tests are the
+# dispatch-dependent correctness step: every fast kernel and conv lowering
+# against its reference, on the tier its contract names. None of the steps
+# gates on a timing — every timing the repo judges is a benchmark/ row
+# (scripts/bench_pair.py).
 for leg in "${SENSACT_FORCE_SCALAR:-0}" 1; do
     [[ "$leg" == "0" ]] && isa="host ISA" || isa="forced-scalar path"
-
-    echo "== conformance smoke (differential kernel matrix, $isa) =="
-    SENSACT_FORCE_SCALAR="$leg" cargo run --offline --release -p sensact-bench --bin conformance -- --smoke
 
     echo "== bitwise kernel + conv lowering tests ($isa) =="
     SENSACT_FORCE_SCALAR="$leg" timeout 30m cargo test --offline -q -p sensact-math -p sensact-nn --lib

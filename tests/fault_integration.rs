@@ -5,6 +5,9 @@
 //! the controller's fail-safe action on ticks where sensing is dead beyond
 //! recovery, and (3) account for every fault, hold and fallback in telemetry.
 
+mod common;
+
+use common::fast_monitor_config;
 use sensact::core::fault::{
     FaultInjector, FaultProfile, RecoveryPolicy, Reliable, TickResolution, WithFallback,
 };
@@ -14,24 +17,7 @@ use sensact::lidar::raycast::{Lidar, LidarConfig};
 use sensact::lidar::scene::SceneGenerator;
 use sensact::lidar::PointCloud;
 use sensact::starnet::features::extract_features;
-use sensact::starnet::monitor::{train_on_clouds, StarnetConfig};
-use sensact::starnet::regret::RegretConfig;
-use sensact::starnet::spsa::SpsaConfig;
-
-fn fast_monitor_config() -> StarnetConfig {
-    StarnetConfig {
-        train_epochs: 200,
-        regret: RegretConfig {
-            spsa: SpsaConfig {
-                iterations: 8,
-                ..SpsaConfig::default()
-            },
-            low_rank: Some(8),
-            elbo_samples: 0,
-        },
-        ..StarnetConfig::default()
-    }
-}
+use sensact::starnet::monitor::train_on_clouds;
 
 const GO: f64 = 1.0;
 const STOP: f64 = 0.0;

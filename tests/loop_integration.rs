@@ -1,6 +1,9 @@
 //! Cross-crate integration: the sensing-to-action loop abstraction running
 //! real subsystem stages (LiDAR sensing, STARNet monitoring, adaptation).
 
+mod common;
+
+use common::fast_monitor_config;
 use sensact::core::adapt::{ActionMagnitudeRate, SensingKnobs};
 use sensact::core::fault::TrySensor;
 use sensact::core::replay::diff_records;
@@ -16,24 +19,7 @@ use sensact::lidar::raycast::{Lidar, LidarConfig};
 use sensact::lidar::scene::SceneGenerator;
 use sensact::lidar::PointCloud;
 use sensact::starnet::features::extract_features;
-use sensact::starnet::monitor::{train_on_clouds, StarnetConfig};
-use sensact::starnet::regret::RegretConfig;
-use sensact::starnet::spsa::SpsaConfig;
-
-fn fast_monitor_config() -> StarnetConfig {
-    StarnetConfig {
-        train_epochs: 200,
-        regret: RegretConfig {
-            spsa: SpsaConfig {
-                iterations: 8,
-                ..SpsaConfig::default()
-            },
-            low_rank: Some(8),
-            elbo_samples: 0,
-        },
-        ..StarnetConfig::default()
-    }
-}
+use sensact::starnet::monitor::train_on_clouds;
 
 #[test]
 fn lidar_starnet_loop_distrusts_corruption_and_fails_safe() {

@@ -11,6 +11,8 @@
 //!    stage, the deterministic `SimClock` makes them reproducible, and the
 //!    perceive stage dominates the energy ledger as charged.
 
+mod common;
+
 use sensact::core::export::{
     parse_spans, parse_ticks, spans_to_jsonl, text_report, ticks_to_jsonl,
 };
@@ -21,51 +23,12 @@ use sensact::lidar::raycast::{Lidar, LidarConfig};
 use sensact::lidar::scene::SceneGenerator;
 use sensact::lidar::PointCloud;
 use sensact::starnet::features::extract_features;
-use sensact::starnet::monitor::{train_on_clouds, StarnetConfig};
-use sensact::starnet::regret::RegretConfig;
-use sensact::starnet::spsa::SpsaConfig;
+use sensact::starnet::monitor::train_on_clouds;
 
 #[test]
 fn jsonl_tick_export_round_trips_for_a_1k_tick_faulty_run() {
-    const TICKS: usize = 1000;
-    let sensor = FaultInjector::new(
-        FnSensor::new(|env: &f64, ctx: &mut StageContext| {
-            ctx.charge(2e-4, 1e-3);
-            *env
-        }),
-        FaultProfile {
-            dropout: 0.15,
-            stuck: 0.05,
-            latency_spike: 0.05,
-            spike_latency_s: 0.05,
-            nan: 0.05,
-        },
-        77,
-    );
-    let mut looop = FallibleLoop::new(
-        "roundtrip",
-        sensor,
-        Reliable(FnPerceptor::new(|r: &f64, ctx: &mut StageContext| {
-            ctx.charge(3e-5, 4e-4);
-            *r
-        })),
-        sensact::core::stage::AlwaysTrust,
-        WithFallback::new(
-            FnController::new(|f: &f64, trust: Trust, ctx: &mut StageContext| {
-                ctx.charge(1e-5, 1e-4);
-                -0.4 * f * (1.0 - trust.suspicion())
-            }),
-            0.0,
-        ),
-    )
-    .with_recovery(RecoveryPolicy {
-        max_retries: 1,
-        retry_energy_j: 5e-5,
-        max_hold_ticks: 2,
-        staleness_decay: 0.3,
-        latency_budget_s: Some(0.01),
-    })
-    .with_telemetry_capacity(TICKS);
+    const TICKS: usize = common::FAULTY_TICKS;
+    let mut looop = common::faulty_loop(77);
 
     let mut plant = 3.0f64;
     for _ in 0..TICKS {
@@ -126,22 +89,7 @@ fn traced_lidar_starnet_loop_attributes_perception_cost() {
         .iter()
         .map(|s| lidar.scan(s))
         .collect();
-    let monitor = train_on_clouds(
-        &clean_clouds,
-        StarnetConfig {
-            train_epochs: 200,
-            regret: RegretConfig {
-                spsa: SpsaConfig {
-                    iterations: 8,
-                    ..SpsaConfig::default()
-                },
-                low_rank: Some(8),
-                elbo_samples: 0,
-            },
-            ..StarnetConfig::default()
-        },
-        0,
-    );
+    let monitor = train_on_clouds(&clean_clouds, common::fast_monitor_config(), 0);
 
     let sensor = FaultInjector::new(
         FnSensor::new(|cloud: &PointCloud, ctx: &mut StageContext| {

@@ -7,68 +7,15 @@
 //! A loop rebuilt with the wrong fault seed must instead diverge, and the
 //! diagnosis must name the first divergent tick.
 
+mod common;
+
+use common::FAULTY_TICKS as TICKS;
 use sensact::core::export::parse_ticks;
-use sensact::core::fault::{FaultInjector, FaultProfile, RecoveryPolicy, Reliable, WithFallback};
 use sensact::core::replay::{first_divergence, Recording};
-use sensact::core::stage::{AlwaysTrust, FnController, FnPerceptor, FnSensor, StageContext, Trust};
 use sensact::core::telemetry::TickRecord;
-use sensact::core::{FallibleLoop, Tracer};
+use sensact::core::{EnergyBudget, Precision, PrecisionPolicy, Tracer};
 
-const TICKS: usize = 1000;
 const SEED: u64 = 77;
-
-/// The recorded loop and the replayed loop must be built from identical
-/// ingredients; one constructor keeps them from drifting apart.
-#[allow(clippy::type_complexity)]
-fn faulty_loop(
-    seed: u64,
-) -> FallibleLoop<
-    FaultInjector<FnSensor<impl FnMut(&f64, &mut StageContext) -> f64>, f64>,
-    Reliable<FnPerceptor<impl FnMut(&f64, &mut StageContext) -> f64>>,
-    AlwaysTrust,
-    WithFallback<FnController<impl FnMut(&f64, Trust, &mut StageContext) -> f64>, f64>,
-    sensact::core::adapt::NoAdaptation,
-    f64,
-> {
-    FallibleLoop::new(
-        "replay-it",
-        FaultInjector::new(
-            FnSensor::new(|env: &f64, ctx: &mut StageContext| {
-                ctx.charge(2e-4, 1e-3);
-                *env
-            }),
-            FaultProfile {
-                dropout: 0.15,
-                stuck: 0.05,
-                latency_spike: 0.05,
-                spike_latency_s: 0.05,
-                nan: 0.05,
-            },
-            seed,
-        ),
-        Reliable(FnPerceptor::new(|r: &f64, ctx: &mut StageContext| {
-            ctx.charge(3e-5, 4e-4);
-            *r
-        })),
-        AlwaysTrust,
-        WithFallback::new(
-            FnController::new(|f: &f64, trust: Trust, ctx: &mut StageContext| {
-                ctx.charge(1e-5, 1e-4);
-                -0.4 * f * (1.0 - trust.suspicion())
-            }),
-            0.0,
-        ),
-    )
-    .with_recovery(RecoveryPolicy {
-        max_retries: 1,
-        retry_energy_j: 5e-5,
-        max_hold_ticks: 2,
-        staleness_decay: 0.3,
-        latency_budget_s: Some(0.01),
-    })
-    .with_telemetry_capacity(TICKS)
-    .with_tracer(Tracer::sim(1e-3))
-}
 
 fn drive(looop: &mut impl FnMut(&f64) -> f64) -> f64 {
     let mut plant = 3.0f64;
@@ -80,6 +27,7 @@ fn drive(looop: &mut impl FnMut(&f64) -> f64) -> f64 {
 
 #[test]
 fn faulty_1k_tick_run_replays_bit_exactly_through_jsonl() {
+    let faulty_loop = |seed| common::faulty_loop(seed).with_tracer(Tracer::sim(1e-3));
     let mut recorded_loop = faulty_loop(SEED);
     drive(&mut |p| recorded_loop.tick(p).action);
     let counters = recorded_loop.telemetry().fault_counters();
@@ -121,10 +69,38 @@ fn faulty_1k_tick_run_replays_bit_exactly_through_jsonl() {
         "replayed.records() != recorded.records()"
     );
     assert_eq!(first_divergence(&recorded, &replayed), None);
+
+    // A second build whose precision governor switches modes under budget
+    // pressure (capacity sized so pressure crosses both thresholds): the
+    // replay must reproduce the recorded precision schedule tick for tick —
+    // every record carries its mode — and the run must visit all three
+    // modes, or this build proves nothing.
+    let pressured = |seed| {
+        common::faulty_loop(seed)
+            .with_budget(EnergyBudget::new(TICKS as f64 * 2e-4 * 1.2))
+            .with_precision(PrecisionPolicy::adaptive(0.25, 0.6))
+    };
+    let mut recorded_loop = pressured(SEED);
+    drive(&mut |p| recorded_loop.tick(p).action);
+    for mode in Precision::ALL {
+        assert!(
+            recorded_loop.telemetry().precision_ticks(mode) > 0,
+            "the pressured run never ticked at {mode}"
+        );
+    }
+    let recording = Recording::capture("replay-it-pressured", SEED, recorded_loop.telemetry());
+    let parsed = Recording::from_jsonl(&recording.to_jsonl());
+    assert_eq!(parsed, recording, "JSONL recording round-trip");
+    let mut plant = 3.0f64;
+    let verified = pressured(parsed.meta.seed)
+        .replay(&mut plant, &parsed, |p, a| *p += a + 0.01)
+        .expect("same seed must replay its precision schedule bit-exactly");
+    assert_eq!(verified, TICKS as u64);
 }
 
 #[test]
 fn wrong_fault_seed_diverges_with_named_tick() {
+    let faulty_loop = |seed| common::faulty_loop(seed).with_tracer(Tracer::sim(1e-3));
     let mut recorded_loop = faulty_loop(SEED);
     drive(&mut |p| recorded_loop.tick(p).action);
     let recording = Recording::capture("replay-it", SEED, recorded_loop.telemetry());

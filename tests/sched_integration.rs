@@ -17,6 +17,9 @@
 //!    `run` equals `run_deterministic` field for field, without a watts cap
 //!    it repeats, and a panicking member surfaces instead of hanging.
 
+mod common;
+
+use common::fast_monitor_config;
 use sensact::core::fault::{FaultInjector, FaultProfile, RecoveryPolicy, Reliable, WithFallback};
 use sensact::core::replay::{first_divergence, Recording};
 use sensact::core::stage::{AlwaysTrust, FnController, FnPerceptor, FnSensor, StageContext, Trust};
@@ -34,24 +37,7 @@ use sensact::sched::{
     FleetConfig, FleetReport, FleetScheduler, LoopHandle, LoopId, LoopSpec, LoopStats,
 };
 use sensact::starnet::features::extract_features;
-use sensact::starnet::monitor::{train_on_clouds, StarnetConfig};
-use sensact::starnet::regret::RegretConfig;
-use sensact::starnet::spsa::SpsaConfig;
-
-fn fast_monitor_config() -> StarnetConfig {
-    StarnetConfig {
-        train_epochs: 200,
-        regret: RegretConfig {
-            spsa: SpsaConfig {
-                iterations: 8,
-                ..SpsaConfig::default()
-            },
-            low_rank: Some(8),
-            elbo_samples: 0,
-        },
-        ..StarnetConfig::default()
-    }
-}
+use sensact::starnet::monitor::train_on_clouds;
 
 /// A lidar → STARNet member with a fault-injected acquisition stage. The
 /// handle owns the scene stream: each tick re-scans a fresh generated scene.
