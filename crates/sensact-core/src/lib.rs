@@ -89,6 +89,6 @@ pub use replay::{first_divergence, Divergence, Recording, RecordingMeta};
 pub use stage::{StageContext, Trust};
 pub use telemetry::{CommCounters, FaultCounters, LoopTelemetry, TickRecord};
 pub use trace::{
-    CausalSpan, Clock, FleetTracer, SimClock, Span, SpanGuard, SpanKind, StageBreakdown, StageCost,
-    StageId, TraceContext, Tracer, WallClock,
+    CausalSpan, Clock, FleetTracer, SimClock, Span, SpanKind, StageBreakdown, StageCost, StageId,
+    TraceContext, Tracer, WallClock,
 };

@@ -11,8 +11,8 @@
 //!   [`TickRecord`](crate::telemetry::TickRecord);
 //! * [`Clock`] — a pluggable time source: deterministic [`SimClock`] for
 //!   tests and reproducible exports, monotonic [`WallClock`] for benches;
-//! * [`Span`] / [`SpanGuard`] / [`Tracer`] — lightweight spans wrapping each
-//!   stage invocation, retained in a bounded ring buffer.
+//! * [`Span`] / [`Tracer`] — lightweight spans wrapping each stage
+//!   invocation, retained in a bounded ring buffer.
 //!
 //! Tracing is **off by default** ([`Tracer::disabled`]): the disabled path
 //! costs one predictable branch per stage — the ledger's `fleet_sched`
@@ -427,21 +427,6 @@ impl Tracer {
         self.spans.push(span);
     }
 
-    /// Open an RAII span; it records itself on drop. Set the charged costs
-    /// via [`SpanGuard::set_cost`] before dropping.
-    pub fn span(&mut self, tick: u64, stage: StageId) -> SpanGuard<'_> {
-        let start_s = self.start();
-        SpanGuard {
-            tracer: self,
-            tick,
-            stage,
-            start_s,
-            energy_j: 0.0,
-            latency_s: 0.0,
-            ok: true,
-        }
-    }
-
     /// Retained spans, oldest first (at most the configured capacity).
     pub fn spans(&self) -> impl Iterator<Item = &Span> {
         self.spans.iter()
@@ -561,44 +546,6 @@ impl StageState for Tracer {
         }
         self.spans = Ring::from_ordered(capacity, spans).ok_or_else(|| bad("sp_tick"))?;
         Ok(())
-    }
-}
-
-/// RAII guard created by [`Tracer::span`]; records the span when dropped.
-#[derive(Debug)]
-pub struct SpanGuard<'t> {
-    tracer: &'t mut Tracer,
-    tick: u64,
-    stage: StageId,
-    start_s: f64,
-    energy_j: f64,
-    latency_s: f64,
-    ok: bool,
-}
-
-impl SpanGuard<'_> {
-    /// Attribute charged energy/latency to this span (replaces, not adds).
-    pub fn set_cost(&mut self, energy_j: f64, latency_s: f64) {
-        self.energy_j = energy_j;
-        self.latency_s = latency_s;
-    }
-
-    /// Mark the span as a failed attempt.
-    pub fn set_failed(&mut self) {
-        self.ok = false;
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.tracer.finish(
-            self.tick,
-            self.stage,
-            self.start_s,
-            self.energy_j,
-            self.latency_s,
-            self.ok,
-        );
     }
 }
 
@@ -908,100 +855,6 @@ impl Default for FleetTracer {
     }
 }
 
-impl StageState for FleetTracer {
-    fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
-        let mut s = Section::new(ns);
-        let ring = self.lock();
-        s.put_u64("capacity", ring.spans.capacity() as u64);
-        s.put_u64("recorded", ring.recorded);
-        let spans: Vec<&CausalSpan> = ring.spans.iter().collect();
-        s.put_u64s(
-            "cs_trace",
-            &spans.iter().map(|x| x.trace_id).collect::<Vec<_>>(),
-        );
-        s.put_u64s(
-            "cs_span",
-            &spans.iter().map(|x| x.span_id).collect::<Vec<_>>(),
-        );
-        s.put_u64s(
-            "cs_parent",
-            &spans.iter().map(|x| x.parent_id).collect::<Vec<_>>(),
-        );
-        s.put_u64s(
-            "cs_kind",
-            &spans.iter().map(|x| x.kind.tag()).collect::<Vec<_>>(),
-        );
-        s.put_u64s("cs_node", &spans.iter().map(|x| x.node).collect::<Vec<_>>());
-        s.put_u64s(
-            "cs_detail",
-            &spans.iter().map(|x| x.detail).collect::<Vec<_>>(),
-        );
-        s.put_f64s(
-            "cs_start",
-            &spans.iter().map(|x| x.start_s).collect::<Vec<_>>(),
-        );
-        s.put_f64s("cs_end", &spans.iter().map(|x| x.end_s).collect::<Vec<_>>());
-        s.put_u64s(
-            "cs_ok",
-            &spans.iter().map(|x| x.ok as u64).collect::<Vec<_>>(),
-        );
-        ckpt.push(s);
-    }
-
-    fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
-        let s = ckpt.section(ns)?;
-        let bad = |key: &str| CheckpointError::BadValue(format!("{ns}.{key}"));
-        let traces = s.get_u64s("cs_trace")?;
-        let span_ids = s.get_u64s("cs_span")?;
-        let parents = s.get_u64s("cs_parent")?;
-        let kinds = s.get_u64s("cs_kind")?;
-        let nodes = s.get_u64s("cs_node")?;
-        let details = s.get_u64s("cs_detail")?;
-        let starts = s.get_f64s("cs_start")?;
-        let ends = s.get_f64s("cs_end")?;
-        let oks = s.get_u64s("cs_ok")?;
-        let capacity = s.get_u64("capacity")? as usize;
-        let n = traces.len();
-        if [
-            span_ids.len(),
-            parents.len(),
-            kinds.len(),
-            nodes.len(),
-            details.len(),
-            starts.len(),
-            ends.len(),
-            oks.len(),
-        ]
-        .iter()
-        .any(|&l| l != n)
-        {
-            return Err(bad("cs_trace"));
-        }
-        let mut spans = Vec::with_capacity(n);
-        for i in 0..n {
-            let kind = SpanKind::ALL
-                .into_iter()
-                .find(|k| k.tag() == kinds[i])
-                .ok_or_else(|| bad("cs_kind"))?;
-            spans.push(CausalSpan {
-                trace_id: traces[i],
-                span_id: span_ids[i],
-                parent_id: parents[i],
-                kind,
-                node: nodes[i],
-                detail: details[i],
-                start_s: starts[i],
-                end_s: ends[i],
-                ok: oks[i] != 0,
-            });
-        }
-        let recorded = s.get_u64("recorded")?;
-        let spans = Ring::from_ordered(capacity, spans).ok_or_else(|| bad("cs_trace"))?;
-        *self.lock() = CausalRing { spans, recorded };
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1108,48 +961,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_tracer_checkpoint_round_trips_causal_ring() {
-        use crate::checkpoint::Checkpoint;
-        let t = FleetTracer::with_capacity(5);
-        let root = TraceContext::root(7, &[1]);
-        for i in 0..8u64 {
-            t.record(CausalSpan {
-                trace_id: root.trace_id,
-                span_id: trace_mix(root.span_id, &[i]),
-                parent_id: root.span_id,
-                kind: SpanKind::ALL[(i % 12) as usize],
-                node: i,
-                detail: i * 10,
-                start_s: i as f64,
-                end_s: i as f64 + 0.5,
-                ok: i % 3 != 0,
-            });
-        }
-        let mut ckpt = Checkpoint::new("ft");
-        t.save_state(&mut ckpt, "fleet_tracer");
-        let ckpt = Checkpoint::from_jsonl(&ckpt.to_jsonl()).expect("parses");
-        let mut back = FleetTracer::with_capacity(5);
-        back.restore_state(&ckpt, "fleet_tracer").expect("restores");
-        assert_eq!(back.spans(), t.spans(), "causal ring order/content");
-        assert_eq!(back.recorded(), 8, "total recorded survives eviction");
-        // The restored ring keeps the same eviction behaviour.
-        let next = CausalSpan {
-            trace_id: 7,
-            span_id: 1,
-            parent_id: 0,
-            kind: SpanKind::Health,
-            node: 0,
-            detail: 0,
-            start_s: 9.0,
-            end_s: 9.0,
-            ok: true,
-        };
-        t.record(next);
-        back.record(next);
-        assert_eq!(back.spans(), t.spans());
-    }
-
-    #[test]
     fn spans_carry_cost_and_clock_time() {
         let mut t = Tracer::sim(0.25);
         let s = t.start();
@@ -1163,21 +974,6 @@ mod tests {
         assert_eq!(span.wall_s(), 0.25);
         assert_eq!(span.energy_j, 2e-3);
         assert!(span.ok);
-    }
-
-    #[test]
-    fn span_guard_records_on_drop() {
-        let mut t = Tracer::sim(0.1);
-        {
-            let mut g = t.span(7, StageId::Monitor);
-            g.set_cost(1e-6, 2e-6);
-            g.set_failed();
-        }
-        let span = *t.spans().next().unwrap();
-        assert_eq!(span.tick, 7);
-        assert_eq!(span.stage, StageId::Monitor);
-        assert!(!span.ok);
-        assert_eq!(span.latency_s, 2e-6);
     }
 
     #[test]

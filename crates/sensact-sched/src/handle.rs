@@ -5,8 +5,9 @@
 //! in one scheduler. The generic `tick<E>` entry points cannot be boxed
 //! directly (they are generic over the environment), so the runtime closes
 //! each loop over its own environment first: a [`LoopHandle`] owns the loop,
-//! the environment, and the actuation closure, and exposes the object-safe
-//! [`DynLoop`] surface the scheduler drives. Both runners go through one
+//! the environment, and the actuation closure, and dereferences to the
+//! object-safe [`DynLoop`] surface the scheduler drives — the handle has no
+//! methods of its own beyond its constructors. Both runners go through one
 //! adapter, written against [`LoopRunner`]; whether it can checkpoint is a
 //! capability its constructor attaches, not a second adapter.
 
@@ -17,6 +18,7 @@ use sensact_core::stage::{Controller, Monitor, Perceptor, Sensor};
 use sensact_core::{
     FallibleLoop, LoopRunner, LoopTelemetry, Precision, SensingActionLoop, StageError, TraceContext,
 };
+use std::any::Any;
 
 /// What one multiplexed tick cost, as observed by the scheduler.
 ///
@@ -44,8 +46,10 @@ pub struct TickOutcome {
 /// The object-safe surface a scheduler needs from any loop.
 ///
 /// Implemented by the closed-over adapters behind [`LoopHandle`]; implement
-/// it directly to multiplex a custom runner.
-pub trait DynLoop: Send {
+/// it directly to multiplex a custom runner. [`Any`] lets the owner of a
+/// fleet of its own loops get the concrete type back inside
+/// [`FleetScheduler::tick_member_with`](crate::FleetScheduler::tick_member_with).
+pub trait DynLoop: Any + Send {
     /// Loop name (for reports).
     fn name(&self) -> &str;
 
@@ -143,9 +147,9 @@ struct Closed<L, E, F> {
 
 impl<L, E, F> DynLoop for Closed<L, E, F>
 where
-    L: LoopRunner<E> + Send,
-    E: Send,
-    F: FnMut(&mut E, &L::Action) + Send,
+    L: LoopRunner<E> + Send + 'static,
+    E: Send + 'static,
+    F: FnMut(&mut E, &L::Action) + Send + 'static,
 {
     fn name(&self) -> &str {
         self.inner.name()
@@ -267,7 +271,7 @@ impl LoopHandle {
 
     /// Like [`LoopHandle::closed`], but checkpointable: every stage
     /// implements [`StageState`] and the environment round-trips through
-    /// [`StateVec`], so [`LoopHandle::save_state`] captures loop and
+    /// [`StateVec`], so [`DynLoop::save_state`] captures loop and
     /// environment together for kill-and-resume or migration.
     pub fn closed_checkpointable<S, P, M, C, Ad, E, F>(
         inner: SensingActionLoop<S, P, M, C, Ad>,
@@ -323,55 +327,20 @@ impl LoopHandle {
     pub fn from_dyn(inner: Box<dyn DynLoop>) -> Self {
         LoopHandle { inner }
     }
+}
 
-    /// Loop name.
-    pub fn name(&self) -> &str {
-        self.inner.name()
+/// A handle *is* its loop: every [`DynLoop`] method is callable on it.
+impl std::ops::Deref for LoopHandle {
+    type Target = dyn DynLoop;
+
+    fn deref(&self) -> &dyn DynLoop {
+        &*self.inner
     }
+}
 
-    /// Anchor the loop on the fleet's virtual timeline (see
-    /// [`DynLoop::set_tick_start`]).
-    pub fn set_tick_start(&mut self, start_s: f64) {
-        self.inner.set_tick_start(start_s);
-    }
-
-    /// Run one tick (see [`DynLoop::tick_once`]).
-    pub fn tick_once(&mut self) -> TickOutcome {
-        self.inner.tick_once()
-    }
-
-    /// The loop's telemetry.
-    pub fn telemetry(&self) -> &LoopTelemetry {
-        self.inner.telemetry()
-    }
-
-    /// Surface a deadline miss (see [`DynLoop::record_deadline_miss`]).
-    pub fn record_deadline_miss(&mut self, latency_s: f64, budget_s: f64) {
-        self.inner.record_deadline_miss(latency_s, budget_s);
-    }
-
-    /// Forward a fleet-level precision hint (see
-    /// [`DynLoop::set_precision_hint`]).
-    pub fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.inner.set_precision_hint(hint);
-    }
-
-    /// Hand the loop its tick's causal trace context (see
-    /// [`DynLoop::set_trace_context`]).
-    pub fn set_trace_context(&mut self, ctx: TraceContext) {
-        self.inner.set_trace_context(ctx);
-    }
-
-    /// Serialize the loop and its environment (see [`DynLoop::save_state`]);
-    /// `Err(Unsupported)` unless built with a checkpointable constructor.
-    pub fn save_state(&self) -> Result<Checkpoint, CheckpointError> {
-        self.inner.save_state()
-    }
-
-    /// Restore state saved by [`LoopHandle::save_state`] (see
-    /// [`DynLoop::restore_from`]).
-    pub fn restore_from(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        self.inner.restore_from(ckpt)
+impl std::ops::DerefMut for LoopHandle {
+    fn deref_mut(&mut self) -> &mut dyn DynLoop {
+        &mut *self.inner
     }
 }
 

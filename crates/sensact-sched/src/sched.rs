@@ -498,11 +498,11 @@ pub struct MemberTickOutcome {
     pub missed: bool,
 }
 
-/// Execute one release on a slot: tick the loop, advance accounting, check
-/// the deadline. A tick starts when its release is due, its loop's previous
-/// tick has completed (a loop is sequential), and its assigned virtual
-/// worker is free (`worker_avail_s`; an externally-driven tick passes `0`,
-/// its caller being the capacity). The worker is
+/// Execute one release on a slot: run `tick` on the loop, advance accounting,
+/// check the deadline. A tick starts when its release is due, its loop's
+/// previous tick has completed (a loop is sequential), and its assigned
+/// virtual worker is free (`worker_avail_s`; an externally-driven tick passes
+/// `0`, its caller being the capacity). The worker is
 /// occupied only for the charged compute latency; a communication tail
 /// ([`TickOutcome::comm_s`](crate::handle::TickOutcome)) extends the loop's
 /// completion — and its deadline check — without burning worker capacity.
@@ -517,6 +517,7 @@ fn execute_release(
     worker_avail_s: f64,
     seed: u64,
     tracer: &FleetTracer,
+    tick: impl FnOnce(&mut dyn DynLoop) -> TickOutcome,
 ) -> (MemberTickOutcome, Option<(CausalSpan, Option<CausalSpan>)>) {
     let start_s = worker_avail_s
         .max(release.release_s)
@@ -528,7 +529,7 @@ fn execute_release(
     if let Some(ctx) = ctx {
         slot.handle.set_trace_context(ctx);
     }
-    let out = slot.handle.tick_once();
+    let out = tick(&mut *slot.handle);
     let latency_s = sane_latency(out.latency_s);
     let comm_s = sane_latency(out.comm_s);
     let busy_end_s = start_s + latency_s;
@@ -832,7 +833,7 @@ impl FleetScheduler {
     }
 
     /// Serialize member `id` for kill-and-resume or live migration: the
-    /// loop's own checkpoint ([`LoopHandle::save_state`] — stages,
+    /// loop's own checkpoint ([`DynLoop::save_state`] — stages,
     /// telemetry, environment) plus a `sched.slot` section carrying the
     /// scheduler-side accounting (cumulative [`LoopStats`] and the loop's
     /// sequential-completion frontier).
@@ -916,9 +917,27 @@ impl FleetScheduler {
     ///
     /// Panics if the member is retired.
     pub fn tick_member_at(&mut self, id: LoopId, release_s: f64) -> MemberTickOutcome {
+        self.tick_member_with(id, release_s, |member| member.tick_once())
+    }
+
+    /// [`FleetScheduler::tick_member_at`] with the tick body supplied by the
+    /// caller: `tick` runs in place of [`DynLoop::tick_once`], inside the same
+    /// accounting. This is how a tick takes an argument — the serving pool
+    /// downcasts `member` ([`DynLoop`] is [`Any`](std::any::Any)) to its own
+    /// lease type and hands it the observation's features by reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the member is retired.
+    pub fn tick_member_with(
+        &mut self,
+        id: LoopId,
+        release_s: f64,
+        tick: impl FnOnce(&mut dyn DynLoop) -> TickOutcome,
+    ) -> MemberTickOutcome {
         let seed = self.config.seed;
         let slot = &mut self.slots[id.0];
-        assert!(!slot.retired, "tick_member_at: member is retired");
+        assert!(!slot.retired, "external tick: member is retired");
         let release_idx = slot.ext_releases;
         slot.ext_releases += 1;
         let release = Release::new(
@@ -928,7 +947,7 @@ impl FleetScheduler {
             release_idx,
             release_s,
         );
-        execute_release(slot, &release, 0.0, seed, &self.tracer).0
+        execute_release(slot, &release, 0.0, seed, &self.tracer, tick).0
     }
 
     /// Charge `n` dropped releases to member `id` — the accounting hook for
@@ -1233,7 +1252,10 @@ fn drive(
         let wid = first_worker + w;
         let li = release.loop_idx - first_loop;
         let slot = &mut slots[li];
-        let (exec, spans) = execute_release(slot, &release, worker_clock_s[w], seed, tracer);
+        let (exec, spans) =
+            execute_release(slot, &release, worker_clock_s[w], seed, tracer, |member| {
+                member.tick_once()
+            });
         // The worker is free once compute ends; a comm tail keeps the
         // *loop* busy (sequential + deadline) but not the worker.
         lane.worker_busy_s[w] += exec.busy_end_s - exec.start_s;
@@ -2178,6 +2200,55 @@ mod tests {
         let spec = sched.member_spec(id);
         assert_eq!(spec.latency_budget_s, Some(5e-3));
         assert!((spec.deadline_s(1.0) - 1.005).abs() < 1e-12);
+    }
+
+    /// A caller-supplied tick body runs inside exactly the accounting
+    /// `tick_member_at` does: twin schedulers over the same member and the
+    /// same releases — one starting queued behind its predecessor and
+    /// missing its budget — agree on every outcome field, the stats, the
+    /// frontier and the loop's own timeout count. The body reaches the
+    /// concrete loop through `Any` and carries state in and out by capture.
+    #[test]
+    fn tick_member_with_accounts_like_tick_member_at() {
+        let build = || {
+            let mut sched = FleetScheduler::new(FleetConfig {
+                workers: 1,
+                watts_cap: None,
+                seed: 9,
+            });
+            // 4 ms compute + 0.5 ms comm tail against a 5 ms budget.
+            let id = sched.register(
+                CommLoop::boxed(4e-3, 5e-4),
+                LoopSpec::periodic(1e-2).with_budget(5e-3),
+            );
+            (sched, id)
+        };
+        let (mut at, id) = build();
+        let (mut with, _) = build();
+        // On time, queued behind the first (misses), on time again.
+        let releases = [1e-2, 1.1e-2, 3e-2];
+        let mut seen = Vec::new();
+        for release_s in releases {
+            let a = at.tick_member_at(id, release_s);
+            let b = with.tick_member_with(id, release_s, |member| {
+                seen.push(release_s);
+                let member: &mut dyn std::any::Any = member;
+                assert!(member.downcast_mut::<TombstoneLoop>().is_none());
+                member
+                    .downcast_mut::<CommLoop>()
+                    .expect("the registered type comes back")
+                    .tick_once()
+            });
+            assert_eq!(a, b, "release {release_s}");
+            assert!(a.completion_s > a.busy_end_s, "the comm tail is charged");
+        }
+        assert_eq!(seen, releases);
+        let stats = at.loop_stats(id);
+        assert_eq!(stats, with.loop_stats(id));
+        assert_eq!((stats.ticks, stats.deadline_misses), (3, 1));
+        assert_eq!(at.member_frontier_s(id), with.member_frontier_s(id));
+        let timeouts = |s: &FleetScheduler| s.loop_telemetry(id).fault_counters().timeouts;
+        assert_eq!((timeouts(&at), timeouts(&with)), (1, 1));
     }
 
     /// The external release counter is part of the member checkpoint: a

@@ -5,21 +5,23 @@
 //! The planner collects admitted observations (already shed-checked by the
 //! pool) during an ingress drain, then [`BatchPlanner::flush`] executes
 //! them: observations whose [`ModelKind`] is batchable and appears more
-//! than once are stacked — the planner locks every member's lease cell and
-//! one [`SharedPerceptor::forward_many_into`](crate::model::SharedPerceptor::forward_many_into) writes each member's
-//! features **directly into its cell's scratch** in a single kernel
-//! dispatch (no intermediate stacked buffer, no per-tick copy) — while
+//! than once are stacked — one
+//! [`SharedPerceptor::forward_many_into`](crate::model::SharedPerceptor::forward_many_into)
+//! writes every row's features into the planner's feature arena in a single
+//! kernel dispatch, and each tick is then handed its row by reference — while
 //! singletons and non-batchable kinds run the ordinary per-loop path.
+//! Perception is stateless given the weights, so rows stack whoever sent
+//! them: a lease with two observations in one window contributes two rows.
 //! Either way each observation's tick is *released at its own arrival
 //! time*, so the virtual timeline (latency charging, deadline accounting,
 //! telemetry) is bit-identical to unbatched serving; batching only changes
 //! wall-clock cost.
 
-use crate::lease::{AdmitTicket, LeasePool, ObsOutcome, Staged};
+use crate::lease::{AdmitTicket, LeasePool, ObsOutcome};
 use crate::model::ModelKind;
 
 /// One admitted observation awaiting the next flush. The ticket carries the
-/// lease handles captured at admission, so staging and release never walk
+/// lease handles captured at admission, so grouping and release never walk
 /// the lease table.
 #[derive(Debug)]
 struct PendingObs {
@@ -55,11 +57,13 @@ pub struct FlushStats {
 #[derive(Default)]
 pub struct BatchPlanner {
     pending: Vec<PendingObs>,
-    /// Per-pending flag: features already staged into the lease cell by a
-    /// batched group forward? Reused across flushes.
-    staged: Vec<bool>,
-    /// Pending indices of the group being assembled. Reused across flushes.
-    members: Vec<usize>,
+    /// Feature rows the stacked forwards of one flush wrote, `feat_len`
+    /// floats each, a kind's rows contiguous and in arrival order. Reused
+    /// across flushes and only ever grown: a forward overwrites its rows.
+    arena: Vec<f64>,
+    /// Per stacked kind, where its next unreleased row starts in `arena`.
+    /// Reused across flushes.
+    next_row: Vec<(ModelKind, usize)>,
 }
 
 impl BatchPlanner {
@@ -103,7 +107,7 @@ impl BatchPlanner {
             .map(|p| FlushedObs {
                 lease,
                 seq: p.seq,
-                outcome: pool.tick_obs(p.ticket.loop_id, &p.ticket.cell, p.obs, p.arrival_s),
+                outcome: pool.serve_obs(p.ticket.loop_id, p.ticket.kind, &p.obs, p.arrival_s),
             })
             .collect()
     }
@@ -121,9 +125,9 @@ impl BatchPlanner {
 
     /// Execute every pending observation, returning results in arrival
     /// order along with per-group occupancy (for the histogram). Each
-    /// batchable group runs ONE stacked forward that writes every member's
-    /// features straight into its lease cell; ticks are then released
-    /// individually at their own arrival times.
+    /// batchable group runs ONE stacked forward into the feature arena;
+    /// ticks are then released individually at their own arrival times,
+    /// each on its own row.
     pub fn flush(&mut self, pool: &mut LeasePool) -> (Vec<FlushedObs>, FlushStats, Vec<usize>) {
         let pending = std::mem::take(&mut self.pending);
         if pending.is_empty() {
@@ -134,92 +138,52 @@ impl BatchPlanner {
             ..FlushStats::default()
         };
         let mut occupancies = Vec::new();
-        // Stage features for every batchable kind with one stacked forward
-        // per kind, written directly into the members' cells. Group
-        // membership is arrival order within kind, which keeps the stacked
-        // row order deterministic.
-        self.staged.clear();
-        self.staged.resize(pending.len(), false);
+        // Perception for every batchable kind with one stacked forward per
+        // kind. Group membership is arrival order within kind, which keeps
+        // the stacked row order deterministic — and is the order the release
+        // pass below consumes the rows in.
+        self.next_row.clear();
+        let mut used = 0;
         for kind in ModelKind::ALL {
             if !kind.batchable() {
                 continue;
             }
-            self.members.clear();
-            for (i, p) in pending.iter().enumerate() {
-                if p.ticket.kind == kind {
-                    self.members.push(i);
-                }
-            }
-            if self.members.len() < 2 {
+            let rows: Vec<&[f64]> = pending
+                .iter()
+                .filter(|p| p.ticket.kind == kind)
+                .map(|p| p.obs.as_slice())
+                .collect();
+            if rows.len() < 2 {
                 continue; // a singleton gains nothing from stacking
             }
-            // Lock every member cell for the group forward. `try_lock` is
-            // the duplicate guard: if one lease contributed two
-            // observations to this flush, the second's cell is already
-            // held and must take the sequential path below — its features
-            // belong to a *later* tick than the one this group computes.
-            let mut guards: Vec<_> = self
-                .members
-                .iter()
-                .map(|&i| match pending[i].ticket.cell.try_lock() {
-                    Ok(g) => Some(g),
-                    Err(std::sync::TryLockError::Poisoned(p)) => Some(p.into_inner()),
-                    Err(std::sync::TryLockError::WouldBlock) => None,
-                })
+            let start = used;
+            used += rows.len() * kind.feat_len();
+            if self.arena.len() < used {
+                self.arena.resize(used, 0.0);
+            }
+            let mut outs: Vec<&mut [f64]> = self.arena[start..used]
+                .chunks_exact_mut(kind.feat_len())
                 .collect();
-            let group: Vec<usize> = guards
-                .iter()
-                .zip(&self.members)
-                .filter(|(g, _)| g.is_some())
-                .map(|(_, &i)| i)
-                .collect();
-            if group.len() < 2 {
-                continue; // guards drop, cells unlock
-            }
-            let flen = kind.feat_len();
-            let mut rows: Vec<&[f64]> = Vec::with_capacity(group.len());
-            let mut outs: Vec<&mut [f64]> = Vec::with_capacity(group.len());
-            for (g, &i) in guards.iter_mut().zip(&self.members) {
-                if let Some(g) = g.as_mut() {
-                    g.feats_scratch.resize(flen, 0.0);
-                    g.staged = Staged::Ready;
-                    rows.push(pending[i].obs.as_slice());
-                    outs.push(g.feats_scratch.as_mut_slice());
-                }
-            }
-            let perceptor = pool.perceptor_for(kind);
-            perceptor
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .forward_many_into(&rows, &mut outs);
-            drop(outs);
-            drop(guards);
-            for &i in &group {
-                self.staged[i] = true;
-            }
+            pool.perceptor(kind).forward_many_into(&rows, &mut outs);
+            self.next_row.push((kind, start));
             stats.batches += 1;
-            stats.max_occupancy = stats.max_occupancy.max(group.len());
-            occupancies.push(group.len());
+            stats.max_occupancy = stats.max_occupancy.max(rows.len());
+            occupancies.push(rows.len());
         }
         // Release every tick at its own arrival time, in arrival order.
         let mut out = Vec::with_capacity(pending.len());
-        for (i, p) in pending.into_iter().enumerate() {
-            if !self.staged[i] {
-                // Singleton, non-batchable, or duplicate-lease overflow:
-                // per-loop perception staged in place right before its
-                // tick, through the same cell the batched path uses.
-                let kind = p.ticket.kind;
-                let mut g = p.ticket.cell.lock().unwrap_or_else(|e| e.into_inner());
-                g.feats_scratch.resize(kind.feat_len(), 0.0);
-                let perceptor = pool.perceptor_for(kind);
-                perceptor
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .forward_one(&p.obs, &mut g.feats_scratch);
-                g.staged = Staged::Ready;
-                drop(g);
-            }
-            let outcome = pool.tick_ready(&p.ticket, p.arrival_s);
+        for p in pending {
+            let kind = p.ticket.kind;
+            let outcome = match self.next_row.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, at)) => {
+                    let feats = &self.arena[*at..*at + kind.feat_len()];
+                    *at += kind.feat_len();
+                    pool.tick(p.ticket.loop_id, feats, p.arrival_s)
+                }
+                // Singleton or non-batchable: per-loop perception right
+                // before its tick.
+                None => pool.serve_obs(p.ticket.loop_id, kind, &p.obs, p.arrival_s),
+            };
             out.push(FlushedObs {
                 lease: p.ticket.lease,
                 seq: p.seq,
@@ -321,11 +285,10 @@ mod tests {
         }
     }
 
-    /// Two observations from the SAME lease in one flush: the first joins
-    /// the stacked group, the second (whose cell the group already holds)
-    /// must fall back to sequential staging so its features are computed
-    /// *after* the first tick consumed the staged ones — bitwise identical
-    /// to unbatched serving of the same stream.
+    /// Two observations from the SAME lease in one flush: perception is
+    /// stateless given the weights, so both rows join the stacked group and
+    /// the lease ticks them in arrival order — bitwise identical to
+    /// unbatched serving of the same stream.
     #[test]
     fn duplicate_lease_in_one_flush_stays_bitwise() {
         let cfg = PoolConfig::default();
@@ -351,7 +314,7 @@ mod tests {
         }
         let (flushed, stats, occ) = planner.flush(&mut batched);
         assert_eq!(stats.ticks, 4);
-        assert_eq!(occ, vec![3], "the duplicate is excluded from the group");
+        assert_eq!(occ, vec![4], "a lease's second row stacks like anyone's");
         for (i, (got, want)) in flushed.iter().zip(&expected).enumerate() {
             match (&got.outcome, want) {
                 (

@@ -164,12 +164,15 @@ impl ServeEngine {
         result
     }
 
+    /// Decode from an advancing offset and drain once: pipelined frames in
+    /// one read must not memmove the tail once per frame.
     fn drain_binary(&mut self, conn: &mut ConnState, now_s: f64, result: &mut IngestResult) {
+        let mut used = 0;
         loop {
-            match wire::decode(&conn.buf) {
-                Ok(None) => return,
-                Ok(Some((frame, used))) => {
-                    conn.buf.drain(..used);
+            match wire::decode(&conn.buf[used..]) {
+                Ok(None) => break,
+                Ok(Some((frame, len))) => {
+                    used += len;
                     self.metrics.inc(m::FRAMES_IN);
                     self.on_frame(frame, now_s, result);
                 }
@@ -183,10 +186,11 @@ impl ServeEngine {
                         },
                     );
                     conn.dead = true;
-                    return;
+                    break;
                 }
             }
         }
+        conn.buf.drain(..used);
     }
 
     fn send(&mut self, result: &mut IngestResult, frame: &Frame) {
@@ -414,11 +418,12 @@ impl ServeEngine {
     }
 
     fn drain_http(&mut self, conn: &mut ConnState, _now_s: f64, result: &mut IngestResult) {
+        let mut used = 0;
         loop {
-            match http::parse(&conn.buf) {
-                Ok(None) => return,
-                Ok(Some((req, used))) => {
-                    conn.buf.drain(..used);
+            match http::parse(&conn.buf[used..]) {
+                Ok(None) => break,
+                Ok(Some((req, len))) => {
+                    used += len;
                     self.metrics.inc(m::HTTP_REQUESTS);
                     let resp = self.route_http(&req);
                     result.reply.extend_from_slice(&resp);
@@ -433,10 +438,11 @@ impl ServeEngine {
                         e.to_string().as_bytes(),
                     ));
                     conn.dead = true;
-                    return;
+                    break;
                 }
             }
         }
+        conn.buf.drain(..used);
     }
 
     fn route_http(&mut self, req: &http::Request) -> Vec<u8> {
@@ -566,10 +572,39 @@ mod tests {
             assert!(r.reply.is_empty());
         }
         let r = eng.ingest(&mut conn, &req[req.len() - 1..], 0.0);
-        assert!(matches!(
-            decode_all(&r.reply)[..],
-            [Frame::LeaseGrant { .. }]
-        ));
+        let lease = match decode_all(&r.reply)[..] {
+            [Frame::LeaseGrant { lease, .. }] => lease,
+            ref other => panic!("{other:?}"),
+        };
+        // The other direction: N pipelined frames in one call reply
+        // byte-identically to N calls, and a trailing partial frame waits
+        // in the buffer for its remainder.
+        let mut twin = engine(false);
+        let mut twin_conn = ConnState::new();
+        let _ = twin.ingest(&mut twin_conn, &req, 0.0);
+        let frames: Vec<Vec<u8>> = (0..6u64)
+            .map(|seq| {
+                encode_to_vec(&Frame::Obs {
+                    lease,
+                    seq,
+                    values: vec![0.25 * seq as f64; 4],
+                })
+            })
+            .collect();
+        let (last, head) = frames.split_last().unwrap();
+        let mut piped = head.concat();
+        piped.extend_from_slice(&last[..last.len() / 2]);
+        let mut one_by_one = Vec::new();
+        for f in head {
+            one_by_one.extend(eng.ingest(&mut conn, f, 1e-3).reply);
+        }
+        assert_eq!(decode_all(&one_by_one).len(), head.len());
+        assert_eq!(twin.ingest(&mut twin_conn, &piped, 1e-3).reply, one_by_one);
+        assert_eq!(
+            twin.ingest(&mut twin_conn, &last[last.len() / 2..], 2e-3)
+                .reply,
+            eng.ingest(&mut conn, last, 2e-3).reply
+        );
     }
 
     #[test]

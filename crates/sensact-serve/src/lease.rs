@@ -6,9 +6,16 @@
 //! scheduler member (so it gets the same stats, deadline, tracing and
 //! checkpoint machinery every fleet loop gets), drives it with
 //! *observation-released* ticks
-//! ([`FleetScheduler::tick_member_at`]), and retires the slot back to the
+//! ([`FleetScheduler::tick_member_with`]), and retires the slot back to the
 //! scheduler's freelist when the lease ends — `LoopId`s stay dense under
 //! arbitrary churn.
+//!
+//! Every piece of serving state has one owner and is reached by `&mut`:
+//! the pool owns the scheduler and the shared perceptors, the scheduler
+//! owns the lease loops, a lease loop owns its controller state and last
+//! action. Perception runs pool-side, and the feature row is the tick's
+//! *argument* — handed by reference to the lease inside the scheduler's
+//! accounting — so nothing is left in shared memory for a tick to find.
 //!
 //! Admission control is the scheduler's own arithmetic moved to the edge:
 //! a lease is rejected when the fleet's summed latency demand would exceed
@@ -32,102 +39,52 @@ use sensact_core::{Precision, Trust};
 use sensact_sched::{
     DynLoop, FleetConfig, FleetScheduler, LoopHandle, LoopId, LoopSpec, TickOutcome,
 };
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// Checkpoint section carrying a lease's controller identity and state.
 const LEASE_SECTION: &str = "serve.lease";
 /// Checkpoint section carrying the pool-side grant (lease id).
 const GRANT_SECTION: &str = "serve.grant";
 
-/// What the ingress staged for a lease's next tick.
-#[derive(Debug, Default)]
-pub(crate) enum Staged {
-    /// Nothing pending (only legal between ticks).
-    #[default]
-    Empty,
-    /// A raw observation: the tick runs perception inline (per-loop path).
-    Obs(Vec<f64>),
-    /// The batch planner already copied the computed features into
-    /// `feats_scratch`: the tick skips perception. Bitwise identical to
-    /// [`Staged::Obs`] because the batched forward is bitwise identical to
-    /// the per-row forward — and allocation-free, because the scratch
-    /// buffer is reused across ticks.
-    Ready,
-}
-
-/// Mailbox shared between the pool (stages observations, reads actions)
-/// and the lease's scheduler slot (consumes observations, writes actions).
-#[derive(Debug, Default)]
-pub(crate) struct LeaseCell {
-    pub(crate) staged: Staged,
-    pub(crate) action: Vec<f64>,
-    pub(crate) feats_scratch: Vec<f64>,
-}
-
-pub(crate) type SharedCell = Arc<Mutex<LeaseCell>>;
-
-/// The [`DynLoop`] a lease registers into the scheduler: shared perceptor,
-/// per-lease controller state, and the loop's own telemetry ring.
+/// The [`DynLoop`] a lease registers into the scheduler: per-lease
+/// controller state, the last action (checkpointed), and the loop's own
+/// telemetry ring. Perception is not here — it is shared, so the pool runs
+/// it and the lease is served the features.
 struct LeaseLoop {
     name: String,
     kind: ModelKind,
     seed: u64,
     spec: ModelSpec,
     state: Vec<f64>,
-    cell: SharedCell,
-    perceptor: Arc<Mutex<SharedPerceptor>>,
+    action: Vec<f64>,
     telemetry: LoopTelemetry,
 }
 
 impl LeaseLoop {
-    fn new(
-        lease: u64,
-        kind: ModelKind,
-        seed: u64,
-        cell: SharedCell,
-        perceptor: Arc<Mutex<SharedPerceptor>>,
-    ) -> Self {
+    fn new(lease: u64, kind: ModelKind, seed: u64) -> Self {
         LeaseLoop {
             name: format!("lease-{lease}-{}", kind.name()),
             kind,
             seed,
             spec: kind.spec(),
             state: kind.init_state(seed),
-            cell,
-            perceptor,
+            action: Vec::new(),
             telemetry: LoopTelemetry::new(),
         }
     }
-}
 
-impl DynLoop for LeaseLoop {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn tick_once(&mut self) -> TickOutcome {
-        let mut cell = self.cell.lock().unwrap_or_else(|e| e.into_inner());
-        let cell = &mut *cell;
-        match std::mem::take(&mut cell.staged) {
-            Staged::Obs(obs) => {
-                cell.feats_scratch.resize(self.kind.feat_len(), 0.0);
-                self.perceptor
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .forward_one(&obs, &mut cell.feats_scratch);
-            }
-            Staged::Ready => {} // feats_scratch pre-filled by the planner
-            Staged::Empty => unreachable!("lease ticked with nothing staged"),
-        }
-        cell.action.resize(self.spec.act_len, 0.0);
-        self.kind
-            .control(&mut self.state, &cell.feats_scratch, &mut cell.action);
+    /// One tick on the feature row `feats`: step the controller, write the
+    /// action into `values`, charge the tick.
+    fn serve(&mut self, feats: &[f64], values: &mut Vec<f64>) -> TickOutcome {
+        values.resize(self.spec.act_len, 0.0);
+        self.kind.control(&mut self.state, feats, values);
+        self.action.clone_from(values);
         // The charged energy carries a state-sensitive term: any divergence
         // in the restored controller state shows up in the telemetry ledger
         // (and therefore in `diff_records`), not just in the action bytes.
         let mut act_mag = 0.0;
-        for a in &cell.action {
+        for a in values.iter() {
             act_mag += a.abs();
         }
         let energy_j = self.spec.energy_j + 1e-9 * act_mag;
@@ -144,6 +101,18 @@ impl DynLoop for LeaseLoop {
             comm_s: 0.0,
             faults: 0,
         }
+    }
+}
+
+impl DynLoop for LeaseLoop {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn tick_once(&mut self) -> TickOutcome {
+        // The pool owns the scheduler outright and never runs it: the only
+        // tick a lease gets is `LeasePool::tick`, which calls `serve`.
+        unreachable!("a lease ticks on an observation, never on a schedule")
     }
 
     fn telemetry(&self) -> &LoopTelemetry {
@@ -163,8 +132,7 @@ impl DynLoop for LeaseLoop {
         s.put_u64("kind", self.kind.wire() as u64);
         s.put_u64("seed", self.seed);
         s.put_f64s("state", &self.state);
-        let cell = self.cell.lock().unwrap_or_else(|e| e.into_inner());
-        s.put_f64s("action", &cell.action);
+        s.put_f64s("action", &self.action);
         ckpt.push(s);
         self.telemetry.save_state(&mut ckpt, "telemetry");
         Ok(ckpt)
@@ -182,12 +150,7 @@ impl DynLoop for LeaseLoop {
             return Err(CheckpointError::BadValue("serve.lease state length".into()));
         }
         self.state = state;
-        let action = s.get_f64s("action")?;
-        {
-            let mut cell = self.cell.lock().unwrap_or_else(|e| e.into_inner());
-            cell.action = action;
-            cell.staged = Staged::Empty;
-        }
+        self.action = s.get_f64s("action")?;
         self.telemetry.restore_state(ckpt, "telemetry")
     }
 }
@@ -227,7 +190,6 @@ impl Default for PoolConfig {
 pub(crate) struct LeaseEntry {
     pub(crate) loop_id: LoopId,
     pub(crate) kind: ModelKind,
-    pub(crate) cell: SharedCell,
     pub(crate) last_seen_s: f64,
     /// Where the scheduler's frontier will stand once every observation
     /// admitted for deferred execution has been released: advanced on each
@@ -238,8 +200,8 @@ pub(crate) struct LeaseEntry {
 }
 
 /// A validated, shed-checked admission for deferred (batched) execution:
-/// every handle the batch planner needs to stage features into the lease
-/// cell and release the tick, captured from the one lease-table walk
+/// what the batch planner needs to group the observation and release its
+/// tick, captured from the one lease-table walk
 /// [`LeasePool::admit_deferred`] already does — the flush hot path never
 /// touches the table again.
 #[derive(Debug)]
@@ -247,7 +209,6 @@ pub struct AdmitTicket {
     pub(crate) lease: u64,
     pub(crate) kind: ModelKind,
     pub(crate) loop_id: LoopId,
-    pub(crate) cell: SharedCell,
 }
 
 /// Outcome of [`LeasePool::admit_deferred`].
@@ -305,11 +266,13 @@ pub enum LeaseError {
 pub struct LeasePool {
     sched: FleetScheduler,
     cfg: PoolConfig,
-    perceptors: BTreeMap<ModelKind, Arc<Mutex<SharedPerceptor>>>,
+    perceptors: BTreeMap<ModelKind, SharedPerceptor>,
     leases: BTreeMap<u64, LeaseEntry>,
     next_lease: u64,
     /// Σ latency/period over live leases — admission-control demand.
     demand: f64,
+    /// The per-loop path's feature row, reused across observations.
+    feats: Vec<f64>,
 }
 
 impl LeasePool {
@@ -326,6 +289,7 @@ impl LeasePool {
             leases: BTreeMap::new(),
             next_lease: 1,
             demand: 0.0,
+            feats: Vec::new(),
         }
     }
 
@@ -349,12 +313,23 @@ impl LeasePool {
         self.leases.keys().copied().collect()
     }
 
-    fn perceptor(&mut self, kind: ModelKind) -> Arc<Mutex<SharedPerceptor>> {
+    /// The shared perceptor of `kind`, built on first use (a grant). The
+    /// batch planner runs its stacked forward on it.
+    pub(crate) fn perceptor(&mut self, kind: ModelKind) -> &mut SharedPerceptor {
         let seed = self.cfg.seed;
-        Arc::clone(
-            self.perceptors
-                .entry(kind)
-                .or_insert_with(|| Arc::new(Mutex::new(SharedPerceptor::new(kind, seed)))),
+        self.perceptors
+            .entry(kind)
+            .or_insert_with(|| SharedPerceptor::new(kind, seed))
+    }
+
+    /// Register lease `lease`'s loop as a scheduler member.
+    fn register(&mut self, lease: u64, kind: ModelKind, seed: u64) -> LoopId {
+        let spec = kind.spec();
+        // Weights are built here, not under the lease's first observation.
+        self.perceptor(kind);
+        self.sched.register(
+            LoopHandle::from_dyn(Box::new(LeaseLoop::new(lease, kind, seed))),
+            LoopSpec::periodic(spec.period_s).with_budget(spec.budget_s),
         )
     }
 
@@ -376,19 +351,12 @@ impl LeasePool {
         }
         let lease = self.next_lease;
         self.next_lease += 1;
-        let cell: SharedCell = Arc::default();
-        let perceptor = self.perceptor(kind);
-        let looop = LeaseLoop::new(lease, kind, seed, Arc::clone(&cell), perceptor);
-        let loop_id = self.sched.register(
-            LoopHandle::from_dyn(Box::new(looop)),
-            LoopSpec::periodic(spec.period_s).with_budget(spec.budget_s),
-        );
+        let loop_id = self.register(lease, kind, seed);
         self.leases.insert(
             lease,
             LeaseEntry {
                 loop_id,
                 kind,
-                cell,
                 last_seen_s: now_s,
                 projected_frontier_s: 0.0,
                 sheds: 0,
@@ -449,31 +417,54 @@ impl LeasePool {
         }
         let entry = self.leases.get_mut(&lease).expect("validated above");
         entry.last_seen_s = now_s;
-        let (loop_id, cell) = (entry.loop_id, Arc::clone(&entry.cell));
-        Ok(self.tick_obs(loop_id, &cell, obs, now_s))
+        let (loop_id, kind) = (entry.loop_id, entry.kind);
+        Ok(self.serve_obs(loop_id, kind, &obs, now_s))
     }
 
-    /// Release one tick on the per-loop path: stage the raw observation and
-    /// let the tick run perception inline. What [`LeasePool::observe`] does
-    /// once an observation is admitted, and what the batch planner does for
-    /// the queued observations of a lease that is released before the flush.
-    pub(crate) fn tick_obs(
+    /// Release one tick on the per-loop path: perception on this one
+    /// observation ([`SharedPerceptor::forward_one`], the reference the
+    /// stacked forward is compared against), then the tick. What
+    /// [`LeasePool::observe`] does once an observation is admitted, and what
+    /// the batch planner does for an observation it does not stack.
+    pub(crate) fn serve_obs(
         &mut self,
         loop_id: LoopId,
-        cell: &SharedCell,
-        obs: Vec<f64>,
+        kind: ModelKind,
+        obs: &[f64],
         release_s: f64,
     ) -> ObsOutcome {
-        cell.lock().unwrap_or_else(|e| e.into_inner()).staged = Staged::Obs(obs);
-        self.run_tick(loop_id, cell, release_s)
+        let mut feats = std::mem::take(&mut self.feats);
+        feats.resize(kind.feat_len(), 0.0);
+        self.perceptor(kind).forward_one(obs, &mut feats);
+        let outcome = self.tick(loop_id, &feats, release_s);
+        self.feats = feats;
+        outcome
+    }
+
+    /// The one tick routine: release member `loop_id` at `release_s` (the
+    /// observation's arrival time) with the feature row as the tick's
+    /// argument, inside the scheduler's accounting.
+    pub(crate) fn tick(&mut self, loop_id: LoopId, feats: &[f64], release_s: f64) -> ObsOutcome {
+        let mut values = Vec::new();
+        let out = self.sched.tick_member_with(loop_id, release_s, |member| {
+            let member: &mut dyn Any = member;
+            member
+                .downcast_mut::<LeaseLoop>()
+                .expect("the pool registers nothing but lease loops")
+                .serve(feats, &mut values)
+        });
+        ObsOutcome::Act {
+            response_s: out.completion_s - release_s,
+            energy_j: out.energy_j,
+            values,
+            missed: out.missed,
+        }
     }
 
     /// Admit one observation for deferred (batched) execution: validate and
     /// shed-check now, advance the lease's projected frontier past it, and
-    /// hand the caller an
-    /// [`AdmitTicket`] so the batch planner can stage features into the
-    /// lease cell and release the tick (`LeasePool::tick_ready`) without
-    /// any further lease-table lookups.
+    /// hand the caller an [`AdmitTicket`] so the batch planner can group it
+    /// and release its tick without any further lease-table lookups.
     pub fn admit_deferred(
         &mut self,
         lease: u64,
@@ -492,43 +483,7 @@ impl LeasePool {
             lease,
             kind: entry.kind,
             loop_id: entry.loop_id,
-            cell: Arc::clone(&entry.cell),
         }))
-    }
-
-    /// Release the tick of an admitted observation whose cell the batch
-    /// planner already staged ([`Staged::Ready`], features written straight
-    /// into `feats_scratch` by the batched forward — no copy) at
-    /// `release_s` (the observation's arrival time). The ticket carries
-    /// every handle the release needs — the flush hot path never walks the
-    /// lease table.
-    pub(crate) fn tick_ready(&mut self, ticket: &AdmitTicket, release_s: f64) -> ObsOutcome {
-        debug_assert!(matches!(
-            ticket.cell.lock().unwrap_or_else(|e| e.into_inner()).staged,
-            Staged::Ready
-        ));
-        self.run_tick(ticket.loop_id, &ticket.cell, release_s)
-    }
-
-    /// Shared perceptor for `kind` (building it on first use) — the batch
-    /// planner borrows this to run the stacked forward.
-    pub(crate) fn perceptor_for(&mut self, kind: ModelKind) -> Arc<Mutex<SharedPerceptor>> {
-        self.perceptor(kind)
-    }
-
-    fn run_tick(&mut self, loop_id: LoopId, cell: &SharedCell, release_s: f64) -> ObsOutcome {
-        let out = self.sched.tick_member_at(loop_id, release_s);
-        let values = cell
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .action
-            .clone();
-        ObsOutcome::Act {
-            response_s: out.completion_s - release_s,
-            energy_j: out.energy_j,
-            values,
-            missed: out.missed,
-        }
     }
 
     /// Record a heartbeat; `false` if the lease is unknown.
@@ -610,6 +565,11 @@ impl LeasePool {
     pub fn restore_lease(&mut self, ckpt: &Checkpoint, now_s: f64) -> Result<u64, CheckpointError> {
         let grant = ckpt.section(GRANT_SECTION)?;
         let lease = grant.get_u64("lease")?;
+        // The checkpoint is outside input: an id the counter cannot step
+        // past is refused before anything is registered.
+        let next_lease = lease
+            .checked_add(1)
+            .ok_or_else(|| CheckpointError::BadValue("serve.grant lease".into()))?;
         if self.leases.contains_key(&lease) {
             return Err(CheckpointError::BadValue("lease id already live".into()));
         }
@@ -618,17 +578,10 @@ impl LeasePool {
             .ok_or_else(|| CheckpointError::BadValue("serve.lease kind".into()))?;
         let seed = s.get_u64("seed")?;
         let spec = kind.spec();
-        let cell: SharedCell = Arc::default();
-        let perceptor = self.perceptor(kind);
-        let twin = LeaseLoop::new(lease, kind, seed, Arc::clone(&cell), perceptor);
         // Register a fresh twin (reusing a retired slot if one is free),
         // then adopt the checkpointed state on top of it.
-        let loop_id = self.sched.register(
-            LoopHandle::from_dyn(Box::new(twin)),
-            LoopSpec::periodic(spec.period_s).with_budget(spec.budget_s),
-        );
-        let perceptor = self.perceptor(kind);
-        let twin = LeaseLoop::new(lease, kind, seed, Arc::clone(&cell), perceptor);
+        let loop_id = self.register(lease, kind, seed);
+        let twin = LeaseLoop::new(lease, kind, seed);
         if let Err(e) = self
             .sched
             .adopt_member(loop_id, LoopHandle::from_dyn(Box::new(twin)), ckpt)
@@ -642,13 +595,12 @@ impl LeasePool {
             LeaseEntry {
                 loop_id,
                 kind,
-                cell,
                 last_seen_s: now_s,
                 projected_frontier_s: 0.0,
                 sheds: 0,
             },
         );
-        self.next_lease = self.next_lease.max(lease + 1);
+        self.next_lease = self.next_lease.max(next_lease);
         self.demand += spec.latency_s / spec.period_s;
         Ok(lease)
     }
@@ -889,8 +841,20 @@ mod tests {
             p.restore_lease(&ckpt, 0.01),
             Err(CheckpointError::BadValue(_))
         ));
-        // A pool that never granted it adopts fine.
+        // A pool that never granted it adopts fine — but not under an id the
+        // lease counter cannot step past (the checkpoint is outside input):
+        // refused up front, nothing registered, the pool unchanged.
         let mut q = pool();
+        let mut hostile = ckpt.clone();
+        let mut grant = Section::new(GRANT_SECTION);
+        grant.put_u64("lease", u64::MAX);
+        hostile.push(grant);
+        assert_eq!(
+            q.restore_lease(&hostile, 0.01),
+            Err(CheckpointError::BadValue("serve.grant lease".into()))
+        );
+        assert_eq!((q.active(), q.sched.len()), (0, 0));
         assert_eq!(q.restore_lease(&ckpt, 0.01).unwrap(), lease);
+        assert_eq!((q.active(), q.sched.len()), (1, 1));
     }
 }

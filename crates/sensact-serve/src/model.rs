@@ -167,9 +167,9 @@ impl ModelKind {
 }
 
 /// The server-side shared perception stage of one [`ModelKind`]: a single
-/// weight set every lease of that kind runs through. Interior mutability is
-/// the caller's business (the pool wraps it in `Arc<Mutex<…>>`) — the
-/// mutability below is only scratch reuse inside [`Conv3d`].
+/// weight set every lease of that kind runs through, owned by the pool and
+/// called by `&mut` — the mutability below is only scratch reuse inside
+/// [`Conv3d`].
 pub struct SharedPerceptor {
     kind: ModelKind,
     conv: Option<Conv3d>,
@@ -207,10 +207,10 @@ impl SharedPerceptor {
 
     /// Cross-loop batched forward: all rows through **one** wide GEMM whose
     /// panel packer unfolds each row's patches
-    /// ([`Conv3d::forward_batch_into`]), each member's feature row written
-    /// directly into its own buffer (the lease cell's scratch), so the
-    /// planner needs no intermediate stacked copy. Bitwise identical to the
-    /// per-row path for every batch size.
+    /// ([`Conv3d::forward_batch_into`]), each feature row written directly
+    /// into its own buffer (a row of the planner's arena), which the tick
+    /// then reads in place. Bitwise identical to the per-row path for every
+    /// batch size.
     pub fn forward_many_into(&mut self, rows: &[&[f64]], outs: &mut [&mut [f64]]) {
         match &mut self.conv {
             Some(conv) => conv.forward_batch_into(rows, outs),
