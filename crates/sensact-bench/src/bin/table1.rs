@@ -2,26 +2,29 @@
 //!
 //! Paper (KITTI val, moderate): SECOND 79.08/44.52/64.49; +R-MAE improves to
 //! 79.10/46.93/67.75. PV-RCNN 82.28/51.51/69.45; +R-MAE 82.82/51.61/73.82.
-//! The reproducible content at our scale is the *pre-training effect*:
-//! masked-occupancy pre-training lifts AP over the no-reconstruction
-//! baseline, with the biggest gains on the small classes, on both detector
-//! tiers; the inter-scheme ordering (R-MAE vs OccMAE vs ALSO) is reported
-//! via the reconstruction-IoU column (AP differences between schemes are
-//! below this harness's resolution — see EXPERIMENTS.md).
+//! Every cell is a mean over [`SEEDS`] draws. What reproduces at our scale,
+//! and is asserted: every scheme reconstructs (recon-IoU > 0) and the
+//! two-stage detector is no worse than the single-stage one. The paper's
+//! small-class lift from pre-training is printed but **not** asserted: its
+//! mean over the seeds is smaller than its spread (see EXPERIMENTS.md, a
+//! recorded deviation), as are AP differences between schemes.
 
 use sensact_bench::{compare, header, scaled, write_csv};
 use sensact_lidar::scene::{SceneConfig, SceneGenerator};
+use sensact_math::RunningStats;
 use sensact_rmae::detect::Detector;
 use sensact_rmae::eval::{evaluate_cell, PipelineConfig};
 use sensact_rmae::pretrain::Strategy;
+
+/// Scene / mask / initialisation draws each cell is averaged over. One draw
+/// scores a handful of small-class objects, so a single seed's AP difference
+/// is noise; the shape checks read the mean.
+const SEEDS: u64 = 5;
 
 fn main() {
     header("Table I: AP by pre-training scheme and detector");
     let train_n = scaled(24, 6);
     let eval_n = scaled(16, 6);
-    let mut generator = SceneGenerator::with_config(42, SceneConfig::default());
-    let train = generator.generate_many(train_n);
-    let eval = generator.generate_many(eval_n);
     let config = PipelineConfig {
         pretrain_epochs: scaled(20, 5),
         ..PipelineConfig::default()
@@ -31,58 +34,106 @@ fn main() {
         ("SECOND-like (single stage)", Detector::second_like()),
         ("PV-RCNN-like (two stage)", Detector::pvrcnn_like()),
     ];
-    let mut csv = Vec::new();
-    let mut rmae_small = [0.0f64; 2];
-    let mut baseline_small = [0.0f64; 2];
-    let mut rmae_mean = [0.0f64; 2];
-    for (di, (name, detector)) in detectors.iter().enumerate() {
-        println!("\n-- {name} --");
-        for strategy in Strategy::table1_rows() {
-            let row = evaluate_cell(strategy, detector, &train, &eval, &config, 7);
-            println!("{row}");
-            csv.push(format!(
-                "{name},{strategy},{:.4},{:.4},{:.4},{:.4}",
-                row.car, row.pedestrian, row.cyclist, row.recon_iou
-            ));
-            if strategy == Strategy::RadialMae {
-                rmae_small[di] = (row.pedestrian + row.cyclist) / 2.0;
-                rmae_mean[di] = row.mean();
+    let strategies = Strategy::table1_rows();
+    // Rows of `strategies` the shape checks read.
+    const BASELINE: usize = 0;
+    const RMAE: usize = 3;
+    // [detector][strategy][car, ped, cyc, recon-IoU], over the seeds.
+    let mut cells = [[[RunningStats::new(); 4]; 4]; 2];
+    // Per-seed ped+cyc mean AP of R-MAE minus the baseline's, per detector.
+    let mut lift = [RunningStats::new(); 2];
+    let scenes = |seed: u64| {
+        let mut generator = SceneGenerator::with_config(seed, SceneConfig::default());
+        (
+            generator.generate_many(train_n),
+            generator.generate_many(eval_n),
+        )
+    };
+    for k in 0..SEEDS {
+        let (train, eval) = scenes(42 + k);
+        for (di, (_, detector)) in detectors.iter().enumerate() {
+            let mut small = [0.0f64; 4];
+            for (si, &strategy) in strategies.iter().enumerate() {
+                let row = evaluate_cell(strategy, detector, &train, &eval, &config, 7 + k);
+                let values = [row.car, row.pedestrian, row.cyclist, row.recon_iou];
+                for (stat, v) in cells[di][si].iter_mut().zip(values) {
+                    stat.push(v);
+                }
+                small[si] = (row.pedestrian + row.cyclist) / 2.0;
             }
-            if strategy == Strategy::None {
-                baseline_small[di] = (row.pedestrian + row.cyclist) / 2.0;
-            }
+            lift[di].push(small[RMAE] - small[BASELINE]);
         }
     }
 
+    let mut csv = Vec::new();
+    let pct = |s: RunningStats| format!("{:5.1} ± {:4.1}", s.mean() * 100.0, s.std_dev() * 100.0);
+    for (di, (name, _)) in detectors.iter().enumerate() {
+        println!("\n-- {name} (mean ± sd over {SEEDS} seeds) --");
+        for (si, strategy) in strategies.iter().enumerate() {
+            let [car, ped, cyc, iou] = cells[di][si];
+            println!(
+                "{:<10}  Car {}  Pedestrian {}  Cyclist {}  recon-IoU {:.3} ± {:.3}",
+                strategy.to_string(),
+                pct(car),
+                pct(ped),
+                pct(cyc),
+                iou.mean(),
+                iou.std_dev()
+            );
+            csv.push(format!(
+                "{name},{strategy},{:.4},{:.4},{:.4},{:.4}",
+                car.mean(),
+                ped.mean(),
+                cyc.mean(),
+                iou.mean()
+            ));
+        }
+    }
+    let mean_ap =
+        |di: usize, si: usize| cells[di][si][..3].iter().map(|s| s.mean()).sum::<f64>() / 3.0;
+
     header("shape check vs paper");
-    compare(
-        "R-MAE lifts small-class AP (SECOND)",
-        "+2.41 ped / +3.26 cyc",
-        &format!(
-            "{:+.1} ped+cyc mean AP",
-            (rmae_small[0] - baseline_small[0]) * 100.0
+    for (di, (paper, label)) in [
+        (
+            "+2.41 ped / +3.26 cyc",
+            "R-MAE small-class AP lift (SECOND)",
         ),
-    );
-    compare(
-        "R-MAE lifts small-class AP (PV-RCNN)",
-        "+0.10 ped / +4.37 cyc",
-        &format!(
-            "{:+.1} ped+cyc mean AP",
-            (rmae_small[1] - baseline_small[1]) * 100.0
+        (
+            "+0.10 ped / +4.37 cyc",
+            "R-MAE small-class AP lift (PV-RCNN)",
         ),
-    );
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        compare(
+            label,
+            paper,
+            &format!(
+                "{:+.1} ± {:.1} ped+cyc mean AP",
+                lift[di].mean() * 100.0,
+                lift[di].std_dev() * 100.0
+            ),
+        );
+    }
     compare(
         "two-stage beats single-stage (R-MAE row)",
         "PV-RCNN > SECOND",
         &format!(
             "{:.1} vs {:.1} mean AP",
-            rmae_mean[1] * 100.0,
-            rmae_mean[0] * 100.0
+            mean_ap(1, RMAE) * 100.0,
+            mean_ap(0, RMAE) * 100.0
         ),
     );
+    for (si, strategy) in strategies.iter().enumerate().skip(BASELINE + 1) {
+        assert!(
+            cells[0][si][3].min() > 0.0,
+            "{strategy} reconstructed nothing on some seed"
+        );
+    }
     assert!(
-        rmae_small[0] >= baseline_small[0] && rmae_small[1] >= baseline_small[1],
-        "reconstruction did not lift small-class AP"
+        mean_ap(1, RMAE) >= mean_ap(0, RMAE),
+        "two-stage detector fell below single-stage"
     );
     println!("shape check passed");
     write_csv(
@@ -99,6 +150,7 @@ fn main() {
         use sensact_lidar::voxel::VoxelGrid;
         use sensact_rmae::model::{RmaeConfig, RmaeModel};
         use sensact_rmae::pretrain::{radial_masked_cloud, uniform_masked_cloud, Pretrainer};
+        let (train, eval) = scenes(42);
         let lidar = Lidar::new(LidarConfig::default());
         let mut trainer = Pretrainer::new(
             RmaeModel::new(RmaeConfig::full(), 7),

@@ -19,15 +19,11 @@
 //! Every binary prints a paper-vs-measured comparison and appends a CSV under
 //! the repo root's `target/experiments/`. Set `SENSACT_QUICK=1` for reduced
 //! problem sizes. Beside them: `bench_ckpt` and `bench_fed` (the two paths
-//! the performance ledger in `benchmark/` does not cover) and the paper-module
-//! micro-benchmarks in `benches/`, driven by the in-repo [`harness`]
-//! (wall-clock timing, no external dependencies — the workspace builds
-//! offline). Every other timing lives in `benchmark/`.
+//! the performance ledger in `benchmark/` does not cover). Every other
+//! timing lives in `benchmark/`.
 
 use std::io::Write;
 use std::path::PathBuf;
-
-pub mod harness;
 
 /// Whether quick mode is requested (smaller problem sizes).
 pub fn quick() -> bool {

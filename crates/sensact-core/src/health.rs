@@ -303,7 +303,7 @@ impl StageState for HealthScorer {
         self.status = HealthStatus::from_code(s.get_u64("status")?).ok_or_else(|| bad("status"))?;
         self.candidate =
             HealthStatus::from_code(s.get_u64("candidate")?).ok_or_else(|| bad("candidate"))?;
-        self.streak = s.get_u64("streak")? as u32;
+        self.streak = u32::try_from(s.get_u64("streak")?).map_err(|_| bad("streak"))?;
         self.last_score = s.get_f64("last_score")?;
         self.evaluations = s.get_u64("evaluations")?;
         Ok(())
@@ -522,6 +522,16 @@ mod tests {
             sc.restore_state(&ckpt, "health"),
             Err(CheckpointError::BadValue(_))
         ));
+        // A streak past `u32` is refused, not truncated.
+        let mut ckpt = Checkpoint::new("h");
+        sc.save_state(&mut ckpt, "health");
+        let mut wide = ckpt.section("health").unwrap().clone();
+        wide.put_u64("streak", u32::MAX as u64 + 1);
+        ckpt.push(wide);
+        assert_eq!(
+            sc.restore_state(&ckpt, "health"),
+            Err(CheckpointError::BadValue("health.streak".into()))
+        );
     }
 
     #[test]

@@ -211,7 +211,7 @@ impl StageState for PrecisionGovernor {
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
         let bad = |key: &str| CheckpointError::BadValue(format!("{ns}.{key}"));
-        self.hold = s.get_u64("hold")? as u32;
+        self.hold = u32::try_from(s.get_u64("hold")?).map_err(|_| bad("hold"))?;
         self.current = rank_to_precision(s.get_u64("current")?).ok_or_else(|| bad("current"))?;
         self.hint = if s.get_bool("hint_some")? {
             Some(rank_to_precision(s.get_u64("hint")?).ok_or_else(|| bad("hint"))?)
@@ -338,6 +338,16 @@ mod tests {
             g.restore_state(&ckpt, "governor"),
             Err(CheckpointError::BadValue(_))
         ));
+        // A hold past `u32` is refused, not truncated.
+        let mut ckpt = Checkpoint::new("g");
+        g.save_state(&mut ckpt, "governor");
+        let mut wide = ckpt.section("governor").unwrap().clone();
+        wide.put_u64("hold", u32::MAX as u64 + 1);
+        ckpt.push(wide);
+        assert_eq!(
+            g.restore_state(&ckpt, "governor"),
+            Err(CheckpointError::BadValue("governor.hold".into()))
+        );
     }
 
     #[test]

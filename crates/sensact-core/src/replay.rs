@@ -22,7 +22,7 @@
 //!
 //! Comparison is **bit-exact** ([`f64::to_bits`] equality, with all NaNs
 //! considered equal since JSONL canonicalizes NaN payloads): replay relies on
-//! the kernel layer's bitwise naive↔blocked↔parallel guarantee rather than on
+//! the kernel layer's bitwise naive↔blocked guarantee rather than on
 //! tolerances, so a single flipped ULP anywhere in a 1k-tick run is a test
 //! failure, not noise.
 //!

@@ -560,8 +560,9 @@ impl StageState for LoopTelemetry {
         t.total_energy_j = s.get_f64("total_energy_j")?;
         t.total_latency_s = s.get_f64("total_latency_s")?;
         t.suspect_ticks = s.get_u64("suspect_ticks")?;
-        t.suspect_streak = s.get_u64("suspect_streak")? as u32;
-        t.max_suspect_streak = s.get_u64("max_suspect_streak")? as u32;
+        let streak = |key: &str| u32::try_from(s.get_u64(key)?).map_err(|_| bad(key));
+        t.suspect_streak = streak("suspect_streak")?;
+        t.max_suspect_streak = streak("max_suspect_streak")?;
         t.energy = restore_stats(s, "energy")?;
         t.latency = restore_stats(s, "latency")?;
         let fc = s.get_u64s("fault_counters")?;
@@ -1053,6 +1054,18 @@ mod tests {
             back.restore_state(&ckpt, "telemetry"),
             Err(CheckpointError::BadValue(_))
         ));
+        // A streak past `u32` is refused, not truncated.
+        for key in ["suspect_streak", "max_suspect_streak"] {
+            let mut hostile = Checkpoint::new("t");
+            t.save_state(&mut hostile, "telemetry");
+            let mut wide = hostile.section("telemetry").unwrap().clone();
+            wide.put_u64(key, u32::MAX as u64 + 1);
+            hostile.push(wide);
+            assert_eq!(
+                back.restore_state(&hostile, "telemetry"),
+                Err(CheckpointError::BadValue(format!("telemetry.{key}")))
+            );
+        }
         // Missing section is typed, not a panic.
         let empty = Checkpoint::new("t");
         assert!(matches!(

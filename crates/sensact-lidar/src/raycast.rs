@@ -59,10 +59,6 @@ impl LidarConfig {
     }
 }
 
-/// Below this many pulses per revolution a full scan stays single-threaded —
-/// thread spawn overhead would dominate the cast work.
-pub const PAR_MIN_PULSES: usize = 4096;
-
 /// Ray/axis-aligned-box intersection by the slab method. Returns the entry
 /// distance `t >= 0` if the ray hits.
 pub fn ray_aabb(origin: [f64; 3], dir: [f64; 3], aabb: &Aabb) -> Option<f64> {
@@ -224,64 +220,9 @@ impl Lidar {
         )
     }
 
-    /// Full 360° scan: every (beam, azimuth) pulse.
-    ///
-    /// Above [`PAR_MIN_PULSES`] total pulses the azimuth range is split into
-    /// contiguous column chunks cast on scoped worker threads; per-chunk
-    /// results are stitched back together in beam-major order so the output
-    /// is bit-identical to [`Lidar::scan_serial`] regardless of thread count.
+    /// Full 360° scan: every (beam, azimuth) pulse, beam-major, over the
+    /// azimuth-bucket broad phase.
     pub fn scan(&self, scene: &Scene) -> PointCloud {
-        let steps = self.config.azimuth_steps as usize;
-        let beams = self.config.beams as usize;
-        let nthreads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(steps.max(1));
-        if nthreads <= 1 || self.config.pulses_per_scan() < PAR_MIN_PULSES {
-            return self.scan_serial(scene);
-        }
-        let chunk = steps.div_ceil(nthreads);
-        let buckets = self.azimuth_buckets(scene);
-        let per_chunk: Vec<Vec<Vec<Point>>> = std::thread::scope(|s| {
-            let buckets = &buckets;
-            let handles: Vec<_> = (0..steps)
-                .step_by(chunk)
-                .map(|az0| {
-                    let az1 = (az0 + chunk).min(steps);
-                    s.spawn(move || {
-                        let mut per_beam: Vec<Vec<Point>> = vec![Vec::new(); beams];
-                        for (beam, hits) in per_beam.iter_mut().enumerate() {
-                            for az in az0..az1 {
-                                if let Some(p) =
-                                    self.cast_bucketed(scene, buckets, beam as u16, az as u16)
-                                {
-                                    hits.push(p);
-                                }
-                            }
-                        }
-                        per_beam
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("raycast worker panicked"))
-                .collect()
-        });
-        let mut cloud = PointCloud::new();
-        for beam in 0..beams {
-            for chunk_hits in &per_chunk {
-                for p in &chunk_hits[beam] {
-                    cloud.push(*p);
-                }
-            }
-        }
-        cloud
-    }
-
-    /// Single-threaded full scan over the azimuth-bucket broad phase.
-    /// Reference ordering for the parallel [`Lidar::scan`].
-    pub fn scan_serial(&self, scene: &Scene) -> PointCloud {
         let buckets = self.azimuth_buckets(scene);
         let mut cloud = PointCloud::new();
         for beam in 0..self.config.beams {
@@ -295,7 +236,7 @@ impl Lidar {
     }
 
     /// Naive full scan: every pulse tested against every scene object, no
-    /// broad phase, no threads. Ground truth for the equivalence tests.
+    /// broad phase. Ground truth for the equivalence tests.
     pub fn scan_reference(&self, scene: &Scene) -> PointCloud {
         let mut cloud = PointCloud::new();
         for beam in 0..self.config.beams {
@@ -473,27 +414,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_matches_serial_bit_for_bit() {
-        // Default config (64×512 = 32768 pulses) takes the threaded path.
-        assert!(LidarConfig::default().pulses_per_scan() >= PAR_MIN_PULSES);
+    fn scan_matches_reference_bit_for_bit() {
+        // Default config: 64×512 = 32768 pulses.
         for seed in [1u64, 2, 3, 11, 42] {
             let scene = SceneGenerator::new(seed).generate();
             let lidar = Lidar::new(LidarConfig::default());
-            let reference = lidar.scan_reference(&scene);
-            assert_eq!(lidar.scan_serial(&scene), reference);
-            assert_eq!(lidar.scan(&scene), reference);
+            assert_eq!(lidar.scan(&scene), lidar.scan_reference(&scene));
         }
     }
 
     #[test]
-    fn small_scan_stays_serial_and_matches() {
+    fn small_scan_matches_reference() {
         let scene = SceneGenerator::new(7).generate();
         let lidar = Lidar::new(LidarConfig {
             beams: 8,
             azimuth_steps: 32,
             ..LidarConfig::default()
         });
-        assert!(lidar.config().pulses_per_scan() < PAR_MIN_PULSES);
         assert_eq!(lidar.scan(&scene), lidar.scan_reference(&scene));
     }
 
@@ -608,7 +545,7 @@ mod prop_tests {
                 azimuth_steps: rng.random_range(16..128u16),
                 ..LidarConfig::default()
             });
-            assert_eq!(lidar.scan_serial(&scene), lidar.scan_reference(&scene));
+            assert_eq!(lidar.scan(&scene), lidar.scan_reference(&scene));
         }
     }
 

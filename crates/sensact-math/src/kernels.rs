@@ -1,4 +1,4 @@
-//! Cache-blocked, optionally parallel compute kernels.
+//! Cache-blocked, single-threaded compute kernels.
 //!
 //! Every dense hot path in the workspace (matrix products, conv im2col
 //! lowering, LoRA adapters, Riccati iterations) funnels into the slice-level
@@ -6,9 +6,9 @@
 //! numerics of them all.
 //!
 //! Numerics contract: for each output element, products are accumulated in
-//! ascending-`k` order regardless of blocking or thread partitioning, so
-//! [`gemm_naive`], [`gemm_blocked`], the parallel path and every path of
-//! [`gemm_transa`] produce **bitwise identical** results; the entry points
+//! ascending-`k` order regardless of blocking, so [`gemm_naive`],
+//! [`gemm_blocked`] and every path of [`gemm_transa`] produce **bitwise
+//! identical** results; the entry points
 //! that may take the fused multiply-add microkernel ([`gemm`],
 //! [`gemm_transb`], the gathered and panel-source forms) stay within its
 //! analytic forward-error bound. They take it only from `2¹⁴` multiply-adds
@@ -33,12 +33,6 @@ use crate::simd::{PanelSource, RowMajor, Transposed};
 /// the matching B rows stay resident in L1/L2 while a C row is updated.
 const KC: usize = 256;
 
-/// Minimum multiply-add count (`m * n * k`) before the parallel path is worth
-/// the thread-spawn overhead. Also the per-thread work floor: the parallel
-/// kernels never split the problem so fine that a band has fewer
-/// multiply-adds than this.
-pub(crate) const PAR_MIN_OPS: usize = 1 << 21;
-
 /// Tile edge for the blocked transpose (64×64 f64 = 32 KiB working set).
 const TRANSPOSE_TILE: usize = 64;
 
@@ -60,23 +54,10 @@ pub(crate) fn scale_c(beta: f64, c: &mut [f64]) {
     }
 }
 
-/// Number of worker threads for the parallel paths. Queried once and
-/// cached: `available_parallelism` re-reads cgroup files from procfs on
-/// every call (tens of microseconds in a container), which would dwarf a
-/// small GEMM's entire arithmetic cost if paid per dispatch.
-pub(crate) fn threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 /// Reference triple-loop GEMM: `C = alpha * A[m×k] * B[k×n] + beta * C`.
 ///
 /// Kept as the ground truth for the equivalence tests; accumulation order
-/// per element matches the blocked/parallel kernels.
+/// per element matches the blocked kernel.
 pub fn gemm_naive(
     m: usize,
     n: usize,
@@ -100,38 +81,6 @@ pub fn gemm_naive(
     }
 }
 
-/// One row-band of the k-blocked kernel: rows of `a_band`/`c_band` are a
-/// contiguous horizontal slice of A and C.
-fn gemm_rows(
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a_band: &[f64],
-    b: &[f64],
-    beta: f64,
-    c_band: &mut [f64],
-) {
-    scale_c(beta, c_band);
-    if n == 0 || k == 0 {
-        return;
-    }
-    let rows = c_band.len() / n;
-    for k0 in (0..k).step_by(KC) {
-        let k1 = (k0 + KC).min(k);
-        for i in 0..rows {
-            let a_row = &a_band[i * k + k0..i * k + k1];
-            let c_row = &mut c_band[i * n..(i + 1) * n];
-            for (kk, &aik) in a_row.iter().enumerate() {
-                let scaled = alpha * aik;
-                let b_row = &b[(k0 + kk) * n..(k0 + kk + 1) * n];
-                for (cj, &bj) in c_row.iter_mut().zip(b_row) {
-                    *cj += scaled * bj;
-                }
-            }
-        }
-    }
-}
-
 /// Serial cache-blocked GEMM: `C = alpha * A[m×k] * B[k×n] + beta * C`.
 ///
 /// k-blocked `ikj` loop nest: each A block-row is reused across a full C row
@@ -148,49 +97,26 @@ pub fn gemm_blocked(
     c: &mut [f64],
 ) {
     check_gemm(m, n, k, a, b, c);
-    gemm_rows(n, k, alpha, a, b, beta, c);
-}
-
-/// Row-partitioned parallel GEMM over `std::thread::scope`.
-///
-/// Each thread owns a disjoint horizontal band of C (and the matching band of
-/// A), so no synchronisation is needed and per-element accumulation order is
-/// identical to [`gemm_blocked`] — the result is deterministic and bitwise
-/// equal to the serial kernels.
-///
-/// The thread count is capped so every band carries at least
-/// `PAR_MIN_OPS` multiply-adds; below that total the call degenerates to
-/// the serial blocked kernel, so this entry point never loses to
-/// single-threaded dispatch on problems too small to amortize thread spawns.
-pub fn gemm_parallel(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &[f64],
-    beta: f64,
-    c: &mut [f64],
-) {
-    check_gemm(m, n, k, a, b, c);
-    let ops = m.saturating_mul(n).saturating_mul(k);
-    let nthreads = threads().min(m).min((ops / PAR_MIN_OPS).max(1)).max(1);
-    if nthreads <= 1 || n == 0 || k == 0 {
-        gemm_rows(n, k, alpha, a, b, beta, c);
-        return;
-    }
-    let band = m.div_ceil(nthreads);
-    std::thread::scope(|scope| {
-        for (a_band, c_band) in a.chunks(band * k).zip(c.chunks_mut(band * n)) {
-            scope.spawn(move || gemm_rows(n, k, alpha, a_band, b, beta, c_band));
+    scale_c(beta, c);
+    for k0 in (0..k).step_by(KC) {
+        let k1 = (k0 + KC).min(k);
+        for i in 0..m {
+            let a_row = &a[i * k + k0..i * k + k1];
+            let c_row = &mut c[i * n..(i + 1) * n];
+            for (kk, &aik) in a_row.iter().enumerate() {
+                let scaled = alpha * aik;
+                let b_row = &b[(k0 + kk) * n..(k0 + kk + 1) * n];
+                for (cj, &bj) in c_row.iter_mut().zip(b_row) {
+                    *cj += scaled * bj;
+                }
+            }
         }
-    });
+    }
 }
 
 /// Auto-dispatching GEMM: the register-blocked SIMD path
 /// ([`simd`](crate::simd)) when the host ISA supports it and the problem is
-/// large enough to amortize packing, then parallel above `PAR_MIN_OPS`
-/// multiply-adds, then the serial cache-blocked kernel.
+/// large enough to amortize packing, else the cache-blocked kernel.
 ///
 /// On SSE2 and scalar paths the result is bitwise identical to
 /// [`gemm_blocked`]; the AVX2+FMA path differs only within the analytic
@@ -207,12 +133,7 @@ pub fn gemm(
     c: &mut [f64],
 ) {
     check_gemm(m, n, k, a, b, c);
-    if crate::simd::gemm_f64(m, n, k, alpha, a, &RowMajor { b, n }, beta, c) {
-        return;
-    }
-    if m.saturating_mul(n).saturating_mul(k) >= PAR_MIN_OPS && m >= 2 {
-        gemm_parallel(m, n, k, alpha, a, b, beta, c);
-    } else {
+    if !crate::simd::gemm_f64(m, n, k, alpha, a, &RowMajor { b, n }, beta, c) {
         gemm_blocked(m, n, k, alpha, a, b, beta, c);
     }
 }
@@ -239,34 +160,17 @@ pub fn gemm_transb(
         return;
     }
     scale_c(beta, c);
-    let body = |a_band: &[f64], c_band: &mut [f64]| {
-        let rows = a_band
-            .len()
-            .checked_div(k)
-            .unwrap_or(c_band.len() / n.max(1));
-        for i in 0..rows {
-            let a_row = &a_band[i * k..(i + 1) * k];
-            for j in 0..n {
-                let b_row = &b[j * k..(j + 1) * k];
-                let mut acc = 0.0;
-                for (&x, &y) in a_row.iter().zip(b_row) {
-                    acc += alpha * x * y;
-                }
-                c_band[i * n + j] += acc;
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        for j in 0..n {
+            let b_row = &b[j * k..(j + 1) * k];
+            let mut acc = 0.0;
+            for (&x, &y) in a_row.iter().zip(b_row) {
+                acc += alpha * x * y;
             }
+            c[i * n + j] += acc;
         }
-    };
-    let nthreads = threads().min(m).max(1);
-    if nthreads <= 1 || n == 0 || m.saturating_mul(n).saturating_mul(k) < PAR_MIN_OPS {
-        body(a, c);
-        return;
     }
-    let band = m.div_ceil(nthreads);
-    std::thread::scope(|scope| {
-        for (a_band, c_band) in a.chunks((band * k).max(1)).zip(c.chunks_mut(band * n)) {
-            scope.spawn(move || body(a_band, c_band));
-        }
-    });
 }
 
 /// Batched `gemm_transb` over a shared left-hand side: `C_t = alpha * A *
@@ -344,7 +248,7 @@ pub fn gemm_transb_gathered(
 /// for a small item whose `k` exceeds one 256-deep block (a dot must not be
 /// split): the caller must then run the per-item kernel on a materialised
 /// operand.
-pub fn gemm_panel_source<S: PanelSource + Sync>(
+pub fn gemm_panel_source<S: PanelSource>(
     batch: usize,
     m: usize,
     n: usize,
@@ -555,7 +459,7 @@ pub(crate) mod tests {
             .fold(0.0, f64::max)
     }
 
-    /// Shapes chosen to straddle the KC block edge and the parallel-dispatch
+    /// Shapes chosen to straddle the KC block edge and the SIMD-dispatch
     /// threshold, plus degenerate 1×N / N×1 cases.
     const SHAPES: &[(usize, usize, usize)] = &[
         (1, 1, 1),
@@ -573,7 +477,7 @@ pub(crate) mod tests {
     ];
 
     #[test]
-    fn blocked_and_parallel_match_naive() {
+    fn blocked_matches_naive() {
         let mut rng = StdRng::seed_from_u64(0xB10C);
         for &(m, n, k) in SHAPES {
             let a = random_mat(&mut rng, m * k);
@@ -587,15 +491,6 @@ pub(crate) mod tests {
                 max_abs_diff(&c_ref, &c_blk) <= 1e-12,
                 "blocked mismatch at {m}x{n}x{k}"
             );
-
-            let mut c_par = vec![f64::NAN; m * n];
-            gemm_parallel(m, n, k, 1.0, &a, &b, 0.0, &mut c_par);
-            assert!(
-                max_abs_diff(&c_ref, &c_par) <= 1e-12,
-                "parallel mismatch at {m}x{n}x{k}"
-            );
-            // Determinism is stronger than the tolerance: bitwise equality.
-            assert_eq!(c_blk, c_par, "parallel not bitwise equal at {m}x{n}x{k}");
 
             let mut c_auto = vec![f64::NAN; m * n];
             gemm(m, n, k, 1.0, &a, &b, 0.0, &mut c_auto);
@@ -619,8 +514,8 @@ pub(crate) mod tests {
 
     /// Satellite: every dispatch path over non-square and degenerate shapes
     /// (k = 0 pure beta-scale, single-row, single-column, tall/skinny, one
-    /// shape past `PAR_MIN_OPS` so the parallel kernel really bands), under
-    /// every `beta` class (0 overwrites stale contents, 1, other).
+    /// large square), under every `beta` class (0 overwrites stale contents,
+    /// 1, other).
     #[test]
     fn dispatch_paths_agree_on_degenerate_and_skinny_shapes() {
         const ODD_SHAPES: &[(usize, usize, usize)] = &[
@@ -662,9 +557,6 @@ pub(crate) mod tests {
                 let mut c_blk = base.clone();
                 gemm_blocked(m, n, k, alpha, &a, &b, beta, &mut c_blk);
                 assert_eq!(c_ref, c_blk, "blocked at {case}");
-                let mut c_par = base.clone();
-                gemm_parallel(m, n, k, alpha, &a, &b, beta, &mut c_par);
-                assert_eq!(c_ref, c_par, "parallel at {case}");
 
                 // Auto dispatch: within the FMA bound.
                 let mut c_auto = base.clone();

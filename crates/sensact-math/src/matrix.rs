@@ -166,8 +166,8 @@ impl Matrix {
         t
     }
 
-    /// Matrix product `self * other`, via the cache-blocked (and above a size
-    /// threshold, multi-threaded) GEMM in [`crate::kernels`].
+    /// Matrix product `self * other`, via the auto-dispatching GEMM in
+    /// [`crate::kernels`].
     ///
     /// Full IEEE semantics: zeros in `self` are **not** skipped, so NaN and
     /// signed-zero in `other` propagate exactly as written. For known-finite

@@ -220,7 +220,7 @@ type PanelKernel = unsafe fn(usize, *const f64, *const f64, *mut f64, usize);
 /// through `b`. Returns `false` — leaving `c` untouched — when no SIMD path
 /// applies and the caller must run its scalar kernel.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f64<S: PanelSource + Sync>(
+pub(crate) fn gemm_f64<S: PanelSource>(
     m: usize,
     n: usize,
     k: usize,
@@ -235,53 +235,15 @@ pub(crate) fn gemm_f64<S: PanelSource + Sync>(
     }
     #[cfg(target_arch = "x86_64")]
     {
-        let ops = m.saturating_mul(n).saturating_mul(k);
         crate::kernels::scale_c(beta, c);
-        let nthreads = crate::kernels::threads()
-            .min(m)
-            .min((ops / crate::kernels::PAR_MIN_OPS).max(1))
-            .max(1);
         let f = cpu_features();
-        let serial = |rows: usize, a_band: &[f64], c_band: &mut [f64]| {
-            let at = AStrides { row: k, col: 1 };
-            if f.avx2 && f.fma {
-                gemm_panels::<MR_FMA, NR_F64, S>(
-                    rows,
-                    n,
-                    k,
-                    alpha,
-                    a_band,
-                    at,
-                    b,
-                    c_band,
-                    kernel_6x8_f64_fma,
-                );
-            } else {
-                gemm_panels::<MR_SSE, NR_SSE, S>(
-                    rows,
-                    n,
-                    k,
-                    alpha,
-                    a_band,
-                    at,
-                    b,
-                    c_band,
-                    kernel_4x4_f64_sse2::<false>,
-                );
-            }
-        };
-        if nthreads > 1 {
-            // Parallel over row bands: each thread owns a disjoint horizontal
-            // slice of A and C and packs its own panels (B packing is repeated
-            // per band — bounded overhead versus the saved wall-clock).
-            let band = m.div_ceil(nthreads).div_ceil(MR_FMA) * MR_FMA;
-            std::thread::scope(|scope| {
-                for (a_band, c_band) in a.chunks(band * k).zip(c.chunks_mut(band * n)) {
-                    scope.spawn(move || serial(c_band.len() / n, a_band, c_band));
-                }
-            });
+        let at = AStrides { row: k, col: 1 };
+        if f.avx2 && f.fma {
+            let kernel = kernel_6x8_f64_fma;
+            gemm_panels::<MR_FMA, NR_F64, _>(m, n, k, alpha, a, at, b, c, kernel);
         } else {
-            serial(m, a, c);
+            let kernel = kernel_4x4_f64_sse2::<false>;
+            gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, alpha, a, at, b, c, kernel);
         }
         true
     }

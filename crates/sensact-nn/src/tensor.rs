@@ -203,7 +203,7 @@ impl Tensor {
     }
 
     /// 2-D matrix multiply: `[B, K] x [K, N] -> [B, N]`, lowered to the
-    /// cache-blocked (auto-parallel) GEMM in `sensact_math::kernels`.
+    /// auto-dispatching GEMM in `sensact_math::kernels`.
     ///
     /// # Panics
     ///

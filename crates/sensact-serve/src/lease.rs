@@ -574,7 +574,9 @@ impl LeasePool {
             return Err(CheckpointError::BadValue("lease id already live".into()));
         }
         let s = ckpt.section(LEASE_SECTION)?;
-        let kind = ModelKind::from_wire(s.get_u64("kind")? as u8)
+        let kind = u8::try_from(s.get_u64("kind")?)
+            .ok()
+            .and_then(ModelKind::from_wire)
             .ok_or_else(|| CheckpointError::BadValue("serve.lease kind".into()))?;
         let seed = s.get_u64("seed")?;
         let spec = kind.spec();
@@ -852,6 +854,17 @@ mod tests {
         assert_eq!(
             q.restore_lease(&hostile, 0.01),
             Err(CheckpointError::BadValue("serve.grant lease".into()))
+        );
+        assert_eq!((q.active(), q.sched.len()), (0, 0));
+        // Nor under a kind that only aliases a real one once truncated to
+        // the wire byte (256 → 0).
+        let mut hostile = ckpt.clone();
+        let mut ident = ckpt.section(LEASE_SECTION).unwrap().clone();
+        ident.put_u64("kind", 256);
+        hostile.push(ident);
+        assert_eq!(
+            q.restore_lease(&hostile, 0.01),
+            Err(CheckpointError::BadValue("serve.lease kind".into()))
         );
         assert_eq!((q.active(), q.sched.len()), (0, 0));
         assert_eq!(q.restore_lease(&ckpt, 0.01).unwrap(), lease);

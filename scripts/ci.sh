@@ -9,6 +9,9 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
+echo "== threads are created by FleetScheduler::run and the TCP front-end only =="
+[[ "$(git grep -lE 'thread::(scope|spawn|Builder)|available_parallelism' -- 'crates/*/src/*' | xargs)" == "crates/sensact-sched/src/sched.rs crates/sensact-serve/src/server.rs" ]]
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -59,6 +62,14 @@ for leg in "${legs[@]}"; do
 
     echo "== federated fleet smoke (network sweeps, $isa) =="
     SENSACT_FORCE_SCALAR="$leg" cargo run --offline --release -p sensact-bench --bin bench_fed -- --smoke
+
+    # Each bin asserts its table's or figure's shape and exits non-zero when
+    # it does not hold (EXPERIMENTS.md records the full-size runs).
+    echo "== paper tables and figures, quick mode ($isa) =="
+    for bin in table1 table2 fig5a fig5b fig7 starnet_auc fig9 fig8_energy fig11 conclusions; do
+        SENSACT_FORCE_SCALAR="$leg" SENSACT_QUICK=1 \
+            cargo run --offline --release -q -p sensact-bench --bin "$bin" >/dev/null
+    done
 done
 
 echo "== benchmark package (fmt, clippy, BENCHMARK.json in sync) =="
