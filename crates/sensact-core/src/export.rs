@@ -57,7 +57,7 @@ pub fn tick_to_json(r: &TickRecord) -> String {
 pub fn ticks_to_jsonl(telemetry: &LoopTelemetry) -> String {
     let mut out = String::new();
     for rec in telemetry.records() {
-        out.push_str(&tick_to_json(rec));
+        out.push_str(&tick_to_json(&rec));
         out.push('\n');
     }
     out

@@ -1101,7 +1101,10 @@ mod tests {
                 plain.telemetry().last_record(),
                 lifted.telemetry().last_record(),
             );
-            assert_eq!(crate::replay::diff_records(ra.unwrap(), rb.unwrap()), None);
+            assert_eq!(
+                crate::replay::diff_records(&ra.unwrap(), &rb.unwrap()),
+                None
+            );
             env_plain += a.action;
             env_lifted += b.action;
             held_f64 |= plain.precision_governor().holding();
@@ -1273,7 +1276,7 @@ mod tests {
         .with_tracer(Tracer::sim(1.0));
         let out = looop.tick(&4.0);
         assert_eq!(out.resolution, TickResolution::Fresh);
-        let rec = *looop.telemetry().records().next().unwrap();
+        let rec = looop.telemetry().records().next().unwrap();
         // Sense carries all three attempts plus both retry surcharges.
         let sense = rec.stages.get(StageId::Sense);
         assert!((sense.energy_j - (3e-3 + 2e-4)).abs() < 1e-12, "{sense:?}");
@@ -1318,7 +1321,7 @@ mod tests {
         });
         let out = looop.tick(&1.0);
         assert_eq!(out.resolution, TickResolution::Fallback);
-        let rec = *looop.telemetry().records().next().unwrap();
+        let rec = looop.telemetry().records().next().unwrap();
         assert!((rec.stages.get(StageId::Sense).energy_j - 5e-4).abs() < 1e-15);
         // Perceive never ran; its attribution stays zero.
         assert_eq!(rec.stages.get(StageId::Perceive).energy_j, 0.0);
@@ -1724,8 +1727,8 @@ mod tests {
         assert_eq!(ta.ticks(), tb.ticks());
         assert_eq!(ta.fault_counters(), tb.fault_counters());
         assert_eq!(ta.total_energy_j().to_bits(), tb.total_energy_j().to_bits());
-        let recs_a: Vec<_> = ta.records().copied().collect();
-        let recs_b: Vec<_> = tb.records().copied().collect();
+        let recs_a: Vec<_> = ta.records().collect();
+        let recs_b: Vec<_> = tb.records().collect();
         assert_eq!(recs_a, recs_b, "telemetry rings diverged");
     }
 }

@@ -331,7 +331,7 @@ pub trait LoopRunner<E> {
             let out = self.tick(env);
             apply(env, Self::charged(&out).0);
             let produced = self.telemetry().last_record().expect("tick() records");
-            if let Some(d) = diff_records(rec, produced) {
+            if let Some(d) = diff_records(rec, &produced) {
                 return Err(d);
             }
             verified += 1;
@@ -799,7 +799,7 @@ mod tests {
             }),
         );
         let out = l.tick(&1.0);
-        let rec = *l.telemetry().records().next().unwrap();
+        let rec = l.telemetry().records().next().unwrap();
         use crate::trace::StageId::*;
         // Deltas come from ledger subtraction — tolerate ulp-level noise.
         let close = |a: f64, b: f64| (a - b).abs() < 1e-15;
@@ -997,8 +997,8 @@ mod tests {
         drive(&mut resumed, &mut env_b, 26, 40);
 
         assert_eq!(env_a.to_bits(), env_b.to_bits(), "trajectories diverged");
-        let recs_a: Vec<_> = uninterrupted.telemetry().records().copied().collect();
-        let recs_b: Vec<_> = resumed.telemetry().records().copied().collect();
+        let recs_a: Vec<_> = uninterrupted.telemetry().records().collect();
+        let recs_b: Vec<_> = resumed.telemetry().records().collect();
         assert_eq!(recs_a, recs_b);
         let prec_a: Vec<Precision> = recs_a.iter().map(|r| r.precision).collect();
         assert!(

@@ -102,7 +102,7 @@ impl Recording {
                 ticks: telemetry.ticks(),
                 isa: sensact_math::simd::isa_name().to_string(),
             },
-            ticks: telemetry.records().copied().collect(),
+            ticks: telemetry.records().collect(),
             spans: Vec::new(),
         }
     }
@@ -427,7 +427,7 @@ mod tests {
         let mut t = LoopTelemetry::new();
         t.record(1.0, 0.1, Trust::Trusted);
         let mut doc = String::from("garbage\n{\"type\":\"unknown\"}\n");
-        doc.push_str(&tick_to_json(t.records().next().unwrap()));
+        doc.push_str(&tick_to_json(&t.records().next().unwrap()));
         doc.push('\n');
         let parsed = Recording::from_jsonl(&doc);
         assert_eq!(parsed.meta.name, "unnamed");

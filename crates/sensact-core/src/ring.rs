@@ -1,7 +1,7 @@
-//! The one overwrite-oldest ring buffer behind [`LoopTelemetry`]'s tick
-//! records, [`Tracer`]'s stage spans and [`FleetTracer`]'s causal spans.
+//! The overwrite-oldest ring buffer behind [`Tracer`]'s stage spans and
+//! [`FleetTracer`]'s causal spans. (`LoopTelemetry`'s tick records live in
+//! its own packed-row ring; its tests keep a ring of whole records as oracle.)
 //!
-//! [`LoopTelemetry`]: crate::telemetry::LoopTelemetry
 //! [`Tracer`]: crate::trace::Tracer
 //! [`FleetTracer`]: crate::trace::FleetTracer
 
@@ -50,16 +50,6 @@ impl<T> Ring<T> {
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         let (wrapped, ordered) = self.items.split_at(self.head);
         ordered.iter().chain(wrapped.iter())
-    }
-
-    /// The most recently pushed item; O(1).
-    pub(crate) fn last(&self) -> Option<&T> {
-        let end = if self.head == 0 {
-            self.items.len()
-        } else {
-            self.head
-        };
-        self.items[..end].last()
     }
 
     /// Drain every retained item, oldest first.

@@ -9,7 +9,10 @@
 //! the energy/latency statistics are exact over **all** ticks and O(1) to
 //! query, while the per-tick [`TickRecord`] history is retained in a bounded
 //! ring buffer (capacity via [`LoopTelemetry::with_capacity`]) so a
-//! million-tick production run does not grow memory without bound.
+//! million-tick production run does not grow memory without bound. The ring
+//! stores packed rows of only the columns the loop has ever used (16 B per
+//! tick for a loop that records totals alone, 112 B at most) and derives
+//! `tick` from a row's age.
 //!
 //! Since the observability layer, every record also carries a per-stage
 //! [`StageBreakdown`] (sense/perceive/monitor/control/act attribution), and
@@ -22,7 +25,6 @@ use crate::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use crate::fault::StageError;
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::precision::Precision;
-use crate::ring::Ring;
 use crate::stage::Trust;
 use crate::trace::{StageBreakdown, StageId, STAGE_COUNT};
 use sensact_math::RunningStats;
@@ -128,7 +130,7 @@ impl std::fmt::Display for CommCounters {
 /// Aggregated telemetry of one loop.
 #[derive(Debug, Clone)]
 pub struct LoopTelemetry {
-    records: Ring<TickRecord>,
+    records: RecordRing,
     ticks: u64,
     total_energy_j: f64,
     total_latency_s: f64,
@@ -167,7 +169,7 @@ impl LoopTelemetry {
     /// regardless of capacity.
     pub fn with_capacity(capacity: usize) -> Self {
         LoopTelemetry {
-            records: Ring::new(capacity),
+            records: RecordRing::new(capacity),
             ticks: 0,
             total_energy_j: 0.0,
             total_latency_s: 0.0,
@@ -212,7 +214,7 @@ impl LoopTelemetry {
         stages: StageBreakdown,
         precision: Precision,
     ) {
-        self.records.push(TickRecord {
+        self.records.push(&TickRecord {
             tick: self.ticks,
             energy_j,
             latency_s,
@@ -300,21 +302,25 @@ impl LoopTelemetry {
 
     /// Retained per-tick records in chronological (oldest-first) order,
     /// across ring wraparound. At most [`LoopTelemetry::capacity`] of the
-    /// most recent ticks are kept.
-    pub fn records(&self) -> impl Iterator<Item = &TickRecord> {
-        self.records.iter()
+    /// most recent ticks are kept. Records are decoded from the packed ring
+    /// on the fly, `tick` from each row's age.
+    pub fn records(&self) -> impl Iterator<Item = TickRecord> + '_ {
+        let len = self.records.len();
+        let oldest = self.ticks - len as u64;
+        (0..len).map(move |i| self.records.get(i, oldest + i as u64))
     }
 
     /// The most recently recorded tick, if any; O(1). This is what a replay
     /// driver compares against after each tick, so replay verification works
     /// even when the ring capacity is smaller than the run length.
-    pub fn last_record(&self) -> Option<&TickRecord> {
-        self.records.last()
+    pub fn last_record(&self) -> Option<TickRecord> {
+        let newest = self.records.len().checked_sub(1)?;
+        Some(self.records.get(newest, self.ticks - 1))
     }
 
     /// Maximum number of per-tick records retained.
     pub fn capacity(&self) -> usize {
-        self.records.capacity()
+        self.records.capacity
     }
 
     /// Total energy over all ticks (joules); O(1).
@@ -420,6 +426,238 @@ impl LoopTelemetry {
     pub fn current_suspect_streak(&self) -> u32 {
         self.suspect_streak
     }
+
+    /// `(bytes per retained record, bytes the ring has allocated)`.
+    #[cfg(test)]
+    pub(crate) fn record_footprint(&self) -> (usize, usize) {
+        (8 * self.records.stride, 8 * self.records.words.capacity())
+    }
+
+    /// Write the retained records into `s` in *chronological* order as the
+    /// row-wise `rec_*` parallel arrays (absent columns as zeros), filled in
+    /// one pass over the packed rows; restore re-pushes them, so the on-disk
+    /// form is canonical whatever the ring's head or layout.
+    fn save_records(&self, s: &mut Section) {
+        let n = self.records.len();
+        let mut ticks = Vec::with_capacity(n);
+        let mut energies = Vec::with_capacity(n);
+        let mut latencies = Vec::with_capacity(n);
+        let mut trusts = Vec::with_capacity(n);
+        let mut suspicions = Vec::with_capacity(n);
+        let mut precisions = Vec::with_capacity(n);
+        let mut stage_e = Vec::with_capacity(n * STAGE_COUNT);
+        let mut stage_l = Vec::with_capacity(n * STAGE_COUNT);
+        for r in self.records() {
+            let (code, suspicion) = trust_code(r.trust);
+            ticks.push(r.tick);
+            energies.push(r.energy_j);
+            latencies.push(r.latency_s);
+            trusts.push(code);
+            suspicions.push(suspicion);
+            precisions.push(r.precision.rank() as u64);
+            for (_, cost) in r.stages.iter() {
+                stage_e.push(cost.energy_j);
+                stage_l.push(cost.latency_s);
+            }
+        }
+        s.put_u64s("rec_tick", &ticks);
+        s.put_f64s("rec_energy", &energies);
+        s.put_f64s("rec_latency", &latencies);
+        s.put_u64s("rec_trust", &trusts);
+        s.put_f64s("rec_susp", &suspicions);
+        s.put_u64s("rec_prec", &precisions);
+        s.put_f64s("rec_stage_e", &stage_e);
+        s.put_f64s("rec_stage_l", &stage_l);
+    }
+}
+
+/// Layout-mask bits: the optional columns a packed row carries after its two
+/// always-present words (`energy_j` and `latency_s` bits), in this order.
+/// One word: trust code | precision rank << 2.
+const COL_FLAGS: u8 = 1;
+/// One word: the `Trust::Suspect` payload's bits.
+const COL_SUSPICION: u8 = 1 << 1;
+/// Two words: stage `i`'s `(energy_j, latency_s)` bits, at `COL_STAGE0 << i`.
+const COL_STAGE0: u8 = 1 << 2;
+
+/// Words per row under a layout mask.
+const fn stride(mask: u8) -> usize {
+    2 + (mask & (COL_FLAGS | COL_SUSPICION)).count_ones() as usize
+        + 2 * (mask >> 2).count_ones() as usize
+}
+
+/// The columns in which `r` holds a non-default value — any non-zero *bit*,
+/// so `-0.0` and NaN payloads count and survive the round trip.
+fn columns_of(r: &TickRecord) -> u8 {
+    let (code, suspicion) = trust_code(r.trust);
+    let mut need = 0;
+    if code != 0 || r.precision.rank() != 0 {
+        need |= COL_FLAGS;
+    }
+    if suspicion.to_bits() != 0 {
+        need |= COL_SUSPICION;
+    }
+    for (i, (_, cost)) in r.stages.iter().enumerate() {
+        if cost.energy_j.to_bits() | cost.latency_s.to_bits() != 0 {
+            need |= COL_STAGE0 << i;
+        }
+    }
+    need
+}
+
+/// Write `r` (minus its `tick`) into one row laid out by `mask`, which must
+/// cover [`columns_of`]`(r)`.
+fn encode_row(mask: u8, r: &TickRecord, row: &mut [u64]) {
+    let (code, suspicion) = trust_code(r.trust);
+    row[0] = r.energy_j.to_bits();
+    row[1] = r.latency_s.to_bits();
+    let mut at = 2;
+    if mask & COL_FLAGS != 0 {
+        row[at] = code | (r.precision.rank() as u64) << 2;
+        at += 1;
+    }
+    if mask & COL_SUSPICION != 0 {
+        row[at] = suspicion.to_bits();
+        at += 1;
+    }
+    for (i, (_, cost)) in r.stages.iter().enumerate() {
+        if mask & (COL_STAGE0 << i) != 0 {
+            row[at] = cost.energy_j.to_bits();
+            row[at + 1] = cost.latency_s.to_bits();
+            at += 2;
+        }
+    }
+}
+
+/// Read back the record [`encode_row`] wrote under `mask`; absent columns
+/// decode to their all-zero-bits default.
+fn decode_row(mask: u8, row: &[u64], tick: u64) -> TickRecord {
+    let mut at = 2;
+    let mut next = |present: bool| {
+        if present {
+            at += 1;
+            row[at - 1]
+        } else {
+            0
+        }
+    };
+    let flags = next(mask & COL_FLAGS != 0);
+    let suspicion = f64::from_bits(next(mask & COL_SUSPICION != 0));
+    let mut stages = StageBreakdown::new();
+    for (i, stage) in StageId::ALL.into_iter().enumerate() {
+        let present = mask & (COL_STAGE0 << i) != 0;
+        let (energy_j, latency_s) = (next(present), next(present));
+        stages.set(stage, f64::from_bits(energy_j), f64::from_bits(latency_s));
+    }
+    TickRecord {
+        tick,
+        energy_j: f64::from_bits(row[0]),
+        latency_s: f64::from_bits(row[1]),
+        trust: trust_from_code(flags & 3, suspicion).expect("encode_row wrote a trust code"),
+        precision: precision_from_rank(flags >> 2).expect("encode_row wrote a precision rank"),
+        stages,
+    }
+}
+
+/// The overwrite-oldest ring of tick records, stored as fixed-stride packed
+/// rows of the columns some record pushed so far has needed (its `mask`).
+/// A record needing a column the layout lacks re-lays the ring out once
+/// under the wider mask — at most seven times in a loop's life, in practice
+/// on tick 0 while the ring is empty. One contiguous row per record (≤ 112
+/// B), not one `Vec` per column: a wide fleet has evicted a member's cache
+/// lines between two of its ticks, so a push should miss once, not per
+/// column. `tick` is not stored; the owner derives it from a row's age.
+#[derive(Debug, Clone)]
+struct RecordRing {
+    /// `len × stride(mask)` words; grown lazily, so a short-lived loop never
+    /// pays for `capacity` rows.
+    words: Vec<u64>,
+    mask: u8,
+    /// `stride(mask)`, kept beside it so a push does not recount the bits.
+    stride: usize,
+    /// Oldest row's slot once the ring is full.
+    head: usize,
+    capacity: usize,
+}
+
+impl RecordRing {
+    fn new(capacity: usize) -> Self {
+        RecordRing {
+            words: Vec::new(),
+            mask: 0,
+            stride: stride(0),
+            head: 0,
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// A ring retaining `records` (oldest first, at most `capacity` of them),
+    /// laid out once for the columns they use and sized to hold them.
+    fn from_ordered(capacity: usize, records: &[TickRecord]) -> Self {
+        let mut ring = RecordRing::new(capacity);
+        ring.widen(records.iter().fold(0, |mask, r| mask | columns_of(r)));
+        ring.words.reserve_exact(records.len() * ring.stride);
+        for r in records {
+            ring.push(r);
+        }
+        ring
+    }
+
+    fn len(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    fn push(&mut self, r: &TickRecord) {
+        let need = columns_of(r);
+        if need & !self.mask != 0 {
+            self.widen(self.mask | need);
+        }
+        let stride = self.stride;
+        // What a full ring holds, in words.
+        let full = self.capacity.saturating_mul(stride);
+        let at = self.words.len();
+        let at = if at < full {
+            if at == self.words.capacity() {
+                // Double, but never past `full`.
+                self.words.reserve_exact((2 * at).clamp(stride, full) - at);
+            }
+            self.words.resize(at + stride, 0);
+            at
+        } else {
+            let oldest = self.head * stride;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
+            oldest
+        };
+        encode_row(self.mask, r, &mut self.words[at..at + stride]);
+    }
+
+    /// The `i`-th oldest retained record (`i < len`), stamped with `tick`.
+    fn get(&self, i: usize, tick: u64) -> TickRecord {
+        let stride = self.stride;
+        let slot = (self.head + i) % self.len();
+        decode_row(
+            self.mask,
+            &self.words[slot * stride..(slot + 1) * stride],
+            tick,
+        )
+    }
+
+    /// Re-lay every retained row out under the wider `mask`, oldest first.
+    #[cold]
+    fn widen(&mut self, mask: u8) {
+        let (len, stride) = (self.len(), stride(mask));
+        let mut words = vec![0; len * stride];
+        for (i, row) in words.chunks_exact_mut(stride).enumerate() {
+            encode_row(mask, &self.get(i, 0), row);
+        }
+        self.words = words;
+        self.mask = mask;
+        self.stride = stride;
+        self.head = 0;
+    }
 }
 
 fn trust_code(t: Trust) -> (u64, f64) {
@@ -515,40 +753,7 @@ impl StageState for LoopTelemetry {
         self.latency_hist.save_into(&mut s, "lat");
         s.put_u64s("precision_ticks", &self.precision_ticks);
 
-        // Retained records, serialized in *chronological* order as parallel
-        // arrays; restore rebuilds the ring from them (`Ring::from_ordered`),
-        // so the on-disk form is canonical.
-        let recs: Vec<&TickRecord> = self.records().collect();
-        s.put_u64s("rec_tick", &recs.iter().map(|r| r.tick).collect::<Vec<_>>());
-        s.put_f64s(
-            "rec_energy",
-            &recs.iter().map(|r| r.energy_j).collect::<Vec<_>>(),
-        );
-        s.put_f64s(
-            "rec_latency",
-            &recs.iter().map(|r| r.latency_s).collect::<Vec<_>>(),
-        );
-        let (trust_codes, suspicions): (Vec<u64>, Vec<f64>) =
-            recs.iter().map(|r| trust_code(r.trust)).unzip();
-        s.put_u64s("rec_trust", &trust_codes);
-        s.put_f64s("rec_susp", &suspicions);
-        s.put_u64s(
-            "rec_prec",
-            &recs
-                .iter()
-                .map(|r| r.precision.rank() as u64)
-                .collect::<Vec<_>>(),
-        );
-        let mut stage_e = Vec::with_capacity(recs.len() * STAGE_COUNT);
-        let mut stage_l = Vec::with_capacity(recs.len() * STAGE_COUNT);
-        for r in &recs {
-            for (_, cost) in r.stages.iter() {
-                stage_e.push(cost.energy_j);
-                stage_l.push(cost.latency_s);
-            }
-        }
-        s.put_f64s("rec_stage_e", &stage_e);
-        s.put_f64s("rec_stage_l", &stage_l);
+        self.save_records(&mut s);
         ckpt.push(s);
     }
 
@@ -598,7 +803,7 @@ impl StageState for LoopTelemetry {
         }
         t.stage_totals = StageBreakdown::new();
         for (i, st) in StageId::ALL.into_iter().enumerate() {
-            t.stage_totals.add(st, totals[2 * i], totals[2 * i + 1]);
+            t.stage_totals.set(st, totals[2 * i], totals[2 * i + 1]);
         }
         for (i, h) in t.stage_latency.iter_mut().enumerate() {
             *h = Histogram::restore_from(s, &format!("stage{i}"))?;
@@ -607,7 +812,7 @@ impl StageState for LoopTelemetry {
         let pt = s.get_u64s("precision_ticks")?;
         t.precision_ticks = pt.try_into().map_err(|_| bad("precision_ticks"))?;
 
-        let ticks = s.get_u64s("rec_tick")?;
+        let rec_ticks = s.get_u64s("rec_tick")?;
         let energies = s.get_f64s("rec_energy")?;
         let latencies = s.get_f64s("rec_latency")?;
         let trusts = s.get_u64s("rec_trust")?;
@@ -615,7 +820,7 @@ impl StageState for LoopTelemetry {
         let precs = s.get_u64s("rec_prec")?;
         let stage_e = s.get_f64s("rec_stage_e")?;
         let stage_l = s.get_f64s("rec_stage_l")?;
-        let n = ticks.len();
+        let n = rec_ticks.len();
         if [
             energies.len(),
             latencies.len(),
@@ -630,18 +835,27 @@ impl StageState for LoopTelemetry {
         {
             return Err(bad("rec_tick"));
         }
+        // `tick` is derived from a row's age, so the retained rows must be
+        // exactly the consecutive run ending at `ticks - 1`.
+        let oldest = t
+            .ticks
+            .checked_sub(n as u64)
+            .ok_or_else(|| bad("rec_tick"))?;
+        if n > t.capacity() || !rec_ticks.iter().copied().eq(oldest..t.ticks) {
+            return Err(bad("rec_tick"));
+        }
         let mut records = Vec::with_capacity(n);
-        for i in 0..n {
+        for (i, &tick) in rec_ticks.iter().enumerate() {
             let mut stages = StageBreakdown::new();
             for (j, st) in StageId::ALL.into_iter().enumerate() {
-                stages.add(
+                stages.set(
                     st,
                     stage_e[i * STAGE_COUNT + j],
                     stage_l[i * STAGE_COUNT + j],
                 );
             }
             records.push(TickRecord {
-                tick: ticks[i],
+                tick,
                 energy_j: energies[i],
                 latency_s: latencies[i],
                 trust: trust_from_code(trusts[i], susps[i]).ok_or_else(|| bad("rec_trust"))?,
@@ -649,7 +863,7 @@ impl StageState for LoopTelemetry {
                 stages,
             });
         }
-        t.records = Ring::from_ordered(t.capacity(), records).ok_or_else(|| bad("rec_tick"))?;
+        t.records = RecordRing::from_ordered(t.capacity(), &records);
         *self = t;
         Ok(())
     }
@@ -675,6 +889,9 @@ impl std::fmt::Display for LoopTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ring::Ring;
+    use crate::trace::StageCost;
+    use sensact_math::rng::StdRng;
 
     #[test]
     fn records_accumulate() {
@@ -951,10 +1168,10 @@ mod tests {
         back.restore_state(&ckpt, "telemetry").expect("restores");
         assert_eq!(back.ticks(), t.ticks());
         assert_eq!(back.capacity(), t.capacity());
-        let a: Vec<TickRecord> = t.records().copied().collect();
-        let b: Vec<TickRecord> = back.records().copied().collect();
+        let a: Vec<TickRecord> = t.records().collect();
+        let b: Vec<TickRecord> = back.records().collect();
         assert_eq!(a, b, "record order/content diverged");
-        assert_eq!(back.last_record().copied(), t.last_record().copied());
+        assert_eq!(back.last_record(), t.last_record());
         assert_eq!(
             back.total_energy_j().to_bits(),
             t.total_energy_j().to_bits()
@@ -1072,6 +1289,261 @@ mod tests {
             back.restore_state(&empty, "telemetry"),
             Err(CheckpointError::MissingSection(_))
         ));
+
+        // Restored records are validated, not trusted: `tick` is derived
+        // from a row's age, so `rec_tick` must be the consecutive run ending
+        // at `ticks - 1` and fit the ring; trust codes and precision ranks
+        // must name a variant. A refused restore leaves `self` untouched.
+        let wrapped = busy_telemetry(4, 10); // retains ticks 6..=9
+        back.record(1.0, 0.1, Trust::Trusted);
+        type Mutation = fn(&mut Section);
+        let hostile: [(&str, Mutation); 6] = [
+            ("rec_tick", |s| s.put_u64s("rec_tick", &[5, 7, 8, 9])), // a gap
+            ("rec_tick", |s| s.put_u64s("rec_tick", &[7, 8, 9, 10])), // past `ticks`
+            ("rec_tick", |s| s.put_u64("ticks", 3)),                 // more rows than ticks
+            ("rec_tick", |s| s.put_u64("capacity", 3)),              // more rows than capacity
+            ("rec_trust", |s| s.put_u64s("rec_trust", &[0, 1, 2, 3])),
+            ("rec_prec", |s| s.put_u64s("rec_prec", &[0, 1, 2, 3])),
+        ];
+        for (key, mutate) in hostile {
+            let mut ckpt = Checkpoint::new("t");
+            wrapped.save_state(&mut ckpt, "telemetry");
+            let mut section = ckpt.section("telemetry").unwrap().clone();
+            mutate(&mut section);
+            ckpt.push(section);
+            assert_eq!(
+                back.restore_state(&ckpt, "telemetry"),
+                Err(CheckpointError::BadValue(format!("telemetry.{key}")))
+            );
+            assert_eq!((back.ticks(), back.records().count()), (1, 1));
+        }
+    }
+
+    /// Every field of a record as raw bits, so comparisons see `-0.0` and
+    /// NaN payloads (`TickRecord`'s `PartialEq` does not).
+    fn record_bits(r: &TickRecord) -> [u64; 6 + 2 * STAGE_COUNT] {
+        let (code, suspicion) = trust_code(r.trust);
+        let mut bits = [0; 6 + 2 * STAGE_COUNT];
+        bits[..6].copy_from_slice(&[
+            r.tick,
+            r.energy_j.to_bits(),
+            r.latency_s.to_bits(),
+            code,
+            suspicion.to_bits(),
+            r.precision.rank() as u64,
+        ]);
+        for (i, (_, cost)) in r.stages.iter().enumerate() {
+            bits[6 + 2 * i] = cost.energy_j.to_bits();
+            bits[7 + 2 * i] = cost.latency_s.to_bits();
+        }
+        bits
+    }
+
+    /// A column is absent while every value in it is all-zero *bits*, so a
+    /// `-0.0` or NaN-payload cost activates its column and comes back
+    /// `to_bits`-identical through push → widen → wrap → checkpoint →
+    /// restore. (Restore used to rebuild stage costs through `0.0 + x`,
+    /// which turns `-0.0` into `+0.0`.)
+    #[test]
+    fn negative_zero_and_nan_payloads_survive_widen_wrap_and_restore() {
+        use crate::checkpoint::Checkpoint;
+        let nan = f64::from_bits(0xfff8_0000_dead_beef);
+        let mut hostile = StageBreakdown::new();
+        hostile.set(StageId::Sense, -0.0, 0.0);
+        hostile.set(StageId::Act, 0.0, nan);
+        let mut widener = StageBreakdown::new();
+        widener.add(StageId::Control, 1e-3, 1e-4);
+
+        let mut t = LoopTelemetry::with_capacity(4);
+        t.record(1.0, 0.1, Trust::Trusted);
+        t.record_with_stages(-0.0, nan, Trust::Suspect(-0.0), hostile);
+        let before_widen = t.record_footprint().0;
+        t.record_with_stages(1.0, 0.1, Trust::Trusted, widener);
+        assert!(t.record_footprint().0 > before_widen, "ring widened");
+        t.record(2.0, 0.1, Trust::Trusted);
+        t.record(3.0, 0.1, Trust::Trusted); // wraps: tick 0 evicted
+        let want = record_bits(&TickRecord {
+            tick: 1,
+            energy_j: -0.0,
+            latency_s: nan,
+            trust: Trust::Suspect(-0.0),
+            precision: Precision::F64,
+            stages: hostile,
+        });
+        assert_eq!(record_bits(&t.records().next().unwrap()), want);
+
+        let mut ckpt = Checkpoint::new("t");
+        t.save_state(&mut ckpt, "telemetry");
+        let ckpt = Checkpoint::from_jsonl(&ckpt.to_jsonl()).expect("parses");
+        let mut back = LoopTelemetry::new();
+        back.restore_state(&ckpt, "telemetry").expect("restores");
+        let a: Vec<_> = t.records().map(|r| record_bits(&r)).collect();
+        let b: Vec<_> = back.records().map(|r| record_bits(&r)).collect();
+        assert_eq!(a, b);
+        assert_eq!(b[0], want);
+    }
+
+    /// The checkpoint columns as the pre-packing ring wrote them — gathered
+    /// from whole `TickRecord`s in a [`Ring`], `tick` stored — for the oracle
+    /// the packed ring is compared against.
+    fn oracle_save_records(ring: &Ring<TickRecord>, s: &mut Section) {
+        let recs: Vec<&TickRecord> = ring.iter().collect();
+        let u64s = |f: fn(&TickRecord) -> u64| recs.iter().map(|r| f(r)).collect::<Vec<_>>();
+        let f64s = |f: fn(&TickRecord) -> f64| recs.iter().map(|r| f(r)).collect::<Vec<_>>();
+        s.put_u64s("rec_tick", &u64s(|r| r.tick));
+        s.put_f64s("rec_energy", &f64s(|r| r.energy_j));
+        s.put_f64s("rec_latency", &f64s(|r| r.latency_s));
+        s.put_u64s("rec_trust", &u64s(|r| trust_code(r.trust).0));
+        s.put_f64s("rec_susp", &f64s(|r| trust_code(r.trust).1));
+        s.put_u64s("rec_prec", &u64s(|r| r.precision.rank() as u64));
+        let stage = |f: fn(StageCost) -> f64| {
+            recs.iter()
+                .flat_map(|r| r.stages.iter().map(move |(_, cost)| f(cost)))
+                .collect::<Vec<_>>()
+        };
+        s.put_f64s("rec_stage_e", &stage(|c| c.energy_j));
+        s.put_f64s("rec_stage_l", &stage(|c| c.latency_s));
+    }
+
+    /// One seeded record: plain (totals only) most of the time, otherwise a
+    /// non-default value — hostile floats included — in one optional column,
+    /// so a run activates its columns one by one at scattered ticks.
+    fn seeded_record(rng: &mut StdRng, tick: u64) -> TickRecord {
+        let float = |rng: &mut StdRng| match rng.gen_range(0..6u32) {
+            0 => -0.0,
+            1 => f64::from_bits(0x7ff8_0000_0000_0000 | rng.next_u64() >> 16),
+            2 => 0.0,
+            _ => rng.gen_f64() * 1e-3,
+        };
+        let mut r = TickRecord {
+            tick,
+            energy_j: float(rng),
+            latency_s: float(rng),
+            trust: Trust::Trusted,
+            precision: Precision::F64,
+            stages: StageBreakdown::new(),
+        };
+        match rng.gen_range(0..12u32) {
+            0 => r.trust = Trust::Untrusted,
+            1 => r.trust = Trust::Suspect(float(rng)),
+            2 => r.precision = Precision::ALL[rng.gen_range(0..3usize)],
+            c @ 3..=7 => r
+                .stages
+                .set(StageId::ALL[c as usize - 3], float(rng), float(rng)),
+            _ => {}
+        }
+        r
+    }
+
+    /// Differential oracle: the packed ring against whole records in a
+    /// `Ring`, over seeded mixes of trust / precision / stage patterns. Each
+    /// run is lease-shaped up to a first widening forced before the fill,
+    /// mid-ring after a wrap or exactly at the wrap boundary, then activates
+    /// its other columns at scattered ticks. After every push `records()`,
+    /// `last_record()`, `capacity()` and the checkpoint's `rec_*` columns
+    /// equal the oracle's bit for bit, and the ring holds no more than
+    /// `capacity` rows.
+    #[test]
+    fn packed_ring_matches_whole_record_oracle() {
+        for capacity in [1usize, 2, 7, 64] {
+            let first_widening = [
+                0,
+                capacity / 2,
+                capacity - 1,
+                capacity,
+                capacity + capacity / 2,
+            ];
+            for (seed, widen_at) in first_widening.into_iter().enumerate() {
+                let mut rng = StdRng::seed_from_u64(23 + seed as u64);
+                let mut t = LoopTelemetry::with_capacity(capacity);
+                let mut oracle = Ring::new(capacity);
+                let mut widenings = 0;
+                for tick in 0..4 * capacity as u64 + 40 {
+                    let mut r = seeded_record(&mut rng, tick);
+                    if tick <= widen_at as u64 {
+                        r.trust = Trust::Trusted;
+                        r.precision = Precision::F64;
+                        r.stages = StageBreakdown::new();
+                    }
+                    if tick == widen_at as u64 {
+                        r.stages.set(StageId::Monitor, 1e-3, -0.0);
+                    }
+                    let row_before = t.record_footprint().0;
+                    t.record_with_precision(
+                        r.energy_j,
+                        r.latency_s,
+                        r.trust,
+                        r.stages,
+                        r.precision,
+                    );
+                    oracle.push(r);
+
+                    let ctx = format!("capacity {capacity}, widen at {widen_at}, tick {tick}");
+                    let (row, allocated) = t.record_footprint();
+                    assert_eq!(
+                        tick == widen_at as u64,
+                        row == 32 && row_before == 16,
+                        "{ctx}"
+                    );
+                    widenings += (row > row_before) as usize;
+                    assert!(
+                        allocated <= capacity * row,
+                        "{ctx}: {allocated} B allocated"
+                    );
+                    let got: Vec<_> = t.records().map(|r| record_bits(&r)).collect();
+                    let want: Vec<_> = oracle.iter().map(record_bits).collect();
+                    assert_eq!(got, want, "{ctx}");
+                    assert_eq!(
+                        t.last_record().map(|r| record_bits(&r)),
+                        want.last().copied(),
+                        "{ctx}"
+                    );
+                    assert_eq!(t.capacity(), oracle.capacity(), "{ctx}");
+                    let (mut a, mut b) = (Section::new("rec"), Section::new("rec"));
+                    t.save_records(&mut a);
+                    oracle_save_records(&oracle, &mut b);
+                    assert_eq!(a, b, "{ctx}");
+                }
+                assert!(
+                    (3..=7).contains(&widenings),
+                    "capacity {capacity}, widen at {widen_at}: {widenings} widenings"
+                );
+            }
+        }
+    }
+
+    /// What a loop pays per retained tick is the columns it has used: 16 B
+    /// for a lease-shaped loop (totals only), 48 B for sense + control; the
+    /// ring grows lazily and, once full, holds `capacity` rows and no more.
+    #[test]
+    fn ring_footprint_is_the_columns_a_loop_has_used() {
+        let mut lease = LoopTelemetry::new();
+        for i in 0..3 {
+            lease.record(i as f64, 1e-3, Trust::Trusted);
+        }
+        let (row, allocated) = lease.record_footprint();
+        assert_eq!(row, 16);
+        assert!(allocated <= 4 * row, "3 ticks must not pay for 4096 rows");
+        for i in 3..2 * DEFAULT_RECORD_CAPACITY {
+            lease.record(i as f64, 1e-3, Trust::Trusted);
+        }
+        assert_eq!(lease.record_footprint(), (16, DEFAULT_RECORD_CAPACITY * 16));
+
+        let mut member = LoopTelemetry::with_capacity(512);
+        let mut stages = StageBreakdown::new();
+        stages.add(StageId::Sense, 2e-3, 1e-3);
+        stages.add(StageId::Control, 1e-3, 5e-4);
+        for _ in 0..1024 {
+            member.record_with_stages(3e-3, 1.5e-3, Trust::Trusted, stages);
+        }
+        assert_eq!(member.record_footprint(), (48, 512 * 48));
+
+        // Worst case, every column in use: 14 words.
+        for stage in StageId::ALL {
+            stages.add(stage, 1e-3, 1e-4);
+        }
+        member.record_with_precision(1.0, 0.1, Trust::Suspect(0.5), stages, Precision::F32);
+        assert_eq!(member.record_footprint(), (112, 512 * 112));
     }
 
     #[test]

@@ -156,6 +156,16 @@ impl StageBreakdown {
         c.latency_s += latency_s;
     }
 
+    /// Overwrite `stage`'s cost with exactly these bit patterns — unlike
+    /// [`add`](Self::add), whose `0.0 + x` turns a `-0.0` into `+0.0`.
+    #[inline]
+    pub(crate) fn set(&mut self, stage: StageId, energy_j: f64, latency_s: f64) {
+        self.costs[stage.index()] = StageCost {
+            energy_j,
+            latency_s,
+        };
+    }
+
     /// Accumulate another breakdown stage-by-stage (running totals).
     pub fn merge(&mut self, other: &StageBreakdown) {
         for (mine, theirs) in self.costs.iter_mut().zip(&other.costs) {

@@ -86,7 +86,7 @@ fn restore_mid_recording_replays_tail_with_zero_divergence() {
     for t in 0..TICKS {
         let out = reference.tick(&env);
         env += out.action;
-        records.push(*reference.telemetry().last_record().unwrap());
+        records.push(reference.telemetry().last_record().unwrap());
         if hold_cut.is_none() && t > 2 * RING && reference.precision_governor().holding() {
             hold_cut = Some(t + 1);
         }
@@ -284,7 +284,7 @@ fn fallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores()
     for _ in 0..PIN_TAIL {
         let out = reference.tick(&env);
         env += out.action;
-        records.push(*reference.telemetry().last_record().unwrap());
+        records.push(reference.telemetry().last_record().unwrap());
     }
     // The file the old runner wrote restores onto the new one and replays
     // the recorded tail with zero divergence.
@@ -331,7 +331,7 @@ fn infallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores
                 }
                 let out = l.tick(env);
                 *env += out.action;
-                records.push(*l.telemetry().last_record().unwrap());
+                records.push(l.telemetry().last_record().unwrap());
             }
             records
         };

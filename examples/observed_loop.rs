@@ -87,7 +87,7 @@ fn main() {
         println!("  {line}");
     }
     let reparsed = parse_ticks(&tick_lines);
-    let originals: Vec<_> = looop.telemetry().records().copied().collect();
+    let originals: Vec<_> = looop.telemetry().records().collect();
     assert_eq!(reparsed, originals, "JSONL tick export must round-trip");
     println!(
         "\n{} spans + {} tick events exported; tick JSONL round-trips bit-exactly",

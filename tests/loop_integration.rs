@@ -238,7 +238,7 @@ fn fallible_runner_over_reliable_stages_is_the_infallible_runner() {
             plain.telemetry().last_record().unwrap(),
             lifted.telemetry().last_record().unwrap(),
         );
-        assert_eq!(diff_records(ra, rb), None, "tick {t} record");
+        assert_eq!(diff_records(&ra, &rb), None, "tick {t} record");
         env_plain += a.action;
         env_lifted += b.action;
     }

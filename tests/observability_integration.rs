@@ -43,7 +43,7 @@ fn jsonl_tick_export_round_trips_for_a_1k_tick_faulty_run() {
     assert!(c.holds > 0 || c.fallbacks > 0);
 
     // All 1000 records retained (capacity was sized to the run)…
-    let originals: Vec<_> = looop.telemetry().records().copied().collect();
+    let originals: Vec<_> = looop.telemetry().records().collect();
     assert_eq!(originals.len(), TICKS);
     // …and every one round-trips bit-exactly through JSONL.
     let jsonl = ticks_to_jsonl(looop.telemetry());

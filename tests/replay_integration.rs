@@ -62,8 +62,8 @@ fn faulty_1k_tick_run_replays_bit_exactly_through_jsonl() {
     assert_eq!(verified, TICKS as u64);
 
     // The acceptance criterion, literally.
-    let recorded: Vec<TickRecord> = recorded_loop.telemetry().records().copied().collect();
-    let replayed: Vec<TickRecord> = replayed_loop.telemetry().records().copied().collect();
+    let recorded: Vec<TickRecord> = recorded_loop.telemetry().records().collect();
+    let replayed: Vec<TickRecord> = replayed_loop.telemetry().records().collect();
     assert_eq!(
         replayed, recorded,
         "replayed.records() != recorded.records()"

@@ -449,7 +449,7 @@ fn one_worker_threaded_run_equals_the_deterministic_run() {
     assert_same_report(&got, &want);
     for i in 0..simulated.len() {
         let records = |fleet: &FleetScheduler| -> Vec<TickRecord> {
-            fleet.loop_telemetry(LoopId(i)).records().copied().collect()
+            fleet.loop_telemetry(LoopId(i)).records().collect()
         };
         assert_eq!(
             first_divergence(&records(&simulated), &records(&threaded)),
