@@ -2,7 +2,7 @@
 //!
 //! Two sections:
 //!
-//! 1. **Loop checkpoint** — a faulty mixed-precision [`FallibleLoop`]
+//! 1. **Loop checkpoint** — a faulty, budgeted [`FallibleLoop`]
 //!    (active fault injector, retry/hold recovery, 256-record telemetry
 //!    ring) is warmed up and then repeatedly snapshotted, serialized to the
 //!    JSONL wire form, parsed back, and restored onto a freshly built twin.
@@ -25,8 +25,7 @@ use sensact_core::fault::FnTryPerceptor;
 use sensact_core::stage::{AlwaysTrust, FnController, FnPerceptor, FnSensor, StageContext};
 use sensact_core::trace::SimClock;
 use sensact_core::{
-    EnergyBudget, FaultInjector, FaultProfile, LoopBuilder, PrecisionPolicy, RecoveryPolicy,
-    WithFallback,
+    EnergyBudget, FaultInjector, FaultProfile, LoopBuilder, RecoveryPolicy, WithFallback,
 };
 use sensact_core::{FallibleLoop, Trust};
 use sensact_sched::{FleetConfig, FleetScheduler, LoopHandle, LoopSpec};
@@ -43,9 +42,9 @@ fn main() {
     let iters = if smoke { 64 } else { 2000 };
     let members = if smoke { 8 } else { 64 };
 
-    // The representative loop: faulty sensor, retries and holds, a budget
-    // whose pressure mixes the precision schedule, a wrapping telemetry
-    // ring — every state class the checkpoint layer serializes.
+    // The representative loop: faulty sensor, retries and holds, a
+    // budget, a wrapping telemetry ring — every state class the checkpoint
+    // layer serializes.
     let build = || {
         let sensor = FaultInjector::new(
             FnSensor::new(|e: &f64, ctx: &mut StageContext| {
@@ -79,11 +78,6 @@ fn main() {
             staleness_decay: 0.35,
             latency_budget_s: None,
         })
-        .with_precision(
-            PrecisionPolicy::adaptive(0.12, 0.9)
-                .with_hold_ticks(4)
-                .with_drift_threshold(0.3),
-        )
         .with_telemetry_capacity(256)
     };
 
@@ -136,7 +130,7 @@ fn main() {
     }
     assert_eq!(env.to_bits(), twin_env.to_bits());
 
-    header("loop checkpoint — faulty mixed-precision FallibleLoop, 256-record ring");
+    header("loop checkpoint — faulty budgeted FallibleLoop, 256-record ring");
     compare(
         &format!("snapshot ({warm_ticks}-tick warm loop)"),
         "sub-ms",

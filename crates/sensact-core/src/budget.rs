@@ -97,10 +97,9 @@ impl Default for EnergyBudget {
 impl StageState for EnergyBudget {
     fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
         let mut s = Section::new(ns);
-        // `consumed_j` drives pressure, which drives the precision schedule
-        // and the adaptation policies — restoring it bit-exactly is what
-        // keeps a resumed loop's precision/adaptation decisions on the
-        // recorded trajectory.
+        // `consumed_j` drives pressure, which drives the adaptation
+        // policies — restoring it bit-exactly is what keeps a resumed loop's
+        // adaptation decisions on the recorded trajectory.
         s.put_f64("consumed_j", self.consumed_j);
         s.put_u64("deadline_misses", self.deadline_misses);
         ckpt.push(s);
@@ -108,8 +107,16 @@ impl StageState for EnergyBudget {
 
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
-        self.consumed_j = s.get_f64("consumed_j")?;
-        self.deadline_misses = s.get_u64("deadline_misses")?;
+        // `consume` only ever yields a non-NaN value ≥ 0 (+∞ included). A NaN
+        // would make `exhausted()` false forever and `pressure()` NaN; a
+        // negative value would refund the budget.
+        let consumed_j = s.get_f64("consumed_j")?;
+        if consumed_j.is_nan() || consumed_j < 0.0 {
+            return Err(CheckpointError::BadValue(format!("{ns}.consumed_j")));
+        }
+        let deadline_misses = s.get_u64("deadline_misses")?;
+        self.consumed_j = consumed_j;
+        self.deadline_misses = deadline_misses;
         Ok(())
     }
 }
@@ -163,6 +170,33 @@ mod tests {
         let mut b = EnergyBudget::new(10.0);
         b.consume(-5.0, 0.0);
         assert_eq!(b.consumed_j(), 0.0);
+    }
+
+    /// A checkpoint is outside input: a consumed energy `consume` could never
+    /// have produced is refused and the budget left as it was.
+    #[test]
+    fn restore_rejects_impossible_consumed_energy() {
+        let mut live = EnergyBudget::new(10.0);
+        live.consume(2.5, 0.0);
+        let restore = |consumed_j: f64| {
+            let mut s = Section::new("budget");
+            s.put_f64("consumed_j", consumed_j);
+            s.put_u64("deadline_misses", 7);
+            let mut ckpt = Checkpoint::new("b");
+            ckpt.push(s);
+            let mut b = live;
+            (b.restore_state(&ckpt, "budget"), b)
+        };
+        for bad in [f64::NAN, -0.5, f64::NEG_INFINITY] {
+            let (result, b) = restore(bad);
+            let refused = CheckpointError::BadValue("budget.consumed_j".into());
+            assert_eq!(result, Err(refused), "consumed_j = {bad}");
+            assert_eq!(b, live, "a refused restore leaves the budget untouched");
+        }
+        // +∞ is what a loop fed an infinite charge holds.
+        let (result, b) = restore(f64::INFINITY);
+        assert_eq!(result, Ok(()));
+        assert!(b.exhausted());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Versioned checkpoint/restore of live loop state.
 //!
 //! Every stateful component of a sensing-to-action loop — telemetry rings,
-//! precision holds, fault-injector RNG streams, trust EMAs, controller
-//! integrators — implements [`StageState`]: it serializes its mutable state
-//! into named [`Section`]s of a [`Checkpoint`] and can later rebuild that
-//! exact state on an identically-constructed instance. The contract is
+//! fault-injector RNG streams, trust EMAs, controller integrators —
+//! implements [`StageState`]: it serializes its mutable state into named
+//! [`Section`]s of a [`Checkpoint`] and can later rebuild that exact state
+//! on an identically-constructed instance. The contract is
 //! **bit-exactness**: a loop restored at tick `k` of a recording and replayed
 //! over the tail must produce records the [`replay`](crate::replay) differ
 //! finds identical, NaNs included. Any mutable field a component forgets to
@@ -132,7 +132,7 @@ fn dec_f64(s: &str) -> Option<f64> {
 
 /// One named bundle of key/value state inside a [`Checkpoint`] — typically
 /// one component's mutable fields under its namespace (`"telemetry"`,
-/// `"governor"`, `"sensor.inner"`, …).
+/// `"budget"`, `"sensor.inner"`, …).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Section {
     id: String,

@@ -13,10 +13,10 @@
 //! `examples/observed_loop.rs`).
 
 use crate::metrics::MetricsRegistry;
-use crate::precision::Precision;
 use crate::stage::Trust;
 use crate::telemetry::{LoopTelemetry, TickRecord};
 use crate::trace::{CausalSpan, Span, SpanKind, StageBreakdown, StageId};
+use crate::Precision;
 use std::fmt::Write as _;
 
 /// Serialize one span as a single JSONL line (no trailing newline).
@@ -114,11 +114,6 @@ pub fn parse_causal_span(line: &str) -> Option<CausalSpan> {
     })
 }
 
-/// Parse a JSONL document, returning every causal-span event.
-pub fn parse_causal_spans(jsonl: &str) -> Vec<CausalSpan> {
-    jsonl.lines().filter_map(parse_causal_span).collect()
-}
-
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
@@ -199,11 +194,12 @@ pub fn parse_tick(line: &str) -> Option<TickRecord> {
         let l = f64_field(&fields, &format!("{}_s", stage.name()))?;
         stages.add(stage, e, l);
     }
-    // Lenient on the precision field so ticks recorded before the
-    // mixed-precision mode existed still parse (they ran at f64).
-    let precision = str_field(&fields, "precision")
-        .and_then(Precision::parse)
-        .unwrap_or(Precision::F64);
+    // Ticks recorded before the field existed ran at f64; a field that is
+    // present must name a mode, like `trust`.
+    let precision = match field(&fields, "precision") {
+        None => Precision::F64,
+        Some(raw) => Precision::parse(raw.strip_prefix('"')?.strip_suffix('"')?)?,
+    };
     Some(TickRecord {
         tick: field(&fields, "tick")?.parse().ok()?,
         energy_j: f64_field(&fields, "energy_j")?,
@@ -466,7 +462,7 @@ mod tests {
 
     #[test]
     fn tick_without_precision_field_parses_as_f64() {
-        // A pre-mixed-precision JSONL line (no "precision" key) still parses.
+        // A JSONL line written before the field existed still parses.
         let mut stages = StageBreakdown::new();
         stages.add(StageId::Sense, 1e-3, 2e-4);
         let rec = TickRecord {
@@ -538,6 +534,20 @@ mod tests {
             assert_eq!(parse_span(line), None, "span accepted: {line}");
             assert_eq!(parse_tick(line), None, "tick accepted: {line}");
         }
+        // A present but unparseable precision is hostile input, not f64.
+        let good = tick_to_json(&TickRecord {
+            tick: 7,
+            energy_j: 1e-3,
+            latency_s: 2e-4,
+            trust: Trust::Trusted,
+            precision: Precision::F32,
+            stages: StageBreakdown::new(),
+        });
+        assert_eq!(parse_tick(&good).map(|r| r.precision), Some(Precision::F32));
+        for bad in ["\"int9\"", "7"] {
+            let line = good.replace("\"f32\"", bad);
+            assert_eq!(parse_tick(&line), None, "tick accepted: {line}");
+        }
         // And document-level: a stream of junk parses to zero events.
         let doc = "{\"type\":\"tick\"\n\n}{\n";
         assert!(parse_ticks(doc).is_empty());
@@ -569,7 +579,7 @@ mod tests {
             sample_causal(SpanKind::NetSend),
             sample_causal(SpanKind::ServerAggregate),
         ]);
-        assert_eq!(parse_causal_spans(&doc).len(), 2);
+        assert_eq!(doc.lines().filter_map(parse_causal_span).count(), 2);
         // Causal lines are invisible to the other parsers and vice versa.
         assert!(parse_spans(&doc).is_empty());
         assert_eq!(parse_causal_span(&span_to_json(&sample_span())), None);

@@ -37,7 +37,6 @@ use crate::checkpoint::{
     get_opt_state, put_opt_state, Checkpoint, CheckpointError, Section, StageState, StateVec,
 };
 use crate::loop_::{LoopBuilder, LoopRunner, LoopState, TickFrame};
-use crate::precision::{Precision, PrecisionGovernor, PrecisionPolicy};
 use crate::stage::{Controller, Monitor, Perceptor, Sensor, StageContext, Trust};
 use crate::telemetry::LoopTelemetry;
 use crate::trace::{StageId, Tracer};
@@ -407,7 +406,7 @@ impl<T: StageState, V: StateVec> StageState for FaultInjector<T, V> {
         // Resume the fault dice at their exact stream position. Reseeding
         // here would replay the fault sequence from tick 0 — the restored
         // run would see faults the recording never had (and vice versa),
-        // and every downstream trust/precision decision would drift.
+        // and every downstream trust/adaptation decision would drift.
         self.rng = StdRng::from_state(state);
         self.active = s.get_bool("active")?;
         self.injected = s.get_u64("injected")?;
@@ -581,8 +580,8 @@ pub struct FallibleOutput<A> {
 
 /// A sensing-to-action loop over *fallible* stages with graceful
 /// degradation: the shared [`LoopState`] (which it dereferences to for name,
-/// stages, budget, telemetry, tracer and precision governor) plus a recovery
-/// ladder. Its tick is the same frame
+/// stages, budget, telemetry and tracer) plus a recovery ladder. Its tick is
+/// the same frame
 /// [`SensingActionLoop`](crate::SensingActionLoop) runs, with retry → hold →
 /// fail-safe where that loop has a plain sense → perceive.
 ///
@@ -659,19 +658,11 @@ impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
                 budget: s.budget,
                 telemetry: s.telemetry,
                 tracer: s.tracer,
-                governor: s.governor,
             },
             recovery: self.recovery,
             held: self.held,
             staleness: self.staleness,
         }
-    }
-
-    /// Enable runtime mixed precision under the given policy (see
-    /// [`LoopBuilder::with_precision`](crate::LoopBuilder::with_precision)).
-    pub fn with_precision(mut self, policy: PrecisionPolicy) -> Self {
-        self.state.governor = PrecisionGovernor::new(policy);
-        self
     }
 
     /// Cap the number of per-tick telemetry records retained.
@@ -753,9 +744,8 @@ impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
 impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState, F: StateVec>
     FallibleLoop<S, P, M, C, Ad, F>
 {
-    /// Serialize the loop's complete live state — telemetry, budget,
-    /// precision governor, tracer ring, held features and staleness, plus
-    /// every stage's [`StageState`] (fault-injector RNG position included) —
+    /// Serialize the loop's complete live state — telemetry, budget, tracer
+    /// ring, held features and staleness, plus every stage's [`StageState`] (fault-injector RNG position included) —
     /// into a [`Checkpoint`] for kill-and-resume or live migration.
     ///
     /// The contract: [`FallibleLoop::restore`] of this checkpoint onto an
@@ -773,8 +763,8 @@ impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState,
 
     /// Restore live state saved by [`FallibleLoop::snapshot`]. The loop must
     /// be constructed with the same configuration (stages, recovery policy,
-    /// budget capacity, precision policy) as the one that was snapshotted;
-    /// only mutable state travels through the checkpoint.
+    /// budget capacity) as the one that was snapshotted; only mutable state
+    /// travels through the checkpoint.
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         let s = ckpt.section("loop")?;
         let staleness = s.get_u64("staleness")?;
@@ -901,10 +891,6 @@ where
 
     fn telemetry_mut(&mut self) -> &mut LoopTelemetry {
         &mut self.state.telemetry
-    }
-
-    fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.state.set_precision_hint(hint);
     }
 }
 
@@ -1037,9 +1023,9 @@ mod tests {
         assert_eq!(looop.name(), "clean");
 
         // The two runners are one frame: over `Reliable(..)` copies of the
-        // same stages — budgeted, adaptive precision with a trust spike that
-        // arms the f64 hold, action-to-sensing adaptation, sim-traced — the
-        // fallible runner is the infallible one, bit for bit, every tick.
+        // same stages — budgeted, a trust spike mid-run, action-to-sensing
+        // adaptation, sim-traced — the fallible runner is the infallible one,
+        // bit for bit, every tick.
         let perceptor = || {
             FnPerceptor::new(|r: &f64, ctx: &mut StageContext| {
                 ctx.charge(2e-4, 5e-5);
@@ -1062,10 +1048,8 @@ mod tests {
                 -0.3 * f
             })
         };
-        let precision = || PrecisionPolicy::adaptive(0.3, 0.6).with_hold_ticks(3);
         let mut plain = LoopBuilder::new("plain")
             .with_budget(EnergyBudget::new(0.05))
-            .with_precision(precision())
             .with_tracer(Tracer::sim(0.5))
             .build_full(
                 KnobSensor { rate: 1.0 },
@@ -1082,14 +1066,13 @@ mod tests {
             WithFallback::new(controller(), 0.0),
         )
         .with_budget(EnergyBudget::new(0.05))
-        .with_precision(precision())
         .with_tracer(Tracer::sim(0.5))
         .with_policy(ActionMagnitudeRate::default());
         let (mut env_plain, mut env_lifted) = (8.0f64, 8.0f64);
-        let mut held_f64 = false;
+        let mut suspected = false;
         for t in 0..60 {
             if t == 30 {
-                // Deep in the cheap-precision era: arm the trust-drift hold.
+                // Budget well under pressure: the monitor flags the spike.
                 (env_plain, env_lifted) = (50.0, 50.0);
             }
             let a = plain.tick(&env_plain);
@@ -1107,15 +1090,9 @@ mod tests {
             );
             env_plain += a.action;
             env_lifted += b.action;
-            held_f64 |= plain.precision_governor().holding();
-            assert_eq!(
-                plain.precision_governor().holding(),
-                lifted.precision_governor().holding()
-            );
+            suspected |= a.trust != Trust::Trusted;
         }
-        assert!(held_f64, "the spike must arm the forced-f64 hold");
-        let schedule: Vec<Precision> = plain.telemetry().records().map(|r| r.precision).collect();
-        assert!(schedule.contains(&Precision::F64) && schedule.contains(&Precision::Int8));
+        assert!(suspected, "the spike must reach the monitor");
         assert!(
             plain.sensor().rate() < 1.0,
             "adaptation must have moved the knob"
@@ -1660,13 +1637,11 @@ mod tests {
         }
     }
 
-    /// A faulty, budgeted, mixed-precision loop snapshot-killed-resumed mid-
-    /// run must tick forward bit-identically to the uninterrupted original —
-    /// including held-feature staleness and every fault/recovery decision.
+    /// A faulty, budgeted loop snapshot-killed-resumed mid-run must tick
+    /// forward bit-identically to the uninterrupted original — including
+    /// held-feature staleness and every fault/recovery decision.
     #[test]
     fn fallible_loop_snapshot_resume_is_bit_exact() {
-        use crate::precision::PrecisionPolicy;
-
         let profile = FaultProfile {
             dropout: 0.25,
             stuck: 0.2,
@@ -1695,7 +1670,6 @@ mod tests {
                 staleness_decay: 0.3,
                 ..RecoveryPolicy::default()
             })
-            .with_precision(PrecisionPolicy::default())
             .with_telemetry_capacity(32)
         };
         let mut env_a = 8.0f64;

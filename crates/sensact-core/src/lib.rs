@@ -64,7 +64,6 @@ pub mod fault;
 pub mod health;
 pub mod metrics;
 pub mod multi;
-pub mod precision;
 pub mod replay;
 pub mod stage;
 pub mod telemetry;
@@ -84,8 +83,8 @@ pub use fault::{
 pub use health::{FleetHealth, HealthPolicy, HealthScorer, HealthSignals, HealthStatus};
 pub use loop_::{LoopBuilder, LoopOutput, LoopRunner, LoopState, SensingActionLoop};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use precision::{Precision, PrecisionGovernor, PrecisionPolicy};
 pub use replay::{first_divergence, Divergence, Recording, RecordingMeta};
+pub use sensact_math::kernels::Precision;
 pub use stage::{StageContext, Trust};
 pub use telemetry::{CommCounters, FaultCounters, LoopTelemetry, TickRecord};
 pub use trace::{

@@ -1,7 +1,7 @@
 //! The sensing-to-action loop: the state every runner shares, the one tick
 //! frame both runners execute, and the infallible runner.
 //!
-//! A tick is `begin_tick` (numeric mode, fresh ledger) → *feature
+//! A tick is `begin_tick` (fresh ledger) → *feature
 //! acquisition* → `decide` (monitor → control) → `finish_tick` (Act: consume,
 //! adapt, record). [`SensingActionLoop`] fills the acquisition slot with a
 //! plain sense → perceive; [`FallibleLoop`](crate::fault::FallibleLoop) fills
@@ -12,7 +12,6 @@
 use crate::adapt::{AdaptationPolicy, NoAdaptation};
 use crate::budget::EnergyBudget;
 use crate::checkpoint::{Checkpoint, CheckpointError, StageState};
-use crate::precision::{Precision, PrecisionGovernor, PrecisionPolicy};
 use crate::replay::{diff_records, Divergence, Recording};
 use crate::stage::{AlwaysTrust, Controller, Monitor, Perceptor, Sensor, StageContext, Trust};
 use crate::telemetry::LoopTelemetry;
@@ -36,13 +35,12 @@ pub struct LoopOutput<A> {
 
 /// One tick in flight: the ledger its stages charge, the per-stage
 /// attribution of that ledger (a cursor into it plus the accumulating
-/// [`StageBreakdown`]), and the numeric mode the prologue decided.
+/// [`StageBreakdown`]).
 pub(crate) struct TickFrame {
     pub(crate) ctx: StageContext,
     tick: u64,
     cursor: (f64, f64),
     stages: StageBreakdown,
-    precision: Precision,
 }
 
 impl TickFrame {
@@ -61,7 +59,7 @@ impl TickFrame {
 }
 
 /// The state every loop runner shares — name, the five stages, energy
-/// budget, telemetry, tracer and precision governor — and its accessors.
+/// budget, telemetry and tracer — and its accessors.
 /// Both [`SensingActionLoop`] and [`FallibleLoop`](crate::fault::FallibleLoop)
 /// dereference to it.
 #[derive(Debug)]
@@ -75,7 +73,6 @@ pub struct LoopState<S, P, M, C, Ad> {
     pub(crate) budget: EnergyBudget,
     pub(crate) telemetry: LoopTelemetry,
     pub(crate) tracer: Tracer,
-    pub(crate) governor: PrecisionGovernor,
 }
 
 impl<S, P, M, C, Ad> LoopState<S, P, M, C, Ad> {
@@ -123,35 +120,15 @@ impl<S, P, M, C, Ad> LoopState<S, P, M, C, Ad> {
         &mut self.tracer
     }
 
-    /// The precision governor deciding each tick's numeric mode (disabled —
-    /// always f64 — unless a policy was installed with
-    /// [`LoopBuilder::with_precision`] or
-    /// [`FallibleLoop::with_precision`](crate::fault::FallibleLoop::with_precision)).
-    pub fn precision_governor(&self) -> &PrecisionGovernor {
-        &self.governor
-    }
-
-    /// Install or clear a fleet-level precision hint (e.g. the scheduler's
-    /// energy arbiter recommending a cheaper mode). A disabled governor
-    /// ignores hints.
-    pub fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.governor.set_hint(hint);
-    }
-
-    /// Tick prologue: decide this tick's numeric mode from current budget
-    /// pressure and stamp it into a fresh ledger before any stage runs.
+    /// Tick prologue: a fresh ledger before any stage runs.
     #[inline]
     pub(crate) fn begin_tick(&mut self) -> TickFrame {
         self.tracer.new_tick();
-        let mut ctx = StageContext::new();
-        let precision = self.governor.decide(self.budget.pressure());
-        ctx.set_precision(precision);
         TickFrame {
-            ctx,
+            ctx: StageContext::new(),
             tick: self.telemetry.ticks(),
             cursor: (0.0, 0.0),
             stages: StageBreakdown::new(),
-            precision,
         }
     }
 
@@ -198,9 +175,7 @@ impl<S, P, M, C, Ad> LoopState<S, P, M, C, Ad> {
     /// Tick epilogue — the Act stage and the books. Consume *before*
     /// adapting: the policy must see this tick's budget pressure, not last
     /// tick's, or a single huge-energy tick could not throttle the very next
-    /// one. The verdict (fresh, staleness-degraded or fail-safe alike) then
-    /// feeds the governor: suspicion at or above the policy's drift threshold
-    /// forces f64 from the next tick on.
+    /// one.
     #[inline]
     pub(crate) fn finish_tick<A>(
         &mut self,
@@ -216,14 +191,8 @@ impl<S, P, M, C, Ad> LoopState<S, P, M, C, Ad> {
             s.budget.consume(energy_j, latency_s);
             s.policy.adapt(&mut s.sensor, &action, trust, &s.budget);
         });
-        self.governor.observe_trust(trust);
-        self.telemetry.record_with_precision(
-            energy_j,
-            latency_s,
-            trust,
-            frame.stages,
-            frame.precision,
-        );
+        self.telemetry
+            .record_with_stages(energy_j, latency_s, trust, frame.stages);
         LoopOutput {
             action,
             trust,
@@ -238,12 +207,10 @@ impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState>
     LoopState<S, P, M, C, Ad>
 {
     /// The checkpoint sections every runner writes, in wire order: telemetry,
-    /// budget, precision governor, tracer ring, then each stage's
-    /// [`StageState`].
+    /// budget, tracer ring, then each stage's [`StageState`].
     pub(crate) fn save_sections(&self, ckpt: &mut Checkpoint) {
         self.telemetry.save_state(ckpt, "telemetry");
         self.budget.save_state(ckpt, "budget");
-        self.governor.save_state(ckpt, "governor");
         self.tracer.save_state(ckpt, "tracer");
         self.sensor.save_state(ckpt, "sensor");
         self.perceptor.save_state(ckpt, "perceptor");
@@ -256,7 +223,6 @@ impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState>
     pub(crate) fn restore_sections(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         self.telemetry.restore_state(ckpt, "telemetry")?;
         self.budget.restore_state(ckpt, "budget")?;
-        self.governor.restore_state(ckpt, "governor")?;
         self.tracer.restore_state(ckpt, "tracer")?;
         self.sensor.restore_state(ckpt, "sensor")?;
         self.perceptor.restore_state(ckpt, "perceptor")?;
@@ -295,9 +261,6 @@ pub trait LoopRunner<E> {
     /// Mutably borrow the telemetry — how a fleet runtime attributes a
     /// deadline miss to the loop's own fault counters.
     fn telemetry_mut(&mut self) -> &mut LoopTelemetry;
-
-    /// Install or clear a fleet-level precision hint.
-    fn set_precision_hint(&mut self, hint: Option<Precision>);
 
     /// Run `n` ticks against a mutable environment, applying each action via
     /// `apply`. Returns the outputs.
@@ -344,9 +307,8 @@ pub trait LoopRunner<E> {
 /// controller, with an action-to-sensing adaptation policy and an energy
 /// budget.
 ///
-/// Construct through [`LoopBuilder`]. Name, telemetry, budget, stages,
-/// tracer and precision governor are read through the [`LoopState`] it
-/// dereferences to.
+/// Construct through [`LoopBuilder`]. Name, telemetry, budget, stages and
+/// tracer are read through the [`LoopState`] it dereferences to.
 #[derive(Debug)]
 pub struct SensingActionLoop<S, P, M, C, Ad> {
     pub(crate) state: LoopState<S, P, M, C, Ad>,
@@ -398,9 +360,9 @@ impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
 impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState>
     SensingActionLoop<S, P, M, C, Ad>
 {
-    /// Serialize the loop's complete live state — telemetry, budget,
-    /// precision governor, tracer ring, plus every stage's [`StageState`] —
-    /// into a versioned [`Checkpoint`] for kill-and-resume or live migration.
+    /// Serialize the loop's complete live state — telemetry, budget, tracer
+    /// ring, plus every stage's [`StageState`] — into a versioned
+    /// [`Checkpoint`] for kill-and-resume or live migration.
     ///
     /// The contract: [`SensingActionLoop::restore`] of this checkpoint onto
     /// an *identically constructed* loop makes every subsequent tick
@@ -413,8 +375,8 @@ impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState>
 
     /// Restore live state saved by [`SensingActionLoop::snapshot`]. The loop
     /// must be built with the same configuration (stages, budget capacity,
-    /// precision policy, telemetry capacity) as the snapshotted one; only
-    /// mutable state travels through the checkpoint.
+    /// telemetry capacity) as the snapshotted one; only mutable state travels
+    /// through the checkpoint.
     pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         self.state.restore_sections(ckpt)
     }
@@ -460,10 +422,6 @@ where
     fn telemetry_mut(&mut self) -> &mut LoopTelemetry {
         &mut self.state.telemetry
     }
-
-    fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.state.set_precision_hint(hint);
-    }
 }
 
 /// Builder for [`SensingActionLoop`].
@@ -473,7 +431,6 @@ pub struct LoopBuilder {
     budget: EnergyBudget,
     telemetry_capacity: usize,
     tracer: Tracer,
-    governor: PrecisionGovernor,
 }
 
 impl LoopBuilder {
@@ -485,7 +442,6 @@ impl LoopBuilder {
             budget: EnergyBudget::unlimited(),
             telemetry_capacity: crate::telemetry::DEFAULT_RECORD_CAPACITY,
             tracer: Tracer::disabled(),
-            governor: PrecisionGovernor::disabled(),
         }
     }
 
@@ -506,16 +462,6 @@ impl LoopBuilder {
     /// [`Tracer::wall`] for real timing). Defaults to [`Tracer::disabled`].
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
-        self
-    }
-
-    /// Enable runtime mixed precision under the given policy: each tick the
-    /// loop maps its budget pressure (and any scheduler hint) to a
-    /// [`Precision`] mode, stamps it into the
-    /// [`StageContext`](crate::stage::StageContext), and records it in
-    /// telemetry. Without this call the loop always runs at f64.
-    pub fn with_precision(mut self, policy: PrecisionPolicy) -> Self {
-        self.governor = PrecisionGovernor::new(policy);
         self
     }
 
@@ -560,7 +506,6 @@ impl LoopBuilder {
                 budget: self.budget,
                 telemetry: LoopTelemetry::with_capacity(self.telemetry_capacity),
                 tracer: self.tracer,
-                governor: self.governor,
             },
         }
     }
@@ -847,107 +792,15 @@ mod tests {
         assert!(l.tracer().is_empty());
     }
 
+    /// A budgeted, monitored loop snapshotted mid-run (budget partly
+    /// consumed, ring wrapped, a suspect streak in progress) and restored onto
+    /// a freshly built twin must continue bit-identically to the
+    /// uninterrupted run.
     #[test]
-    fn precision_mode_tracks_budget_pressure_and_trust_drift() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        // What the perceptor saw on the StageContext, tick by tick.
-        let seen: Rc<RefCell<Vec<Precision>>> = Rc::default();
-        let seen_p = Rc::clone(&seen);
-        let mut l = LoopBuilder::new("mp")
-            .with_budget(EnergyBudget::new(1.0))
-            .with_precision(PrecisionPolicy::adaptive(0.3, 0.6).with_hold_ticks(2))
-            .build_monitored(
-                FnSensor::new(|e: &f64, ctx: &mut StageContext| {
-                    ctx.charge(0.05, 1e-4);
-                    *e
-                }),
-                FnPerceptor::new(move |r: &f64, ctx: &mut StageContext| {
-                    seen_p.borrow_mut().push(ctx.precision());
-                    *r
-                }),
-                FnMonitor::new(|f: &f64, _: &mut StageContext| {
-                    if f.abs() > 100.0 {
-                        Trust::Suspect(0.9)
-                    } else {
-                        Trust::Trusted
-                    }
-                }),
-                FnController::new(|f: &f64, _t, _: &mut StageContext| -*f),
-            );
-        // Pressure before tick t is 0.05·t: f64 until 0.3 (tick 6), f32
-        // until 0.6 (tick 12), int8 after.
-        for _ in 0..14 {
-            let _ = l.tick(&1.0);
-        }
-        let recorded: Vec<Precision> = l.telemetry().records().map(|r| r.precision).collect();
-        assert_eq!(&recorded[..6], &[Precision::F64; 6]);
-        assert_eq!(&recorded[6..12], &[Precision::F32; 6]);
-        assert_eq!(&recorded[12..14], &[Precision::Int8; 2]);
-        // The context carried the same schedule the telemetry recorded.
-        assert_eq!(*seen.borrow(), recorded);
-        // Drift: suspicious features force f64 for hold_ticks ticks.
-        let _ = l.tick(&1000.0); // decided before the verdict: still int8
-        assert_eq!(
-            l.telemetry().last_record().unwrap().precision,
-            Precision::Int8
-        );
-        let _ = l.tick(&1.0);
-        assert_eq!(
-            l.telemetry().last_record().unwrap().precision,
-            Precision::F64
-        );
-        let _ = l.tick(&1.0);
-        assert_eq!(
-            l.telemetry().last_record().unwrap().precision,
-            Precision::F64
-        );
-        let _ = l.tick(&1.0);
-        assert_eq!(
-            l.telemetry().last_record().unwrap().precision,
-            Precision::Int8
-        );
-        assert_eq!(l.precision_governor().current(), Precision::Int8);
-        assert!(l.telemetry().precision_ticks(Precision::F64) >= 8);
-    }
-
-    #[test]
-    fn precision_hint_cheapens_an_enabled_loop() {
-        let mut l = LoopBuilder::new("hinted")
-            .with_precision(PrecisionPolicy::adaptive(0.5, 0.9))
-            .build(
-                FnSensor::new(|e: &f64, _: &mut StageContext| *e),
-                FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
-                FnController::new(|_f: &f64, _t, _: &mut StageContext| 0.0),
-            );
-        let _ = l.tick(&0.0);
-        assert_eq!(
-            l.telemetry().last_record().unwrap().precision,
-            Precision::F64
-        );
-        l.set_precision_hint(Some(Precision::F32));
-        let _ = l.tick(&0.0);
-        assert_eq!(
-            l.telemetry().last_record().unwrap().precision,
-            Precision::F32
-        );
-        l.set_precision_hint(None);
-        let _ = l.tick(&0.0);
-        assert_eq!(
-            l.telemetry().last_record().unwrap().precision,
-            Precision::F64
-        );
-    }
-
-    /// A budgeted mixed-precision loop snapshotted mid-run (including mid-
-    /// precision-hold) and restored onto a freshly built twin must continue
-    /// bit-identically to the uninterrupted run.
-    #[test]
-    fn snapshot_restore_resumes_bit_exactly_mid_hold() {
+    fn snapshot_restore_resumes_bit_exactly_mid_run() {
         let build = || {
             LoopBuilder::new("ckpt")
                 .with_budget(EnergyBudget::new(1.0))
-                .with_precision(PrecisionPolicy::adaptive(0.3, 0.6).with_hold_ticks(3))
                 .with_telemetry_capacity(16)
                 .build_monitored(
                     FnSensor::new(|e: &f64, ctx: &mut StageContext| {
@@ -968,8 +821,8 @@ mod tests {
         let drive =
             |l: &mut SensingActionLoop<_, _, _, _, _>, env: &mut f64, from: u64, to: u64| {
                 for i in from..to {
-                    // A spike at tick 24 arms the governor's f64 hold; the
-                    // snapshot at tick 26 lands mid-hold.
+                    // A spike at tick 24 starts a suspect streak; the
+                    // snapshot at tick 26 lands inside it.
                     if i == 24 {
                         *env = 50.0;
                     }
@@ -985,8 +838,8 @@ mod tests {
         let mut first = build();
         drive(&mut first, &mut env_b, 0, 26);
         assert!(
-            first.precision_governor().holding(),
-            "snapshot point must land inside the forced-f64 hold"
+            first.telemetry().current_suspect_streak() > 0 && first.budget().pressure() > 0.5,
+            "snapshot point must land inside the suspect streak, budget half spent"
         );
         let wire = first.snapshot().to_jsonl();
         drop(first);
@@ -1000,10 +853,13 @@ mod tests {
         let recs_a: Vec<_> = uninterrupted.telemetry().records().collect();
         let recs_b: Vec<_> = resumed.telemetry().records().collect();
         assert_eq!(recs_a, recs_b);
-        let prec_a: Vec<Precision> = recs_a.iter().map(|r| r.precision).collect();
-        assert!(
-            prec_a.contains(&Precision::F64) && prec_a.iter().any(|p| *p != Precision::F64),
-            "test must exercise a mixed-precision schedule, got {prec_a:?}"
+        assert_eq!(
+            uninterrupted.budget().consumed_j().to_bits(),
+            resumed.budget().consumed_j().to_bits()
+        );
+        assert_eq!(
+            uninterrupted.telemetry().max_suspect_streak(),
+            resumed.telemetry().max_suspect_streak()
         );
     }
 

@@ -371,10 +371,10 @@ impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
 mod tests {
     use super::*;
     use crate::fault::{FaultInjector, FaultProfile, RecoveryPolicy, Reliable, WithFallback};
-    use crate::precision::Precision;
     use crate::stage::{AlwaysTrust, FnController, FnPerceptor, FnSensor, StageContext};
     use crate::trace::StageBreakdown;
     use crate::LoopBuilder;
+    use crate::Precision;
 
     fn sample_record(tick: u64, energy: f64) -> TickRecord {
         let mut stages = StageBreakdown::new();

@@ -1,7 +1,5 @@
 //! Stage traits of a sensing-to-action loop, plus closure adapters.
 
-use crate::precision::Precision;
-
 /// Trust verdict from a [`Monitor`] (STARNet-style) about the current
 /// sensing/feature stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,33 +46,17 @@ impl Trust {
 ///
 /// Stages call [`StageContext::charge`] with the energy (joules) and latency
 /// (seconds) they consumed; the loop accumulates these into its budget and
-/// telemetry. The context also carries the tick's numeric
-/// [`Precision`] mode, decided by the loop's precision governor before the
-/// sense stage runs.
+/// telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageContext {
     energy_j: f64,
     latency_s: f64,
-    precision: Precision,
 }
 
 impl StageContext {
-    /// A fresh (zero-cost) context at the default [`Precision::F64`].
+    /// A fresh (zero-cost) context.
     pub fn new() -> Self {
         StageContext::default()
-    }
-
-    /// The precision mode the governor scheduled for this tick: recorded,
-    /// replayed and used to size federated uploads. No in-repo stage
-    /// computes at reduced precision; a stage that does would read it here.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Set the tick's precision mode (called by the loop runner before the
-    /// first stage; stages themselves should only read it).
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
     }
 
     /// Charge energy (joules) and latency (seconds) to this tick.

@@ -24,9 +24,9 @@
 use crate::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use crate::fault::StageError;
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::precision::Precision;
 use crate::stage::Trust;
 use crate::trace::{StageBreakdown, StageId, STAGE_COUNT};
+use crate::Precision;
 use sensact_math::RunningStats;
 
 /// Default number of per-tick records retained by the ring buffer.
@@ -43,8 +43,8 @@ pub struct TickRecord {
     pub latency_s: f64,
     /// Monitor verdict.
     pub trust: Trust,
-    /// Numeric precision mode the tick computed at (f64 unless a precision
-    /// governor chose otherwise).
+    /// Numeric precision label of the tick: every in-tree loop records f64;
+    /// recordings and checkpoints from older builds may hold other modes.
     pub precision: Precision,
     /// Per-stage energy/latency attribution of this tick.
     pub stages: StageBreakdown,
@@ -204,8 +204,9 @@ impl LoopTelemetry {
         self.record_with_precision(energy_j, latency_s, trust, stages, Precision::F64);
     }
 
-    /// Record a tick with per-stage attribution and the precision mode it
-    /// computed at.
+    /// Record a tick with per-stage attribution and an explicit precision
+    /// label (what the benchmark ledger calls; in-tree loops use
+    /// [`LoopTelemetry::record_with_stages`]).
     pub fn record_with_precision(
         &mut self,
         energy_j: f64,

@@ -3,13 +3,12 @@
 //!
 //! The scenario is the hardest one the checkpoint layer supports: a
 //! 1000-tick run with an active fault injector (dropouts, stuck-at, latency
-//! spikes, NaN poison), retry/hold/fallback recovery, an energy budget whose
-//! rising pressure shifts the precision schedule from f64 into f32
-//! mid-run, and trust-driven precision holds. The run is snapshotted at
-//! three adversarially chosen ticks — early, exactly at the telemetry ring's
-//! wrap boundary, and inside a precision hold — each checkpoint shipped
-//! through its JSONL wire form, restored onto a freshly built twin, and the
-//! twin replayed against the recorded tail through the replay differ.
+//! spikes, NaN poison), retry/hold/fallback recovery and an energy budget.
+//! The run is snapshotted at three adversarially chosen ticks — early,
+//! exactly at the telemetry ring's wrap boundary, and inside a recovery hold
+//! (stale features held, `staleness > 0`) — each checkpoint shipped through
+//! its JSONL wire form, restored onto a freshly built twin, and the twin
+//! replayed against the recorded tail through the replay differ.
 
 use sensact_core::checkpoint::{Checkpoint, Section};
 use sensact_core::fault::FnTryPerceptor;
@@ -17,9 +16,9 @@ use sensact_core::stage::{
     AlwaysTrust, FnController, FnMonitor, FnPerceptor, FnSensor, StageContext,
 };
 use sensact_core::{
-    EnergyBudget, FallibleLoop, FaultInjector, FaultProfile, LoopBuilder, LoopRunner, Precision,
-    PrecisionPolicy, Recording, RecoveryPolicy, SensingActionLoop, TickResolution, Tracer, Trust,
-    WithFallback, CHECKPOINT_VERSION,
+    EnergyBudget, FallibleLoop, FaultInjector, FaultProfile, LoopBuilder, LoopRunner, Recording,
+    RecoveryPolicy, SensingActionLoop, TickResolution, Tracer, Trust, WithFallback,
+    CHECKPOINT_VERSION,
 };
 
 const TICKS: usize = 1000;
@@ -39,9 +38,8 @@ fn restore_mid_recording_replays_tail_with_zero_divergence() {
     let build = || {
         let sensor = FaultInjector::new(
             FnSensor::new(|e: &f64, ctx: &mut StageContext| {
-                // Energy depends on the environment, so budget pressure —
-                // and through it the precision schedule — is sensitive to
-                // every restored bit of env and action history.
+                // Energy depends on the environment, so every record is
+                // sensitive to each restored bit of env and action history.
                 ctx.charge(2e-4 * (1.0 + 0.1 * e.abs()), 1e-4);
                 *e
             }),
@@ -66,19 +64,12 @@ fn restore_mid_recording_replays_tail_with_zero_divergence() {
             staleness_decay: 0.35,
             latency_budget_s: None,
         })
-        .with_precision(
-            // Drift threshold 0.3: a single staleness-degraded held tick
-            // (suspicion 0.35) arms the forced-f64 hold.
-            PrecisionPolicy::adaptive(0.12, 0.9)
-                .with_hold_ticks(4)
-                .with_drift_threshold(0.3),
-        )
         .with_telemetry_capacity(RING)
     };
 
     // Uninterrupted reference run: collect every tick record (the ring only
     // retains the last RING of them) and locate a snapshot tick that lands
-    // inside a trust-drift precision hold after the schedule turned mixed.
+    // inside a recovery hold after the ring has wrapped twice.
     let mut reference = build();
     let mut env = 8.0f64;
     let mut records = Vec::with_capacity(TICKS);
@@ -87,32 +78,18 @@ fn restore_mid_recording_replays_tail_with_zero_divergence() {
         let out = reference.tick(&env);
         env += out.action;
         records.push(reference.telemetry().last_record().unwrap());
-        if hold_cut.is_none() && t > 2 * RING && reference.precision_governor().holding() {
+        let held = matches!(out.resolution, TickResolution::Held { .. });
+        if hold_cut.is_none() && t > 2 * RING && held {
             hold_cut = Some(t + 1);
         }
     }
-    let hold_cut = hold_cut.expect("faulty run must arm a precision hold in the mixed era");
-
-    // The recording is genuinely adversarial: faults fired and both f64 and
-    // f32 ticks are on the schedule.
-    let f64s = records
-        .iter()
-        .filter(|r| r.precision == Precision::F64)
-        .count();
-    let f32s = records
-        .iter()
-        .filter(|r| r.precision == Precision::F32)
-        .count();
-    assert!(
-        f64s > 0 && f32s > 0,
-        "run must mix precisions: {f64s} f64 / {f32s} f32"
-    );
+    let hold_cut = hold_cut.expect("a 12 % dropout run must hold after the second wrap");
     assert!(
         reference.telemetry().fault_counters().faults > 0,
         "faults must fire"
     );
 
-    // Early / ring-wrap-boundary / mid-precision-hold.
+    // Early / ring-wrap-boundary / mid-recovery-hold.
     for cut in [17, RING, hold_cut] {
         // Re-run the prefix on a fresh loop (bit-identical to the reference
         // prefix by determinism) and snapshot at the cut …
@@ -122,10 +99,11 @@ fn restore_mid_recording_replays_tail_with_zero_divergence() {
             let out = warm.tick(&warm_env);
             warm_env += out.action;
         }
-        let mut ckpt = warm.snapshot();
-        let mut s = Section::new("env");
-        s.put_f64("state", warm_env);
-        ckpt.push(s);
+        let ckpt = with_env(warm.snapshot(), warm_env);
+        if cut == hold_cut {
+            let staleness = ckpt.section("loop").unwrap().get_u64("staleness");
+            assert!(staleness.unwrap() > 0, "cut {cut} must land mid-hold");
+        }
         // … ship it through the wire, kill the loop, and restore a freshly
         // built twin from the parsed checkpoint.
         let wire = ckpt.to_jsonl();
@@ -159,12 +137,18 @@ fn restore_mid_recording_replays_tail_with_zero_divergence() {
     }
 }
 
-/// Documents written by the commit *before* the two runners were folded onto
-/// one tick frame (`data/*.ckpt.jsonl`). They pin the checkpoint wire: same
-/// section ids in the same order (`loop` first for the fallible runner), same
-/// key names, same `CHECKPOINT_VERSION`, same bytes.
+/// The checkpoint wire, pinned: same section ids in the same order (`loop`
+/// first for the fallible runner), same key names, same
+/// `CHECKPOINT_VERSION`, same bytes.
 const PINNED_FALLIBLE: &str = include_str!("data/fallible_mid_hold.ckpt.jsonl");
 const PINNED_INFALLIBLE: &str = include_str!("data/sensing_action_mid_hold.ckpt.jsonl");
+
+/// The same two scenarios as the runners wrote them while a precision
+/// schedule existed (adaptive policy on, a `governor` section on the wire,
+/// f32 / int8 ticks in the telemetry ring). Kept as back-compat fixtures.
+const GOVERNED_FALLIBLE: &str = include_str!("data/fallible_mid_hold_with_governor.ckpt.jsonl");
+const GOVERNED_INFALLIBLE: &str =
+    include_str!("data/sensing_action_mid_hold_with_governor.ckpt.jsonl");
 
 /// Ticks replayed after each pinned snapshot.
 const PIN_TAIL: usize = 64;
@@ -195,6 +179,35 @@ fn assert_pinned_tail_replays<L: LoopRunner<f64, Action = f64>>(
 
 fn section_ids(ckpt: &Checkpoint) -> Vec<&str> {
     ckpt.sections().iter().map(|s| s.id()).collect()
+}
+
+/// The section lines of a checkpoint document minus the named sections (and
+/// minus the meta line, which counts them).
+fn lines_outside<'a>(doc: &'a str, skip: &[&str]) -> Vec<&'a str> {
+    doc.lines()
+        .skip(1)
+        .filter(|line| {
+            !skip
+                .iter()
+                .any(|id| line.contains(&format!("\"id\":\"{id}\"")))
+        })
+        .collect()
+}
+
+/// The precision schedule never touched energy, latency, trust, RNG position
+/// or spans: the document a governed runner wrote equals today's pin byte for
+/// byte in every section but `governor` (gone) and `telemetry` (whose
+/// precision columns held the schedule).
+fn assert_governor_steered_nothing(governed: &str, pinned: &str) {
+    let parsed = Checkpoint::from_jsonl(governed).unwrap();
+    assert!(
+        parsed.section("governor").is_ok(),
+        "fixture lost its section"
+    );
+    assert_eq!(
+        lines_outside(governed, &["governor", "telemetry"]),
+        lines_outside(pinned, &["telemetry"])
+    );
 }
 
 #[test]
@@ -237,7 +250,6 @@ fn fallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores()
             staleness_decay: 0.35,
             latency_budget_s: None,
         })
-        .with_precision(PrecisionPolicy::adaptive(0.1, 0.8).with_hold_ticks(3))
         .with_telemetry_capacity(8)
         .with_tracer(Tracer::sim(0.25).with_span_capacity(12))
     };
@@ -263,22 +275,15 @@ fn fallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores()
     assert_eq!(ckpt.version(), CHECKPOINT_VERSION);
     assert_eq!(
         section_ids(&ckpt),
-        [
-            "loop",
-            "telemetry",
-            "budget",
-            "governor",
-            "tracer",
-            "sensor",
-            "env"
-        ],
+        ["loop", "telemetry", "budget", "tracer", "sensor", "env"],
         "section order is part of the wire: `loop` leads, stateless stages write nothing"
     );
     assert_eq!(
         ckpt.to_jsonl(),
         PINNED_FALLIBLE,
-        "the snapshot must be byte-identical to the pre-merge document"
+        "the snapshot must be byte-identical to the pinned document"
     );
+    assert_governor_steered_nothing(GOVERNED_FALLIBLE, PINNED_FALLIBLE);
 
     let mut records = Vec::with_capacity(PIN_TAIL);
     for _ in 0..PIN_TAIL {
@@ -286,14 +291,16 @@ fn fallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores()
         env += out.action;
         records.push(reference.telemetry().last_record().unwrap());
     }
-    // The file the old runner wrote restores onto the new one and replays
-    // the recorded tail with zero divergence.
-    let pinned = Checkpoint::from_jsonl(PINNED_FALLIBLE).unwrap();
-    let mut resumed = build();
-    resumed.restore(&pinned).unwrap();
     let mut tail = Recording::capture("pin-fallible", SEED, reference.telemetry());
     tail.ticks = records;
-    assert_pinned_tail_replays(&mut resumed, &pinned, &tail, env);
+    // The pin — and the file a governed runner wrote, through the lenient
+    // reader — restores and replays the recorded tail with zero divergence.
+    for doc in [PINNED_FALLIBLE, GOVERNED_FALLIBLE] {
+        let pinned = Checkpoint::from_jsonl(doc).unwrap();
+        let mut resumed = build();
+        resumed.restore(&pinned).unwrap();
+        assert_pinned_tail_replays(&mut resumed, &pinned, &tail, env);
+    }
 }
 
 #[test]
@@ -301,7 +308,6 @@ fn infallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores
     let build = || {
         LoopBuilder::new("pin-infallible")
             .with_budget(EnergyBudget::new(1.0))
-            .with_precision(PrecisionPolicy::adaptive(0.3, 0.6).with_hold_ticks(3))
             .with_telemetry_capacity(8)
             .with_tracer(Tracer::sim(0.25).with_span_capacity(12))
             .build_monitored(
@@ -320,8 +326,8 @@ fn infallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores
                 FnController::new(|f: &f64, _t, _: &mut StageContext| -0.3 * f),
             )
     };
-    // A spike at tick 24 arms the governor's f64 hold; the snapshot at tick
-    // 26 lands inside it.
+    // A spike at tick 24 starts a suspect streak; the snapshot at tick 26
+    // lands inside it.
     let drive =
         |l: &mut SensingActionLoop<_, _, _, _, _>, env: &mut f64, from: usize, to: usize| {
             let mut records = Vec::new();
@@ -338,25 +344,31 @@ fn infallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores
     let mut reference = build();
     let mut env = 8.0f64;
     drive(&mut reference, &mut env, 0, 26);
-    assert!(reference.precision_governor().holding(), "mid-hold");
+    assert!(
+        reference.telemetry().current_suspect_streak() > 0,
+        "mid-streak"
+    );
     let ckpt = with_env(reference.snapshot(), env);
     assert_eq!(ckpt.version(), CHECKPOINT_VERSION);
     assert_eq!(
         section_ids(&ckpt),
-        ["telemetry", "budget", "governor", "tracer", "env"],
+        ["telemetry", "budget", "tracer", "env"],
         "section order is part of the wire (stateless stages write nothing)"
     );
     assert_eq!(
         ckpt.to_jsonl(),
         PINNED_INFALLIBLE,
-        "the snapshot must be byte-identical to the pre-merge document"
+        "the snapshot must be byte-identical to the pinned document"
     );
+    assert_governor_steered_nothing(GOVERNED_INFALLIBLE, PINNED_INFALLIBLE);
 
     let records = drive(&mut reference, &mut env, 26, 26 + PIN_TAIL);
-    let pinned = Checkpoint::from_jsonl(PINNED_INFALLIBLE).unwrap();
-    let mut resumed = build();
-    resumed.restore(&pinned).unwrap();
     let mut tail = Recording::capture("pin-infallible", 0, reference.telemetry());
     tail.ticks = records;
-    assert_pinned_tail_replays(&mut resumed, &pinned, &tail, env);
+    for doc in [PINNED_INFALLIBLE, GOVERNED_INFALLIBLE] {
+        let pinned = Checkpoint::from_jsonl(doc).unwrap();
+        let mut resumed = build();
+        resumed.restore(&pinned).unwrap();
+        assert_pinned_tail_replays(&mut resumed, &pinned, &tail, env);
+    }
 }

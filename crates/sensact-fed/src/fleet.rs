@@ -11,8 +11,8 @@
 //! land in a later round (partial, online aggregation). Upload/download time
 //! feeds the scheduler's deadline and energy model through
 //! [`TickOutcome::comm_s`](sensact_sched::TickOutcome), and the
-//! [`EnergyArbiter`]'s precision hint throttles *communication* alongside
-//! compute: pressure shrinks the wire quantization
+//! [`EnergyArbiter`]'s stride stretch throttles *communication* alongside
+//! tick rates: overshoot shrinks the wire quantization
 //! ([`EnergyArbiter::wire_bits`]), so uploads get smaller exactly when the
 //! fleet is over its power cap.
 //!
@@ -27,7 +27,7 @@ use crate::sim::{NetCounters, NetworkConfig, SimNetwork};
 use sensact_core::export::trace_stream_hash;
 use sensact_core::trace::{trace_mix, SimClock};
 use sensact_core::{
-    CausalSpan, FleetTracer, LoopTelemetry, Precision, SpanKind, StageError, TraceContext, Trust,
+    CausalSpan, FleetTracer, LoopTelemetry, SpanKind, StageError, TraceContext, Trust,
 };
 use sensact_sched::{
     DynLoop, EnergyArbiter, FleetConfig, FleetReport, FleetScheduler, LoopHandle, LoopSpec,
@@ -76,8 +76,8 @@ pub struct FedFleetConfig {
     pub workers: usize,
     /// Scheduler seed (EDF tie-breaks). The network has its own seed.
     pub seed: u64,
-    /// Optional fleet power cap — the arbiter throttles tick rates, compute
-    /// precision, *and* wire bits when the fleet burns past it.
+    /// Optional fleet power cap — the arbiter throttles tick rates *and*
+    /// wire bits when the fleet burns past it.
     pub watts_cap: Option<f64>,
     /// Round period override (s). `None` derives one from the fleet: median
     /// client compute plus a network round-trip estimate, so the median
@@ -159,7 +159,7 @@ struct FedClientLoop {
     telemetry: LoopTelemetry,
     tick_start_s: f64,
     tick_idx: u64,
-    /// Wire quantization from the arbiter's hint (bits per parameter).
+    /// Wire quantization from the arbiter's stretch (bits per parameter).
     wire_bits: u8,
     /// Latest version a downlink transfer was drawn for (drawn once each).
     checked_version: u64,
@@ -329,8 +329,8 @@ impl DynLoop for FedClientLoop {
         });
     }
 
-    fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.wire_bits = EnergyArbiter::wire_bits(hint);
+    fn set_energy_stretch(&mut self, stretch: f64) {
+        self.wire_bits = EnergyArbiter::wire_bits(stretch);
     }
 }
 
@@ -825,10 +825,10 @@ mod tests {
         assert_ne!(a.0, c.0, "a different network seed must re-draw");
     }
 
-    /// The arbiter's precision hint reaches the wire: an int8-hinted client
-    /// uploads a quarter of the bytes of an unhinted (16-bit) one.
+    /// The arbiter's stretch reaches the wire: a client stretched 4× uploads
+    /// a quarter of the bytes of an unthrottled (16-bit) one.
     #[test]
-    fn precision_hint_shrinks_uploads_on_the_wire() {
+    fn energy_stretch_shrinks_uploads_on_the_wire() {
         let mut client = Client::new(0, Dataset::generate(40, 1), HardwareTier::Mobile, 1);
         let global0 = client.params_flat();
         let shared = Arc::new(Shared {
@@ -865,7 +865,7 @@ mod tests {
         };
         let _ = lp.tick_once();
         let full = bytes_delivered();
-        lp.set_precision_hint(Some(sensact_core::Precision::Int8));
+        lp.set_energy_stretch(4.0);
         lp.set_tick_start(1.0);
         let _ = lp.tick_once();
         let squeezed = bytes_delivered() - full;
@@ -873,10 +873,10 @@ mod tests {
         assert_eq!(
             squeezed,
             full.div_ceil(4),
-            "int8 hint must quarter the 16-bit upload ({full} → {squeezed})"
+            "a 4× stretch must quarter the 16-bit upload ({full} → {squeezed})"
         );
-        // F32 pressure halves instead.
-        lp.set_precision_hint(Some(sensact_core::Precision::F32));
+        // A 2× stretch halves instead.
+        lp.set_energy_stretch(2.0);
         lp.set_tick_start(2.0);
         let before = bytes_delivered();
         let _ = lp.tick_once();

@@ -46,23 +46,6 @@ pub fn select_precisions(clients: &mut [Client]) {
     }
 }
 
-/// Fleet energy ratio after precision selection vs. uniform INT16.
-pub fn fleet_energy_ratio(clients: &[Client], epochs: usize) -> f64 {
-    let adapted: f64 = clients.iter().map(|c| c.round_energy_j(epochs)).sum();
-    let uniform: f64 = clients
-        .iter()
-        .map(|c| {
-            // Clone knobs at INT16.
-            let bits = 16u8;
-            let macs = c.macs_per_forward() * 3 * c.data.len() as u64 * epochs as u64;
-            let compute = c.profile.energy.energy_mj(macs, bits) * 1e-3;
-            let params = c.subnetwork_mask().iter().filter(|&&m| m > 0.0).count() as f64;
-            compute + params * c.profile.comm_energy_per_param
-        })
-        .sum();
-    adapted / uniform
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -80,22 +63,6 @@ mod tests {
         let p_mcu = select_precision_for(&mut mcu);
         assert!(p_mcu.bits() <= p_gpu.bits(), "MCU {p_mcu} vs GPU {p_gpu}");
         assert!(p_mcu.bits() <= 8, "MCU precision {p_mcu} too conservative");
-    }
-
-    #[test]
-    fn selection_reduces_fleet_energy() {
-        let mut clients: Vec<Client> = [
-            HardwareTier::EdgeGpu,
-            HardwareTier::Mobile,
-            HardwareTier::Mcu,
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| client(t, i as u64))
-        .collect();
-        select_precisions(&mut clients);
-        let ratio = fleet_energy_ratio(&clients, 2);
-        assert!(ratio < 0.95, "energy ratio {ratio}");
     }
 
     #[test]

@@ -112,11 +112,6 @@ impl RadialMask {
         let p = self.keep_probability(expected_range);
         self.rng.random::<f64>() < p
     }
-
-    /// Fraction of segments kept by stage 1.
-    pub fn segment_keep_fraction(&self) -> f64 {
-        self.kept_segments.iter().filter(|&&k| k).count() as f64 / self.kept_segments.len() as f64
-    }
 }
 
 /// A uniform (non-radial) random mask used as the ablation baseline: every
@@ -156,7 +151,7 @@ mod tests {
     #[test]
     fn stage1_keeps_configured_fraction() {
         let mask = RadialMask::sample(RadialMaskConfig::default(), 512, 0);
-        let frac = mask.segment_keep_fraction();
+        let frac = (0..512).filter(|&az| mask.segment_kept(az)).count() as f64 / 512.0;
         assert!((frac - 0.25).abs() < 0.05, "fraction {frac}");
     }
 

@@ -22,11 +22,6 @@ impl Point {
     pub fn position(&self) -> [f64; 3] {
         [self.x, self.y, self.z]
     }
-
-    /// Horizontal (x, y) distance from the sensor origin.
-    pub fn horizontal_range(&self) -> f64 {
-        self.x.hypot(self.y)
-    }
 }
 
 /// An unordered collection of LiDAR returns from one scan.
@@ -158,7 +153,6 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert_eq!(c.max_range(), 5.0);
         assert_eq!(c.mean_range(), 3.0);
-        assert_eq!(c.points()[0].horizontal_range(), 5.0);
     }
 
     #[test]

@@ -369,11 +369,10 @@ pub fn transpose_into(rows: usize, cols: usize, src: &[f64], dst: &mut [f64]) {
 /// Numeric precision of a compute path, ordered from most precise (and most
 /// expensive) to cheapest.
 ///
-/// This is the currency of the runtime mixed-precision mode: the precision
-/// governor in `sensact-core` (which re-exports this type) picks one of
-/// these per tick, loop runners record and replay it, and the federated
-/// uplink sizes its wire format from it. It is a schedule, not a compute
-/// path: every kernel in this module is f64.
+/// A label on a tick record, not a compute path: every kernel in this module
+/// is f64 and every in-tree loop records [`Precision::F64`]. `sensact-core`
+/// re-exports the type because tick records, checkpoints and JSONL
+/// recordings carry the column, and older recordings hold other values in it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub enum Precision {
     /// Full double precision — the default and the trusted-fallback mode.
@@ -407,11 +406,6 @@ impl Precision {
             "int8" => Some(Precision::Int8),
             _ => None,
         }
-    }
-
-    /// The cheaper (lower-precision) of two modes.
-    pub fn cheaper_of(self, other: Precision) -> Precision {
-        self.max(other)
     }
 
     /// Cost rank: `0` (f64, most expensive) to `2` (int8, cheapest).
@@ -589,8 +583,6 @@ pub(crate) mod tests {
         }
         assert_eq!(Precision::parse("bf16"), None);
         assert_eq!(Precision::default(), Precision::F64);
-        assert_eq!(Precision::F64.cheaper_of(Precision::Int8), Precision::Int8);
-        assert_eq!(Precision::F32.cheaper_of(Precision::F64), Precision::F32);
         assert!(Precision::F64.rank() < Precision::F32.rank());
         assert!(Precision::F32.rank() < Precision::Int8.rank());
     }

@@ -172,32 +172,6 @@ pub fn spectral_dynamics(eigs: &[Complex64]) -> Matrix {
     a
 }
 
-/// Total quadratic cost of rolling the closed loop `x⁺ = (A - BK)x` from
-/// `x0` for `steps` steps (diagnostic used by the Koopman experiments).
-///
-/// # Errors
-///
-/// Propagates shape errors from the matrix algebra.
-pub fn closed_loop_cost(
-    problem: &LqrProblem,
-    gain: &Matrix,
-    x0: &[f64],
-    steps: usize,
-) -> Result<f64> {
-    let mut x = x0.to_vec();
-    let mut cost = 0.0;
-    for _ in 0..steps {
-        let u: Vec<f64> = gain.matvec(&x)?.into_iter().map(|v| -v).collect();
-        let qx = problem.q.matvec(&x)?;
-        let ru = problem.r.matvec(&u)?;
-        cost += crate::vector::dot(&x, &qx) + crate::vector::dot(&u, &ru);
-        let ax = problem.a.matvec(&x)?;
-        let bu = problem.b.matvec(&u)?;
-        x = crate::vector::add(&ax, &bu);
-    }
-    Ok(cost)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,8 +200,12 @@ mod tests {
         let p = double_integrator(0.1);
         let sol = dlqr(&p).unwrap();
         let mut x = vec![1.0, 0.0];
+        let predicted = crate::vector::dot(&x, &sol.cost_to_go.matvec(&x).unwrap());
+        let mut cost = 0.0;
         for _ in 0..400 {
             let u = sol.control(&x).unwrap();
+            cost += crate::vector::dot(&x, &p.q.matvec(&x).unwrap())
+                + crate::vector::dot(&u, &p.r.matvec(&u).unwrap());
             let ax = p.a.matvec(&x).unwrap();
             let bu = p.b.matvec(&u).unwrap();
             x = crate::vector::add(&ax, &bu);
@@ -236,6 +214,11 @@ mod tests {
             crate::vector::norm(&x) < 1e-3,
             "state norm {}",
             crate::vector::norm(&x)
+        );
+        // The rolled-out quadratic cost is the Riccati cost-to-go x0ᵀ P x0.
+        assert!(
+            (cost - predicted).abs() < 1e-3 * predicted,
+            "rolled out {cost} vs predicted {predicted}"
         );
     }
 
@@ -296,22 +279,6 @@ mod tests {
         let max_mod = (0.9f64 * 0.9 + 0.2 * 0.2).sqrt();
         assert!((ev[0].abs() - max_mod).abs() < 1e-9);
         assert!((ev[2].abs() - 0.7).abs() < 1e-9);
-    }
-
-    #[test]
-    fn closed_loop_cost_matches_cost_to_go() {
-        let p = double_integrator(0.1);
-        let sol = dlqr(&p).unwrap();
-        let x0 = [1.0, -0.5];
-        let sim_cost = closed_loop_cost(&p, &sol.feedback, &x0, 5_000).unwrap();
-        let px = p.q.matvec(&x0).unwrap(); // reuse shape; compute x0ᵀ P x0 below
-        let _ = px;
-        let p_x0 = sol.cost_to_go.matvec(&x0).unwrap();
-        let predicted = crate::vector::dot(&x0, &p_x0);
-        assert!(
-            (sim_cost - predicted).abs() < 1e-3 * predicted,
-            "sim {sim_cost} vs predicted {predicted}"
-        );
     }
 
     #[test]

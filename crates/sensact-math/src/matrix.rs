@@ -215,33 +215,6 @@ impl Matrix {
         Ok(())
     }
 
-    /// `self * otherᵀ` without materialising the transpose; `other` is read
-    /// as its transpose, so `self.cols` must equal `other.cols`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::ShapeMismatch`] if `self.cols != other.cols`.
-    pub fn matmul_transb(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.cols {
-            return Err(MathError::ShapeMismatch {
-                expected: (self.rows, self.cols),
-                found: other.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.rows);
-        crate::kernels::gemm_transb(
-            self.rows,
-            other.rows,
-            self.cols,
-            1.0,
-            &self.data,
-            &other.data,
-            0.0,
-            &mut out.data,
-        );
-        Ok(out)
-    }
-
     /// `selfᵀ * other` without materialising the transpose; `self` is read
     /// as its transpose, so `self.rows` must equal `other.rows`.
     ///
@@ -812,15 +785,9 @@ mod tests {
     }
 
     #[test]
-    fn transb_and_tr_matmul_match_explicit_transpose() {
+    fn tr_matmul_matches_explicit_transpose() {
         let mut rng = StdRng::seed_from_u64(0x3A7205);
         for &(m, n, k) in &[(1, 1, 1), (3, 4, 5), (8, 2, 9), (1, 7, 3)] {
-            let a = rand_matrix(&mut rng, m, k);
-            let bt = rand_matrix(&mut rng, n, k);
-            let expect = a.matmul(&bt.transpose()).unwrap();
-            let got = a.matmul_transb(&bt).unwrap();
-            assert!(expect.sub(&got).unwrap().max_abs() <= 1e-12);
-
             let at = rand_matrix(&mut rng, k, m);
             let b = rand_matrix(&mut rng, k, n);
             let expect = at.transpose().matmul(&b).unwrap();

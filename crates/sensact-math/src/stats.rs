@@ -220,50 +220,6 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     cov / (vx.sqrt() * vy.sqrt())
 }
 
-/// Sample covariance matrix of row-vector observations.
-///
-/// `data` is a slice of equal-length observation vectors; the result is
-/// `d × d` where `d` is the feature dimension.
-///
-/// # Panics
-///
-/// Panics on ragged input or fewer than two observations.
-pub fn covariance_matrix(data: &[Vec<f64>]) -> crate::Matrix {
-    assert!(
-        data.len() >= 2,
-        "covariance: need at least two observations"
-    );
-    let d = data[0].len();
-    let mut means = vec![0.0; d];
-    for row in data {
-        assert_eq!(row.len(), d, "covariance: ragged rows");
-        for (m, x) in means.iter_mut().zip(row) {
-            *m += x;
-        }
-    }
-    for m in means.iter_mut() {
-        *m /= data.len() as f64;
-    }
-    let mut cov = crate::Matrix::zeros(d, d);
-    for row in data {
-        for i in 0..d {
-            let di = row[i] - means[i];
-            for j in i..d {
-                let dj = row[j] - means[j];
-                cov[(i, j)] += di * dj;
-            }
-        }
-    }
-    let denom = (data.len() - 1) as f64;
-    for i in 0..d {
-        for j in i..d {
-            cov[(i, j)] /= denom;
-            cov[(j, i)] = cov[(i, j)];
-        }
-    }
-    cov
-}
-
 /// Log-density of a diagonal Gaussian at `x`.
 ///
 /// # Panics
@@ -376,16 +332,6 @@ mod tests {
         assert!((pearson(&x, &yneg) + 1.0).abs() < 1e-12);
         let konst = [5.0, 5.0, 5.0, 5.0];
         assert_eq!(pearson(&x, &konst), 0.0);
-    }
-
-    #[test]
-    fn covariance_matrix_diagonal_contains_variances() {
-        let data = vec![vec![1.0, 10.0], vec![2.0, 20.0], vec![3.0, 30.0]];
-        let cov = covariance_matrix(&data);
-        assert!((cov[(0, 0)] - 1.0).abs() < 1e-12);
-        assert!((cov[(1, 1)] - 100.0).abs() < 1e-12);
-        assert!((cov[(0, 1)] - 10.0).abs() < 1e-12);
-        assert_eq!(cov[(0, 1)], cov[(1, 0)]);
     }
 
     #[test]

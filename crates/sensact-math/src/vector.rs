@@ -33,16 +33,6 @@ pub fn norm_sq(a: &[f64]) -> f64 {
     dot(a, a)
 }
 
-/// L1 norm (sum of absolute values).
-pub fn norm_l1(a: &[f64]) -> f64 {
-    a.iter().map(|x| x.abs()).sum()
-}
-
-/// Infinity norm (maximum absolute value); `0.0` for an empty slice.
-pub fn norm_inf(a: &[f64]) -> f64 {
-    a.iter().fold(0.0, |m, x| m.max(x.abs()))
-}
-
 /// Euclidean distance between two equal-length slices.
 ///
 /// # Panics
@@ -195,8 +185,6 @@ mod tests {
         assert_eq!(dot(&a, &a), 9.0);
         assert_eq!(norm(&a), 3.0);
         assert_eq!(norm_sq(&a), 9.0);
-        assert_eq!(norm_l1(&a), 5.0);
-        assert_eq!(norm_inf(&a), 2.0);
     }
 
     #[test]

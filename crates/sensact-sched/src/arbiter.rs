@@ -6,15 +6,9 @@
 //! release stride by the overshoot factor — tick rates throttle smoothly
 //! until the average power drops back under the cap.
 //!
-//! Beyond stretching strides, the arbiter also translates sustained
-//! overshoot into a fleet-wide numeric-precision recommendation
-//! ([`EnergyArbiter::recommended_precision`]): moderate pressure suggests
-//! f32 perception, severe pressure suggests int8. Loop handles forward the
-//! hint to each loop's precision governor, which may only *cheapen* the
-//! loop's own policy choice — and a loop whose trust monitor flags drift
-//! still forces f64 locally regardless of the hint.
-
-use sensact_core::Precision;
+//! The scheduler also hands each loop the stretch it was just given
+//! ([`DynLoop::set_energy_stretch`](crate::DynLoop::set_energy_stretch)); a
+//! communicating loop sizes its uploads from it ([`EnergyArbiter::wire_bits`]).
 
 /// Upper bound on the stride stretch so a single pathological tick cannot
 /// freeze the fleet.
@@ -87,36 +81,23 @@ impl EnergyArbiter {
         self.stretch
     }
 
-    /// Fleet-wide precision recommendation derived from the current
-    /// overshoot: `None` (run at full f64) while at or near the cap, f32
-    /// beyond 1.5× overshoot, int8 beyond 4×. Advisory — each loop's
-    /// governor combines it with its own policy and trust state.
-    pub fn recommended_precision(&self) -> Option<Precision> {
-        if self.stretch >= 4.0 {
-            Some(Precision::Int8)
-        } else if self.stretch > 1.5 {
-            Some(Precision::F32)
-        } else {
-            None
-        }
-    }
-
     /// Completions that observed an over-cap fleet (throttled releases).
     pub fn throttle_events(&self) -> u64 {
         self.throttle_events
     }
 
-    /// Map a precision hint to a wire quantization (bits per model
-    /// parameter) for communication throttling: the same arbiter pressure
-    /// that cheapens compute also shrinks uploads. Full precision ships
-    /// f16-quantized deltas (16 bits), f32 pressure halves that to 8-bit,
-    /// int8 pressure halves again to 4-bit — matching HALO-FL's
-    /// precision-scaled payload model.
-    pub fn wire_bits(hint: Option<Precision>) -> u8 {
-        match hint {
-            None | Some(Precision::F64) => 16,
-            Some(Precision::F32) => 8,
-            Some(Precision::Int8) => 4,
+    /// Map a stride stretch to a wire quantization (bits per model
+    /// parameter) for communication throttling: the same overshoot that
+    /// slows ticks also shrinks uploads. At or near the cap a loop ships
+    /// f16-quantized deltas (16 bits), beyond 1.5× overshoot 8-bit, from 4×
+    /// on 4-bit — matching HALO-FL's precision-scaled payload model.
+    pub fn wire_bits(stretch: f64) -> u8 {
+        if stretch >= 4.0 {
+            4
+        } else if stretch > 1.5 {
+            8
+        } else {
+            16
         }
     }
 }
@@ -156,25 +137,23 @@ mod tests {
     }
 
     #[test]
-    fn precision_recommendation_tracks_overshoot() {
-        let mut a = EnergyArbiter::new(Some(1.0));
-        assert_eq!(a.recommended_precision(), None, "fresh arbiter");
-        let _ = a.on_completion(1.2, 1.0); // 1.2× overshoot: still f64
-        assert_eq!(a.recommended_precision(), None);
-        let mut a = EnergyArbiter::new(Some(1.0));
-        let _ = a.on_completion(2.0, 1.0); // 2× overshoot: f32
-        assert_eq!(a.recommended_precision(), Some(Precision::F32));
-        let mut a = EnergyArbiter::new(Some(1.0));
-        let _ = a.on_completion(8.0, 1.0); // 8× overshoot: int8
-        assert_eq!(a.recommended_precision(), Some(Precision::Int8));
-    }
-
-    #[test]
-    fn wire_bits_shrink_with_precision_pressure() {
-        assert_eq!(EnergyArbiter::wire_bits(None), 16);
-        assert_eq!(EnergyArbiter::wire_bits(Some(Precision::F64)), 16);
-        assert_eq!(EnergyArbiter::wire_bits(Some(Precision::F32)), 8);
-        assert_eq!(EnergyArbiter::wire_bits(Some(Precision::Int8)), 4);
+    fn wire_bits_shrink_with_overshoot() {
+        for (stretch, bits) in [
+            (1.0, 16),
+            (1.5, 16),
+            (1.5000001, 8),
+            (3.9999999, 8),
+            (4.0, 4),
+            (MAX_STRETCH, 4),
+        ] {
+            assert_eq!(EnergyArbiter::wire_bits(stretch), bits, "stretch {stretch}");
+        }
+        // What an arbiter actually hands out: 1.2× / 2× / 8× overshoot.
+        for (energy_j, bits) in [(1.2, 16), (2.0, 8), (8.0, 4)] {
+            let mut a = EnergyArbiter::new(Some(1.0));
+            let stretch = a.on_completion(energy_j, 1.0);
+            assert_eq!(EnergyArbiter::wire_bits(stretch), bits, "{energy_j} J/s");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState,
 use sensact_core::fault::{FailSafe, FiniteCheck, TryPerceptor, TrySensor};
 use sensact_core::stage::{Controller, Monitor, Perceptor, Sensor};
 use sensact_core::{
-    FallibleLoop, LoopRunner, LoopTelemetry, Precision, SensingActionLoop, StageError, TraceContext,
+    FallibleLoop, LoopRunner, LoopTelemetry, SensingActionLoop, StageError, TraceContext,
 };
 use std::any::Any;
 
@@ -73,10 +73,12 @@ pub trait DynLoop: Any + Send {
     /// instead of silently skewing the fleet.
     fn record_deadline_miss(&mut self, latency_s: f64, budget_s: f64);
 
-    /// Forward a fleet-level precision hint (the energy arbiter's
-    /// recommendation) to the loop's precision governor. Loops without a
-    /// governor — and custom runners that don't override this — ignore it.
-    fn set_precision_hint(&mut self, _hint: Option<Precision>) {}
+    /// Tell the loop the stride stretch the energy arbiter just applied to
+    /// it (`1.0` = fleet under its watts cap). The scheduler calls this after
+    /// every completed tick; a communicating loop sizes its next upload from
+    /// it ([`EnergyArbiter::wire_bits`](crate::EnergyArbiter::wire_bits)).
+    /// Loops that don't care ignore it.
+    fn set_energy_stretch(&mut self, _stretch: f64) {}
 
     /// Hand the loop the causal [`TraceContext`] of the tick about to run.
     /// When fleet tracing is enabled the scheduler calls this immediately
@@ -178,10 +180,6 @@ where
                 latency_s,
                 budget_s,
             });
-    }
-
-    fn set_precision_hint(&mut self, hint: Option<Precision>) {
-        self.inner.set_precision_hint(hint);
     }
 
     fn save_state(&self) -> Result<Checkpoint, CheckpointError> {

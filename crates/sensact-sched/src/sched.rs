@@ -33,7 +33,7 @@ use sensact_core::health::{encode_transition, HealthScorer};
 use sensact_core::trace::{trace_mix, SimClock};
 use sensact_core::{
     CausalSpan, FleetHealth, FleetTracer, HealthPolicy, HealthSignals, HealthStatus, Histogram,
-    LoopTelemetry, MetricsRegistry, Precision, SpanKind, TraceContext,
+    LoopTelemetry, MetricsRegistry, SpanKind, TraceContext,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -958,11 +958,6 @@ impl FleetScheduler {
         self.slots[id.0].stats.drops += n;
     }
 
-    /// A member loop's timing spec (as registered).
-    pub fn member_spec(&self, id: LoopId) -> LoopSpec {
-        self.slots[id.0].spec
-    }
-
     /// A member loop's sequential-completion frontier (virtual seconds):
     /// when its latest tick fully completed. The admission-control input —
     /// pending work can start no earlier than this.
@@ -1120,10 +1115,10 @@ impl FleetScheduler {
                 .map(|(w, part)| {
                     scope.spawn(move || {
                         drive(part, w * per_lane, w, 1, frame, |exec| {
-                            let mut arbiter = arbiter
+                            arbiter
                                 .lock()
-                                .expect("no thread panics holding the arbiter");
-                            arbitrate(&mut arbiter, exec)
+                                .expect("no thread panics holding the arbiter")
+                                .on_completion(exec.energy_j, exec.completion_s)
                         })
                     })
                 })
@@ -1156,7 +1151,7 @@ impl FleetScheduler {
             // Keep the caller's SimClock at the fleet's virtual frontier
             // (advance clamps regressions to zero).
             clock.advance(exec.completion_s - clock.peek_s());
-            arbitrate(&mut arbiter, exec)
+            arbiter.on_completion(exec.energy_j, exec.completion_s)
         });
         self.finish_run(frame, report, vec![lane], &arbiter)
     }
@@ -1190,18 +1185,11 @@ struct Lane {
     incidents: Vec<Incident>,
 }
 
-/// Account one completion with the energy arbiter: the stride stretch for
-/// the loop's next release and the fleet-wide precision hint.
-fn arbitrate(arbiter: &mut EnergyArbiter, exec: &MemberTickOutcome) -> (f64, Option<Precision>) {
-    let stretch = arbiter.on_completion(exec.energy_j, exec.completion_s);
-    (stretch, arbiter.recommended_precision())
-}
-
 /// The scheduler's event loop: earliest-deadline-first over `slots` — loops
 /// `first_loop..` of the fleet — on `workers` virtual workers numbered from
 /// `first_worker`, until every loop's next release falls past the horizon.
 /// `on_completion` sees each executed tick and answers with the stride
-/// stretch and precision hint to apply to that loop.
+/// stretch to apply to that loop.
 ///
 /// With tracing on, each virtual worker keeps a flight recorder and a
 /// miss-storm window, and each loop's hysteresis health scorer — evaluated
@@ -1213,7 +1201,7 @@ fn drive(
     first_worker: usize,
     workers: usize,
     frame: &RunFrame,
-    mut on_completion: impl FnMut(&MemberTickOutcome) -> (f64, Option<Precision>),
+    mut on_completion: impl FnMut(&MemberTickOutcome) -> f64,
 ) -> Lane {
     let (seed, horizon_s, tracer) = (frame.seed, frame.horizon_s, &*frame.tracer);
     let traced = tracer.is_enabled();
@@ -1261,8 +1249,8 @@ fn drive(
         lane.worker_busy_s[w] += exec.busy_end_s - exec.start_s;
         worker_clock_s[w] = exec.busy_end_s;
         lane.makespan_s = lane.makespan_s.max(exec.completion_s);
-        let (stretch, hint) = on_completion(&exec);
-        slot.handle.set_precision_hint(hint);
+        let stretch = on_completion(&exec);
+        slot.handle.set_energy_stretch(stretch);
         for folded in [
             release.loop_idx as u64,
             release.release_idx,
@@ -2196,10 +2184,6 @@ mod tests {
         // Ingress-side sheds land in the same drop counter the run modes use.
         sched.record_member_drops(id, 3);
         assert_eq!(sched.loop_stats(id).drops, 3);
-        // The spec accessor exposes the registered admission inputs.
-        let spec = sched.member_spec(id);
-        assert_eq!(spec.latency_budget_s, Some(5e-3));
-        assert!((spec.deadline_s(1.0) - 1.005).abs() < 1e-12);
     }
 
     /// A caller-supplied tick body runs inside exactly the accounting

@@ -35,7 +35,7 @@ use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState}
 use sensact_core::fault::StageError;
 use sensact_core::telemetry::LoopTelemetry;
 use sensact_core::trace::StageBreakdown;
-use sensact_core::{Precision, Trust};
+use sensact_core::Trust;
 use sensact_sched::{
     DynLoop, FleetConfig, FleetScheduler, LoopHandle, LoopId, LoopSpec, TickOutcome,
 };
@@ -88,12 +88,11 @@ impl LeaseLoop {
             act_mag += a.abs();
         }
         let energy_j = self.spec.energy_j + 1e-9 * act_mag;
-        self.telemetry.record_with_precision(
+        self.telemetry.record_with_stages(
             energy_j,
             self.spec.latency_s,
             Trust::Trusted,
             StageBreakdown::new(),
-            Precision::F64,
         );
         TickOutcome {
             energy_j,
@@ -196,7 +195,6 @@ pub(crate) struct LeaseEntry {
     /// admit by the step the scheduler applies at release. Behind the
     /// scheduler's own frontier whenever nothing is queued.
     pub(crate) projected_frontier_s: f64,
-    pub(crate) sheds: u64,
 }
 
 /// A validated, shed-checked admission for deferred (batched) execution:
@@ -308,11 +306,6 @@ impl LeasePool {
         self.demand / self.cfg.workers as f64
     }
 
-    /// Live lease ids (ascending).
-    pub fn lease_ids(&self) -> Vec<u64> {
-        self.leases.keys().copied().collect()
-    }
-
     /// The shared perceptor of `kind`, built on first use (a grant). The
     /// batch planner runs its stacked forward on it.
     pub(crate) fn perceptor(&mut self, kind: ModelKind) -> &mut SharedPerceptor {
@@ -359,7 +352,6 @@ impl LeasePool {
                 kind,
                 last_seen_s: now_s,
                 projected_frontier_s: 0.0,
-                sheds: 0,
             },
         );
         self.demand += added;
@@ -384,7 +376,6 @@ impl LeasePool {
             .max(entry.projected_frontier_s);
         let completion_s = frontier.max(now_s) + spec.latency_s;
         if completion_s - now_s > spec.budget_s {
-            entry.sheds += 1;
             entry.last_seen_s = now_s;
             self.sched.record_member_drops(entry.loop_id, 1);
             return Err(ObsOutcome::Shed {
@@ -530,11 +521,6 @@ impl LeasePool {
         Some(self.sched.loop_stats(id))
     }
 
-    /// Per-lease shed count (ingress drops).
-    pub fn lease_sheds(&self, lease: u64) -> Option<u64> {
-        self.leases.get(&lease).map(|e| e.sheds)
-    }
-
     /// The lease's telemetry ring — replay verification reads this.
     pub fn lease_telemetry(&mut self, lease: u64) -> Option<&LoopTelemetry> {
         let id = self.leases.get(&lease)?.loop_id;
@@ -599,7 +585,6 @@ impl LeasePool {
                 kind,
                 last_seen_s: now_s,
                 projected_frontier_s: 0.0,
-                sheds: 0,
             },
         );
         self.next_lease = self.next_lease.max(next_lease);
@@ -672,9 +657,13 @@ mod tests {
         // Each cartpole lease demands 2e-6/2e-4 = 1% of a worker; the cap
         // is ~50% of one worker → 50 leases fit.
         let mut granted = 0;
+        let mut first = None;
         loop {
             match p.grant(ModelKind::Cartpole, granted, 0.0) {
-                Ok(_) => granted += 1,
+                Ok((lease, _)) => {
+                    first.get_or_insert(lease);
+                    granted += 1;
+                }
                 Err(LeaseError::Rejected { retry_after_ms }) => {
                     assert!(retry_after_ms > 0);
                     break;
@@ -685,8 +674,7 @@ mod tests {
         }
         assert_eq!(granted, 50);
         // Releasing one frees capacity for exactly one more.
-        let ids = p.lease_ids();
-        p.release(ids[0]).unwrap();
+        p.release(first.unwrap()).unwrap();
         assert!(p.grant(ModelKind::Cartpole, 999, 0.0).is_ok());
         assert!(matches!(
             p.grant(ModelKind::Cartpole, 1000, 0.0),
@@ -717,7 +705,6 @@ mod tests {
         }
         assert!(acts > 0, "some observations must be served");
         assert!(sheds > 0, "a flooded lease must shed");
-        assert_eq!(p.lease_sheds(lease), Some(sheds));
         // Sheds land in the scheduler's drop accounting.
         assert_eq!(p.lease_stats(lease).unwrap().drops, sheds);
         assert_eq!(p.lease_stats(lease).unwrap().ticks, acts);

@@ -57,13 +57,6 @@ pub fn camera_features(cloud: &PointCloud, snow_severity: u8, seed: u64) -> Vec<
     f
 }
 
-/// Fused LiDAR+camera descriptor.
-pub fn fused_features(cloud: &PointCloud, snow_severity: u8, seed: u64) -> Vec<f64> {
-    let mut f = extract_features(cloud);
-    f.extend(camera_features(cloud, snow_severity, seed));
-    f
-}
-
 /// Snow-clutter filter based on vertical continuity: a real elevated return
 /// (pedestrian torso, car roof) is supported by returns at mid height in the
 /// same column — objects grow up from the ground. An airborne flurry blob
@@ -349,13 +342,6 @@ mod tests {
         // Contrast channels shrink, noise floor rises.
         assert!(f5[4] < f0[4]);
         assert!(f5[7] > f0[7]);
-    }
-
-    #[test]
-    fn fused_features_have_combined_dim() {
-        let (_, clouds) = scan_scenes(1, 3);
-        let f = fused_features(&clouds[0], 2, 0);
-        assert_eq!(f.len(), crate::features::FEATURE_DIM + CAMERA_DIM);
     }
 
     #[test]

@@ -119,12 +119,6 @@ impl TemporalConsistency {
     pub fn calibrated(&self) -> bool {
         self.baseline.is_some()
     }
-
-    /// Reset the drift accumulator (e.g. after maintenance) but keep the
-    /// calibrated baseline.
-    pub fn reset_drift(&mut self) {
-        self.drift = 0.0;
-    }
 }
 
 impl StageState for TemporalConsistency {
@@ -224,22 +218,6 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(tracker.observe(100.0), Trust::Trusted);
         }
-        assert!(tracker.calibrated());
-    }
-
-    #[test]
-    fn reset_clears_drift_keeps_baseline() {
-        let mut tracker = TemporalConsistency::new(TemporalConfig::default());
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..30 {
-            let _ = tracker.observe(noisy(&mut rng, 1.0));
-        }
-        for _ in 0..100 {
-            let _ = tracker.observe(noisy(&mut rng, 3.0));
-        }
-        assert!(tracker.drift() > 0.0);
-        tracker.reset_drift();
-        assert_eq!(tracker.drift(), 0.0);
         assert!(tracker.calibrated());
     }
 

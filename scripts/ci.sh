@@ -12,6 +12,13 @@ quick=0
 echo "== threads are created by FleetScheduler::run and the TCP front-end only =="
 [[ "$(git grep -lE 'thread::(scope|spawn|Builder)|available_parallelism' -- 'crates/*/src/*' | xargs)" == "crates/sensact-sched/src/sched.rs crates/sensact-serve/src/server.rs" ]]
 
+# `[^_]` spares `record_with_precision`: the recorded column stays. An `if`,
+# because `set -e` ignores the status of a `!`-negated command.
+echo "== no runtime precision schedule: governor, policy and hint stay deleted =="
+if git grep -nE 'PrecisionGovernor|PrecisionPolicy|precision_hint|recommended_precision|[^_]with_precision' -- crates src tests examples; then
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

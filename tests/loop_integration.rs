@@ -11,8 +11,8 @@ use sensact::core::stage::{
     FnController, FnMonitor, FnPerceptor, FnSensor, Sensor, StageContext, Trust,
 };
 use sensact::core::{
-    EnergyBudget, FallibleLoop, LoopBuilder, Precision, PrecisionPolicy, Reliable, StageError,
-    TickResolution, Tracer, WithFallback,
+    EnergyBudget, FallibleLoop, LoopBuilder, Reliable, StageError, TickResolution, Tracer,
+    WithFallback,
 };
 use sensact::lidar::corrupt::{Corruption, CorruptionKind};
 use sensact::lidar::raycast::{Lidar, LidarConfig};
@@ -186,7 +186,7 @@ impl TrySensor<f64> for RateSensor {
 }
 
 /// The two runners are one tick frame: over the same never-failing stages —
-/// budgeted, mixed precision with a trust spike, adaptive sensing, traced —
+/// budgeted, a trust spike mid-run, adaptive sensing, traced —
 /// `FallibleLoop` is `SensingActionLoop`, bit for bit, every tick. (Short
 /// mirror of `fault::tests::clean_loop_matches_infallible_behavior`.)
 #[test]
@@ -202,10 +202,8 @@ fn fallible_runner_over_reliable_stages_is_the_infallible_runner() {
         })
     };
     let controller = || FnController::new(|f: &f64, _t: Trust, _: &mut StageContext| -0.3 * f);
-    let precision = || PrecisionPolicy::adaptive(0.3, 0.6).with_hold_ticks(3);
     let mut plain = LoopBuilder::new("plain")
         .with_budget(EnergyBudget::new(0.03))
-        .with_precision(precision())
         .with_tracer(Tracer::sim(0.5))
         .build_full(
             RateSensor { rate: 1.0 },
@@ -222,7 +220,6 @@ fn fallible_runner_over_reliable_stages_is_the_infallible_runner() {
         WithFallback::new(controller(), 0.0),
     )
     .with_budget(EnergyBudget::new(0.03))
-    .with_precision(precision())
     .with_tracer(Tracer::sim(0.5))
     .with_policy(ActionMagnitudeRate::default());
     let (mut env_plain, mut env_lifted) = (8.0f64, 8.0f64);
@@ -242,8 +239,10 @@ fn fallible_runner_over_reliable_stages_is_the_infallible_runner() {
         env_plain += a.action;
         env_lifted += b.action;
     }
-    let schedule: Vec<Precision> = plain.telemetry().records().map(|r| r.precision).collect();
-    assert!(schedule.contains(&Precision::F64) && schedule.iter().any(|p| *p != Precision::F64));
+    assert!(
+        plain.telemetry().suspect_fraction() > 0.0,
+        "the spike must reach the monitor"
+    );
     assert_eq!(
         plain.sensor().rate().to_bits(),
         lifted.sensor().rate().to_bits()

@@ -13,7 +13,7 @@ use common::FAULTY_TICKS as TICKS;
 use sensact::core::export::parse_ticks;
 use sensact::core::replay::{first_divergence, Recording};
 use sensact::core::telemetry::TickRecord;
-use sensact::core::{EnergyBudget, Precision, PrecisionPolicy, Tracer};
+use sensact::core::{Precision, Tracer};
 
 const SEED: u64 = 77;
 
@@ -70,32 +70,20 @@ fn faulty_1k_tick_run_replays_bit_exactly_through_jsonl() {
     );
     assert_eq!(first_divergence(&recorded, &replayed), None);
 
-    // A second build whose precision governor switches modes under budget
-    // pressure (capacity sized so pressure crosses both thresholds): the
-    // replay must reproduce the recorded precision schedule tick for tick —
-    // every record carries its mode — and the run must visit all three
-    // modes, or this build proves nothing.
-    let pressured = |seed| {
-        common::faulty_loop(seed)
-            .with_budget(EnergyBudget::new(TICKS as f64 * 2e-4 * 1.2))
-            .with_precision(PrecisionPolicy::adaptive(0.25, 0.6))
-    };
-    let mut recorded_loop = pressured(SEED);
-    drive(&mut |p| recorded_loop.tick(p).action);
-    for mode in Precision::ALL {
-        assert!(
-            recorded_loop.telemetry().precision_ticks(mode) > 0,
-            "the pressured run never ticked at {mode}"
-        );
-    }
-    let recording = Recording::capture("replay-it-pressured", SEED, recorded_loop.telemetry());
-    let parsed = Recording::from_jsonl(&recording.to_jsonl());
-    assert_eq!(parsed, recording, "JSONL recording round-trip");
+    // A recording made while a precision schedule existed carries non-f64
+    // ticks; every loop now ticks at f64, so such a recording must name the
+    // first of them rather than pass.
+    let mut mixed = parsed.clone();
+    mixed.ticks[123].precision = Precision::F32;
+    mixed.ticks[500].precision = Precision::Int8;
     let mut plant = 3.0f64;
-    let verified = pressured(parsed.meta.seed)
-        .replay(&mut plant, &parsed, |p, a| *p += a + 0.01)
-        .expect("same seed must replay its precision schedule bit-exactly");
-    assert_eq!(verified, TICKS as u64);
+    let divergence = faulty_loop(mixed.meta.seed)
+        .replay(&mut plant, &mixed, |p, a| *p += a + 0.01)
+        .expect_err("a mixed-precision recording cannot replay");
+    assert_eq!(
+        (divergence.tick, divergence.field.as_str()),
+        (123, "precision")
+    );
 }
 
 #[test]
