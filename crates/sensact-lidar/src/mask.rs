@@ -40,6 +40,11 @@ pub struct RadialMask {
     config: RadialMaskConfig,
     azimuth_steps: u16,
     kept_segments: Vec<bool>,
+    /// Stage-1 verdict of each azimuth step below `azimuth_steps`.
+    kept_azimuths: Vec<bool>,
+    /// The last `(expected_range.to_bits(), keep_probability)` pair `fire`
+    /// used: a sweep asks for the same range pulse after pulse.
+    last_keep: (u64, f64),
     rng: StdRng,
 }
 
@@ -73,12 +78,19 @@ impl RadialMask {
         for &s in order.iter().take(n_keep) {
             kept[s] = true;
         }
-        RadialMask {
+        let mut mask = RadialMask {
             config,
             azimuth_steps,
             kept_segments: kept,
+            kept_azimuths: Vec::new(),
+            last_keep: (0, 0.0),
             rng,
-        }
+        };
+        mask.kept_azimuths = (0..azimuth_steps)
+            .map(|az| mask.kept_segments[mask.segment_of(az)])
+            .collect();
+        mask.last_keep = (0.0f64.to_bits(), mask.keep_probability(0.0));
+        mask
     }
 
     /// The mask configuration.
@@ -94,7 +106,10 @@ impl RadialMask {
 
     /// Stage-1 decision: is the segment of this azimuth kept?
     pub fn segment_kept(&self, azimuth: u16) -> bool {
-        self.kept_segments[self.segment_of(azimuth)]
+        match self.kept_azimuths.get(azimuth as usize) {
+            Some(&kept) => kept,
+            None => self.kept_segments[self.segment_of(azimuth)],
+        }
     }
 
     /// Stage-2 keep probability at an expected range (exponential decay with
@@ -109,8 +124,11 @@ impl RadialMask {
         if !self.segment_kept(azimuth) {
             return false;
         }
-        let p = self.keep_probability(expected_range);
-        self.rng.random::<f64>() < p
+        let bits = expected_range.to_bits();
+        if bits != self.last_keep.0 {
+            self.last_keep = (bits, self.keep_probability(expected_range));
+        }
+        self.rng.random::<f64>() < self.last_keep.1
     }
 }
 
@@ -202,6 +220,34 @@ mod tests {
             (0.02..0.20).contains(&ratio),
             "masked fire ratio {ratio} out of expected band"
         );
+    }
+
+    /// `fire` as it was before the per-azimuth table and the memo: the
+    /// oracle.
+    fn fire_unmemoised(mask: &mut RadialMask, azimuth: u16, expected_range: f64) -> bool {
+        if !mask.kept_segments[mask.segment_of(azimuth)] {
+            return false;
+        }
+        let p = mask.keep_probability(expected_range);
+        mask.rng.random::<f64>() < p
+    }
+
+    /// The table and the memo change no decision and no RNG draw: repeats,
+    /// a change, NaN, a negative range and both zeros (equal values with
+    /// different bits), over every azimuth of an odd sensor and past its
+    /// last step.
+    #[test]
+    fn memoised_fire_matches_the_unmemoised_stream() {
+        let ranges = [25.0, 25.0, 3.0, f64::NAN, -1.0, -0.0, 0.0, 25.0];
+        let mut fast = RadialMask::sample(RadialMaskConfig::default(), 300, 12);
+        let mut oracle = RadialMask::sample(RadialMaskConfig::default(), 300, 12);
+        for az in 0..310u16 {
+            for &r in &ranges {
+                let want = fire_unmemoised(&mut oracle, az, r);
+                assert_eq!(fast.fire(az, r), want, "az {az} range {r}");
+            }
+        }
+        assert_eq!(fast.rng.state(), oracle.rng.state());
     }
 
     #[test]

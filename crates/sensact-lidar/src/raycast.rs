@@ -49,13 +49,22 @@ impl LidarConfig {
 
     /// Unit direction of pulse `(beam, azimuth)`.
     pub fn direction(&self, beam: u16, azimuth: u16) -> [f64; 3] {
-        let el = if self.beams <= 1 {
+        let (el, az) = (self.elevation(beam), self.azimuth_angle(azimuth));
+        [el.cos() * az.cos(), el.cos() * az.sin(), el.sin()]
+    }
+
+    /// Elevation of a beam (radians).
+    fn elevation(&self, beam: u16) -> f64 {
+        if self.beams <= 1 {
             self.fov_down
         } else {
             self.fov_down + (self.fov_up - self.fov_down) * beam as f64 / (self.beams - 1) as f64
-        };
-        let az = 2.0 * std::f64::consts::PI * azimuth as f64 / self.azimuth_steps as f64;
-        [el.cos() * az.cos(), el.cos() * az.sin(), el.sin()]
+        }
+    }
+
+    /// Azimuth angle of an azimuth step (radians).
+    fn azimuth_angle(&self, azimuth: u16) -> f64 {
+        2.0 * std::f64::consts::PI * azimuth as f64 / self.azimuth_steps as f64
     }
 }
 
@@ -90,12 +99,27 @@ pub fn ray_aabb(origin: [f64; 3], dir: [f64; 3], aabb: &Aabb) -> Option<f64> {
 #[derive(Debug, Clone)]
 pub struct Lidar {
     config: LidarConfig,
+    /// `(cos, sin)` of each beam's elevation.
+    beam_trig: Vec<(f64, f64)>,
+    /// `(cos, sin)` of each azimuth step's angle.
+    azimuth_trig: Vec<(f64, f64)>,
 }
 
 impl Lidar {
-    /// Sensor with the given configuration.
+    /// Sensor with the given configuration. The per-beam and per-azimuth
+    /// sines and cosines a scan multiplies are computed here, once, with
+    /// the arithmetic of [`LidarConfig::direction`].
     pub fn new(config: LidarConfig) -> Self {
-        Lidar { config }
+        let trig = |angle: f64| (angle.cos(), angle.sin());
+        Lidar {
+            beam_trig: (0..config.beams)
+                .map(|b| trig(config.elevation(b)))
+                .collect(),
+            azimuth_trig: (0..config.azimuth_steps)
+                .map(|a| trig(config.azimuth_angle(a)))
+                .collect(),
+            config,
+        }
     }
 
     /// The sensor configuration.
@@ -104,21 +128,32 @@ impl Lidar {
     }
 
     /// Cast one pulse; returns the hit point if any surface is within range.
+    /// The reference path: the direction comes from
+    /// [`LidarConfig::direction`], not from the scan's tables.
     pub fn cast(&self, scene: &Scene, beam: u16, azimuth: u16) -> Option<Point> {
-        self.cast_over(scene.objects().iter(), beam, azimuth)
+        let dir = self.config.direction(beam, azimuth);
+        self.cast_over(scene.objects().iter(), beam, azimuth, dir)
     }
 
-    /// Cast one pulse against an explicit candidate-object iterator. The
-    /// candidates must preserve scene order so first-seen-wins ties match the
-    /// unfiltered [`Lidar::cast`].
+    /// [`LidarConfig::direction`] from the tables: the same factors,
+    /// multiplied the same way, without a libm call.
+    fn table_direction(&self, beam: u16, azimuth: u16) -> [f64; 3] {
+        let (cos_el, sin_el) = self.beam_trig[beam as usize];
+        let (cos_az, sin_az) = self.azimuth_trig[azimuth as usize];
+        [cos_el * cos_az, cos_el * sin_az, sin_el]
+    }
+
+    /// Cast one pulse along `dir` against an explicit candidate-object
+    /// iterator. The candidates must preserve scene order so
+    /// first-seen-wins ties match the unfiltered [`Lidar::cast`].
     fn cast_over<'a>(
         &self,
         objects: impl Iterator<Item = &'a crate::scene::SceneObject>,
         beam: u16,
         azimuth: u16,
+        dir: [f64; 3],
     ) -> Option<Point> {
         let origin = [0.0, 0.0, self.config.mount_height];
-        let dir = self.config.direction(beam, azimuth);
         let mut best_t = f64::INFINITY;
 
         // Ground plane z = 0.
@@ -217,6 +252,7 @@ impl Lidar {
             buckets[azimuth as usize].iter().map(|&i| &objs[i as usize]),
             beam,
             azimuth,
+            self.table_direction(beam, azimuth),
         )
     }
 
@@ -404,6 +440,37 @@ mod tests {
         // Beam 0 points down, top beam points up.
         assert!(cfg.direction(0, 0)[2] < 0.0);
         assert!(cfg.direction(63, 0)[2] > 0.0);
+    }
+
+    /// The scan's tables give [`LidarConfig::direction`]'s bits for every
+    /// pulse: the default sensor, one beam (the `fov_down` branch) and an
+    /// odd azimuth count.
+    #[test]
+    fn table_directions_are_the_config_directions() {
+        for config in [
+            LidarConfig::default(),
+            LidarConfig {
+                beams: 1,
+                ..LidarConfig::default()
+            },
+            LidarConfig {
+                beams: 5,
+                azimuth_steps: 333,
+                ..LidarConfig::default()
+            },
+        ] {
+            let lidar = Lidar::new(config);
+            for beam in 0..config.beams {
+                for az in 0..config.azimuth_steps {
+                    let (want, got) = (config.direction(beam, az), lidar.table_direction(beam, az));
+                    assert_eq!(
+                        want.map(f64::to_bits),
+                        got.map(f64::to_bits),
+                        "({beam}, {az})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

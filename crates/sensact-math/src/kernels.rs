@@ -320,6 +320,41 @@ pub fn gemm_transa(
     }
 }
 
+/// The IEEE sign bit of an `f64`.
+pub(crate) const SIGN_BIT: u64 = 1 << 63;
+
+/// Signed left fold: `out[j] = ((base[j] ± steps[0]) ± steps[1]) ± …`,
+/// where `steps[i]` is negated at `j` when bit `63 − i % 64` of
+/// `signs[(i / 64) * p + j]` is set (`p = base.len()`; one 64-bit sign plane
+/// per 64 steps, each plane's steps stored from the top bit down, so a left
+/// shift by `i % 64` brings step `i`'s sign to the sign bit). This is
+/// `θ₀ + U v` for a ±`s` basis `U` with
+/// `steps[i] = vᵢ·s`: `vᵢ·(−s) = −(vᵢ·s)` exactly under round-to-nearest.
+///
+/// Every arm — AVX2, or the scalar loop under `SENSACT_FORCE_SCALAR` —
+/// adds the terms of each element in ascending `i`, so all of them produce
+/// the bits of `t += if bit { -s } else { s }`.
+pub fn sign_fold(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f64]) {
+    let p = base.len();
+    assert_eq!(out.len(), p, "sign_fold: out must match base");
+    assert_eq!(
+        signs.len(),
+        steps.len().div_ceil(64) * p,
+        "sign_fold: one sign plane of p words per 64 steps"
+    );
+    if crate::simd::sign_fold_f64(base, steps, signs, out) {
+        return;
+    }
+    out.copy_from_slice(base);
+    for (i, &s) in steps.iter().enumerate() {
+        let plane = &signs[(i / 64) * p..][..p];
+        let shift = i % 64;
+        for (t, &w) in out.iter_mut().zip(plane) {
+            *t += f64::from_bits(s.to_bits() ^ ((w << shift) & SIGN_BIT));
+        }
+    }
+}
+
 /// Fused matrix–vector product: `y = A[m×k] * x`, no intermediate
 /// allocations. `y` is fully overwritten.
 pub fn matvec_into(m: usize, k: usize, a: &[f64], x: &[f64], y: &mut [f64]) {
@@ -760,6 +795,50 @@ pub(crate) mod tests {
         }
         // Forced scalar declines everything; otherwise most of the grid ran.
         assert_eq!(wide_cases > 500, simd, "{wide_cases} wide cases");
+    }
+
+    /// The sign fold on the dispatched arm (AVX2 on the host leg, the scalar
+    /// loop when forced) against the fold written out: `t += ±s` in
+    /// ascending step order, `to_bits`-equal. Lengths straddle the 4-wide
+    /// vector and 16-wide block edges; step counts straddle a sign plane;
+    /// steps include `±0.0` and subnormals, whose signs a wrong negation
+    /// would lose.
+    #[test]
+    fn sign_fold_matches_the_scalar_fold() {
+        let mut rng = StdRng::seed_from_u64(0x5F01D);
+        let specials = [-0.0, 0.0, 5e-324, -2.5e-310, f64::MIN_POSITIVE];
+        for &p in &[0usize, 1, 3, 4, 5, 17, 936] {
+            for &rank in &[0usize, 1, 16, 64, 65, 130] {
+                let base: Vec<f64> = (0..p)
+                    .map(|j| {
+                        if j % 7 == 3 {
+                            -0.0
+                        } else {
+                            rng.gen_f64() - 0.5
+                        }
+                    })
+                    .collect();
+                let steps: Vec<f64> = (0..rank)
+                    .map(|i| specials.get(i % 8).copied().unwrap_or(rng.gen_f64() * 1e-3))
+                    .collect();
+                let signs: Vec<u64> = (0..rank.div_ceil(64) * p).map(|_| rng.next_u64()).collect();
+                let mut want = base.clone();
+                for (j, t) in want.iter_mut().enumerate() {
+                    for (i, &s) in steps.iter().enumerate() {
+                        let negate = signs[(i / 64) * p + j] << (i % 64) >> 63 == 1;
+                        *t += if negate { -s } else { s };
+                    }
+                }
+                let mut out = vec![f64::NAN; p];
+                sign_fold(&base, &steps, &signs, &mut out);
+                for (j, (x, y)) in want.iter().zip(&out).enumerate() {
+                    assert!(
+                        x.to_bits() == y.to_bits(),
+                        "sign_fold not bitwise at p={p} rank={rank} element {j}: {y:e} vs {x:e}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

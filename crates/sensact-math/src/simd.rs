@@ -43,6 +43,11 @@
 //! The driver reads B through a [`PanelSource`], one packed panel at a
 //! time, so an operand that is a view of something smaller (a conv's im2col
 //! patches) is unfolded straight into the panel and never materialised.
+//!
+//! One kernel here is not a GEMM: the AVX2 arm of
+//! [`sign_fold`](crate::kernels::sign_fold). It only negates (a sign-bit
+//! XOR) and adds, in the scalar loop's order, so it is bitwise identical to
+//! that loop.
 
 use std::sync::OnceLock;
 
@@ -321,6 +326,111 @@ pub(crate) fn gemm_dot_f64<S: PanelSource>(
     {
         let _ = (alpha, a, b, beta, c);
         false
+    }
+}
+
+/// AVX2 arm of [`sign_fold`](crate::kernels::sign_fold). Returns `false`
+/// with `out` untouched when the caller must run the scalar loop (no AVX2,
+/// `SENSACT_FORCE_SCALAR`, non-x86). The caller has checked the lengths.
+pub(crate) fn sign_fold_f64(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f64]) -> bool {
+    let f = cpu_features();
+    if f.forced_scalar || !f.avx2 {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        assert!(out.len() == base.len() && signs.len() == steps.len().div_ceil(64) * base.len());
+        // SAFETY: AVX2 was detected above, and the lengths the kernel's
+        // `# Safety` section names were asserted on the line before.
+        unsafe { sign_fold_avx2(base, steps, signs, out) };
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (base, steps, signs, out);
+        false
+    }
+}
+
+/// Elements one register block of [`sign_fold_avx2`] keeps in flight:
+/// four independent add chains hide the add latency.
+#[cfg(target_arch = "x86_64")]
+const FOLD_BLOCK: usize = 16;
+
+/// `out[j] = base[j] ± steps[0] ± …` for `j` in `at..at + 4·V`, each
+/// element's sum held in a register across every step: the sign of the
+/// next step is the top bit of the element's word, masked and XORed onto
+/// the broadcast step — an exact negation — then added (ascending `i`);
+/// doubling the word brings the following step's bit to the top.
+///
+/// # Safety
+///
+/// The host must support AVX2; `at + 4·V <= base.len()`, `out.len() ==
+/// base.len()` and `signs.len() == steps.len().div_ceil(64) * base.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sign_fold_block<const V: usize>(
+    base: &[f64],
+    steps: &[f64],
+    signs: &[u64],
+    out: &mut [f64],
+    at: usize,
+) {
+    use std::arch::x86_64::*;
+    let p = base.len();
+    let mut acc = [_mm256_setzero_pd(); V];
+    for (v, a) in acc.iter_mut().enumerate() {
+        *a = _mm256_loadu_pd(base.as_ptr().add(at + 4 * v));
+    }
+    let top = _mm256_set1_epi64x(i64::MIN);
+    for (plane, chunk) in steps.chunks(64).enumerate() {
+        // This plane's words stay in registers.
+        let mut words = [_mm256_setzero_si256(); V];
+        for (v, w) in words.iter_mut().enumerate() {
+            *w = _mm256_loadu_si256(signs.as_ptr().add(plane * p + at + 4 * v) as *const __m256i);
+        }
+        for &s in chunk {
+            let sv = _mm256_set1_pd(s);
+            for (a, w) in acc.iter_mut().zip(words.iter_mut()) {
+                let sign = _mm256_castsi256_pd(_mm256_and_si256(*w, top));
+                *a = _mm256_add_pd(*a, _mm256_xor_pd(sv, sign));
+                *w = _mm256_add_epi64(*w, *w);
+            }
+        }
+    }
+    for (v, a) in acc.iter().enumerate() {
+        _mm256_storeu_pd(out.as_mut_ptr().add(at + 4 * v), *a);
+    }
+}
+
+/// The AVX2 sign fold: blocks of [`FOLD_BLOCK`] elements, then single
+/// vectors, then a scalar tail — the same per-element sequence throughout.
+///
+/// # Safety
+///
+/// The host must support AVX2; `out.len() == base.len()` and `signs.len()
+/// == steps.len().div_ceil(64) * base.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn sign_fold_avx2(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f64]) {
+    let p = base.len();
+    let blocks = p - p % FOLD_BLOCK;
+    let vectors = p - p % 4;
+    // Every block below ends at or before `p`; the rest is this function's
+    // own contract, passed through.
+    for at in (0..blocks).step_by(FOLD_BLOCK) {
+        sign_fold_block::<{ FOLD_BLOCK / 4 }>(base, steps, signs, out, at);
+    }
+    for at in (blocks..vectors).step_by(4) {
+        sign_fold_block::<1>(base, steps, signs, out, at);
+    }
+    for j in vectors..p {
+        let mut t = base[j];
+        for (i, &s) in steps.iter().enumerate() {
+            let sign = (signs[(i / 64) * p + j] << (i % 64)) & crate::kernels::SIGN_BIT;
+            t += f64::from_bits(s.to_bits() ^ sign);
+        }
+        out[j] = t;
     }
 }
 

@@ -94,22 +94,28 @@ impl Dense {
         let batch = input.shape()[0];
         assert_eq!(input.shape()[1], self.in_dim, "Dense: input dim mismatch");
         let mut out = Tensor::zeros(vec![batch, self.out_dim]);
+        self.apply_into(batch, input.as_slice(), out.as_mut_slice());
+        out
+    }
+
+    /// [`Dense::apply`] on row-major slices: `out` (`batch × out_dim`, fully
+    /// overwritten) is `input` (`batch × in_dim`) times `W` plus the bias.
+    pub(crate) fn apply_into(&self, batch: usize, input: &[f64], out: &mut [f64]) {
         // Seed every output row with the bias, then accumulate x W on top
         // (beta = 1.0 keeps the bias in place).
         for r in 0..batch {
-            out.row_mut(r).copy_from_slice(&self.bias);
+            out[r * self.out_dim..][..self.out_dim].copy_from_slice(&self.bias);
         }
         sensact_math::kernels::gemm(
             batch,
             self.out_dim,
             self.in_dim,
             1.0,
-            input.as_slice(),
+            input,
             &self.weights,
             1.0,
-            out.as_mut_slice(),
+            out,
         );
-        out
     }
 }
 
@@ -247,6 +253,13 @@ impl Activation {
             kind,
             cached_in: None,
             cached_out: None,
+        }
+    }
+
+    /// The activation applied in place, without caching (inference only).
+    pub(crate) fn apply_in_place(&self, xs: &mut [f64]) {
+        for x in xs {
+            *x = self.kind.apply(*x);
         }
     }
 }

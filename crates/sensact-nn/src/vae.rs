@@ -9,7 +9,6 @@
 use crate::init::Initializer;
 use crate::layers::{ActKind, Activation, Dense, Layer};
 use crate::optim::Optimizer;
-use crate::sequential::Sequential;
 use crate::tensor::Tensor;
 
 /// Loss breakdown of one VAE training step.
@@ -25,38 +24,57 @@ pub struct VaeLoss {
 
 /// A dense VAE: `input → hidden → (μ, log σ²) → z → hidden → reconstruction`.
 pub struct Vae {
-    encoder: Sequential,
+    enc: Dense,
+    enc_act: Activation,
     mu_head: Dense,
     logvar_head: Dense,
-    decoder: Sequential,
+    dec: Dense,
+    dec_act: Activation,
+    dec_out: Dense,
     input_dim: usize,
     latent_dim: usize,
     noise: Initializer,
+    scratch: Scratch,
+}
+
+/// The batch-1 activations of [`Vae::elbo_deterministic`], owned by the VAE
+/// so the likelihood-regret walk (dozens of ELBOs per score) allocates
+/// nothing per evaluation.
+struct Scratch {
+    h: Vec<f64>,
+    mu: Vec<f64>,
+    logvar: Vec<f64>,
+    dh: Vec<f64>,
+    xr: Vec<f64>,
 }
 
 impl Vae {
     /// Build a VAE with one hidden layer on each side.
     pub fn new(input_dim: usize, hidden_dim: usize, latent_dim: usize, seed: u64) -> Self {
         let mut init = Initializer::new(seed);
-        let encoder = Sequential::new(vec![
-            Box::new(Dense::new(input_dim, hidden_dim, &mut init)),
-            Box::new(Activation::new(ActKind::Tanh)),
-        ]);
+        let enc = Dense::new(input_dim, hidden_dim, &mut init);
         let mu_head = Dense::new(hidden_dim, latent_dim, &mut init);
         let logvar_head = Dense::new(hidden_dim, latent_dim, &mut init);
-        let decoder = Sequential::new(vec![
-            Box::new(Dense::new(latent_dim, hidden_dim, &mut init)),
-            Box::new(Activation::new(ActKind::Tanh)),
-            Box::new(Dense::new(hidden_dim, input_dim, &mut init)),
-        ]);
+        let dec = Dense::new(latent_dim, hidden_dim, &mut init);
+        let dec_out = Dense::new(hidden_dim, input_dim, &mut init);
         Vae {
-            encoder,
+            enc,
+            enc_act: Activation::new(ActKind::Tanh),
             mu_head,
             logvar_head,
-            decoder,
+            dec,
+            dec_act: Activation::new(ActKind::Tanh),
+            dec_out,
             input_dim,
             latent_dim,
             noise: init.fork(),
+            scratch: Scratch {
+                h: vec![0.0; hidden_dim],
+                mu: vec![0.0; latent_dim],
+                logvar: vec![0.0; latent_dim],
+                dh: vec![0.0; hidden_dim],
+                xr: vec![0.0; input_dim],
+            },
         }
     }
 
@@ -72,7 +90,8 @@ impl Vae {
 
     /// Encode a batch to `(μ, log σ²)`.
     pub fn encode(&mut self, x: &Tensor) -> (Tensor, Tensor) {
-        let h = self.encoder.forward(x, false);
+        let h = self.enc.forward(x, false);
+        let h = self.enc_act.forward(&h, false);
         let mu = self.mu_head.forward(&h, false);
         let logvar = self.logvar_head.forward(&h, false);
         (mu, logvar.map(|v| v.clamp(-10.0, 10.0)))
@@ -80,7 +99,9 @@ impl Vae {
 
     /// Decode latents to reconstructions.
     pub fn decode(&mut self, z: &Tensor) -> Tensor {
-        self.decoder.forward(z, false)
+        let h = self.dec.forward(z, false);
+        let h = self.dec_act.forward(&h, false);
+        self.dec_out.forward(&h, false)
     }
 
     /// Mean reconstruction (deterministic μ path) of a batch.
@@ -100,45 +121,33 @@ impl Vae {
             z[i] += (0.5 * logvar[i]).exp() * self.noise.gaussian();
         }
         let xr = self.decode(&z);
-        let mut out = Vec::with_capacity(batch);
-        for r in 0..batch {
-            let mut recon = 0.0;
-            for (a, b) in x.row(r).iter().zip(xr.row(r)) {
-                recon += (a - b) * (a - b);
-            }
-            let mut kl = 0.0;
-            for c in 0..self.latent_dim {
-                let m = mu.row(r)[c];
-                let lv = logvar.row(r)[c];
-                kl += -0.5 * (1.0 + lv - m * m - lv.exp());
-            }
-            out.push(-0.5 * recon - kl);
-        }
-        out
+        (0..batch)
+            .map(|r| elbo_terms(x.row(r), xr.row(r), mu.row(r), logvar.row(r)))
+            .collect()
     }
 
-    /// Deterministic per-sample ELBO using the posterior mean (`z = μ`, no
+    /// Deterministic ELBO of one sample using the posterior mean (`z = μ`, no
     /// reparameterization noise). Slightly biased but noise-free — the right
     /// objective for per-sample optimization loops like likelihood regret.
-    pub fn elbo_deterministic(&mut self, x: &Tensor) -> Vec<f64> {
-        let batch = x.shape()[0];
-        let (mu, logvar) = self.encode(x);
-        let xr = self.decode(&mu);
-        let mut out = Vec::with_capacity(batch);
-        for r in 0..batch {
-            let mut recon = 0.0;
-            for (a, b) in x.row(r).iter().zip(xr.row(r)) {
-                recon += (a - b) * (a - b);
-            }
-            let mut kl = 0.0;
-            for c in 0..self.latent_dim {
-                let m = mu.row(r)[c];
-                let lv = logvar.row(r)[c];
-                kl += -0.5 * (1.0 + lv - m * m - lv.exp());
-            }
-            out.push(-0.5 * recon - kl);
+    /// Runs the layers' GEMMs into scratch the VAE owns: no allocation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len()` differs from the input dimension.
+    pub fn elbo_deterministic(&mut self, x: &[f64]) -> f64 {
+        assert_eq!(x.len(), self.input_dim, "Vae: input dim mismatch");
+        let s = &mut self.scratch;
+        self.enc.apply_into(1, x, &mut s.h);
+        self.enc_act.apply_in_place(&mut s.h);
+        self.mu_head.apply_into(1, &s.h, &mut s.mu);
+        self.logvar_head.apply_into(1, &s.h, &mut s.logvar);
+        for v in &mut s.logvar {
+            *v = v.clamp(-10.0, 10.0);
         }
-        out
+        self.dec.apply_into(1, &s.mu, &mut s.dh);
+        self.dec_act.apply_in_place(&mut s.dh);
+        self.dec_out.apply_into(1, &s.dh, &mut s.xr);
+        elbo_terms(x, &s.xr, &s.mu, &s.logvar)
     }
 
     /// One training step on a batch: computes the β-ELBO loss, backpropagates
@@ -148,7 +157,8 @@ impl Vae {
         let bf = batch as f64;
 
         // Forward with caching (train = true).
-        let h = self.encoder.forward(x, true);
+        let h = self.enc.forward(x, true);
+        let h = self.enc_act.forward(&h, true);
         let mu = self.mu_head.forward(&h, true);
         let logvar_raw = self.logvar_head.forward(&h, true);
         let logvar = logvar_raw.map(|v| v.clamp(-10.0, 10.0));
@@ -157,7 +167,9 @@ impl Vae {
         for i in 0..z.len() {
             z[i] += (0.5 * logvar[i]).exp() * eps[i];
         }
-        let xr = self.decoder.forward(&z, true);
+        let dh = self.dec.forward(&z, true);
+        let dh = self.dec_act.forward(&dh, true);
+        let xr = self.dec_out.forward(&dh, true);
 
         // Losses.
         let mut recon = 0.0;
@@ -175,7 +187,9 @@ impl Vae {
 
         // Backward. dL/dxr = (xr - x)/B.
         let grad_xr = xr.sub(x).scaled(1.0 / bf);
-        let grad_z = self.decoder.backward(&grad_xr);
+        let g = self.dec_out.backward(&grad_xr);
+        let g = self.dec_act.backward(&g);
+        let grad_z = self.dec.backward(&g);
 
         // dL/dmu = g_z + β · μ / B ; dL/dlogvar = g_z·ε·½·σ + β·½(e^{lv} − 1)/B.
         let mut grad_mu = grad_z.clone();
@@ -190,7 +204,8 @@ impl Vae {
         let gh_mu = self.mu_head.backward(&grad_mu);
         let gh_lv = self.logvar_head.backward(&grad_logvar);
         let gh = gh_mu.add(&gh_lv);
-        let _ = self.encoder.backward(&gh);
+        let gh = self.enc_act.backward(&gh);
+        let _ = self.enc.backward(&gh);
 
         // Optimizer over all parts via a facade layer view.
         struct All<'a>(&'a mut Vae);
@@ -222,34 +237,31 @@ impl Vae {
 
     /// Visit every `(param, grad)` pair of the VAE (encoder, heads, decoder).
     pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        self.encoder.visit_params(f);
-        self.mu_head.visit_params(f);
-        self.logvar_head.visit_params(f);
-        self.decoder.visit_params(f);
+        self.visit_encoder_params(f);
+        self.dec.visit_params(f);
+        self.dec_out.visit_params(f);
     }
 
     /// Visit only the **encoder-side** parameters (encoder + heads) — the
     /// subset STARNet perturbs when computing likelihood regret.
     pub fn visit_encoder_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        self.encoder.visit_params(f);
+        self.enc.visit_params(f);
         self.mu_head.visit_params(f);
         self.logvar_head.visit_params(f);
     }
 
     /// Zero all gradients.
     pub fn zero_grad(&mut self) {
-        self.encoder.zero_grad();
-        self.mu_head.zero_grad();
-        self.logvar_head.zero_grad();
-        self.decoder.zero_grad();
+        self.visit_params(&mut |_, g| g.fill(0.0));
     }
 
     /// Total parameter count.
     pub fn param_count(&self) -> usize {
-        self.encoder.param_count()
-            + self.mu_head.param_count()
-            + self.logvar_head.param_count()
-            + self.decoder.param_count()
+        self.encoder_param_count() + self.dec.param_count() + self.dec_out.param_count()
+    }
+
+    fn encoder_param_count(&self) -> usize {
+        self.enc.param_count() + self.mu_head.param_count() + self.logvar_head.param_count()
     }
 
     /// Snapshot all parameters into a flat vector (for SPSA perturbation).
@@ -278,6 +290,20 @@ impl Vae {
     }
 }
 
+/// One sample's ELBO from its input, reconstruction and posterior:
+/// `−½‖x − x̂‖² − Σ −½(1 + log σ² − μ² − σ²)`, each sum in index order.
+fn elbo_terms(x: &[f64], xr: &[f64], mu: &[f64], logvar: &[f64]) -> f64 {
+    let mut recon = 0.0;
+    for (a, b) in x.iter().zip(xr) {
+        recon += (a - b) * (a - b);
+    }
+    let mut kl = 0.0;
+    for (m, lv) in mu.iter().zip(logvar) {
+        kl += -0.5 * (1.0 + lv - m * m - lv.exp());
+    }
+    -0.5 * recon - kl
+}
+
 impl std::fmt::Debug for Vae {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Vae")
@@ -285,7 +311,7 @@ impl std::fmt::Debug for Vae {
             .field("latent_dim", &self.latent_dim)
             .field(
                 "params",
-                &(self.encoder.param_count() + self.decoder.param_count()),
+                &(self.enc.param_count() + self.dec.param_count() + self.dec_out.param_count()),
             )
             .finish()
     }
@@ -402,8 +428,7 @@ mod tests {
     fn param_count_consistent_with_flat() {
         let mut vae = Vae::new(4, 8, 2, 0);
         let flat = vae.encoder_params_flat();
-        let enc_count =
-            vae.encoder.param_count() + vae.mu_head.param_count() + vae.logvar_head.param_count();
+        let enc_count = vae.encoder_param_count();
         assert_eq!(flat.len(), enc_count);
         assert!(vae.param_count() > enc_count);
     }

@@ -11,7 +11,8 @@ use sensact_lidar::PointCloud;
 /// Dimension of the feature descriptor.
 pub const FEATURE_DIM: usize = 19;
 
-/// Extract the 18-dimensional normalized feature descriptor of a cloud.
+/// Extract the [`FEATURE_DIM`]-dimensional (19) normalized feature
+/// descriptor of a cloud.
 ///
 /// An empty cloud maps to the zero vector.
 pub fn extract_features(cloud: &PointCloud) -> Vec<f64> {
@@ -45,12 +46,8 @@ pub fn extract_features(cloud: &PointCloud) -> Vec<f64> {
         / nf;
     f[14] = var_r.sqrt() / 40.0;
     // [15]: beam coverage.
-    let mut beams_seen = std::collections::HashSet::new();
-    for p in cloud {
-        beams_seen.insert(p.beam);
-    }
     let max_beam = cloud.iter().map(|p| p.beam).max().unwrap_or(0) as f64 + 1.0;
-    f[15] = beams_seen.len() as f64 / max_beam;
+    f[15] = distinct_beams(cloud) as f64 / max_beam;
     // [16]: azimuth-stripe score (fraction of returns at azimuth % 16 == 0;
     // nominal 1/16, inflated by periodic cross-sensor interference... or
     // rather, the *range statistics* of those azimuths shift). We use the
@@ -95,6 +92,19 @@ pub fn extract_features(cloud: &PointCloud) -> Vec<f64> {
     f
 }
 
+/// Number of distinct beam indices in a cloud, on a set of one bit per
+/// possible `u16` beam (8 KiB on the stack, no hashing).
+fn distinct_beams(cloud: &PointCloud) -> usize {
+    let mut seen = [0u64; 1 << 10];
+    let mut distinct = 0;
+    for p in cloud {
+        let (word, bit) = (usize::from(p.beam >> 6), 1u64 << (p.beam & 63));
+        distinct += usize::from(seen[word] & bit == 0);
+        seen[word] |= bit;
+    }
+    distinct
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,6 +123,38 @@ mod tests {
         assert_eq!(f.len(), FEATURE_DIM);
         for (i, v) in f.iter().enumerate() {
             assert!((0.0..=1.5).contains(v), "feature {i} = {v}");
+        }
+    }
+
+    /// The beam bitset counts what a `HashSet<u16>` (the descriptor's old
+    /// set) counts, at both word edges and the top of the `u16` range.
+    #[test]
+    fn beam_bitset_matches_the_hash_set() {
+        use sensact_lidar::Point;
+        let cloud = |beams: &[u16]| {
+            PointCloud::from_points(
+                beams
+                    .iter()
+                    .map(|&beam| Point {
+                        x: 1.0,
+                        y: 0.0,
+                        z: 0.0,
+                        range: 1.0,
+                        beam,
+                        azimuth: 0,
+                    })
+                    .collect(),
+            )
+        };
+        let clouds = [
+            PointCloud::new(),
+            cloud(&[0, 63, 64, 65_535]),
+            cloud(&[65_535, 0, 65_535, 64, 63, 63, 127, 128]),
+            clean_cloud(9),
+        ];
+        for c in &clouds {
+            let oracle: std::collections::HashSet<u16> = c.iter().map(|p| p.beam).collect();
+            assert_eq!(distinct_beams(c), oracle.len());
         }
     }
 

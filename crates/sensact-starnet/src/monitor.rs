@@ -8,7 +8,7 @@
 //! which converges to pure LR as the adaptation budget grows.
 
 use crate::features::{extract_features, FEATURE_DIM};
-use crate::regret::{likelihood_regret, RegretConfig};
+use crate::regret::{regret_and_baseline, RegretConfig};
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use sensact_core::stage::{Monitor, StageContext, Trust};
 use sensact_lidar::PointCloud;
@@ -105,10 +105,16 @@ impl Starnet {
     pub fn score(&mut self, features: &[f64]) -> f64 {
         self.calls += 1;
         let seed = self.score_seed.wrapping_add(self.calls);
-        let lr = likelihood_regret(&mut self.vae, features, &self.config.regret, seed);
-        let x = Tensor::from_vec(vec![1, features.len()], features.to_vec());
-        let neg_elbo = -self.vae.elbo_deterministic(&x)[0];
-        lr + neg_elbo
+        let (lr, baseline) =
+            regret_and_baseline(&mut self.vae, features, &self.config.regret, seed);
+        // The deterministic baseline is the ELBO at the restored parameters;
+        // a sampled one is not the ELBO scored here.
+        let elbo = if self.config.regret.elbo_samples == 0 {
+            baseline
+        } else {
+            self.vae.elbo_deterministic(features)
+        };
+        lr - elbo
     }
 
     /// Score a raw point cloud (extracts the standard descriptor first).
@@ -145,7 +151,7 @@ impl StageState for Starnet {
     fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
         let mut s = Section::new(ns);
         // `calls` seeds each score's SPSA stream (`score_seed + calls`); the
-        // VAE itself is restored in place by `likelihood_regret` after every
+        // VAE itself is restored in place by the regret walk after every
         // score, so the call counter is the only per-tick drift. Thresholds
         // and the seed travel too so a restore works onto a monitor trained
         // on different data.
@@ -158,10 +164,25 @@ impl StageState for Starnet {
 
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
-        self.calls = s.get_u64("calls")?;
-        self.score_seed = s.get_u64("score_seed")?;
-        self.suspect_threshold = s.get_f64("suspect_threshold")?;
-        self.untrusted_threshold = s.get_f64("untrusted_threshold")?;
+        let calls = s.get_u64("calls")?;
+        let score_seed = s.get_u64("score_seed")?;
+        let suspect_threshold = s.get_f64("suspect_threshold")?;
+        let untrusted_threshold = s.get_f64("untrusted_threshold")?;
+        // Every finite score compares false against a NaN threshold, which
+        // would make every tick `Untrusted` without a word. ±∞ is legal: an
+        // uncalibrated monitor holds +∞.
+        for (key, threshold) in [
+            ("suspect_threshold", suspect_threshold),
+            ("untrusted_threshold", untrusted_threshold),
+        ] {
+            if threshold.is_nan() {
+                return Err(CheckpointError::BadValue(format!("{ns}.{key}")));
+            }
+        }
+        self.calls = calls;
+        self.score_seed = score_seed;
+        self.suspect_threshold = suspect_threshold;
+        self.untrusted_threshold = untrusted_threshold;
         Ok(())
     }
 }
@@ -308,6 +329,98 @@ mod tests {
         b.restore_state(&ckpt, "monitor").unwrap();
         let tail: Vec<u64> = test[3..].iter().map(|f| b.score(f).to_bits()).collect();
         assert_eq!(tail, full[3..], "score stream diverged after restore");
+    }
+
+    /// The cargo-test twin of the `edge_loop` golden: sixteen scores of a
+    /// `StarnetConfig::default()` monitor and its calibrated thresholds,
+    /// recorded before the sign-plane walk and the scratch ELBO. Every
+    /// kernel on the path is on a bitwise tier, so both ISA legs pin the
+    /// same bits.
+    #[test]
+    fn score_stream_is_pinned() {
+        let train = clouds(12, 8);
+        let mut monitor = train_on_clouds(&train, StarnetConfig::default(), 0);
+        let mut fold = 0xcbf2_9ce4_8422_2325u64;
+        for c in &clouds(16, 80) {
+            fold = (fold ^ monitor.score_cloud(c).to_bits()).wrapping_mul(0x100_0000_01b3);
+        }
+        assert_eq!(fold, 0x3ad0_dcd4_d648_4e1f, "score stream moved");
+        assert_eq!(monitor.suspect_threshold.to_bits(), 0x3f8a_a687_8b5f_f184);
+        assert_eq!(monitor.untrusted_threshold.to_bits(), 0x3f91_6bac_7960_d07e);
+    }
+
+    fn small_monitor() -> Starnet {
+        let samples: Vec<Vec<f64>> = (0..8).map(|i| vec![0.1 * i as f64; 4]).collect();
+        let config = StarnetConfig {
+            train_epochs: 5,
+            ..fast_config()
+        };
+        Starnet::train(&samples, config, 0)
+    }
+
+    /// What a restore may change, as bits.
+    fn restorable(m: &Starnet) -> (u64, u64, u64, u64) {
+        let (s, u) = (m.suspect_threshold, m.untrusted_threshold);
+        (m.calls, m.score_seed, s.to_bits(), u.to_bits())
+    }
+
+    fn monitor_section(fields: &[(&str, f64)]) -> Checkpoint {
+        let mut s = Section::new("monitor");
+        s.put_u64("calls", 99);
+        s.put_u64("score_seed", 7);
+        for &(key, v) in fields {
+            s.put_f64(key, v);
+        }
+        let mut ckpt = Checkpoint::new("starnet");
+        ckpt.push(s);
+        ckpt
+    }
+
+    /// A checkpoint missing a threshold is refused before anything is
+    /// assigned: the score stream must not move under a failed restore.
+    #[test]
+    fn refused_restore_leaves_the_score_stream_untouched() {
+        let mut m = small_monitor();
+        let _ = m.score(&[0.2; 4]);
+        let before = restorable(&m);
+        let ckpt = monitor_section(&[("suspect_threshold", 1.0)]);
+        assert!(matches!(
+            m.restore_state(&ckpt, "monitor"),
+            Err(CheckpointError::MissingField(_))
+        ));
+        assert_eq!(restorable(&m), before);
+    }
+
+    /// A NaN threshold would make every tick `Untrusted` silently: it is a
+    /// `BadValue` and the monitor stays as it was. ±∞ restores.
+    #[test]
+    fn restore_rejects_a_nan_threshold() {
+        let mut m = small_monitor();
+        let before = restorable(&m);
+        for key in ["suspect_threshold", "untrusted_threshold"] {
+            let mut fields = [("suspect_threshold", 1.0), ("untrusted_threshold", 2.0)];
+            fields.iter_mut().find(|f| f.0 == key).unwrap().1 = f64::NAN;
+            let refused = CheckpointError::BadValue(format!("monitor.{key}"));
+            assert_eq!(
+                m.restore_state(&monitor_section(&fields), "monitor"),
+                Err(refused)
+            );
+            assert_eq!(
+                restorable(&m),
+                before,
+                "{key}: a refused restore changed the monitor"
+            );
+        }
+        let fields = [
+            ("suspect_threshold", f64::NEG_INFINITY),
+            ("untrusted_threshold", f64::INFINITY),
+        ];
+        assert_eq!(
+            m.restore_state(&monitor_section(&fields), "monitor"),
+            Ok(())
+        );
+        assert_eq!(m.calls, 99);
+        assert_eq!(m.untrusted_threshold, f64::INFINITY);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! enough for edge devices.
 
 use crate::spsa::{spsa_minimize, SpsaConfig};
+use sensact_math::kernels;
 use sensact_math::rng::StdRng;
 use sensact_nn::vae::Vae;
 use sensact_nn::Tensor;
@@ -38,15 +39,16 @@ impl Default for RegretConfig {
     }
 }
 
-fn mean_elbo(vae: &mut Vae, x: &Tensor, samples: usize) -> f64 {
+fn mean_elbo(vae: &mut Vae, x: &[f64], samples: usize) -> f64 {
     // `samples == 0` selects the deterministic (z = μ) ELBO — noise-free,
     // which makes the regret difference far better conditioned.
     if samples == 0 {
-        return vae.elbo_deterministic(x)[0];
+        return vae.elbo_deterministic(x);
     }
+    let x_t = Tensor::from_vec(vec![1, x.len()], x.to_vec());
     let mut total = 0.0;
     for _ in 0..samples {
-        total += vae.elbo(x)[0];
+        total += vae.elbo(&x_t)[0];
     }
     total / samples as f64
 }
@@ -61,9 +63,24 @@ fn mean_elbo(vae: &mut Vae, x: &Tensor, samples: usize) -> f64 {
 ///
 /// Panics if `x.len()` differs from the VAE input dimension.
 pub fn likelihood_regret(vae: &mut Vae, x: &[f64], config: &RegretConfig, seed: u64) -> f64 {
+    regret_and_baseline(vae, x, config, seed).0
+}
+
+/// [`likelihood_regret`] together with the baseline ELBO it was measured
+/// against: the ELBO at the trained parameters, which are restored by copy
+/// afterwards, so the baseline is also the ELBO the VAE gives now.
+///
+/// Per score this costs `2·iterations + 2` ELBO evaluations (the baseline,
+/// two per SPSA iteration, one at the final point). In the low-rank walk each
+/// evaluation first forms `θ = θ₀ + U v` with [`kernels::sign_fold`].
+pub(crate) fn regret_and_baseline(
+    vae: &mut Vae,
+    x: &[f64],
+    config: &RegretConfig,
+    seed: u64,
+) -> (f64, f64) {
     assert_eq!(x.len(), vae.input_dim(), "feature dimension mismatch");
-    let x_t = Tensor::from_vec(vec![1, x.len()], x.to_vec());
-    let baseline = mean_elbo(vae, &x_t, config.elbo_samples);
+    let baseline = mean_elbo(vae, x, config.elbo_samples);
     let theta0 = vae.encoder_params_flat();
 
     let adapted_elbo = match config.low_rank {
@@ -72,7 +89,7 @@ pub fn likelihood_regret(vae: &mut Vae, x: &[f64], config: &RegretConfig, seed: 
             let result = spsa_minimize(
                 |theta| {
                     vae.set_encoder_params_flat(theta);
-                    -mean_elbo(vae, &x_t, config.elbo_samples)
+                    -mean_elbo(vae, x, config.elbo_samples)
                 },
                 &theta0,
                 &config.spsa,
@@ -81,37 +98,21 @@ pub fn likelihood_regret(vae: &mut Vae, x: &[f64], config: &RegretConfig, seed: 
             -result.value
         }
         Some(rank) => {
-            // Low-rank subspace: θ = θ₀ + U v with a fixed random basis U.
+            // Low-rank subspace: θ = θ₀ + U v with a fixed random ±scale
+            // basis U, held as one sign bit per (direction, parameter).
             let p = theta0.len();
-            let mut rng = StdRng::seed_from_u64(seed ^ 0x10BA);
+            let signs = sign_basis(rank, p, seed);
             let scale = 1.0 / (p as f64).sqrt();
-            let basis: Vec<Vec<f64>> = (0..rank)
-                .map(|_| {
-                    (0..p)
-                        .map(|_| {
-                            if rng.random::<f64>() < 0.5 {
-                                -scale
-                            } else {
-                                scale
-                            }
-                        })
-                        .collect()
-                })
-                .collect();
-            let apply = |v: &[f64], theta0: &[f64]| -> Vec<f64> {
-                let mut theta = theta0.to_vec();
-                for (vi, u) in v.iter().zip(&basis) {
-                    for (t, ui) in theta.iter_mut().zip(u) {
-                        *t += vi * ui;
-                    }
-                }
-                theta
-            };
+            let mut steps = vec![0.0; rank];
+            let mut theta = vec![0.0; p];
             let result = spsa_minimize(
                 |v| {
-                    let theta = apply(v, &theta0);
+                    for (s, vi) in steps.iter_mut().zip(v) {
+                        *s = vi * scale;
+                    }
+                    kernels::sign_fold(&theta0, &steps, &signs, &mut theta);
                     vae.set_encoder_params_flat(&theta);
-                    -mean_elbo(vae, &x_t, config.elbo_samples)
+                    -mean_elbo(vae, x, config.elbo_samples)
                 },
                 &vec![0.0; rank],
                 &config.spsa,
@@ -123,7 +124,25 @@ pub fn likelihood_regret(vae: &mut Vae, x: &[f64], config: &RegretConfig, seed: 
 
     // Restore the trained parameters.
     vae.set_encoder_params_flat(&theta0);
-    (adapted_elbo - baseline).max(0.0)
+    ((adapted_elbo - baseline).max(0.0), baseline)
+}
+
+/// The `rank × p` basis of ±`1/√p` directions as the sign planes
+/// [`kernels::sign_fold`] reads: bit `63 − i % 64` of word `(i / 64)·p + j`
+/// is set where direction `i` is negative at parameter `j`. One `next_u64`
+/// per entry from `seed ^ 0x10BA`, in row-major (direction, parameter)
+/// order; an entry is negative where its draw's top bit is clear — exactly
+/// where `gen_f64() < 0.5`, since `gen_f64 = (x >> 11)·2⁻⁵³` — so the
+/// complemented draw's top bit, shifted down by `i % 64`, is the entry.
+fn sign_basis(rank: usize, p: usize, seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x10BA);
+    let mut signs = vec![0u64; rank.div_ceil(64) * p];
+    for i in 0..rank {
+        for w in &mut signs[(i / 64) * p..][..p] {
+            *w |= (!rng.next_u64() & 1 << 63) >> (i % 64);
+        }
+    }
+    signs
 }
 
 #[cfg(test)]
@@ -207,6 +226,121 @@ mod tests {
         // Both should be finite, nonnegative, same order of magnitude.
         assert!(r_full.is_finite() && r_low.is_finite());
         assert!(r_low >= 0.0 && r_full >= 0.0);
+    }
+
+    /// The walk as it was before the sign planes, kept as the oracle: a
+    /// `rank × p` basis of ±scale rows drawn with `gen_f64() < 0.5`, and a
+    /// fresh `θ = θ₀ + Σᵢ vᵢ·Uᵢ` accumulated row by row per evaluation.
+    fn oracle_regret(vae: &mut Vae, x: &[f64], config: &RegretConfig, seed: u64) -> f64 {
+        let baseline = mean_elbo(vae, x, config.elbo_samples);
+        let theta0 = vae.encoder_params_flat();
+        let adapted_elbo = match config.low_rank {
+            None => {
+                let result = spsa_minimize(
+                    |theta| {
+                        vae.set_encoder_params_flat(theta);
+                        -mean_elbo(vae, x, config.elbo_samples)
+                    },
+                    &theta0,
+                    &config.spsa,
+                    seed,
+                );
+                -result.value
+            }
+            Some(rank) => {
+                let p = theta0.len();
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x10BA);
+                let scale = 1.0 / (p as f64).sqrt();
+                let basis: Vec<Vec<f64>> = (0..rank)
+                    .map(|_| {
+                        (0..p)
+                            .map(|_| {
+                                if rng.random::<f64>() < 0.5 {
+                                    -scale
+                                } else {
+                                    scale
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let result = spsa_minimize(
+                    |v| {
+                        let mut theta = theta0.clone();
+                        for (vi, u) in v.iter().zip(&basis) {
+                            for (t, ui) in theta.iter_mut().zip(u) {
+                                *t += vi * ui;
+                            }
+                        }
+                        vae.set_encoder_params_flat(&theta);
+                        -mean_elbo(vae, x, config.elbo_samples)
+                    },
+                    &vec![0.0; rank],
+                    &config.spsa,
+                    seed,
+                );
+                -result.value
+            }
+        };
+        vae.set_encoder_params_flat(&theta0);
+        (adapted_elbo - baseline).max(0.0)
+    }
+
+    /// The sign-plane walk is `to_bits`-equal to the basis oracle: ranks on
+    /// both sides of one sign plane, three seeds, an on-manifold and a zero
+    /// feature vector, plus full-parameter SPSA and the sampled ELBO (which
+    /// also checks both walks draw the VAE's noise stream alike).
+    #[test]
+    fn sign_plane_walk_matches_the_basis_oracle() {
+        let xs = [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.0; 6]];
+        let mut cases = vec![];
+        for rank in [1, 12, 16, 64, 65] {
+            for seed in [3u64, 40, 0x5EED] {
+                cases.push((Some(rank), 0, seed));
+            }
+        }
+        cases.push((None, 0, 9));
+        cases.push((Some(16), 2, 9));
+        cases.push((None, 2, 9));
+        for (low_rank, elbo_samples, seed) in cases {
+            let config = RegretConfig {
+                low_rank,
+                elbo_samples,
+                ..RegretConfig::default()
+            };
+            for x in &xs {
+                // The sampled ELBO advances the VAE's noise stream: each side
+                // gets its own identically trained VAE.
+                let (mut twin, _) = trained_vae(5);
+                let (mut vae, _) = trained_vae(5);
+                let want = oracle_regret(&mut twin, x, &config, seed);
+                let got = likelihood_regret(&mut vae, x, &config, seed);
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{low_rank:?} samples={elbo_samples} seed={seed} x={x:?}: {got} vs {want}"
+                );
+            }
+        }
+    }
+
+    /// The sign planes are the oracle's ±scale basis, bit for bit, across a
+    /// plane boundary.
+    #[test]
+    fn sign_basis_is_the_drawn_basis() {
+        let (rank, p) = (65, 37);
+        let signs = sign_basis(rank, p, 11);
+        let mut rng = StdRng::seed_from_u64(11 ^ 0x10BA);
+        for i in 0..rank {
+            for j in 0..p {
+                let negative = rng.random::<f64>() < 0.5;
+                assert_eq!(
+                    signs[(i / 64) * p + j] << (i % 64) >> 63 == 1,
+                    negative,
+                    "({i}, {j})"
+                );
+            }
+        }
     }
 
     #[test]

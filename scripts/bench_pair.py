@@ -3,9 +3,14 @@
 
     scripts/bench_pair.py <parent-rev> [--layers a,b,c] [workload ...]
 
-Exports <parent-rev> into a temp dir (under $TMPDIR), builds its `benchmark/`
-and the working tree's each into its own CARGO_TARGET_DIR, then runs ten
-pairs per workload through the public line
+Builds both sides at one path: exports <parent-rev> into `src/` of a temp dir
+(under $TMPDIR), builds its `benchmark/` there into an emptied target dir and
+moves the binary aside, then does the same for the working tree, uncommitted
+and untracked-but-not-ignored files included. Same source path, same target
+path: the same source built in two directories links its hot kernels at
+different addresses (crate hashes depend on the path), which moved workloads
+by up to +-6 % with no changed line on their path (PR 19). It then runs ten
+pairs per workload, each side's binary with the arguments of the public line
 
     benchmark/run.sh --workload <w> --seed <n> --seconds 6 --trace 0
 
@@ -68,18 +73,50 @@ for name in layers:
         sys.exit(f"unknown per-layer metric `{name}`; see `per_layer` in BENCHMARK.json")
 
 tmp = pathlib.Path(tempfile.mkdtemp(prefix="bench_pair."))
-trees = {"parent": tmp / "parent", "change": root}
+src = tmp / "src"  # where each side is built, in turn
+sides = ("parent", "change")
+
+
+def export_parent(dest):
+    archive = subprocess.run(["git", "archive", parent_rev], cwd=root,
+                             capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def export_worktree(dest):
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        if (root / name).is_file():  # a tracked file deleted in the worktree is gone
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, dest / name)
+
+
+def build(side, export):
+    """Export `side` into `src/`, build it into an emptied `target/`, and move
+    the binary and the tree (its goldens, its `out/`) aside."""
+    print(f"building {side} benchmark at {src} ...", flush=True)
+    src.mkdir()
+    export(src)
+    target = tmp / "target"
+    shutil.rmtree(target, ignore_errors=True)
+    subprocess.run(
+        ["cargo", "build", "--offline", "--release", "--quiet",
+         "--manifest-path", str(src / "benchmark" / "Cargo.toml")],
+        env=dict(os.environ, CARGO_TARGET_DIR=str(target)), check=True)
+    shutil.move(target / "release" / "sensact-benchmark", tmp / f"{side}.bin")
+    src.rename(tmp / side)
 
 
 def run_once(side, workload, seed, trace=0):
     """One run of `side`'s benchmark; the last stdout line is its JSON result."""
-    env = dict(os.environ, CARGO_TARGET_DIR=str(tmp / f"target-{side}"))
+    env = dict(os.environ, SENSACT_BENCH_HOME=str(tmp / side / "benchmark"))
     cmd = [
-        "bash", str(trees[side] / "benchmark" / "run.sh"),
-        "--workload", workload, "--seed", str(seed),
+        str(tmp / f"{side}.bin"), "--workload", workload, "--seed", str(seed),
         "--seconds", str(SECONDS), "--trace", str(trace),
     ]
-    out = subprocess.run(cmd, cwd=trees[side], env=env, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=tmp / side, env=env, capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit(f"{side} {workload} seed {seed} exited {out.returncode}:\n{out.stderr}")
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -108,22 +145,14 @@ def verdict(metric, parent, change):
 
 bad = False
 try:
-    trees["parent"].mkdir()
-    archive = subprocess.run(["git", "archive", parent_rev], cwd=root,
-                             capture_output=True, check=True)
-    subprocess.run(["tar", "-x", "-C", str(trees["parent"])], input=archive.stdout, check=True)
-    for side, tree in trees.items():
-        print(f"building {side} benchmark ...", flush=True)
-        subprocess.run(
-            ["cargo", "build", "--offline", "--release", "--quiet",
-             "--manifest-path", str(tree / "benchmark" / "Cargo.toml")],
-            env=dict(os.environ, CARGO_TARGET_DIR=str(tmp / f"target-{side}")), check=True)
+    build("parent", export_parent)
+    build("change", export_worktree)
 
     for workload in workloads:
-        values = {side: {m["name"]: [] for m in metrics} for side in trees}
-        failed = {side: [0, 0] for side in trees}
+        values = {side: {m["name"]: [] for m in metrics} for side in sides}
+        failed = {side: [0, 0] for side in sides}
         for pair in range(PAIRS):
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            order = sides if pair % 2 == 0 else sides[::-1]
             for side in order:
                 result = run_once(side, workload, FIRST_SEED + pair)
                 failed[side][0] += result["failed"]
@@ -148,11 +177,11 @@ try:
                   flush=True)
         if layers:
             traced = {side: run_once(side, workload, FIRST_SEED, trace=1)["metrics"]
-                      for side in trees}
+                      for side in sides}
             print(f"  per layer (one --trace 1 run a side, seed {FIRST_SEED})")
             for name in layers:
                 cells = [f"{traced[side][name]['value']:>13.4f}" if name in traced[side]
-                         else f"{'-':>13}" for side in trees]
+                         else f"{'-':>13}" for side in sides]
                 print(f"  {name:<40} {cells[0]} {cells[1]}  {units[name]}", flush=True)
 finally:
     shutil.rmtree(tmp, ignore_errors=True)
