@@ -49,19 +49,23 @@ fn main() {
             generator.generate_many(eval_n),
         )
     };
+    let both = [&detectors[0].1, &detectors[1].1];
     for k in 0..SEEDS {
         let (train, eval) = scenes(42 + k);
-        for (di, (_, detector)) in detectors.iter().enumerate() {
-            let mut small = [0.0f64; 4];
-            for (si, &strategy) in strategies.iter().enumerate() {
-                let row = evaluate_cell(strategy, detector, &train, &eval, &config, 7 + k);
+        // [detector][strategy] ped+cyc mean AP of this draw.
+        let mut small = [[0.0f64; 4]; 2];
+        for (si, &strategy) in strategies.iter().enumerate() {
+            let rows = evaluate_cell(strategy, &both, &train, &eval, &config, 7 + k);
+            for (di, row) in rows.iter().enumerate() {
                 let values = [row.car, row.pedestrian, row.cyclist, row.recon_iou];
                 for (stat, v) in cells[di][si].iter_mut().zip(values) {
                     stat.push(v);
                 }
-                small[si] = (row.pedestrian + row.cyclist) / 2.0;
+                small[di][si] = (row.pedestrian + row.cyclist) / 2.0;
             }
-            lift[di].push(small[RMAE] - small[BASELINE]);
+        }
+        for (stat, small) in lift.iter_mut().zip(small) {
+            stat.push(small[RMAE] - small[BASELINE]);
         }
     }
 

@@ -41,12 +41,13 @@ impl VoxelizerConfig {
         )
     }
 
-    /// Voxel index of a world point, if inside the region.
+    /// Voxel index of a world point, if inside the region (a NaN coordinate
+    /// is inside no region).
     pub fn index_of(&self, p: [f64; 3]) -> Option<(usize, usize, usize)> {
         let (nx, ny, nz) = self.dims();
         let mut idx = [0usize; 3];
         for i in 0..3 {
-            if p[i] < self.min[i] || p[i] >= self.max[i] {
+            if !(self.min[i]..self.max[i]).contains(&p[i]) {
                 return None;
             }
             idx[i] = ((p[i] - self.min[i]) / self.voxel_size) as usize;
@@ -264,6 +265,31 @@ mod tests {
         assert_eq!(c.index_of([3.9, 3.9, 1.9]), Some((3, 3, 1)));
         assert_eq!(c.index_of([-0.1, 0.0, 0.0]), None);
         assert_eq!(c.index_of([4.0, 0.0, 0.0]), None); // max is exclusive
+    }
+
+    /// `p < min || p >= max` is false for NaN and `NaN as usize` is 0, so a
+    /// NaN coordinate used to land in voxel 0 of its axis.
+    #[test]
+    fn index_of_rejects_nan_on_every_axis() {
+        let c = small_config();
+        for axis in 0..3 {
+            let mut p = [0.5; 3];
+            p[axis] = f64::NAN;
+            assert_eq!(c.index_of(p), None, "NaN on axis {axis}");
+        }
+        assert_eq!(c.index_of([f64::NAN; 3]), None);
+    }
+
+    #[test]
+    fn a_poisoned_cloud_voxelises_to_an_empty_grid() {
+        let cloud = PointCloud::from_points(vec![
+            pt(f64::NAN, f64::NAN, f64::NAN),
+            pt(f64::NAN, 0.5, 0.5),
+            pt(0.5, f64::NAN, 0.5),
+            pt(0.5, 0.5, f64::NAN),
+        ]);
+        let grid = VoxelGrid::from_cloud(small_config(), &cloud);
+        assert_eq!(grid.occupied_count(), 0);
     }
 
     #[test]

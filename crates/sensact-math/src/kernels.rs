@@ -214,10 +214,10 @@ pub fn gemm_transb_gathered(
     );
     batch >= 2
         && gemm_panel_source(
-            batch,
             m,
-            n,
+            batch * n,
             k,
+            n,
             alpha,
             a,
             &Transposed { b: b_stack, k },
@@ -227,32 +227,36 @@ pub fn gemm_transb_gathered(
 }
 
 /// `C = alpha * A * B + beta * C` with B read through a [`PanelSource`]
-/// instead of from memory: B is `[k × batch·n]` (item `t` supplies columns
-/// `t·n..(t+1)·n`), `c` is `[m × batch·n]` row-major, and each packed panel
-/// is filled by `b` moments before the microkernel consumes it. This is the
-/// entry the conv layers lower onto — their source unfolds input taps
-/// straight into the panel, so the im2col matrix is never materialised.
+/// instead of from memory: B is `[k × n]`, `c` is `[m × n]` row-major, and
+/// each packed panel is filled by `b` moments before the microkernel
+/// consumes it. This is the entry the conv layers lower onto — their source
+/// unfolds input taps straight into the panel, so the im2col matrix is never
+/// materialised.
 ///
-/// The rounding tier is pinned on the **per-item** `(m, n, k)`, never on
-/// the stacked width, so a batch computes what its items would alone:
+/// The rounding tier is pinned on `(m, tier_n, k)`, never on `n`: `tier_n`
+/// is the width of one item's *dense* product. A batch passes `n =
+/// batch·tier_n` and computes what its items would alone; a site-sparse conv
+/// passes the sites it lists as `n` and its full output volume as `tier_n`,
+/// and computes the bits of the dense layer at those sites. Each element is
+/// one chain over its own column whatever else is in the call:
 ///
-/// - `m·n·k ≥ 2¹⁴`: the FMA tier (one chain per element from its `beta·C`
-///   seed, within the analytic bound of the scalar kernels);
+/// - `m·tier_n·k ≥ 2¹⁴`: the FMA tier (one chain per element from its
+///   `beta·C` seed, within the analytic bound of the scalar kernels);
 /// - below that: the **bitwise dot** tier — the packed driver over the
 ///   multiply-then-add tile with the sum started at `+0.0` and added to the
 ///   seed once, `to_bits`-identical to the scalar [`gemm_transb`] row-dot
 ///   these shapes have always run.
 ///
 /// `false` is returned — `c` untouched — when SIMD is off
-/// (`SENSACT_FORCE_SCALAR`, non-x86), for `batch == 0`, empty shapes, and
-/// for a small item whose `k` exceeds one 256-deep block (a dot must not be
-/// split): the caller must then run the per-item kernel on a materialised
-/// operand.
+/// (`SENSACT_FORCE_SCALAR`, non-x86), for empty shapes, and below the FMA
+/// tier for a `k` deeper than one 256-deep block (a dot must not be split):
+/// the caller must then run [`gemm_transb`] on a materialised operand, which
+/// at any `n ≤ tier_n` takes the tier `tier_n` would (the scalar row-dot).
 pub fn gemm_panel_source<S: PanelSource>(
-    batch: usize,
     m: usize,
     n: usize,
     k: usize,
+    tier_n: usize,
     alpha: f64,
     a: &[f64],
     b: &S,
@@ -260,15 +264,11 @@ pub fn gemm_panel_source<S: PanelSource>(
     c: &mut [f64],
 ) -> bool {
     assert_eq!(a.len(), m * k, "gemm_panel_source: A must be m*k");
-    assert_eq!(
-        c.len(),
-        m * batch * n,
-        "gemm_panel_source: C must be m * batch*n"
-    );
-    if crate::simd::simd_f64_eligible(m, n, k) {
-        batch > 0 && crate::simd::gemm_f64(m, batch * n, k, alpha, a, b, beta, c)
+    assert_eq!(c.len(), m * n, "gemm_panel_source: C must be m*n");
+    if crate::simd::simd_f64_eligible(m, tier_n, k) {
+        n > 0 && crate::simd::gemm_fma_f64(m, n, k, alpha, a, b, beta, c)
     } else {
-        crate::simd::gemm_dot_f64(m, batch * n, k, alpha, a, b, beta, c)
+        crate::simd::gemm_dot_f64(m, n, k, alpha, a, b, beta, c)
     }
 }
 

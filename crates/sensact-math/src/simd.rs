@@ -235,7 +235,25 @@ pub(crate) fn gemm_f64<S: PanelSource>(
     beta: f64,
     c: &mut [f64],
 ) -> bool {
-    if !simd_f64_eligible(m, n, k) {
+    simd_f64_eligible(m, n, k) && gemm_fma_f64(m, n, k, alpha, a, b, beta, c)
+}
+
+/// The FMA tier of [`gemm_f64`] without its size gate, for a caller that
+/// pinned the tier on another shape than the one it multiplies
+/// ([`gemm_panel_source`](crate::kernels::gemm_panel_source)). Returns
+/// `false` with `c` untouched when SIMD is off.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn gemm_fma_f64<S: PanelSource>(
+    m: usize,
+    n: usize,
+    k: usize,
+    alpha: f64,
+    a: &[f64],
+    b: &S,
+    beta: f64,
+    c: &mut [f64],
+) -> bool {
+    if !cpu_features().simd_f64() {
         return false;
     }
     #[cfg(target_arch = "x86_64")]
@@ -254,7 +272,7 @@ pub(crate) fn gemm_f64<S: PanelSource>(
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (alpha, a, b, beta, c);
+        let _ = (m, n, k, alpha, a, b, beta, c);
         false
     }
 }

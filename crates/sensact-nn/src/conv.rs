@@ -7,20 +7,41 @@
 //!
 //! Tensors are laid out `[batch, channels * depth * height * width]` with the
 //! spatial dimensions carried by the layer configuration. Forward and backward
-//! are lowered onto the GEMM kernels in `sensact_math::kernels`. The conv
-//! forward never writes the `[out_volume × cin·k³]` column matrix: a
-//! [`PanelSource`] unfolds input taps straight into the packed B panel the
-//! microkernel is about to read — on the FMA tile from `2¹⁴` multiply-adds
-//! per row up, on the bitwise dot tile below (the served lidar conv), so
-//! small layers keep the bits of the scalar row-dot. Only the weight
-//! gradients, and the forward where the kernels decline the panel path
-//! (`SENSACT_FORCE_SCALAR`, non-x86, a small layer with `cin·k³ > 256`),
+//! are lowered onto the GEMM kernels in `sensact_math::kernels`.
+//!
+//! **The forward is spatially sparse, and exact.** An output element's bits
+//! depend only on its patch, the weights and the GEMM's rounding tier, never
+//! on which column of the product it sits in. A *value* below is any element
+//! whose bits are not `+0.0` (`-0.0`, NaN and `±inf` are values).
+//! - [`Conv3d`] computes only the sites whose window reaches a value on some
+//!   channel, plus the first site no value reaches. Every unreached site has
+//!   the same all-`+0.0` patch, padding included, so that one column is
+//!   copied to all of them. The tier stays pinned on the dense
+//!   `(cout, out_volume, cin·k³)`, never on the listed width.
+//! - [`Deconv3d`] multiplies only the input sites holding a value, plus one
+//!   all-zero column that stands for the others, and folds in ascending site
+//!   order. The zero column's contributions are skipped when its row is all
+//!   `+0.0` and no output seed is `-0.0`: `x + (+0.0)` is `x` for every `x`
+//!   but `-0.0`, and a sum that does not start at `-0.0` never reaches it.
+//!   Otherwise they are folded.
+//!
+//! Both are `to_bits`-identical to the dense lowering, in training and
+//! inference alike ([`Layer::forward`] is the one forward). The backward
+//! passes stay dense, and [`Layer::macs`] stays the dense count.
+//!
+//! The conv forward never writes the `[sites × cin·k³]` column matrix: a
+//! [`PanelSource`] unfolds the listed sites' taps straight into the packed B
+//! panel the microkernel is about to read — on the FMA tile from `2¹⁴` dense
+//! multiply-adds per row up, on the bitwise dot tile below (the served lidar
+//! conv), so small layers keep the bits of the scalar row-dot. Only the
+//! weight gradients, and the forward where the kernels decline the panel
+//! path (`SENSACT_FORCE_SCALAR`, non-x86, a small layer with `cin·k³ > 256`),
 //! still unfold into a layer-owned scratch; the transposed products (deconv
 //! forward, conv backward) run in cache-sized blocks of sites with the fold
-//! applied per block. The original gather-formulation loop (which skips
-//! all-zero input voxels — the "spatially sparse" trick the paper's encoder
-//! relies on) is kept as [`Conv3d::forward_reference`] /
-//! [`Deconv3d::forward_reference`] for equivalence testing and benchmarking.
+//! applied per block. The gather-formulation loops
+//! [`Conv3d::forward_reference`] / [`Deconv3d::forward_reference`] agree with
+//! the forward to rounding, not bit for bit; the bit oracle is the
+//! materialised dense lowering the tests keep (`conv_oracle.rs`).
 
 use crate::init::Initializer;
 use crate::layers::Layer;
@@ -28,6 +49,10 @@ use crate::tensor::Tensor;
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use sensact_math::kernels;
 use sensact_math::simd::PanelSource;
+
+#[cfg(test)]
+#[path = "conv_oracle.rs"]
+mod oracle;
 
 /// Spatial extents of a 3-D feature volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,6 +105,40 @@ fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
     &mut buf[..len]
 }
 
+/// Spread the rows of `sites.len()` columns packed at the front of `out`
+/// onto rows of `vol` sites: column `j` lands on site `sites[j]` (ascending),
+/// and every site not listed takes column `stand_in`'s value. In place, back
+/// to front: no write lands on a packed element before it is read.
+fn spread(out: &mut [f64], vol: usize, sites: &[usize], stand_in: usize) {
+    let n = sites.len();
+    for co in (0..out.len() / vol).rev() {
+        let (packed, row) = (co * n, co * vol);
+        let fill = out[packed + stand_in];
+        let mut end = vol;
+        for (j, &p) in sites.iter().enumerate().rev() {
+            let v = out[packed + j];
+            out[row + p + 1..row + end].fill(fill);
+            out[row + p] = v;
+            end = p;
+        }
+        out[row..row + end].fill(fill);
+    }
+}
+
+/// `len` flags in `buf`, raised at `i` where some `len`-long row of `src`
+/// holds a value at `i` — bits other than `+0.0`, so `-0.0`, NaN and `±inf`
+/// count.
+fn held<'a>(src: &[f64], len: usize, buf: &'a mut Vec<bool>) -> &'a [bool] {
+    buf.clear();
+    buf.resize(len, false);
+    for row in src.chunks_exact(len) {
+        for (f, v) in buf.iter_mut().zip(row) {
+            *f |= v.to_bits() != 0;
+        }
+    }
+    buf
+}
+
 /// Sliding-window geometry both layers lower through: one `kernel³` window
 /// per *site*, sliding with `stride` over a `grid` zero-padded by `pad`.
 /// A conv's sites are its output voxels and its grid the input; a deconv is
@@ -120,15 +179,20 @@ impl Window {
         (p / (h * w), p / w % h, p % w)
     }
 
-    /// Visit every in-grid run of `kw` taps of the sites `p0..p0 + count`,
-    /// in ascending site order: `f(row, q, at, len)` is called with the
-    /// site's index within the range, the column offset of the run's first
-    /// tap, the grid offset it lands on and its length.
+    /// Visit every in-grid run of `kw` taps of the given sites, in the order
+    /// given: `sites` yields `(row, p)` — site `p` owns row `row` of a column
+    /// matrix — and `f(row, q, at, len)` is called with that row, the column
+    /// offset of the run's first tap, the grid offset it lands on and its
+    /// length.
     #[inline]
-    fn for_each_run(&self, p0: usize, count: usize, mut f: impl FnMut(usize, usize, usize, usize)) {
+    fn for_each_run(
+        &self,
+        sites: impl IntoIterator<Item = (usize, usize)>,
+        mut f: impl FnMut(usize, usize, usize, usize),
+    ) {
         let (k, s, g) = (self.kernel, self.stride, self.grid);
-        for row in 0..count {
-            let (sz, sy, sx) = self.site(p0 + row);
+        for (row, p) in sites {
+            let (sz, sy, sx) = self.site(p);
             let (d0, d1) = self.taps(sz, g.d);
             let (h0, h1) = self.taps(sy, g.h);
             let (w0, w1) = self.taps(sx, g.w);
@@ -150,13 +214,14 @@ impl Window {
         }
     }
 
-    /// Unfold `src` (`[channels, grid]`) into `col`, laid out
-    /// `[sites, channels·k³]` row-major (im2col). Padding taps are written
-    /// as zero, so the buffer never needs pre-clearing.
-    fn unfold(&self, src: &[f64], col: &mut [f64]) {
+    /// Unfold the windows of `sites` over `src` (`[channels, grid]`) into
+    /// `col`, one `channels·k³` row per site in the order given (im2col).
+    /// Padding taps are written as zero, so the buffer never needs
+    /// pre-clearing.
+    fn unfold(&self, src: &[f64], sites: impl IntoIterator<Item = usize>, col: &mut [f64]) {
         let len = self.patch_len();
         col.fill(0.0);
-        self.for_each_run(0, self.sites.volume(), |row, q, at, run| {
+        self.for_each_run(sites.into_iter().enumerate(), |row, q, at, run| {
             let dst = &mut col[row * len + q..][..run];
             for (d, v) in dst.iter_mut().zip(&src[at..at + run]) {
                 *d = *v;
@@ -164,19 +229,51 @@ impl Window {
         });
     }
 
-    /// Fold the columns of sites `p0..` (`col` holds one `channels·k³` row
-    /// per site) back onto `dst` (`[channels, grid]`): scatter-add, padding
-    /// taps dropped. Each `dst` element takes at most one contribution per
-    /// site and sites are visited in ascending order, so folding block by
-    /// block adds in exactly the order one pass over all sites would.
-    fn fold_add(&self, p0: usize, col: &[f64], dst: &mut [f64]) {
+    /// Fold rows of `col` (one `channels·k³` row each) back onto `dst`
+    /// (`[channels, grid]`), site `p` taking row `row` for each `(row, p)` of
+    /// `sites`: scatter-add, padding taps dropped. Each `dst` element takes
+    /// at most one contribution per site, so folding sites in ascending
+    /// order, block by block, adds in exactly the order one pass over all
+    /// sites would.
+    fn fold_add(
+        &self,
+        sites: impl IntoIterator<Item = (usize, usize)>,
+        col: &[f64],
+        dst: &mut [f64],
+    ) {
         let len = self.patch_len();
-        self.for_each_run(p0, col.len() / len, |row, q, at, run| {
+        self.for_each_run(sites, |row, q, at, run| {
             let src = &col[row * len + q..][..run];
             for (d, v) in dst[at..at + run].iter_mut().zip(src) {
                 *d += *v;
             }
         });
+    }
+
+    /// `hit`, one flag per site, raised for every site whose window reaches
+    /// a grid voxel flagged in `occupied` (one flag per voxel).
+    fn mark_reached<'a>(&self, occupied: &[bool], hit: &'a mut Vec<bool>) -> &'a [bool] {
+        hit.clear();
+        hit.resize(self.sites.volume(), false);
+        let (g, out) = (self.grid, self.sites);
+        // The sites of one axis whose windows cover grid coordinate `x`:
+        // those with `x + pad - kernel < site·stride <= x + pad`.
+        let reach = |x: usize, extent: usize| {
+            let lo = (x + self.pad + 1)
+                .saturating_sub(self.kernel)
+                .div_ceil(self.stride);
+            let hi = ((x + self.pad) / self.stride + 1).min(extent);
+            lo.min(hi)..hi
+        };
+        for v in (0..occupied.len()).filter(|&v| occupied[v]) {
+            let cols = reach(v % g.w, out.w);
+            for sz in reach(v / (g.h * g.w), out.d) {
+                for sy in reach(v / g.w % g.h, out.h) {
+                    hit[(sz * out.h + sy) * out.w..][cols.clone()].fill(true);
+                }
+            }
+        }
+        hit
     }
 
     /// `dst += fold(aᵀ · w)`: the product both transposed lowerings share
@@ -185,21 +282,99 @@ impl Window {
     /// `[k × sites]`, `w` is `[k × channels·k³]`. Runs in blocks of sites
     /// sized to stay in L2: gather the block's columns of `a`, multiply,
     /// fold, move on.
-    fn fold_product(&self, k: usize, a: &[f64], w: &[f64], scratch: &mut Scratch, dst: &mut [f64]) {
-        let (len, sites) = (self.patch_len(), self.sites.volume());
-        // A multiple of every register-tile height, so only the last block
-        // of a call runs edge tiles.
-        let rows = (FOLD_BLOCK / len / 8 * 8).clamp(1, sites);
-        let col = grown(&mut scratch.block, rows * len);
-        let a_block = grown(&mut scratch.a_block, k * rows);
-        for p0 in (0..sites).step_by(rows) {
-            let r = (sites - p0).min(rows);
-            for (dst_row, src_row) in a_block.chunks_exact_mut(r).zip(a.chunks_exact(sites)) {
-                dst_row.copy_from_slice(&src_row[p0..p0 + r]);
+    ///
+    /// With `sparse`, a block gathers only sites whose column of `a` holds a
+    /// value, plus one all-zero column standing for every other site: its
+    /// row is what each of them would fold. Sites still fold in ascending
+    /// order; the stand-in row is skipped when it is all `+0.0` and no `dst`
+    /// element is `-0.0` (module docs), and folded for each of them
+    /// otherwise.
+    fn fold_product(
+        &self,
+        k: usize,
+        a: &[f64],
+        w: &[f64],
+        sparse: bool,
+        scratch: &mut Scratch,
+        dst: &mut [f64],
+    ) {
+        let (len, n) = (self.patch_len(), self.sites.volume());
+        let Scratch {
+            block,
+            a_block,
+            sites,
+            flags,
+            ..
+        } = scratch;
+        sites.clear();
+        if sparse {
+            let active = held(a, n, flags);
+            sites.extend((0..n).filter(|&p| active[p]));
+        } else {
+            sites.extend(0..n);
+        }
+        let ns = sites.len();
+        // One all-zero column where some site is left out.
+        let zero = usize::from(ns < n);
+        // Whether the stand-in row folds, decided on the first block: the
+        // row is the same in every block, and `dst` never turns `-0.0`
+        // while the row is skipped.
+        let mut stand_in_folds = None;
+        // Listed sites per block: a multiple of every register-tile height,
+        // so only the last block of a call runs edge tiles.
+        let per = (FOLD_BLOCK / len / 8 * 8).clamp(1, n);
+        let col = grown(block, (per + zero) * len);
+        let a_block = grown(a_block, k * (per + zero));
+        let blocks = ns.div_ceil(per).max(zero);
+        // The first site the fold has not reached.
+        let mut next = 0;
+        for b in 0..blocks {
+            let listed = &sites[(b * per).min(ns)..((b + 1) * per).min(ns)];
+            let r = listed.len() + zero;
+            let a_block = &mut a_block[..k * r];
+            for (dst_row, src_row) in a_block.chunks_exact_mut(r).zip(a.chunks_exact(n)) {
+                match listed {
+                    [p0, .., p1] if p1 - p0 + 1 == listed.len() => {
+                        dst_row[..listed.len()].copy_from_slice(&src_row[*p0..=*p1]);
+                    }
+                    _ => {
+                        for (d, &p) in dst_row.iter_mut().zip(listed) {
+                            *d = src_row[p];
+                        }
+                    }
+                }
+                dst_row[listed.len()..].fill(0.0);
             }
             let col = &mut col[..r * len];
-            kernels::gemm_transa(r, len, k, 1.0, &a_block[..k * r], w, 0.0, col);
-            self.fold_add(p0, col, dst);
+            kernels::gemm_transa(r, len, k, 1.0, a_block, w, 0.0, col);
+            // This block folds sites `next..end`: through its last listed
+            // site, or through the last site of all.
+            let end = if b + 1 == blocks {
+                n
+            } else {
+                listed[listed.len() - 1] + 1
+            };
+            let stand_in = listed.len();
+            let folds = zero == 1
+                && *stand_in_folds.get_or_insert_with(|| {
+                    col[stand_in * len..].iter().any(|v| v.to_bits() != 0)
+                        || dst.iter().any(|v| v.to_bits() == (-0.0f64).to_bits())
+                });
+            if !folds {
+                self.fold_add(listed.iter().copied().enumerate(), col, dst);
+            } else {
+                let mut at = 0;
+                let rows = (next..end).map(|p| {
+                    if listed.get(at) == Some(&p) {
+                        at += 1;
+                        (at - 1, p)
+                    } else {
+                        (stand_in, p)
+                    }
+                });
+                self.fold_add(rows, col, dst);
+            }
+            next = end;
         }
     }
 }
@@ -214,32 +389,49 @@ struct Scratch {
     block: Vec<f64>,
     /// The matching block of the transposed operand, gathered contiguous.
     a_block: Vec<f64>,
+    /// The sites a lowering lists, ascending.
+    sites: Vec<usize>,
+    /// The grid voxels holding a value on some channel (conv forward), or
+    /// the sites holding one (deconv forward).
+    flags: Vec<bool>,
+    /// The sites a value reaches (conv forward).
+    reached: Vec<bool>,
 }
 
-/// The conv forward's B operand, never materialised: column `j` of the
-/// `[cin·k³ × batch·sites]` patch matrix is the window at site `j % sites`
-/// of `rows[j / sites]`, unfolded straight into the packed panel.
+/// The conv forward's B operand, never materialised: with `ns =
+/// sites.len()`, column `j` of the `[cin·k³ × rows·ns]` patch matrix is the
+/// window at site `sites[j % ns]` of `rows[j / ns]`, unfolded straight into
+/// the packed panel.
 struct Patches<'a> {
     window: Window,
     rows: &'a [&'a [f64]],
+    /// The sites each row supplies, ascending.
+    sites: &'a [usize],
 }
 
 impl PanelSource for Patches<'_> {
     fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [f64]) {
         let win = &self.window;
         let (k, s, pad, g) = (win.kernel, win.stride, win.pad, win.grid);
-        let (k3, vol) = (k * k * k, win.sites.volume());
+        let (k3, ns) = (k * k * k, self.sites.len());
         dst[..kc * ld].fill(0.0);
         // Channels with a tap inside this k block.
         let (c0, c1) = (k0 / k3, (k0 + kc).div_ceil(k3));
         let mut l = 0;
         while l < nr {
-            // Lanes l..l+run are consecutive sites of one row of one item:
-            // they share their z/y taps, and for a fixed tap their grid
-            // columns are `stride` apart.
-            let (sz, sy, sx) = win.site((j0 + l) % vol);
-            let run = (win.sites.w - sx).min(nr - l);
-            let src = self.rows[(j0 + l) / vol];
+            // Lanes l..l+run are listed sites of one item that are
+            // consecutive along one x row: they share their z/y taps, and
+            // for a fixed tap their grid columns are `stride` apart.
+            let i = (j0 + l) % ns;
+            let p = self.sites[i];
+            let (sz, sy, sx) = win.site(p);
+            let span = (win.sites.w - sx).min(nr - l).min(ns - i);
+            let run = self.sites[i..i + span]
+                .iter()
+                .zip(p..)
+                .take_while(|&(&q, want)| q == want)
+                .count();
+            let src = self.rows[(j0 + l) / ns];
             let (d0, d1) = win.taps(sz, g.d);
             let (h0, h1) = win.taps(sy, g.h);
             for kw in 0..k {
@@ -395,31 +587,53 @@ impl Conv3d {
 
     /// Forward of one input row into `orow` (fully overwritten):
     /// `out[co, p] = bias[co] + Σ_q W[co, q] · patch[p, q]`,
-    /// the transposed-B GEMM with the bias as accumulator seed (beta = 1).
-    /// The patches are unfolded inside the panel packer; only where the
-    /// kernels decline the panel path (SIMD off, or a small layer whose
-    /// `cin·k³` exceeds one `k` block) do they unfold into scratch first.
+    /// the transposed-B GEMM with the bias as accumulator seed (beta = 1),
+    /// over the sites a value reaches plus the first one none reaches, whose
+    /// column every unreached site then copies (module docs). The patches
+    /// are unfolded inside the panel packer; only where the kernels decline
+    /// the panel path (SIMD off, or a small layer whose `cin·k³` exceeds one
+    /// `k` block) do the listed ones unfold into scratch first, for the
+    /// scalar row-dot the dense layer runs there too.
     fn forward_row(&mut self, xrow: &[f64], orow: &mut [f64]) {
         let win = self.window();
-        let (vol, ckk) = (win.sites.volume(), win.patch_len());
-        for (o, &b) in orow.chunks_exact_mut(vol).zip(&self.bias) {
+        let (vol, ckk, cout) = (win.sites.volume(), win.patch_len(), self.cout);
+        let Scratch {
+            col,
+            sites,
+            flags,
+            reached,
+            ..
+        } = &mut self.scratch;
+        let hit = win.mark_reached(held(xrow, win.grid.volume(), flags), reached);
+        let stand_in = hit.iter().position(|&h| !h);
+        sites.clear();
+        sites.extend((0..vol).filter(|&p| hit[p] || Some(p) == stand_in));
+        let n = sites.len();
+        // The listed sites' product, packed `[cout × n]` at the front of `orow`.
+        let c = &mut orow[..cout * n];
+        for (o, &b) in c.chunks_exact_mut(n).zip(&self.bias) {
             o.fill(b);
         }
         let patches = Patches {
             window: win,
             rows: &[xrow],
+            sites,
         };
         let w = &self.weights;
-        if !kernels::gemm_panel_source(1, self.cout, vol, ckk, 1.0, w, &patches, 1.0, orow) {
-            let col = grown(&mut self.scratch.col, vol * ckk);
-            win.unfold(xrow, col);
-            kernels::gemm_transb(self.cout, vol, ckk, 1.0, w, col, 1.0, orow);
+        if !kernels::gemm_panel_source(cout, n, ckk, vol, 1.0, w, &patches, 1.0, c) {
+            let col = grown(col, n * ckk);
+            win.unfold(xrow, sites.iter().copied(), col);
+            kernels::gemm_transb(cout, n, ckk, 1.0, w, col, 1.0, c);
+        }
+        if let Some(stand_in) = stand_in.filter(|_| n < vol) {
+            spread(orow, vol, sites, sites.partition_point(|&p| p < stand_in));
         }
     }
 
-    /// Reference gather-formulation forward pass (sparse-friendly: all-zero
-    /// input voxels are skipped entirely). Kept for equivalence tests; the
-    /// production [`Layer::forward`] lowers to im2col + GEMM instead.
+    /// Gather-formulation forward pass: scatters each input voxel holding a
+    /// nonzero value into the outputs it reaches. It adds in another order
+    /// than the production [`Layer::forward`], so the two agree to rounding
+    /// only; the tests keep it as an independent formulation.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         let batch = input.shape()[0];
         let in_feat = self.cin * self.in_dims.volume();
@@ -542,11 +756,16 @@ impl Conv3d {
         let nn = batch * vol;
         let mut wide = false;
         if batch >= 2 {
+            let (win, ckk) = (self.window(), self.patch_len());
+            let sites = &mut self.scratch.sites;
+            sites.clear();
+            sites.extend(0..vol);
             let patches = Patches {
-                window: self.window(),
+                window: win,
                 rows,
+                sites,
             };
-            let (ckk, w) = (self.patch_len(), &self.weights);
+            let w = &self.weights;
             // The gathered panel starts as the bias, replicated along the
             // stacked column axis — the same accumulator seed the per-row
             // path loads, laid down as cout contiguous fills.
@@ -554,8 +773,7 @@ impl Conv3d {
             for (o, &b) in big.chunks_exact_mut(nn).zip(&self.bias) {
                 o.fill(b);
             }
-            wide =
-                kernels::gemm_panel_source(batch, self.cout, vol, ckk, 1.0, w, &patches, 1.0, big);
+            wide = kernels::gemm_panel_source(self.cout, nn, ckk, vol, 1.0, w, &patches, 1.0, big);
             if wide {
                 for (t, orow) in outs.iter_mut().enumerate() {
                     for (o, src) in orow.chunks_exact_mut(vol).zip(big.chunks_exact(nn)) {
@@ -603,12 +821,12 @@ impl Layer for Conv3d {
                 *gb += g.iter().sum::<f64>();
             }
             let col = grown(&mut self.scratch.col, vol * ckk);
-            win.unfold(input.row(b), col);
+            win.unfold(input.row(b), 0..vol, col);
             // grad_w += g [cout, P] · col [P, cin*k³]  (beta = 1 accumulates)
             kernels::gemm(self.cout, ckk, vol, 1.0, grow, col, 1.0, &mut self.grad_w);
             // grad_in += fold(gᵀ W), W as [cout, cin*k³]
-            let w = &self.weights;
-            win.fold_product(self.cout, grow, w, &mut self.scratch, grad_in.row_mut(b));
+            let (w, scratch) = (&self.weights, &mut self.scratch);
+            win.fold_product(self.cout, grow, w, false, scratch, grad_in.row_mut(b));
         }
         grad_in
     }
@@ -792,9 +1010,10 @@ impl Deconv3d {
         })
     }
 
-    /// Reference scatter-formulation forward pass (skips all-zero input
-    /// voxels). Kept for equivalence tests and benchmarking; the production
-    /// [`Layer::forward`] lowers to GEMM + column scatter instead.
+    /// Scatter-formulation forward pass: each input voxel holding a nonzero
+    /// value adds its weighted kernel onto the outputs. It adds in another
+    /// order than the production [`Layer::forward`], so the two agree to
+    /// rounding only; the tests keep it as an independent formulation.
     pub fn forward_reference(&self, input: &Tensor) -> Tensor {
         let batch = input.shape()[0];
         assert_eq!(
@@ -878,9 +1097,10 @@ impl Layer for Deconv3d {
             }
             // out += fold(col), col[p, j] = Σ_ci x[ci, p] · W[ci, j] — the
             // input row is [cin, Pin] row-major and weights are
-            // [cin, cout*k³], so this is the transposed-A GEMM.
+            // [cin, cout*k³], so this is the transposed-A GEMM, over the
+            // input sites holding a value.
             let (x, w) = (input.row(b), &self.weights);
-            win.fold_product(self.cin, x, w, &mut self.scratch, orow);
+            win.fold_product(self.cin, x, w, true, &mut self.scratch, orow);
         }
         self.cached_input = Some(input.clone());
         out
@@ -903,7 +1123,7 @@ impl Layer for Deconv3d {
             for (gb, g) in self.grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
                 *gb += g.iter().sum::<f64>();
             }
-            win.unfold(grow, gcol);
+            win.unfold(grow, 0..pin, gcol);
             // grad_w += x [cin, Pin] · gcol [Pin, cout*k³]  (beta = 1 accumulates)
             kernels::gemm(self.cin, cokk, pin, 1.0, xrow, gcol, 1.0, &mut self.grad_w);
             // grad_in[ci, p] = Σ_j W[ci, j] · gcol[p, j] — transposed-B GEMM.
@@ -1164,126 +1384,24 @@ mod tests {
 
     use sensact_math::rng::StdRng;
 
-    /// The pre-change lowering, kept as the oracle the fused and blocked
-    /// paths must match bit for bit: per-element bounds tests, the whole
-    /// column matrix in memory, one unblocked `k`-outer transposed product.
-    mod oracle {
-        use super::super::*;
+    /// The dense oracle's view of a conv layer.
+    fn conv_win(c: &Conv3d) -> oracle::Win {
+        let d = c.in_dims;
+        oracle::Win::conv(c.cin, c.kernel, c.stride, c.pad, [d.d, d.h, d.w])
+    }
 
-        pub fn unfold(w: &Window, src: &[f64], col: &mut [f64]) {
-            visit(w, |p, q, at| {
-                col[p * w.patch_len() + q] = at.map_or(0.0, |i| src[i])
-            });
-        }
+    /// The dense oracle's view of a deconv layer.
+    fn deconv_win(dc: &Deconv3d) -> oracle::Win {
+        let d = dc.in_dims;
+        oracle::Win::deconv(dc.cout, dc.kernel, dc.stride, dc.pad, [d.d, d.h, d.w])
+    }
 
-        pub fn fold_add(w: &Window, col: &[f64], dst: &mut [f64]) {
-            visit(w, |p, q, at| {
-                if let Some(i) = at {
-                    dst[i] += col[p * w.patch_len() + q];
-                }
-            });
-        }
+    fn oracle_conv(c: &Conv3d, x: &[f64], out: &mut [f64]) {
+        oracle::conv_forward(&conv_win(c), &c.weights, &c.bias, x, out);
+    }
 
-        /// Every `(site, tap)` pair in column order with the grid index
-        /// the tap lands on (`None` in the padding margin).
-        fn visit(w: &Window, mut f: impl FnMut(usize, usize, Option<usize>)) {
-            let (k, s, pad, g) = (w.kernel, w.stride, w.pad, w.grid);
-            let mut p = 0;
-            for sz in 0..w.sites.d {
-                for sy in 0..w.sites.h {
-                    for sx in 0..w.sites.w {
-                        let mut q = 0;
-                        for c in 0..w.channels {
-                            for kd in 0..k {
-                                for kh in 0..k {
-                                    for kw in 0..k {
-                                        let (z, y, x) = (sz * s + kd, sy * s + kh, sx * s + kw);
-                                        let inside = z >= pad
-                                            && y >= pad
-                                            && x >= pad
-                                            && z - pad < g.d
-                                            && y - pad < g.h
-                                            && x - pad < g.w;
-                                        let at = inside.then(|| {
-                                            ((c * g.d + z - pad) * g.h + y - pad) * g.w + x - pad
-                                        });
-                                        f(p, q, at);
-                                        q += 1;
-                                    }
-                                }
-                            }
-                        }
-                        p += 1;
-                    }
-                }
-            }
-        }
-
-        /// `C = Aᵀ·B` with `a` `[k × m]`: the `k`-outer loop `gemm_transa`
-        /// was before it was register-tiled.
-        pub fn transa(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-            c.fill(0.0);
-            for kk in 0..k {
-                for i in 0..m {
-                    let scaled = 1.0 * a[kk * m + i];
-                    for j in 0..n {
-                        c[i * n + j] += scaled * b[kk * n + j];
-                    }
-                }
-            }
-        }
-
-        pub fn conv_forward(c: &Conv3d, x: &[f64], out: &mut [f64]) {
-            let win = c.window();
-            let (vol, ckk) = (win.sites.volume(), win.patch_len());
-            let mut col = vec![f64::NAN; vol * ckk];
-            unfold(&win, x, &mut col);
-            for (o, &b) in out.chunks_exact_mut(vol).zip(&c.bias) {
-                o.fill(b);
-            }
-            kernels::gemm_transb(c.cout, vol, ckk, 1.0, &c.weights, &col, 1.0, out);
-        }
-
-        /// `(grad_in, grad_w, grad_b)` of one row, gradients from zero.
-        pub fn conv_backward(c: &Conv3d, x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
-            let win = c.window();
-            let (vol, ckk) = (win.sites.volume(), win.patch_len());
-            let grad_b = g.chunks_exact(vol).map(|r| 0.0 + r.iter().sum::<f64>());
-            let mut col = vec![f64::NAN; vol * ckk];
-            unfold(&win, x, &mut col);
-            let mut grad_w = vec![0.0; c.weights.len()];
-            kernels::gemm(c.cout, ckk, vol, 1.0, g, &col, 1.0, &mut grad_w);
-            let mut gcol = vec![f64::NAN; vol * ckk];
-            transa(vol, ckk, c.cout, g, &c.weights, &mut gcol);
-            let mut grad_in = vec![0.0; x.len()];
-            fold_add(&win, &gcol, &mut grad_in);
-            [grad_in, grad_w, grad_b.collect()]
-        }
-
-        pub fn deconv_forward(d: &Deconv3d, x: &[f64], out: &mut [f64]) {
-            let win = d.window();
-            let (pin, cokk) = (win.sites.volume(), win.patch_len());
-            let mut col = vec![f64::NAN; pin * cokk];
-            transa(pin, cokk, d.cin, x, &d.weights, &mut col);
-            for (o, &b) in out.chunks_exact_mut(d.out_dims.volume()).zip(&d.bias) {
-                o.fill(b);
-            }
-            fold_add(&win, &col, out);
-        }
-
-        pub fn deconv_backward(d: &Deconv3d, x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
-            let win = d.window();
-            let (pin, cokk) = (win.sites.volume(), win.patch_len());
-            let vol = d.out_dims.volume();
-            let grad_b = g.chunks_exact(vol).map(|r| 0.0 + r.iter().sum::<f64>());
-            let mut gcol = vec![f64::NAN; pin * cokk];
-            unfold(&win, g, &mut gcol);
-            let mut grad_w = vec![0.0; d.weights.len()];
-            kernels::gemm(d.cin, cokk, pin, 1.0, x, &gcol, 1.0, &mut grad_w);
-            let mut grad_in = vec![f64::NAN; x.len()];
-            kernels::gemm_transb(d.cin, pin, cokk, 1.0, &d.weights, &gcol, 0.0, &mut grad_in);
-            [grad_in, grad_w, grad_b.collect()]
-        }
+    fn oracle_deconv(dc: &Deconv3d, x: &[f64], out: &mut [f64]) {
+        oracle::deconv_forward(&deconv_win(dc), &dc.weights, &dc.bias, x, out);
     }
 
     /// Bit equality, with every NaN equal to every other: a NaN must come
@@ -1340,6 +1458,88 @@ mod tests {
         [1, 4, 3, 2, 1, 8, 8, 8],
     ];
 
+    /// Every batch entry of the conv forward — the layer's `forward` and
+    /// `forward_batch_into` — against the oracle, row by row.
+    fn check_conv(c: &mut Conv3d, x: &Tensor, what: &str) {
+        let (batch, feat) = (x.shape()[0], c.out_features());
+        let mut want = vec![f64::NAN; batch * feat];
+        for (row, out) in want.chunks_exact_mut(feat).enumerate() {
+            oracle_conv(c, x.row(row), out);
+        }
+        let got = c.forward(x, true);
+        assert_same_bits(got.as_slice(), &want, &format!("{what} forward b{batch}"));
+
+        let rows: Vec<&[f64]> = (0..batch).map(|b| x.row(b)).collect();
+        let mut per_item = vec![vec![f64::NAN; feat]; batch];
+        let mut views: Vec<&mut [f64]> = per_item.iter_mut().map(Vec::as_mut_slice).collect();
+        c.forward_batch_into(&rows, &mut views);
+        assert_same_bits(
+            &per_item.concat(),
+            &want,
+            &format!("{what} forward_batch_into b{batch}"),
+        );
+    }
+
+    fn check_deconv(dc: &mut Deconv3d, x: &Tensor, what: &str) {
+        let batch = x.shape()[0];
+        let feat = dc.cout * dc.out_dims().volume();
+        let mut want = vec![f64::NAN; batch * feat];
+        for (row, out) in want.chunks_exact_mut(feat).enumerate() {
+            oracle_deconv(dc, x.row(row), out);
+        }
+        let got = dc.forward(x, true);
+        assert_same_bits(got.as_slice(), &want, &format!("{what} forward b{batch}"));
+    }
+
+    /// A bias that is `-0.0` or NaN now and then: a `-0.0` seed must keep
+    /// the deconv from skipping the all-zero column's row.
+    fn hostile_bias(rng: &mut StdRng, bias: &mut [f64]) {
+        for b in bias {
+            *b = match rng.random_range(0..8) {
+                0 | 1 => -0.0,
+                2 => f64::NAN,
+                3 => 0.0,
+                _ => rng.random_range(-0.5..0.5),
+            };
+        }
+    }
+
+    /// A value for one voxel: mostly finite, sometimes `-0.0`, NaN or
+    /// `±inf` — each of which a site-sparse lowering must treat as a value.
+    fn hostile_value(rng: &mut StdRng) -> f64 {
+        match rng.random_range(0..8) {
+            0 => -0.0,
+            1 => f64::NAN,
+            2 => f64::INFINITY,
+            3 => f64::NEG_INFINITY,
+            _ => rng.random_range(-1.0..1.0),
+        }
+    }
+
+    /// `batch` rows of `channels × vol` that are `+0.0` but for one value on
+    /// a random channel at `active` random voxels (`vol` of them: every
+    /// voxel holds one).
+    fn mostly_zero(
+        rng: &mut StdRng,
+        batch: usize,
+        channels: usize,
+        vol: usize,
+        active: usize,
+    ) -> Tensor {
+        let mut x = Tensor::zeros(vec![batch, channels * vol]);
+        for row in 0..batch {
+            for i in 0..active {
+                let v = if active == vol {
+                    i
+                } else {
+                    rng.random_range(0..vol)
+                };
+                x.row_mut(row)[rng.random_range(0..channels) * vol + v] = hostile_value(rng);
+            }
+        }
+        x
+    }
+
     #[test]
     fn prop_conv_lowering_is_bit_identical_to_the_materialised_oracle() {
         let mut rng = StdRng::seed_from_u64(0xF05ED);
@@ -1354,23 +1554,7 @@ mod tests {
             let feat = c.out_features();
             for &batch in &[1usize, 2, 7, 32, 33] {
                 let x = hostile_input(&mut rng, batch, c.in_features());
-                let mut want = vec![f64::NAN; batch * feat];
-                for (row, out) in want.chunks_exact_mut(feat).enumerate() {
-                    oracle::conv_forward(&c, x.row(row), out);
-                }
-                let got = c.forward(&x, true);
-                assert_same_bits(got.as_slice(), &want, &format!("{case} forward b{batch}"));
-
-                let rows: Vec<&[f64]> = (0..batch).map(|b| x.row(b)).collect();
-                let mut per_item = vec![vec![f64::NAN; feat]; batch];
-                let mut views: Vec<&mut [f64]> =
-                    per_item.iter_mut().map(Vec::as_mut_slice).collect();
-                c.forward_batch_into(&rows, &mut views);
-                assert_same_bits(
-                    &per_item.concat(),
-                    &want,
-                    &format!("{case} forward_batch_into b{batch}"),
-                );
+                check_conv(&mut c, &x, &case);
             }
             // Backward, one row (the oracle starts its gradients from zero).
             let x = hostile_input(&mut rng, 1, c.in_features());
@@ -1378,11 +1562,22 @@ mod tests {
             c.zero_grad();
             let _ = c.forward(&x, true);
             let grad_in = c.backward(&g);
-            let [want_in, want_w, want_b] = oracle::conv_backward(&c, x.row(0), g.row(0));
+            let [want_in, want_w, want_b] =
+                oracle::conv_backward(&conv_win(&c), &c.weights, x.row(0), g.row(0));
             assert_same_bits(grad_in.as_slice(), &want_in, &format!("{case} grad_in"));
             let got = grads(&mut c);
             assert_same_bits(&got[0], &want_w, &format!("{case} grad_w"));
             assert_same_bits(&got[1], &want_b, &format!("{case} grad_b"));
+            // Mostly-`+0.0` rows: no value, one, a few, and one at every
+            // voxel, under biases with `-0.0` and NaN among them.
+            let vol = dims.volume();
+            for active in [0, 1, 3, vol] {
+                hostile_bias(&mut rng, &mut c.bias);
+                for &batch in &[1usize, 2] {
+                    let x = mostly_zero(&mut rng, batch, cin, vol, active);
+                    check_conv(&mut c, &x, &format!("{case} {active} active"));
+                }
+            }
         }
     }
 
@@ -1403,23 +1598,158 @@ mod tests {
             let (in_feat, feat) = (cin * dims.volume(), cout * dc.out_dims().volume());
             for &batch in &[1usize, 2, 33] {
                 let x = hostile_input(&mut rng, batch, in_feat);
-                let mut want = vec![f64::NAN; batch * feat];
-                for (row, out) in want.chunks_exact_mut(feat).enumerate() {
-                    oracle::deconv_forward(&dc, x.row(row), out);
-                }
-                let got = dc.forward(&x, true);
-                assert_same_bits(got.as_slice(), &want, &format!("{case} forward b{batch}"));
+                check_deconv(&mut dc, &x, &case);
             }
             let x = hostile_input(&mut rng, 1, in_feat);
             let g = hostile_input(&mut rng, 1, feat);
             dc.zero_grad();
             let _ = dc.forward(&x, true);
             let grad_in = dc.backward(&g);
-            let [want_in, want_w, want_b] = oracle::deconv_backward(&dc, x.row(0), g.row(0));
+            let [want_in, want_w, want_b] =
+                oracle::deconv_backward(&deconv_win(&dc), &dc.weights, x.row(0), g.row(0));
             assert_same_bits(grad_in.as_slice(), &want_in, &format!("{case} grad_in"));
             let got = grads(&mut dc);
             assert_same_bits(&got[0], &want_w, &format!("{case} grad_w"));
             assert_same_bits(&got[1], &want_b, &format!("{case} grad_b"));
+            // Mostly-`+0.0` rows under hostile biases, then once more with
+            // an infinite weight: the all-zero column's row turns NaN
+            // (`0 · inf`) and must fold at every site without a value.
+            let vol = dims.volume();
+            for inf_weight in [false, true] {
+                if inf_weight {
+                    let at = rng.random_range(0..dc.weights.len());
+                    dc.weights[at] = f64::INFINITY;
+                }
+                for active in [0, 1, 3, vol] {
+                    hostile_bias(&mut rng, &mut dc.bias);
+                    for &batch in &[1usize, 2] {
+                        let x = mostly_zero(&mut rng, batch, cin, vol, active);
+                        let what = format!("{case} {active} active inf weight {inf_weight}");
+                        check_deconv(&mut dc, &x, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A lone value in each of the 27 boundary classes of the input (first,
+    /// inner or last along each axis), through both layers of every
+    /// lowering case: the sites it reaches are the only listed ones, and
+    /// everything else is the stand-in's copy or the skipped zero row.
+    #[test]
+    fn a_lone_value_in_every_boundary_class_matches_the_oracle() {
+        let mut rng = StdRng::seed_from_u64(0x1_0E5);
+        for &[cin, cout, kernel, stride, pad, d, h, w] in LOWERING_CASES {
+            let dims = Dims3::new(d, h, w);
+            let mut init = Initializer::new(rng.next_u64());
+            let mut c = Conv3d::new(cin, cout, kernel, stride, pad, dims, &mut init);
+            let mut dc = (deconv_out(d, kernel, stride, pad).is_some_and(|o| o > 0))
+                .then(|| Deconv3d::new(cin, cout, kernel, stride, pad, dims, &mut init));
+            let case = format!("{cin}->{cout} k{kernel} s{stride} p{pad} {d}x{h}x{w}");
+            let axis = |e: usize| [0, e / 2, e - 1];
+            for z in axis(d) {
+                for y in axis(h) {
+                    for x in axis(w) {
+                        let mut t = Tensor::zeros(vec![1, cin * dims.volume()]);
+                        let at = (z * h + y) * w + x;
+                        t[rng.random_range(0..cin) * dims.volume() + at] = hostile_value(&mut rng);
+                        let what = format!("{case} lone value at ({z}, {y}, {x})");
+                        hostile_bias(&mut rng, &mut c.bias);
+                        check_conv(&mut c, &t, &format!("conv {what}"));
+                        if let Some(dc) = dc.as_mut() {
+                            hostile_bias(&mut rng, &mut dc.bias);
+                            check_deconv(dc, &t, &format!("deconv {what}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The rounding tier follows the dense shape, not the listed width: a
+    /// conv on the FMA tier (`8 · 192 · 27` multiply-adds) whose one
+    /// `2 × 2 × 2` cluster of values lists at most 28 sites (`8 · 28 · 27`,
+    /// under `2¹⁴`) must keep the FMA tier's bits.
+    #[test]
+    fn the_tier_is_pinned_on_the_dense_shape() {
+        let mut rng = StdRng::seed_from_u64(0x71E2);
+        let dims = Dims3::new(8, 12, 16);
+        let mut c = Conv3d::new(1, 8, 3, 2, 1, dims, &mut Initializer::new(3));
+        assert!(8 * c.out_dims().volume() * 27 >= 1 << 14);
+        for round in 0..8 {
+            for b in c.bias.iter_mut() {
+                *b = rng.random_range(-0.5..0.5);
+            }
+            let mut x = Tensor::zeros(vec![1, dims.volume()]);
+            let z0 = rng.random_range(0..7usize);
+            let (y0, x0) = (rng.random_range(0..11usize), rng.random_range(0..15usize));
+            for (dz, dy, dx) in (0..8usize).map(|i| (i / 4, i / 2 % 2, i % 2)) {
+                x[((z0 + dz) * 12 + y0 + dy) * 16 + x0 + dx] = rng.random_range(-1.0..1.0);
+            }
+            check_conv(&mut c, &x, &format!("tier pin round {round}"));
+            let listed = c.scratch.sites.len();
+            assert!(8 * listed * 27 < 1 << 14, "{listed} sites listed");
+        }
+    }
+
+    /// A `-0.0` voxel is a value: on the FMA tier (`8 · 2048 · 1`
+    /// multiply-adds) a `-0.0` bias plus `w · (-0.0)` with `w > 0` is `-0.0`,
+    /// where the all-`+0.0` stand-in gives `+0.0`.
+    #[test]
+    fn a_negative_zero_voxel_is_a_value() {
+        let dims = Dims3::new(4, 16, 32);
+        let mut c = Conv3d::new(1, 8, 1, 1, 0, dims, &mut Initializer::new(5));
+        c.weights.iter_mut().for_each(|w| *w = w.abs() + 0.125);
+        c.bias.fill(-0.0);
+        let mut x = Tensor::zeros(vec![1, dims.volume()]);
+        x[1234] = -0.0;
+        check_conv(&mut c, &x, "a -0.0 voxel under -0.0 biases");
+    }
+
+    /// Stale NaNs in the caller's output row and in every scratch buffer
+    /// (flags set, garbage site lists) must not reach the result: each
+    /// forward fully overwrites what it reads back.
+    #[test]
+    fn the_sparse_forward_overwrites_stale_output_and_scratch() {
+        let mut rng = StdRng::seed_from_u64(0x57A1E);
+        let stale = || Scratch {
+            col: vec![f64::NAN; 1 << 16],
+            block: vec![f64::NAN; 1 << 16],
+            a_block: vec![f64::NAN; 1 << 12],
+            sites: vec![usize::MAX / 2; 4096],
+            flags: vec![true; 4096],
+            reached: vec![true; 4096],
+        };
+        for &[cin, cout, kernel, stride, pad, d, h, w] in LOWERING_CASES {
+            let dims = Dims3::new(d, h, w);
+            let mut init = Initializer::new(rng.next_u64());
+            let mut c = Conv3d::new(cin, cout, kernel, stride, pad, dims, &mut init);
+            let case = format!("{cin}->{cout} k{kernel} s{stride} p{pad} {d}x{h}x{w}");
+            for active in [0, 1, 3] {
+                let x = mostly_zero(&mut rng, 1, cin, dims.volume(), active);
+                let mut want = vec![f64::NAN; c.out_features()];
+                oracle_conv(&c, x.row(0), &mut want);
+                c.scratch = stale();
+                let mut orow = vec![f64::NAN; c.out_features()];
+                c.forward_row(x.row(0), &mut orow);
+                assert_same_bits(&orow, &want, &format!("conv {case} {active} active"));
+                c.scratch = stale();
+                c.batch_panel = vec![f64::NAN; 1 << 14];
+                check_conv(
+                    &mut c,
+                    &Tensor::from_vec(vec![2, x.len()], [x.as_slice(); 2].concat()),
+                    &case,
+                );
+            }
+            if deconv_out(d, kernel, stride, pad).is_none_or(|o| o == 0) {
+                continue;
+            }
+            let mut dc = Deconv3d::new(cin, cout, kernel, stride, pad, dims, &mut init);
+            for active in [0, 1, 3] {
+                let x = mostly_zero(&mut rng, 1, cin, dims.volume(), active);
+                dc.scratch = stale();
+                check_deconv(&mut dc, &x, &format!("deconv {case} {active} active"));
+            }
         }
     }
 

@@ -1,0 +1,177 @@
+//! The materialised dense lowering of the conv layers: every site of every
+//! window, per-element bounds tests, the whole column matrix in memory, one
+//! unblocked `k`-outer transposed product. The production lowerings (site
+//! sparse, fused into the panel packer, blocked) must match it bit for bit.
+//!
+//! Test-only and self-contained (plain geometry, weights as slices), so the
+//! `sensact-nn` conv tests and the `sensact-rmae` model tests include this
+//! one file: it is the only dense copy of the lowering.
+
+use sensact_math::kernels;
+
+/// Sliding-window geometry: one `kernel³` window per site, sliding with
+/// `stride` over a `grid` zero-padded by `pad`; extents are `[d, h, w]`.
+/// A conv's sites are its output voxels and its grid the input; a deconv is
+/// the mirror image. Columns are laid out `[channel, kd, kh, kw]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Win {
+    pub channels: usize,
+    pub kernel: usize,
+    pub stride: usize,
+    pub pad: usize,
+    pub grid: [usize; 3],
+    pub sites: [usize; 3],
+}
+
+fn volume(e: [usize; 3]) -> usize {
+    e[0] * e[1] * e[2]
+}
+
+impl Win {
+    /// A conv with `cin` input channels over `input`.
+    pub fn conv(cin: usize, kernel: usize, stride: usize, pad: usize, input: [usize; 3]) -> Win {
+        let out = input.map(|e| (e + 2 * pad - kernel) / stride + 1);
+        Win {
+            channels: cin,
+            kernel,
+            stride,
+            pad,
+            grid: input,
+            sites: out,
+        }
+    }
+
+    /// A deconv with `cout` output channels over `input`.
+    pub fn deconv(cout: usize, kernel: usize, stride: usize, pad: usize, input: [usize; 3]) -> Win {
+        let out = input.map(|e| (e - 1) * stride + kernel - 2 * pad);
+        Win {
+            channels: cout,
+            kernel,
+            stride,
+            pad,
+            grid: out,
+            sites: input,
+        }
+    }
+
+    fn patch_len(&self) -> usize {
+        self.channels * self.kernel.pow(3)
+    }
+
+    /// Every `(site, tap)` pair in column order with the grid index the
+    /// tap lands on (`None` in the padding margin).
+    fn visit(&self, mut f: impl FnMut(usize, usize, Option<usize>)) {
+        let (k, s, pad, [gd, gh, gw]) = (self.kernel, self.stride, self.pad, self.grid);
+        let mut p = 0;
+        for sz in 0..self.sites[0] {
+            for sy in 0..self.sites[1] {
+                for sx in 0..self.sites[2] {
+                    let mut q = 0;
+                    for c in 0..self.channels {
+                        for kd in 0..k {
+                            for kh in 0..k {
+                                for kw in 0..k {
+                                    let (z, y, x) = (sz * s + kd, sy * s + kh, sx * s + kw);
+                                    let inside = z >= pad
+                                        && y >= pad
+                                        && x >= pad
+                                        && z - pad < gd
+                                        && y - pad < gh
+                                        && x - pad < gw;
+                                    let at = inside.then(|| {
+                                        ((c * gd + z - pad) * gh + y - pad) * gw + x - pad
+                                    });
+                                    f(p, q, at);
+                                    q += 1;
+                                }
+                            }
+                        }
+                    }
+                    p += 1;
+                }
+            }
+        }
+    }
+
+    fn unfold(&self, src: &[f64], col: &mut [f64]) {
+        let len = self.patch_len();
+        self.visit(|p, q, at| col[p * len + q] = at.map_or(0.0, |i| src[i]));
+    }
+
+    fn fold_add(&self, col: &[f64], dst: &mut [f64]) {
+        let len = self.patch_len();
+        self.visit(|p, q, at| {
+            if let Some(i) = at {
+                dst[i] += col[p * len + q];
+            }
+        });
+    }
+}
+
+/// `C = Aᵀ·B` with `a` `[k × m]`: the `k`-outer loop `gemm_transa` was
+/// before it was register-tiled.
+fn transa(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    c.fill(0.0);
+    for kk in 0..k {
+        for i in 0..m {
+            let scaled = 1.0 * a[kk * m + i];
+            for j in 0..n {
+                c[i * n + j] += scaled * b[kk * n + j];
+            }
+        }
+    }
+}
+
+/// One conv row: `out` (`[cout, sites]`, fully overwritten) from `x`
+/// (`[cin, grid]`); `cout = bias.len()`.
+pub fn conv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
+    let (vol, ckk) = (volume(win.sites), win.patch_len());
+    let mut col = vec![f64::NAN; vol * ckk];
+    win.unfold(x, &mut col);
+    for (o, &b) in out.chunks_exact_mut(vol).zip(bias) {
+        o.fill(b);
+    }
+    kernels::gemm_transb(bias.len(), vol, ckk, 1.0, weights, &col, 1.0, out);
+}
+
+/// `(grad_in, grad_w, grad_b)` of one conv row, gradients from zero.
+pub fn conv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
+    let (vol, ckk) = (volume(win.sites), win.patch_len());
+    let cout = g.len() / vol;
+    let grad_b = g.chunks_exact(vol).map(|r| 0.0 + r.iter().sum::<f64>());
+    let mut col = vec![f64::NAN; vol * ckk];
+    win.unfold(x, &mut col);
+    let mut grad_w = vec![0.0; weights.len()];
+    kernels::gemm(cout, ckk, vol, 1.0, g, &col, 1.0, &mut grad_w);
+    let mut gcol = vec![f64::NAN; vol * ckk];
+    transa(vol, ckk, cout, g, weights, &mut gcol);
+    let mut grad_in = vec![0.0; x.len()];
+    win.fold_add(&gcol, &mut grad_in);
+    [grad_in, grad_w, grad_b.collect()]
+}
+
+/// One deconv row: `out` (`[cout, grid]`, fully overwritten) from `x`
+/// (`[cin, sites]`).
+pub fn deconv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
+    let (pin, cokk) = (volume(win.sites), win.patch_len());
+    let mut col = vec![f64::NAN; pin * cokk];
+    transa(pin, cokk, x.len() / pin, x, weights, &mut col);
+    for (o, &b) in out.chunks_exact_mut(volume(win.grid)).zip(bias) {
+        o.fill(b);
+    }
+    win.fold_add(&col, out);
+}
+
+/// `(grad_in, grad_w, grad_b)` of one deconv row, gradients from zero.
+pub fn deconv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
+    let (pin, cokk) = (volume(win.sites), win.patch_len());
+    let (vol, cin) = (volume(win.grid), x.len() / pin);
+    let grad_b = g.chunks_exact(vol).map(|r| 0.0 + r.iter().sum::<f64>());
+    let mut gcol = vec![f64::NAN; pin * cokk];
+    win.unfold(g, &mut gcol);
+    let mut grad_w = vec![0.0; weights.len()];
+    kernels::gemm(cin, cokk, pin, 1.0, x, &gcol, 1.0, &mut grad_w);
+    let mut grad_in = vec![f64::NAN; x.len()];
+    kernels::gemm_transb(cin, pin, cokk, 1.0, weights, &gcol, 0.0, &mut grad_in);
+    [grad_in, grad_w, grad_b.collect()]
+}

@@ -123,18 +123,21 @@ pub fn ap_at_center_distance(
     average_precision(&dets, ground_truth.len())
 }
 
-/// Run the full pipeline for one (strategy, detector) cell of Table I.
+/// Run the full pipeline for one strategy of Table I: one row per detector,
+/// in the order given.
 ///
 /// Pre-trains on `train_scenes` (skipped for [`Strategy::None`]), then
-/// evaluates AP over `eval_scenes` with radially masked scans.
+/// evaluates AP over `eval_scenes` with radially masked scans. Each scene is
+/// reconstructed once and every detector scores that one grid, so a row is
+/// what the detector would score alone.
 pub fn evaluate_cell(
     strategy: Strategy,
-    detector: &Detector,
+    detectors: &[&Detector],
     train_scenes: &[Scene],
     eval_scenes: &[Scene],
     config: &PipelineConfig,
     seed: u64,
-) -> ApRow {
+) -> Vec<ApRow> {
     let lidar = Lidar::new(LidarConfig::default());
     let rmae_config = crate::model::RmaeConfig::full();
 
@@ -146,9 +149,9 @@ pub fn evaluate_cell(
         Some(trainer.into_model())
     };
 
-    // Per-class accumulation across scenes.
-    let mut preds: [Vec<Detection3d>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    let mut gts: [Vec<Aabb>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    // Per-detector, per-class accumulation across scenes.
+    let mut preds: Vec<[Vec<Detection3d>; 3]> = vec![Default::default(); detectors.len()];
+    let mut n_gt = [0usize; 3];
     let classes = ObjectClass::detection_classes();
 
     let mut iou_sum = 0.0;
@@ -168,7 +171,10 @@ pub fn evaluate_cell(
                 m.reconstruct_guided(&observed_grid, config.occupancy_threshold)
             }
         };
-        let dets = detector.detect(&grid, Some(&masked));
+        let dets: Vec<_> = detectors
+            .iter()
+            .map(|d| d.detect(&grid, Some(&masked)))
+            .collect();
         // Evaluable ground truth: inside the detection region and touched by
         // the *masked* scan (deployment protocol: the sensing budget must
         // have seen the object at all; objects in fully-masked wedges are
@@ -187,8 +193,6 @@ pub fn evaluate_cell(
         // across scenes, shift nothing — greedy matching is done per scene
         // below instead.
         for (ci, class) in classes.iter().enumerate() {
-            let class_dets: Vec<Detection3d> =
-                dets.iter().filter(|d| d.class == *class).cloned().collect();
             let min_points = if *class == ObjectClass::Car { 8 } else { 4 };
             let all_gt = scene.ground_truth(*class);
             let class_gt: Vec<Aabb> = all_gt
@@ -212,35 +216,42 @@ pub fn evaluate_cell(
             } else {
                 config.small_match_m
             };
-            let (scene_dets, n_gt) = match_scene(&class_dets, &class_gt, &ignore_gt, max_dist);
-            preds[ci].extend(scene_dets);
-            gts[ci].extend(std::iter::repeat_n(Aabb::new([0.0; 3], [0.0; 3]), n_gt));
+            n_gt[ci] += class_gt.len();
+            for (pooled, dets) in preds.iter_mut().zip(&dets) {
+                let class_dets: Vec<Detection3d> =
+                    dets.iter().filter(|d| d.class == *class).cloned().collect();
+                pooled[ci].extend(match_scene(&class_dets, &class_gt, &ignore_gt, max_dist));
+            }
         }
     }
 
-    // Pooled AP: preds[ci] already carry per-scene TP flags (stored in the
-    // Detection3d score sign-extension — see match_scene).
-    let ap = |ci: usize| -> f64 {
-        let dets: Vec<Detection> = preds[ci]
+    // Pooled AP: each detector's pools already carry per-scene TP flags
+    // (stored in the Detection3d score sign-extension — see match_scene).
+    let ap = |pooled: &[Vec<Detection3d>; 3], ci: usize| -> f64 {
+        let dets: Vec<Detection> = pooled[ci]
             .iter()
             .map(|d| Detection {
                 score: d.score.abs(),
                 true_positive: d.score >= 0.0,
             })
             .collect();
-        average_precision(&dets, gts[ci].len())
+        average_precision(&dets, n_gt[ci])
     };
-    ApRow {
-        strategy,
-        car: ap(0),
-        pedestrian: ap(1),
-        cyclist: ap(2),
-        recon_iou: if strategy == Strategy::None {
-            0.0
-        } else {
-            iou_sum / eval_scenes.len().max(1) as f64
-        },
-    }
+    let recon_iou = if strategy == Strategy::None {
+        0.0
+    } else {
+        iou_sum / eval_scenes.len().max(1) as f64
+    };
+    preds
+        .iter()
+        .map(|pooled| ApRow {
+            strategy,
+            car: ap(pooled, 0),
+            pedestrian: ap(pooled, 1),
+            cyclist: ap(pooled, 2),
+            recon_iou,
+        })
+        .collect()
 }
 
 /// Greedy per-scene matching; encodes the TP flag in the score's sign
@@ -250,7 +261,7 @@ fn match_scene(
     gt: &[Aabb],
     ignore: &[Aabb],
     max_dist: f64,
-) -> (Vec<Detection3d>, usize) {
+) -> Vec<Detection3d> {
     let mut order: Vec<usize> = (0..dets.len()).collect();
     order.sort_by(|&a, &b| dets[b].score.total_cmp(&dets[a].score));
     let mut claimed = vec![false; gt.len()];
@@ -289,7 +300,7 @@ fn match_scene(
         d.score = if tp { d.score } else { -d.score - 1e-12 };
         out.push(d);
     }
-    (out, gt.len())
+    out
 }
 
 #[cfg(test)]
@@ -338,8 +349,7 @@ mod tests {
             det(ObjectClass::Pedestrian, 5.1, 0.0, 0.8),
             det(ObjectClass::Pedestrian, 9.0, 4.0, 0.5),
         ];
-        let (out, n_gt) = match_scene(&dets, &gt, &[], 0.8);
-        assert_eq!(n_gt, 1);
+        let out = match_scene(&dets, &gt, &[], 0.8);
         let tps = out.iter().filter(|d| d.score >= 0.0).count();
         assert_eq!(tps, 1);
         let fps = out.iter().filter(|d| d.score < 0.0).count();
@@ -367,16 +377,21 @@ mod tests {
             pretrain_epochs: 4,
             ..PipelineConfig::default()
         };
-        let detector = Detector::pvrcnn_like();
-        let none = evaluate_cell(Strategy::None, &detector, &train, &eval, &config, 1);
-        let rmae = evaluate_cell(Strategy::RadialMae, &detector, &train, &eval, &config, 1);
+        let (second, pvrcnn) = (Detector::second_like(), Detector::pvrcnn_like());
+        let both = [&second, &pvrcnn];
+        let none = evaluate_cell(Strategy::None, &both, &train, &eval, &config, 1);
+        let rows = evaluate_cell(Strategy::RadialMae, &both, &train, &eval, &config, 1);
+        // A detector's row does not depend on the detectors beside it.
+        let alone = evaluate_cell(Strategy::RadialMae, &[&pvrcnn], &train, &eval, &config, 1);
+        assert_eq!(alone, [rows[1]]);
+        let rmae = rows[1];
         // Sanity: APs are valid fractions; the baseline row has no model.
-        for row in [&none, &rmae] {
+        for row in [&none[1], &rmae] {
             for v in [row.car, row.pedestrian, row.cyclist] {
                 assert!((0.0..=1.0).contains(&v), "AP {v}");
             }
         }
-        assert_eq!(none.recon_iou, 0.0);
+        assert_eq!(none[1].recon_iou, 0.0);
         // Even at this tiny training budget the model reconstructs *some*
         // of the above-ground scene (the AP ordering needs the full-size
         // harness).

@@ -7,7 +7,7 @@
 //! subset of pulses and a masked occupancy autoencoder reconstructs the rest
 //! of the scene. This crate implements:
 //!
-//! * [`model`] — the occupancy autoencoder: a strided sparse-friendly 3-D
+//! * [`model`] — the occupancy autoencoder: a strided, site-sparse 3-D
 //!   conv encoder and a deconvolution decoder trained with
 //!   positively-weighted BCE (occupied voxels are rare).
 //! * [`pretrain`] — masked-occupancy pre-training under the paper's masking
@@ -34,6 +34,13 @@ pub mod detect;
 pub mod eval;
 pub mod model;
 pub mod pretrain;
+
+/// The dense conv lowering `sensact-nn`'s tests check the layers against:
+/// the model tests run whole reconstructs through it.
+#[cfg(test)]
+#[path = "../../sensact-nn/src/conv_oracle.rs"]
+#[allow(dead_code)]
+mod conv_oracle;
 
 pub use detect::{Detection3d, Detector, DetectorStage};
 pub use eval::{ApRow, PipelineConfig};

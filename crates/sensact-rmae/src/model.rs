@@ -1,10 +1,18 @@
 //! The R-MAE occupancy autoencoder.
 //!
 //! Architecture (paper Fig. 3): a 3-D convolutional encoder processes the
-//! (masked) occupancy grid into a latent volume — skipping empty voxels, the
-//! "spatially sparse" trick — and a deconvolution decoder reconstructs
-//! full-resolution occupancy logits, trained with binary cross-entropy
-//! weighted toward the rare occupied class.
+//! (masked) occupancy grid into a latent volume and a deconvolution decoder
+//! reconstructs full-resolution occupancy logits, trained with binary
+//! cross-entropy weighted toward the rare occupied class.
+//!
+//! Every stage skips empty voxels, the "spatially sparse" trick: a conv
+//! computes only the output sites whose window reaches a nonzero input (plus
+//! one site that stands for all the others), and a deconv multiplies only
+//! the input sites holding one (`sensact_nn::conv`). An empty voxel is one
+//! whose bits are `+0.0` on every channel; after a bias and ReLU the
+//! background is zero only where the biases leave it so. Skipping is exact:
+//! the logits are bit-identical to the dense layers', and
+//! [`RmaeModel::stats`] still counts dense MACs.
 
 use sensact_lidar::voxel::VoxelizerConfig;
 use sensact_nn::conv::{Conv3d, Deconv3d, Dims3};
@@ -130,10 +138,20 @@ impl RmaeModel {
     /// Panics if `occupancy.len()` differs from the grid voxel count.
     pub fn reconstruct(&mut self, occupancy: &[f64]) -> Vec<f64> {
         let logits = self.forward_logits(occupancy);
+        // The background of a sparse grid is long runs of one logit: the
+        // logistic runs once per run of equal bits.
+        let mut last: Option<(u64, f64)> = None;
         logits
             .as_slice()
             .iter()
-            .map(|&x| 1.0 / (1.0 + (-x).exp()))
+            .map(|&x| match last {
+                Some((bits, p)) if bits == x.to_bits() => p,
+                _ => {
+                    let p = 1.0 / (1.0 + (-x).exp());
+                    last = Some((x.to_bits(), p));
+                    p
+                }
+            })
             .collect()
     }
 
@@ -389,6 +407,87 @@ mod tests {
     fn wrong_buffer_size_panics() {
         let mut m = RmaeModel::new(RmaeConfig::small(), 0);
         let _ = m.reconstruct(&[0.0; 7]);
+    }
+
+    /// The reconstruct through the dense layers: every stage by the
+    /// materialised oracle lowering, with the model's ReLU and logistic.
+    fn dense_reconstruct(m: &mut RmaeModel, occupancy: &[f64]) -> Vec<f64> {
+        use crate::conv_oracle::{conv_forward, deconv_forward, Win};
+        let d = m.config.dims3();
+        let (c1, _) = m.config.channels;
+        let conv1 = Win::conv(1, 3, 2, 1, [d.d, d.h, d.w]);
+        let mid = conv1.sites;
+        let stages = [
+            conv1,
+            Win::conv(c1, 3, 1, 1, mid),
+            Win::deconv(c1, 3, 1, 1, mid),
+            Win::deconv(1, 4, 2, 1, mid),
+        ];
+        let mut params = Vec::new();
+        for layer in m.net.layers_mut() {
+            layer.visit_params(&mut |p, _| params.push(p.to_vec()));
+        }
+        let mut x = occupancy.to_vec();
+        for (i, (win, wb)) in stages.iter().zip(params.chunks_exact(2)).enumerate() {
+            let (w, b) = (&wb[0], &wb[1]);
+            let out = if i < 2 { win.sites } else { win.grid };
+            let mut y = vec![f64::NAN; b.len() * out.iter().product::<usize>()];
+            if i < 2 {
+                conv_forward(win, w, b, &x, &mut y);
+            } else {
+                deconv_forward(win, w, b, &x, &mut y);
+            }
+            if i < 3 {
+                y.iter_mut().for_each(|v| *v = v.max(0.0));
+            }
+            x = y;
+        }
+        x.iter().map(|&v| 1.0 / (1.0 + (-v).exp())).collect()
+    }
+
+    fn assert_dense_bits(m: &mut RmaeModel, occupancy: &[f64], what: &str) {
+        let want = dense_reconstruct(m, occupancy);
+        let got = m.reconstruct(occupancy);
+        assert_eq!(got.len(), want.len());
+        for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "{what}: voxel {i} is {a:e}, dense {b:e}"
+            );
+        }
+    }
+
+    /// The site-sparse reconstruct is bit-identical to the dense one on the
+    /// full-size grid: a masked sweep (a few percent occupied), nothing, every
+    /// voxel, and after 20 Adam steps, whose biases leave little background.
+    #[test]
+    fn reconstruct_is_bit_identical_to_the_dense_layers() {
+        use crate::pretrain::radial_masked_cloud;
+        use sensact_lidar::raycast::{Lidar, LidarConfig};
+        use sensact_lidar::scene::SceneGenerator;
+        use sensact_lidar::voxel::VoxelGrid;
+        let cfg = RmaeConfig::full();
+        let full = Lidar::new(LidarConfig::default()).scan(&SceneGenerator::new(51).generate());
+        let occupancy = |cloud: &_| VoxelGrid::from_cloud(cfg.grid, cloud).occupancy_flat();
+        let masked = occupancy(&radial_masked_cloud(&full, 51));
+        let target = occupancy(&full);
+        let share = masked.iter().sum::<f64>() / masked.len() as f64;
+        assert!(share > 0.0 && share < 0.1, "masked share {share}");
+        let mut m = RmaeModel::new(cfg, 3);
+        assert_dense_bits(&mut m, &masked, "masked sweep");
+        assert_dense_bits(&mut m, &vec![0.0; cfg.voxels()], "empty grid");
+        assert_dense_bits(&mut m, &vec![1.0; cfg.voxels()], "full grid");
+        let mut opt = Adam::new(0.005);
+        for _ in 0..20 {
+            m.train_step(&masked, &target, &mut opt);
+        }
+        assert_dense_bits(&mut m, &masked, "masked sweep after 20 steps");
+        assert_dense_bits(
+            &mut m,
+            &vec![0.0; cfg.voxels()],
+            "empty grid after 20 steps",
+        );
     }
 
     #[test]

@@ -50,8 +50,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # dispatch-dependent correctness step: every fast kernel and conv lowering
 # against its reference, on the tier its contract names. The starnet + lidar
 # lib tests ride along: the pinned score stream and the regret oracle go
-# through the sign fold and the VAE's GEMMs. The workspace step already ran
-# them on the first leg's ISA, so they repeat only on the other.
+# through the sign fold and the VAE's GEMMs; so do the rmae ones, whose
+# site-sparse reconstruct must equal the dense conv oracle on either tier.
+# The workspace step already ran them on the first leg's ISA, so they repeat
+# only on the other.
 # None of the steps gates on a timing — every timing the repo judges is a
 # benchmark/ row (scripts/bench_pair.py).
 case "${SENSACT_FORCE_SCALAR:-0}" in
@@ -62,9 +64,9 @@ for leg in "${legs[@]}"; do
     [[ "$leg" == "0" ]] && isa="host ISA" || isa="forced-scalar path"
 
     if [[ "$leg" != "${legs[0]}" ]]; then
-        echo "== bitwise kernel, conv lowering, STARNet + lidar tests ($isa) =="
+        echo "== bitwise kernel, conv lowering, R-MAE, STARNet + lidar tests ($isa) =="
         SENSACT_FORCE_SCALAR="$leg" timeout 30m cargo test --offline -q \
-            -p sensact-math -p sensact-nn -p sensact-starnet -p sensact-lidar --lib
+            -p sensact-math -p sensact-nn -p sensact-rmae -p sensact-starnet -p sensact-lidar --lib
     fi
 
     echo "== checkpoint bench smoke (snapshot/restore/migration, $isa) =="
