@@ -20,12 +20,13 @@
 //! `SENSACT_QUICK=1`) for reduced sizes.
 
 use sensact_bench::{compare, header};
-use sensact_core::checkpoint::Checkpoint;
+use sensact_core::checkpoint::{Checkpoint, Snapshot};
 use sensact_core::fault::FnTryPerceptor;
 use sensact_core::stage::{AlwaysTrust, FnController, FnPerceptor, FnSensor, StageContext};
 use sensact_core::trace::SimClock;
 use sensact_core::{
-    EnergyBudget, FaultInjector, FaultProfile, LoopBuilder, RecoveryPolicy, WithFallback,
+    Checkpointed, EnergyBudget, FaultInjector, FaultProfile, LoopBuilder, RecoveryPolicy,
+    WithFallback,
 };
 use sensact_core::{FallibleLoop, Trust};
 use sensact_sched::{FleetConfig, FleetScheduler, LoopHandle, LoopSpec};
@@ -159,7 +160,7 @@ fn main() {
             FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
             FnController::new(|f: &f64, _t: Trust, _: &mut StageContext| -0.3 * f + 0.02),
         );
-        LoopHandle::closed_checkpointable(looop, 4.0f64, |e, a| *e += a)
+        LoopHandle::closed(Checkpointed(looop), 4.0f64, |e, a| *e += a)
     };
     let mut fleet = FleetScheduler::new(FleetConfig {
         workers: 4,

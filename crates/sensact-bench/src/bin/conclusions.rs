@@ -8,7 +8,7 @@
 //!    coverage vs. solo sensing.
 
 use sensact_bench::{compare, header, scaled, write_csv};
-use sensact_core::multi::{AgentId, AgentProfile, CoverageCoordinator};
+use sensact_fed::coverage::{AgentId, AgentProfile, CoverageCoordinator};
 use sensact_lidar::mask::{RadialMask, RadialMaskConfig};
 use sensact_lidar::raycast::{Lidar, LidarConfig};
 use sensact_lidar::scene::SceneGenerator;

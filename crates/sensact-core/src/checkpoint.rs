@@ -74,7 +74,8 @@ pub enum CheckpointError {
     /// A field value failed to decode (wrong type prefix or corrupt payload).
     BadValue(String),
     /// The target does not support checkpointing (e.g. a scheduler handle
-    /// built without the checkpointable constructor).
+    /// closed over a runner not wrapped in
+    /// [`Checkpointed`](crate::Checkpointed)).
     Unsupported,
 }
 
@@ -428,6 +429,28 @@ pub trait StageState {
     fn restore_state(&mut self, _ckpt: &Checkpoint, _ns: &str) -> Result<(), CheckpointError> {
         Ok(())
     }
+}
+
+/// A loop runner whose complete live state — telemetry, budget, tracer
+/// ring, every stage's [`StageState`] and whatever the runner itself holds —
+/// round-trips through a [`Checkpoint`] for kill-and-resume or live
+/// migration. Implemented by [`SensingActionLoop`](crate::SensingActionLoop)
+/// and [`FallibleLoop`](crate::FallibleLoop) whenever their stages are
+/// checkpointable; [`Checkpointed`](crate::Checkpointed) adds the
+/// environment.
+pub trait Snapshot {
+    /// Serialize the runner's live state into a versioned [`Checkpoint`].
+    ///
+    /// The contract: [`Snapshot::restore`] of this checkpoint onto an
+    /// *identically constructed* runner makes every subsequent tick
+    /// bit-identical to the uninterrupted run.
+    fn snapshot(&self) -> Checkpoint;
+
+    /// Restore live state saved by [`Snapshot::snapshot`]. The runner must
+    /// be built with the same configuration (stages, seeds, policies, budget
+    /// and telemetry capacity) as the snapshotted one; only mutable state
+    /// travels through the checkpoint.
+    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError>;
 }
 
 /// Values that serialize to/from a flat `f64` vector — environments, held

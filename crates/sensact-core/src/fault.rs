@@ -34,7 +34,8 @@
 use crate::adapt::{AdaptationPolicy, NoAdaptation};
 use crate::budget::EnergyBudget;
 use crate::checkpoint::{
-    get_opt_state, put_opt_state, Checkpoint, CheckpointError, Section, StageState, StateVec,
+    get_opt_state, put_opt_state, Checkpoint, CheckpointError, Section, Snapshot, StageState,
+    StateVec,
 };
 use crate::loop_::{LoopBuilder, LoopRunner, LoopState, TickFrame};
 use crate::stage::{Controller, Monitor, Perceptor, Sensor, StageContext, Trust};
@@ -716,42 +717,21 @@ impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
         )
     }
 
-    /// Run one tick: sense → perceive (with retry/timeout/poison handling) →
-    /// assess → decide — or degrade to held features / the fail-safe action.
-    /// Never panics on stage faults; every tick yields an action.
+    #[doc(hidden)]
     pub fn tick<E>(&mut self, env: &E) -> <Self as LoopRunner<E>>::Output
     where
         Self: LoopRunner<E>,
     {
         LoopRunner::tick(self, env)
     }
-
-    /// Run `n` ticks against a mutable environment, applying each action via
-    /// `apply`. Returns the outputs.
-    pub fn run<E>(
-        &mut self,
-        env: &mut E,
-        n: usize,
-        apply: impl FnMut(&mut E, &<Self as LoopRunner<E>>::Action),
-    ) -> Vec<<Self as LoopRunner<E>>::Output>
-    where
-        Self: LoopRunner<E>,
-    {
-        LoopRunner::run(self, env, n, apply)
-    }
 }
 
+/// Held features and staleness lead, in a `loop` section; the shared
+/// sections follow, each fault injector's RNG position among them.
 impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState, F: StateVec>
-    FallibleLoop<S, P, M, C, Ad, F>
+    Snapshot for FallibleLoop<S, P, M, C, Ad, F>
 {
-    /// Serialize the loop's complete live state — telemetry, budget, tracer
-    /// ring, held features and staleness, plus every stage's [`StageState`] (fault-injector RNG position included) —
-    /// into a [`Checkpoint`] for kill-and-resume or live migration.
-    ///
-    /// The contract: [`FallibleLoop::restore`] of this checkpoint onto an
-    /// *identically constructed* loop (same stages, seeds, policies) makes
-    /// every subsequent tick bit-identical to the uninterrupted run.
-    pub fn snapshot(&self) -> Checkpoint {
+    fn snapshot(&self) -> Checkpoint {
         let mut ckpt = Checkpoint::new(&self.state.name);
         let mut s = Section::new("loop");
         s.put_u64("staleness", self.staleness as u64);
@@ -761,11 +741,7 @@ impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState,
         ckpt
     }
 
-    /// Restore live state saved by [`FallibleLoop::snapshot`]. The loop must
-    /// be constructed with the same configuration (stages, recovery policy,
-    /// budget capacity) as the one that was snapshotted; only mutable state
-    /// travels through the checkpoint.
-    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
+    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         let s = ckpt.section("loop")?;
         let staleness = s.get_u64("staleness")?;
         self.staleness = u32::try_from(staleness)
@@ -816,6 +792,9 @@ where
     type Action = C::Action;
     type Output = FallibleOutput<C::Action>;
 
+    /// Sense → perceive (with retry/timeout/poison handling) → assess →
+    /// decide — or degrade to held features / the fail-safe action. Never
+    /// panics on stage faults; every tick yields an action.
     fn tick(&mut self, env: &E) -> Self::Output {
         let mut frame = self.state.begin_tick();
         let mut retries = 0u32;

@@ -18,8 +18,7 @@
 //!
 //! Every stage charges its energy and latency to a [`stage::StageContext`];
 //! the per-tick ledger feeds the [`telemetry::LoopTelemetry`] that the
-//! experiments report. [`multi`] extends the abstraction to coordinated
-//! multi-agent loops (§VII), and [`fault`] makes stage failure a typed
+//! experiments report. [`fault`] makes stage failure a typed
 //! runtime event with graceful-degradation policies (retry, last-good hold,
 //! fail-safe fallback) plus a deterministic fault injector.
 //!
@@ -63,7 +62,6 @@ pub mod export;
 pub mod fault;
 pub mod health;
 pub mod metrics;
-pub mod multi;
 pub mod replay;
 pub mod stage;
 pub mod telemetry;
@@ -74,14 +72,14 @@ mod ring;
 
 pub use budget::EnergyBudget;
 pub use checkpoint::{
-    Checkpoint, CheckpointError, Section, StageState, StateVec, CHECKPOINT_VERSION,
+    Checkpoint, CheckpointError, Section, Snapshot, StageState, StateVec, CHECKPOINT_VERSION,
 };
 pub use fault::{
     FallibleLoop, FallibleOutput, FaultInjector, FaultProfile, RecoveryPolicy, Reliable,
     StageError, TickResolution, TryPerceptor, TrySensor, WithFallback,
 };
 pub use health::{FleetHealth, HealthPolicy, HealthScorer, HealthSignals, HealthStatus};
-pub use loop_::{LoopBuilder, LoopOutput, LoopRunner, LoopState, SensingActionLoop};
+pub use loop_::{Checkpointed, LoopBuilder, LoopOutput, LoopRunner, LoopState, SensingActionLoop};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use replay::{first_divergence, Divergence, Recording, RecordingMeta};
 pub use sensact_math::kernels::Precision;

@@ -7,11 +7,12 @@
 //! plain sense → perceive; [`FallibleLoop`](crate::fault::FallibleLoop) fills
 //! it with its retry / hold / fail-safe ladder. Everything else — state,
 //! accessors, per-stage charging, the checkpoint sections, `run` and `replay`
-//! ([`LoopRunner`]) — is written once, here.
+//! ([`LoopRunner`]), and checkpointing a runner with its environment
+//! ([`Checkpointed`]) — is written once, here.
 
 use crate::adapt::{AdaptationPolicy, NoAdaptation};
 use crate::budget::EnergyBudget;
-use crate::checkpoint::{Checkpoint, CheckpointError, StageState};
+use crate::checkpoint::{Checkpoint, CheckpointError, Section, Snapshot, StageState, StateVec};
 use crate::replay::{diff_records, Divergence, Recording};
 use crate::stage::{AlwaysTrust, Controller, Monitor, Perceptor, Sensor, StageContext, Trust};
 use crate::telemetry::LoopTelemetry;
@@ -237,7 +238,9 @@ impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState>
 /// written once on top of those — [`run`](LoopRunner::run) and
 /// [`replay`](LoopRunner::replay). Implemented by [`SensingActionLoop`] and
 /// [`FallibleLoop`](crate::fault::FallibleLoop); a fleet runtime closes either
-/// over its environment through this trait alone.
+/// over its environment through this trait alone, and checkpoints it
+/// through [`save`](LoopRunner::save) / [`load`](LoopRunner::load) when the
+/// runner is [`Checkpointed`].
 pub trait LoopRunner<E> {
     /// What the controller decides.
     type Action;
@@ -301,6 +304,77 @@ pub trait LoopRunner<E> {
         }
         Ok(verified)
     }
+
+    /// Checkpoint the runner together with the environment it is closed
+    /// over. Only a [`Checkpointed`] runner can; the default reports
+    /// [`CheckpointError::Unsupported`].
+    fn save(&self, _env: &E) -> Result<Checkpoint, CheckpointError> {
+        Err(CheckpointError::Unsupported)
+    }
+
+    /// Restore what [`LoopRunner::save`] wrote and return the environment it
+    /// carried. The default reports [`CheckpointError::Unsupported`].
+    fn load(&mut self, _ckpt: &Checkpoint) -> Result<E, CheckpointError> {
+        Err(CheckpointError::Unsupported)
+    }
+}
+
+/// A runner checkpointed together with its environment: wraps a
+/// [`Snapshot`] runner whose environment round-trips through [`StateVec`],
+/// and answers [`LoopRunner::save`] / [`LoopRunner::load`] with the runner's
+/// sections plus one `env` section. Everything else forwards to the runner.
+#[derive(Debug)]
+pub struct Checkpointed<L>(pub L);
+
+/// Section id under which a [`Checkpointed`] runner's environment travels.
+const ENV_SECTION: &str = "env";
+
+impl<L: LoopRunner<E> + Snapshot, E: StateVec> LoopRunner<E> for Checkpointed<L> {
+    type Action = L::Action;
+    type Output = L::Output;
+
+    #[inline]
+    fn tick(&mut self, env: &E) -> Self::Output {
+        self.0.tick(env)
+    }
+
+    fn charged(out: &Self::Output) -> (&Self::Action, f64, f64, u32) {
+        L::charged(out)
+    }
+
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn telemetry(&self) -> &LoopTelemetry {
+        self.0.telemetry()
+    }
+
+    fn telemetry_mut(&mut self) -> &mut LoopTelemetry {
+        self.0.telemetry_mut()
+    }
+
+    fn save(&self, env: &E) -> Result<Checkpoint, CheckpointError> {
+        let mut ckpt = self.0.snapshot();
+        let mut s = Section::new(ENV_SECTION);
+        s.put_f64s("state", &env.to_state());
+        ckpt.push(s);
+        Ok(ckpt)
+    }
+
+    /// Reads the environment before touching the runner, so a bad `env`
+    /// section leaves it as it was. A one-word state is also accepted in the
+    /// scalar form (`f:`) that documents written without a handle use.
+    fn load(&mut self, ckpt: &Checkpoint) -> Result<E, CheckpointError> {
+        let s = ckpt.section(ENV_SECTION)?;
+        let state = s
+            .get_f64s("state")
+            .or_else(|e| s.get_f64("state").map(|x| vec![x]).map_err(|_| e))?;
+        let env =
+            E::from_state(&state).ok_or_else(|| CheckpointError::BadValue("env.state".into()))?;
+        self.0.restore(ckpt)?;
+        Ok(env)
+    }
 }
 
 /// A complete sensing-to-action loop: sensor → perceptor → monitor →
@@ -328,12 +402,7 @@ impl<S, P, M, C, Ad> DerefMut for SensingActionLoop<S, P, M, C, Ad> {
 }
 
 impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
-    /// Run one tick against an environment snapshot: sense, perceive, assess,
-    /// decide, then adapt the sensor for the next tick.
-    ///
-    /// Every stage's charged energy/latency is attributed to a
-    /// [`StageBreakdown`] carried by the tick's telemetry record; when the
-    /// loop's [`Tracer`] is enabled, each stage also emits a [`Span`](crate::trace::Span).
+    #[doc(hidden)]
     #[inline]
     pub fn tick<E>(&mut self, env: &E) -> <Self as LoopRunner<E>>::Output
     where
@@ -341,43 +410,19 @@ impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
     {
         LoopRunner::tick(self, env)
     }
-
-    /// Run `n` ticks against a mutable environment, applying each action via
-    /// `apply`. Returns the outputs.
-    pub fn run<E>(
-        &mut self,
-        env: &mut E,
-        n: usize,
-        apply: impl FnMut(&mut E, &<Self as LoopRunner<E>>::Action),
-    ) -> Vec<<Self as LoopRunner<E>>::Output>
-    where
-        Self: LoopRunner<E>,
-    {
-        LoopRunner::run(self, env, n, apply)
-    }
 }
 
-impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState>
-    SensingActionLoop<S, P, M, C, Ad>
+/// Telemetry, budget, tracer ring, then every stage's [`StageState`].
+impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState> Snapshot
+    for SensingActionLoop<S, P, M, C, Ad>
 {
-    /// Serialize the loop's complete live state — telemetry, budget, tracer
-    /// ring, plus every stage's [`StageState`] — into a versioned
-    /// [`Checkpoint`] for kill-and-resume or live migration.
-    ///
-    /// The contract: [`SensingActionLoop::restore`] of this checkpoint onto
-    /// an *identically constructed* loop makes every subsequent tick
-    /// bit-identical to the uninterrupted run.
-    pub fn snapshot(&self) -> Checkpoint {
+    fn snapshot(&self) -> Checkpoint {
         let mut ckpt = Checkpoint::new(&self.state.name);
         self.state.save_sections(&mut ckpt);
         ckpt
     }
 
-    /// Restore live state saved by [`SensingActionLoop::snapshot`]. The loop
-    /// must be built with the same configuration (stages, budget capacity,
-    /// telemetry capacity) as the snapshotted one; only mutable state travels
-    /// through the checkpoint.
-    pub fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
+    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         self.state.restore_sections(ckpt)
     }
 }
@@ -393,6 +438,11 @@ where
     type Action = C::Action;
     type Output = LoopOutput<C::Action>;
 
+    /// Sense, perceive, assess, decide, then adapt the sensor for the next
+    /// tick. Every stage's charged energy/latency is attributed to a
+    /// [`StageBreakdown`] carried by the tick's telemetry record; when the
+    /// loop's [`Tracer`] is enabled, each stage also emits a
+    /// [`Span`](crate::trace::Span).
     #[inline]
     fn tick(&mut self, env: &E) -> Self::Output {
         let state = &mut self.state;

@@ -29,7 +29,7 @@
 //! ```
 //! use sensact_core::replay::Recording;
 //! use sensact_core::stage::{FnController, FnPerceptor, FnSensor, StageContext};
-//! use sensact_core::LoopBuilder;
+//! use sensact_core::{LoopBuilder, LoopRunner};
 //!
 //! let build = || {
 //!     LoopBuilder::new("replayable").build(
@@ -54,8 +54,6 @@
 use crate::export::{
     field, parse_flat, parse_span, parse_tick, span_to_json, str_field, tick_to_json,
 };
-use crate::fault::FallibleLoop;
-use crate::loop_::{LoopRunner, SensingActionLoop};
 use crate::stage::Trust;
 use crate::telemetry::{LoopTelemetry, TickRecord};
 use crate::trace::{Span, StageId};
@@ -325,52 +323,13 @@ pub fn first_divergence(recorded: &[TickRecord], replayed: &[TickRecord]) -> Opt
     None
 }
 
-impl<S, P, M, C, Ad> SensingActionLoop<S, P, M, C, Ad> {
-    /// Re-drive this (freshly built) loop against a recording: run one tick
-    /// per recorded tick, applying actions to `env` via `apply`, and verify
-    /// after every tick that the produced telemetry record is bit-identical
-    /// to the recorded one. Returns the number of ticks verified, or the
-    /// first [`Divergence`].
-    ///
-    /// Comparison happens per tick, so replay works even when the loop's
-    /// telemetry ring capacity is smaller than the recording.
-    pub fn replay<E>(
-        &mut self,
-        env: &mut E,
-        recording: &Recording,
-        apply: impl FnMut(&mut E, &<Self as LoopRunner<E>>::Action),
-    ) -> Result<u64, Divergence>
-    where
-        Self: LoopRunner<E>,
-    {
-        LoopRunner::replay(self, env, recording, apply)
-    }
-}
-
-impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
-    /// Re-drive this (freshly built) fallible loop against a recording,
-    /// fault schedule included: with the sensor/perceptor wrapped in the same
-    /// seeded [`FaultInjector`](crate::fault::FaultInjector)s as the recorded
-    /// run, every dropout, retry, hold and fallback recurs at the same tick,
-    /// and the telemetry must match bit-exactly. Returns the number of ticks
-    /// verified, or the first [`Divergence`].
-    pub fn replay<E>(
-        &mut self,
-        env: &mut E,
-        recording: &Recording,
-        apply: impl FnMut(&mut E, &<Self as LoopRunner<E>>::Action),
-    ) -> Result<u64, Divergence>
-    where
-        Self: LoopRunner<E>,
-    {
-        LoopRunner::replay(self, env, recording, apply)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultInjector, FaultProfile, RecoveryPolicy, Reliable, WithFallback};
+    use crate::fault::{
+        FallibleLoop, FaultInjector, FaultProfile, RecoveryPolicy, Reliable, WithFallback,
+    };
+    use crate::loop_::{LoopRunner, SensingActionLoop};
     use crate::stage::{AlwaysTrust, FnController, FnPerceptor, FnSensor, StageContext};
     use crate::trace::StageBreakdown;
     use crate::LoopBuilder;

@@ -10,7 +10,7 @@
 //! its JSONL wire form, restored onto a freshly built twin, and the twin
 //! replayed against the recorded tail through the replay differ.
 
-use sensact_core::checkpoint::{Checkpoint, Section};
+use sensact_core::checkpoint::{Checkpoint, Section, Snapshot};
 use sensact_core::fault::FnTryPerceptor;
 use sensact_core::stage::{
     AlwaysTrust, FnController, FnMonitor, FnPerceptor, FnSensor, StageContext,

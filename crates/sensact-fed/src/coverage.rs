@@ -1,13 +1,13 @@
-//! Federated, multi-agent sensing-action loops (paper §VII).
+//! Coordinated multi-agent coverage (paper §VII).
 //!
-//! The core coordination primitive: `N` agents that each need full 360°
+//! The coordination primitive: `N` agents that each need full 360°
 //! situational awareness split the azimuth circle into arcs proportional to
 //! their remaining battery, sense only their own arc, and receive the rest
 //! from their peers. Communication is orders of magnitude cheaper than
 //! active sensing, so coordinated awareness costs roughly `1/N` of solo
 //! sensing — the paper's conclusion reports a ~3× reduction with this scheme.
 //! This module assigns the arcs and prices the exchange; the messages
-//! themselves travel over `sensact-fed`'s simulated network.
+//! themselves travel over the simulated network in [`sim`](crate::sim).
 
 /// Identifier of an agent in a fleet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

@@ -9,6 +9,9 @@
 //!
 //! * [`data`] — a synthetic CIFAR-10-like dataset with non-IID client splits
 //!   (the paper's evaluation substrate, substituted per DESIGN.md).
+//! * [`coverage`] — coordinated coverage: agents split the azimuth circle
+//!   by remaining battery, sense their own arc and receive the rest from
+//!   their peers (the conclusion's ~3× energy claim).
 //! * [`client`] / [`server`] — FedAvg over MLP classifiers with per-client
 //!   [`client::HardwareProfile`]s and full energy/latency accounting.
 //! * [`dcnas`] — DC-NAS-style architecture adaptation: nested channel
@@ -28,6 +31,7 @@
 //!   feeds the same deadline/energy model as compute.
 
 pub mod client;
+pub mod coverage;
 pub mod data;
 pub mod dcnas;
 pub mod fleet;

@@ -38,10 +38,10 @@
 //! path (`SENSACT_FORCE_SCALAR`, non-x86, a small layer with `cin·k³ > 256`),
 //! still unfold into a layer-owned scratch; the transposed products (deconv
 //! forward, conv backward) run in cache-sized blocks of sites with the fold
-//! applied per block. The gather-formulation loops
-//! [`Conv3d::forward_reference`] / [`Deconv3d::forward_reference`] agree with
-//! the forward to rounding, not bit for bit; the bit oracle is the
-//! materialised dense lowering the tests keep (`conv_oracle.rs`).
+//! applied per block. This is the library's one conv forward: the bit
+//! oracle (the materialised dense lowering) and an input-side gather
+//! formulation that agrees to rounding live in the test-only
+//! `conv_oracle.rs`.
 
 use crate::init::Initializer;
 use crate::layers::Layer;
@@ -550,21 +550,6 @@ impl Conv3d {
         self.in_dims
     }
 
-    #[inline]
-    fn widx(&self, co: usize, ci: usize, kd: usize, kh: usize, kw: usize) -> usize {
-        (((co * self.cin + ci) * self.kernel + kd) * self.kernel + kh) * self.kernel + kw
-    }
-
-    #[inline]
-    fn in_idx(&self, c: usize, z: usize, y: usize, x: usize) -> usize {
-        ((c * self.in_dims.d + z) * self.in_dims.h + y) * self.in_dims.w + x
-    }
-
-    #[inline]
-    fn out_idx(&self, c: usize, z: usize, y: usize, x: usize) -> usize {
-        ((c * self.out_dims.d + z) * self.out_dims.h + y) * self.out_dims.w + x
-    }
-
     /// The layer's window geometry: one site per output voxel, sliding
     /// over the input.
     #[inline]
@@ -628,81 +613,6 @@ impl Conv3d {
         if let Some(stand_in) = stand_in.filter(|_| n < vol) {
             spread(orow, vol, sites, sites.partition_point(|&p| p < stand_in));
         }
-    }
-
-    /// Gather-formulation forward pass: scatters each input voxel holding a
-    /// nonzero value into the outputs it reaches. It adds in another order
-    /// than the production [`Layer::forward`], so the two agree to rounding
-    /// only; the tests keep it as an independent formulation.
-    pub fn forward_reference(&self, input: &Tensor) -> Tensor {
-        let batch = input.shape()[0];
-        let in_feat = self.cin * self.in_dims.volume();
-        assert_eq!(input.shape()[1], in_feat, "Conv3d: input feature mismatch");
-        let out_feat = self.cout * self.out_dims.volume();
-        let mut out = Tensor::zeros(vec![batch, out_feat]);
-        let k = self.kernel;
-        for b in 0..batch {
-            let xrow = input.row(b);
-            let orow = out.row_mut(b);
-            // Bias first.
-            for co in 0..self.cout {
-                let base = co * self.out_dims.volume();
-                for v in &mut orow[base..base + self.out_dims.volume()] {
-                    *v = self.bias[co];
-                }
-            }
-            // Gather formulation: scatter each nonzero input voxel into the
-            // outputs it contributes to (sparse-friendly).
-            for ci in 0..self.cin {
-                for z in 0..self.in_dims.d {
-                    for y in 0..self.in_dims.h {
-                        for x in 0..self.in_dims.w {
-                            let xv = xrow[self.in_idx(ci, z, y, x)];
-                            if xv == 0.0 {
-                                continue;
-                            }
-                            // Output positions (oz, oy, ox) with kernel offset
-                            // (kd, kh, kw) satisfying oz*s - p + kd == z, etc.
-                            for kd in 0..k {
-                                let zp = z + self.pad;
-                                if zp < kd || !(zp - kd).is_multiple_of(self.stride) {
-                                    continue;
-                                }
-                                let oz = (zp - kd) / self.stride;
-                                if oz >= self.out_dims.d {
-                                    continue;
-                                }
-                                for kh in 0..k {
-                                    let yp = y + self.pad;
-                                    if yp < kh || !(yp - kh).is_multiple_of(self.stride) {
-                                        continue;
-                                    }
-                                    let oy = (yp - kh) / self.stride;
-                                    if oy >= self.out_dims.h {
-                                        continue;
-                                    }
-                                    for kw in 0..k {
-                                        let xp = x + self.pad;
-                                        if xp < kw || !(xp - kw).is_multiple_of(self.stride) {
-                                            continue;
-                                        }
-                                        let ox = (xp - kw) / self.stride;
-                                        if ox >= self.out_dims.w {
-                                            continue;
-                                        }
-                                        for co in 0..self.cout {
-                                            orow[self.out_idx(co, oz, oy, ox)] +=
-                                                xv * self.weights[self.widx(co, ci, kd, kh, kw)];
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 
     /// Feature count of one input row (`cin · in_volume`).
@@ -962,95 +872,6 @@ impl Deconv3d {
             grid: self.out_dims,
             sites: self.in_dims,
         }
-    }
-
-    #[inline]
-    fn widx(&self, ci: usize, co: usize, kd: usize, kh: usize, kw: usize) -> usize {
-        (((ci * self.cout + co) * self.kernel + kd) * self.kernel + kh) * self.kernel + kw
-    }
-
-    #[inline]
-    fn in_idx(&self, c: usize, z: usize, y: usize, x: usize) -> usize {
-        ((c * self.in_dims.d + z) * self.in_dims.h + y) * self.in_dims.w + x
-    }
-
-    #[inline]
-    fn out_idx(&self, c: usize, z: usize, y: usize, x: usize) -> usize {
-        ((c * self.out_dims.d + z) * self.out_dims.h + y) * self.out_dims.w + x
-    }
-
-    /// Iterate contributions of input voxel (z,y,x) to output voxels.
-    #[inline]
-    fn scatter_targets(
-        &self,
-        z: usize,
-        y: usize,
-        x: usize,
-    ) -> impl Iterator<Item = (usize, usize, usize, usize, usize, usize)> + '_ {
-        // Output position = in*stride - pad + k_offset.
-        let k = self.kernel;
-        let (s, p) = (self.stride, self.pad);
-        let out = self.out_dims;
-        (0..k).flat_map(move |kd| {
-            (0..k).flat_map(move |kh| {
-                (0..k).filter_map(move |kw| {
-                    let oz = z * s + kd;
-                    let oy = y * s + kh;
-                    let ox = x * s + kw;
-                    if oz < p || oy < p || ox < p {
-                        return None;
-                    }
-                    let (oz, oy, ox) = (oz - p, oy - p, ox - p);
-                    if oz >= out.d || oy >= out.h || ox >= out.w {
-                        return None;
-                    }
-                    Some((kd, kh, kw, oz, oy, ox))
-                })
-            })
-        })
-    }
-
-    /// Scatter-formulation forward pass: each input voxel holding a nonzero
-    /// value adds its weighted kernel onto the outputs. It adds in another
-    /// order than the production [`Layer::forward`], so the two agree to
-    /// rounding only; the tests keep it as an independent formulation.
-    pub fn forward_reference(&self, input: &Tensor) -> Tensor {
-        let batch = input.shape()[0];
-        assert_eq!(
-            input.shape()[1],
-            self.cin * self.in_dims.volume(),
-            "Deconv3d: input feature mismatch"
-        );
-        let mut out = Tensor::zeros(vec![batch, self.cout * self.out_dims.volume()]);
-        for b in 0..batch {
-            let xrow = input.row(b);
-            let orow = out.row_mut(b);
-            for co in 0..self.cout {
-                let base = co * self.out_dims.volume();
-                for v in &mut orow[base..base + self.out_dims.volume()] {
-                    *v = self.bias[co];
-                }
-            }
-            for ci in 0..self.cin {
-                for z in 0..self.in_dims.d {
-                    for y in 0..self.in_dims.h {
-                        for x in 0..self.in_dims.w {
-                            let xv = xrow[self.in_idx(ci, z, y, x)];
-                            if xv == 0.0 {
-                                continue;
-                            }
-                            for (kd, kh, kw, oz, oy, ox) in self.scatter_targets(z, y, x) {
-                                for co in 0..self.cout {
-                                    orow[self.out_idx(co, oz, oy, ox)] +=
-                                        xv * self.weights[self.widx(ci, co, kd, kh, kw)];
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -1803,7 +1624,11 @@ mod tests {
             let batch = rng.random_range(1..3usize);
             let x = sparse_input(&mut rng, batch, cin * d * h * w);
             let fast = c.forward(&x, false);
-            let reference = c.forward_reference(&x);
+            let mut reference = Tensor::zeros(fast.shape().to_vec());
+            for b in 0..batch {
+                let row = reference.row_mut(b);
+                oracle::conv_gather(&conv_win(&c), &c.weights, &c.bias, x.row(b), row);
+            }
             assert_eq!(fast.shape(), reference.shape());
             for (a, b) in fast.as_slice().iter().zip(reference.as_slice()) {
                 assert!(
@@ -1967,7 +1792,11 @@ mod tests {
             let batch = rng.random_range(1..3usize);
             let x = sparse_input(&mut rng, batch, cin * d * h * w);
             let fast = dc.forward(&x, false);
-            let reference = dc.forward_reference(&x);
+            let mut reference = Tensor::zeros(fast.shape().to_vec());
+            for b in 0..batch {
+                let (win, row) = (deconv_win(&dc), reference.row_mut(b));
+                oracle::deconv_gather(&win, &dc.weights, &dc.bias, x.row(b), row);
+            }
             assert_eq!(fast.shape(), reference.shape());
             for (a, b) in fast.as_slice().iter().zip(reference.as_slice()) {
                 assert!(

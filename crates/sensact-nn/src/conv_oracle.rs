@@ -175,3 +175,80 @@ pub fn deconv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec
     kernels::gemm_transb(cin, pin, cokk, 1.0, weights, &gcol, 0.0, &mut grad_in);
     [grad_in, grad_w, grad_b.collect()]
 }
+
+/// The input-side formulation of one row, shared by conv and deconv: each
+/// input voxel holding a nonzero value adds `value · weight(ci, co, tap)`
+/// into every output its taps `reach`. It shares no geometry with the
+/// lowering and adds in another order, so the two agree to rounding, not bit
+/// for bit.
+fn scatter(
+    k: usize,
+    [[id, ih, iw], [od, oh, ow]]: [[usize; 3]; 2],
+    reach: impl Fn(usize, usize, usize) -> Option<usize>,
+    weight: impl Fn(usize, usize, usize) -> f64,
+    bias: &[f64],
+    x: &[f64],
+    out: &mut [f64],
+) {
+    let vol = od * oh * ow;
+    for (o, &b) in out.chunks_exact_mut(vol).zip(bias) {
+        o.fill(b);
+    }
+    for (ci, row) in x.chunks_exact(id * ih * iw).enumerate() {
+        for (at, &xv) in row.iter().enumerate().filter(|(_, &v)| v != 0.0) {
+            let (z, y, xx) = (at / (ih * iw), at / iw % ih, at % iw);
+            for kd in 0..k {
+                let Some(oz) = reach(z, kd, od) else { continue };
+                for kh in 0..k {
+                    let Some(oy) = reach(y, kh, oh) else { continue };
+                    for kw in 0..k {
+                        let Some(ox) = reach(xx, kw, ow) else {
+                            continue;
+                        };
+                        let tap = (kd * k + kh) * k + kw;
+                        for (co, o) in out.chunks_exact_mut(vol).enumerate() {
+                            o[(oz * oh + oy) * ow + ox] += xv * weight(ci, co, tap);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`scatter`] for a conv row: tap `t` of output `o` reads input
+/// `o·stride + t − pad`, so input `g` reaches `o = (g + pad − t) / stride`.
+pub fn conv_gather(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
+    let (k3, s, pad, cin) = (win.kernel.pow(3), win.stride, win.pad, win.channels);
+    let reach = |g: usize, t: usize, n: usize| {
+        let gp = (g + pad).checked_sub(t)?;
+        gp.is_multiple_of(s).then_some(gp / s).filter(|&o| o < n)
+    };
+    let weight = |ci, co, tap| weights[(co * cin + ci) * k3 + tap];
+    scatter(
+        win.kernel,
+        [win.grid, win.sites],
+        reach,
+        weight,
+        bias,
+        x,
+        out,
+    );
+}
+
+/// [`scatter`] for a deconv row: tap `t` of input `i` lands on output
+/// `i·stride + t − pad`.
+pub fn deconv_gather(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
+    let (k3, s, pad, cout) = (win.kernel.pow(3), win.stride, win.pad, win.channels);
+    let lands = |i: usize, t: usize, n: usize| (i * s + t).checked_sub(pad).filter(|&o| o < n);
+    let weight = |ci, co, tap| weights[(ci * cout + co) * k3 + tap];
+    scatter(
+        win.kernel,
+        [win.sites, win.grid],
+        lands,
+        weight,
+        bias,
+        x,
+        out,
+    );
+}

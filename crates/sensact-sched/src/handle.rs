@@ -8,16 +8,14 @@
 //! the environment, and the actuation closure, and dereferences to the
 //! object-safe [`DynLoop`] surface the scheduler drives — the handle has no
 //! methods of its own beyond its constructors. Both runners go through one
-//! adapter, written against [`LoopRunner`]; whether it can checkpoint is a
-//! capability its constructor attaches, not a second adapter.
+//! adapter, written against [`LoopRunner`]; whether it can checkpoint is
+//! decided by the runner passed in ([`Checkpointed`] or not), not by a
+//! second adapter or constructor.
 
-use sensact_core::adapt::AdaptationPolicy;
-use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState, StateVec};
-use sensact_core::fault::{FailSafe, FiniteCheck, TryPerceptor, TrySensor};
-use sensact_core::stage::{Controller, Monitor, Perceptor, Sensor};
-use sensact_core::{
-    FallibleLoop, LoopRunner, LoopTelemetry, SensingActionLoop, StageError, TraceContext,
-};
+use sensact_core::checkpoint::{Checkpoint, CheckpointError};
+#[cfg(doc)]
+use sensact_core::{Checkpointed, FallibleLoop, SensingActionLoop};
+use sensact_core::{LoopRunner, LoopTelemetry, StageError, TraceContext};
 use std::any::Any;
 
 /// What one multiplexed tick cost, as observed by the scheduler.
@@ -91,60 +89,28 @@ pub trait DynLoop: Any + Send {
     /// Serialize the loop's complete live state — stages, telemetry, and the
     /// closed-over environment — into a [`Checkpoint`] for kill-and-resume
     /// or live migration ([`FleetScheduler::snapshot_member`](crate::FleetScheduler::snapshot_member)).
-    /// Only handles built by the checkpointable constructors
-    /// ([`LoopHandle::closed_checkpointable`],
-    /// [`LoopHandle::closed_fallible_checkpointable`]) support this; other
-    /// loops are honest about not supporting it rather than snapshotting
-    /// partial state.
+    /// Only handles closed over a [`Checkpointed`] runner support this;
+    /// other loops are honest about not supporting it rather than
+    /// snapshotting partial state.
     fn save_state(&self) -> Result<Checkpoint, CheckpointError> {
         Err(CheckpointError::Unsupported)
     }
 
     /// Restore state saved by [`DynLoop::save_state`] onto an identically
-    /// constructed loop.
+    /// constructed loop. A [`LoopHandle::closed`] member reads the
+    /// environment first, so a bad `env` section leaves it untouched.
     fn restore_from(&mut self, _ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         Err(CheckpointError::Unsupported)
     }
 }
 
-/// Saves and restores a closed loop together with its environment. Only the
-/// `*_checkpointable` constructors know that every stage implements
-/// [`StageState`] and the environment [`StateVec`], so they attach the
-/// monomorphised functions; a [`Closed`] without them reports
-/// [`CheckpointError::Unsupported`].
-struct Codec<L, E> {
-    snapshot: fn(&L) -> Checkpoint,
-    restore: fn(&mut L, &Checkpoint) -> Result<(), CheckpointError>,
-    with_env: fn(Checkpoint, &E) -> Checkpoint,
-    env_of: fn(&Checkpoint) -> Result<E, CheckpointError>,
-}
-
-/// Section id under which the closed-over environment travels in a
-/// checkpointed handle (alongside the loop's own sections).
-const ENV_SECTION: &str = "env";
-
-/// Append a closed-over environment to its loop's checkpoint.
-fn with_env<E: StateVec>(mut ckpt: Checkpoint, env: &E) -> Checkpoint {
-    let mut s = Section::new(ENV_SECTION);
-    s.put_f64s("state", &env.to_state());
-    ckpt.push(s);
-    ckpt
-}
-
-/// Read a closed-over environment back from a loop checkpoint.
-fn env_of<E: StateVec>(ckpt: &Checkpoint) -> Result<E, CheckpointError> {
-    let state = ckpt.section(ENV_SECTION)?.get_f64s("state")?;
-    E::from_state(&state).ok_or_else(|| CheckpointError::BadValue("env.state".into()))
-}
-
 /// A loop runner — [`SensingActionLoop`] or [`FallibleLoop`] — closed over
-/// its environment and actuation closure: the one adapter behind every
-/// `LoopHandle::closed*` constructor.
+/// its environment and actuation closure: the adapter behind
+/// [`LoopHandle::closed`].
 struct Closed<L, E, F> {
     inner: L,
     env: E,
     apply: F,
-    codec: Option<Codec<L, E>>,
 }
 
 impl<L, E, F> DynLoop for Closed<L, E, F>
@@ -183,23 +149,20 @@ where
     }
 
     fn save_state(&self) -> Result<Checkpoint, CheckpointError> {
-        let codec = self.codec.as_ref().ok_or(CheckpointError::Unsupported)?;
-        Ok((codec.with_env)((codec.snapshot)(&self.inner), &self.env))
+        self.inner.save(&self.env)
     }
 
     fn restore_from(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
-        let codec = self.codec.as_ref().ok_or(CheckpointError::Unsupported)?;
-        (codec.restore)(&mut self.inner, ckpt)?;
-        self.env = (codec.env_of)(ckpt)?;
+        self.env = self.inner.load(ckpt)?;
         Ok(())
     }
 }
 
 /// An owned, type-erased member loop ready for fleet registration.
 ///
-/// Constructed by closing a loop over its environment
-/// ([`LoopHandle::closed`], [`LoopHandle::closed_fallible`]) or from any
-/// custom [`DynLoop`] ([`LoopHandle::from_dyn`]).
+/// Constructed by closing a loop runner over its environment
+/// ([`LoopHandle::closed`]) or from any custom [`DynLoop`]
+/// ([`LoopHandle::from_dyn`]).
 pub struct LoopHandle {
     inner: Box<dyn DynLoop>,
 }
@@ -214,111 +177,30 @@ impl std::fmt::Debug for LoopHandle {
 }
 
 impl LoopHandle {
-    fn close<L, E, F>(inner: L, env: E, apply: F, codec: Option<Codec<L, E>>) -> Self
+    /// Close a loop runner — a [`SensingActionLoop`] or a [`FallibleLoop`] —
+    /// over its environment; `apply` actuates each decided action back into
+    /// the environment (the closed-loop edge). Wrap the runner in
+    /// [`Checkpointed`] to make the handle checkpointable: its
+    /// [`DynLoop::save_state`] then captures loop and environment together
+    /// for kill-and-resume or migration.
+    pub fn closed<L, E, F>(inner: L, env: E, apply: F) -> Self
     where
         L: LoopRunner<E> + Send + 'static,
         E: Send + 'static,
         F: FnMut(&mut E, &L::Action) + Send + 'static,
     {
-        let inner = Box::new(Closed {
-            inner,
-            env,
-            apply,
-            codec,
-        });
+        let inner = Box::new(Closed { inner, env, apply });
         LoopHandle { inner }
     }
 
-    /// Close a [`SensingActionLoop`] over its environment; `apply` actuates
-    /// each decided action back into the environment (the closed-loop edge).
-    pub fn closed<S, P, M, C, Ad, E, F>(
-        inner: SensingActionLoop<S, P, M, C, Ad>,
-        env: E,
-        apply: F,
-    ) -> Self
+    #[doc(hidden)]
+    pub fn closed_fallible<L, E, F>(inner: L, env: E, apply: F) -> Self
     where
-        S: Sensor<E> + Send + 'static,
-        P: Perceptor<S::Reading> + Send + 'static,
-        M: Monitor<P::Features> + Send + 'static,
-        C: Controller<P::Features> + Send + 'static,
-        Ad: AdaptationPolicy<S, C::Action> + Send + 'static,
+        L: LoopRunner<E> + Send + 'static,
         E: Send + 'static,
-        F: FnMut(&mut E, &C::Action) + Send + 'static,
+        F: FnMut(&mut E, &L::Action) + Send + 'static,
     {
-        LoopHandle::close(inner, env, apply, None)
-    }
-
-    /// Close a [`FallibleLoop`] over its environment.
-    pub fn closed_fallible<S, P, M, C, Ad, Feat, E, F>(
-        inner: FallibleLoop<S, P, M, C, Ad, Feat>,
-        env: E,
-        apply: F,
-    ) -> Self
-    where
-        S: TrySensor<E> + Send + 'static,
-        P: TryPerceptor<S::Reading, Features = Feat> + Send + 'static,
-        Feat: Clone + FiniteCheck + Send + 'static,
-        M: Monitor<Feat> + Send + 'static,
-        C: FailSafe<Feat> + Send + 'static,
-        Ad: AdaptationPolicy<S, C::Action> + Send + 'static,
-        E: Send + 'static,
-        F: FnMut(&mut E, &C::Action) + Send + 'static,
-    {
-        LoopHandle::close(inner, env, apply, None)
-    }
-
-    /// Like [`LoopHandle::closed`], but checkpointable: every stage
-    /// implements [`StageState`] and the environment round-trips through
-    /// [`StateVec`], so [`DynLoop::save_state`] captures loop and
-    /// environment together for kill-and-resume or migration.
-    pub fn closed_checkpointable<S, P, M, C, Ad, E, F>(
-        inner: SensingActionLoop<S, P, M, C, Ad>,
-        env: E,
-        apply: F,
-    ) -> Self
-    where
-        S: Sensor<E> + StageState + Send + 'static,
-        P: Perceptor<S::Reading> + StageState + Send + 'static,
-        M: Monitor<P::Features> + StageState + Send + 'static,
-        C: Controller<P::Features> + StageState + Send + 'static,
-        Ad: AdaptationPolicy<S, C::Action> + StageState + Send + 'static,
-        E: StateVec + Send + 'static,
-        F: FnMut(&mut E, &C::Action) + Send + 'static,
-    {
-        let codec = Some(Codec {
-            snapshot: SensingActionLoop::snapshot,
-            restore: SensingActionLoop::restore,
-            with_env,
-            env_of,
-        });
-        LoopHandle::close(inner, env, apply, codec)
-    }
-
-    /// Like [`LoopHandle::closed_fallible`], but checkpointable (see
-    /// [`LoopHandle::closed_checkpointable`]); the snapshot additionally
-    /// carries held features, staleness, and fault-injector RNG positions.
-    pub fn closed_fallible_checkpointable<S, P, M, C, Ad, Feat, E, F>(
-        inner: FallibleLoop<S, P, M, C, Ad, Feat>,
-        env: E,
-        apply: F,
-    ) -> Self
-    where
-        S: TrySensor<E> + StageState + Send + 'static,
-        P: TryPerceptor<S::Reading, Features = Feat> + StageState + Send + 'static,
-        Feat: Clone + FiniteCheck + StateVec + Send + 'static,
-        M: Monitor<Feat> + StageState + Send + 'static,
-        C: FailSafe<Feat> + StageState + Send + 'static,
-        Ad: AdaptationPolicy<S, C::Action> + StageState + Send + 'static,
-        E: StateVec + Send + 'static,
-        F: FnMut(&mut E, &C::Action) + Send + 'static,
-    {
-        let codec = Some(Codec {
-            snapshot: FallibleLoop::snapshot,
-            restore: FallibleLoop::restore,
-            with_env,
-            env_of,
-        });
-        LoopHandle::close(inner, env, apply, codec)
+        LoopHandle::closed(inner, env, apply)
     }
 
     /// Wrap a custom [`DynLoop`] implementation.

@@ -838,9 +838,9 @@ impl FleetScheduler {
     /// scheduler-side accounting (cumulative [`LoopStats`] and the loop's
     /// sequential-completion frontier).
     ///
-    /// `Err(Unsupported)` for members not registered through a
-    /// checkpointable constructor. Snapshot between runs, not mid-run — the
-    /// run methods hold the slots.
+    /// `Err(Unsupported)` for members not closed over a
+    /// [`Checkpointed`](sensact_core::Checkpointed) runner. Snapshot between
+    /// runs, not mid-run — the run methods hold the slots.
     pub fn snapshot_member(&self, id: LoopId) -> Result<Checkpoint, CheckpointError> {
         let slot = &self.slots[id.0];
         let mut ckpt = slot.handle.save_state()?;
@@ -1347,7 +1347,7 @@ mod tests {
     use super::*;
     use crate::handle::LoopHandle;
     use sensact_core::stage::{FnController, FnPerceptor, FnSensor, StageContext};
-    use sensact_core::LoopBuilder;
+    use sensact_core::{Checkpointed, LoopBuilder};
 
     /// A scalar loop charging `latency_s`/`energy_j` per tick.
     fn handle(name: &str, energy_j: f64, latency_s: f64) -> LoopHandle {
@@ -1955,7 +1955,7 @@ mod tests {
             FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
             FnController::new(|f: &f64, _t, _: &mut StageContext| -0.3 * f + 0.02),
         );
-        LoopHandle::closed_checkpointable(looop, 4.0f64, |e, a| *e += a)
+        LoopHandle::closed(Checkpointed(looop), 4.0f64, |e, a| *e += a)
     }
 
     /// A checkpointable fallible member: dropout faults, retries, and held
@@ -1991,7 +1991,7 @@ mod tests {
             staleness_decay: 0.3,
             latency_budget_s: None,
         });
-        LoopHandle::closed_fallible_checkpointable(looop, 3.0f64, |e, a| *e += a)
+        LoopHandle::closed(Checkpointed(looop), 3.0f64, |e, a| *e += a)
     }
 
     /// Tentpole: kill-and-resume. After a warm-up run, both members are
@@ -2066,7 +2066,7 @@ mod tests {
         );
     }
 
-    /// Members not built through a checkpointable constructor refuse to
+    /// Members not closed over a `Checkpointed` runner refuse to
     /// snapshot with a typed error, and a failed adoption leaves the
     /// existing member untouched.
     #[test]

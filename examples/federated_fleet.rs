@@ -6,8 +6,8 @@
 //!
 //! Run: `cargo run --release --example federated_fleet`
 
-use sensact::core::multi::{AgentId, AgentProfile, CoverageCoordinator};
 use sensact::fed::client::{Client, HardwareTier};
+use sensact::fed::coverage::{AgentId, AgentProfile, CoverageCoordinator};
 use sensact::fed::data::Dataset;
 use sensact::fed::server::{run_federated, FedConfig, Strategy};
 use sensact::fed::sim::NetworkConfig;

@@ -19,6 +19,11 @@ if git grep -nE 'PrecisionGovernor|PrecisionPolicy|precision_hint|recommended_pr
     exit 1
 fi
 
+echo "== one way to close a loop, one library conv forward =="
+if git grep -nE 'closed_checkpointable|closed_fallible_checkpointable|struct Codec|pub fn forward_reference' -- crates src tests examples; then
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 

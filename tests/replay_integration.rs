@@ -13,7 +13,7 @@ use common::FAULTY_TICKS as TICKS;
 use sensact::core::export::parse_ticks;
 use sensact::core::replay::{first_divergence, Recording};
 use sensact::core::telemetry::TickRecord;
-use sensact::core::{Precision, Tracer};
+use sensact::core::{LoopRunner, Precision, Tracer};
 
 const SEED: u64 = 77;
 

@@ -24,7 +24,9 @@ use sensact::core::fault::{FaultInjector, FaultProfile, RecoveryPolicy, Reliable
 use sensact::core::replay::{first_divergence, Recording};
 use sensact::core::stage::{AlwaysTrust, FnController, FnPerceptor, FnSensor, StageContext, Trust};
 use sensact::core::trace::SimClock;
-use sensact::core::{FallibleLoop, FleetTracer, LoopBuilder, MetricsRegistry, TickRecord};
+use sensact::core::{
+    FallibleLoop, FleetTracer, LoopBuilder, LoopRunner, MetricsRegistry, TickRecord,
+};
 use sensact::koopman::baselines::LatentModel;
 use sensact::koopman::cartpole::{CartPole, CartPoleConfig, Disturbance, OBS_DIM};
 use sensact::koopman::control::LqrLatentController;
@@ -90,7 +92,7 @@ fn starnet_member() -> LoopHandle {
 
     let mut eval = SceneGenerator::new(40);
     let first = lidar.scan(&eval.generate());
-    LoopHandle::closed_fallible(looop, first, move |cloud, _action| {
+    LoopHandle::closed(looop, first, move |cloud, _action| {
         *cloud = lidar.scan(&eval.generate());
     })
 }
@@ -266,7 +268,7 @@ fn seeded_fleet_run_replays_member_loop_with_zero_divergence() {
         seed: 5,
     });
     let member = fleet.register(
-        LoopHandle::closed_fallible(faulty_member(FAULT_SEED), 3.0f64, apply_plant),
+        LoopHandle::closed(faulty_member(FAULT_SEED), 3.0f64, apply_plant),
         LoopSpec::periodic(1e-3),
     );
     // Interleaving pressure: other members contend for the virtual workers.
@@ -306,7 +308,7 @@ fn seeded_fleet_run_replays_member_loop_with_zero_divergence() {
         seed: 5,
     });
     let member2 = fleet2.register(
-        LoopHandle::closed_fallible(faulty_member(FAULT_SEED), 3.0f64, apply_plant),
+        LoopHandle::closed(faulty_member(FAULT_SEED), 3.0f64, apply_plant),
         LoopSpec::periodic(1e-3),
     );
     for i in 0..3 {
