@@ -37,11 +37,17 @@
 //! | `F:`   | `;`-separated 16-hex-digit bit patterns   | `Vec<f64>`  |
 //!
 //! Floats travel as raw bit patterns, so every value — including NaN payloads
-//! and the ±∞ sentinels inside histograms — round-trips exactly. The reader
-//! is *lenient*: unknown fields, unknown section ids and unknown line types
-//! are ignored (a newer writer remains readable), while a wrong version,
-//! missing section or undecodable value is a typed [`CheckpointError`] —
-//! hostile input never panics.
+//! and the ±∞ sentinels inside histograms — round-trips exactly. Every
+//! payload has one spelling, the one the writer emits: decimals carry no sign
+//! and no leading zero, hex is lowercase, list items are never empty. The
+//! reader refuses any other spelling (`+5`, `05`, `3FF0…`) as
+//! [`CheckpointError::BadValue`], or [`CheckpointError::BadHeader`] in the
+//! header, so two different documents never restore the same state. Writers
+//! append straight into one byte buffer per value, and readers parse byte
+//! slices. The reader is *lenient*: unknown fields, unknown section ids and
+//! unknown line types are ignored (a newer writer remains readable), while a
+//! wrong version, missing section or undecodable value is a typed
+//! [`CheckpointError`] — hostile input never panics.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -102,33 +108,88 @@ impl fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-fn hex_str(bytes: &[u8]) -> String {
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+/// Lowercase hex digits: the only spelling the writers emit and the
+/// readers accept.
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+/// The value of each byte as a hex digit of [`HEX`], or `0xff`.
+const NIBBLE: [u8; 256] = {
+    let mut t = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        t[HEX[i] as usize] = i as u8;
+        i += 1;
     }
-    out
+    t
+};
+
+/// Append `v` in decimal.
+fn push_dec(out: &mut Vec<u8>, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&buf[at..]);
 }
 
-fn unhex_str(s: &str) -> Option<String> {
-    if !s.len().is_multiple_of(2) {
+/// Append two hex digits per byte of `bytes`.
+fn push_hex(out: &mut Vec<u8>, bytes: &[u8]) {
+    for &b in bytes {
+        out.extend_from_slice(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
+    }
+}
+
+/// Parse the spelling [`push_dec`] writes: ASCII digits, no sign, no leading
+/// zero, within `u64`.
+fn dec_u64(s: &[u8]) -> Option<u64> {
+    match s {
+        [] | [b'0', _, ..] => None,
+        _ => s.iter().try_fold(0u64, |acc, &b| {
+            let d = b.wrapping_sub(b'0');
+            (d < 10).then_some(())?;
+            acc.checked_mul(10)?.checked_add(u64::from(d))
+        }),
+    }
+}
+
+/// Parse the spelling [`Section::put_f64`] writes: exactly 16 lowercase hex
+/// digits.
+fn dec_f64(s: &[u8]) -> Option<f64> {
+    let s: &[u8; 16] = s.try_into().ok()?;
+    let (mut bits, mut bad) = (0u64, 0u8);
+    for &b in s {
+        let n = NIBBLE[usize::from(b)];
+        bad |= n;
+        bits = bits << 4 | u64::from(n & 0xf);
+    }
+    (bad < 16).then(|| f64::from_bits(bits))
+}
+
+/// Parse the spelling [`push_hex`] writes, as UTF-8.
+fn unhex_str(s: &[u8]) -> Option<String> {
+    let (pairs, []) = s.as_chunks::<2>() else {
         return None;
-    }
-    let mut bytes = Vec::with_capacity(s.len() / 2);
-    for i in (0..s.len()).step_by(2) {
-        bytes.push(u8::from_str_radix(s.get(i..i + 2)?, 16).ok()?);
-    }
+    };
+    let bytes = pairs
+        .iter()
+        .map(|&[hi, lo]| {
+            let (hi, lo) = (NIBBLE[usize::from(hi)], NIBBLE[usize::from(lo)]);
+            (hi | lo < 16).then_some(hi << 4 | lo)
+        })
+        .collect::<Option<Vec<u8>>>()?;
     String::from_utf8(bytes).ok()
 }
 
-fn enc_f64(x: f64) -> String {
-    format!("{:016x}", x.to_bits())
-}
-
-fn dec_f64(s: &str) -> Option<f64> {
-    (s.len() == 16)
-        .then(|| u64::from_str_radix(s, 16).ok().map(f64::from_bits))
-        .flatten()
+/// The codec's output as a `String`: digits, tags and separators are ASCII
+/// and every other piece was a `&str`.
+fn utf8(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).expect("the codec writes UTF-8")
 }
 
 /// One named bundle of key/value state inside a [`Checkpoint`] — typically
@@ -169,42 +230,67 @@ impl Section {
         self.fields.is_empty()
     }
 
+    /// Store `tag` and then what `write` appends under `key`; `len` sizes
+    /// the value's buffer.
+    fn put_with(&mut self, key: &str, tag: &str, len: usize, write: impl FnOnce(&mut Vec<u8>)) {
+        let mut v = Vec::with_capacity(tag.len() + len);
+        v.extend_from_slice(tag.as_bytes());
+        write(&mut v);
+        self.fields.insert(key.to_string(), utf8(v));
+    }
+
+    /// Store `tag` and the 16 hex digits of each bit pattern in `vs`, `;`
+    /// between: `17n - 1` bytes for `n` values, filled in place.
+    fn put_bits(&mut self, key: &str, tag: &str, vs: &[f64]) {
+        let len = (17 * vs.len()).saturating_sub(1);
+        self.put_with(key, tag, len, |out| {
+            let at = out.len();
+            out.resize(at + len, b';');
+            for (item, x) in out[at..].chunks_mut(17).zip(vs) {
+                let bits = x.to_bits();
+                for (i, d) in item[..16].iter_mut().enumerate() {
+                    *d = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+                }
+            }
+        });
+    }
+
     /// Store a `u64`.
     pub fn put_u64(&mut self, key: &str, v: u64) {
-        self.fields.insert(key.to_string(), format!("u:{v}"));
+        self.put_with(key, "u:", 20, |out| push_dec(out, v));
     }
 
     /// Store an `f64` as its exact bit pattern.
     pub fn put_f64(&mut self, key: &str, v: f64) {
-        self.fields
-            .insert(key.to_string(), format!("f:{}", enc_f64(v)));
+        self.put_bits(key, "f:", &[v]);
     }
 
     /// Store a `bool`.
     pub fn put_bool(&mut self, key: &str, v: bool) {
-        self.fields
-            .insert(key.to_string(), format!("b:{}", v as u8));
+        self.put_with(key, "b:", 1, |out| out.push(b'0' + u8::from(v)));
     }
 
     /// Store a string (hex-encoded, so arbitrary content survives the flat
     /// JSONL line).
     pub fn put_str(&mut self, key: &str, v: &str) {
-        self.fields
-            .insert(key.to_string(), format!("s:{}", hex_str(v.as_bytes())));
+        self.put_with(key, "s:", 2 * v.len(), |out| push_hex(out, v.as_bytes()));
     }
 
     /// Store a `u64` slice.
     pub fn put_u64s(&mut self, key: &str, vs: &[u64]) {
-        let body: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
-        self.fields
-            .insert(key.to_string(), format!("U:{}", body.join(";")));
+        self.put_with(key, "U:", 2 * vs.len(), |out| {
+            for (i, &v) in vs.iter().enumerate() {
+                if i > 0 {
+                    out.push(b';');
+                }
+                push_dec(out, v);
+            }
+        });
     }
 
     /// Store an `f64` slice as exact bit patterns.
     pub fn put_f64s(&mut self, key: &str, vs: &[f64]) {
-        let body: Vec<String> = vs.iter().map(|v| enc_f64(*v)).collect();
-        self.fields
-            .insert(key.to_string(), format!("F:{}", body.join(";")));
+        self.put_bits(key, "F:", vs);
     }
 
     fn raw(&self, key: &str, prefix: char) -> Result<&str, CheckpointError> {
@@ -223,12 +309,12 @@ impl Section {
 
     /// Read a `u64`.
     pub fn get_u64(&self, key: &str) -> Result<u64, CheckpointError> {
-        self.raw(key, 'u')?.parse().map_err(|_| self.bad(key))
+        dec_u64(self.raw(key, 'u')?.as_bytes()).ok_or_else(|| self.bad(key))
     }
 
     /// Read an `f64` (bit-exact).
     pub fn get_f64(&self, key: &str) -> Result<f64, CheckpointError> {
-        dec_f64(self.raw(key, 'f')?).ok_or_else(|| self.bad(key))
+        dec_f64(self.raw(key, 'f')?.as_bytes()).ok_or_else(|| self.bad(key))
     }
 
     /// Read a `bool`.
@@ -242,38 +328,56 @@ impl Section {
 
     /// Read a string.
     pub fn get_str(&self, key: &str) -> Result<String, CheckpointError> {
-        unhex_str(self.raw(key, 's')?).ok_or_else(|| self.bad(key))
+        unhex_str(self.raw(key, 's')?.as_bytes()).ok_or_else(|| self.bad(key))
     }
 
     /// Read a `u64` list.
     pub fn get_u64s(&self, key: &str) -> Result<Vec<u64>, CheckpointError> {
-        let body = self.raw(key, 'U')?;
+        let body = self.raw(key, 'U')?.as_bytes();
         if body.is_empty() {
             return Ok(Vec::new());
         }
-        body.split(';')
-            .map(|p| p.parse().map_err(|_| self.bad(key)))
-            .collect()
+        let mut out = Vec::with_capacity(1 + body.iter().filter(|&&b| b == b';').count());
+        for item in body.split(|&b| b == b';') {
+            out.push(dec_u64(item).ok_or_else(|| self.bad(key))?);
+        }
+        Ok(out)
     }
 
     /// Read an `f64` list (bit-exact).
     pub fn get_f64s(&self, key: &str) -> Result<Vec<f64>, CheckpointError> {
-        let body = self.raw(key, 'F')?;
+        let body = self.raw(key, 'F')?.as_bytes();
         if body.is_empty() {
             return Ok(Vec::new());
         }
-        body.split(';')
-            .map(|p| dec_f64(p).ok_or_else(|| self.bad(key)))
-            .collect()
+        // `n` values are `17n - 1` bytes: 16 digits each, `;` between.
+        if !(body.len() + 1).is_multiple_of(17) {
+            return Err(self.bad(key));
+        }
+        let mut out = Vec::with_capacity((body.len() + 1) / 17);
+        for item in body.chunks(17) {
+            let (digits, sep) = item.split_at(16);
+            match (dec_f64(digits), sep) {
+                (Some(x), [] | [b';']) => out.push(x),
+                _ => return Err(self.bad(key)),
+            }
+        }
+        Ok(out)
     }
 
-    fn to_json(&self) -> String {
-        let mut line = format!("{{\"type\":\"ckpt_section\",\"id\":\"{}\"", self.id);
+    /// Append the section as one JSONL line.
+    fn write_json(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(b"{\"type\":\"ckpt_section\",\"id\":\"");
+        out.extend_from_slice(self.id.as_bytes());
+        out.push(b'"');
         for (k, v) in &self.fields {
-            line.push_str(&format!(",\"{k}\":\"{v}\""));
+            out.extend_from_slice(b",\"");
+            out.extend_from_slice(k.as_bytes());
+            out.extend_from_slice(b"\":\"");
+            out.extend_from_slice(v.as_bytes());
+            out.push(b'"');
         }
-        line.push('}');
-        line
+        out.extend_from_slice(b"}\n");
     }
 
     fn from_fields(fields: &[(&str, &str)]) -> Option<Section> {
@@ -345,17 +449,21 @@ impl Checkpoint {
 
     /// Serialize as a length-prefixed JSONL document (trailing newline).
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"type\":\"ckpt_meta\",\"version\":{},\"name\":\"{}\",\"sections\":{}}}\n",
-            self.version,
-            hex_str(self.name.as_bytes()),
-            self.sections.len()
-        );
+        // A size hint: the values dominate, the per-line overhead is a guess.
+        let fields = self.sections.iter().flat_map(|s| &s.fields);
+        let len: usize = fields.map(|(k, v)| k.len() + v.len() + 6).sum();
+        let mut out = Vec::with_capacity(len + 64 * (1 + self.sections.len()));
+        out.extend_from_slice(b"{\"type\":\"ckpt_meta\",\"version\":");
+        push_dec(&mut out, u64::from(self.version));
+        out.extend_from_slice(b",\"name\":\"");
+        push_hex(&mut out, self.name.as_bytes());
+        out.extend_from_slice(b"\",\"sections\":");
+        push_dec(&mut out, self.sections.len() as u64);
+        out.extend_from_slice(b"}\n");
         for s in &self.sections {
-            out.push_str(&s.to_json());
-            out.push('\n');
+            s.write_json(&mut out);
         }
-        out
+        utf8(out)
     }
 
     /// Parse a JSONL document produced by [`Checkpoint::to_jsonl`].
@@ -370,17 +478,17 @@ impl Checkpoint {
         if str_field(&fields, "type") != Some("ckpt_meta") {
             return Err(CheckpointError::BadHeader);
         }
-        let version: u64 = field(&fields, "version")
-            .and_then(|v| v.parse().ok())
+        let version = field(&fields, "version")
+            .and_then(|v| dec_u64(v.as_bytes()))
             .ok_or(CheckpointError::BadHeader)?;
         if version != CHECKPOINT_VERSION as u64 {
             return Err(CheckpointError::BadVersion(version));
         }
         let name = str_field(&fields, "name")
-            .and_then(unhex_str)
+            .and_then(|v| unhex_str(v.as_bytes()))
             .ok_or(CheckpointError::BadHeader)?;
-        let expected: usize = field(&fields, "sections")
-            .and_then(|v| v.parse().ok())
+        let expected = field(&fields, "sections")
+            .and_then(|v| usize::try_from(dec_u64(v.as_bytes())?).ok())
             .ok_or(CheckpointError::BadHeader)?;
         let mut sections = Vec::new();
         for line in lines {
@@ -676,6 +784,344 @@ mod tests {
             get_opt_state::<[f64; 3]>(&s, "held"),
             Err(CheckpointError::BadValue(_))
         ));
+    }
+
+    /// The codec as it was before it wrote into one buffer and parsed byte
+    /// slices: per-element `format!`, `Vec<String>` joins, `str::parse` and
+    /// `from_str_radix`. The differential tests below hold the codec to it.
+    mod oracle {
+        use super::super::Section;
+
+        pub fn hex_str(bytes: &[u8]) -> String {
+            let mut out = String::with_capacity(bytes.len() * 2);
+            for b in bytes {
+                out.push_str(&format!("{b:02x}"));
+            }
+            out
+        }
+
+        pub fn unhex_str(s: &str) -> Option<String> {
+            if !s.len().is_multiple_of(2) {
+                return None;
+            }
+            let mut bytes = Vec::with_capacity(s.len() / 2);
+            for i in (0..s.len()).step_by(2) {
+                bytes.push(u8::from_str_radix(s.get(i..i + 2)?, 16).ok()?);
+            }
+            String::from_utf8(bytes).ok()
+        }
+
+        pub fn enc_f64(x: f64) -> String {
+            format!("{:016x}", x.to_bits())
+        }
+
+        pub fn dec_f64(s: &str) -> Option<f64> {
+            (s.len() == 16)
+                .then(|| u64::from_str_radix(s, 16).ok().map(f64::from_bits))
+                .flatten()
+        }
+
+        pub fn put_u64s(vs: &[u64]) -> String {
+            let body: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
+            format!("U:{}", body.join(";"))
+        }
+
+        pub fn put_f64s(vs: &[f64]) -> String {
+            let body: Vec<String> = vs.iter().map(|v| enc_f64(*v)).collect();
+            format!("F:{}", body.join(";"))
+        }
+
+        pub fn get_u64s(body: &str) -> Option<Vec<u64>> {
+            if body.is_empty() {
+                return Some(Vec::new());
+            }
+            body.split(';').map(|p| p.parse().ok()).collect()
+        }
+
+        pub fn get_f64s(body: &str) -> Option<Vec<u64>> {
+            if body.is_empty() {
+                return Some(Vec::new());
+            }
+            body.split(';')
+                .map(|p| dec_f64(p).map(f64::to_bits))
+                .collect()
+        }
+
+        pub fn to_json(s: &Section) -> String {
+            let mut line = format!("{{\"type\":\"ckpt_section\",\"id\":\"{}\"", s.id);
+            for (k, v) in &s.fields {
+                line.push_str(&format!(",\"{k}\":\"{v}\""));
+            }
+            line.push('}');
+            line
+        }
+    }
+
+    /// ±0, subnormals, ±∞, quiet and signalling NaNs with payloads, both
+    /// signs.
+    const HOSTILE_BITS: [u64; 12] = [
+        0x0000_0000_0000_0000,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x800f_ffff_ffff_ffff,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0xfff8_0000_dead_beef,
+        0x7ff0_0000_0000_0001,
+        0xfff4_0000_0000_0042,
+        0x3ff0_0000_0000_0000,
+        0xffff_ffff_ffff_ffff,
+    ];
+
+    /// Seeded `u64` and `f64` vectors of every length the differential
+    /// covers, hostile values mixed in.
+    fn differential_vectors() -> Vec<(Vec<u64>, Vec<f64>)> {
+        let mut rng = sensact_math::rng::StdRng::seed_from_u64(0xC0DEC);
+        [0usize, 1, 2, 255, 4096]
+            .into_iter()
+            .map(|len| {
+                let us = (0..len)
+                    .map(|i| match rng.next_u64() % 4 {
+                        0 => rng.next_u64(),
+                        1 => rng.next_u64() % 1000,
+                        2 => 10u64.pow((i % 20) as u32) - (i % 2) as u64,
+                        _ => [0, u64::MAX, 9, 10][i % 4],
+                    })
+                    .collect();
+                let fs = (0..len)
+                    .map(|i| match rng.next_u64() % 3 {
+                        0 => f64::from_bits(rng.next_u64()),
+                        1 => f64::from_bits(HOSTILE_BITS[i % HOSTILE_BITS.len()]),
+                        _ => (rng.next_u64() % 2001) as f64 / 7.0 - 100.0,
+                    })
+                    .collect();
+                (us, fs)
+            })
+            .collect()
+    }
+
+    fn raw_section(key: &str, value: &str) -> Section {
+        let mut s = Section::new("x");
+        s.fields.insert(key.to_string(), value.to_string());
+        s
+    }
+
+    #[test]
+    fn writers_are_byte_identical_to_the_oracle() {
+        let mut ckpt = Checkpoint::new("oracle \u{e9}\"{}");
+        for (i, (us, fs)) in differential_vectors().into_iter().enumerate() {
+            let mut s = Section::new(format!("s{i}"));
+            s.put_u64s("us", &us);
+            s.put_f64s("fs", &fs);
+            assert_eq!(s.fields["us"], oracle::put_u64s(&us), "len {}", us.len());
+            assert_eq!(s.fields["fs"], oracle::put_f64s(&fs), "len {}", fs.len());
+            for (j, (&u, &f)) in us.iter().zip(&fs).take(64).enumerate() {
+                s.put_u64(&format!("u{j}"), u);
+                s.put_f64(&format!("f{j}"), f);
+                assert_eq!(s.fields[&format!("u{j}")], format!("u:{u}"));
+                assert_eq!(
+                    s.fields[&format!("f{j}")],
+                    format!("f:{}", oracle::enc_f64(f))
+                );
+            }
+            for text in ["", "a", "loop \u{e9}\u{1F980}", "\0\u{7f}\"{}"] {
+                s.put_str("text", text);
+                assert_eq!(
+                    s.fields["text"],
+                    format!("s:{}", oracle::hex_str(text.as_bytes()))
+                );
+            }
+            ckpt.push(s);
+        }
+        let mut expected = format!(
+            "{{\"type\":\"ckpt_meta\",\"version\":{},\"name\":\"{}\",\"sections\":{}}}\n",
+            ckpt.version,
+            oracle::hex_str(ckpt.name.as_bytes()),
+            ckpt.sections.len()
+        );
+        for s in &ckpt.sections {
+            expected.push_str(&oracle::to_json(s));
+            expected.push('\n');
+        }
+        assert_eq!(ckpt.to_jsonl(), expected);
+    }
+
+    /// Strings the writer never emits, on which the two readers agree.
+    const HOSTILE_U: [&str; 14] = [
+        ";",
+        ";;",
+        "1;",
+        ";1",
+        "1;;2",
+        "18446744073709551616",
+        "99999999999999999999",
+        "-1",
+        " 1",
+        "1 ",
+        "0x1",
+        "\u{ff11}",
+        "1;\u{e9}",
+        "1.0",
+    ];
+    const HOSTILE_F: [&str; 10] = [
+        ";;",
+        "3ff0000000000000;",
+        ";3ff0000000000000",
+        "3ff000000000000",
+        "3ff00000000000000",
+        "3ff000000000000g",
+        "3ff0000000000000;;3ff0000000000000",
+        "3ff00000000000\u{e9}",
+        "-ff0000000000000",
+        " 3ff000000000000",
+    ];
+    const HOSTILE_S: [&str; 7] = ["0", "zz", "\u{e9}", "ff", "c3", "6", "6g"];
+
+    /// The only strings on which the readers differ: the oracle read a
+    /// leading `+`, leading decimal zeros and uppercase hex as aliases of
+    /// the canonical spelling; the codec refuses them.
+    const ALIAS_U: [&str; 5] = ["+5", "05", "00", "1;+2", "1;02"];
+    const ALIAS_F: [&str; 3] = [
+        "+00000000000000f",
+        "3FF0000000000000",
+        "3ff0000000000000;7FF8000000000000",
+    ];
+    const ALIAS_S: [&str; 3] = ["+f", "4A", "6f6B"];
+
+    #[test]
+    fn readers_match_the_oracle_except_on_aliases() {
+        let u64s = |body: &str| raw_section("k", &format!("U:{body}")).get_u64s("k").ok();
+        let f64s = |body: &str| {
+            raw_section("k", &format!("F:{body}"))
+                .get_f64s("k")
+                .ok()
+                .map(|v| v.into_iter().map(f64::to_bits).collect::<Vec<_>>())
+        };
+        let str_ = |body: &str| raw_section("k", &format!("s:{body}")).get_str("k").ok();
+        let u64_ = |body: &str| raw_section("k", &format!("u:{body}")).get_u64("k").ok();
+        let f64_ = |body: &str| {
+            raw_section("k", &format!("f:{body}"))
+                .get_f64("k")
+                .ok()
+                .map(f64::to_bits)
+        };
+        for (us, fs) in differential_vectors() {
+            let s = oracle::put_u64s(&us);
+            let body = &s[2..];
+            assert_eq!(u64s(body), oracle::get_u64s(body));
+            assert_eq!(u64s(body), Some(us.clone()));
+            let s = oracle::put_f64s(&fs);
+            let body = &s[2..];
+            assert_eq!(f64s(body), oracle::get_f64s(body));
+            for (&u, &f) in us.iter().zip(&fs).take(64) {
+                assert_eq!(u64_(&u.to_string()), Some(u));
+                assert_eq!(f64_(&oracle::enc_f64(f)), Some(f.to_bits()));
+            }
+        }
+        for body in ["", "0", "a", "00ff"] {
+            assert_eq!(
+                str_(&oracle::hex_str(body.as_bytes())).as_deref(),
+                Some(body)
+            );
+        }
+        for body in HOSTILE_U.into_iter().chain([""]) {
+            assert_eq!(u64s(body), oracle::get_u64s(body), "U:{body}");
+            assert_eq!(u64_(body), body.parse().ok(), "u:{body}");
+        }
+        for body in HOSTILE_F.into_iter().chain([""]) {
+            assert_eq!(f64s(body), oracle::get_f64s(body), "F:{body}");
+            assert_eq!(
+                f64_(body),
+                oracle::dec_f64(body).map(f64::to_bits),
+                "f:{body}"
+            );
+        }
+        for body in HOSTILE_S.into_iter().chain([""]) {
+            assert_eq!(str_(body), oracle::unhex_str(body), "s:{body}");
+        }
+        for body in ALIAS_U {
+            assert!(
+                oracle::get_u64s(body).is_some() && u64s(body).is_none(),
+                "U:{body}"
+            );
+        }
+        for body in ALIAS_F {
+            assert!(
+                oracle::get_f64s(body).is_some() && f64s(body).is_none(),
+                "F:{body}"
+            );
+        }
+        for body in ALIAS_S {
+            assert!(
+                oracle::unhex_str(body).is_some() && str_(body).is_none(),
+                "s:{body}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_signed_or_zero_padded_decimal_is_bad_value() {
+        for value in ["u:+5", "u:05", "u:00"] {
+            assert_eq!(
+                raw_section("n", value).get_u64("n"),
+                Err(CheckpointError::BadValue("x.n".into())),
+                "{value}"
+            );
+        }
+        for value in ["U:1;+5", "U:05;1"] {
+            assert_eq!(
+                raw_section("n", value).get_u64s("n"),
+                Err(CheckpointError::BadValue("x.n".into())),
+                "{value}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_signed_or_uppercase_hex_float_is_bad_value() {
+        for value in ["f:+00000000000000f", "f:3FF0000000000000"] {
+            assert_eq!(
+                raw_section("v", value).get_f64("v"),
+                Err(CheckpointError::BadValue("x.v".into())),
+                "{value}"
+            );
+        }
+        for value in ["F:+00000000000000f", "F:0000000000000000;7FF8000000000000"] {
+            assert_eq!(
+                raw_section("v", value).get_f64s("v"),
+                Err(CheckpointError::BadValue("x.v".into())),
+                "{value}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_signed_or_uppercase_hex_string_is_bad_value() {
+        for value in ["s:+f", "s:4A"] {
+            assert_eq!(
+                raw_section("t", value).get_str("t"),
+                Err(CheckpointError::BadValue("x.t".into())),
+                "{value}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_non_canonical_header_count_is_bad_header() {
+        for (version, sections) in [("+1", "0"), ("01", "0"), ("1", "+0"), ("1", "00")] {
+            let doc = format!(
+                "{{\"type\":\"ckpt_meta\",\"version\":{version},\"name\":\"\",\"sections\":{sections}}}\n"
+            );
+            assert_eq!(
+                Checkpoint::from_jsonl(&doc),
+                Err(CheckpointError::BadHeader),
+                "{doc}"
+            );
+        }
+        // A signed or uppercase name is the same alias class.
+        let doc = "{\"type\":\"ckpt_meta\",\"version\":1,\"name\":\"4A\",\"sections\":0}\n";
+        assert_eq!(Checkpoint::from_jsonl(doc), Err(CheckpointError::BadHeader));
     }
 
     #[test]

@@ -210,6 +210,23 @@ fn assert_governor_steered_nothing(governed: &str, pinned: &str) {
     );
 }
 
+/// A pinned document writes back byte for byte: parsed and serialized, and
+/// restored onto a twin and snapshotted again — less the `governor` section
+/// a governed document carries, which no runner writes any more.
+fn assert_re_saves(doc: &str, pinned: &Checkpoint, resumed: Checkpoint) {
+    assert_eq!(pinned.to_jsonl(), doc, "parse -> serialize");
+    let env = pinned.section("env").unwrap().get_f64("state").unwrap();
+    let mut expected = Checkpoint::new(pinned.name());
+    for s in pinned.sections().iter().filter(|s| s.id() != "governor") {
+        expected.push(s.clone());
+    }
+    assert_eq!(
+        with_env(resumed, env).to_jsonl(),
+        expected.to_jsonl(),
+        "restore -> snapshot"
+    );
+}
+
 #[test]
 fn fallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores() {
     let build = || {
@@ -299,6 +316,7 @@ fn fallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores()
         let pinned = Checkpoint::from_jsonl(doc).unwrap();
         let mut resumed = build();
         resumed.restore(&pinned).unwrap();
+        assert_re_saves(doc, &pinned, resumed.snapshot());
         assert_pinned_tail_replays(&mut resumed, &pinned, &tail, env);
     }
 }
@@ -369,6 +387,7 @@ fn infallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores
         let pinned = Checkpoint::from_jsonl(doc).unwrap();
         let mut resumed = build();
         resumed.restore(&pinned).unwrap();
+        assert_re_saves(doc, &pinned, resumed.snapshot());
         assert_pinned_tail_replays(&mut resumed, &pinned, &tail, env);
     }
 }

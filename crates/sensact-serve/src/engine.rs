@@ -25,7 +25,8 @@ use crate::wire::{self, Frame};
 use sensact_core::checkpoint::{Checkpoint, CheckpointError};
 use sensact_core::MetricsRegistry;
 
-/// Cap on a connection's unconsumed input buffer — and, in the TCP
+/// Cap on a connection's unconsumed input buffer — what is left after every
+/// complete frame or request in it has been served — and, in the TCP
 /// front-end, on its unsent output; beyond it the peer is not making
 /// protocol progress and the connection is marked dead.
 pub(crate) const MAX_CONN_BUF: usize = 4 << 20;
@@ -145,10 +146,6 @@ impl ServeEngine {
             return result;
         }
         conn.buf.extend_from_slice(bytes);
-        if conn.buf.len() > MAX_CONN_BUF {
-            conn.dead = true;
-            return result;
-        }
         if conn.kind == ConnKind::Sniffing {
             match conn.buf.first() {
                 Some(&wire::MAGIC) => conn.kind = ConnKind::Binary,
@@ -160,6 +157,9 @@ impl ServeEngine {
             ConnKind::Binary => self.drain_binary(conn, now_s, &mut result),
             ConnKind::Http => self.drain_http(conn, now_s, &mut result),
             ConnKind::Sniffing => unreachable!("sniffed above"),
+        }
+        if conn.buf.len() > MAX_CONN_BUF {
+            conn.dead = true;
         }
         result
     }

@@ -164,7 +164,9 @@ impl Loopback {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MAX_CONN_BUF;
     use crate::lease::PoolConfig;
+    use crate::wire::encode_to_vec;
 
     fn loopback(batched: bool) -> Loopback {
         Loopback::new(ServeConfig {
@@ -226,6 +228,57 @@ mod tests {
         assert_eq!(lb.expire(100.0), vec![lease2]);
         assert!(lb.routes.is_empty());
         let _ = obs_len;
+    }
+
+    #[test]
+    fn one_send_past_the_buffer_cap_is_served_frame_for_frame() {
+        let mut lb = loopback(false);
+        let c = lb.connect();
+        let (lease, obs_len, _) = lb.request_lease(c, 1, 7, 0.0).unwrap();
+        let mut bytes = Vec::new();
+        let mut sent = 0u64;
+        while bytes.len() <= MAX_CONN_BUF {
+            let values = vec![0.125 * (sent % 8) as f64; obs_len];
+            wire::encode(
+                &Frame::Obs {
+                    lease,
+                    seq: sent,
+                    values,
+                },
+                &mut bytes,
+            );
+            sent += 1;
+        }
+        lb.send_bytes(c, &bytes, 1e-3);
+        assert!(!lb.is_dead(c), "complete frames are not a backlog");
+        let replies = lb.take_frames(c);
+        assert_eq!(replies.len() as u64, sent);
+        for (i, reply) in replies.iter().enumerate() {
+            match reply {
+                Frame::Act { seq, .. } | Frame::Shed { seq, .. } => assert_eq!(*seq, i as u64),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    /// A peer that never completes a frame is still cut off: by the parsers'
+    /// own limits (`MAX_PAYLOAD`, `MAX_HEAD`) long before the buffer cap.
+    #[test]
+    fn an_unterminated_frame_past_the_buffer_cap_kills_the_connection() {
+        let mut binary = vec![wire::MAGIC, 0x04];
+        binary.extend_from_slice(&(MAX_CONN_BUF as u32).to_le_bytes());
+        for mut bytes in [binary, b"GET /".to_vec()] {
+            bytes.resize(MAX_CONN_BUF + 1, b'a');
+            let mut lb = loopback(false);
+            let c = lb.connect();
+            lb.send_bytes(c, &bytes, 0.0);
+            assert!(lb.is_dead(c));
+            lb.send_bytes(c, &encode_to_vec(&Frame::Heartbeat { lease: 1 }), 0.0);
+            assert!(
+                lb.take_frames(c).len() <= 1,
+                "a dead connection serves nothing"
+            );
+        }
     }
 
     #[test]

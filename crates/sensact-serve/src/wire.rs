@@ -5,6 +5,12 @@
 //! shape is determined by `kind`. Floats travel as IEEE-754 bit patterns
 //! (`f64::to_bits`, little-endian), so an action crosses the wire
 //! bit-exactly and a client can replay-verify against a local recording.
+//! A value vector converts as one slice pass: decode maps
+//! `chunks_exact(8)` through `f64::from_le_bytes`, encode reserves
+//! `8 · len` bytes once and appends each `f64::to_le_bytes`. Fixed fields
+//! convert from fixed-size arrays the same way. Nothing is reinterpreted in
+//! place, so there is no `unsafe` and the bytes are the same on a
+//! big-endian host.
 //!
 //! The decoder is **incremental** and **total**: [`decode`] returns
 //! `Ok(None)` when the buffer holds only a frame prefix (read more bytes),
@@ -201,27 +207,45 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
 }
 
 fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
+    out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn get_u16(b: &[u8]) -> u16 {
-    u16::from_le_bytes([b[0], b[1]])
+fn put_f64s(out: &mut Vec<u8>, vs: &[f64]) {
+    out.reserve(8 * vs.len());
+    for v in vs {
+        put_f64(out, *v);
+    }
 }
 
-fn get_u32(b: &[u8]) -> u32 {
-    u32::from_le_bytes([b[0], b[1], b[2], b[3]])
+/// The `N` bytes of `p` at `at`. Every caller reads inside bytes whose
+/// length [`decode`] has already checked (the header, or a payload
+/// validated for its kind).
+fn bytes<const N: usize>(p: &[u8], at: usize) -> [u8; N] {
+    p[at..at + N].try_into().expect("length checked by decode")
 }
 
-fn get_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+fn get_u16(p: &[u8], at: usize) -> u16 {
+    u16::from_le_bytes(bytes(p, at))
 }
 
-fn get_f64(b: &[u8]) -> f64 {
-    f64::from_bits(get_u64(b))
+fn get_u32(p: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes(p, at))
 }
 
-fn get_f64s(b: &[u8]) -> Vec<f64> {
-    b.chunks_exact(8).map(get_f64).collect()
+fn get_u64(p: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(bytes(p, at))
+}
+
+fn get_f64(p: &[u8], at: usize) -> f64 {
+    f64::from_le_bytes(bytes(p, at))
+}
+
+/// One slice pass: a length that is not a multiple of 8 never reaches here
+/// ([`decode`] answers it with [`WireError::BadLength`]).
+fn get_f64s(p: &[u8]) -> Vec<f64> {
+    p.chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+        .collect()
 }
 
 /// Append the encoded `frame` to `out`. Total: any frame round-trips
@@ -249,9 +273,7 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
         Frame::Obs { lease, seq, values } => {
             put_u64(out, *lease);
             put_u64(out, *seq);
-            for v in values {
-                put_f64(out, *v);
-            }
+            put_f64s(out, values);
         }
         Frame::Act {
             lease,
@@ -264,9 +286,7 @@ pub fn encode(frame: &Frame, out: &mut Vec<u8>) {
             put_u64(out, *seq);
             put_f64(out, *latency_s);
             put_f64(out, *energy_j);
-            for v in values {
-                put_f64(out, *v);
-            }
+            put_f64s(out, values);
         }
         Frame::Shed {
             lease,
@@ -324,7 +344,7 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
     if buf.len() < HEADER_LEN {
         return Ok(None);
     }
-    let len = get_u32(&buf[2..6]) as usize;
+    let len = get_u32(buf, 2) as usize;
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversize {
             len,
@@ -356,45 +376,45 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
     let frame = match kind {
         0x01 => Frame::LeaseReq {
             model: p[0],
-            seed: get_u64(&p[1..9]),
+            seed: get_u64(p, 1),
         },
         0x02 => Frame::LeaseGrant {
-            lease: get_u64(&p[0..8]),
-            obs_len: get_u32(&p[8..12]),
-            act_len: get_u32(&p[12..16]),
+            lease: get_u64(p, 0),
+            obs_len: get_u32(p, 8),
+            act_len: get_u32(p, 12),
         },
         0x03 => Frame::LeaseReject {
-            retry_after_ms: get_u32(&p[0..4]),
+            retry_after_ms: get_u32(p, 0),
         },
         0x04 => Frame::Obs {
-            lease: get_u64(&p[0..8]),
-            seq: get_u64(&p[8..16]),
+            lease: get_u64(p, 0),
+            seq: get_u64(p, 8),
             values: get_f64s(&p[16..]),
         },
         0x05 => Frame::Act {
-            lease: get_u64(&p[0..8]),
-            seq: get_u64(&p[8..16]),
-            latency_s: get_f64(&p[16..24]),
-            energy_j: get_f64(&p[24..32]),
+            lease: get_u64(p, 0),
+            seq: get_u64(p, 8),
+            latency_s: get_f64(p, 16),
+            energy_j: get_f64(p, 24),
             values: get_f64s(&p[32..]),
         },
         0x06 => Frame::Shed {
-            lease: get_u64(&p[0..8]),
-            seq: get_u64(&p[8..16]),
-            retry_after_ms: get_u32(&p[16..20]),
+            lease: get_u64(p, 0),
+            seq: get_u64(p, 8),
+            retry_after_ms: get_u32(p, 16),
         },
         0x07 => Frame::Heartbeat {
-            lease: get_u64(&p[0..8]),
+            lease: get_u64(p, 0),
         },
         0x08 => Frame::Release {
-            lease: get_u64(&p[0..8]),
+            lease: get_u64(p, 0),
         },
         0x09 => Frame::Released {
-            lease: get_u64(&p[0..8]),
-            ticks: get_u64(&p[8..16]),
+            lease: get_u64(p, 0),
+            ticks: get_u64(p, 8),
         },
         0x0A => Frame::Error {
-            code: get_u16(&p[0..2]),
+            code: get_u16(p, 0),
             message: String::from_utf8(p[2..].to_vec()).map_err(|_| WireError::BadUtf8)?,
         },
         _ => unreachable!("kind range checked above"),
@@ -560,6 +580,153 @@ mod tests {
         assert_eq!(
             decode(&buf),
             Err(WireError::BadLength { kind: 0x07, len: 9 })
+        );
+    }
+
+    /// The decoder as it was before it converted slices: every `u64`
+    /// assembled from eight indexed bytes. The differential below holds
+    /// [`decode`] to it.
+    mod oracle {
+        pub fn get_u64(b: &[u8]) -> u64 {
+            u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+        }
+
+        pub fn get_f64(b: &[u8]) -> f64 {
+            f64::from_bits(get_u64(b))
+        }
+
+        pub fn get_f64s(b: &[u8]) -> Vec<f64> {
+            b.chunks_exact(8).map(get_f64).collect()
+        }
+    }
+
+    fn bits(vs: &[f64]) -> Vec<u64> {
+        vs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// ±0, subnormals, ±∞, quiet and signalling NaNs with payloads, both
+    /// signs.
+    const FLOAT_CLASSES: [u64; 12] = [
+        0x0000_0000_0000_0000,
+        0x8000_0000_0000_0000,
+        0x0000_0000_0000_0001,
+        0x800f_ffff_ffff_ffff,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0xfff8_0000_dead_beef,
+        0x7ff0_0000_0000_0001,
+        0xfff4_0000_0000_0042,
+        0x7ff7_ffff_ffff_ffff,
+        0xffff_ffff_ffff_ffff,
+    ];
+
+    #[test]
+    fn every_float_class_round_trips_at_every_length() {
+        for class in FLOAT_CLASSES {
+            let x = f64::from_bits(class);
+            for len in [0usize, 1, 7, 8, 9, 512] {
+                // One class throughout, then every class interleaved.
+                let mixed: Vec<f64> = (0..len)
+                    .map(|i| f64::from_bits(FLOAT_CLASSES[i % FLOAT_CLASSES.len()]))
+                    .collect();
+                for values in [vec![x; len], mixed] {
+                    let frames = [
+                        Frame::Obs {
+                            lease: class,
+                            seq: len as u64,
+                            values: values.clone(),
+                        },
+                        Frame::Act {
+                            lease: class,
+                            seq: len as u64,
+                            latency_s: x,
+                            energy_j: -x,
+                            values: values.clone(),
+                        },
+                    ];
+                    for frame in frames {
+                        let bytes = encode_to_vec(&frame);
+                        let (got, used) = decode(&bytes).unwrap().expect("complete frame");
+                        assert_eq!(used, bytes.len());
+                        match got {
+                            Frame::Obs { values: got, .. } => assert_eq!(bits(&got), bits(&values)),
+                            Frame::Act {
+                                latency_s,
+                                energy_j,
+                                values: got,
+                                ..
+                            } => {
+                                assert_eq!(latency_s.to_bits(), class);
+                                assert_eq!(energy_j.to_bits(), (-x).to_bits());
+                                assert_eq!(bits(&got), bits(&values));
+                            }
+                            other => panic!("{other:?}"),
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Seeded random payloads under every frame kind, lengths that are not a
+    /// multiple of 8 included: each decodes to the oracle's values and
+    /// re-encodes to the input bytes, or is refused as before.
+    #[test]
+    fn decode_matches_the_byte_assembly_oracle_on_random_payloads() {
+        let mut rng = StdRng::seed_from_u64(0xD1FF);
+        let (mut floats, mut refused) = (0, 0);
+        for _ in 0..4000 {
+            let kind = 1 + (rng.next_u64() % 10) as u8;
+            let fixed = [9usize, 16, 4, 16, 32, 20, 8, 8, 16, 2][kind as usize - 1];
+            let len = match rng.next_u64() % 4 {
+                0 => fixed + (rng.next_u64() % 80) as usize,
+                _ => fixed + 8 * (rng.next_u64() % 70) as usize,
+            };
+            let mut buf = vec![MAGIC, kind];
+            buf.extend_from_slice(&(len as u32).to_le_bytes());
+            buf.extend((0..len).map(|_| (rng.next_u64() & 0xFF) as u8));
+            let p = &buf[HEADER_LEN..];
+            match decode(&buf) {
+                Ok(Some((frame, used))) => {
+                    assert_eq!(used, buf.len());
+                    assert_eq!(encode_to_vec(&frame), buf, "{frame:?}");
+                    match frame {
+                        Frame::Obs { lease, seq, values } => {
+                            assert_eq!(
+                                (lease, seq),
+                                (oracle::get_u64(p), oracle::get_u64(&p[8..]))
+                            );
+                            assert_eq!(bits(&values), bits(&oracle::get_f64s(&p[16..])));
+                            floats += values.len();
+                        }
+                        Frame::Act {
+                            latency_s,
+                            energy_j,
+                            values,
+                            ..
+                        } => {
+                            assert_eq!(latency_s.to_bits(), oracle::get_f64(&p[16..]).to_bits());
+                            assert_eq!(energy_j.to_bits(), oracle::get_f64(&p[24..]).to_bits());
+                            assert_eq!(bits(&values), bits(&oracle::get_f64s(&p[32..])));
+                            floats += values.len();
+                        }
+                        _ => {}
+                    }
+                }
+                Ok(None) => panic!("a complete buffer asked for more bytes"),
+                Err(WireError::BadUtf8) => assert_eq!(kind, 0x0A),
+                Err(e) => {
+                    assert_eq!(e, WireError::BadLength { kind, len });
+                    let multiple = matches!(kind, 0x04 | 0x05) && (len - fixed).is_multiple_of(8);
+                    assert!(len != fixed && !multiple, "refused a valid length: {e}");
+                    refused += 1;
+                }
+            }
+        }
+        assert!(
+            floats > 10_000 && refused > 500,
+            "{floats} floats, {refused} refused"
         );
     }
 

@@ -2,6 +2,7 @@
 """Parent-vs-change verdict on the performance ledger, the way a PR is judged.
 
     scripts/bench_pair.py <parent-rev> [--layers a,b,c] [workload ...]
+    scripts/bench_pair.py <parent-rev> --bin <sensact-bench bin>
 
 Builds both sides at one path: exports <parent-rev> into `src/` of a temp dir
 (under $TMPDIR), builds its `benchmark/` there into an emptied target dir and
@@ -31,6 +32,16 @@ With `--layers`, the ten untraced pairs of a workload are followed by one
 BENCHMARK.json are printed parent vs change: where the saving sits. One traced
 run a side is a pointer, not a verdict; the verdicts stay untraced.
 
+With `--bin`, the ledger is replaced by one of `sensact-bench`'s bins (e.g.
+`bench_ckpt`, whose numbers the ledger does not cover): each side builds that
+bin at the same source path, and five alternating pairs of full-mode runs
+(`--smoke` off) each read the one-row CSV the bin names on its `[csv]` line.
+Every column is a cost, lower is better, and there is no bound, so the verdict
+per column is `gain` or `worse` (one side wins >= 9/10 of the pairs and the
+medians differ by more than the parent IQR) or `inside spread`. Each run is
+made with its side's tree moved back to `src/`, where the bin was built and
+where it writes its CSV and records.
+
 Exits 1 on any `worse`, failed operation or incorrect output. Pairs, seconds
 and seeds are constants so every PR's table is the same experiment.
 """
@@ -44,6 +55,7 @@ import sys
 import tempfile
 
 PAIRS = 10
+BIN_PAIRS = 5
 SECONDS = 6
 FIRST_SEED = 1601
 
@@ -60,7 +72,14 @@ if "--layers" in args:
         sys.exit(__doc__)
     layers = args[at + 1].split(",")
     del args[at:at + 2]
-if not args or args[0].startswith("-"):
+bin_name = None
+if "--bin" in args:
+    at = args.index("--bin")
+    if at + 1 == len(args):
+        sys.exit(__doc__)
+    bin_name = args[at + 1]
+    del args[at:at + 2]
+if not args or args[0].startswith("-") or (bin_name and (layers or args[1:])):
     sys.exit(__doc__)
 parent_rev = args[0]
 workloads = args[1:] or known
@@ -96,17 +115,70 @@ def export_worktree(dest):
 def build(side, export):
     """Export `side` into `src/`, build it into an emptied `target/`, and move
     the binary and the tree (its goldens, its `out/`) aside."""
-    print(f"building {side} benchmark at {src} ...", flush=True)
+    print(f"building {side} {bin_name or 'benchmark'} at {src} ...", flush=True)
     src.mkdir()
     export(src)
     target = tmp / "target"
     shutil.rmtree(target, ignore_errors=True)
-    subprocess.run(
-        ["cargo", "build", "--offline", "--release", "--quiet",
-         "--manifest-path", str(src / "benchmark" / "Cargo.toml")],
-        env=dict(os.environ, CARGO_TARGET_DIR=str(target)), check=True)
-    shutil.move(target / "release" / "sensact-benchmark", tmp / f"{side}.bin")
+    if bin_name:
+        what = ["--manifest-path", str(src / "Cargo.toml"), "-p", "sensact-bench", "--bin", bin_name]
+    else:
+        what = ["--manifest-path", str(src / "benchmark" / "Cargo.toml")]
+    subprocess.run(["cargo", "build", "--offline", "--release", "--quiet", *what],
+                   env=dict(os.environ, CARGO_TARGET_DIR=str(target)), check=True)
+    shutil.move(target / "release" / (bin_name or "sensact-benchmark"), tmp / f"{side}.bin")
     src.rename(tmp / side)
+
+
+def run_bin(side):
+    """One full-mode run of `side`'s bin; returns its CSV row as {column: value}."""
+    (tmp / side).rename(src)
+    try:
+        env = {k: v for k, v in os.environ.items() if k != "SENSACT_QUICK"}
+        out = subprocess.run([str(tmp / f"{side}.bin")], cwd=src, env=env,
+                             capture_output=True, text=True)
+        if out.returncode != 0:
+            sys.exit(f"{side} {bin_name} exited {out.returncode}:\n{out.stderr}")
+        paths = [line[len("[csv] "):] for line in out.stdout.splitlines()
+                 if line.startswith("[csv] ")]
+        if len(paths) != 1:
+            sys.exit(f"{bin_name} printed {len(paths)} `[csv]` lines; --bin reads exactly one")
+        header, *rows = pathlib.Path(paths[0]).read_text().splitlines()
+    finally:
+        src.rename(tmp / side)
+    if len(rows) != 1:
+        sys.exit(f"{bin_name}'s CSV has {len(rows)} rows; --bin reads exactly one")
+    return dict(zip(header.split(","), map(float, rows[0].split(","))))
+
+
+def compare_bin():
+    """Five alternating pairs of the bin; one line per CSV column."""
+    values = {side: [] for side in sides}
+    for pair in range(BIN_PAIRS):
+        for side in (sides if pair % 2 == 0 else sides[::-1]):
+            values[side].append(run_bin(side))
+    print(f"\n{bin_name}  ({BIN_PAIRS} alternating pairs, full mode; every column lower is better)")
+    print(f"  {'column':<18} {'parent':>13} {'change':>13} {'delta':>9} "
+          f"{'parent IQR':>10} {'won':>5}  verdict")
+    worse = False
+    for column in values["parent"][0]:
+        parent = [row[column] for row in values["parent"]]
+        change = [row[column] for row in values["change"]]
+        mp, mc = statistics.median(parent), statistics.median(change)
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        wins = sum(c < p for p, c in zip(parent, change))
+        losses = sum(c > p for p, c in zip(parent, change))
+        if wins * 10 >= BIN_PAIRS * 9 and mp - mc > q3 - q1:
+            word = "gain"
+        elif losses * 10 >= BIN_PAIRS * 9 and mc - mp > q3 - q1:
+            word = "worse"
+        else:
+            word = "inside spread"
+        worse |= word == "worse"
+        base = abs(mp) or 1.0
+        print(f"  {column:<18} {mp:>13.2f} {mc:>13.2f} {(mc - mp) / base * 100:>+8.1f}% "
+              f"{(q3 - q1) / base * 100:>9.1f}% {wins:>2}/{BIN_PAIRS}  {word}", flush=True)
+    return worse
 
 
 def run_once(side, workload, seed, trace=0):
@@ -148,6 +220,9 @@ try:
     build("parent", export_parent)
     build("change", export_worktree)
 
+    if bin_name:
+        bad = compare_bin()
+        workloads = []
     for workload in workloads:
         values = {side: {m["name"]: [] for m in metrics} for side in sides}
         failed = {side: [0, 0] for side in sides}
