@@ -15,7 +15,7 @@
 use crate::metrics::MetricsRegistry;
 use crate::stage::Trust;
 use crate::telemetry::{LoopTelemetry, TickRecord};
-use crate::trace::{CausalSpan, Span, SpanKind, StageBreakdown, StageId};
+use crate::trace::{CausalSpan, Span, StageBreakdown, StageId};
 use crate::Precision;
 use std::fmt::Write as _;
 
@@ -52,25 +52,34 @@ pub fn tick_to_json(r: &TickRecord) -> String {
     line
 }
 
+/// Append one JSONL line per item — the line loop behind every multi-event
+/// export.
+pub(crate) fn push_lines<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    to_json: impl Fn(T) -> String,
+) {
+    for item in items {
+        out.push_str(&to_json(item));
+        out.push('\n');
+    }
+}
+
+fn lines<T>(items: impl IntoIterator<Item = T>, to_json: impl Fn(T) -> String) -> String {
+    let mut out = String::new();
+    push_lines(&mut out, items, to_json);
+    out
+}
+
 /// Export every retained tick record of a telemetry as JSONL (one event per
 /// line, oldest first).
 pub fn ticks_to_jsonl(telemetry: &LoopTelemetry) -> String {
-    let mut out = String::new();
-    for rec in telemetry.records() {
-        out.push_str(&tick_to_json(&rec));
-        out.push('\n');
-    }
-    out
+    lines(telemetry.records(), |r| tick_to_json(&r))
 }
 
 /// Export a slice of spans as JSONL (one event per line).
 pub fn spans_to_jsonl(spans: &[Span]) -> String {
-    let mut out = String::new();
-    for s in spans {
-        out.push_str(&span_to_json(s));
-        out.push('\n');
-    }
-    out
+    lines(spans, span_to_json)
 }
 
 /// Serialize one causal span as a single JSONL line (no trailing newline).
@@ -87,44 +96,33 @@ pub fn causal_span_to_json(s: &CausalSpan) -> String {
 
 /// Export a slice of causal spans as JSONL (one event per line).
 pub fn causal_spans_to_jsonl(spans: &[CausalSpan]) -> String {
-    let mut out = String::new();
-    for s in spans {
-        out.push_str(&causal_span_to_json(s));
-        out.push('\n');
-    }
-    out
+    lines(spans, causal_span_to_json)
 }
 
-/// Parse one JSONL line produced by [`causal_span_to_json`].
-pub fn parse_causal_span(line: &str) -> Option<CausalSpan> {
-    let fields = parse_flat(line)?;
-    if str_field(&fields, "type")? != "causal" {
-        return None;
-    }
-    Some(CausalSpan {
-        trace_id: field(&fields, "trace")?.parse().ok()?,
-        span_id: field(&fields, "span")?.parse().ok()?,
-        parent_id: field(&fields, "parent")?.parse().ok()?,
-        kind: SpanKind::from_name(str_field(&fields, "kind")?)?,
-        node: field(&fields, "node")?.parse().ok()?,
-        detail: field(&fields, "detail")?.parse().ok()?,
-        start_s: f64_field(&fields, "start_s")?,
-        end_s: f64_field(&fields, "end_s")?,
-        ok: field(&fields, "ok")?.parse().ok()?,
-    })
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// The FNV-1a offset basis: the hash of an empty stream.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+#[inline]
+fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+}
 
 /// Order-sensitive FNV-1a hash of a byte stream.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+    fnv1a_bytes(FNV_OFFSET, bytes)
+}
+
+/// Continue the FNV-1a `hash` over each word's little-endian bytes — the one
+/// fold behind the scheduler's, the network's and the federated runner's
+/// trace hashes. `fnv1a_words(FNV_OFFSET, &[w])` is `fnv1a(&w.to_le_bytes())`.
+#[inline]
+pub fn fnv1a_words(hash: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(hash, |h, w| fnv1a_bytes(h, &w.to_le_bytes()))
 }
 
 /// FNV-1a hash over the exported JSONL of a causal-span stream — the
@@ -278,34 +276,16 @@ fn prom_name(name: &str) -> String {
 /// round-trip float form) plus `_sum` and `_count`. This is the scrape
 /// payload ROADMAP item 3's serving front-end will mount at `/metrics`.
 pub fn prometheus_text(registry: &MetricsRegistry) -> String {
-    prometheus_text_with_labels(registry, &[])
-}
-
-/// [`prometheus_text`] with constant labels attached to every sample —
-/// e.g. `&[("fleet", "edge-a")]` or a per-loop `("loop", name)`.
-pub fn prometheus_text_with_labels(registry: &MetricsRegistry, labels: &[(&str, &str)]) -> String {
-    let render_labels = |extra: Option<(&str, &str)>| -> String {
-        let mut parts: Vec<String> = labels.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-        if let Some((k, v)) = extra {
-            parts.push(format!("{k}=\"{v}\""));
-        }
-        if parts.is_empty() {
-            String::new()
-        } else {
-            format!("{{{}}}", parts.join(","))
-        }
-    };
-    let plain = render_labels(None);
     let mut out = String::new();
     for (name, v) in registry.counters() {
         let n = prom_name(name);
         let _ = writeln!(out, "# TYPE {n} counter");
-        let _ = writeln!(out, "{n}{plain} {v}");
+        let _ = writeln!(out, "{n} {v}");
     }
     for (name, v) in registry.gauges() {
         let n = prom_name(name);
         let _ = writeln!(out, "# TYPE {n} gauge");
-        let _ = writeln!(out, "{n}{plain} {v}");
+        let _ = writeln!(out, "{n} {v}");
     }
     for (name, h) in registry.histograms() {
         let n = prom_name(name);
@@ -314,14 +294,12 @@ pub fn prometheus_text_with_labels(registry: &MetricsRegistry, labels: &[(&str, 
         for (_, upper, count) in h.nonzero_buckets() {
             cumulative += count;
             if upper.is_finite() {
-                let le = render_labels(Some(("le", &format!("{upper}"))));
-                let _ = writeln!(out, "{n}_bucket{le} {cumulative}");
+                let _ = writeln!(out, "{n}_bucket{{le=\"{upper}\"}} {cumulative}");
             }
         }
-        let inf = render_labels(Some(("le", "+Inf")));
-        let _ = writeln!(out, "{n}_bucket{inf} {}", h.count());
-        let _ = writeln!(out, "{n}_sum{plain} {}", h.sum());
-        let _ = writeln!(out, "{n}_count{plain} {}", h.count());
+        let _ = writeln!(out, "{n}_bucket{{le=\"+Inf\"}} {}", h.count());
+        let _ = writeln!(out, "{n}_sum {}", h.sum());
+        let _ = writeln!(out, "{n}_count {}", h.count());
     }
     out
 }
@@ -385,6 +363,7 @@ pub fn text_report(name: &str, telemetry: &LoopTelemetry) -> String {
 mod tests {
     use super::*;
     use crate::metrics::Histogram;
+    use crate::trace::SpanKind;
 
     fn sample_span() -> Span {
         Span {
@@ -568,41 +547,36 @@ mod tests {
         }
     }
 
+    /// The causal line format, byte for byte: ids in decimal (above 2^53
+    /// too), floats in shortest round-trip form, one line per span.
     #[test]
-    fn causal_span_round_trips_every_kind() {
-        for kind in SpanKind::ALL {
-            let s = sample_causal(kind);
-            let line = causal_span_to_json(&s);
-            assert_eq!(parse_causal_span(&line), Some(s), "line: {line}");
-        }
-        let doc = causal_spans_to_jsonl(&[
-            sample_causal(SpanKind::NetSend),
-            sample_causal(SpanKind::ServerAggregate),
-        ]);
-        assert_eq!(doc.lines().filter_map(parse_causal_span).count(), 2);
-        // Causal lines are invisible to the other parsers and vice versa.
+    fn causal_lines_keep_their_bytes() {
+        assert_eq!(
+            causal_span_to_json(&sample_causal(SpanKind::ServerAggregate)),
+            "{\"type\":\"causal\",\"trace\":18446744073709551612,\"span\":1311768467463790320,\
+             \"parent\":7,\"kind\":\"server_aggregate\",\"node\":1001,\"detail\":3,\
+             \"start_s\":0.30000000000000004,\"end_s\":0.3333333333333333,\"ok\":false}"
+        );
+        let spans = SpanKind::ALL.map(sample_causal);
+        let doc = causal_spans_to_jsonl(&spans);
+        let expected: Vec<String> = spans.iter().map(causal_span_to_json).collect();
+        assert_eq!(doc, expected.join("\n") + "\n");
+        // Causal lines are invisible to the stage-span parser.
         assert!(parse_spans(&doc).is_empty());
-        assert_eq!(parse_causal_span(&span_to_json(&sample_span())), None);
     }
 
     #[test]
-    fn causal_parser_survives_truncated_and_corrupted_lines() {
-        // Truncation at every byte boundary must never panic (PR 4 contract).
-        for kind in [SpanKind::NetRetry, SpanKind::Health, SpanKind::Adopt] {
-            let line = causal_span_to_json(&sample_causal(kind));
-            for cut in 0..line.len() {
-                assert_eq!(parse_causal_span(&line[..cut]), None, "cut at {cut}");
-            }
-        }
-        for line in [
-            "{\"type\":\"causal\",\"trace\":x,\"span\":1,\"parent\":0,\"kind\":\"round\",\"node\":0,\"detail\":0,\"start_s\":0,\"end_s\":0,\"ok\":true}",
-            "{\"type\":\"causal\",\"trace\":1,\"span\":1,\"parent\":0,\"kind\":\"warp\",\"node\":0,\"detail\":0,\"start_s\":0,\"end_s\":0,\"ok\":true}",
-            "{\"type\":\"causal\",\"trace\":-1,\"span\":1,\"parent\":0,\"kind\":\"round\",\"node\":0,\"detail\":0,\"start_s\":0,\"end_s\":0,\"ok\":true}",
-            "{\"type\":\"span\",\"trace\":1}",
-            "null",
-        ] {
-            assert_eq!(parse_causal_span(line), None, "accepted: {line}");
-        }
+    fn word_fold_is_fnv1a_over_little_endian_bytes() {
+        let words = [0, 1, u64::MAX, 0x0123_4567_89AB_CDEF];
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(fnv1a_words(FNV_OFFSET, &words), fnv1a(&bytes));
+        // Folding in two steps is folding once.
+        let half = fnv1a_words(FNV_OFFSET, &words[..2]);
+        assert_eq!(fnv1a_words(half, &words[2..]), fnv1a(&bytes));
+        assert_eq!(fnv1a_words(FNV_OFFSET, &[]), fnv1a(&[]));
+        // Known answers: the FNV-1a 64 test vectors for "" and "a".
+        assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
     }
 
     #[test]
@@ -677,7 +651,7 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_lines_are_wellformed_with_and_without_labels() {
+    fn prometheus_lines_are_wellformed() {
         let mut r = MetricsRegistry::new();
         r.add("net.msgs_sent_total", 5);
         r.set("loop.trust_drift", 0.25);
@@ -685,10 +659,6 @@ mod tests {
             r.observe("stage.act.latency_s", i as f64 * 1e-4);
         }
         assert_prometheus_wellformed(&prometheus_text(&r));
-        let labeled = prometheus_text_with_labels(&r, &[("fleet", "edge-a"), ("shard", "3")]);
-        assert_prometheus_wellformed(&labeled);
-        assert!(labeled.contains("net_msgs_sent_total{fleet=\"edge-a\",shard=\"3\"} 5"));
-        assert!(labeled.contains("fleet=\"edge-a\",shard=\"3\",le=\"+Inf\""));
     }
 
     #[test]

@@ -21,8 +21,6 @@
 //! health state changes are events with causes, and belong in the same
 //! timeline as the ticks and messages that produced them.
 
-use crate::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
-
 /// A loop's (or the fleet's) health state, ordered by severity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum HealthStatus {
@@ -282,34 +280,6 @@ impl HealthScorer {
     }
 }
 
-impl StageState for HealthScorer {
-    fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
-        let mut s = Section::new(ns);
-        // The policy is config; the hysteresis machine is the state. All
-        // three of status/candidate/streak must travel together: restoring
-        // only `status` silently resets a partially-accumulated trip or
-        // clear streak and shifts every subsequent transition.
-        s.put_u64("status", self.status.code());
-        s.put_u64("candidate", self.candidate.code());
-        s.put_u64("streak", self.streak as u64);
-        s.put_f64("last_score", self.last_score);
-        s.put_u64("evaluations", self.evaluations);
-        ckpt.push(s);
-    }
-
-    fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
-        let s = ckpt.section(ns)?;
-        let bad = |key: &str| CheckpointError::BadValue(format!("{ns}.{key}"));
-        self.status = HealthStatus::from_code(s.get_u64("status")?).ok_or_else(|| bad("status"))?;
-        self.candidate =
-            HealthStatus::from_code(s.get_u64("candidate")?).ok_or_else(|| bad("candidate"))?;
-        self.streak = u32::try_from(s.get_u64("streak")?).map_err(|_| bad("streak"))?;
-        self.last_score = s.get_f64("last_score")?;
-        self.evaluations = s.get_u64("evaluations")?;
-        Ok(())
-    }
-}
-
 /// Fleet-level rollup of per-loop health statuses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetHealth {
@@ -469,68 +439,6 @@ mod tests {
         assert_eq!(
             sc.observe(&missy(0.06)),
             Some((HealthStatus::Healthy, HealthStatus::Degraded))
-        );
-    }
-
-    /// A scorer restored mid-streak must report the same transitions at the
-    /// same evaluations as the uninterrupted scorer — one window's worth of
-    /// lost hysteresis state delays every downstream transition.
-    #[test]
-    fn checkpoint_restores_hysteresis_mid_streak() {
-        use crate::checkpoint::Checkpoint;
-        let policy = HealthPolicy {
-            trip: 3,
-            clear: 2,
-            ..HealthPolicy::default()
-        };
-        let mut live = HealthScorer::new(policy);
-        assert_eq!(live.observe(&missy(0.3)), None); // streak 1 of 3
-        assert_eq!(live.observe(&missy(0.3)), None); // streak 2 of 3
-
-        let mut ckpt = Checkpoint::new("h");
-        live.save_state(&mut ckpt, "health");
-        let ckpt = Checkpoint::from_jsonl(&ckpt.to_jsonl()).expect("parses");
-        let mut restored = HealthScorer::new(policy);
-        restored.restore_state(&ckpt, "health").expect("restores");
-        assert_eq!(restored.status(), live.status());
-        assert_eq!(restored.evaluations(), live.evaluations());
-        assert_eq!(restored.last_score().to_bits(), live.last_score().to_bits());
-
-        // The third bad window trips BOTH at the same evaluation.
-        let a = live.observe(&missy(0.3));
-        let b = restored.observe(&missy(0.3));
-        assert_eq!(a, b);
-        assert_eq!(a, Some((HealthStatus::Healthy, HealthStatus::Critical)));
-        // And recovery stays in lockstep too.
-        for _ in 0..2 {
-            assert_eq!(live.observe(&clean()), restored.observe(&clean()));
-        }
-        assert_eq!(live.status(), restored.status());
-    }
-
-    #[test]
-    fn checkpoint_rejects_corrupt_status_codes() {
-        use crate::checkpoint::{Checkpoint, CheckpointError};
-        let mut ckpt = Checkpoint::new("h");
-        HealthScorer::new(HealthPolicy::default()).save_state(&mut ckpt, "health");
-        let doc = ckpt
-            .to_jsonl()
-            .replace("\"status\":\"u:0\"", "\"status\":\"u:7\"");
-        let ckpt = Checkpoint::from_jsonl(&doc).expect("parses");
-        let mut sc = HealthScorer::new(HealthPolicy::default());
-        assert!(matches!(
-            sc.restore_state(&ckpt, "health"),
-            Err(CheckpointError::BadValue(_))
-        ));
-        // A streak past `u32` is refused, not truncated.
-        let mut ckpt = Checkpoint::new("h");
-        sc.save_state(&mut ckpt, "health");
-        let mut wide = ckpt.section("health").unwrap().clone();
-        wide.put_u64("streak", u32::MAX as u64 + 1);
-        ckpt.push(wide);
-        assert_eq!(
-            sc.restore_state(&ckpt, "health"),
-            Err(CheckpointError::BadValue("health.streak".into()))
         );
     }
 

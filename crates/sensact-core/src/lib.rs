@@ -31,8 +31,10 @@
 //! human-readable text report and a Prometheus text exposition. On top of
 //! those, [`trace::FleetTracer`] collects *causally linked*
 //! [`trace::CausalSpan`]s — deterministic trace/span ids derived from seeds
-//! and structural indices — and [`health`] scores loop and fleet SLO state
-//! (healthy/degraded/critical) with hysteresis.
+//! and structural indices, each span built by [`trace::TraceContext::span`]
+//! — and [`health`] scores loop and fleet SLO state
+//! (healthy/degraded/critical) with hysteresis. Every trace hash in the
+//! workspace folds through [`export::fnv1a_words`].
 //!
 //! ## Example
 //!

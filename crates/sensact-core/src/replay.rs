@@ -52,7 +52,7 @@
 //! ```
 
 use crate::export::{
-    field, parse_flat, parse_span, parse_tick, span_to_json, str_field, tick_to_json,
+    field, parse_flat, parse_span, parse_tick, push_lines, span_to_json, str_field, tick_to_json,
 };
 use crate::stage::Trust;
 use crate::telemetry::{LoopTelemetry, TickRecord};
@@ -140,14 +140,8 @@ impl Recording {
             self.meta.ticks,
             self.meta.isa
         );
-        for s in &self.spans {
-            out.push_str(&span_to_json(s));
-            out.push('\n');
-        }
-        for t in &self.ticks {
-            out.push_str(&tick_to_json(t));
-            out.push('\n');
-        }
+        push_lines(&mut out, &self.spans, span_to_json);
+        push_lines(&mut out, &self.ticks, tick_to_json);
         out
     }
 

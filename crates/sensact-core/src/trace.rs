@@ -509,11 +509,13 @@ impl StageState for Tracer {
         ckpt.push(s);
     }
 
+    /// Decodes every column before it assigns anything: on an error the
+    /// tracer is unchanged.
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
         let bad = |key: &str| CheckpointError::BadValue(format!("{ns}.{key}"));
         let capacity = s.get_u64("capacity")? as usize;
-        self.pending_stamp = if s.get_bool("pending_some")? {
+        let pending_stamp = if s.get_bool("pending_some")? {
             Some(s.get_f64("pending")?)
         } else {
             None
@@ -555,6 +557,7 @@ impl StageState for Tracer {
             });
         }
         self.spans = Ring::from_ordered(capacity, spans).ok_or_else(|| bad("sp_tick"))?;
+        self.pending_stamp = pending_stamp;
         Ok(())
     }
 }
@@ -624,6 +627,30 @@ impl TraceContext {
             parent_id: self.span_id,
         }
     }
+
+    /// The causal span this context identifies — the one way the scheduler,
+    /// the network and the federated runner build a [`CausalSpan`].
+    pub fn span(
+        &self,
+        kind: SpanKind,
+        node: u64,
+        detail: u64,
+        start_s: f64,
+        end_s: f64,
+        ok: bool,
+    ) -> CausalSpan {
+        CausalSpan {
+            trace_id: self.trace_id,
+            span_id: self.span_id,
+            parent_id: self.parent_id,
+            kind,
+            node,
+            detail,
+            start_s,
+            end_s,
+            ok,
+        }
+    }
 }
 
 /// What a [`CausalSpan`] covers in the sensing-to-action fleet.
@@ -655,62 +682,44 @@ pub enum SpanKind {
     Health,
 }
 
+/// Every [`SpanKind`] with its export name, in declaration order: a kind's
+/// index here is its discriminant, and its [`tag`](SpanKind::tag) is
+/// `0x51 + index`.
+const SPAN_KINDS: [(SpanKind, &str); 12] = [
+    (SpanKind::SchedTick, "sched_tick"),
+    (SpanKind::CommTail, "comm_tail"),
+    (SpanKind::ClientTick, "client_tick"),
+    (SpanKind::NetSend, "net_send"),
+    (SpanKind::NetRetry, "net_retry"),
+    (SpanKind::NetDeliver, "net_deliver"),
+    (SpanKind::NetDrop, "net_drop"),
+    (SpanKind::Round, "round"),
+    (SpanKind::ServerAggregate, "server_aggregate"),
+    (SpanKind::Broadcast, "broadcast"),
+    (SpanKind::Adopt, "adopt"),
+    (SpanKind::Health, "health"),
+];
+
 impl SpanKind {
     /// All kinds, in pipeline order.
-    pub const ALL: [SpanKind; 12] = [
-        SpanKind::SchedTick,
-        SpanKind::CommTail,
-        SpanKind::ClientTick,
-        SpanKind::NetSend,
-        SpanKind::NetRetry,
-        SpanKind::NetDeliver,
-        SpanKind::NetDrop,
-        SpanKind::Round,
-        SpanKind::ServerAggregate,
-        SpanKind::Broadcast,
-        SpanKind::Adopt,
-        SpanKind::Health,
-    ];
+    pub const ALL: [SpanKind; 12] = {
+        let mut all = [SpanKind::SchedTick; 12];
+        let mut i = 0;
+        while i < all.len() {
+            all[i] = SPAN_KINDS[i].0;
+            i += 1;
+        }
+        all
+    };
 
     /// Short static name used in exports.
     pub const fn name(self) -> &'static str {
-        match self {
-            SpanKind::SchedTick => "sched_tick",
-            SpanKind::CommTail => "comm_tail",
-            SpanKind::ClientTick => "client_tick",
-            SpanKind::NetSend => "net_send",
-            SpanKind::NetRetry => "net_retry",
-            SpanKind::NetDeliver => "net_deliver",
-            SpanKind::NetDrop => "net_drop",
-            SpanKind::Round => "round",
-            SpanKind::ServerAggregate => "server_aggregate",
-            SpanKind::Broadcast => "broadcast",
-            SpanKind::Adopt => "adopt",
-            SpanKind::Health => "health",
-        }
-    }
-
-    /// Parse a kind from its [`SpanKind::name`].
-    pub fn from_name(name: &str) -> Option<SpanKind> {
-        SpanKind::ALL.into_iter().find(|k| k.name() == name)
+        SPAN_KINDS[self as usize].1
     }
 
     /// Stable tag mixed into span-id derivations (distinct per kind).
     pub const fn tag(self) -> u64 {
-        match self {
-            SpanKind::SchedTick => 0x51,
-            SpanKind::CommTail => 0x52,
-            SpanKind::ClientTick => 0x53,
-            SpanKind::NetSend => 0x54,
-            SpanKind::NetRetry => 0x55,
-            SpanKind::NetDeliver => 0x56,
-            SpanKind::NetDrop => 0x57,
-            SpanKind::Round => 0x58,
-            SpanKind::ServerAggregate => 0x59,
-            SpanKind::Broadcast => 0x5A,
-            SpanKind::Adopt => 0x5B,
-            SpanKind::Health => 0x5C,
-        }
+        0x51 + self as u64
     }
 }
 
@@ -970,6 +979,37 @@ mod tests {
         assert_eq!(back.spans().next().unwrap().tick, 4);
     }
 
+    /// A restore that fails on a span column leaves the tracer as it was —
+    /// the pending coarse stamp included, although that column decodes.
+    #[test]
+    fn a_bad_span_column_leaves_the_tracer_unchanged() {
+        use crate::checkpoint::{Checkpoint, CheckpointError};
+        let mut donor = Tracer::sim(1.0);
+        donor.coarse = true;
+        let s = donor.start();
+        donor.finish(0, StageId::Act, s, 0.0, 0.0, true); // pending = 1.0
+        let mut ckpt = Checkpoint::new("t");
+        donor.save_state(&mut ckpt, "tracer");
+        let mut hostile = ckpt.section("tracer").unwrap().clone();
+        hostile.put_u64s("sp_stage", &[9]);
+        ckpt.push(hostile);
+
+        let mut target = Tracer::sim(0.5).with_span_capacity(3);
+        let s = target.start();
+        target.finish(5, StageId::Sense, s, 1e-3, 1e-4, true);
+        let snapshot = |t: &Tracer| {
+            let mut c = Checkpoint::new("t");
+            t.save_state(&mut c, "tracer");
+            c.to_jsonl()
+        };
+        let before = snapshot(&target);
+        assert_eq!(
+            target.restore_state(&ckpt, "tracer"),
+            Err(CheckpointError::BadValue("tracer.sp_stage".into()))
+        );
+        assert_eq!(snapshot(&target), before);
+    }
+
     #[test]
     fn spans_carry_cost_and_clock_time() {
         let mut t = Tracer::sim(0.25);
@@ -1074,30 +1114,57 @@ mod tests {
     }
 
     #[test]
-    fn span_kind_names_and_tags_are_distinct() {
-        for kind in SpanKind::ALL {
-            assert_eq!(SpanKind::from_name(kind.name()), Some(kind));
+    fn span_kind_table_keeps_names_and_tags() {
+        for (i, kind) in SpanKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "table order is declaration order");
             assert_eq!(kind.to_string(), kind.name());
         }
-        assert_eq!(SpanKind::from_name("warp"), None);
-        let mut tags: Vec<u64> = SpanKind::ALL.iter().map(|k| k.tag()).collect();
-        tags.sort_unstable();
-        tags.dedup();
-        assert_eq!(tags.len(), SpanKind::ALL.len(), "tags must be unique");
+        // Tags are mixed into every span id: they may never move.
+        let tags: Vec<u64> = SpanKind::ALL.iter().map(|k| k.tag()).collect();
+        assert_eq!(tags, (0x51..=0x5C).collect::<Vec<u64>>());
+        let names: Vec<&str> = SpanKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(
+            names.join(","),
+            "sched_tick,comm_tail,client_tick,net_send,net_retry,net_deliver,\
+             net_drop,round,server_aggregate,broadcast,adopt,health"
+        );
     }
 
     fn causal(tick: u64) -> CausalSpan {
-        CausalSpan {
+        TraceContext {
             trace_id: 1,
             span_id: trace_mix(1, &[tick]),
             parent_id: 0,
-            kind: SpanKind::SchedTick,
-            node: tick,
-            detail: 0,
-            start_s: tick as f64,
-            end_s: tick as f64 + 0.5,
-            ok: true,
         }
+        .span(
+            SpanKind::SchedTick,
+            tick,
+            0,
+            tick as f64,
+            tick as f64 + 0.5,
+            true,
+        )
+    }
+
+    #[test]
+    fn context_span_carries_the_context_and_the_payload() {
+        let ctx = TraceContext::root(7, &[1]).child(&[2]);
+        let s = ctx.span(SpanKind::NetRetry, 3, 4, 0.25, 0.5, false);
+        assert_eq!(
+            s,
+            CausalSpan {
+                trace_id: ctx.trace_id,
+                span_id: ctx.span_id,
+                parent_id: ctx.parent_id,
+                kind: SpanKind::NetRetry,
+                node: 3,
+                detail: 4,
+                start_s: 0.25,
+                end_s: 0.5,
+                ok: false,
+            }
+        );
+        assert_eq!(s.context(), ctx);
     }
 
     #[test]

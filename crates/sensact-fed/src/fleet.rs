@@ -24,11 +24,9 @@ use crate::client::Client;
 use crate::data::Dataset;
 use crate::server::{aggregate_masked, apply_strategy, MaskedUpdate, Strategy};
 use crate::sim::{NetCounters, NetworkConfig, SimNetwork};
-use sensact_core::export::trace_stream_hash;
+use sensact_core::export::{fnv1a_words, trace_stream_hash, FNV_OFFSET};
 use sensact_core::trace::{trace_mix, SimClock};
-use sensact_core::{
-    CausalSpan, FleetTracer, LoopTelemetry, SpanKind, StageError, TraceContext, Trust,
-};
+use sensact_core::{FleetTracer, LoopTelemetry, SpanKind, StageError, TraceContext, Trust};
 use sensact_sched::{
     DynLoop, EnergyArbiter, FleetConfig, FleetReport, FleetScheduler, LoopHandle, LoopSpec,
     TickOutcome,
@@ -188,36 +186,17 @@ impl FedClientLoop {
             // Broadcast at 16-bit wire precision.
             let bytes = (params.len() as u64 * 16).div_ceil(8);
             let tracer = &self.shared.tracer;
-            let t = {
-                let mut net = self.shared.net.lock().unwrap_or_else(|e| e.into_inner());
-                if tracer.is_enabled() {
-                    let bctx = broadcast_context(self.shared.trace_seed, round, id);
-                    let t = net.transfer_traced(
-                        SimNetwork::SERVER,
-                        id,
-                        bytes,
-                        publish_s,
-                        tracer,
-                        &bctx,
-                    );
-                    tracer.record(CausalSpan {
-                        trace_id: bctx.trace_id,
-                        span_id: bctx.span_id,
-                        parent_id: bctx.parent_id,
-                        kind: SpanKind::Broadcast,
-                        node: id,
-                        detail: version,
-                        start_s: publish_s,
-                        end_s: publish_s + t.delay_s,
-                        ok: t.delivered,
-                    });
-                    t
-                } else {
-                    net.transfer(SimNetwork::SERVER, id, bytes, publish_s)
-                }
-            };
-            if t.delivered {
-                self.pending = Some((version, round, publish_s + t.delay_s, params));
+            let bctx = broadcast_context(self.shared.trace_seed, round, id);
+            let t = self
+                .shared
+                .net
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .transfer(SimNetwork::SERVER, id, bytes, publish_s, tracer, &bctx);
+            let (end_s, ok) = (publish_s + t.delay_s, t.delivered);
+            tracer.record(bctx.span(SpanKind::Broadcast, id, version, publish_s, end_s, ok));
+            if ok {
+                self.pending = Some((version, round, end_s, params));
             }
         }
         if let Some((version, round, ready_s, params)) = self.pending.take() {
@@ -225,23 +204,12 @@ impl FedClientLoop {
                 self.client.set_params_flat(&params);
                 let bytes = (params.len() as u64 * 16).div_ceil(8);
                 self.telemetry.record_comm_rx(bytes);
-                let tracer = &self.shared.tracer;
-                if tracer.is_enabled() {
-                    let id = self.client.id as u64;
-                    let actx = broadcast_context(self.shared.trace_seed, round, id)
-                        .child(&[SpanKind::Adopt.tag()]);
-                    tracer.record(CausalSpan {
-                        trace_id: actx.trace_id,
-                        span_id: actx.span_id,
-                        parent_id: actx.parent_id,
-                        kind: SpanKind::Adopt,
-                        node: id,
-                        detail: version,
-                        start_s: self.tick_start_s,
-                        end_s: self.tick_start_s,
-                        ok: true,
-                    });
-                }
+                let id = self.client.id as u64;
+                let actx = broadcast_context(self.shared.trace_seed, round, id)
+                    .child(&[SpanKind::Adopt.tag()]);
+                let at_s = self.tick_start_s;
+                let adopt = actx.span(SpanKind::Adopt, id, version, at_s, at_s, true);
+                self.shared.tracer.record(adopt);
             } else {
                 self.pending = Some((version, round, ready_s, params));
             }
@@ -268,31 +236,16 @@ impl DynLoop for FedClientLoop {
         let bytes = self.client.upload_bytes(self.wire_bits);
         let send_s = self.tick_start_s + latency_s;
         let id = self.client.id as u64;
-        let tracer = Arc::clone(&self.shared.tracer);
-        let tick_ctx = tracer.is_enabled().then(|| {
-            let ctx = client_tick_context(self.shared.trace_seed, self.tick_idx, id);
-            tracer.record(CausalSpan {
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id,
-                parent_id: ctx.parent_id,
-                kind: SpanKind::ClientTick,
-                node: id,
-                detail: self.tick_idx,
-                start_s: self.tick_start_s,
-                end_s: send_s,
-                ok: true,
-            });
-            ctx
-        });
-        let t = {
-            let mut net = self.shared.net.lock().unwrap_or_else(|e| e.into_inner());
-            match &tick_ctx {
-                Some(ctx) => {
-                    net.transfer_traced(id, SimNetwork::SERVER, bytes, send_s, &tracer, ctx)
-                }
-                None => net.transfer(id, SimNetwork::SERVER, bytes, send_s),
-            }
-        };
+        let tracer = &self.shared.tracer;
+        let ctx = client_tick_context(self.shared.trace_seed, self.tick_idx, id);
+        let (start_s, tick_idx) = (self.tick_start_s, self.tick_idx);
+        tracer.record(ctx.span(SpanKind::ClientTick, id, tick_idx, start_s, send_s, true));
+        let t = self
+            .shared
+            .net
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .transfer(id, SimNetwork::SERVER, bytes, send_s, tracer, &ctx);
         self.telemetry
             .record_comm_tx(bytes, t.attempts - 1, t.delivered, t.delay_s);
         if t.delivered {
@@ -387,21 +340,12 @@ fn drain_and_aggregate(
     g.version += 1;
     g.round = round;
     g.publish_s = cutoff_s + AGG_LATENCY_BASE_S + AGG_LATENCY_PER_UPDATE_S * updates.len() as f64;
+    let publish_s = g.publish_s;
     drop(g);
-    if shared.tracer.is_enabled() {
-        let actx = round_aggregate_context(shared.trace_seed, round);
-        shared.tracer.record(CausalSpan {
-            trace_id: actx.trace_id,
-            span_id: actx.span_id,
-            parent_id: actx.parent_id,
-            kind: SpanKind::ServerAggregate,
-            node: SimNetwork::SERVER,
-            detail: updates.len() as u64,
-            start_s: cutoff_s,
-            end_s: cutoff_s + AGG_LATENCY_BASE_S + AGG_LATENCY_PER_UPDATE_S * updates.len() as f64,
-            ok: true,
-        });
-    }
+    let (kind, n) = (SpanKind::ServerAggregate, updates.len() as u64);
+    let actx = round_aggregate_context(shared.trace_seed, round);
+    let span = actx.span(kind, SimNetwork::SERVER, n, cutoff_s, publish_s, true);
+    shared.tracer.record(span);
     updates.len()
 }
 
@@ -447,17 +391,9 @@ impl DynLoop for FedServerLoop {
             } else {
                 self.tick_start_s
             };
-            self.shared.tracer.record(CausalSpan {
-                trace_id: root.trace_id,
-                span_id: root.span_id,
-                parent_id: root.parent_id,
-                kind: SpanKind::Round,
-                node: SimNetwork::SERVER,
-                detail: self.round,
-                start_s: self.last_cutoff_s,
-                end_s,
-                ok: aggregated > 0,
-            });
+            let (node, start_s, ok) = (SimNetwork::SERVER, self.last_cutoff_s, aggregated > 0);
+            let span = root.span(SpanKind::Round, node, self.round, start_s, end_s, ok);
+            self.shared.tracer.record(span);
         }
         self.last_cutoff_s = self.tick_start_s;
         self.round += 1;
@@ -525,17 +461,6 @@ impl FedFleetReport {
             / self.server.rounds_aggregated as f64
             / fleet_size as f64
     }
-}
-
-fn fnv_combine(a: u64, b: u64) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for value in [a, b] {
-        for byte in value.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
 }
 
 /// Derive a round period: the median client's compute plus a network
@@ -635,7 +560,7 @@ pub fn run_federated_scheduled_traced(
     }
     // One trace seed covers the whole plane: scheduler, network, and round
     // span ids all re-derive from the same pair of run seeds.
-    let trace_seed = fnv_combine(config.seed, net_config.seed);
+    let trace_seed = fnv1a_words(FNV_OFFSET, &[config.seed, net_config.seed]);
     let shared = Arc::new(Shared {
         net: Mutex::new(net),
         inbox: Mutex::new(Vec::new()),
@@ -719,7 +644,7 @@ pub fn run_federated_scheduled_traced(
     let accuracy = eval.evaluate(test);
 
     let net = shared.net.lock().unwrap_or_else(|e| e.into_inner());
-    let trace_hash = fnv_combine(fleet_report.trace_hash, net.trace_hash());
+    let trace_hash = fnv1a_words(FNV_OFFSET, &[fleet_report.trace_hash, net.trace_hash()]);
     let net_counters = net.counters();
     drop(net);
     let span_stream_hash = if tracer.is_enabled() {
@@ -747,6 +672,7 @@ pub fn run_federated_scheduled_traced(
 mod tests {
     use super::*;
     use crate::client::HardwareTier;
+    use sensact_core::CausalSpan;
 
     /// A small heterogeneous fleet over a non-IID split (mirrors
     /// `server::tests::fleet`).
@@ -921,7 +847,7 @@ mod tests {
         assert_eq!(spans.len(), spans_b.len());
         assert_eq!(a.trace_hash, b.trace_hash);
 
-        let trace_seed = fnv_combine(7, 3);
+        let trace_seed = fnv1a_words(FNV_OFFSET, &[7, 3]);
         let by_id: HashMap<u64, &CausalSpan> = spans.iter().map(|s| (s.span_id, s)).collect();
 
         // An aggregated round's root re-derives from the seeds alone.

@@ -26,6 +26,7 @@
 //! schedule agree on the hash, and a single reordered or re-drawn delivery
 //! diverges.
 
+use sensact_core::export::{fnv1a_words, FNV_OFFSET};
 use sensact_core::{CausalSpan, FleetTracer, SpanKind, TraceContext};
 use std::collections::HashMap;
 
@@ -166,8 +167,6 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 const STRAGGLER_SALT: u64 = 0x5752_4541_4C4C_5953; // "straggler" stream
 const LOSS_SALT: u64 = 0x4C4F_5353_4C4F_5353; // loss stream
 const JITTER_SALT: u64 = 0x4A49_5454_4552_0000; // jitter stream
@@ -215,19 +214,16 @@ impl SimNetwork {
     /// loss and latency per attempt. The outcome depends only on the seed,
     /// the link, how many transfers this link has carried, and the partition
     /// windows covering the attempts — not on call order across links.
-    pub fn transfer(&mut self, src: u64, dst: u64, bytes: u64, send_s: f64) -> Transfer {
-        self.transfer_impl(src, dst, bytes, send_s, None)
-    }
-
-    /// [`SimNetwork::transfer`], additionally emitting causal spans under
+    ///
+    /// When `tracer` is enabled the transfer also records causal spans under
     /// `parent`: a `NetSend` span covering the whole transfer, one
     /// `NetRetry` child per re-attempt, and a terminal `NetDeliver` or
     /// `NetDrop` child at the destination. The message "carries" its context
     /// without serialising it — span ids are pure functions of
     /// `(parent, link, msg index, attempt)`, so the receiving side can
-    /// re-derive them. The transfer outcome is identical to the untraced
-    /// call: tracing observes the schedule, never perturbs it.
-    pub fn transfer_traced(
+    /// re-derive them. The tracer never changes the outcome: it observes
+    /// the schedule, never perturbs it.
+    pub fn transfer(
         &mut self,
         src: u64,
         dst: u64,
@@ -235,17 +231,6 @@ impl SimNetwork {
         send_s: f64,
         tracer: &FleetTracer,
         parent: &TraceContext,
-    ) -> Transfer {
-        self.transfer_impl(src, dst, bytes, send_s, Some((tracer, parent)))
-    }
-
-    fn transfer_impl(
-        &mut self,
-        src: u64,
-        dst: u64,
-        bytes: u64,
-        send_s: f64,
-        trace: Option<(&FleetTracer, &TraceContext)>,
     ) -> Transfer {
         let msg = {
             let counter = self.links.entry((src, dst)).or_insert(0);
@@ -264,8 +249,9 @@ impl SimNetwork {
         } else {
             1.0
         };
-        let send_ctx =
-            trace.map(|(_, parent)| parent.child(&[SpanKind::NetSend.tag(), src, dst, msg]));
+        let send = tracer
+            .is_enabled()
+            .then(|| parent.child(&[SpanKind::NetSend.tag(), src, dst, msg]));
         let mut retry_spans: Vec<CausalSpan> = Vec::new();
         let mut elapsed_s = serialize_s;
         let mut delivered = false;
@@ -287,21 +273,11 @@ impl SimNetwork {
             } else {
                 elapsed_s += cfg.retry_timeout_s.max(cfg.base_latency_s);
             }
-            if attempt > 0 {
-                if let Some(ctx) = &send_ctx {
-                    let rctx = ctx.child(&[SpanKind::NetRetry.tag(), attempt as u64]);
-                    retry_spans.push(CausalSpan {
-                        trace_id: rctx.trace_id,
-                        span_id: rctx.span_id,
-                        parent_id: rctx.parent_id,
-                        kind: SpanKind::NetRetry,
-                        node: src,
-                        detail: attempt as u64,
-                        start_s: attempt_start_s,
-                        end_s: send_s + elapsed_s,
-                        ok,
-                    });
-                }
+            if let Some(send) = send.filter(|_| attempt > 0) {
+                let (kind, detail) = (SpanKind::NetRetry, attempt as u64);
+                let retry = send.child(&[kind.tag(), detail]);
+                let end_s = send_s + elapsed_s;
+                retry_spans.push(retry.span(kind, src, detail, attempt_start_s, end_s, ok));
             }
             if delivered {
                 break;
@@ -315,39 +291,24 @@ impl SimNetwork {
             self.counters.msgs_dropped += 1;
         }
         self.counters.retransmits += (attempts - 1) as u64;
-        self.fold_trace(src, dst, msg, delivered, elapsed_s);
-        if let (Some((tracer, _)), Some(ctx)) = (trace, &send_ctx) {
-            tracer.record(CausalSpan {
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id,
-                parent_id: ctx.parent_id,
-                kind: SpanKind::NetSend,
-                node: src,
-                detail: msg,
-                start_s: send_s,
-                end_s: send_s + elapsed_s,
-                ok: delivered,
-            });
-            for span in retry_spans {
-                tracer.record(span);
-            }
+        // Order-insensitive trace accumulator: each transfer folds its own
+        // FNV digest in with a commutative add, so the hash identifies the
+        // *set* of deliveries (link, msg, outcome, delay) independent of call
+        // interleaving across links — per-link order is already pinned by
+        // the message counter.
+        let digest = [src, dst, msg, delivered as u64, elapsed_s.to_bits()];
+        self.trace = self.trace.wrapping_add(fnv1a_words(FNV_OFFSET, &digest));
+        if let Some(send) = send {
+            let end_s = send_s + elapsed_s;
+            tracer.record(send.span(SpanKind::NetSend, src, msg, send_s, end_s, delivered));
+            retry_spans.into_iter().for_each(|span| tracer.record(span));
             let kind = if delivered {
                 SpanKind::NetDeliver
             } else {
                 SpanKind::NetDrop
             };
-            let tctx = ctx.child(&[kind.tag()]);
-            tracer.record(CausalSpan {
-                trace_id: tctx.trace_id,
-                span_id: tctx.span_id,
-                parent_id: tctx.parent_id,
-                kind,
-                node: dst,
-                detail: attempts as u64,
-                start_s: send_s + elapsed_s,
-                end_s: send_s + elapsed_s,
-                ok: delivered,
-            });
+            let terminal = send.child(&[kind.tag()]);
+            tracer.record(terminal.span(kind, dst, attempts as u64, end_s, end_s, delivered));
         }
         Transfer {
             delivered,
@@ -355,22 +316,6 @@ impl SimNetwork {
             attempts,
             bytes,
         }
-    }
-
-    /// Order-insensitive trace accumulator: each transfer folds its own FNV
-    /// digest in with a commutative add, so the hash identifies the *set* of
-    /// deliveries (link, msg, outcome, delay) independent of call
-    /// interleaving across links — per-link order is already pinned by the
-    /// message counter.
-    fn fold_trace(&mut self, src: u64, dst: u64, msg: u64, delivered: bool, delay_s: f64) {
-        let mut h = FNV_OFFSET;
-        for value in [src, dst, msg, delivered as u64, delay_s.to_bits()] {
-            for byte in value.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
-        self.trace = self.trace.wrapping_add(h);
     }
 
     /// The run's delivery-schedule hash so far.
@@ -388,10 +333,16 @@ impl SimNetwork {
 mod tests {
     use super::*;
 
+    /// A transfer under a disabled tracer.
+    fn send(net: &mut SimNetwork, src: u64, dst: u64, bytes: u64, send_s: f64) -> Transfer {
+        let (tracer, parent) = (FleetTracer::disabled(), TraceContext::default());
+        net.transfer(src, dst, bytes, send_s, &tracer, &parent)
+    }
+
     #[test]
     fn ideal_network_delivers_first_try_with_fixed_delay() {
         let mut net = SimNetwork::new(NetworkConfig::ideal());
-        let t = net.transfer(0, SimNetwork::SERVER, 1000, 0.0);
+        let t = send(&mut net, 0, SimNetwork::SERVER, 1000, 0.0);
         assert!(t.delivered);
         assert_eq!(t.attempts, 1);
         // serialization 1000/1e7 + base 2e-3.
@@ -410,7 +361,7 @@ mod tests {
                 .flat_map(|k| {
                     (0..4).map(move |src| (src, k)) // 4 links, 50 msgs each
                 })
-                .map(|(src, k)| net.transfer(src, SimNetwork::SERVER, 500, k as f64 * 0.1))
+                .map(|(src, k)| send(&mut net, src, SimNetwork::SERVER, 500, k as f64 * 0.1))
                 .collect();
             (transfers, net.trace_hash())
         };
@@ -430,13 +381,13 @@ mod tests {
         let cfg = NetworkConfig::edge(3).with_loss(0.2);
         let mut ab = SimNetwork::new(cfg);
         for k in 0..20 {
-            let _ = ab.transfer(1, 9, 100, k as f64);
-            let _ = ab.transfer(2, 9, 100, k as f64);
+            let _ = send(&mut ab, 1, 9, 100, k as f64);
+            let _ = send(&mut ab, 2, 9, 100, k as f64);
         }
         let mut ba = SimNetwork::new(cfg);
         for k in 0..20 {
-            let _ = ba.transfer(2, 9, 100, k as f64);
-            let _ = ba.transfer(1, 9, 100, k as f64);
+            let _ = send(&mut ba, 2, 9, 100, k as f64);
+            let _ = send(&mut ba, 1, 9, 100, k as f64);
         }
         assert_eq!(ab.trace_hash(), ba.trace_hash());
         assert_eq!(ab.counters(), ba.counters());
@@ -447,7 +398,7 @@ mod tests {
         let mut net = SimNetwork::new(
             NetworkConfig::edge(1).with_loss(0.999), // effectively always lost
         );
-        let t = net.transfer(0, 1, 100, 0.0);
+        let t = send(&mut net, 0, 1, 100, 0.0);
         assert!(!t.delivered);
         assert_eq!(t.attempts, 3, "1 try + 2 retries");
         assert!(
@@ -465,13 +416,13 @@ mod tests {
         net.partition(5, 1.0, 2.0);
         assert!(!net.is_partitioned(5, 0.5));
         assert!(net.is_partitioned(5, 1.5));
-        let before = net.transfer(5, 0, 10, 0.5);
+        let before = send(&mut net, 5, 0, 10, 0.5);
         assert!(before.delivered, "before the window");
-        let during = net.transfer(5, 0, 10, 1.5);
+        let during = send(&mut net, 5, 0, 10, 1.5);
         assert!(!during.delivered, "inside the window");
-        let incoming = net.transfer(0, 5, 10, 1.5);
+        let incoming = send(&mut net, 0, 5, 10, 1.5);
         assert!(!incoming.delivered, "receiver cut too");
-        let after = net.transfer(5, 0, 10, 2.5);
+        let after = send(&mut net, 5, 0, 10, 2.5);
         assert!(after.delivered, "healed");
     }
 
@@ -490,7 +441,7 @@ mod tests {
         let mut net = SimNetwork::new(cfg);
         let (mut slow, mut fast) = (None, None);
         for src in 0..200u64 {
-            let t = net.transfer(src, SimNetwork::SERVER, 0, 0.0);
+            let t = send(&mut net, src, SimNetwork::SERVER, 0, 0.0);
             if flagged[src as usize] {
                 slow.get_or_insert(t.delay_s);
             } else {
@@ -501,22 +452,26 @@ mod tests {
         assert!(slow > 5.0 * fast, "straggler {slow} vs normal {fast}");
     }
 
-    /// Tracing observes a transfer without perturbing it, and the emitted
-    /// spans reconstruct as send → retries → deliver/drop under the caller's
-    /// parent context.
+    /// An enabled tracer observes a transfer without perturbing it — the
+    /// same call under a disabled tracer draws the same schedule and records
+    /// nothing — and the emitted spans reconstruct as send → retries →
+    /// deliver/drop under the caller's parent context.
     #[test]
-    fn traced_transfer_matches_untraced_and_links_spans() {
+    fn an_enabled_tracer_observes_and_never_perturbs() {
         let cfg = NetworkConfig::edge(5).with_loss(0.6);
         let mut plain = SimNetwork::new(cfg);
         let mut traced = SimNetwork::new(cfg);
-        let tracer = FleetTracer::new();
+        let (off, tracer) = (FleetTracer::disabled(), FleetTracer::new());
         let parent = TraceContext::root(0xF00D, &[1]);
         for k in 0..30u64 {
-            let a = plain.transfer(2, SimNetwork::SERVER, 256, k as f64);
-            let b = traced.transfer_traced(2, SimNetwork::SERVER, 256, k as f64, &tracer, &parent);
+            let send_s = k as f64;
+            let a = plain.transfer(2, SimNetwork::SERVER, 256, send_s, &off, &parent);
+            let b = traced.transfer(2, SimNetwork::SERVER, 256, send_s, &tracer, &parent);
             assert_eq!(a, b, "tracing must not perturb the schedule");
         }
         assert_eq!(plain.trace_hash(), traced.trace_hash());
+        assert_eq!(plain.counters(), traced.counters());
+        assert_eq!(off.recorded(), 0);
         let spans = tracer.spans();
         let sends: Vec<&CausalSpan> = spans
             .iter()
@@ -565,7 +520,7 @@ mod tests {
         let mut cfg = NetworkConfig::ideal();
         cfg.bandwidth_bytes_per_s = 0.0;
         let mut net = SimNetwork::new(cfg);
-        let t = net.transfer(0, 1, 1 << 30, 0.0);
+        let t = send(&mut net, 0, 1, 1 << 30, 0.0);
         assert!((t.delay_s - 2e-3).abs() < 1e-12);
     }
 }

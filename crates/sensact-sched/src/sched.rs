@@ -29,6 +29,7 @@ use crate::arbiter::EnergyArbiter;
 use crate::handle::{DynLoop, LoopHandle, TickOutcome};
 use crate::queue::{tie_break, Release};
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section};
+use sensact_core::export::{fnv1a_words, FNV_OFFSET};
 use sensact_core::health::{encode_transition, HealthScorer};
 use sensact_core::trace::{trace_mix, SimClock};
 use sensact_core::{
@@ -559,17 +560,8 @@ fn execute_release(
         missed,
     };
     let span = |ctx: TraceContext, kind, start_s, end_s| {
-        let span = CausalSpan {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            parent_id: ctx.parent_id,
-            kind,
-            node: release.loop_idx as u64,
-            detail: release.release_idx,
-            start_s,
-            end_s,
-            ok: !missed,
-        };
+        let node = release.loop_idx as u64;
+        let span = ctx.span(kind, node, release.release_idx, start_s, end_s, !missed);
         tracer.record(span);
         span
     };
@@ -681,16 +673,6 @@ fn window_signals(
         retransmit_rate: comm.retransmits as f64 / comm.msgs_sent.max(1) as f64,
     }
 }
-
-fn fnv_fold(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// A fleet of heterogeneous loops multiplexed over a worker pool.
 #[derive(Debug)]
@@ -1045,7 +1027,8 @@ impl FleetScheduler {
         lanes: Vec<Lane>,
         arbiter: &EnergyArbiter,
     ) -> FleetReport {
-        if let Some(hash) = lanes.iter().map(|l| l.trace_hash).reduce(fnv_fold) {
+        let lane_hashes = lanes.iter().map(|l| l.trace_hash);
+        if let Some(hash) = lane_hashes.reduce(|h, lane| fnv1a_words(h, &[lane])) {
             report.trace_hash = hash;
         }
         for lane in lanes {
@@ -1221,7 +1204,9 @@ fn drive(
         incidents: Vec::new(),
     };
     let mut worker_clock_s = vec![0.0f64; workers];
-    let mut recorder: Vec<VecDeque<CausalSpan>> = vec![VecDeque::new(); workers];
+    let recorder: Vec<FleetTracer> = (0..workers)
+        .map(|_| FleetTracer::with_capacity(FLIGHT_RECORDER_CAPACITY))
+        .collect();
     let mut miss_window: Vec<VecDeque<bool>> = vec![VecDeque::new(); workers];
     let mut scorers = vec![HealthScorer::new(HealthPolicy::default()); slots.len()];
     let mut window_base: Vec<LoopStats> = frame.base[mine].to_vec();
@@ -1251,22 +1236,18 @@ fn drive(
         lane.makespan_s = lane.makespan_s.max(exec.completion_s);
         let stretch = on_completion(&exec);
         slot.handle.set_energy_stretch(stretch);
-        for folded in [
+        let folded = [
             release.loop_idx as u64,
             release.release_idx,
             wid as u64,
             exec.completion_s.to_bits(),
-        ] {
-            lane.trace_hash = fnv_fold(lane.trace_hash, folded);
-        }
+        ];
+        lane.trace_hash = fnv1a_words(lane.trace_hash, &folded);
         if let Some((tick_span, tail_span)) = spans {
-            let ring = &mut recorder[w];
-            for span in std::iter::once(tick_span).chain(tail_span) {
-                if ring.len() == FLIGHT_RECORDER_CAPACITY {
-                    ring.pop_front();
-                }
-                ring.push_back(span);
-            }
+            let ring = &recorder[w];
+            std::iter::once(tick_span)
+                .chain(tail_span)
+                .for_each(|span| ring.record(span));
             // Miss-storm invariant: mostly-missing completions inside
             // one worker's recent window freeze that worker's recorder.
             let misses = &mut miss_window[w];
@@ -1283,7 +1264,7 @@ fn drive(
                     loop_idx: release.loop_idx,
                     at_s: exec.completion_s,
                     reason: IncidentReason::MissStorm,
-                    spans: ring.iter().copied().collect(),
+                    spans: ring.spans(),
                 });
                 misses.clear();
             }
@@ -1307,20 +1288,12 @@ fn drive(
                     let trace_id = trace_mix(seed ^ HEALTH_TRACE_SALT, &[node]);
                     let hctx =
                         TraceContext::root(trace_id, &[SpanKind::Health.tag(), health_evals[li]]);
-                    let span = CausalSpan {
-                        trace_id: hctx.trace_id,
-                        span_id: hctx.span_id,
-                        parent_id: hctx.parent_id,
-                        kind: SpanKind::Health,
-                        node,
-                        detail: encode_transition(from, to),
-                        start_s: exec.completion_s,
-                        end_s: exec.completion_s,
-                        ok: to == HealthStatus::Healthy,
-                    };
+                    let (detail, at_s) = (encode_transition(from, to), exec.completion_s);
+                    let healthy = to == HealthStatus::Healthy;
+                    let span = hctx.span(SpanKind::Health, node, detail, at_s, at_s, healthy);
                     tracer.record(span);
                     if to == HealthStatus::Critical && lane.incidents.len() < MAX_INCIDENTS {
-                        let mut spans: Vec<CausalSpan> = recorder[w].iter().copied().collect();
+                        let mut spans = recorder[w].spans();
                         spans.push(span);
                         lane.incidents.push(Incident {
                             worker: wid,
@@ -1885,6 +1858,8 @@ mod tests {
     /// report; the hysteresis scorer's collapse emits a Health span.
     #[test]
     fn miss_storm_trips_flight_recorder_and_health_span() {
+        use sensact_core::export::trace_stream_hash;
+        use IncidentReason::{HealthCollapse as Collapse, MissStorm as Storm};
         let mut sched = FleetScheduler::new(FleetConfig {
             workers: 1,
             watts_cap: None,
@@ -1918,6 +1893,28 @@ mod tests {
         assert_eq!(collapse.node, 0);
         let (_, to) = sensact_core::health::decode_transition(collapse.detail).unwrap();
         assert_ne!(to, HealthStatus::Healthy);
+        // Byte oracle, recorded before the flight recorder became a
+        // `FleetTracer` ring: the exported stream and every incident's spans
+        // keep their bytes. Never re-record these to make a diff pass.
+        assert_eq!(trace_stream_hash(&spans), 0x67bb_cc46_74b7_cac3);
+        let pinned: Vec<(IncidentReason, usize, u64)> = report
+            .incidents
+            .iter()
+            .map(|i| (i.reason, i.spans.len(), trace_stream_hash(&i.spans)))
+            .collect();
+        assert_eq!(
+            pinned,
+            [
+                (Storm, 8, 0xa480_778f_9f9e_0576),
+                (Storm, 16, 0xf251_00b7_d8e4_59a9),
+                (Storm, 24, 0xec55_be12_e6f7_06e8),
+                (Storm, 32, 0xc904_88a2_9b40_9804),
+                (Collapse, 33, 0x2a61_1b66_1dc9_6f6e),
+                (Storm, 32, 0x6b02_3d42_2e83_4141),
+                (Storm, 32, 0xa36e_ee84_faf6_a8a7),
+                (Storm, 32, 0xf68f_345e_dbdb_653a),
+            ]
+        );
     }
 
     /// Satellite: fleet rollup. Merging every loop's telemetry export equals

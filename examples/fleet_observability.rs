@@ -8,7 +8,9 @@
 
 use std::sync::Arc;
 
-use sensact::core::export::{causal_spans_to_jsonl, prometheus_text, trace_stream_hash};
+use sensact::core::export::{
+    causal_spans_to_jsonl, fnv1a_words, prometheus_text, trace_stream_hash, FNV_OFFSET,
+};
 use sensact::core::{CausalSpan, FleetTracer, SpanKind};
 use sensact::fed::client::{Client, HardwareTier};
 use sensact::fed::data::Dataset;
@@ -86,8 +88,9 @@ fn main() {
     let round = round_span.detail;
     println!("\n== round {round} reconstructed ==");
     print_tree(&spans, round_span, 0);
-    // Sanity: the printed root really is the pure-function derivation.
-    let trace_seed = fnv_pair(config.seed, net_seed);
+    // Sanity: the printed root really is the pure-function derivation (the
+    // fed runner's trace seed is the FNV-1a fold of the two run seeds).
+    let trace_seed = fnv1a_words(FNV_OFFSET, &[config.seed, net_seed]);
     assert_eq!(
         round_trace_root(trace_seed, round).span_id,
         round_span.span_id
@@ -155,18 +158,4 @@ fn print_tree(spans: &[CausalSpan], span: &CausalSpan, depth: usize) {
     for child in children {
         print_tree(spans, child, depth + 1);
     }
-}
-
-/// FNV-1a fold of two seeds — mirrors the fed runner's trace-seed derivation.
-fn fnv_pair(a: u64, b: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-    const FNV_PRIME: u64 = 0x100_0000_01B3;
-    let mut h = FNV_OFFSET;
-    for part in [a, b] {
-        for byte in part.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
 }

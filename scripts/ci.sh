@@ -24,6 +24,16 @@ if git grep -nE 'closed_checkpointable|closed_fallible_checkpointable|struct Cod
     exit 1
 fi
 
+# The FNV-1a prime lives only beside `export::fnv1a_words`; a causal span is
+# built only by `TraceContext::span` (the two files that define and parse the
+# record are exempt).
+echo "== one causal-span path: one span constructor, one span ring, one network call, one FNV-1a fold =="
+if git grep -niF '0100_0000_01B3' -- crates src tests examples ':!crates/sensact-core/src/export.rs' \
+    || git grep -nE 'transfer_traced|VecDeque<CausalSpan>|parse_causal_span|prometheus_text_with_labels' -- crates src tests examples \
+    || git grep -nF 'CausalSpan {' -- 'crates/*/src/*' ':!crates/sensact-core/src/trace.rs' ':!crates/sensact-core/src/export.rs'; then
+    exit 1
+fi
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
