@@ -2,13 +2,15 @@
 //! vs. static federated learning on the CIFAR-10-like workload.
 //!
 //! Paper: both adaptive frameworks significantly reduce energy, latency and
-//! area utilization while maintaining accuracy. Use
-//! `--uniform-precision` to print the HaLo ablation (uniform INT8 fleet).
+//! area utilization while maintaining accuracy. The HaLo ablation (a
+//! uniform INT8 fleet) closes the report.
 
 use sensact_bench::{compare, header, scaled, write_csv};
 use sensact_fed::client::{Client, HardwareTier};
 use sensact_fed::data::Dataset;
-use sensact_fed::server::{run_federated, FedConfig, FedReport, Strategy};
+use sensact_fed::server::{
+    aggregate_masked, run_federated, FedConfig, FedReport, MaskedUpdate, Strategy,
+};
 
 fn fleet(n: usize, seed: u64) -> (Vec<Client>, Dataset) {
     let all = Dataset::generate(scaled(2400, 600), seed);
@@ -104,47 +106,34 @@ fn main() {
     assert!(halo.area < baseline.area);
     println!("shape check passed");
 
-    if std::env::args().any(|a| a == "--uniform-precision") {
-        header("ablation: HaLo selector vs uniform INT8");
-        let (mut clients, test) = fleet(8, 9);
-        for c in clients.iter_mut() {
-            c.precision = sensact_nn::quant::Precision::Int8;
-        }
-        let config = FedConfig {
-            rounds: scaled(10, 4),
-            local_epochs: scaled(10, 4),
-        };
-        // Note: run_federated would reset precisions; emulate a fixed run.
-        let mut energy = 0.0;
-        let mut global = clients[0].params_flat();
-        for _ in 0..config.rounds {
-            for c in clients.iter_mut() {
-                c.set_params_flat(&global);
-                let _ = c.local_train(config.local_epochs);
-                energy += c.round_energy_j(config.local_epochs);
-            }
-            global = {
-                // Plain FedAvg (all full networks).
-                let dim = global.len();
-                let mut sum = vec![0.0; dim];
-                let mut total_w = 0.0;
-                for c in clients.iter_mut() {
-                    let w = c.data.len() as f64;
-                    for (s, v) in sum.iter_mut().zip(c.params_flat()) {
-                        *s += v * w;
-                    }
-                    total_w += w;
-                }
-                sum.iter().map(|s| s / total_w).collect()
-            };
-        }
-        clients[0].set_params_flat(&global);
-        let acc = clients[0].evaluate(&test);
-        println!(
-            "uniform INT8: accuracy {acc:.3}, energy {energy:.4} J (HaLo: {:.3} / {:.4} J)",
-            halo.accuracy, halo.energy_j
-        );
+    header("ablation: HaLo selector vs uniform INT8");
+    let (mut clients, test) = fleet(8, 9);
+    for c in clients.iter_mut() {
+        c.precision = sensact_nn::quant::Precision::Int8;
     }
+    let config = FedConfig {
+        rounds: scaled(10, 4),
+        local_epochs: scaled(10, 4),
+    };
+    // run_federated would install HaLo's precisions; keep the fleet at INT8.
+    let mut energy = 0.0;
+    let mut global = clients[0].params_flat();
+    for _ in 0..config.rounds {
+        for c in clients.iter_mut() {
+            c.set_params_flat(&global);
+            let _ = c.local_train(config.local_epochs);
+            energy += c.round_energy_j(config.local_epochs);
+        }
+        // Every client trains the full network, so every mask is all ones.
+        let updates: Vec<MaskedUpdate> = clients.iter_mut().map(MaskedUpdate::of).collect();
+        global = aggregate_masked(&updates, &global);
+    }
+    clients[0].set_params_flat(&global);
+    let acc = clients[0].evaluate(&test);
+    println!(
+        "uniform INT8: accuracy {acc:.3}, energy {energy:.4} J (HaLo: {:.3} / {:.4} J)",
+        halo.accuracy, halo.energy_j
+    );
 
     write_csv("fig11", "strategy,accuracy,energy_j,latency_s,area", &csv);
 }

@@ -63,11 +63,6 @@ impl EnergyBudget {
         self.consumed_j
     }
 
-    /// Remaining energy (joules); infinite for unlimited budgets.
-    pub fn remaining_j(&self) -> f64 {
-        (self.capacity_j - self.consumed_j).max(0.0)
-    }
-
     /// Whether the budget is exhausted.
     pub fn exhausted(&self) -> bool {
         self.consumed_j >= self.capacity_j
@@ -131,12 +126,10 @@ mod tests {
         assert_eq!(b.pressure(), 0.0);
         b.consume(2.5, 0.0);
         assert_eq!(b.consumed_j(), 2.5);
-        assert_eq!(b.remaining_j(), 7.5);
         assert_eq!(b.pressure(), 0.25);
         assert!(!b.exhausted());
         b.consume(20.0, 0.0);
         assert!(b.exhausted());
-        assert_eq!(b.remaining_j(), 0.0);
         assert_eq!(b.pressure(), 1.0);
     }
 
@@ -146,7 +139,6 @@ mod tests {
         b.consume(1e12, 0.0);
         assert_eq!(b.pressure(), 0.0);
         assert!(!b.exhausted());
-        assert!(b.remaining_j().is_infinite());
     }
 
     #[test]
@@ -211,8 +203,7 @@ mod prop_tests {
     use super::*;
     use sensact_math::rng::StdRng;
 
-    /// Consumption accounting is exact, pressure is monotone, and
-    /// remaining + consumed covers capacity.
+    /// Consumption accounting is exact and pressure is monotone.
     #[test]
     fn prop_budget_accounting() {
         let mut rng = StdRng::seed_from_u64(0xB0D601);
@@ -229,10 +220,6 @@ mod prop_tests {
                 assert!((b.consumed_j() - total).abs() < 1e-9);
                 assert!(b.pressure() >= prev_pressure - 1e-12);
                 prev_pressure = b.pressure();
-                assert!(b.remaining_j() >= 0.0);
-                if total < capacity {
-                    assert!((b.remaining_j() - (capacity - total)).abs() < 1e-9);
-                }
             }
             assert_eq!(b.exhausted(), total >= capacity);
         }

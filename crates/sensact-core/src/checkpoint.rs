@@ -32,7 +32,6 @@
 //! | `u:`   | decimal                                   | `u64`       |
 //! | `f:`   | 16 hex digits (`f64::to_bits`)            | `f64`       |
 //! | `b:`   | `0` or `1`                                | `bool`      |
-//! | `s:`   | hex-encoded UTF-8 bytes                   | `String`    |
 //! | `U:`   | `;`-separated decimals                    | `Vec<u64>`  |
 //! | `F:`   | `;`-separated 16-hex-digit bit patterns   | `Vec<f64>`  |
 //!
@@ -270,12 +269,6 @@ impl Section {
         self.put_with(key, "b:", 1, |out| out.push(b'0' + u8::from(v)));
     }
 
-    /// Store a string (hex-encoded, so arbitrary content survives the flat
-    /// JSONL line).
-    pub fn put_str(&mut self, key: &str, v: &str) {
-        self.put_with(key, "s:", 2 * v.len(), |out| push_hex(out, v.as_bytes()));
-    }
-
     /// Store a `u64` slice.
     pub fn put_u64s(&mut self, key: &str, vs: &[u64]) {
         self.put_with(key, "U:", 2 * vs.len(), |out| {
@@ -324,11 +317,6 @@ impl Section {
             "1" => Ok(true),
             _ => Err(self.bad(key)),
         }
-    }
-
-    /// Read a string.
-    pub fn get_str(&self, key: &str) -> Result<String, CheckpointError> {
-        unhex_str(self.raw(key, 's')?.as_bytes()).ok_or_else(|| self.bad(key))
     }
 
     /// Read a `u64` list.
@@ -650,7 +638,6 @@ mod tests {
         s.put_f64("nan", f64::NAN);
         s.put_f64("neg_inf", f64::NEG_INFINITY);
         s.put_bool("active", true);
-        s.put_str("name", "loop a, with \"punctuation\" {and braces}");
         s.put_u64s("ring", &[3, 1, 4, 1, 5]);
         s.put_f64s("stats", &[1.0 / 3.0, -0.0, f64::INFINITY]);
         s.put_u64s("empty_u", &[]);
@@ -676,10 +663,6 @@ mod tests {
         assert!(s.get_f64("nan").unwrap().is_nan());
         assert_eq!(s.get_f64("neg_inf").unwrap(), f64::NEG_INFINITY);
         assert!(s.get_bool("active").unwrap());
-        assert_eq!(
-            s.get_str("name").unwrap(),
-            "loop a, with \"punctuation\" {and braces}"
-        );
         assert_eq!(s.get_u64s("ring").unwrap(), vec![3, 1, 4, 1, 5]);
         let fs = s.get_f64s("stats").unwrap();
         assert_eq!(fs[0].to_bits(), (1.0f64 / 3.0).to_bits());
@@ -901,6 +884,14 @@ mod tests {
             .collect()
     }
 
+    /// A version-1 header line naming `name` (hex, as written) and promising
+    /// `sections` lines.
+    fn header(name: &str, sections: usize) -> String {
+        format!(
+            "{{\"type\":\"ckpt_meta\",\"version\":1,\"name\":\"{name}\",\"sections\":{sections}}}\n"
+        )
+    }
+
     fn raw_section(key: &str, value: &str) -> Section {
         let mut s = Section::new("x");
         s.fields.insert(key.to_string(), value.to_string());
@@ -925,21 +916,15 @@ mod tests {
                     format!("f:{}", oracle::enc_f64(f))
                 );
             }
-            for text in ["", "a", "loop \u{e9}\u{1F980}", "\0\u{7f}\"{}"] {
-                s.put_str("text", text);
-                assert_eq!(
-                    s.fields["text"],
-                    format!("s:{}", oracle::hex_str(text.as_bytes()))
-                );
-            }
             ckpt.push(s);
         }
-        let mut expected = format!(
-            "{{\"type\":\"ckpt_meta\",\"version\":{},\"name\":\"{}\",\"sections\":{}}}\n",
-            ckpt.version,
-            oracle::hex_str(ckpt.name.as_bytes()),
-            ckpt.sections.len()
-        );
+        for text in ["", "a", "loop \u{e9}\u{1F980}", "\0\u{7f}\"{}"] {
+            assert_eq!(
+                Checkpoint::new(text).to_jsonl(),
+                header(&oracle::hex_str(text.as_bytes()), 0)
+            );
+        }
+        let mut expected = header(&oracle::hex_str(ckpt.name.as_bytes()), ckpt.sections.len());
         for s in &ckpt.sections {
             expected.push_str(&oracle::to_json(s));
             expected.push('\n');
@@ -998,7 +983,11 @@ mod tests {
                 .ok()
                 .map(|v| v.into_iter().map(f64::to_bits).collect::<Vec<_>>())
         };
-        let str_ = |body: &str| raw_section("k", &format!("s:{body}")).get_str("k").ok();
+        let name = |body: &str| {
+            Checkpoint::from_jsonl(&header(body, 0))
+                .ok()
+                .map(|c| c.name)
+        };
         let u64_ = |body: &str| raw_section("k", &format!("u:{body}")).get_u64("k").ok();
         let f64_ = |body: &str| {
             raw_section("k", &format!("f:{body}"))
@@ -1021,7 +1010,7 @@ mod tests {
         }
         for body in ["", "0", "a", "00ff"] {
             assert_eq!(
-                str_(&oracle::hex_str(body.as_bytes())).as_deref(),
+                name(&oracle::hex_str(body.as_bytes())).as_deref(),
                 Some(body)
             );
         }
@@ -1038,7 +1027,7 @@ mod tests {
             );
         }
         for body in HOSTILE_S.into_iter().chain([""]) {
-            assert_eq!(str_(body), oracle::unhex_str(body), "s:{body}");
+            assert_eq!(name(body), oracle::unhex_str(body), "name {body}");
         }
         for body in ALIAS_U {
             assert!(
@@ -1054,8 +1043,8 @@ mod tests {
         }
         for body in ALIAS_S {
             assert!(
-                oracle::unhex_str(body).is_some() && str_(body).is_none(),
-                "s:{body}"
+                oracle::unhex_str(body).is_some() && name(body).is_none(),
+                "name {body}"
             );
         }
     }
@@ -1097,12 +1086,12 @@ mod tests {
     }
 
     #[test]
-    fn a_signed_or_uppercase_hex_string_is_bad_value() {
-        for value in ["s:+f", "s:4A"] {
+    fn a_signed_or_uppercase_hex_name_is_bad_header() {
+        for name in ["+f", "4A", "6f6B"] {
             assert_eq!(
-                raw_section("t", value).get_str("t"),
-                Err(CheckpointError::BadValue("x.t".into())),
-                "{value}"
+                Checkpoint::from_jsonl(&header(name, 0)),
+                Err(CheckpointError::BadHeader),
+                "{name}"
             );
         }
     }
@@ -1119,9 +1108,6 @@ mod tests {
                 "{doc}"
             );
         }
-        // A signed or uppercase name is the same alias class.
-        let doc = "{\"type\":\"ckpt_meta\",\"version\":1,\"name\":\"4A\",\"sections\":0}\n";
-        assert_eq!(Checkpoint::from_jsonl(doc), Err(CheckpointError::BadHeader));
     }
 
     #[test]

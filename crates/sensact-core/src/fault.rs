@@ -330,14 +330,6 @@ impl<T, V> FaultInjector<T, V> {
     pub fn inner(&self) -> &T {
         &self.inner
     }
-
-    /// Mutably borrow the wrapped stage (e.g. for [`SensingKnobs`]
-    /// adaptation through the wrapper).
-    ///
-    /// [`SensingKnobs`]: crate::adapt::SensingKnobs
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
 }
 
 impl<T, V: Clone + NanPoison> FaultInjector<T, V> {
@@ -928,13 +920,13 @@ mod tests {
             self.inner().rate()
         }
         fn set_rate(&mut self, r: f64) {
-            self.inner_mut().set_rate(r);
+            self.inner.set_rate(r);
         }
         fn resolution(&self) -> f64 {
             self.inner().resolution()
         }
         fn set_resolution(&mut self, r: f64) {
-            self.inner_mut().set_resolution(r);
+            self.inner.set_resolution(r);
         }
     }
     // `Reliable` is a transparent lift for the knobs too.

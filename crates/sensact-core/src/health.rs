@@ -8,13 +8,16 @@
 //! state machine:
 //!
 //! * [`HealthSignals`] — the normalized per-loop inputs;
-//! * [`HealthPolicy`] — degraded/critical thresholds per signal plus
-//!   hysteresis depths and fleet-rollup fractions;
+//! * [`classify`] — the worst signal against fixed degraded/critical
+//!   thresholds, one window at a time;
 //! * [`HealthScorer`] — per-loop scorer with *hysteresis*: a state change
-//!   must be observed for `trip` (worsening) or `clear` (recovering)
-//!   consecutive evaluations before it is reported, so one noisy window
-//!   never flaps the fleet state;
+//!   must be observed for 2 (worsening) or 3 (recovering) consecutive
+//!   evaluations before it is reported, so one noisy window never flaps the
+//!   fleet state;
 //! * [`FleetHealth`] — the fleet-level rollup of per-loop statuses.
+//!
+//! The thresholds, hysteresis depths and fleet fractions are constants:
+//! every loop in the stack is scored under the same policy.
 //!
 //! Transitions are reported back to the caller so they can be recorded as
 //! [`SpanKind::Health`](crate::trace::SpanKind) spans in the trace stream —
@@ -48,11 +51,6 @@ impl HealthStatus {
             HealthStatus::Degraded => "degraded",
             HealthStatus::Critical => "critical",
         }
-    }
-
-    /// Parse a status from its [`HealthStatus::name`].
-    pub fn from_name(name: &str) -> Option<HealthStatus> {
-        HealthStatus::ALL.into_iter().find(|s| s.name() == name)
     }
 
     /// Stable numeric code (0 healthy, 1 degraded, 2 critical).
@@ -131,99 +129,65 @@ impl HealthSignals {
     }
 }
 
-/// Thresholds and hysteresis depths for health classification.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HealthPolicy {
-    /// Per-signal values at or above which a loop is degraded.
-    pub degraded: HealthSignals,
-    /// Per-signal values at or above which a loop is critical.
-    pub critical: HealthSignals,
-    /// Consecutive worsening evaluations before a downgrade is reported.
-    pub trip: u32,
-    /// Consecutive recovering evaluations before an upgrade is reported.
-    pub clear: u32,
-    /// Fleet is critical when ≥ this fraction of loops are critical.
-    pub fleet_critical_frac: f64,
-    /// Fleet is degraded when ≥ this fraction of loops are non-healthy.
-    pub fleet_degraded_frac: f64,
-}
+/// Per-signal values at or above which a loop is degraded.
+const DEGRADED: HealthSignals = HealthSignals {
+    miss_rate: 0.05,
+    drop_rate: 0.02,
+    trust_drift: 0.20,
+    staleness: 2.0,
+    retransmit_rate: 0.15,
+};
 
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            degraded: HealthSignals {
-                miss_rate: 0.05,
-                drop_rate: 0.02,
-                trust_drift: 0.20,
-                staleness: 2.0,
-                retransmit_rate: 0.15,
-            },
-            critical: HealthSignals {
-                miss_rate: 0.25,
-                drop_rate: 0.15,
-                trust_drift: 0.50,
-                staleness: 5.0,
-                retransmit_rate: 0.50,
-            },
-            trip: 2,
-            clear: 3,
-            fleet_critical_frac: 0.10,
-            fleet_degraded_frac: 0.25,
-        }
-    }
-}
+/// Per-signal values at or above which a loop is critical.
+const CRITICAL: HealthSignals = HealthSignals {
+    miss_rate: 0.25,
+    drop_rate: 0.15,
+    trust_drift: 0.50,
+    staleness: 5.0,
+    retransmit_rate: 0.50,
+};
 
-impl HealthPolicy {
-    /// Instantaneous (hysteresis-free) classification of one window.
-    pub fn classify(&self, s: &HealthSignals) -> HealthStatus {
-        let mut worst = HealthStatus::Healthy;
-        for ((_, v), ((_, deg), (_, crit))) in
-            s.iter().zip(self.degraded.iter().zip(self.critical.iter()))
-        {
-            let status = if v >= crit {
-                HealthStatus::Critical
-            } else if v >= deg {
-                HealthStatus::Degraded
-            } else {
-                HealthStatus::Healthy
-            };
-            worst = worst.max(status);
-        }
-        worst
-    }
+/// Consecutive worsening evaluations before a downgrade is reported.
+const TRIP: u32 = 2;
 
-    /// Continuous severity score: the worst signal's fraction of its
-    /// critical threshold (1.0 = at critical, may exceed 1).
-    pub fn score(&self, s: &HealthSignals) -> f64 {
-        s.iter()
-            .zip(self.critical.iter())
-            .map(|((_, v), (_, crit))| if crit > 0.0 { v / crit } else { 0.0 })
-            .fold(0.0, f64::max)
+/// Consecutive recovering evaluations before an upgrade is reported.
+const CLEAR: u32 = 3;
+
+/// The fleet is critical when at least this fraction of loops is critical.
+const FLEET_CRITICAL_FRAC: f64 = 0.10;
+
+/// The fleet is degraded when at least this fraction of loops is not healthy.
+const FLEET_DEGRADED_FRAC: f64 = 0.25;
+
+/// Instantaneous (hysteresis-free) classification of one window: the worst
+/// signal against the inclusive degraded and critical thresholds.
+pub fn classify(s: &HealthSignals) -> HealthStatus {
+    let mut worst = HealthStatus::Healthy;
+    for ((_, v), ((_, deg), (_, crit))) in s.iter().zip(DEGRADED.iter().zip(CRITICAL.iter())) {
+        let status = if v >= crit {
+            HealthStatus::Critical
+        } else if v >= deg {
+            HealthStatus::Degraded
+        } else {
+            HealthStatus::Healthy
+        };
+        worst = worst.max(status);
     }
+    worst
 }
 
 /// Per-loop health state machine with hysteresis.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HealthScorer {
-    policy: HealthPolicy,
     status: HealthStatus,
     candidate: HealthStatus,
     streak: u32,
-    last_score: f64,
-    evaluations: u64,
 }
 
 impl HealthScorer {
-    /// A scorer starting healthy under `policy`.
-    pub fn new(policy: HealthPolicy) -> Self {
-        HealthScorer {
-            policy,
-            status: HealthStatus::Healthy,
-            candidate: HealthStatus::Healthy,
-            streak: 0,
-            last_score: 0.0,
-            evaluations: 0,
-        }
+    /// A scorer starting healthy.
+    pub fn new() -> Self {
+        HealthScorer::default()
     }
 
     /// Current (hysteresis-filtered) status.
@@ -231,28 +195,11 @@ impl HealthScorer {
         self.status
     }
 
-    /// Severity score of the most recent evaluation.
-    pub fn last_score(&self) -> f64 {
-        self.last_score
-    }
-
-    /// Number of windows evaluated so far.
-    pub fn evaluations(&self) -> u64 {
-        self.evaluations
-    }
-
-    /// The policy this scorer classifies under.
-    pub fn policy(&self) -> &HealthPolicy {
-        &self.policy
-    }
-
     /// Evaluate one window. Returns `Some((from, to))` when the filtered
-    /// status transitions — after `trip` consecutive worsening windows or
-    /// `clear` consecutive recovering ones.
+    /// status transitions — after 2 consecutive worsening windows or 3
+    /// consecutive recovering ones.
     pub fn observe(&mut self, signals: &HealthSignals) -> Option<(HealthStatus, HealthStatus)> {
-        self.evaluations += 1;
-        self.last_score = self.policy.score(signals);
-        let raw = self.policy.classify(signals);
+        let raw = classify(signals);
         if raw == self.status {
             // Back in agreement: any pending candidate streak dissolves.
             self.candidate = self.status;
@@ -265,12 +212,8 @@ impl HealthScorer {
             self.candidate = raw;
             self.streak = 1;
         }
-        let needed = if raw > self.status {
-            self.policy.trip
-        } else {
-            self.policy.clear
-        };
-        if self.streak >= needed.max(1) {
+        let needed = if raw > self.status { TRIP } else { CLEAR };
+        if self.streak >= needed {
             let from = self.status;
             self.status = raw;
             self.streak = 0;
@@ -294,14 +237,10 @@ pub struct FleetHealth {
 }
 
 impl FleetHealth {
-    /// Roll up per-loop statuses under `policy`'s fleet fractions: the
-    /// fleet is critical when ≥ `fleet_critical_frac` of loops are
-    /// critical, degraded when ≥ `fleet_degraded_frac` are non-healthy (or
-    /// any loop is critical), healthy otherwise. An empty fleet is healthy.
-    pub fn roll_up(
-        statuses: impl IntoIterator<Item = HealthStatus>,
-        policy: &HealthPolicy,
-    ) -> Self {
+    /// Roll up per-loop statuses: the fleet is critical when ≥ 10 % of loops
+    /// are critical, degraded when ≥ 25 % are non-healthy (or any loop is
+    /// critical), healthy otherwise. An empty fleet is healthy.
+    pub fn roll_up(statuses: impl IntoIterator<Item = HealthStatus>) -> Self {
         let mut h = FleetHealth::default();
         for s in statuses {
             match s {
@@ -316,9 +255,9 @@ impl FleetHealth {
         } else {
             let critical_frac = h.critical as f64 / total as f64;
             let unhealthy_frac = (h.degraded + h.critical) as f64 / total as f64;
-            if critical_frac >= policy.fleet_critical_frac {
+            if critical_frac >= FLEET_CRITICAL_FRAC {
                 HealthStatus::Critical
-            } else if h.critical > 0 || unhealthy_frac >= policy.fleet_degraded_frac {
+            } else if h.critical > 0 || unhealthy_frac >= FLEET_DEGRADED_FRAC {
                 HealthStatus::Degraded
             } else {
                 HealthStatus::Healthy
@@ -351,11 +290,9 @@ mod tests {
     #[test]
     fn status_names_codes_round_trip() {
         for s in HealthStatus::ALL {
-            assert_eq!(HealthStatus::from_name(s.name()), Some(s));
             assert_eq!(HealthStatus::from_code(s.code()), Some(s));
             assert_eq!(s.to_string(), s.name());
         }
-        assert_eq!(HealthStatus::from_name("fine"), None);
         assert_eq!(HealthStatus::from_code(9), None);
         assert!(HealthStatus::Healthy < HealthStatus::Degraded);
         assert!(HealthStatus::Degraded < HealthStatus::Critical);
@@ -374,36 +311,22 @@ mod tests {
 
     #[test]
     fn classify_takes_the_worst_signal() {
-        let p = HealthPolicy::default();
-        assert_eq!(p.classify(&clean()), HealthStatus::Healthy);
-        assert_eq!(p.classify(&missy(0.05)), HealthStatus::Degraded);
-        assert_eq!(p.classify(&missy(0.25)), HealthStatus::Critical);
+        assert_eq!(classify(&clean()), HealthStatus::Healthy);
+        assert_eq!(classify(&missy(0.05)), HealthStatus::Degraded);
+        assert_eq!(classify(&missy(0.25)), HealthStatus::Critical);
         let mixed = HealthSignals {
             miss_rate: 0.06,      // degraded
             retransmit_rate: 0.9, // critical
             ..HealthSignals::default()
         };
-        assert_eq!(p.classify(&mixed), HealthStatus::Critical);
+        assert_eq!(classify(&mixed), HealthStatus::Critical);
         // Thresholds are inclusive.
-        assert_eq!(p.classify(&missy(0.049)), HealthStatus::Healthy);
-    }
-
-    #[test]
-    fn score_is_worst_fraction_of_critical() {
-        let p = HealthPolicy::default();
-        assert_eq!(p.score(&clean()), 0.0);
-        let s = p.score(&missy(0.125)); // half of the 0.25 critical bar
-        assert!((s - 0.5).abs() < 1e-12, "score {s}");
-        assert!(p.score(&missy(0.5)) > 1.0);
+        assert_eq!(classify(&missy(0.049)), HealthStatus::Healthy);
     }
 
     #[test]
     fn hysteresis_filters_one_bad_window() {
-        let mut sc = HealthScorer::new(HealthPolicy {
-            trip: 2,
-            clear: 3,
-            ..HealthPolicy::default()
-        });
+        let mut sc = HealthScorer::new();
         // One bad window: no transition yet.
         assert_eq!(sc.observe(&missy(0.3)), None);
         assert_eq!(sc.status(), HealthStatus::Healthy);
@@ -416,7 +339,7 @@ mod tests {
             Some((HealthStatus::Healthy, HealthStatus::Critical))
         );
         assert_eq!(sc.status(), HealthStatus::Critical);
-        // Recovery needs `clear` = 3 consecutive clean windows.
+        // Recovery needs 3 consecutive clean windows.
         assert_eq!(sc.observe(&clean()), None);
         assert_eq!(sc.observe(&clean()), None);
         assert_eq!(
@@ -424,18 +347,37 @@ mod tests {
             Some((HealthStatus::Critical, HealthStatus::Healthy))
         );
         assert_eq!(sc.status(), HealthStatus::Healthy);
-        assert_eq!(sc.evaluations(), 7);
+    }
+
+    /// The hysteresis depths are fixed: a downgrade is reported on exactly
+    /// the 2nd consecutive worse window of each severity, an upgrade on
+    /// exactly the 3rd consecutive better one.
+    #[test]
+    fn hysteresis_is_two_windows_down_and_three_up() {
+        use HealthStatus::{Critical, Degraded, Healthy};
+        let steps = [
+            (missy(0.06), Healthy, Degraded, 2),
+            (missy(0.3), Degraded, Critical, 2),
+            (missy(0.06), Critical, Degraded, 3),
+            (clean(), Degraded, Healthy, 3),
+        ];
+        let mut sc = HealthScorer::new();
+        for (window, from, to, depth) in steps {
+            for n in 1..depth {
+                assert_eq!(sc.observe(&window), None, "{from} -> {to}, window {n}");
+                assert_eq!(sc.status(), from);
+            }
+            assert_eq!(sc.observe(&window), Some((from, to)), "{from} -> {to}");
+            assert_eq!(sc.status(), to);
+        }
     }
 
     #[test]
     fn candidate_switch_resets_the_streak() {
-        let mut sc = HealthScorer::new(HealthPolicy {
-            trip: 2,
-            ..HealthPolicy::default()
-        });
+        let mut sc = HealthScorer::new();
         assert_eq!(sc.observe(&missy(0.3)), None); // candidate critical, streak 1
         assert_eq!(sc.observe(&missy(0.06)), None); // candidate degraded, streak 1
-                                                    // Degraded again: streak 2 >= trip -> transition to degraded.
+                                                    // Degraded again: streak 2 trips -> transition to degraded.
         assert_eq!(
             sc.observe(&missy(0.06)),
             Some((HealthStatus::Healthy, HealthStatus::Degraded))
@@ -444,12 +386,12 @@ mod tests {
 
     #[test]
     fn fleet_roll_up_applies_fractions() {
-        let p = HealthPolicy::default(); // critical ≥10%, degraded ≥25%
+        // Critical ≥ 10 %, degraded ≥ 25 %.
         let mk = |h: usize, d: usize, c: usize| {
             let statuses = std::iter::repeat_n(HealthStatus::Healthy, h)
                 .chain(std::iter::repeat_n(HealthStatus::Degraded, d))
                 .chain(std::iter::repeat_n(HealthStatus::Critical, c));
-            FleetHealth::roll_up(statuses, &p)
+            FleetHealth::roll_up(statuses)
         };
         assert_eq!(mk(0, 0, 0).status, HealthStatus::Healthy);
         assert_eq!(mk(10, 0, 0).status, HealthStatus::Healthy);

@@ -80,7 +80,7 @@ pub use fault::{
     FallibleLoop, FallibleOutput, FaultInjector, FaultProfile, RecoveryPolicy, Reliable,
     StageError, TickResolution, TryPerceptor, TrySensor, WithFallback,
 };
-pub use health::{FleetHealth, HealthPolicy, HealthScorer, HealthSignals, HealthStatus};
+pub use health::{FleetHealth, HealthScorer, HealthSignals, HealthStatus};
 pub use loop_::{Checkpointed, LoopBuilder, LoopOutput, LoopRunner, LoopState, SensingActionLoop};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use replay::{first_divergence, Divergence, Recording, RecordingMeta};

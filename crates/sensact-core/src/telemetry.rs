@@ -334,11 +334,6 @@ impl LoopTelemetry {
         self.total_latency_s
     }
 
-    /// Energy statistics across ticks.
-    pub fn energy_stats(&self) -> &RunningStats {
-        &self.energy
-    }
-
     /// Latency statistics across ticks.
     pub fn latency_stats(&self) -> &RunningStats {
         &self.latency
@@ -901,7 +896,7 @@ mod tests {
         t.record(3.0, 0.3, Trust::Suspect(0.5));
         assert_eq!(t.ticks(), 2);
         assert_eq!(t.total_energy_j(), 4.0);
-        assert_eq!(t.energy_stats().mean(), 2.0);
+        assert_eq!(t.energy.mean(), 2.0);
         assert_eq!(t.latency_stats().max(), 0.3);
         assert_eq!(t.records().nth(1).unwrap().tick, 1);
     }
@@ -972,7 +967,7 @@ mod tests {
         assert_eq!(t.total_energy_j(), 45.0);
         assert!((t.total_latency_s() - 1.0).abs() < 1e-12);
         assert_eq!(t.suspect_fraction(), 0.5);
-        assert_eq!(t.energy_stats().mean(), 4.5);
+        assert_eq!(t.energy.mean(), 4.5);
         assert_eq!(t.latency_histogram().count(), 10);
     }
 
@@ -1177,10 +1172,7 @@ mod tests {
             back.total_energy_j().to_bits(),
             t.total_energy_j().to_bits()
         );
-        assert_eq!(
-            back.energy_stats().mean().to_bits(),
-            t.energy_stats().mean().to_bits()
-        );
+        assert_eq!(back.energy.mean().to_bits(), t.energy.mean().to_bits());
         assert_eq!(
             back.suspect_fraction().to_bits(),
             t.suspect_fraction().to_bits()

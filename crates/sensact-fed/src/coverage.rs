@@ -119,41 +119,6 @@ impl CoverageCoordinator {
         out
     }
 
-    /// Re-partition the circle after fleet membership changed, preserving
-    /// assignment *stability* for surviving agents: survivors keep their
-    /// relative order from `previous` (so their arc starts move as little as
-    /// the battery weights allow, and the first survivor stays anchored where
-    /// it was), while joining agents are appended after them in `agents`
-    /// order. Departed agents are simply dropped.
-    ///
-    /// With an unchanged membership and unchanged batteries this reproduces
-    /// `previous` exactly, so a coordinator may call it every epoch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `agents` is empty or total battery is not positive (via
-    /// [`CoverageCoordinator::assign`]).
-    pub fn reassign(
-        &self,
-        previous: &[ArcAssignment],
-        agents: &[AgentProfile],
-    ) -> Vec<ArcAssignment> {
-        let mut ordered: Vec<AgentProfile> = Vec::with_capacity(agents.len());
-        // Survivors first, in their previous assignment order.
-        for prev in previous {
-            if let Some(a) = agents.iter().find(|a| a.id == prev.id) {
-                ordered.push(*a);
-            }
-        }
-        // Then joiners, in the order the caller listed them.
-        for a in agents {
-            if !previous.iter().any(|p| p.id == a.id) {
-                ordered.push(*a);
-            }
-        }
-        self.assign(&ordered)
-    }
-
     /// Energy for one agent to sense the full circle alone.
     pub fn solo_energy(&self, agent: &AgentProfile) -> f64 {
         agent.sense_energy_per_deg * 360.0
@@ -336,40 +301,5 @@ mod tests {
                 assert_eq!(owners, 1, "azimuth {az} owned by {owners} arcs");
             }
         }
-    }
-
-    #[test]
-    fn reassign_keeps_survivors_stable_through_join_and_leave() {
-        // The 1 → 2 → 1 membership transition: agent 0 runs solo, agent 1
-        // joins, then leaves again.
-        let coordinator = CoverageCoordinator::new();
-        let solo = fleet(1);
-        let initial = coordinator.assign(&solo);
-        assert_eq!(initial[0].arc.width(), 360.0);
-
-        // Join: the survivor must keep its anchor (arc start) while shrinking
-        // to make room for the newcomer.
-        let pair = fleet(2);
-        let joined = coordinator.reassign(&initial, &pair);
-        assert_eq!(joined.len(), 2);
-        assert_eq!(joined[0].id, AgentId(0));
-        assert_eq!(joined[0].arc.start_deg, 0.0, "survivor anchor moved");
-        assert!((joined[0].arc.width() - 180.0).abs() < 1e-9);
-        assert_eq!(joined[1].id, AgentId(1));
-        let total: f64 = joined.iter().map(|a| a.arc.width()).sum();
-        assert!((total - 360.0).abs() < 1e-9);
-
-        // Leave: the survivor gets the full circle back, bit-identical to its
-        // original solo assignment.
-        let left = coordinator.reassign(&joined, &solo);
-        assert_eq!(left, initial);
-
-        // Unchanged membership is a fixpoint.
-        assert_eq!(coordinator.reassign(&joined, &pair), joined);
-
-        // Survivor ordering is taken from `previous`, not from the caller's
-        // agent list: listing the fleet in reverse must not reshuffle arcs.
-        let reversed: Vec<AgentProfile> = pair.iter().rev().copied().collect();
-        assert_eq!(coordinator.reassign(&joined, &reversed), joined);
     }
 }

@@ -130,19 +130,6 @@ impl Dataset {
         }
         parts
     }
-
-    /// Class histogram (fractions).
-    pub fn class_distribution(&self) -> [f64; CLASSES] {
-        let mut hist = [0.0; CLASSES];
-        for s in &self.samples {
-            hist[s.label] += 1.0;
-        }
-        let n = self.samples.len().max(1) as f64;
-        for h in hist.iter_mut() {
-            *h /= n;
-        }
-        hist
-    }
 }
 
 fn gaussian(rng: &mut StdRng) -> f64 {
@@ -155,6 +142,15 @@ fn gaussian(rng: &mut StdRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Class histogram (fractions).
+    fn class_distribution(d: &Dataset) -> [f64; CLASSES] {
+        let mut hist = [0.0; CLASSES];
+        for s in d.samples() {
+            hist[s.label] += 1.0 / d.len() as f64;
+        }
+        hist
+    }
 
     #[test]
     fn generate_counts_and_labels() {
@@ -217,7 +213,7 @@ mod tests {
         for p in &parts {
             assert_eq!(p.len(), 250);
             // Roughly uniform classes.
-            let dist = p.class_distribution();
+            let dist = class_distribution(p);
             for f in dist {
                 assert!(f < 0.25, "class fraction {f} too concentrated for IID");
             }
@@ -231,7 +227,7 @@ mod tests {
         assert_eq!(parts.len(), 5);
         // Each client's top-2 classes should dominate.
         for p in &parts {
-            let mut dist = p.class_distribution().to_vec();
+            let mut dist = class_distribution(p).to_vec();
             dist.sort_by(|a, b| b.total_cmp(a));
             let top2: f64 = dist[0] + dist[1];
             assert!(top2 > 0.8, "top-2 class mass {top2} too low for non-IID");

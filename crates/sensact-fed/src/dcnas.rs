@@ -20,23 +20,6 @@ pub fn assign_channel_fractions(clients: &mut [Client]) {
     }
 }
 
-/// Fraction of the full parameter vector covered by at least one client's
-/// subnetwork mask. Anything below `1.0` means masked FedAvg has parameters
-/// no participant trains — those hold their previous global value (see
-/// [`crate::server::aggregate_masked`]).
-pub fn union_coverage(clients: &[Client]) -> f64 {
-    let Some(first) = clients.first() else {
-        return 0.0;
-    };
-    let mut union = first.subnetwork_mask();
-    for c in &clients[1..] {
-        for (u, m) in union.iter_mut().zip(c.subnetwork_mask()) {
-            *u = u.max(m);
-        }
-    }
-    union.iter().filter(|&&m| m > 0.0).count() as f64 / union.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,17 +57,5 @@ mod tests {
         for c in &clients {
             assert!((0.3..=1.0).contains(&c.channel_fraction));
         }
-    }
-
-    #[test]
-    fn union_coverage_tracks_the_widest_client() {
-        let mut clients = fleet();
-        assign_channel_fractions(&mut clients);
-        // The EdgeGpu client keeps full width, so the union covers all.
-        assert!((union_coverage(&clients) - 1.0).abs() < 1e-12);
-        // Drop the GPU: nested masks leave the tail channels uncovered.
-        let weak = clients.split_off(1);
-        assert!(union_coverage(&weak) < 1.0);
-        assert!(union_coverage(&[]) == 0.0);
     }
 }

@@ -124,11 +124,6 @@ impl CartPole {
         self.state
     }
 
-    /// Override the state (for tests and dataset generation).
-    pub fn set_state(&mut self, state: [f64; 4]) {
-        self.state = state;
-    }
-
     /// Physical config.
     pub fn config(&self) -> &CartPoleConfig {
         &self.config
@@ -229,7 +224,7 @@ mod tests {
     #[test]
     fn unforced_pole_falls() {
         let mut cp = CartPole::new(CartPoleConfig::default(), 1);
-        cp.set_state([0.0, 0.0, 0.05, 0.0]);
+        cp.state = [0.0, 0.0, 0.05, 0.0];
         for _ in 0..500 {
             cp.step(0.0);
             if cp.failed() {
@@ -242,7 +237,7 @@ mod tests {
     #[test]
     fn force_accelerates_cart() {
         let mut cp = CartPole::new(CartPoleConfig::default(), 2);
-        cp.set_state([0.0; 4]);
+        cp.state = [0.0; 4];
         for _ in 0..10 {
             cp.step(10.0);
         }
@@ -255,7 +250,7 @@ mod tests {
         // A hand-tuned state-feedback law keeps the pole up: confirms the
         // plant is stabilizable (prerequisite for the learned controllers).
         let mut cp = CartPole::new(CartPoleConfig::default(), 3);
-        cp.set_state([0.1, 0.0, 0.05, 0.0]);
+        cp.state = [0.1, 0.0, 0.05, 0.0];
         for _ in 0..1000 {
             let [x, xd, t, td] = cp.state();
             let u = 2.0 * x + 3.0 * xd + 30.0 * t + 4.0 * td;
@@ -273,7 +268,7 @@ mod tests {
                 a_min: 4.0,
                 a_max: 10.0,
             });
-            cp.set_state([0.0, 0.0, 0.02, 0.0]);
+            cp.state = [0.0, 0.0, 0.02, 0.0];
             for _ in 0..500 {
                 let [x, xd, t, td] = cp.state();
                 // Weak controller so disturbances matter.
@@ -326,8 +321,8 @@ mod tests {
     fn force_clamped_to_max() {
         let mut a = CartPole::new(CartPoleConfig::default(), 5);
         let mut b = CartPole::new(CartPoleConfig::default(), 5);
-        a.set_state([0.0; 4]);
-        b.set_state([0.0; 4]);
+        a.state = [0.0; 4];
+        b.state = [0.0; 4];
         a.step(1e6);
         b.step(10.0);
         assert_eq!(a.state(), b.state());

@@ -146,11 +146,6 @@ impl VoxelGrid {
         self.count(ix, iy, iz) > 0
     }
 
-    /// Number of occupied voxels.
-    pub fn occupied_count(&self) -> usize {
-        self.counts.iter().filter(|&&c| c > 0).count()
-    }
-
     /// Occupancy as a flat `0.0/1.0` buffer (z-major: index
     /// `(iz * ny + iy) * nx + ix`) for feeding a network.
     pub fn occupancy_flat(&self) -> Vec<f64> {
@@ -228,6 +223,11 @@ mod tests {
     use crate::raycast::{Lidar, LidarConfig};
     use crate::scene::SceneGenerator;
 
+    /// Number of occupied voxels.
+    fn occupied_count(grid: &VoxelGrid) -> usize {
+        grid.counts.iter().filter(|&&c| c > 0).count()
+    }
+
     fn pt(x: f64, y: f64, z: f64) -> Point {
         Point {
             x,
@@ -289,7 +289,7 @@ mod tests {
             pt(0.5, 0.5, f64::NAN),
         ]);
         let grid = VoxelGrid::from_cloud(small_config(), &cloud);
-        assert_eq!(grid.occupied_count(), 0);
+        assert_eq!(occupied_count(&grid), 0);
     }
 
     #[test]
@@ -310,7 +310,7 @@ mod tests {
         let grid = VoxelGrid::from_cloud(small_config(), &cloud);
         assert_eq!(grid.count(0, 0, 0), 2);
         assert_eq!(grid.count(2, 2, 1), 1);
-        assert_eq!(grid.occupied_count(), 2);
+        assert_eq!(occupied_count(&grid), 2);
     }
 
     #[test]
@@ -357,7 +357,7 @@ mod tests {
         buf[0] = 0.9;
         buf[5] = 0.4;
         let grid = VoxelGrid::from_occupancy_flat(c, &buf, 0.5);
-        assert_eq!(grid.occupied_count(), 1);
+        assert_eq!(occupied_count(&grid), 1);
     }
 
     #[test]
@@ -365,7 +365,7 @@ mod tests {
         let scene = SceneGenerator::new(1).generate();
         let cloud = Lidar::new(LidarConfig::default()).scan(&scene);
         let grid = VoxelGrid::from_cloud(VoxelizerConfig::default(), &cloud);
-        let ratio = grid.occupied_count() as f64 / grid.len() as f64;
+        let ratio = occupied_count(&grid) as f64 / grid.len() as f64;
         // Street scenes occupy a thin shell — far less than half the volume.
         assert!(ratio < 0.5, "occupancy ratio {ratio}");
         assert!(ratio > 0.005, "occupancy ratio {ratio} suspiciously low");

@@ -10,7 +10,7 @@
 /// use sensact_math::Complex64;
 /// let z = Complex64::new(3.0, 4.0);
 /// assert_eq!(z.abs(), 5.0);
-/// assert_eq!((z * z.conj()).re, 25.0);
+/// assert_eq!(z.abs_sq(), 25.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
@@ -44,11 +44,6 @@ impl Complex64 {
     /// Construct from polar coordinates `(r, θ)`.
     pub fn from_polar(r: f64, theta: f64) -> Self {
         Complex64::new(r * theta.cos(), r * theta.sin())
-    }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Complex64::new(self.re, -self.im)
     }
 
     /// Modulus `|z|`.
@@ -95,18 +90,6 @@ impl Complex64 {
         let d = self.abs_sq();
         assert!(d > 0.0, "reciprocal of zero complex number");
         Complex64::new(self.re / d, -self.im / d)
-    }
-
-    /// Whether the eigenvalue is strictly inside the unit circle
-    /// (discrete-time stability).
-    pub fn is_stable_discrete(self) -> bool {
-        self.abs() < 1.0
-    }
-
-    /// Whether the eigenvalue has a strictly negative real part
-    /// (continuous-time stability).
-    pub fn is_stable_continuous(self) -> bool {
-        self.re < 0.0
     }
 }
 
@@ -234,14 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn stability_predicates() {
-        assert!(Complex64::new(0.5, 0.5).is_stable_discrete());
-        assert!(!Complex64::new(1.0, 0.5).is_stable_discrete());
-        assert!(Complex64::new(-0.1, 3.0).is_stable_continuous());
-        assert!(!Complex64::new(0.0, 3.0).is_stable_continuous());
-    }
-
-    #[test]
     fn display_formats_sign() {
         assert_eq!(Complex64::new(1.0, 2.0).to_string(), "1+2j");
         assert_eq!(Complex64::new(1.0, -2.0).to_string(), "1-2j");
@@ -254,17 +229,6 @@ mod tests {
             let a = Complex64::new(rng.random_range(-10.0..10.0), rng.random_range(-10.0..10.0));
             let b = Complex64::new(rng.random_range(-10.0..10.0), rng.random_range(-10.0..10.0));
             assert!(((a * b).abs() - a.abs() * b.abs()).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn prop_conj_product_is_abs_sq() {
-        let mut rng = StdRng::seed_from_u64(0xC0302);
-        for _ in 0..256 {
-            let z = Complex64::new(rng.random_range(-10.0..10.0), rng.random_range(-10.0..10.0));
-            let p = z * z.conj();
-            assert!((p.re - z.abs_sq()).abs() < 1e-9);
-            assert!(p.im.abs() < 1e-9);
         }
     }
 }

@@ -1,117 +1,8 @@
-//! Eigen-decomposition routines.
-//!
-//! Two solvers are provided:
-//!
-//! * [`symmetric_eigen`] — cyclic Jacobi rotations for symmetric matrices
-//!   (covariances, Gram matrices). Returns real eigenvalues *and* eigenvectors.
-//! * [`eigenvalues`] — Francis double-shift QR on an upper-Hessenberg
-//!   reduction for general real matrices. Returns the full complex spectrum,
-//!   which is what the dense-Koopman stability analysis needs.
+//! Eigenvalues of general real matrices: [`eigenvalues`] runs the Francis
+//! double-shift QR on an upper-Hessenberg reduction and returns the full
+//! complex spectrum, which is what the dense-Koopman stability analysis needs.
 
 use crate::{Complex64, MathError, Matrix, Result};
-
-/// Result of a symmetric eigen-decomposition: `a = V diag(λ) Vᵀ`.
-#[derive(Debug, Clone)]
-pub struct SymmetricEigen {
-    /// Eigenvalues sorted in descending order.
-    pub values: Vec<f64>,
-    /// Eigenvectors as matrix columns, ordered to match `values`.
-    pub vectors: Matrix,
-}
-
-/// Eigen-decomposition of a symmetric matrix by the cyclic Jacobi method.
-///
-/// # Errors
-///
-/// [`MathError::NotSquare`] if `a` is not square,
-/// [`MathError::InvalidArgument`] if `a` is not symmetric (tolerance `1e-8`),
-/// [`MathError::NoConvergence`] if the off-diagonal mass does not vanish
-/// within the sweep budget (does not happen for well-posed inputs).
-///
-/// ```
-/// use sensact_math::{Matrix, eigen::symmetric_eigen};
-/// let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-/// let e = symmetric_eigen(&a).unwrap();
-/// assert!((e.values[0] - 3.0).abs() < 1e-9);
-/// assert!((e.values[1] - 1.0).abs() < 1e-9);
-/// ```
-pub fn symmetric_eigen(a: &Matrix) -> Result<SymmetricEigen> {
-    if !a.is_square() {
-        return Err(MathError::NotSquare { shape: a.shape() });
-    }
-    if !a.is_symmetric(1e-8 * a.max_abs().max(1.0)) {
-        return Err(MathError::InvalidArgument("matrix is not symmetric"));
-    }
-    let n = a.rows();
-    let mut m = a.clone();
-    let mut v = Matrix::identity(n);
-    let max_sweeps = 100;
-
-    for _sweep in 0..max_sweeps {
-        let off: f64 = {
-            let mut s = 0.0;
-            for r in 0..n {
-                for c in (r + 1)..n {
-                    s += m[(r, c)] * m[(r, c)];
-                }
-            }
-            s
-        };
-        if off < 1e-22 * (n as f64) {
-            return Ok(finish_symmetric(m, v));
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                if apq.abs() < 1e-300 {
-                    continue;
-                }
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                let theta = (aqq - app) / (2.0 * apq);
-                let t = theta.signum() / (theta.abs() + (theta * theta + 1.0).sqrt());
-                let c = 1.0 / (t * t + 1.0).sqrt();
-                let s = t * c;
-                // Rotate rows/cols p and q of m.
-                for k in 0..n {
-                    let mkp = m[(k, p)];
-                    let mkq = m[(k, q)];
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
-                }
-                for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
-            }
-        }
-    }
-    Err(MathError::NoConvergence {
-        iterations: max_sweeps,
-    })
-}
-
-fn finish_symmetric(m: Matrix, v: Matrix) -> SymmetricEigen {
-    let n = m.rows();
-    let mut pairs: Vec<(f64, usize)> = (0..n).map(|i| (m[(i, i)], i)).collect();
-    pairs.sort_by(|a, b| b.0.total_cmp(&a.0));
-    let values: Vec<f64> = pairs.iter().map(|p| p.0).collect();
-    let mut vectors = Matrix::zeros(n, n);
-    for (new_col, &(_, old_col)) in pairs.iter().enumerate() {
-        for r in 0..n {
-            vectors[(r, new_col)] = v[(r, old_col)];
-        }
-    }
-    SymmetricEigen { values, vectors }
-}
 
 /// Reduce a square matrix to upper-Hessenberg form by Householder reflections.
 ///
@@ -396,38 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_eigen_2x2() {
-        let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 2.0]]);
-        let e = symmetric_eigen(&a).unwrap();
-        assert!((e.values[0] - 3.0).abs() < 1e-10);
-        assert!((e.values[1] - 1.0).abs() < 1e-10);
-        // A v = λ v.
-        for k in 0..2 {
-            let v = e.vectors.column(k);
-            let av = a.matvec(&v).unwrap();
-            for i in 0..2 {
-                assert!((av[i] - e.values[k] * v[i]).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn symmetric_eigen_diagonal() {
-        let a = Matrix::from_diag(&[5.0, -1.0, 3.0]);
-        let e = symmetric_eigen(&a).unwrap();
-        assert_eq!(sorted_real(e.values.clone()), vec![5.0, 3.0, -1.0]);
-    }
-
-    #[test]
-    fn symmetric_eigen_rejects_asymmetric() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[0.0, 1.0]]);
-        assert!(matches!(
-            symmetric_eigen(&a),
-            Err(MathError::InvalidArgument(_))
-        ));
-    }
-
-    #[test]
     fn hessenberg_preserves_spectrum_shape() {
         let a = Matrix::from_rows(&[
             &[4.0, 1.0, 2.0, 0.5],
@@ -507,30 +366,6 @@ mod tests {
             n,
             (0..n * n).map(|_| rng.random_range(-2.0..2.0)).collect(),
         )
-    }
-
-    /// `(A + Aᵀ)/2` of a random matrix is symmetric.
-    fn rand_symmetric(rng: &mut StdRng, n: usize) -> Matrix {
-        let a = rand_square(rng, n);
-        a.add(&a.transpose()).unwrap().scaled(0.5)
-    }
-
-    #[test]
-    fn prop_symmetric_eigen_reconstructs() {
-        let mut rng = StdRng::seed_from_u64(0xE16E01);
-        for _ in 0..32 {
-            let a = rand_symmetric(&mut rng, 4);
-            let e = symmetric_eigen(&a).unwrap();
-            // V diag(λ) Vᵀ == A
-            let d = Matrix::from_diag(&e.values);
-            let rec = e
-                .vectors
-                .matmul(&d)
-                .unwrap()
-                .matmul(&e.vectors.transpose())
-                .unwrap();
-            assert!(rec.sub(&a).unwrap().max_abs() < 1e-7);
-        }
     }
 
     #[test]

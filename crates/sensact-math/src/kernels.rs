@@ -1,7 +1,7 @@
 //! Cache-blocked, single-threaded compute kernels.
 //!
-//! Every dense hot path in the workspace (matrix products, conv im2col
-//! lowering, LoRA adapters, Riccati iterations) funnels into the slice-level
+//! Every dense hot path in the workspace (matrix products, conv lowering,
+//! dense layers, Riccati iterations) funnels into the slice-level
 //! GEMM in this module, so one implementation decides the performance and the
 //! numerics of them all.
 //!

@@ -84,11 +84,6 @@ impl Matrix {
         m
     }
 
-    /// A column vector (`n × 1`) from a slice.
-    pub fn col_vector(v: &[f64]) -> Self {
-        Matrix::from_vec(v.len(), 1, v.to_vec())
-    }
-
     /// `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
@@ -134,31 +129,6 @@ impl Matrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Copy column `c` into a new `Vec`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols`.
-    pub fn column(&self, c: usize) -> Vec<f64> {
-        let mut out = vec![0.0; self.rows];
-        self.column_into(c, &mut out);
-        out
-    }
-
-    /// Copy column `c` into a caller-provided buffer, avoiding the per-call
-    /// allocation of [`Matrix::column`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c >= cols` or `out.len() != rows`.
-    pub fn column_into(&self, c: usize, out: &mut [f64]) {
-        assert!(c < self.cols, "column index {c} out of bounds");
-        assert_eq!(out.len(), self.rows, "column_into: output length mismatch");
-        for (r, o) in out.iter_mut().enumerate() {
-            *o = self.data[r * self.cols + c];
-        }
-    }
-
     /// Transposed copy (cache-blocked).
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -170,8 +140,7 @@ impl Matrix {
     /// [`crate::kernels`].
     ///
     /// Full IEEE semantics: zeros in `self` are **not** skipped, so NaN and
-    /// signed-zero in `other` propagate exactly as written. For known-finite
-    /// sparse operands see [`Matrix::matmul_sparse`].
+    /// signed-zero in `other` propagate exactly as written.
     ///
     /// # Errors
     ///
@@ -239,43 +208,6 @@ impl Matrix {
             0.0,
             &mut out.data,
         );
-        Ok(out)
-    }
-
-    /// Zero-skipping matrix product for **known-finite** sparse operands
-    /// (e.g. occupancy grids): rows of `other` whose matching `self` entry is
-    /// exactly zero are not touched, which can be much faster when `self` is
-    /// mostly zeros.
-    ///
-    /// Not IEEE-exact: if `other` contains NaN/±∞, skipped `0 * NaN` /
-    /// `0 * ∞` terms (which are NaN) do not propagate, and summation-order
-    /// differences can flip signed zeros. Use [`Matrix::matmul`] whenever
-    /// operands may be non-finite.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MathError::ShapeMismatch`] if `self.cols != other.rows`.
-    pub fn matmul_sparse(&self, other: &Matrix) -> Result<Matrix> {
-        if self.cols != other.rows {
-            return Err(MathError::ShapeMismatch {
-                expected: (self.cols, other.cols),
-                found: (other.rows, other.cols),
-            });
-        }
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                let orow = k * other.cols;
-                let crow = i * other.cols;
-                for j in 0..other.cols {
-                    out.data[crow + j] += aik * other.data[orow + j];
-                }
-            }
-        }
         Ok(out)
     }
 
@@ -379,35 +311,14 @@ impl Matrix {
         Ok((0..self.rows).map(|i| self[(i, i)]).sum())
     }
 
-    /// Solve `self * x = b` for one right-hand side by LU with partial pivoting.
+    /// Solve `self * X = B` for a matrix of right-hand sides by LU with
+    /// partial pivoting.
     ///
     /// # Errors
     ///
     /// [`MathError::NotSquare`] if the matrix is not square,
-    /// [`MathError::ShapeMismatch`] if `b.len() != rows`, or
+    /// [`MathError::ShapeMismatch`] if `b.rows() != rows`, or
     /// [`MathError::Singular`] when a pivot underflows.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if !self.is_square() {
-            return Err(MathError::NotSquare {
-                shape: self.shape(),
-            });
-        }
-        if b.len() != self.rows {
-            return Err(MathError::ShapeMismatch {
-                expected: (self.rows, 1),
-                found: (b.len(), 1),
-            });
-        }
-        let rhs = Matrix::col_vector(b);
-        let x = self.solve_matrix(&rhs)?;
-        Ok(x.into_vec())
-    }
-
-    /// Solve `self * X = B` for a matrix of right-hand sides.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Matrix::solve`].
     pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         if !self.is_square() {
             return Err(MathError::NotSquare {
@@ -477,15 +388,6 @@ impl Matrix {
         Ok(x)
     }
 
-    /// Matrix inverse via LU solve against the identity.
-    ///
-    /// # Errors
-    ///
-    /// [`MathError::NotSquare`] or [`MathError::Singular`].
-    pub fn inverse(&self) -> Result<Matrix> {
-        self.solve_matrix(&Matrix::identity(self.rows))
-    }
-
     /// Determinant via LU decomposition.
     ///
     /// # Errors
@@ -531,21 +433,6 @@ impl Matrix {
         }
         Ok(det)
     }
-
-    /// Whether the matrix is symmetric within `tol`.
-    pub fn is_symmetric(&self, tol: f64) -> bool {
-        if !self.is_square() {
-            return false;
-        }
-        for r in 0..self.rows {
-            for c in (r + 1)..self.cols {
-                if (self[(r, c)] - self[(c, r)]).abs() > tol {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -590,7 +477,6 @@ mod tests {
         assert_eq!(m.shape(), (2, 2));
         assert_eq!(m[(0, 1)], 2.0);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.column(0), vec![1.0, 3.0]);
     }
 
     #[test]
@@ -626,35 +512,31 @@ mod tests {
     fn solve_recovers_solution() {
         let a = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
         let x_true = [1.0, -2.0];
-        let b = a.matvec(&x_true).unwrap();
-        let x = a.solve(&b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-10);
-        assert!((x[1] + 2.0).abs() < 1e-10);
+        let b = Matrix::from_vec(2, 1, a.matvec(&x_true).unwrap());
+        let x = a.solve_matrix(&b).unwrap();
+        assert!((x[(0, 0)] - 1.0).abs() < 1e-10);
+        assert!((x[(1, 0)] + 2.0).abs() < 1e-10);
     }
 
     #[test]
     fn solve_needs_pivoting() {
         // Leading zero pivot forces a row swap.
         let a = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let x = a.solve(&[2.0, 3.0]).unwrap();
-        assert!((x[0] - 3.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
+        let x = a
+            .solve_matrix(&Matrix::from_rows(&[&[2.0], &[3.0]]))
+            .unwrap();
+        assert!((x[(0, 0)] - 3.0).abs() < 1e-12);
+        assert!((x[(1, 0)] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn singular_matrix_rejected() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 4.0]]);
-        assert_eq!(a.solve(&[1.0, 1.0]), Err(MathError::Singular));
+        assert_eq!(
+            a.solve_matrix(&Matrix::identity(2)),
+            Err(MathError::Singular)
+        );
         assert_eq!(a.determinant().unwrap(), 0.0);
-    }
-
-    #[test]
-    fn inverse_roundtrip() {
-        let a = Matrix::from_rows(&[&[4.0, 7.0], &[2.0, 6.0]]);
-        let inv = a.inverse().unwrap();
-        let prod = a.matmul(&inv).unwrap();
-        let err = prod.sub(&Matrix::identity(2)).unwrap().max_abs();
-        assert!(err < 1e-10, "inverse error {err}");
     }
 
     #[test]
@@ -665,12 +547,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_symmetry() {
+    fn trace_of_square_only() {
         let s = Matrix::from_rows(&[&[2.0, 1.0], &[1.0, 5.0]]);
         assert_eq!(s.trace().unwrap(), 7.0);
-        assert!(s.is_symmetric(1e-12));
-        let ns = Matrix::from_rows(&[&[2.0, 1.0], &[0.0, 5.0]]);
-        assert!(!ns.is_symmetric(1e-12));
         assert!(matches!(
             Matrix::zeros(2, 3).trace(),
             Err(MathError::NotSquare { .. })
@@ -718,8 +597,8 @@ mod tests {
         for _ in 0..64 {
             let a = rand_invertible(&mut rng, 4);
             let x: Vec<f64> = (0..4).map(|_| rng.random_range(-5.0..5.0)).collect();
-            let b = a.matvec(&x).unwrap();
-            let x2 = a.solve(&b).unwrap();
+            let b = Matrix::from_vec(4, 1, a.matvec(&x).unwrap());
+            let x2 = a.solve_matrix(&b).unwrap().into_vec();
             for (u, v) in x.iter().zip(&x2) {
                 assert!((u - v).abs() < 1e-6);
             }
@@ -761,27 +640,6 @@ mod tests {
         assert!(c[(0, 0)].is_nan(), "0 * NaN must propagate NaN");
         assert!(c[(1, 0)].is_nan());
         assert!((c[(0, 1)] - 0.0).abs() < 1e-15);
-        // The documented sparse path keeps the old (non-IEEE) behaviour.
-        let s = a.matmul_sparse(&b).unwrap();
-        assert_eq!(s[(0, 0)], 0.0);
-    }
-
-    #[test]
-    fn sparse_matmul_matches_dense_on_finite_input() {
-        let mut rng = StdRng::seed_from_u64(0x3A7204);
-        for _ in 0..32 {
-            let mut a = rand_matrix(&mut rng, 7, 5);
-            // Sparsify: ~half the entries exactly zero.
-            for x in a.as_mut_slice().iter_mut() {
-                if rng.gen_f64() < 0.5 {
-                    *x = 0.0;
-                }
-            }
-            let b = rand_matrix(&mut rng, 5, 6);
-            let dense = a.matmul(&b).unwrap();
-            let sparse = a.matmul_sparse(&b).unwrap();
-            assert!(dense.sub(&sparse).unwrap().max_abs() <= 1e-12);
-        }
     }
 
     #[test]
@@ -811,15 +669,11 @@ mod tests {
     }
 
     #[test]
-    fn matvec_into_and_column_into() {
+    fn matvec_into_overwrites_its_buffer() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0], &[5.0, 6.0]]);
         let mut y = [0.0; 3];
         m.matvec_into(&[1.0, -1.0], &mut y).unwrap();
         assert_eq!(y, [-1.0, -1.0, -1.0]);
-        let mut col = [0.0; 3];
-        m.column_into(1, &mut col);
-        assert_eq!(col, [2.0, 4.0, 6.0]);
-        assert_eq!(m.column(1), vec![2.0, 4.0, 6.0]);
         let mut short = [0.0; 2];
         assert!(m.matvec_into(&[1.0, 1.0], &mut short).is_err());
         // A reused buffer through a `rows × 0` matrix is overwritten too.

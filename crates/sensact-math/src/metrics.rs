@@ -1,7 +1,7 @@
 //! Evaluation metrics used by the paper's experiments.
 //!
 //! * [`roc_auc`] — STARNet anomaly-detection AUC (§V).
-//! * [`average_precision`] / [`ap_at_iou`] — KITTI-style detection AP (Table I).
+//! * [`average_precision`] — KITTI-style detection AP (Table I).
 //! * [`endpoint_error`] — optical-flow AEE (Fig. 9).
 //! * [`iou_aabb`] — axis-aligned 3-D box overlap used by the detectors.
 
@@ -184,52 +184,6 @@ pub fn iou_aabb(a: &Aabb, b: &Aabb) -> f64 {
     }
 }
 
-/// A scored, classed box prediction for [`ap_at_iou`].
-#[derive(Debug, Clone)]
-pub struct BoxPrediction {
-    /// Predicted box.
-    pub aabb: Aabb,
-    /// Detector confidence.
-    pub score: f64,
-}
-
-/// Greedy-match predictions to ground-truth boxes at an IoU threshold and
-/// compute average precision (the Table I protocol).
-///
-/// Predictions are matched highest-score-first (NaN-safe via
-/// [`f64::total_cmp`]; a positive-NaN score matches first); each ground-truth
-/// box can be claimed once.
-pub fn ap_at_iou(predictions: &[BoxPrediction], ground_truth: &[Aabb], iou_threshold: f64) -> f64 {
-    let mut order: Vec<usize> = (0..predictions.len()).collect();
-    order.sort_by(|&a, &b| predictions[b].score.total_cmp(&predictions[a].score));
-    let mut claimed = vec![false; ground_truth.len()];
-    let mut dets = Vec::with_capacity(predictions.len());
-    for &pi in &order {
-        let p = &predictions[pi];
-        let mut best_iou = 0.0;
-        let mut best_gt = None;
-        for (gi, gt) in ground_truth.iter().enumerate() {
-            if claimed[gi] {
-                continue;
-            }
-            let iou = iou_aabb(&p.aabb, gt);
-            if iou > best_iou {
-                best_iou = iou;
-                best_gt = Some(gi);
-            }
-        }
-        let tp = best_iou >= iou_threshold && best_gt.is_some();
-        if tp {
-            claimed[best_gt.unwrap()] = true;
-        }
-        dets.push(Detection {
-            score: p.score,
-            true_positive: tp,
-        });
-    }
-    average_precision(&dets, ground_truth.len())
-}
-
 /// Average endpoint error between predicted and ground-truth 2-D flow fields.
 ///
 /// Both fields are flat slices of `(u, v)` pairs. This is the AEE metric of
@@ -323,25 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn ap_at_iou_tolerates_nan_scores() {
-        let gt = vec![Aabb::new([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])];
-        let preds = vec![
-            BoxPrediction {
-                aabb: Aabb::new([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
-                score: f64::NAN,
-            },
-            BoxPrediction {
-                aabb: Aabb::new([5.0, 5.0, 5.0], [6.0, 6.0, 6.0]),
-                score: 0.5,
-            },
-        ];
-        let ap = ap_at_iou(&preds, &gt, 0.5);
-        assert!((0.0..=1.0).contains(&ap), "ap {ap}");
-        // The NaN-scored (but geometrically correct) box still matches.
-        assert!((ap - 1.0).abs() < 1e-12, "ap {ap}");
-    }
-
-    #[test]
     fn average_precision_perfect_detector() {
         let dets = vec![
             Detection {
@@ -427,27 +362,6 @@ mod tests {
         // Corner normalization.
         let b = Aabb::new([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]);
         assert_eq!(b.min, [0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn ap_at_iou_matches_greedy() {
-        let gt = vec![Aabb::new([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])];
-        let preds = vec![
-            BoxPrediction {
-                aabb: Aabb::new([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
-                score: 0.9,
-            },
-            BoxPrediction {
-                aabb: Aabb::new([5.0, 5.0, 5.0], [6.0, 6.0, 6.0]),
-                score: 0.5,
-            },
-        ];
-        let ap = ap_at_iou(&preds, &gt, 0.5);
-        assert!((ap - 1.0).abs() < 1e-12, "ap {ap}");
-        // Same prediction twice: second is a false positive (GT claimed once).
-        let dup = vec![preds[0].clone(), preds[0].clone()];
-        let ap2 = ap_at_iou(&dup, &gt, 0.5);
-        assert!(ap2 < 1.0 + 1e-12);
     }
 
     #[test]

@@ -79,17 +79,6 @@ impl RunningStats {
         self.max
     }
 
-    /// Standardized z-score of a value under the accumulated distribution;
-    /// `0.0` if the variance is degenerate.
-    pub fn z_score(&self, x: f64) -> f64 {
-        let sd = self.std_dev();
-        if sd < 1e-12 {
-            0.0
-        } else {
-            (x - self.mean) / sd
-        }
-    }
-
     /// The raw accumulator words `(count, mean, m2, min, max)` — everything
     /// needed to rebuild this exact accumulator with
     /// [`RunningStats::from_raw_parts`] (checkpoint serialization).
@@ -194,51 +183,6 @@ pub fn quantile(xs: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
 }
 
-/// Pearson correlation coefficient; `0.0` if either side is constant.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson: length mismatch");
-    if xs.len() < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx) * (x - mx);
-        vy += (y - my) * (y - my);
-    }
-    if vx < 1e-24 || vy < 1e-24 {
-        return 0.0;
-    }
-    cov / (vx.sqrt() * vy.sqrt())
-}
-
-/// Log-density of a diagonal Gaussian at `x`.
-///
-/// # Panics
-///
-/// Panics if lengths differ or any variance is non-positive.
-pub fn diag_gaussian_log_pdf(x: &[f64], mean: &[f64], var: &[f64]) -> f64 {
-    assert!(
-        x.len() == mean.len() && x.len() == var.len(),
-        "length mismatch"
-    );
-    let mut lp = 0.0;
-    for i in 0..x.len() {
-        assert!(var[i] > 0.0, "variance must be positive");
-        let d = x[i] - mean[i];
-        lp += -0.5 * ((2.0 * std::f64::consts::PI * var[i]).ln() + d * d / var[i]);
-    }
-    lp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,7 +208,6 @@ mod tests {
         let s = RunningStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.z_score(5.0), 0.0);
     }
 
     #[test]
@@ -292,14 +235,6 @@ mod tests {
     }
 
     #[test]
-    fn z_score_standardizes() {
-        let s: RunningStats = [0.0, 2.0].iter().copied().collect();
-        // mean 1, sd sqrt(2)
-        assert!((s.z_score(1.0)).abs() < 1e-12);
-        assert!((s.z_score(1.0 + 2f64.sqrt()) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn median_and_quantiles() {
         assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
         assert_eq!(median(&[4.0, 1.0, 2.0, 3.0]), Some(2.5));
@@ -321,26 +256,6 @@ mod tests {
         assert!(quantile(&xs, 1.0).unwrap().is_nan());
         // All-NaN input still returns without panicking.
         assert!(median(&[f64::NAN, f64::NAN]).unwrap().is_nan());
-    }
-
-    #[test]
-    fn pearson_known_cases() {
-        let x = [1.0, 2.0, 3.0, 4.0];
-        let y = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&x, &y) - 1.0).abs() < 1e-12);
-        let yneg = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&x, &yneg) + 1.0).abs() < 1e-12);
-        let konst = [5.0, 5.0, 5.0, 5.0];
-        assert_eq!(pearson(&x, &konst), 0.0);
-    }
-
-    #[test]
-    fn gaussian_log_pdf_standard_normal_at_zero() {
-        let lp = diag_gaussian_log_pdf(&[0.0], &[0.0], &[1.0]);
-        let expected = -0.5 * (2.0 * std::f64::consts::PI).ln();
-        assert!((lp - expected).abs() < 1e-12);
-        // Moving away from the mean lowers the density.
-        assert!(diag_gaussian_log_pdf(&[2.0], &[0.0], &[1.0]) < lp);
     }
 
     #[test]
@@ -383,18 +298,6 @@ mod tests {
             let a = quantile(&xs, lo).unwrap();
             let b = quantile(&xs, hi).unwrap();
             assert!(a <= b + 1e-12);
-        }
-    }
-
-    #[test]
-    fn prop_pearson_bounded() {
-        let mut rng = StdRng::seed_from_u64(0x57A704);
-        for _ in 0..256 {
-            let n = rng.random_range(2..32usize);
-            let xs = random_vec(&mut rng, n, -100.0, 100.0);
-            let ys = random_vec(&mut rng, n, -100.0, 100.0);
-            let r = pearson(&xs, &ys);
-            assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r));
         }
     }
 }

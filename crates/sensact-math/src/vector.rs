@@ -33,32 +33,6 @@ pub fn norm_sq(a: &[f64]) -> f64 {
     dot(a, a)
 }
 
-/// Euclidean distance between two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn distance(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "distance: length mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y) * (x - y))
-        .sum::<f64>()
-        .sqrt()
-}
-
-/// `y += alpha * x` (the BLAS `axpy` primitive).
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
 /// Scale a vector in place by `alpha`.
 pub fn scale(alpha: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
@@ -98,61 +72,6 @@ pub fn normalize(x: &mut [f64]) -> f64 {
     n
 }
 
-/// Cosine similarity in `[-1, 1]`; returns `0.0` if either vector is ~zero.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
-    let na = norm(a);
-    let nb = norm(b);
-    if na < 1e-12 || nb < 1e-12 {
-        return 0.0;
-    }
-    (dot(a, b) / (na * nb)).clamp(-1.0, 1.0)
-}
-
-/// Linear interpolation `(1 - t) * a + t * b`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn lerp(a: &[f64], b: &[f64], t: f64) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "lerp: length mismatch");
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (1.0 - t) * x + t * y)
-        .collect()
-}
-
-/// Index of the maximum element (first occurrence). `None` for an empty slice.
-pub fn argmax(a: &[f64]) -> Option<usize> {
-    if a.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, v) in a.iter().enumerate() {
-        if *v > a[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
-/// Index of the minimum element (first occurrence). `None` for an empty slice.
-pub fn argmin(a: &[f64]) -> Option<usize> {
-    if a.is_empty() {
-        return None;
-    }
-    let mut best = 0;
-    for (i, v) in a.iter().enumerate() {
-        if *v < a[best] {
-            best = i;
-        }
-    }
-    Some(best)
-}
-
 /// Numerically stable softmax.
 ///
 /// Returns an empty `Vec` for empty input; output always sums to 1 otherwise.
@@ -188,20 +107,16 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let x = [1.0, 2.0];
-        let mut y = [10.0, 20.0];
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [12.0, 24.0]);
+    fn scale_in_place() {
+        let mut y = [12.0, 24.0];
         scale(0.5, &mut y);
         assert_eq!(y, [6.0, 12.0]);
     }
 
     #[test]
-    fn add_sub_lerp() {
+    fn add_sub() {
         assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
         assert_eq!(sub(&[1.0, 2.0], &[3.0, 4.0]), vec![-2.0, -2.0]);
-        assert_eq!(lerp(&[0.0, 0.0], &[2.0, 4.0], 0.5), vec![1.0, 2.0]);
     }
 
     #[test]
@@ -218,21 +133,6 @@ mod tests {
         let n = normalize(&mut v);
         assert_eq!(n, 0.0);
         assert_eq!(v, vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn cosine_similarity_bounds() {
-        assert!((cosine_similarity(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
-        assert!((cosine_similarity(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-12);
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn argmax_argmin() {
-        assert_eq!(argmax(&[1.0, 3.0, 2.0]), Some(1));
-        assert_eq!(argmin(&[1.0, 3.0, 2.0]), Some(0));
-        assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
     }
 
     #[test]
@@ -261,17 +161,6 @@ mod tests {
             let lhs = dot(&a, &b).abs();
             let rhs = norm(&a) * norm(&b);
             assert!(lhs <= rhs * (1.0 + 1e-9) + 1e-9);
-        }
-    }
-
-    #[test]
-    fn prop_triangle_inequality() {
-        let mut rng = StdRng::seed_from_u64(0x5EC02);
-        for _ in 0..256 {
-            let a = random_vec(&mut rng, 4, -100.0, 100.0);
-            let b = random_vec(&mut rng, 4, -100.0, 100.0);
-            let c = random_vec(&mut rng, 4, -100.0, 100.0);
-            assert!(distance(&a, &c) <= distance(&a, &b) + distance(&b, &c) + 1e-9);
         }
     }
 

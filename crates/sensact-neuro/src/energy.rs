@@ -60,17 +60,6 @@ impl EnergyLedger {
     pub fn energy_uj(&self, model: &OpEnergy) -> f64 {
         (self.macs as f64 * model.mac_pj + self.acs as f64 * model.ac_pj) * 1e-6
     }
-
-    /// Energy ratio of `self` relative to `other` (how many times cheaper
-    /// `other` is). Returns `f64::INFINITY` when `other` is free.
-    pub fn ratio_over(&self, other: &EnergyLedger, model: &OpEnergy) -> f64 {
-        let e_other = other.energy_uj(model);
-        if e_other == 0.0 {
-            f64::INFINITY
-        } else {
-            self.energy_uj(model) / e_other
-        }
-    }
 }
 
 #[cfg(test)]
@@ -121,15 +110,7 @@ mod tests {
             macs: 0,
             acs: 10_000,
         };
-        let ratio = ann.ratio_over(&snn, &model);
+        let ratio = ann.energy_uj(&model) / snn.energy_uj(&model);
         assert!(ratio > 10.0, "ANN/SNN ratio {ratio}");
-    }
-
-    #[test]
-    fn ratio_handles_zero() {
-        let model = OpEnergy::default();
-        let a = EnergyLedger { macs: 1, acs: 0 };
-        let z = EnergyLedger::new();
-        assert_eq!(a.ratio_over(&z, &model), f64::INFINITY);
     }
 }

@@ -61,58 +61,6 @@ impl EventStream {
         }
         out
     }
-
-    /// Serialize to a compact 8-byte-per-event binary format (big-endian
-    /// u16 fields: header `width, height, steps, count` then
-    /// `x, y, t, polarity` per event).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(8 + self.events.len() * 8);
-        let put_u16 = |buf: &mut Vec<u8>, v: u16| buf.extend_from_slice(&v.to_be_bytes());
-        put_u16(&mut buf, self.width);
-        put_u16(&mut buf, self.height);
-        put_u16(&mut buf, self.steps);
-        put_u16(&mut buf, self.events.len() as u16);
-        for e in &self.events {
-            put_u16(&mut buf, e.x);
-            put_u16(&mut buf, e.y);
-            put_u16(&mut buf, e.t);
-            put_u16(&mut buf, u16::from(e.polarity));
-        }
-        buf
-    }
-
-    /// Deserialize from [`EventStream::to_bytes`] output.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a truncated buffer.
-    pub fn from_bytes(data: &[u8]) -> Self {
-        let mut pos = 0usize;
-        let mut get_u16 = || {
-            let v = u16::from_be_bytes([data[pos], data[pos + 1]]);
-            pos += 2;
-            v
-        };
-        let width = get_u16();
-        let height = get_u16();
-        let steps = get_u16();
-        let n = get_u16() as usize;
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(Event {
-                x: get_u16(),
-                y: get_u16(),
-                t: get_u16(),
-                polarity: get_u16() != 0,
-            });
-        }
-        EventStream {
-            width,
-            height,
-            steps,
-            events,
-        }
-    }
 }
 
 /// Configuration of the moving-scene renderer.
@@ -381,14 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn bytes_roundtrip() {
-        let scene = MovingScene::generate(MovingSceneConfig::default(), 5);
-        let packed = scene.events.to_bytes();
-        let restored = EventStream::from_bytes(&packed);
-        assert_eq!(restored, scene.events);
-    }
-
-    #[test]
     fn region_flow_averages() {
         let scene = MovingScene::generate(MovingSceneConfig::default(), 6);
         let rf = scene.region_flow(4);
@@ -417,10 +357,9 @@ mod tests {
 mod prop_tests {
     use super::*;
 
-    /// Binning partitions the event set for any bin count, and the byte
-    /// roundtrip is lossless for any generated scene (seeded sweep).
+    /// Binning partitions the event set for any bin count (seeded sweep).
     #[test]
-    fn prop_bins_partition_and_bytes_roundtrip() {
+    fn prop_bins_partition_events() {
         let mut rng = StdRng::seed_from_u64(0xE7E47);
         for _ in 0..32 {
             let seed = rng.random_range(0..512u64);
@@ -440,10 +379,6 @@ mod prop_tests {
                 .map(|b| b.iter().sum::<f64>())
                 .sum();
             assert_eq!(total as usize, scene.events.events.len());
-            assert_eq!(
-                EventStream::from_bytes(&scene.events.to_bytes()),
-                scene.events
-            );
         }
     }
 }

@@ -28,14 +28,6 @@ impl ModelStats {
     pub fn flops(&self) -> u64 {
         self.macs * 2
     }
-
-    /// Combine stats of two model parts.
-    pub fn combine(self, other: ModelStats) -> ModelStats {
-        ModelStats {
-            params: self.params + other.params,
-            macs: self.macs + other.macs,
-        }
-    }
 }
 
 impl std::fmt::Display for ModelStats {
@@ -112,21 +104,6 @@ mod tests {
         assert_eq!(s.params, (10 * 20 + 20) + (20 * 5 + 5));
         assert_eq!(s.macs, 3 * (10 * 20 + 20 * 5) as u64);
         assert_eq!(s.flops(), 2 * s.macs);
-    }
-
-    #[test]
-    fn combine_adds() {
-        let a = ModelStats {
-            params: 10,
-            macs: 100,
-        };
-        let b = ModelStats {
-            params: 5,
-            macs: 50,
-        };
-        let c = a.combine(b);
-        assert_eq!(c.params, 15);
-        assert_eq!(c.macs, 150);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Core layer trait and the dense/activation/normalization layers.
+//! Core layer trait and the dense, activation and dropout layers.
 //!
 //! Layers cache whatever `forward` state `backward` needs; calling `backward`
 //! without a preceding `forward` is a programmer error and panics.
@@ -55,7 +55,7 @@ pub trait Layer: Send {
 pub struct Dense {
     in_dim: usize,
     out_dim: usize,
-    /// Weights, row-major `[in, out]`. Public for LoRA wrapping and tests.
+    /// Weights, row-major `[in, out]`. Public for tests.
     pub weights: Vec<f64>,
     /// Bias, `[out]`.
     pub bias: Vec<f64>,
@@ -386,101 +386,6 @@ impl Layer for Dropout {
     }
 }
 
-/// Per-row layer normalization with learnable gain and bias.
-#[derive(Debug, Clone)]
-pub struct LayerNorm {
-    dim: usize,
-    gain: Vec<f64>,
-    bias: Vec<f64>,
-    grad_gain: Vec<f64>,
-    grad_bias: Vec<f64>,
-    cached: Option<(Tensor, Vec<f64>, Vec<f64>)>, // normalized input, means, inv_stds
-}
-
-impl LayerNorm {
-    /// Layer norm over the last (feature) axis of a `[batch, dim]` input.
-    pub fn new(dim: usize) -> Self {
-        LayerNorm {
-            dim,
-            gain: vec![1.0; dim],
-            bias: vec![0.0; dim],
-            grad_gain: vec![0.0; dim],
-            grad_bias: vec![0.0; dim],
-            cached: None,
-        }
-    }
-}
-
-impl Layer for LayerNorm {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let batch = input.shape()[0];
-        assert_eq!(input.shape()[1], self.dim, "LayerNorm: dim mismatch");
-        let mut normalized = Tensor::zeros(vec![batch, self.dim]);
-        let mut means = Vec::with_capacity(batch);
-        let mut inv_stds = Vec::with_capacity(batch);
-        let mut out = Tensor::zeros(vec![batch, self.dim]);
-        for r in 0..batch {
-            let x = input.row(r);
-            let mean = x.iter().sum::<f64>() / self.dim as f64;
-            let var = x.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / self.dim as f64;
-            let inv_std = 1.0 / (var + 1e-8).sqrt();
-            for (c, &xv) in x.iter().enumerate() {
-                let n = (xv - mean) * inv_std;
-                normalized.row_mut(r)[c] = n;
-                out.row_mut(r)[c] = self.gain[c] * n + self.bias[c];
-            }
-            means.push(mean);
-            inv_stds.push(inv_std);
-        }
-        self.cached = Some((normalized, means, inv_stds));
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (normalized, _means, inv_stds) = self
-            .cached
-            .as_ref()
-            .expect("LayerNorm::backward before forward");
-        let batch = grad_out.shape()[0];
-        let d = self.dim as f64;
-        let mut grad_in = Tensor::zeros(vec![batch, self.dim]);
-        for (r, &inv_std) in inv_stds.iter().enumerate().take(batch) {
-            let g = grad_out.row(r);
-            let n = normalized.row(r);
-            // Param grads.
-            for c in 0..self.dim {
-                self.grad_gain[c] += g[c] * n[c];
-                self.grad_bias[c] += g[c];
-            }
-            // dL/dn.
-            let gn: Vec<f64> = (0..self.dim).map(|c| g[c] * self.gain[c]).collect();
-            let sum_gn: f64 = gn.iter().sum();
-            let sum_gn_n: f64 = gn.iter().zip(n).map(|(a, b)| a * b).sum();
-            for c in 0..self.dim {
-                grad_in.row_mut(r)[c] = inv_std * (gn[c] - sum_gn / d - n[c] * sum_gn_n / d);
-            }
-        }
-        grad_in
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-        f(&mut self.gain, &mut self.grad_gain);
-        f(&mut self.bias, &mut self.grad_bias);
-    }
-
-    fn param_count(&self) -> usize {
-        2 * self.dim
-    }
-
-    fn macs(&self, batch: usize) -> u64 {
-        (batch * self.dim * 2) as u64
-    }
-
-    fn name(&self) -> &'static str {
-        "LayerNorm"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -627,39 +532,12 @@ mod tests {
     }
 
     #[test]
-    fn layernorm_output_standardized() {
-        let mut ln = LayerNorm::new(4);
-        let x = Tensor::from_vec(vec![1, 4], vec![1.0, 2.0, 3.0, 4.0]);
-        let y = ln.forward(&x, false);
-        let mean = y.mean();
-        let var = y
-            .as_slice()
-            .iter()
-            .map(|v| (v - mean) * (v - mean))
-            .sum::<f64>()
-            / 4.0;
-        assert!(mean.abs() < 1e-10);
-        assert!((var - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn layernorm_gradient_check() {
-        let mut ln = LayerNorm::new(3);
-        // Non-unit gain to exercise the parameter path.
-        ln.gain = vec![1.5, 0.5, 2.0];
-        ln.bias = vec![0.1, -0.2, 0.0];
-        let x = Tensor::from_vec(vec![2, 3], vec![0.4, -0.8, 1.3, 2.0, 0.1, -0.5]);
-        grad_check(&mut ln, &x, 1e-4);
-    }
-
-    #[test]
     fn param_counts_and_macs() {
         let mut init = Initializer::new(0);
         let d = Dense::new(10, 20, &mut init);
         assert_eq!(d.param_count(), 10 * 20 + 20);
         assert_eq!(d.macs(4), 4 * 10 * 20);
         assert_eq!(Activation::new(ActKind::Relu).param_count(), 0);
-        assert_eq!(LayerNorm::new(8).param_count(), 16);
     }
 
     #[test]

@@ -47,7 +47,6 @@ pub mod conv;
 pub mod count;
 pub mod init;
 pub mod layers;
-pub mod lora;
 pub mod loss;
 pub mod optim;
 pub mod quant;

@@ -20,30 +20,6 @@ pub fn mse(pred: &Tensor, target: &Tensor) -> (f64, Tensor) {
     (loss, grad)
 }
 
-/// Binary cross-entropy on **logits** (numerically stable), averaged over
-/// elements. Targets must be in `[0, 1]`.
-///
-/// # Panics
-///
-/// Panics on shape mismatch or empty prediction.
-pub fn bce_with_logits(logits: &Tensor, target: &Tensor) -> (f64, Tensor) {
-    assert_eq!(logits.shape(), target.shape(), "bce: shape mismatch");
-    assert!(!logits.is_empty(), "bce: empty prediction");
-    let n = logits.len() as f64;
-    let mut loss = 0.0;
-    let mut grad = Tensor::zeros(logits.shape().to_vec());
-    for i in 0..logits.len() {
-        let x = logits[i];
-        let t = target[i];
-        debug_assert!((0.0..=1.0).contains(&t), "bce target outside [0,1]");
-        // log(1 + e^{-|x|}) + max(x, 0) - x t  is the stable form.
-        loss += x.max(0.0) - x * t + (1.0 + (-x.abs()).exp()).ln();
-        let sigma = 1.0 / (1.0 + (-x).exp());
-        grad[i] = (sigma - t) / n;
-    }
-    (loss / n, grad)
-}
-
 /// Weighted BCE-with-logits: positives weighted by `pos_weight` (used by the
 /// occupancy decoder, where occupied voxels are rare).
 ///
@@ -171,37 +147,6 @@ mod tests {
         let target = Tensor::from_vec(vec![2, 2], vec![0.0, 0.5, 1.0, -1.0]);
         let (_, g) = mse(&pred, &target);
         let num = numeric_grad(&|p| mse(p, &target).0, &pred, 1e-6);
-        for (a, n) in g.as_slice().iter().zip(&num) {
-            assert!((a - n).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn bce_matches_naive_formula() {
-        let logits = Tensor::from_slice(&[0.7, -1.3]);
-        let target = Tensor::from_slice(&[1.0, 0.0]);
-        let (l, _) = bce_with_logits(&logits, &target);
-        // Naive: -t log σ(x) - (1-t) log(1-σ(x))
-        let sig = |x: f64| 1.0 / (1.0 + (-x).exp());
-        let naive = (-(sig(0.7f64)).ln() - (1.0 - sig(-1.3f64)).ln()) / 2.0;
-        assert!((l - naive).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bce_stable_at_extreme_logits() {
-        let logits = Tensor::from_slice(&[100.0, -100.0]);
-        let target = Tensor::from_slice(&[1.0, 0.0]);
-        let (l, g) = bce_with_logits(&logits, &target);
-        assert!(l.is_finite() && l < 1e-10);
-        assert!(g.as_slice().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn bce_gradient_matches_numeric() {
-        let logits = Tensor::from_slice(&[0.4, -0.9, 2.1]);
-        let target = Tensor::from_slice(&[1.0, 0.0, 0.5]);
-        let (_, g) = bce_with_logits(&logits, &target);
-        let num = numeric_grad(&|p| bce_with_logits(p, &target).0, &logits, 1e-6);
         for (a, n) in g.as_slice().iter().zip(&num) {
             assert!((a - n).abs() < 1e-6);
         }

@@ -18,68 +18,6 @@ pub trait Optimizer {
     fn set_learning_rate(&mut self, lr: f64);
 }
 
-/// Stochastic gradient descent with optional classical momentum.
-#[derive(Debug)]
-pub struct Sgd {
-    lr: f64,
-    momentum: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Sgd {
-    /// Plain SGD.
-    pub fn new(lr: f64) -> Self {
-        Sgd {
-            lr,
-            momentum: 0.0,
-            velocity: Vec::new(),
-        }
-    }
-
-    /// SGD with momentum coefficient `momentum ∈ [0, 1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `momentum` is outside `[0, 1)`.
-    pub fn with_momentum(lr: f64, momentum: f64) -> Self {
-        assert!((0.0..1.0).contains(&momentum), "momentum must be in [0,1)");
-        Sgd {
-            lr,
-            momentum,
-            velocity: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, layer: &mut dyn Layer) {
-        let mut slot = 0usize;
-        let lr = self.lr;
-        let momentum = self.momentum;
-        let velocity = &mut self.velocity;
-        layer.visit_params(&mut |param, grad| {
-            if velocity.len() <= slot {
-                velocity.push(vec![0.0; param.len()]);
-            }
-            let v = &mut velocity[slot];
-            debug_assert_eq!(v.len(), param.len(), "optimizer state shape drift");
-            for i in 0..param.len() {
-                v[i] = momentum * v[i] - lr * grad[i];
-                param[i] += v[i];
-            }
-            slot += 1;
-        });
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
-    }
-}
-
 /// Adam with bias correction (Kingma & Ba defaults).
 #[derive(Debug)]
 pub struct Adam {
@@ -144,26 +82,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Clip every gradient buffer of `layer` to a global L2 norm bound.
-///
-/// Returns the pre-clip global norm.
-pub fn clip_grad_norm(layer: &mut dyn Layer, max_norm: f64) -> f64 {
-    let mut total = 0.0;
-    layer.visit_params(&mut |_, g| {
-        total += g.iter().map(|x| x * x).sum::<f64>();
-    });
-    let norm = total.sqrt();
-    if norm > max_norm && norm > 0.0 {
-        let scale = max_norm / norm;
-        layer.visit_params(&mut |_, g| {
-            for x in g.iter_mut() {
-                *x *= scale;
-            }
-        });
-    }
-    norm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,21 +112,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let mut opt = Sgd::new(0.1);
-        assert!(quadratic_fit(&mut opt, 300) < 1e-6);
-    }
-
-    #[test]
-    fn sgd_momentum_converges_faster() {
-        let mut plain = Sgd::new(0.05);
-        let mut mom = Sgd::with_momentum(0.05, 0.9);
-        let lp = quadratic_fit(&mut plain, 60);
-        let lm = quadratic_fit(&mut mom, 60);
-        assert!(lm < lp, "momentum {lm} vs plain {lp}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let mut opt = Adam::new(0.1);
         assert!(quadratic_fit(&mut opt, 300) < 1e-6);
@@ -220,36 +123,5 @@ mod tests {
         assert_eq!(opt.learning_rate(), 0.01);
         opt.set_learning_rate(0.001);
         assert_eq!(opt.learning_rate(), 0.001);
-    }
-
-    #[test]
-    fn clip_grad_norm_scales_down() {
-        use crate::layers::Layer;
-        let mut init = Initializer::new(0);
-        let mut d = Dense::new(2, 2, &mut init);
-        let x = Tensor::from_vec(vec![1, 2], vec![10.0, -10.0]);
-        let y = d.forward(&x, true);
-        let _ = d.backward(&y.scaled(100.0));
-        let before = clip_grad_norm(&mut d, 1.0);
-        assert!(before > 1.0);
-        let mut total = 0.0;
-        d.visit_params(&mut |_, g| total += g.iter().map(|v| v * v).sum::<f64>());
-        assert!((total.sqrt() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn clip_grad_norm_noop_when_small() {
-        use crate::layers::Layer;
-        let mut init = Initializer::new(0);
-        let mut d = Dense::new(2, 2, &mut init);
-        d.zero_grad();
-        let norm = clip_grad_norm(&mut d, 5.0);
-        assert_eq!(norm, 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "momentum")]
-    fn invalid_momentum_panics() {
-        let _ = Sgd::with_momentum(0.1, 1.5);
     }
 }

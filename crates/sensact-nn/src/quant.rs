@@ -65,40 +65,6 @@ pub struct QuantReport {
     pub mse: f64,
 }
 
-/// Typed error from [`try_fake_quantize`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantError {
-    /// The buffer holds a NaN or infinite entry at `index`; quantizing it
-    /// would either poison the scale or silently invent a value.
-    NonFinite {
-        /// Index of the first non-finite entry.
-        index: usize,
-    },
-}
-
-impl std::fmt::Display for QuantError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QuantError::NonFinite { index } => {
-                write!(f, "non-finite value at index {index} cannot be quantized")
-            }
-        }
-    }
-}
-
-impl std::error::Error for QuantError {}
-
-/// Strict variant of [`fake_quantize`]: reject non-finite inputs instead of
-/// saturating them. On error the buffer is left untouched, so a caller can
-/// route the poisoned layer to a recovery path (e.g. hold the last-good
-/// weights) rather than shipping sanitized garbage.
-pub fn try_fake_quantize(buf: &mut [f64], precision: Precision) -> Result<QuantReport, QuantError> {
-    if let Some(index) = buf.iter().position(|v| !v.is_finite()) {
-        return Err(QuantError::NonFinite { index });
-    }
-    Ok(fake_quantize(buf, precision))
-}
-
 /// Symmetric uniform fake-quantization of a buffer in place.
 ///
 /// Values are mapped to the integer grid `[-2^(b-1)+1, 2^(b-1)-1]` scaled by
@@ -110,7 +76,7 @@ pub fn try_fake_quantize(buf: &mut [f64], precision: Precision) -> Result<QuantR
 /// entries only, NaN becomes `0.0` and ±∞ clamps to ±max-abs — exactly where
 /// the grid would clamp any out-of-range finite value. (Previously a single
 /// `inf` made the scale infinite and dequantized *every* entry to NaN via
-/// `0 × ∞`.) Use [`try_fake_quantize`] to reject such buffers instead.
+/// `0 × ∞`.)
 pub fn fake_quantize(buf: &mut [f64], precision: Precision) -> QuantReport {
     if precision == Precision::Full || buf.is_empty() {
         return QuantReport {
@@ -285,22 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn try_fake_quantize_rejects_and_preserves() {
-        let mut buf = vec![0.5, -0.25, f64::NAN, 1.0];
-        let orig = buf.clone();
-        let err = try_fake_quantize(&mut buf, Precision::Int8).unwrap_err();
-        assert_eq!(err, QuantError::NonFinite { index: 2 });
-        assert!(err.to_string().contains("index 2"));
-        assert_eq!(buf[..2], orig[..2]);
-        assert!(buf[2].is_nan());
-        assert_eq!(buf[3], orig[3]);
-
-        let mut clean = vec![0.5, -0.25, 1.0];
-        let r = try_fake_quantize(&mut clean, Precision::Int8).unwrap();
-        assert!(r.scale > 0.0);
-    }
-
-    #[test]
     fn precision_display_and_bits() {
         assert_eq!(Precision::Int8.to_string(), "INT8");
         assert_eq!(Precision::Full.to_string(), "FP64");
@@ -342,8 +292,7 @@ mod prop_tests {
     }
 
     /// Poisoned buffers (random NaN/±inf injections) always quantize to a
-    /// finite on-grid result, and the strict variant always rejects them
-    /// with the first poisoned index.
+    /// finite on-grid result.
     #[test]
     fn prop_poisoned_buffers_never_produce_nan() {
         let mut rng = StdRng::seed_from_u64(0xBADF00D);
@@ -351,7 +300,6 @@ mod prop_tests {
             let len = rng.random_range(2..64usize);
             let mut buf: Vec<f64> = (0..len).map(|_| rng.random_range(-5.0..5.0)).collect();
             let poisons = rng.random_range(1..=len / 2 + 1);
-            let mut first = usize::MAX;
             for _ in 0..poisons {
                 let i = rng.random_range(0..len);
                 buf[i] = match rng.random_range(0..3u32) {
@@ -360,18 +308,7 @@ mod prop_tests {
                     _ => f64::NEG_INFINITY,
                 };
             }
-            for (i, v) in buf.iter().enumerate() {
-                if !v.is_finite() {
-                    first = i;
-                    break;
-                }
-            }
             for precision in [Precision::Int2, Precision::Int8, Precision::Int16] {
-                let mut strict = buf.clone();
-                assert_eq!(
-                    try_fake_quantize(&mut strict, precision),
-                    Err(QuantError::NonFinite { index: first })
-                );
                 let mut q = buf.clone();
                 let report = fake_quantize(&mut q, precision);
                 assert!(report.scale.is_finite() && report.mse.is_finite());

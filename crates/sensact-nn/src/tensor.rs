@@ -202,91 +202,6 @@ impl Tensor {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
     }
 
-    /// 2-D matrix multiply: `[B, K] x [K, N] -> [B, N]`, lowered to the
-    /// auto-dispatching GEMM in `sensact_math::kernels`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are 2-D with compatible inner dimensions.
-    pub fn matmul2d(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2, "matmul2d: lhs not 2-D");
-        assert_eq!(other.ndim(), 2, "matmul2d: rhs not 2-D");
-        let (b, k) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "matmul2d: inner dimension mismatch {k} vs {k2}");
-        let mut out = Tensor::zeros(vec![b, n]);
-        sensact_math::kernels::gemm(b, n, k, 1.0, &self.data, &other.data, 0.0, &mut out.data);
-        out
-    }
-
-    /// `self x otherᵀ` for 2-D tensors without materialising the transpose:
-    /// `[B, K] x [N, K] -> [B, N]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are 2-D with matching second dimensions.
-    pub fn matmul2d_transb(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2, "matmul2d_transb: lhs not 2-D");
-        assert_eq!(other.ndim(), 2, "matmul2d_transb: rhs not 2-D");
-        let (b, k) = (self.shape[0], self.shape[1]);
-        let (n, k2) = (other.shape[0], other.shape[1]);
-        assert_eq!(
-            k, k2,
-            "matmul2d_transb: inner dimension mismatch {k} vs {k2}"
-        );
-        let mut out = Tensor::zeros(vec![b, n]);
-        sensact_math::kernels::gemm_transb(
-            b,
-            n,
-            k,
-            1.0,
-            &self.data,
-            &other.data,
-            0.0,
-            &mut out.data,
-        );
-        out
-    }
-
-    /// `selfᵀ x other` for 2-D tensors without materialising the transpose:
-    /// `[K, B] x [K, N] -> [B, N]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both tensors are 2-D with matching first dimensions.
-    pub fn tr_matmul2d(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.ndim(), 2, "tr_matmul2d: lhs not 2-D");
-        assert_eq!(other.ndim(), 2, "tr_matmul2d: rhs not 2-D");
-        let (k, b) = (self.shape[0], self.shape[1]);
-        let (k2, n) = (other.shape[0], other.shape[1]);
-        assert_eq!(k, k2, "tr_matmul2d: inner dimension mismatch {k} vs {k2}");
-        let mut out = Tensor::zeros(vec![b, n]);
-        sensact_math::kernels::gemm_transa(
-            b,
-            n,
-            k,
-            1.0,
-            &self.data,
-            &other.data,
-            0.0,
-            &mut out.data,
-        );
-        out
-    }
-
-    /// 2-D transpose (cache-blocked).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the tensor is 2-D.
-    pub fn transpose2d(&self) -> Tensor {
-        assert_eq!(self.ndim(), 2, "transpose2d: tensor is not 2-D");
-        let (r, c) = (self.shape[0], self.shape[1]);
-        let mut out = Tensor::zeros(vec![c, r]);
-        sensact_math::kernels::transpose_into(r, c, &self.data, &mut out.data);
-        out
-    }
-
     /// Stack equal-length 1-D rows into a 2-D `[rows, cols]` tensor.
     ///
     /// # Panics
@@ -320,7 +235,6 @@ impl std::ops::IndexMut<usize> for Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sensact_math::rng::StdRng;
 
     #[test]
     fn construction_and_views() {
@@ -354,21 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul2d_known() {
-        let a = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let b = Tensor::from_vec(vec![2, 2], vec![5.0, 6.0, 7.0, 8.0]);
-        let c = a.matmul2d(&b);
-        assert_eq!(c.as_slice(), &[19.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn transpose2d_roundtrip() {
-        let t = Tensor::from_vec(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        assert_eq!(t.transpose2d().transpose2d(), t);
-        assert_eq!(t.transpose2d().row(0), &[1.0, 4.0]);
-    }
-
-    #[test]
     fn elementwise_ops() {
         let a = Tensor::from_slice(&[1.0, 2.0]);
         let b = Tensor::from_slice(&[3.0, 5.0]);
@@ -390,55 +289,5 @@ mod tests {
         let mut t = Tensor::zeros(vec![2, 2]);
         t.row_mut(0)[1] = 9.0;
         assert_eq!(t.as_slice(), &[0.0, 9.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn prop_matmul_identity() {
-        let mut rng = StdRng::seed_from_u64(0x7E5301);
-        for _ in 0..64 {
-            let data: Vec<f64> = (0..12).map(|_| rng.random_range(-10.0..10.0)).collect();
-            let a = Tensor::from_vec(vec![4, 3], data);
-            let mut eye = Tensor::zeros(vec![3, 3]);
-            for i in 0..3 {
-                eye[i * 3 + i] = 1.0;
-            }
-            assert_eq!(a.matmul2d(&eye), a);
-        }
-    }
-
-    #[test]
-    fn prop_transpose_swaps_shape() {
-        let mut rng = StdRng::seed_from_u64(0x7E5302);
-        for _ in 0..64 {
-            let r = rng.random_range(1..6usize);
-            let c = rng.random_range(1..6usize);
-            let t = Tensor::zeros(vec![r, c]);
-            assert_eq!(t.transpose2d().shape(), &[c, r][..]);
-        }
-    }
-
-    #[test]
-    fn transb_and_tr_matmul_match_explicit_transpose() {
-        let mut rng = StdRng::seed_from_u64(0x7E5303);
-        for &(b, n, k) in &[(1, 1, 1), (2, 5, 3), (7, 4, 6)] {
-            let rand = |rng: &mut StdRng, shape: Vec<usize>| {
-                let len = shape.iter().product();
-                Tensor::from_vec(
-                    shape,
-                    (0..len).map(|_| rng.random_range(-2.0..2.0)).collect(),
-                )
-            };
-            let a = rand(&mut rng, vec![b, k]);
-            let wt = rand(&mut rng, vec![n, k]);
-            let expect = a.matmul2d(&wt.transpose2d());
-            let got = a.matmul2d_transb(&wt);
-            assert!(expect.sub(&got).max_abs() <= 1e-12);
-
-            let at = rand(&mut rng, vec![k, b]);
-            let g = rand(&mut rng, vec![k, n]);
-            let expect = at.transpose2d().matmul2d(&g);
-            let got = at.tr_matmul2d(&g);
-            assert!(expect.sub(&got).max_abs() <= 1e-12);
-        }
     }
 }

@@ -30,11 +30,11 @@ use crate::handle::{DynLoop, LoopHandle, TickOutcome};
 use crate::queue::{tie_break, Release};
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section};
 use sensact_core::export::{fnv1a_words, FNV_OFFSET};
-use sensact_core::health::{encode_transition, HealthScorer};
+use sensact_core::health::{classify, encode_transition, HealthScorer};
 use sensact_core::trace::{trace_mix, SimClock};
 use sensact_core::{
-    CausalSpan, FleetHealth, FleetTracer, HealthPolicy, HealthSignals, HealthStatus, Histogram,
-    LoopTelemetry, MetricsRegistry, SpanKind, TraceContext,
+    CausalSpan, FleetHealth, FleetTracer, HealthSignals, HealthStatus, Histogram, LoopTelemetry,
+    MetricsRegistry, SpanKind, TraceContext,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -290,8 +290,8 @@ pub struct FleetReport {
     pub trace_hash: u64,
     /// Per-loop summaries (cumulative stats, registration order).
     pub loops: Vec<LoopSummary>,
-    /// End-of-run per-loop health classification (whole-run rates against
-    /// the default [`HealthPolicy`], registration order).
+    /// End-of-run per-loop health classification (whole-run rates through
+    /// [`classify`], registration order).
     pub loop_health: Vec<HealthStatus>,
     /// Fleet-level roll-up of `loop_health`.
     pub health: FleetHealth,
@@ -1048,13 +1048,12 @@ impl FleetScheduler {
             report.drops += slot.stats.drops - base.drops;
             report.deadline_misses += slot.stats.deadline_misses - base.deadline_misses;
         }
-        let policy = HealthPolicy::default();
         for (i, slot) in self.active() {
             report.loops.push(LoopSummary {
                 name: slot.handle.name().to_string(),
                 stats: slot.stats,
             });
-            report.loop_health.push(policy.classify(&window_signals(
+            report.loop_health.push(classify(&window_signals(
                 &slot.stats,
                 &frame.base[i],
                 slot.handle.telemetry(),
@@ -1063,7 +1062,7 @@ impl FleetScheduler {
                 slot.last_completion_s,
             )));
         }
-        report.health = FleetHealth::roll_up(report.loop_health.iter().copied(), &policy);
+        report.health = FleetHealth::roll_up(report.loop_health.iter().copied());
         report.wall_s = frame.wall_start.elapsed().as_secs_f64();
         report
     }
@@ -1208,7 +1207,7 @@ fn drive(
         .map(|_| FleetTracer::with_capacity(FLIGHT_RECORDER_CAPACITY))
         .collect();
     let mut miss_window: Vec<VecDeque<bool>> = vec![VecDeque::new(); workers];
-    let mut scorers = vec![HealthScorer::new(HealthPolicy::default()); slots.len()];
+    let mut scorers = vec![HealthScorer::new(); slots.len()];
     let mut window_base: Vec<LoopStats> = frame.base[mine].to_vec();
     let mut health_evals: Vec<u64> = vec![0; slots.len()];
 

@@ -7,6 +7,11 @@
 //! any byte sequence either parses, asks for more, or fails with a typed
 //! [`HttpError`]. Never panics (property-tested over truncations and
 //! corruptions alongside the binary codec).
+//!
+//! A body is framed by `Content-Length` alone, and only an unambiguous one
+//! is accepted: digits only, and every copy of the header agreeing. A
+//! request carrying `Transfer-Encoding` is refused, so a pipelined request
+//! can never be read as a body or a body as a request.
 
 use std::fmt;
 
@@ -45,11 +50,13 @@ impl Request {
 pub enum HttpError {
     /// The request line is not `METHOD SP TARGET SP HTTP/1.x`.
     BadRequestLine,
-    /// A header line has no `:` separator or a non-ASCII name.
+    /// A header line has no `:` separator or a non-ASCII name, or the
+    /// request carries `Transfer-Encoding`.
     BadHeader,
     /// The head grew past [`MAX_HEAD`] without terminating.
     HeadTooLarge,
-    /// `Content-Length` is not a number or exceeds [`MAX_BODY`].
+    /// `Content-Length` is not `1*DIGIT`, disagrees with another
+    /// `Content-Length`, or exceeds [`MAX_BODY`].
     BadContentLength,
 }
 
@@ -111,16 +118,19 @@ pub fn parse(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
         }
         headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
     }
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => {
-            let n: usize = v.parse().map_err(|_| HttpError::BadContentLength)?;
-            if n > MAX_BODY {
-                return Err(HttpError::BadContentLength);
-            }
-            n
-        }
-        None => 0,
-    };
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::BadHeader);
+    }
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = Some(v)
+            .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n <= MAX_BODY && content_length.is_none_or(|m| m == n))
+            .ok_or(HttpError::BadContentLength)?;
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if buf.len() < head_end + content_length {
         return Ok(None);
     }
@@ -222,6 +232,23 @@ mod tests {
             ),
             Err(HttpError::BadContentLength)
         );
+        // An ambiguous body length: a sign, two lengths that disagree, or a
+        // transfer coding the parser does not frame.
+        assert_eq!(
+            parse(b"POST /a HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello"),
+            Err(HttpError::BadContentLength)
+        );
+        assert_eq!(
+            parse(b"POST /a HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 5\r\n\r\nhello"),
+            Err(HttpError::BadContentLength)
+        );
+        assert_eq!(
+            parse(b"POST /a HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n"),
+            Err(HttpError::BadHeader)
+        );
+        // Copies that agree are one length.
+        let raw = b"POST /a HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nok";
+        assert_eq!(parse(raw).unwrap().expect("complete").1, raw.len());
     }
 
     #[test]

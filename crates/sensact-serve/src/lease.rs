@@ -154,6 +154,13 @@ impl DynLoop for LeaseLoop {
     }
 }
 
+/// Fraction of the pool's workers the summed lease demand may occupy before
+/// new leases are rejected.
+const UTILIZATION_CAP: f64 = 0.8;
+
+/// Backoff hint (milliseconds) carried by rejections and sheds.
+const RETRY_AFTER_MS: u32 = 50;
+
 /// Pool sizing and policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
@@ -166,11 +173,6 @@ pub struct PoolConfig {
     /// A lease not heard from (observation or heartbeat) for this long is
     /// expired by [`LeasePool::expire`].
     pub lease_ttl_s: f64,
-    /// Fraction of `workers` the summed lease demand may occupy before new
-    /// leases are rejected.
-    pub utilization_cap: f64,
-    /// Backoff hint carried by rejections and sheds.
-    pub retry_after_ms: u32,
 }
 
 impl Default for PoolConfig {
@@ -179,8 +181,6 @@ impl Default for PoolConfig {
             workers: 4,
             seed: 0xED6E,
             lease_ttl_s: 5.0,
-            utilization_cap: 0.8,
-            retry_after_ms: 50,
         }
     }
 }
@@ -328,7 +328,7 @@ impl LeasePool {
 
     /// Lease one `kind` loop personalised by `seed`. Admission control
     /// rejects the lease when the pool's summed latency demand would
-    /// exceed the configured share of worker capacity.
+    /// exceed `UTILIZATION_CAP` (80 %) of worker capacity.
     pub fn grant(
         &mut self,
         kind: ModelKind,
@@ -337,9 +337,9 @@ impl LeasePool {
     ) -> Result<(u64, ModelSpec), LeaseError> {
         let spec = kind.spec();
         let added = spec.latency_s / spec.period_s;
-        if self.demand + added > self.cfg.utilization_cap * self.cfg.workers as f64 {
+        if self.demand + added > UTILIZATION_CAP * self.cfg.workers as f64 {
             return Err(LeaseError::Rejected {
-                retry_after_ms: self.cfg.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             });
         }
         let lease = self.next_lease;
@@ -379,7 +379,7 @@ impl LeasePool {
             entry.last_seen_s = now_s;
             self.sched.record_member_drops(entry.loop_id, 1);
             return Err(ObsOutcome::Shed {
-                retry_after_ms: self.cfg.retry_after_ms,
+                retry_after_ms: RETRY_AFTER_MS,
             });
         }
         Ok(completion_s)
@@ -649,13 +649,21 @@ mod tests {
     fn admission_control_rejects_at_capacity() {
         let mut p = LeasePool::new(PoolConfig {
             workers: 1,
-            // Slightly above 0.5 so the 50-lease boundary is robust to the
-            // demand accumulator's floating-point rounding.
-            utilization_cap: 0.505,
             ..PoolConfig::default()
         });
-        // Each cartpole lease demands 2e-6/2e-4 = 1% of a worker; the cap
-        // is ~50% of one worker → 50 leases fit.
+        // Each cartpole lease demands 2e-6/2e-4 ≈ 1% of a worker. The leases
+        // that fit are the ones the pool's own demand sum admits under the
+        // cap, one floating-point step at a time.
+        let spec = ModelKind::Cartpole.spec();
+        let step = spec.latency_s / spec.period_s;
+        let (mut demand, mut fits) = (0.0, 0);
+        while demand + step <= UTILIZATION_CAP {
+            demand += step;
+            fits += 1;
+        }
+        // Rounding may cost the last lease, never more.
+        let ideal = (UTILIZATION_CAP / step) as u64;
+        assert!(fits == ideal || fits + 1 == ideal, "{fits} of {ideal}");
         let mut granted = 0;
         let mut first = None;
         loop {
@@ -665,14 +673,14 @@ mod tests {
                     granted += 1;
                 }
                 Err(LeaseError::Rejected { retry_after_ms }) => {
-                    assert!(retry_after_ms > 0);
+                    assert_eq!(retry_after_ms, RETRY_AFTER_MS);
                     break;
                 }
                 Err(e) => panic!("unexpected {e:?}"),
             }
             assert!(granted < 1000, "admission control never engaged");
         }
-        assert_eq!(granted, 50);
+        assert_eq!(granted, fits);
         // Releasing one frees capacity for exactly one more.
         p.release(first.unwrap()).unwrap();
         assert!(p.grant(ModelKind::Cartpole, 999, 0.0).is_ok());

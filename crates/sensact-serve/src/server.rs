@@ -35,11 +35,24 @@ type Outbox = Arc<Mutex<BTreeMap<u64, Vec<u8>>>>;
 struct Shared {
     engine: Mutex<ServeEngine>,
     outbox: Outbox,
+    /// One list per worker: lease ids worker 0 expired that the worker has
+    /// not yet dropped from the connections it owns.
+    expired: Vec<Mutex<Vec<u64>>>,
     stop: AtomicBool,
     started: Instant,
 }
 
 impl Shared {
+    fn new(cfg: ServeConfig, workers: usize) -> Shared {
+        Shared {
+            engine: Mutex::new(ServeEngine::new(cfg)),
+            outbox: Arc::new(Mutex::new(BTreeMap::new())),
+            expired: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+            stop: AtomicBool::new(false),
+            started: Instant::now(),
+        }
+    }
+
     fn now_s(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
@@ -58,14 +71,10 @@ impl ServeServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared {
-            engine: Mutex::new(ServeEngine::new(cfg)),
-            outbox: Arc::new(Mutex::new(BTreeMap::new())),
-            stop: AtomicBool::new(false),
-            started: Instant::now(),
-        });
+        let threads = threads.max(1);
+        let shared = Arc::new(Shared::new(cfg, threads));
         let mut workers = Vec::new();
-        for worker in 0..threads.max(1) {
+        for worker in 0..threads {
             let listener = listener.try_clone()?;
             let shared = Arc::clone(&shared);
             workers.push(
@@ -143,80 +152,109 @@ fn worker_loop(worker: usize, listener: TcpListener, shared: Arc<Shared>) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut buf = vec![0u8; READ_BUF];
     while !shared.stop.load(Ordering::SeqCst) {
-        let mut progressed = false;
-        // Accept whatever the kernel hands this worker.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        conns.push(Conn {
-                            stream,
-                            state: ConnState::new(),
-                            leases: Vec::new(),
-                            out: Vec::new(),
-                        });
-                        progressed = true;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        let now_s = shared.now_s();
-        let mut open = Vec::with_capacity(conns.len());
-        for mut conn in conns {
-            match pump(&mut conn, &shared, &mut buf, now_s) {
-                Pump::Idle => open.push(conn),
-                Pump::Progressed => {
-                    progressed = true;
-                    open.push(conn);
-                }
-                Pump::Closed => {
-                    // The engine expires abandoned leases by TTL; nothing
-                    // to tear down eagerly here. Replies already produced
-                    // (the error that killed the connection, say) get one
-                    // best-effort write.
-                    let _ = drain_out(&mut conn.stream, &mut conn.out);
-                    progressed = true;
-                }
-            }
-        }
-        conns = open;
-        if progressed {
-            // Close the batching window for everything this drain ingested.
-            let flushed = shared
-                .engine
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .flush(now_s);
-            if !flushed.is_empty() {
-                let mut outbox = shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
-                for (lease, bytes) in flushed {
-                    outbox.entry(lease).or_default().extend_from_slice(&bytes);
-                }
-            }
-        }
-        // Route flushed replies for the leases this worker owns, then write
-        // what each socket will take.
-        deliver_outbox(&mut conns, &shared.outbox);
-        conns.retain_mut(|conn| drain_out(&mut conn.stream, &mut conn.out).is_ok());
-        if worker == 0 {
-            let expired = shared
-                .engine
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .expire(now_s);
-            if !expired.is_empty() {
-                let mut outbox = shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
-                for lease in expired {
-                    outbox.remove(&lease);
-                }
-            }
-        }
-        if !progressed {
+        if !cycle(worker, &listener, &shared, &mut conns, &mut buf) {
             std::thread::sleep(IDLE_SLEEP);
         }
     }
+}
+
+/// One drain cycle of `worker`: accept, read and ingest, flush, route and
+/// write, drop the leases expired since the last cycle and, on worker 0,
+/// reap the next ones. Returns whether anything was accepted, read or
+/// closed.
+fn cycle(
+    worker: usize,
+    listener: &TcpListener,
+    shared: &Shared,
+    conns: &mut Vec<Conn>,
+    buf: &mut [u8],
+) -> bool {
+    let mut progressed = false;
+    // Accept whatever the kernel hands this worker.
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if stream.set_nonblocking(true).is_ok() {
+                    conns.push(Conn {
+                        stream,
+                        state: ConnState::new(),
+                        leases: Vec::new(),
+                        out: Vec::new(),
+                    });
+                    progressed = true;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(_) => break,
+        }
+    }
+    let now_s = shared.now_s();
+    conns.retain_mut(|conn| match pump(conn, shared, buf, now_s) {
+        Pump::Idle => true,
+        Pump::Progressed => {
+            progressed = true;
+            true
+        }
+        Pump::Closed => {
+            // The engine expires abandoned leases by TTL; nothing to tear
+            // down eagerly here. Replies already produced (the error that
+            // killed the connection, say) get one best-effort write.
+            let _ = drain_out(&mut conn.stream, &mut conn.out);
+            progressed = true;
+            false
+        }
+    });
+    if progressed {
+        // Close the batching window for everything this drain ingested.
+        let flushed = shared
+            .engine
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .flush(now_s);
+        if !flushed.is_empty() {
+            let mut outbox = shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
+            for (lease, bytes) in flushed {
+                outbox.entry(lease).or_default().extend_from_slice(&bytes);
+            }
+        }
+    }
+    // Forget the leases worker 0 expired since this worker's last cycle, the
+    // way the loopback transport drops their routes, so a long-lived
+    // connection's list stays the leases it holds.
+    let expired = std::mem::take(
+        &mut *shared.expired[worker]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()),
+    );
+    if !expired.is_empty() {
+        for conn in conns.iter_mut() {
+            conn.leases.retain(|l| !expired.contains(l));
+        }
+    }
+    // Route flushed replies for the leases this worker owns, then write
+    // what each socket will take.
+    deliver_outbox(conns, &shared.outbox);
+    conns.retain_mut(|conn| drain_out(&mut conn.stream, &mut conn.out).is_ok());
+    if worker == 0 {
+        let expired = shared
+            .engine
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .expire(now_s);
+        if !expired.is_empty() {
+            let mut outbox = shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
+            for lease in &expired {
+                outbox.remove(lease);
+            }
+            drop(outbox);
+            for list in &shared.expired {
+                list.lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .extend_from_slice(&expired);
+            }
+        }
+    }
+    progressed
 }
 
 enum Pump {
@@ -444,6 +482,57 @@ mod tests {
             }
             server.stop();
         }
+    }
+
+    /// Regression: worker 0 dropped an expired lease's outbox entry, but the
+    /// owning connection kept its id until an explicit `Release`, so a
+    /// long-lived connection with churn grew its lease list — and the walk
+    /// `deliver_outbox` does under the outbox lock — without bound.
+    #[test]
+    fn expired_leases_leave_the_owning_connection() {
+        let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
+            eprintln!("skipping TCP test: bind failed");
+            return;
+        };
+        listener.set_nonblocking(true).unwrap();
+        let shared = Shared::new(
+            ServeConfig {
+                pool: PoolConfig {
+                    lease_ttl_s: 1e-3,
+                    ..PoolConfig::default()
+                },
+                batched: true,
+            },
+            2,
+        );
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        // Worker 1 accepts and owns the connection; worker 0 reaps.
+        let (mut reaper, mut owner) = (Vec::new(), Vec::new());
+        let mut buf = vec![0u8; READ_BUF];
+        for lease in 1..=5u64 {
+            client
+                .write_all(&wire::encode_to_vec(&Frame::LeaseReq {
+                    model: 1,
+                    seed: lease,
+                }))
+                .unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while owner.first().and_then(|c: &Conn| c.leases.last()) != Some(&lease) {
+                assert!(Instant::now() < deadline, "lease {lease} never granted");
+                cycle(1, &listener, &shared, &mut owner, &mut buf);
+            }
+            assert!(matches!(
+                read_frames(&mut client, 1)[..],
+                [Frame::LeaseGrant { lease: l, .. }] if l == lease
+            ));
+            // Fall silent past the TTL and let worker 0 reap the lease.
+            std::thread::sleep(Duration::from_millis(3));
+            cycle(0, &listener, &shared, &mut reaper, &mut buf);
+        }
+        cycle(1, &listener, &shared, &mut owner, &mut buf);
+        assert_eq!(owner.len(), 1);
+        assert_eq!(owner[0].leases, Vec::<u64>::new());
+        assert!(shared.outbox.lock().unwrap().is_empty());
     }
 
     #[test]

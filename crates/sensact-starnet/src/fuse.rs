@@ -1,9 +1,9 @@
-//! LiDAR + camera fusion and trust-gated filtering (the Fig. 7 experiment).
+//! Trust-gated LiDAR filtering (the Fig. 7 experiment).
 //!
 //! Under snow, STARNet (a) detects the unreliable LiDAR stream from its
-//! feature distribution, (b) gates a statistical clutter filter on that
-//! verdict, and (c) fuses camera features for anomaly detection. The paper
-//! reports ~15 % object-detection accuracy recovered by the filtering.
+//! feature distribution and (b) gates a statistical clutter filter on that
+//! verdict. The paper reports ~15 % object-detection accuracy recovered by
+//! the filtering.
 
 use crate::features::extract_features;
 use crate::monitor::Starnet;
@@ -14,48 +14,8 @@ use sensact_lidar::scene::{ObjectClass, Scene};
 use sensact_lidar::voxel::{VoxelGrid, VoxelizerConfig};
 use sensact_lidar::PointCloud;
 use sensact_math::metrics::Aabb;
-use sensact_math::rng::StdRng;
 use sensact_rmae::detect::Detector;
 use sensact_rmae::eval::ap_at_center_distance;
-
-/// Dimension of the synthetic camera descriptor.
-pub const CAMERA_DIM: usize = 8;
-
-/// Synthetic camera features for the scene behind a cloud, degraded by snow.
-///
-/// A real camera sees object silhouettes and texture contrast; snow washes
-/// out contrast and adds sensor noise. We derive the silhouette statistics
-/// from the (clean geometry of the) cloud and apply severity-dependent
-/// contrast loss + noise — the same information pathway, without a renderer.
-pub fn camera_features(cloud: &PointCloud, snow_severity: u8, seed: u64) -> Vec<f64> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sev = snow_severity.min(5) as f64 / 5.0;
-    let mut f = vec![0.0; CAMERA_DIM];
-    let n = cloud.len().max(1) as f64;
-    // Quadrant object-mass histogram (x<24/x≥24 × y<0/y≥0), above-ground.
-    for p in cloud {
-        if p.z < 0.3 {
-            continue;
-        }
-        let qx = usize::from(p.x >= 24.0);
-        let qy = usize::from(p.y >= 0.0);
-        f[qx * 2 + qy] += 1.0 / n;
-    }
-    // Contrast proxies: above-ground fraction and mean height.
-    let above: Vec<&sensact_lidar::Point> = cloud.iter().filter(|p| p.z > 0.3).collect();
-    f[4] = above.len() as f64 / n;
-    f[5] = above.iter().map(|p| p.z).sum::<f64>() / above.len().max(1) as f64 / 4.0;
-    f[6] = 0.8; // nominal exposure level
-    f[7] = 0.1; // nominal noise floor
-                // Weather degradation: contrast washes out, noise rises.
-    for v in f.iter_mut().take(6) {
-        *v *= 1.0 - 0.6 * sev;
-        *v += rng.random::<f64>() * 0.05 * sev;
-    }
-    f[6] *= 1.0 - 0.4 * sev;
-    f[7] += 0.5 * sev;
-    f
-}
 
 /// Snow-clutter filter based on vertical continuity: a real elevated return
 /// (pedestrian torso, car roof) is supported by returns at mid height in the
@@ -331,17 +291,6 @@ mod tests {
         // Far surfaces are untouched (the filter only acts in the near field).
         let far = |c: &PointCloud| c.iter().filter(|p| p.range > 15.0).count();
         assert_eq!(far(&filtered), far(&snowy));
-    }
-
-    #[test]
-    fn camera_features_degrade_with_severity() {
-        let (_, clouds) = scan_scenes(1, 2);
-        let f0 = camera_features(&clouds[0], 0, 1);
-        let f5 = camera_features(&clouds[0], 5, 1);
-        assert_eq!(f0.len(), CAMERA_DIM);
-        // Contrast channels shrink, noise floor rises.
-        assert!(f5[4] < f0[4]);
-        assert!(f5[7] > f0[7]);
     }
 
     #[test]

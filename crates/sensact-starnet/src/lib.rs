@@ -19,8 +19,8 @@
 //!
 //! [`monitor`] packages this as a [`sensact_core::stage::Monitor`] so any
 //! sensing-action loop can mount it; [`fuse`] reproduces the Fig. 7
-//! experiment — LiDAR+camera fusion under snow, with trust-gated filtering
-//! restoring detection accuracy.
+//! experiment — LiDAR under snow, with trust-gated filtering restoring
+//! detection accuracy.
 
 pub mod features;
 pub mod fuse;

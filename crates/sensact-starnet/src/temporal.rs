@@ -114,11 +114,6 @@ impl TemporalConsistency {
     pub fn drift(&self) -> f64 {
         self.drift
     }
-
-    /// Whether the baseline is calibrated.
-    pub fn calibrated(&self) -> bool {
-        self.baseline.is_some()
-    }
 }
 
 impl StageState for TemporalConsistency {
@@ -218,7 +213,7 @@ mod tests {
         for _ in 0..20 {
             assert_eq!(tracker.observe(100.0), Trust::Trusted);
         }
-        assert!(tracker.calibrated());
+        assert!(tracker.baseline.is_some());
     }
 
     /// Snapshot/restore must carry the CUSUM state mid-accumulation: the
@@ -241,7 +236,7 @@ mod tests {
             let ckpt = Checkpoint::from_jsonl(&ckpt.to_jsonl()).unwrap();
             let mut b = TemporalConsistency::new(TemporalConfig::default());
             b.restore_state(&ckpt, "tc").unwrap();
-            assert_eq!(b.calibrated(), a.calibrated());
+            assert_eq!(b.baseline, a.baseline);
             assert_eq!(b.drift().to_bits(), a.drift().to_bits());
             let tail: Vec<Trust> = scores[cut..].iter().map(|s| b.observe(*s)).collect();
             assert_eq!(tail, full[cut..], "verdicts diverged after cut {cut}");

@@ -34,6 +34,11 @@ if git grep -niF '0100_0000_01B3' -- crates src tests examples ':!crates/sensact
     exit 1
 fi
 
+# Every `pub` fn / const / static under crates/*/src has a caller outside
+# its own unit tests, or an allowlisted reason (scripts/surface.py).
+echo "== library surface: no pub item only its own tests call =="
+python3 scripts/surface.py
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
