@@ -20,11 +20,13 @@
 //! `SENSACT_QUICK=1`) for reduced sizes.
 
 use sensact_bench::{compare, header};
+use sensact_core::FleetTracer;
 use sensact_fed::client::{Client, HardwareTier};
 use sensact_fed::data::Dataset;
 use sensact_fed::server::Strategy;
 use sensact_fed::sim::NetworkConfig;
 use sensact_fed::{run_federated_scheduled, FedFleetConfig, FedFleetReport};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A heterogeneous non-IID fleet (tiers round-robin) plus a held-out test set.
@@ -88,7 +90,15 @@ fn run_case(
         local_epochs: 4,
         ..FedFleetConfig::default()
     };
-    let report = run_federated_scheduled(clients, Strategy::DcNas, &config, net, &test, &[]);
+    let report = run_federated_scheduled(
+        clients,
+        Strategy::DcNas,
+        &config,
+        net,
+        &test,
+        &[],
+        Arc::new(FleetTracer::disabled()),
+    );
     SweepRow {
         knob,
         report,
@@ -201,6 +211,7 @@ fn main() {
                 NetworkConfig::edge(5).with_loss(0.05),
                 &test,
                 &[],
+                Arc::new(FleetTracer::disabled()),
             );
             (report, t.elapsed().as_secs_f64())
         };

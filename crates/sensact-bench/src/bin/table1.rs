@@ -27,7 +27,6 @@ fn main() {
     let eval_n = scaled(16, 6);
     let config = PipelineConfig {
         pretrain_epochs: scaled(20, 5),
-        ..PipelineConfig::default()
     };
 
     let detectors = [

@@ -35,30 +35,28 @@ impl<S, A> AdaptationPolicy<S, A> for NoAdaptation {
     fn adapt(&mut self, _s: &mut S, _a: &A, _t: Trust, _b: &EnergyBudget) {}
 }
 
+/// Action magnitude treated as "fully dynamic" (maps to rate 1).
+const SATURATION: f64 = 1.0;
+/// Rate floor when the environment is quiet.
+const IDLE_RATE: f64 = 0.1;
+
 /// Rate adaptation driven by action magnitude (the paper's "adjust sampling
 /// rates in response to environmental changes"):
 ///
 /// * large actions → the scene is dynamic → raise the rate toward 1;
-/// * small actions → steady state → decay the rate toward `idle_rate`;
+/// * small actions → steady state → decay the rate toward the idle rate
+///   (0.1);
 /// * distrusted sensing → raise the rate (gather more evidence);
 /// * budget pressure scales the ceiling down.
 #[derive(Debug, Clone, Copy)]
 pub struct ActionMagnitudeRate {
-    /// Action magnitude treated as "fully dynamic" (maps to rate 1).
-    pub saturation: f64,
-    /// Rate floor when the environment is quiet.
-    pub idle_rate: f64,
     /// Exponential smoothing factor in `(0, 1]` (1 = jump immediately).
     pub gain: f64,
 }
 
 impl Default for ActionMagnitudeRate {
     fn default() -> Self {
-        ActionMagnitudeRate {
-            saturation: 1.0,
-            idle_rate: 0.1,
-            gain: 0.5,
-        }
+        ActionMagnitudeRate { gain: 0.5 }
     }
 }
 
@@ -82,40 +80,32 @@ impl ActionMagnitude for Vec<f64> {
 
 impl<S: SensingKnobs, A: ActionMagnitude> AdaptationPolicy<S, A> for ActionMagnitudeRate {
     fn adapt(&mut self, sensor: &mut S, action: &A, trust: Trust, budget: &EnergyBudget) {
-        let dynamism = (action.magnitude() / self.saturation).clamp(0.0, 1.0);
+        let dynamism = (action.magnitude() / SATURATION).clamp(0.0, 1.0);
         let evidence_need = trust.suspicion();
-        let mut target = self.idle_rate.max(dynamism.max(evidence_need));
+        let mut target = IDLE_RATE.max(dynamism.max(evidence_need));
         // Budget pressure lowers the ceiling linearly down to the idle rate.
-        let ceiling = 1.0 - (1.0 - self.idle_rate) * budget.pressure();
+        let ceiling = 1.0 - (1.0 - IDLE_RATE) * budget.pressure();
         target = target.min(ceiling);
         let new_rate = sensor.rate() + self.gain * (target - sensor.rate());
         sensor.set_rate(new_rate);
     }
 }
 
-/// Resolution adaptation tied to trust: degrade resolution while the stream
-/// is clean (save energy), restore it when the monitor gets suspicious.
-#[derive(Debug, Clone, Copy)]
-pub struct TrustDrivenResolution {
-    /// Resolution used while fully trusted.
-    pub relaxed: f64,
-    /// Smoothing gain in `(0, 1]`.
-    pub gain: f64,
-}
+/// Resolution used while fully trusted.
+const RELAXED_RESOLUTION: f64 = 0.5;
+/// Resolution smoothing gain in `(0, 1]`.
+const RESOLUTION_GAIN: f64 = 0.6;
 
-impl Default for TrustDrivenResolution {
-    fn default() -> Self {
-        TrustDrivenResolution {
-            relaxed: 0.5,
-            gain: 0.6,
-        }
-    }
-}
+/// Resolution adaptation tied to trust: degrade resolution while the stream
+/// is clean (save energy, down to half resolution), restore it when the
+/// monitor gets suspicious.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TrustDrivenResolution;
 
 impl<S: SensingKnobs, A> AdaptationPolicy<S, A> for TrustDrivenResolution {
     fn adapt(&mut self, sensor: &mut S, _action: &A, trust: Trust, _budget: &EnergyBudget) {
-        let target = self.relaxed + (1.0 - self.relaxed) * trust.suspicion();
-        let new_res = sensor.resolution() + self.gain * (target - sensor.resolution());
+        let target = RELAXED_RESOLUTION + (1.0 - RELAXED_RESOLUTION) * trust.suspicion();
+        let new_res = sensor.resolution() + RESOLUTION_GAIN * (target - sensor.resolution());
         sensor.set_resolution(new_res);
     }
 }
@@ -243,7 +233,7 @@ mod tests {
     #[test]
     fn resolution_relaxes_when_trusted_and_recovers_when_suspect() {
         let mut s = KnobSensor::default();
-        let mut p = TrustDrivenResolution::default();
+        let mut p = TrustDrivenResolution;
         let b = EnergyBudget::unlimited();
         for _ in 0..30 {
             p.adapt(&mut s, &0.0f64, Trust::Trusted, &b);
@@ -262,10 +252,7 @@ mod tests {
     #[test]
     fn composed_policy_applies_both() {
         let mut s = KnobSensor::default();
-        let mut p = Both(
-            ActionMagnitudeRate::default(),
-            TrustDrivenResolution::default(),
-        );
+        let mut p = Both(ActionMagnitudeRate::default(), TrustDrivenResolution);
         let b = EnergyBudget::unlimited();
         for _ in 0..40 {
             p.adapt(&mut s, &0.0f64, Trust::Trusted, &b);

@@ -85,6 +85,7 @@ pub use loop_::{Checkpointed, LoopBuilder, LoopOutput, LoopRunner, LoopState, Se
 pub use metrics::{Histogram, MetricsRegistry};
 pub use replay::{first_divergence, Divergence, Recording, RecordingMeta};
 pub use sensact_math::kernels::Precision;
+pub use sensact_math::rng::splitmix64_finalize;
 pub use stage::{StageContext, Trust};
 pub use telemetry::{CommCounters, FaultCounters, LoopTelemetry, TickRecord};
 pub use trace::{

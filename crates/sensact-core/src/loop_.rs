@@ -724,10 +724,7 @@ mod tests {
                     ctx.charge(0.9, 0.0);
                     100.0
                 }),
-                ActionMagnitudeRate {
-                    gain: 1.0,
-                    ..ActionMagnitudeRate::default()
-                },
+                ActionMagnitudeRate { gain: 1.0 },
             );
         let _ = l.tick(&0.0);
         // Pressure after the spike is ≈0.9 ⇒ ceiling = 1 − 0.9·0.9 ≈ 0.19.

@@ -230,26 +230,32 @@ impl Histogram {
 
     /// Rebuild a histogram saved with [`Histogram::save_into`], bit-exactly
     /// (the ±∞ empty-state sentinels travel as raw bit patterns).
+    ///
+    /// Only the canonical bucket list `save_into` writes restores: strictly
+    /// ascending in-range indices, non-zero counts, summing exactly to
+    /// `count`. Anything else would alias buckets or overflow the running
+    /// rank of [`Histogram::quantile`] and the exporter's cumulative sums.
     pub(crate) fn restore_from(section: &Section, prefix: &str) -> Result<Self, CheckpointError> {
+        let bad = || CheckpointError::BadValue(format!("{}.{prefix}_buckets", section.id()));
         let sparse = section.get_u64s(&format!("{prefix}_buckets"))?;
         if !sparse.len().is_multiple_of(2) {
-            return Err(CheckpointError::BadValue(format!(
-                "{}.{prefix}_buckets",
-                section.id()
-            )));
+            return Err(bad());
         }
         let mut h = Histogram::new();
+        let (mut next, mut total) = (0u64, 0u64);
         for pair in sparse.chunks_exact(2) {
-            let idx = pair[0] as usize;
-            if idx >= BUCKETS {
-                return Err(CheckpointError::BadValue(format!(
-                    "{}.{prefix}_buckets",
-                    section.id()
-                )));
+            let (idx, c) = (pair[0], pair[1]);
+            if idx < next || idx >= BUCKETS as u64 || c == 0 {
+                return Err(bad());
             }
-            h.counts[idx] = pair[1];
+            total = total.checked_add(c).ok_or_else(bad)?;
+            h.counts[idx as usize] = c;
+            next = idx + 1;
         }
         h.count = section.get_u64(&format!("{prefix}_count"))?;
+        if total != h.count {
+            return Err(bad());
+        }
         h.sum = section.get_f64(&format!("{prefix}_sum"))?;
         h.min = section.get_f64(&format!("{prefix}_min"))?;
         h.max = section.get_f64(&format!("{prefix}_max"))?;
@@ -579,10 +585,7 @@ mod tests {
     /// SplitMix64 — a tiny seeded generator for property tests.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        sensact_math::rng::splitmix64_finalize(*state)
     }
 
     /// A positive sample spanning many octaves (~1e-9 .. ~1e5), plus
@@ -745,6 +748,38 @@ mod tests {
         empty.save_into(&mut s4, "lat");
         s4.put_u64s("lat_buckets", &[3]); // odd-length pair list
         assert!(Histogram::restore_from(&s4, "lat").is_err());
+    }
+
+    /// One hostile bucket list per non-canonical class, each naming `count`
+    /// consistently otherwise: all are `BadValue` on the bucket key.
+    #[test]
+    fn non_canonical_bucket_lists_are_bad_value() {
+        use crate::checkpoint::{CheckpointError, Section};
+        let (a, b) = (
+            Histogram::bucket_index(1.0) as u64,
+            Histogram::bucket_index(2.0) as u64,
+        );
+        assert!(a < b);
+        let big = u64::MAX / 2 + 1;
+        let rows = [
+            ("duplicate index", vec![a, 1, a, 1], 2),
+            ("descending indices", vec![b, 1, a, 1], 2),
+            ("zero count", vec![a, 0, b, 2], 2),
+            ("counts short of count", vec![a, 1, b, 1], 3),
+            ("counts overflow u64", vec![a, big, b, big], u64::MAX),
+        ];
+        for (what, buckets, count) in rows {
+            let mut s = Section::new("hist");
+            Histogram::new().save_into(&mut s, "lat");
+            s.put_u64s("lat_buckets", &buckets);
+            s.put_u64("lat_count", count);
+            match Histogram::restore_from(&s, "lat") {
+                Err(CheckpointError::BadValue(key)) => {
+                    assert_eq!(key, "hist.lat_buckets", "{what}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use crate::ring::Ring;
+use sensact_math::rng::splitmix64_finalize;
 
 /// The number of canonical loop stages ([`StageId::ALL`]).
 pub const STAGE_COUNT: usize = 5;
@@ -580,10 +581,7 @@ pub fn trace_mix(seed: u64, parts: &[u64]) -> u64 {
     let mut h = seed ^ GOLDEN;
     for &p in parts {
         h = h.wrapping_add(p).wrapping_add(GOLDEN);
-        let mut z = h;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        h = z ^ (z >> 31);
+        h = splitmix64_finalize(h);
     }
     if h == 0 {
         GOLDEN

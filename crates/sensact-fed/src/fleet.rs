@@ -493,40 +493,18 @@ fn derive_round_period(clients: &[Client], epochs: usize, net: &NetworkConfig) -
 /// After the horizon, one closing aggregation drains anything still
 /// delivered in flight, so the final round's uploads are not orphaned.
 ///
+/// The shared `tracer` collects the full cross-layer span stream — scheduler
+/// ticks and comm tails, client ticks, every network send/retry/deliver/drop,
+/// round roots, server aggregations, broadcasts, and adoptions — with all ids
+/// derived from the two seeds, so one federated round reconstructs
+/// end-to-end as a span tree and two identically-seeded runs export
+/// bit-identical streams ([`FedFleetReport::span_stream_hash`]). Pass
+/// `Arc::new(FleetTracer::disabled())` to run untraced.
+///
 /// # Panics
 ///
 /// Panics if `clients` is empty.
 pub fn run_federated_scheduled(
-    clients: Vec<Client>,
-    strategy: Strategy,
-    config: &FedFleetConfig,
-    net_config: NetworkConfig,
-    test: &Dataset,
-    partitions: &[(u64, f64, f64)],
-) -> FedFleetReport {
-    run_federated_scheduled_traced(
-        clients,
-        strategy,
-        config,
-        net_config,
-        test,
-        partitions,
-        Arc::new(FleetTracer::disabled()),
-    )
-}
-
-/// [`run_federated_scheduled`] with causal tracing: the shared `tracer`
-/// collects the full cross-layer span stream — scheduler ticks and comm
-/// tails, client ticks, every network send/retry/deliver/drop, round roots,
-/// server aggregations, broadcasts, and adoptions — with all ids derived
-/// from the two seeds, so one federated round reconstructs end-to-end as a
-/// span tree and two identically-seeded runs export bit-identical streams
-/// ([`FedFleetReport::span_stream_hash`]).
-///
-/// # Panics
-///
-/// Panics if `clients` is empty.
-pub fn run_federated_scheduled_traced(
     mut clients: Vec<Client>,
     strategy: Strategy,
     config: &FedFleetConfig,
@@ -712,6 +690,7 @@ mod tests {
             NetworkConfig::ideal(),
             &test,
             &[],
+            Arc::new(FleetTracer::disabled()),
         );
         assert!(
             report.makespan_s < report.sync_latency_s,
@@ -741,7 +720,15 @@ mod tests {
                 ..FedFleetConfig::default()
             };
             let net = NetworkConfig::edge(net_seed).with_loss(0.1);
-            let r = run_federated_scheduled(clients, Strategy::DcNas, &config, net, &test, &[]);
+            let r = run_federated_scheduled(
+                clients,
+                Strategy::DcNas,
+                &config,
+                net,
+                &test,
+                &[],
+                Arc::new(FleetTracer::disabled()),
+            );
             (r.trace_hash, r.accuracy.to_bits(), r.net, r.server)
         };
         let a = run(3);
@@ -826,7 +813,7 @@ mod tests {
             };
             let net = NetworkConfig::edge(3).with_loss(0.05);
             let tracer = Arc::new(FleetTracer::new());
-            let report = run_federated_scheduled_traced(
+            let report = run_federated_scheduled(
                 clients,
                 Strategy::DcNas,
                 &config,
@@ -954,6 +941,7 @@ mod tests {
                 NetworkConfig::ideal(),
                 &test,
                 &[],
+                Arc::new(FleetTracer::disabled()),
             )
         };
         let free = run(None);
@@ -980,6 +968,7 @@ mod tests {
             NetworkConfig::ideal(),
             &test,
             &[],
+            Arc::new(FleetTracer::disabled()),
         );
     }
 }

@@ -44,8 +44,7 @@ pub use client::{Client, HardwareProfile, HardwareTier};
 pub use data::{Dataset, Sample};
 pub use fleet::{
     broadcast_context, client_tick_context, round_aggregate_context, round_trace_root,
-    run_federated_scheduled, run_federated_scheduled_traced, FedFleetConfig, FedFleetReport,
-    ServerStats,
+    run_federated_scheduled, FedFleetConfig, FedFleetReport, ServerStats,
 };
 pub use server::{
     aggregate_masked, apply_strategy, run_federated, FedConfig, FedReport, MaskedUpdate, Strategy,

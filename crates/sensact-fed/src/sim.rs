@@ -28,6 +28,7 @@
 
 use sensact_core::export::{fnv1a_words, FNV_OFFSET};
 use sensact_core::{CausalSpan, FleetTracer, SpanKind, TraceContext};
+use sensact_math::rng::splitmix64_finalize;
 use std::collections::HashMap;
 
 /// Simulated network parameters. All rates/latencies are in virtual seconds.
@@ -154,10 +155,7 @@ fn mix(seed: u64, parts: &[u64]) -> u64 {
     let mut x = seed ^ 0x9E37_79B9_7F4A_7C15;
     for (i, &p) in parts.iter().enumerate() {
         x ^= p.wrapping_mul(0xBF58_476D_1CE4_E5B9u64.wrapping_add(i as u64 * 2));
-        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
+        x = splitmix64_finalize(x.wrapping_add(0x9E37_79B9_7F4A_7C15));
     }
     x
 }

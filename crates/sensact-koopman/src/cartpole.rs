@@ -9,38 +9,34 @@
 
 use sensact_math::rng::StdRng;
 
-/// Physical parameters of the cart-pole.
+/// Cart mass (kg).
+const CART_MASS: f64 = 1.0;
+/// Pole mass (kg).
+const POLE_MASS: f64 = 0.1;
+/// Gravity (m/s²).
+const GRAVITY: f64 = 9.8;
+/// Integration step (s).
+const DT: f64 = 0.02;
+/// Maximum |force| the controller may apply (N).
+pub(crate) const MAX_FORCE: f64 = 10.0;
+/// Episode fails when |θ| exceeds this (radians).
+const THETA_LIMIT: f64 = 12.0f64.to_radians();
+/// Episode fails when |x| exceeds this (m).
+const X_LIMIT: f64 = 2.4;
+
+/// Physical parameters of the cart-pole. The masses, gravity, step, force
+/// bound and failure limits are the Gym constants (1 kg cart, 0.1 kg pole,
+/// 9.8 m/s², 20 ms, ±10 N, ±12°, ±2.4 m).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CartPoleConfig {
-    /// Cart mass (kg).
-    pub cart_mass: f64,
-    /// Pole mass (kg).
-    pub pole_mass: f64,
     /// Pole half-length (m).
     pub pole_half_length: f64,
-    /// Gravity (m/s²).
-    pub gravity: f64,
-    /// Integration step (s).
-    pub dt: f64,
-    /// Maximum |force| the controller may apply (N).
-    pub max_force: f64,
-    /// Episode fails when |θ| exceeds this (radians).
-    pub theta_limit: f64,
-    /// Episode fails when |x| exceeds this (m).
-    pub x_limit: f64,
 }
 
 impl Default for CartPoleConfig {
     fn default() -> Self {
         CartPoleConfig {
-            cart_mass: 1.0,
-            pole_mass: 0.1,
             pole_half_length: 0.5,
-            gravity: 9.8,
-            dt: 0.02,
-            max_force: 10.0,
-            theta_limit: 12.0f64.to_radians(),
-            x_limit: 2.4,
         }
     }
 }
@@ -131,14 +127,14 @@ impl CartPole {
 
     /// Whether the pole has fallen or the cart left the track.
     pub fn failed(&self) -> bool {
-        self.state[2].abs() > self.config.theta_limit || self.state[0].abs() > self.config.x_limit
+        self.state[2].abs() > THETA_LIMIT || self.state[0].abs() > X_LIMIT
     }
 
     /// Apply a force for one step (semi-implicit Euler; the standard Gym
     /// formulation). Returns the new state. Disturbances are injected here.
     pub fn step(&mut self, force: f64) -> [f64; 4] {
-        let c = &self.config;
-        let mut f = force.clamp(-c.max_force, c.max_force);
+        let half_length = self.config.pole_half_length;
+        let mut f = force.clamp(-MAX_FORCE, MAX_FORCE);
         if self.disturbance.probability > 0.0
             && self.rng.random::<f64>() < self.disturbance.probability
         {
@@ -152,19 +148,19 @@ impl CartPole {
             f += sign * magnitude;
         }
         let [x, x_dot, theta, theta_dot] = self.state;
-        let total_mass = c.cart_mass + c.pole_mass;
-        let pml = c.pole_mass * c.pole_half_length;
+        let total_mass = CART_MASS + POLE_MASS;
+        let pml = POLE_MASS * half_length;
         let cos_t = theta.cos();
         let sin_t = theta.sin();
         let temp = (f + pml * theta_dot * theta_dot * sin_t) / total_mass;
-        let theta_acc = (c.gravity * sin_t - cos_t * temp)
-            / (c.pole_half_length * (4.0 / 3.0 - c.pole_mass * cos_t * cos_t / total_mass));
+        let theta_acc = (GRAVITY * sin_t - cos_t * temp)
+            / (half_length * (4.0 / 3.0 - POLE_MASS * cos_t * cos_t / total_mass));
         let x_acc = temp - pml * theta_acc * cos_t / total_mass;
         self.state = [
-            x + c.dt * x_dot,
-            x_dot + c.dt * x_acc,
-            theta + c.dt * theta_dot,
-            theta_dot + c.dt * theta_acc,
+            x + DT * x_dot,
+            x_dot + DT * x_acc,
+            theta + DT * theta_dot,
+            theta_dot + DT * theta_acc,
         ];
         self.steps += 1;
         self.state

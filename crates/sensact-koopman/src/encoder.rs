@@ -669,7 +669,6 @@ mod online_tests {
     fn drifted_transitions(n: usize, seed: u64) -> Vec<([f64; 16], f64, [f64; 16])> {
         let config = CartPoleConfig {
             pole_half_length: 0.9,
-            ..CartPoleConfig::default()
         };
         let mut env = CartPole::new(config, seed);
         let mut out = Vec::with_capacity(n);

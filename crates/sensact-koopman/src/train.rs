@@ -5,7 +5,7 @@
 //! region, like the paper's SAC exploration phase) with episode resets on
 //! failure.
 
-use crate::cartpole::{observe_state, CartPole, CartPoleConfig, OBS_DIM};
+use crate::cartpole::{observe_state, CartPole, CartPoleConfig, MAX_FORCE, OBS_DIM};
 use sensact_math::rng::StdRng;
 
 /// One environment transition.
@@ -108,8 +108,8 @@ pub fn collect_dataset(n: usize, seed: u64) -> Dataset {
         // Hand stabilizer + exploration noise.
         let [x, xd, t, td] = state;
         let noise = (rng.random::<f64>() - 0.5) * 8.0;
-        let action = (2.0 * x + 3.0 * xd + 30.0 * t + 4.0 * td + noise)
-            .clamp(-config.max_force, config.max_force);
+        let action =
+            (2.0 * x + 3.0 * xd + 30.0 * t + 4.0 * td + noise).clamp(-MAX_FORCE, MAX_FORCE);
         let next_state = env.step(action);
         data.push(Transition {
             obs,

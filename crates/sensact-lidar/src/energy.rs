@@ -12,23 +12,24 @@
 
 use crate::pointcloud::PointCloud;
 
-/// Radiometric model of the pulse laser.
+/// Energy of a full-power pulse reaching the design range (joules): Table
+/// II's 50 µJ.
+const MAX_PULSE_ENERGY: f64 = 50e-6;
+/// Design maximum range (metres).
+const MAX_RANGE: f64 = 80.0;
+
+/// Radiometric model of the pulse laser: a 50 µJ full-power pulse reaches
+/// 80 m.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
-    /// Energy of a full-power pulse reaching `max_range` (joules).
-    pub max_pulse_energy: f64,
-    /// Design maximum range (metres).
-    pub max_range: f64,
     /// Minimum pulse energy (receiver floor), joules.
     pub min_pulse_energy: f64,
 }
 
 impl Default for EnergyModel {
-    /// Table II values: 50 µJ full-power pulse at 80 m, 0.5 µJ floor.
+    /// Table II values: 0.5 µJ floor.
     fn default() -> Self {
         EnergyModel {
-            max_pulse_energy: 50e-6,
-            max_range: 80.0,
             min_pulse_energy: 0.5e-6,
         }
     }
@@ -37,15 +38,15 @@ impl Default for EnergyModel {
 impl EnergyModel {
     /// Transmit energy (joules) required for a detectable return at `range`.
     ///
-    /// Scales as `R⁴`, clamped to `[min_pulse_energy, max_pulse_energy]`.
+    /// Scales as `R⁴`, clamped to `[min_pulse_energy, 50 µJ]`.
     pub fn pulse_energy(&self, range: f64) -> f64 {
-        let r = (range / self.max_range).clamp(0.0, 1.0);
-        (self.max_pulse_energy * r.powi(4)).max(self.min_pulse_energy)
+        let r = (range / MAX_RANGE).clamp(0.0, 1.0);
+        (MAX_PULSE_ENERGY * r.powi(4)).max(self.min_pulse_energy)
     }
 
     /// Energy of one conventional full-scan: every pulse at full power.
     pub fn conventional_scan_energy(&self, pulses: usize) -> f64 {
-        self.max_pulse_energy * pulses as f64
+        MAX_PULSE_ENERGY * pulses as f64
     }
 
     /// Energy ledger of an adaptive scan that fired pulses budgeted for the
@@ -124,7 +125,7 @@ mod tests {
         assert_eq!(m.pulse_energy(0.0), m.min_pulse_energy);
         assert_eq!(m.pulse_energy(1.0), m.min_pulse_energy);
         // Beyond max range clamps to full power.
-        assert_eq!(m.pulse_energy(200.0), m.max_pulse_energy);
+        assert_eq!(m.pulse_energy(200.0), MAX_PULSE_ENERGY);
     }
 
     #[test]

@@ -9,28 +9,25 @@
 
 use sensact_math::rng::StdRng;
 
-/// Configuration of the two-stage radial mask.
+/// Number of angular segments per revolution (stage 1 granularity).
+const SEGMENTS: u16 = 32;
+/// Keep probability at zero range for stage 2, in `(0, 1]`.
+const KEEP_AT_ZERO: f64 = 0.7;
+/// Range (metres) at which the stage-2 keep probability halves.
+const HALF_RANGE: f64 = 20.0;
+
+/// Configuration of the two-stage radial mask: 32 angular segments, and a
+/// stage-2 keep probability of 0.7 at zero range that halves every 20 m.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadialMaskConfig {
-    /// Number of angular segments per revolution (stage 1 granularity).
-    pub segments: u16,
     /// Fraction of segments kept by stage 1, in `(0, 1]`.
     pub segment_keep: f64,
-    /// Keep probability at zero range for stage 2, in `(0, 1]`.
-    pub keep_at_zero: f64,
-    /// Range (metres) at which the stage-2 keep probability halves.
-    pub half_range: f64,
 }
 
 impl Default for RadialMaskConfig {
     /// Defaults calibrated so a KITTI-like scan keeps roughly 10 % of pulses.
     fn default() -> Self {
-        RadialMaskConfig {
-            segments: 32,
-            segment_keep: 0.25,
-            keep_at_zero: 0.7,
-            half_range: 20.0,
-        }
+        RadialMaskConfig { segment_keep: 0.25 }
     }
 }
 
@@ -53,28 +50,22 @@ impl RadialMask {
     ///
     /// # Panics
     ///
-    /// Panics if config fractions are outside `(0, 1]` or `segments == 0`.
+    /// Panics if `segment_keep` is outside `(0, 1]`.
     pub fn sample(config: RadialMaskConfig, azimuth_steps: u16, seed: u64) -> Self {
-        assert!(config.segments > 0, "segments must be positive");
         assert!(
             config.segment_keep > 0.0 && config.segment_keep <= 1.0,
             "segment_keep must be in (0,1]"
         );
-        assert!(
-            config.keep_at_zero > 0.0 && config.keep_at_zero <= 1.0,
-            "keep_at_zero must be in (0,1]"
-        );
-        assert!(config.half_range > 0.0, "half_range must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
         // Stage 1: keep a fixed-size random subset of segments.
-        let n_keep = ((config.segments as f64 * config.segment_keep).round() as usize).max(1);
-        let mut order: Vec<usize> = (0..config.segments as usize).collect();
+        let n_keep = ((SEGMENTS as f64 * config.segment_keep).round() as usize).max(1);
+        let mut order: Vec<usize> = (0..SEGMENTS as usize).collect();
         // Fisher–Yates.
         for i in (1..order.len()).rev() {
             let j = rng.random_range(0..=i);
             order.swap(i, j);
         }
-        let mut kept = vec![false; config.segments as usize];
+        let mut kept = vec![false; SEGMENTS as usize];
         for &s in order.iter().take(n_keep) {
             kept[s] = true;
         }
@@ -100,8 +91,8 @@ impl RadialMask {
 
     /// Segment index of an azimuth step.
     pub fn segment_of(&self, azimuth: u16) -> usize {
-        (azimuth as usize * self.config.segments as usize / self.azimuth_steps as usize)
-            .min(self.config.segments as usize - 1)
+        (azimuth as usize * SEGMENTS as usize / self.azimuth_steps as usize)
+            .min(SEGMENTS as usize - 1)
     }
 
     /// Stage-1 decision: is the segment of this azimuth kept?
@@ -113,9 +104,9 @@ impl RadialMask {
     }
 
     /// Stage-2 keep probability at an expected range (exponential decay with
-    /// half-life `half_range`).
+    /// a 20 m half-life).
     pub fn keep_probability(&self, expected_range: f64) -> f64 {
-        self.config.keep_at_zero * 0.5f64.powf(expected_range.max(0.0) / self.config.half_range)
+        KEEP_AT_ZERO * 0.5f64.powf(expected_range.max(0.0) / HALF_RANGE)
     }
 
     /// Full two-stage decision for one pulse: stage 1 on the azimuth segment,
@@ -268,10 +259,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "segment_keep")]
     fn invalid_segment_keep_panics() {
-        let cfg = RadialMaskConfig {
-            segment_keep: 0.0,
-            ..RadialMaskConfig::default()
-        };
+        let cfg = RadialMaskConfig { segment_keep: 0.0 };
         let _ = RadialMask::sample(cfg, 512, 0);
     }
 }
@@ -297,7 +285,6 @@ pub fn scene_change(previous: &crate::PointCloud, current: &crate::PointCloud) -
 /// trickle while a moving one ramps back toward full coverage.
 #[derive(Debug, Clone, Copy)]
 pub struct AdaptiveMask {
-    base: RadialMaskConfig,
     /// Minimum segment-keep fraction (idle floor).
     pub min_keep: f64,
     /// Maximum segment-keep fraction (fully dynamic scenes).
@@ -308,18 +295,17 @@ pub struct AdaptiveMask {
 }
 
 impl AdaptiveMask {
-    /// Wrap a base config with activity bounds.
+    /// A mask whose segment-keep fraction moves between these bounds.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < min_keep <= max_keep <= 1`.
-    pub fn new(base: RadialMaskConfig, min_keep: f64, max_keep: f64) -> Self {
+    pub fn new(min_keep: f64, max_keep: f64) -> Self {
         assert!(
             min_keep > 0.0 && min_keep <= max_keep && max_keep <= 1.0,
             "keep bounds must satisfy 0 < min <= max <= 1"
         );
         AdaptiveMask {
-            base,
             min_keep,
             max_keep,
             gain: 0.5,
@@ -342,7 +328,6 @@ impl AdaptiveMask {
     pub fn sample(&self, azimuth_steps: u16, seed: u64) -> RadialMask {
         let config = RadialMaskConfig {
             segment_keep: self.segment_keep(),
-            ..self.base
         };
         RadialMask::sample(config, azimuth_steps, seed)
     }
@@ -389,7 +374,7 @@ mod adaptive_tests {
 
     #[test]
     fn adaptive_mask_tracks_activity() {
-        let mut mask = AdaptiveMask::new(RadialMaskConfig::default(), 0.1, 0.8);
+        let mut mask = AdaptiveMask::new(0.1, 0.8);
         for _ in 0..20 {
             mask.update_activity(0.0);
         }
@@ -412,7 +397,7 @@ mod adaptive_tests {
     fn adaptive_mask_saves_pulses_when_idle() {
         let lidar = Lidar::new(LidarConfig::default());
         let scene = SceneGenerator::new(5).generate();
-        let mut idle = AdaptiveMask::new(RadialMaskConfig::default(), 0.08, 0.8);
+        let mut idle = AdaptiveMask::new(0.08, 0.8);
         let mut busy = idle;
         for _ in 0..20 {
             idle.update_activity(0.0);
@@ -431,6 +416,6 @@ mod adaptive_tests {
     #[test]
     #[should_panic(expected = "keep bounds")]
     fn invalid_bounds_panic() {
-        let _ = AdaptiveMask::new(RadialMaskConfig::default(), 0.5, 0.2);
+        let _ = AdaptiveMask::new(0.5, 0.2);
     }
 }

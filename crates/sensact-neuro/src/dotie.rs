@@ -9,11 +9,13 @@
 
 use crate::event::EventStream;
 
-/// Configuration of the spiking event clusterer.
+/// Membrane leak per timestep, in `(0, 1)`.
+const LEAK: f64 = 0.7;
+
+/// Configuration of the spiking event clusterer (membrane leak 0.7 per
+/// timestep).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DotieConfig {
-    /// Membrane leak per timestep, in `(0, 1)`.
-    pub leak: f64,
     /// Spike threshold on the accumulated event count.
     pub threshold: f64,
     /// Minimum spiking pixels per reported cluster.
@@ -23,7 +25,6 @@ pub struct DotieConfig {
 impl Default for DotieConfig {
     fn default() -> Self {
         DotieConfig {
-            leak: 0.7,
             threshold: 2.0,
             min_cluster: 3,
         }
@@ -77,7 +78,7 @@ pub fn detect_clusters(stream: &EventStream, config: &DotieConfig) -> Vec<EventC
     let mut last_t = 0u16;
     for (&t, pixels) in &by_t {
         // Leak for the elapsed steps.
-        let decay = config.leak.powi((t - last_t) as i32);
+        let decay = LEAK.powi((t - last_t) as i32);
         for v in membrane.iter_mut() {
             *v *= decay;
         }
@@ -179,7 +180,7 @@ mod tests {
         let scene = MovingScene::generate(config, 3);
         let clusters = detect_clusters(&scene.events, &DotieConfig::default());
         // Moving pixels (nonzero GT flow) delimit the object's region.
-        let w = config.width as usize;
+        let w = scene.events.width as usize;
         let moving: Vec<(f64, f64)> = scene
             .flow
             .iter()

@@ -63,32 +63,31 @@ impl EventStream {
     }
 }
 
-/// Configuration of the moving-scene renderer.
+/// Sensor width (pixels).
+const WIDTH: u16 = 16;
+/// Sensor height (pixels).
+const HEIGHT: u16 = 16;
+/// DVS log-intensity threshold.
+const THRESHOLD: f64 = 0.15;
+
+/// Configuration of the moving-scene renderer: a 16 × 16 DVS with a 0.15
+/// log-intensity threshold.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MovingSceneConfig {
-    /// Sensor width.
-    pub width: u16,
-    /// Sensor height.
-    pub height: u16,
     /// Number of moving objects.
     pub objects: usize,
     /// Fine timesteps simulated.
     pub steps: u16,
     /// Maximum object speed (pixels/step).
     pub max_speed: f64,
-    /// DVS log-intensity threshold.
-    pub threshold: f64,
 }
 
 impl Default for MovingSceneConfig {
     fn default() -> Self {
         MovingSceneConfig {
-            width: 16,
-            height: 16,
             objects: 1,
             steps: 8,
             max_speed: 1.0,
-            threshold: 0.15,
         }
     }
 }
@@ -119,7 +118,7 @@ impl MovingScene {
     /// Render a scene with the given seed.
     pub fn generate(config: MovingSceneConfig, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let (w, h) = (config.width as usize, config.height as usize);
+        let (w, h) = (WIDTH as usize, HEIGHT as usize);
         let total = config.steps as f64;
         // Clamp a velocity component so the blob centre stays inside
         // [1, extent-2] for the whole interval — a blob that exits the frame
@@ -179,7 +178,7 @@ impl MovingScene {
             let cur = render(&blobs, step as f64);
             for i in 0..w * h {
                 let dlog = (cur[i].max(1e-3)).ln() - (prev[i].max(1e-3)).ln();
-                let n_events = (dlog.abs() / config.threshold) as usize;
+                let n_events = (dlog.abs() / THRESHOLD) as usize;
                 for _ in 0..n_events.min(3) {
                     events.push(Event {
                         x: (i % w) as u16,
@@ -214,8 +213,8 @@ impl MovingScene {
             config,
             first_frame,
             events: EventStream {
-                width: config.width,
-                height: config.height,
+                width: WIDTH,
+                height: HEIGHT,
                 steps: config.steps,
                 events,
             },
@@ -231,7 +230,7 @@ impl MovingScene {
     /// Mean ground-truth flow over `regions × regions` image tiles — the
     /// coarse prediction target of the Fig. 9 models.
     pub fn region_flow(&self, regions: usize) -> Vec<(f64, f64)> {
-        let (w, h) = (self.config.width as usize, self.config.height as usize);
+        let (w, h) = (WIDTH as usize, HEIGHT as usize);
         let mut out = vec![(0.0, 0.0); regions * regions];
         let mut counts = vec![0usize; regions * regions];
         for py in 0..h {

@@ -17,26 +17,26 @@ use sensact_lidar::scene::{ObjectClass, Scene};
 use sensact_lidar::voxel::VoxelGrid;
 use sensact_math::metrics::{average_precision, Aabb, Detection};
 
-/// Harness configuration.
+/// Occupancy threshold for turning decoder probabilities into voxels.
+const OCCUPANCY_THRESHOLD: f64 = 0.5;
+/// Match radius (metres) for cars.
+const CAR_MATCH_M: f64 = 2.0;
+/// Match radius (metres) for pedestrians and cyclists.
+const SMALL_MATCH_M: f64 = 1.0;
+
+/// Harness configuration. Decoder probabilities become voxels at 0.5; a
+/// detection matches within 2 m for cars and 1 m for pedestrians and
+/// cyclists.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Pre-training epochs.
     pub pretrain_epochs: usize,
-    /// Occupancy threshold for turning decoder probabilities into voxels.
-    pub occupancy_threshold: f64,
-    /// Match radius (metres) for cars.
-    pub car_match_m: f64,
-    /// Match radius (metres) for pedestrians and cyclists.
-    pub small_match_m: f64,
 }
 
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
             pretrain_epochs: 10,
-            occupancy_threshold: 0.5,
-            car_match_m: 2.0,
-            small_match_m: 1.0,
         }
     }
 }
@@ -168,7 +168,7 @@ pub fn evaluate_cell(
                     &full_grid.occupancy_flat(),
                     0.5,
                 );
-                m.reconstruct_guided(&observed_grid, config.occupancy_threshold)
+                m.reconstruct_guided(&observed_grid, OCCUPANCY_THRESHOLD)
             }
         };
         let dets: Vec<_> = detectors
@@ -212,9 +212,9 @@ pub fn evaluate_cell(
             // globally by re-running the greedy matcher per scene and
             // collecting `Detection` records.
             let max_dist = if *class == ObjectClass::Car {
-                config.car_match_m
+                CAR_MATCH_M
             } else {
-                config.small_match_m
+                SMALL_MATCH_M
             };
             n_gt[ci] += class_gt.len();
             for (pooled, dets) in preds.iter_mut().zip(&dets) {
@@ -373,10 +373,7 @@ mod tests {
         );
         let train = generator.generate_many(4);
         let eval = generator.generate_many(3);
-        let config = PipelineConfig {
-            pretrain_epochs: 4,
-            ..PipelineConfig::default()
-        };
+        let config = PipelineConfig { pretrain_epochs: 4 };
         let (second, pvrcnn) = (Detector::second_like(), Detector::pvrcnn_like());
         let both = [&second, &pvrcnn];
         let none = evaluate_cell(Strategy::None, &both, &train, &eval, &config, 1);

@@ -2,6 +2,8 @@
 //! order, and the seeded key that breaks its deadline ties. The queue itself
 //! is a `BinaryHeap<Reverse<Release>>` owned by the event loop.
 
+use sensact_core::splitmix64_finalize;
+
 /// One pending tick release, ordered by absolute deadline (EDF).
 ///
 /// `deadline_bits` is the IEEE-754 bit pattern of the (non-negative)
@@ -92,13 +94,10 @@ fn clamp_deadline(deadline_s: f64) -> f64 {
 /// on `(seed, loop, release index)`, never on execution order, so the EDF
 /// order is reproducible regardless of which worker pushed the release.
 pub(crate) fn tie_break(seed: u64, loop_idx: usize, release_idx: u64) -> u64 {
-    let mut x = seed
+    let x = seed
         ^ (loop_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
         ^ release_idx.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
+    splitmix64_finalize(x.wrapping_add(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]

@@ -369,11 +369,6 @@ impl FleetReport {
         }
         registry.install_histogram("sched.worker.utilization_frac", util);
     }
-
-    /// Human-readable fleet report (also available via `Display`).
-    pub fn text_report(&self) -> String {
-        self.to_string()
-    }
 }
 
 impl FleetReport {
@@ -708,12 +703,6 @@ impl FleetScheduler {
     /// can link their spans into the same causal stream.
     pub fn set_tracer(&mut self, tracer: Arc<FleetTracer>) {
         self.tracer = tracer;
-    }
-
-    /// Builder-style [`FleetScheduler::set_tracer`].
-    pub fn with_tracer(mut self, tracer: Arc<FleetTracer>) -> Self {
-        self.tracer = tracer;
-        self
     }
 
     /// The attached tracer (disabled unless one was set).
@@ -1451,7 +1440,7 @@ mod tests {
             counters.timeouts, 10,
             "missed deadlines must surface as Timeout faults"
         );
-        let text = report.text_report();
+        let text = report.to_string();
         assert!(text.contains("deadline-misses 10"), "{text}");
     }
 
@@ -1478,7 +1467,7 @@ mod tests {
         // Drop-oldest keeps the loop fresh: it still ticks regularly.
         assert!(stats.ticks >= 100 / 5 / 2, "ticks {}", stats.ticks);
         assert!(
-            report.text_report().contains("drops"),
+            report.to_string().contains("drops"),
             "report must show drops"
         );
     }
@@ -1714,8 +1703,8 @@ mod tests {
                 workers: 2,
                 watts_cap: None,
                 seed: 9,
-            })
-            .with_tracer(Arc::new(FleetTracer::new()));
+            });
+            sched.set_tracer(Arc::new(FleetTracer::new()));
             for _ in 0..2 {
                 sched.register(CommLoop::boxed(1e-3, 2e-3), LoopSpec::periodic(1e-2));
             }
@@ -1767,8 +1756,8 @@ mod tests {
             workers: 2,
             watts_cap: None,
             seed,
-        })
-        .with_tracer(Arc::new(FleetTracer::new()));
+        });
+        sched.set_tracer(Arc::new(FleetTracer::new()));
         let (handle, _, ctxs) = CommLoop::instrumented(1e-3, 0.0);
         let id = sched.register(handle, LoopSpec::periodic(1e-2));
         let report = sched.run_deterministic(0.05, &mut SimClock::new());
@@ -1841,7 +1830,7 @@ mod tests {
         assert_eq!(report.loop_health, vec![HealthStatus::Critical]);
         assert_eq!(report.health.status, HealthStatus::Critical);
         assert_eq!(report.health.critical, 1);
-        let text = report.text_report();
+        let text = report.to_string();
         assert!(text.contains("health critical"), "{text}");
         assert!(text.contains("laggard"), "{text}");
 
@@ -1863,8 +1852,8 @@ mod tests {
             workers: 1,
             watts_cap: None,
             seed: 0,
-        })
-        .with_tracer(Arc::new(FleetTracer::new()));
+        });
+        sched.set_tracer(Arc::new(FleetTracer::new()));
         // Every tick misses: 5 ms latency against a 1 ms budget, long enough
         // for several health windows (HEALTH_WINDOW_TICKS completions each).
         sched.register(

@@ -42,17 +42,6 @@ pub struct FlushedObs {
     pub outcome: ObsOutcome,
 }
 
-/// Batch statistics of one flush (metrics fodder).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FlushStats {
-    /// Observations executed.
-    pub ticks: usize,
-    /// Stacked GEMM groups dispatched.
-    pub batches: usize,
-    /// Largest group size.
-    pub max_occupancy: usize,
-}
-
 /// Deferred-execution planner for the batched serving mode.
 #[derive(Default)]
 pub struct BatchPlanner {
@@ -124,19 +113,16 @@ impl BatchPlanner {
     }
 
     /// Execute every pending observation, returning results in arrival
-    /// order along with per-group occupancy (for the histogram). Each
+    /// order along with each stacked group's occupancy (for the histogram;
+    /// one entry per stacked GEMM dispatched). Each
     /// batchable group runs ONE stacked forward into the feature arena;
     /// ticks are then released individually at their own arrival times,
     /// each on its own row.
-    pub fn flush(&mut self, pool: &mut LeasePool) -> (Vec<FlushedObs>, FlushStats, Vec<usize>) {
+    pub fn flush(&mut self, pool: &mut LeasePool) -> (Vec<FlushedObs>, Vec<usize>) {
         let pending = std::mem::take(&mut self.pending);
         if pending.is_empty() {
-            return (Vec::new(), FlushStats::default(), Vec::new());
+            return (Vec::new(), Vec::new());
         }
-        let mut stats = FlushStats {
-            ticks: pending.len(),
-            ..FlushStats::default()
-        };
         let mut occupancies = Vec::new();
         // Perception for every batchable kind with one stacked forward per
         // kind. Group membership is arrival order within kind, which keeps
@@ -166,8 +152,6 @@ impl BatchPlanner {
                 .collect();
             pool.perceptor(kind).forward_many_into(&rows, &mut outs);
             self.next_row.push((kind, start));
-            stats.batches += 1;
-            stats.max_occupancy = stats.max_occupancy.max(rows.len());
             occupancies.push(rows.len());
         }
         // Release every tick at its own arrival time, in arrival order.
@@ -190,7 +174,7 @@ impl BatchPlanner {
                 outcome,
             });
         }
-        (out, stats, occupancies)
+        (out, occupancies)
     }
 }
 
@@ -245,11 +229,10 @@ mod tests {
                 planner.enqueue(ticket, round, obs.clone(), now);
                 expected.push(unbatched.observe(lease, obs, now).unwrap());
             }
-            let (flushed, stats, occ) = planner.flush(&mut batched);
-            assert_eq!(stats.ticks, leases.len());
-            assert_eq!(stats.batches, 1, "the 4 lidar leases stack into one GEMM");
-            assert_eq!(stats.max_occupancy, 4);
-            assert_eq!(occ, vec![4]);
+            let (flushed, occ) = planner.flush(&mut batched);
+            assert_eq!(flushed.len(), leases.len());
+            // One stacked GEMM (batches = 1) holding all 4 (max occupancy 4).
+            assert_eq!(occ, vec![4], "the 4 lidar leases stack into one GEMM");
             for (got, want) in flushed.iter().zip(&expected) {
                 match (&got.outcome, want) {
                     (
@@ -312,8 +295,8 @@ mod tests {
             planner.enqueue(ticket, i as u64, obs.clone(), now);
             expected.push(unbatched.observe(lease, obs, now).unwrap());
         }
-        let (flushed, stats, occ) = planner.flush(&mut batched);
-        assert_eq!(stats.ticks, 4);
+        let (flushed, occ) = planner.flush(&mut batched);
+        assert_eq!(flushed.len(), 4);
         assert_eq!(occ, vec![4], "a lease's second row stacks like anyone's");
         for (i, (got, want)) in flushed.iter().zip(&expected).enumerate() {
             match (&got.outcome, want) {
@@ -350,9 +333,8 @@ mod tests {
             let ticket = admit(&mut pool, lease, obs.len(), 1e-3);
             planner.enqueue(ticket, 0, obs, 1e-3);
         }
-        let (flushed, stats, occ) = planner.flush(&mut pool);
+        let (flushed, occ) = planner.flush(&mut pool);
         assert_eq!(flushed.len(), 2);
-        assert_eq!(stats.batches, 0, "one lidar + one cartpole: nothing stacks");
-        assert!(occ.is_empty());
+        assert!(occ.is_empty(), "one lidar + one cartpole: nothing stacks");
     }
 }

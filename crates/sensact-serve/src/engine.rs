@@ -23,6 +23,7 @@ use crate::metrics as m;
 use crate::model::ModelKind;
 use crate::wire::{self, Frame};
 use sensact_core::checkpoint::{Checkpoint, CheckpointError};
+use sensact_core::export::prometheus_text;
 use sensact_core::MetricsRegistry;
 
 /// Cap on a connection's unconsumed input buffer — what is left after every
@@ -370,7 +371,7 @@ impl ServeEngine {
         if self.planner.pending() == 0 {
             return Vec::new();
         }
-        let (flushed, _stats, occupancies) = self.planner.flush(&mut self.pool);
+        let (flushed, occupancies) = self.planner.flush(&mut self.pool);
         for occ in occupancies {
             self.metrics.observe(m::BATCH_OCCUPANCY, occ as f64);
         }
@@ -414,7 +415,7 @@ impl ServeEngine {
         self.metrics
             .set(m::LEASES_ACTIVE, self.pool.active() as f64);
         self.metrics.set(m::UTILIZATION, self.pool.utilization());
-        m::exposition(&self.metrics)
+        prometheus_text(&self.metrics)
     }
 
     fn drain_http(&mut self, conn: &mut ConnState, _now_s: f64, result: &mut IngestResult) {

@@ -47,7 +47,7 @@ pub mod model;
 pub mod server;
 pub mod wire;
 
-pub use batch::{BatchPlanner, FlushStats};
+pub use batch::BatchPlanner;
 pub use engine::{ConnState, IngestResult, ServeConfig, ServeEngine};
 pub use lease::{AdmitTicket, Admitted, LeaseError, LeasePool, ObsOutcome, PoolConfig};
 pub use loopback::{ConnId, Loopback};

@@ -1,13 +1,10 @@
-//! `serve.*` metric names and the exposition glue.
+//! `serve.*` metric names.
 //!
 //! Every counter/gauge/histogram lives in the workspace's own
-//! [`MetricsRegistry`] and is published through the existing
+//! [`MetricsRegistry`](sensact_core::MetricsRegistry) and is published through the existing
 //! [`prometheus_text`](sensact_core::export::prometheus_text()) exporter, so
 //! the serving front-end appears on the same `/metrics` scrape surface as
 //! fleet and loop metrics — no parallel exposition path.
-
-use sensact_core::export::prometheus_text;
-use sensact_core::MetricsRegistry;
 
 /// Leases granted since start.
 pub const LEASES_GRANTED: &str = "serve.leases.granted";
@@ -43,15 +40,11 @@ pub const BATCH_OCCUPANCY: &str = "serve.batch.occupancy";
 /// virtual seconds).
 pub const RESPONSE_S: &str = "serve.response_s";
 
-/// Render `registry` in Prometheus text exposition format with the
-/// `source="serve"` label — the scrape payload of `GET /metrics`.
-pub fn exposition(registry: &MetricsRegistry) -> String {
-    prometheus_text(registry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sensact_core::export::prometheus_text;
+    use sensact_core::MetricsRegistry;
 
     #[test]
     fn serve_metrics_render_on_the_standard_exposition() {
@@ -61,7 +54,7 @@ mod tests {
         reg.set(LEASES_ACTIVE, 1.0);
         reg.observe(BATCH_OCCUPANCY, 4.0);
         reg.observe(RESPONSE_S, 2.5e-5);
-        let text = exposition(&reg);
+        let text = prometheus_text(&reg);
         assert!(text.contains("serve_leases_granted"), "{text}");
         assert!(text.contains("serve_frames_in"), "{text}");
         assert!(text.contains("serve_leases_active"), "{text}");

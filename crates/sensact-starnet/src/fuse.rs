@@ -17,29 +17,20 @@ use sensact_math::metrics::Aabb;
 use sensact_rmae::detect::Detector;
 use sensact_rmae::eval::ap_at_center_distance;
 
+/// Horizontal neighborhood radius (metres) for column support.
+const COLUMN_RADIUS: f64 = 0.8;
+/// Only points above this height need support.
+const MIN_HEIGHT: f64 = 0.6;
+/// Only points within this range are filtered (flurries are near-field).
+const MAX_RANGE: f64 = 14.0;
+
 /// Snow-clutter filter based on vertical continuity: a real elevated return
 /// (pedestrian torso, car roof) is supported by returns at mid height in the
 /// same column — objects grow up from the ground. An airborne flurry blob
-/// floats: there is a vertical *gap* between it and whatever is below.
-#[derive(Debug, Clone, Copy)]
-pub struct SnowFilter {
-    /// Horizontal neighborhood radius (metres) for column support.
-    pub column_radius: f64,
-    /// Only points above this height need support.
-    pub min_height: f64,
-    /// Only points within this range are filtered (flurries are near-field).
-    pub max_range: f64,
-}
-
-impl Default for SnowFilter {
-    fn default() -> Self {
-        SnowFilter {
-            column_radius: 0.8,
-            min_height: 0.6,
-            max_range: 14.0,
-        }
-    }
-}
+/// floats: there is a vertical *gap* between it and whatever is below. Only
+/// points above 0.6 m and within 14 m need support, looked for within 0.8 m.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SnowFilter;
 
 impl SnowFilter {
     /// Filter a cloud, returning the cleaned copy. Applied to a fixed point:
@@ -59,7 +50,7 @@ impl SnowFilter {
 
     fn filter_once(&self, cloud: &PointCloud) -> PointCloud {
         // Coarse (x, y) hash grid for neighborhood queries.
-        let cell = self.column_radius;
+        let cell = COLUMN_RADIUS;
         let key = |x: f64, y: f64| ((x / cell).floor() as i64, (y / cell).floor() as i64);
         let mut grid: std::collections::HashMap<(i64, i64), Vec<[f64; 3]>> =
             std::collections::HashMap::new();
@@ -68,7 +59,7 @@ impl SnowFilter {
         }
         let mut out = PointCloud::new();
         for p in cloud {
-            if p.z <= self.min_height || p.range > self.max_range {
+            if p.z <= MIN_HEIGHT || p.range > MAX_RANGE {
                 out.push(*p);
                 continue;
             }
@@ -83,7 +74,7 @@ impl SnowFilter {
                     if let Some(points) = grid.get(&(kx + dx, ky + dy)) {
                         for q in points {
                             let horiz = ((q[0] - p.x).powi(2) + (q[1] - p.y).powi(2)).sqrt();
-                            if horiz <= self.column_radius && q[2] >= lo && q[2] <= hi {
+                            if horiz <= COLUMN_RADIUS && q[2] >= lo && q[2] <= hi {
                                 supported = true;
                                 break 'search;
                             }
@@ -144,7 +135,7 @@ pub fn evaluate_detection_under_snow(
     let lidar = Lidar::new(LidarConfig::default());
     let detector = Detector::pvrcnn_like();
     let grid_cfg = detection_grid();
-    let filter = SnowFilter::default();
+    let filter = SnowFilter;
     let mut monitor = monitor;
 
     let mut car_preds = Vec::new();
@@ -265,7 +256,6 @@ mod tests {
                 low_rank: Some(8),
                 elbo_samples: 0,
             },
-            ..StarnetConfig::default()
         }
     }
 
@@ -274,7 +264,7 @@ mod tests {
         let (_, clouds) = scan_scenes(1, 1);
         let clean = &clouds[0];
         let snowy = Corruption::new(CorruptionKind::Snow, 5).apply(clean, 7);
-        let filtered = SnowFilter::default().filter(&snowy);
+        let filtered = SnowFilter.filter(&snowy);
         // Snow flurries are floating blobs at body height in the near field.
         let floating = |c: &PointCloud| c.iter().filter(|p| p.z >= 0.85 && p.range <= 12.5).count();
         let clean_float = floating(clean);
@@ -321,7 +311,7 @@ mod tests {
     #[test]
     fn filter_is_noop_on_clean_data() {
         let (_, clouds) = scan_scenes(1, 4);
-        let filtered = SnowFilter::default().filter(&clouds[0]);
+        let filtered = SnowFilter.filter(&clouds[0]);
         let kept = filtered.len() as f64 / clouds[0].len() as f64;
         assert!(
             kept > 0.97,

@@ -33,4 +33,4 @@ pub use features::{extract_features, FEATURE_DIM};
 pub use monitor::{Starnet, StarnetConfig};
 pub use regret::{likelihood_regret, RegretConfig};
 pub use spsa::{spsa_minimize, SpsaConfig};
-pub use temporal::{TemporalConfig, TemporalConsistency};
+pub use temporal::TemporalConsistency;

@@ -17,35 +17,33 @@ use sensact_nn::optim::Adam;
 use sensact_nn::vae::Vae;
 use sensact_nn::Tensor;
 
-/// STARNet configuration.
+/// VAE hidden width.
+const HIDDEN_DIM: usize = 32;
+/// VAE latent dimension.
+const LATENT_DIM: usize = 4;
+/// KL weight β.
+const BETA: f64 = 0.1;
+/// Calibration quantile for the suspect threshold.
+const SUSPECT_QUANTILE: f64 = 0.95;
+/// Multiplier over the suspect threshold's spread for the untrusted verdict.
+const UNTRUSTED_FACTOR: f64 = 3.0;
+
+/// STARNet configuration. The VAE is 32 wide with a 4-dimensional latent
+/// and β = 0.1; the suspect threshold is the clean set's 0.95 quantile and
+/// the untrusted one sits 3 quantile-to-median spans above it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StarnetConfig {
-    /// VAE hidden width.
-    pub hidden_dim: usize,
-    /// VAE latent dimension.
-    pub latent_dim: usize,
     /// Training epochs over the clean feature set.
     pub train_epochs: usize,
-    /// KL weight β.
-    pub beta: f64,
     /// Likelihood-regret computation parameters.
     pub regret: RegretConfig,
-    /// Calibration quantile for the suspect threshold (e.g. 0.95).
-    pub suspect_quantile: f64,
-    /// Multiplier over the suspect threshold for the untrusted verdict.
-    pub untrusted_factor: f64,
 }
 
 impl Default for StarnetConfig {
     fn default() -> Self {
         StarnetConfig {
-            hidden_dim: 32,
-            latent_dim: 4,
             train_epochs: 300,
-            beta: 0.1,
             regret: RegretConfig::default(),
-            suspect_quantile: 0.95,
-            untrusted_factor: 3.0,
         }
     }
 }
@@ -75,11 +73,11 @@ impl Starnet {
             clean_features.len()
         );
         let dim = clean_features[0].len();
-        let mut vae = Vae::new(dim, config.hidden_dim, config.latent_dim, seed);
+        let mut vae = Vae::new(dim, HIDDEN_DIM, LATENT_DIM, seed);
         let x = Tensor::stack_rows(clean_features);
         let mut opt = Adam::new(0.005);
         for _ in 0..config.train_epochs {
-            let _ = vae.train_step(&x, &mut opt, config.beta);
+            let _ = vae.train_step(&x, &mut opt, BETA);
         }
         let mut monitor = Starnet {
             vae,
@@ -91,12 +89,11 @@ impl Starnet {
         };
         // Calibrate on the clean set.
         let scores: Vec<f64> = clean_features.iter().map(|f| monitor.score(f)).collect();
-        let q = stats::quantile(&scores, config.suspect_quantile)
-            .expect("non-empty calibration scores");
+        let q = stats::quantile(&scores, SUSPECT_QUANTILE).expect("non-empty calibration scores");
         let median = stats::median(&scores).expect("non-empty calibration scores");
         let span = (q - median).max(1e-6);
         monitor.suspect_threshold = q;
-        monitor.untrusted_threshold = q + config.untrusted_factor * span;
+        monitor.untrusted_threshold = q + UNTRUSTED_FACTOR * span;
         monitor
     }
 
@@ -242,7 +239,6 @@ mod tests {
                 low_rank: Some(12),
                 elbo_samples: 0,
             },
-            ..StarnetConfig::default()
         }
     }
 

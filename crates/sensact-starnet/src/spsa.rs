@@ -8,20 +8,22 @@
 
 use sensact_math::rng::StdRng;
 
+/// Step-size stability constant `A`.
+const BIG_A: f64 = 5.0;
+/// Step-size decay exponent `α` (Spall's recommendation).
+const ALPHA: f64 = 0.602;
+/// Perturbation numerator `c`.
+const C: f64 = 0.01;
+/// Perturbation decay exponent `γ` (Spall's recommendation).
+const GAMMA: f64 = 0.101;
+
 /// SPSA gain schedule and iteration budget (Spall's standard form:
-/// `aₖ = a / (k + 1 + A)^α`, `cₖ = c / (k + 1)^γ`).
+/// `aₖ = a / (k + 1 + A)^α`, `cₖ = c / (k + 1)^γ`, with `A = 5`,
+/// `α = 0.602`, `c = 0.01` and `γ = 0.101`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpsaConfig {
     /// Step-size numerator `a`.
     pub a: f64,
-    /// Step-size stability constant `A`.
-    pub big_a: f64,
-    /// Step-size decay exponent `α` (0.602 is Spall's recommendation).
-    pub alpha: f64,
-    /// Perturbation numerator `c`.
-    pub c: f64,
-    /// Perturbation decay exponent `γ` (0.101 recommended).
-    pub gamma: f64,
     /// Number of iterations.
     pub iterations: usize,
 }
@@ -30,10 +32,6 @@ impl Default for SpsaConfig {
     fn default() -> Self {
         SpsaConfig {
             a: 0.02,
-            big_a: 5.0,
-            alpha: 0.602,
-            c: 0.01,
-            gamma: 0.101,
             iterations: 30,
         }
     }
@@ -70,8 +68,8 @@ pub fn spsa_minimize(
     let mut best_val = f64::INFINITY;
 
     for k in 0..config.iterations {
-        let ak = config.a / ((k as f64 + 1.0 + config.big_a).powf(config.alpha));
-        let ck = config.c / ((k as f64 + 1.0).powf(config.gamma));
+        let ak = config.a / ((k as f64 + 1.0 + BIG_A).powf(ALPHA));
+        let ck = C / ((k as f64 + 1.0).powf(GAMMA));
         // Rademacher perturbation.
         let delta: Vec<f64> = (0..theta.len())
             .map(|_| if rng.random::<f64>() < 0.5 { -1.0 } else { 1.0 })
@@ -123,7 +121,6 @@ mod tests {
         let config = SpsaConfig {
             a: 0.3,
             iterations: 200,
-            ..SpsaConfig::default()
         };
         let result = spsa_minimize(f, &[0.0, 0.0, 0.0], &config, 0);
         assert!(result.value < 0.05, "final value {}", result.value);

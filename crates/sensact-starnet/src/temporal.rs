@@ -14,37 +14,22 @@ use sensact_core::checkpoint::{
 };
 use sensact_core::stage::Trust;
 
-/// Configuration of the drift tracker.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TemporalConfig {
-    /// Smoothing factor of the short-term mean, in `(0, 1]`.
-    pub short_alpha: f64,
-    /// Frames used to freeze the long-term baseline.
-    pub baseline_frames: usize,
-    /// Per-frame slack added before drift accumulates (CUSUM `k`).
-    pub slack: f64,
-    /// Accumulated drift at which the stream becomes suspect (CUSUM `h`).
-    pub suspect_drift: f64,
-    /// Accumulated drift at which the stream becomes untrusted.
-    pub untrusted_drift: f64,
-}
+/// Smoothing factor of the short-term mean, in `(0, 1]`.
+const SHORT_ALPHA: f64 = 0.2;
+/// Frames used to freeze the long-term baseline.
+const BASELINE_FRAMES: usize = 20;
+/// Per-frame slack added before drift accumulates (CUSUM `k`).
+const SLACK: f64 = 0.05;
+/// Accumulated drift at which the stream becomes suspect (CUSUM `h`).
+const SUSPECT_DRIFT: f64 = 0.5;
+/// Accumulated drift at which the stream becomes untrusted.
+const UNTRUSTED_DRIFT: f64 = 1.5;
 
-impl Default for TemporalConfig {
-    fn default() -> Self {
-        TemporalConfig {
-            short_alpha: 0.2,
-            baseline_frames: 20,
-            slack: 0.05,
-            suspect_drift: 0.5,
-            untrusted_drift: 1.5,
-        }
-    }
-}
-
-/// CUSUM-style drift detector over a monitor-score stream.
+/// CUSUM-style drift detector over a monitor-score stream: a 0.2 short-term
+/// smoothing factor, a baseline frozen over 20 frames, a 0.05 per-frame
+/// slack, and drift thresholds 0.5 (suspect) and 1.5 (untrusted).
 #[derive(Debug, Clone)]
 pub struct TemporalConsistency {
-    config: TemporalConfig,
     short_mean: f64,
     baseline_sum: f64,
     baseline_count: usize,
@@ -56,9 +41,8 @@ pub struct TemporalConsistency {
 
 impl TemporalConsistency {
     /// New tracker.
-    pub fn new(config: TemporalConfig) -> Self {
+    pub fn new() -> Self {
         TemporalConsistency {
-            config,
             short_mean: 0.0,
             baseline_sum: 0.0,
             baseline_count: 0,
@@ -71,21 +55,20 @@ impl TemporalConsistency {
 
     /// Feed one per-frame score; returns the current drift verdict.
     ///
-    /// During the first `baseline_frames` the tracker calibrates and always
+    /// During the first 20 frames the tracker calibrates and always
     /// reports [`Trust::Trusted`].
     pub fn observe(&mut self, score: f64) -> Trust {
         self.frames += 1;
         if self.frames == 1 {
             self.short_mean = score;
         } else {
-            self.short_mean =
-                (1.0 - self.config.short_alpha) * self.short_mean + self.config.short_alpha * score;
+            self.short_mean = (1.0 - SHORT_ALPHA) * self.short_mean + SHORT_ALPHA * score;
         }
         match self.baseline {
             None => {
                 self.baseline_sum += score;
                 self.baseline_count += 1;
-                if self.baseline_count >= self.config.baseline_frames {
+                if self.baseline_count >= BASELINE_FRAMES {
                     let mean = self.baseline_sum / self.baseline_count as f64;
                     self.baseline = Some(mean);
                     self.baseline_scale = mean.abs().max(1e-6);
@@ -95,14 +78,12 @@ impl TemporalConsistency {
             Some(baseline) => {
                 // Normalized exceedance of the short-term mean over baseline.
                 let exceed = (self.short_mean - baseline) / self.baseline_scale;
-                self.drift = (self.drift + exceed - self.config.slack).max(0.0);
-                if self.drift >= self.config.untrusted_drift {
+                self.drift = (self.drift + exceed - SLACK).max(0.0);
+                if self.drift >= UNTRUSTED_DRIFT {
                     Trust::Untrusted
-                } else if self.drift >= self.config.suspect_drift {
-                    let span = (self.config.untrusted_drift - self.config.suspect_drift).max(1e-12);
-                    Trust::Suspect(
-                        ((self.drift - self.config.suspect_drift) / span).clamp(0.05, 1.0),
-                    )
+                } else if self.drift >= SUSPECT_DRIFT {
+                    let span = (UNTRUSTED_DRIFT - SUSPECT_DRIFT).max(1e-12);
+                    Trust::Suspect(((self.drift - SUSPECT_DRIFT) / span).clamp(0.05, 1.0))
                 } else {
                     Trust::Trusted
                 }
@@ -113,6 +94,12 @@ impl TemporalConsistency {
     /// Accumulated drift statistic.
     pub fn drift(&self) -> f64 {
         self.drift
+    }
+}
+
+impl Default for TemporalConsistency {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -157,7 +144,7 @@ mod tests {
 
     #[test]
     fn stable_stream_stays_trusted() {
-        let mut tracker = TemporalConsistency::new(TemporalConfig::default());
+        let mut tracker = TemporalConsistency::new();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..200 {
             assert_eq!(tracker.observe(noisy(&mut rng, 1.0)), Trust::Trusted);
@@ -169,7 +156,7 @@ mod tests {
     fn gradual_degradation_detected() {
         // Score creeps up 0.6 % per frame — invisible to any single-frame
         // threshold, unmistakable to the drift statistic.
-        let mut tracker = TemporalConsistency::new(TemporalConfig::default());
+        let mut tracker = TemporalConsistency::new();
         let mut rng = StdRng::seed_from_u64(2);
         let mut verdicts = Vec::new();
         for t in 0..400 {
@@ -191,7 +178,7 @@ mod tests {
 
     #[test]
     fn step_degradation_detected_quickly() {
-        let mut tracker = TemporalConsistency::new(TemporalConfig::default());
+        let mut tracker = TemporalConsistency::new();
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..50 {
             let _ = tracker.observe(noisy(&mut rng, 1.0));
@@ -209,7 +196,7 @@ mod tests {
 
     #[test]
     fn calibration_window_always_trusted() {
-        let mut tracker = TemporalConsistency::new(TemporalConfig::default());
+        let mut tracker = TemporalConsistency::new();
         for _ in 0..20 {
             assert_eq!(tracker.observe(100.0), Trust::Trusted);
         }
@@ -224,17 +211,17 @@ mod tests {
         let scores: Vec<f64> = (0..300)
             .map(|t| 1.0 * 1.006f64.powi(t) * (0.9 + 0.01 * (t % 7) as f64))
             .collect();
-        let mut reference = TemporalConsistency::new(TemporalConfig::default());
+        let mut reference = TemporalConsistency::new();
         let full: Vec<Trust> = scores.iter().map(|s| reference.observe(*s)).collect();
         for cut in [5usize, 20, 150] {
-            let mut a = TemporalConsistency::new(TemporalConfig::default());
+            let mut a = TemporalConsistency::new();
             for s in &scores[..cut] {
                 let _ = a.observe(*s);
             }
             let mut ckpt = Checkpoint::new("tc");
             a.save_state(&mut ckpt, "tc");
             let ckpt = Checkpoint::from_jsonl(&ckpt.to_jsonl()).unwrap();
-            let mut b = TemporalConsistency::new(TemporalConfig::default());
+            let mut b = TemporalConsistency::new();
             b.restore_state(&ckpt, "tc").unwrap();
             assert_eq!(b.baseline, a.baseline);
             assert_eq!(b.drift().to_bits(), a.drift().to_bits());
@@ -245,8 +232,7 @@ mod tests {
 
     #[test]
     fn recovery_drains_drift() {
-        let config = TemporalConfig::default();
-        let mut tracker = TemporalConsistency::new(config);
+        let mut tracker = TemporalConsistency::new();
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..30 {
             let _ = tracker.observe(noisy(&mut rng, 1.0));

@@ -11,17 +11,17 @@ use sensact::core::stage::Trust;
 use sensact::koopman::cartpole::{observe_state, CartPole, CartPoleConfig};
 use sensact::koopman::ensemble::KoopmanEnsemble;
 use sensact::koopman::train::collect_dataset;
-use sensact::lidar::mask::{scene_change, AdaptiveMask, RadialMaskConfig};
+use sensact::lidar::mask::{scene_change, AdaptiveMask};
 use sensact::lidar::raycast::{Lidar, LidarConfig};
 use sensact::lidar::scene::SceneGenerator;
-use sensact::starnet::temporal::{TemporalConfig, TemporalConsistency};
+use sensact::starnet::temporal::TemporalConsistency;
 
 fn main() {
     // --- §III: adaptive masking follows scene activity -------------------
     println!("== adaptive masking (III, future work) ==");
     let lidar = Lidar::new(LidarConfig::default());
     let mut generator = SceneGenerator::new(1);
-    let mut mask = AdaptiveMask::new(RadialMaskConfig::default(), 0.08, 0.6);
+    let mut mask = AdaptiveMask::new(0.08, 0.6);
     let mut prev = lidar.scan(&generator.generate());
     for phase in ["static", "static", "dynamic", "dynamic"] {
         let cloud = if phase == "static" {
@@ -55,7 +55,6 @@ fn main() {
     // Online adaptation to a drifted plant (pole grew 80 %).
     let drift_config = CartPoleConfig {
         pole_half_length: 0.9,
-        ..config
     };
     let mut env = CartPole::new(drift_config, 3);
     let model = ensemble.primary();
@@ -81,7 +80,7 @@ fn main() {
 
     // --- §V: temporal-consistency drift detection ------------------------
     println!("\n== temporal consistency (V, future work) ==");
-    let mut tracker = TemporalConsistency::new(TemporalConfig::default());
+    let mut tracker = TemporalConsistency::new();
     let mut alarm_frame = None;
     for frame in 0..250u32 {
         // Monitor score creeps up 0.8 %/frame after frame 60 — a slowly

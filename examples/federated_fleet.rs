@@ -6,6 +6,7 @@
 //!
 //! Run: `cargo run --release --example federated_fleet`
 
+use sensact::core::FleetTracer;
 use sensact::fed::client::{Client, HardwareTier};
 use sensact::fed::coverage::{AgentId, AgentProfile, CoverageCoordinator};
 use sensact::fed::data::Dataset;
@@ -13,6 +14,7 @@ use sensact::fed::server::{run_federated, FedConfig, Strategy};
 use sensact::fed::sim::NetworkConfig;
 use sensact::fed::speculative::{demo_corpus, speculative_generate, NgramModel};
 use sensact::fed::{run_federated_scheduled, FedFleetConfig};
+use std::sync::Arc;
 
 fn main() {
     // 1. Federated learning across a heterogeneous fleet.
@@ -62,6 +64,7 @@ fn main() {
         NetworkConfig::edge(3).with_loss(0.1),
         &test,
         &[],
+        Arc::new(FleetTracer::disabled()),
     );
     println!("\nscheduled federation over a 10%-loss edge network (dc-nas):");
     println!(

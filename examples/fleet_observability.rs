@@ -16,7 +16,7 @@ use sensact::fed::client::{Client, HardwareTier};
 use sensact::fed::data::Dataset;
 use sensact::fed::sim::NetworkConfig;
 use sensact::fed::{
-    broadcast_context, round_aggregate_context, round_trace_root, run_federated_scheduled_traced,
+    broadcast_context, round_aggregate_context, round_trace_root, run_federated_scheduled,
     FedFleetConfig, Strategy,
 };
 
@@ -43,7 +43,7 @@ fn main() {
     };
     let net_seed = 3;
     let tracer = Arc::new(FleetTracer::new());
-    let report = run_federated_scheduled_traced(
+    let report = run_federated_scheduled(
         clients,
         Strategy::DcNas,
         &config,

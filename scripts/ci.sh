@@ -34,9 +34,19 @@ if git grep -niF '0100_0000_01B3' -- crates src tests examples ':!crates/sensact
     exit 1
 fi
 
+# One entry point per job and one SplitMix64 finalizer
+# (`sensact_math::rng::splitmix64_finalize`).
+echo "== no second entry points, one SplitMix64 finalizer =="
+if git grep -nE 'run_federated_scheduled_traced|FlushStats|fn exposition|fn text_report\(&self\)|TemporalConfig' -- crates src tests examples \
+    || git grep -nF '0x94D0_49BB_1331_11EB' -- crates src tests examples ':!crates/sensact-math/src/rng.rs'; then
+    exit 1
+fi
+
 # Every `pub` fn / const / static under crates/*/src has a caller outside
-# its own unit tests, or an allowlisted reason (scripts/surface.py).
-echo "== library surface: no pub item only its own tests call =="
+# its own unit tests, and every `pub` field of a `pub struct` with an
+# `impl Default` is set somewhere outside that impl — or either has an
+# allowlisted reason (scripts/surface.py).
+echo "== library surface: no pub item only its own tests call, no option nothing sets =="
 python3 scripts/surface.py
 
 echo "== cargo fmt --check =="

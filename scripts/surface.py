@@ -14,8 +14,18 @@ modules' tests build on is not. Files compiled only under `cfg(test)`
 
 Exits 1 on any flagged item that is not on ALLOW below, and on any ALLOW
 entry that is no longer flagged (a stale reason is surface too). Types are
-out of reach: every impl block names its type. Uses only the stdlib.
+out of reach: every impl block names its type.
+
+The options rule: every `pub` field of a `pub struct` under `crates/*/src`
+that has an `impl Default` must be set somewhere outside that `Default`
+impl, in any Rust file of the repository (crates and their tests, `tests/`,
+examples, bins, `benchmark/src`). A set is a struct literal `field: ...`,
+field-init shorthand or `.field = ...`; a `..Default::default()` spread is
+not. A field nothing sets is an option with one value: make it a constant.
+Exits 1 on any such field not on OPTION_ALLOW, and on a stale entry there.
+Uses only the stdlib.
 """
+import functools
 import pathlib
 import re
 import sys
@@ -34,6 +44,12 @@ ALLOW = {
         "the documented operator API: one Prometheus page over a fleet",
     "crates/sensact-starnet/src/regret.rs::likelihood_regret":
         "the paper's section V entry point; the monitor scores through regret_and_baseline",
+}
+
+# Options nothing sets on purpose: `file::Struct.field` -> one-line reason.
+OPTION_ALLOW = {
+    "crates/sensact-lidar/src/energy.rs::EnergyModel.min_pulse_energy":
+        "benchmark/src/edge.rs reads it; the benchmark-only change owns its removal",
 }
 
 DECL = re.compile(
@@ -84,10 +100,15 @@ def strip(text):
     return "".join(out)
 
 
+@functools.cache
+def stripped(path):
+    return strip(path.read_text())
+
+
 def lines_of(path, drop_tests):
     """The lines of `path` that count: no comments, strings or `pub use`
     lines and, with `drop_tests`, no `#[cfg(test)]` item bodies."""
-    lines = strip(path.read_text()).split("\n")
+    lines = stripped(path).split("\n")
     keep, skip_indent = [], None
     for k, line in enumerate(lines):
         indent = len(line) - len(line.lstrip())
@@ -115,6 +136,92 @@ def word_counts(lines):
 
 def rust_files(*globs):
     return sorted({p for g in globs for p in ROOT.glob(g) if "target" not in p.parts})
+
+
+def brace_end(text, i):
+    """Index of the `}` closing the `{` at `i`."""
+    depth = 0
+    for j in range(i, len(text)):
+        if text[j] == "{":
+            depth += 1
+        elif text[j] == "}":
+            depth -= 1
+            if depth == 0:
+                return j
+    return len(text)
+
+
+def top_level_items(body):
+    """Split a struct literal's body at its top-level commas."""
+    items, depth, start = [], 0, 0
+    for j, c in enumerate(body):
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            items.append(body[start:j])
+            start = j + 1
+    items.append(body[start:])
+    return [item.strip() for item in items if item.strip()]
+
+
+# `impl<..> [Trait<..> for] Type<..> {`: group 1 the trait, group 2 the type.
+IMPL = re.compile(
+    r"\bimpl\b(?:\s*<[^{;]*?>)?\s+(?:([\w:]+)(?:<[^{;]*?>)?\s+for\s+)?([\w:]+)[^{;]*\{"
+)
+LITERAL = re.compile(r"\b(Self|[A-Z]\w*)\s*\{")
+ASSIGN = re.compile(r"\.(\w+)\s*[-+*/]?=(?!=)")
+OPTION_STRUCT = re.compile(r"\bpub\s+struct\s+(\w+)\s*(?:<[^{;]*?>)?\s*\{")
+
+
+def options(lib, others):
+    """`file::Struct.field` for every option field nothing sets outside its
+    struct's `Default` impl. A literal's type is its path's last segment
+    (`Self` is the enclosing impl's); a `.field =` counts for any struct."""
+    declared, defaults, literal_sets, assigned = [], set(), set(), set()
+    for path in lib + others:
+        text = stripped(path)
+        # (body start, body end, self type, is a `Default` impl)
+        impls = [
+            (m.end() - 1, brace_end(text, m.end() - 1), m.group(2).split("::")[-1],
+             (m.group(1) or "").split("::")[-1] == "Default")
+            for m in IMPL.finditer(text)
+        ]
+        defaults.update(t for _, _, t, d in impls if d)
+        in_default = [(b, e, t) for b, e, t, d in impls if d]
+        assigned.update(
+            m.group(1) for m in ASSIGN.finditer(text)
+            if not any(b < m.start() < e for b, e, _ in in_default)
+        )
+        for m in LITERAL.finditer(text):
+            # `struct S {`, `impl .. for S {` and `-> S {` open no literal.
+            before = text[max(0, m.start() - 64):m.start()].rstrip()
+            if re.search(r"(\b(struct|enum|union|trait|impl|dyn|for)|->)$", before):
+                continue
+            name = m.group(1)
+            if name == "Self":
+                enclosing = [(b, t) for b, e, t, _ in impls if b < m.start() < e]
+                if not enclosing:
+                    continue
+                name = max(enclosing)[1]
+            if any(b < m.start() < e and t == name for b, e, t in in_default):
+                continue
+            body = text[m.end():brace_end(text, m.end() - 1)]
+            for item in top_level_items(body):
+                f = re.match(r"(\w+)\s*(?::(?!:)|$)", item)
+                if f:
+                    literal_sets.add((name, f.group(1)))
+        if path in lib:
+            for m in OPTION_STRUCT.finditer(text):
+                body = text[m.end():brace_end(text, m.end() - 1)]
+                for field in re.findall(r"^\s*pub\s+(\w+)\s*:", body, re.M):
+                    declared.append((path, m.group(1), field))
+    return sorted(
+        f"{path.relative_to(ROOT)}::{struct}.{field}"
+        for path, struct, field in declared
+        if struct in defaults and (struct, field) not in literal_sets and field not in assigned
+    )
 
 
 def main():
@@ -145,7 +252,16 @@ def main():
     for a in stale:
         print(f"STALE     {a}  (on ALLOW but no longer flagged)")
     print(f"surface: {len(flagged)} flagged, {len(bad)} not allowed, {len(stale)} stale")
-    return 1 if bad or stale else 0
+
+    unset = options(lib, others + sorted(oracles))
+    bad_opts = [f for f in unset if f not in OPTION_ALLOW]
+    stale_opts = [a for a in OPTION_ALLOW if a not in unset]
+    for f in unset:
+        print(f"allowed   {f}  ({OPTION_ALLOW[f]})" if f in OPTION_ALLOW else f"UNSET     {f}")
+    for a in stale_opts:
+        print(f"STALE     {a}  (on OPTION_ALLOW but no longer unset)")
+    print(f"options: {len(unset)} unset, {len(bad_opts)} not allowed, {len(stale_opts)} stale")
+    return 1 if bad or stale or bad_opts or stale_opts else 0
 
 
 if __name__ == "__main__":

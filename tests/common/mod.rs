@@ -81,6 +81,5 @@ pub fn fast_monitor_config() -> StarnetConfig {
             low_rank: Some(8),
             elbo_samples: 0,
         },
-        ..StarnetConfig::default()
     }
 }

@@ -8,10 +8,7 @@ use sensact::core::FleetTracer;
 use sensact::fed::client::{Client, HardwareTier};
 use sensact::fed::data::Dataset;
 use sensact::fed::sim::NetworkConfig;
-use sensact::fed::{
-    run_federated_scheduled, run_federated_scheduled_traced, FedFleetConfig, FedFleetReport,
-    Strategy,
-};
+use sensact::fed::{run_federated_scheduled, FedFleetConfig, FedFleetReport, Strategy};
 
 /// A heterogeneous non-IID fleet (tiers round-robin) plus held-out test data.
 fn fleet(n: usize, samples: usize, seed: u64) -> (Vec<Client>, Dataset) {
@@ -41,7 +38,15 @@ fn run_1k(sched_seed: u64, net_seed: u64) -> FedFleetReport {
         ..FedFleetConfig::default()
     };
     let net = NetworkConfig::edge(net_seed).with_loss(0.05);
-    run_federated_scheduled(clients, Strategy::DcNas, &config, net, &test, &[])
+    run_federated_scheduled(
+        clients,
+        Strategy::DcNas,
+        &config,
+        net,
+        &test,
+        &[],
+        Arc::new(FleetTracer::disabled()),
+    )
 }
 
 /// The tentpole acceptance: a 1 000-client deterministic run under `SimClock`
@@ -84,7 +89,7 @@ fn thousand_client_trace_stream_is_bit_reproducible() {
         };
         let net = NetworkConfig::edge(3).with_loss(0.05);
         let tracer = Arc::new(FleetTracer::new());
-        let report = run_federated_scheduled_traced(
+        let report = run_federated_scheduled(
             clients,
             Strategy::DcNas,
             &config,
@@ -137,6 +142,7 @@ fn partition_heals_and_fleet_converges() {
             NetworkConfig::ideal(),
             &test,
             partitions,
+            Arc::new(FleetTracer::disabled()),
         )
     };
 

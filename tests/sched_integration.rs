@@ -204,7 +204,7 @@ fn mixed_fleet_multiplexes_starnet_and_koopman_members_through_faults() {
     assert_eq!(registry.counter("sched.ticks_total"), 140);
     let text = registry.to_string();
     assert!(text.contains("sched.deadline_miss_total"), "{text}");
-    assert!(report.text_report().contains("starnet-lidar"));
+    assert!(report.to_string().contains("starnet-lidar"));
 }
 
 const REPLAY_TICKS: u64 = 100;
@@ -425,8 +425,8 @@ fn one_worker_threaded_run_equals_the_deterministic_run() {
             workers: 1,
             watts_cap: None,
             seed: 3,
-        })
-        .with_tracer(std::sync::Arc::new(FleetTracer::new()));
+        });
+        fleet.set_tracer(std::sync::Arc::new(FleetTracer::new()));
         // Every tick of the first member misses: 5 ms against a 1 ms budget.
         fleet.register(
             costed_member("stormy", 5e-3),
