@@ -79,7 +79,6 @@ fn main() {
             staleness_decay: 0.35,
             latency_budget_s: None,
         })
-        .with_telemetry_capacity(256)
     };
 
     let mut warmed = build();

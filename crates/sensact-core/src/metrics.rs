@@ -36,9 +36,16 @@ const BUCKETS: usize = 1 + MAIN_BUCKETS + 1;
 /// O(1) record, exact bucket edges, bounded-error quantiles. NaN samples are
 /// ignored; negative samples and zeros fall into the zero bucket; `+inf` and
 /// values above the top edge are clamped into the overflow bucket.
+///
+/// Only the *window* from the lowest non-empty bucket to the highest is
+/// allocated, and nothing before the first sample: a loop's latency
+/// histogram whose samples share one bucket owns one word, not 522.
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    counts: Vec<u64>,
+    /// Counts of buckets `base..base + counts.len()`. Empty exactly when
+    /// `count == 0`; otherwise its first and last entries are non-zero.
+    counts: Box<[u64]>,
+    base: usize,
     count: u64,
     sum: f64,
     min: f64,
@@ -46,10 +53,11 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// An empty histogram.
+    /// An empty histogram (allocates nothing).
     pub fn new() -> Self {
         Histogram {
-            counts: vec![0; BUCKETS],
+            counts: Box::default(),
+            base: 0,
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
@@ -96,11 +104,50 @@ impl Histogram {
         if v.is_nan() {
             return;
         }
-        self.counts[Self::bucket_index(v)] += 1;
+        let idx = Self::bucket_index(v);
+        match self.counts.get_mut(idx.wrapping_sub(self.base)) {
+            Some(c) => *c += 1,
+            None => self.record_outside(idx),
+        }
         self.count += 1;
         self.sum += v;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
+    }
+
+    /// The first sample of bucket `idx`, which lies outside the window.
+    #[cold]
+    fn record_outside(&mut self, idx: usize) {
+        self.widen(idx, idx);
+        self.counts[idx - self.base] = 1;
+    }
+
+    /// Grow the window to the union of itself and buckets `lo..=hi`.
+    fn widen(&mut self, lo: usize, hi: usize) {
+        let (lo, hi) = match self.counts.len() {
+            0 => (lo, hi),
+            n => (lo.min(self.base), hi.max(self.base + n - 1)),
+        };
+        if (lo, hi + 1 - lo) == (self.base, self.counts.len()) {
+            return;
+        }
+        let mut counts = vec![0; hi + 1 - lo].into_boxed_slice();
+        if !self.counts.is_empty() {
+            counts[self.base - lo..][..self.counts.len()].copy_from_slice(&self.counts);
+        }
+        self.counts = counts;
+        self.base = lo;
+    }
+
+    /// Bytes the bucket window has allocated.
+    #[cfg(test)]
+    pub(crate) fn heap_bytes(&self) -> usize {
+        8 * self.counts.len()
+    }
+
+    /// The window as `(bucket index, count)` pairs, ascending.
+    fn window(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (self.base..).zip(self.counts.iter().copied())
     }
 
     /// Number of recorded samples.
@@ -159,7 +206,7 @@ impl Histogram {
         let q = q.clamp(0.0, 1.0);
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
+        for (idx, c) in self.window() {
             seen += c;
             if seen >= rank {
                 let (_, upper) = Self::bucket_bounds(idx);
@@ -181,18 +228,17 @@ impl Histogram {
 
     /// Non-empty buckets as `(lower, upper, count)` triples, ascending.
     pub fn nonzero_buckets(&self) -> Vec<(f64, f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
+        self.window()
+            .filter(|&(_, c)| c > 0)
+            .map(|(i, c)| {
                 let (lo, hi) = Self::bucket_bounds(i);
                 (lo, hi, c)
             })
             .collect()
     }
 
-    /// Merge another histogram into this one (bucket-wise).
+    /// Merge another histogram into this one (bucket-wise; the window
+    /// becomes the union of both).
     ///
     /// An empty source is a no-op: it contributes no buckets, and skipping
     /// it outright guarantees its placeholder bounds can never perturb this
@@ -202,7 +248,9 @@ impl Histogram {
         if other.is_empty() {
             return;
         }
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+        self.widen(other.base, other.base + other.counts.len() - 1);
+        let at = other.base - self.base;
+        for (mine, theirs) in self.counts[at..].iter_mut().zip(other.counts.iter()) {
             *mine += theirs;
         }
         self.count += other.count;
@@ -215,11 +263,9 @@ impl Histogram {
     /// exact running aggregates, all bit-exact).
     pub(crate) fn save_into(&self, section: &mut Section, prefix: &str) {
         let mut sparse = Vec::new();
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c > 0 {
-                sparse.push(idx as u64);
-                sparse.push(c);
-            }
+        for (idx, c) in self.window().filter(|&(_, c)| c > 0) {
+            sparse.push(idx as u64);
+            sparse.push(c);
         }
         section.put_u64s(&format!("{prefix}_buckets"), &sparse);
         section.put_u64(&format!("{prefix}_count"), self.count);
@@ -231,34 +277,60 @@ impl Histogram {
     /// Rebuild a histogram saved with [`Histogram::save_into`], bit-exactly
     /// (the ±∞ empty-state sentinels travel as raw bit patterns).
     ///
-    /// Only the canonical bucket list `save_into` writes restores: strictly
-    /// ascending in-range indices, non-zero counts, summing exactly to
-    /// `count`. Anything else would alias buckets or overflow the running
-    /// rank of [`Histogram::quantile`] and the exporter's cumulative sums.
+    /// Only what a sample stream produces restores. The bucket list must be
+    /// the canonical one `save_into` writes: strictly ascending in-range
+    /// indices, non-zero counts, summing exactly to `count` (anything else
+    /// would alias buckets or overflow the running rank of
+    /// [`Histogram::quantile`] and the exporter's cumulative sums). An empty
+    /// histogram carries sum `+0.0`, min `+∞` and max `−∞`; a non-empty one
+    /// a non-NaN `min ≤ max` whose buckets are the first and last listed.
     pub(crate) fn restore_from(section: &Section, prefix: &str) -> Result<Self, CheckpointError> {
-        let bad = || CheckpointError::BadValue(format!("{}.{prefix}_buckets", section.id()));
+        let bad = |key: &str| CheckpointError::BadValue(format!("{}.{prefix}_{key}", section.id()));
         let sparse = section.get_u64s(&format!("{prefix}_buckets"))?;
         if !sparse.len().is_multiple_of(2) {
-            return Err(bad());
+            return Err(bad("buckets"));
         }
-        let mut h = Histogram::new();
         let (mut next, mut total) = (0u64, 0u64);
         for pair in sparse.chunks_exact(2) {
             let (idx, c) = (pair[0], pair[1]);
             if idx < next || idx >= BUCKETS as u64 || c == 0 {
-                return Err(bad());
+                return Err(bad("buckets"));
             }
-            total = total.checked_add(c).ok_or_else(bad)?;
-            h.counts[idx as usize] = c;
+            total = total.checked_add(c).ok_or_else(|| bad("buckets"))?;
             next = idx + 1;
         }
+        let mut h = Histogram::new();
         h.count = section.get_u64(&format!("{prefix}_count"))?;
         if total != h.count {
-            return Err(bad());
+            return Err(bad("buckets"));
         }
         h.sum = section.get_f64(&format!("{prefix}_sum"))?;
         h.min = section.get_f64(&format!("{prefix}_min"))?;
         h.max = section.get_f64(&format!("{prefix}_max"))?;
+        if h.count == 0 {
+            if h.sum.to_bits() != 0 {
+                return Err(bad("sum"));
+            }
+            if h.min != f64::INFINITY {
+                return Err(bad("min"));
+            }
+            if h.max != f64::NEG_INFINITY {
+                return Err(bad("max"));
+            }
+            return Ok(h);
+        }
+        // `count > 0`, so the list holds at least one pair.
+        let (lo, hi) = (sparse[0] as usize, sparse[sparse.len() - 2] as usize);
+        if h.min.is_nan() || Self::bucket_index(h.min) != lo {
+            return Err(bad("min"));
+        }
+        if h.max.is_nan() || Self::bucket_index(h.max) != hi || h.min > h.max {
+            return Err(bad("max"));
+        }
+        h.widen(lo, hi);
+        for pair in sparse.chunks_exact(2) {
+            h.counts[pair[0] as usize - lo] = pair[1];
+        }
         Ok(h)
     }
 }
@@ -804,5 +876,308 @@ mod tests {
         assert_eq!(a.histogram("stage.act.latency_s").unwrap().count(), 1);
         // b is unchanged (merge borrows).
         assert_eq!(b.counter("loop.ticks_total"), 3);
+    }
+
+    /// The dense histogram this module kept before the bucket window: every
+    /// bucket allocated up front, every walk over all 522 of them.
+    mod oracle {
+        use super::super::{Histogram, BUCKETS};
+        use crate::checkpoint::{CheckpointError, Section};
+
+        #[derive(Debug, Clone)]
+        pub struct Dense {
+            pub counts: Vec<u64>,
+            pub count: u64,
+            pub sum: f64,
+            pub min: f64,
+            pub max: f64,
+        }
+
+        impl Dense {
+            pub fn new() -> Self {
+                Dense {
+                    counts: vec![0; BUCKETS],
+                    count: 0,
+                    sum: 0.0,
+                    min: f64::INFINITY,
+                    max: f64::NEG_INFINITY,
+                }
+            }
+
+            pub fn record(&mut self, v: f64) {
+                if v.is_nan() {
+                    return;
+                }
+                self.counts[Histogram::bucket_index(v)] += 1;
+                self.count += 1;
+                self.sum += v;
+                self.min = self.min.min(v);
+                self.max = self.max.max(v);
+            }
+
+            pub fn quantile(&self, q: f64) -> f64 {
+                if self.count == 0 {
+                    return 0.0;
+                }
+                let q = q.clamp(0.0, 1.0);
+                let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+                let mut seen = 0u64;
+                for (idx, &c) in self.counts.iter().enumerate() {
+                    seen += c;
+                    if seen >= rank {
+                        let (_, upper) = Histogram::bucket_bounds(idx);
+                        return upper.min(self.max);
+                    }
+                }
+                self.max
+            }
+
+            pub fn nonzero_buckets(&self) -> Vec<(f64, f64, u64)> {
+                self.counts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, &c)| c > 0)
+                    .map(|(i, &c)| {
+                        let (lo, hi) = Histogram::bucket_bounds(i);
+                        (lo, hi, c)
+                    })
+                    .collect()
+            }
+
+            pub fn merge(&mut self, other: &Dense) {
+                if other.count == 0 {
+                    return;
+                }
+                for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+                    *mine += theirs;
+                }
+                self.count += other.count;
+                self.sum += other.sum;
+                self.min = self.min.min(other.min);
+                self.max = self.max.max(other.max);
+            }
+
+            pub fn save_into(&self, section: &mut Section, prefix: &str) {
+                let mut sparse = Vec::new();
+                for (idx, &c) in self.counts.iter().enumerate() {
+                    if c > 0 {
+                        sparse.push(idx as u64);
+                        sparse.push(c);
+                    }
+                }
+                section.put_u64s(&format!("{prefix}_buckets"), &sparse);
+                section.put_u64(&format!("{prefix}_count"), self.count);
+                section.put_f64(&format!("{prefix}_sum"), self.sum);
+                section.put_f64(&format!("{prefix}_min"), self.min);
+                section.put_f64(&format!("{prefix}_max"), self.max);
+            }
+
+            pub fn restore_from(section: &Section, prefix: &str) -> Result<Self, CheckpointError> {
+                let bad =
+                    || CheckpointError::BadValue(format!("{}.{prefix}_buckets", section.id()));
+                let sparse = section.get_u64s(&format!("{prefix}_buckets"))?;
+                if !sparse.len().is_multiple_of(2) {
+                    return Err(bad());
+                }
+                let mut h = Dense::new();
+                let (mut next, mut total) = (0u64, 0u64);
+                for pair in sparse.chunks_exact(2) {
+                    let (idx, c) = (pair[0], pair[1]);
+                    if idx < next || idx >= BUCKETS as u64 || c == 0 {
+                        return Err(bad());
+                    }
+                    total = total.checked_add(c).ok_or_else(bad)?;
+                    h.counts[idx as usize] = c;
+                    next = idx + 1;
+                }
+                h.count = section.get_u64(&format!("{prefix}_count"))?;
+                if total != h.count {
+                    return Err(bad());
+                }
+                h.sum = section.get_f64(&format!("{prefix}_sum"))?;
+                h.min = section.get_f64(&format!("{prefix}_min"))?;
+                h.max = section.get_f64(&format!("{prefix}_max"))?;
+                Ok(h)
+            }
+        }
+    }
+
+    use oracle::Dense;
+
+    /// The window runs exactly from the lowest non-empty bucket to the
+    /// highest, and nothing is allocated while the histogram is empty.
+    fn assert_window_invariant(h: &Histogram, ctx: &str) {
+        assert_eq!(h.count == 0, h.counts.is_empty(), "{ctx}: allocation");
+        if let (Some(&first), Some(&last)) = (h.counts.first(), h.counts.last()) {
+            assert!(first > 0 && last > 0, "{ctx}: window {:?}", h.counts);
+            assert!(
+                h.base + h.counts.len() <= BUCKETS,
+                "{ctx}: window past the top"
+            );
+        }
+    }
+
+    fn saved_bytes(save: impl Fn(&mut Section)) -> String {
+        let mut s = Section::new("hist");
+        save(&mut s);
+        let mut ckpt = crate::checkpoint::Checkpoint::new("h");
+        ckpt.push(s);
+        ckpt.to_jsonl()
+    }
+
+    /// Every observable of the windowed histogram against the dense oracle:
+    /// the raw aggregates as bits, quantiles, non-empty buckets and the
+    /// checkpoint bytes.
+    fn assert_matches_oracle(h: &Histogram, o: &Dense, ctx: &str) {
+        assert_window_invariant(h, ctx);
+        assert_eq!(h.count, o.count, "{ctx}: count");
+        assert_eq!(h.sum.to_bits(), o.sum.to_bits(), "{ctx}: sum");
+        assert_eq!(h.min.to_bits(), o.min.to_bits(), "{ctx}: min");
+        assert_eq!(h.max.to_bits(), o.max.to_bits(), "{ctx}: max");
+        for q in [0.0, 0.01, 0.5, 0.99, 1.0] {
+            assert_eq!(
+                h.quantile(q).to_bits(),
+                o.quantile(q).to_bits(),
+                "{ctx}: q{q}"
+            );
+        }
+        assert_eq!(h.nonzero_buckets(), o.nonzero_buckets(), "{ctx}: buckets");
+        assert_eq!(
+            saved_bytes(|s| h.save_into(s, "lat")),
+            saved_bytes(|s| o.save_into(s, "lat")),
+            "{ctx}: save_into"
+        );
+    }
+
+    /// The sample classes the window must treat like the dense buckets:
+    /// named streams plus one seeded random stream.
+    fn oracle_streams() -> Vec<(&'static str, Vec<f64>)> {
+        let tiny = f64::from_bits(((MIN_EXP + 1023) as u64) << 52);
+        let mut edges = Vec::new();
+        for idx in 0..BUCKETS {
+            let (lo, hi) = Histogram::bucket_bounds(idx);
+            edges.push(lo);
+            if hi.is_finite() {
+                edges.push(f64::from_bits(hi.to_bits() - 1));
+            }
+        }
+        let mut state = 0x5EED;
+        let random = (0..2000).map(|_| sample(&mut state)).collect();
+        vec![
+            ("none", vec![]),
+            ("NaN only", vec![f64::NAN, -f64::NAN, f64::NAN]),
+            ("±0", vec![0.0, -0.0, 0.0]),
+            ("-0 first", vec![-0.0, 0.0, 1.0]),
+            ("subnormal", vec![f64::from_bits(1), 5e-324, 1.0, tiny]),
+            ("every bucket edge", edges.clone()),
+            (
+                "every bucket edge, descending",
+                edges.into_iter().rev().collect(),
+            ),
+            ("+∞", vec![f64::INFINITY, 1.0, f64::INFINITY]),
+            (
+                "above 2^24",
+                vec![16_777_216.0, 3.4e7, 1e10, f64::MAX, 2.0, 33_554_432.0],
+            ),
+            ("negative", vec![-1.0, f64::NEG_INFINITY, 3.0, -0.0]),
+            ("seeded random", random),
+        ]
+    }
+
+    #[test]
+    fn windowed_histogram_matches_the_dense_oracle_sample_by_sample() {
+        for (name, stream) in oracle_streams() {
+            let (mut h, mut o) = (Histogram::new(), Dense::new());
+            assert_matches_oracle(&h, &o, name);
+            for (i, &v) in stream.iter().enumerate() {
+                h.record(v);
+                o.record(v);
+                // Every sample of the short streams; a sparse check on the
+                // long ones keeps the test quick.
+                if stream.len() < 64 || i % 97 == 0 {
+                    assert_matches_oracle(&h, &o, &format!("{name} after {i}"));
+                }
+            }
+            assert_matches_oracle(&h, &o, name);
+        }
+    }
+
+    #[test]
+    fn windowed_merge_and_restore_match_the_dense_oracle() {
+        let build = |stream: &[f64]| {
+            let (mut h, mut o) = (Histogram::new(), Dense::new());
+            for &v in stream {
+                h.record(v);
+                o.record(v);
+            }
+            (h, o)
+        };
+        let low = [1e-9, 2e-9, 1.5e-9];
+        let high = [1e3, 4e3, 2.5e3];
+        let mid = [1e-3, 1e3, 0.0];
+        let pairs: [(&str, &[f64], &[f64]); 7] = [
+            ("empty <- empty", &[], &[]),
+            ("empty <- full", &[], &mid),
+            ("full <- empty", &mid, &[]),
+            ("low <- high (disjoint, above)", &low, &high),
+            ("high <- low (disjoint, below)", &high, &low),
+            ("mid <- low (overlap)", &mid, &low),
+            ("low <- mid (covering)", &low, &mid),
+        ];
+        for (name, a, b) in pairs {
+            let (mut h, mut o) = build(a);
+            let (hb, ob) = build(b);
+            h.merge(&hb);
+            o.merge(&ob);
+            assert_matches_oracle(&h, &o, name);
+            assert_matches_oracle(&hb, &ob, &format!("{name}: source"));
+        }
+        for (name, stream) in oracle_streams() {
+            let (h, o) = build(&stream);
+            let mut s = Section::new("hist");
+            h.save_into(&mut s, "lat");
+            let back = Histogram::restore_from(&s, "lat").expect("restores");
+            let back_o = Dense::restore_from(&s, "lat").expect("oracle restores");
+            assert_matches_oracle(&back, &back_o, &format!("{name}: restored"));
+            assert_matches_oracle(&back, &o, &format!("{name}: restored vs live"));
+            // The window restores to the live one, not merely equal buckets.
+            assert_eq!((back.base, &back.counts), (h.base, &h.counts), "{name}");
+        }
+    }
+
+    /// One row per class of aggregate that no sample stream produces, each
+    /// beside a canonical bucket list (`n` samples in the bucket of 1.0):
+    /// all are `BadValue` on the aggregate's key. Every row restored before
+    /// the aggregates were checked.
+    #[test]
+    fn aggregates_no_sample_stream_produces_are_bad_value() {
+        use crate::checkpoint::CheckpointError;
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let rows: [(&str, &str, u64, [f64; 3]); 9] = [
+            ("NaN min", "min", 1, [1.0, nan, 1.0]),
+            ("+∞ min with one sample", "min", 1, [1.0, inf, 1.0]),
+            ("max far past its bucket", "max", 1, [1.0, 1.0, 1e9]),
+            ("NaN max", "max", 1, [1.0, 1.0, nan]),
+            ("min above max", "max", 2, [2.1, 1.1, 1.0]),
+            ("sum without samples", "sum", 0, [5.0, inf, -inf]),
+            ("-0 sum without samples", "sum", 0, [-0.0, inf, -inf]),
+            ("finite min without samples", "min", 0, [0.0, 0.0, -inf]),
+            ("finite max without samples", "max", 0, [0.0, inf, 0.0]),
+        ];
+        for (what, key, n, [sum, min, max]) in rows {
+            let mut s = Section::new("hist");
+            let buckets = [Histogram::bucket_index(1.0) as u64, n];
+            s.put_u64s("lat_buckets", if n == 0 { &[] } else { &buckets });
+            s.put_u64("lat_count", n);
+            s.put_f64("lat_sum", sum);
+            s.put_f64("lat_min", min);
+            s.put_f64("lat_max", max);
+            match Histogram::restore_from(&s, "lat") {
+                Err(CheckpointError::BadValue(k)) => {
+                    assert_eq!(k, format!("hist.lat_{key}"), "{what}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 }

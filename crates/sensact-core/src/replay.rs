@@ -604,14 +604,4 @@ mod tests {
         assert_eq!(d.recorded, "5");
         assert_eq!(d.replayed, "0");
     }
-
-    #[test]
-    fn last_record_is_most_recent_across_wraparound() {
-        let mut t = LoopTelemetry::with_capacity(3);
-        assert_eq!(t.last_record(), None);
-        for i in 0..7 {
-            t.record(i as f64, 0.0, Trust::Trusted);
-            assert_eq!(t.last_record().unwrap().tick, i);
-        }
-    }
 }

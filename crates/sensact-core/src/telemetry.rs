@@ -29,8 +29,12 @@ use crate::trace::{StageBreakdown, StageId, STAGE_COUNT};
 use crate::Precision;
 use sensact_math::RunningStats;
 
-/// Default number of per-tick records retained by the ring buffer.
-pub const DEFAULT_RECORD_CAPACITY: usize = 4096;
+/// Default number of per-tick records retained by the ring buffer: the
+/// longest tail an in-tree reader takes from a default-capacity loop (a
+/// 200-tick JSONL export), rounded up to a power of two. A loop whose reader
+/// needs the whole run sizes its ring with
+/// [`LoopTelemetry::with_capacity`].
+pub const DEFAULT_RECORD_CAPACITY: usize = 256;
 
 /// One tick's record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -429,6 +433,16 @@ impl LoopTelemetry {
         (8 * self.records.stride, 8 * self.records.words.capacity())
     }
 
+    /// Bytes the six latency histograms have allocated.
+    #[cfg(test)]
+    pub(crate) fn histogram_footprint(&self) -> usize {
+        self.stage_latency
+            .iter()
+            .chain([&self.latency_hist])
+            .map(Histogram::heap_bytes)
+            .sum()
+    }
+
     /// Write the retained records into `s` in *chronological* order as the
     /// row-wise `rec_*` parallel arrays (absent columns as zeros), filled in
     /// one pass over the packed rows; restore re-pushes them, so the on-disk
@@ -756,7 +770,12 @@ impl StageState for LoopTelemetry {
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
         let bad = |key: &str| CheckpointError::BadValue(format!("{ns}.{key}"));
-        let mut t = LoopTelemetry::with_capacity(s.get_u64("capacity")? as usize);
+        // `with_capacity` clamps 0 to 1, which would re-save as `1`.
+        let capacity = match s.get_u64("capacity")? {
+            0 => return Err(bad("capacity")),
+            c => c as usize,
+        };
+        let mut t = LoopTelemetry::with_capacity(capacity);
         t.ticks = s.get_u64("ticks")?;
         t.total_energy_j = s.get_f64("total_energy_j")?;
         t.total_latency_s = s.get_f64("total_latency_s")?;
@@ -1001,6 +1020,16 @@ mod tests {
         }
         let kept: Vec<u64> = t.records().map(|r| r.tick).collect();
         assert_eq!(kept, vec![7, 8, 9, 10, 11]);
+    }
+
+    #[test]
+    fn last_record_is_most_recent_across_wraparound() {
+        let mut t = LoopTelemetry::with_capacity(3);
+        assert_eq!(t.last_record(), None);
+        for i in 0..7 {
+            t.record(i as f64, 0.0, Trust::Trusted);
+            assert_eq!(t.last_record().unwrap().tick, i);
+        }
     }
 
     #[test]
@@ -1288,19 +1317,35 @@ mod tests {
         // at `ticks - 1` and fit the ring; trust codes and precision ranks
         // must name a variant. A refused restore leaves `self` untouched.
         let wrapped = busy_telemetry(4, 10); // retains ticks 6..=9
+        let single = busy_telemetry(1, 3); // retains tick 2
         back.record(1.0, 0.1, Trust::Trusted);
         type Mutation = fn(&mut Section);
-        let hostile: [(&str, Mutation); 6] = [
-            ("rec_tick", |s| s.put_u64s("rec_tick", &[5, 7, 8, 9])), // a gap
-            ("rec_tick", |s| s.put_u64s("rec_tick", &[7, 8, 9, 10])), // past `ticks`
-            ("rec_tick", |s| s.put_u64("ticks", 3)),                 // more rows than ticks
-            ("rec_tick", |s| s.put_u64("capacity", 3)),              // more rows than capacity
-            ("rec_trust", |s| s.put_u64s("rec_trust", &[0, 1, 2, 3])),
-            ("rec_prec", |s| s.put_u64s("rec_prec", &[0, 1, 2, 3])),
+        let hostile: [(&LoopTelemetry, &str, Mutation); 8] = [
+            // A gap.
+            (&wrapped, "rec_tick", |s| {
+                s.put_u64s("rec_tick", &[5, 7, 8, 9])
+            }),
+            // Past `ticks`.
+            (&wrapped, "rec_tick", |s| {
+                s.put_u64s("rec_tick", &[7, 8, 9, 10])
+            }),
+            // More rows than ticks, then more rows than capacity.
+            (&wrapped, "rec_tick", |s| s.put_u64("ticks", 3)),
+            (&wrapped, "rec_tick", |s| s.put_u64("capacity", 3)),
+            (&wrapped, "rec_trust", |s| {
+                s.put_u64s("rec_trust", &[0, 1, 2, 3])
+            }),
+            (&wrapped, "rec_prec", |s| {
+                s.put_u64s("rec_prec", &[0, 1, 2, 3])
+            }),
+            // `with_capacity` would clamp 0 to a 1-row ring re-saving as `1`.
+            (&single, "capacity", |s| s.put_u64("capacity", 0)),
+            // A max no sample stream produces (`Histogram::restore_from`).
+            (&single, "lat_max", |s| s.put_f64("lat_max", f64::NAN)),
         ];
-        for (key, mutate) in hostile {
+        for (t, key, mutate) in hostile {
             let mut ckpt = Checkpoint::new("t");
-            wrapped.save_state(&mut ckpt, "telemetry");
+            t.save_state(&mut ckpt, "telemetry");
             let mut section = ckpt.section("telemetry").unwrap().clone();
             mutate(&mut section);
             ckpt.push(section);
@@ -1516,7 +1561,7 @@ mod tests {
         }
         let (row, allocated) = lease.record_footprint();
         assert_eq!(row, 16);
-        assert!(allocated <= 4 * row, "3 ticks must not pay for 4096 rows");
+        assert!(allocated <= 4 * row, "3 ticks must not pay for a full ring");
         for i in 3..2 * DEFAULT_RECORD_CAPACITY {
             lease.record(i as f64, 1e-3, Trust::Trusted);
         }
@@ -1537,6 +1582,24 @@ mod tests {
         }
         member.record_with_precision(1.0, 0.1, Trust::Suspect(0.5), stages, Precision::F32);
         assert_eq!(member.record_footprint(), (112, 512 * 112));
+    }
+
+    /// A loop owns only what it has used: nothing before its first tick,
+    /// and a lease-shaped loop (totals only, one latency bucket) owns the
+    /// default ring of 16 B rows plus one histogram bucket however long it
+    /// runs — the five stage histograms it never writes stay unallocated.
+    #[test]
+    fn a_loop_owns_only_the_state_it_has_used() {
+        let fresh = LoopTelemetry::new();
+        assert_eq!(fresh.record_footprint().1, 0);
+        assert_eq!(fresh.histogram_footprint(), 0);
+
+        let mut lease = LoopTelemetry::new();
+        for i in 0..10_000 {
+            lease.record(i as f64, 1e-3, Trust::Trusted);
+        }
+        assert_eq!(lease.record_footprint(), (16, 256 * 16));
+        assert_eq!(lease.histogram_footprint(), 8);
     }
 
     #[test]

@@ -42,6 +42,16 @@ if git grep -nE 'run_federated_scheduled_traced|FlushStats|fn exposition|fn text
     exit 1
 fi
 
+# A loop's record ring holds `DEFAULT_RECORD_CAPACITY` rows, sized by the
+# longest tail an in-tree reader takes. Code under crates/*/src keeps that
+# one policy; only the files defining the knob name it (integration tests
+# that read a whole run set it through the loop builders).
+echo "== one history policy: no record-ring capacity chosen under crates/*/src =="
+if git grep -nE 'with_telemetry_capacity\(|LoopTelemetry::with_capacity\(' -- 'crates/*/src/*' \
+    ':!crates/sensact-core/src/telemetry.rs' ':!crates/sensact-core/src/loop_.rs' ':!crates/sensact-core/src/fault.rs'; then
+    exit 1
+fi
+
 # Every `pub` fn / const / static under crates/*/src has a caller outside
 # its own unit tests, and every `pub` field of a `pub struct` with an
 # `impl Default` is set somewhere outside that impl — or either has an
