@@ -76,9 +76,76 @@ pub(crate) trait DynCore: Send {
     }
 }
 
+/// Hidden width of the shared encoder.
+const HIDDEN: usize = 32;
+
+/// The shared observation encoder `Dense → tanh → Dense`, concrete so a
+/// single-observation encode ([`Body::encode_one`]) runs through stack
+/// buffers, as `sensact_nn::vae::Vae` does. As a [`Layer`] it visits its
+/// parameters in layer order, the order the optimiser's moments follow.
+pub(crate) struct Encoder {
+    hidden: Dense,
+    act: Activation,
+    out: Dense,
+}
+
+impl Encoder {
+    fn new(init: &mut Initializer) -> Self {
+        Encoder {
+            hidden: Dense::new(OBS_DIM, HIDDEN, init),
+            act: Activation::new(ActKind::Tanh),
+            out: Dense::new(HIDDEN, Z_DIM, init),
+        }
+    }
+}
+
+impl Layer for Encoder {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let h = self.hidden.forward(input, train);
+        let h = self.act.forward(&h, train);
+        self.out.forward(&h, train)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let g = self.out.backward(grad_out);
+        let g = self.act.backward(&g);
+        self.hidden.backward(&g)
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+        self.hidden.visit_params(f);
+        self.out.visit_params(f);
+    }
+
+    fn param_count(&self) -> usize {
+        self.hidden.param_count() + self.out.param_count()
+    }
+
+    fn macs(&self, batch: usize) -> u64 {
+        self.hidden.macs(batch) + self.out.macs(batch)
+    }
+
+    fn name(&self) -> &'static str {
+        "Encoder"
+    }
+}
+
+/// The boxed stack the encoder replaced, carrying its weights: the bit
+/// oracle for [`Body::encode_one`].
+#[cfg(test)]
+impl Encoder {
+    pub(crate) fn as_sequential(&self) -> Sequential {
+        Sequential::new(vec![
+            Box::new(self.hidden.clone()),
+            Box::new(Activation::new(ActKind::Tanh)),
+            Box::new(self.out.clone()),
+        ])
+    }
+}
+
 /// Shared encoder + read-out body.
 pub(crate) struct Body {
-    pub encoder: Sequential,
+    pub encoder: Encoder,
     pub readout: Dense,
     pub opt: Adam,
 }
@@ -86,11 +153,7 @@ pub(crate) struct Body {
 impl Body {
     pub fn new(seed: u64) -> Self {
         let mut init = Initializer::new(seed);
-        let encoder = Sequential::new(vec![
-            Box::new(Dense::new(OBS_DIM, 32, &mut init)),
-            Box::new(Activation::new(ActKind::Tanh)),
-            Box::new(Dense::new(32, Z_DIM, &mut init)),
-        ]);
+        let encoder = Encoder::new(&mut init);
         let readout = Dense::new(Z_DIM, 4, &mut init);
         Body {
             encoder,
@@ -99,15 +162,24 @@ impl Body {
         }
     }
 
-    pub fn encode_one(&mut self, obs: &[f64]) -> Vec<f64> {
-        let x = Tensor::from_vec(vec![1, OBS_DIM], obs.to_vec());
-        self.encoder.forward(&x, false).into_vec()
+    /// The latent of one observation; the returned latent is the only
+    /// allocation.
+    pub fn encode_one(&self, obs: &[f64]) -> Vec<f64> {
+        assert_eq!(obs.len(), OBS_DIM, "Body: observation dim mismatch");
+        let enc = &self.encoder;
+        let mut h = [0.0; HIDDEN];
+        enc.hidden.apply_into(1, obs, &mut h);
+        enc.act.apply_in_place(&mut h);
+        let mut z = vec![0.0; Z_DIM];
+        enc.out.apply_into(1, &h, &mut z);
+        z
     }
 
-    pub fn read_one(&mut self, z: &[f64]) -> [f64; 4] {
-        let x = Tensor::from_vec(vec![1, Z_DIM], z.to_vec());
-        let s = self.readout.apply(&x);
-        [s[0], s[1], s[2], s[3]]
+    pub fn read_one(&self, z: &[f64]) -> [f64; 4] {
+        assert_eq!(z.len(), Z_DIM, "Body: latent dim mismatch");
+        let mut s = [0.0; 4];
+        self.readout.apply_into(1, z, &mut s);
+        s
     }
 
     pub fn readout_matrix(&self) -> (Matrix, Vec<f64>) {

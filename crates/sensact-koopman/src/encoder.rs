@@ -563,6 +563,36 @@ mod tests {
         assert!(model.prediction_macs() * 2 < dense.prediction_macs());
     }
 
+    /// The concrete encoder's stack-buffer encode and the read-out's
+    /// `apply_into` give the bits of the boxed `Sequential` forward and the
+    /// tensor `apply` they replaced: fresh, after a training epoch and after
+    /// a contrastive pass.
+    #[test]
+    fn encode_and_read_match_the_sequential_oracle_bit_for_bit() {
+        use crate::cartpole::OBS_DIM;
+        let data = collect_dataset(200, 23);
+        let mut model = SpectralKoopman::new(7);
+        let check = |model: &mut SpectralKoopman, stage: &str| {
+            let mut oracle = model.inner.body.encoder.as_sequential();
+            for t in data.transitions().iter().step_by(3) {
+                let x = Tensor::from_vec(vec![1, OBS_DIM], t.obs.to_vec());
+                let want = oracle.forward(&x, false).into_vec();
+                let got = model.encode(&t.obs);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{stage}: encode");
+                let z = Tensor::from_vec(vec![1, Z_DIM], got);
+                let want = model.inner.body.readout.apply(&z).into_vec();
+                let got = model.read_state(z.as_slice());
+                assert_eq!(bits(&got), bits(&want), "{stage}: read_state");
+            }
+        };
+        check(&mut model, "fresh");
+        model.train_epoch(&data, 0);
+        check(&mut model, "after train_epoch");
+        model.contrastive_pass(&data, 1);
+        check(&mut model, "after contrastive_pass");
+    }
+
     #[test]
     fn contrastive_pass_returns_finite_loss() {
         let mut model = SpectralKoopman::new(5);

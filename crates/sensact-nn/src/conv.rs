@@ -701,7 +701,7 @@ impl Conv3d {
 }
 
 impl Layer for Conv3d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let batch = input.shape()[0];
         assert_eq!(
             input.shape()[1],
@@ -712,7 +712,9 @@ impl Layer for Conv3d {
         for b in 0..batch {
             self.forward_row(input.row(b), out.row_mut(b));
         }
-        self.cached_input = Some(input.clone());
+        if train {
+            self.cached_input = Some(input.clone());
+        }
         out
     }
 
@@ -901,7 +903,7 @@ impl StageState for Deconv3d {
 }
 
 impl Layer for Deconv3d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let batch = input.shape()[0];
         let win = self.window();
         assert_eq!(
@@ -923,7 +925,9 @@ impl Layer for Deconv3d {
             let (x, w) = (input.row(b), &self.weights);
             win.fold_product(self.cin, x, w, true, &mut self.scratch, orow);
         }
-        self.cached_input = Some(input.clone());
+        if train {
+            self.cached_input = Some(input.clone());
+        }
         out
     }
 
@@ -1040,7 +1044,7 @@ mod tests {
         for i in 0..27 {
             x[i] = (i as f64 * 0.37).sin() * 0.5 + 0.1;
         }
-        let out = c.forward(&x, false);
+        let out = c.forward(&x, true);
         let grad_in = c.backward(&out);
         let eps = 1e-5;
         for i in (0..27).step_by(5) {
@@ -1079,7 +1083,7 @@ mod tests {
         }
         let out = c.forward(&x, false);
         c.zero_grad();
-        let _ = c.forward(&x, false);
+        let _ = c.forward(&x, true);
         let _ = c.backward(&out);
         let mut grads = vec![];
         c.visit_params(&mut |_, g| grads.push(g.to_vec()));
@@ -1117,7 +1121,7 @@ mod tests {
         for i in 0..16 {
             x[i] = (i as f64 * 0.7).cos() * 0.4;
         }
-        let out = d.forward(&x, false);
+        let out = d.forward(&x, true);
         let grad_in = d.backward(&out);
         let eps = 1e-5;
         for i in 0..16 {

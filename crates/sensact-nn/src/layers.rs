@@ -1,31 +1,38 @@
 //! Core layer trait and the dense, activation and dropout layers.
 //!
-//! Layers cache whatever `forward` state `backward` needs; calling `backward`
-//! without a preceding `forward` is a programmer error and panics.
+//! Layers cache whatever `forward` state `backward` needs, and only on a
+//! training forward (`train = true`); calling `backward` without a preceding
+//! training forward is a programmer error and panics.
 
 use crate::init::Initializer;
 use crate::tensor::Tensor;
 
 /// A differentiable network layer with manual backprop.
 ///
-/// The contract is: `forward` runs the layer on a `[batch, features…]` input
-/// and caches activations; `backward` consumes the gradient w.r.t. the output
-/// and returns the gradient w.r.t. the input, accumulating parameter
-/// gradients internally; optimizers traverse `(param, grad)` pairs through
-/// [`Layer::visit_params`].
+/// The contract is: `forward` runs the layer on a `[batch, features…]` input;
+/// with `train = true` it also caches the activations `backward` needs, and
+/// with `train = false` it owns nothing beyond the tensor it returns and
+/// leaves any pending training cache as it was, so inference forwards may
+/// interleave between a training forward and its `backward`. `backward`
+/// consumes the gradient w.r.t. the output and returns the gradient w.r.t.
+/// the input, accumulating parameter gradients internally; optimizers
+/// traverse `(param, grad)` pairs through [`Layer::visit_params`].
 ///
 /// `Send` is a supertrait so models built from boxed layers can migrate
 /// across the fleet runtime's worker threads; every layer is plain owned
 /// data, so this costs implementors nothing.
 pub trait Layer: Send {
-    /// Run the layer. `train` enables stochastic behaviour (dropout).
+    /// Run the layer. `train` caches what `backward` needs and enables
+    /// stochastic behaviour (dropout); the output bits do not depend on it
+    /// otherwise.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Backpropagate. Returns the gradient with respect to the input.
     ///
     /// # Panics
     ///
-    /// Panics if called before `forward`.
+    /// A layer that caches activations panics if no training forward
+    /// (`train = true`) came first.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
     /// Visit every `(parameter, gradient)` buffer pair in a fixed order.
@@ -100,7 +107,8 @@ impl Dense {
 
     /// [`Dense::apply`] on row-major slices: `out` (`batch × out_dim`, fully
     /// overwritten) is `input` (`batch × in_dim`) times `W` plus the bias.
-    pub(crate) fn apply_into(&self, batch: usize, input: &[f64], out: &mut [f64]) {
+    /// Allocates nothing.
+    pub fn apply_into(&self, batch: usize, input: &[f64], out: &mut [f64]) {
         // Seed every output row with the bias, then accumulate x W on top
         // (beta = 1.0 keeps the bias in place).
         for r in 0..batch {
@@ -120,9 +128,11 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let out = self.apply(input);
-        self.cached_input = Some(input.clone());
+        if train {
+            self.cached_input = Some(input.clone());
+        }
         out
     }
 
@@ -257,7 +267,7 @@ impl Activation {
     }
 
     /// The activation applied in place, without caching (inference only).
-    pub(crate) fn apply_in_place(&self, xs: &mut [f64]) {
+    pub fn apply_in_place(&self, xs: &mut [f64]) {
         for x in xs {
             *x = self.kind.apply(*x);
         }
@@ -265,10 +275,12 @@ impl Activation {
 }
 
 impl Layer for Activation {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let out = input.map(|x| self.kind.apply(x));
-        self.cached_in = Some(input.clone());
-        self.cached_out = Some(out.clone());
+        if train {
+            self.cached_in = Some(input.clone());
+            self.cached_out = Some(out.clone());
+        }
         out
     }
 
@@ -336,7 +348,10 @@ impl Dropout {
 
 impl Layer for Dropout {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train || self.p == 0.0 {
+        if !train {
+            return input.clone();
+        }
+        if self.p == 0.0 {
             self.mask = None;
             return input.clone();
         }
@@ -393,7 +408,7 @@ mod tests {
     /// Central-difference gradient check of a layer through a scalar loss
     /// `L = Σ out²/2`, for which `dL/dout = out`.
     fn grad_check(layer: &mut dyn Layer, input: &Tensor, tol: f64) {
-        let out = layer.forward(input, false);
+        let out = layer.forward(input, true);
         let grad_in = layer.backward(&out);
         let eps = 1e-5;
         for i in 0..input.len() {
@@ -538,6 +553,182 @@ mod tests {
         assert_eq!(d.param_count(), 10 * 20 + 20);
         assert_eq!(d.macs(4), 4 * 10 * 20);
         assert_eq!(Activation::new(ActKind::Relu).param_count(), 0);
+    }
+
+    /// One row of the inference contract: a layer kind, a constructor that
+    /// builds the same weights on every call, its input width, and whether
+    /// its `backward` needs a cache (and so must panic without one).
+    struct Case {
+        name: &'static str,
+        build: fn() -> Box<dyn Layer>,
+        in_features: usize,
+        caches: bool,
+    }
+
+    fn conv() -> crate::conv::Conv3d {
+        let dims = crate::conv::Dims3::new(3, 3, 3);
+        crate::conv::Conv3d::new(1, 2, 2, 1, 0, dims, &mut Initializer::new(5))
+    }
+
+    fn deconv() -> crate::conv::Deconv3d {
+        let dims = crate::conv::Dims3::new(2, 2, 2);
+        crate::conv::Deconv3d::new(2, 1, 2, 2, 0, dims, &mut Initializer::new(8))
+    }
+
+    fn contract_cases() -> Vec<Case> {
+        fn act(kind: ActKind) -> Box<dyn Layer> {
+            Box::new(Activation::new(kind))
+        }
+        vec![
+            Case {
+                name: "Dense",
+                build: || Box::new(Dense::new(5, 3, &mut Initializer::new(1))),
+                in_features: 5,
+                caches: true,
+            },
+            Case {
+                name: "ReLU",
+                build: || act(ActKind::Relu),
+                in_features: 6,
+                caches: true,
+            },
+            Case {
+                name: "LeakyReLU",
+                build: || act(ActKind::LeakyRelu),
+                in_features: 6,
+                caches: true,
+            },
+            Case {
+                name: "Tanh",
+                build: || act(ActKind::Tanh),
+                in_features: 6,
+                caches: true,
+            },
+            Case {
+                name: "Sigmoid",
+                build: || act(ActKind::Sigmoid),
+                in_features: 6,
+                caches: true,
+            },
+            Case {
+                name: "Dropout(p = 0)",
+                build: || Box::new(Dropout::new(0.0, 3)),
+                in_features: 6,
+                caches: false,
+            },
+            Case {
+                name: "Conv3d",
+                build: || Box::new(conv()),
+                in_features: 27,
+                caches: true,
+            },
+            Case {
+                name: "Deconv3d",
+                build: || Box::new(deconv()),
+                in_features: 16,
+                caches: true,
+            },
+            Case {
+                name: "Sequential",
+                build: || {
+                    Box::new(crate::Sequential::new(vec![
+                        Box::new(conv()),
+                        act(ActKind::LeakyRelu),
+                        Box::new(deconv()),
+                        act(ActKind::Tanh),
+                        Box::new(Dropout::new(0.0, 4)),
+                        Box::new(Dense::new(64, 3, &mut Initializer::new(2))),
+                        act(ActKind::Sigmoid),
+                    ]))
+                },
+                in_features: 27,
+                caches: true,
+            },
+        ]
+    }
+
+    /// A seeded `[2, n]` batch with both signs in every row.
+    fn seeded(n: usize, seed: f64) -> Tensor {
+        Tensor::from_vec(
+            vec![2, n],
+            (0..2 * n)
+                .map(|i| (i as f64 * 0.37 + seed).sin() * 0.8)
+                .collect(),
+        )
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn param_grad_bits(layer: &mut dyn Layer) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        layer.visit_params(&mut |_, g| out.push(bits(g)));
+        out
+    }
+
+    /// `forward(x, false)` returns the training output's bits, caches
+    /// nothing and leaves a pending training cache as it was; `backward`
+    /// with only inference behind it panics.
+    #[test]
+    fn inference_forward_owns_nothing_and_keeps_a_pending_backward() {
+        let mut failures = Vec::new();
+        for case in contract_cases() {
+            let x = seeded(case.in_features, 0.3);
+            let others = [seeded(case.in_features, 2.1), x.map(|v| -0.5 * v - 0.1)];
+
+            // Row 1: the inference output is the training output, bit for bit.
+            let inferred = (case.build)().forward(&x, false);
+            let trained = (case.build)().forward(&x, true);
+            if bits(inferred.as_slice()) != bits(trained.as_slice()) {
+                failures.push(format!("{}: inference output differs", case.name));
+            }
+
+            // Row 2: inference forwards between a training forward and its
+            // backward change no gradient bit.
+            let g = trained.map(|v| 0.25 * v - 0.05);
+            let mut reference = (case.build)();
+            let _ = reference.forward(&x, true);
+            let want_in = reference.backward(&g);
+            let mut subject = (case.build)();
+            let _ = subject.forward(&x, true);
+            for y in &others {
+                let _ = subject.forward(y, false);
+            }
+            let got_in = subject.backward(&g);
+            if bits(got_in.as_slice()) != bits(want_in.as_slice())
+                || param_grad_bits(subject.as_mut()) != param_grad_bits(reference.as_mut())
+            {
+                failures.push(format!(
+                    "{}: inference clobbered the pending backward",
+                    case.name
+                ));
+            }
+
+            // Row 3: backward after inference only has no cache to use.
+            if case.caches {
+                let mut layer = (case.build)();
+                let _ = layer.forward(&x, false);
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    layer.backward(&g);
+                }));
+                let message = match &run {
+                    Ok(()) => String::new(),
+                    Err(payload) => payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default(),
+                };
+                if !message.contains("before forward") {
+                    failures.push(format!(
+                        "{}: backward after inference did not panic",
+                        case.name
+                    ));
+                }
+            }
+        }
+        assert!(failures.is_empty(), "{failures:#?}");
     }
 
     #[test]

@@ -76,8 +76,11 @@ impl Sequential {
 
 impl Layer for Sequential {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for l in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return input.clone();
+        };
+        let mut x = first.forward(input, train);
+        for l in rest {
             x = l.forward(&x, train);
         }
         x
@@ -143,7 +146,7 @@ mod tests {
     fn end_to_end_gradient_check() {
         let mut net = tiny_net(3);
         let x = Tensor::from_vec(vec![1, 3], vec![0.2, -0.5, 0.9]);
-        let out = net.forward(&x, false);
+        let out = net.forward(&x, true);
         let grad_in = net.backward(&out);
         let eps = 1e-5;
         for i in 0..x.len() {

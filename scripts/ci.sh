@@ -91,7 +91,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # against its reference, on the tier its contract names. The starnet + lidar
 # lib tests ride along: the pinned score stream and the regret oracle go
 # through the sign fold and the VAE's GEMMs; so do the rmae ones, whose
-# site-sparse reconstruct must equal the dense conv oracle on either tier.
+# site-sparse reconstruct must equal the dense conv oracle on either tier,
+# and the koopman ones, whose stack-buffer encode must equal the boxed
+# `Sequential` forward it replaced on either tier.
 # The workspace step already ran them on the first leg's ISA, so they repeat
 # only on the other.
 # None of the steps gates on a timing — every timing the repo judges is a
@@ -104,9 +106,10 @@ for leg in "${legs[@]}"; do
     [[ "$leg" == "0" ]] && isa="host ISA" || isa="forced-scalar path"
 
     if [[ "$leg" != "${legs[0]}" ]]; then
-        echo "== bitwise kernel, conv lowering, R-MAE, STARNet + lidar tests ($isa) =="
+        echo "== bitwise kernel, conv lowering, R-MAE, STARNet, lidar + Koopman tests ($isa) =="
         SENSACT_FORCE_SCALAR="$leg" timeout 30m cargo test --offline -q \
-            -p sensact-math -p sensact-nn -p sensact-rmae -p sensact-starnet -p sensact-lidar --lib
+            -p sensact-math -p sensact-nn -p sensact-rmae -p sensact-starnet -p sensact-lidar \
+            -p sensact-koopman --lib
     fi
 
     echo "== checkpoint bench smoke (snapshot/restore/migration, $isa) =="
