@@ -14,7 +14,7 @@
 //! analytic forward-error bound. They take it only from `2¹⁴` multiply-adds
 //! per item up; below that each produces the bits of its scalar loop — by
 //! running it, or, for the gathered and panel-source forms, on the
-//! multiply-then-add SIMD tile in its dot mode ([`gemm_panel_source`]).
+//! multiply-then-add SIMD tile in its dot or chain mode ([`gemm_panel_source`]).
 //! Unlike the old `Matrix::matmul`, no zero-operand skipping is performed:
 //! NaN and signed-zero inputs propagate with full IEEE semantics.
 //!
@@ -218,6 +218,7 @@ pub fn gemm_transb_gathered(
             batch * n,
             k,
             n,
+            true,
             alpha,
             a,
             &Transposed { b: b_stack, k },
@@ -229,8 +230,8 @@ pub fn gemm_transb_gathered(
 /// `C = alpha * A * B + beta * C` with B read through a [`PanelSource`]
 /// instead of from memory: B is `[k × n]`, `c` is `[m × n]` row-major, and
 /// each packed panel is filled by `b` moments before the microkernel
-/// consumes it. This is the entry the conv layers lower onto — their source
-/// unfolds input taps straight into the panel, so the im2col matrix is never
+/// consumes it. This is the entry the conv layers lower onto — their sources
+/// unfold input taps straight into the panel, so no im2col matrix is ever
 /// materialised.
 ///
 /// The rounding tier is pinned on `(m, tier_n, k)`, never on `n`: `tier_n`
@@ -242,21 +243,23 @@ pub fn gemm_transb_gathered(
 ///
 /// - `m·tier_n·k ≥ 2¹⁴`: the FMA tier (one chain per element from its
 ///   `beta·C` seed, within the analytic bound of the scalar kernels);
-/// - below that: the **bitwise dot** tier — the packed driver over the
-///   multiply-then-add tile with the sum started at `+0.0` and added to the
-///   seed once, `to_bits`-identical to the scalar [`gemm_transb`] row-dot
-///   these shapes have always run.
+/// - below that, the bits of the scalar loop the caller stands in for: with
+///   `dot`, the **bitwise dot** tier — the multiply-then-add tile with the
+///   sum started at `+0.0` and added to the seed once, `to_bits` the scalar
+///   [`gemm_transb`] row-dot; without, the same tile in **chain** mode — one
+///   chain from the `beta·C` seed, `to_bits` [`gemm_blocked`], as [`gemm`].
 ///
 /// `false` is returned — `c` untouched — when SIMD is off
-/// (`SENSACT_FORCE_SCALAR`, non-x86), for empty shapes, and below the FMA
-/// tier for a `k` deeper than one 256-deep block (a dot must not be split):
-/// the caller must then run [`gemm_transb`] on a materialised operand, which
-/// at any `n ≤ tier_n` takes the tier `tier_n` would (the scalar row-dot).
+/// (`SENSACT_FORCE_SCALAR`, non-x86), for empty shapes, and on the dot tier
+/// for a `k` deeper than one 256-deep block (a dot must not be split): the
+/// caller must then run [`gemm_transb`] (without `dot`, [`gemm`]) on a
+/// materialised operand, which at any `n ≤ tier_n` takes `tier_n`'s tier.
 pub fn gemm_panel_source<S: PanelSource>(
     m: usize,
     n: usize,
     k: usize,
     tier_n: usize,
+    dot: bool,
     alpha: f64,
     a: &[f64],
     b: &S,
@@ -267,8 +270,10 @@ pub fn gemm_panel_source<S: PanelSource>(
     assert_eq!(c.len(), m * n, "gemm_panel_source: C must be m*n");
     if crate::simd::simd_f64_eligible(m, tier_n, k) {
         n > 0 && crate::simd::gemm_fma_f64(m, n, k, alpha, a, b, beta, c)
+    } else if dot {
+        crate::simd::gemm_tile_f64::<true, _>(m, n, k, alpha, a, b, beta, c)
     } else {
-        crate::simd::gemm_dot_f64(m, n, k, alpha, a, b, beta, c)
+        crate::simd::gemm_tile_f64::<false, _>(m, n, k, alpha, a, b, beta, c)
     }
 }
 
@@ -795,6 +800,61 @@ pub(crate) mod tests {
         }
         // Forced scalar declines everything; otherwise most of the grid ran.
         assert_eq!(wide_cases > 500, simd, "{wide_cases} wide cases");
+    }
+
+    /// `gemm_panel_source` without `dot` stands in for `gemm`: on every tier
+    /// it does not decline — FMA from `2¹⁴` multiply-adds up, the chain-mode
+    /// tile below, a `k` deeper than one block included — it gives `gemm`'s
+    /// bits, from a non-zero seed and under IEEE specials; it declines only
+    /// where SIMD is off or the shape is empty.
+    #[test]
+    fn chain_panel_source_is_bitwise_identical_to_gemm() {
+        let simd = crate::simd::cpu_features().simd_f64();
+        let mut rng = StdRng::seed_from_u64(0xC4A1);
+        let shapes = [
+            (1, 1, 1),
+            (8, 27, 30),
+            (3, 5, 257),
+            (16, 64, 16),
+            (7, 13, 600),
+            (16, 216, 90),
+            (4, 9, 0),
+        ];
+        for &(m, n, k) in &shapes {
+            for &(alpha, beta) in &[(1.0, 1.0), (-0.75, 0.5), (1.0, 0.0)] {
+                for hostile in [false, true] {
+                    let mut a = random_mat(&mut rng, m * k);
+                    let mut b = random_mat(&mut rng, k * n);
+                    let mut base = random_mat(&mut rng, m * n);
+                    if hostile {
+                        for buf in [&mut a, &mut b, &mut base] {
+                            salt_hostile(&mut rng, buf);
+                        }
+                    }
+                    let mut want = base.clone();
+                    gemm(m, n, k, alpha, &a, &b, beta, &mut want);
+                    let mut got = base.clone();
+                    let src = RowMajor { b: &b, n };
+                    let ran = gemm_panel_source(m, n, k, n, false, alpha, &a, &src, beta, &mut got);
+                    let case = format!("{m}x{n}x{k} alpha={alpha} beta={beta} {hostile}");
+                    assert_eq!(ran, simd && k > 0, "declined wrongly at {case}");
+                    if !ran {
+                        assert!(got
+                            .iter()
+                            .zip(&base)
+                            .all(|(x, y)| x.to_bits() == y.to_bits()));
+                        continue;
+                    }
+                    for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                        assert!(
+                            x.to_bits() == y.to_bits(),
+                            "chain panel source not bitwise at {case}: element {i} is {y:e}, \
+                             gemm has {x:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     /// The sign fold on the dispatched arm (AVX2 on the host leg, the scalar

@@ -36,9 +36,12 @@
 //! the accumulators start at `+0.0` and the finished tile is added to the
 //! `beta·C` seed once — the rounding sequence of the scalar row-dot in
 //! [`gemm_transb`](crate::kernels::gemm_transb), which is what those shapes
-//! have always computed and what every golden pins. `SIMD_MIN_OPS`
-//! therefore chooses a *rounding tier* for those entry points (FMA at and
-//! above it, bitwise dot below), not SIMD versus scalar.
+//! have always computed and what every golden pins. A panel-source product
+//! that stands in for `gemm` instead (the conv weight gradients) runs the
+//! same tiles in their chain mode there, the bits of the scalar blocked
+//! loop. `SIMD_MIN_OPS` therefore chooses a *rounding tier* for those entry
+//! points (FMA at and above it, bitwise dot or chain below), not SIMD versus
+//! scalar.
 //!
 //! The driver reads B through a [`PanelSource`], one packed panel at a
 //! time, so an operand that is a view of something smaller (a conv's im2col
@@ -70,7 +73,7 @@ pub const NR_SSE: usize = 4;
 const KC: usize = 256;
 
 /// Per-item `m*n*k` at which a product moves from the bitwise tiers (the
-/// scalar row-dots, or [`gemm_dot_f64`] where B comes through a panel
+/// scalar row-dots, or [`gemm_tile_f64`] where B comes through a panel
 /// source) onto the FMA tile. The value is pinned by the goldens: it decides
 /// which shapes round once per step and which round twice.
 const SIMD_MIN_OPS: usize = 1 << 14;
@@ -311,17 +314,18 @@ pub(crate) fn gemm_transa_f64(
     }
 }
 
-/// SIMD attempt at a product *below* [`SIMD_MIN_OPS`] on the **bitwise dot**
-/// tier: `C = alpha*A*B + beta*C` with `a` row-major `[m × k]` and B read
-/// through `b`, every element computed as `beta·c + Σ_k (alpha·a)·b` with
-/// the sum started at `+0.0` and taken in ascending `k`, multiply then add —
-/// bit for bit the scalar row-dot of
-/// [`gemm_transb`](crate::kernels::gemm_transb). The sum of one element
-/// must stay in one accumulator, so a `k` deeper than one `KC` block is
-/// declined; returns `false` with `c` untouched then, when SIMD is off
+/// SIMD attempt at a product *below* [`SIMD_MIN_OPS`] on a **bitwise** tier:
+/// `C = alpha*A*B + beta*C` with `a` row-major `[m × k]` and B read through
+/// `b`, multiply then add in ascending `k`. With `DOT`, every element is
+/// `beta·c + Σ_k (alpha·a)·b` with the sum started at `+0.0` — bit for bit
+/// the scalar row-dot of [`gemm_transb`](crate::kernels::gemm_transb); the
+/// sum of one element must stay in one accumulator, so a `k` deeper than one
+/// `KC` block is declined. Without it, one chain from the `beta·c` seed —
+/// bit for bit [`gemm_blocked`](crate::kernels::gemm_blocked). Returns
+/// `false` with `c` untouched when declined, when SIMD is off
 /// (`SENSACT_FORCE_SCALAR`, non-x86) and on empty shapes.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_dot_f64<S: PanelSource>(
+pub(crate) fn gemm_tile_f64<const DOT: bool, S: PanelSource>(
     m: usize,
     n: usize,
     k: usize,
@@ -331,13 +335,13 @@ pub(crate) fn gemm_dot_f64<S: PanelSource>(
     beta: f64,
     c: &mut [f64],
 ) -> bool {
-    if !cpu_features().simd_f64() || m == 0 || n == 0 || k == 0 || k > KC {
+    if !cpu_features().simd_f64() || m == 0 || n == 0 || k == 0 || (DOT && k > KC) {
         return false;
     }
     #[cfg(target_arch = "x86_64")]
     {
         let at = AStrides { row: k, col: 1 };
-        gemm_bitwise::<true, _>(m, n, k, alpha, a, at, b, beta, c);
+        gemm_bitwise::<DOT, _>(m, n, k, alpha, a, at, b, beta, c);
         true
     }
     #[cfg(not(target_arch = "x86_64"))]

@@ -29,19 +29,30 @@
 //! inference alike ([`Layer::forward`] is the one forward). The backward
 //! passes stay dense, and [`Layer::macs`] stays the dense count.
 //!
-//! The conv forward never writes the `[sites × cin·k³]` column matrix: a
-//! [`PanelSource`] unfolds the listed sites' taps straight into the packed B
-//! panel the microkernel is about to read — on the FMA tile from `2¹⁴` dense
-//! multiply-adds per row up, on the bitwise dot tile below (the served lidar
-//! conv), so small layers keep the bits of the scalar row-dot. Only the
-//! weight gradients, and the forward where the kernels decline the panel
-//! path (`SENSACT_FORCE_SCALAR`, non-x86, a small layer with `cin·k³ > 256`),
-//! still unfold into a layer-owned scratch; the transposed products (deconv
-//! forward, conv backward) run in cache-sized blocks of sites with the fold
-//! applied per block. This is the library's one conv forward: the bit
-//! oracle (the materialised dense lowering) and an input-side gather
-//! formulation that agrees to rounding live in the test-only
-//! `conv_oracle.rs`.
+//! **No pass writes a `[sites × c·k³]` column matrix** where the kernels
+//! take the panel path: a [`PanelSource`] unfolds taps straight into the
+//! packed B panel. `Patches` (a column per site) feeds the conv forward and
+//! the deconv input gradient, a conv forward of `grad_out`; `SiteRows` (a
+//! row per site) feeds both weight gradients with the panels `gemm` packed
+//! from the unfold. The tier is pinned on the dense shape: FMA from `2¹⁴`
+//! multiply-adds per row up; below, the multiply-then-add tile in dot mode
+//! where the scalar row-dot ran, in chain mode where `gemm` did. Where the
+//! kernels decline (`SENSACT_FORCE_SCALAR`, non-x86, a small dot with
+//! `c·k³ > 256`) a layer unfolds into scratch for `gemm` / `gemm_transb`.
+//!
+//! **The fold is tap-major.** The transposed products (deconv forward, conv
+//! input gradient) run in cache-sized blocks of sites, each folded as soon
+//! as it is multiplied: runs of sites consecutive along an x row, and within
+//! a run the taps with `kw` descending, each over the whole run (a slice add
+//! at stride 1). Every grid element still takes its sites in ascending
+//! order, as the oracle's site-major fold does, so the sums are
+//! bit-identical: the sites of one run reaching one element share its `c`,
+//! `kd` and `kh`, so a larger `kw` is an earlier site; one tap never lands
+//! two sites on one element; runs and blocks go in ascending order.
+//!
+//! The bit oracle (the materialised lowering and backward, the site-major
+//! fold) and an input-side gather formulation that agrees to rounding live
+//! in the test-only `conv_oracle.rs`.
 
 use crate::init::Initializer;
 use crate::layers::Layer;
@@ -179,19 +190,14 @@ impl Window {
         (p / (h * w), p / w % h, p % w)
     }
 
-    /// Visit every in-grid run of `kw` taps of the given sites, in the order
-    /// given: `sites` yields `(row, p)` — site `p` owns row `row` of a column
-    /// matrix — and `f(row, q, at, len)` is called with that row, the column
-    /// offset of the run's first tap, the grid offset it lands on and its
-    /// length.
-    #[inline]
-    fn for_each_run(
-        &self,
-        sites: impl IntoIterator<Item = (usize, usize)>,
-        mut f: impl FnMut(usize, usize, usize, usize),
-    ) {
-        let (k, s, g) = (self.kernel, self.stride, self.grid);
-        for (row, p) in sites {
+    /// Unfold the windows of `sites` over `src` (`[channels, grid]`) into
+    /// `col`, one `channels·k³` row per site in the order given (im2col),
+    /// padding taps zero.
+    fn unfold(&self, src: &[f64], sites: impl IntoIterator<Item = usize>, col: &mut [f64]) {
+        let (k, s, pad, g) = (self.kernel, self.stride, self.pad, self.grid);
+        let len = self.patch_len();
+        col.fill(0.0);
+        for (row, p) in sites.into_iter().enumerate() {
             let (sz, sy, sx) = self.site(p);
             let (d0, d1) = self.taps(sz, g.d);
             let (h0, h1) = self.taps(sy, g.h);
@@ -199,55 +205,123 @@ impl Window {
             if w0 == w1 {
                 continue;
             }
-            let x = sx * s + w0 - self.pad;
+            let x = sx * s + w0 - pad;
             for c in 0..self.channels {
                 for kd in d0..d1 {
-                    let z = sz * s + kd - self.pad;
                     for kh in h0..h1 {
-                        let y = sy * s + kh - self.pad;
+                        let (z, y) = (sz * s + kd - pad, sy * s + kh - pad);
                         let q = ((c * k + kd) * k + kh) * k + w0;
                         let at = ((c * g.d + z) * g.h + y) * g.w + x;
-                        f(row, q, at, w1 - w0);
+                        col[row * len + q..][..w1 - w0].copy_from_slice(&src[at..][..w1 - w0]);
                     }
                 }
             }
         }
     }
 
-    /// Unfold the windows of `sites` over `src` (`[channels, grid]`) into
-    /// `col`, one `channels·k³` row per site in the order given (im2col).
-    /// Padding taps are written as zero, so the buffer never needs
-    /// pre-clearing.
-    fn unfold(&self, src: &[f64], sites: impl IntoIterator<Item = usize>, col: &mut [f64]) {
-        let len = self.patch_len();
-        col.fill(0.0);
-        self.for_each_run(sites.into_iter().enumerate(), |row, q, at, run| {
-            let dst = &mut col[row * len + q..][..run];
-            for (d, v) in dst.iter_mut().zip(&src[at..at + run]) {
-                *d = *v;
-            }
-        });
-    }
-
-    /// Fold rows of `col` (one `channels·k³` row each) back onto `dst`
-    /// (`[channels, grid]`), site `p` taking row `row` for each `(row, p)` of
-    /// `sites`: scatter-add, padding taps dropped. Each `dst` element takes
-    /// at most one contribution per site, so folding sites in ascending
-    /// order, block by block, adds in exactly the order one pass over all
-    /// sites would.
-    fn fold_add(
+    /// Fold a block's product back onto `dst` (`[channels, grid]`),
+    /// tap-major (module docs), padding taps dropped: `col` is
+    /// `[channels·k³ × r]`, and site `p` takes column `row` for each
+    /// `(row, p)` of `sites` (`p` ascending). A run reads consecutive
+    /// columns, or column `stand_in` throughout.
+    fn fold_taps(
         &self,
         sites: impl IntoIterator<Item = (usize, usize)>,
+        stand_in: usize,
         col: &[f64],
+        r: usize,
         dst: &mut [f64],
     ) {
-        let len = self.patch_len();
-        self.for_each_run(sites, |row, q, at, run| {
-            let src = &col[row * len + q..][..run];
-            for (d, v) in dst[at..at + run].iter_mut().zip(src) {
-                *d += *v;
+        let w = self.sites.w;
+        // The open run: first site, its x, first column, length (0: none
+        // open) and column step. A sentinel site flushes the last run.
+        let mut run = (0, 0, 0, 0, 0);
+        for (row, p) in sites.into_iter().chain([(0, usize::MAX)]) {
+            let (p0, x0, row0, n, step) = run;
+            if n > 0 && p == p0 + n && x0 + n < w && row == row0 + n * step {
+                run.3 += 1;
+                continue;
             }
-        });
+            if n > 0 {
+                self.fold_run(p0, row0, n, step, col, r, dst);
+            }
+            run = (p, p % w, row, 1, usize::from(row != stand_in));
+        }
+    }
+
+    /// Fold the `n` sites from `p0` along one x row, site `p0 + i` taking
+    /// column `row0 + i·step` of `col` (`[channels·k³ × r]`): `kw`
+    /// descending, then every in-grid `(c, kd, kh)`, each over the run.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_run(
+        &self,
+        p0: usize,
+        row0: usize,
+        n: usize,
+        step: usize,
+        col: &[f64],
+        r: usize,
+        dst: &mut [f64],
+    ) {
+        let (k, s, pad, g) = (self.kernel, self.stride, self.pad, self.grid);
+        let (sz, sy, sx) = self.site(p0);
+        let (d0, d1) = self.taps(sz, g.d);
+        let (h0, h1) = self.taps(sy, g.h);
+        for kw in (0..k).rev() {
+            // The run's sites whose tap `kw` lands inside the grid row: site
+            // `sx + i` sits at padded column `(sx + i)·s + kw`.
+            let first = sx * s + kw;
+            let la = pad.saturating_sub(first).div_ceil(s).min(n);
+            let lb = (g.w + pad).saturating_sub(first).div_ceil(s).min(n);
+            if la >= lb {
+                continue;
+            }
+            let (x, len) = (first + la * s - pad, lb - la);
+            for c in 0..self.channels {
+                for kd in d0..d1 {
+                    let z = sz * s + kd - pad;
+                    for kh in h0..h1 {
+                        let y = sy * s + kh - pad;
+                        let q = ((c * k + kd) * k + kh) * k + kw;
+                        let at = ((c * g.d + z) * g.h + y) * g.w + x;
+                        let src = &col[q * r + row0 + la * step..];
+                        if s == 1 && step == 1 {
+                            for (d, v) in dst[at..at + len].iter_mut().zip(src) {
+                                *d += *v;
+                            }
+                        } else {
+                            let dst = dst[at..].iter_mut().step_by(s).take(len);
+                            for (i, d) in dst.enumerate() {
+                                *d += src[i * step];
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `grad_w += a · unfold(src)`, `a` `[m × sites]`: both layers' weight
+    /// gradient (beta = 1 accumulates), the patches packed straight from
+    /// `src` ([`SiteRows`]). Where the kernels decline, `src` is unfolded
+    /// into `col` for `gemm`; returns whether it was.
+    fn weight_grad(
+        &self,
+        m: usize,
+        a: &[f64],
+        src: &[f64],
+        col: &mut Vec<f64>,
+        grad_w: &mut [f64],
+    ) -> bool {
+        let (n, len) = (self.sites.volume(), self.patch_len());
+        let rows = SiteRows { window: *self, src };
+        if kernels::gemm_panel_source(m, len, n, len, false, 1.0, a, &rows, 1.0, grad_w) {
+            return false;
+        }
+        let col = grown(col, n * len);
+        self.unfold(src, 0..n, col);
+        kernels::gemm(m, len, n, 1.0, a, col, 1.0, grad_w);
+        true
     }
 
     /// `hit`, one flag per site, raised for every site whose window reaches
@@ -280,14 +354,15 @@ impl Window {
     /// (deconv forward: `a` = input row, `dst` = bias-filled output; conv
     /// backward: `a` = output gradient, `dst` = input gradient). `a` is
     /// `[k × sites]`, `w` is `[k × channels·k³]`. Runs in blocks of sites
-    /// sized to stay in L2: gather the block's columns of `a`, multiply,
-    /// fold, move on.
+    /// sized to stay in L2: gather the block's columns of `a`, multiply
+    /// (`wᵀ · a_block`, one column per site), fold tap-major
+    /// ([`Window::fold_run`]), move on.
     ///
     /// With `sparse`, a block gathers only sites whose column of `a` holds a
     /// value, plus one all-zero column standing for every other site: its
-    /// row is what each of them would fold. Sites still fold in ascending
-    /// order; the stand-in row is skipped when it is all `+0.0` and no `dst`
-    /// element is `-0.0` (module docs), and folded for each of them
+    /// product is what each of them would fold. Sites still fold in ascending
+    /// order; the stand-in column is skipped when it is all `+0.0` and no
+    /// `dst` element is `-0.0` (module docs), and folded for each of them
     /// otherwise.
     fn fold_product(
         &self,
@@ -345,8 +420,10 @@ impl Window {
                 }
                 dst_row[listed.len()..].fill(0.0);
             }
-            let col = &mut col[..r * len];
-            kernels::gemm_transa(r, len, k, 1.0, a_block, w, 0.0, col);
+            // `[len × r]`, a column per site: the bits of `[r × len]`, each
+            // element one ascending-`k` multiply-then-add either way.
+            let col = &mut col[..len * r];
+            kernels::gemm_transa(len, r, k, 1.0, w, a_block, 0.0, col);
             // This block folds sites `next..end`: through its last listed
             // site, or through the last site of all.
             let end = if b + 1 == blocks {
@@ -357,11 +434,11 @@ impl Window {
             let stand_in = listed.len();
             let folds = zero == 1
                 && *stand_in_folds.get_or_insert_with(|| {
-                    col[stand_in * len..].iter().any(|v| v.to_bits() != 0)
+                    col[stand_in..].iter().step_by(r).any(|v| v.to_bits() != 0)
                         || dst.iter().any(|v| v.to_bits() == (-0.0f64).to_bits())
                 });
             if !folds {
-                self.fold_add(listed.iter().copied().enumerate(), col, dst);
+                self.fold_taps(listed.iter().copied().enumerate(), stand_in, col, r, dst);
             } else {
                 let mut at = 0;
                 let rows = (next..end).map(|p| {
@@ -372,7 +449,7 @@ impl Window {
                         (stand_in, p)
                     }
                 });
-                self.fold_add(rows, col, dst);
+                self.fold_taps(rows, stand_in, col, r, dst);
             }
             next = end;
         }
@@ -463,6 +540,49 @@ impl PanelSource for Patches<'_> {
                 }
             }
             l += run;
+        }
+    }
+}
+
+/// The weight gradients' B operand, never materialised: row `p` of the
+/// `[sites × channels·k³]` matrix is the window at site `p` over `src`
+/// ([`Window::unfold`] over every site). Each lane (tap) of a panel is
+/// filled run by run: sites along one x row, `stride` apart in the grid.
+struct SiteRows<'a> {
+    window: Window,
+    src: &'a [f64],
+}
+
+impl PanelSource for SiteRows<'_> {
+    fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [f64]) {
+        let win = &self.window;
+        let (k, s, pad, g) = (win.kernel, win.stride, win.pad, win.grid);
+        dst[..kc * ld].fill(0.0);
+        let (sz0, sy0, sx0) = win.site(k0);
+        for l in 0..nr {
+            let q = j0 + l;
+            let (c, kd, kh, kw) = (q / (k * k * k), q / (k * k) % k, q / k % k, q % k);
+            let (mut sz, mut sy, mut sx, mut row) = (sz0, sy0, sx0, 0);
+            while row < kc {
+                let run = (win.sites.w - sx).min(kc - row);
+                // Padded coordinates of this tap at the run's first site.
+                let (z, y, first) = (sz * s + kd, sy * s + kh, sx * s + kw);
+                if (pad..g.d + pad).contains(&z) && (pad..g.h + pad).contains(&y) {
+                    let la = pad.saturating_sub(first).div_ceil(s).min(run);
+                    let lb = (g.w + pad).saturating_sub(first).div_ceil(s).min(run);
+                    if la < lb {
+                        let at = ((c * g.d + z - pad) * g.h + y - pad) * g.w + first + la * s - pad;
+                        let lanes = dst[(row + la) * ld + l..].iter_mut().step_by(ld);
+                        for (d, v) in lanes.zip(self.src[at..].iter().step_by(s).take(lb - la)) {
+                            *d = *v;
+                        }
+                    }
+                }
+                row += run;
+                sx = 0;
+                sz += usize::from(sy + 1 == win.sites.h);
+                sy = (sy + 1) % win.sites.h;
+            }
         }
     }
 }
@@ -605,7 +725,7 @@ impl Conv3d {
             sites,
         };
         let w = &self.weights;
-        if !kernels::gemm_panel_source(cout, n, ckk, vol, 1.0, w, &patches, 1.0, c) {
+        if !kernels::gemm_panel_source(cout, n, ckk, vol, true, 1.0, w, &patches, 1.0, c) {
             let col = grown(col, n * ckk);
             win.unfold(xrow, sites.iter().copied(), col);
             kernels::gemm_transb(cout, n, ckk, 1.0, w, col, 1.0, c);
@@ -675,7 +795,7 @@ impl Conv3d {
                 rows,
                 sites,
             };
-            let w = &self.weights;
+            let (w, cout) = (&self.weights, self.cout);
             // The gathered panel starts as the bias, replicated along the
             // stacked column axis — the same accumulator seed the per-row
             // path loads, laid down as cout contiguous fills.
@@ -683,7 +803,7 @@ impl Conv3d {
             for (o, &b) in big.chunks_exact_mut(nn).zip(&self.bias) {
                 o.fill(b);
             }
-            wide = kernels::gemm_panel_source(self.cout, nn, ckk, vol, 1.0, w, &patches, 1.0, big);
+            wide = kernels::gemm_panel_source(cout, nn, ckk, vol, true, 1.0, w, &patches, 1.0, big);
             if wide {
                 for (t, orow) in outs.iter_mut().enumerate() {
                     for (o, src) in orow.chunks_exact_mut(vol).zip(big.chunks_exact(nn)) {
@@ -724,21 +844,24 @@ impl Layer for Conv3d {
             .as_ref()
             .expect("Conv3d::backward before forward");
         let batch = input.shape()[0];
+        assert_eq!(
+            grad_out.shape(),
+            &[batch, self.out_features()],
+            "Conv3d::backward: grad_out shape mismatch"
+        );
         let win = self.window();
-        let (vol, ckk) = (win.sites.volume(), win.patch_len());
+        let (vol, cout) = (win.sites.volume(), self.cout);
         let mut grad_in = Tensor::zeros(vec![batch, self.cin * self.in_dims.volume()]);
         for b in 0..batch {
-            let grow = grad_out.row(b);
+            let (xrow, grow) = (input.row(b), grad_out.row(b));
             for (gb, g) in self.grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
                 *gb += g.iter().sum::<f64>();
             }
-            let col = grown(&mut self.scratch.col, vol * ckk);
-            win.unfold(input.row(b), 0..vol, col);
-            // grad_w += g [cout, P] · col [P, cin*k³]  (beta = 1 accumulates)
-            kernels::gemm(self.cout, ckk, vol, 1.0, grow, col, 1.0, &mut self.grad_w);
+            // grad_w += g [cout, P] · unfold(x) [P, cin*k³]
+            win.weight_grad(cout, grow, xrow, &mut self.scratch.col, &mut self.grad_w);
             // grad_in += fold(gᵀ W), W as [cout, cin*k³]
             let (w, scratch) = (&self.weights, &mut self.scratch);
-            win.fold_product(self.cout, grow, w, false, scratch, grad_in.row_mut(b));
+            win.fold_product(cout, grow, w, false, scratch, grad_in.row_mut(b));
         }
         grad_in
     }
@@ -939,29 +1062,37 @@ impl Layer for Deconv3d {
         let batch = input.shape()[0];
         let win = self.window();
         let (pin, cokk) = (win.sites.volume(), win.patch_len());
-        let vol = self.out_dims.volume();
-        let mut grad_in = Tensor::zeros(vec![batch, self.cin * pin]);
-        let gcol = grown(&mut self.scratch.col, pin * cokk);
+        let (cin, vol) = (self.cin, self.out_dims.volume());
+        assert_eq!(
+            grad_out.shape(),
+            &[batch, self.cout * vol],
+            "Deconv3d::backward: grad_out shape mismatch"
+        );
+        let mut grad_in = Tensor::zeros(vec![batch, cin * pin]);
+        let Scratch { col, sites, .. } = &mut self.scratch;
+        sites.clear();
+        sites.extend(0..pin);
         for b in 0..batch {
-            let xrow = input.row(b);
-            let grow = grad_out.row(b);
+            let (xrow, grow) = (input.row(b), grad_out.row(b));
             for (gb, g) in self.grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
                 *gb += g.iter().sum::<f64>();
             }
-            win.unfold(grow, 0..pin, gcol);
-            // grad_w += x [cin, Pin] · gcol [Pin, cout*k³]  (beta = 1 accumulates)
-            kernels::gemm(self.cin, cokk, pin, 1.0, xrow, gcol, 1.0, &mut self.grad_w);
-            // grad_in[ci, p] = Σ_j W[ci, j] · gcol[p, j] — transposed-B GEMM.
-            kernels::gemm_transb(
-                self.cin,
-                pin,
-                cokk,
-                1.0,
-                &self.weights,
-                gcol,
-                0.0,
-                grad_in.row_mut(b),
-            );
+            // grad_w += x [cin, Pin] · unfold(g) [Pin, cout*k³]
+            let unfolded = win.weight_grad(cin, xrow, grow, col, &mut self.grad_w);
+            // grad_in[ci, p] = Σ_j W[ci, j] · unfold(g)[p, j]: a conv forward
+            // of grad_out over the deconv's windows, with no bias.
+            let patches = Patches {
+                window: win,
+                rows: &[grow],
+                sites,
+            };
+            let (w, gi) = (&self.weights, grad_in.row_mut(b));
+            if !kernels::gemm_panel_source(cin, pin, cokk, pin, true, 1.0, w, &patches, 0.0, gi) {
+                if !unfolded {
+                    win.unfold(grow, 0..pin, grown(col, pin * cokk));
+                }
+                kernels::gemm_transb(cin, pin, cokk, 1.0, w, &col[..pin * cokk], 0.0, gi);
+            }
         }
         grad_in
     }
@@ -1267,7 +1398,9 @@ mod tests {
     /// the issue names, volumes that are no multiple of a panel width,
     /// `cout` below and above a register-tile height, shapes on both sides
     /// of the FMA/dot tier boundary (the served lidar conv among the small
-    /// ones), and a reduction (`16·3³ = 432`) deeper than one `KC` block.
+    /// ones), a reduction (`16·3³ = 432`) deeper than one `KC` block, a conv
+    /// with more sites (360) than one `KC` block — the weight gradient's
+    /// reduction — and the R-MAE conv1 and deconv2 shapes on a smaller grid.
     const LOWERING_CASES: &[[usize; 8]] = &[
         [1, 1, 1, 1, 0, 2, 3, 3],
         [2, 3, 1, 2, 1, 3, 4, 5],
@@ -1281,6 +1414,9 @@ mod tests {
         [16, 5, 3, 1, 1, 2, 5, 7],
         [8, 16, 3, 1, 1, 2, 6, 11],
         [1, 4, 3, 2, 1, 8, 8, 8],
+        [2, 4, 3, 1, 1, 3, 10, 12],
+        [1, 8, 3, 2, 1, 4, 12, 20],
+        [8, 1, 4, 2, 1, 2, 6, 10],
     ];
 
     /// Every batch entry of the conv forward — the layer's `forward` and
@@ -1381,18 +1517,23 @@ mod tests {
                 let x = hostile_input(&mut rng, batch, c.in_features());
                 check_conv(&mut c, &x, &case);
             }
-            // Backward, one row (the oracle starts its gradients from zero).
-            let x = hostile_input(&mut rng, 1, c.in_features());
-            let g = hostile_input(&mut rng, 1, feat);
-            c.zero_grad();
-            let _ = c.forward(&x, true);
-            let grad_in = c.backward(&g);
-            let [want_in, want_w, want_b] =
-                oracle::conv_backward(&conv_win(&c), &c.weights, x.row(0), g.row(0));
-            assert_same_bits(grad_in.as_slice(), &want_in, &format!("{case} grad_in"));
-            let got = grads(&mut c);
-            assert_same_bits(&got[0], &want_w, &format!("{case} grad_w"));
-            assert_same_bits(&got[1], &want_b, &format!("{case} grad_b"));
+            // Backward against the oracle's materialised one, gradients from
+            // zero; batch 3 chains each row's weight gradient onto the last's
+            // non-zero sum, where the FMA, dot and chain tiers would part.
+            for batch in [1, 3] {
+                let x = hostile_input(&mut rng, batch, c.in_features());
+                let g = hostile_input(&mut rng, batch, feat);
+                c.zero_grad();
+                let _ = c.forward(&x, true);
+                let grad_in = c.backward(&g);
+                let [want_in, want_w, want_b] =
+                    oracle::conv_backward(&conv_win(&c), &c.weights, x.as_slice(), g.as_slice());
+                let what = format!("{case} b{batch}");
+                assert_same_bits(grad_in.as_slice(), &want_in, &format!("{what} grad_in"));
+                let got = grads(&mut c);
+                assert_same_bits(&got[0], &want_w, &format!("{what} grad_w"));
+                assert_same_bits(&got[1], &want_b, &format!("{what} grad_b"));
+            }
             // Mostly-`+0.0` rows: no value, one, a few, and one at every
             // voxel, under biases with `-0.0` and NaN among them.
             let vol = dims.volume();
@@ -1425,17 +1566,21 @@ mod tests {
                 let x = hostile_input(&mut rng, batch, in_feat);
                 check_deconv(&mut dc, &x, &case);
             }
-            let x = hostile_input(&mut rng, 1, in_feat);
-            let g = hostile_input(&mut rng, 1, feat);
-            dc.zero_grad();
-            let _ = dc.forward(&x, true);
-            let grad_in = dc.backward(&g);
-            let [want_in, want_w, want_b] =
-                oracle::deconv_backward(&deconv_win(&dc), &dc.weights, x.row(0), g.row(0));
-            assert_same_bits(grad_in.as_slice(), &want_in, &format!("{case} grad_in"));
-            let got = grads(&mut dc);
-            assert_same_bits(&got[0], &want_w, &format!("{case} grad_w"));
-            assert_same_bits(&got[1], &want_b, &format!("{case} grad_b"));
+            for batch in [1, 3] {
+                let x = hostile_input(&mut rng, batch, in_feat);
+                let g = hostile_input(&mut rng, batch, feat);
+                dc.zero_grad();
+                let _ = dc.forward(&x, true);
+                let grad_in = dc.backward(&g);
+                let win = deconv_win(&dc);
+                let [want_in, want_w, want_b] =
+                    oracle::deconv_backward(&win, &dc.weights, x.as_slice(), g.as_slice());
+                let what = format!("{case} b{batch}");
+                assert_same_bits(grad_in.as_slice(), &want_in, &format!("{what} grad_in"));
+                let got = grads(&mut dc);
+                assert_same_bits(&got[0], &want_w, &format!("{what} grad_w"));
+                assert_same_bits(&got[1], &want_b, &format!("{what} grad_b"));
+            }
             // Mostly-`+0.0` rows under hostile biases, then once more with
             // an infinite weight: the all-zero column's row turns NaN
             // (`0 · inf`) and must fold at every site without a value.
@@ -1452,6 +1597,118 @@ mod tests {
                         let what = format!("{case} {active} active inf weight {inf_weight}");
                         check_deconv(&mut dc, &x, &what);
                     }
+                }
+            }
+        }
+    }
+
+    /// The oracle's view of a lowering window.
+    fn oracle_window(win: &Window) -> oracle::Win {
+        let (g, s) = (win.grid, win.sites);
+        oracle::Win {
+            channels: win.channels,
+            kernel: win.kernel,
+            stride: win.stride,
+            pad: win.pad,
+            grid: [g.d, g.h, g.w],
+            sites: [s.d, s.h, s.w],
+        }
+    }
+
+    /// The tap-major fold adds in the oracle's site-major order, `to_bits`:
+    /// blocks of a column matrix folded one after another against the
+    /// oracle's `fold_add` over the same `(column, site)` pairs. Rows: a
+    /// `dst` holding `-0.0` (and NaN) among its values; listed sites with a
+    /// stand-in column folded at every other site; block boundaries inside
+    /// a site row; stride 2 with `k = 4`, whose runs are strided in `dst`.
+    #[test]
+    fn the_tap_major_fold_adds_in_the_site_major_order() {
+        let mut rng = StdRng::seed_from_u64(0xF01D);
+        // [channels, kernel, stride, pad, site d, h, w, conv (1) or deconv (0)]
+        let geometries: &[[usize; 8]] = &[
+            [2, 3, 1, 1, 2, 5, 7, 1],
+            [3, 3, 2, 1, 3, 5, 9, 1],
+            [2, 4, 2, 1, 2, 3, 5, 0],
+            [1, 4, 2, 0, 2, 4, 6, 0],
+            [2, 3, 1, 0, 3, 4, 5, 0],
+            [1, 4, 1, 1, 2, 3, 7, 1],
+        ];
+        for &[channels, kernel, stride, pad, d, h, w, conv] in geometries {
+            let sites = Dims3::new(d, h, w);
+            let grid = if conv == 1 {
+                // The grid whose conv output is `sites`.
+                let e = |o: usize| (o - 1) * stride + kernel - 2 * pad;
+                Dims3::new(e(d), e(h), e(w))
+            } else {
+                let e = |i| deconv_out(i, kernel, stride, pad).unwrap();
+                Dims3::new(e(d), e(h), e(w))
+            };
+            let win = Window {
+                channels,
+                kernel,
+                stride,
+                pad,
+                grid,
+                sites,
+            };
+            let (len, n) = (win.patch_len(), sites.volume());
+            let case = format!("c{channels} k{kernel} s{stride} p{pad} {d}x{h}x{w} conv {conv}");
+            for pattern in 0..3 {
+                // 0: every site its own column; 1: listed sites only;
+                // 2: listed sites, the stand-in column at every other site.
+                let listed: Vec<usize> = (0..n)
+                    .filter(|_| pattern == 0 || rng.random_range(0..3) == 0)
+                    .collect();
+                let stand_in = listed.len();
+                let r = stand_in + 1;
+                let mut at = 0;
+                let pairs: Vec<(usize, usize)> = (0..n)
+                    .filter_map(|p| {
+                        if listed.get(at) == Some(&p) {
+                            at += 1;
+                            Some((at - 1, p))
+                        } else {
+                            (pattern == 2).then_some((stand_in, p))
+                        }
+                    })
+                    .collect();
+                // `[r × len]` for the oracle, its transpose for the fold.
+                let col: Vec<f64> = (0..r * len)
+                    .map(|_| match rng.random_range(0..16) {
+                        0 => -0.0,
+                        1 => f64::NAN,
+                        _ => rng.random_range(-1.0..1.0) * 10f64.powi(rng.random_range(-6..6)),
+                    })
+                    .collect();
+                let mut col_t = vec![0.0; len * r];
+                kernels::transpose_into(r, len, &col, &mut col_t);
+                let base: Vec<f64> = (0..channels * grid.volume())
+                    .map(|i| {
+                        if i % 5 == 0 {
+                            -0.0
+                        } else {
+                            rng.random_range(-1.0..1.0)
+                        }
+                    })
+                    .collect();
+                let mut want = base.clone();
+                oracle_window(&win).fold_add(pairs.iter().copied(), &col, &mut want);
+                // One block, then three with cuts at random sites (inside a
+                // site row as often as not).
+                for blocks in [1, 3] {
+                    let mut cuts: Vec<usize> = (1..blocks)
+                        .map(|_| rng.random_range(0..=pairs.len()))
+                        .collect();
+                    cuts.push(0);
+                    cuts.push(pairs.len());
+                    cuts.sort_unstable();
+                    let mut got = base.clone();
+                    for span in cuts.windows(2) {
+                        let block = pairs[span[0]..span[1]].iter().copied();
+                        win.fold_taps(block, stand_in, &col_t, r, &mut got);
+                    }
+                    let what = format!("{case} pattern {pattern} cuts {cuts:?}");
+                    assert_same_bits(&got, &want, &what);
                 }
             }
         }
@@ -1576,6 +1833,24 @@ mod tests {
                 check_deconv(&mut dc, &x, &format!("deconv {case} {active} active"));
             }
         }
+    }
+
+    /// A `grad_out` with a row more than the cached input, or a row too
+    /// short, is refused, not silently cut to the input's batch.
+    #[test]
+    #[should_panic(expected = "grad_out shape mismatch")]
+    fn conv_backward_refuses_a_grad_out_of_the_wrong_shape() {
+        let mut c = Conv3d::new(1, 2, 2, 1, 0, Dims3::new(3, 3, 3), &mut Initializer::new(1));
+        let _ = c.forward(&Tensor::full(vec![1, 27], 0.5), true);
+        let _ = c.backward(&Tensor::full(vec![2, c.out_features()], 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "grad_out shape mismatch")]
+    fn deconv_backward_refuses_a_grad_out_of_the_wrong_shape() {
+        let mut d = Deconv3d::new(2, 1, 2, 2, 0, Dims3::new(2, 2, 2), &mut Initializer::new(1));
+        let _ = d.forward(&Tensor::full(vec![2, 16], 0.5), true);
+        let _ = d.backward(&Tensor::full(vec![3, 64], 1.0));
     }
 
     /// Random input with a sparse fraction of exact zeros, so the reference

@@ -58,36 +58,28 @@ impl Win {
         self.channels * self.kernel.pow(3)
     }
 
-    /// Every `(site, tap)` pair in column order with the grid index the
-    /// tap lands on (`None` in the padding margin).
-    fn visit(&self, mut f: impl FnMut(usize, usize, Option<usize>)) {
+    /// Every tap of site `p` in column order with the grid index it lands
+    /// on (`None` in the padding margin).
+    fn visit_site(&self, p: usize, mut f: impl FnMut(usize, Option<usize>)) {
         let (k, s, pad, [gd, gh, gw]) = (self.kernel, self.stride, self.pad, self.grid);
-        let mut p = 0;
-        for sz in 0..self.sites[0] {
-            for sy in 0..self.sites[1] {
-                for sx in 0..self.sites[2] {
-                    let mut q = 0;
-                    for c in 0..self.channels {
-                        for kd in 0..k {
-                            for kh in 0..k {
-                                for kw in 0..k {
-                                    let (z, y, x) = (sz * s + kd, sy * s + kh, sx * s + kw);
-                                    let inside = z >= pad
-                                        && y >= pad
-                                        && x >= pad
-                                        && z - pad < gd
-                                        && y - pad < gh
-                                        && x - pad < gw;
-                                    let at = inside.then(|| {
-                                        ((c * gd + z - pad) * gh + y - pad) * gw + x - pad
-                                    });
-                                    f(p, q, at);
-                                    q += 1;
-                                }
-                            }
-                        }
+        let [_, sh, sw] = self.sites;
+        let (sz, sy, sx) = (p / (sh * sw), p / sw % sh, p % sw);
+        let mut q = 0;
+        for c in 0..self.channels {
+            for kd in 0..k {
+                for kh in 0..k {
+                    for kw in 0..k {
+                        let (z, y, x) = (sz * s + kd, sy * s + kh, sx * s + kw);
+                        let inside = z >= pad
+                            && y >= pad
+                            && x >= pad
+                            && z - pad < gd
+                            && y - pad < gh
+                            && x - pad < gw;
+                        let at = inside.then(|| ((c * gd + z - pad) * gh + y - pad) * gw + x - pad);
+                        f(q, at);
+                        q += 1;
                     }
-                    p += 1;
                 }
             }
         }
@@ -95,16 +87,28 @@ impl Win {
 
     fn unfold(&self, src: &[f64], col: &mut [f64]) {
         let len = self.patch_len();
-        self.visit(|p, q, at| col[p * len + q] = at.map_or(0.0, |i| src[i]));
+        for p in 0..volume(self.sites) {
+            self.visit_site(p, |q, at| col[p * len + q] = at.map_or(0.0, |i| src[i]));
+        }
     }
 
-    fn fold_add(&self, col: &[f64], dst: &mut [f64]) {
+    /// The site-major fold: rows of `col` (one `channels·k³` row each) back
+    /// onto `dst`, site `p` taking row `row` for each `(row, p)` of `sites`,
+    /// one site after another, its taps in column order.
+    pub fn fold_add(
+        &self,
+        sites: impl IntoIterator<Item = (usize, usize)>,
+        col: &[f64],
+        dst: &mut [f64],
+    ) {
         let len = self.patch_len();
-        self.visit(|p, q, at| {
-            if let Some(i) = at {
-                dst[i] += col[p * len + q];
-            }
-        });
+        for (row, p) in sites {
+            self.visit_site(p, |q, at| {
+                if let Some(i) = at {
+                    dst[i] += col[row * len + q];
+                }
+            });
+        }
     }
 }
 
@@ -134,20 +138,35 @@ pub fn conv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &m
     kernels::gemm_transb(bias.len(), vol, ckk, 1.0, weights, &col, 1.0, out);
 }
 
-/// `(grad_in, grad_w, grad_b)` of one conv row, gradients from zero.
+/// `(grad_in, grad_w, grad_b)` of `x.len() / (cin·grid)` conv rows, each
+/// row's gradients accumulated onto the last's from zero, as one backward
+/// over a batch adds them: the materialised unfold and `gemm` weight
+/// gradient, the site-major fold of `gᵀ·W`.
 pub fn conv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
     let (vol, ckk) = (volume(win.sites), win.patch_len());
-    let cout = g.len() / vol;
-    let grad_b = g.chunks_exact(vol).map(|r| 0.0 + r.iter().sum::<f64>());
-    let mut col = vec![f64::NAN; vol * ckk];
-    win.unfold(x, &mut col);
+    let in_feat = win.channels * volume(win.grid);
+    let batch = x.len() / in_feat;
+    let cout = g.len() / batch / vol;
+    let mut grad_b = vec![0.0; cout];
     let mut grad_w = vec![0.0; weights.len()];
-    kernels::gemm(cout, ckk, vol, 1.0, g, &col, 1.0, &mut grad_w);
-    let mut gcol = vec![f64::NAN; vol * ckk];
-    transa(vol, ckk, cout, g, weights, &mut gcol);
     let mut grad_in = vec![0.0; x.len()];
-    win.fold_add(&gcol, &mut grad_in);
-    [grad_in, grad_w, grad_b.collect()]
+    for (b, (xrow, grow)) in x
+        .chunks_exact(in_feat)
+        .zip(g.chunks_exact(cout * vol))
+        .enumerate()
+    {
+        for (gb, r) in grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
+            *gb += r.iter().sum::<f64>();
+        }
+        let mut col = vec![f64::NAN; vol * ckk];
+        win.unfold(xrow, &mut col);
+        kernels::gemm(cout, ckk, vol, 1.0, grow, &col, 1.0, &mut grad_w);
+        let mut gcol = vec![f64::NAN; vol * ckk];
+        transa(vol, ckk, cout, grow, weights, &mut gcol);
+        let dst = &mut grad_in[b * in_feat..(b + 1) * in_feat];
+        win.fold_add((0..vol).map(|p| (p, p)), &gcol, dst);
+    }
+    [grad_in, grad_w, grad_b]
 }
 
 /// One deconv row: `out` (`[cout, grid]`, fully overwritten) from `x`
@@ -159,21 +178,31 @@ pub fn deconv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: 
     for (o, &b) in out.chunks_exact_mut(volume(win.grid)).zip(bias) {
         o.fill(b);
     }
-    win.fold_add(&col, out);
+    win.fold_add((0..pin).map(|p| (p, p)), &col, out);
 }
 
-/// `(grad_in, grad_w, grad_b)` of one deconv row, gradients from zero.
+/// `(grad_in, grad_w, grad_b)` of `g.len() / (cout·grid)` deconv rows,
+/// accumulated as [`conv_backward`]'s: the materialised unfold of `g`, its
+/// `gemm` weight gradient and its `gemm_transb` input gradient.
 pub fn deconv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
     let (pin, cokk) = (volume(win.sites), win.patch_len());
-    let (vol, cin) = (volume(win.grid), x.len() / pin);
-    let grad_b = g.chunks_exact(vol).map(|r| 0.0 + r.iter().sum::<f64>());
-    let mut gcol = vec![f64::NAN; pin * cokk];
-    win.unfold(g, &mut gcol);
+    let (vol, out_feat) = (volume(win.grid), win.channels * volume(win.grid));
+    let batch = g.len() / out_feat;
+    let cin = x.len() / batch / pin;
+    let mut grad_b = vec![0.0; win.channels];
     let mut grad_w = vec![0.0; weights.len()];
-    kernels::gemm(cin, cokk, pin, 1.0, x, &gcol, 1.0, &mut grad_w);
     let mut grad_in = vec![f64::NAN; x.len()];
-    kernels::gemm_transb(cin, pin, cokk, 1.0, weights, &gcol, 0.0, &mut grad_in);
-    [grad_in, grad_w, grad_b.collect()]
+    let rows = x.chunks_exact(cin * pin).zip(g.chunks_exact(out_feat));
+    for ((xrow, grow), gi) in rows.zip(grad_in.chunks_exact_mut(cin * pin)) {
+        for (gb, r) in grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
+            *gb += r.iter().sum::<f64>();
+        }
+        let mut gcol = vec![f64::NAN; pin * cokk];
+        win.unfold(grow, &mut gcol);
+        kernels::gemm(cin, cokk, pin, 1.0, xrow, &gcol, 1.0, &mut grad_w);
+        kernels::gemm_transb(cin, pin, cokk, 1.0, weights, &gcol, 0.0, gi);
+    }
+    [grad_in, grad_w, grad_b]
 }
 
 /// The input-side formulation of one row, shared by conv and deconv: each

@@ -324,7 +324,8 @@ impl Layer for Activation {
 pub struct Dropout {
     p: f64,
     rng: Initializer,
-    mask: Option<Vec<f64>>,
+    /// The last training forward's mask, shaped as its input.
+    mask: Option<Tensor>,
 }
 
 impl Dropout {
@@ -365,8 +366,9 @@ impl Layer for Dropout {
                 }
             })
             .collect();
+        let mask = Tensor::from_vec(input.shape().to_vec(), mask);
         let mut out = input.clone();
-        for (o, m) in out.as_mut_slice().iter_mut().zip(&mask) {
+        for (o, m) in out.as_mut_slice().iter_mut().zip(mask.as_slice()) {
             *o *= m;
         }
         self.mask = Some(mask);
@@ -377,8 +379,13 @@ impl Layer for Dropout {
         match &self.mask {
             None => grad_out.clone(),
             Some(mask) => {
+                assert_eq!(
+                    grad_out.shape(),
+                    mask.shape(),
+                    "Dropout::backward: grad_out shape mismatch"
+                );
                 let mut g = grad_out.clone();
-                for (gi, m) in g.as_mut_slice().iter_mut().zip(mask) {
+                for (gi, m) in g.as_mut_slice().iter_mut().zip(mask.as_slice()) {
                     *gi *= m;
                 }
                 g
@@ -544,6 +551,16 @@ mod tests {
         for i in 0..16 {
             assert_eq!(y[i] == 0.0, g[i] == 0.0);
         }
+    }
+
+    /// A `grad_out` longer than the mask is refused, not left unmasked past
+    /// the mask's end.
+    #[test]
+    #[should_panic(expected = "grad_out shape mismatch")]
+    fn dropout_backward_refuses_a_grad_out_of_the_wrong_shape() {
+        let mut d = Dropout::new(0.5, 9);
+        let _ = d.forward(&Tensor::full(vec![1, 16], 1.0), true);
+        let _ = d.backward(&Tensor::full(vec![2, 16], 1.0));
     }
 
     #[test]

@@ -88,7 +88,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # when the caller exports SENSACT_FORCE_SCALAR) and, if that was the host's,
 # on the forced-scalar fallback too. The math + nn lib tests are the
 # dispatch-dependent correctness step: every fast kernel and conv lowering
-# against its reference, on the tier its contract names. The starnet + lidar
+# against its reference, on the tier its contract names — the conv backward
+# passes too: the backward rows of
+# `prop_{conv,deconv}_lowering_is_bit_identical_to_the_materialised_oracle`
+# (batch 1 and 3) hold the panel-packed weight gradients (chain tile below
+# 2^14, FMA above) and the tap-major fold
+# (`the_tap_major_fold_adds_in_the_site_major_order`) to the oracle's
+# materialised unfold + `gemm` on the host ISA, and the materialised arm to
+# it when forced. `tests/alloc_guard.rs` repeats with
+# them: its footprint guard expects no column matrix in an R-MAE train step
+# on the host ISA and the materialised columns when forced, so each leg
+# proves its arm is the live one. The starnet + lidar
 # lib tests ride along: the pinned score stream and the regret oracle go
 # through the sign fold and the VAE's GEMMs; so do the rmae ones, whose
 # site-sparse reconstruct must equal the dense conv oracle on either tier,
@@ -106,10 +116,11 @@ for leg in "${legs[@]}"; do
     [[ "$leg" == "0" ]] && isa="host ISA" || isa="forced-scalar path"
 
     if [[ "$leg" != "${legs[0]}" ]]; then
-        echo "== bitwise kernel, conv lowering, R-MAE, STARNet, lidar + Koopman tests ($isa) =="
+        echo "== bitwise kernel, conv lowering, R-MAE, STARNet, lidar + Koopman tests, footprint guard ($isa) =="
         SENSACT_FORCE_SCALAR="$leg" timeout 30m cargo test --offline -q \
             -p sensact-math -p sensact-nn -p sensact-rmae -p sensact-starnet -p sensact-lidar \
             -p sensact-koopman --lib
+        SENSACT_FORCE_SCALAR="$leg" timeout 30m cargo test --offline -q --test alloc_guard
     fi
 
     echo "== checkpoint bench smoke (snapshot/restore/migration, $isa) =="

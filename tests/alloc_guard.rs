@@ -1,12 +1,15 @@
-//! Allocation guard for the cart-pole inference path.
+//! Allocation guard for the cart-pole inference path, and a heap
+//! footprint guard for the R-MAE train step.
 //!
 //! A Koopman encode owns only the latent it returns, the state read-out and
 //! the latent LQR act own nothing, and a fleet-shaped cart-pole member
 //! (`CartPole::observe` → `SpectralKoopman::encode` →
 //! `LqrLatentController::act` → `CartPole::step`, closed through a
 //! `LoopHandle`) makes at most one heap allocation per tick once its record
-//! ring has wrapped. The counting allocator counts per thread, so tests
-//! running in parallel do not see each other's allocations.
+//! ring has wrapped. An R-MAE train step writes no `[sites × c·k³]` column
+//! matrix where the kernels take the panel path. The counting allocator
+//! counts allocations and live bytes per thread, so tests running in
+//! parallel do not see each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,38 +21,51 @@ use sensact::koopman::cartpole::{CartPole, CartPoleConfig, Disturbance, OBS_DIM}
 use sensact::koopman::control::LqrLatentController;
 use sensact::koopman::encoder::SpectralKoopman;
 use sensact::koopman::train::collect_dataset;
+use sensact::nn::optim::Adam;
+use sensact::rmae::model::{RmaeConfig, RmaeModel};
 use sensact::sched::LoopHandle;
 
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed, and their high-water
+    /// mark (a block freed on another thread stays counted here).
+    static LIVE: Cell<(i64, i64)> = const { Cell::new((0, 0)) };
 }
 
-fn count_one() {
+/// One allocation of `grow` bytes net (a free is negative).
+fn count(new: bool, grow: i64) {
     // `try_with`: the allocator also runs while a thread's locals are torn down.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    if new {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    }
+    let _ = LIVE.try_with(|l| {
+        let (live, peak) = l.get();
+        l.set((live + grow, peak.max(live + grow)));
+    });
 }
 
 // SAFETY: every call forwards to `System` with the caller's arguments; the
-// counter is a thread-local `Cell` that never allocates.
+// counters are thread-local `Cell`s that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(true, layout.size() as i64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count(true, layout.size() as i64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count(true, new_size as i64 - layout.size() as i64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(false, -(layout.size() as i64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -62,6 +78,18 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// `f`'s result and the most heap this thread held while running it, above
+/// what it held before.
+fn high_water<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let base = LIVE.with(|l| {
+        let (live, _) = l.get();
+        l.set((live, live));
+        live
+    });
+    let out = f();
+    (out, (LIVE.with(Cell::get).1 - base) as u64)
 }
 
 /// A model trained just enough to synthesise a latent LQR gain, as the
@@ -137,4 +165,47 @@ fn fleet_shaped_cartpole_loop_makes_at_most_one_allocation_per_tick() {
         "{n} allocations over {TICKS} ticks (at most one a tick: the latent)"
     );
     assert_eq!(handle.telemetry().ticks(), 300 + TICKS);
+}
+
+/// A fresh full-size R-MAE model (60 × 36 × 4 grid) and two train steps:
+/// the conv backward passes read their patches through the panel packer,
+/// so no layer owns a `[sites × c·k³]` column matrix — conv1 0.23 MB,
+/// conv2 1.87 MB, deconv1 1.87 MB, deconv2 0.55 MB when materialised.
+/// Measured on an AVX2+FMA host: 2.34 MiB high-water with the panel path,
+/// 6.65 MiB when the layers wrote their columns. Where the kernels decline
+/// the panel path (`SENSACT_FORCE_SCALAR`, non-x86) the layers still
+/// materialise them (6.76 MiB), and the row expects that arm: at least the
+/// columns' 4.31 MiB.
+#[test]
+fn rmae_train_steps_write_no_column_matrix() {
+    const MIB: f64 = 1024.0 * 1024.0;
+    // The four layers' columns, in doubles: 1080 sites × (1·27, 8·27, 8·27, 1·64).
+    const COLUMNS: f64 = (1080 * (27 + 216 + 216 + 64) * 8) as f64 / MIB;
+    let config = RmaeConfig::full();
+    let voxels = config.voxels();
+    let full: Vec<f64> = (0..voxels).map(|v| f64::from(v % 7 == 0)).collect();
+    let masked: Vec<f64> = full
+        .iter()
+        .enumerate()
+        .map(|(v, &o)| if v % 3 == 0 { 0.0 } else { o })
+        .collect();
+    let (_, bytes) = high_water(|| {
+        let mut model = RmaeModel::new(config, 11);
+        let mut opt = Adam::new(1e-3);
+        for _ in 0..2 {
+            let _ = model.train_step(&masked, &full, &mut opt);
+        }
+    });
+    let mib = bytes as f64 / MIB;
+    if sensact::math::simd::cpu_features().simd_f64() {
+        assert!(
+            mib < 3.0,
+            "{mib:.2} MiB high-water over two train steps (the columns are {COLUMNS:.2} MiB)"
+        );
+    } else {
+        assert!(
+            mib > COLUMNS,
+            "{mib:.2} MiB high-water on the materialised arm, under its {COLUMNS:.2} MiB of columns"
+        );
+    }
 }
