@@ -9,7 +9,7 @@
 //! an unrolled microkernel keeps an `MR × NR` tile of `C` in vector
 //! registers across the whole `k` block.
 //!
-//! Three paths exist, selected once per process by [`cpu_features`]:
+//! Three tiles exist, selected once per process by [`cpu_features`]:
 //!
 //! - **AVX2+FMA** (`6×8` f64 tile; 12 YMM accumulators):
 //!   fused multiply-add changes rounding versus the scalar kernels (one
@@ -17,26 +17,32 @@
 //!   [`gemm_naive`](crate::kernels::gemm_naive) by a forward error bounded
 //!   by `2·γ_{k+2}·(|αA|·|B|)_ij` — `fma_panel_path_is_within_forward_error_bound`
 //!   checks this bound analytically per element.
-//! - **SSE2** (`4×4` f64 tile): multiply *then* add per step, in ascending
-//!   `k` order — the exact rounding sequence of the scalar blocked kernel,
-//!   so this path stays **bitwise identical** to it.
-//! - **scalar**: the caller falls back to the blocked kernel in
-//!   [`kernels`](crate::kernels); forced everywhere by setting the
-//!   `SENSACT_FORCE_SCALAR` environment variable (satisfied by any value
-//!   other than `0`/empty).
+//! - **AVX** (`4×8` f64 tile, where AVX2 is present): multiply *then* add
+//!   per step, in ascending `k` — the exact rounding sequence of the scalar
+//!   blocked kernel, so this path stays **bitwise identical** to it.
+//! - **portable** (`4×4` f64 tile in plain Rust, no intrinsics, never
+//!   fused): the same arithmetic on every other host — an SSE2-only x86
+//!   (the compiler already emits SSE2 for it), a host without an f64 vector
+//!   ISA, and under the `SENSACT_FORCE_SCALAR` environment variable
+//!   (satisfied by any value other than `0`/empty). Where
+//!   [`CpuFeatures::simd_f64`] is false only the panel-source entry points
+//!   run it; [`gemm`](crate::kernels::gemm) and the other plain entry
+//!   points run their scalar loops there.
 //!
 //! [`gemm_transa`](crate::kernels::gemm_transa) runs on the same driver but
-//! never on the FMA tile: its `4×8` AVX tile (and the SSE2 tile below AVX2)
+//! never on the FMA tile: its `4×8` AVX tile (the portable tile below AVX2)
 //! multiplies, then adds, so that entry point is bitwise identical to the
 //! naive kernel on every host.
 //!
-//! The same two multiply-then-add tiles have a second, **dot** accumulator
-//! mode for the products *below* `SIMD_MIN_OPS` that reach the driver
-//! through a panel source (the conv forward, the gathered cross-loop GEMM):
-//! the accumulators start at `+0.0` and the finished tile is added to the
-//! `beta·C` seed once — the rounding sequence of the scalar row-dot in
-//! [`gemm_transb`](crate::kernels::gemm_transb), which is what those shapes
-//! have always computed and what every golden pins. A panel-source product
+//! The multiply-then-add tiles have a second, **dot** accumulator mode for
+//! the products *below* `SIMD_MIN_OPS` (all of them, where the FMA tile is
+//! off) that reach the driver through a panel source (the conv forward, the
+//! gathered cross-loop GEMM): the accumulators start at `+0.0` and the
+//! finished tile is added to the `beta·C` seed once — the rounding sequence
+//! of the scalar row-dot in [`gemm_transb`](crate::kernels::gemm_transb),
+//! which is what those shapes have always computed and what every golden
+//! pins. A dot is never split: its whole `k` is packed as one block. A
+//! panel-source product
 //! that stands in for `gemm` instead (the conv weight gradients) runs the
 //! same tiles in their chain mode there, the bits of the scalar blocked
 //! loop. `SIMD_MIN_OPS` therefore chooses a *rounding tier* for those entry
@@ -57,7 +63,7 @@ use std::sync::OnceLock;
 /// Register-tile height of the AVX2+FMA microkernels (12 YMM accumulators
 /// out of 16 architectural registers — the classic 6-row DGEMM shape).
 pub const MR_FMA: usize = 6;
-/// Register-tile height of the SSE2 microkernel.
+/// Register-tile height of the portable `4×4` microkernel.
 pub const MR_SSE: usize = 4;
 /// Register-tile height of the AVX multiply-then-add microkernel (8 YMM
 /// accumulators; the unfused product needs a register of its own).
@@ -65,7 +71,7 @@ pub const MR_SSE: usize = 4;
 const MR_AVX: usize = 4;
 /// Columns per packed B panel on the AVX2 f64 path.
 pub const NR_F64: usize = 8;
-/// Columns per packed B panel on the SSE2 f64 path.
+/// Columns per packed B panel on the portable `4×4` f64 path.
 pub const NR_SSE: usize = 4;
 
 /// `k`-block depth: panels of `KC` rows of B (2 KiB per f64 column panel)
@@ -123,7 +129,7 @@ pub fn cpu_features() -> &'static CpuFeatures {
 }
 
 /// Whether an f64 GEMM of this shape takes the FMA tier on this host — the
-/// exact gate [`gemm_f64`] applies. The batched kernels pin their dispatch
+/// exact gate in front of [`gemm_fma_f64`]. The batched kernels pin their dispatch
 /// on the *per-item* shape through this predicate so a stack of small
 /// problems never crosses onto a different rounding path than the same
 /// problems dispatched one at a time.
@@ -213,7 +219,6 @@ impl PanelSource for Transposed<'_> {
 /// Layout of the A operand: element `(i, kk)` lives at `a[i * row + kk * col]`
 /// (`(k, 1)` for row-major `[m × k]`, `(1, m)` for the `gemm_transa` shape).
 #[derive(Clone, Copy)]
-#[cfg(target_arch = "x86_64")]
 struct AStrides {
     row: usize,
     col: usize,
@@ -221,30 +226,13 @@ struct AStrides {
 
 /// Signature of an `MR × NR` microkernel: accumulate `kc` packed steps into
 /// the C tile at `c` with row stride `ldc`.
-#[cfg(target_arch = "x86_64")]
 type PanelKernel = unsafe fn(usize, *const f64, *const f64, *mut f64, usize);
 
-/// SIMD GEMM attempt on the FMA tier: `C = alpha*A*B + beta*C` with B read
-/// through `b`. Returns `false` — leaving `c` untouched — when no SIMD path
-/// applies and the caller must run its scalar kernel.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm_f64<S: PanelSource>(
-    m: usize,
-    n: usize,
-    k: usize,
-    alpha: f64,
-    a: &[f64],
-    b: &S,
-    beta: f64,
-    c: &mut [f64],
-) -> bool {
-    simd_f64_eligible(m, n, k) && gemm_fma_f64(m, n, k, alpha, a, b, beta, c)
-}
-
-/// The FMA tier of [`gemm_f64`] without its size gate, for a caller that
-/// pinned the tier on another shape than the one it multiplies
-/// ([`gemm_panel_source`](crate::kernels::gemm_panel_source)). Returns
-/// `false` with `c` untouched when SIMD is off.
+/// The FMA tier: `C = alpha*A*B + beta*C` with B read through `b`. Only
+/// called once [`simd_f64_eligible`] has passed, on the product's own shape
+/// or on the one a caller pinned the tier on
+/// ([`gemm_panel_source`](crate::kernels::gemm_panel_source)); an SSE2-only
+/// host runs the portable tile in chain mode.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_fma_f64<S: PanelSource>(
     m: usize,
@@ -255,38 +243,24 @@ pub(crate) fn gemm_fma_f64<S: PanelSource>(
     b: &S,
     beta: f64,
     c: &mut [f64],
-) -> bool {
-    if !cpu_features().simd_f64() {
-        return false;
-    }
+) {
+    let at = AStrides { row: k, col: 1 };
     #[cfg(target_arch = "x86_64")]
-    {
+    if cpu_features().avx2 && cpu_features().fma {
         crate::kernels::scale_c(beta, c);
-        let f = cpu_features();
-        let at = AStrides { row: k, col: 1 };
-        if f.avx2 && f.fma {
-            let kernel = kernel_6x8_f64_fma;
-            gemm_panels::<MR_FMA, NR_F64, _>(m, n, k, alpha, a, at, b, c, kernel);
-        } else {
-            let kernel = kernel_4x4_f64_sse2::<false>;
-            gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, alpha, a, at, b, c, kernel);
-        }
-        true
+        let kernel = kernel_6x8_f64_fma;
+        return gemm_panels::<MR_FMA, NR_F64, _>(m, n, k, KC, alpha, a, at, b, c, kernel);
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (m, n, k, alpha, a, b, beta, c);
-        false
-    }
+    gemm_bitwise::<false, _>(m, n, k, alpha, a, at, b, beta, c);
 }
 
-/// SIMD attempt at `C = alpha * A^T * B + beta * C` (`a` row-major `[k × m]`)
-/// on the **bitwise** tier: the microkernels multiply, *then* add, in
-/// ascending `k` — the rounding sequence of the scalar loop in
+/// `C = alpha * A^T * B + beta * C` (`a` row-major `[k × m]`) on the
+/// **bitwise** tier: the microkernels multiply, *then* add, in ascending `k`
+/// — the rounding sequence of the scalar loop in
 /// [`gemm_transa`](crate::kernels::gemm_transa), so every path of that entry
 /// point produces the same bits (goldens and trace hashes pin them).
-/// 256-bit where AVX2 is present, 128-bit otherwise; returns `false` with
-/// `c` untouched when the caller must run the scalar loop.
+/// The AVX tile where AVX2 is present, the portable one otherwise; only
+/// called once [`simd_f64_eligible`] has passed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_transa_f64(
     m: usize,
@@ -297,33 +271,19 @@ pub(crate) fn gemm_transa_f64(
     b: &[f64],
     beta: f64,
     c: &mut [f64],
-) -> bool {
-    if !simd_f64_eligible(m, n, k) {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        let at = AStrides { row: 1, col: m };
-        gemm_bitwise::<false, _>(m, n, k, alpha, a, at, &RowMajor { b, n }, beta, c);
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (alpha, a, b, beta, c);
-        false
-    }
+) {
+    let at = AStrides { row: 1, col: m };
+    gemm_bitwise::<false, _>(m, n, k, alpha, a, at, &RowMajor { b, n }, beta, c);
 }
 
-/// SIMD attempt at a product *below* [`SIMD_MIN_OPS`] on a **bitwise** tier:
-/// `C = alpha*A*B + beta*C` with `a` row-major `[m × k]` and B read through
-/// `b`, multiply then add in ascending `k`. With `DOT`, every element is
-/// `beta·c + Σ_k (alpha·a)·b` with the sum started at `+0.0` — bit for bit
-/// the scalar row-dot of [`gemm_transb`](crate::kernels::gemm_transb); the
-/// sum of one element must stay in one accumulator, so a `k` deeper than one
-/// `KC` block is declined. Without it, one chain from the `beta·c` seed —
-/// bit for bit [`gemm_blocked`](crate::kernels::gemm_blocked). Returns
-/// `false` with `c` untouched when declined, when SIMD is off
-/// (`SENSACT_FORCE_SCALAR`, non-x86) and on empty shapes.
+/// A product on a **bitwise** tier: `C = alpha*A*B + beta*C` with `a`
+/// row-major `[m × k]` and B read through `b`, multiply then add in
+/// ascending `k`, on the host's multiply-then-add tile or the portable one.
+/// With `DOT`, every element is `beta·c + Σ_k (alpha·a)·b` with the sum
+/// started at `+0.0` — bit for bit the scalar row-dot of
+/// [`gemm_transb`](crate::kernels::gemm_transb), `k = 0` included (a `-0.0`
+/// seed becomes `+0.0`). Without it, one chain from the `beta·c` seed — bit
+/// for bit [`gemm_blocked`](crate::kernels::gemm_blocked).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_tile_f64<const DOT: bool, S: PanelSource>(
     m: usize,
@@ -334,20 +294,11 @@ pub(crate) fn gemm_tile_f64<const DOT: bool, S: PanelSource>(
     b: &S,
     beta: f64,
     c: &mut [f64],
-) -> bool {
-    if !cpu_features().simd_f64() || m == 0 || n == 0 || k == 0 || (DOT && k > KC) {
-        return false;
-    }
-    #[cfg(target_arch = "x86_64")]
-    {
-        let at = AStrides { row: k, col: 1 };
-        gemm_bitwise::<DOT, _>(m, n, k, alpha, a, at, b, beta, c);
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (alpha, a, b, beta, c);
-        false
+) {
+    let at = AStrides { row: k, col: 1 };
+    gemm_bitwise::<DOT, _>(m, n, k, alpha, a, at, b, beta, c);
+    if DOT && k == 0 {
+        c.iter_mut().for_each(|x| *x += 0.0);
     }
 }
 
@@ -457,9 +408,10 @@ unsafe fn sign_fold_avx2(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [
 }
 
 /// The packed-panel driver over the multiply-then-add tile of the host
-/// (`4×8` AVX where AVX2 is present, `4×4` SSE2 otherwise), in chain mode
-/// (`DOT = false`: accumulate onto the `beta·C` seed) or dot mode.
-#[cfg(target_arch = "x86_64")]
+/// (`4×8` AVX where AVX2 is present and [`CpuFeatures::simd_f64`] holds,
+/// the portable `4×4` everywhere else), in chain mode
+/// (`DOT = false`: accumulate onto the `beta·C` seed, `KC`-deep blocks) or
+/// dot mode (the whole `k` in one block, so no dot is split).
 #[allow(clippy::too_many_arguments)]
 fn gemm_bitwise<const DOT: bool, S: PanelSource>(
     m: usize,
@@ -473,18 +425,18 @@ fn gemm_bitwise<const DOT: bool, S: PanelSource>(
     c: &mut [f64],
 ) {
     crate::kernels::scale_c(beta, c);
-    if cpu_features().avx2 {
+    let kb = if DOT { k.max(1) } else { KC };
+    #[cfg(target_arch = "x86_64")]
+    if cpu_features().simd_f64() && cpu_features().avx2 {
         let kernel = kernel_4x8_f64_avx::<DOT>;
-        gemm_panels::<MR_AVX, NR_F64, _>(m, n, k, alpha, a, at, b, c, kernel);
-    } else {
-        let kernel = kernel_4x4_f64_sse2::<DOT>;
-        gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, alpha, a, at, b, c, kernel);
+        return gemm_panels::<MR_AVX, NR_F64, _>(m, n, k, kb, alpha, a, at, b, c, kernel);
     }
+    let kernel = kernel_4x4_f64_portable::<DOT>;
+    gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, kb, alpha, a, at, b, c, kernel);
 }
 
 /// Pack one `MR`-high row panel of A (alpha folded in, short panels
 /// zero-padded).
-#[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 fn pack_a_panel<const MR: usize>(
     at: AStrides,
@@ -507,10 +459,8 @@ fn pack_a_panel<const MR: usize>(
 /// Rows of A packed at a time. A multiple of every tile height, sized so a
 /// full block (`MC × KC` doubles, 192 KiB) stays L2-resident while the B
 /// panels stream past it.
-#[cfg(target_arch = "x86_64")]
 const MC: usize = 96;
 
-#[cfg(target_arch = "x86_64")]
 thread_local! {
     /// Per-thread packing scratch (B panels, A block). Reused across GEMM
     /// dispatches: small serving-sized calls would otherwise spend more on
@@ -521,7 +471,8 @@ thread_local! {
 }
 
 /// Packed-panel GEMM driver, generic over the tile shape, the B source and
-/// the microkernel (C pre-scaled by beta; computes `C += αAB`).
+/// the microkernel (C pre-scaled by beta; computes `C += αAB`), in `k`
+/// blocks of `kb` steps.
 ///
 /// A is packed `MC` rows at a time; each B panel is packed when the first A
 /// block reaches it and is multiplied against every packed A panel while it
@@ -530,12 +481,12 @@ thread_local! {
 /// B — which for a conv is the column matrix — never exists in memory.
 /// Every packed region is fully written (short panels zero-padded) before
 /// the microkernel reads it, so stale scratch contents are harmless.
-#[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 fn gemm_panels<const MR: usize, const NR: usize, S: PanelSource>(
     m: usize,
     n: usize,
     k: usize,
+    kb: usize,
     alpha: f64,
     a: &[f64],
     at: AStrides,
@@ -547,7 +498,7 @@ fn gemm_panels<const MR: usize, const NR: usize, S: PanelSource>(
         let mut scratch = scratch.borrow_mut();
         let (bp, ap) = &mut *scratch;
         let np = n.div_ceil(NR);
-        let kc_max = KC.min(k);
+        let kc_max = kb.min(k);
         let slots = if m <= MC { 1 } else { np };
         if bp.len() < slots * kc_max * NR {
             bp.resize(slots * kc_max * NR, 0.0);
@@ -556,8 +507,8 @@ fn gemm_panels<const MR: usize, const NR: usize, S: PanelSource>(
         if ap.len() < a_rows * kc_max {
             ap.resize(a_rows * kc_max, 0.0);
         }
-        for k0 in (0..k).step_by(KC) {
-            let kc = (k0 + KC).min(k) - k0;
+        for k0 in (0..k).step_by(kb) {
+            let kc = (k0 + kb).min(k) - k0;
             for ib in (0..m).step_by(MC) {
                 let mb = (m - ib).min(MC);
                 for (panel, i0) in ap.chunks_exact_mut(kc * MR).zip((ib..ib + mb).step_by(MR)) {
@@ -684,44 +635,43 @@ unsafe fn kernel_6x8_f64_fma(kc: usize, ap: *const f64, bp: *const f64, c: *mut 
     }
 }
 
-/// SSE2 `4×4` f64 microkernel. Multiply **then** add per step, ascending
-/// `k` — the same rounding sequence as the scalar blocked kernel, so this
-/// path is bitwise identical to it. `DOT` selects the accumulator mode
-/// exactly as on [`kernel_4x8_f64_avx`].
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn kernel_4x4_f64_sse2<const DOT: bool>(
+/// Portable `4×4` f64 microkernel: plain Rust, multiply **then** add per
+/// step in ascending `k` (no intrinsics, no `mul_add`) — the rounding
+/// sequence of the scalar blocked kernel — with the same `DOT` accumulator
+/// modes as [`kernel_4x8_f64_avx`].
+///
+/// # Safety
+///
+/// `ap` and `bp` must point at `kc * 4` packed doubles each; `c` must be
+/// valid for reads and writes of 4 rows of 4 doubles at row stride `ldc`.
+unsafe fn kernel_4x4_f64_portable<const DOT: bool>(
     kc: usize,
     ap: *const f64,
     bp: *const f64,
     c: *mut f64,
     ldc: usize,
 ) {
-    use std::arch::x86_64::*;
-    let mut acc = [[_mm_setzero_pd(); 2]; MR_SSE];
+    let (ap, bp) = (
+        std::slice::from_raw_parts(ap, kc * MR_SSE),
+        std::slice::from_raw_parts(bp, kc * NR_SSE),
+    );
+    let mut acc = [[0.0f64; NR_SSE]; MR_SSE];
     if !DOT {
         for (r, row) in acc.iter_mut().enumerate() {
-            row[0] = _mm_loadu_pd(c.add(r * ldc));
-            row[1] = _mm_loadu_pd(c.add(r * ldc + 2));
+            row.copy_from_slice(std::slice::from_raw_parts(c.add(r * ldc), NR_SSE));
         }
     }
-    for kk in 0..kc {
-        let b0 = _mm_loadu_pd(bp.add(kk * NR_SSE));
-        let b1 = _mm_loadu_pd(bp.add(kk * NR_SSE + 2));
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = _mm_set1_pd(*ap.add(kk * MR_SSE + r));
-            row[0] = _mm_add_pd(row[0], _mm_mul_pd(av, b0));
-            row[1] = _mm_add_pd(row[1], _mm_mul_pd(av, b1));
+    for (a, b) in ap.chunks_exact(MR_SSE).zip(bp.chunks_exact(NR_SSE)) {
+        for (row, &av) in acc.iter_mut().zip(a) {
+            for (x, &bv) in row.iter_mut().zip(b) {
+                *x += av * bv;
+            }
         }
     }
     for (r, row) in acc.iter().enumerate() {
-        let (c0, c1) = (c.add(r * ldc), c.add(r * ldc + 2));
-        if DOT {
-            _mm_storeu_pd(c0, _mm_add_pd(_mm_loadu_pd(c0), row[0]));
-            _mm_storeu_pd(c1, _mm_add_pd(_mm_loadu_pd(c1), row[1]));
-        } else {
-            _mm_storeu_pd(c0, row[0]);
-            _mm_storeu_pd(c1, row[1]);
+        let dst = std::slice::from_raw_parts_mut(c.add(r * ldc), NR_SSE);
+        for (d, &x) in dst.iter_mut().zip(row) {
+            *d = if DOT { *d + x } else { x };
         }
     }
 }
@@ -752,12 +702,8 @@ mod tests {
         bound
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn sse2_panel_path_is_bitwise_vs_blocked() {
-        if !cpu_features().sse2 {
-            return;
-        }
+    fn portable_panel_path_is_bitwise_vs_blocked() {
         let mut rng = StdRng::seed_from_u64(0x55E2);
         for &(m, n, k) in &[(4, 4, 8), (7, 9, 300), (64, 33, 257), (1, 16, 40)] {
             let a = random_mat(&mut rng, m * k);
@@ -769,14 +715,15 @@ mod tests {
                 m,
                 n,
                 k,
+                KC,
                 1.25,
                 &a,
                 AStrides { row: k, col: 1 },
                 &RowMajor { b: &b, n },
                 &mut c,
-                kernel_4x4_f64_sse2::<false>,
+                kernel_4x4_f64_portable::<false>,
             );
-            assert_eq!(c_ref, c, "sse2 path not bitwise at {m}x{n}x{k}");
+            assert_eq!(c_ref, c, "portable path not bitwise at {m}x{n}x{k}");
 
             // The same tile on a transposed A (`gemm_transa` below AVX2).
             let mut at = vec![0.0; k * m];
@@ -786,27 +733,77 @@ mod tests {
                 m,
                 n,
                 k,
+                KC,
                 1.25,
                 &at,
                 AStrides { row: 1, col: m },
                 &RowMajor { b: &b, n },
                 &mut c_t,
-                kernel_4x4_f64_sse2::<false>,
+                kernel_4x4_f64_portable::<false>,
             );
-            assert_eq!(c_ref, c_t, "sse2 transa path not bitwise at {m}x{n}x{k}");
+            assert_eq!(
+                c_ref, c_t,
+                "portable transa path not bitwise at {m}x{n}x{k}"
+            );
         }
     }
 
-    /// Both dot-mode tiles, driven directly (so the SSE2 tile is covered on
-    /// an AVX2 host), against the scalar row-dot written out: sum from
-    /// `+0.0` in ascending `k`, added to the `beta·C` seed once. Ragged and
-    /// full tiles, `k` up to one whole block, IEEE specials in every operand.
-    #[cfg(target_arch = "x86_64")]
+    /// The multiply-then-add tile with `kb` steps per block, driven
+    /// directly on `seed` (scaled by `beta` first, as the entry points do).
+    fn drive<const MR: usize, const NR: usize, S: PanelSource>(
+        kernel: PanelKernel,
+        (m, n, k, kb): (usize, usize, usize, usize),
+        alpha: f64,
+        a: &[f64],
+        b: &S,
+        beta: f64,
+        seed: &[f64],
+    ) -> Vec<f64> {
+        let mut c = seed.to_vec();
+        crate::kernels::scale_c(beta, &mut c);
+        gemm_panels::<MR, NR, _>(
+            m,
+            n,
+            k,
+            kb,
+            alpha,
+            a,
+            AStrides { row: k, col: 1 },
+            b,
+            &mut c,
+            kernel,
+        );
+        c
+    }
+
+    fn assert_same_bits(want: &[f64], got: &[f64], case: &str) {
+        for (i, (x, y)) in want.iter().zip(got).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits(),
+                "{case}: element {i} is {y:e} ({:#x}), want {x:e} ({:#x})",
+                y.to_bits(),
+                x.to_bits()
+            );
+        }
+    }
+
+    /// Every dot-mode tile — the portable one, and AVX where the host has
+    /// it — driven directly, against the scalar row-dot written out: sum from `+0.0`
+    /// in ascending `k`, added to the `beta·C` seed once. Ragged and full
+    /// tiles, `k` past one `KC` block (a dot is one block, whatever its
+    /// depth), IEEE specials in every operand.
     #[test]
     fn dot_mode_tiles_are_bitwise_vs_the_scalar_row_dot() {
-        let f = cpu_features();
         let mut rng = StdRng::seed_from_u64(0xD07);
-        for &(m, n, k) in &[(4, 8, 27), (1, 1, 1), (5, 9, 255), (7, 13, KC), (9, 31, 40)] {
+        let shapes = [
+            (4, 8, 27),
+            (1, 1, 1),
+            (5, 9, 255),
+            (7, 13, KC),
+            (9, 31, 40),
+            (6, 5, 600),
+        ];
+        for &(m, n, k) in &shapes {
             for hostile in [false, true] {
                 let mut a = random_mat(&mut rng, m * k);
                 let mut bt = random_mat(&mut rng, n * k); // stored as [n, k]
@@ -827,27 +824,73 @@ mod tests {
                         want[i * n + j] += acc;
                     }
                 }
-                let (at, src) = (AStrides { row: k, col: 1 }, Transposed { b: &bt, k });
-                let mut tiles = vec![];
-                if f.sse2 {
-                    let mut c = base.clone();
-                    let kernel = kernel_4x4_f64_sse2::<true>;
-                    gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, alpha, &a, at, &src, &mut c, kernel);
-                    tiles.push(("sse2", c));
-                }
-                if f.avx2 {
-                    let mut c = base.clone();
+                let src = Transposed { b: &bt, k };
+                let shape = (m, n, k, k);
+                let portable = kernel_4x4_f64_portable::<true>;
+                #[allow(unused_mut)] // the AVX tile is x86-only
+                let mut tiles = vec![(
+                    "portable",
+                    drive::<MR_SSE, NR_SSE, _>(portable, shape, alpha, &a, &src, 1.0, &base),
+                )];
+                #[cfg(target_arch = "x86_64")]
+                if cpu_features().avx2 {
                     let kernel = kernel_4x8_f64_avx::<true>;
-                    gemm_panels::<MR_AVX, NR_F64, _>(m, n, k, alpha, &a, at, &src, &mut c, kernel);
+                    let c = drive::<MR_AVX, NR_F64, _>(kernel, shape, alpha, &a, &src, 1.0, &base);
                     tiles.push(("avx", c));
                 }
                 for (tile, c) in tiles {
-                    for (i, (x, y)) in want.iter().zip(&c).enumerate() {
-                        assert!(
-                            x.to_bits() == y.to_bits(),
-                            "{tile} dot tile not bitwise at {m}x{n}x{k} hostile={hostile}: \
-                             element {i} is {y:e}, row-dot has {x:e}"
-                        );
+                    let case =
+                        format!("{tile} dot tile vs the row-dot at {m}x{n}x{k} hostile={hostile}");
+                    assert_same_bits(&want, &c, &case);
+                }
+            }
+        }
+    }
+
+    /// The portable tile and the host's multiply-then-add tile on the same
+    /// operands, through the same driver, in both accumulator modes: every
+    /// `m mod 4` and `n mod {4, 8}` residue, `k` on both sides of the
+    /// 256-deep block (chain mode cuts it, dot mode never does), NaN, `±∞`
+    /// and `±0` in A, B and the seed, every `beta` class. This is the row a
+    /// host without AVX leans on; on such a host the two tiles are one.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_portable_tile_is_bitwise_the_host_tile() {
+        if !cpu_features().avx2 {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(0x9027);
+        for k in [1, 255, 256, 257, 600] {
+            for m in 1..=8 {
+                for n in 1..=9 {
+                    for beta in [0.0, 0.5, 1.0] {
+                        let mut a = random_mat(&mut rng, m * k);
+                        let mut b = random_mat(&mut rng, k * n);
+                        let mut seed = random_mat(&mut rng, m * n);
+                        for buf in [&mut a, &mut b, &mut seed] {
+                            salt_hostile(&mut rng, buf);
+                        }
+                        let src = RowMajor { b: &b, n };
+                        for dot in [false, true] {
+                            let shape = (m, n, k, if dot { k } else { KC });
+                            let (portable, avx): (PanelKernel, PanelKernel) = if dot {
+                                (kernel_4x4_f64_portable::<true>, kernel_4x8_f64_avx::<true>)
+                            } else {
+                                (
+                                    kernel_4x4_f64_portable::<false>,
+                                    kernel_4x8_f64_avx::<false>,
+                                )
+                            };
+                            let alpha = 0.75;
+                            let want = drive::<MR_SSE, NR_SSE, _>(
+                                portable, shape, alpha, &a, &src, beta, &seed,
+                            );
+                            let host = drive::<MR_AVX, NR_F64, _>(
+                                avx, shape, alpha, &a, &src, beta, &seed,
+                            );
+                            let case = format!("{m}x{n}x{k} beta={beta} dot={dot}");
+                            assert_same_bits(&want, &host, &case);
+                        }
                     }
                 }
             }
@@ -873,6 +916,7 @@ mod tests {
                 m,
                 n,
                 k,
+                KC,
                 alpha,
                 &a,
                 AStrides { row: k, col: 1 },

@@ -29,16 +29,15 @@
 //! inference alike ([`Layer::forward`] is the one forward). The backward
 //! passes stay dense, and [`Layer::macs`] stays the dense count.
 //!
-//! **No pass writes a `[sites × c·k³]` column matrix** where the kernels
-//! take the panel path: a [`PanelSource`] unfolds taps straight into the
-//! packed B panel. `Patches` (a column per site) feeds the conv forward and
-//! the deconv input gradient, a conv forward of `grad_out`; `SiteRows` (a
-//! row per site) feeds both weight gradients with the panels `gemm` packed
-//! from the unfold. The tier is pinned on the dense shape: FMA from `2¹⁴`
-//! multiply-adds per row up; below, the multiply-then-add tile in dot mode
-//! where the scalar row-dot ran, in chain mode where `gemm` did. Where the
-//! kernels decline (`SENSACT_FORCE_SCALAR`, non-x86, a small dot with
-//! `c·k³ > 256`) a layer unfolds into scratch for `gemm` / `gemm_transb`.
+//! **No pass writes a `[sites × c·k³]` column matrix**, on any ISA: a
+//! [`PanelSource`] unfolds taps straight into the packed B panel. `Patches`
+//! (a column per site) feeds the conv forward and the deconv input
+//! gradient, a conv forward of `grad_out`; `SiteRows` (a row per site)
+//! feeds both weight gradients with the panels `gemm` would pack from the
+//! unfold. The tier is pinned on the dense shape: FMA from `2¹⁴`
+//! multiply-adds per row up; below, and wherever the FMA tile is off, the
+//! multiply-then-add tile in dot mode (the scalar row-dot's bits) or chain
+//! mode (`gemm`'s).
 //!
 //! **The fold is tap-major.** The transposed products (deconv forward, conv
 //! input gradient) run in cache-sized blocks of sites, each folded as soon
@@ -190,35 +189,6 @@ impl Window {
         (p / (h * w), p / w % h, p % w)
     }
 
-    /// Unfold the windows of `sites` over `src` (`[channels, grid]`) into
-    /// `col`, one `channels·k³` row per site in the order given (im2col),
-    /// padding taps zero.
-    fn unfold(&self, src: &[f64], sites: impl IntoIterator<Item = usize>, col: &mut [f64]) {
-        let (k, s, pad, g) = (self.kernel, self.stride, self.pad, self.grid);
-        let len = self.patch_len();
-        col.fill(0.0);
-        for (row, p) in sites.into_iter().enumerate() {
-            let (sz, sy, sx) = self.site(p);
-            let (d0, d1) = self.taps(sz, g.d);
-            let (h0, h1) = self.taps(sy, g.h);
-            let (w0, w1) = self.taps(sx, g.w);
-            if w0 == w1 {
-                continue;
-            }
-            let x = sx * s + w0 - pad;
-            for c in 0..self.channels {
-                for kd in d0..d1 {
-                    for kh in h0..h1 {
-                        let (z, y) = (sz * s + kd - pad, sy * s + kh - pad);
-                        let q = ((c * k + kd) * k + kh) * k + w0;
-                        let at = ((c * g.d + z) * g.h + y) * g.w + x;
-                        col[row * len + q..][..w1 - w0].copy_from_slice(&src[at..][..w1 - w0]);
-                    }
-                }
-            }
-        }
-    }
-
     /// Fold a block's product back onto `dst` (`[channels, grid]`),
     /// tap-major (module docs), padding taps dropped: `col` is
     /// `[channels·k³ × r]`, and site `p` takes column `row` for each
@@ -303,25 +273,11 @@ impl Window {
 
     /// `grad_w += a · unfold(src)`, `a` `[m × sites]`: both layers' weight
     /// gradient (beta = 1 accumulates), the patches packed straight from
-    /// `src` ([`SiteRows`]). Where the kernels decline, `src` is unfolded
-    /// into `col` for `gemm`; returns whether it was.
-    fn weight_grad(
-        &self,
-        m: usize,
-        a: &[f64],
-        src: &[f64],
-        col: &mut Vec<f64>,
-        grad_w: &mut [f64],
-    ) -> bool {
+    /// `src` ([`SiteRows`]).
+    fn weight_grad(&self, m: usize, a: &[f64], src: &[f64], grad_w: &mut [f64]) {
         let (n, len) = (self.sites.volume(), self.patch_len());
         let rows = SiteRows { window: *self, src };
-        if kernels::gemm_panel_source(m, len, n, len, false, 1.0, a, &rows, 1.0, grad_w) {
-            return false;
-        }
-        let col = grown(col, n * len);
-        self.unfold(src, 0..n, col);
-        kernels::gemm(m, len, n, 1.0, a, col, 1.0, grad_w);
-        true
+        kernels::gemm_panel_source(m, len, n, len, false, 1.0, a, &rows, 1.0, grad_w);
     }
 
     /// `hit`, one flag per site, raised for every site whose window reaches
@@ -460,8 +416,6 @@ impl Window {
 /// never checkpointed.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// One item's full column matrix, for the arms that still materialise.
-    col: Vec<f64>,
     /// One block of columns of a transposed lowering.
     block: Vec<f64>,
     /// The matching block of the transposed operand, gathered contiguous.
@@ -545,9 +499,9 @@ impl PanelSource for Patches<'_> {
 }
 
 /// The weight gradients' B operand, never materialised: row `p` of the
-/// `[sites × channels·k³]` matrix is the window at site `p` over `src`
-/// ([`Window::unfold`] over every site). Each lane (tap) of a panel is
-/// filled run by run: sites along one x row, `stride` apart in the grid.
+/// `[sites × channels·k³]` matrix is the window at site `p` over `src` (the
+/// oracle's im2col row). Each lane (tap) of a panel is filled run by run:
+/// sites along one x row, `stride` apart in the grid.
 struct SiteRows<'a> {
     window: Window,
     src: &'a [f64],
@@ -695,15 +649,11 @@ impl Conv3d {
     /// the transposed-B GEMM with the bias as accumulator seed (beta = 1),
     /// over the sites a value reaches plus the first one none reaches, whose
     /// column every unreached site then copies (module docs). The patches
-    /// are unfolded inside the panel packer; only where the kernels decline
-    /// the panel path (SIMD off, or a small layer whose `cin·k³` exceeds one
-    /// `k` block) do the listed ones unfold into scratch first, for the
-    /// scalar row-dot the dense layer runs there too.
+    /// are unfolded inside the panel packer.
     fn forward_row(&mut self, xrow: &[f64], orow: &mut [f64]) {
         let win = self.window();
         let (vol, ckk, cout) = (win.sites.volume(), win.patch_len(), self.cout);
         let Scratch {
-            col,
             sites,
             flags,
             reached,
@@ -725,11 +675,7 @@ impl Conv3d {
             sites,
         };
         let w = &self.weights;
-        if !kernels::gemm_panel_source(cout, n, ckk, vol, true, 1.0, w, &patches, 1.0, c) {
-            let col = grown(col, n * ckk);
-            win.unfold(xrow, sites.iter().copied(), col);
-            kernels::gemm_transb(cout, n, ckk, 1.0, w, col, 1.0, c);
-        }
+        kernels::gemm_panel_source(cout, n, ckk, vol, true, 1.0, w, &patches, 1.0, c);
         if let Some(stand_in) = stand_in.filter(|_| n < vol) {
             spread(orow, vol, sites, sites.partition_point(|&p| p < stand_in));
         }
@@ -761,8 +707,7 @@ impl Conv3d {
     /// pinned on the per-item shape
     /// ([`gemm_panel_source`](sensact_math::kernels::gemm_panel_source)) —
     /// small layers such as the served `4 × 64 × 27` lidar conv go wide on
-    /// the bitwise dot tile — and where the kernels decline the panel path
-    /// altogether the rows run the per-row forward.
+    /// the bitwise dot tile. A batch of one runs the per-row forward.
     pub fn forward_batch_into(&mut self, rows: &[&[f64]], outs: &mut [&mut [f64]]) {
         assert_eq!(
             rows.len(),
@@ -783,38 +728,34 @@ impl Conv3d {
                 "Conv3d::forward_batch_into: output row must be cout * out_volume"
             );
         }
-        let nn = batch * vol;
-        let mut wide = false;
-        if batch >= 2 {
-            let (win, ckk) = (self.window(), self.patch_len());
-            let sites = &mut self.scratch.sites;
-            sites.clear();
-            sites.extend(0..vol);
-            let patches = Patches {
-                window: win,
-                rows,
-                sites,
-            };
-            let (w, cout) = (&self.weights, self.cout);
-            // The gathered panel starts as the bias, replicated along the
-            // stacked column axis — the same accumulator seed the per-row
-            // path loads, laid down as cout contiguous fills.
-            let big = grown(&mut self.batch_panel, self.cout * nn);
-            for (o, &b) in big.chunks_exact_mut(nn).zip(&self.bias) {
-                o.fill(b);
-            }
-            wide = kernels::gemm_panel_source(cout, nn, ckk, vol, true, 1.0, w, &patches, 1.0, big);
-            if wide {
-                for (t, orow) in outs.iter_mut().enumerate() {
-                    for (o, src) in orow.chunks_exact_mut(vol).zip(big.chunks_exact(nn)) {
-                        o.copy_from_slice(&src[t * vol..(t + 1) * vol]);
-                    }
-                }
-            }
-        }
-        if !wide {
+        if batch < 2 {
             for (row, orow) in rows.iter().zip(outs.iter_mut()) {
                 self.forward_row(row, orow);
+            }
+            return;
+        }
+        let nn = batch * vol;
+        let (win, ckk) = (self.window(), self.patch_len());
+        let sites = &mut self.scratch.sites;
+        sites.clear();
+        sites.extend(0..vol);
+        let patches = Patches {
+            window: win,
+            rows,
+            sites,
+        };
+        let (w, cout) = (&self.weights, self.cout);
+        // The gathered panel starts as the bias, replicated along the
+        // stacked column axis — the same accumulator seed the per-row path
+        // loads, laid down as cout contiguous fills.
+        let big = grown(&mut self.batch_panel, self.cout * nn);
+        for (o, &b) in big.chunks_exact_mut(nn).zip(&self.bias) {
+            o.fill(b);
+        }
+        kernels::gemm_panel_source(cout, nn, ckk, vol, true, 1.0, w, &patches, 1.0, big);
+        for (t, orow) in outs.iter_mut().enumerate() {
+            for (o, src) in orow.chunks_exact_mut(vol).zip(big.chunks_exact(nn)) {
+                o.copy_from_slice(&src[t * vol..(t + 1) * vol]);
             }
         }
     }
@@ -858,7 +799,7 @@ impl Layer for Conv3d {
                 *gb += g.iter().sum::<f64>();
             }
             // grad_w += g [cout, P] · unfold(x) [P, cin*k³]
-            win.weight_grad(cout, grow, xrow, &mut self.scratch.col, &mut self.grad_w);
+            win.weight_grad(cout, grow, xrow, &mut self.grad_w);
             // grad_in += fold(gᵀ W), W as [cout, cin*k³]
             let (w, scratch) = (&self.weights, &mut self.scratch);
             win.fold_product(cout, grow, w, false, scratch, grad_in.row_mut(b));
@@ -1069,7 +1010,7 @@ impl Layer for Deconv3d {
             "Deconv3d::backward: grad_out shape mismatch"
         );
         let mut grad_in = Tensor::zeros(vec![batch, cin * pin]);
-        let Scratch { col, sites, .. } = &mut self.scratch;
+        let sites = &mut self.scratch.sites;
         sites.clear();
         sites.extend(0..pin);
         for b in 0..batch {
@@ -1078,7 +1019,7 @@ impl Layer for Deconv3d {
                 *gb += g.iter().sum::<f64>();
             }
             // grad_w += x [cin, Pin] · unfold(g) [Pin, cout*k³]
-            let unfolded = win.weight_grad(cin, xrow, grow, col, &mut self.grad_w);
+            win.weight_grad(cin, xrow, grow, &mut self.grad_w);
             // grad_in[ci, p] = Σ_j W[ci, j] · unfold(g)[p, j]: a conv forward
             // of grad_out over the deconv's windows, with no bias.
             let patches = Patches {
@@ -1087,12 +1028,7 @@ impl Layer for Deconv3d {
                 sites,
             };
             let (w, gi) = (&self.weights, grad_in.row_mut(b));
-            if !kernels::gemm_panel_source(cin, pin, cokk, pin, true, 1.0, w, &patches, 0.0, gi) {
-                if !unfolded {
-                    win.unfold(grow, 0..pin, grown(col, pin * cokk));
-                }
-                kernels::gemm_transb(cin, pin, cokk, 1.0, w, &col[..pin * cokk], 0.0, gi);
-            }
+            kernels::gemm_panel_source(cin, pin, cokk, pin, true, 1.0, w, &patches, 0.0, gi);
         }
         grad_in
     }
@@ -1795,7 +1731,6 @@ mod tests {
     fn the_sparse_forward_overwrites_stale_output_and_scratch() {
         let mut rng = StdRng::seed_from_u64(0x57A1E);
         let stale = || Scratch {
-            col: vec![f64::NAN; 1 << 16],
             block: vec![f64::NAN; 1 << 16],
             a_block: vec![f64::NAN; 1 << 12],
             sites: vec![usize::MAX / 2; 4096],

@@ -10,11 +10,12 @@
 //! The headline refactor is **cross-loop batched inference**: leases
 //! sharing a perceptor signature are grouped by the [`BatchPlanner`] and
 //! their forward passes lowered onto one wide GEMM call per drain cycle
-//! (the panel packer unfolds every member's patches; no column matrix is
-//! materialised). Because the batched kernels are bitwise identical
-//! to the per-loop path and every tick is released at its own arrival
-//! time, batching changes wall-clock throughput only — actions, telemetry,
-//! and scheduler accounting are bit-identical in both modes (tested).
+//! (the panel packer unfolds every member's patches, on every ISA; no
+//! column matrix is materialised). Because the batched kernels are bitwise
+//! identical to the per-loop path and every tick is released at its own
+//! arrival time, batching changes wall-clock throughput only — actions,
+//! telemetry, and scheduler accounting are bit-identical in both modes
+//! (tested).
 //!
 //! Robustness machinery rides the existing layers:
 //!

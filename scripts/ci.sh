@@ -52,6 +52,25 @@ if git grep -nE 'with_telemetry_capacity\(|LoopTelemetry::with_capacity\(' -- 'c
     exit 1
 fi
 
+# One conv lowering on every ISA: the panel-source GEMM always computes (the
+# portable tile where no f64 vector ISA is on), so `conv.rs` keeps no
+# materialised im2col arm — the dense unfold lives in the test-only
+# `conv_oracle.rs` — and neither panel-source entry can decline.
+echo "== one conv lowering: no unfold or column scratch in conv.rs, no declining panel-source GEMM =="
+if git grep -nE 'fn unfold|^[[:space:]]*col: (Vec<|vec!)' -- crates/sensact-nn/src/conv.rs; then
+    exit 1
+fi
+while read -r fn file; do
+    sig="$(awk -v f="fn $fn[<(]" '$0 ~ f { on = 1 } on { print } on && /[{]/ { exit }' "$file")"
+    if [[ -z "$sig" || "$sig" == *'-> bool'* ]]; then
+        echo "$file: $fn is missing or returns bool"
+        exit 1
+    fi
+done <<'SIGNATURES'
+gemm_panel_source crates/sensact-math/src/kernels.rs
+gemm_tile_f64 crates/sensact-math/src/simd.rs
+SIGNATURES
+
 # Every `pub` fn / const / static under crates/*/src has a caller outside
 # its own unit tests, and every `pub` field of a `pub struct` with an
 # `impl Default` is set somewhere outside that impl — or either has an
@@ -88,17 +107,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # when the caller exports SENSACT_FORCE_SCALAR) and, if that was the host's,
 # on the forced-scalar fallback too. The math + nn lib tests are the
 # dispatch-dependent correctness step: every fast kernel and conv lowering
-# against its reference, on the tier its contract names — the conv backward
-# passes too: the backward rows of
-# `prop_{conv,deconv}_lowering_is_bit_identical_to_the_materialised_oracle`
-# (batch 1 and 3) hold the panel-packed weight gradients (chain tile below
-# 2^14, FMA above) and the tap-major fold
-# (`the_tap_major_fold_adds_in_the_site_major_order`) to the oracle's
-# materialised unfold + `gemm` on the host ISA, and the materialised arm to
-# it when forced. `tests/alloc_guard.rs` repeats with
-# them: its footprint guard expects no column matrix in an R-MAE train step
-# on the host ISA and the materialised columns when forced, so each leg
-# proves its arm is the live one. The starnet + lidar
+# against its reference, on the tier its contract names. The conv layers
+# run one lowering on both legs — the panel-packed forward and backward,
+# the tap-major fold — and the legs differ in the tile under it: the host's
+# AVX multiply-then-add tile (FMA from 2^14) on the first, the
+# portable plain-Rust 4x4 tile in dot and chain mode on the forced-scalar
+# one, which is the leg that proves the portable tile. So the backward rows
+# of `prop_{conv,deconv}_lowering_is_bit_identical_to_the_materialised_oracle`
+# (batch 1 and 3), `the_tap_major_fold_adds_in_the_site_major_order` and
+# `kernels::tests::{gathered_transb_is_bitwise_identical_to_per_item_dispatch,
+# chain_panel_source_is_bitwise_identical_to_gemm}` hold each tile to the
+# oracle's materialised unfold + `gemm` / row-dot. `tests/alloc_guard.rs`
+# repeats with them: its footprint guard expects no column matrix in an
+# R-MAE train step (< 3 MiB) on both legs. The starnet + lidar
 # lib tests ride along: the pinned score stream and the regret oracle go
 # through the sign fold and the VAE's GEMMs; so do the rmae ones, whose
 # site-sparse reconstruct must equal the dense conv oracle on either tier,

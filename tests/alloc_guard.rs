@@ -7,7 +7,7 @@
 //! `LqrLatentController::act` → `CartPole::step`, closed through a
 //! `LoopHandle`) makes at most one heap allocation per tick once its record
 //! ring has wrapped. An R-MAE train step writes no `[sites × c·k³]` column
-//! matrix where the kernels take the panel path. The counting allocator
+//! matrix, on any ISA. The counting allocator
 //! counts allocations and live bytes per thread, so tests running in
 //! parallel do not see each other's.
 
@@ -172,10 +172,9 @@ fn fleet_shaped_cartpole_loop_makes_at_most_one_allocation_per_tick() {
 /// so no layer owns a `[sites × c·k³]` column matrix — conv1 0.23 MB,
 /// conv2 1.87 MB, deconv1 1.87 MB, deconv2 0.55 MB when materialised.
 /// Measured on an AVX2+FMA host: 2.34 MiB high-water with the panel path,
-/// 6.65 MiB when the layers wrote their columns. Where the kernels decline
-/// the panel path (`SENSACT_FORCE_SCALAR`, non-x86) the layers still
-/// materialise them (6.76 MiB), and the row expects that arm: at least the
-/// columns' 4.31 MiB.
+/// 6.65 MiB when the layers wrote their columns. The bound holds on every
+/// ISA: under `SENSACT_FORCE_SCALAR` the portable tile packs the same
+/// panels.
 #[test]
 fn rmae_train_steps_write_no_column_matrix() {
     const MIB: f64 = 1024.0 * 1024.0;
@@ -197,15 +196,8 @@ fn rmae_train_steps_write_no_column_matrix() {
         }
     });
     let mib = bytes as f64 / MIB;
-    if sensact::math::simd::cpu_features().simd_f64() {
-        assert!(
-            mib < 3.0,
-            "{mib:.2} MiB high-water over two train steps (the columns are {COLUMNS:.2} MiB)"
-        );
-    } else {
-        assert!(
-            mib > COLUMNS,
-            "{mib:.2} MiB high-water on the materialised arm, under its {COLUMNS:.2} MiB of columns"
-        );
-    }
+    assert!(
+        mib < 3.0,
+        "{mib:.2} MiB high-water over two train steps (the columns are {COLUMNS:.2} MiB)"
+    );
 }
