@@ -30,14 +30,16 @@
 //! passes stay dense, and [`Layer::macs`] stays the dense count.
 //!
 //! **No pass writes a `[sites × c·k³]` column matrix**, on any ISA: a
-//! [`PanelSource`] unfolds taps straight into the packed B panel. `Patches`
-//! (a column per site) feeds the conv forward and the deconv input
-//! gradient, a conv forward of `grad_out`; `SiteRows` (a row per site)
-//! feeds both weight gradients with the panels `gemm` would pack from the
-//! unfold. The tier is pinned on the dense shape: FMA from `2¹⁴`
-//! multiply-adds per row up; below, and wherever the FMA tile is off, the
-//! multiply-then-add tile in dot mode (the scalar row-dot's bits) or chain
-//! mode (`gemm`'s).
+//! [`PanelSource`] packs taps into the B panel from the *halo*, the source
+//! grid copied inside a `+0.0` border as wide as the windows reach, so a
+//! padding tap is a read like any other: one walker over two offset tables,
+//! no bounds test per tap. The halo is a per-thread buffer, zeroed where it
+//! grows or another window takes it over; a call copies just the interior.
+//! `Patches` (a site per lane) feeds the conv forward and the deconv input
+//! gradient, a conv forward of `grad_out`; `SiteRows` (a tap per lane)
+//! feeds both weight gradients. The tier is pinned on the dense shape: FMA
+//! from `2¹⁴` multiply-adds per row up; below, the multiply-then-add tile
+//! in dot mode (the scalar row-dot's bits) or chain mode (`gemm`'s).
 //!
 //! **The fold is tap-major.** The transposed products (deconv forward, conv
 //! input gradient) run in cache-sized blocks of sites, each folded as soon
@@ -59,6 +61,7 @@ use crate::tensor::Tensor;
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 use sensact_math::kernels;
 use sensact_math::simd::PanelSource;
+use std::cell::RefCell;
 
 #[cfg(test)]
 #[path = "conv_oracle.rs"]
@@ -106,8 +109,8 @@ fn deconv_out(extent: usize, kernel: usize, stride: usize, pad: usize) -> Option
 /// L2-resident, so the full column matrix never exists.
 const FOLD_BLOCK: usize = 1 << 14;
 
-/// The first `len` elements of a layer-owned scratch buffer, grown on
-/// demand (contents are whatever the last call left: callers overwrite).
+/// The first `len` elements of a scratch buffer, grown on demand with
+/// `+0.0` (the rest is whatever the last call left: callers overwrite).
 fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
     if buf.len() < len {
         buf.resize(len, 0.0);
@@ -154,7 +157,7 @@ fn held<'a>(src: &[f64], len: usize, buf: &'a mut Vec<bool>) -> &'a [bool] {
 /// A conv's sites are its output voxels and its grid the input; a deconv is
 /// the mirror image (sites = input voxels, grid = output), so unfolding and
 /// folding are written once. Columns are laid out `[channel, kd, kh, kw]`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Window {
     channels: usize,
     kernel: usize,
@@ -180,13 +183,6 @@ impl Window {
         let first = site * self.stride;
         let hi = self.kernel.min((extent + self.pad).saturating_sub(first));
         (self.pad.saturating_sub(first).min(hi), hi)
-    }
-
-    /// `(z, y, x)` coordinates of site `p`.
-    #[inline]
-    fn site(&self, p: usize) -> (usize, usize, usize) {
-        let (h, w) = (self.sites.h, self.sites.w);
-        (p / (h * w), p / w % h, p % w)
     }
 
     /// Fold a block's product back onto `dst` (`[channels, grid]`),
@@ -234,7 +230,8 @@ impl Window {
         dst: &mut [f64],
     ) {
         let (k, s, pad, g) = (self.kernel, self.stride, self.pad, self.grid);
-        let (sz, sy, sx) = self.site(p0);
+        let (h, w) = (self.sites.h, self.sites.w);
+        let (sz, sy, sx) = (p0 / (h * w), p0 / w % h, p0 % w);
         let (d0, d1) = self.taps(sz, g.d);
         let (h0, h1) = self.taps(sy, g.h);
         for kw in (0..k).rev() {
@@ -273,10 +270,10 @@ impl Window {
 
     /// `grad_w += a · unfold(src)`, `a` `[m × sites]`: both layers' weight
     /// gradient (beta = 1 accumulates), the patches packed straight from
-    /// `src` ([`SiteRows`]).
-    fn weight_grad(&self, m: usize, a: &[f64], src: &[f64], grad_w: &mut [f64]) {
+    /// the halo of `src` ([`SiteRows`]).
+    fn weight_grad(&self, m: usize, a: &[f64], src: Halo, grad_w: &mut [f64]) {
         let (n, len) = (self.sites.volume(), self.patch_len());
-        let rows = SiteRows { window: *self, src };
+        let rows = SiteRows(src);
         kernels::gemm_panel_source(m, len, n, len, false, 1.0, a, &rows, 1.0, grad_w);
     }
 
@@ -429,115 +426,159 @@ struct Scratch {
     reached: Vec<bool>,
 }
 
+thread_local! {
+    /// The halo every conv lowering on this thread packs from: one buffer
+    /// per thread, as the GEMM's packed panels are, so a model's layers do
+    /// not each keep a copy of their source grid.
+    static HALO: RefCell<HaloBuf> = RefCell::default();
+}
+
+/// `f` over the halos of `rows` under `win`, in this thread's buffer.
+fn with_halo<R>(win: &Window, rows: &[&[f64]], f: impl FnOnce(Halo) -> R) -> R {
+    HALO.with_borrow_mut(|buf| f(buf.fill(win, rows)))
+}
+
+/// Storage behind [`Halo`]: per source row, the grid at offset `pad` in a
+/// `+0.0` border `(sites − 1)·stride + kernel` wide per axis, and the two
+/// offset tables. Zeroed where it grows and when another window fills it, so
+/// only the window it holds has written it since, always the same interior:
+/// the border stays `+0.0`.
+#[derive(Default)]
+struct HaloBuf {
+    grid: Vec<f64>,
+    tap_offset: Vec<usize>,
+    site_base: Vec<usize>,
+    /// The window filled last.
+    held: Option<Window>,
+}
+
+impl HaloBuf {
+    /// The halos of `rows` (`[channels, grid]` each): the grid copied one x
+    /// row at a time, clipped where padding or short windows cut it off.
+    fn fill(&mut self, win: &Window, rows: &[&[f64]]) -> Halo<'_> {
+        let (k, s, pad, g, n) = (win.kernel, win.stride, win.pad, win.grid, win.sites);
+        let [ed, eh, ew] = [n.d, n.h, n.w].map(|sites| (sites - 1) * s + k);
+        if self.held.replace(*win) != Some(*win) {
+            self.grid.fill(0.0);
+            let x_row = |ckh: usize| ((ckh / (k * k) * ed + ckh / k % k) * eh + ckh % k) * ew;
+            let taps = (0..win.channels * k * k).flat_map(|i| x_row(i)..x_row(i) + k);
+            let at = |zy: usize| (zy / n.h * eh + zy % n.h) * s * ew;
+            let bases = (0..n.d * n.h).flat_map(|zy| (0..n.w).map(move |x| at(zy) + x * s));
+            self.tap_offset.clear();
+            self.tap_offset.extend(taps);
+            self.site_base.clear();
+            self.site_base.extend(bases);
+        }
+        let clip = |extent: usize, halo: usize| extent.min(halo.saturating_sub(pad));
+        let (nz, ny, nx) = (clip(g.d, ed), clip(g.h, eh), clip(g.w, ew));
+        let xrows = if nx == 0 { 0 } else { win.channels * nz * ny };
+        let len = win.channels * ed * eh * ew;
+        let grid = grown(&mut self.grid, rows.len() * len);
+        for (row, dst) in rows.iter().zip(grid.chunks_exact_mut(len)) {
+            for i in 0..xrows {
+                let (c, z, y) = (i / (nz * ny), i / ny % nz, i % ny);
+                let at = ((c * g.d + z) * g.h + y) * g.w;
+                let to = ((c * ed + z + pad) * eh + y + pad) * ew + pad;
+                dst[to..to + nx].copy_from_slice(&row[at..at + nx]);
+            }
+        }
+        Halo { buf: self, len }
+    }
+}
+
+/// The one window walker both packers read through: tap `q` of the window
+/// at site `p` over source row `r` is `grid[r·len + site_base[p] +
+/// tap_offset[q]]`, padding taps included (they land on the `+0.0` border),
+/// so no tap is tested against the grid's bounds.
+#[derive(Clone, Copy)]
+struct Halo<'a> {
+    buf: &'a HaloBuf,
+    len: usize,
+}
+
+impl Halo<'_> {
+    /// A `rows.len() × ld` panel: row `i`, lane `l` is `grid[rows[i] +
+    /// lane(l)]` (`lane` called once per lane, in order), lanes `nr..ld`
+    /// `+0.0`. Fixed-width lanes on a full panel, else lane by lane.
+    fn walk(
+        &self,
+        rows: &[usize],
+        nr: usize,
+        ld: usize,
+        lane: impl FnMut(usize) -> usize,
+        dst: &mut [f64],
+    ) {
+        let dst = &mut dst[..rows.len() * ld];
+        match (ld, nr) {
+            (8, 8) => self.lanes::<8>(rows, std::array::from_fn(lane), dst),
+            (4, 4) => self.lanes::<4>(rows, std::array::from_fn(lane), dst),
+            _ => {
+                dst.fill(0.0);
+                for (l, b) in (0..nr).map(lane).enumerate() {
+                    for (row, r) in dst.chunks_exact_mut(ld).zip(rows) {
+                        row[l] = self.buf.grid[r + b];
+                    }
+                }
+            }
+        }
+    }
+
+    /// `W` lanes at `lanes` per row: one `[f64; W]` copy where they are
+    /// consecutive, else a gather through `lanes`, held in registers — which
+    /// for evenly spaced lanes (a strided run) are the stride's offsets.
+    fn lanes<const W: usize>(&self, rows: &[usize], lanes: [usize; W], dst: &mut [f64]) {
+        #[cfg(test)]
+        tests::LANE_WIDTHS.with(|w| w.set(w.get() | 1 << W));
+        let l0 = lanes[0];
+        let rows = dst.chunks_exact_mut(W).zip(rows);
+        if (0..W).all(|l| lanes[l] == l0 + l) {
+            for (row, r) in rows {
+                row.copy_from_slice(&self.buf.grid[r + l0..][..W]);
+            }
+        } else {
+            for (row, r) in rows {
+                for (d, l) in row.iter_mut().zip(lanes) {
+                    *d = self.buf.grid[r + l];
+                }
+            }
+        }
+    }
+}
+
 /// The conv forward's B operand, never materialised: with `ns =
-/// sites.len()`, column `j` of the `[cin·k³ × rows·ns]` patch matrix is the
-/// window at site `sites[j % ns]` of `rows[j / ns]`, unfolded straight into
-/// the packed panel.
+/// sites.len()`, column `j` of the `[c·k³ × rows·ns]` patch matrix is the
+/// window at site `sites[j % ns]` of halo row `j / ns` — a tap per panel
+/// row, a site per lane.
 struct Patches<'a> {
-    window: Window,
-    rows: &'a [&'a [f64]],
+    halo: Halo<'a>,
     /// The sites each row supplies, ascending.
     sites: &'a [usize],
 }
 
 impl PanelSource for Patches<'_> {
     fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [f64]) {
-        let win = &self.window;
-        let (k, s, pad, g) = (win.kernel, win.stride, win.pad, win.grid);
-        let (k3, ns) = (k * k * k, self.sites.len());
-        dst[..kc * ld].fill(0.0);
-        // Channels with a tap inside this k block.
-        let (c0, c1) = (k0 / k3, (k0 + kc).div_ceil(k3));
-        let mut l = 0;
-        while l < nr {
-            // Lanes l..l+run are listed sites of one item that are
-            // consecutive along one x row: they share their z/y taps, and
-            // for a fixed tap their grid columns are `stride` apart.
-            let i = (j0 + l) % ns;
-            let p = self.sites[i];
-            let (sz, sy, sx) = win.site(p);
-            let span = (win.sites.w - sx).min(nr - l).min(ns - i);
-            let run = self.sites[i..i + span]
-                .iter()
-                .zip(p..)
-                .take_while(|&(&q, want)| q == want)
-                .count();
-            let src = self.rows[(j0 + l) / ns];
-            let (d0, d1) = win.taps(sz, g.d);
-            let (h0, h1) = win.taps(sy, g.h);
-            for kw in 0..k {
-                // Lanes whose tap `kw` lands inside the grid row: lane i
-                // sits at padded column (sx + i) * s + kw.
-                let first = sx * s + kw;
-                let la = pad.saturating_sub(first).div_ceil(s).min(run);
-                let lb = (g.w + pad).saturating_sub(first).div_ceil(s).min(run);
-                if la >= lb {
-                    continue;
-                }
-                let x = first + la * s - pad;
-                for c in c0..c1 {
-                    for kd in d0..d1 {
-                        let z = sz * s + kd - pad;
-                        for kh in h0..h1 {
-                            let q = ((c * k + kd) * k + kh) * k + kw;
-                            if q < k0 || q >= k0 + kc {
-                                continue;
-                            }
-                            let y = sy * s + kh - pad;
-                            let at = ((c * g.d + z) * g.h + y) * g.w + x;
-                            let lanes = &mut dst[(q - k0) * ld + l + la..][..lb - la];
-                            for (i, d) in lanes.iter_mut().enumerate() {
-                                *d = src[at + i * s];
-                            }
-                        }
-                    }
-                }
-            }
-            l += run;
-        }
+        let (h, ns) = (&self.halo, self.sites.len());
+        // Column `j` is site `sites[i]` of source row `r`, walked from `j0`.
+        let (mut r, mut i) = (j0 / ns, j0 % ns);
+        let lane = |_| {
+            let at = r * h.len + h.buf.site_base[self.sites[i]];
+            (r, i) = if i + 1 == ns { (r + 1, 0) } else { (r, i + 1) };
+            at
+        };
+        h.walk(&h.buf.tap_offset[k0..k0 + kc], nr, ld, lane, dst);
     }
 }
 
 /// The weight gradients' B operand, never materialised: row `p` of the
-/// `[sites × channels·k³]` matrix is the window at site `p` over `src` (the
-/// oracle's im2col row). Each lane (tap) of a panel is filled run by run:
-/// sites along one x row, `stride` apart in the grid.
-struct SiteRows<'a> {
-    window: Window,
-    src: &'a [f64],
-}
+/// `[sites × c·k³]` matrix is the window at site `p` (the oracle's im2col
+/// row) — a site per panel row, a tap per lane.
+struct SiteRows<'a>(Halo<'a>);
 
 impl PanelSource for SiteRows<'_> {
     fn pack(&self, k0: usize, kc: usize, j0: usize, nr: usize, ld: usize, dst: &mut [f64]) {
-        let win = &self.window;
-        let (k, s, pad, g) = (win.kernel, win.stride, win.pad, win.grid);
-        dst[..kc * ld].fill(0.0);
-        let (sz0, sy0, sx0) = win.site(k0);
-        for l in 0..nr {
-            let q = j0 + l;
-            let (c, kd, kh, kw) = (q / (k * k * k), q / (k * k) % k, q / k % k, q % k);
-            let (mut sz, mut sy, mut sx, mut row) = (sz0, sy0, sx0, 0);
-            while row < kc {
-                let run = (win.sites.w - sx).min(kc - row);
-                // Padded coordinates of this tap at the run's first site.
-                let (z, y, first) = (sz * s + kd, sy * s + kh, sx * s + kw);
-                if (pad..g.d + pad).contains(&z) && (pad..g.h + pad).contains(&y) {
-                    let la = pad.saturating_sub(first).div_ceil(s).min(run);
-                    let lb = (g.w + pad).saturating_sub(first).div_ceil(s).min(run);
-                    if la < lb {
-                        let at = ((c * g.d + z - pad) * g.h + y - pad) * g.w + first + la * s - pad;
-                        let lanes = dst[(row + la) * ld + l..].iter_mut().step_by(ld);
-                        for (d, v) in lanes.zip(self.src[at..].iter().step_by(s).take(lb - la)) {
-                            *d = *v;
-                        }
-                    }
-                }
-                row += run;
-                sx = 0;
-                sz += usize::from(sy + 1 == win.sites.h);
-                sy = (sy + 1) % win.sites.h;
-            }
-        }
+        let h = &self.0;
+        let (sites, taps) = (&h.buf.site_base, &h.buf.tap_offset);
+        h.walk(&sites[k0..k0 + kc], nr, ld, |l| taps[j0 + l], dst);
     }
 }
 
@@ -669,13 +710,11 @@ impl Conv3d {
         for (o, &b) in c.chunks_exact_mut(n).zip(&self.bias) {
             o.fill(b);
         }
-        let patches = Patches {
-            window: win,
-            rows: &[xrow],
-            sites,
-        };
-        let w = &self.weights;
-        kernels::gemm_panel_source(cout, n, ckk, vol, true, 1.0, w, &patches, 1.0, c);
+        let (w, sites) = (&self.weights, &sites[..]);
+        with_halo(&win, &[xrow], |halo| {
+            let patches = Patches { halo, sites };
+            kernels::gemm_panel_source(cout, n, ckk, vol, true, 1.0, w, &patches, 1.0, c);
+        });
         if let Some(stand_in) = stand_in.filter(|_| n < vol) {
             spread(orow, vol, sites, sites.partition_point(|&p| p < stand_in));
         }
@@ -739,11 +778,6 @@ impl Conv3d {
         let sites = &mut self.scratch.sites;
         sites.clear();
         sites.extend(0..vol);
-        let patches = Patches {
-            window: win,
-            rows,
-            sites,
-        };
         let (w, cout) = (&self.weights, self.cout);
         // The gathered panel starts as the bias, replicated along the
         // stacked column axis — the same accumulator seed the per-row path
@@ -752,7 +786,10 @@ impl Conv3d {
         for (o, &b) in big.chunks_exact_mut(nn).zip(&self.bias) {
             o.fill(b);
         }
-        kernels::gemm_panel_source(cout, nn, ckk, vol, true, 1.0, w, &patches, 1.0, big);
+        with_halo(&win, rows, |halo| {
+            let patches = Patches { halo, sites };
+            kernels::gemm_panel_source(cout, nn, ckk, vol, true, 1.0, w, &patches, 1.0, big);
+        });
         for (t, orow) in outs.iter_mut().enumerate() {
             for (o, src) in orow.chunks_exact_mut(vol).zip(big.chunks_exact(nn)) {
                 o.copy_from_slice(&src[t * vol..(t + 1) * vol]);
@@ -799,7 +836,8 @@ impl Layer for Conv3d {
                 *gb += g.iter().sum::<f64>();
             }
             // grad_w += g [cout, P] · unfold(x) [P, cin*k³]
-            win.weight_grad(cout, grow, xrow, &mut self.grad_w);
+            let grad_w = &mut self.grad_w;
+            with_halo(&win, &[xrow], |x| win.weight_grad(cout, grow, x, grad_w));
             // grad_in += fold(gᵀ W), W as [cout, cin*k³]
             let (w, scratch) = (&self.weights, &mut self.scratch);
             win.fold_product(cout, grow, w, false, scratch, grad_in.row_mut(b));
@@ -1018,17 +1056,16 @@ impl Layer for Deconv3d {
             for (gb, g) in self.grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
                 *gb += g.iter().sum::<f64>();
             }
-            // grad_w += x [cin, Pin] · unfold(g) [Pin, cout*k³]
-            win.weight_grad(cin, xrow, grow, &mut self.grad_w);
-            // grad_in[ci, p] = Σ_j W[ci, j] · unfold(g)[p, j]: a conv forward
-            // of grad_out over the deconv's windows, with no bias.
-            let patches = Patches {
-                window: win,
-                rows: &[grow],
-                sites,
-            };
-            let (w, gi) = (&self.weights, grad_in.row_mut(b));
-            kernels::gemm_panel_source(cin, pin, cokk, pin, true, 1.0, w, &patches, 0.0, gi);
+            // One halo of grad_out serves both products.
+            with_halo(&win, &[grow], |g| {
+                // grad_w += x [cin, Pin] · unfold(g) [Pin, cout*k³]
+                win.weight_grad(cin, xrow, g, &mut self.grad_w);
+                // grad_in[ci, p] = Σ_j W[ci, j] · unfold(g)[p, j]: a conv
+                // forward of grad_out over the deconv's windows, no bias.
+                let patches = Patches { halo: g, sites };
+                let (w, gi) = (&self.weights, grad_in.row_mut(b));
+                kernels::gemm_panel_source(cin, pin, cokk, pin, true, 1.0, w, &patches, 0.0, gi);
+            });
         }
         grad_in
     }
@@ -1060,6 +1097,11 @@ impl Layer for Deconv3d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Bit `W` is raised each time [`Halo::lanes`] runs `W`-wide.
+        pub(super) static LANE_WIDTHS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn conv_output_dims() {
@@ -1275,6 +1317,7 @@ mod tests {
     }
 
     use sensact_math::rng::StdRng;
+    use sensact_math::simd;
 
     /// The dense oracle's view of a conv layer.
     fn conv_win(c: &Conv3d) -> oracle::Win {
@@ -1767,6 +1810,301 @@ mod tests {
                 dc.scratch = stale();
                 check_deconv(&mut dc, &x, &format!("deconv {case} {active} active"));
             }
+        }
+    }
+
+    /// Whether every element of `buf` outside the interior of the window it
+    /// holds still holds `+0.0` bits.
+    fn halo_border_is_zero(buf: &HaloBuf) -> bool {
+        let Some(win) = buf.held else {
+            return buf.grid.iter().all(|v| v.to_bits() == 0);
+        };
+        let (g, n, pad) = (win.grid, win.sites, win.pad);
+        let [ed, eh, ew] = [n.d, n.h, n.w].map(|sites| (sites - 1) * win.stride + win.kernel);
+        let inside = |v: usize, extent: usize| v >= pad && v - pad < extent;
+        buf.grid.iter().enumerate().all(|(i, v)| {
+            let (z, y, x) = (i / (eh * ew) % ed, i / ew % eh, i % ew);
+            v.to_bits() == 0 || (inside(z, g.d) && inside(y, g.h) && inside(x, g.w))
+        })
+    }
+
+    /// Both packers against panels cut from the oracle's materialised
+    /// unfold, `to_bits`: every `LOWERING_CASES` window as a conv and as a
+    /// deconv, a conv whose padding is at least its kernel (an axis with no
+    /// interior at all), one whose windows stop short of the far edge; `k`
+    /// blocks starting off a `k³` boundary; every panel at both tile widths,
+    /// edge panels (`nr < ld`) and unaligned `j0` among them; all sites, and
+    /// listed sites with gaps (runs straddling x rows in both); one and
+    /// three source rows, filled over a larger stale batch; a NaN-filled
+    /// destination. Then a layer's own forward and backward must have run
+    /// the fixed lanes at the host tile's width only — 8 on the AVX tiles, 4
+    /// on the portable one — so each ISA leg proves its width.
+    #[test]
+    fn prop_halo_packers_match_the_oracle_unfold() {
+        let mut rng = StdRng::seed_from_u64(0x4A10);
+        // Padding 3 under a kernel of 2; windows stopping short of the far
+        // x edge without padding and with; an axis padding covers whole
+        // (`pad ≥ (sites − 1)·stride + kernel`).
+        let extra: &[[usize; 8]] = &[
+            [2, 3, 2, 1, 3, 2, 3, 4],
+            [1, 2, 3, 2, 0, 3, 5, 8],
+            [1, 2, 3, 3, 1, 4, 5, 6],
+            [1, 2, 1, 3, 1, 1, 2, 4],
+        ];
+        let mut windows = Vec::new();
+        for &[cin, cout, kernel, stride, pad, d, h, w] in LOWERING_CASES.iter().chain(extra) {
+            let (dims, mut init) = (Dims3::new(d, h, w), Initializer::new(1));
+            windows.push(Conv3d::new(cin, cout, kernel, stride, pad, dims, &mut init).window());
+            if deconv_out(d, kernel, stride, pad).is_some_and(|o| o > 0) {
+                windows
+                    .push(Deconv3d::new(cin, cout, kernel, stride, pad, dims, &mut init).window());
+            }
+        }
+        let short = |w: &&Window| (w.sites.w - 1) * w.stride + w.kernel < w.grid.w + w.pad;
+        assert!(windows.iter().any(|w| w.pad > w.kernel));
+        assert!(windows.iter().filter(short).any(|w| w.pad == 0));
+        assert!(windows.iter().filter(short).any(|w| w.pad > 0));
+        assert!(windows
+            .iter()
+            .any(|w| w.pad >= (w.sites.d - 1) * w.stride + w.kernel));
+        // One buffer for every window, as a thread's layers share one.
+        let mut buf = HaloBuf::default();
+        for win in &windows {
+            let (len, vol) = (win.patch_len(), win.sites.volume());
+            let feat = win.channels * win.grid.volume();
+            let case = format!("{win:?}");
+            for batch in [1, 3] {
+                let stale = hostile_input(&mut rng, batch + 2, feat);
+                let x = hostile_input(&mut rng, batch, feat);
+                let rows: Vec<&[f64]> = (0..batch).map(|b| x.row(b)).collect();
+                let cols: Vec<Vec<f64>> = rows
+                    .iter()
+                    .map(|row| {
+                        let mut col = vec![f64::NAN; vol * len];
+                        oracle_window(win).unfold(row, &mut col);
+                        col
+                    })
+                    .collect();
+                let stale_rows: Vec<&[f64]> = (0..batch + 2).map(|b| stale.row(b)).collect();
+                let _ = buf.fill(win, &stale_rows);
+                assert!(halo_border_is_zero(&buf), "{case} b{batch}: halo border");
+                let halo = buf.fill(win, &rows);
+                let gappy: Vec<usize> = (0..vol).filter(|_| rng.random_range(0..3) > 0).collect();
+                // `k` blocks: the whole reduction, and one cut anywhere.
+                let cut = |rng: &mut StdRng, k: usize| {
+                    let k0 = rng.random_range(0..k);
+                    [(0, k), (k0, rng.random_range(1..=k - k0))]
+                };
+                for ld in [4, 8] {
+                    for sites in [&(0..vol).collect::<Vec<_>>(), &gappy] {
+                        let (ns, n) = (sites.len(), batch * sites.len());
+                        let patches = Patches { halo, sites };
+                        let want = |q: usize, j: usize| cols[j / ns][sites[j % ns] * len + q];
+                        for (k0, kc) in cut(&mut rng, len) {
+                            let j0s = (0..n).step_by(ld).chain([rng.random_range(0..n.max(1))]);
+                            for j0 in j0s.filter(|_| n > 0) {
+                                let what = format!(
+                                    "Patches {case} b{batch} ns{ns} ld{ld} k{k0}+{kc} j{j0}"
+                                );
+                                check_panel(
+                                    &patches,
+                                    [k0, kc, j0, (n - j0).min(ld), ld],
+                                    want,
+                                    &what,
+                                );
+                            }
+                        }
+                    }
+                    let rows = SiteRows(halo);
+                    let want = |p: usize, q: usize| cols[0][p * len + q];
+                    for (k0, kc) in cut(&mut rng, vol) {
+                        for j0 in (0..len).step_by(ld).chain([rng.random_range(0..len)]) {
+                            let what = format!("SiteRows {case} b{batch} ld{ld} k{k0}+{kc} j{j0}");
+                            check_panel(&rows, [k0, kc, j0, (len - j0).min(ld), ld], want, &what);
+                        }
+                    }
+                }
+                assert!(halo_border_is_zero(&buf), "{case} b{batch}: halo border");
+            }
+        }
+        let host = simd::cpu_features().simd_f64() && simd::cpu_features().avx2;
+        let width = if host { 8 } else { 4 };
+        LANE_WIDTHS.with(|w| w.set(0));
+        let mut c = Conv3d::new(2, 3, 3, 1, 1, Dims3::new(3, 5, 7), &mut Initializer::new(2));
+        let mut d = Deconv3d::new(2, 3, 4, 2, 1, Dims3::new(2, 3, 5), &mut Initializer::new(3));
+        let x = hostile_input(&mut rng, 2, c.in_features());
+        let _ = c.forward(&x, true);
+        let _ = c.backward(&hostile_input(&mut rng, 2, c.out_features()));
+        let x = hostile_input(&mut rng, 2, 2 * 30);
+        let y = d.forward(&x, true);
+        let _ = d.backward(&y);
+        assert_eq!(
+            LANE_WIDTHS.with(|w| w.get()),
+            1 << width,
+            "lanes ran at other widths than {width}"
+        );
+    }
+
+    /// Pack one `[k0, kc, j0, nr, ld]` panel of `src` over NaN and compare
+    /// it `to_bits` with `want(k, j)`, lanes `nr..ld` `+0.0`.
+    fn check_panel(
+        src: &dyn PanelSource,
+        [k0, kc, j0, nr, ld]: [usize; 5],
+        want: impl Fn(usize, usize) -> f64,
+        what: &str,
+    ) {
+        let mut dst = vec![f64::NAN; kc * ld];
+        src.pack(k0, kc, j0, nr, ld, &mut dst);
+        for (i, v) in dst.iter().enumerate() {
+            let (kk, l) = (i / ld, i % ld);
+            let w = if l < nr { want(k0 + kk, j0 + l) } else { 0.0 };
+            assert_eq!(
+                v.to_bits(),
+                w.to_bits(),
+                "{what}: row {kk} lane {l} is {v:e}, the oracle has {w:e}"
+            );
+        }
+    }
+
+    /// The layer protocol holds no halo state across calls: seeded random
+    /// interleavings of `forward` (training and inference),
+    /// `forward_batch_into` (the batch growing, then shrinking), `backward`
+    /// and `zero_grad` over hostile rows (NaN, `±inf`, `-0.0`), each
+    /// compared `to_bits` with a freshly built twin making the same call
+    /// (after the same training forward, and from the same gradients, where
+    /// the call reads them); after every call the halo border is all `+0.0`.
+    #[test]
+    fn halo_state_does_not_leak_across_calls() {
+        let mut rng = StdRng::seed_from_u64(0x4A11);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let batches = [2, 5, 9, 33, 12, 3, 1];
+        let cases: &[[usize; 8]] = &[
+            [1, 4, 3, 2, 1, 8, 8, 8],
+            [2, 3, 4, 1, 1, 4, 5, 6],
+            [2, 2, 4, 2, 0, 6, 6, 7],
+            [2, 3, 2, 1, 3, 2, 3, 4],
+        ];
+        for &[cin, cout, kernel, stride, pad, d, h, w] in cases {
+            let dims = Dims3::new(d, h, w);
+            let seed = rng.next_u64();
+            let mut bias = vec![0.0; cout];
+            hostile_bias(&mut rng, &mut bias);
+            let fresh_conv = || {
+                let mut c = Conv3d::new(
+                    cin,
+                    cout,
+                    kernel,
+                    stride,
+                    pad,
+                    dims,
+                    &mut Initializer::new(seed),
+                );
+                c.bias.clone_from(&bias);
+                c
+            };
+            let fresh_deconv = || {
+                let mut dc = Deconv3d::new(
+                    cin,
+                    cout,
+                    kernel,
+                    stride,
+                    pad,
+                    dims,
+                    &mut Initializer::new(seed),
+                );
+                dc.bias.clone_from(&bias);
+                dc
+            };
+            let has_deconv = deconv_out(d, kernel, stride, pad).is_some_and(|o| o > 0);
+            let (mut c, mut dc) = (fresh_conv(), has_deconv.then(fresh_deconv));
+            let (mut pending, mut pending_d, mut wide) = (None, None, 0);
+            for step in 0..40 {
+                let what =
+                    format!("{cin}->{cout} k{kernel} s{stride} p{pad} {d}x{h}x{w} step {step}");
+                let batch = rng.random_range(1..4usize);
+                match rng.random_range(0..5) {
+                    op @ (0 | 1) => {
+                        let train = op == 0;
+                        let x = hostile_input(&mut rng, batch, c.in_features());
+                        let got = c.forward(&x, train);
+                        assert_eq!(
+                            bits(got.as_slice()),
+                            bits(fresh_conv().forward(&x, train).as_slice()),
+                            "{what}: conv forward"
+                        );
+                        if let Some(dc) = dc.as_mut() {
+                            let xd = hostile_input(&mut rng, batch, cin * dims.volume());
+                            let got = dc.forward(&xd, train);
+                            assert_eq!(
+                                bits(got.as_slice()),
+                                bits(fresh_deconv().forward(&xd, train).as_slice()),
+                                "{what}: deconv forward"
+                            );
+                            if train {
+                                pending_d = Some(xd);
+                            }
+                        }
+                        if train {
+                            pending = Some(x);
+                        }
+                    }
+                    2 => {
+                        let batch = batches[wide % batches.len()];
+                        wide += 1;
+                        let x = hostile_input(&mut rng, batch, c.in_features());
+                        let rows: Vec<&[f64]> = (0..batch).map(|b| x.row(b)).collect();
+                        let run = |c: &mut Conv3d| {
+                            let mut outs = vec![vec![f64::NAN; c.out_features()]; batch];
+                            let mut views: Vec<&mut [f64]> =
+                                outs.iter_mut().map(Vec::as_mut_slice).collect();
+                            c.forward_batch_into(&rows, &mut views);
+                            bits(&outs.concat())
+                        };
+                        assert_eq!(
+                            run(&mut c),
+                            run(&mut fresh_conv()),
+                            "{what}: forward_batch_into b{batch}"
+                        );
+                    }
+                    3 => {
+                        if let Some(x) = &pending {
+                            let mut twin = fresh_conv();
+                            let _ = twin.forward(x, true);
+                            let g = hostile_input(&mut rng, x.shape()[0], c.out_features());
+                            backward_like_twin(&mut c, &mut twin, &g, &format!("{what} conv"));
+                        }
+                        if let (Some(dc), Some(x)) = (dc.as_mut(), &pending_d) {
+                            let mut twin = fresh_deconv();
+                            let _ = twin.forward(x, true);
+                            let feat = cout * dc.out_dims().volume();
+                            let g = hostile_input(&mut rng, x.shape()[0], feat);
+                            backward_like_twin(dc, &mut twin, &g, &format!("{what} deconv"));
+                        }
+                    }
+                    _ => {
+                        c.zero_grad();
+                        dc.iter_mut().for_each(|dc| dc.zero_grad());
+                    }
+                }
+                assert!(HALO.with_borrow(halo_border_is_zero), "{what}: halo border");
+            }
+        }
+    }
+
+    /// `layer.backward(g)` against `twin.backward(g)` started from
+    /// `layer`'s gradients: input and parameter gradients `to_bits`.
+    fn backward_like_twin(layer: &mut dyn Layer, twin: &mut dyn Layer, g: &Tensor, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut held = grads(layer).into_iter();
+        twin.visit_params(&mut |_, g| g.copy_from_slice(&held.next().unwrap()));
+        let (got, want) = (layer.backward(g), twin.backward(g));
+        assert_eq!(
+            bits(got.as_slice()),
+            bits(want.as_slice()),
+            "{what}: grad_in"
+        );
+        for (got, want) in grads(layer).iter().zip(grads(twin)) {
+            assert_eq!(bits(got), bits(&want), "{what}: parameter gradients");
         }
     }
 

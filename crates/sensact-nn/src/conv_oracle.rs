@@ -85,7 +85,8 @@ impl Win {
         }
     }
 
-    fn unfold(&self, src: &[f64], col: &mut [f64]) {
+    /// The `[sites × channels·k³]` column matrix of `src`, a row per site.
+    pub fn unfold(&self, src: &[f64], col: &mut [f64]) {
         let len = self.patch_len();
         for p in 0..volume(self.sites) {
             self.visit_site(p, |q, at| col[p * len + q] = at.map_or(0.0, |i| src[i]));

@@ -71,6 +71,17 @@ gemm_panel_source crates/sensact-math/src/kernels.rs
 gemm_tile_f64 crates/sensact-math/src/simd.rs
 SIGNATURES
 
+# One window walker: both conv panel packers read a zero-bordered copy of
+# their source grid (the halo) through its two offset tables, so no
+# `PanelSource` impl in `conv.rs` walks a window's in-grid tap range or
+# clamps it against the padding.
+echo "== one window walker: no conv panel packer tests a tap against the grid's bounds =="
+[[ "$(grep -c '^impl PanelSource for' crates/sensact-nn/src/conv.rs)" == 2 ]]
+if awk '/^impl PanelSource for/ { on = 1 } on { print FILENAME ":" FNR ": " $0 } on && /^}/ { on = 0 }' \
+    crates/sensact-nn/src/conv.rs | grep -E '\.taps\(|saturating_sub'; then
+    exit 1
+fi
+
 # Every `pub` fn / const / static under crates/*/src has a caller outside
 # its own unit tests, and every `pub` field of a `pub struct` with an
 # `impl Default` is set somewhere outside that impl — or either has an
@@ -108,20 +119,26 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # on the forced-scalar fallback too. The math + nn lib tests are the
 # dispatch-dependent correctness step: every fast kernel and conv lowering
 # against its reference, on the tier its contract names. The conv layers
-# run one lowering on both legs — the panel-packed forward and backward,
-# the tap-major fold — and the legs differ in the tile under it: the host's
-# AVX multiply-then-add tile (FMA from 2^14) on the first, the
-# portable plain-Rust 4x4 tile in dot and chain mode on the forced-scalar
-# one, which is the leg that proves the portable tile. So the backward rows
-# of `prop_{conv,deconv}_lowering_is_bit_identical_to_the_materialised_oracle`
+# run one lowering on both legs — panels packed from the zero-bordered halo
+# by one walker, the tap-major fold — and the legs differ in the tile under
+# it and so in the packers' lane width: the host's AVX multiply-then-add
+# tile (FMA from 2^14) with 8-wide lanes on the first, the portable
+# plain-Rust 4x4 tile in dot and chain mode with 4-wide lanes on the
+# forced-scalar one, which is the leg that proves the portable tile and the
+# 4-wide lanes. `prop_halo_packers_match_the_oracle_unfold` holds both
+# packers to the oracle's unfold at both widths and asserts that the
+# layers ran the leg's width only; `halo_state_does_not_leak_across_calls`
+# replays random call sequences against fresh twins with the halo border
+# checked after each call; the backward rows of
+# `prop_{conv,deconv}_lowering_is_bit_identical_to_the_materialised_oracle`
 # (batch 1 and 3), `the_tap_major_fold_adds_in_the_site_major_order` and
 # `kernels::tests::{gathered_transb_is_bitwise_identical_to_per_item_dispatch,
 # chain_panel_source_is_bitwise_identical_to_gemm}` hold each tile to the
 # oracle's materialised unfold + `gemm` / row-dot. `tests/alloc_guard.rs`
-# repeats with them: its footprint guard expects no column matrix in an
-# R-MAE train step (< 3 MiB) on both legs. The starnet + lidar
-# lib tests ride along: the pinned score stream and the regret oracle go
-# through the sign fold and the VAE's GEMMs; so do the rmae ones, whose
+# repeats with them: no column matrix in an R-MAE train step (< 3 MiB), and
+# no allocation a warm conv lowering regrows, on both legs. The starnet +
+# lidar lib tests ride along: the pinned score stream and the regret oracle
+# go through the sign fold and the VAE's GEMMs; so do the rmae ones, whose
 # site-sparse reconstruct must equal the dense conv oracle on either tier,
 # and the koopman ones, whose stack-buffer encode must equal the boxed
 # `Sequential` forward it replaced on either tier.

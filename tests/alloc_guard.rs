@@ -7,7 +7,8 @@
 //! `LqrLatentController::act` → `CartPole::step`, closed through a
 //! `LoopHandle`) makes at most one heap allocation per tick once its record
 //! ring has wrapped. An R-MAE train step writes no `[sites × c·k³]` column
-//! matrix, on any ISA. The counting allocator
+//! matrix, on any ISA, and once warm the conv lowerings reuse their halo
+//! and scratch instead of regrowing them. The counting allocator
 //! counts allocations and live bytes per thread, so tests running in
 //! parallel do not see each other's.
 
@@ -21,6 +22,8 @@ use sensact::koopman::cartpole::{CartPole, CartPoleConfig, Disturbance, OBS_DIM}
 use sensact::koopman::control::LqrLatentController;
 use sensact::koopman::encoder::SpectralKoopman;
 use sensact::koopman::train::collect_dataset;
+use sensact::nn::conv::{Conv3d, Dims3};
+use sensact::nn::init::Initializer;
 use sensact::nn::optim::Adam;
 use sensact::rmae::model::{RmaeConfig, RmaeModel};
 use sensact::sched::LoopHandle;
@@ -200,4 +203,46 @@ fn rmae_train_steps_write_no_column_matrix() {
         mib < 3.0,
         "{mib:.2} MiB high-water over two train steps (the columns are {COLUMNS:.2} MiB)"
     );
+}
+
+/// Once warm, the conv lowerings reuse their buffers (the thread's halo and
+/// its offset tables, the layers' site lists and output panel) instead of
+/// regrowing them: a batch-32 `forward_batch_into` of the served lidar conv
+/// (`1 → 4`, `8³`, the serving model's shape) makes no heap allocation, and
+/// every further R-MAE train step — four layers taking the one halo in
+/// turn — makes exactly as many as the one before: the tensors a step
+/// returns and caches, and nothing a lowering grows.
+#[test]
+fn warm_conv_lowerings_allocate_nothing_they_keep() {
+    let mut conv = Conv3d::new(1, 4, 3, 2, 1, Dims3::new(8, 8, 8), &mut Initializer::new(3));
+    let inputs: Vec<Vec<f64>> = (0..32)
+        .map(|t| (0..512).map(|v| f64::from((v * 7 + t) % 11 == 0)).collect())
+        .collect();
+    let rows: Vec<&[f64]> = inputs.iter().map(Vec::as_slice).collect();
+    let mut outs = vec![vec![0.0; conv.out_features()]; 32];
+    let mut views: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+    conv.forward_batch_into(&rows, &mut views);
+    for call in 0..10 {
+        let (_, n) = allocations(|| conv.forward_batch_into(&rows, &mut views));
+        assert_eq!(n, 0, "call {call}: forward_batch_into made {n} allocations");
+    }
+
+    let config = RmaeConfig::full();
+    let full: Vec<f64> = (0..config.voxels())
+        .map(|v| f64::from(v % 7 == 0))
+        .collect();
+    let masked: Vec<f64> = full
+        .iter()
+        .enumerate()
+        .map(|(v, &o)| if v % 3 == 0 { 0.0 } else { o })
+        .collect();
+    let mut model = RmaeModel::new(config, 11);
+    let mut opt = Adam::new(1e-3);
+    let mut step = || allocations(|| model.train_step(&masked, &full, &mut opt)).1;
+    let _ = step();
+    let warm = step();
+    for i in 0..4 {
+        let n = step();
+        assert_eq!(n, warm, "train step {i}: {n} allocations, {warm} when warm");
+    }
 }
