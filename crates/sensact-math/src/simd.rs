@@ -9,7 +9,7 @@
 //! an unrolled microkernel keeps an `MR × NR` tile of `C` in vector
 //! registers across the whole `k` block.
 //!
-//! Three tiles exist, selected once per process by [`cpu_features`]:
+//! Five tiles exist, selected once per process by [`cpu_features`]:
 //!
 //! - **AVX2+FMA** (`6×8` f64 tile; 12 YMM accumulators):
 //!   fused multiply-add changes rounding versus the scalar kernels (one
@@ -20,6 +20,12 @@
 //! - **AVX** (`4×8` f64 tile, where AVX2 is present): multiply *then* add
 //!   per step, in ascending `k` — the exact rounding sequence of the scalar
 //!   blocked kernel, so this path stays **bitwise identical** to it.
+//! - **AVX-512 FMA** and **AVX-512** (`8×8` f64 tiles, one ZMM
+//!   accumulator per row, where `avx512f` is present too): the same two
+//!   contracts on 512-bit lanes — fused per step, or multiply then add in
+//!   both accumulator modes below. They take a product of at least 8 rows;
+//!   one of fewer rows (the served lidar conv has 4) stays on the 256-bit
+//!   tiles, so it never computes rows it does not have.
 //! - **portable** (`4×4` f64 tile in plain Rust, no intrinsics, never
 //!   fused): the same arithmetic on every other host — an SSE2-only x86
 //!   (the compiler already emits SSE2 for it), a host without an f64 vector
@@ -29,9 +35,16 @@
 //!   run it; [`gemm`](crate::kernels::gemm) and the other plain entry
 //!   points run their scalar loops there.
 //!
+//! Lane width never changes an element's operation sequence: a tile only
+//! decides how many elements advance together, and each runs the per-`k`
+//! steps of its tier (fused, or multiply then add from the `beta·C` seed or
+//! from `+0.0`) in ascending `k`. So every tile of one tier gives the same
+//! bits (`every_tile_of_a_tier_gives_the_same_bits`), and golden hashes are
+//! keyed per rounding tier ([`isa_name`]), not per tile.
+//!
 //! [`gemm_transa`](crate::kernels::gemm_transa) runs on the same driver but
-//! never on the FMA tile: its `4×8` AVX tile (the portable tile below AVX2)
-//! multiplies, then adds, so that entry point is bitwise identical to the
+//! never on an FMA tile: its multiply-then-add tile (the portable one below
+//! AVX2) multiplies, then adds, so that entry point is bitwise identical to the
 //! naive kernel on every host.
 //!
 //! The multiply-then-add tiles have a second, **dot** accumulator mode for
@@ -69,7 +82,12 @@ pub const MR_SSE: usize = 4;
 /// accumulators; the unfused product needs a register of its own).
 #[cfg(target_arch = "x86_64")]
 const MR_AVX: usize = 4;
-/// Columns per packed B panel on the AVX2 f64 path.
+/// Register-tile height of the AVX-512 microkernels (8 ZMM accumulators),
+/// and the fewest rows a product needs to run on them.
+#[cfg(target_arch = "x86_64")]
+const MR_ZMM: usize = 8;
+/// Columns per packed B panel on the AVX2 and AVX-512 f64 paths (one ZMM,
+/// two YMM).
 pub const NR_F64: usize = 8;
 /// Columns per packed B panel on the portable `4×4` f64 path.
 pub const NR_SSE: usize = 4;
@@ -84,10 +102,6 @@ const KC: usize = 256;
 /// which shapes round once per step and which round twice.
 const SIMD_MIN_OPS: usize = 1 << 14;
 
-/// Largest microkernel tile in doubles (edge tiles stage through a stack
-/// buffer of this size).
-const MAX_TILE: usize = MR_FMA * NR_F64;
-
 /// CPU feature detection results, resolved once per process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuFeatures {
@@ -95,6 +109,8 @@ pub struct CpuFeatures {
     pub avx2: bool,
     /// FMA3 available.
     pub fma: bool,
+    /// AVX-512 Foundation available (and enabled by the OS).
+    pub avx512f: bool,
     /// SSE2 available (baseline on x86_64).
     pub sse2: bool,
     /// `SENSACT_FORCE_SCALAR` was set: all SIMD paths are disabled.
@@ -107,7 +123,12 @@ impl CpuFeatures {
         !self.forced_scalar && ((self.avx2 && self.fma) || self.sse2)
     }
 
-    /// Name of the ISA path GEMM dispatch takes on this host.
+    /// Name of the rounding tier GEMM dispatch takes on this host. It keys
+    /// the golden hashes (`benchmark/goldens.txt`, where an unknown key is
+    /// recorded rather than checked) and `RecordingMeta.isa`, so it names a
+    /// tier, not a tile: an AVX-512 host computes the same bits as an AVX2
+    /// one (module docs) and is `"avx2+fma"` too. Renaming it would make
+    /// every golden check on such a host record instead of compare.
     pub fn isa_name(&self) -> &'static str {
         if self.forced_scalar {
             "scalar"
@@ -138,8 +159,8 @@ pub(crate) fn simd_f64_eligible(m: usize, n: usize, k: usize) -> bool {
     cpu_features().simd_f64() && n != 0 && k != 0 && ops >= SIMD_MIN_OPS
 }
 
-/// Name of the ISA path GEMM dispatch takes on this host
-/// (`"avx2+fma"`, `"sse2"` or `"scalar"`).
+/// Name of the rounding tier GEMM dispatch takes on this host
+/// (`"avx2+fma"`, `"sse2"` or `"scalar"`; see [`CpuFeatures::isa_name`]).
 pub fn isa_name() -> &'static str {
     cpu_features().isa_name()
 }
@@ -153,6 +174,7 @@ fn detect() -> CpuFeatures {
         CpuFeatures {
             avx2: std::arch::is_x86_feature_detected!("avx2"),
             fma: std::arch::is_x86_feature_detected!("fma"),
+            avx512f: std::arch::is_x86_feature_detected!("avx512f"),
             sse2: std::arch::is_x86_feature_detected!("sse2"),
             forced_scalar,
         }
@@ -162,6 +184,7 @@ fn detect() -> CpuFeatures {
         CpuFeatures {
             avx2: false,
             fma: false,
+            avx512f: false,
             sse2: false,
             forced_scalar,
         }
@@ -228,11 +251,78 @@ struct AStrides {
 /// the C tile at `c` with row stride `ldc`.
 type PanelKernel = unsafe fn(usize, *const f64, *const f64, *mut f64, usize);
 
+/// The microkernels, one bit each (`1 << tile as u32`) in the mask
+/// [`take_tiles_run`] returns.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Tile {
+    /// The plain-Rust `4×4` multiply-then-add tile.
+    Portable,
+    /// The `4×8` AVX multiply-then-add tile.
+    Avx,
+    /// The `6×8` AVX2+FMA tile.
+    Fma,
+    /// The `8×8` AVX-512 multiply-then-add tile.
+    Zmm,
+    /// The `8×8` AVX-512 FMA tile.
+    ZmmFma,
+}
+
+thread_local! {
+    static TILES_RUN: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Records that this thread's driver ran `tile`.
+fn ran(tile: Tile) {
+    TILES_RUN.with(|t| t.set(t.get() | 1 << tile as u32));
+}
+
+/// The tiles this thread's products ran since the last call, as a mask of
+/// `1 << tile as u32` bits; the call clears it. Test instrumentation: a
+/// caller's tests assert that a product ran the tile its host selects, so a
+/// dispatch that falls back to another tile of the same tier — same bits,
+/// half the lanes — cannot pass silently.
+#[doc(hidden)]
+pub fn take_tiles_run() -> u32 {
+    TILES_RUN.with(|t| t.replace(0))
+}
+
+/// Runs the driver on an `8×8` AVX-512 tile: the FMA tile with `FMA`, else
+/// the multiply-then-add tile in `DOT` or chain mode. Returns `false` with
+/// `c` untouched where the host lacks AVX-512F or `m` is under 8 rows (a
+/// 256-bit tile pads fewer there); the caller has chosen the tier.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_zmm<const FMA: bool, const DOT: bool, S: PanelSource>(
+    m: usize,
+    n: usize,
+    k: usize,
+    kb: usize,
+    alpha: f64,
+    a: &[f64],
+    at: AStrides,
+    b: &S,
+    c: &mut [f64],
+) -> bool {
+    if m < MR_ZMM || !cpu_features().avx512f {
+        return false;
+    }
+    let (tile, kernel): (_, PanelKernel) = if FMA {
+        (Tile::ZmmFma, kernel_8x8_f64_zmm_fma)
+    } else {
+        (Tile::Zmm, kernel_8x8_f64_zmm::<DOT>)
+    };
+    ran(tile);
+    gemm_panels::<MR_ZMM, NR_F64, _>(m, n, k, kb, alpha, a, at, b, c, kernel);
+    true
+}
+
 /// The FMA tier: `C = alpha*A*B + beta*C` with B read through `b`. Only
 /// called once [`simd_f64_eligible`] has passed, on the product's own shape
 /// or on the one a caller pinned the tier on
 /// ([`gemm_panel_source`](crate::kernels::gemm_panel_source)); an SSE2-only
-/// host runs the portable tile in chain mode.
+/// host runs the portable tile in chain mode. An AVX-512 host runs its FMA
+/// tile from 8 rows up, the `6×8` AVX2 one below.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_fma_f64<S: PanelSource>(
     m: usize,
@@ -248,6 +338,10 @@ pub(crate) fn gemm_fma_f64<S: PanelSource>(
     #[cfg(target_arch = "x86_64")]
     if cpu_features().avx2 && cpu_features().fma {
         crate::kernels::scale_c(beta, c);
+        if gemm_zmm::<true, false, _>(m, n, k, KC, alpha, a, at, b, c) {
+            return;
+        }
+        ran(Tile::Fma);
         let kernel = kernel_6x8_f64_fma;
         return gemm_panels::<MR_FMA, NR_F64, _>(m, n, k, KC, alpha, a, at, b, c, kernel);
     }
@@ -259,8 +353,8 @@ pub(crate) fn gemm_fma_f64<S: PanelSource>(
 /// — the rounding sequence of the scalar loop in
 /// [`gemm_transa`](crate::kernels::gemm_transa), so every path of that entry
 /// point produces the same bits (goldens and trace hashes pin them).
-/// The AVX tile where AVX2 is present, the portable one otherwise; only
-/// called once [`simd_f64_eligible`] has passed.
+/// The host's multiply-then-add tile where AVX2 is present, the portable
+/// one otherwise; only called once [`simd_f64_eligible`] has passed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn gemm_transa_f64(
     m: usize,
@@ -408,8 +502,9 @@ unsafe fn sign_fold_avx2(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [
 }
 
 /// The packed-panel driver over the multiply-then-add tile of the host
-/// (`4×8` AVX where AVX2 is present and [`CpuFeatures::simd_f64`] holds,
-/// the portable `4×4` everywhere else), in chain mode
+/// (where AVX2 is present and [`CpuFeatures::simd_f64`] holds, the AVX-512
+/// tile from 8 rows up on an AVX-512 host and `4×8` AVX otherwise; the
+/// portable `4×4` everywhere else), in chain mode
 /// (`DOT = false`: accumulate onto the `beta·C` seed, `KC`-deep blocks) or
 /// dot mode (the whole `k` in one block, so no dot is split).
 #[allow(clippy::too_many_arguments)]
@@ -428,9 +523,14 @@ fn gemm_bitwise<const DOT: bool, S: PanelSource>(
     let kb = if DOT { k.max(1) } else { KC };
     #[cfg(target_arch = "x86_64")]
     if cpu_features().simd_f64() && cpu_features().avx2 {
+        if gemm_zmm::<false, DOT, _>(m, n, k, kb, alpha, a, at, b, c) {
+            return;
+        }
+        ran(Tile::Avx);
         let kernel = kernel_4x8_f64_avx::<DOT>;
         return gemm_panels::<MR_AVX, NR_F64, _>(m, n, k, kb, alpha, a, at, b, c, kernel);
     }
+    ran(Tile::Portable);
     let kernel = kernel_4x4_f64_portable::<DOT>;
     gemm_panels::<MR_SSE, NR_SSE, _>(m, n, k, kb, alpha, a, at, b, c, kernel);
 }
@@ -538,17 +638,15 @@ fn gemm_panels<const MR: usize, const NR: usize, S: PanelSource>(
                             // never reads or writes past the valid C region. The
                             // padded A rows / B columns are zero, so the dead lanes
                             // accumulate zeros and are simply not copied back.
-                            let mut tile = [0.0f64; MAX_TILE];
-                            for r in 0..mr {
-                                tile[r * NR..r * NR + nr]
-                                    .copy_from_slice(&c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr]);
+                            let mut tile = [[0.0f64; NR]; MR];
+                            for (r, row) in tile[..mr].iter_mut().enumerate() {
+                                row[..nr].copy_from_slice(&c[(i0 + r) * n + j0..][..nr]);
                             }
                             // SAFETY: packed operands as above; `tile` holds
-                            // `MAX_TILE >= MR * NR` doubles with row stride `NR`.
-                            unsafe { kernel(kc, app, bpp, tile.as_mut_ptr(), NR) };
-                            for r in 0..mr {
-                                c[(i0 + r) * n + j0..(i0 + r) * n + j0 + nr]
-                                    .copy_from_slice(&tile[r * NR..r * NR + nr]);
+                            // `MR` rows of `NR` doubles, contiguous.
+                            unsafe { kernel(kc, app, bpp, tile.as_mut_ptr().cast(), NR) };
+                            for (r, row) in tile[..mr].iter().enumerate() {
+                                c[(i0 + r) * n + j0..][..nr].copy_from_slice(&row[..nr]);
                             }
                         }
                     }
@@ -632,6 +730,82 @@ unsafe fn kernel_6x8_f64_fma(kc: usize, ap: *const f64, bp: *const f64, c: *mut 
     for (r, row) in acc.iter().enumerate() {
         _mm256_storeu_pd(c.add(r * ldc), row[0]);
         _mm256_storeu_pd(c.add(r * ldc + 4), row[1]);
+    }
+}
+
+/// AVX-512 `8×8` f64 microkernel for the bitwise tiers: one ZMM
+/// accumulator per row, multiply **then** add per step in ascending `k`
+/// (never fused), with the accumulator modes of [`kernel_4x8_f64_avx`] —
+/// each element runs that tile's operation sequence, eight lanes at a time.
+///
+/// # Safety
+///
+/// The host must support AVX-512F; `ap` and `bp` must point at `kc * 8`
+/// packed doubles each; `c` must be valid for reads and writes of 8 rows of
+/// 8 doubles at row stride `ldc`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn kernel_8x8_f64_zmm<const DOT: bool>(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm512_setzero_pd(); MR_ZMM];
+    if !DOT {
+        for (r, row) in acc.iter_mut().enumerate() {
+            *row = _mm512_loadu_pd(c.add(r * ldc));
+        }
+    }
+    for kk in 0..kc {
+        let b = _mm512_loadu_pd(bp.add(kk * NR_F64));
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_pd(*ap.add(kk * MR_ZMM + r));
+            *row = _mm512_add_pd(*row, _mm512_mul_pd(av, b));
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        let cr = c.add(r * ldc);
+        if DOT {
+            _mm512_storeu_pd(cr, _mm512_add_pd(_mm512_loadu_pd(cr), *row));
+        } else {
+            _mm512_storeu_pd(cr, *row);
+        }
+    }
+}
+
+/// AVX-512 `8×8` f64 FMA microkernel: one ZMM accumulator per row holds
+/// the C tile, one broadcast + one FMA per row per `k` step (ascending
+/// `k`) — [`kernel_6x8_f64_fma`]'s per-element sequence on 512-bit lanes.
+///
+/// # Safety
+///
+/// As [`kernel_8x8_f64_zmm`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn kernel_8x8_f64_zmm_fma(
+    kc: usize,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+) {
+    use std::arch::x86_64::*;
+    let mut acc = [_mm512_setzero_pd(); MR_ZMM];
+    for (r, row) in acc.iter_mut().enumerate() {
+        *row = _mm512_loadu_pd(c.add(r * ldc));
+    }
+    for kk in 0..kc {
+        let b = _mm512_loadu_pd(bp.add(kk * NR_F64));
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = _mm512_set1_pd(*ap.add(kk * MR_ZMM + r));
+            *row = _mm512_fmadd_pd(av, b, *row);
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        _mm512_storeu_pd(c.add(r * ldc), *row);
     }
 }
 
@@ -787,9 +961,10 @@ mod tests {
         }
     }
 
-    /// Every dot-mode tile — the portable one, and AVX where the host has
-    /// it — driven directly, against the scalar row-dot written out: sum from `+0.0`
-    /// in ascending `k`, added to the `beta·C` seed once. Ragged and full
+    /// Every dot-mode tile — the portable one, and AVX and AVX-512 (every
+    /// height) where the host has them — driven directly, against the
+    /// scalar row-dot written out: sum from `+0.0` in ascending `k`, added
+    /// to the `beta·C` seed once. Ragged and full
     /// tiles, `k` past one `KC` block (a dot is one block, whatever its
     /// depth), IEEE specials in every operand.
     #[test]
@@ -838,6 +1013,11 @@ mod tests {
                     let c = drive::<MR_AVX, NR_F64, _>(kernel, shape, alpha, &a, &src, 1.0, &base);
                     tiles.push(("avx", c));
                 }
+                #[cfg(target_arch = "x86_64")]
+                if cpu_features().avx512f {
+                    let c = run_tile(Tile::Zmm, true, (m, n, k), alpha, &a, &src, 1.0, &base);
+                    tiles.push(("avx-512", c));
+                }
                 for (tile, c) in tiles {
                     let case =
                         format!("{tile} dot tile vs the row-dot at {m}x{n}x{k} hostile={hostile}");
@@ -847,52 +1027,147 @@ mod tests {
         }
     }
 
-    /// The portable tile and the host's multiply-then-add tile on the same
-    /// operands, through the same driver, in both accumulator modes: every
-    /// `m mod 4` and `n mod {4, 8}` residue, `k` on both sides of the
-    /// 256-deep block (chain mode cuts it, dot mode never does), NaN, `±∞`
-    /// and `±0` in A, B and the seed, every `beta` class. This is the row a
-    /// host without AVX leans on; on such a host the two tiles are one.
+    /// One tile through the driver as the entry points run it (a dot packs
+    /// its whole `k` as one block).
+    #[cfg(target_arch = "x86_64")]
+    #[allow(clippy::too_many_arguments)]
+    fn run_tile<S: PanelSource>(
+        tile: Tile,
+        dot: bool,
+        (m, n, k): (usize, usize, usize),
+        alpha: f64,
+        a: &[f64],
+        b: &S,
+        beta: f64,
+        seed: &[f64],
+    ) -> Vec<f64> {
+        let shape = (m, n, k, if dot { k.max(1) } else { KC });
+        macro_rules! run {
+            ($mr:expr, $nr:expr, $kernel:expr) => {
+                drive::<{ $mr }, { $nr }, _>($kernel, shape, alpha, a, b, beta, seed)
+            };
+        }
+        match (tile, dot) {
+            (Tile::Portable, false) => run!(MR_SSE, NR_SSE, kernel_4x4_f64_portable::<false>),
+            (Tile::Portable, true) => run!(MR_SSE, NR_SSE, kernel_4x4_f64_portable::<true>),
+            (Tile::Avx, false) => run!(MR_AVX, NR_F64, kernel_4x8_f64_avx::<false>),
+            (Tile::Avx, true) => run!(MR_AVX, NR_F64, kernel_4x8_f64_avx::<true>),
+            (Tile::Fma, false) => run!(MR_FMA, NR_F64, kernel_6x8_f64_fma),
+            (Tile::Zmm, false) => run!(MR_ZMM, NR_F64, kernel_8x8_f64_zmm::<false>),
+            (Tile::Zmm, true) => run!(MR_ZMM, NR_F64, kernel_8x8_f64_zmm::<true>),
+            (Tile::ZmmFma, false) => run!(MR_ZMM, NR_F64, kernel_8x8_f64_zmm_fma),
+            other => unreachable!("no tile {other:?}"),
+        }
+    }
+
+    /// Every tile of one tier gives the same bits through the same driver
+    /// on the same operands: the AVX-512 FMA tile against the `6×8` one, and
+    /// the AVX-512, `4×8` AVX and portable `4×4` multiply-then-add tiles
+    /// against each other in chain and dot mode. Each tile the host can
+    /// execute runs directly, so an AVX-512 host still checks its AVX2
+    /// tiles. `m` and `n` cover the residues of every tile height and
+    /// width, `k` is 0, 1, a short dot, one short of the 256-deep block and
+    /// both sides of it (chain mode cuts it, dot mode never does, at 256
+    /// and at 512); A and B hold NaN, `±∞` and `±0`, the seed
+    /// is hostile values (a stale NaN among them) with `beta` 0, 0.5 or 1,
+    /// or all `-0.0` with `beta` 0 or 1; `alpha` is −0.75.
+    /// `dot_mode_tiles_are_bitwise_vs_the_scalar_row_dot` and
+    /// `portable_panel_path_is_bitwise_vs_blocked` tie the tiles to the
+    /// scalar loops; on a host without AVX2 the portable tile is the only
+    /// one.
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn the_portable_tile_is_bitwise_the_host_tile() {
-        if !cpu_features().avx2 {
+    fn every_tile_of_a_tier_gives_the_same_bits() {
+        let f = cpu_features();
+        if !f.avx2 {
             return;
         }
         let mut rng = StdRng::seed_from_u64(0x9027);
-        for k in [1, 255, 256, 257, 600] {
-            for m in 1..=8 {
-                for n in 1..=9 {
-                    for beta in [0.0, 0.5, 1.0] {
-                        let mut a = random_mat(&mut rng, m * k);
-                        let mut b = random_mat(&mut rng, k * n);
-                        let mut seed = random_mat(&mut rng, m * n);
-                        for buf in [&mut a, &mut b, &mut seed] {
-                            salt_hostile(&mut rng, buf);
+        let alpha = -0.75;
+        for k in [0, 1, 16, 255, 256, 257, 600] {
+            for m in [1, 2, 3, 4, 5, 6, 7, 8, 13, 16, 24, 97] {
+                for n in [1, 2, 3, 4, 5, 6, 7, 8, 9, 33] {
+                    let mut a = random_mat(&mut rng, m * k);
+                    let mut b = random_mat(&mut rng, k * n);
+                    let mut hostile = random_mat(&mut rng, m * n);
+                    for buf in [&mut a, &mut b, &mut hostile] {
+                        salt_hostile(&mut rng, buf);
+                    }
+                    let src = RowMajor { b: &b, n };
+                    let negzero = vec![-0.0; m * n];
+                    let seeds = [
+                        (&hostile, 0.0),
+                        (&hostile, 0.5),
+                        (&hostile, 1.0),
+                        (&negzero, 0.0),
+                        (&negzero, 1.0),
+                    ];
+                    for (seed, beta) in seeds {
+                        let run =
+                            |tile, dot| run_tile(tile, dot, (m, n, k), alpha, &a, &src, beta, seed);
+                        let check = |want: &[f64], tile, dot| {
+                            let case = format!("{tile:?} at {m}x{n}x{k} beta={beta} dot={dot}");
+                            assert_same_bits(want, &run(tile, dot), &case);
+                        };
+                        if f.fma && f.avx512f {
+                            check(&run(Tile::Fma, false), Tile::ZmmFma, false);
                         }
-                        let src = RowMajor { b: &b, n };
                         for dot in [false, true] {
-                            let shape = (m, n, k, if dot { k } else { KC });
-                            let (portable, avx): (PanelKernel, PanelKernel) = if dot {
-                                (kernel_4x4_f64_portable::<true>, kernel_4x8_f64_avx::<true>)
-                            } else {
-                                (
-                                    kernel_4x4_f64_portable::<false>,
-                                    kernel_4x8_f64_avx::<false>,
-                                )
-                            };
-                            let alpha = 0.75;
-                            let want = drive::<MR_SSE, NR_SSE, _>(
-                                portable, shape, alpha, &a, &src, beta, &seed,
-                            );
-                            let host = drive::<MR_AVX, NR_F64, _>(
-                                avx, shape, alpha, &a, &src, beta, &seed,
-                            );
-                            let case = format!("{m}x{n}x{k} beta={beta} dot={dot}");
-                            assert_same_bits(&want, &host, &case);
+                            let want = run(Tile::Portable, dot);
+                            check(&want, Tile::Avx, dot);
+                            if f.avx512f {
+                                check(&want, Tile::Zmm, dot);
+                            }
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// Each entry point runs the tile its host selects, so a dispatch that
+    /// falls back to a narrower tile of the same tier (same bits) cannot
+    /// pass: on an AVX-512 host a product of 8 rows or more runs an `8×8`
+    /// 512-bit tile and one of fewer a 256-bit tile; without AVX2 every product
+    /// runs the portable tile, except that `gemm_transa` runs its scalar
+    /// loop where no f64 vector path is on (forced scalar).
+    #[test]
+    fn each_product_runs_the_tile_its_host_selects() {
+        let f = cpu_features();
+        let avx2 = f.simd_f64() && f.avx2;
+        let wide = avx2 && f.avx512f;
+        let bit = |t: Tile| 1u32 << t as u32;
+        let mut rng = StdRng::seed_from_u64(0x7113);
+        for m in [4, 16] {
+            let (n, k) = (64, 64);
+            let a = random_mat(&mut rng, m * k);
+            let b = random_mat(&mut rng, k * n);
+            let mut c = vec![0.0; m * n];
+            let src = RowMajor { b: &b, n };
+            take_tiles_run();
+            crate::kernels::gemm_transa(m, n, k, 1.0, &a, &b, 0.0, &mut c);
+            let want = match (f.simd_f64(), avx2, wide && m >= 8) {
+                (false, ..) => 0,
+                (true, false, _) => bit(Tile::Portable),
+                (true, true, false) => bit(Tile::Avx),
+                (true, true, true) => bit(Tile::Zmm),
+            };
+            assert_eq!(take_tiles_run(), want, "gemm_transa, {m} rows");
+            for (tier_n, dot) in [(n, true), (n, false), (1, true), (1, false)] {
+                crate::kernels::gemm_panel_source(m, n, k, tier_n, dot, 1.0, &a, &src, 0.0, &mut c);
+                let fused = simd_f64_eligible(m, tier_n, k);
+                let want = match (avx2, wide && m >= 8, fused) {
+                    (false, ..) => bit(Tile::Portable),
+                    (true, false, true) => bit(Tile::Fma),
+                    (true, false, false) => bit(Tile::Avx),
+                    (true, true, true) => bit(Tile::ZmmFma),
+                    (true, true, false) => bit(Tile::Zmm),
+                };
+                assert_eq!(
+                    take_tiles_run(),
+                    want,
+                    "panel source, {m} rows, tier_n {tier_n}"
+                );
             }
         }
     }
@@ -944,6 +1219,12 @@ mod tests {
         if f.forced_scalar {
             assert!(!f.simd_f64());
             assert_eq!(f.isa_name(), "scalar");
+        }
+        // The name keys the goldens per rounding tier: the AVX-512 tiles
+        // compute the AVX2+FMA tier's bits, so such a host must not get a
+        // name of its own (its golden checks would record, not compare).
+        if f.avx512f && !f.forced_scalar {
+            assert_eq!(f.isa_name(), "avx2+fma");
         }
         assert_eq!(isa_name(), f.isa_name());
     }

@@ -1945,6 +1945,48 @@ mod tests {
         );
     }
 
+    /// A conv forward, a conv backward and a deconv forward and backward —
+    /// whose products are all at least 8 rows tall, panel-source and
+    /// `gemm_transa` alike — each run only the widest tiles of the host: the
+    /// 512-bit ones on an AVX-512 host, the 256-bit ones on an AVX2 host,
+    /// the portable one (and `gemm_transa`'s scalar loop) without AVX2 or
+    /// under `SENSACT_FORCE_SCALAR`. A dispatch that fell back to a
+    /// narrower tile of the same tier would give the same bits and pass
+    /// every bit row; this one fails it.
+    #[test]
+    fn the_layers_run_the_host_s_widest_tiles() {
+        use simd::Tile;
+        let f = simd::cpu_features();
+        let bit = |t: Tile| 1u32 << t as u32;
+        let widest = match (f.simd_f64() && f.avx2, f.avx512f) {
+            (false, _) => bit(Tile::Portable),
+            (true, false) => bit(Tile::Avx) | bit(Tile::Fma),
+            (true, true) => bit(Tile::Zmm) | bit(Tile::ZmmFma),
+        };
+        let mut rng = StdRng::seed_from_u64(0x512);
+        let mut c = Conv3d::new(2, 8, 3, 1, 1, Dims3::new(3, 5, 7), &mut Initializer::new(2));
+        let mut d = Deconv3d::new(8, 2, 3, 1, 1, Dims3::new(3, 5, 7), &mut Initializer::new(3));
+        let ran = |what: &str, folds: bool| {
+            let bits = simd::take_tiles_run();
+            assert_eq!(bits & !widest, 0, "{what} ran a narrower tile: {bits:#b}");
+            // Where no f64 vector path is on, `gemm_transa` runs its scalar
+            // loop, not a tile.
+            if !folds || f.simd_f64() {
+                assert_ne!(bits, 0, "{what} ran no tile");
+            }
+        };
+        simd::take_tiles_run();
+        let x = hostile_input(&mut rng, 2, c.in_features());
+        let y = c.forward(&x, true);
+        ran("conv forward", false);
+        let _ = c.backward(&hostile_input(&mut rng, 2, c.out_features()));
+        ran("conv backward", false);
+        let z = d.forward(&y, true);
+        ran("deconv forward", true);
+        let _ = d.backward(&z);
+        ran("deconv backward", false);
+    }
+
     /// Pack one `[k0, kc, j0, nr, ld]` panel of `src` over NaN and compare
     /// it `to_bits` with `want(k, j)`, lanes `nr..ld` `+0.0`.
     fn check_panel(

@@ -82,6 +82,28 @@ if awk '/^impl PanelSource for/ { on = 1 } on { print FILENAME ":" FNR ": " $0 }
     exit 1
 fi
 
+# Fused multiply-add is the FMA tier's alone: only the two FMA tiles
+# (`kernel_6x8_f64_fma`, `kernel_8x8_f64_zmm_fma`) may name a fused
+# intrinsic or `mul_add`, so no multiply-then-add tile and no scalar loop
+# can start rounding once per step (comment lines aside). A line belongs to
+# the last `fn` header above it until the `}` at that header's indentation;
+# anything after it (a const, a static, a macro body) belongs to no fn.
+echo "== fused multiply-add only in the two FMA tiles =="
+offenders="$(git ls-files -- 'crates/*/src/*.rs' 'src/*.rs' | xargs awk '
+    BEGIN { hdr = "^[[:space:]]*((pub(\\([^)]*\\))?|const|async|unsafe|extern( \"[^\"]*\")?|default)[[:space:]]+)*fn[[:space:]]+" }
+    FNR == 1 { f = ""; ind = "" }
+    $0 ~ hdr {
+        match($0, /^[[:space:]]*/); ind = substr($0, 1, RLENGTH)
+        f = $0; sub(hdr, "", f); sub(/[^A-Za-z0-9_].*/, "", f)
+    }
+    /_mm(256|512)?_fn?m(add|sub)[a-z]*_p[ds]|\.mul_add\(/ && !/^[[:space:]]*\/\// \
+        && f != "kernel_6x8_f64_fma" && f != "kernel_8x8_f64_zmm_fma" { print FILENAME ":" FNR ": " $0 }
+    f != "" && index($0, ind "}") == 1 { f = "" }')"
+if [[ -n "$offenders" ]]; then
+    echo "$offenders"
+    exit 1
+fi
+
 # Every `pub` fn / const / static under crates/*/src has a caller outside
 # its own unit tests, and every `pub` field of a `pub struct` with an
 # `impl Default` is set somewhere outside that impl — or either has an
@@ -121,13 +143,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # against its reference, on the tier its contract names. The conv layers
 # run one lowering on both legs — panels packed from the zero-bordered halo
 # by one walker, the tap-major fold — and the legs differ in the tile under
-# it and so in the packers' lane width: the host's AVX multiply-then-add
-# tile (FMA from 2^14) with 8-wide lanes on the first, the portable
-# plain-Rust 4x4 tile in dot and chain mode with 4-wide lanes on the
-# forced-scalar one, which is the leg that proves the portable tile and the
-# 4-wide lanes. `prop_halo_packers_match_the_oracle_unfold` holds both
-# packers to the oracle's unfold at both widths and asserts that the
-# layers ran the leg's width only; `halo_state_does_not_leak_across_calls`
+# it and so in the packers' lane width: on the host leg the host's widest
+# tiles with 8-wide lanes (the 512-bit multiply-then-add and FMA tiles from
+# 8 rows up where AVX-512 is on, the 256-bit ones below 8 rows and on an
+# AVX2-only host; FMA from 2^14), on the forced-scalar leg the portable
+# plain-Rust 4x4 tile in dot and chain mode with 4-wide lanes — the leg that
+# proves the portable tile and the 4-wide lanes. On an AVX-512 host the
+# AVX2 tiles take only products under 8 rows, so
+# `simd::every_tile_of_a_tier_gives_the_same_bits` drives them directly
+# against the 512-bit and portable tiles, and
+# `conv::the_layers_run_the_host_s_widest_tiles` fails if a layer ran a
+# narrower tile than its leg selects.
+# `prop_halo_packers_match_the_oracle_unfold` holds both packers to the
+# oracle's unfold at both widths and asserts that the layers ran the leg's
+# width only; `halo_state_does_not_leak_across_calls`
 # replays random call sequences against fresh twins with the halo border
 # checked after each call; the backward rows of
 # `prop_{conv,deconv}_lowering_is_bit_identical_to_the_materialised_oracle`
@@ -151,7 +180,8 @@ case "${SENSACT_FORCE_SCALAR:-0}" in
     *) legs=(1) ;;
 esac
 for leg in "${legs[@]}"; do
-    [[ "$leg" == "0" ]] && isa="host ISA" || isa="forced-scalar path"
+    [[ "$leg" == "0" ]] && isa="host ISA: widest tiles, 512-bit on AVX-512" \
+        || isa="forced-scalar path: portable 4x4 tile"
 
     if [[ "$leg" != "${legs[0]}" ]]; then
         echo "== bitwise kernel, conv lowering, R-MAE, STARNet, lidar + Koopman tests, footprint guard ($isa) =="
