@@ -329,10 +329,23 @@ pub(crate) const SIGN_BIT: u64 = 1 << 63;
 /// `θ₀ + U v` for a ±`s` basis `U` with
 /// `steps[i] = vᵢ·s`: `vᵢ·(−s) = −(vᵢ·s)` exactly under round-to-nearest.
 ///
-/// Every arm — AVX2, or the scalar loop under `SENSACT_FORCE_SCALAR` —
-/// adds the terms of each element in ascending `i`, so all of them produce
-/// the bits of `t += if bit { -s } else { s }`.
+/// Every arm — 512-bit lanes on an AVX-512F host, 256-bit lanes on an AVX2
+/// one, the scalar loop elsewhere and under `SENSACT_FORCE_SCALAR` — adds
+/// the terms of each element in ascending `i`, so all of them produce the
+/// bits of `t += if bit { -s } else { s }`.
 pub fn sign_fold(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f64]) {
+    sign_fold_on(crate::simd::sign_fold_arm(), base, steps, signs, out);
+}
+
+/// [`sign_fold`] on `arm`, or on the scalar loop where the host cannot run
+/// it.
+fn sign_fold_on(
+    arm: crate::simd::FoldArm,
+    base: &[f64],
+    steps: &[f64],
+    signs: &[u64],
+    out: &mut [f64],
+) {
     let p = base.len();
     assert_eq!(out.len(), p, "sign_fold: out must match base");
     assert_eq!(
@@ -340,7 +353,7 @@ pub fn sign_fold(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f64]) {
         steps.len().div_ceil(64) * p,
         "sign_fold: one sign plane of p words per 64 steps"
     );
-    if crate::simd::sign_fold_f64(base, steps, signs, out) {
+    if crate::simd::sign_fold_f64(arm, base, steps, signs, out) {
         return;
     }
     out.copy_from_slice(base);
@@ -351,6 +364,8 @@ pub fn sign_fold(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f64]) {
             *t += f64::from_bits(s.to_bits() ^ ((w << shift) & SIGN_BIT));
         }
     }
+    #[cfg(test)]
+    crate::simd::fold_ran(crate::simd::FoldArm::Scalar);
 }
 
 /// Fused matrix–vector product: `y = A[m×k] * x`, no intermediate
@@ -836,45 +851,107 @@ pub(crate) mod tests {
         }
     }
 
-    /// The sign fold on the dispatched arm (AVX2 on the host leg, the scalar
-    /// loop when forced) against the fold written out: `t += ±s` in
-    /// ascending step order, `to_bits`-equal. Lengths straddle the 4-wide
-    /// vector and 16-wide block edges; step counts straddle a sign plane;
-    /// steps include `±0.0` and subnormals, whose signs a wrong negation
-    /// would lose.
+    /// Every sign-fold arm the host can execute — the scalar loop, the
+    /// 256-bit and the 512-bit lanes — against the fold written out: `t +=
+    /// ±s` in ascending step order, `to_bits`-equal. Lengths run 0–40 and
+    /// straddle the 8-lane vector and 32-element block edges up to 936 (the
+    /// STARNet encoder's); step counts straddle a sign plane. Steps hold
+    /// `±0.0` and subnormals, whose signs a wrong negation would lose; a
+    /// hostile round salts bases with `±inf` and NaN and adds an infinite and
+    /// a NaN step. Every NaN in play is [`X86_NAN`] (a NaN step's signs are
+    /// chosen so each of its terms is), so no bit hangs on which operand of
+    /// an add the compiler puts first. The dispatched fold must run the
+    /// host's widest arm: the 512-bit one on an AVX-512 host, the scalar loop
+    /// under `SENSACT_FORCE_SCALAR`.
     #[test]
     fn sign_fold_matches_the_scalar_fold() {
+        use crate::simd::{cpu_features, take_fold_arms_run, FoldArm};
+        let f = cpu_features();
+        let arms: Vec<FoldArm> = [
+            (true, FoldArm::Scalar),
+            (f.avx2, FoldArm::Avx2),
+            (f.avx512f, FoldArm::Zmm),
+        ]
+        .into_iter()
+        .filter_map(|(runs, arm)| runs.then_some(arm))
+        .collect();
+        let widest = if f.forced_scalar || !f.avx2 {
+            FoldArm::Scalar
+        } else if f.avx512f {
+            FoldArm::Zmm
+        } else {
+            FoldArm::Avx2
+        };
         let mut rng = StdRng::seed_from_u64(0x5F01D);
         let specials = [-0.0, 0.0, 5e-324, -2.5e-310, f64::MIN_POSITIVE];
-        for &p in &[0usize, 1, 3, 4, 5, 17, 936] {
-            for &rank in &[0usize, 1, 16, 64, 65, 130] {
-                let base: Vec<f64> = (0..p)
-                    .map(|j| {
-                        if j % 7 == 3 {
-                            -0.0
-                        } else {
-                            rng.gen_f64() - 0.5
+        let lengths = (0..=40).chain([63, 64, 65, 95, 96, 97, 127, 128, 129, 255, 257, 929, 936]);
+        for p in lengths {
+            for rank in [0usize, 1, 16, 64, 65, 130] {
+                for hostile in [false, true] {
+                    let mut base: Vec<f64> = (0..p)
+                        .map(|j| match j % 7 {
+                            3 => -0.0,
+                            5 => specials[j % specials.len()],
+                            _ => rng.gen_f64() - 0.5,
+                        })
+                        .collect();
+                    let mut steps: Vec<f64> = (0..rank)
+                        .map(|i| specials.get(i % 8).copied().unwrap_or(rng.gen_f64() * 1e-3))
+                        .collect();
+                    let mut signs: Vec<u64> =
+                        (0..rank.div_ceil(64) * p).map(|_| rng.next_u64()).collect();
+                    if hostile {
+                        for (j, b) in base.iter_mut().enumerate() {
+                            match j % 11 {
+                                2 => *b = f64::INFINITY,
+                                6 => *b = f64::NEG_INFINITY,
+                                9 => *b = X86_NAN,
+                                _ => {}
+                            }
                         }
-                    })
-                    .collect();
-                let steps: Vec<f64> = (0..rank)
-                    .map(|i| specials.get(i % 8).copied().unwrap_or(rng.gen_f64() * 1e-3))
-                    .collect();
-                let signs: Vec<u64> = (0..rank.div_ceil(64) * p).map(|_| rng.next_u64()).collect();
-                let mut want = base.clone();
-                for (j, t) in want.iter_mut().enumerate() {
-                    for (i, &s) in steps.iter().enumerate() {
-                        let negate = signs[(i / 64) * p + j] << (i % 64) >> 63 == 1;
-                        *t += if negate { -s } else { s };
+                        if rank > 1 {
+                            steps[rank / 2] = f64::INFINITY;
+                            // Either sign of NaN, each term negated to X86_NAN.
+                            let i = rank - 1;
+                            let nan = if i % 2 == 0 { X86_NAN } else { -X86_NAN };
+                            steps[i] = nan;
+                            let negate = u64::from(nan.is_sign_positive()) << (63 - i % 64);
+                            for w in &mut signs[(i / 64) * p..][..p] {
+                                *w = *w & !(1 << (63 - i % 64)) | negate;
+                            }
+                        }
                     }
-                }
-                let mut out = vec![f64::NAN; p];
-                sign_fold(&base, &steps, &signs, &mut out);
-                for (j, (x, y)) in want.iter().zip(&out).enumerate() {
-                    assert!(
-                        x.to_bits() == y.to_bits(),
-                        "sign_fold not bitwise at p={p} rank={rank} element {j}: {y:e} vs {x:e}"
+                    let mut want = base.clone();
+                    for (j, t) in want.iter_mut().enumerate() {
+                        for (i, &s) in steps.iter().enumerate() {
+                            let negate = signs[(i / 64) * p + j] << (i % 64) >> 63 == 1;
+                            *t += if negate { -s } else { s };
+                        }
+                    }
+                    let case = format!("p={p} rank={rank} hostile={hostile}");
+                    let check = |out: &[f64], arm: FoldArm| {
+                        for (j, (x, y)) in want.iter().zip(out).enumerate() {
+                            assert!(
+                                x.to_bits() == y.to_bits(),
+                                "{arm:?} sign_fold not bitwise at {case} element {j}: {y:e} vs {x:e}"
+                            );
+                        }
+                    };
+                    for &arm in &arms {
+                        let mut out = vec![f64::NAN; p];
+                        take_fold_arms_run();
+                        sign_fold_on(arm, &base, &steps, &signs, &mut out);
+                        assert_eq!(take_fold_arms_run(), 1 << arm as u32, "{arm:?} at {case}");
+                        check(&out, arm);
+                    }
+                    let mut out = vec![f64::NAN; p];
+                    sign_fold(&base, &steps, &signs, &mut out);
+                    assert_eq!(
+                        take_fold_arms_run(),
+                        1 << widest as u32,
+                        "the dispatched fold ran a narrower arm than {widest:?} at {case}"
                     );
+                    check(&out, widest);
                 }
             }
         }

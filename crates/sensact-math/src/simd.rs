@@ -66,10 +66,11 @@
 //! time, so an operand that is a view of something smaller (a conv's im2col
 //! patches) is unfolded straight into the panel and never materialised.
 //!
-//! One kernel here is not a GEMM: the AVX2 arm of
-//! [`sign_fold`](crate::kernels::sign_fold). It only negates (a sign-bit
-//! XOR) and adds, in the scalar loop's order, so it is bitwise identical to
-//! that loop.
+//! One kernel here is not a GEMM: the vector arms of
+//! [`sign_fold`](crate::kernels::sign_fold), on 256-bit lanes where AVX2 is
+//! present and 512-bit lanes where AVX-512F is too. They only negate (a
+//! sign-bit XOR) and add, in the scalar loop's order, so they are bitwise
+//! identical to that loop.
 
 use std::sync::OnceLock;
 
@@ -396,25 +397,82 @@ pub(crate) fn gemm_tile_f64<const DOT: bool, S: PanelSource>(
     }
 }
 
-/// AVX2 arm of [`sign_fold`](crate::kernels::sign_fold). Returns `false`
-/// with `out` untouched when the caller must run the scalar loop (no AVX2,
-/// `SENSACT_FORCE_SCALAR`, non-x86). The caller has checked the lengths.
-pub(crate) fn sign_fold_f64(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f64]) -> bool {
+/// The arms of [`sign_fold`](crate::kernels::sign_fold). Each runs every
+/// element's sum in the same sequence; they differ only in how many
+/// elements advance together.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum FoldArm {
+    /// The scalar loop in `kernels`.
+    Scalar,
+    /// 256-bit lanes: four elements a vector.
+    Avx2,
+    /// 512-bit lanes: eight elements a vector.
+    Zmm,
+}
+
+/// The widest sign-fold arm this host runs: the 512-bit one where AVX-512F
+/// is present, the 256-bit one where AVX2 is, and the scalar loop otherwise
+/// or under `SENSACT_FORCE_SCALAR`.
+pub(crate) fn sign_fold_arm() -> FoldArm {
     let f = cpu_features();
     if f.forced_scalar || !f.avx2 {
-        return false;
+        FoldArm::Scalar
+    } else if f.avx512f {
+        FoldArm::Zmm
+    } else {
+        FoldArm::Avx2
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    static FOLD_ARMS_RUN: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
+
+/// Records that this thread's sign fold ran `arm` (tests only).
+#[cfg(test)]
+pub(crate) fn fold_ran(arm: FoldArm) {
+    FOLD_ARMS_RUN.with(|t| t.set(t.get() | 1 << arm as u32));
+}
+
+/// The sign-fold arms this thread ran since the last call, as a mask of
+/// `1 << arm as u32` bits; the call clears it. The twin of
+/// [`take_tiles_run`]: a test asserts the fold ran its host's widest arm.
+#[cfg(test)]
+pub(crate) fn take_fold_arms_run() -> u32 {
+    FOLD_ARMS_RUN.with(|t| t.replace(0))
+}
+
+/// The vector `arm` of [`sign_fold`](crate::kernels::sign_fold). Returns
+/// `false` with `out` untouched when the caller must run the scalar loop:
+/// `arm` is [`FoldArm::Scalar`] or needs an ISA the host lacks (non-x86
+/// included). The caller has checked the lengths.
+pub(crate) fn sign_fold_f64(
+    arm: FoldArm,
+    base: &[f64],
+    steps: &[f64],
+    signs: &[u64],
+    out: &mut [f64],
+) -> bool {
     #[cfg(target_arch = "x86_64")]
     {
+        let f = cpu_features();
         assert!(out.len() == base.len() && signs.len() == steps.len().div_ceil(64) * base.len());
-        // SAFETY: AVX2 was detected above, and the lengths the kernel's
-        // `# Safety` section names were asserted on the line before.
-        unsafe { sign_fold_avx2(base, steps, signs, out) };
+        match arm {
+            // SAFETY (both arms): the arm's ISA was detected on the same
+            // line, and the lengths the kernels' `# Safety` sections name
+            // were asserted above.
+            FoldArm::Zmm if f.avx512f => unsafe { sign_fold_zmm(base, steps, signs, out) },
+            FoldArm::Avx2 if f.avx2 => unsafe { sign_fold_avx2(base, steps, signs, out) },
+            _ => return false,
+        }
+        #[cfg(test)]
+        fold_ran(arm);
         true
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        let _ = (base, steps, signs, out);
+        let _ = (arm, base, steps, signs, out);
         false
     }
 }
@@ -498,6 +556,88 @@ unsafe fn sign_fold_avx2(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [
             t += f64::from_bits(s.to_bits() ^ sign);
         }
         out[j] = t;
+    }
+}
+
+/// Elements one register block of [`sign_fold_zmm`] keeps in flight:
+/// four independent add chains of eight lanes.
+#[cfg(target_arch = "x86_64")]
+const FOLD_BLOCK_ZMM: usize = 32;
+
+/// [`sign_fold_block`] on 512-bit lanes, for `j` in `at..at + 8·V` where
+/// `mask` holds lane `j − at` of each vector (a tail vector's lanes past
+/// `p` are neither read nor written). The sign of the next step is still
+/// the top bit of the element's word: `vpternlogq` with imm `0x78` computes
+/// `s ^ (w & top)` in one instruction — the bits of the AVX2 arm's `and`
+/// then `xor` — and the add and the doubling of the word are unchanged.
+///
+/// # Safety
+///
+/// The host must support AVX-512F; every lane `mask` holds lies below
+/// `base.len()`, `out.len() == base.len()` and `signs.len() ==
+/// steps.len().div_ceil(64) * base.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sign_fold_zmm_block<const V: usize>(
+    base: &[f64],
+    steps: &[f64],
+    signs: &[u64],
+    out: &mut [f64],
+    at: usize,
+    mask: std::arch::x86_64::__mmask8,
+) {
+    use std::arch::x86_64::*;
+    let p = base.len();
+    let mut acc = [_mm512_setzero_pd(); V];
+    for (v, a) in acc.iter_mut().enumerate() {
+        *a = _mm512_maskz_loadu_pd(mask, base.as_ptr().add(at + 8 * v));
+    }
+    let top = _mm512_set1_epi64(i64::MIN);
+    for (plane, chunk) in steps.chunks(64).enumerate() {
+        let mut words = [_mm512_setzero_si512(); V];
+        for (v, w) in words.iter_mut().enumerate() {
+            let src = signs.as_ptr().add(plane * p + at + 8 * v) as *const i64;
+            *w = _mm512_maskz_loadu_epi64(mask, src);
+        }
+        for &s in chunk {
+            let sv = _mm512_set1_epi64(s.to_bits() as i64);
+            for (a, w) in acc.iter_mut().zip(words.iter_mut()) {
+                let term = _mm512_ternarylogic_epi64::<0x78>(sv, *w, top);
+                *a = _mm512_add_pd(*a, _mm512_castsi512_pd(term));
+                *w = _mm512_add_epi64(*w, *w);
+            }
+        }
+    }
+    for (v, a) in acc.iter().enumerate() {
+        _mm512_mask_storeu_pd(out.as_mut_ptr().add(at + 8 * v), mask, *a);
+    }
+}
+
+/// The AVX-512 sign fold: blocks of [`FOLD_BLOCK_ZMM`] elements, then
+/// single vectors, then one masked vector for the last `p % 8` — the same
+/// per-element sequence throughout.
+///
+/// # Safety
+///
+/// The host must support AVX-512F; `out.len() == base.len()` and
+/// `signs.len() == steps.len().div_ceil(64) * base.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn sign_fold_zmm(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f64]) {
+    let p = base.len();
+    let blocks = p - p % FOLD_BLOCK_ZMM;
+    let vectors = p - p % 8;
+    // Every lane below is under `p`; the rest is this function's own
+    // contract, passed through.
+    for at in (0..blocks).step_by(FOLD_BLOCK_ZMM) {
+        sign_fold_zmm_block::<{ FOLD_BLOCK_ZMM / 8 }>(base, steps, signs, out, at, !0);
+    }
+    for at in (blocks..vectors).step_by(8) {
+        sign_fold_zmm_block::<1>(base, steps, signs, out, at, !0);
+    }
+    if vectors < p {
+        let tail = (1u8 << (p - vectors)) - 1;
+        sign_fold_zmm_block::<1>(base, steps, signs, out, vectors, tail);
     }
 }
 

@@ -26,7 +26,11 @@
 //!   Otherwise they are folded.
 //!
 //! Both are `to_bits`-identical to the dense lowering, in training and
-//! inference alike ([`Layer::forward`] is the one forward). The backward
+//! inference alike: each layer has one row-level forward,
+//! [`Conv3d::forward_into`] / [`Deconv3d::forward_into`], which fully
+//! overwrites a caller's output row and caches nothing. [`Layer::forward`]
+//! runs it per row of a tensor it allocates, and an inference that owns its
+//! buffers (the R-MAE reconstruct) calls it directly. The backward
 //! passes stay dense, and [`Layer::macs`] stays the dense count.
 //!
 //! **No pass writes a `[sites × c·k³]` column matrix**, on any ISA: a
@@ -685,13 +689,32 @@ impl Conv3d {
         self.window().patch_len()
     }
 
-    /// Forward of one input row into `orow` (fully overwritten):
-    /// `out[co, p] = bias[co] + Σ_q W[co, q] · patch[p, q]`,
+    /// Forward of one input row `xrow` (`cin · in_volume`) into `orow`
+    /// (`cout · out_volume`, fully overwritten, so its old contents never
+    /// matter): `out[co, p] = bias[co] + Σ_q W[co, q] · patch[p, q]`,
     /// the transposed-B GEMM with the bias as accumulator seed (beta = 1),
     /// over the sites a value reaches plus the first one none reaches, whose
     /// column every unreached site then copies (module docs). The patches
-    /// are unfolded inside the panel packer.
-    fn forward_row(&mut self, xrow: &[f64], orow: &mut [f64]) {
+    /// are unfolded inside the panel packer. The row-level entry every
+    /// forward runs ([`Layer::forward`] per row, [`forward_batch_into`]
+    /// for a batch of one); it caches nothing.
+    ///
+    /// [`forward_batch_into`]: Conv3d::forward_batch_into
+    ///
+    /// # Panics
+    ///
+    /// Panics if either row has the wrong length.
+    pub fn forward_into(&mut self, xrow: &[f64], orow: &mut [f64]) {
+        assert_eq!(
+            xrow.len(),
+            self.in_features(),
+            "Conv3d: input feature mismatch"
+        );
+        assert_eq!(
+            orow.len(),
+            self.out_features(),
+            "Conv3d: output row must be cout * out_volume"
+        );
         let win = self.window();
         let (vol, ckk, cout) = (win.sites.volume(), win.patch_len(), self.cout);
         let Scratch {
@@ -769,7 +792,7 @@ impl Conv3d {
         }
         if batch < 2 {
             for (row, orow) in rows.iter().zip(outs.iter_mut()) {
-                self.forward_row(row, orow);
+                self.forward_into(row, orow);
             }
             return;
         }
@@ -808,7 +831,7 @@ impl Layer for Conv3d {
         );
         let mut out = Tensor::zeros(vec![batch, self.out_features()]);
         for b in 0..batch {
-            self.forward_row(input.row(b), out.row_mut(b));
+            self.forward_into(input.row(b), out.row_mut(b));
         }
         if train {
             self.cached_input = Some(input.clone());
@@ -977,6 +1000,45 @@ impl Deconv3d {
             sites: self.in_dims,
         }
     }
+
+    /// Feature count of one input row (`cin · in_volume`).
+    pub fn in_features(&self) -> usize {
+        self.cin * self.in_dims.volume()
+    }
+
+    /// Feature count of one output row (`cout · out_volume`).
+    pub fn out_features(&self) -> usize {
+        self.cout * self.out_dims.volume()
+    }
+
+    /// Forward of one input row `xrow` (`cin · in_volume`) into `orow`
+    /// (`cout · out_volume`, fully overwritten): the bias, then `fold(col)`
+    /// with `col[p, j] = Σ_ci x[ci, p] · W[ci, j]` — the input row is
+    /// `[cin, Pin]` row-major and the weights `[cin, cout·k³]`, so this is
+    /// the transposed-A GEMM, over the input sites holding a value (module
+    /// docs). The row-level entry [`Layer::forward`] runs per row; it caches
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either row has the wrong length.
+    pub fn forward_into(&mut self, xrow: &[f64], orow: &mut [f64]) {
+        assert_eq!(
+            xrow.len(),
+            self.in_features(),
+            "Deconv3d: input feature mismatch"
+        );
+        assert_eq!(
+            orow.len(),
+            self.out_features(),
+            "Deconv3d: output row must be cout * out_volume"
+        );
+        let (win, vol) = (self.window(), self.out_dims.volume());
+        for (o, &bias) in orow.chunks_exact_mut(vol).zip(&self.bias) {
+            o.fill(bias);
+        }
+        win.fold_product(self.cin, xrow, &self.weights, true, &mut self.scratch, orow);
+    }
 }
 
 impl StageState for Deconv3d {
@@ -1007,25 +1069,14 @@ impl StageState for Deconv3d {
 impl Layer for Deconv3d {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let batch = input.shape()[0];
-        let win = self.window();
         assert_eq!(
             input.shape()[1],
-            self.cin * win.sites.volume(),
+            self.in_features(),
             "Deconv3d: input feature mismatch"
         );
-        let vol = self.out_dims.volume();
-        let mut out = Tensor::zeros(vec![batch, self.cout * vol]);
+        let mut out = Tensor::zeros(vec![batch, self.out_features()]);
         for b in 0..batch {
-            let orow = out.row_mut(b);
-            for (o, &bias) in orow.chunks_exact_mut(vol).zip(&self.bias) {
-                o.fill(bias);
-            }
-            // out += fold(col), col[p, j] = Σ_ci x[ci, p] · W[ci, j] — the
-            // input row is [cin, Pin] row-major and weights are
-            // [cin, cout*k³], so this is the transposed-A GEMM, over the
-            // input sites holding a value.
-            let (x, w) = (input.row(b), &self.weights);
-            win.fold_product(self.cin, x, w, true, &mut self.scratch, orow);
+            self.forward_into(input.row(b), out.row_mut(b));
         }
         if train {
             self.cached_input = Some(input.clone());
@@ -1791,7 +1842,7 @@ mod tests {
                 oracle_conv(&c, x.row(0), &mut want);
                 c.scratch = stale();
                 let mut orow = vec![f64::NAN; c.out_features()];
-                c.forward_row(x.row(0), &mut orow);
+                c.forward_into(x.row(0), &mut orow);
                 assert_same_bits(&orow, &want, &format!("conv {case} {active} active"));
                 c.scratch = stale();
                 c.batch_panel = vec![f64::NAN; 1 << 14];
@@ -1807,6 +1858,12 @@ mod tests {
             let mut dc = Deconv3d::new(cin, cout, kernel, stride, pad, dims, &mut init);
             for active in [0, 1, 3] {
                 let x = mostly_zero(&mut rng, 1, cin, dims.volume(), active);
+                let mut want = vec![f64::NAN; dc.out_features()];
+                oracle_deconv(&dc, x.row(0), &mut want);
+                dc.scratch = stale();
+                let mut orow = vec![f64::NAN; dc.out_features()];
+                dc.forward_into(x.row(0), &mut orow);
+                assert_same_bits(&orow, &want, &format!("deconv {case} {active} active"));
                 dc.scratch = stale();
                 check_deconv(&mut dc, &x, &format!("deconv {case} {active} active"));
             }

@@ -13,13 +13,25 @@
 //! background is zero only where the biases leave it so. Skipping is exact:
 //! the logits are bit-identical to the dense layers', and
 //! [`RmaeModel::stats`] still counts dense MACs.
+//!
+//! **Inference owns only what it returns.** [`RmaeModel::reconstruct`] runs
+//! the stages through two activation buffers of the calling thread, each
+//! stage writing its whole output row ([`Conv3d::forward_into`],
+//! [`Deconv3d::forward_into`]) and each ReLU running in place; the logistic
+//! writes the returned probabilities, the call's one allocation. The buffers
+//! are per thread, as the conv halo is, not per model: a fleet of models on
+//! one thread keeps one pair. Training runs the same layers through their
+//! [`Layer`] forward and backward, so a reconstruct between train steps
+//! neither reads nor disturbs a step's caches.
+
+use std::cell::RefCell;
 
 use sensact_lidar::voxel::VoxelizerConfig;
 use sensact_nn::conv::{Conv3d, Deconv3d, Dims3};
 use sensact_nn::layers::{ActKind, Activation, Layer};
 use sensact_nn::loss::bce_with_logits_weighted;
 use sensact_nn::optim::Optimizer;
-use sensact_nn::{Initializer, ModelStats, Sequential, Tensor};
+use sensact_nn::{Initializer, ModelStats, Tensor};
 
 /// Geometry and capacity of the autoencoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,10 +90,88 @@ impl Default for RmaeConfig {
     }
 }
 
+/// The encoder/decoder stack `conv1 → ReLU → conv2 → ReLU → deconv1 → ReLU
+/// → deconv2`, concrete so [`RmaeModel::reconstruct`] can run each stage
+/// into a buffer. As a [`Layer`] it is the `Sequential` of those seven
+/// stages: it visits its parameters in layer order, the order the
+/// optimiser's moments follow.
+struct Net {
+    conv1: Conv3d,
+    relu1: Activation,
+    conv2: Conv3d,
+    relu2: Activation,
+    deconv1: Deconv3d,
+    relu3: Activation,
+    deconv2: Deconv3d,
+}
+
+impl Layer for Net {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let x = self.conv1.forward(input, train);
+        let x = self.relu1.forward(&x, train);
+        let x = self.conv2.forward(&x, train);
+        let x = self.relu2.forward(&x, train);
+        let x = self.deconv1.forward(&x, train);
+        let x = self.relu3.forward(&x, train);
+        self.deconv2.forward(&x, train)
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let g = self.deconv2.backward(grad_out);
+        let g = self.relu3.backward(&g);
+        let g = self.deconv1.backward(&g);
+        let g = self.relu2.backward(&g);
+        let g = self.conv2.backward(&g);
+        let g = self.relu1.backward(&g);
+        self.conv1.backward(&g)
+    }
+
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+        self.conv1.visit_params(f);
+        self.conv2.visit_params(f);
+        self.deconv1.visit_params(f);
+        self.deconv2.visit_params(f);
+    }
+
+    fn param_count(&self) -> usize {
+        self.conv1.param_count()
+            + self.conv2.param_count()
+            + self.deconv1.param_count()
+            + self.deconv2.param_count()
+    }
+
+    fn macs(&self, batch: usize) -> u64 {
+        self.conv1.macs(batch)
+            + self.conv2.macs(batch)
+            + self.deconv1.macs(batch)
+            + self.deconv2.macs(batch)
+    }
+
+    fn name(&self) -> &'static str {
+        "RmaeNet"
+    }
+}
+
+thread_local! {
+    /// The two activation buffers every reconstruct on this thread
+    /// ping-pongs through, grown to the largest model it has run; a stage
+    /// overwrites the prefix it writes, so what a call leaves never reaches
+    /// the next.
+    static ACTIVATIONS: RefCell<[Vec<f64>; 2]> = RefCell::default();
+}
+
+/// The first `len` elements of an activation buffer, grown on demand.
+fn grown(buf: &mut Vec<f64>, len: usize) -> &mut [f64] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
 /// The occupancy autoencoder.
 pub struct RmaeModel {
     config: RmaeConfig,
-    net: Sequential,
+    net: Net,
 }
 
 impl RmaeModel {
@@ -109,15 +199,16 @@ impl RmaeModel {
         let deconv1 = Deconv3d::new(c2, c1, 3, 1, 1, mid, &mut init);
         let deconv2 = Deconv3d::new(c1, 1, 4, 2, 1, mid, &mut init);
         debug_assert_eq!(deconv2.out_dims(), dims, "decoder must restore the grid");
-        let net = Sequential::new(vec![
-            Box::new(conv1),
-            Box::new(Activation::new(ActKind::Relu)),
-            Box::new(conv2),
-            Box::new(Activation::new(ActKind::Relu)),
-            Box::new(deconv1),
-            Box::new(Activation::new(ActKind::Relu)),
-            Box::new(deconv2),
-        ]);
+        let relu = || Activation::new(ActKind::Relu);
+        let net = Net {
+            conv1,
+            relu1: relu(),
+            conv2,
+            relu2: relu(),
+            deconv1,
+            relu3: relu(),
+            deconv2,
+        };
         RmaeModel { config, net }
     }
 
@@ -132,37 +223,46 @@ impl RmaeModel {
     }
 
     /// Reconstruct occupancy probabilities from a (masked) occupancy buffer.
+    /// The returned probabilities are the call's one allocation (module
+    /// docs).
     ///
     /// # Panics
     ///
     /// Panics if `occupancy.len()` differs from the grid voxel count.
     pub fn reconstruct(&mut self, occupancy: &[f64]) -> Vec<f64> {
-        let logits = self.forward_logits(occupancy);
-        // The background of a sparse grid is long runs of one logit: the
-        // logistic runs once per run of equal bits.
-        let mut last: Option<(u64, f64)> = None;
-        logits
-            .as_slice()
-            .iter()
-            .map(|&x| match last {
-                Some((bits, p)) if bits == x.to_bits() => p,
-                _ => {
-                    let p = 1.0 / (1.0 + (-x).exp());
-                    last = Some((x.to_bits(), p));
-                    p
-                }
-            })
-            .collect()
-    }
-
-    fn forward_logits(&mut self, occupancy: &[f64]) -> Tensor {
         assert_eq!(
             occupancy.len(),
             self.config.voxels(),
             "occupancy buffer does not match grid"
         );
-        let x = Tensor::from_vec(vec![1, occupancy.len()], occupancy.to_vec());
-        self.net.forward(&x, false)
+        let net = &mut self.net;
+        ACTIVATIONS.with_borrow_mut(|[a, b]| {
+            let h = grown(a, net.conv1.out_features());
+            net.conv1.forward_into(occupancy, h);
+            net.relu1.apply_in_place(h);
+            let h2 = grown(b, net.conv2.out_features());
+            net.conv2.forward_into(h, h2);
+            net.relu2.apply_in_place(h2);
+            let h = grown(a, net.deconv1.out_features());
+            net.deconv1.forward_into(h2, h);
+            net.relu3.apply_in_place(h);
+            let logits = grown(b, net.deconv2.out_features());
+            net.deconv2.forward_into(h, logits);
+            // The background of a sparse grid is long runs of one logit:
+            // the logistic runs once per run of equal bits.
+            let mut last: Option<(u64, f64)> = None;
+            logits
+                .iter()
+                .map(|&x| match last {
+                    Some((bits, p)) if bits == x.to_bits() => p,
+                    _ => {
+                        let p = 1.0 / (1.0 + (-x).exp());
+                        last = Some((x.to_bits(), p));
+                        p
+                    }
+                })
+                .collect()
+        })
     }
 
     /// One training step: reconstruct `masked` toward `full`; returns the
@@ -424,9 +524,7 @@ mod tests {
             Win::deconv(1, 4, 2, 1, mid),
         ];
         let mut params = Vec::new();
-        for layer in m.net.layers_mut() {
-            layer.visit_params(&mut |p, _| params.push(p.to_vec()));
-        }
+        m.net.visit_params(&mut |p, _| params.push(p.to_vec()));
         let mut x = occupancy.to_vec();
         for (i, (win, wb)) in stages.iter().zip(params.chunks_exact(2)).enumerate() {
             let (w, b) = (&wb[0], &wb[1]);
@@ -458,9 +556,26 @@ mod tests {
         }
     }
 
+    /// Leaves this thread's activation buffers longer than any model needs
+    /// and NaN throughout, as a call that wrote garbage would.
+    fn poison_activations() {
+        ACTIVATIONS.with_borrow_mut(|bufs| {
+            for b in bufs {
+                b.clear();
+                b.resize(1 << 15, f64::NAN);
+            }
+        });
+    }
+
     /// The site-sparse reconstruct is bit-identical to the dense one on the
     /// full-size grid: a masked sweep (a few percent occupied), nothing, every
     /// voxel, and after 20 Adam steps, whose biases leave little background.
+    /// The activation buffers are shared by every model on the thread, so
+    /// three cases check that no state crosses from one call to the next: a
+    /// `small()` model interleaved with the `full()` one (it reads prefixes of
+    /// buffers the full one grew), buffers left NaN-filled before a call, and
+    /// reconstructs between train steps, whose steps must match a twin's
+    /// trained without them loss for loss and parameter for parameter.
     #[test]
     fn reconstruct_is_bit_identical_to_the_dense_layers() {
         use crate::pretrain::radial_masked_cloud;
@@ -478,10 +593,44 @@ mod tests {
         assert_dense_bits(&mut m, &masked, "masked sweep");
         assert_dense_bits(&mut m, &vec![0.0; cfg.voxels()], "empty grid");
         assert_dense_bits(&mut m, &vec![1.0; cfg.voxels()], "full grid");
-        let mut opt = Adam::new(0.005);
-        for _ in 0..20 {
-            m.train_step(&masked, &target, &mut opt);
+
+        let small_cfg = RmaeConfig::small();
+        let mut small = RmaeModel::new(small_cfg, 4);
+        let sparse: Vec<f64> = (0..small_cfg.voxels())
+            .map(|v| f64::from(v % 5 == 0))
+            .collect();
+        for round in 0..2 {
+            assert_dense_bits(&mut small, &sparse, &format!("small, round {round}"));
+            assert_dense_bits(&mut m, &masked, &format!("full, round {round}"));
+            assert_dense_bits(&mut small, &vec![0.0; small_cfg.voxels()], "small, empty");
         }
+        poison_activations();
+        assert_dense_bits(&mut m, &masked, "full over NaN-filled buffers");
+        poison_activations();
+        assert_dense_bits(&mut small, &sparse, "small over NaN-filled buffers");
+
+        let mut twin = RmaeModel::new(cfg, 3);
+        let (mut opt, mut twin_opt) = (Adam::new(0.005), Adam::new(0.005));
+        for step in 0..20 {
+            let loss = m.train_step(&masked, &target, &mut opt);
+            let twin_loss = twin.train_step(&masked, &target, &mut twin_opt);
+            assert_eq!(loss.to_bits(), twin_loss.to_bits(), "loss of step {step}");
+            if step % 4 == 1 {
+                poison_activations();
+                assert_dense_bits(&mut m, &masked, &format!("masked sweep after step {step}"));
+                assert_dense_bits(&mut small, &sparse, &format!("small after step {step}"));
+            }
+        }
+        let params = |m: &mut RmaeModel| {
+            let mut bits = Vec::new();
+            m.net
+                .visit_params(&mut |p, _| bits.extend(p.iter().map(|v| v.to_bits())));
+            bits
+        };
+        assert!(
+            params(&mut m) == params(&mut twin),
+            "reconstructs moved training"
+        );
         assert_dense_bits(&mut m, &masked, "masked sweep after 20 steps");
         assert_dense_bits(
             &mut m,

@@ -176,6 +176,13 @@ impl StageState for Starnet {
                 return Err(CheckpointError::BadValue(format!("{ns}.{key}")));
             }
         }
+        // An untrusted threshold below the suspect one leaves no score in
+        // the `Suspect` band; calibration never writes such a pair.
+        if untrusted_threshold < suspect_threshold {
+            return Err(CheckpointError::BadValue(format!(
+                "{ns}.untrusted_threshold"
+            )));
+        }
         self.calls = calls;
         self.score_seed = score_seed;
         self.suspect_threshold = suspect_threshold;
@@ -417,6 +424,46 @@ mod tests {
         );
         assert_eq!(m.calls, 99);
         assert_eq!(m.untrusted_threshold, f64::INFINITY);
+    }
+
+    /// An untrusted threshold below the suspect one would leave the
+    /// `Suspect` band unreachable: it is a `BadValue` on the untrusted key
+    /// and the monitor stays as it was. An equal pair (two +∞ on an
+    /// uncalibrated monitor) restores.
+    #[test]
+    fn restore_rejects_an_inverted_threshold_pair() {
+        let mut m = small_monitor();
+        let before = restorable(&m);
+        for (suspect, untrusted) in [
+            (2.0, 1.0),
+            (f64::INFINITY, 1.0),
+            (1.0, f64::NEG_INFINITY),
+            (0.0, -0.5),
+        ] {
+            let fields = [
+                ("suspect_threshold", suspect),
+                ("untrusted_threshold", untrusted),
+            ];
+            assert_eq!(
+                m.restore_state(&monitor_section(&fields), "monitor"),
+                Err(CheckpointError::BadValue(
+                    "monitor.untrusted_threshold".into()
+                )),
+                "{suspect} / {untrusted}"
+            );
+            assert_eq!(restorable(&m), before, "{suspect} / {untrusted}");
+        }
+        for (suspect, untrusted) in [(1.0, 1.0), (f64::INFINITY, f64::INFINITY)] {
+            let fields = [
+                ("suspect_threshold", suspect),
+                ("untrusted_threshold", untrusted),
+            ];
+            assert_eq!(
+                m.restore_state(&monitor_section(&fields), "monitor"),
+                Ok(())
+            );
+            assert_eq!(m.untrusted_threshold, untrusted);
+        }
     }
 
     #[test]

@@ -66,16 +66,23 @@ pub fn spsa_minimize(
     let mut evaluations = 0usize;
     let mut best = theta.clone();
     let mut best_val = f64::INFINITY;
+    // One buffer each for the direction and the two probes, refilled every
+    // iteration: a score allocates nothing per iteration.
+    let mut delta = vec![0.0; theta.len()];
+    let mut plus = vec![0.0; theta.len()];
+    let mut minus = vec![0.0; theta.len()];
 
     for k in 0..config.iterations {
         let ak = config.a / ((k as f64 + 1.0 + BIG_A).powf(ALPHA));
         let ck = C / ((k as f64 + 1.0).powf(GAMMA));
         // Rademacher perturbation.
-        let delta: Vec<f64> = (0..theta.len())
-            .map(|_| if rng.random::<f64>() < 0.5 { -1.0 } else { 1.0 })
-            .collect();
-        let plus: Vec<f64> = theta.iter().zip(&delta).map(|(t, d)| t + ck * d).collect();
-        let minus: Vec<f64> = theta.iter().zip(&delta).map(|(t, d)| t - ck * d).collect();
+        for d in &mut delta {
+            *d = if rng.random::<f64>() < 0.5 { -1.0 } else { 1.0 };
+        }
+        for (((p, m), t), d) in plus.iter_mut().zip(&mut minus).zip(&theta).zip(&delta) {
+            *p = t + ck * d;
+            *m = t - ck * d;
+        }
         let f_plus = f(&plus);
         let f_minus = f(&minus);
         evaluations += 2;
@@ -87,11 +94,11 @@ pub fn spsa_minimize(
         // Track the best perturbation seen (cheap safeguarding).
         if f_plus < best_val {
             best_val = f_plus;
-            best = plus;
+            best.copy_from_slice(&plus);
         }
         if f_minus < best_val {
             best_val = f_minus;
-            best = minus;
+            best.copy_from_slice(&minus);
         }
     }
     let final_val = f(&theta);

@@ -170,7 +170,17 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # go through the sign fold and the VAE's GEMMs; so do the rmae ones, whose
 # site-sparse reconstruct must equal the dense conv oracle on either tier,
 # and the koopman ones, whose stack-buffer encode must equal the boxed
-# `Sequential` forward it replaced on either tier.
+# `Sequential` forward it replaced on either tier. The sign fold under every
+# STARNet score runs its host's widest arm too: 512-bit lanes (one
+# `vpternlogq` per negation) on an AVX-512 host, 256-bit lanes on an
+# AVX2-only one, the scalar loop on the forced-scalar leg;
+# `kernels::sign_fold_matches_the_scalar_fold` drives every arm the host can
+# execute against the written-out fold and fails if the dispatched fold ran
+# a narrower arm than its leg selects. `alloc_guard` adds the inference
+# rows: a warm R-MAE reconstruct allocates only the probabilities it returns
+# (the stages write into per-thread activation buffers, checked against the
+# dense oracle over NaN-filled buffers by `model::tests`), and a warm
+# STARNet score allocates nothing per SPSA iteration.
 # The workspace step already ran them on the first leg's ISA, so they repeat
 # only on the other.
 # None of the steps gates on a timing — every timing the repo judges is a
@@ -180,11 +190,11 @@ case "${SENSACT_FORCE_SCALAR:-0}" in
     *) legs=(1) ;;
 esac
 for leg in "${legs[@]}"; do
-    [[ "$leg" == "0" ]] && isa="host ISA: widest tiles, 512-bit on AVX-512" \
-        || isa="forced-scalar path: portable 4x4 tile"
+    [[ "$leg" == "0" ]] && isa="host ISA: widest tiles and sign-fold arm, 512-bit on AVX-512" \
+        || isa="forced-scalar path: portable 4x4 tile, scalar sign fold"
 
     if [[ "$leg" != "${legs[0]}" ]]; then
-        echo "== bitwise kernel, conv lowering, R-MAE, STARNet, lidar + Koopman tests, footprint guard ($isa) =="
+        echo "== bitwise kernel, sign fold, conv lowering, R-MAE, STARNet, lidar + Koopman tests, allocation + footprint guard ($isa) =="
         SENSACT_FORCE_SCALAR="$leg" timeout 30m cargo test --offline -q \
             -p sensact-math -p sensact-nn -p sensact-rmae -p sensact-starnet -p sensact-lidar \
             -p sensact-koopman --lib

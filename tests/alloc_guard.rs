@@ -1,12 +1,14 @@
-//! Allocation guard for the cart-pole inference path, and a heap
-//! footprint guard for the R-MAE train step.
+//! Allocation guard for the cart-pole and edge-tick inference paths, and a
+//! heap footprint guard for the R-MAE train step.
 //!
 //! A Koopman encode owns only the latent it returns, the state read-out and
 //! the latent LQR act own nothing, and a fleet-shaped cart-pole member
 //! (`CartPole::observe` → `SpectralKoopman::encode` →
 //! `LqrLatentController::act` → `CartPole::step`, closed through a
 //! `LoopHandle`) makes at most one heap allocation per tick once its record
-//! ring has wrapped. An R-MAE train step writes no `[sites × c·k³]` column
+//! ring has wrapped. On the edge tick, an R-MAE reconstruct owns only the
+//! probabilities it returns and a STARNet score allocates nothing per SPSA
+//! iteration. An R-MAE train step writes no `[sites × c·k³]` column
 //! matrix, on any ISA, and once warm the conv lowerings reuse their halo
 //! and scratch instead of regrowing them. The counting allocator
 //! counts allocations and live bytes per thread, so tests running in
@@ -27,6 +29,7 @@ use sensact::nn::init::Initializer;
 use sensact::nn::optim::Adam;
 use sensact::rmae::model::{RmaeConfig, RmaeModel};
 use sensact::sched::LoopHandle;
+use sensact::starnet::monitor::{Starnet, StarnetConfig};
 
 struct Counting;
 
@@ -93,6 +96,14 @@ fn high_water<R>(f: impl FnOnce() -> R) -> (R, u64) {
     });
     let out = f();
     (out, (LIVE.with(Cell::get).1 - base) as u64)
+}
+
+/// `f`'s result and the heap this thread still holds once `f` has
+/// returned (its result dropped inside `f`), above what it held before.
+fn kept(f: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get).0;
+    f();
+    LIVE.with(Cell::get).0 - before
 }
 
 /// A model trained just enough to synthesise a latent LQR gain, as the
@@ -244,5 +255,61 @@ fn warm_conv_lowerings_allocate_nothing_they_keep() {
     for i in 0..4 {
         let n = step();
         assert_eq!(n, warm, "train step {i}: {n} allocations, {warm} when warm");
+    }
+}
+
+/// A masked full-size grid: every seventh voxel occupied, a third of those
+/// masked away.
+fn masked_grid(config: RmaeConfig) -> Vec<f64> {
+    (0..config.voxels())
+        .map(|v| f64::from(v % 7 == 0 && v % 3 != 0))
+        .collect()
+}
+
+/// A warm full-size `RmaeModel::reconstruct` makes one allocation, the
+/// probabilities it returns, and keeps nothing once they are dropped: every
+/// stage writes into this thread's two activation buffers. Through the
+/// boxed `Sequential` it made 17 per call: the input tensor, a zeroed tensor
+/// per stage and per ReLU (two allocations each, data and shape), and the
+/// probabilities.
+#[test]
+fn warm_reconstruct_owns_only_the_probabilities_it_returns() {
+    let config = RmaeConfig::full();
+    let masked = masked_grid(config);
+    let mut model = RmaeModel::new(config, 7);
+    let _ = model.reconstruct(&masked);
+    for call in 0..10 {
+        let kept = kept(|| {
+            let (probs, n) = allocations(|| model.reconstruct(&masked));
+            assert_eq!(n, 1, "call {call}: reconstruct made {n} allocations");
+            assert_eq!(probs.len(), config.voxels());
+        });
+        assert_eq!(kept, 0, "call {call}: reconstruct kept {kept} bytes");
+    }
+}
+
+/// A warm `Starnet::score` on the edge loop's descriptor width (19 features
+/// and the occupied share, a 936-parameter encoder, rank-16 SPSA over 30
+/// iterations) makes at most 11 allocations, none inside the SPSA
+/// iterations. When SPSA collected a fresh direction and two probes in each
+/// of its 30 iterations a score made 98.
+#[test]
+fn warm_starnet_score_allocates_nothing_per_spsa_iteration() {
+    let clean: Vec<Vec<f64>> = (0..16)
+        .map(|i| {
+            (0..20)
+                .map(|j| ((i * 20 + j) as f64 * 0.37).sin())
+                .collect()
+        })
+        .collect();
+    let config = StarnetConfig {
+        train_epochs: 30,
+        ..StarnetConfig::default()
+    };
+    let mut monitor = Starnet::train(&clean, config, 3);
+    let _ = monitor.score(&clean[0]);
+    for (call, features) in clean.iter().enumerate() {
+        let (_, n) = allocations(|| monitor.score(features));
+        assert!(n <= 11, "call {call}: score made {n} allocations");
     }
 }
