@@ -106,9 +106,7 @@ impl StageState for EnergyBudget {
         // would make `exhausted()` false forever and `pressure()` NaN; a
         // negative value would refund the budget.
         let consumed_j = s.get_f64("consumed_j")?;
-        if consumed_j.is_nan() || consumed_j < 0.0 {
-            return Err(CheckpointError::BadValue(format!("{ns}.consumed_j")));
-        }
+        s.check("consumed_j", consumed_j >= 0.0)?;
         let deadline_misses = s.get_u64("deadline_misses")?;
         self.consumed_j = consumed_j;
         self.deadline_misses = deadline_misses;

@@ -47,6 +47,18 @@
 //! unknown line types are ignored (a newer writer remains readable), while a
 //! wrong version, missing section or undecodable value is a typed
 //! [`CheckpointError`] — hostile input never panics.
+//!
+//! ## Restoring
+//!
+//! A restore decodes its whole section into locals, then assigns. The
+//! checked reads refuse what a field cannot hold — [`Section::get_as`]
+//! narrows an integer to its field's type, [`Section::get_u64_array`] and
+//! [`Section::get_f64s_len`] read a list of a required length, and
+//! [`Section::check`] refuses a range, NaN, order or code — each as
+//! [`Section::bad`]'s `BadValue("<section>.<key>")`. So a refused section
+//! leaves its component unchanged. The contract is per section: a runner
+//! restores its sections in turn, and those before a refused one stay
+//! restored ([`Snapshot::restore`]).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -293,11 +305,23 @@ impl Section {
             .ok_or_else(|| CheckpointError::MissingField(format!("{}.{key}", self.id)))?;
         v.strip_prefix(prefix)
             .and_then(|rest| rest.strip_prefix(':'))
-            .ok_or_else(|| CheckpointError::BadValue(format!("{}.{key}", self.id)))
+            .ok_or_else(|| self.bad(key))
     }
 
-    fn bad(&self, key: &str) -> CheckpointError {
+    /// The refusal of field `key`: `BadValue("<id>.<key>")`, the one
+    /// spelling of a field error.
+    pub fn bad(&self, key: &str) -> CheckpointError {
         CheckpointError::BadValue(format!("{}.{key}", self.id))
+    }
+
+    /// `Ok` when `holds`, else [`Section::bad`] on `key`: a restore's range,
+    /// NaN, order and code checks.
+    pub fn check(&self, key: &str, holds: bool) -> Result<(), CheckpointError> {
+        if holds {
+            Ok(())
+        } else {
+            Err(self.bad(key))
+        }
     }
 
     /// Read a `u64`.
@@ -308,6 +332,12 @@ impl Section {
     /// Read an `f64` (bit-exact).
     pub fn get_f64(&self, key: &str) -> Result<f64, CheckpointError> {
         dec_f64(self.raw(key, 'f')?.as_bytes()).ok_or_else(|| self.bad(key))
+    }
+
+    /// Read a `u64` narrowed to its field's type (a `u32` streak, a `usize`
+    /// capacity, a `u8` code); a value the type cannot hold is refused.
+    pub fn get_as<T: TryFrom<u64>>(&self, key: &str) -> Result<T, CheckpointError> {
+        T::try_from(self.get_u64(key)?).map_err(|_| self.bad(key))
     }
 
     /// Read a `bool`.
@@ -332,6 +362,11 @@ impl Section {
         Ok(out)
     }
 
+    /// Read a `u64` list of exactly `N` items.
+    pub fn get_u64_array<const N: usize>(&self, key: &str) -> Result<[u64; N], CheckpointError> {
+        self.get_u64s(key)?.try_into().map_err(|_| self.bad(key))
+    }
+
     /// Read an `f64` list (bit-exact).
     pub fn get_f64s(&self, key: &str) -> Result<Vec<f64>, CheckpointError> {
         let body = self.raw(key, 'F')?.as_bytes();
@@ -351,6 +386,13 @@ impl Section {
             }
         }
         Ok(out)
+    }
+
+    /// Read an `f64` list of exactly `n` items (bit-exact).
+    pub fn get_f64s_len(&self, key: &str, n: usize) -> Result<Vec<f64>, CheckpointError> {
+        let v = self.get_f64s(key)?;
+        self.check(key, v.len() == n)?;
+        Ok(v)
     }
 
     /// Append the section as one JSONL line.
@@ -546,6 +588,10 @@ pub trait Snapshot {
     /// be built with the same configuration (stages, seeds, policies, budget
     /// and telemetry capacity) as the snapshotted one; only mutable state
     /// travels through the checkpoint.
+    ///
+    /// Each section restores whole or not at all, but the runner does not
+    /// roll back: on `Err` the sections before the refused one are already
+    /// restored, so restore a good checkpoint before ticking it again.
     fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError>;
 }
 
@@ -612,18 +658,20 @@ pub fn put_opt_state<V: StateVec>(section: &mut Section, key: &str, v: &Option<V
     }
 }
 
-/// Read back an `Option<V: StateVec>` written by [`put_opt_state`].
+/// Read back an `Option<V: StateVec>` written by [`put_opt_state`]. An
+/// absent value carries the empty list the writer emits, nothing else.
 pub fn get_opt_state<V: StateVec>(
     section: &Section,
     key: &str,
 ) -> Result<Option<V>, CheckpointError> {
-    if !section.get_bool(&format!("{key}_some"))? {
-        return Ok(None);
-    }
+    let some = section.get_bool(&format!("{key}_some"))?;
     let words = section.get_f64s(key)?;
+    if !some {
+        return section.check(key, words.is_empty()).map(|()| None);
+    }
     V::from_state(&words)
         .map(Some)
-        .ok_or_else(|| CheckpointError::BadValue(format!("{}.{key}", section.id())))
+        .ok_or_else(|| section.bad(key))
 }
 
 #[cfg(test)]
@@ -767,6 +815,47 @@ mod tests {
             get_opt_state::<[f64; 3]>(&s, "held"),
             Err(CheckpointError::BadValue(_))
         ));
+    }
+
+    /// An absent value is the empty list `put_opt_state` writes: a payload
+    /// beside `_some: 0` would restore the same `None` as the writer's
+    /// document, so it is refused.
+    #[test]
+    fn an_absent_opt_state_with_a_payload_is_bad_value() {
+        let mut s = Section::new("opt");
+        s.put_bool("held_some", false);
+        s.put_f64s("held", &[1.0]);
+        assert_eq!(
+            get_opt_state::<f64>(&s, "held"),
+            Err(CheckpointError::BadValue("opt.held".into()))
+        );
+        s.put_f64s("held", &[]);
+        assert_eq!(get_opt_state::<f64>(&s, "held"), Ok(None));
+    }
+
+    /// The checked reads refuse what their field's type cannot hold, as
+    /// `BadValue("<id>.<key>")`, and a missing field as `MissingField`.
+    #[test]
+    fn checked_reads_refuse_on_the_field_s_key() {
+        let mut s = Section::new("sec");
+        s.put_u64("wide", 1 << 32);
+        s.put_u64s("words", &[1, 2, 3]);
+        s.put_f64s("row", &[0.5, -0.0]);
+        fn bad<T>(key: &str) -> Result<T, CheckpointError> {
+            Err(CheckpointError::BadValue(format!("sec.{key}")))
+        }
+        assert_eq!(s.get_as::<u32>("wide"), bad("wide"));
+        assert_eq!(s.get_as::<u64>("wide"), Ok(1 << 32));
+        assert_eq!(s.get_u64_array::<4>("words"), bad("words"));
+        assert_eq!(s.get_u64_array("words"), Ok([1, 2, 3]));
+        assert_eq!(s.get_f64s_len("row", 3), bad("row"));
+        assert_eq!(s.get_f64s_len("row", 2).map(|v| v.len()), Ok(2));
+        assert_eq!(s.check("row", false), bad("row"));
+        assert_eq!(s.check("row", true), Ok(()));
+        assert_eq!(
+            s.get_as::<u8>("gone"),
+            Err(CheckpointError::MissingField("sec.gone".into()))
+        );
     }
 
     /// The codec as it was before it wrote into one buffer and parsed byte

@@ -347,24 +347,24 @@ impl<T, V: Clone + NanPoison> FaultInjector<T, V> {
         let p = self.profile;
         // Dropout: the stage never produces anything (and charges nothing).
         if p.dropout > 0.0 && self.rng.gen_f64() < p.dropout {
-            self.injected += 1;
+            self.injected = self.injected.wrapping_add(1);
             return Err(StageError::Dropout);
         }
         // Stuck-at: silently replay the previous output. Only possible once
         // a good output exists.
         if p.stuck > 0.0 && self.rng.gen_f64() < p.stuck {
             if let Some(last) = &self.last_good {
-                self.injected += 1;
+                self.injected = self.injected.wrapping_add(1);
                 return Ok(last.clone());
             }
         }
         let mut v = produce(&mut self.inner, ctx);
         if p.latency_spike > 0.0 && self.rng.gen_f64() < p.latency_spike {
-            self.injected += 1;
+            self.injected = self.injected.wrapping_add(1);
             ctx.charge(0.0, p.spike_latency_s);
         }
         if p.nan > 0.0 && self.rng.gen_f64() < p.nan {
-            self.injected += 1;
+            self.injected = self.injected.wrapping_add(1);
             v.poison();
             // A poisoned output is not retained as last-good.
             return Ok(v);
@@ -391,19 +391,18 @@ impl<T: StageState, V: StateVec> StageState for FaultInjector<T, V> {
 
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
-        let words = s.get_u64s("rng")?;
-        let state: [u64; 4] = words
-            .as_slice()
-            .try_into()
-            .map_err(|_| CheckpointError::BadValue(format!("{ns}.rng")))?;
+        let rng = s.get_u64_array("rng")?;
+        let active = s.get_bool("active")?;
+        let injected = s.get_u64("injected")?;
+        let last_good = get_opt_state(s, "last_good")?;
         // Resume the fault dice at their exact stream position. Reseeding
         // here would replay the fault sequence from tick 0 — the restored
         // run would see faults the recording never had (and vice versa),
         // and every downstream trust/adaptation decision would drift.
-        self.rng = StdRng::from_state(state);
-        self.active = s.get_bool("active")?;
-        self.injected = s.get_u64("injected")?;
-        self.last_good = get_opt_state(s, "last_good")?;
+        self.rng = StdRng::from_state(rng);
+        self.active = active;
+        self.injected = injected;
+        self.last_good = last_good;
         self.inner.restore_state(ckpt, &format!("{ns}.inner"))
     }
 }
@@ -735,10 +734,10 @@ impl<S: StageState, P: StageState, M: StageState, C: StageState, Ad: StageState,
 
     fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         let s = ckpt.section("loop")?;
-        let staleness = s.get_u64("staleness")?;
-        self.staleness = u32::try_from(staleness)
-            .map_err(|_| CheckpointError::BadValue("loop.staleness".into()))?;
-        self.held = get_opt_state(s, "held")?;
+        let staleness = s.get_as("staleness")?;
+        let held = get_opt_state(s, "held")?;
+        self.staleness = staleness;
+        self.held = held;
         self.state.restore_sections(ckpt)
     }
 }
@@ -1606,6 +1605,52 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A refused section leaves its component as it was, whichever field is
+    /// refused: an injector section missing `active` (which the reader met
+    /// after the RNG words) and a `loop` section missing `held` (after
+    /// `staleness`) change nothing.
+    #[test]
+    fn a_refused_section_leaves_injector_and_loop_unchanged() {
+        let profile = FaultProfile::dropout(0.4);
+        fn saved(injector: &impl StageState) -> Checkpoint {
+            let mut ckpt = Checkpoint::new("inj");
+            injector.save_state(&mut ckpt, "inj");
+            ckpt
+        }
+        let mut injector = FaultInjector::<_, f64>::new(scalar_sensor(), profile, 7);
+        let before = saved(&injector);
+        let mut hostile = Checkpoint::new("inj");
+        let mut s = Section::new("inj");
+        s.put_u64s("rng", &StdRng::seed_from_u64(99).state());
+        s.put_u64("injected", 3);
+        put_opt_state(&mut s, "last_good", &Some(1.5));
+        hostile.push(s);
+        assert_eq!(
+            injector.restore_state(&hostile, "inj"),
+            Err(CheckpointError::MissingField("inj.active".into()))
+        );
+        assert_eq!(saved(&injector), before);
+
+        let mut l: FallibleLoop<_, _, _, _, _, f64> = FallibleLoop::new(
+            "refused",
+            FaultInjector::<_, f64>::new(scalar_sensor(), profile, 11),
+            Reliable(identity_perceptor()),
+            FnMonitor::new(|_: &f64, _: &mut StageContext| Trust::Trusted),
+            gain_controller(),
+        );
+        let saved = l.snapshot();
+        let mut hostile = saved.clone();
+        let mut s = Section::new("loop");
+        s.put_u64("staleness", 2);
+        s.put_bool("held_some", true);
+        hostile.push(s);
+        assert_eq!(
+            l.restore(&hostile),
+            Err(CheckpointError::MissingField("loop.held".into()))
+        );
+        assert_eq!(l.snapshot(), saved);
     }
 
     /// A faulty, budgeted loop snapshot-killed-resumed mid-run must tick

@@ -370,8 +370,7 @@ impl<L: LoopRunner<E> + Snapshot, E: StateVec> LoopRunner<E> for Checkpointed<L>
         let state = s
             .get_f64s("state")
             .or_else(|e| s.get_f64("state").map(|x| vec![x]).map_err(|_| e))?;
-        let env =
-            E::from_state(&state).ok_or_else(|| CheckpointError::BadValue("env.state".into()))?;
+        let env = E::from_state(&state).ok_or_else(|| s.bad("state"))?;
         self.0.restore(ckpt)?;
         Ok(env)
     }

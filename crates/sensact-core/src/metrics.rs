@@ -285,48 +285,36 @@ impl Histogram {
     /// histogram carries sum `+0.0`, min `+∞` and max `−∞`; a non-empty one
     /// a non-NaN `min ≤ max` whose buckets are the first and last listed.
     pub(crate) fn restore_from(section: &Section, prefix: &str) -> Result<Self, CheckpointError> {
-        let bad = |key: &str| CheckpointError::BadValue(format!("{}.{prefix}_{key}", section.id()));
-        let sparse = section.get_u64s(&format!("{prefix}_buckets"))?;
-        if !sparse.len().is_multiple_of(2) {
-            return Err(bad("buckets"));
-        }
+        let [buckets, count, sum, min, max] =
+            ["buckets", "count", "sum", "min", "max"].map(|k| format!("{prefix}_{k}"));
+        let sparse = section.get_u64s(&buckets)?;
+        section.check(&buckets, sparse.len().is_multiple_of(2))?;
         let (mut next, mut total) = (0u64, 0u64);
         for pair in sparse.chunks_exact(2) {
             let (idx, c) = (pair[0], pair[1]);
-            if idx < next || idx >= BUCKETS as u64 || c == 0 {
-                return Err(bad("buckets"));
-            }
-            total = total.checked_add(c).ok_or_else(|| bad("buckets"))?;
+            section.check(&buckets, idx >= next && idx < BUCKETS as u64 && c > 0)?;
+            total = total.checked_add(c).ok_or_else(|| section.bad(&buckets))?;
             next = idx + 1;
         }
         let mut h = Histogram::new();
-        h.count = section.get_u64(&format!("{prefix}_count"))?;
-        if total != h.count {
-            return Err(bad("buckets"));
-        }
-        h.sum = section.get_f64(&format!("{prefix}_sum"))?;
-        h.min = section.get_f64(&format!("{prefix}_min"))?;
-        h.max = section.get_f64(&format!("{prefix}_max"))?;
+        h.count = section.get_u64(&count)?;
+        section.check(&buckets, total == h.count)?;
+        h.sum = section.get_f64(&sum)?;
+        h.min = section.get_f64(&min)?;
+        h.max = section.get_f64(&max)?;
         if h.count == 0 {
-            if h.sum.to_bits() != 0 {
-                return Err(bad("sum"));
-            }
-            if h.min != f64::INFINITY {
-                return Err(bad("min"));
-            }
-            if h.max != f64::NEG_INFINITY {
-                return Err(bad("max"));
-            }
+            section.check(&sum, h.sum.to_bits() == 0)?;
+            section.check(&min, h.min == f64::INFINITY)?;
+            section.check(&max, h.max == f64::NEG_INFINITY)?;
             return Ok(h);
         }
         // `count > 0`, so the list holds at least one pair.
         let (lo, hi) = (sparse[0] as usize, sparse[sparse.len() - 2] as usize);
-        if h.min.is_nan() || Self::bucket_index(h.min) != lo {
-            return Err(bad("min"));
-        }
-        if h.max.is_nan() || Self::bucket_index(h.max) != hi || h.min > h.max {
-            return Err(bad("max"));
-        }
+        section.check(&min, !h.min.is_nan() && Self::bucket_index(h.min) == lo)?;
+        section.check(
+            &max,
+            !h.max.is_nan() && Self::bucket_index(h.max) == hi && h.min <= h.max,
+        )?;
         h.widen(lo, hi);
         for pair in sparse.chunks_exact(2) {
             h.counts[pair[0] as usize - lo] = pair[1];

@@ -243,7 +243,7 @@ impl LoopTelemetry {
             }
         }
         if trust.suspicion() > 0.0 {
-            self.suspect_ticks += 1;
+            self.suspect_ticks = self.suspect_ticks.wrapping_add(1);
             self.suspect_streak += 1;
             self.max_suspect_streak = self.max_suspect_streak.max(self.suspect_streak);
         } else {
@@ -678,11 +678,13 @@ fn trust_code(t: Trust) -> (u64, f64) {
     }
 }
 
+/// The inverse of [`trust_code`]: a verdict without a payload carries the
+/// `+0.0` the writer emits, and only that.
 fn trust_from_code(code: u64, suspicion: f64) -> Option<Trust> {
-    match code {
-        0 => Some(Trust::Trusted),
-        1 => Some(Trust::Suspect(suspicion)),
-        2 => Some(Trust::Untrusted),
+    match (code, suspicion.to_bits()) {
+        (0, 0) => Some(Trust::Trusted),
+        (1, _) => Some(Trust::Suspect(suspicion)),
+        (2, 0) => Some(Trust::Untrusted),
         _ => None,
     }
 }
@@ -699,13 +701,7 @@ fn save_stats(section: &mut Section, prefix: &str, stats: &RunningStats) {
 
 fn restore_stats(section: &Section, prefix: &str) -> Result<RunningStats, CheckpointError> {
     let count = section.get_u64(&format!("{prefix}_count"))?;
-    let acc = section.get_f64s(&format!("{prefix}_acc"))?;
-    if acc.len() != 4 {
-        return Err(CheckpointError::BadValue(format!(
-            "{}.{prefix}_acc",
-            section.id()
-        )));
-    }
+    let acc = section.get_f64s_len(&format!("{prefix}_acc"), 4)?;
     Ok(RunningStats::from_raw_parts(
         count, acc[0], acc[1], acc[2], acc[3],
     ))
@@ -769,63 +765,50 @@ impl StageState for LoopTelemetry {
 
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
-        let bad = |key: &str| CheckpointError::BadValue(format!("{ns}.{key}"));
         // `with_capacity` clamps 0 to 1, which would re-save as `1`.
-        let capacity = match s.get_u64("capacity")? {
-            0 => return Err(bad("capacity")),
-            c => c as usize,
-        };
+        let capacity: usize = s.get_as("capacity")?;
+        s.check("capacity", capacity > 0)?;
         let mut t = LoopTelemetry::with_capacity(capacity);
         t.ticks = s.get_u64("ticks")?;
         t.total_energy_j = s.get_f64("total_energy_j")?;
         t.total_latency_s = s.get_f64("total_latency_s")?;
         t.suspect_ticks = s.get_u64("suspect_ticks")?;
-        let streak = |key: &str| u32::try_from(s.get_u64(key)?).map_err(|_| bad(key));
-        t.suspect_streak = streak("suspect_streak")?;
-        t.max_suspect_streak = streak("max_suspect_streak")?;
+        t.suspect_streak = s.get_as("suspect_streak")?;
+        t.max_suspect_streak = s.get_as("max_suspect_streak")?;
         t.energy = restore_stats(s, "energy")?;
         t.latency = restore_stats(s, "latency")?;
-        let fc = s.get_u64s("fault_counters")?;
-        if fc.len() != 8 {
-            return Err(bad("fault_counters"));
-        }
+        let [faults, dropouts, timeouts, out_of_range, poisoned, retries, holds, fallbacks] =
+            s.get_u64_array("fault_counters")?;
         t.counters = FaultCounters {
-            faults: fc[0],
-            dropouts: fc[1],
-            timeouts: fc[2],
-            out_of_range: fc[3],
-            poisoned: fc[4],
-            retries: fc[5],
-            holds: fc[6],
-            fallbacks: fc[7],
+            faults,
+            dropouts,
+            timeouts,
+            out_of_range,
+            poisoned,
+            retries,
+            holds,
+            fallbacks,
         };
-        let cc = s.get_u64s("comm_counters")?;
-        if cc.len() != 6 {
-            return Err(bad("comm_counters"));
-        }
+        let [msgs_sent, msgs_delivered, msgs_dropped, retransmits, bytes_tx, bytes_rx] =
+            s.get_u64_array("comm_counters")?;
         t.comm = CommCounters {
-            msgs_sent: cc[0],
-            msgs_delivered: cc[1],
-            msgs_dropped: cc[2],
-            retransmits: cc[3],
-            bytes_tx: cc[4],
-            bytes_rx: cc[5],
+            msgs_sent,
+            msgs_delivered,
+            msgs_dropped,
+            retransmits,
+            bytes_tx,
+            bytes_rx,
             comm_s: s.get_f64("comm_s")?,
         };
-        let totals = s.get_f64s("stage_totals")?;
-        if totals.len() != 2 * STAGE_COUNT {
-            return Err(bad("stage_totals"));
-        }
-        t.stage_totals = StageBreakdown::new();
-        for (i, st) in StageId::ALL.into_iter().enumerate() {
-            t.stage_totals.set(st, totals[2 * i], totals[2 * i + 1]);
+        let totals = s.get_f64s_len("stage_totals", 2 * STAGE_COUNT)?;
+        for (st, cost) in StageId::ALL.into_iter().zip(totals.chunks_exact(2)) {
+            t.stage_totals.set(st, cost[0], cost[1]);
         }
         for (i, h) in t.stage_latency.iter_mut().enumerate() {
             *h = Histogram::restore_from(s, &format!("stage{i}"))?;
         }
         t.latency_hist = Histogram::restore_from(s, "lat")?;
-        let pt = s.get_u64s("precision_ticks")?;
-        t.precision_ticks = pt.try_into().map_err(|_| bad("precision_ticks"))?;
+        t.precision_ticks = s.get_u64_array("precision_ticks")?;
 
         let rec_ticks = s.get_u64s("rec_tick")?;
         let energies = s.get_f64s("rec_energy")?;
@@ -836,29 +819,23 @@ impl StageState for LoopTelemetry {
         let stage_e = s.get_f64s("rec_stage_e")?;
         let stage_l = s.get_f64s("rec_stage_l")?;
         let n = rec_ticks.len();
-        if [
+        let columns = [
             energies.len(),
             latencies.len(),
             trusts.len(),
             susps.len(),
             precs.len(),
-        ]
-        .iter()
-        .any(|&l| l != n)
-            || stage_e.len() != n * STAGE_COUNT
-            || stage_l.len() != n * STAGE_COUNT
-        {
-            return Err(bad("rec_tick"));
-        }
+        ];
+        s.check("rec_tick", columns.iter().all(|&l| l == n))?;
+        s.check("rec_stage_e", stage_e.len() == n * STAGE_COUNT)?;
+        s.check("rec_stage_l", stage_l.len() == n * STAGE_COUNT)?;
         // `tick` is derived from a row's age, so the retained rows must be
         // exactly the consecutive run ending at `ticks - 1`.
-        let oldest = t
-            .ticks
-            .checked_sub(n as u64)
-            .ok_or_else(|| bad("rec_tick"))?;
-        if n > t.capacity() || !rec_ticks.iter().copied().eq(oldest..t.ticks) {
-            return Err(bad("rec_tick"));
-        }
+        let oldest = t.ticks.checked_sub(n as u64);
+        s.check(
+            "rec_tick",
+            n <= t.capacity() && oldest.is_some_and(|o| rec_ticks.iter().copied().eq(o..t.ticks)),
+        )?;
         let mut records = Vec::with_capacity(n);
         for (i, &tick) in rec_ticks.iter().enumerate() {
             let mut stages = StageBreakdown::new();
@@ -873,8 +850,8 @@ impl StageState for LoopTelemetry {
                 tick,
                 energy_j: energies[i],
                 latency_s: latencies[i],
-                trust: trust_from_code(trusts[i], susps[i]).ok_or_else(|| bad("rec_trust"))?,
-                precision: precision_from_rank(precs[i]).ok_or_else(|| bad("rec_prec"))?,
+                trust: trust_from_code(trusts[i], susps[i]).ok_or_else(|| s.bad("rec_trust"))?,
+                precision: precision_from_rank(precs[i]).ok_or_else(|| s.bad("rec_prec"))?,
                 stages,
             });
         }
@@ -1320,7 +1297,12 @@ mod tests {
         let single = busy_telemetry(1, 3); // retains tick 2
         back.record(1.0, 0.1, Trust::Trusted);
         type Mutation = fn(&mut Section);
-        let hostile: [(&LoopTelemetry, &str, Mutation); 8] = [
+        fn suspect_row(s: &mut Section, row: usize) {
+            let mut susp = s.get_f64s("rec_susp").unwrap();
+            susp[row] = 0.5;
+            s.put_f64s("rec_susp", &susp);
+        }
+        let hostile: [(&LoopTelemetry, &str, Mutation); 10] = [
             // A gap.
             (&wrapped, "rec_tick", |s| {
                 s.put_u64s("rec_tick", &[5, 7, 8, 9])
@@ -1338,6 +1320,10 @@ mod tests {
             (&wrapped, "rec_prec", |s| {
                 s.put_u64s("rec_prec", &[0, 1, 2, 3])
             }),
+            // A suspicion beside a trusted (tick 6) or an untrusted (tick 8)
+            // verdict, which carries none and would re-save as `+0.0`.
+            (&wrapped, "rec_trust", |s| suspect_row(s, 0)),
+            (&wrapped, "rec_trust", |s| suspect_row(s, 2)),
             // `with_capacity` would clamp 0 to a 1-row ring re-saving as `1`.
             (&single, "capacity", |s| s.put_u64("capacity", 0)),
             // A max no sample stream produces (`Histogram::restore_from`).

@@ -514,50 +514,43 @@ impl StageState for Tracer {
     /// tracer is unchanged.
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
-        let bad = |key: &str| CheckpointError::BadValue(format!("{ns}.{key}"));
-        let capacity = s.get_u64("capacity")? as usize;
+        // `Ring::from_ordered` clamps 0 to 1, which would re-save as `1`.
+        let capacity: usize = s.get_as("capacity")?;
+        s.check("capacity", capacity > 0)?;
+        // Beside an absent stamp the writer emits `+0.0`, and only that.
+        let pending = s.get_f64("pending")?;
         let pending_stamp = if s.get_bool("pending_some")? {
-            Some(s.get_f64("pending")?)
+            Some(pending)
         } else {
+            s.check("pending", pending.to_bits() == 0)?;
             None
         };
         let ticks = s.get_u64s("sp_tick")?;
-        let stages = s.get_u64s("sp_stage")?;
-        let starts = s.get_f64s("sp_start")?;
-        let ends = s.get_f64s("sp_end")?;
-        let energies = s.get_f64s("sp_energy")?;
-        let latencies = s.get_f64s("sp_latency")?;
-        let oks = s.get_u64s("sp_ok")?;
         let n = ticks.len();
-        if [
-            stages.len(),
-            starts.len(),
-            ends.len(),
-            energies.len(),
-            latencies.len(),
-            oks.len(),
-        ]
-        .iter()
-        .any(|&l| l != n)
-        {
-            return Err(bad("sp_tick"));
-        }
+        let stages = s.get_u64s("sp_stage")?;
+        let starts = s.get_f64s_len("sp_start", n)?;
+        let ends = s.get_f64s_len("sp_end", n)?;
+        let energies = s.get_f64s_len("sp_energy", n)?;
+        let latencies = s.get_f64s_len("sp_latency", n)?;
+        let oks = s.get_u64s("sp_ok")?;
+        s.check("sp_stage", stages.len() == n)?;
+        s.check("sp_ok", oks.len() == n && oks.iter().all(|&ok| ok <= 1))?;
         let mut spans = Vec::with_capacity(n);
         for i in 0..n {
-            let stage = *StageId::ALL
-                .get(stages[i] as usize)
-                .ok_or_else(|| bad("sp_stage"))?;
+            let stage = usize::try_from(stages[i])
+                .ok()
+                .and_then(|at| StageId::ALL.get(at));
             spans.push(Span {
                 tick: ticks[i],
-                stage,
+                stage: *stage.ok_or_else(|| s.bad("sp_stage"))?,
                 start_s: starts[i],
                 end_s: ends[i],
                 energy_j: energies[i],
                 latency_s: latencies[i],
-                ok: oks[i] != 0,
+                ok: oks[i] == 1,
             });
         }
-        self.spans = Ring::from_ordered(capacity, spans).ok_or_else(|| bad("sp_tick"))?;
+        self.spans = Ring::from_ordered(capacity, spans).ok_or_else(|| s.bad("sp_tick"))?;
         self.pending_stamp = pending_stamp;
         Ok(())
     }
@@ -1006,6 +999,46 @@ mod tests {
             Err(CheckpointError::BadValue("tracer.sp_stage".into()))
         );
         assert_eq!(snapshot(&target), before);
+    }
+
+    /// Two documents never restore the same tracer: a zero capacity (the
+    /// ring holds at least one span), an `sp_ok` item other than 0 / 1, and
+    /// an absent stamp spelled other than `+0.0` are each refused, and the
+    /// tracer stays as it was.
+    #[test]
+    fn restore_refuses_the_tracer_aliases() {
+        use crate::checkpoint::{Checkpoint, CheckpointError};
+        let mut donor = Tracer::sim(1.0).with_span_capacity(1);
+        let s = donor.start();
+        donor.finish(0, StageId::Act, s, 0.0, 0.0, true);
+        let mut good = Checkpoint::new("t");
+        donor.save_state(&mut good, "tracer");
+        let snapshot = |t: &Tracer| {
+            let mut c = Checkpoint::new("t");
+            t.save_state(&mut c, "tracer");
+            c
+        };
+        let mut target = Tracer::sim(0.5);
+        let before = snapshot(&target);
+        type Alias = fn(&mut Section);
+        let aliases: [(&str, Alias); 3] = [
+            ("capacity", |s| s.put_u64("capacity", 0)),
+            ("sp_ok", |s| s.put_u64s("sp_ok", &[2])),
+            ("pending", |s| s.put_f64("pending", -0.0)),
+        ];
+        for (key, alias) in aliases {
+            let mut hostile = good.clone();
+            let mut s = good.section("tracer").unwrap().clone();
+            alias(&mut s);
+            hostile.push(s);
+            assert_eq!(
+                target.restore_state(&hostile, "tracer"),
+                Err(CheckpointError::BadValue(format!("tracer.{key}")))
+            );
+            assert_eq!(snapshot(&target), before, "{key}: the tracer changed");
+        }
+        target.restore_state(&good, "tracer").unwrap();
+        assert_eq!(snapshot(&target), good);
     }
 
     #[test]

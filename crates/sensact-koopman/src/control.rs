@@ -149,13 +149,7 @@ impl StageState for ShootingController {
     }
 
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
-        let s = ckpt.section(ns)?;
-        let words = s.get_u64s("rng")?;
-        let state: [u64; 4] = words
-            .as_slice()
-            .try_into()
-            .map_err(|_| CheckpointError::BadValue(format!("{ns}.rng")))?;
-        self.rng = StdRng::from_state(state);
+        self.rng = StdRng::from_state(ckpt.section(ns)?.get_u64_array("rng")?);
         Ok(())
     }
 }

@@ -37,7 +37,7 @@ impl RunningStats {
 
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
-        self.count += 1;
+        self.count = self.count.wrapping_add(1);
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);

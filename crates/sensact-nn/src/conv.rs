@@ -903,14 +903,8 @@ impl StageState for Conv3d {
 
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
-        let weights = s.get_f64s("weights")?;
-        if weights.len() != self.weights.len() {
-            return Err(CheckpointError::BadValue(format!("{ns}.weights")));
-        }
-        let bias = s.get_f64s("bias")?;
-        if bias.len() != self.bias.len() {
-            return Err(CheckpointError::BadValue(format!("{ns}.bias")));
-        }
+        let weights = s.get_f64s_len("weights", self.weights.len())?;
+        let bias = s.get_f64s_len("bias", self.bias.len())?;
         self.weights = weights;
         self.bias = bias;
         // Per-step transients (gradients, cached activations) do not travel;
@@ -1051,14 +1045,8 @@ impl StageState for Deconv3d {
 
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
-        let weights = s.get_f64s("weights")?;
-        if weights.len() != self.weights.len() {
-            return Err(CheckpointError::BadValue(format!("{ns}.weights")));
-        }
-        let bias = s.get_f64s("bias")?;
-        if bias.len() != self.bias.len() {
-            return Err(CheckpointError::BadValue(format!("{ns}.bias")));
-        }
+        let weights = s.get_f64s_len("weights", self.weights.len())?;
+        let bias = s.get_f64s_len("bias", self.bias.len())?;
         self.weights = weights;
         self.bias = bias;
         self.cached_input = None;

@@ -531,7 +531,7 @@ fn execute_release(
     let busy_end_s = start_s + latency_s;
     let completion_s = busy_end_s + comm_s;
     slot.last_completion_s = completion_s;
-    slot.stats.ticks += 1;
+    slot.stats.ticks = slot.stats.ticks.wrapping_add(1);
     slot.stats.faults += out.faults as u64;
     slot.stats.busy_s += latency_s;
     slot.stats.comm_s += comm_s;
@@ -910,7 +910,7 @@ impl FleetScheduler {
         let slot = &mut self.slots[id.0];
         assert!(!slot.retired, "external tick: member is retired");
         let release_idx = slot.ext_releases;
-        slot.ext_releases += 1;
+        slot.ext_releases = slot.ext_releases.wrapping_add(1);
         let release = Release::new(
             slot.spec.deadline_s(release_s),
             tie_break(seed, id.0, release_idx),

@@ -12,10 +12,10 @@
 //!
 //! Every piece of serving state has one owner and is reached by `&mut`:
 //! the pool owns the scheduler and the shared perceptors, the scheduler
-//! owns the lease loops, a lease loop owns its controller state and last
-//! action. Perception runs pool-side, and the feature row is the tick's
-//! *argument* — handed by reference to the lease inside the scheduler's
-//! accounting — so nothing is left in shared memory for a tick to find.
+//! owns the lease loops, a lease loop owns its controller state. Perception
+//! runs pool-side, and the feature row is the tick's *argument* — handed by
+//! reference to the lease inside the scheduler's accounting — so nothing is
+//! left in shared memory for a tick to find.
 //!
 //! Admission control is the scheduler's own arithmetic moved to the edge:
 //! a lease is rejected when the fleet's summed latency demand would exceed
@@ -48,16 +48,15 @@ const LEASE_SECTION: &str = "serve.lease";
 const GRANT_SECTION: &str = "serve.grant";
 
 /// The [`DynLoop`] a lease registers into the scheduler: per-lease
-/// controller state, the last action (checkpointed), and the loop's own
-/// telemetry ring. Perception is not here — it is shared, so the pool runs
-/// it and the lease is served the features.
+/// controller state and the loop's own telemetry ring. Perception is not
+/// here — it is shared, so the pool runs it and the lease is served the
+/// features.
 struct LeaseLoop {
     name: String,
     kind: ModelKind,
     seed: u64,
     spec: ModelSpec,
     state: Vec<f64>,
-    action: Vec<f64>,
     telemetry: LoopTelemetry,
 }
 
@@ -69,7 +68,6 @@ impl LeaseLoop {
             seed,
             spec: kind.spec(),
             state: kind.init_state(seed),
-            action: Vec::new(),
             telemetry: LoopTelemetry::new(),
         }
     }
@@ -79,7 +77,6 @@ impl LeaseLoop {
     fn serve(&mut self, feats: &[f64], values: &mut Vec<f64>) -> TickOutcome {
         values.resize(self.spec.act_len, 0.0);
         self.kind.control(&mut self.state, feats, values);
-        self.action.clone_from(values);
         // The charged energy carries a state-sensitive term: any divergence
         // in the restored controller state shows up in the telemetry ledger
         // (and therefore in `diff_records`), not just in the action bytes.
@@ -131,26 +128,22 @@ impl DynLoop for LeaseLoop {
         s.put_u64("kind", self.kind.wire() as u64);
         s.put_u64("seed", self.seed);
         s.put_f64s("state", &self.state);
-        s.put_f64s("action", &self.action);
         ckpt.push(s);
         self.telemetry.save_state(&mut ckpt, "telemetry");
         Ok(ckpt)
     }
 
+    /// Decodes the lease section before the telemetry restores (which
+    /// assigns only once it has decoded its own), so a refusal leaves the
+    /// loop as it was.
     fn restore_from(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
         let s = ckpt.section(LEASE_SECTION)?;
-        if s.get_u64("kind")? != self.kind.wire() as u64 || s.get_u64("seed")? != self.seed {
-            return Err(CheckpointError::BadValue(
-                "serve.lease identity mismatch".into(),
-            ));
-        }
-        let state = s.get_f64s("state")?;
-        if state.len() != self.state.len() {
-            return Err(CheckpointError::BadValue("serve.lease state length".into()));
-        }
+        s.check("kind", s.get_u64("kind")? == u64::from(self.kind.wire()))?;
+        s.check("seed", s.get_u64("seed")? == self.seed)?;
+        let state = s.get_f64s_len("state", self.state.len())?;
+        self.telemetry.restore_state(ckpt, "telemetry")?;
         self.state = state;
-        self.action = s.get_f64s("action")?;
-        self.telemetry.restore_state(ckpt, "telemetry")
+        Ok(())
     }
 }
 
@@ -553,17 +546,10 @@ impl LeasePool {
         let lease = grant.get_u64("lease")?;
         // The checkpoint is outside input: an id the counter cannot step
         // past is refused before anything is registered.
-        let next_lease = lease
-            .checked_add(1)
-            .ok_or_else(|| CheckpointError::BadValue("serve.grant lease".into()))?;
-        if self.leases.contains_key(&lease) {
-            return Err(CheckpointError::BadValue("lease id already live".into()));
-        }
+        let next_lease = lease.checked_add(1).ok_or_else(|| grant.bad("lease"))?;
+        grant.check("lease", !self.leases.contains_key(&lease))?;
         let s = ckpt.section(LEASE_SECTION)?;
-        let kind = u8::try_from(s.get_u64("kind")?)
-            .ok()
-            .and_then(ModelKind::from_wire)
-            .ok_or_else(|| CheckpointError::BadValue("serve.lease kind".into()))?;
+        let kind = ModelKind::from_wire(s.get_as("kind")?).ok_or_else(|| s.bad("kind"))?;
         let seed = s.get_u64("seed")?;
         let spec = kind.spec();
         // Register a fresh twin (reusing a retired slot if one is free),
@@ -825,6 +811,61 @@ mod tests {
         );
     }
 
+    /// The lease's own restore refuses a foreign identity on the key that
+    /// differs, and a refused restore (the telemetry section's included)
+    /// leaves the loop as it was. A document still carrying the `action`
+    /// key older writers emitted restores.
+    #[test]
+    fn a_refused_lease_restore_leaves_the_loop_unchanged() {
+        let mut donor = LeaseLoop::new(3, ModelKind::Cartpole, 5);
+        let mut values = Vec::new();
+        for k in 0..4 {
+            donor.serve(&[0.1 * f64::from(k); 4], &mut values);
+        }
+        let good = donor.save_state().unwrap();
+        let shadow = |id: &str, edit: fn(&mut Section)| {
+            let mut ckpt = good.clone();
+            let mut s = good.section(id).unwrap().clone();
+            edit(&mut s);
+            ckpt.push(s);
+            ckpt
+        };
+        let mut target = LeaseLoop::new(3, ModelKind::Cartpole, 5);
+        let before = target.save_state().unwrap();
+        let refused = [
+            (
+                "serve.lease.kind",
+                shadow(LEASE_SECTION, |s| s.put_u64("kind", 0)),
+            ),
+            (
+                "serve.lease.seed",
+                shadow(LEASE_SECTION, |s| s.put_u64("seed", 6)),
+            ),
+            (
+                "serve.lease.state",
+                shadow(LEASE_SECTION, |s| s.put_f64s("state", &[0.0; 4])),
+            ),
+            (
+                "telemetry.capacity",
+                shadow("telemetry", |s| s.put_u64("capacity", 0)),
+            ),
+        ];
+        for (key, hostile) in refused {
+            assert_eq!(
+                target.restore_from(&hostile),
+                Err(CheckpointError::BadValue(key.into()))
+            );
+            assert_eq!(
+                target.save_state().unwrap(),
+                before,
+                "{key}: the lease changed"
+            );
+        }
+        let with_action = shadow(LEASE_SECTION, |s| s.put_f64s("action", &[0.5]));
+        target.restore_from(&with_action).unwrap();
+        assert_eq!(target.save_state().unwrap(), good);
+    }
+
     #[test]
     fn restore_refuses_identity_mismatch_and_double_adopt() {
         let mut p = pool();
@@ -848,7 +889,7 @@ mod tests {
         hostile.push(grant);
         assert_eq!(
             q.restore_lease(&hostile, 0.01),
-            Err(CheckpointError::BadValue("serve.grant lease".into()))
+            Err(CheckpointError::BadValue("serve.grant.lease".into()))
         );
         assert_eq!((q.active(), q.sched.len()), (0, 0));
         // Nor under a kind that only aliases a real one once truncated to
@@ -859,7 +900,7 @@ mod tests {
         hostile.push(ident);
         assert_eq!(
             q.restore_lease(&hostile, 0.01),
-            Err(CheckpointError::BadValue("serve.lease kind".into()))
+            Err(CheckpointError::BadValue("serve.lease.kind".into()))
         );
         assert_eq!((q.active(), q.sched.len()), (0, 0));
         assert_eq!(q.restore_lease(&ckpt, 0.01).unwrap(), lease);

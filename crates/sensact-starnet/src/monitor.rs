@@ -100,7 +100,7 @@ impl Starnet {
     /// Anomaly score of a feature vector (higher = more anomalous):
     /// realized likelihood regret plus the residual negative ELBO.
     pub fn score(&mut self, features: &[f64]) -> f64 {
-        self.calls += 1;
+        self.calls = self.calls.wrapping_add(1);
         let seed = self.score_seed.wrapping_add(self.calls);
         let (lr, baseline) =
             regret_and_baseline(&mut self.vae, features, &self.config.regret, seed);
@@ -167,22 +167,14 @@ impl StageState for Starnet {
         let untrusted_threshold = s.get_f64("untrusted_threshold")?;
         // Every finite score compares false against a NaN threshold, which
         // would make every tick `Untrusted` without a word. ±∞ is legal: an
-        // uncalibrated monitor holds +∞.
-        for (key, threshold) in [
-            ("suspect_threshold", suspect_threshold),
-            ("untrusted_threshold", untrusted_threshold),
-        ] {
-            if threshold.is_nan() {
-                return Err(CheckpointError::BadValue(format!("{ns}.{key}")));
-            }
-        }
-        // An untrusted threshold below the suspect one leaves no score in
-        // the `Suspect` band; calibration never writes such a pair.
-        if untrusted_threshold < suspect_threshold {
-            return Err(CheckpointError::BadValue(format!(
-                "{ns}.untrusted_threshold"
-            )));
-        }
+        // uncalibrated monitor holds +∞. An untrusted threshold below the
+        // suspect one (or NaN) leaves no score in the `Suspect` band;
+        // calibration never writes such a pair.
+        s.check("suspect_threshold", !suspect_threshold.is_nan())?;
+        s.check(
+            "untrusted_threshold",
+            untrusted_threshold >= suspect_threshold,
+        )?;
         self.calls = calls;
         self.score_seed = score_seed;
         self.suspect_threshold = suspect_threshold;

@@ -58,7 +58,7 @@ impl TemporalConsistency {
     /// During the first 20 frames the tracker calibrates and always
     /// reports [`Trust::Trusted`].
     pub fn observe(&mut self, score: f64) -> Trust {
-        self.frames += 1;
+        self.frames = self.frames.wrapping_add(1);
         if self.frames == 1 {
             self.short_mean = score;
         } else {
@@ -122,13 +122,15 @@ impl StageState for TemporalConsistency {
 
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
-        self.short_mean = s.get_f64("short_mean")?;
-        self.baseline_sum = s.get_f64("baseline_sum")?;
-        self.baseline_count = s.get_u64("baseline_count")? as usize;
-        self.baseline = get_opt_state(s, "baseline")?;
-        self.baseline_scale = s.get_f64("baseline_scale")?;
-        self.drift = s.get_f64("drift")?;
-        self.frames = s.get_u64("frames")?;
+        *self = TemporalConsistency {
+            short_mean: s.get_f64("short_mean")?,
+            baseline_sum: s.get_f64("baseline_sum")?,
+            baseline_count: s.get_as("baseline_count")?,
+            baseline: get_opt_state(s, "baseline")?,
+            baseline_scale: s.get_f64("baseline_scale")?,
+            drift: s.get_f64("drift")?,
+            frames: s.get_u64("frames")?,
+        };
         Ok(())
     }
 }
@@ -228,6 +230,43 @@ mod tests {
             let tail: Vec<Trust> = scores[cut..].iter().map(|s| b.observe(*s)).collect();
             assert_eq!(tail, full[cut..], "verdicts diverged after cut {cut}");
         }
+    }
+
+    /// A section missing its last field (`frames`) is refused and the
+    /// tracker keeps every field it had: the reader assigns nothing until
+    /// the whole section has decoded.
+    #[test]
+    fn a_refused_restore_leaves_the_tracker_unchanged() {
+        let saved = |t: &TemporalConsistency| {
+            let mut ckpt = Checkpoint::new("tc");
+            t.save_state(&mut ckpt, "tc");
+            ckpt
+        };
+        let mut donor = TemporalConsistency::new();
+        for k in 0..30 {
+            let _ = donor.observe(1.0 + 0.1 * f64::from(k % 3));
+        }
+        let donor = saved(&donor).section("tc").unwrap().clone();
+        let mut hostile = Section::new("tc");
+        for key in ["short_mean", "baseline_sum", "baseline_scale", "drift"] {
+            hostile.put_f64(key, donor.get_f64(key).unwrap());
+        }
+        hostile.put_u64("baseline_count", donor.get_u64("baseline_count").unwrap());
+        put_opt_state(
+            &mut hostile,
+            "baseline",
+            &get_opt_state::<f64>(&donor, "baseline").unwrap(),
+        );
+        let mut ckpt = Checkpoint::new("tc");
+        ckpt.push(hostile);
+
+        let mut target = TemporalConsistency::new();
+        let before = saved(&target);
+        assert_eq!(
+            target.restore_state(&ckpt, "tc"),
+            Err(CheckpointError::MissingField("tc.frames".into()))
+        );
+        assert_eq!(saved(&target), before);
     }
 
     #[test]

@@ -104,6 +104,24 @@ if [[ -n "$offenders" ]]; then
     exit 1
 fi
 
+# A restore refuses a field through `Section::bad` / `Section::check`, which
+# spell `BadValue("<section>.<key>")` in checkpoint.rs, so library code
+# elsewhere never formats a `BadValue` itself (a file's unit tests, from its
+# `#[cfg(test)] mod tests` on, may). The whole file up to there is one text,
+# so a call split across lines is caught too.
+echo "== one spelling of a field error: no BadValue built from format! outside checkpoint.rs =="
+offenders="$(git ls-files -- 'crates/*/src/*.rs' ':!crates/sensact-core/src/checkpoint.rs' | xargs awk '
+    function flush() { if (text ~ /BadValue\([ \t\n]*format!/) print file }
+    FNR == 1 { if (file != "") flush(); file = FILENAME; text = ""; prev = ""; done = 0 }
+    done { next }
+    /^mod tests/ && prev ~ /^#\[cfg\(test\)\]/ { done = 1; next }
+    { text = text "\n" $0; prev = $0 }
+    END { if (file != "") flush() }')"
+if [[ -n "$offenders" ]]; then
+    echo "$offenders"
+    exit 1
+fi
+
 # Every `pub` fn / const / static under crates/*/src has a caller outside
 # its own unit tests, and every `pub` field of a `pub struct` with an
 # `impl Default` is set somewhere outside that impl — or either has an

@@ -3,9 +3,15 @@
 //! subset of it.
 #![allow(dead_code)]
 
-use sensact::core::fault::{FaultInjector, FaultProfile, RecoveryPolicy, Reliable, WithFallback};
-use sensact::core::stage::{AlwaysTrust, FnController, FnPerceptor, FnSensor, StageContext, Trust};
-use sensact::core::FallibleLoop;
+use sensact::core::fault::{
+    FaultInjector, FaultProfile, FnTryPerceptor, RecoveryPolicy, Reliable, WithFallback,
+};
+use sensact::core::stage::{
+    AlwaysTrust, FnController, FnMonitor, FnPerceptor, FnSensor, StageContext, Trust,
+};
+use sensact::core::{
+    EnergyBudget, FallibleLoop, FallibleOutput, LoopBuilder, LoopRunner, Snapshot, Tracer,
+};
 use sensact::starnet::monitor::StarnetConfig;
 use sensact::starnet::regret::RegretConfig;
 use sensact::starnet::spsa::SpsaConfig;
@@ -82,4 +88,94 @@ pub fn fast_monitor_config() -> StarnetConfig {
             elbo_samples: 0,
         },
     }
+}
+
+/// `fallible_mid_hold.ckpt.jsonl`: written by [`pin_fallible`] on the
+/// first held tick from tick 24 on, environment as a scalar `f:` field.
+pub const PINNED_FALLIBLE: &str =
+    include_str!("../../crates/sensact-core/tests/data/fallible_mid_hold.ckpt.jsonl");
+/// `sensing_action_mid_hold.ckpt.jsonl`: written by [`pin_infallible`] at
+/// tick 26, two ticks into a suspect streak.
+pub const PINNED_INFALLIBLE: &str =
+    include_str!("../../crates/sensact-core/tests/data/sensing_action_mid_hold.ckpt.jsonl");
+/// [`PINNED_FALLIBLE`] as written while a precision governor existed, with
+/// its `governor` section.
+pub const GOVERNED_FALLIBLE: &str =
+    include_str!("../../crates/sensact-core/tests/data/fallible_mid_hold_with_governor.ckpt.jsonl");
+/// [`PINNED_INFALLIBLE`] as written while a precision governor existed,
+/// with its `governor` section.
+pub const GOVERNED_INFALLIBLE: &str = include_str!(
+    "../../crates/sensact-core/tests/data/sensing_action_mid_hold_with_governor.ckpt.jsonl"
+);
+
+/// Fault seed of [`pin_fallible`].
+const PIN_SEED: u64 = 0x00C0_FFEE;
+
+/// The runner that wrote `fallible_mid_hold.ckpt.jsonl`.
+pub fn pin_fallible(
+) -> impl LoopRunner<f64, Action = f64, Output = FallibleOutput<f64>> + Snapshot + Send {
+    FallibleLoop::new(
+        "pin-fallible",
+        FaultInjector::new(
+            FnSensor::new(|e: &f64, ctx: &mut StageContext| {
+                // `max` maps a NaN environment (a hostile document may
+                // restore one) to the base charge, and nothing else.
+                ctx.charge(3e-4 * (1.0 + 0.05 * e.abs().max(0.0)), 1e-4);
+                *e
+            }),
+            FaultProfile {
+                dropout: 0.3,
+                stuck: 0.1,
+                latency_spike: 0.05,
+                spike_latency_s: 5e-4,
+                nan: 0.05,
+            },
+            PIN_SEED,
+        ),
+        FnTryPerceptor::new(|r: &f64, _: &mut StageContext| Ok(*r)),
+        FnMonitor::new(|f: &f64, _: &mut StageContext| {
+            if f.abs() > 6.0 {
+                Trust::Suspect(0.6)
+            } else {
+                Trust::Trusted
+            }
+        }),
+        WithFallback::new(
+            FnController::new(|f: &f64, _t, _: &mut StageContext| -0.3 * f + 0.05),
+            0.0,
+        ),
+    )
+    .with_budget(EnergyBudget::new(0.1))
+    .with_recovery(RecoveryPolicy {
+        max_retries: 1,
+        retry_energy_j: 2e-5,
+        max_hold_ticks: 3,
+        staleness_decay: 0.35,
+        latency_budget_s: None,
+    })
+    .with_telemetry_capacity(8)
+    .with_tracer(Tracer::sim(0.25).with_span_capacity(12))
+}
+
+/// The runner that wrote `sensing_action_mid_hold.ckpt.jsonl`.
+pub fn pin_infallible() -> impl LoopRunner<f64, Action = f64> + Snapshot + Send {
+    LoopBuilder::new("pin-infallible")
+        .with_budget(EnergyBudget::new(1.0))
+        .with_telemetry_capacity(8)
+        .with_tracer(Tracer::sim(0.25).with_span_capacity(12))
+        .build_monitored(
+            FnSensor::new(|e: &f64, ctx: &mut StageContext| {
+                ctx.charge(0.02, 1e-4);
+                *e
+            }),
+            FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
+            FnMonitor::new(|f: &f64, _: &mut StageContext| {
+                if f.abs() > 10.0 {
+                    Trust::Suspect(0.9)
+                } else {
+                    Trust::Trusted
+                }
+            }),
+            FnController::new(|f: &f64, _t, _: &mut StageContext| -0.3 * f),
+        )
 }

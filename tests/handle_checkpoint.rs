@@ -7,92 +7,16 @@
 //! section is missing or malformed must be refused before anything in the
 //! member changes.
 
-use sensact::core::checkpoint::{Checkpoint, Section};
-use sensact::core::fault::FnTryPerceptor;
-use sensact::core::replay::first_divergence;
-use sensact::core::stage::{FnController, FnMonitor, FnPerceptor, FnSensor, StageContext};
-use sensact::core::{
-    Checkpointed, EnergyBudget, FallibleLoop, FallibleOutput, FaultInjector, FaultProfile,
-    LoopBuilder, LoopRunner, RecoveryPolicy, Snapshot, TickRecord, TickResolution, Tracer, Trust,
-    WithFallback,
-};
-use sensact::sched::LoopHandle;
+mod common;
 
-const PINNED_FALLIBLE: &str =
-    include_str!("../crates/sensact-core/tests/data/fallible_mid_hold.ckpt.jsonl");
-const PINNED_INFALLIBLE: &str =
-    include_str!("../crates/sensact-core/tests/data/sensing_action_mid_hold.ckpt.jsonl");
+use common::{pin_fallible, pin_infallible, PINNED_FALLIBLE, PINNED_INFALLIBLE};
+use sensact::core::checkpoint::{Checkpoint, Section};
+use sensact::core::replay::first_divergence;
+use sensact::core::{Checkpointed, LoopRunner, Snapshot, TickRecord, TickResolution};
+use sensact::sched::LoopHandle;
 
 /// Ticks recorded after each pinned snapshot.
 const PIN_TAIL: usize = 64;
-const SEED: u64 = 0x00C0_FFEE;
-
-/// The runner that wrote `fallible_mid_hold.ckpt.jsonl`.
-fn pin_fallible(
-) -> impl LoopRunner<f64, Action = f64, Output = FallibleOutput<f64>> + Snapshot + Send {
-    FallibleLoop::new(
-        "pin-fallible",
-        FaultInjector::new(
-            FnSensor::new(|e: &f64, ctx: &mut StageContext| {
-                ctx.charge(3e-4 * (1.0 + 0.05 * e.abs()), 1e-4);
-                *e
-            }),
-            FaultProfile {
-                dropout: 0.3,
-                stuck: 0.1,
-                latency_spike: 0.05,
-                spike_latency_s: 5e-4,
-                nan: 0.05,
-            },
-            SEED,
-        ),
-        FnTryPerceptor::new(|r: &f64, _: &mut StageContext| Ok(*r)),
-        FnMonitor::new(|f: &f64, _: &mut StageContext| {
-            if f.abs() > 6.0 {
-                Trust::Suspect(0.6)
-            } else {
-                Trust::Trusted
-            }
-        }),
-        WithFallback::new(
-            FnController::new(|f: &f64, _t, _: &mut StageContext| -0.3 * f + 0.05),
-            0.0,
-        ),
-    )
-    .with_budget(EnergyBudget::new(0.1))
-    .with_recovery(RecoveryPolicy {
-        max_retries: 1,
-        retry_energy_j: 2e-5,
-        max_hold_ticks: 3,
-        staleness_decay: 0.35,
-        latency_budget_s: None,
-    })
-    .with_telemetry_capacity(8)
-    .with_tracer(Tracer::sim(0.25).with_span_capacity(12))
-}
-
-/// The runner that wrote `sensing_action_mid_hold.ckpt.jsonl`.
-fn pin_infallible() -> impl LoopRunner<f64, Action = f64> + Snapshot + Send {
-    LoopBuilder::new("pin-infallible")
-        .with_budget(EnergyBudget::new(1.0))
-        .with_telemetry_capacity(8)
-        .with_tracer(Tracer::sim(0.25).with_span_capacity(12))
-        .build_monitored(
-            FnSensor::new(|e: &f64, ctx: &mut StageContext| {
-                ctx.charge(0.02, 1e-4);
-                *e
-            }),
-            FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
-            FnMonitor::new(|f: &f64, _: &mut StageContext| {
-                if f.abs() > 10.0 {
-                    Trust::Suspect(0.9)
-                } else {
-                    Trust::Trusted
-                }
-            }),
-            FnController::new(|f: &f64, _t, _: &mut StageContext| -0.3 * f),
-        )
-}
 
 /// Tick `l` once against `env` and apply the action.
 fn step<L: LoopRunner<f64, Action = f64>>(l: &mut L, env: &mut f64) -> L::Output {
