@@ -10,10 +10,11 @@
 //!    per loop. A resumed twin is also ticked forward and compared
 //!    bit-exactly against the original as a correctness guard.
 //! 2. **Fleet migration** — a deterministic fleet of checkpointable
-//!    members; each member is snapshotted over the wire and adopted by a
-//!    fresh twin ([`FleetScheduler::snapshot_member`] /
-//!    [`FleetScheduler::adopt_member`]). Reported: mean per-member
-//!    migration latency and wire bytes.
+//!    members; in each of 16 rounds every member is snapshotted over the
+//!    wire and adopted by a twin built before the clock starts
+//!    ([`FleetScheduler::snapshot_member`] /
+//!    [`FleetScheduler::adopt_member`]). Reported: mean latency of one
+//!    member's migration (construction excluded) and wire bytes.
 //!
 //! Writes `BENCH_ckpt.json` at the repo root (full mode only, so CI smoke
 //! runs don't clobber recorded numbers). Run with `--smoke` (or
@@ -42,6 +43,8 @@ fn main() {
     let warm_ticks = if smoke { 256 } else { 2048 };
     let iters = if smoke { 64 } else { 2000 };
     let members = if smoke { 8 } else { 64 };
+    // Migrations per member: enough that the mean resolves a 10 % change.
+    let rounds = 16;
 
     // The representative loop: faulty sensor, retries and holds, a
     // budget, a wrapping telemetry ring — every state class the checkpoint
@@ -172,25 +175,28 @@ fn main() {
     let _ = fleet.run_deterministic(0.2, &mut SimClock::new());
     let mut migrate_total_s = 0.0;
     let mut migrate_bytes = 0usize;
-    for (i, id) in ids.iter().enumerate() {
+    for _ in 0..rounds {
+        let twins: Vec<_> = (0..members).map(member).collect();
         let t0 = Instant::now();
-        let wire = fleet
-            .snapshot_member(*id)
-            .expect("checkpointable")
-            .to_jsonl();
-        let parsed = Checkpoint::from_jsonl(&wire).expect("wire parses");
-        fleet.adopt_member(*id, member(i), &parsed).expect("adopt");
+        for (id, twin) in ids.iter().zip(twins) {
+            let wire = fleet
+                .snapshot_member(*id)
+                .expect("checkpointable")
+                .to_jsonl();
+            let parsed = Checkpoint::from_jsonl(&wire).expect("wire parses");
+            fleet.adopt_member(*id, twin, &parsed).expect("adopt");
+            migrate_bytes += wire.len();
+        }
         migrate_total_s += t0.elapsed().as_secs_f64();
-        migrate_bytes += wire.len();
     }
     let report = fleet.run_deterministic(0.2, &mut SimClock::new());
     assert_eq!(report.ticks, members as u64 * 20, "resumed fleet must run");
-    let migrate_us = mean_us(migrate_total_s, members);
-    let member_bytes = migrate_bytes / members;
+    let migrate_us = mean_us(migrate_total_s, rounds * members);
+    let member_bytes = migrate_bytes / (rounds * members);
 
     header("fleet migration — snapshot_member → wire → adopt_member");
     compare(
-        &format!("migrate ({members} members, mean)"),
+        &format!("migrate ({members} members × {rounds} rounds, mean)"),
         "sub-ms",
         &format!("{migrate_us:.1} us/member"),
     );

@@ -2,8 +2,8 @@
 //!
 //! The reverse pathway of the loop: after each decision, a policy may retune
 //! the sensor. The policies here operate through the [`SensingKnobs`] trait —
-//! normalized rate/resolution knobs in `[0, 1]` that concrete sensors map to
-//! duty cycle, masking ratio, beam count, etc.
+//! a normalized rate knob in `[0, 1]` that concrete sensors map to duty
+//! cycle, masking ratio, beam count, etc.
 
 use crate::budget::EnergyBudget;
 use crate::stage::Trust;
@@ -14,10 +14,6 @@ pub trait SensingKnobs {
     fn rate(&self) -> f64;
     /// Set the sensing rate; implementations clamp to `[0, 1]`.
     fn set_rate(&mut self, rate: f64);
-    /// Current resolution in `[0, 1]` (1 = full resolution).
-    fn resolution(&self) -> f64;
-    /// Set the resolution; implementations clamp to `[0, 1]`.
-    fn set_resolution(&mut self, resolution: f64);
 }
 
 /// A policy that retunes the sensor after each control decision.
@@ -91,62 +87,10 @@ impl<S: SensingKnobs, A: ActionMagnitude> AdaptationPolicy<S, A> for ActionMagni
     }
 }
 
-/// Resolution used while fully trusted.
-const RELAXED_RESOLUTION: f64 = 0.5;
-/// Resolution smoothing gain in `(0, 1]`.
-const RESOLUTION_GAIN: f64 = 0.6;
-
-/// Resolution adaptation tied to trust: degrade resolution while the stream
-/// is clean (save energy, down to half resolution), restore it when the
-/// monitor gets suspicious.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TrustDrivenResolution;
-
-impl<S: SensingKnobs, A> AdaptationPolicy<S, A> for TrustDrivenResolution {
-    fn adapt(&mut self, sensor: &mut S, _action: &A, trust: Trust, _budget: &EnergyBudget) {
-        let target = RELAXED_RESOLUTION + (1.0 - RELAXED_RESOLUTION) * trust.suspicion();
-        let new_res = sensor.resolution() + RESOLUTION_GAIN * (target - sensor.resolution());
-        sensor.set_resolution(new_res);
-    }
-}
-
-/// Compose two policies, applied in order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Both<P1, P2>(pub P1, pub P2);
-
-impl<S, A, P1: AdaptationPolicy<S, A>, P2: AdaptationPolicy<S, A>> AdaptationPolicy<S, A>
-    for Both<P1, P2>
-{
-    fn adapt(&mut self, sensor: &mut S, action: &A, trust: Trust, budget: &EnergyBudget) {
-        self.0.adapt(sensor, action, trust, budget);
-        self.1.adapt(sensor, action, trust, budget);
-    }
-}
-
-// All shipped adaptation policies are pure configuration (the mutable knobs
-// live in the sensor they steer), so they checkpoint with the no-op
-// defaults. `Both` recurses so a future stateful member still participates.
+// The shipped adaptation policies are pure configuration (the mutable knobs
+// live in the sensor they steer), so they checkpoint with the no-op defaults.
 impl crate::checkpoint::StageState for NoAdaptation {}
 impl crate::checkpoint::StageState for ActionMagnitudeRate {}
-impl crate::checkpoint::StageState for TrustDrivenResolution {}
-
-impl<P1: crate::checkpoint::StageState, P2: crate::checkpoint::StageState>
-    crate::checkpoint::StageState for Both<P1, P2>
-{
-    fn save_state(&self, ckpt: &mut crate::checkpoint::Checkpoint, ns: &str) {
-        self.0.save_state(ckpt, &format!("{ns}.0"));
-        self.1.save_state(ckpt, &format!("{ns}.1"));
-    }
-
-    fn restore_state(
-        &mut self,
-        ckpt: &crate::checkpoint::Checkpoint,
-        ns: &str,
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        self.0.restore_state(ckpt, &format!("{ns}.0"))?;
-        self.1.restore_state(ckpt, &format!("{ns}.1"))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -155,15 +99,11 @@ mod tests {
     #[derive(Debug)]
     struct KnobSensor {
         rate: f64,
-        resolution: f64,
     }
 
     impl Default for KnobSensor {
         fn default() -> Self {
-            KnobSensor {
-                rate: 1.0,
-                resolution: 1.0,
-            }
+            KnobSensor { rate: 1.0 }
         }
     }
 
@@ -173,12 +113,6 @@ mod tests {
         }
         fn set_rate(&mut self, r: f64) {
             self.rate = r.clamp(0.0, 1.0);
-        }
-        fn resolution(&self) -> f64 {
-            self.resolution
-        }
-        fn set_resolution(&mut self, r: f64) {
-            self.resolution = r.clamp(0.0, 1.0);
         }
     }
 
@@ -231,37 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn resolution_relaxes_when_trusted_and_recovers_when_suspect() {
-        let mut s = KnobSensor::default();
-        let mut p = TrustDrivenResolution;
-        let b = EnergyBudget::unlimited();
-        for _ in 0..30 {
-            p.adapt(&mut s, &0.0f64, Trust::Trusted, &b);
-        }
-        assert!(
-            (s.resolution() - 0.5).abs() < 0.01,
-            "res {}",
-            s.resolution()
-        );
-        for _ in 0..30 {
-            p.adapt(&mut s, &0.0f64, Trust::Untrusted, &b);
-        }
-        assert!(s.resolution() > 0.95, "res {}", s.resolution());
-    }
-
-    #[test]
-    fn composed_policy_applies_both() {
-        let mut s = KnobSensor::default();
-        let mut p = Both(ActionMagnitudeRate::default(), TrustDrivenResolution);
-        let b = EnergyBudget::unlimited();
-        for _ in 0..40 {
-            p.adapt(&mut s, &0.0f64, Trust::Trusted, &b);
-        }
-        assert!(s.rate() < 0.2);
-        assert!(s.resolution() < 0.6);
-    }
-
-    #[test]
     fn vector_action_magnitude() {
         assert_eq!(vec![3.0, 4.0].magnitude(), 5.0);
         assert_eq!((-2.0f64).magnitude(), 2.0);
@@ -278,6 +181,5 @@ mod tests {
             &EnergyBudget::unlimited(),
         );
         assert_eq!(s.rate(), 1.0);
-        assert_eq!(s.resolution(), 1.0);
     }
 }

@@ -183,12 +183,6 @@ impl FiniteCheck for f64 {
     }
 }
 
-impl FiniteCheck for f32 {
-    fn all_finite(&self) -> bool {
-        self.is_finite()
-    }
-}
-
 impl FiniteCheck for Vec<f64> {
     fn all_finite(&self) -> bool {
         self.iter().all(|x| x.is_finite())
@@ -210,12 +204,6 @@ pub trait NanPoison {
 impl NanPoison for f64 {
     fn poison(&mut self) {
         *self = f64::NAN;
-    }
-}
-
-impl NanPoison for f32 {
-    fn poison(&mut self) {
-        *self = f32::NAN;
     }
 }
 
@@ -901,10 +889,6 @@ mod tests {
         fn set_rate(&mut self, r: f64) {
             self.rate = r.clamp(0.0, 1.0);
         }
-        fn resolution(&self) -> f64 {
-            1.0
-        }
-        fn set_resolution(&mut self, _: f64) {}
     }
     impl Sensor<f64> for KnobSensor {
         type Reading = f64;
@@ -921,12 +905,6 @@ mod tests {
         fn set_rate(&mut self, r: f64) {
             self.inner.set_rate(r);
         }
-        fn resolution(&self) -> f64 {
-            self.inner().resolution()
-        }
-        fn set_resolution(&mut self, r: f64) {
-            self.inner.set_resolution(r);
-        }
     }
     // `Reliable` is a transparent lift for the knobs too.
     impl SensingKnobs for Reliable<KnobSensor> {
@@ -935,12 +913,6 @@ mod tests {
         }
         fn set_rate(&mut self, r: f64) {
             self.0.set_rate(r);
-        }
-        fn resolution(&self) -> f64 {
-            self.0.resolution()
-        }
-        fn set_resolution(&mut self, r: f64) {
-            self.0.set_resolution(r);
         }
     }
 
@@ -1500,7 +1472,6 @@ mod tests {
         assert!(!vec![1.0, f64::NAN].all_finite());
         assert!([1.0, 2.0].all_finite());
         assert!(![f64::NAN].all_finite());
-        assert!(2.0f32.all_finite());
     }
 
     #[test]
@@ -1514,9 +1485,6 @@ mod tests {
         let mut a = [1.0; 3];
         a.poison();
         assert!(a.iter().all(|x| x.is_nan()));
-        let mut f = 1.0f32;
-        f.poison();
-        assert!(f.is_nan());
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! What makes the loop *intelligent* (and what distinguishes it from a
 //! feed-forward sensing-to-insight pipeline) is the feedback edge: after each
-//! decision an [`adapt::AdaptationPolicy`] may retune the sensor — rate,
-//! resolution, modality, masking ratio — based on the action, the monitor's
+//! decision an [`adapt::AdaptationPolicy`] may retune the sensor — its
+//! sensing rate, in the shipped policy — based on the action, the monitor's
 //! trust verdict, and the remaining [`budget::EnergyBudget`].
 //!
 //! Every stage charges its energy and latency to a [`stage::StageContext`];

@@ -616,7 +616,6 @@ mod tests {
     #[derive(Debug)]
     struct RateSensor {
         rate: f64,
-        resolution: f64,
     }
 
     impl SensingKnobs for RateSensor {
@@ -625,12 +624,6 @@ mod tests {
         }
         fn set_rate(&mut self, r: f64) {
             self.rate = r.clamp(0.0, 1.0);
-        }
-        fn resolution(&self) -> f64 {
-            self.resolution
-        }
-        fn set_resolution(&mut self, r: f64) {
-            self.resolution = r.clamp(0.0, 1.0);
         }
     }
 
@@ -647,10 +640,7 @@ mod tests {
         // Quiet environment (stays at 0): adaptive loop should spend far less
         // energy than a fixed-rate loop — the §IV effect.
         let run = |adaptive: bool| -> f64 {
-            let sensor = RateSensor {
-                rate: 1.0,
-                resolution: 1.0,
-            };
+            let sensor = RateSensor { rate: 1.0 };
             let perceptor = FnPerceptor::new(|r: &f64, _: &mut StageContext| *r);
             let controller = FnController::new(|f: &f64, _t, _: &mut StageContext| -0.1 * f);
             let mut env = 0.0f64;
@@ -680,10 +670,7 @@ mod tests {
 
     #[test]
     fn adaptation_keeps_rate_high_when_dynamic() {
-        let sensor = RateSensor {
-            rate: 1.0,
-            resolution: 1.0,
-        };
+        let sensor = RateSensor { rate: 1.0 };
         let mut l = LoopBuilder::new("dyn").build_full(
             sensor,
             FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
@@ -706,10 +693,7 @@ mod tests {
     /// single huge-energy tick left the rate at full for the next tick.
     #[test]
     fn budget_pressure_throttles_the_very_next_tick() {
-        let sensor = RateSensor {
-            rate: 1.0,
-            resolution: 1.0,
-        };
+        let sensor = RateSensor { rate: 1.0 };
         let mut l = LoopBuilder::new("spike")
             .with_budget(EnergyBudget::new(1.0))
             .build_full(

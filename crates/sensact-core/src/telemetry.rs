@@ -227,13 +227,14 @@ impl LoopTelemetry {
             precision,
             stages,
         });
-        self.ticks += 1;
+        self.ticks = self.ticks.wrapping_add(1);
         self.total_energy_j += energy_j;
         self.total_latency_s += latency_s;
         self.energy.push(energy_j);
         self.latency.push(latency_s);
         self.latency_hist.record(latency_s);
-        self.precision_ticks[precision.rank() as usize] += 1;
+        let at_precision = &mut self.precision_ticks[precision.rank() as usize];
+        *at_precision = at_precision.wrapping_add(1);
         self.stage_totals.merge(&stages);
         for (stage, cost) in stages.iter() {
             // Idle stages (charged nothing) don't pollute the histogram
@@ -244,7 +245,7 @@ impl LoopTelemetry {
         }
         if trust.suspicion() > 0.0 {
             self.suspect_ticks = self.suspect_ticks.wrapping_add(1);
-            self.suspect_streak += 1;
+            self.suspect_streak = self.suspect_streak.wrapping_add(1);
             self.max_suspect_streak = self.max_suspect_streak.max(self.suspect_streak);
         } else {
             self.suspect_streak = 0;
@@ -253,28 +254,29 @@ impl LoopTelemetry {
 
     /// Count one stage error (classified by kind).
     pub fn record_fault(&mut self, error: &StageError) {
-        self.counters.faults += 1;
-        match error {
-            StageError::Dropout => self.counters.dropouts += 1,
-            StageError::Timeout { .. } => self.counters.timeouts += 1,
-            StageError::OutOfRange { .. } => self.counters.out_of_range += 1,
-            StageError::Poisoned => self.counters.poisoned += 1,
-        }
+        self.counters.faults = self.counters.faults.wrapping_add(1);
+        let kind = match error {
+            StageError::Dropout => &mut self.counters.dropouts,
+            StageError::Timeout { .. } => &mut self.counters.timeouts,
+            StageError::OutOfRange { .. } => &mut self.counters.out_of_range,
+            StageError::Poisoned => &mut self.counters.poisoned,
+        };
+        *kind = kind.wrapping_add(1);
     }
 
     /// Count `n` retry attempts issued within one tick.
     pub fn record_retries(&mut self, n: u32) {
-        self.counters.retries += n as u64;
+        self.counters.retries = self.counters.retries.wrapping_add(n as u64);
     }
 
     /// Count one tick served from held (stale) features.
     pub fn record_hold(&mut self) {
-        self.counters.holds += 1;
+        self.counters.holds = self.counters.holds.wrapping_add(1);
     }
 
     /// Count one tick resolved by the fail-safe fallback action.
     pub fn record_fallback(&mut self) {
-        self.counters.fallbacks += 1;
+        self.counters.fallbacks = self.counters.fallbacks.wrapping_add(1);
     }
 
     /// Count one transmitted message: its payload size, retransmissions
@@ -282,13 +284,13 @@ impl LoopTelemetry {
     /// the off-compute communication tail it cost (propagation + retry
     /// timeouts; non-finite/negative tails count as zero).
     pub fn record_comm_tx(&mut self, bytes: u64, retransmits: u32, delivered: bool, comm_s: f64) {
-        self.comm.msgs_sent += 1;
-        self.comm.bytes_tx += bytes;
-        self.comm.retransmits += retransmits as u64;
+        self.comm.msgs_sent = self.comm.msgs_sent.wrapping_add(1);
+        self.comm.bytes_tx = self.comm.bytes_tx.wrapping_add(bytes);
+        self.comm.retransmits = self.comm.retransmits.wrapping_add(retransmits as u64);
         if delivered {
-            self.comm.msgs_delivered += 1;
+            self.comm.msgs_delivered = self.comm.msgs_delivered.wrapping_add(1);
         } else {
-            self.comm.msgs_dropped += 1;
+            self.comm.msgs_dropped = self.comm.msgs_dropped.wrapping_add(1);
         }
         if comm_s.is_finite() && comm_s > 0.0 {
             self.comm.comm_s += comm_s;
@@ -297,7 +299,7 @@ impl LoopTelemetry {
 
     /// Count one received message.
     pub fn record_comm_rx(&mut self, bytes: u64) {
-        self.comm.bytes_rx += bytes;
+        self.comm.bytes_rx = self.comm.bytes_rx.wrapping_add(bytes);
     }
 
     /// Number of recorded ticks (all ticks ever, not just retained records).

@@ -259,16 +259,7 @@ impl Lidar {
     /// Full 360° scan: every (beam, azimuth) pulse, beam-major, over the
     /// azimuth-bucket broad phase.
     pub fn scan(&self, scene: &Scene) -> PointCloud {
-        let buckets = self.azimuth_buckets(scene);
-        let mut cloud = PointCloud::new();
-        for beam in 0..self.config.beams {
-            for az in 0..self.config.azimuth_steps {
-                if let Some(p) = self.cast_bucketed(scene, &buckets, beam, az) {
-                    cloud.push(p);
-                }
-            }
-        }
-        cloud
+        self.scan_masked(scene, |_, _| true).0
     }
 
     /// Naive full scan: every pulse tested against every scene object, no

@@ -30,14 +30,15 @@ use crate::handle::{DynLoop, LoopHandle, TickOutcome};
 use crate::queue::{tie_break, Release};
 use sensact_core::checkpoint::{Checkpoint, CheckpointError, Section};
 use sensact_core::export::{fnv1a_words, FNV_OFFSET};
-use sensact_core::health::{classify, encode_transition, HealthScorer};
+use sensact_core::health::{classify, encode_transition};
 use sensact_core::trace::{trace_mix, SimClock};
 use sensact_core::{
     CausalSpan, FleetHealth, FleetTracer, HealthSignals, HealthStatus, Histogram, LoopTelemetry,
     MetricsRegistry, SpanKind, TraceContext,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Default bound on a loop's pending-tick backlog.
@@ -47,25 +48,8 @@ pub const DEFAULT_QUEUE_CAPACITY: usize = 4;
 /// from the federated round traces derived from the same fleet seed.
 const SCHED_TRACE_SALT: u64 = 0x5C4E_D71C;
 
-/// Salt for health-transition trace ids.
-const HEALTH_TRACE_SALT: u64 = 0x5C4E_D41F;
-
-/// Causal spans each worker's flight recorder retains (ring buffer).
-pub const FLIGHT_RECORDER_CAPACITY: usize = 32;
-
-/// Per-loop completion window between health evaluations in a run — small
-/// enough to catch a storm mid-run, large enough for the rates to mean
-/// something.
-pub const HEALTH_WINDOW_TICKS: u64 = 16;
-
 /// Bound on flight-recorder incidents one run will capture.
 pub const MAX_INCIDENTS: usize = 8;
-
-/// Sliding completion window the miss-storm invariant watches per worker.
-const MISS_STORM_WINDOW: usize = 8;
-
-/// Misses within [`MISS_STORM_WINDOW`] that trip the invariant.
-const MISS_STORM_THRESHOLD: usize = 6;
 
 /// A member loop's timing contract with the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -223,8 +207,8 @@ pub struct LoopSummary {
 /// Why a flight-recorder dump was taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncidentReason {
-    /// ≥ `MISS_STORM_THRESHOLD` deadline misses inside one worker's last
-    /// `MISS_STORM_WINDOW` completions.
+    /// Most of one worker's recent completions missed their deadlines
+    /// (6 of its last 8).
     MissStorm,
     /// A loop's health scorer transitioned into [`HealthStatus::Critical`]
     /// (trust collapse, sustained SLO violation).
@@ -254,7 +238,7 @@ pub struct Incident {
     pub at_s: f64,
     /// Which invariant tripped.
     pub reason: IncidentReason,
-    /// The recorder's contents, oldest first (≤ [`FLIGHT_RECORDER_CAPACITY`]).
+    /// The recorder's contents, oldest first (at most its capacity).
     pub spans: Vec<CausalSpan>,
 }
 
@@ -301,42 +285,34 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Fleet throughput in virtual time (ticks per simulated second).
-    pub fn throughput_ticks_per_vs(&self) -> f64 {
+    /// `x` per virtual second of makespan (0 when the run took no time).
+    fn per_makespan_s(&self, x: f64) -> f64 {
         if self.makespan_s > 0.0 {
-            self.ticks as f64 / self.makespan_s
+            x / self.makespan_s
         } else {
             0.0
         }
+    }
+
+    /// Fleet throughput in virtual time (ticks per simulated second).
+    pub fn throughput_ticks_per_vs(&self) -> f64 {
+        self.per_makespan_s(self.ticks as f64)
     }
 
     /// Utilization of worker `w`: executed latency over makespan.
     pub fn utilization(&self, w: usize) -> f64 {
-        if self.makespan_s > 0.0 {
-            self.worker_busy_s.get(w).copied().unwrap_or(0.0) / self.makespan_s
-        } else {
-            0.0
-        }
+        self.per_makespan_s(self.worker_busy_s.get(w).copied().unwrap_or(0.0))
     }
 
     /// Mean worker utilization.
     pub fn mean_utilization(&self) -> f64 {
-        if self.worker_busy_s.is_empty() {
-            return 0.0;
-        }
-        (0..self.worker_busy_s.len())
-            .map(|w| self.utilization(w))
-            .sum::<f64>()
-            / self.worker_busy_s.len() as f64
+        let workers = self.worker_busy_s.len();
+        (0..workers).map(|w| self.utilization(w)).sum::<f64>() / workers.max(1) as f64
     }
 
     /// Fleet average power over the run (watts).
     pub fn watts(&self) -> f64 {
-        if self.makespan_s > 0.0 {
-            self.energy_j / self.makespan_s
-        } else {
-            0.0
-        }
+        self.per_makespan_s(self.energy_j)
     }
 
     /// Export scheduler-level metrics under `sched.*` names: counters for
@@ -369,9 +345,7 @@ impl FleetReport {
         }
         registry.install_histogram("sched.worker.utilization_frac", util);
     }
-}
 
-impl FleetReport {
     /// Render the ASCII fleet dashboard: the report summary (fleet rollups,
     /// health states, per-loop rows, incidents) plus the fleet-wide tick
     /// latency distribution from a rolled-up registry
@@ -431,12 +405,8 @@ impl std::fmt::Display for FleetReport {
             "  {:<20} {:>8} {:>7} {:>7} {:>7}  health",
             "loop", "ticks", "drops", "misses", "faults"
         )?;
-        for (i, s) in self.loops.iter().enumerate() {
-            let health = self
-                .loop_health
-                .get(i)
-                .copied()
-                .unwrap_or(HealthStatus::Healthy);
+        // `finish_run` classifies every loop it summarises.
+        for (s, health) in self.loops.iter().zip(&self.loop_health) {
             writeln!(
                 f,
                 "  {:<20} {:>8} {:>7} {:>7} {:>7}  {}",
@@ -505,8 +475,8 @@ pub struct MemberTickOutcome {
 ///
 /// With tracing enabled the loop is handed the release's [`TraceContext`]
 /// before it ticks, and the tick's SchedTick span (plus a CommTail child when
-/// it had an off-worker tail) is recorded and returned, so the event loop
-/// can also feed its flight recorder.
+/// it had an off-worker tail) is recorded and returned, so a run's
+/// [`LaneWatch`] can also feed its flight recorder.
 fn execute_release(
     slot: &mut Slot,
     release: &Release,
@@ -521,10 +491,8 @@ fn execute_release(
     slot.handle.set_tick_start(start_s);
     let ctx = tracer
         .is_enabled()
-        .then(|| sched_tick_context(seed, release.loop_idx, release.release_idx));
-    if let Some(ctx) = ctx {
-        slot.handle.set_trace_context(ctx);
-    }
+        .then(|| sched_tick_context(seed, release.loop_idx, release.release_idx))
+        .inspect(|&ctx| slot.handle.set_trace_context(ctx));
     let out = tick(&mut *slot.handle);
     let latency_s = sane_latency(out.latency_s);
     let comm_s = sane_latency(out.comm_s);
@@ -637,36 +605,6 @@ fn next_release(
         release_idx,
         release_s,
     ))
-}
-
-/// Health signals for one loop over a stats window `[base, stats]`: miss and
-/// drop rates over the window's releases, trust/retransmit fractions from
-/// the loop's cumulative telemetry, and completion lag against the fleet
-/// frontier in units of the loop's period.
-fn window_signals(
-    stats: &LoopStats,
-    base: &LoopStats,
-    telemetry: &LoopTelemetry,
-    spec: &LoopSpec,
-    frontier_s: f64,
-    last_completion_s: f64,
-) -> HealthSignals {
-    let ticks = stats.ticks - base.ticks;
-    let misses = stats.deadline_misses - base.deadline_misses;
-    let drops = stats.drops - base.drops;
-    let comm = telemetry.comm_counters();
-    let staleness = if ticks == 0 {
-        0.0
-    } else {
-        ((frontier_s - last_completion_s) / spec.period_s).max(0.0)
-    };
-    HealthSignals {
-        miss_rate: misses as f64 / ticks.max(1) as f64,
-        drop_rate: drops as f64 / (ticks + drops).max(1) as f64,
-        trust_drift: telemetry.suspect_fraction(),
-        staleness,
-        retransmit_rate: comm.retransmits as f64 / comm.msgs_sent.max(1) as f64,
-    }
 }
 
 /// A fleet of heterogeneous loops multiplexed over a worker pool.
@@ -1032,24 +970,17 @@ impl FleetScheduler {
         }
         report.throttle_events = arbiter.throttle_events();
         report.energy_j = arbiter.energy_j();
-        for (slot, base) in self.slots.iter().zip(&frame.base) {
+        for (i, slot) in self.active() {
+            let base = &frame.base[i];
             report.ticks += slot.stats.ticks - base.ticks;
             report.drops += slot.stats.drops - base.drops;
             report.deadline_misses += slot.stats.deadline_misses - base.deadline_misses;
-        }
-        for (i, slot) in self.active() {
             report.loops.push(LoopSummary {
                 name: slot.handle.name().to_string(),
                 stats: slot.stats,
             });
-            report.loop_health.push(classify(&window_signals(
-                &slot.stats,
-                &frame.base[i],
-                slot.handle.telemetry(),
-                &slot.spec,
-                report.makespan_s,
-                slot.last_completion_s,
-            )));
+            let signals = LaneWatch::signals(slot, base, report.makespan_s);
+            report.loop_health.push(classify(&signals));
         }
         report.health = FleetHealth::roll_up(report.loop_health.iter().copied());
         report.wall_s = frame.wall_start.elapsed().as_secs_f64();
@@ -1160,12 +1091,8 @@ struct Lane {
 /// `first_loop..` of the fleet — on `workers` virtual workers numbered from
 /// `first_worker`, until every loop's next release falls past the horizon.
 /// `on_completion` sees each executed tick and answers with the stride
-/// stretch to apply to that loop.
-///
-/// With tracing on, each virtual worker keeps a flight recorder and a
-/// miss-storm window, and each loop's hysteresis health scorer — evaluated
-/// every [`HEALTH_WINDOW_TICKS`] completions — emits its transitions as
-/// spans; either can freeze a recorder into an [`Incident`].
+/// stretch to apply to that loop. With tracing on, a [`LaneWatch`] sees each
+/// completion too; untraced, nothing but the schedule runs.
 fn drive(
     slots: &mut [Slot],
     first_loop: usize,
@@ -1175,7 +1102,6 @@ fn drive(
     mut on_completion: impl FnMut(&MemberTickOutcome) -> f64,
 ) -> Lane {
     let (seed, horizon_s, tracer) = (frame.seed, frame.horizon_s, &*frame.tracer);
-    let traced = tracer.is_enabled();
     let mine = first_loop..first_loop + slots.len();
     let mut heap: BinaryHeap<Reverse<Release>> = frame
         .releases
@@ -1192,13 +1118,9 @@ fn drive(
         incidents: Vec::new(),
     };
     let mut worker_clock_s = vec![0.0f64; workers];
-    let recorder: Vec<FleetTracer> = (0..workers)
-        .map(|_| FleetTracer::with_capacity(FLIGHT_RECORDER_CAPACITY))
-        .collect();
-    let mut miss_window: Vec<VecDeque<bool>> = vec![VecDeque::new(); workers];
-    let mut scorers = vec![HealthScorer::new(); slots.len()];
-    let mut window_base: Vec<LoopStats> = frame.base[mine].to_vec();
-    let mut health_evals: Vec<u64> = vec![0; slots.len()];
+    let mut watch = tracer
+        .is_enabled()
+        .then(|| LaneWatch::new(frame, mine, workers));
 
     while let Some(Reverse(release)) = heap.pop() {
         lane.queue_depth.record(heap.len() as f64);
@@ -1210,9 +1132,7 @@ fn drive(
                 w = other;
             }
         }
-        let wid = first_worker + w;
-        let li = release.loop_idx - first_loop;
-        let slot = &mut slots[li];
+        let slot = &mut slots[release.loop_idx - first_loop];
         let (exec, spans) =
             execute_release(slot, &release, worker_clock_s[w], seed, tracer, |member| {
                 member.tick_once()
@@ -1227,72 +1147,12 @@ fn drive(
         let folded = [
             release.loop_idx as u64,
             release.release_idx,
-            wid as u64,
+            (first_worker + w) as u64,
             exec.completion_s.to_bits(),
         ];
         lane.trace_hash = fnv1a_words(lane.trace_hash, &folded);
-        if let Some((tick_span, tail_span)) = spans {
-            let ring = &recorder[w];
-            std::iter::once(tick_span)
-                .chain(tail_span)
-                .for_each(|span| ring.record(span));
-            // Miss-storm invariant: mostly-missing completions inside
-            // one worker's recent window freeze that worker's recorder.
-            let misses = &mut miss_window[w];
-            if misses.len() == MISS_STORM_WINDOW {
-                misses.pop_front();
-            }
-            misses.push_back(exec.missed);
-            if misses.len() == MISS_STORM_WINDOW
-                && misses.iter().filter(|&&m| m).count() >= MISS_STORM_THRESHOLD
-                && lane.incidents.len() < MAX_INCIDENTS
-            {
-                lane.incidents.push(Incident {
-                    worker: wid,
-                    loop_idx: release.loop_idx,
-                    at_s: exec.completion_s,
-                    reason: IncidentReason::MissStorm,
-                    spans: ring.spans(),
-                });
-                misses.clear();
-            }
-        }
-        // Health window: every HEALTH_WINDOW_TICKS completions of a loop,
-        // feed its windowed signals through the hysteresis scorer.
-        if slot.stats.ticks - window_base[li].ticks >= HEALTH_WINDOW_TICKS {
-            let signals = window_signals(
-                &slot.stats,
-                &window_base[li],
-                slot.handle.telemetry(),
-                &slot.spec,
-                lane.makespan_s,
-                slot.last_completion_s,
-            );
-            window_base[li] = slot.stats;
-            health_evals[li] += 1;
-            if let Some((from, to)) = scorers[li].observe(&signals) {
-                if traced {
-                    let node = release.loop_idx as u64;
-                    let trace_id = trace_mix(seed ^ HEALTH_TRACE_SALT, &[node]);
-                    let hctx =
-                        TraceContext::root(trace_id, &[SpanKind::Health.tag(), health_evals[li]]);
-                    let (detail, at_s) = (encode_transition(from, to), exec.completion_s);
-                    let healthy = to == HealthStatus::Healthy;
-                    let span = hctx.span(SpanKind::Health, node, detail, at_s, at_s, healthy);
-                    tracer.record(span);
-                    if to == HealthStatus::Critical && lane.incidents.len() < MAX_INCIDENTS {
-                        let mut spans = recorder[w].spans();
-                        spans.push(span);
-                        lane.incidents.push(Incident {
-                            worker: wid,
-                            loop_idx: release.loop_idx,
-                            at_s: exec.completion_s,
-                            reason: IncidentReason::HealthCollapse,
-                            spans,
-                        });
-                    }
-                }
-            }
+        if let (Some(watch), Some(spans)) = (watch.as_mut(), spans) {
+            watch.complete(slot, &release, &lane, w, &exec, spans);
         }
         if let Some(next) =
             next_release(slot, &release, exec.completion_s, stretch, horizon_s, seed)
@@ -1300,7 +1160,146 @@ fn drive(
             heap.push(Reverse(next));
         }
     }
+    lane.incidents = watch.map(|watch| watch.incidents).unwrap_or_default();
     lane
+}
+
+/// Salt for health-transition trace ids.
+const HEALTH_TRACE_SALT: u64 = 0x5C4E_D41F;
+
+/// Causal spans each worker's flight recorder retains (ring buffer).
+pub const FLIGHT_RECORDER_CAPACITY: usize = 32;
+
+/// Per-loop completion window between health evaluations in a run — small
+/// enough to catch a storm mid-run, large enough for the rates to mean
+/// something.
+pub const HEALTH_WINDOW_TICKS: u64 = 16;
+
+/// What a traced run observes beside one lane's schedule: each virtual
+/// worker keeps a flight recorder and a miss-storm window, and each loop's
+/// hysteresis health scorer — evaluated every [`HEALTH_WINDOW_TICKS`]
+/// completions — emits its transitions as `Health` spans; either can freeze
+/// a recorder into an [`Incident`]. It reads the slots and never writes
+/// them, so a traced run schedules exactly what an untraced one does.
+struct LaneWatch<'a> {
+    frame: &'a RunFrame,
+    first_loop: usize,
+    /// Per virtual worker: its recorder, how many of its recent completions
+    /// it has seen (to 8), and a bit per completion that missed.
+    workers: Vec<(FleetTracer, u32, u8)>,
+    /// Per loop: its scorer, its stats when its window opened, and how many
+    /// windows it has closed (a `Health` span's id).
+    loops: Vec<(sensact_core::HealthScorer, LoopStats, u64)>,
+    incidents: Vec<Incident>,
+}
+
+impl<'a> LaneWatch<'a> {
+    /// Sliding completion window the miss-storm invariant watches per
+    /// worker: one bit of the worker's miss mask per completion.
+    const MISS_STORM_WINDOW: u32 = u8::BITS;
+
+    /// Misses within the window that trip the invariant.
+    const MISS_STORM_THRESHOLD: u32 = 6;
+
+    fn new(frame: &'a RunFrame, loops: Range<usize>, workers: usize) -> Self {
+        let recorder = || (FleetTracer::with_capacity(FLIGHT_RECORDER_CAPACITY), 0, 0);
+        LaneWatch {
+            frame,
+            first_loop: loops.start,
+            workers: (0..workers).map(|_| recorder()).collect(),
+            loops: frame.base[loops]
+                .iter()
+                .map(|&base| (Default::default(), base, 0))
+                .collect(),
+            incidents: Vec::new(),
+        }
+    }
+
+    /// Health signals for one loop over a stats window `[base, slot.stats]`:
+    /// miss and drop rates over the window's releases, trust/retransmit
+    /// fractions from the loop's cumulative telemetry, and completion lag
+    /// against the fleet frontier in units of the loop's period.
+    fn signals(slot: &Slot, base: &LoopStats, frontier_s: f64) -> HealthSignals {
+        let ticks = slot.stats.ticks - base.ticks;
+        let misses = slot.stats.deadline_misses - base.deadline_misses;
+        let drops = slot.stats.drops - base.drops;
+        let telemetry = slot.handle.telemetry();
+        let comm = telemetry.comm_counters();
+        let staleness = if ticks == 0 {
+            0.0
+        } else {
+            ((frontier_s - slot.last_completion_s) / slot.spec.period_s).max(0.0)
+        };
+        HealthSignals {
+            miss_rate: misses as f64 / ticks.max(1) as f64,
+            drop_rate: drops as f64 / (ticks + drops).max(1) as f64,
+            trust_drift: telemetry.suspect_fraction(),
+            staleness,
+            retransmit_rate: comm.retransmits as f64 / comm.msgs_sent.max(1) as f64,
+        }
+    }
+
+    /// Observe one completion on `lane`'s worker `w`: its spans (the tick's
+    /// and any comm tail's) enter the worker's recorder, its miss the
+    /// worker's window, and the loop's health window closes when it is full.
+    /// Either invariant freezes the worker's recorder into an incident while
+    /// the run has room.
+    fn complete(
+        &mut self,
+        slot: &Slot,
+        release: &Release,
+        lane: &Lane,
+        w: usize,
+        exec: &MemberTickOutcome,
+        (tick_span, tail_span): (CausalSpan, Option<CausalSpan>),
+    ) {
+        let (ring, seen, misses) = &mut self.workers[w];
+        std::iter::once(tick_span)
+            .chain(tail_span)
+            .for_each(|span| ring.record(span));
+        let mut freeze = |reason, trigger: Option<CausalSpan>| {
+            if self.incidents.len() < MAX_INCIDENTS {
+                let mut spans = ring.spans();
+                spans.extend(trigger);
+                self.incidents.push(Incident {
+                    worker: lane.first_worker + w,
+                    loop_idx: release.loop_idx,
+                    at_s: exec.completion_s,
+                    reason,
+                    spans,
+                });
+            }
+        };
+        // Miss-storm invariant: mostly-missing completions inside one
+        // worker's recent window freeze that worker's recorder.
+        *seen = (*seen + 1).min(Self::MISS_STORM_WINDOW);
+        *misses = *misses << 1 | exec.missed as u8;
+        if *seen == Self::MISS_STORM_WINDOW && misses.count_ones() >= Self::MISS_STORM_THRESHOLD {
+            (*seen, *misses) = (0, 0);
+            freeze(IncidentReason::MissStorm, None);
+        }
+        // Health window: every HEALTH_WINDOW_TICKS completions of a loop,
+        // feed its windowed signals through the hysteresis scorer.
+        let (scorer, base, evals) = &mut self.loops[release.loop_idx - self.first_loop];
+        if slot.stats.ticks - base.ticks < HEALTH_WINDOW_TICKS {
+            return;
+        }
+        let signals = Self::signals(slot, base, lane.makespan_s);
+        *base = slot.stats;
+        *evals += 1;
+        if let Some((from, to)) = scorer.observe(&signals) {
+            let node = release.loop_idx as u64;
+            let trace_id = trace_mix(self.frame.seed ^ HEALTH_TRACE_SALT, &[node]);
+            let hctx = TraceContext::root(trace_id, &[SpanKind::Health.tag(), *evals]);
+            let (detail, at_s) = (encode_transition(from, to), exec.completion_s);
+            let healthy = to == HealthStatus::Healthy;
+            let span = hctx.span(SpanKind::Health, node, detail, at_s, at_s, healthy);
+            self.frame.tracer.record(span);
+            if to == HealthStatus::Critical {
+                freeze(IncidentReason::HealthCollapse, Some(span));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1903,6 +1902,71 @@ mod tests {
                 (Storm, 32, 0xf68f_345e_dbdb_653a),
             ]
         );
+    }
+
+    /// The lane watch observes and never perturbs: a fleet holding a miss
+    /// storm, a faulting member and a clean one reports the same bits with
+    /// the tracer off (no watch is built) and on (the watch scores health
+    /// and freezes incidents), on the deterministic driver with and without
+    /// a watts cap and on the threaded one without.
+    #[test]
+    fn an_untraced_run_reports_what_a_traced_run_reports() {
+        let build = |watts_cap, traced: bool| {
+            let mut sched = FleetScheduler::new(FleetConfig {
+                workers: 2,
+                watts_cap,
+                seed: 11,
+            });
+            if traced {
+                sched.set_tracer(Arc::new(FleetTracer::new()));
+            }
+            let budget = LoopSpec::periodic(1e-2).with_budget(1e-3);
+            sched.register(handle("stormy", 1e-6, 5e-3), budget);
+            sched.register(faulty_handle("faulty", 3), budget);
+            sched.register(handle("clean", 1e-6, 1e-4), LoopSpec::periodic(1e-2));
+            sched
+        };
+        // Every field but the incidents (the watch's output) and the wall
+        // clock, floats by their shortest round-tripping text.
+        let observable = |mut report: FleetReport| {
+            report.incidents.clear();
+            report.wall_s = 0.0;
+            format!("{report:?}")
+        };
+        // Three loops burn ~3e-4 W; a 1e-4 W cap throttles them.
+        for watts_cap in [None, Some(1e-4)] {
+            let run = |traced| {
+                let mut sched = build(watts_cap, traced);
+                let report = sched.run_deterministic(2.0, &mut SimClock::new());
+                let spans = sched.tracer().spans();
+                (report, spans)
+            };
+            let ((plain, no_spans), (traced, spans)) = (run(false), run(true));
+            assert_eq!(plain.throttle_events > 0, watts_cap.is_some());
+            assert!(plain.incidents.is_empty() && no_spans.is_empty());
+            assert!(traced.incidents.len() > 1, "the storm trips the recorder");
+            assert!(spans.iter().any(|s| s.kind == SpanKind::Health));
+            assert_eq!(plain.loop_health[0], HealthStatus::Critical);
+            assert_eq!(observable(plain), observable(traced), "cap {watts_cap:?}");
+        }
+        let threaded = |traced| build(None, traced).run(2.0);
+        let (plain, traced) = (threaded(false), threaded(true));
+        assert!(plain.incidents.is_empty() && !traced.incidents.is_empty());
+        assert_eq!(
+            (
+                plain.ticks,
+                plain.drops,
+                plain.deadline_misses,
+                plain.trace_hash
+            ),
+            (
+                traced.ticks,
+                traced.drops,
+                traced.deadline_misses,
+                traced.trace_hash
+            )
+        );
+        assert_eq!(plain.loop_health, traced.loop_health);
     }
 
     /// Satellite: fleet rollup. Merging every loop's telemetry export equals

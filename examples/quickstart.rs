@@ -16,7 +16,6 @@ use sensact::core::{EnergyBudget, LoopBuilder};
 #[derive(Debug)]
 struct ThrottledSensor {
     rate: f64,
-    resolution: f64,
 }
 
 impl SensingKnobs for ThrottledSensor {
@@ -25,12 +24,6 @@ impl SensingKnobs for ThrottledSensor {
     }
     fn set_rate(&mut self, r: f64) {
         self.rate = r.clamp(0.0, 1.0);
-    }
-    fn resolution(&self) -> f64 {
-        self.resolution
-    }
-    fn set_resolution(&mut self, r: f64) {
-        self.resolution = r.clamp(0.0, 1.0);
     }
 }
 
@@ -47,10 +40,7 @@ fn main() {
     let mut looop = LoopBuilder::new("quickstart")
         .with_budget(EnergyBudget::new(0.5))
         .build_full(
-            ThrottledSensor {
-                rate: 1.0,
-                resolution: 1.0,
-            },
+            ThrottledSensor { rate: 1.0 },
             FnPerceptor::new(|r: &f64, _: &mut StageContext| *r),
             sensact::core::stage::AlwaysTrust,
             FnController::new(|f: &f64, _t: Trust, _: &mut StageContext| -0.4 * f),

@@ -39,7 +39,10 @@ use common::{
     PINNED_FALLIBLE, PINNED_INFALLIBLE,
 };
 use sensact::core::checkpoint::{Checkpoint, CheckpointError, StageState};
-use sensact::core::{Checkpointed, LoopRunner, Snapshot, StageId, Tracer};
+use sensact::core::fault::StageError;
+use sensact::core::{
+    Checkpointed, LoopRunner, LoopTelemetry, Precision, Snapshot, StageId, Tracer, Trust,
+};
 use sensact::koopman::{LatentModel, MlpDynamics, ShootingController};
 use sensact::nn::conv::{Conv3d, Deconv3d, Dims3};
 use sensact::nn::{Initializer, Layer, Tensor};
@@ -608,4 +611,189 @@ fn every_restore_refuses_cleanly_or_holds_what_it_read() {
         findings.len(),
         findings.join("\n")
     );
+}
+
+/// A restorable telemetry counter: its wire key, its item when the key is a
+/// `U:` list, its type's maximum, one tick that counts it, and its reading.
+type Counter = (
+    &'static str,
+    Option<usize>,
+    u64,
+    fn(&mut LoopTelemetry),
+    fn(&LoopTelemetry) -> u64,
+);
+
+fn counters() -> Vec<Counter> {
+    vec![
+        (
+            "ticks",
+            None,
+            u64::MAX,
+            |t| t.record(1e-6, 1e-4, Trust::Trusted),
+            |t| t.ticks(),
+        ),
+        (
+            "precision_ticks",
+            Some(0),
+            u64::MAX,
+            |t| t.record(1e-6, 1e-4, Trust::Trusted),
+            |t| t.precision_ticks(Precision::F64),
+        ),
+        (
+            "suspect_streak",
+            None,
+            u32::MAX as u64,
+            |t| t.record(1e-6, 1e-4, Trust::Suspect(0.5)),
+            |t| t.current_suspect_streak() as u64,
+        ),
+        (
+            "fault_counters",
+            Some(0),
+            u64::MAX,
+            |t| t.record_fault(&StageError::Dropout),
+            |t| t.fault_counters().faults,
+        ),
+        (
+            "fault_counters",
+            Some(1),
+            u64::MAX,
+            |t| t.record_fault(&StageError::Dropout),
+            |t| t.fault_counters().dropouts,
+        ),
+        (
+            "fault_counters",
+            Some(2),
+            u64::MAX,
+            |t| {
+                t.record_fault(&StageError::Timeout {
+                    latency_s: 2.0,
+                    budget_s: 1.0,
+                })
+            },
+            |t| t.fault_counters().timeouts,
+        ),
+        (
+            "fault_counters",
+            Some(3),
+            u64::MAX,
+            |t| {
+                t.record_fault(&StageError::OutOfRange {
+                    value: 2.0,
+                    min: 0.0,
+                    max: 1.0,
+                })
+            },
+            |t| t.fault_counters().out_of_range,
+        ),
+        (
+            "fault_counters",
+            Some(4),
+            u64::MAX,
+            |t| t.record_fault(&StageError::Poisoned),
+            |t| t.fault_counters().poisoned,
+        ),
+        (
+            "fault_counters",
+            Some(5),
+            u64::MAX,
+            |t| t.record_retries(1),
+            |t| t.fault_counters().retries,
+        ),
+        (
+            "fault_counters",
+            Some(6),
+            u64::MAX,
+            |t| t.record_hold(),
+            |t| t.fault_counters().holds,
+        ),
+        (
+            "fault_counters",
+            Some(7),
+            u64::MAX,
+            |t| t.record_fallback(),
+            |t| t.fault_counters().fallbacks,
+        ),
+        (
+            "comm_counters",
+            Some(0),
+            u64::MAX,
+            |t| t.record_comm_tx(8, 0, true, 0.0),
+            |t| t.comm_counters().msgs_sent,
+        ),
+        (
+            "comm_counters",
+            Some(1),
+            u64::MAX,
+            |t| t.record_comm_tx(8, 0, true, 0.0),
+            |t| t.comm_counters().msgs_delivered,
+        ),
+        (
+            "comm_counters",
+            Some(2),
+            u64::MAX,
+            |t| t.record_comm_tx(8, 0, false, 0.0),
+            |t| t.comm_counters().msgs_dropped,
+        ),
+        (
+            "comm_counters",
+            Some(3),
+            u64::MAX,
+            |t| t.record_comm_tx(8, 1, true, 0.0),
+            |t| t.comm_counters().retransmits,
+        ),
+        (
+            "comm_counters",
+            Some(4),
+            u64::MAX,
+            |t| t.record_comm_tx(1, 0, true, 0.0),
+            |t| t.comm_counters().bytes_tx,
+        ),
+        (
+            "comm_counters",
+            Some(5),
+            u64::MAX,
+            |t| t.record_comm_rx(1),
+            |t| t.comm_counters().bytes_rx,
+        ),
+    ]
+}
+
+/// Every telemetry counter a restore can set wraps to 0 when a tick counts
+/// past its type's maximum, as release builds always did: a restored
+/// document never arms an overflow panic in a debug build.
+#[test]
+fn a_counter_restored_at_its_maximum_wraps_on_the_next_tick() {
+    let (header, sections) = parse_doc(&saved(&LoopTelemetry::new()).to_jsonl());
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let mut findings = Vec::new();
+    for (key, item, max, tick, read) in counters() {
+        let mut doc = sections.clone();
+        let field = doc[0].1.iter_mut().find(|(k, _)| k == key).unwrap();
+        field.1 = match item {
+            None => format!("u:{max}"),
+            Some(i) => {
+                let mut items: Vec<String> = field.1[2..].split(';').map(str::to_string).collect();
+                items[i] = max.to_string();
+                format!("U:{}", items.join(";"))
+            }
+        };
+        let doc = write_doc(&header, &doc);
+        let row = item.map_or(key.to_string(), |i| format!("{key}[{i}]"));
+        let wrapped = catch_unwind(AssertUnwindSafe(|| {
+            let mut t = LoopTelemetry::new();
+            t.restore_state(&doc, NS)
+                .expect("a counter at its maximum restores");
+            assert_eq!(read(&t), max, "restored as read");
+            tick(&mut t);
+            read(&t)
+        }));
+        match wrapped {
+            Ok(0) => {}
+            Ok(v) => findings.push(format!("{row}: {v} after one tick, not 0")),
+            Err(panic) => findings.push(format!("{row}: panicked: {}", panic_text(panic))),
+        }
+    }
+    std::panic::set_hook(hook);
+    assert!(findings.is_empty(), "{}", findings.join("\n"));
 }

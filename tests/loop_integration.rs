@@ -81,7 +81,6 @@ fn lidar_starnet_loop_distrusts_corruption_and_fails_safe() {
 struct AdaptiveLidarSensor {
     lidar: Lidar,
     rate: f64,
-    resolution: f64,
 }
 
 impl SensingKnobs for AdaptiveLidarSensor {
@@ -90,12 +89,6 @@ impl SensingKnobs for AdaptiveLidarSensor {
     }
     fn set_rate(&mut self, r: f64) {
         self.rate = r.clamp(0.05, 1.0);
-    }
-    fn resolution(&self) -> f64 {
-        self.resolution
-    }
-    fn set_resolution(&mut self, r: f64) {
-        self.resolution = r.clamp(0.0, 1.0);
     }
 }
 
@@ -117,7 +110,6 @@ fn action_to_sensing_adaptation_cuts_lidar_energy_when_quiet() {
         let sensor = AdaptiveLidarSensor {
             lidar: Lidar::new(LidarConfig::default()),
             rate: 1.0,
-            resolution: 1.0,
         };
         let perceptor = FnPerceptor::new(|n: &usize, _: &mut StageContext| *n as f64);
         let controller = FnController::new(|_f: &f64, _t: Trust, _: &mut StageContext| 0.0f64);
@@ -164,10 +156,6 @@ impl SensingKnobs for RateSensor {
     fn set_rate(&mut self, r: f64) {
         self.rate = r.clamp(0.0, 1.0);
     }
-    fn resolution(&self) -> f64 {
-        1.0
-    }
-    fn set_resolution(&mut self, _: f64) {}
 }
 
 impl Sensor<f64> for RateSensor {
