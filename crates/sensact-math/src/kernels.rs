@@ -277,8 +277,9 @@ const TRANSA_BLOCK: usize = 1 << 12;
 /// `C = alpha * A^T * B + beta * C`, with `a` stored row-major as `[k×m]`
 /// (i.e. A-transposed is never materialised).
 ///
-/// Used for `X^T * G` gradient shapes, the deconv lowering and the
-/// `B^T P A` terms of the Riccati recursion. Every path — the register-tiled
+/// Used for `X^T * G` gradient shapes and the `B^T P A` terms of the
+/// Riccati recursion; the conv layers' transposed products fold the same
+/// dots through [`fold_dots`] instead. Every path — the register-tiled
 /// SIMD kernels and the row-blocked scalar loop — multiplies, then adds, in
 /// ascending `k`, so the result is **bitwise identical** to
 /// [`gemm_naive`] on the explicit transpose on every host (never FMA:
@@ -334,7 +335,7 @@ pub(crate) const SIGN_BIT: u64 = 1 << 63;
 /// the terms of each element in ascending `i`, so all of them produce the
 /// bits of `t += if bit { -s } else { s }`.
 pub fn sign_fold(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f64]) {
-    sign_fold_on(crate::simd::sign_fold_arm(), base, steps, signs, out);
+    sign_fold_on(crate::simd::fold_arm(), base, steps, signs, out);
 }
 
 /// [`sign_fold`] on `arm`, or on the scalar loop where the host cannot run
@@ -364,7 +365,73 @@ fn sign_fold_on(
             *t += f64::from_bits(s.to_bits() ^ ((w << shift) & SIGN_BIT));
         }
     }
-    #[cfg(test)]
+    crate::simd::fold_ran(crate::simd::FoldArm::Scalar);
+}
+
+/// The transposed lowerings' fold: for every tap `[q, at]` of `taps` and
+/// lane `i < n`, `dst[at + i·s] += Σ_c w[c·ldw + q] · a[c·lda + i]`. Each
+/// dot starts at `+0.0` and multiplies, then adds, in ascending `c` with
+/// the weight as the left operand (never fused): an element of
+/// [`gemm_transa`]`(.., 1.0, w, a, 0.0, ..)`. It is added to `dst` once.
+///
+/// The `(tap, lane)` pairs must land on distinct elements of `dst`; then
+/// every arm — 512-bit lanes on an AVX-512F host, 256-bit lanes on an AVX2
+/// one, the scalar loop elsewhere and under `SENSACT_FORCE_SCALAR` —
+/// produces the same bits, whatever order it visits the pairs in.
+///
+/// # Panics
+///
+/// Panics if a tap or lane reaches past `w`, `a` or `dst`.
+pub fn fold_dots(
+    k: usize,
+    w: &[f64],
+    ldw: usize,
+    a: &[f64],
+    lda: usize,
+    n: usize,
+    taps: &[[usize; 2]],
+    s: usize,
+    dst: &mut [f64],
+) {
+    fold_dots_on(crate::simd::fold_arm(), k, w, ldw, a, lda, n, taps, s, dst);
+}
+
+/// [`fold_dots`] on `arm`, or on the scalar loop where the host cannot run
+/// it.
+fn fold_dots_on(
+    arm: crate::simd::FoldArm,
+    k: usize,
+    w: &[f64],
+    ldw: usize,
+    a: &[f64],
+    lda: usize,
+    n: usize,
+    taps: &[[usize; 2]],
+    s: usize,
+    dst: &mut [f64],
+) {
+    if n == 0 || taps.is_empty() {
+        return;
+    }
+    if crate::simd::fold_dots_f64(arm, k, w, ldw, a, lda, n, taps, s, dst) {
+        return;
+    }
+    let mut acc = [0.0f64; 8];
+    for &[q, at] in taps {
+        for i0 in (0..n).step_by(8) {
+            let acc = &mut acc[..(n - i0).min(8)];
+            acc.fill(0.0);
+            for c in 0..k {
+                let wv = w[c * ldw + q];
+                for (x, &av) in acc.iter_mut().zip(&a[c * lda + i0..]) {
+                    *x += wv * av;
+                }
+            }
+            for (i, &x) in acc.iter().enumerate() {
+                dst[at + (i0 + i) * s] += x;
+            }
+        }
+    }
     crate::simd::fold_ran(crate::simd::FoldArm::Scalar);
 }
 
@@ -952,6 +1019,104 @@ pub(crate) mod tests {
                         "the dispatched fold ran a narrower arm than {widest:?} at {case}"
                     );
                     check(&out, widest);
+                }
+            }
+        }
+    }
+
+    /// Every [`fold_dots`] arm the host can execute — the scalar loop, the
+    /// AVX2 one, the AVX-512 one — against the written-out chain, `to_bits`:
+    /// `k` from 0 up past 16, 1 to 17 lanes (one full vector, a masked tail,
+    /// several vectors), 1, 8 and more than 8 taps, strides 1, 2 and 3 with
+    /// the taps of one stride interleaved on one grid (so a store that
+    /// touched a lane it does not own would clobber another tap's sum),
+    /// every `a` operand cut to the last lane it holds. Hostile rounds seed
+    /// NaN and `±inf` weights, `-0.0` and NaN destinations and `-0.0`
+    /// operands; every NaN in play is [`X86_NAN`]. The dispatched fold must
+    /// run the host's widest arm.
+    #[test]
+    fn fold_dots_matches_the_written_out_chain() {
+        use crate::simd::{cpu_features, take_fold_arms_run, FoldArm};
+        let f = cpu_features();
+        let arms: Vec<FoldArm> = [
+            (true, FoldArm::Scalar),
+            (f.avx2, FoldArm::Avx2),
+            (f.avx512f, FoldArm::Zmm),
+        ]
+        .into_iter()
+        .filter_map(|(runs, arm)| runs.then_some(arm))
+        .collect();
+        let widest = crate::simd::fold_arm();
+        let mut rng = StdRng::seed_from_u64(0xD07F01D);
+        let value = |rng: &mut StdRng, hostile: bool, specials: &[f64]| {
+            if hostile && rng.random_range(0..6) == 0 {
+                specials[rng.random_range(0..specials.len())]
+            } else {
+                rng.random_range(-1.0..1.0) * 10f64.powi(rng.random_range(-4..4))
+            }
+        };
+        for s in 1..=3 {
+            for n in [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17] {
+                for k in [0usize, 1, 2, 3, 7, 8, 9, 16, 17] {
+                    for t in [1, 2, 3, 5, 7, 8, 9, 16, 17] {
+                        let hostile = (s + n + k + t) % 2 == 0;
+                        let (lda, ldw) = (n + (k + t) % 3, t + 2);
+                        let a: Vec<f64> = (0..k.saturating_sub(1) * lda + n)
+                            .map(|_| value(&mut rng, hostile, &[-0.0, 0.0]))
+                            .collect();
+                        let w: Vec<f64> = (0..k * ldw)
+                            .map(|_| {
+                                let specials = [X86_NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0];
+                                value(&mut rng, hostile, &specials)
+                            })
+                            .collect();
+                        // Taps `s` to a grid, interleaved, grids apart by a
+                        // gap; listed in shuffled order.
+                        let grid = n * s + 3;
+                        let mut taps: Vec<[usize; 2]> = (0..t)
+                            .map(|g| [rng.random_range(0..ldw), g / s * grid + g % s])
+                            .collect();
+                        for i in (1..t).rev() {
+                            taps.swap(i, rng.random_range(0..=i));
+                        }
+                        let base: Vec<f64> = (0..t.div_ceil(s) * grid)
+                            .map(|_| value(&mut rng, hostile, &[-0.0, X86_NAN]))
+                            .collect();
+                        let mut want = base.clone();
+                        for &[q, at] in &taps {
+                            for i in 0..n {
+                                let mut dot = 0.0;
+                                for c in 0..k {
+                                    dot += w[c * ldw + q] * a[c * lda + i];
+                                }
+                                want[at + i * s] += dot;
+                            }
+                        }
+                        let case = format!("s={s} n={n} k={k} taps={t} hostile={hostile}");
+                        let check = |got: &[f64], arm: FoldArm| {
+                            for (j, (x, y)) in want.iter().zip(got).enumerate() {
+                                assert!(
+                                    x.to_bits() == y.to_bits(),
+                                    "{arm:?} fold_dots not bitwise at {case} element {j}: {y:e} vs {x:e}"
+                                );
+                            }
+                        };
+                        for &arm in &arms {
+                            let mut got = base.clone();
+                            take_fold_arms_run();
+                            fold_dots_on(arm, k, &w, ldw, &a, lda, n, &taps, s, &mut got);
+                            assert_eq!(take_fold_arms_run(), 1 << arm as u32, "{arm:?} at {case}");
+                            check(&got, arm);
+                        }
+                        let mut got = base.clone();
+                        fold_dots(k, &w, ldw, &a, lda, n, &taps, s, &mut got);
+                        assert_eq!(
+                            take_fold_arms_run(),
+                            1 << widest as u32,
+                            "the dispatched fold ran a narrower arm than {widest:?} at {case}"
+                        );
+                        check(&got, widest);
+                    }
                 }
             }
         }

@@ -66,11 +66,13 @@
 //! time, so an operand that is a view of something smaller (a conv's im2col
 //! patches) is unfolded straight into the panel and never materialised.
 //!
-//! One kernel here is not a GEMM: the vector arms of
-//! [`sign_fold`](crate::kernels::sign_fold), on 256-bit lanes where AVX2 is
-//! present and 512-bit lanes where AVX-512F is too. They only negate (a
-//! sign-bit XOR) and add, in the scalar loop's order, so they are bitwise
-//! identical to that loop.
+//! Two kernels here are not GEMMs, and run on 256-bit lanes where AVX2 is
+//! present and 512-bit lanes where AVX-512F is too: the vector arms of
+//! [`sign_fold`](crate::kernels::sign_fold), which only negate (a sign-bit
+//! XOR) and add, and those of [`fold_dots`](crate::kernels::fold_dots),
+//! which multiply then add each dot from `+0.0` and add it to its output
+//! element once. Both follow their scalar loop's per-element order, so they
+//! are bitwise identical to it.
 
 use std::sync::OnceLock;
 
@@ -397,11 +399,13 @@ pub(crate) fn gemm_tile_f64<const DOT: bool, S: PanelSource>(
     }
 }
 
-/// The arms of [`sign_fold`](crate::kernels::sign_fold). Each runs every
-/// element's sum in the same sequence; they differ only in how many
-/// elements advance together.
+/// The arms of the two fold kernels, [`sign_fold`](crate::kernels::sign_fold)
+/// and [`fold_dots`](crate::kernels::fold_dots). Each runs every element's
+/// sum in the same sequence; they differ only in how many elements advance
+/// together.
+#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum FoldArm {
+pub enum FoldArm {
     /// The scalar loop in `kernels`.
     Scalar,
     /// 256-bit lanes: four elements a vector.
@@ -410,10 +414,10 @@ pub(crate) enum FoldArm {
     Zmm,
 }
 
-/// The widest sign-fold arm this host runs: the 512-bit one where AVX-512F
-/// is present, the 256-bit one where AVX2 is, and the scalar loop otherwise
-/// or under `SENSACT_FORCE_SCALAR`.
-pub(crate) fn sign_fold_arm() -> FoldArm {
+/// The widest fold arm this host runs: the 512-bit one where AVX-512F is
+/// present, the 256-bit one where AVX2 is, and the scalar loop otherwise or
+/// under `SENSACT_FORCE_SCALAR`.
+pub(crate) fn fold_arm() -> FoldArm {
     let f = cpu_features();
     if f.forced_scalar || !f.avx2 {
         FoldArm::Scalar
@@ -424,22 +428,20 @@ pub(crate) fn sign_fold_arm() -> FoldArm {
     }
 }
 
-#[cfg(test)]
 thread_local! {
     static FOLD_ARMS_RUN: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
 }
 
-/// Records that this thread's sign fold ran `arm` (tests only).
-#[cfg(test)]
+/// Records that one of this thread's folds ran `arm`.
 pub(crate) fn fold_ran(arm: FoldArm) {
     FOLD_ARMS_RUN.with(|t| t.set(t.get() | 1 << arm as u32));
 }
 
-/// The sign-fold arms this thread ran since the last call, as a mask of
+/// The fold arms this thread ran since the last call, as a mask of
 /// `1 << arm as u32` bits; the call clears it. The twin of
-/// [`take_tiles_run`]: a test asserts the fold ran its host's widest arm.
-#[cfg(test)]
-pub(crate) fn take_fold_arms_run() -> u32 {
+/// [`take_tiles_run`]: a test asserts a fold ran its host's widest arm.
+#[doc(hidden)]
+pub fn take_fold_arms_run() -> u32 {
     FOLD_ARMS_RUN.with(|t| t.replace(0))
 }
 
@@ -466,7 +468,6 @@ pub(crate) fn sign_fold_f64(
             FoldArm::Avx2 if f.avx2 => unsafe { sign_fold_avx2(base, steps, signs, out) },
             _ => return false,
         }
-        #[cfg(test)]
         fold_ran(arm);
         true
     }
@@ -638,6 +639,251 @@ unsafe fn sign_fold_zmm(base: &[f64], steps: &[f64], signs: &[u64], out: &mut [f
     if vectors < p {
         let tail = (1u8 << (p - vectors)) - 1;
         sign_fold_zmm_block::<1>(base, steps, signs, out, vectors, tail);
+    }
+}
+
+/// The operands of one [`fold_dots`](crate::kernels::fold_dots) call, as
+/// raw pointers for the vector arms: lane `i` of tap `[q, at]` is the dot
+/// of `w[c·ldw + q]` and `a[c·lda + i]` over `c < k`, added to `dst[at +
+/// i·s]`.
+#[cfg(target_arch = "x86_64")]
+struct Dots {
+    k: usize,
+    w: *const f64,
+    ldw: usize,
+    a: *const f64,
+    lda: usize,
+    n: usize,
+    s: usize,
+    dst: *mut f64,
+}
+
+/// A tile of `T` taps of [`Dots`], for one vector width.
+#[cfg(target_arch = "x86_64")]
+type DotsTile = unsafe fn(&Dots, &[[usize; 2]]);
+
+/// The vector `arm` of [`fold_dots`](crate::kernels::fold_dots). Returns
+/// `false` with `dst` untouched when the caller must run the scalar loop:
+/// `arm` is [`FoldArm::Scalar`] or needs an ISA the host lacks (non-x86
+/// included).
+///
+/// # Panics
+///
+/// Panics if a tap or lane reaches past `w`, `a` or `dst`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn fold_dots_f64(
+    arm: FoldArm,
+    k: usize,
+    w: &[f64],
+    ldw: usize,
+    a: &[f64],
+    lda: usize,
+    n: usize,
+    taps: &[[usize; 2]],
+    s: usize,
+    dst: &mut [f64],
+) -> bool {
+    // Whether `first + step·(count − 1)`, the last index a run of `count`
+    // reads or writes, lies below `len` (an empty run reaches nothing).
+    let fits = |first: usize, step: usize, count: usize, len: usize| {
+        let last = step
+            .checked_mul(count.wrapping_sub(1))
+            .and_then(|o| o.checked_add(first));
+        count == 0 || last.is_some_and(|i| i < len)
+    };
+    assert!(
+        n == 0 || fits(n - 1, lda, k, a.len()),
+        "fold_dots: a lane past a"
+    );
+    for &[q, at] in taps {
+        assert!(
+            fits(q, ldw, k, w.len()) && fits(at, s, n, dst.len()),
+            "fold_dots: tap [{q}, {at}] past w or dst"
+        );
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        let f = cpu_features();
+        let tiles: [DotsTile; 8] = match arm {
+            FoldArm::Zmm if f.avx512f => [
+                dots_zmm::<1>,
+                dots_zmm::<2>,
+                dots_zmm::<3>,
+                dots_zmm::<4>,
+                dots_zmm::<5>,
+                dots_zmm::<6>,
+                dots_zmm::<7>,
+                dots_zmm::<8>,
+            ],
+            FoldArm::Avx2 if f.avx2 => [
+                dots_avx2::<1>,
+                dots_avx2::<2>,
+                dots_avx2::<3>,
+                dots_avx2::<4>,
+                dots_avx2::<5>,
+                dots_avx2::<6>,
+                dots_avx2::<7>,
+                dots_avx2::<8>,
+            ],
+            _ => return false,
+        };
+        let (w, a, dst) = (w.as_ptr(), a.as_ptr(), dst.as_mut_ptr());
+        let op = Dots {
+            k,
+            w,
+            ldw,
+            a,
+            lda,
+            n,
+            s,
+            dst,
+        };
+        for tile in taps.chunks(8) {
+            // SAFETY: the arm's ISA was detected above, and every index the
+            // tile's taps and the lanes reach was checked on entry.
+            unsafe { tiles[tile.len() - 1](&op, tile) };
+        }
+        fold_ran(arm);
+        true
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = (arm, k, w, ldw, a, lda, n, taps, s, dst);
+        false
+    }
+}
+
+/// `T` taps of `op` on 512-bit lanes, eight sites a vector (the last one
+/// masked): each tap's dots start at `+0.0`, multiply then add in
+/// ascending `c` with the weight as the left operand, and are added to
+/// `dst` once ([`add_lanes_zmm`]).
+///
+/// # Safety
+///
+/// The host must support AVX-512F; `T == taps.len()`, and every index `op`
+/// reaches through `taps` and the `n` lanes is in bounds.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn dots_zmm<const T: usize>(op: &Dots, taps: &[[usize; 2]]) {
+    use std::arch::x86_64::*;
+    let wp: [*const f64; T] = std::array::from_fn(|g| op.w.add(taps[g][0]));
+    let dp: [*mut f64; T] = std::array::from_fn(|g| op.dst.add(taps[g][1]));
+    for i0 in (0..op.n).step_by(8) {
+        let mask = (u16::MAX >> (16 - (op.n - i0).min(8))) as u8;
+        let a = op.a.add(i0);
+        let mut acc = [_mm512_setzero_pd(); T];
+        for c in 0..op.k {
+            let av = _mm512_maskz_loadu_pd(mask, a.add(c * op.lda));
+            for (x, w) in acc.iter_mut().zip(&wp) {
+                let wv = _mm512_set1_pd(*w.add(c * op.ldw));
+                *x = _mm512_add_pd(*x, _mm512_mul_pd(wv, av));
+            }
+        }
+        for (&x, d) in acc.iter().zip(&dp) {
+            add_lanes_zmm(d.add(i0 * op.s), op.s, mask, x);
+        }
+    }
+}
+
+/// `d[i·s] += x[i]` for the lanes `i` of `mask` (the low bits): a masked
+/// add where `s` is 1; where it is 2, lanes `0..4` spread over every other
+/// element of the first eight and lanes `4..8` of the next eight, two
+/// masked adds; element by element above.
+///
+/// # Safety
+///
+/// The host must support AVX-512F; `d[i·s]` is in bounds for every lane of
+/// `mask`, and lane 0 is one of them.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn add_lanes_zmm(d: *mut f64, s: usize, mask: u8, x: std::arch::x86_64::__m512d) {
+    use std::arch::x86_64::*;
+    match s {
+        1 => {
+            let v = _mm512_maskz_loadu_pd(mask, d);
+            _mm512_mask_storeu_pd(d, mask, _mm512_add_pd(v, x));
+        }
+        2 => {
+            let spread = |m: u8| (0..4).fold(0u8, |r, j| r | (m >> j & 1) << (2 * j));
+            let lo = _mm512_setr_epi64(0, 0, 1, 1, 2, 2, 3, 3);
+            let hi = _mm512_setr_epi64(4, 4, 5, 5, 6, 6, 7, 7);
+            for (half, idx, m) in [(0, lo, spread(mask)), (8, hi, spread(mask >> 4))] {
+                if m == 0 {
+                    continue;
+                }
+                let d = d.add(half);
+                let v = _mm512_maskz_loadu_pd(m, d);
+                let x = _mm512_permutexvar_pd(idx, x);
+                _mm512_mask_storeu_pd(d, m, _mm512_add_pd(v, x));
+            }
+        }
+        s => {
+            let mut t = [0.0; 8];
+            _mm512_storeu_pd(t.as_mut_ptr(), x);
+            for (i, &t) in t[..mask.count_ones() as usize].iter().enumerate() {
+                *d.add(i * s) += t;
+            }
+        }
+    }
+}
+
+/// [`dots_zmm`] on 256-bit lanes, four sites a vector: the same
+/// per-element sequence, the masks built from lane indices.
+///
+/// # Safety
+///
+/// The host must support AVX2; otherwise as [`dots_zmm`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn dots_avx2<const T: usize>(op: &Dots, taps: &[[usize; 2]]) {
+    use std::arch::x86_64::*;
+    let wp: [*const f64; T] = std::array::from_fn(|g| op.w.add(taps[g][0]));
+    let dp: [*mut f64; T] = std::array::from_fn(|g| op.dst.add(taps[g][1]));
+    let lanes = _mm256_setr_epi64x(0, 1, 2, 3);
+    for i0 in (0..op.n).step_by(4) {
+        let live = (op.n - i0).min(4);
+        let mask = _mm256_cmpgt_epi64(_mm256_set1_epi64x(live as i64), lanes);
+        let on = |i: usize| -i64::from(i < live);
+        let a = op.a.add(i0);
+        let mut acc = [_mm256_setzero_pd(); T];
+        for c in 0..op.k {
+            let av = _mm256_maskload_pd(a.add(c * op.lda), mask);
+            for (x, w) in acc.iter_mut().zip(&wp) {
+                let wv = _mm256_set1_pd(*w.add(c * op.ldw));
+                *x = _mm256_add_pd(*x, _mm256_mul_pd(wv, av));
+            }
+        }
+        for (x, d) in acc.iter().zip(&dp) {
+            let d = d.add(i0 * op.s);
+            match op.s {
+                1 => {
+                    let v = _mm256_maskload_pd(d, mask);
+                    _mm256_maskstore_pd(d, mask, _mm256_add_pd(v, *x));
+                }
+                2 => {
+                    let halves = [
+                        (0, _mm256_permute4x64_pd::<0x50>(*x), [on(0), on(1)]),
+                        (4, _mm256_permute4x64_pd::<0xFA>(*x), [on(2), on(3)]),
+                    ];
+                    for (half, x, [m0, m1]) in halves {
+                        if m0 == 0 {
+                            continue;
+                        }
+                        let (d, m) = (d.add(half), _mm256_setr_epi64x(m0, 0, m1, 0));
+                        let v = _mm256_maskload_pd(d, m);
+                        _mm256_maskstore_pd(d, m, _mm256_add_pd(v, x));
+                    }
+                }
+                s => {
+                    let mut t = [0.0; 4];
+                    _mm256_storeu_pd(t.as_mut_ptr(), *x);
+                    for (i, &t) in t[..live].iter().enumerate() {
+                        *d.add(i * s) += t;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -18,12 +18,12 @@
 //!   the same all-`+0.0` patch, padding included, so that one column is
 //!   copied to all of them. The tier stays pinned on the dense
 //!   `(cout, out_volume, cin·k³)`, never on the listed width.
-//! - [`Deconv3d`] multiplies only the input sites holding a value, plus one
-//!   all-zero column that stands for the others, and folds in ascending site
-//!   order. The zero column's contributions are skipped when its row is all
-//!   `+0.0` and no output seed is `-0.0`: `x + (+0.0)` is `x` for every `x`
-//!   but `-0.0`, and a sum that does not start at `-0.0` never reaches it.
-//!   Otherwise they are folded.
+//! - [`Deconv3d`] folds only the input sites holding a value, in ascending
+//!   site order. Every other site's column is all `+0.0`, so its dots are
+//!   `+0.0` unless a weight is not finite; they are skipped when every
+//!   weight is finite and no output seed is `-0.0`: `x + (+0.0)` is `x` for
+//!   every `x` but `-0.0`, and a sum that does not start at `-0.0` never
+//!   reaches it. Otherwise every site is folded.
 //!
 //! Both are `to_bits`-identical to the dense lowering, in training and
 //! inference alike: each layer has one row-level forward,
@@ -38,22 +38,26 @@
 //! grid copied inside a `+0.0` border as wide as the windows reach, so a
 //! padding tap is a read like any other: one walker over two offset tables,
 //! no bounds test per tap. The halo is a per-thread buffer, zeroed where it
-//! grows or another window takes it over; a call copies just the interior.
+//! grows; where another window takes it over, only that window's border is
+//! zeroed. A call copies just the interior.
 //! `Patches` (a site per lane) feeds the conv forward and the deconv input
 //! gradient, a conv forward of `grad_out`; `SiteRows` (a tap per lane)
 //! feeds both weight gradients. The tier is pinned on the dense shape: FMA
 //! from `2¹⁴` multiply-adds per row up; below, the multiply-then-add tile
 //! in dot mode (the scalar row-dot's bits) or chain mode (`gemm`'s).
 //!
-//! **The fold is tap-major.** The transposed products (deconv forward, conv
-//! input gradient) run in cache-sized blocks of sites, each folded as soon
-//! as it is multiplied: runs of sites consecutive along an x row, and within
-//! a run the taps with `kw` descending, each over the whole run (a slice add
-//! at stride 1). Every grid element still takes its sites in ascending
-//! order, as the oracle's site-major fold does, so the sums are
-//! bit-identical: the sites of one run reaching one element share its `c`,
-//! `kd` and `kh`, so a larger `kw` is an earlier site; one tap never lands
-//! two sites on one element; runs and blocks go in ascending order.
+//! **The fold writes no column.** The transposed products (deconv forward,
+//! conv input gradient) go in runs of listed sites consecutive along an x
+//! row, runs ascending; within a run, one [`kernels::fold_dots`] per `kw`,
+//! descending, over every in-grid `(c, kd, kh)` tap and the run's sites
+//! that tap lands inside the grid: each dot (`+0.0` plus the ascending-`k`
+//! products, multiply then add — an element of `gemm_transa`'s product) is
+//! added straight into the output, at stride `stride`. Every grid element still takes its
+//! sites in ascending order, as the oracle's site-major fold does, so the
+//! sums are bit-identical: the sites of one run reaching one element share
+//! its `c`, `kd` and `kh`, so a larger `kw` is an earlier site; within one
+//! `kw` every `(tap, site)` pair lands on its own element; runs go in
+//! ascending order.
 //!
 //! The bit oracle (the materialised lowering and backward, the site-major
 //! fold) and an input-side gather formulation that agrees to rounding live
@@ -107,11 +111,6 @@ fn deconv_out(extent: usize, kernel: usize, stride: usize, pad: usize) -> Option
         .checked_add(kernel)?
         .checked_sub(pad.checked_mul(2)?)
 }
-
-/// Doubles in one block of the transposed lowerings' column scratch
-/// (128 KiB): a block of sites is multiplied and folded while it is still
-/// L2-resident, so the full column matrix never exists.
-const FOLD_BLOCK: usize = 1 << 14;
 
 /// The first `len` elements of a scratch buffer, grown on demand with
 /// `+0.0` (the rest is whatever the last call left: callers overwrite).
@@ -189,56 +188,29 @@ impl Window {
         (self.pad.saturating_sub(first).min(hi), hi)
     }
 
-    /// Fold a block's product back onto `dst` (`[channels, grid]`),
-    /// tap-major (module docs), padding taps dropped: `col` is
-    /// `[channels·k³ × r]`, and site `p` takes column `row` for each
-    /// `(row, p)` of `sites` (`p` ascending). A run reads consecutive
-    /// columns, or column `stand_in` throughout.
-    fn fold_taps(
-        &self,
-        sites: impl IntoIterator<Item = (usize, usize)>,
-        stand_in: usize,
-        col: &[f64],
-        r: usize,
-        dst: &mut [f64],
-    ) {
-        let w = self.sites.w;
-        // The open run: first site, its x, first column, length (0: none
-        // open) and column step. A sentinel site flushes the last run.
-        let mut run = (0, 0, 0, 0, 0);
-        for (row, p) in sites.into_iter().chain([(0, usize::MAX)]) {
-            let (p0, x0, row0, n, step) = run;
-            if n > 0 && p == p0 + n && x0 + n < w && row == row0 + n * step {
-                run.3 += 1;
-                continue;
-            }
-            if n > 0 {
-                self.fold_run(p0, row0, n, step, col, r, dst);
-            }
-            run = (p, p % w, row, 1, usize::from(row != stand_in));
-        }
-    }
-
-    /// Fold the `n` sites from `p0` along one x row, site `p0 + i` taking
-    /// column `row0 + i·step` of `col` (`[channels·k³ × r]`): `kw`
-    /// descending, then every in-grid `(c, kd, kh)`, each over the run.
+    /// `dst += fold(aᵀ · w)` over the `n` sites from `p0` along one x row:
+    /// per `kw`, descending, one [`kernels::fold_dots`] of every in-grid
+    /// `(c, kd, kh)` tap against the run's sites whose tap `kw` lands inside
+    /// the grid row. `a` is `[k × sites]`, `w` is `[k × channels·k³]`; `taps`
+    /// is scratch.
     #[allow(clippy::too_many_arguments)]
     fn fold_run(
         &self,
         p0: usize,
-        row0: usize,
         n: usize,
-        step: usize,
-        col: &[f64],
-        r: usize,
+        k: usize,
+        a: &[f64],
+        w: &[f64],
+        taps: &mut Vec<[usize; 2]>,
         dst: &mut [f64],
     ) {
-        let (k, s, pad, g) = (self.kernel, self.stride, self.pad, self.grid);
-        let (h, w) = (self.sites.h, self.sites.w);
-        let (sz, sy, sx) = (p0 / (h * w), p0 / w % h, p0 % w);
+        let (kern, s, pad, g) = (self.kernel, self.stride, self.pad, self.grid);
+        let (h, sw) = (self.sites.h, self.sites.w);
+        let (sz, sy, sx) = (p0 / (h * sw), p0 / sw % h, p0 % sw);
         let (d0, d1) = self.taps(sz, g.d);
         let (h0, h1) = self.taps(sy, g.h);
-        for kw in (0..k).rev() {
+        let (len, vol) = (self.patch_len(), self.sites.volume());
+        for kw in (0..kern).rev() {
             // The run's sites whose tap `kw` lands inside the grid row: site
             // `sx + i` sits at padded column `(sx + i)·s + kw`.
             let first = sx * s + kw;
@@ -247,28 +219,20 @@ impl Window {
             if la >= lb {
                 continue;
             }
-            let (x, len) = (first + la * s - pad, lb - la);
+            let x = first + la * s - pad;
+            taps.clear();
             for c in 0..self.channels {
                 for kd in d0..d1 {
                     let z = sz * s + kd - pad;
                     for kh in h0..h1 {
                         let y = sy * s + kh - pad;
-                        let q = ((c * k + kd) * k + kh) * k + kw;
-                        let at = ((c * g.d + z) * g.h + y) * g.w + x;
-                        let src = &col[q * r + row0 + la * step..];
-                        if s == 1 && step == 1 {
-                            for (d, v) in dst[at..at + len].iter_mut().zip(src) {
-                                *d += *v;
-                            }
-                        } else {
-                            let dst = dst[at..].iter_mut().step_by(s).take(len);
-                            for (i, d) in dst.enumerate() {
-                                *d += src[i * step];
-                            }
-                        }
+                        let q = ((c * kern + kd) * kern + kh) * kern + kw;
+                        taps.push([q, ((c * g.d + z) * g.h + y) * g.w + x]);
                     }
                 }
             }
+            let a = &a[p0 + la..];
+            kernels::fold_dots(k, w, len, a, vol, lb - la, taps, s, dst);
         }
     }
 
@@ -310,17 +274,15 @@ impl Window {
     /// `dst += fold(aᵀ · w)`: the product both transposed lowerings share
     /// (deconv forward: `a` = input row, `dst` = bias-filled output; conv
     /// backward: `a` = output gradient, `dst` = input gradient). `a` is
-    /// `[k × sites]`, `w` is `[k × channels·k³]`. Runs in blocks of sites
-    /// sized to stay in L2: gather the block's columns of `a`, multiply
-    /// (`wᵀ · a_block`, one column per site), fold tap-major
-    /// ([`Window::fold_run`]), move on.
+    /// `[k × sites]`, `w` is `[k × channels·k³]`. Each run of listed sites
+    /// along an x row folds through [`Window::fold_run`], runs ascending:
+    /// every product goes straight into `dst`, no column is written.
     ///
-    /// With `sparse`, a block gathers only sites whose column of `a` holds a
-    /// value, plus one all-zero column standing for every other site: its
-    /// product is what each of them would fold. Sites still fold in ascending
-    /// order; the stand-in column is skipped when it is all `+0.0` and no
-    /// `dst` element is `-0.0` (module docs), and folded for each of them
-    /// otherwise.
+    /// With `sparse`, only the sites whose column of `a` holds a value are
+    /// listed, unless the all-`+0.0` column every other site has would fold
+    /// (module docs): its dots are `+0.0` unless a weight is not finite, and
+    /// adding `+0.0` moves only a `-0.0`. Then every site is listed, and an
+    /// unlisted site's dots are exactly that column's.
     fn fold_product(
         &self,
         k: usize,
@@ -330,85 +292,35 @@ impl Window {
         scratch: &mut Scratch,
         dst: &mut [f64],
     ) {
-        let (len, n) = (self.patch_len(), self.sites.volume());
+        let n = self.sites.volume();
         let Scratch {
-            block,
-            a_block,
-            sites,
-            flags,
-            ..
+            sites, flags, taps, ..
         } = scratch;
         sites.clear();
         if sparse {
             let active = held(a, n, flags);
             sites.extend((0..n).filter(|&p| active[p]));
-        } else {
+        }
+        if sites.len() < n
+            && (!sparse
+                || w.iter().any(|v| !v.is_finite())
+                || dst.iter().any(|v| v.to_bits() == (-0.0f64).to_bits()))
+        {
+            sites.clear();
             sites.extend(0..n);
         }
-        let ns = sites.len();
-        // One all-zero column where some site is left out.
-        let zero = usize::from(ns < n);
-        // Whether the stand-in row folds, decided on the first block: the
-        // row is the same in every block, and `dst` never turns `-0.0`
-        // while the row is skipped.
-        let mut stand_in_folds = None;
-        // Listed sites per block: a multiple of every register-tile height,
-        // so only the last block of a call runs edge tiles.
-        let per = (FOLD_BLOCK / len / 8 * 8).clamp(1, n);
-        let col = grown(block, (per + zero) * len);
-        let a_block = grown(a_block, k * (per + zero));
-        let blocks = ns.div_ceil(per).max(zero);
-        // The first site the fold has not reached.
-        let mut next = 0;
-        for b in 0..blocks {
-            let listed = &sites[(b * per).min(ns)..((b + 1) * per).min(ns)];
-            let r = listed.len() + zero;
-            let a_block = &mut a_block[..k * r];
-            for (dst_row, src_row) in a_block.chunks_exact_mut(r).zip(a.chunks_exact(n)) {
-                match listed {
-                    [p0, .., p1] if p1 - p0 + 1 == listed.len() => {
-                        dst_row[..listed.len()].copy_from_slice(&src_row[*p0..=*p1]);
-                    }
-                    _ => {
-                        for (d, &p) in dst_row.iter_mut().zip(listed) {
-                            *d = src_row[p];
-                        }
-                    }
-                }
-                dst_row[listed.len()..].fill(0.0);
-            }
-            // `[len × r]`, a column per site: the bits of `[r × len]`, each
-            // element one ascending-`k` multiply-then-add either way.
-            let col = &mut col[..len * r];
-            kernels::gemm_transa(len, r, k, 1.0, w, a_block, 0.0, col);
-            // This block folds sites `next..end`: through its last listed
-            // site, or through the last site of all.
-            let end = if b + 1 == blocks {
-                n
-            } else {
-                listed[listed.len() - 1] + 1
-            };
-            let stand_in = listed.len();
-            let folds = zero == 1
-                && *stand_in_folds.get_or_insert_with(|| {
-                    col[stand_in..].iter().step_by(r).any(|v| v.to_bits() != 0)
-                        || dst.iter().any(|v| v.to_bits() == (-0.0f64).to_bits())
-                });
-            if !folds {
-                self.fold_taps(listed.iter().copied().enumerate(), stand_in, col, r, dst);
-            } else {
-                let mut at = 0;
-                let rows = (next..end).map(|p| {
-                    if listed.get(at) == Some(&p) {
-                        at += 1;
-                        (at - 1, p)
-                    } else {
-                        (stand_in, p)
-                    }
-                });
-                self.fold_taps(rows, stand_in, col, r, dst);
-            }
-            next = end;
+        let sw = self.sites.w;
+        let mut rest = &sites[..];
+        while let [p0, ..] = *rest {
+            // The run: consecutive listed sites, cut at the end of the x row.
+            let row_end = (p0 / sw + 1) * sw;
+            let len = rest
+                .iter()
+                .zip(p0..row_end)
+                .take_while(|&(&p, want)| p == want)
+                .count();
+            self.fold_run(p0, len, k, a, w, taps, dst);
+            rest = &rest[len..];
         }
     }
 }
@@ -417,10 +329,6 @@ impl Window {
 /// never checkpointed.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
-    /// One block of columns of a transposed lowering.
-    block: Vec<f64>,
-    /// The matching block of the transposed operand, gathered contiguous.
-    a_block: Vec<f64>,
     /// The sites a lowering lists, ascending.
     sites: Vec<usize>,
     /// The grid voxels holding a value on some channel (conv forward), or
@@ -428,6 +336,9 @@ struct Scratch {
     flags: Vec<bool>,
     /// The sites a value reaches (conv forward).
     reached: Vec<bool>,
+    /// The `[weight column, dst offset]` taps of one fold (transposed
+    /// lowerings).
+    taps: Vec<[usize; 2]>,
 }
 
 thread_local! {
@@ -444,9 +355,10 @@ fn with_halo<R>(win: &Window, rows: &[&[f64]], f: impl FnOnce(Halo) -> R) -> R {
 
 /// Storage behind [`Halo`]: per source row, the grid at offset `pad` in a
 /// `+0.0` border `(sites − 1)·stride + kernel` wide per axis, and the two
-/// offset tables. Zeroed where it grows and when another window fills it, so
-/// only the window it holds has written it since, always the same interior:
-/// the border stays `+0.0`.
+/// offset tables. Zeroed where it grows; when another window fills it, the
+/// slots that call fills keep only their border zeroed, and the rest is cut.
+/// So only the window it holds has written it since, always the same
+/// interior: the border stays `+0.0`.
 #[derive(Default)]
 struct HaloBuf {
     grid: Vec<f64>,
@@ -462,8 +374,25 @@ impl HaloBuf {
     fn fill(&mut self, win: &Window, rows: &[&[f64]]) -> Halo<'_> {
         let (k, s, pad, g, n) = (win.kernel, win.stride, win.pad, win.grid, win.sites);
         let [ed, eh, ew] = [n.d, n.h, n.w].map(|sites| (sites - 1) * s + k);
+        let clip = |extent: usize, halo: usize| extent.min(halo.saturating_sub(pad));
+        let (nz, ny, nx) = (clip(g.d, ed), clip(g.h, eh), clip(g.w, ew));
+        let xrows = if nx == 0 { 0 } else { win.channels * nz * ny };
+        let len = win.channels * ed * eh * ew;
         if self.held.replace(*win) != Some(*win) {
-            self.grid.fill(0.0);
+            // Keep the whole slots this call fills, their border zeroed (the
+            // copy below overwrites the interior); what is cut grows back
+            // as `+0.0`.
+            let keep = (self.grid.len() / len).min(rows.len()) * len;
+            self.grid.truncate(keep);
+            let inside = |v: usize, extent: usize| v >= pad && v - pad < extent;
+            for (i, x_row) in self.grid.chunks_exact_mut(ew).enumerate() {
+                if xrows > 0 && inside(i / eh % ed, nz) && inside(i % eh, ny) {
+                    x_row[..pad].fill(0.0);
+                    x_row[pad + nx..].fill(0.0);
+                } else {
+                    x_row.fill(0.0);
+                }
+            }
             let x_row = |ckh: usize| ((ckh / (k * k) * ed + ckh / k % k) * eh + ckh % k) * ew;
             let taps = (0..win.channels * k * k).flat_map(|i| x_row(i)..x_row(i) + k);
             let at = |zy: usize| (zy / n.h * eh + zy % n.h) * s * ew;
@@ -473,10 +402,6 @@ impl HaloBuf {
             self.site_base.clear();
             self.site_base.extend(bases);
         }
-        let clip = |extent: usize, halo: usize| extent.min(halo.saturating_sub(pad));
-        let (nz, ny, nx) = (clip(g.d, ed), clip(g.h, eh), clip(g.w, ew));
-        let xrows = if nx == 0 { 0 } else { win.channels * nz * ny };
-        let len = win.channels * ed * eh * ew;
         let grid = grown(&mut self.grid, rows.len() * len);
         for (row, dst) in rows.iter().zip(grid.chunks_exact_mut(len)) {
             for i in 0..xrows {
@@ -1633,14 +1558,17 @@ mod tests {
         }
     }
 
-    /// The tap-major fold adds in the oracle's site-major order, `to_bits`:
-    /// blocks of a column matrix folded one after another against the
-    /// oracle's `fold_add` over the same `(column, site)` pairs. Rows: a
-    /// `dst` holding `-0.0` (and NaN) among its values; listed sites with a
-    /// stand-in column folded at every other site; block boundaries inside
-    /// a site row; stride 2 with `k = 4`, whose runs are strided in `dst`.
+    /// `fold_product` adds in the oracle's site-major order, `to_bits`:
+    /// against `fold_add` of the materialised `[sites × len]` product over
+    /// every site, on conv and deconv geometries with stride 1 and 2,
+    /// `k = 3` and `4`, 1 and more than 8 output channels, inner depths of
+    /// 1, 8 and 17. Patterns: dense; sparse with gaps (runs cut by gaps and
+    /// by x-row ends), the unlisted sites skipped; the same with a NaN or an
+    /// infinite weight, or a `-0.0` in `dst`, where every site folds; and a
+    /// sparse row with no value at all. Every `dst` holds NaN among its
+    /// values.
     #[test]
-    fn the_tap_major_fold_adds_in_the_site_major_order() {
+    fn the_fold_product_adds_in_the_site_major_order() {
         let mut rng = StdRng::seed_from_u64(0xF01D);
         // [channels, kernel, stride, pad, site d, h, w, conv (1) or deconv (0)]
         let geometries: &[[usize; 8]] = &[
@@ -1650,6 +1578,8 @@ mod tests {
             [1, 4, 2, 0, 2, 4, 6, 0],
             [2, 3, 1, 0, 3, 4, 5, 0],
             [1, 4, 1, 1, 2, 3, 7, 1],
+            [9, 3, 1, 1, 2, 4, 11, 0],
+            [1, 3, 2, 1, 2, 4, 10, 1],
         ];
         for &[channels, kernel, stride, pad, d, h, w, conv] in geometries {
             let sites = Dims3::new(d, h, w);
@@ -1670,63 +1600,53 @@ mod tests {
                 sites,
             };
             let (len, n) = (win.patch_len(), sites.volume());
-            let case = format!("c{channels} k{kernel} s{stride} p{pad} {d}x{h}x{w} conv {conv}");
-            for pattern in 0..3 {
-                // 0: every site its own column; 1: listed sites only;
-                // 2: listed sites, the stand-in column at every other site.
-                let listed: Vec<usize> = (0..n)
-                    .filter(|_| pattern == 0 || rng.random_range(0..3) == 0)
-                    .collect();
-                let stand_in = listed.len();
-                let r = stand_in + 1;
-                let mut at = 0;
-                let pairs: Vec<(usize, usize)> = (0..n)
-                    .filter_map(|p| {
-                        if listed.get(at) == Some(&p) {
-                            at += 1;
-                            Some((at - 1, p))
-                        } else {
-                            (pattern == 2).then_some((stand_in, p))
-                        }
-                    })
-                    .collect();
-                // `[r × len]` for the oracle, its transpose for the fold.
-                let col: Vec<f64> = (0..r * len)
-                    .map(|_| match rng.random_range(0..16) {
-                        0 => -0.0,
-                        1 => f64::NAN,
-                        _ => rng.random_range(-1.0..1.0) * 10f64.powi(rng.random_range(-6..6)),
-                    })
-                    .collect();
-                let mut col_t = vec![0.0; len * r];
-                kernels::transpose_into(r, len, &col, &mut col_t);
-                let base: Vec<f64> = (0..channels * grid.volume())
-                    .map(|i| {
-                        if i % 5 == 0 {
-                            -0.0
-                        } else {
-                            rng.random_range(-1.0..1.0)
-                        }
-                    })
-                    .collect();
-                let mut want = base.clone();
-                oracle_window(&win).fold_add(pairs.iter().copied(), &col, &mut want);
-                // One block, then three with cuts at random sites (inside a
-                // site row as often as not).
-                for blocks in [1, 3] {
-                    let mut cuts: Vec<usize> = (1..blocks)
-                        .map(|_| rng.random_range(0..=pairs.len()))
+            for k in [1, 8, 17] {
+                let case = format!(
+                    "c{channels} k{kernel} s{stride} p{pad} {d}x{h}x{w} conv {conv} depth {k}"
+                );
+                // 0 dense; 1 sparse; 2 a NaN weight; 3 an infinite weight;
+                // 4 a `-0.0` in `dst`; 5 no value.
+                for pattern in 0..6 {
+                    let listed: Vec<bool> = (0..n)
+                        .map(|_| pattern == 0 || (pattern < 5 && rng.random_range(0..3) == 0))
                         .collect();
-                    cuts.push(0);
-                    cuts.push(pairs.len());
-                    cuts.sort_unstable();
-                    let mut got = base.clone();
-                    for span in cuts.windows(2) {
-                        let block = pairs[span[0]..span[1]].iter().copied();
-                        win.fold_taps(block, stand_in, &col_t, r, &mut got);
+                    let a: Vec<f64> = (0..k * n)
+                        .map(|i| match (listed[i % n], rng.random_range(0..12)) {
+                            (false, _) => 0.0,
+                            (true, 0) => -0.0,
+                            (true, 1) => 0.0,
+                            _ => rng.random_range(-1.0..1.0),
+                        })
+                        .collect();
+                    let mut wts: Vec<f64> = (0..k * len)
+                        .map(|_| rng.random_range(-1.0..1.0) * 10f64.powi(rng.random_range(-3..3)))
+                        .collect();
+                    match pattern {
+                        2 => wts[rng.random_range(0..k * len)] = f64::NAN,
+                        3 => wts[rng.random_range(0..k * len)] = f64::NEG_INFINITY,
+                        _ => {}
                     }
-                    let what = format!("{case} pattern {pattern} cuts {cuts:?}");
-                    assert_same_bits(&got, &want, &what);
+                    let base: Vec<f64> = (0..channels * grid.volume())
+                        .map(|i| match i % 7 {
+                            3 => f64::NAN,
+                            5 if pattern == 4 || pattern == 0 => -0.0,
+                            _ => rng.random_range(-1.0..1.0),
+                        })
+                        .collect();
+                    let mut col = vec![0.0; n * len];
+                    for (p, row) in col.chunks_exact_mut(len).enumerate() {
+                        for (q, v) in row.iter_mut().enumerate() {
+                            for c in 0..k {
+                                *v += wts[c * len + q] * a[c * n + p];
+                            }
+                        }
+                    }
+                    let mut want = base.clone();
+                    oracle_window(&win).fold_add((0..n).map(|p| (p, p)), &col, &mut want);
+                    let mut got = base.clone();
+                    let mut scratch = Scratch::default();
+                    win.fold_product(k, &a, &wts, pattern > 0, &mut scratch, &mut got);
+                    assert_same_bits(&got, &want, &format!("{case} pattern {pattern}"));
                 }
             }
         }
@@ -1813,11 +1733,10 @@ mod tests {
     fn the_sparse_forward_overwrites_stale_output_and_scratch() {
         let mut rng = StdRng::seed_from_u64(0x57A1E);
         let stale = || Scratch {
-            block: vec![f64::NAN; 1 << 16],
-            a_block: vec![f64::NAN; 1 << 12],
             sites: vec![usize::MAX / 2; 4096],
             flags: vec![true; 4096],
             reached: vec![true; 4096],
+            taps: vec![[usize::MAX / 2; 2]; 256],
         };
         for &[cin, cout, kernel, stride, pad, d, h, w] in LOWERING_CASES {
             let dims = Dims3::new(d, h, w);
@@ -1990,17 +1909,18 @@ mod tests {
         );
     }
 
-    /// A conv forward, a conv backward and a deconv forward and backward —
-    /// whose products are all at least 8 rows tall, panel-source and
-    /// `gemm_transa` alike — each run only the widest tiles of the host: the
-    /// 512-bit ones on an AVX-512 host, the 256-bit ones on an AVX2 host,
-    /// the portable one (and `gemm_transa`'s scalar loop) without AVX2 or
-    /// under `SENSACT_FORCE_SCALAR`. A dispatch that fell back to a
-    /// narrower tile of the same tier would give the same bits and pass
-    /// every bit row; this one fails it.
+    /// A conv forward, a conv backward and a deconv forward and backward
+    /// each run only the widest tiles and fold arm of the host: the 512-bit
+    /// ones on an AVX-512 host, the 256-bit ones on an AVX2 host, the
+    /// portable tile and the scalar fold without AVX2 or under
+    /// `SENSACT_FORCE_SCALAR`. The panel-source products (every product is
+    /// at least 8 rows tall) run tiles; the transposed products (the conv
+    /// input gradient, the deconv forward) run the fold, and nothing else
+    /// does. A dispatch that fell back to a narrower tile or arm would give
+    /// the same bits and pass every bit row; this one fails it.
     #[test]
     fn the_layers_run_the_host_s_widest_tiles() {
-        use simd::Tile;
+        use simd::{FoldArm, Tile};
         let f = simd::cpu_features();
         let bit = |t: Tile| 1u32 << t as u32;
         let widest = match (f.simd_f64() && f.avx2, f.avx512f) {
@@ -2008,28 +1928,37 @@ mod tests {
             (true, false) => bit(Tile::Avx) | bit(Tile::Fma),
             (true, true) => bit(Tile::Zmm) | bit(Tile::ZmmFma),
         };
+        let fold = 1u32
+            << match (f.forced_scalar || !f.avx2, f.avx512f) {
+                (true, _) => FoldArm::Scalar,
+                (false, true) => FoldArm::Zmm,
+                (false, false) => FoldArm::Avx2,
+            } as u32;
         let mut rng = StdRng::seed_from_u64(0x512);
         let mut c = Conv3d::new(2, 8, 3, 1, 1, Dims3::new(3, 5, 7), &mut Initializer::new(2));
         let mut d = Deconv3d::new(8, 2, 3, 1, 1, Dims3::new(3, 5, 7), &mut Initializer::new(3));
-        let ran = |what: &str, folds: bool| {
+        let ran = |what: &str, tiles: bool, folds: bool| {
             let bits = simd::take_tiles_run();
             assert_eq!(bits & !widest, 0, "{what} ran a narrower tile: {bits:#b}");
-            // Where no f64 vector path is on, `gemm_transa` runs its scalar
-            // loop, not a tile.
-            if !folds || f.simd_f64() {
-                assert_ne!(bits, 0, "{what} ran no tile");
-            }
+            assert_eq!(bits != 0, tiles, "{what} ran tiles {bits:#b}");
+            let arms = simd::take_fold_arms_run();
+            assert_eq!(
+                arms,
+                if folds { fold } else { 0 },
+                "{what} ran fold arms {arms:#b}"
+            );
         };
         simd::take_tiles_run();
+        simd::take_fold_arms_run();
         let x = hostile_input(&mut rng, 2, c.in_features());
         let y = c.forward(&x, true);
-        ran("conv forward", false);
+        ran("conv forward", true, false);
         let _ = c.backward(&hostile_input(&mut rng, 2, c.out_features()));
-        ran("conv backward", false);
+        ran("conv backward", true, true);
         let z = d.forward(&y, true);
-        ran("deconv forward", true);
+        ran("deconv forward", false, true);
         let _ = d.backward(&z);
-        ran("deconv backward", false);
+        ran("deconv backward", true, false);
     }
 
     /// Pack one `[k0, kc, j0, nr, ld]` panel of `src` over NaN and compare
@@ -2395,9 +2324,8 @@ mod tests {
     #[test]
     fn prop_gemm_deconv_matches_reference() {
         let mut rng = StdRng::seed_from_u64(0xDC4301);
-        // No random draw reaches 2¹⁴ multiply-adds per row, where
-        // `gemm_transa` moves to its register tiles: `LOWERING_CASES` follow
-        // them.
+        // The random draws keep every fold run inside one vector (at most
+        // 4 sites a row): `LOWERING_CASES` follow them with longer runs.
         for round in 0..24 + LOWERING_CASES.len() {
             let [cin, cout, kernel, stride, pad, d, h, w] = if round < 24 {
                 let cin = rng.random_range(1..3usize);

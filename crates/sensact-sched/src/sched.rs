@@ -500,7 +500,7 @@ fn execute_release(
     let completion_s = busy_end_s + comm_s;
     slot.last_completion_s = completion_s;
     slot.stats.ticks = slot.stats.ticks.wrapping_add(1);
-    slot.stats.faults += out.faults as u64;
+    slot.stats.faults = slot.stats.faults.wrapping_add(out.faults as u64);
     slot.stats.busy_s += latency_s;
     slot.stats.comm_s += comm_s;
     if out.energy_j.is_finite() && out.energy_j > 0.0 {
@@ -511,7 +511,7 @@ fn execute_release(
         let response_s = completion_s - release.release_s;
         if response_s > budget_s {
             missed = true;
-            slot.stats.deadline_misses += 1;
+            slot.stats.deadline_misses = slot.stats.deadline_misses.wrapping_add(1);
             slot.handle.record_deadline_miss(response_s, budget_s);
         }
     }
@@ -590,7 +590,7 @@ fn next_release(
             while dropped > 0 && step(release_idx + dropped - 1) >= horizon_s {
                 dropped -= 1;
             }
-            slot.stats.drops += dropped;
+            slot.stats.drops = slot.stats.drops.wrapping_add(dropped);
             release_idx += dropped;
             release_s = step(release_idx);
         }
@@ -864,7 +864,8 @@ impl FleetScheduler {
     /// (the same drop-oldest backpressure the run modes apply, moved to the
     /// admission edge).
     pub fn record_member_drops(&mut self, id: LoopId, n: u64) {
-        self.slots[id.0].stats.drops += n;
+        let drops = &mut self.slots[id.0].stats.drops;
+        *drops = drops.wrapping_add(n);
     }
 
     /// A member loop's sequential-completion frontier (virtual seconds):
@@ -972,9 +973,12 @@ impl FleetScheduler {
         report.energy_j = arbiter.energy_j();
         for (i, slot) in self.active() {
             let base = &frame.base[i];
-            report.ticks += slot.stats.ticks - base.ticks;
-            report.drops += slot.stats.drops - base.drops;
-            report.deadline_misses += slot.stats.deadline_misses - base.deadline_misses;
+            report.ticks += slot.stats.ticks.wrapping_sub(base.ticks);
+            report.drops += slot.stats.drops.wrapping_sub(base.drops);
+            report.deadline_misses += slot
+                .stats
+                .deadline_misses
+                .wrapping_sub(base.deadline_misses);
             report.loops.push(LoopSummary {
                 name: slot.handle.name().to_string(),
                 stats: slot.stats,
@@ -1220,9 +1224,12 @@ impl<'a> LaneWatch<'a> {
     /// fractions from the loop's cumulative telemetry, and completion lag
     /// against the fleet frontier in units of the loop's period.
     fn signals(slot: &Slot, base: &LoopStats, frontier_s: f64) -> HealthSignals {
-        let ticks = slot.stats.ticks - base.ticks;
-        let misses = slot.stats.deadline_misses - base.deadline_misses;
-        let drops = slot.stats.drops - base.drops;
+        let ticks = slot.stats.ticks.wrapping_sub(base.ticks);
+        let misses = slot
+            .stats
+            .deadline_misses
+            .wrapping_sub(base.deadline_misses);
+        let drops = slot.stats.drops.wrapping_sub(base.drops);
         let telemetry = slot.handle.telemetry();
         let comm = telemetry.comm_counters();
         let staleness = if ticks == 0 {
@@ -1281,7 +1288,7 @@ impl<'a> LaneWatch<'a> {
         // Health window: every HEALTH_WINDOW_TICKS completions of a loop,
         // feed its windowed signals through the hysteresis scorer.
         let (scorer, base, evals) = &mut self.loops[release.loop_idx - self.first_loop];
-        if slot.stats.ticks - base.ticks < HEALTH_WINDOW_TICKS {
+        if slot.stats.ticks.wrapping_sub(base.ticks) < HEALTH_WINDOW_TICKS {
             return;
         }
         let signals = Self::signals(slot, base, lane.makespan_s);

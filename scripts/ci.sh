@@ -71,6 +71,15 @@ gemm_panel_source crates/sensact-math/src/kernels.rs
 gemm_tile_f64 crates/sensact-math/src/simd.rs
 SIGNATURES
 
+# The transposed lowerings (deconv forward, conv input gradient) fold each
+# tap's dots straight into the output through `kernels::fold_dots`: conv.rs
+# keeps no column block, no block-sized scratch and no tap-major fold over
+# one, and calls no `gemm_transa` (which stays for `Dense` / `Matrix`).
+echo "== no column block in the transposed lowerings: conv.rs folds through fold_dots =="
+if git grep -nE 'FOLD_BLOCK|fn fold_taps|gemm_transa\(' -- crates/sensact-nn/src/conv.rs; then
+    exit 1
+fi
+
 # One window walker: both conv panel packers read a zero-bordered copy of
 # their source grid (the halo) through its two offset tables, so no
 # `PanelSource` impl in `conv.rs` walks a window's in-grid tap range or
@@ -160,25 +169,30 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 # dispatch-dependent correctness step: every fast kernel and conv lowering
 # against its reference, on the tier its contract names. The conv layers
 # run one lowering on both legs — panels packed from the zero-bordered halo
-# by one walker, the tap-major fold — and the legs differ in the tile under
-# it and so in the packers' lane width: on the host leg the host's widest
-# tiles with 8-wide lanes (the 512-bit multiply-then-add and FMA tiles from
-# 8 rows up where AVX-512 is on, the 256-bit ones below 8 rows and on an
-# AVX2-only host; FMA from 2^14), on the forced-scalar leg the portable
-# plain-Rust 4x4 tile in dot and chain mode with 4-wide lanes — the leg that
-# proves the portable tile and the 4-wide lanes. On an AVX-512 host the
-# AVX2 tiles take only products under 8 rows, so
-# `simd::every_tile_of_a_tier_gives_the_same_bits` drives them directly
+# by one walker, each tap's dots folded straight into the output — and the
+# legs differ in the tile under it and so in the packers' lane width, and in
+# the fold's arm: on the host leg
+# the host's widest tiles with 8-wide lanes (the 512-bit multiply-then-add
+# and FMA tiles from 8 rows up where AVX-512 is on, the 256-bit ones below
+# 8 rows and on an AVX2-only host; FMA from 2^14) and the widest fold arm
+# (`kernels::fold_dots` on 512-bit lanes where AVX-512 is on, 256-bit lanes
+# on an AVX2-only host), on the forced-scalar leg the portable plain-Rust
+# 4x4 tile in dot and chain mode with 4-wide lanes and the scalar fold loop
+# — the leg that proves the portable tile, the 4-wide lanes and the scalar
+# fold. On an AVX-512 host the AVX2 tiles take only products under 8 rows,
+# so `simd::every_tile_of_a_tier_gives_the_same_bits` drives them directly
 # against the 512-bit and portable tiles, and
+# `kernels::fold_dots_matches_the_written_out_chain` drives every fold arm
+# the host can execute against the written-out chain;
 # `conv::the_layers_run_the_host_s_widest_tiles` fails if a layer ran a
-# narrower tile than its leg selects.
+# narrower tile or fold arm than its leg selects.
 # `prop_halo_packers_match_the_oracle_unfold` holds both packers to the
 # oracle's unfold at both widths and asserts that the layers ran the leg's
 # width only; `halo_state_does_not_leak_across_calls`
 # replays random call sequences against fresh twins with the halo border
 # checked after each call; the backward rows of
 # `prop_{conv,deconv}_lowering_is_bit_identical_to_the_materialised_oracle`
-# (batch 1 and 3), `the_tap_major_fold_adds_in_the_site_major_order` and
+# (batch 1 and 3), `the_fold_product_adds_in_the_site_major_order` and
 # `kernels::tests::{gathered_transb_is_bitwise_identical_to_per_item_dispatch,
 # chain_panel_source_is_bitwise_identical_to_gemm}` hold each tile to the
 # oracle's materialised unfold + `gemm` / row-dot. `tests/alloc_guard.rs`
@@ -208,11 +222,11 @@ case "${SENSACT_FORCE_SCALAR:-0}" in
     *) legs=(1) ;;
 esac
 for leg in "${legs[@]}"; do
-    [[ "$leg" == "0" ]] && isa="host ISA: widest tiles and sign-fold arm, 512-bit on AVX-512" \
-        || isa="forced-scalar path: portable 4x4 tile, scalar sign fold"
+    [[ "$leg" == "0" ]] && isa="host ISA: widest tiles, dot-fold and sign-fold arms, 512-bit on AVX-512" \
+        || isa="forced-scalar path: portable 4x4 tile, scalar dot fold and sign fold"
 
     if [[ "$leg" != "${legs[0]}" ]]; then
-        echo "== bitwise kernel, sign fold, conv lowering, R-MAE, STARNet, lidar + Koopman tests, allocation + footprint guard ($isa) =="
+        echo "== bitwise kernel, dot fold, sign fold, conv lowering, R-MAE, STARNet, lidar + Koopman tests, allocation + footprint guard ($isa) =="
         SENSACT_FORCE_SCALAR="$leg" timeout 30m cargo test --offline -q \
             -p sensact-math -p sensact-nn -p sensact-rmae -p sensact-starnet -p sensact-lidar \
             -p sensact-koopman --lib

@@ -797,3 +797,65 @@ fn a_counter_restored_at_its_maximum_wraps_on_the_next_tick() {
     std::panic::set_hook(hook);
     assert!(findings.is_empty(), "{}", findings.join("\n"));
 }
+
+/// Every scheduler counter a member adoption can set — `ticks`, `drops`,
+/// `deadline_misses`, `faults` — wraps when the member counts past
+/// `u64::MAX`, and the run's per-loop deltas wrap with it: a `sched.slot`
+/// section holding the maximum never arms an overflow panic in a debug
+/// build. The member is the fallible pin (it faults), released every
+/// 50 µs against ticks of about 100 µs (it backlogs and drops) under a
+/// 1 µs budget (most ticks miss it); it runs a deterministic horizon, then
+/// takes one external tick and one shed drop.
+#[test]
+fn a_scheduler_counter_adopted_at_its_maximum_wraps() {
+    use sensact::core::trace::SimClock;
+    use sensact::sched::{FleetConfig, FleetScheduler, LoopSpec};
+    let member = || {
+        LoopHandle::closed(Checkpointed(pin_fallible()), 8.0, |e: &mut f64, a: &f64| {
+            *e += a
+        })
+    };
+    let counter = |fleet: &FleetScheduler, id, key: &str| {
+        let slot = &by_id(&fleet.snapshot_member(id).unwrap())["sched.slot"];
+        slot[key]
+            .strip_prefix("u:")
+            .unwrap()
+            .parse::<u64>()
+            .unwrap()
+    };
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let mut findings = Vec::new();
+    for key in ["ticks", "drops", "deadline_misses", "faults"] {
+        let wrapped = catch_unwind(AssertUnwindSafe(|| {
+            let mut fleet = FleetScheduler::new(FleetConfig {
+                workers: 1,
+                watts_cap: None,
+                seed: 7,
+            });
+            let id = fleet.register(member(), LoopSpec::periodic(5e-5).with_budget(1e-6));
+            let (header, mut sections) = parse_doc(&fleet.snapshot_member(id).unwrap().to_jsonl());
+            let slot = sections
+                .iter_mut()
+                .find(|(id, _)| id == "sched.slot")
+                .unwrap();
+            slot.1.iter_mut().find(|(k, _)| k == key).unwrap().1 = format!("u:{}", u64::MAX);
+            fleet
+                .adopt_member(id, member(), &write_doc(&header, &sections))
+                .expect("a counter at its maximum adopts");
+            assert_eq!(counter(&fleet, id, key), u64::MAX, "adopted as read");
+            let report = fleet.run_deterministic(0.005, &mut SimClock::new());
+            assert!(report.ticks > 0 && report.drops > 0 && report.deadline_misses > 0);
+            fleet.tick_member_at(id, 1.0);
+            fleet.record_member_drops(id, 1);
+            counter(&fleet, id, key)
+        }));
+        match wrapped {
+            Ok(v) if v < 1 << 20 => {}
+            Ok(v) => findings.push(format!("{key}: {v} after the run, not wrapped")),
+            Err(panic) => findings.push(format!("{key}: panicked: {}", panic_text(panic))),
+        }
+    }
+    std::panic::set_hook(hook);
+    assert!(findings.is_empty(), "{}", findings.join("\n"));
+}
