@@ -1122,6 +1122,256 @@ pub(crate) mod tests {
         }
     }
 
+    /// `alpha·A·B` written out for `beta = 0`, with the FMA tier's
+    /// forward-error bound per element. Each sum starts at `+0.0` and adds
+    /// `(alpha·a)·b` in ascending `k`, which is both the chain's bits
+    /// (`gemm_blocked`) and the row-dot's (`gemm_transb`): a sum from `+0.0`
+    /// is never `-0.0`, so adding it to the `+0.0` seed changes no bit.
+    fn written_out(
+        (m, n, k): (usize, usize, usize),
+        alpha: f64,
+        a: impl Fn(usize, usize) -> f64,
+        b: impl Fn(usize, usize) -> f64,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let gamma = 2.0 * (k as f64 + 2.0) * f64::EPSILON;
+        (0..m * n)
+            .map(|e| {
+                let (i, j) = (e / n, e % n);
+                let (mut sum, mut abs) = (0.0, 0.0);
+                for kk in 0..k {
+                    sum += alpha * a(i, kk) * b(kk, j);
+                    abs += (alpha * a(i, kk)).abs() * b(kk, j).abs();
+                }
+                (sum, abs * gamma + 1e-300)
+            })
+            .unzip()
+    }
+
+    /// The kernel shape fuzzer: `cases` seeded draws of every entry that
+    /// writes an output, over random shapes with zero extents, `k` past one
+    /// `KC` block and products on both sides of the `2¹⁴` tier boundary, into
+    /// outputs pre-seeded with NaN and `-0.0`. At `beta = 0` every entry must
+    /// overwrite its whole output and give its reference's bits, or, where
+    /// the FMA tier takes the product, land within its forward-error bound;
+    /// `sign_fold` runs on every arm the host can execute. `fold_dots` (every
+    /// arm) must add each dot to its target once and leave every element it
+    /// does not target as it was, and `gemm_transb_gathered` a batch under
+    /// two untouched — bit for bit.
+    fn fuzz_kernel_shapes(seed: u64, cases: usize) {
+        use crate::simd::{cpu_features, simd_f64_eligible, FoldArm};
+        let f = cpu_features();
+        let arms: Vec<FoldArm> = [
+            (true, FoldArm::Scalar),
+            (f.avx2, FoldArm::Avx2),
+            (f.avx512f, FoldArm::Zmm),
+        ]
+        .into_iter()
+        .filter_map(|(runs, arm)| runs.then_some(arm))
+        .collect();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dim = |rng: &mut StdRng, big: usize| -> usize {
+            match rng.random_range(0..8) {
+                0 => 0,
+                1 => 1,
+                2..=4 => rng.random_range(2..=17usize),
+                _ => rng.random_range(18..=big),
+            }
+        };
+        let values = |rng: &mut StdRng, len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|_| match rng.random_range(0..16) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.random_range(-1.0..1.0),
+                })
+                .collect()
+        };
+        let stale = |rng: &mut StdRng, len: usize| -> Vec<f64> {
+            (0..len)
+                .map(|_| [X86_NAN, -0.0][rng.random_range(0..2usize)])
+                .collect()
+        };
+        let mut tiers = [0usize; 2];
+        for case in 0..cases {
+            let (m, n, k) = (dim(&mut rng, 97), dim(&mut rng, 97), dim(&mut rng, 300));
+            let alpha = [1.0, -0.75, rng.random_range(-2.0..2.0)][rng.random_range(0..3usize)];
+            let at = |i: usize, j: usize, ld: usize| i * ld + j;
+            let a = values(&mut rng, m * k);
+            let b = values(&mut rng, k * n);
+            let mut a_t = vec![0.0; m * k];
+            transpose_into(m, k, &a, &mut a_t);
+            let mut b_t = vec![0.0; k * n];
+            transpose_into(k, n, &b, &mut b_t);
+            let (want, bound) = written_out(
+                (m, n, k),
+                alpha,
+                |i, kk| a[at(i, kk, k)],
+                |kk, j| b[at(kk, j, n)],
+            );
+            let shape = format!("case {case}: {m}x{n}x{k} alpha={alpha}");
+            // `bound` is the FMA tier's, where that tier took the product;
+            // without one, the bits must match.
+            let check = |entry: &str, got: &[f64], refs: &[f64], bound: Option<&[f64]>| {
+                assert_eq!(got.len(), refs.len(), "{entry} at {shape}");
+                for (e, (&x, &y)) in refs.iter().zip(got).enumerate() {
+                    let ok = match bound {
+                        Some(tol) => (x - y).abs() <= tol[e],
+                        None => x.to_bits() == y.to_bits(),
+                    };
+                    assert!(ok, "{entry} at {shape}, element {e}: {y:e}, want {x:e}");
+                }
+            };
+            let fma = simd_f64_eligible(m, n, k);
+            tiers[usize::from(fma)] += 1;
+            type Gemm = fn(usize, usize, usize, f64, &[f64], &[f64], f64, &mut [f64]);
+            type Entry<'a> = (&'a str, Gemm, &'a [f64], &'a [f64], bool);
+            let entries: [Entry; 5] = [
+                ("gemm_naive", gemm_naive, &a, &b, false),
+                ("gemm_blocked", gemm_blocked, &a, &b, false),
+                ("gemm", gemm, &a, &b, fma),
+                ("gemm_transb", gemm_transb, &a, &b_t, fma),
+                ("gemm_transa", gemm_transa, &a_t, &b, false),
+            ];
+            for (entry, kernel, lhs, rhs, fma) in entries {
+                let mut c = stale(&mut rng, m * n);
+                kernel(m, n, k, alpha, lhs, rhs, 0.0, &mut c);
+                check(entry, &c, &want, fma.then_some(&bound[..]));
+            }
+            for dot in [true, false] {
+                let tier_n = n + [0, rng.random_range(0..400usize)][rng.random_range(0..2usize)];
+                let mut c = stale(&mut rng, m * n);
+                if rng.random_range(0..2) == 0 {
+                    let src = RowMajor { b: &b, n };
+                    gemm_panel_source(m, n, k, tier_n, dot, alpha, &a, &src, 0.0, &mut c);
+                } else {
+                    let src = Transposed { b: &b_t, k };
+                    gemm_panel_source(m, n, k, tier_n, dot, alpha, &a, &src, 0.0, &mut c);
+                }
+                let entry = format!("gemm_panel_source(dot={dot}, tier_n={tier_n})");
+                let fma = simd_f64_eligible(m, tier_n, k);
+                check(&entry, &c, &want, fma.then_some(&bound[..]));
+            }
+
+            let batch = rng.random_range(0..=4usize);
+            let b_stack = values(&mut rng, batch * n * k);
+            let mut big = stale(&mut rng, m * batch * n);
+            let seed_bits = big.clone();
+            let wide = gemm_transb_gathered(batch, m, n, k, alpha, &a, &b_stack, 0.0, &mut big);
+            assert_eq!(
+                wide,
+                batch >= 2,
+                "gemm_transb_gathered at {shape} batch={batch}"
+            );
+            let (mut want_big, mut bound_big) = (seed_bits.clone(), vec![0.0; m * batch * n]);
+            if wide {
+                for t in 0..batch {
+                    let item = &b_stack[t * n * k..];
+                    let (w, tol) = written_out(
+                        (m, n, k),
+                        alpha,
+                        |i, kk| a[at(i, kk, k)],
+                        |kk, j| item[at(j, kk, k)],
+                    );
+                    for e in 0..m * n {
+                        let to = at(e / n, t * n + e % n, batch * n);
+                        (want_big[to], bound_big[to]) = (w[e], tol[e]);
+                    }
+                }
+            }
+            let fma_big = (wide && fma).then_some(&bound_big[..]);
+            check("gemm_transb_gathered", &big, &want_big, fma_big);
+
+            let x = values(&mut rng, k);
+            let mut y = stale(&mut rng, m);
+            matvec_into(m, k, &a, &x, &mut y);
+            let (want_y, _) = written_out((m, 1, k), 1.0, |i, kk| a[at(i, kk, k)], |kk, _| x[kk]);
+            check("matvec_into", &y, &want_y, None);
+
+            let mut t = stale(&mut rng, m * n);
+            transpose_into(m, n, &want, &mut t);
+            let want_t: Vec<f64> = (0..m * n).map(|e| want[at(e % m, e / m, n)]).collect();
+            check("transpose_into", &t, &want_t, None);
+
+            // sign_fold: `p = m` elements, `min(k, 130)` steps.
+            let (p, rank) = (m, k.min(130));
+            let base = values(&mut rng, p);
+            let steps = values(&mut rng, rank);
+            let signs: Vec<u64> = (0..rank.div_ceil(64) * p).map(|_| rng.next_u64()).collect();
+            let mut want_s = base.clone();
+            for (j, t) in want_s.iter_mut().enumerate() {
+                for (i, &s) in steps.iter().enumerate() {
+                    let negate = signs[(i / 64) * p + j] << (i % 64) >> 63 == 1;
+                    *t += if negate { -s } else { s };
+                }
+            }
+            for arm in arms.iter().copied().map(Some).chain([None]) {
+                let mut out = stale(&mut rng, p);
+                match arm {
+                    Some(arm) => sign_fold_on(arm, &base, &steps, &signs, &mut out),
+                    None => sign_fold(&base, &steps, &signs, &mut out),
+                }
+                check(&format!("sign_fold({arm:?})"), &out, &want_s, None);
+            }
+
+            // fold_dots: `n` lanes, `k` deep, up to 17 taps at stride
+            // `s`, the taps of one grid interleaved, grids a gap apart.
+            let (s, taps) = (rng.random_range(1..=3usize), rng.random_range(0..=17usize));
+            let (ldw, lda) = (
+                taps + rng.random_range(1..=3usize),
+                n + rng.random_range(0..=2usize),
+            );
+            let grid = n * s + rng.random_range(0..=3usize);
+            let w = values(&mut rng, k * ldw);
+            let a_fold = values(&mut rng, k.saturating_sub(1) * lda + n);
+            let tap_list: Vec<[usize; 2]> = (0..taps)
+                .map(|g| [rng.random_range(0..ldw), g / s * grid + g % s])
+                .collect();
+            let dst_len = taps.div_ceil(s) * grid + rng.random_range(0..=5usize);
+            let mut seed_dst = stale(&mut rng, dst_len);
+            for v in seed_dst.iter_mut() {
+                if rng.random_range(0..3) == 0 {
+                    *v = rng.random_range(-1.0..1.0);
+                }
+            }
+            let mut want_d = seed_dst.clone();
+            for &[q, to] in &tap_list {
+                for i in 0..n {
+                    let mut dot = 0.0;
+                    for c in 0..k {
+                        dot += w[c * ldw + q] * a_fold[c * lda + i];
+                    }
+                    want_d[to + i * s] += dot;
+                }
+            }
+            for arm in arms.iter().copied().map(Some).chain([None]) {
+                let mut dst = seed_dst.clone();
+                match arm {
+                    Some(arm) => {
+                        fold_dots_on(arm, k, &w, ldw, &a_fold, lda, n, &tap_list, s, &mut dst)
+                    }
+                    None => fold_dots(k, &w, ldw, &a_fold, lda, n, &tap_list, s, &mut dst),
+                }
+                let entry = format!("fold_dots({arm:?}) s={s} taps={taps} lanes={n} k={k}");
+                check(&entry, &dst, &want_d, None);
+            }
+        }
+        // Both sides of the tier boundary ran, where the host has an FMA tier.
+        assert!(tiers[0] > cases / 2, "{tiers:?}");
+        assert!(tiers[1] > 0 || !f.simd_f64(), "{tiers:?}");
+    }
+
+    #[test]
+    fn every_kernel_entry_overwrites_its_output_on_random_shapes() {
+        fuzz_kernel_shapes(0x5A9E_F022, 2_000);
+    }
+
+    /// The fuzzer's long mode: `cargo test -p sensact-math --lib -- --ignored`.
+    #[test]
+    #[ignore]
+    fn every_kernel_entry_overwrites_its_output_on_random_shapes_long() {
+        fuzz_kernel_shapes(0x5A9E_F023, 100_000);
+    }
+
     #[test]
     fn nan_propagates_instead_of_being_skipped() {
         // A zero in A against a NaN in B must produce NaN (0 * NaN = NaN);

@@ -573,20 +573,25 @@ fn next_release(
             accumulated.max(to_idx as f64 * period_s)
         }
     };
-    let mut release_idx = release.release_idx + 1;
+    // The release index space ends at `u64::MAX`: a loop whose backlog
+    // reached it has no next release.
+    let mut release_idx = release.release_idx.checked_add(1)?;
     let mut release_s = step(release_idx);
     if release_s < horizon_s && completion_s >= release_s {
         // Backlog: releases due in (last executed, completion]. Keep the
-        // newest `queue_capacity`, drop the oldest beyond it.
-        let behind = ((completion_s - release_s) / stride_s).floor() as u64 + 1;
+        // newest `queue_capacity`, drop the oldest beyond it. A gap or a
+        // horizon past `u64::MAX` strides saturates its count (the casts
+        // already do) instead of wrapping it.
+        let behind = (((completion_s - release_s) / stride_s).floor() as u64).saturating_add(1);
         let cap = slot.spec.queue_capacity as u64;
         if behind > cap {
             // Only releases strictly before the horizon exist to be dropped —
             // a completion far past the horizon must not count phantom
             // releases that were never scheduled.
             let mut dropped = behind - cap;
-            let in_horizon = ((horizon_s - release_s) / stride_s).ceil().max(0.0) as u64 + 1;
-            dropped = dropped.min(in_horizon);
+            let in_horizon =
+                (((horizon_s - release_s) / stride_s).ceil().max(0.0) as u64).saturating_add(1);
+            dropped = dropped.min(in_horizon).min(u64::MAX - release_idx);
             while dropped > 0 && step(release_idx + dropped - 1) >= horizon_s {
                 dropped -= 1;
             }
@@ -1239,7 +1244,7 @@ impl<'a> LaneWatch<'a> {
         };
         HealthSignals {
             miss_rate: misses as f64 / ticks.max(1) as f64,
-            drop_rate: drops as f64 / (ticks + drops).max(1) as f64,
+            drop_rate: drops as f64 / ticks.saturating_add(drops).max(1) as f64,
             trust_drift: telemetry.suspect_fraction(),
             staleness,
             retransmit_rate: comm.retransmits as f64 / comm.msgs_sent.max(1) as f64,
@@ -1476,6 +1481,64 @@ mod tests {
             report.to_string().contains("drops"),
             "report must show drops"
         );
+    }
+
+    /// The ticks and drops of one member on one worker, released every
+    /// 10 ms up to `horizon_s`, each tick charging `latency_s`.
+    fn late_member(latency_s: f64, horizon_s: f64) -> (u64, u64) {
+        let mut sched = FleetScheduler::new(FleetConfig {
+            workers: 1,
+            watts_cap: None,
+            seed: 0,
+        });
+        let id = sched.register(handle("late", 1e-6, latency_s), LoopSpec::periodic(1e-2));
+        sched.run_deterministic(horizon_s, &mut SimClock::new());
+        let stats = sched.loop_stats(id);
+        (stats.ticks, stats.drops)
+    }
+
+    /// A first tick that completes past a 1 s horizon leaves the other 99
+    /// releases to be dropped: 1 tick and 99 drops at 1e17 s, and the same
+    /// once the backlog counts past `u64::MAX` strides.
+    #[test]
+    fn a_backlog_past_u64_strides_drops_like_a_shorter_one_at_1e19_s() {
+        assert_eq!(late_member(1e17, 1.0), (1, 99));
+        assert_eq!(late_member(1e19, 1.0), late_member(1e17, 1.0));
+    }
+
+    #[test]
+    fn a_backlog_past_u64_strides_drops_like_a_shorter_one_at_1e300_s() {
+        assert_eq!(late_member(1e300, 1.0), late_member(1e17, 1.0));
+    }
+
+    #[test]
+    fn a_backlog_past_u64_strides_drops_like_a_shorter_one_at_f64_max() {
+        assert_eq!(late_member(f64::MAX, 1.0), late_member(1e17, 1.0));
+    }
+
+    /// The drops are bounded by the releases before the horizon; a horizon
+    /// past `u64::MAX` strides saturates that bound, so a tick 1 s late
+    /// drops the same backlog under a 1e300 s horizon as under a 1e3 s one.
+    #[test]
+    fn a_horizon_past_u64_strides_drops_like_a_nearer_one() {
+        let release = Release::new(0.0, 0, 0, 0, 0.0);
+        let next = |horizon_s: f64| {
+            let mut sched = fleet(1, 1, 0);
+            let slot = &mut sched.slots[0];
+            let next = next_release(slot, &release, 1.0, 1.0, horizon_s, 0);
+            let at = next.map(|r| (r.release_idx, r.release_s.to_bits()));
+            (at, slot.stats.drops)
+        };
+        assert_eq!(next(1e300), next(1e3));
+        assert!(next(1e3).1 > 0);
+    }
+
+    /// A backlog that reaches the end of the release index space ends the
+    /// loop there: every index up to `u64::MAX` is ticked or dropped once.
+    #[test]
+    fn a_backlog_past_the_last_release_index_retires_the_loop() {
+        let (ticks, drops) = late_member(1e300, f64::MAX);
+        assert_eq!(u128::from(ticks) + u128::from(drops), 1 << 64);
     }
 
     #[test]

@@ -9,6 +9,21 @@ cd "$(dirname "$0")/.."
 quick=0
 [[ "${1:-}" == "--quick" ]] && quick=1
 
+# The five documents every change reads stay under one cap (140 KiB):
+# per-change narrative moves to docs/history/ instead of piling up here.
+echo "== always-read docs: README, DESIGN, CHANGES, EXPERIMENTS and ROADMAP total <= 143360 bytes =="
+docs_total=0
+for doc in README.md DESIGN.md CHANGES.md EXPERIMENTS.md ROADMAP.md; do
+    size="$(wc -c < "$doc")"
+    echo "$doc $size"
+    docs_total=$((docs_total + size))
+done
+echo "total $docs_total"
+if (( docs_total > 143360 )); then
+    echo "over the cap: move per-PR narrative to docs/history/"
+    exit 1
+fi
+
 echo "== threads are created by FleetScheduler::run and the TCP front-end only =="
 [[ "$(git grep -lE 'thread::(scope|spawn|Builder)|available_parallelism' -- 'crates/*/src/*' | xargs)" == "crates/sensact-sched/src/sched.rs crates/sensact-serve/src/server.rs" ]]
 
@@ -162,60 +177,17 @@ timeout 30m cargo test --offline --workspace -q
 echo "== cargo doc (-D warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps -q
 
-# The steps whose answer depends on the kernel dispatch run once per ISA: on
-# the ISA the steps above ran on (the host's, or the forced-scalar fallback
-# when the caller exports SENSACT_FORCE_SCALAR) and, if that was the host's,
-# on the forced-scalar fallback too. The math + nn lib tests are the
-# dispatch-dependent correctness step: every fast kernel and conv lowering
-# against its reference, on the tier its contract names. The conv layers
-# run one lowering on both legs — panels packed from the zero-bordered halo
-# by one walker, each tap's dots folded straight into the output — and the
-# legs differ in the tile under it and so in the packers' lane width, and in
-# the fold's arm: on the host leg
-# the host's widest tiles with 8-wide lanes (the 512-bit multiply-then-add
-# and FMA tiles from 8 rows up where AVX-512 is on, the 256-bit ones below
-# 8 rows and on an AVX2-only host; FMA from 2^14) and the widest fold arm
-# (`kernels::fold_dots` on 512-bit lanes where AVX-512 is on, 256-bit lanes
-# on an AVX2-only host), on the forced-scalar leg the portable plain-Rust
-# 4x4 tile in dot and chain mode with 4-wide lanes and the scalar fold loop
-# — the leg that proves the portable tile, the 4-wide lanes and the scalar
-# fold. On an AVX-512 host the AVX2 tiles take only products under 8 rows,
-# so `simd::every_tile_of_a_tier_gives_the_same_bits` drives them directly
-# against the 512-bit and portable tiles, and
-# `kernels::fold_dots_matches_the_written_out_chain` drives every fold arm
-# the host can execute against the written-out chain;
-# `conv::the_layers_run_the_host_s_widest_tiles` fails if a layer ran a
-# narrower tile or fold arm than its leg selects.
-# `prop_halo_packers_match_the_oracle_unfold` holds both packers to the
-# oracle's unfold at both widths and asserts that the layers ran the leg's
-# width only; `halo_state_does_not_leak_across_calls`
-# replays random call sequences against fresh twins with the halo border
-# checked after each call; the backward rows of
-# `prop_{conv,deconv}_lowering_is_bit_identical_to_the_materialised_oracle`
-# (batch 1 and 3), `the_fold_product_adds_in_the_site_major_order` and
-# `kernels::tests::{gathered_transb_is_bitwise_identical_to_per_item_dispatch,
-# chain_panel_source_is_bitwise_identical_to_gemm}` hold each tile to the
-# oracle's materialised unfold + `gemm` / row-dot. `tests/alloc_guard.rs`
-# repeats with them: no column matrix in an R-MAE train step (< 3 MiB), and
-# no allocation a warm conv lowering regrows, on both legs. The starnet +
-# lidar lib tests ride along: the pinned score stream and the regret oracle
-# go through the sign fold and the VAE's GEMMs; so do the rmae ones, whose
-# site-sparse reconstruct must equal the dense conv oracle on either tier,
-# and the koopman ones, whose stack-buffer encode must equal the boxed
-# `Sequential` forward it replaced on either tier. The sign fold under every
-# STARNet score runs its host's widest arm too: 512-bit lanes (one
-# `vpternlogq` per negation) on an AVX-512 host, 256-bit lanes on an
-# AVX2-only one, the scalar loop on the forced-scalar leg;
-# `kernels::sign_fold_matches_the_scalar_fold` drives every arm the host can
-# execute against the written-out fold and fails if the dispatched fold ran
-# a narrower arm than its leg selects. `alloc_guard` adds the inference
-# rows: a warm R-MAE reconstruct allocates only the probabilities it returns
-# (the stages write into per-thread activation buffers, checked against the
-# dense oracle over NaN-filled buffers by `model::tests`), and a warm
-# STARNet score allocates nothing per SPSA iteration.
-# The workspace step already ran them on the first leg's ISA, so they repeat
-# only on the other.
-# None of the steps gates on a timing — every timing the repo judges is a
+# The steps whose answer depends on the kernel dispatch run once per ISA:
+# on the ISA the steps above ran on (the host's, or the forced-scalar
+# fallback when the caller exports SENSACT_FORCE_SCALAR) and, if that was
+# the host's, on the forced-scalar fallback too. Two legs, because the host
+# leg runs the widest tiles and fold arms its CPU selects (512-bit on
+# AVX-512) while only the forced-scalar leg runs the portable 4x4 tile, its
+# 4-wide panels and the scalar folds, and every contract must hold on both.
+# DESIGN.md §7 and §13 list, beside each kernel, conv lowering and model
+# path, the tests that hold it to its reference. The workspace step already
+# ran them on the first leg's ISA, so they repeat only on the other. None
+# of the steps gates on a timing: every timing the repo judges is a
 # benchmark/ row (scripts/bench_pair.py).
 case "${SENSACT_FORCE_SCALAR:-0}" in
     0) legs=(0 1) ;;
