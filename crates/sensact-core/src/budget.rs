@@ -76,11 +76,6 @@ impl EnergyBudget {
             (self.consumed_j / self.capacity_j).clamp(0.0, 1.0)
         }
     }
-
-    /// Ticks whose latency exceeded the deadline.
-    pub fn deadline_misses(&self) -> u64 {
-        self.deadline_misses
-    }
 }
 
 impl Default for EnergyBudget {
@@ -145,14 +140,14 @@ mod tests {
         b.consume(0.0, 0.005);
         b.consume(0.0, 0.02);
         b.consume(0.0, 0.05);
-        assert_eq!(b.deadline_misses(), 2);
+        assert_eq!(b.deadline_misses, 2);
     }
 
     #[test]
     fn no_deadline_no_misses() {
         let mut b = EnergyBudget::new(100.0);
         b.consume(0.0, 1e9);
-        assert_eq!(b.deadline_misses(), 0);
+        assert_eq!(b.deadline_misses, 0);
     }
 
     #[test]

@@ -308,16 +308,6 @@ impl<T, V> FaultInjector<T, V> {
             injected: 0,
         }
     }
-
-    /// Number of faults injected so far (of any kind).
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Borrow the wrapped stage.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
 }
 
 impl<T, V: Clone + NanPoison> FaultInjector<T, V> {
@@ -653,11 +643,6 @@ impl<S, P, M, C, Ad, F> FallibleLoop<S, P, M, C, Ad, F> {
         self
     }
 
-    /// Active recovery policy.
-    pub fn recovery(&self) -> &RecoveryPolicy {
-        &self.recovery
-    }
-
     /// Attach a tracer (e.g. [`Tracer::sim`] for deterministic spans).
     /// Defaults to [`Tracer::disabled`]. Failed sense/perceive attempts emit
     /// spans with `ok == false`.
@@ -900,7 +885,7 @@ mod tests {
     // Let adaptation reach the wrapped sensor through the injector.
     impl<V> SensingKnobs for FaultInjector<KnobSensor, V> {
         fn rate(&self) -> f64 {
-            self.inner().rate()
+            self.inner.rate()
         }
         fn set_rate(&mut self, r: f64) {
             self.inner.set_rate(r);
@@ -1090,7 +1075,7 @@ mod tests {
         // Stuck ticks repeat the previous value instead of advancing.
         let repeats = vals.windows(2).filter(|w| w[0] == w[1]).count();
         assert!(repeats > 4, "only {repeats} stuck repeats in {vals:?}");
-        assert!(inj.injected() > 0);
+        assert!(inj.injected > 0);
         // Monotone non-decreasing: stuck-at never invents new values.
         assert!(vals.windows(2).all(|w| w[1] >= w[0]));
     }
@@ -1562,7 +1547,7 @@ mod tests {
                 let ckpt = Checkpoint::from_jsonl(&ckpt.to_jsonl()).unwrap();
                 let mut resumed = make(0xDEAD);
                 resumed.restore_state(&ckpt, "inj").unwrap();
-                assert_eq!(resumed.injected(), original.injected());
+                assert_eq!(resumed.injected, original.injected);
                 let tail: Vec<String> = (cut..240)
                     .map(|i| outcome(resumed.try_sense(&(i as f64), &mut StageContext::new())))
                     .collect();

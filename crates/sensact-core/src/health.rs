@@ -190,11 +190,6 @@ impl HealthScorer {
         HealthScorer::default()
     }
 
-    /// Current (hysteresis-filtered) status.
-    pub fn status(&self) -> HealthStatus {
-        self.status
-    }
-
     /// Evaluate one window. Returns `Some((from, to))` when the filtered
     /// status transitions — after 2 consecutive worsening windows or 3
     /// consecutive recovering ones.
@@ -265,11 +260,6 @@ impl FleetHealth {
         };
         h
     }
-
-    /// Total loops rolled up.
-    pub fn total(&self) -> usize {
-        self.healthy + self.degraded + self.critical
-    }
 }
 
 #[cfg(test)]
@@ -329,7 +319,7 @@ mod tests {
         let mut sc = HealthScorer::new();
         // One bad window: no transition yet.
         assert_eq!(sc.observe(&missy(0.3)), None);
-        assert_eq!(sc.status(), HealthStatus::Healthy);
+        assert_eq!(sc.status, HealthStatus::Healthy);
         // A clean window dissolves the streak.
         assert_eq!(sc.observe(&clean()), None);
         assert_eq!(sc.observe(&missy(0.3)), None);
@@ -338,7 +328,7 @@ mod tests {
             sc.observe(&missy(0.3)),
             Some((HealthStatus::Healthy, HealthStatus::Critical))
         );
-        assert_eq!(sc.status(), HealthStatus::Critical);
+        assert_eq!(sc.status, HealthStatus::Critical);
         // Recovery needs 3 consecutive clean windows.
         assert_eq!(sc.observe(&clean()), None);
         assert_eq!(sc.observe(&clean()), None);
@@ -346,7 +336,7 @@ mod tests {
             sc.observe(&clean()),
             Some((HealthStatus::Critical, HealthStatus::Healthy))
         );
-        assert_eq!(sc.status(), HealthStatus::Healthy);
+        assert_eq!(sc.status, HealthStatus::Healthy);
     }
 
     /// The hysteresis depths are fixed: a downgrade is reported on exactly
@@ -365,10 +355,10 @@ mod tests {
         for (window, from, to, depth) in steps {
             for n in 1..depth {
                 assert_eq!(sc.observe(&window), None, "{from} -> {to}, window {n}");
-                assert_eq!(sc.status(), from);
+                assert_eq!(sc.status, from);
             }
             assert_eq!(sc.observe(&window), Some((from, to)), "{from} -> {to}");
-            assert_eq!(sc.status(), to);
+            assert_eq!(sc.status, to);
         }
     }
 
@@ -401,6 +391,5 @@ mod tests {
         assert_eq!(mk(9, 0, 1).status, HealthStatus::Critical); // 10% ≥ 10%
         let h = mk(6, 3, 1);
         assert_eq!((h.healthy, h.degraded, h.critical), (6, 3, 1));
-        assert_eq!(h.total(), 10);
     }
 }

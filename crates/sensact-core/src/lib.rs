@@ -23,9 +23,8 @@
 //! fail-safe fallback) plus a deterministic fault injector.
 //!
 //! The observability layer attributes cost per stage: [`trace`] provides
-//! lightweight spans under a pluggable [`trace::Clock`] (deterministic
-//! [`trace::SimClock`] for tests, monotonic [`trace::WallClock`] for
-//! benches), [`metrics`] provides a hermetic [`metrics::MetricsRegistry`]
+//! lightweight spans over one clock (deterministic [`trace::SimClock`] time
+//! for tests, monotonic wall time for benches), [`metrics`] provides a hermetic [`metrics::MetricsRegistry`]
 //! of counters, gauges and log-bucketed [`metrics::Histogram`]s, and
 //! [`export`] serializes spans/ticks as round-trippable JSONL plus a
 //! human-readable text report and a Prometheus text exposition. On top of
@@ -89,6 +88,6 @@ pub use sensact_math::rng::splitmix64_finalize;
 pub use stage::{StageContext, Trust};
 pub use telemetry::{CommCounters, FaultCounters, LoopTelemetry, TickRecord};
 pub use trace::{
-    CausalSpan, Clock, FleetTracer, SimClock, Span, SpanKind, StageBreakdown, StageCost, StageId,
-    TraceContext, Tracer, WallClock,
+    CausalSpan, FleetTracer, SimClock, Span, SpanKind, StageBreakdown, StageCost, StageId,
+    TraceContext, Tracer,
 };

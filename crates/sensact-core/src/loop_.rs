@@ -105,11 +105,6 @@ impl<S, P, M, C, Ad> LoopState<S, P, M, C, Ad> {
         &self.sensor
     }
 
-    /// Borrow the controller.
-    pub fn controller(&self) -> &C {
-        &self.controller
-    }
-
     /// Borrow the tracer (e.g. to export collected spans).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer

@@ -9,10 +9,10 @@
 //!   monitor → control → act), each with static metric names;
 //! * [`StageBreakdown`] — a per-stage energy/latency ledger carried by every
 //!   [`TickRecord`](crate::telemetry::TickRecord);
-//! * [`Clock`] — a pluggable time source: deterministic [`SimClock`] for
-//!   tests and reproducible exports, monotonic [`WallClock`] for benches;
 //! * [`Span`] / [`Tracer`] — lightweight spans wrapping each stage
-//!   invocation, retained in a bounded ring buffer.
+//!   invocation, retained in a bounded ring buffer and stamped by one
+//!   clock: deterministic [`SimClock`] time for tests and reproducible
+//!   exports, monotonic wall time for benches.
 //!
 //! Tracing is **off by default** ([`Tracer::disabled`]): the disabled path
 //! costs one predictable branch per stage — the ledger's `fleet_sched`
@@ -191,17 +191,10 @@ impl StageBreakdown {
     }
 }
 
-/// A pluggable monotonic time source for span timestamps.
-///
-/// `now_s` takes `&mut self` so deterministic clocks can advance per query.
-pub trait Clock: std::fmt::Debug + Send {
-    /// Current time in seconds since the clock's origin.
-    fn now_s(&mut self) -> f64;
-}
-
-/// Deterministic simulation clock: every [`Clock::now_s`] query returns the
-/// current time and advances it by a fixed step, so traces are bit-identical
-/// across runs — the property the JSONL round-trip tests rely on.
+/// Deterministic simulation clock: every timestamp a [`Tracer::sim`] takes
+/// returns the current time and advances it by a fixed step, so traces are
+/// bit-identical across runs — the property the JSONL round-trip tests rely
+/// on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimClock {
     now_s: f64,
@@ -224,12 +217,19 @@ impl SimClock {
         self.now_s += dt_s.max(0.0);
     }
 
-    /// Read the current time *without* advancing it — unlike
-    /// [`Clock::now_s`], which steps the clock per query. Event-driven
+    /// Read the current time *without* advancing it — unlike a tracer's
+    /// timestamp query, which steps the clock. Event-driven
     /// runtimes use this to compare the clock against a pending event time
     /// before deciding how far to [`SimClock::advance`].
     pub fn peek_s(&self) -> f64 {
         self.now_s
+    }
+
+    /// The current time, then advance by the step.
+    fn now_s(&mut self) -> f64 {
+        let t = self.now_s;
+        self.now_s += self.step_s;
+        t
     }
 }
 
@@ -239,44 +239,9 @@ impl Default for SimClock {
     }
 }
 
-impl Clock for SimClock {
-    fn now_s(&mut self) -> f64 {
-        let t = self.now_s;
-        self.now_s += self.step_s;
-        t
-    }
-}
-
-/// Monotonic wall clock ([`std::time::Instant`]-based) for real timing.
-#[derive(Debug)]
-pub struct WallClock {
-    origin: Instant,
-}
-
-impl WallClock {
-    /// A wall clock with its origin at construction time.
-    pub fn new() -> Self {
-        WallClock {
-            origin: Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now_s(&mut self) -> f64 {
-        self.origin.elapsed().as_secs_f64()
-    }
-}
-
 /// One completed stage span: where a slice of the tick's time and cost went.
 ///
-/// `start_s`/`end_s` come from the tracer's [`Clock`] (wall time when
+/// `start_s`/`end_s` come from the tracer's clock (wall time when
 /// tracing a real run, deterministic time under [`SimClock`]); `energy_j`
 /// and `latency_s` are the *charged* costs from the stage ledger, which in
 /// simulation are independent of wall time.
@@ -298,17 +263,23 @@ pub struct Span {
     pub ok: bool,
 }
 
-impl Span {
-    /// Clock-observed duration of the span (seconds).
-    pub fn wall_s(&self) -> f64 {
-        (self.end_s - self.start_s).max(0.0)
-    }
-}
-
 /// Default number of spans retained by a tracer's ring buffer.
 pub const DEFAULT_SPAN_CAPACITY: usize = 16384;
 
-/// Collects per-stage [`Span`]s under a pluggable [`Clock`].
+/// The clock a [`Tracer`] stamps its spans with.
+#[derive(Debug)]
+enum TraceClock {
+    /// Tracing is off: no clock, no span.
+    Off,
+    /// Deterministic simulation time, queried at every stamp.
+    Sim(SimClock),
+    /// Monotonic wall time since this origin, coarse-stamped
+    /// ([`Tracer::wall`]).
+    Wall(Instant),
+}
+
+/// Collects per-stage [`Span`]s stamped by one clock: none, a [`SimClock`]
+/// or the monotonic wall clock.
 ///
 /// Loops own a tracer ([`Tracer::disabled`] by default). When disabled,
 /// [`Tracer::start`]/[`Tracer::finish`] reduce to one predictable branch
@@ -317,12 +288,9 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 16384;
 /// not the tracer.
 #[derive(Debug)]
 pub struct Tracer {
-    clock: Option<Box<dyn Clock>>,
+    clock: TraceClock,
     spans: Ring<Span>,
-    /// Coarse stamping: reuse the previous span's end as the next span's
-    /// start, halving clock queries for back-to-back stages.
-    coarse: bool,
-    /// The last `finish` timestamp, pending reuse by the next `start`.
+    /// The last wall `finish` timestamp, pending reuse by the next `start`.
     pending_stamp: Option<f64>,
 }
 
@@ -330,40 +298,34 @@ impl Tracer {
     /// A disabled tracer: records nothing, costs one branch per call.
     pub fn disabled() -> Self {
         Tracer {
-            clock: None,
+            clock: TraceClock::Off,
             spans: Ring::new(DEFAULT_SPAN_CAPACITY),
-            coarse: false,
             pending_stamp: None,
-        }
-    }
-
-    /// An enabled tracer over an arbitrary clock.
-    pub fn new(clock: Box<dyn Clock>) -> Self {
-        Tracer {
-            clock: Some(clock),
-            ..Tracer::disabled()
         }
     }
 
     /// An enabled tracer over a deterministic [`SimClock`] advancing
     /// `step_s` per timestamp query (two queries per span).
     pub fn sim(step_s: f64) -> Self {
-        Tracer::new(Box::new(SimClock::with_step(step_s)))
+        Tracer {
+            clock: TraceClock::Sim(SimClock::with_step(step_s)),
+            ..Tracer::disabled()
+        }
     }
 
-    /// An enabled tracer over the monotonic [`WallClock`].
+    /// An enabled tracer over the monotonic wall clock, its origin now.
     ///
-    /// Wall tracers default to *coarse stamping*: within a tick, each span's
-    /// start reuses the previous span's end (stages run back-to-back, so the
+    /// Wall tracers stamp *coarsely*: within a tick, each span's start
+    /// reuses the previous span's end (stages run back-to-back, so the
     /// fencepost is truthful), cutting `Instant::now` queries per 5-stage
     /// tick from 10 to 6. Loops reset the pending stamp at tick entry via
     /// [`Tracer::new_tick`] so inter-tick gaps are never folded into the
-    /// first stage. Tracers over any other clock ([`Tracer::new`],
-    /// [`Tracer::sim`]) query it at every span start.
+    /// first stage. A [`Tracer::sim`] queries its clock at every span start.
     pub fn wall() -> Self {
-        let mut t = Tracer::new(Box::new(WallClock::new()));
-        t.coarse = true;
-        t
+        Tracer {
+            clock: TraceClock::Wall(Instant::now()),
+            ..Tracer::disabled()
+        }
     }
 
     /// Cap the number of retained spans (clamped to ≥ 1).
@@ -375,27 +337,28 @@ impl Tracer {
     /// Whether spans are being recorded.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.clock.is_some()
+        !matches!(self.clock, TraceClock::Off)
     }
 
     /// Timestamp the start of a stage; returns `0.0` when disabled.
     ///
-    /// Under coarse stamping a pending end-of-previous-span stamp is reused
-    /// instead of querying the clock (see [`Tracer::wall`]).
+    /// A pending end-of-previous-span stamp is reused instead of querying
+    /// the clock (coarse stamping, see [`Tracer::wall`]).
     #[inline]
     pub fn start(&mut self) -> f64 {
         if let Some(s) = self.pending_stamp.take() {
             return s;
         }
         match &mut self.clock {
-            Some(c) => c.now_s(),
-            None => 0.0,
+            TraceClock::Off => 0.0,
+            TraceClock::Sim(clock) => clock.now_s(),
+            TraceClock::Wall(origin) => origin.elapsed().as_secs_f64(),
         }
     }
 
     /// Mark a tick boundary: drops any pending coarse stamp so the gap
     /// between ticks (telemetry recording, action application) is never
-    /// folded into the next tick's first stage. No-op for exact tracers.
+    /// folded into the next tick's first stage. No-op for sim tracers.
     #[inline]
     pub fn new_tick(&mut self) {
         self.pending_stamp = None;
@@ -413,13 +376,15 @@ impl Tracer {
         latency_s: f64,
         ok: bool,
     ) {
-        let Some(clock) = &mut self.clock else {
-            return;
+        let end_s = match &mut self.clock {
+            TraceClock::Off => return,
+            TraceClock::Sim(clock) => clock.now_s(),
+            TraceClock::Wall(origin) => {
+                let end_s = origin.elapsed().as_secs_f64();
+                self.pending_stamp = Some(end_s);
+                end_s
+            }
         };
-        let end_s = clock.now_s();
-        if self.coarse {
-            self.pending_stamp = Some(end_s);
-        }
         self.store(Span {
             tick,
             stage,
@@ -473,11 +438,11 @@ impl Default for Tracer {
 impl StageState for Tracer {
     fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
         let mut s = Section::new(ns);
-        // The clock is a trait object and stays with the constructed
-        // instance (a restored wall tracer re-times from its own origin;
-        // replay conformance compares telemetry, which carries the charged
-        // costs, not tracer timestamps). The span ring and the pending
-        // coarse stamp are the mutable state.
+        // The clock stays with the constructed instance (a restored wall
+        // tracer re-times from its own origin; replay conformance compares
+        // telemetry, which carries the charged costs, not tracer
+        // timestamps). The span ring and the pending coarse stamp are the
+        // mutable state.
         s.put_u64("capacity", self.spans.capacity() as u64);
         s.put_bool("pending_some", self.pending_stamp.is_some());
         s.put_f64("pending", self.pending_stamp.unwrap_or(0.0));
@@ -922,15 +887,6 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_is_monotonic() {
-        let mut c = WallClock::new();
-        let a = c.now_s();
-        let b = c.now_s();
-        assert!(b >= a);
-        assert!(a >= 0.0);
-    }
-
-    #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::disabled();
         assert!(!t.is_enabled());
@@ -976,9 +932,9 @@ mod tests {
     fn a_bad_span_column_leaves_the_tracer_unchanged() {
         use crate::checkpoint::{Checkpoint, CheckpointError};
         let mut donor = Tracer::sim(1.0);
-        donor.coarse = true;
         let s = donor.start();
-        donor.finish(0, StageId::Act, s, 0.0, 0.0, true); // pending = 1.0
+        donor.finish(0, StageId::Act, s, 0.0, 0.0, true);
+        donor.pending_stamp = Some(1.0); // a wall tracer's coarse stamp
         let mut ckpt = Checkpoint::new("t");
         donor.save_state(&mut ckpt, "tracer");
         let mut hostile = ckpt.section("tracer").unwrap().clone();
@@ -1052,55 +1008,44 @@ mod tests {
         assert_eq!(span.stage, StageId::Perceive);
         assert_eq!(span.start_s, 0.0);
         assert_eq!(span.end_s, 0.25);
-        assert_eq!(span.wall_s(), 0.25);
         assert_eq!(span.energy_j, 2e-3);
         assert!(span.ok);
     }
 
+    /// A sim tracer queries its clock at every stamp and leaves no pending
+    /// stamp; one restored with a pending stamp reuses it once.
     #[test]
-    fn coarse_stamping_reuses_previous_end() {
-        // SimClock advances 1.0 per query; with coarse stamps the second
-        // span's start must *reuse* the first span's end (no query).
+    fn sim_tracer_queries_its_clock_at_every_stamp() {
         let mut t = Tracer::sim(1.0);
-        t.coarse = true;
-        let s0 = t.start(); // query: 0.0 (clock -> 1.0)
-        t.finish(0, StageId::Sense, s0, 0.0, 0.0, true); // query: 1.0 (clock -> 2.0)
-        let s1 = t.start(); // reused: 1.0, no query
-        t.finish(0, StageId::Perceive, s1, 0.0, 0.0, true); // query: 2.0
-        let spans: Vec<Span> = t.spans().copied().collect();
-        assert_eq!(spans[0].end_s, 1.0);
-        assert_eq!(spans[1].start_s, 1.0, "start must reuse previous end");
-        assert_eq!(spans[1].end_s, 2.0);
+        let s0 = t.start(); // 0.0 (clock -> 1.0)
+        t.finish(0, StageId::Sense, s0, 0.0, 0.0, true); // 1.0 (clock -> 2.0)
+        assert_eq!(t.pending_stamp, None);
+        assert_eq!(t.start(), 2.0); // clock -> 3.0
+        t.pending_stamp = Some(0.5);
+        assert_eq!(t.start(), 0.5, "a pending stamp is reused");
+        assert_eq!(t.start(), 3.0);
     }
 
+    /// Within a tick a wall span starts where the previous one ended; a
+    /// tick boundary drops that stamp, so the next start re-queries the
+    /// monotonic clock.
     #[test]
-    fn new_tick_drops_pending_coarse_stamp() {
-        let mut t = Tracer::sim(1.0);
-        t.coarse = true;
-        let s0 = t.start();
-        t.finish(0, StageId::Act, s0, 0.0, 0.0, true); // pending = 1.0
-        t.new_tick();
-        let s1 = t.start(); // fresh query: 2.0
-        assert_eq!(s1, 2.0, "tick boundary must re-query the clock");
-        // Exact mode never leaves a pending stamp.
-        let mut exact = Tracer::sim(1.0);
-        let s = exact.start();
-        exact.finish(0, StageId::Sense, s, 0.0, 0.0, true);
-        assert_eq!(exact.start(), 2.0);
-    }
-
-    #[test]
-    fn wall_tracer_is_coarse_by_default() {
+    fn wall_tracer_stamps_coarsely_within_a_tick() {
         let mut t = Tracer::wall();
         let s0 = t.start();
         t.finish(0, StageId::Sense, s0, 0.0, 0.0, true);
         let s1 = t.start();
         t.finish(0, StageId::Perceive, s1, 0.0, 0.0, true);
         let spans: Vec<Span> = t.spans().copied().collect();
+        assert!(0.0 <= spans[0].start_s && spans[0].start_s <= spans[0].end_s);
         assert_eq!(
             spans[1].start_s, spans[0].end_s,
             "wall spans are contiguous under coarse stamping"
         );
+        assert_eq!(t.pending_stamp, Some(spans[1].end_s));
+        t.new_tick();
+        assert_eq!(t.pending_stamp, None, "a tick boundary drops the stamp");
+        assert!(t.start() >= spans[1].end_s);
     }
 
     #[test]

@@ -37,11 +37,6 @@ impl NgramModel {
         NgramModel { order, counts }
     }
 
-    /// Model order (context length).
-    pub fn order(&self) -> usize {
-        self.order
-    }
-
     /// Greedy next-character prediction with backoff to shorter contexts.
     /// Ties break lexicographically (deterministic). `None` when even the
     /// unigram-like shortest context is unseen.

@@ -32,7 +32,7 @@
 //! let scene = SceneGenerator::new(42).generate();
 //! let lidar = Lidar::new(LidarConfig::default());
 //! let scan = lidar.scan(&scene);
-//! assert!(scan.points().len() > 1000);
+//! assert!(scan.len() > 1000);
 //! ```
 
 pub mod corrupt;

@@ -41,11 +41,6 @@ impl PointCloud {
         PointCloud { points }
     }
 
-    /// All points.
-    pub fn points(&self) -> &[Point] {
-        &self.points
-    }
-
     /// Mutable access to the points (used by corruption models).
     pub fn points_mut(&mut self) -> &mut Vec<Point> {
         &mut self.points

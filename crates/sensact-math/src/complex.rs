@@ -26,19 +26,9 @@ impl Complex64 {
         Complex64 { re, im }
     }
 
-    /// The additive identity.
-    pub fn zero() -> Self {
-        Complex64 { re: 0.0, im: 0.0 }
-    }
-
     /// The multiplicative identity.
     pub fn one() -> Self {
         Complex64 { re: 1.0, im: 0.0 }
-    }
-
-    /// The imaginary unit `j`.
-    pub fn i() -> Self {
-        Complex64 { re: 0.0, im: 1.0 }
     }
 
     /// Construct from polar coordinates `(r, θ)`.
@@ -164,15 +154,10 @@ mod tests {
     #[test]
     fn arithmetic_identities() {
         let z = Complex64::new(2.0, -3.0);
-        assert_eq!(z + Complex64::zero(), z);
+        assert_eq!(z + Complex64::new(0.0, 0.0), z);
         assert_eq!(z * Complex64::one(), z);
-        assert_eq!(z - z, Complex64::zero());
+        assert_eq!(z - z, Complex64::new(0.0, 0.0));
         assert_eq!(-z, Complex64::new(-2.0, 3.0));
-    }
-
-    #[test]
-    fn i_squared_is_minus_one() {
-        assert_eq!(Complex64::i() * Complex64::i(), Complex64::new(-1.0, 0.0));
     }
 
     #[test]
@@ -184,7 +169,7 @@ mod tests {
 
     #[test]
     fn exp_of_i_pi() {
-        let z = (Complex64::i() * std::f64::consts::PI).exp();
+        let z = Complex64::new(0.0, std::f64::consts::PI).exp();
         assert!((z.re + 1.0).abs() < 1e-12);
         assert!(z.im.abs() < 1e-12);
     }
@@ -213,7 +198,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "reciprocal of zero")]
     fn recip_of_zero_panics() {
-        let _ = Complex64::zero().recip();
+        let _ = Complex64::new(0.0, 0.0).recip();
     }
 
     #[test]

@@ -351,11 +351,6 @@ impl FlowModel {
         }
         ledger
     }
-
-    /// Hidden width (size-sweep axis of Fig. 9 right panel).
-    pub fn hidden(&self) -> usize {
-        self.hidden
-    }
 }
 
 impl std::fmt::Debug for FlowModel {

@@ -589,11 +589,6 @@ impl Conv3d {
         self.out_dims
     }
 
-    /// Input spatial dimensions.
-    pub fn in_dims(&self) -> Dims3 {
-        self.in_dims
-    }
-
     /// The layer's window geometry: one site per output voxel, sliding
     /// over the input.
     #[inline]

@@ -85,11 +85,6 @@ impl Dense {
         }
     }
 
-    /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
     /// Output feature dimension.
     pub fn out_dim(&self) -> usize {
         self.out_dim

@@ -27,11 +27,6 @@ impl Sequential {
         Sequential { layers }
     }
 
-    /// An empty stack (identity network).
-    pub fn empty() -> Self {
-        Sequential { layers: Vec::new() }
-    }
-
     /// Append a layer.
     pub fn push(&mut self, layer: Box<dyn Layer>) {
         self.layers.push(layer);
@@ -192,7 +187,7 @@ mod tests {
 
     #[test]
     fn empty_is_identity() {
-        let mut net = Sequential::empty();
+        let mut net = Sequential::new(Vec::new());
         assert!(net.is_empty());
         let x = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(net.forward(&x, false), x);
@@ -210,7 +205,7 @@ mod tests {
     #[test]
     fn push_grows_stack() {
         let mut init = Initializer::new(0);
-        let mut net = Sequential::empty();
+        let mut net = Sequential::new(Vec::new());
         net.push(Box::new(Dense::new(2, 2, &mut init)));
         assert_eq!(net.len(), 1);
     }

@@ -83,11 +83,6 @@ impl Vae {
         self.input_dim
     }
 
-    /// Latent dimension.
-    pub fn latent_dim(&self) -> usize {
-        self.latent_dim
-    }
-
     /// Encode a batch to `(μ, log σ²)`.
     pub fn encode(&mut self, x: &Tensor) -> (Tensor, Tensor) {
         let h = self.enc.forward(x, false);

@@ -81,19 +81,16 @@ impl std::fmt::Display for ApRow {
 
 /// Average precision with greedy center-distance matching: a prediction is a
 /// true positive if an unclaimed ground-truth center lies within `max_dist`
-/// (horizontal distance).
+/// (horizontal distance). Predictions are matched in descending
+/// [`f64::total_cmp`] score order, the order the AP ranks them in, so a NaN
+/// score ranks instead of panicking.
 pub fn ap_at_center_distance(
     predictions: &[Detection3d],
     ground_truth: &[Aabb],
     max_dist: f64,
 ) -> f64 {
     let mut order: Vec<usize> = (0..predictions.len()).collect();
-    order.sort_by(|&a, &b| {
-        predictions[b]
-            .score
-            .partial_cmp(&predictions[a].score)
-            .unwrap()
-    });
+    order.sort_by(|&a, &b| predictions[b].score.total_cmp(&predictions[a].score));
     let mut claimed = vec![false; ground_truth.len()];
     let mut dets = Vec::with_capacity(predictions.len());
     for &pi in &order {
@@ -340,6 +337,24 @@ mod tests {
             det(ObjectClass::Car, 10.0, 0.0, 0.9),
         ];
         assert!(ap_at_center_distance(&noisy, &gt, 1.0) < ap_at_center_distance(&clean, &gt, 1.0));
+    }
+
+    /// A NaN detection score ranks (a positive NaN above every finite
+    /// score, by `total_cmp`) instead of panicking the evaluation.
+    #[test]
+    fn a_nan_score_ranks_above_every_finite_score() {
+        let gt = vec![Aabb::from_center_size([10.0, 0.0, 0.75], [4.2, 1.8, 1.5])];
+        let ranked_first = vec![
+            det(ObjectClass::Car, 10.0, 0.0, 0.9),
+            det(ObjectClass::Car, 30.0, 8.0, 0.95),
+        ];
+        let nan = vec![
+            det(ObjectClass::Car, 10.0, 0.0, 0.9),
+            det(ObjectClass::Car, 30.0, 8.0, f64::NAN),
+        ];
+        let ap = ap_at_center_distance(&nan, &gt, 1.0);
+        assert_eq!(ap, ap_at_center_distance(&ranked_first, &gt, 1.0));
+        assert_eq!(ap, 0.5);
     }
 
     #[test]

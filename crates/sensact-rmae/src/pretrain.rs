@@ -95,11 +95,6 @@ impl Pretrainer {
         }
     }
 
-    /// The strategy in use.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
     /// Consume into the trained model.
     pub fn into_model(self) -> RmaeModel {
         self.model

@@ -76,11 +76,6 @@ impl EnergyArbiter {
         self.energy_j
     }
 
-    /// Current stride stretch factor (≥ 1).
-    pub fn stretch(&self) -> f64 {
-        self.stretch
-    }
-
     /// Completions that observed an over-cap fleet (throttled releases).
     pub fn throttle_events(&self) -> u64 {
         self.throttle_events

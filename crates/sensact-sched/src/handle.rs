@@ -15,7 +15,7 @@
 use sensact_core::checkpoint::{Checkpoint, CheckpointError};
 #[cfg(doc)]
 use sensact_core::{Checkpointed, FallibleLoop, SensingActionLoop};
-use sensact_core::{LoopRunner, LoopTelemetry, StageError, TraceContext};
+use sensact_core::{LoopRunner, LoopTelemetry, StageError};
 use std::any::Any;
 
 /// What one multiplexed tick cost, as observed by the scheduler.
@@ -77,14 +77,6 @@ pub trait DynLoop: Any + Send {
     /// it ([`EnergyArbiter::wire_bits`](crate::EnergyArbiter::wire_bits)).
     /// Loops that don't care ignore it.
     fn set_energy_stretch(&mut self, _stretch: f64) {}
-
-    /// Hand the loop the causal [`TraceContext`] of the tick about to run.
-    /// When fleet tracing is enabled the scheduler calls this immediately
-    /// before [`DynLoop::tick_once`], so a communicating loop (a federated
-    /// client, say) can parent its own causal spans — uploads, adoptions —
-    /// under the scheduler's tick span and one distributed operation
-    /// reconstructs as a single trace tree. Loops that don't trace ignore it.
-    fn set_trace_context(&mut self, _ctx: TraceContext) {}
 
     /// Serialize the loop's complete live state — stages, telemetry, and the
     /// closed-over environment — into a [`Checkpoint`] for kill-and-resume

@@ -473,10 +473,11 @@ pub struct MemberTickOutcome {
 /// ([`TickOutcome::comm_s`](crate::handle::TickOutcome)) extends the loop's
 /// completion — and its deadline check — without burning worker capacity.
 ///
-/// With tracing enabled the loop is handed the release's [`TraceContext`]
-/// before it ticks, and the tick's SchedTick span (plus a CommTail child when
+/// With tracing enabled the tick's SchedTick span (plus a CommTail child when
 /// it had an off-worker tail) is recorded and returned, so a run's
-/// [`LaneWatch`] can also feed its flight recorder.
+/// [`LaneWatch`] can also feed its flight recorder. Its context re-derives
+/// from `(seed, loop, release)` ([`sched_tick_context`]); the loop is handed
+/// none.
 fn execute_release(
     slot: &mut Slot,
     release: &Release,
@@ -491,8 +492,7 @@ fn execute_release(
     slot.handle.set_tick_start(start_s);
     let ctx = tracer
         .is_enabled()
-        .then(|| sched_tick_context(seed, release.loop_idx, release.release_idx))
-        .inspect(|&ctx| slot.handle.set_trace_context(ctx));
+        .then(|| sched_tick_context(seed, release.loop_idx, release.release_idx));
     let out = tick(&mut *slot.handle);
     let latency_s = sane_latency(out.latency_s);
     let comm_s = sane_latency(out.comm_s);
@@ -640,10 +640,10 @@ impl FleetScheduler {
 
     /// Attach a shared [`FleetTracer`]: every executed release emits a
     /// `SchedTick` causal span (plus a `CommTail` child for off-worker
-    /// tails), and each tick's [`TraceContext`] is handed to the loop via
-    /// [`DynLoop::set_trace_context`]
-    /// so downstream layers (the federated runtime, the network simulator)
-    /// can link their spans into the same causal stream.
+    /// tails). A tick's context is a pure function of `(seed, loop,
+    /// release)`, so downstream layers (the federated runtime, the network
+    /// simulator) re-derive the contexts they link their spans under into
+    /// the same causal stream; no member is handed one.
     pub fn set_tracer(&mut self, tracer: Arc<FleetTracer>) {
         self.tracer = tracer;
     }
@@ -978,12 +978,18 @@ impl FleetScheduler {
         report.energy_j = arbiter.energy_j();
         for (i, slot) in self.active() {
             let base = &frame.base[i];
-            report.ticks += slot.stats.ticks.wrapping_sub(base.ticks);
-            report.drops += slot.stats.drops.wrapping_sub(base.drops);
-            report.deadline_misses += slot
+            // Sums of wrapping counters wrap like them.
+            let misses = slot
                 .stats
                 .deadline_misses
                 .wrapping_sub(base.deadline_misses);
+            report.ticks = report
+                .ticks
+                .wrapping_add(slot.stats.ticks.wrapping_sub(base.ticks));
+            report.drops = report
+                .drops
+                .wrapping_add(slot.stats.drops.wrapping_sub(base.drops));
+            report.deadline_misses = report.deadline_misses.wrapping_add(misses);
             report.loops.push(LoopSummary {
                 name: slot.handle.name().to_string(),
                 stats: slot.stats,
@@ -1541,6 +1547,27 @@ mod tests {
         assert_eq!(u128::from(ticks) + u128::from(drops), 1 << 64);
     }
 
+    /// Two such members each drop nearly 2^64 releases: the run's counters
+    /// wrap like the slot counters they sum instead of overflowing.
+    #[test]
+    fn run_counters_wrap_when_two_backlogs_reach_the_last_release_index() {
+        let mut sched = FleetScheduler::new(FleetConfig {
+            workers: 2,
+            watts_cap: None,
+            seed: 0,
+        });
+        let ids: Vec<LoopId> = (0..2)
+            .map(|_| sched.register(handle("late", 1e-6, 1e300), LoopSpec::periodic(1e-2)))
+            .collect();
+        let report = sched.run_deterministic(f64::MAX, &mut SimClock::new());
+        let [a, b] = [ids[0], ids[1]].map(|id| sched.loop_stats(id));
+        for s in [a, b] {
+            assert_eq!(u128::from(s.ticks) + u128::from(s.drops), 1 << 64);
+        }
+        assert_eq!(report.drops, a.drops.wrapping_add(b.drops));
+        assert_eq!(report.ticks, a.ticks + b.ticks);
+    }
+
     #[test]
     fn energy_arbiter_throttles_over_cap_fleet() {
         let run = |watts_cap: Option<f64>| {
@@ -1646,7 +1673,6 @@ mod tests {
         latency_s: f64,
         comm_s: f64,
         starts: std::sync::Arc<Mutex<Vec<f64>>>,
-        ctxs: std::sync::Arc<Mutex<Vec<TraceContext>>>,
     }
 
     impl CommLoop {
@@ -1655,29 +1681,14 @@ mod tests {
         }
 
         fn observed(latency_s: f64, comm_s: f64) -> (LoopHandle, std::sync::Arc<Mutex<Vec<f64>>>) {
-            let (handle, starts, _) = Self::instrumented(latency_s, comm_s);
-            (handle, starts)
-        }
-
-        #[allow(clippy::type_complexity)]
-        fn instrumented(
-            latency_s: f64,
-            comm_s: f64,
-        ) -> (
-            LoopHandle,
-            std::sync::Arc<Mutex<Vec<f64>>>,
-            std::sync::Arc<Mutex<Vec<TraceContext>>>,
-        ) {
             let starts = std::sync::Arc::new(Mutex::new(Vec::new()));
-            let ctxs = std::sync::Arc::new(Mutex::new(Vec::new()));
             let handle = LoopHandle::from_dyn(Box::new(CommLoop {
                 telemetry: sensact_core::LoopTelemetry::new(),
                 latency_s,
                 comm_s,
                 starts: starts.clone(),
-                ctxs: ctxs.clone(),
             }));
-            (handle, starts, ctxs)
+            (handle, starts)
         }
     }
 
@@ -1690,12 +1701,6 @@ mod tests {
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push(start_s);
-        }
-        fn set_trace_context(&mut self, ctx: TraceContext) {
-            self.ctxs
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(ctx);
         }
         fn tick_once(&mut self) -> crate::handle::TickOutcome {
             self.telemetry
@@ -1800,11 +1805,23 @@ mod tests {
             assert_eq!(parent.node, tail.node);
             assert!((tail.start_s - parent.end_s).abs() < 1e-12);
         }
-        // Context is re-derivable without a handoff: the span ids match the
-        // pure function of (seed, loop, release).
+        // Context is re-derivable without a handoff: each tick span's whole
+        // context is the pure function of (seed, loop, release), releases
+        // numbered from 0 per loop.
         for t in &ticks {
             let ctx = sched_tick_context(9, t.node as usize, t.detail);
-            assert_eq!(t.span_id, ctx.span_id);
+            assert_eq!(
+                (t.trace_id, t.span_id, t.parent_id),
+                (ctx.trace_id, ctx.span_id, 0)
+            );
+        }
+        for node in 0..2 {
+            let releases: Vec<u64> = ticks
+                .iter()
+                .filter(|t| t.node == node)
+                .map(|t| t.detail)
+                .collect();
+            assert_eq!(releases, (0..releases.len() as u64).collect::<Vec<_>>());
         }
         let (_, spans_b) = run();
         assert_eq!(
@@ -1812,44 +1829,6 @@ mod tests {
             trace_stream_hash(&spans_b),
             "same seed must export a bit-identical trace stream"
         );
-    }
-
-    /// The scheduler hands each loop its tick's [`TraceContext`] before
-    /// `tick_once` when tracing is on — and never when it is off — so loops
-    /// can parent their own downstream spans (network sends, stage work)
-    /// under the scheduler's tick span.
-    #[test]
-    fn loops_receive_their_tick_trace_context() {
-        let seed = 5;
-        let mut sched = FleetScheduler::new(FleetConfig {
-            workers: 2,
-            watts_cap: None,
-            seed,
-        });
-        sched.set_tracer(Arc::new(FleetTracer::new()));
-        let (handle, _, ctxs) = CommLoop::instrumented(1e-3, 0.0);
-        let id = sched.register(handle, LoopSpec::periodic(1e-2));
-        let report = sched.run_deterministic(0.05, &mut SimClock::new());
-        let got = ctxs.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        assert_eq!(got.len() as u64, report.ticks, "one context per tick");
-        for (release_idx, ctx) in got.iter().enumerate() {
-            assert_eq!(
-                *ctx,
-                sched_tick_context(seed, id.0, release_idx as u64),
-                "context must re-derive from (seed, loop, release)"
-            );
-        }
-
-        // Untraced: the default no-op hook is never fed a context.
-        let mut sched = FleetScheduler::new(FleetConfig {
-            workers: 2,
-            watts_cap: None,
-            seed,
-        });
-        let (handle, _, ctxs) = CommLoop::instrumented(1e-3, 0.0);
-        sched.register(handle, LoopSpec::periodic(1e-2));
-        let _ = sched.run_deterministic(0.05, &mut SimClock::new());
-        assert!(ctxs.lock().unwrap_or_else(|e| e.into_inner()).is_empty());
     }
 
     /// A disabled tracer records nothing and the report is still complete.

@@ -122,11 +122,6 @@ impl ServeEngine {
         }
     }
 
-    /// Whether cross-loop batching is on.
-    pub fn batched(&self) -> bool {
-        self.batched
-    }
-
     /// The lease pool (checkpoint/restore, stats).
     pub fn pool(&mut self) -> &mut LeasePool {
         &mut self.pool

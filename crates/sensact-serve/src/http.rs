@@ -35,16 +35,6 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-impl Request {
-    /// First value of header `name` (lower-case), if present.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    }
-}
-
 /// Typed HTTP parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpError {
@@ -180,7 +170,10 @@ mod tests {
         assert_eq!(used, raw.len());
         assert_eq!(req.method, "GET");
         assert_eq!(req.target, "/metrics");
-        assert_eq!(req.header("host"), Some("edge"));
+        assert_eq!(
+            req.headers,
+            [("host", "edge"), ("accept", "*/*")].map(|(k, v)| (k.to_string(), v.to_string()))
+        );
         assert!(req.body.is_empty());
     }
 

@@ -94,23 +94,15 @@ impl ServeServer {
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
     }
+}
 
-    /// Stop the workers and join them.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
+/// Dropping the server stops the workers and joins them.
+impl Drop for ServeServer {
+    fn drop(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
-    }
-}
-
-impl Drop for ServeServer {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -480,7 +472,7 @@ mod tests {
                 [Frame::Released { .. }] => {}
                 other => panic!("batched={batched}: {other:?}"),
             }
-            server.stop();
+            drop(server);
         }
     }
 
@@ -569,6 +561,6 @@ mod tests {
         let text = String::from_utf8_lossy(&acc);
         assert!(text.starts_with("HTTP/1.1 200 OK"), "{text}");
         assert!(text.contains("serve_utilization"), "{text}");
-        server.stop();
+        drop(server);
     }
 }

@@ -137,11 +137,6 @@ impl Starnet {
             Trust::Untrusted
         }
     }
-
-    /// Calibrated suspect threshold.
-    pub fn suspect_threshold(&self) -> f64 {
-        self.suspect_threshold
-    }
 }
 
 impl StageState for Starnet {
@@ -292,7 +287,7 @@ mod tests {
     fn thresholds_calibrated_and_ordered() {
         let train = clouds(10, 4);
         let monitor = train_on_clouds(&train, fast_config(), 0);
-        assert!(monitor.suspect_threshold().is_finite());
+        assert!(monitor.suspect_threshold.is_finite());
         assert!(monitor.untrusted_threshold > monitor.suspect_threshold);
     }
 

@@ -146,6 +146,35 @@ if [[ -n "$offenders" ]]; then
     exit 1
 fi
 
+# A NaN makes `partial_cmp` return `None`, so unwrapping it panics on one
+# poisoned value: library code orders floats by `total_cmp`. As above, each
+# file up to its `#[cfg(test)] mod tests` is one text, so a call split
+# across lines is caught; `//` and `/* */` comments are dropped first.
+echo "== no unwrapped partial_cmp in library code: floats order by total_cmp =="
+offenders="$(git ls-files -- 'crates/*/src/*.rs' | xargs awk '
+    function uncomment(t,   out, i, j) {
+        out = ""
+        while ((i = index(t, "/*")) > 0) {
+            out = out substr(t, 1, i - 1)
+            t = substr(t, i + 2)
+            j = index(t, "*/")
+            t = j ? substr(t, j + 2) : ""
+        }
+        return out t
+    }
+    function flush() {
+        if (uncomment(text) ~ /partial_cmp\([^()]*(\([^()]*\)[^()]*)*\)[ \t\n]*\.(unwrap|expect)\(/) print file
+    }
+    FNR == 1 { if (file != "") flush(); file = FILENAME; text = ""; prev = ""; done = 0 }
+    done { next }
+    /^mod tests/ && prev ~ /^#\[cfg\(test\)\]/ { done = 1; next }
+    { line = $0; sub(/\/\/.*/, "", line); text = text "\n" line; prev = $0 }
+    END { if (file != "") flush() }')"
+if [[ -n "$offenders" ]]; then
+    echo "$offenders"
+    exit 1
+fi
+
 # Every `pub` fn / const / static under crates/*/src has a caller outside
 # its own unit tests, and every `pub` field of a `pub struct` with an
 # `impl Default` is set somewhere outside that impl — or either has an

@@ -5,12 +5,16 @@
 
 Flags every line-start `pub fn`, `pub const` or `pub static` declared under
 `crates/*/src` whose name no other Rust file of the repository names and
-whose own file names only at its declaration. Names are counted after
-dropping `//` and `/* */` comments, string and char literals and `pub use`
-lines; in the declaring file the `#[cfg(test)]` item bodies are dropped too,
-so an item only its own unit tests call is flagged, while a fixture other
-modules' tests build on is not. Files compiled only under `cfg(test)`
-(`#[path]`-included oracles) are neither scanned nor counted.
+whose own file names only at its declaration. A `pub fn` declared inside an
+`impl` block (a method) counts only call-shaped uses instead: `.name(`,
+`.name::<`, or a path ending in `::name` (`Type::name`, `Self::name`, fn
+pointers included), so a method spelled like a field, a local or a common
+word is not called by those. Names are counted after dropping `//` and
+`/* */` comments (doc examples included), string and char literals and
+`pub use` lines; in the declaring file the `#[cfg(test)]` item bodies are
+dropped too, so an item only its own unit tests call is flagged, while a
+fixture other modules' tests build on is not. Files compiled only under
+`cfg(test)` (`#[path]`-included oracles) are neither scanned nor counted.
 
 Exits 1 on any flagged item that is not on ALLOW below, and on any ALLOW
 entry that is no longer flagged (a stale reason is surface too). Types are
@@ -57,6 +61,7 @@ DECL = re.compile(
     r"|const\s+(\w+)\s*:|static\s+(?:mut\s+)?(\w+)\s*:)"
 )
 WORD = re.compile(r"[A-Za-z_]\w*")
+CALL = re.compile(r"\.\s*([A-Za-z_]\w*)\s*(?:\(|::\s*<)|::\s*([A-Za-z_]\w*)")
 
 
 def strip(text):
@@ -107,23 +112,41 @@ def stripped(path):
 
 def lines_of(path, drop_tests):
     """The lines of `path` that count: no comments, strings or `pub use`
-    lines and, with `drop_tests`, no `#[cfg(test)]` item bodies."""
+    lines and, with `drop_tests`, no `#[cfg(test)]` item bodies. A line that
+    does not count is blanked, so line numbers hold."""
     lines = stripped(path).split("\n")
     keep, skip_indent = [], None
-    for k, line in enumerate(lines):
+    for line in lines:
         indent = len(line) - len(line.lstrip())
         body = line.strip()
         if skip_indent is not None:
             if indent == skip_indent and (body.startswith("}") or body.endswith(";")):
                 skip_indent = None
-            continue
-        if drop_tests and body == "#[cfg(test)]":
+            keep.append("")
+        elif drop_tests and body == "#[cfg(test)]":
             skip_indent = indent
-            continue
-        if re.match(r"pub(\([\w:]+\))?\s+use\b", body):
-            continue
-        keep.append(line)
+            keep.append("")
+        elif re.match(r"pub(\([\w:]+\))?\s+use\b", body):
+            keep.append("")
+        else:
+            keep.append(line)
     return keep
+
+
+def method_lines(lines):
+    """Indices of the lines inside an `impl` block's body."""
+    text = "\n".join(lines)
+    inside = set()
+    for m in IMPL.finditer(text):
+        first = text.count("\n", 0, m.end())
+        last = text.count("\n", 0, brace_end(text, m.end() - 1))
+        inside.update(range(first, last + 1))
+    return inside
+
+
+def call_names(lines):
+    """The names `lines` use call-shaped: `.name(`, `.name::<`, `..::name`."""
+    return {a or b for a, b in CALL.findall("\n".join(lines))}
 
 
 def word_counts(lines):
@@ -232,19 +255,29 @@ def main():
         "src/**/*.rs", "tests/**/*.rs", "examples/**/*.rs", "benchmark/src/**/*.rs",
         "crates/*/tests/**/*.rs",
     )
-    named = {p: word_counts(lines_of(p, drop_tests=False)) for p in lib + others}
+    counted = {p: lines_of(p, drop_tests=False) for p in lib + others}
+    named = {p: word_counts(lines) for p, lines in counted.items()}
+    called_as = {p: call_names(lines) for p, lines in counted.items()}
     flagged = []
     for path in lib:
         lines = lines_of(path, drop_tests=True)
-        own = word_counts(lines)
-        for line in lines:
+        own, own_calls = word_counts(lines), call_names(lines)
+        methods = method_lines(lines)
+        for k, line in enumerate(lines):
             m = DECL.match(line)
             if not m:
                 continue
             name = next(g for g in m.groups() if g)
-            if own.get(name, 0) > 1 or any(name in w for p, w in named.items() if p != path):
-                continue
-            flagged.append(f"{path.relative_to(ROOT)}::{name}")
+            if m.group(1) and k in methods:
+                called = name in own_calls or any(
+                    name in c for p, c in called_as.items() if p != path
+                )
+            else:
+                called = own.get(name, 0) > 1 or any(
+                    name in w for p, w in named.items() if p != path
+                )
+            if not called:
+                flagged.append(f"{path.relative_to(ROOT)}::{name}")
     bad = [f for f in flagged if f not in ALLOW]
     stale = [a for a in ALLOW if a not in flagged]
     for f in flagged:

@@ -10,7 +10,9 @@
 //! - fresh checkpoints of two wall [`Tracer`]s holding spans and a pending
 //!   stamp, a trained [`Starnet`], a [`TemporalConsistency`] past
 //!   calibration, a [`Conv3d`] and a [`Deconv3d`], a [`ShootingController`],
-//!   and a lease from [`LeasePool::snapshot_lease`].
+//!   a lease from [`LeasePool::snapshot_lease`], and a fleet member from
+//!   [`FleetScheduler::snapshot_member`] (its `sched.slot` section beside
+//!   the loop's own), adopted through [`FleetScheduler::adopt_member`].
 //!
 //! Every field of every section the target itself writes is mutated by its
 //! wire prefix, no schema needed: `u:` to 0, 1, 256, 2³² and `u64::MAX`;
@@ -25,7 +27,8 @@
 //! of the mutated section, and that section of the target's re-save equals
 //! its value before the call. On `Ok`, the re-save carries each mutated
 //! field's decoded value bit for bit and every other field as the
-//! unmutated document's restore re-saves it; then eight ticks run. Values
+//! unmutated document's restore re-saves it; then eight ticks (for the
+//! fleet member, eight deterministic runs) run. Values
 //! compare decoded, because the pins' scalar `f:` environment re-saves as
 //! a one-item `F:` list.
 
@@ -40,13 +43,14 @@ use common::{
 };
 use sensact::core::checkpoint::{Checkpoint, CheckpointError, StageState};
 use sensact::core::fault::StageError;
+use sensact::core::trace::SimClock;
 use sensact::core::{
     Checkpointed, LoopRunner, LoopTelemetry, Precision, Snapshot, StageId, Tracer, Trust,
 };
 use sensact::koopman::{LatentModel, MlpDynamics, ShootingController};
 use sensact::nn::conv::{Conv3d, Deconv3d, Dims3};
 use sensact::nn::{Initializer, Layer, Tensor};
-use sensact::sched::LoopHandle;
+use sensact::sched::{FleetConfig, FleetScheduler, LoopHandle, LoopId, LoopSpec};
 use sensact::serve::{LeasePool, ModelKind, PoolConfig};
 use sensact::starnet::{Starnet, TemporalConsistency};
 
@@ -134,6 +138,45 @@ impl Target for Lease {
         if let Some(lease) = self.live.take() {
             self.pool.release(lease).unwrap();
         }
+    }
+}
+
+/// A fleet member adopted from its snapshot: the loop's sections plus
+/// `sched.slot`. Refused, the member and its slot stay as they were.
+struct Member {
+    fleet: FleetScheduler,
+    id: LoopId,
+}
+
+impl Member {
+    /// The fallible pin as a fleet member, released every 50 µs against
+    /// ticks of about 100 µs (it backlogs and drops) under a 1 µs budget.
+    fn new() -> Self {
+        let mut fleet = FleetScheduler::new(FleetConfig {
+            workers: 1,
+            watts_cap: None,
+            seed: 7,
+        });
+        let id = fleet.register(member(), LoopSpec::periodic(5e-5).with_budget(1e-6));
+        Member { fleet, id }
+    }
+}
+
+fn member() -> LoopHandle {
+    LoopHandle::closed(Checkpointed(pin_fallible()), 8.0, |e: &mut f64, a: &f64| {
+        *e += a
+    })
+}
+
+impl Target for Member {
+    fn save(&mut self) -> Checkpoint {
+        self.fleet.snapshot_member(self.id).unwrap()
+    }
+    fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), CheckpointError> {
+        self.fleet.adopt_member(self.id, member(), ckpt)
+    }
+    fn step(&mut self) {
+        self.fleet.run_deterministic(1e-3, &mut SimClock::new());
     }
 }
 
@@ -508,6 +551,13 @@ fn lease_doc() -> Checkpoint {
     pool.snapshot_lease(lease).unwrap()
 }
 
+/// A member's checkpoint after a deterministic run.
+fn member_doc() -> Checkpoint {
+    let mut m = Member::new();
+    m.step();
+    m.save()
+}
+
 /// Every case: a name, a document, and a target built as its writer was.
 fn cases() -> Vec<(&'static str, Checkpoint, Box<dyn Target>)> {
     let pin = |doc: &str| Checkpoint::from_jsonl(doc).unwrap();
@@ -587,6 +637,7 @@ fn cases() -> Vec<(&'static str, Checkpoint, Box<dyn Target>)> {
                 now_s: 1.0,
             }),
         ),
+        ("fleet member", member_doc(), Box::new(Member::new())),
     ]
 }
 
@@ -802,19 +853,11 @@ fn a_counter_restored_at_its_maximum_wraps_on_the_next_tick() {
 /// `deadline_misses`, `faults` — wraps when the member counts past
 /// `u64::MAX`, and the run's per-loop deltas wrap with it: a `sched.slot`
 /// section holding the maximum never arms an overflow panic in a debug
-/// build. The member is the fallible pin (it faults), released every
-/// 50 µs against ticks of about 100 µs (it backlogs and drops) under a
-/// 1 µs budget (most ticks miss it); it runs a deterministic horizon, then
-/// takes one external tick and one shed drop.
+/// build. The member is [`Member::new`]'s (the pin faults, backlogs, drops
+/// and misses most deadlines); it runs a deterministic horizon, then takes
+/// one external tick and one shed drop.
 #[test]
 fn a_scheduler_counter_adopted_at_its_maximum_wraps() {
-    use sensact::core::trace::SimClock;
-    use sensact::sched::{FleetConfig, FleetScheduler, LoopSpec};
-    let member = || {
-        LoopHandle::closed(Checkpointed(pin_fallible()), 8.0, |e: &mut f64, a: &f64| {
-            *e += a
-        })
-    };
     let counter = |fleet: &FleetScheduler, id, key: &str| {
         let slot = &by_id(&fleet.snapshot_member(id).unwrap())["sched.slot"];
         slot[key]
@@ -828,12 +871,7 @@ fn a_scheduler_counter_adopted_at_its_maximum_wraps() {
     let mut findings = Vec::new();
     for key in ["ticks", "drops", "deadline_misses", "faults"] {
         let wrapped = catch_unwind(AssertUnwindSafe(|| {
-            let mut fleet = FleetScheduler::new(FleetConfig {
-                workers: 1,
-                watts_cap: None,
-                seed: 7,
-            });
-            let id = fleet.register(member(), LoopSpec::periodic(5e-5).with_budget(1e-6));
+            let Member { mut fleet, id } = Member::new();
             let (header, mut sections) = parse_doc(&fleet.snapshot_member(id).unwrap().to_jsonl());
             let slot = sections
                 .iter_mut()
