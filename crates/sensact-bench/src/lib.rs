@@ -26,7 +26,7 @@ use std::io::Write;
 use std::path::PathBuf;
 
 /// Whether quick mode is requested (smaller problem sizes).
-pub fn quick() -> bool {
+pub(crate) fn quick() -> bool {
     std::env::var("SENSACT_QUICK")
         .map(|v| v == "1")
         .unwrap_or(false)

@@ -17,7 +17,7 @@ pub trait SensingKnobs {
 }
 
 /// A policy that retunes the sensor after each control decision.
-pub trait AdaptationPolicy<S, A> {
+pub(crate) trait AdaptationPolicy<S, A> {
     /// Adjust `sensor` given the last action, the monitor verdict and budget
     /// state.
     fn adapt(&mut self, sensor: &mut S, action: &A, trust: Trust, budget: &EnergyBudget);
@@ -57,7 +57,7 @@ impl Default for ActionMagnitudeRate {
 }
 
 /// Actions that expose a magnitude for rate adaptation.
-pub trait ActionMagnitude {
+pub(crate) trait ActionMagnitude {
     /// Non-negative size of the action.
     fn magnitude(&self) -> f64;
 }
@@ -156,7 +156,7 @@ mod tests {
         let mut s = KnobSensor::default();
         let mut p = ActionMagnitudeRate::default();
         let mut b = EnergyBudget::new(10.0);
-        b.consume(9.0, 0.0); // 90 % pressure
+        b.consume(9.0); // 90 % pressure
         for _ in 0..50 {
             p.adapt(&mut s, &10.0f64, Trust::Trusted, &b);
         }

@@ -341,7 +341,7 @@ impl Section {
     }
 
     /// Read a `bool`.
-    pub fn get_bool(&self, key: &str) -> Result<bool, CheckpointError> {
+    pub(crate) fn get_bool(&self, key: &str) -> Result<bool, CheckpointError> {
         match self.raw(key, 'b')? {
             "0" => Ok(false),
             "1" => Ok(true),
@@ -350,7 +350,7 @@ impl Section {
     }
 
     /// Read a `u64` list.
-    pub fn get_u64s(&self, key: &str) -> Result<Vec<u64>, CheckpointError> {
+    pub(crate) fn get_u64s(&self, key: &str) -> Result<Vec<u64>, CheckpointError> {
         let body = self.raw(key, 'U')?.as_bytes();
         if body.is_empty() {
             return Ok(Vec::new());
@@ -864,7 +864,7 @@ mod tests {
     mod oracle {
         use super::super::Section;
 
-        pub fn hex_str(bytes: &[u8]) -> String {
+        pub(super) fn hex_str(bytes: &[u8]) -> String {
             let mut out = String::with_capacity(bytes.len() * 2);
             for b in bytes {
                 out.push_str(&format!("{b:02x}"));
@@ -872,7 +872,7 @@ mod tests {
             out
         }
 
-        pub fn unhex_str(s: &str) -> Option<String> {
+        pub(super) fn unhex_str(s: &str) -> Option<String> {
             if !s.len().is_multiple_of(2) {
                 return None;
             }
@@ -883,34 +883,34 @@ mod tests {
             String::from_utf8(bytes).ok()
         }
 
-        pub fn enc_f64(x: f64) -> String {
+        pub(super) fn enc_f64(x: f64) -> String {
             format!("{:016x}", x.to_bits())
         }
 
-        pub fn dec_f64(s: &str) -> Option<f64> {
+        pub(super) fn dec_f64(s: &str) -> Option<f64> {
             (s.len() == 16)
                 .then(|| u64::from_str_radix(s, 16).ok().map(f64::from_bits))
                 .flatten()
         }
 
-        pub fn put_u64s(vs: &[u64]) -> String {
+        pub(super) fn put_u64s(vs: &[u64]) -> String {
             let body: Vec<String> = vs.iter().map(|v| v.to_string()).collect();
             format!("U:{}", body.join(";"))
         }
 
-        pub fn put_f64s(vs: &[f64]) -> String {
+        pub(super) fn put_f64s(vs: &[f64]) -> String {
             let body: Vec<String> = vs.iter().map(|v| enc_f64(*v)).collect();
             format!("F:{}", body.join(";"))
         }
 
-        pub fn get_u64s(body: &str) -> Option<Vec<u64>> {
+        pub(super) fn get_u64s(body: &str) -> Option<Vec<u64>> {
             if body.is_empty() {
                 return Some(Vec::new());
             }
             body.split(';').map(|p| p.parse().ok()).collect()
         }
 
-        pub fn get_f64s(body: &str) -> Option<Vec<u64>> {
+        pub(super) fn get_f64s(body: &str) -> Option<Vec<u64>> {
             if body.is_empty() {
                 return Some(Vec::new());
             }
@@ -919,7 +919,7 @@ mod tests {
                 .collect()
         }
 
-        pub fn to_json(s: &Section) -> String {
+        pub(super) fn to_json(s: &Section) -> String {
             let mut line = format!("{{\"type\":\"ckpt_section\",\"id\":\"{}\"", s.id);
             for (k, v) in &s.fields {
                 line.push_str(&format!(",\"{k}\":\"{v}\""));

@@ -4,7 +4,7 @@
 //! The JSONL format is one flat JSON object per line, tagged by a `"type"`
 //! field (`"span"` or `"tick"`). Floats are serialized with Rust's shortest
 //! round-trip `Display`, so `parse(export(x)) == x` holds bit-exactly — the
-//! in-repo parser ([`parse_span`], [`parse_tick`]) needs no external JSON
+//! in-repo parser (`parse_span`, `parse_tick`) needs no external JSON
 //! dependency because events are flat: string values never contain commas,
 //! braces or escapes.
 //!
@@ -20,7 +20,7 @@ use crate::Precision;
 use std::fmt::Write as _;
 
 /// Serialize one span as a single JSONL line (no trailing newline).
-pub fn span_to_json(s: &Span) -> String {
+pub(crate) fn span_to_json(s: &Span) -> String {
     format!(
         "{{\"type\":\"span\",\"tick\":{},\"stage\":\"{}\",\"start_s\":{},\"end_s\":{},\"energy_j\":{},\"latency_s\":{},\"ok\":{}}}",
         s.tick, s.stage, s.start_s, s.end_s, s.energy_j, s.latency_s, s.ok
@@ -29,7 +29,7 @@ pub fn span_to_json(s: &Span) -> String {
 
 /// Serialize one tick record (including its per-stage breakdown) as a single
 /// JSONL line (no trailing newline).
-pub fn tick_to_json(r: &TickRecord) -> String {
+pub(crate) fn tick_to_json(r: &TickRecord) -> String {
     let (kind, suspicion) = match r.trust {
         Trust::Trusted => ("trusted", 0.0),
         Trust::Suspect(s) => ("suspect", s),
@@ -87,7 +87,7 @@ pub fn spans_to_jsonl(spans: &[Span]) -> String {
 /// Ids are serialized as decimal `u64` — the in-repo parser reads them back
 /// bit-exactly (tools that funnel JSON numbers through `f64` would truncate
 /// above 2^53; use the in-repo parser for id-faithful reconstruction).
-pub fn causal_span_to_json(s: &CausalSpan) -> String {
+pub(crate) fn causal_span_to_json(s: &CausalSpan) -> String {
     format!(
         "{{\"type\":\"causal\",\"trace\":{},\"span\":{},\"parent\":{},\"kind\":\"{}\",\"node\":{},\"detail\":{},\"start_s\":{},\"end_s\":{},\"ok\":{}}}",
         s.trace_id, s.span_id, s.parent_id, s.kind, s.node, s.detail, s.start_s, s.end_s, s.ok
@@ -111,7 +111,7 @@ fn fnv1a_bytes(hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// Order-sensitive FNV-1a hash of a byte stream.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_bytes(FNV_OFFSET, bytes)
 }
 
@@ -158,7 +158,7 @@ pub(crate) fn str_field<'a>(fields: &[(&'a str, &'a str)], key: &str) -> Option<
 }
 
 /// Parse one JSONL line produced by [`span_to_json`].
-pub fn parse_span(line: &str) -> Option<Span> {
+pub(crate) fn parse_span(line: &str) -> Option<Span> {
     let fields = parse_flat(line)?;
     if str_field(&fields, "type")? != "span" {
         return None;
@@ -175,7 +175,7 @@ pub fn parse_span(line: &str) -> Option<Span> {
 }
 
 /// Parse one JSONL line produced by [`tick_to_json`].
-pub fn parse_tick(line: &str) -> Option<TickRecord> {
+pub(crate) fn parse_tick(line: &str) -> Option<TickRecord> {
     let fields = parse_flat(line)?;
     if str_field(&fields, "type")? != "tick" {
         return None;

@@ -7,9 +7,9 @@
 //!
 //! * [`StageError`] — what went wrong: dropout, latency-budget timeout,
 //!   out-of-range reading, NaN poisoning;
-//! * [`TrySensor`] / [`TryPerceptor`] — fallible stage traits, with
-//!   [`Reliable`] lifting any infallible stage and [`FnTrySensor`] /
-//!   [`FnTryPerceptor`] closure adapters;
+//! * [`TrySensor`] / `TryPerceptor` — fallible stage traits, with
+//!   [`Reliable`] lifting any infallible stage and [`FnTryPerceptor`]
+//!   adapting a closure;
 //! * [`FaultInjector`] — a deterministic, seeded chaos wrapper around any
 //!   sensor or perceptor that injects dropouts, stuck-at readings, latency
 //!   spikes and NaN poisoning with configurable per-tick probabilities
@@ -19,7 +19,7 @@
 //!   ([`RecoveryPolicy`]) in the feature-acquisition slot: bounded retry
 //!   with energy accounting, last-good-value hold with staleness-decayed
 //!   trust, and a fail-safe fallback action supplied by the controller
-//!   ([`FailSafe`] / [`WithFallback`]).
+//!   (`FailSafe` / [`WithFallback`]).
 //!
 //! Dropouts and timeouts surface as [`StageError`]s the runner can retry;
 //! stuck-at and NaN faults are *silent* — the injector returns them as
@@ -97,7 +97,7 @@ pub trait TrySensor<E> {
 }
 
 /// A perceptor whose feature extraction can fail with a typed [`StageError`].
-pub trait TryPerceptor<R> {
+pub(crate) trait TryPerceptor<R> {
     /// Extracted feature type.
     type Features;
     /// Extract features from a reading, charging costs to `ctx`.
@@ -110,7 +110,7 @@ pub trait TryPerceptor<R> {
 
 /// Lifts an infallible stage into the fallible world: `Reliable(sensor)`
 /// implements [`TrySensor`] (and `Reliable(perceptor)` implements
-/// [`TryPerceptor`]) by never failing.
+/// `TryPerceptor`) by never failing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Reliable<T>(pub T);
 
@@ -132,26 +132,7 @@ impl<R, P: Perceptor<R>> TryPerceptor<R> for Reliable<P> {
     }
 }
 
-/// Closure adapter implementing [`TrySensor`].
-pub struct FnTrySensor<F>(F);
-
-impl<F> FnTrySensor<F> {
-    /// Wrap a closure `(env, ctx) -> Result<reading, StageError>`.
-    pub fn new(f: F) -> Self {
-        FnTrySensor(f)
-    }
-}
-
-impl<E, R, F: FnMut(&E, &mut StageContext) -> Result<R, StageError>> TrySensor<E>
-    for FnTrySensor<F>
-{
-    type Reading = R;
-    fn try_sense(&mut self, env: &E, ctx: &mut StageContext) -> Result<R, StageError> {
-        (self.0)(env, ctx)
-    }
-}
-
-/// Closure adapter implementing [`TryPerceptor`].
+/// Closure adapter implementing `TryPerceptor`.
 pub struct FnTryPerceptor<F>(F);
 
 impl<F> FnTryPerceptor<F> {
@@ -262,7 +243,7 @@ impl FaultProfile {
     }
 
     /// Whether any fault can ever fire under this profile.
-    pub fn is_active(&self) -> bool {
+    pub(crate) fn is_active(&self) -> bool {
         self.dropout > 0.0 || self.stuck > 0.0 || self.latency_spike > 0.0 || self.nan > 0.0
     }
 }
@@ -278,7 +259,7 @@ impl Default for FaultProfile {
 /// `V` is the wrapped stage's output type ([`Sensor::Reading`] or
 /// [`Perceptor::Features`]); it must be [`Clone`] (stuck-at replays the last
 /// output) and [`NanPoison`]-able. Wrapping a [`Sensor`] yields a
-/// [`TrySensor`]; wrapping a [`Perceptor`] yields a [`TryPerceptor`].
+/// [`TrySensor`]; wrapping a [`Perceptor`] yields a `TryPerceptor`.
 ///
 /// Identical `(profile, seed)` pairs reproduce identical fault sequences —
 /// the same guarantee `sensact_lidar::corrupt`-style corruptions give per
@@ -396,7 +377,6 @@ impl<T: StageState> StageState for Reliable<T> {
 }
 
 // Closure adapters are declared stateless by contract (see `stage.rs`).
-impl<F> StageState for FnTrySensor<F> {}
 impl<F> StageState for FnTryPerceptor<F> {}
 
 impl<E, S: Sensor<E>> TrySensor<E> for FaultInjector<S, S::Reading>
@@ -425,14 +405,14 @@ where
 
 /// A controller that can also supply a fail-safe action for ticks where no
 /// features could be produced at all (sensing dead beyond recovery).
-pub trait FailSafe<F>: Controller<F> {
+pub(crate) trait FailSafe<F>: Controller<F> {
     /// The action emitted when the loop must fail safe (brake, hover, hold
     /// position). Charged to `ctx` like any stage.
     fn fail_safe(&mut self, ctx: &mut StageContext) -> Self::Action;
 }
 
 /// Pairs any controller with a constant fail-safe action, implementing
-/// [`FailSafe`].
+/// `FailSafe`.
 #[derive(Debug, Clone, Copy)]
 pub struct WithFallback<C, A> {
     /// The decision-making controller.
@@ -549,7 +529,7 @@ pub struct FallibleOutput<A> {
 }
 
 /// A sensing-to-action loop over *fallible* stages with graceful
-/// degradation: the shared [`LoopState`] (which it dereferences to for name,
+/// degradation: the shared `LoopState` (which it dereferences to for name,
 /// stages, budget, telemetry and tracer) plus a recovery ladder. Its tick is
 /// the same frame
 /// [`SensingActionLoop`](crate::SensingActionLoop) runs, with retry → hold →
@@ -557,7 +537,7 @@ pub struct FallibleOutput<A> {
 ///
 /// The type parameter `F` is the feature type held across ticks for the
 /// last-good-value recovery path (it equals the perceptor's
-/// [`TryPerceptor::Features`]; inference pins it at the first
+/// `TryPerceptor::Features`; inference pins it at the first
 /// [`FallibleLoop::tick`] call).
 #[derive(Debug)]
 pub struct FallibleLoop<S, P, M, C, Ad, F> {
@@ -843,6 +823,26 @@ mod tests {
     use crate::adapt::{ActionMagnitudeRate, SensingKnobs};
     use crate::stage::{AlwaysTrust, FnController, FnMonitor, FnPerceptor, FnSensor};
 
+    /// Closure adapter implementing [`TrySensor`]: the tests' fallible sensor.
+    struct FnTrySensor<F>(F);
+
+    impl<F> FnTrySensor<F> {
+        fn new(f: F) -> Self {
+            FnTrySensor(f)
+        }
+    }
+
+    impl<E, R, F: FnMut(&E, &mut StageContext) -> Result<R, StageError>> TrySensor<E>
+        for FnTrySensor<F>
+    {
+        type Reading = R;
+        fn try_sense(&mut self, env: &E, ctx: &mut StageContext) -> Result<R, StageError> {
+            (self.0)(env, ctx)
+        }
+    }
+
+    impl<F> StageState for FnTrySensor<F> {}
+
     fn scalar_sensor() -> FnSensor<impl FnMut(&f64, &mut StageContext) -> f64> {
         FnSensor::new(|e: &f64, ctx: &mut StageContext| {
             ctx.charge(1e-3, 1e-4);
@@ -1034,7 +1034,7 @@ mod tests {
         );
         let spans = |t: &Tracer| t.spans().copied().collect::<Vec<_>>();
         assert_eq!(spans(plain.tracer()), spans(lifted.tracer()));
-        assert_eq!(plain.tracer().len(), 60 * 5);
+        assert_eq!(plain.tracer().spans().count(), 60 * 5);
     }
 
     #[test]

@@ -38,14 +38,15 @@ pub enum HealthStatus {
 
 impl HealthStatus {
     /// All statuses, benign first.
-    pub const ALL: [HealthStatus; 3] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [HealthStatus; 3] = [
         HealthStatus::Healthy,
         HealthStatus::Degraded,
         HealthStatus::Critical,
     ];
 
     /// Short static name used in exports (`"healthy"`, …).
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             HealthStatus::Healthy => "healthy",
             HealthStatus::Degraded => "degraded",
@@ -63,7 +64,7 @@ impl HealthStatus {
     }
 
     /// Inverse of [`HealthStatus::code`].
-    pub const fn from_code(code: u64) -> Option<HealthStatus> {
+    pub(crate) const fn from_code(code: u64) -> Option<HealthStatus> {
         match code {
             0 => Some(HealthStatus::Healthy),
             1 => Some(HealthStatus::Degraded),
@@ -117,7 +118,7 @@ pub struct HealthSignals {
 
 impl HealthSignals {
     /// `(name, value)` pairs in declaration order, for reports.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&'static str, f64)> {
         [
             ("miss_rate", self.miss_rate),
             ("drop_rate", self.drop_rate),
@@ -185,11 +186,6 @@ pub struct HealthScorer {
 }
 
 impl HealthScorer {
-    /// A scorer starting healthy.
-    pub fn new() -> Self {
-        HealthScorer::default()
-    }
-
     /// Evaluate one window. Returns `Some((from, to))` when the filtered
     /// status transitions — after 2 consecutive worsening windows or 3
     /// consecutive recovering ones.
@@ -316,7 +312,7 @@ mod tests {
 
     #[test]
     fn hysteresis_filters_one_bad_window() {
-        let mut sc = HealthScorer::new();
+        let mut sc = HealthScorer::default();
         // One bad window: no transition yet.
         assert_eq!(sc.observe(&missy(0.3)), None);
         assert_eq!(sc.status, HealthStatus::Healthy);
@@ -351,7 +347,7 @@ mod tests {
             (missy(0.06), Critical, Degraded, 3),
             (clean(), Degraded, Healthy, 3),
         ];
-        let mut sc = HealthScorer::new();
+        let mut sc = HealthScorer::default();
         for (window, from, to, depth) in steps {
             for n in 1..depth {
                 assert_eq!(sc.observe(&window), None, "{from} -> {to}, window {n}");
@@ -364,7 +360,7 @@ mod tests {
 
     #[test]
     fn candidate_switch_resets_the_streak() {
-        let mut sc = HealthScorer::new();
+        let mut sc = HealthScorer::default();
         assert_eq!(sc.observe(&missy(0.3)), None); // candidate critical, streak 1
         assert_eq!(sc.observe(&missy(0.06)), None); // candidate degraded, streak 1
                                                     // Degraded again: streak 2 trips -> transition to degraded.

@@ -12,7 +12,7 @@
 //!
 //! What makes the loop *intelligent* (and what distinguishes it from a
 //! feed-forward sensing-to-insight pipeline) is the feedback edge: after each
-//! decision an [`adapt::AdaptationPolicy`] may retune the sensor — its
+//! decision an `adapt::AdaptationPolicy` may retune the sensor — its
 //! sensing rate, in the shipped policy — based on the action, the monitor's
 //! trust verdict, and the remaining [`budget::EnergyBudget`].
 //!
@@ -73,21 +73,21 @@ mod ring;
 
 pub use budget::EnergyBudget;
 pub use checkpoint::{
-    Checkpoint, CheckpointError, Section, Snapshot, StageState, StateVec, CHECKPOINT_VERSION,
+    Checkpoint, CheckpointError, Section, Snapshot, StageState, CHECKPOINT_VERSION,
 };
 pub use fault::{
     FallibleLoop, FallibleOutput, FaultInjector, FaultProfile, RecoveryPolicy, Reliable,
-    StageError, TickResolution, TryPerceptor, TrySensor, WithFallback,
+    StageError, TickResolution, TrySensor, WithFallback,
 };
 pub use health::{FleetHealth, HealthScorer, HealthSignals, HealthStatus};
-pub use loop_::{Checkpointed, LoopBuilder, LoopOutput, LoopRunner, LoopState, SensingActionLoop};
+pub use loop_::{Checkpointed, LoopBuilder, LoopRunner, SensingActionLoop};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use replay::{first_divergence, Divergence, Recording, RecordingMeta};
+pub use replay::{first_divergence, Recording};
 pub use sensact_math::kernels::Precision;
 pub use sensact_math::rng::splitmix64_finalize;
 pub use stage::{StageContext, Trust};
-pub use telemetry::{CommCounters, FaultCounters, LoopTelemetry, TickRecord};
+pub use telemetry::{LoopTelemetry, TickRecord};
 pub use trace::{
-    CausalSpan, FleetTracer, SimClock, Span, SpanKind, StageBreakdown, StageCost, StageId,
-    TraceContext, Tracer,
+    CausalSpan, FleetTracer, SimClock, Span, SpanKind, StageBreakdown, StageId, TraceContext,
+    Tracer,
 };

@@ -199,7 +199,7 @@ impl Histogram {
     /// exact max) such that at least `ceil(q·count)` samples fall at or
     /// below it. The true quantile is ≤ the returned value, within one
     /// bucket width. Returns 0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
@@ -217,12 +217,12 @@ impl Histogram {
     }
 
     /// Median upper bound.
-    pub fn p50(&self) -> f64 {
+    pub(crate) fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
 
     /// 99th-percentile upper bound.
-    pub fn p99(&self) -> f64 {
+    pub(crate) fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
 
@@ -333,7 +333,7 @@ impl Default for Histogram {
 ///
 /// Iteration order is deterministic (sorted by key), so text reports and
 /// exports are reproducible. Lookups never allocate; the expected usage is
-/// static keys like [`StageId::latency_key`](crate::trace::StageId::latency_key).
+/// static keys like `StageId::latency_key`.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<&'static str, u64>,
@@ -398,22 +398,23 @@ impl MetricsRegistry {
     }
 
     /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(k, v)| (*k, *v))
     }
 
     /// All gauges, sorted by name.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
         self.gauges.iter().map(|(k, v)| (*k, *v))
     }
 
     /// All histograms, sorted by name.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&'static str, &Histogram)> + '_ {
         self.histograms.iter().map(|(k, v)| (*k, v))
     }
 
     /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
@@ -882,7 +883,7 @@ mod tests {
         }
 
         impl Dense {
-            pub fn new() -> Self {
+            pub(super) fn new() -> Self {
                 Dense {
                     counts: vec![0; BUCKETS],
                     count: 0,
@@ -892,7 +893,7 @@ mod tests {
                 }
             }
 
-            pub fn record(&mut self, v: f64) {
+            pub(super) fn record(&mut self, v: f64) {
                 if v.is_nan() {
                     return;
                 }
@@ -903,7 +904,7 @@ mod tests {
                 self.max = self.max.max(v);
             }
 
-            pub fn quantile(&self, q: f64) -> f64 {
+            pub(super) fn quantile(&self, q: f64) -> f64 {
                 if self.count == 0 {
                     return 0.0;
                 }
@@ -920,7 +921,7 @@ mod tests {
                 self.max
             }
 
-            pub fn nonzero_buckets(&self) -> Vec<(f64, f64, u64)> {
+            pub(super) fn nonzero_buckets(&self) -> Vec<(f64, f64, u64)> {
                 self.counts
                     .iter()
                     .enumerate()
@@ -932,7 +933,7 @@ mod tests {
                     .collect()
             }
 
-            pub fn merge(&mut self, other: &Dense) {
+            pub(super) fn merge(&mut self, other: &Dense) {
                 if other.count == 0 {
                     return;
                 }
@@ -945,7 +946,7 @@ mod tests {
                 self.max = self.max.max(other.max);
             }
 
-            pub fn save_into(&self, section: &mut Section, prefix: &str) {
+            pub(super) fn save_into(&self, section: &mut Section, prefix: &str) {
                 let mut sparse = Vec::new();
                 for (idx, &c) in self.counts.iter().enumerate() {
                     if c > 0 {
@@ -960,7 +961,10 @@ mod tests {
                 section.put_f64(&format!("{prefix}_max"), self.max);
             }
 
-            pub fn restore_from(section: &Section, prefix: &str) -> Result<Self, CheckpointError> {
+            pub(super) fn restore_from(
+                section: &Section,
+                prefix: &str,
+            ) -> Result<Self, CheckpointError> {
                 let bad =
                     || CheckpointError::BadValue(format!("{}.{prefix}_buckets", section.id()));
                 let sparse = section.get_u64s(&format!("{prefix}_buckets"))?;

@@ -59,17 +59,8 @@ impl<T> Ring<T> {
         std::mem::take(&mut self.items)
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.items.clear();
-        self.head = 0;
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.items.len()
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.items.is_empty()
     }
 
     pub(crate) fn capacity(&self) -> usize {

@@ -30,7 +30,7 @@ impl Trust {
     /// This verdict worsened by `extra` additional suspicion (e.g. staleness
     /// decay while a fallible loop holds its last good features). Saturates
     /// at [`Trust::Untrusted`] once total suspicion reaches 1.
-    pub fn degraded(&self, extra: f64) -> Trust {
+    pub(crate) fn degraded(&self, extra: f64) -> Trust {
         let s = self.suspicion() + extra.max(0.0);
         if s >= 1.0 {
             Trust::Untrusted

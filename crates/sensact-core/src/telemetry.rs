@@ -34,7 +34,7 @@ use sensact_math::RunningStats;
 /// 200-tick JSONL export), rounded up to a power of two. A loop whose reader
 /// needs the whole run sizes its ring with
 /// [`LoopTelemetry::with_capacity`].
-pub const DEFAULT_RECORD_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_RECORD_CAPACITY: usize = 256;
 
 /// One tick's record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -308,7 +308,7 @@ impl LoopTelemetry {
     }
 
     /// Retained per-tick records in chronological (oldest-first) order,
-    /// across ring wraparound. At most [`LoopTelemetry::capacity`] of the
+    /// across ring wraparound. At most `LoopTelemetry::capacity` of the
     /// most recent ticks are kept. Records are decoded from the packed ring
     /// on the fly, `tick` from each row's age.
     pub fn records(&self) -> impl Iterator<Item = TickRecord> + '_ {
@@ -326,7 +326,7 @@ impl LoopTelemetry {
     }
 
     /// Maximum number of per-tick records retained.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.records.capacity
     }
 
@@ -341,7 +341,7 @@ impl LoopTelemetry {
     }
 
     /// Latency statistics across ticks.
-    pub fn latency_stats(&self) -> &RunningStats {
+    pub(crate) fn latency_stats(&self) -> &RunningStats {
         &self.latency
     }
 
@@ -352,12 +352,12 @@ impl LoopTelemetry {
 
     /// Charged-latency histogram of one stage (ticks where the stage
     /// charged nothing are excluded).
-    pub fn stage_latency(&self, stage: StageId) -> &Histogram {
+    pub(crate) fn stage_latency(&self, stage: StageId) -> &Histogram {
         &self.stage_latency[stage.index()]
     }
 
     /// Whole-tick latency histogram over all ticks.
-    pub fn latency_histogram(&self) -> &Histogram {
+    pub(crate) fn latency_histogram(&self) -> &Histogram {
         &self.latency_hist
     }
 

@@ -30,7 +30,7 @@ use crate::ring::Ring;
 use sensact_math::rng::splitmix64_finalize;
 
 /// The number of canonical loop stages ([`StageId::ALL`]).
-pub const STAGE_COUNT: usize = 5;
+pub(crate) const STAGE_COUNT: usize = 5;
 
 /// One of the five canonical stages of a sensing-to-action loop.
 ///
@@ -86,7 +86,7 @@ impl StageId {
 
     /// Static metric key for this stage's latency histogram, following the
     /// `stage.<name>.<metric>_<unit>` naming convention.
-    pub const fn latency_key(self) -> &'static str {
+    pub(crate) const fn latency_key(self) -> &'static str {
         match self {
             StageId::Sense => "stage.sense.latency_s",
             StageId::Perceive => "stage.perceive.latency_s",
@@ -97,7 +97,7 @@ impl StageId {
     }
 
     /// Static metric key for this stage's total energy gauge.
-    pub const fn energy_key(self) -> &'static str {
+    pub(crate) const fn energy_key(self) -> &'static str {
         match self {
             StageId::Sense => "stage.sense.energy_j",
             StageId::Perceive => "stage.perceive.energy_j",
@@ -108,7 +108,7 @@ impl StageId {
     }
 
     /// Parse a stage from its [`StageId::name`].
-    pub fn from_name(name: &str) -> Option<StageId> {
+    pub(crate) fn from_name(name: &str) -> Option<StageId> {
         StageId::ALL.into_iter().find(|s| s.name() == name)
     }
 }
@@ -168,7 +168,7 @@ impl StageBreakdown {
     }
 
     /// Accumulate another breakdown stage-by-stage (running totals).
-    pub fn merge(&mut self, other: &StageBreakdown) {
+    pub(crate) fn merge(&mut self, other: &StageBreakdown) {
         for (mine, theirs) in self.costs.iter_mut().zip(&other.costs) {
             mine.energy_j += theirs.energy_j;
             mine.latency_s += theirs.latency_s;
@@ -186,7 +186,7 @@ impl StageBreakdown {
     }
 
     /// Iterate `(stage, cost)` pairs in execution order.
-    pub fn iter(&self) -> impl Iterator<Item = (StageId, StageCost)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (StageId, StageCost)> + '_ {
         StageId::ALL.into_iter().map(|s| (s, self.get(s)))
     }
 }
@@ -208,7 +208,7 @@ impl SimClock {
     }
 
     /// A clock advancing by `step_s` seconds per query.
-    pub fn with_step(step_s: f64) -> Self {
+    pub(crate) fn with_step(step_s: f64) -> Self {
         SimClock { now_s: 0.0, step_s }
     }
 
@@ -264,7 +264,7 @@ pub struct Span {
 }
 
 /// Default number of spans retained by a tracer's ring buffer.
-pub const DEFAULT_SPAN_CAPACITY: usize = 16384;
+pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 16384;
 
 /// The clock a [`Tracer`] stamps its spans with.
 #[derive(Debug)]
@@ -332,12 +332,6 @@ impl Tracer {
     pub fn with_span_capacity(mut self, capacity: usize) -> Self {
         self.spans = Ring::new(capacity);
         self
-    }
-
-    /// Whether spans are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        !matches!(self.clock, TraceClock::Off)
     }
 
     /// Timestamp the start of a stage; returns `0.0` when disabled.
@@ -408,24 +402,9 @@ impl Tracer {
         self.spans.iter()
     }
 
-    /// Number of retained spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether no spans are retained.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     /// Drain all retained spans in chronological order.
     pub fn take_spans(&mut self) -> Vec<Span> {
         self.spans.take()
-    }
-
-    /// Drop all retained spans.
-    pub fn clear(&mut self) {
-        self.spans.clear();
     }
 }
 
@@ -713,19 +692,8 @@ pub struct CausalSpan {
     pub ok: bool,
 }
 
-impl CausalSpan {
-    /// The context this span defines for its children.
-    pub fn context(&self) -> TraceContext {
-        TraceContext {
-            trace_id: self.trace_id,
-            span_id: self.span_id,
-            parent_id: self.parent_id,
-        }
-    }
-}
-
 /// Default number of causal spans retained by a [`FleetTracer`].
-pub const DEFAULT_CAUSAL_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_CAUSAL_CAPACITY: usize = 1 << 16;
 
 #[derive(Debug)]
 struct CausalRing {
@@ -812,16 +780,6 @@ impl FleetTracer {
     pub fn spans(&self) -> Vec<CausalSpan> {
         self.lock().spans.iter().copied().collect()
     }
-
-    /// Drain all retained spans in chronological order.
-    pub fn take_spans(&self) -> Vec<CausalSpan> {
-        self.lock().spans.take()
-    }
-
-    /// Drop all retained spans (keeps the recorded total).
-    pub fn clear(&self) {
-        self.lock().spans.clear();
-    }
 }
 
 impl Default for FleetTracer {
@@ -889,10 +847,8 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::disabled();
-        assert!(!t.is_enabled());
         let s = t.start();
         t.finish(0, StageId::Sense, s, 1.0, 1.0, true);
-        assert!(t.is_empty());
         assert_eq!(t.take_spans().len(), 0);
     }
 
@@ -1002,7 +958,7 @@ mod tests {
         let mut t = Tracer::sim(0.25);
         let s = t.start();
         t.finish(3, StageId::Perceive, s, 2e-3, 1e-3, true);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.spans().count(), 1);
         let span = *t.spans().next().unwrap();
         assert_eq!(span.tick, 3);
         assert_eq!(span.stage, StageId::Perceive);
@@ -1060,7 +1016,7 @@ mod tests {
         let drained = t.take_spans();
         assert_eq!(drained.len(), 4);
         assert_eq!(drained[0].tick, 6);
-        assert!(t.is_empty());
+        assert_eq!(t.spans().count(), 0);
     }
 
     #[test]
@@ -1140,7 +1096,6 @@ mod tests {
                 ok: false,
             }
         );
-        assert_eq!(s.context(), ctx);
     }
 
     #[test]
@@ -1163,19 +1118,5 @@ mod tests {
         assert_eq!(t.recorded(), 10);
         let nodes: Vec<u64> = t.spans().iter().map(|s| s.node).collect();
         assert_eq!(nodes, vec![6, 7, 8, 9]);
-        let drained = t.take_spans();
-        assert_eq!(drained.len(), 4);
-        assert_eq!(drained[0].node, 6);
-        assert!(t.is_empty());
-        assert_eq!(t.recorded(), 10, "drain keeps the lifetime total");
-    }
-
-    #[test]
-    fn causal_span_context_projects_ids() {
-        let s = causal(3);
-        let ctx = s.context();
-        assert_eq!(ctx.trace_id, s.trace_id);
-        assert_eq!(ctx.span_id, s.span_id);
-        assert_eq!(ctx.parent_id, 0);
     }
 }

@@ -8,7 +8,7 @@ use sensact_nn::quant::{quantize_layer, Precision};
 use sensact_nn::{Initializer, Sequential, Tensor};
 
 /// Hidden width of the full (unpruned) client model.
-pub const HIDDEN: usize = 48;
+pub(crate) const HIDDEN: usize = 48;
 
 /// Device capability tiers (Fig. 10's resource heterogeneity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -36,7 +36,7 @@ pub struct HardwareProfile {
 
 impl HardwareProfile {
     /// Profile for a tier.
-    pub fn of(tier: HardwareTier) -> Self {
+    pub(crate) fn of(tier: HardwareTier) -> Self {
         match tier {
             HardwareTier::EdgeGpu => HardwareProfile {
                 tier,
@@ -66,7 +66,7 @@ impl HardwareProfile {
     }
 
     /// Relative compute capability in `(0, 1]` (1 = strongest tier).
-    pub fn capability(&self) -> f64 {
+    pub(crate) fn capability(&self) -> f64 {
         self.macs_per_second / 2e9
     }
 }
@@ -109,7 +109,7 @@ impl Client {
     }
 
     /// Active hidden channels under the current channel fraction.
-    pub fn active_channels(&self) -> usize {
+    pub(crate) fn active_channels(&self) -> usize {
         ((HIDDEN as f64 * self.channel_fraction).round() as usize).clamp(1, HIDDEN)
     }
 
@@ -137,7 +137,7 @@ impl Client {
 
     /// Mask that is 1 for parameters inside the active subnetwork. Nested
     /// (ordered) pruning: the first `active_channels()` hidden units stay.
-    pub fn subnetwork_mask(&self) -> Vec<f64> {
+    pub(crate) fn subnetwork_mask(&self) -> Vec<f64> {
         let active = self.active_channels();
         let mut mask = Vec::new();
         // Dense 1 weights [INPUT_DIM, HIDDEN] (row-major in→out).
@@ -173,7 +173,7 @@ impl Client {
     }
 
     /// MACs for one forward pass at the active channel count.
-    pub fn macs_per_forward(&self) -> u64 {
+    pub(crate) fn macs_per_forward(&self) -> u64 {
         let active = self.active_channels() as u64;
         (INPUT_DIM as u64) * active + active * CLASSES as u64
     }
@@ -244,13 +244,13 @@ impl Client {
     }
 
     /// Parameters inside the active subnetwork (what an upload carries).
-    pub fn active_param_count(&self) -> usize {
+    pub(crate) fn active_param_count(&self) -> usize {
         self.subnetwork_mask().iter().filter(|&&m| m > 0.0).count()
     }
 
     /// Bytes on the wire for one model upload at `wire_bits` bits per
     /// parameter (the arbiter's communication-throttling knob).
-    pub fn upload_bytes(&self, wire_bits: u8) -> u64 {
+    pub(crate) fn upload_bytes(&self, wire_bits: u8) -> u64 {
         (self.active_param_count() as u64 * wire_bits as u64).div_ceil(8)
     }
 
@@ -269,7 +269,7 @@ impl Client {
     }
 
     /// Wall-clock (s) of one local round on this device.
-    pub fn round_latency_s(&self, epochs: usize) -> f64 {
+    pub(crate) fn round_latency_s(&self, epochs: usize) -> f64 {
         let macs = self.macs_per_forward() * 3 * self.data.len() as u64 * epochs as u64;
         // Low precision speeds the MAC array roughly linearly in bits.
         let speedup = 16.0 / self.precision.bits().min(16) as f64;
@@ -278,7 +278,7 @@ impl Client {
 
     /// Relative silicon area utilization of the precision-reconfigurable
     /// array for the chosen precision (16-bit = 1.0).
-    pub fn area_utilization(&self) -> f64 {
+    pub(crate) fn area_utilization(&self) -> f64 {
         self.precision.bits().min(16) as f64 / 16.0 * self.channel_fraction
     }
 }

@@ -21,7 +21,7 @@ impl std::fmt::Display for AgentId {
 
 /// A contiguous azimuth arc `[start, end)` in degrees, `0..360`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AzimuthArc {
+pub(crate) struct AzimuthArc {
     /// Inclusive start (degrees).
     pub start_deg: f64,
     /// Exclusive end (degrees); may exceed 360 to express wrap-around.
@@ -30,12 +30,13 @@ pub struct AzimuthArc {
 
 impl AzimuthArc {
     /// Arc width in degrees.
-    pub fn width(&self) -> f64 {
+    pub(crate) fn width(&self) -> f64 {
         (self.end_deg - self.start_deg).max(0.0)
     }
 
     /// Whether an azimuth (degrees, any real) falls inside the arc.
-    pub fn contains(&self, azimuth_deg: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, azimuth_deg: f64) -> bool {
         let a = azimuth_deg.rem_euclid(360.0);
         let s = self.start_deg.rem_euclid(360.0);
         let w = self.width();
@@ -71,7 +72,7 @@ impl AgentProfile {
 
 /// An arc assignment for one agent.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ArcAssignment {
+pub(crate) struct ArcAssignment {
     /// The agent.
     pub id: AgentId,
     /// The arc it must actively sense.
@@ -95,7 +96,7 @@ impl CoverageCoordinator {
     /// # Panics
     ///
     /// Panics if `agents` is empty or total battery is not positive.
-    pub fn assign(&self, agents: &[AgentProfile]) -> Vec<ArcAssignment> {
+    pub(crate) fn assign(&self, agents: &[AgentProfile]) -> Vec<ArcAssignment> {
         assert!(!agents.is_empty(), "no agents to coordinate");
         let total_battery: f64 = agents.iter().map(|a| a.battery_j).sum();
         assert!(total_battery > 0.0, "fleet battery exhausted");
@@ -120,13 +121,17 @@ impl CoverageCoordinator {
     }
 
     /// Energy for one agent to sense the full circle alone.
-    pub fn solo_energy(&self, agent: &AgentProfile) -> f64 {
+    pub(crate) fn solo_energy(&self, agent: &AgentProfile) -> f64 {
         agent.sense_energy_per_deg * 360.0
     }
 
     /// Energy for one agent under an assignment: active sensing of its own
     /// arc plus receiving the remaining degrees from peers.
-    pub fn coordinated_energy(&self, agent: &AgentProfile, assignment: &ArcAssignment) -> f64 {
+    pub(crate) fn coordinated_energy(
+        &self,
+        agent: &AgentProfile,
+        assignment: &ArcAssignment,
+    ) -> f64 {
         let own = assignment.arc.width();
         agent.sense_energy_per_deg * own + agent.comm_energy_per_deg * (360.0 - own)
     }
@@ -136,7 +141,7 @@ impl CoverageCoordinator {
     ///
     /// # Panics
     ///
-    /// Panics if `agents` is empty (via [`CoverageCoordinator::assign`]).
+    /// Panics if `agents` is empty (via `CoverageCoordinator::assign`).
     pub fn fleet_reduction_factor(&self, agents: &[AgentProfile]) -> f64 {
         let assignments = self.assign(agents);
         let solo: f64 = agents.iter().map(|a| self.solo_energy(a)).sum();

@@ -9,13 +9,13 @@
 use sensact_math::rng::StdRng;
 
 /// Feature dimension.
-pub const INPUT_DIM: usize = 32;
+pub(crate) const INPUT_DIM: usize = 32;
 /// Number of classes.
-pub const CLASSES: usize = 10;
+pub(crate) const CLASSES: usize = 10;
 
 /// One labelled sample.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Sample {
+pub(crate) struct Sample {
     /// Feature vector (length [`INPUT_DIM`]).
     pub features: Vec<f64>,
     /// Class label in `0..CLASSES`.
@@ -57,43 +57,23 @@ impl Dataset {
     }
 
     /// Build from explicit samples.
-    pub fn from_samples(samples: Vec<Sample>) -> Self {
+    pub(crate) fn from_samples(samples: Vec<Sample>) -> Self {
         Dataset { samples }
     }
 
     /// All samples.
-    pub fn samples(&self) -> &[Sample] {
+    pub(crate) fn samples(&self) -> &[Sample] {
         &self.samples
     }
 
     /// Number of samples.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.samples.len()
     }
 
     /// Whether empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// IID split into `clients` equal parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `clients == 0`.
-    pub fn split_iid(&self, clients: usize, seed: u64) -> Vec<Dataset> {
-        assert!(clients > 0, "need at least one client");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut idx: Vec<usize> = (0..self.samples.len()).collect();
-        for i in (1..idx.len()).rev() {
-            let j = rng.random_range(0..=i);
-            idx.swap(i, j);
-        }
-        let mut parts = vec![Vec::new(); clients];
-        for (k, &i) in idx.iter().enumerate() {
-            parts[k % clients].push(self.samples[i].clone());
-        }
-        parts.into_iter().map(Dataset::from_samples).collect()
     }
 
     /// Non-IID shard split: sort by label, cut into `2 × clients` shards,
@@ -206,21 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn iid_split_balanced() {
-        let d = Dataset::generate(1000, 3);
-        let parts = d.split_iid(4, 0);
-        assert_eq!(parts.len(), 4);
-        for p in &parts {
-            assert_eq!(p.len(), 250);
-            // Roughly uniform classes.
-            let dist = class_distribution(p);
-            for f in dist {
-                assert!(f < 0.25, "class fraction {f} too concentrated for IID");
-            }
-        }
-    }
-
-    #[test]
     fn noniid_split_concentrated() {
         let d = Dataset::generate(2000, 4);
         let parts = d.split_noniid(5, 0);
@@ -244,6 +209,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one client")]
     fn zero_clients_panics() {
-        let _ = Dataset::generate(10, 0).split_iid(0, 0);
+        let _ = Dataset::generate(10, 0).split_noniid(0, 0);
     }
 }

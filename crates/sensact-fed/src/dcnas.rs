@@ -11,7 +11,7 @@ use crate::client::Client;
 
 /// Assign each client a channel fraction proportional to its hardware
 /// capability, floored so even the weakest client keeps a useful core.
-pub fn assign_channel_fractions(clients: &mut [Client]) {
+pub(crate) fn assign_channel_fractions(clients: &mut [Client]) {
     for c in clients.iter_mut() {
         let capability = c.profile.capability();
         // Map capability (0, 1] → fraction [0.3, 1.0] with a sqrt softening

@@ -5,7 +5,7 @@
 //! synchronous `for` loop: every round waits for the slowest client and
 //! communication is free. This module re-hosts the same fleet on the
 //! [`FleetScheduler`]: each client becomes a [`DynLoop`] (download global →
-//! local train → upload over the [`SimNetwork`]), the server becomes a loop
+//! local train → upload over the `SimNetwork`), the server becomes a loop
 //! that ticks once per round period and aggregates whatever uploads the
 //! network has *delivered by its cutoff* — stragglers miss the cutoff and
 //! land in a later round (partial, online aggregation). Upload/download time
@@ -59,7 +59,7 @@ pub fn broadcast_context(trace_seed: u64, round: u64, client: u64) -> TraceConte
 /// Context of `client`'s tick `tick_idx` span: the tick uploads towards the
 /// cutoff of server round `tick_idx + 1`, so it belongs to that round's
 /// trace.
-pub fn client_tick_context(trace_seed: u64, tick_idx: u64, client: u64) -> TraceContext {
+pub(crate) fn client_tick_context(trace_seed: u64, tick_idx: u64, client: u64) -> TraceContext {
     round_trace_root(trace_seed, tick_idx + 1).child(&[SpanKind::ClientTick.tag(), client])
 }
 
@@ -485,7 +485,7 @@ fn derive_round_period(clients: &[Client], epochs: usize, net: &NetworkConfig) -
 }
 
 /// Run federated training through the [`FleetScheduler`] over a
-/// [`SimNetwork`], deterministically under a [`SimClock`].
+/// `SimNetwork`, deterministically under a [`SimClock`].
 ///
 /// Rounds are *online*: the server aggregates whatever the network delivered
 /// by each round-period cutoff (partial aggregation), stragglers land late,

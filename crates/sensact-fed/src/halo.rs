@@ -21,7 +21,7 @@ fn tolerance(tier: HardwareTier) -> f64 {
 
 /// Pick the lowest precision whose weight-quantization MSE stays within the
 /// client's tier tolerance.
-pub fn select_precision_for(client: &mut Client) -> Precision {
+pub(crate) fn select_precision_for(client: &mut Client) -> Precision {
     let weights = client.params_flat();
     let tol = tolerance(client.profile.tier);
     for precision in Precision::fixed_point() {
@@ -40,7 +40,7 @@ pub fn select_precision_for(client: &mut Client) -> Precision {
 }
 
 /// Run the selector across the fleet, installing each client's precision.
-pub fn select_precisions(clients: &mut [Client]) {
+pub(crate) fn select_precisions(clients: &mut [Client]) {
     for c in clients.iter_mut() {
         c.precision = select_precision_for(c);
     }

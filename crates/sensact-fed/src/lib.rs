@@ -40,13 +40,11 @@ pub mod server;
 pub mod sim;
 pub mod speculative;
 
-pub use client::{Client, HardwareProfile, HardwareTier};
-pub use data::{Dataset, Sample};
+pub use client::{Client, HardwareTier};
+pub use data::Dataset;
 pub use fleet::{
-    broadcast_context, client_tick_context, round_aggregate_context, round_trace_root,
-    run_federated_scheduled, FedFleetConfig, FedFleetReport, ServerStats,
+    broadcast_context, round_aggregate_context, round_trace_root, run_federated_scheduled,
+    FedFleetConfig, FedFleetReport,
 };
-pub use server::{
-    aggregate_masked, apply_strategy, run_federated, FedConfig, FedReport, MaskedUpdate, Strategy,
-};
-pub use sim::{NetCounters, NetworkConfig, SimNetwork, Transfer};
+pub use server::{aggregate_masked, run_federated, FedConfig, FedReport, MaskedUpdate, Strategy};
+pub use sim::NetworkConfig;

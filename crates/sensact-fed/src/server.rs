@@ -124,7 +124,7 @@ fn aggregate(clients: &mut [Client], previous_global: &[f64]) -> Vec<f64> {
 }
 
 /// Install a strategy's knobs (channel fractions, precisions) on a fleet.
-pub fn apply_strategy(clients: &mut [Client], strategy: Strategy) {
+pub(crate) fn apply_strategy(clients: &mut [Client], strategy: Strategy) {
     match strategy {
         Strategy::Static => {
             for c in clients.iter_mut() {
@@ -331,7 +331,7 @@ mod tests {
     #[test]
     fn dcnas_without_full_width_client_keeps_tail_channels() {
         let all = Dataset::generate(400, 11);
-        let parts = all.split_iid(3, 11);
+        let parts = all.split_noniid(3, 11);
         let mut clients: Vec<Client> = parts
             .into_iter()
             .enumerate()

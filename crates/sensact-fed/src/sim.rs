@@ -21,7 +21,7 @@
 //!   window; every attempt sent while either endpoint is partitioned drops.
 //!
 //! The network keeps an order-insensitive trace accumulator
-//! ([`SimNetwork::trace_hash`]) folding every transfer's
+//! (`SimNetwork::trace_hash`) folding every transfer's
 //! `(link, msg, attempts, delivered, delay)` — two runs delivering the same
 //! schedule agree on the hash, and a single reordered or re-drawn delivery
 //! diverges.
@@ -108,7 +108,7 @@ impl Default for NetworkConfig {
 
 /// Outcome of one transfer over a link.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Transfer {
+pub(crate) struct Transfer {
     /// Whether the payload arrived (false: all attempts lost or partitioned).
     pub delivered: bool,
     /// Time from send to delivery — or to giving up (s). Includes
@@ -121,7 +121,7 @@ pub struct Transfer {
 }
 
 /// Aggregate network counters (mirrors
-/// [`CommCounters`](sensact_core::CommCounters) at fleet scope).
+/// `CommCounters` at fleet scope).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetCounters {
     /// Transfers initiated.
@@ -140,7 +140,7 @@ pub struct NetCounters {
 /// node ids are arbitrary (clients use their client id, the server uses
 /// [`SimNetwork::SERVER`] by convention at fleet scope).
 #[derive(Debug, Clone)]
-pub struct SimNetwork {
+pub(crate) struct SimNetwork {
     config: NetworkConfig,
     /// Per-link monotone message counters: the stream index of each draw.
     links: HashMap<(u64, u64), u64>,
@@ -171,10 +171,10 @@ const JITTER_SALT: u64 = 0x4A49_5454_4552_0000; // jitter stream
 
 impl SimNetwork {
     /// Conventional server node id at fleet scope (clients use their index).
-    pub const SERVER: u64 = u64::MAX;
+    pub(crate) const SERVER: u64 = u64::MAX;
 
     /// A fresh network under a config.
-    pub fn new(config: NetworkConfig) -> Self {
+    pub(crate) fn new(config: NetworkConfig) -> Self {
         SimNetwork {
             config,
             links: HashMap::new(),
@@ -184,19 +184,14 @@ impl SimNetwork {
         }
     }
 
-    /// The network's config.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.config
-    }
-
     /// Cut `node` from the network over `[from_s, until_s)`: every attempt
     /// it sends or receives in the window is dropped.
-    pub fn partition(&mut self, node: u64, from_s: f64, until_s: f64) {
+    pub(crate) fn partition(&mut self, node: u64, from_s: f64, until_s: f64) {
         self.partitions.push((node, from_s, until_s));
     }
 
     /// Whether `node` is cut off at virtual time `t_s`.
-    pub fn is_partitioned(&self, node: u64, t_s: f64) -> bool {
+    pub(crate) fn is_partitioned(&self, node: u64, t_s: f64) -> bool {
         self.partitions
             .iter()
             .any(|&(n, from, until)| n == node && t_s >= from && t_s < until)
@@ -204,7 +199,7 @@ impl SimNetwork {
 
     /// Whether the `src → dst` link is a straggler (a pure function of the
     /// seed, stable for the run).
-    pub fn is_straggler_link(&self, src: u64, dst: u64) -> bool {
+    pub(crate) fn is_straggler_link(&self, src: u64, dst: u64) -> bool {
         unit(mix(self.config.seed ^ STRAGGLER_SALT, &[src, dst])) < self.config.straggler_fraction
     }
 
@@ -221,7 +216,7 @@ impl SimNetwork {
     /// `(parent, link, msg index, attempt)`, so the receiving side can
     /// re-derive them. The tracer never changes the outcome: it observes
     /// the schedule, never perturbs it.
-    pub fn transfer(
+    pub(crate) fn transfer(
         &mut self,
         src: u64,
         dst: u64,
@@ -317,12 +312,12 @@ impl SimNetwork {
     }
 
     /// The run's delivery-schedule hash so far.
-    pub fn trace_hash(&self) -> u64 {
+    pub(crate) fn trace_hash(&self) -> u64 {
         self.trace
     }
 
     /// Aggregate counters so far.
-    pub fn counters(&self) -> NetCounters {
+    pub(crate) fn counters(&self) -> NetCounters {
         self.counters
     }
 }

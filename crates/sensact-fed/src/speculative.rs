@@ -40,7 +40,7 @@ impl NgramModel {
     /// Greedy next-character prediction with backoff to shorter contexts.
     /// Ties break lexicographically (deterministic). `None` when even the
     /// unigram-like shortest context is unseen.
-    pub fn predict(&self, context: &str) -> Option<char> {
+    pub(crate) fn predict(&self, context: &str) -> Option<char> {
         let chars: Vec<char> = context.chars().collect();
         for n in (1..=self.order.min(chars.len())).rev() {
             let ctx: String = chars[chars.len() - n..].iter().collect();

@@ -23,7 +23,7 @@ use sensact_nn::optim::{Adam, Optimizer};
 use sensact_nn::{Initializer, Sequential, Tensor};
 
 /// Latent dimension used by all Fig. 5 models (4 complex pairs).
-pub const Z_DIM: usize = 8;
+pub(crate) const Z_DIM: usize = 8;
 
 const BATCH: usize = 32;
 const READ_WEIGHT: f64 = 1.0;
@@ -151,7 +151,7 @@ pub(crate) struct Body {
 }
 
 impl Body {
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         let mut init = Initializer::new(seed);
         let encoder = Encoder::new(&mut init);
         let readout = Dense::new(Z_DIM, 4, &mut init);
@@ -164,7 +164,7 @@ impl Body {
 
     /// The latent of one observation; the returned latent is the only
     /// allocation.
-    pub fn encode_one(&self, obs: &[f64]) -> Vec<f64> {
+    pub(crate) fn encode_one(&self, obs: &[f64]) -> Vec<f64> {
         assert_eq!(obs.len(), OBS_DIM, "Body: observation dim mismatch");
         let enc = &self.encoder;
         let mut h = [0.0; HIDDEN];
@@ -175,14 +175,14 @@ impl Body {
         z
     }
 
-    pub fn read_one(&self, z: &[f64]) -> [f64; 4] {
+    pub(crate) fn read_one(&self, z: &[f64]) -> [f64; 4] {
         assert_eq!(z.len(), Z_DIM, "Body: latent dim mismatch");
         let mut s = [0.0; 4];
         self.readout.apply_into(1, z, &mut s);
         s
     }
 
-    pub fn readout_matrix(&self) -> (Matrix, Vec<f64>) {
+    pub(crate) fn readout_matrix(&self) -> (Matrix, Vec<f64>) {
         // Dense stores W as [in, out]; C maps z -> state, so C = Wᵀ (4 × z).
         let mut c = Matrix::zeros(4, Z_DIM);
         for i in 0..Z_DIM {

@@ -55,7 +55,7 @@ pub struct Disturbance {
 
 impl Disturbance {
     /// No disturbance.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Disturbance {
             probability: 0.0,
             a_min: 0.0,
@@ -115,16 +115,6 @@ impl CartPole {
         self.state
     }
 
-    /// Current state `[x, ẋ, θ, θ̇]`.
-    pub fn state(&self) -> [f64; 4] {
-        self.state
-    }
-
-    /// Physical config.
-    pub fn config(&self) -> &CartPoleConfig {
-        &self.config
-    }
-
     /// Whether the pole has fallen or the cart left the track.
     pub fn failed(&self) -> bool {
         self.state[2].abs() > THETA_LIMIT || self.state[0].abs() > X_LIMIT
@@ -174,7 +164,7 @@ impl CartPole {
     }
 
     /// Steps taken since reset.
-    pub fn steps(&self) -> u64 {
+    pub(crate) fn steps(&self) -> u64 {
         self.steps
     }
 }
@@ -237,8 +227,8 @@ mod tests {
         for _ in 0..10 {
             cp.step(10.0);
         }
-        assert!(cp.state()[1] > 0.0, "positive force must speed cart up");
-        assert!(cp.state()[0] > 0.0);
+        assert!(cp.state[1] > 0.0, "positive force must speed cart up");
+        assert!(cp.state[0] > 0.0);
     }
 
     #[test]
@@ -248,7 +238,7 @@ mod tests {
         let mut cp = CartPole::new(CartPoleConfig::default(), 3);
         cp.state = [0.1, 0.0, 0.05, 0.0];
         for _ in 0..1000 {
-            let [x, xd, t, td] = cp.state();
+            let [x, xd, t, td] = cp.state;
             let u = 2.0 * x + 3.0 * xd + 30.0 * t + 4.0 * td;
             cp.step(u);
             assert!(!cp.failed(), "feedback failed at step {}", cp.steps());
@@ -266,7 +256,7 @@ mod tests {
             });
             cp.state = [0.0, 0.0, 0.02, 0.0];
             for _ in 0..500 {
-                let [x, xd, t, td] = cp.state();
+                let [x, xd, t, td] = cp.state;
                 // Weak controller so disturbances matter.
                 let u = 0.5 * x + 1.0 * xd + 14.0 * t + 1.5 * td;
                 cp.step(u);
@@ -321,6 +311,6 @@ mod tests {
         b.state = [0.0; 4];
         a.step(1e6);
         b.step(10.0);
-        assert_eq!(a.state(), b.state());
+        assert_eq!(a.state, b.state);
     }
 }

@@ -16,16 +16,16 @@ use sensact_math::{MathError, Matrix};
 /// Finite LQR horizon used for gain synthesis (the paper solves the LQR
 /// "over a finite time horizon"; a finite backward recursion is also the only
 /// well-posed choice when the learned latent carries unstabilizable modes).
-pub const LQR_HORIZON: usize = 50;
+pub(crate) const LQR_HORIZON: usize = 50;
 
 /// Candidate action sequences per shooting step.
-pub const SHOOTING_CANDIDATES: usize = 48;
+pub(crate) const SHOOTING_CANDIDATES: usize = 48;
 /// Shooting horizon (steps).
-pub const SHOOTING_HORIZON: usize = 8;
+pub(crate) const SHOOTING_HORIZON: usize = 8;
 
 /// State cost used by every controller: heavily penalize pole angle, mildly
 /// cart excursion.
-pub fn state_cost_diag() -> [f64; 4] {
+pub(crate) fn state_cost_diag() -> [f64; 4] {
     [1.0, 0.2, 30.0, 0.4]
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Latent dynamics are parameterized *spectrally*: `Z_DIM/2` learnable
 //! complex eigenvalues `λᵢ = ρᵢ·e^{jωᵢ}` with `ρᵢ = RHO_MAX·σ(raw)` bounded
-//! by the spectral-radius budget [`RHO_MAX`] — the boundedness by
+//! by the spectral-radius budget `RHO_MAX` — the boundedness by
 //! construction is the property the paper credits for disturbance
 //! robustness. The real dynamics matrix is the block-diagonal of 2×2
 //! rotation-scalings, so one prediction step costs `O(Z_DIM)` MACs instead
@@ -30,7 +30,7 @@ fn sigmoid(x: f64) -> f64 {
 /// spectral-radius budget of 1.25 keeps the regularizing effect of the
 /// spectral parameterization (bounded, slow modes) while remaining expressive
 /// enough for unstable plants.
-pub const RHO_MAX: f64 = 1.25;
+pub(crate) const RHO_MAX: f64 = 1.25;
 
 /// Spectral (block-diagonal) linear dynamics core.
 pub(crate) struct SpectralCore {
@@ -61,7 +61,7 @@ impl SpectralCore {
     }
 
     /// The complex eigenvalues `λᵢ = ρᵢ e^{jωᵢ}`.
-    pub fn eigenvalues(&self) -> Vec<Complex64> {
+    pub(crate) fn eigenvalues(&self) -> Vec<Complex64> {
         self.rho_raw
             .iter()
             .zip(&self.omega)
@@ -181,7 +181,7 @@ impl SpectralKoopman {
         }
     }
 
-    /// The learned eigenvalues (moduli bounded by [`RHO_MAX`] by construction).
+    /// The learned eigenvalues (moduli bounded by `RHO_MAX` by construction).
     pub fn eigenvalues(&self) -> Vec<Complex64> {
         self.inner.dynamics.eigenvalues()
     }

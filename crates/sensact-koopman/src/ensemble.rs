@@ -38,16 +38,6 @@ impl KoopmanEnsemble {
         }
     }
 
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// Whether the ensemble is empty (never true by construction).
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// Train every member on the same dataset (they differ by init).
     pub fn train(&mut self, data: &Dataset, epochs: usize) {
         for (i, m) in self.members.iter_mut().enumerate() {

@@ -38,7 +38,7 @@ pub use baselines::{
     DenseKoopman, LatentModel, MlpDynamics, RecurrentDynamics, TransformerDynamics,
 };
 pub use cartpole::{CartPole, CartPoleConfig, Disturbance};
-pub use control::{evaluate_robustness, LqrLatentController, RobustnessPoint, ShootingController};
+pub use control::{evaluate_robustness, LqrLatentController, ShootingController};
 pub use encoder::SpectralKoopman;
 pub use ensemble::KoopmanEnsemble;
-pub use train::{collect_dataset, Dataset, Transition};
+pub use train::{collect_dataset, Dataset};

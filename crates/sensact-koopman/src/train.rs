@@ -10,7 +10,7 @@ use sensact_math::rng::StdRng;
 
 /// One environment transition.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Transition {
+pub(crate) struct Transition {
     /// Visual observation at `t`.
     pub obs: [f64; OBS_DIM],
     /// Applied force.
@@ -32,32 +32,27 @@ pub struct Dataset {
 
 impl Dataset {
     /// Empty dataset.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Dataset::default()
     }
 
     /// All transitions in collection order.
-    pub fn transitions(&self) -> &[Transition] {
+    pub(crate) fn transitions(&self) -> &[Transition] {
         &self.transitions
     }
 
     /// Number of transitions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.transitions.len()
     }
 
-    /// Whether the dataset is empty.
-    pub fn is_empty(&self) -> bool {
-        self.transitions.is_empty()
-    }
-
     /// Begin a new episode.
-    pub fn start_episode(&mut self) {
+    pub(crate) fn start_episode(&mut self) {
         self.episode_starts.push(self.transitions.len());
     }
 
     /// Append a transition to the current episode.
-    pub fn push(&mut self, t: Transition) {
+    pub(crate) fn push(&mut self, t: Transition) {
         if self.episode_starts.is_empty() {
             self.episode_starts.push(0);
         }
@@ -66,7 +61,7 @@ impl Dataset {
 
     /// Up to `k` transitions immediately preceding index `i` within the same
     /// episode (most recent last) — the Transformer baseline's context.
-    pub fn context(&self, i: usize, k: usize) -> &[Transition] {
+    pub(crate) fn context(&self, i: usize, k: usize) -> &[Transition] {
         let episode_start = self
             .episode_starts
             .iter()
@@ -79,7 +74,7 @@ impl Dataset {
     }
 
     /// Deterministic minibatch index order for an epoch.
-    pub fn shuffled_indices(&self, seed: u64) -> Vec<usize> {
+    pub(crate) fn shuffled_indices(&self, seed: u64) -> Vec<usize> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut idx: Vec<usize> = (0..self.transitions.len()).collect();
         for i in (1..idx.len()).rev() {

@@ -79,7 +79,7 @@ impl Corruption {
     }
 
     /// Severity as a `[0, 1]` intensity.
-    pub fn intensity(&self) -> f64 {
+    pub(crate) fn intensity(&self) -> f64 {
         self.severity as f64 / 5.0
     }
 

@@ -39,7 +39,7 @@ impl EnergyModel {
     /// Transmit energy (joules) required for a detectable return at `range`.
     ///
     /// Scales as `R⁴`, clamped to `[min_pulse_energy, 50 µJ]`.
-    pub fn pulse_energy(&self, range: f64) -> f64 {
+    pub(crate) fn pulse_energy(&self, range: f64) -> f64 {
         let r = (range / MAX_RANGE).clamp(0.0, 1.0);
         (MAX_PULSE_ENERGY * r.powi(4)).max(self.min_pulse_energy)
     }

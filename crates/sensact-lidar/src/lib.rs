@@ -44,7 +44,7 @@ pub mod scene;
 pub mod voxel;
 
 pub use corrupt::{Corruption, CorruptionKind};
-pub use energy::{EnergyModel, ScanEnergyReport};
+pub use energy::EnergyModel;
 pub use mask::RadialMask;
 pub use pointcloud::{Point, PointCloud};
 pub use raycast::{Lidar, LidarConfig};

@@ -34,7 +34,6 @@ impl Default for RadialMaskConfig {
 /// A sampled mask over (beam, azimuth) pulses.
 #[derive(Debug)]
 pub struct RadialMask {
-    config: RadialMaskConfig,
     azimuth_steps: u16,
     kept_segments: Vec<bool>,
     /// Stage-1 verdict of each azimuth step below `azimuth_steps`.
@@ -70,7 +69,6 @@ impl RadialMask {
             kept[s] = true;
         }
         let mut mask = RadialMask {
-            config,
             azimuth_steps,
             kept_segments: kept,
             kept_azimuths: Vec::new(),
@@ -84,19 +82,14 @@ impl RadialMask {
         mask
     }
 
-    /// The mask configuration.
-    pub fn config(&self) -> &RadialMaskConfig {
-        &self.config
-    }
-
     /// Segment index of an azimuth step.
-    pub fn segment_of(&self, azimuth: u16) -> usize {
+    pub(crate) fn segment_of(&self, azimuth: u16) -> usize {
         (azimuth as usize * SEGMENTS as usize / self.azimuth_steps as usize)
             .min(SEGMENTS as usize - 1)
     }
 
     /// Stage-1 decision: is the segment of this azimuth kept?
-    pub fn segment_kept(&self, azimuth: u16) -> bool {
+    pub(crate) fn segment_kept(&self, azimuth: u16) -> bool {
         match self.kept_azimuths.get(azimuth as usize) {
             Some(&kept) => kept,
             None => self.kept_segments[self.segment_of(azimuth)],
@@ -105,7 +98,7 @@ impl RadialMask {
 
     /// Stage-2 keep probability at an expected range (exponential decay with
     /// a 20 m half-life).
-    pub fn keep_probability(&self, expected_range: f64) -> f64 {
+    pub(crate) fn keep_probability(&self, expected_range: f64) -> f64 {
         KEEP_AT_ZERO * 0.5f64.powf(expected_range.max(0.0) / HALF_RANGE)
     }
 
@@ -323,14 +316,6 @@ impl AdaptiveMask {
     pub fn segment_keep(&self) -> f64 {
         self.min_keep + (self.max_keep - self.min_keep) * self.activity
     }
-
-    /// Sample a concrete mask for the next revolution.
-    pub fn sample(&self, azimuth_steps: u16, seed: u64) -> RadialMask {
-        let config = RadialMaskConfig {
-            segment_keep: self.segment_keep(),
-        };
-        RadialMask::sample(config, azimuth_steps, seed)
-    }
 }
 
 #[cfg(test)]
@@ -403,8 +388,13 @@ mod adaptive_tests {
             idle.update_activity(0.0);
             busy.update_activity(1.0);
         }
-        let mut m_idle = idle.sample(512, 3);
-        let mut m_busy = busy.sample(512, 3);
+        let sample = |mask: AdaptiveMask| {
+            let config = RadialMaskConfig {
+                segment_keep: mask.segment_keep(),
+            };
+            RadialMask::sample(config, 512, 3)
+        };
+        let (mut m_idle, mut m_busy) = (sample(idle), sample(busy));
         let (_, fired_idle) = lidar.scan_masked(&scene, |_, az| m_idle.fire(az, 25.0));
         let (_, fired_busy) = lidar.scan_masked(&scene, |_, az| m_busy.fire(az, 25.0));
         assert!(

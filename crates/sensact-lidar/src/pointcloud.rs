@@ -66,11 +66,6 @@ impl PointCloud {
         self.points.iter()
     }
 
-    /// Maximum range among returns; `0.0` for an empty cloud.
-    pub fn max_range(&self) -> f64 {
-        self.points.iter().fold(0.0, |m, p| m.max(p.range))
-    }
-
     /// Mean range; `0.0` for an empty cloud.
     pub fn mean_range(&self) -> f64 {
         if self.points.is_empty() {
@@ -80,7 +75,7 @@ impl PointCloud {
     }
 
     /// Keep only points satisfying the predicate.
-    pub fn retain(&mut self, f: impl FnMut(&Point) -> bool) {
+    pub(crate) fn retain(&mut self, f: impl FnMut(&Point) -> bool) {
         self.points.retain(f);
     }
 
@@ -146,7 +141,6 @@ mod tests {
         c.push(pt(3.0, 4.0, 0.0));
         c.push(pt(1.0, 0.0, 0.0));
         assert_eq!(c.len(), 2);
-        assert_eq!(c.max_range(), 5.0);
         assert_eq!(c.mean_range(), 3.0);
     }
 
@@ -178,7 +172,6 @@ mod tests {
     #[test]
     fn empty_cloud_stats() {
         let c = PointCloud::new();
-        assert_eq!(c.max_range(), 0.0);
         assert_eq!(c.mean_range(), 0.0);
     }
 }

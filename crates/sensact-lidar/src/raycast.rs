@@ -48,7 +48,8 @@ impl LidarConfig {
     }
 
     /// Unit direction of pulse `(beam, azimuth)`.
-    pub fn direction(&self, beam: u16, azimuth: u16) -> [f64; 3] {
+    #[cfg(test)]
+    pub(crate) fn direction(&self, beam: u16, azimuth: u16) -> [f64; 3] {
         let (el, az) = (self.elevation(beam), self.azimuth_angle(azimuth));
         [el.cos() * az.cos(), el.cos() * az.sin(), el.sin()]
     }
@@ -70,7 +71,7 @@ impl LidarConfig {
 
 /// Ray/axis-aligned-box intersection by the slab method. Returns the entry
 /// distance `t >= 0` if the ray hits.
-pub fn ray_aabb(origin: [f64; 3], dir: [f64; 3], aabb: &Aabb) -> Option<f64> {
+pub(crate) fn ray_aabb(origin: [f64; 3], dir: [f64; 3], aabb: &Aabb) -> Option<f64> {
     let mut t_near = 0.0f64;
     let mut t_far = f64::INFINITY;
     for i in 0..3 {
@@ -108,7 +109,7 @@ pub struct Lidar {
 impl Lidar {
     /// Sensor with the given configuration. The per-beam and per-azimuth
     /// sines and cosines a scan multiplies are computed here, once, with
-    /// the arithmetic of [`LidarConfig::direction`].
+    /// the arithmetic of `LidarConfig::direction`.
     pub fn new(config: LidarConfig) -> Self {
         let trig = |angle: f64| (angle.cos(), angle.sin());
         Lidar {
@@ -130,7 +131,8 @@ impl Lidar {
     /// Cast one pulse; returns the hit point if any surface is within range.
     /// The reference path: the direction comes from
     /// [`LidarConfig::direction`], not from the scan's tables.
-    pub fn cast(&self, scene: &Scene, beam: u16, azimuth: u16) -> Option<Point> {
+    #[cfg(test)]
+    pub(crate) fn cast(&self, scene: &Scene, beam: u16, azimuth: u16) -> Option<Point> {
         let dir = self.config.direction(beam, azimuth);
         self.cast_over(scene.objects().iter(), beam, azimuth, dir)
     }
@@ -264,7 +266,8 @@ impl Lidar {
 
     /// Naive full scan: every pulse tested against every scene object, no
     /// broad phase. Ground truth for the equivalence tests.
-    pub fn scan_reference(&self, scene: &Scene) -> PointCloud {
+    #[cfg(test)]
+    pub(crate) fn scan_reference(&self, scene: &Scene) -> PointCloud {
         let mut cloud = PointCloud::new();
         for beam in 0..self.config.beams {
             for az in 0..self.config.azimuth_steps {
@@ -405,7 +408,9 @@ mod tests {
             cloud.len()
         );
         // All ranges within the sensor limit.
-        assert!(cloud.max_range() <= lidar.config().max_range + 1e-9);
+        assert!(cloud
+            .iter()
+            .all(|p| p.range <= lidar.config().max_range + 1e-9));
     }
 
     #[test]

@@ -97,28 +97,18 @@ impl Scene {
     }
 
     /// Add an object.
-    pub fn push(&mut self, object: SceneObject) {
+    pub(crate) fn push(&mut self, object: SceneObject) {
         self.objects.push(object);
     }
 
     /// Objects of one class.
-    pub fn objects_of(&self, class: ObjectClass) -> impl Iterator<Item = &SceneObject> {
+    pub(crate) fn objects_of(&self, class: ObjectClass) -> impl Iterator<Item = &SceneObject> {
         self.objects.iter().filter(move |o| o.class == class)
     }
 
     /// Ground-truth boxes for a detection class.
     pub fn ground_truth(&self, class: ObjectClass) -> Vec<Aabb> {
         self.objects_of(class).map(|o| o.aabb).collect()
-    }
-
-    /// Number of objects.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    /// Whether the scene has no objects.
-    pub fn is_empty(&self) -> bool {
-        self.objects.is_empty()
     }
 }
 
@@ -379,12 +369,12 @@ mod tests {
     #[test]
     fn manual_scene_building() {
         let mut scene = Scene::new();
-        assert!(scene.is_empty());
+        assert!(scene.objects().is_empty());
         scene.push(SceneObject::new(
             ObjectClass::Car,
             Aabb::from_center_size([10.0, 0.0, 0.75], [4.0, 1.8, 1.5]),
         ));
-        assert_eq!(scene.len(), 1);
+        assert_eq!(scene.objects().len(), 1);
         assert_eq!(scene.objects()[0].class, ObjectClass::Car);
     }
 

@@ -43,7 +43,7 @@ impl VoxelizerConfig {
 
     /// Voxel index of a world point, if inside the region (a NaN coordinate
     /// is inside no region).
-    pub fn index_of(&self, p: [f64; 3]) -> Option<(usize, usize, usize)> {
+    pub(crate) fn index_of(&self, p: [f64; 3]) -> Option<(usize, usize, usize)> {
         let (nx, ny, nz) = self.dims();
         let mut idx = [0usize; 3];
         for i in 0..3 {
@@ -80,7 +80,7 @@ pub struct VoxelGrid {
 
 impl VoxelGrid {
     /// An empty grid over the configured region.
-    pub fn new(config: VoxelizerConfig) -> Self {
+    pub(crate) fn new(config: VoxelizerConfig) -> Self {
         let (nx, ny, nz) = config.dims();
         VoxelGrid {
             config,
@@ -119,13 +119,9 @@ impl VoxelGrid {
     }
 
     /// Total voxel count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.counts.len()
-    }
-
-    /// Whether the grid has zero voxels (degenerate config).
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
     }
 
     /// Point count in a voxel.
@@ -133,7 +129,7 @@ impl VoxelGrid {
     /// # Panics
     ///
     /// Panics if indices are out of range.
-    pub fn count(&self, ix: usize, iy: usize, iz: usize) -> u32 {
+    pub(crate) fn count(&self, ix: usize, iy: usize, iz: usize) -> u32 {
         assert!(
             ix < self.nx && iy < self.ny && iz < self.nz,
             "voxel index out of range"

@@ -26,11 +26,6 @@ impl Complex64 {
         Complex64 { re, im }
     }
 
-    /// The multiplicative identity.
-    pub fn one() -> Self {
-        Complex64 { re: 1.0, im: 0.0 }
-    }
-
     /// Construct from polar coordinates `(r, θ)`.
     pub fn from_polar(r: f64, theta: f64) -> Self {
         Complex64::new(r * theta.cos(), r * theta.sin())
@@ -51,32 +46,12 @@ impl Complex64 {
         self.im.atan2(self.re)
     }
 
-    /// Complex exponential `e^z`.
-    pub fn exp(self) -> Self {
-        let r = self.re.exp();
-        Complex64::new(r * self.im.cos(), r * self.im.sin())
-    }
-
-    /// Integer power by repeated squaring.
-    pub fn powi(self, mut n: u32) -> Self {
-        let mut base = self;
-        let mut acc = Complex64::one();
-        while n > 0 {
-            if n & 1 == 1 {
-                acc = acc * base;
-            }
-            base = base * base;
-            n >>= 1;
-        }
-        acc
-    }
-
     /// Multiplicative inverse `1 / z`.
     ///
     /// # Panics
     ///
     /// Panics if `z` is zero.
-    pub fn recip(self) -> Self {
+    pub(crate) fn recip(self) -> Self {
         let d = self.abs_sq();
         assert!(d > 0.0, "reciprocal of zero complex number");
         Complex64::new(self.re / d, -self.im / d)
@@ -155,7 +130,7 @@ mod tests {
     fn arithmetic_identities() {
         let z = Complex64::new(2.0, -3.0);
         assert_eq!(z + Complex64::new(0.0, 0.0), z);
-        assert_eq!(z * Complex64::one(), z);
+        assert_eq!(z * Complex64::new(1.0, 0.0), z);
         assert_eq!(z - z, Complex64::new(0.0, 0.0));
         assert_eq!(-z, Complex64::new(-2.0, 3.0));
     }
@@ -165,25 +140,6 @@ mod tests {
         let z = Complex64::from_polar(2.0, std::f64::consts::FRAC_PI_3);
         assert!((z.abs() - 2.0).abs() < 1e-12);
         assert!((z.arg() - std::f64::consts::FRAC_PI_3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn exp_of_i_pi() {
-        let z = Complex64::new(0.0, std::f64::consts::PI).exp();
-        assert!((z.re + 1.0).abs() < 1e-12);
-        assert!(z.im.abs() < 1e-12);
-    }
-
-    #[test]
-    fn powi_matches_repeated_mul() {
-        let z = Complex64::new(0.9, 0.2);
-        let mut m = Complex64::one();
-        for _ in 0..7 {
-            m = m * z;
-        }
-        let p = z.powi(7);
-        assert!((p.re - m.re).abs() < 1e-12);
-        assert!((p.im - m.im).abs() < 1e-12);
     }
 
     #[test]

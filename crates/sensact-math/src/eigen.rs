@@ -9,7 +9,7 @@ use crate::{Complex64, MathError, Matrix, Result};
 /// # Errors
 ///
 /// [`MathError::NotSquare`] for non-square input.
-pub fn hessenberg(a: &Matrix) -> Result<Matrix> {
+pub(crate) fn hessenberg(a: &Matrix) -> Result<Matrix> {
     if !a.is_square() {
         return Err(MathError::NotSquare { shape: a.shape() });
     }
@@ -266,16 +266,6 @@ fn householder3(x: f64, y: f64, z: f64) -> ([f64; 3], f64) {
     (v, 2.0 / vn2)
 }
 
-/// Spectral radius (maximum eigenvalue modulus) of a general square matrix.
-///
-/// # Errors
-///
-/// Propagates errors from [`eigenvalues`].
-pub fn spectral_radius(a: &Matrix) -> Result<f64> {
-    let eigs = eigenvalues(a)?;
-    Ok(eigs.first().map(|e| e.abs()).unwrap_or(0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,12 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn spectral_radius_of_stable_matrix() {
-        let a = Matrix::from_rows(&[&[0.5, 0.1], &[0.0, 0.3]]);
-        assert!((spectral_radius(&a).unwrap() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn eigen_empty_and_single() {
         assert!(eigenvalues(&Matrix::zeros(0, 0)).unwrap().is_empty());
         let ev = eigenvalues(&Matrix::from_rows(&[&[7.0]])).unwrap();
@@ -387,7 +371,7 @@ mod tests {
         for _ in 0..32 {
             let m = rand_square(&mut rng, 4);
             let ev = eigenvalues(&m).unwrap();
-            let mut prod = Complex64::one();
+            let mut prod = Complex64::new(1.0, 0.0);
             for e in &ev {
                 prod = prod * *e;
             }

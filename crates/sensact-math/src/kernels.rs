@@ -6,8 +6,8 @@
 //! numerics of them all.
 //!
 //! Numerics contract: for each output element, products are accumulated in
-//! ascending-`k` order regardless of blocking, so [`gemm_naive`],
-//! [`gemm_blocked`] and every path of [`gemm_transa`] produce **bitwise
+//! ascending-`k` order regardless of blocking, so `gemm_naive`,
+//! `gemm_blocked` and every path of [`gemm_transa`] produce **bitwise
 //! identical** results; the entry points
 //! that may take the fused multiply-add microkernel ([`gemm`],
 //! [`gemm_transb`], the gathered and panel-source forms) stay within its
@@ -58,7 +58,8 @@ pub(crate) fn scale_c(beta: f64, c: &mut [f64]) {
 ///
 /// Kept as the ground truth for the equivalence tests; accumulation order
 /// per element matches the blocked kernel.
-pub fn gemm_naive(
+#[cfg(test)]
+pub(crate) fn gemm_naive(
     m: usize,
     n: usize,
     k: usize,
@@ -86,7 +87,7 @@ pub fn gemm_naive(
 /// k-blocked `ikj` loop nest: each A block-row is reused across a full C row
 /// while B is streamed row-wise, so all three operands move through cache
 /// sequentially.
-pub fn gemm_blocked(
+pub(crate) fn gemm_blocked(
     m: usize,
     n: usize,
     k: usize,
@@ -119,7 +120,7 @@ pub fn gemm_blocked(
 /// large enough to amortize packing, else the cache-blocked kernel.
 ///
 /// On SSE2 and scalar paths the result is bitwise identical to
-/// [`gemm_blocked`]; the AVX2+FMA path differs only within the analytic
+/// `gemm_blocked`; the AVX2+FMA path differs only within the analytic
 /// forward-error bound the dispatch tests check (fused multiply-add rounds
 /// once per step instead of twice).
 pub fn gemm(
@@ -243,7 +244,7 @@ pub fn gemm_transb_gathered(
 ///   one) with the whole-`k` sum started at `+0.0` and added to the seed
 ///   once, `to_bits` the scalar [`gemm_transb`] row-dot (at `k = 0`,
 ///   `beta·C + (+0.0)`); without, the same tile in **chain** mode — one
-///   chain from the `beta·C` seed, `to_bits` [`gemm_blocked`], as [`gemm`]
+///   chain from the `beta·C` seed, `to_bits` `gemm_blocked`, as [`gemm`]
 ///   (at `k = 0`, `beta·C`).
 ///
 /// `c` is always written; an `m·n = 0` product writes nothing.
@@ -282,7 +283,7 @@ const TRANSA_BLOCK: usize = 1 << 12;
 /// dots through [`fold_dots`] instead. Every path — the register-tiled
 /// SIMD kernels and the row-blocked scalar loop — multiplies, then adds, in
 /// ascending `k`, so the result is **bitwise identical** to
-/// [`gemm_naive`] on the explicit transpose on every host (never FMA:
+/// `gemm_naive` on the explicit transpose on every host (never FMA:
 /// trace hashes and goldens pin these bits).
 pub fn gemm_transa(
     m: usize,
@@ -437,7 +438,7 @@ fn fold_dots_on(
 
 /// Fused matrix–vector product: `y = A[m×k] * x`, no intermediate
 /// allocations. `y` is fully overwritten.
-pub fn matvec_into(m: usize, k: usize, a: &[f64], x: &[f64], y: &mut [f64]) {
+pub(crate) fn matvec_into(m: usize, k: usize, a: &[f64], x: &[f64], y: &mut [f64]) {
     assert_eq!(a.len(), m * k, "matvec_into: A must be m*k");
     assert_eq!(x.len(), k, "matvec_into: x must have len k");
     assert_eq!(y.len(), m, "matvec_into: y must have len m");
@@ -453,7 +454,7 @@ pub fn matvec_into(m: usize, k: usize, a: &[f64], x: &[f64], y: &mut [f64]) {
 /// Blocked out-of-place transpose: `dst[c][r] = src[r][c]` for a row-major
 /// `rows×cols` source. Tiling keeps both the read and write streams within a
 /// cache-sized window instead of striding the full destination per element.
-pub fn transpose_into(rows: usize, cols: usize, src: &[f64], dst: &mut [f64]) {
+pub(crate) fn transpose_into(rows: usize, cols: usize, src: &[f64], dst: &mut [f64]) {
     assert_eq!(
         src.len(),
         rows * cols,

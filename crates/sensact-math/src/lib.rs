@@ -11,7 +11,7 @@
 //! ## Example
 //!
 //! ```
-//! use sensact_math::{Matrix, lqr::{dlqr, LqrProblem}};
+//! use sensact_math::{Matrix, lqr::{dlqr_finite, LqrProblem}};
 //!
 //! // Double integrator: x' = [[1, dt], [0, 1]] x + [[0], [dt]] u
 //! let dt = 0.1;
@@ -19,8 +19,8 @@
 //! let b = Matrix::from_rows(&[&[0.0], &[dt]]);
 //! let q = Matrix::identity(2);
 //! let r = Matrix::identity(1);
-//! let gain = dlqr(&LqrProblem::new(a, b, q, r)).expect("solvable");
-//! assert_eq!(gain.feedback.shape(), (1, 2));
+//! let gains = dlqr_finite(&LqrProblem::new(a, b, q, r), 200).expect("solvable");
+//! assert_eq!(gains[0].feedback.shape(), (1, 2));
 //! ```
 
 pub mod complex;
@@ -84,7 +84,7 @@ impl std::fmt::Display for MathError {
 impl std::error::Error for MathError {}
 
 /// Convenience alias used across the crate.
-pub type Result<T> = std::result::Result<T, MathError>;
+pub(crate) type Result<T> = std::result::Result<T, MathError>;
 
 #[cfg(test)]
 mod tests {

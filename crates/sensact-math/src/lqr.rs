@@ -37,11 +37,6 @@ impl LqrProblem {
         assert_eq!(r.shape(), (b.cols(), b.cols()), "R must be m x m");
         LqrProblem { a, b, q, r }
     }
-
-    /// Input dimension m.
-    pub fn input_dim(&self) -> usize {
-        self.b.cols()
-    }
 }
 
 /// Solution of an LQR problem: `u = -K x` plus the cost-to-go matrix.
@@ -53,18 +48,6 @@ pub struct LqrSolution {
     pub cost_to_go: Matrix,
     /// Riccati iterations performed.
     pub iterations: usize,
-}
-
-impl LqrSolution {
-    /// Control action `u = -K x` for a state.
-    ///
-    /// # Errors
-    ///
-    /// [`MathError::ShapeMismatch`] if `x` has the wrong length.
-    pub fn control(&self, x: &[f64]) -> Result<Vec<f64>> {
-        let kx = self.feedback.matvec(x)?;
-        Ok(kx.into_iter().map(|v| -v).collect())
-    }
 }
 
 /// One backward Riccati step: returns (K_t, P_t) from P_{t+1}.
@@ -119,7 +102,8 @@ pub fn dlqr_finite(problem: &LqrProblem, horizon: usize) -> Result<Vec<LqrSoluti
 /// [`MathError::NoConvergence`] if the recursion does not settle within
 /// 10 000 iterations (typically means `(A, B)` is not stabilizable), plus any
 /// linear-solve failure.
-pub fn dlqr(problem: &LqrProblem) -> Result<LqrSolution> {
+#[cfg(test)]
+fn dlqr(problem: &LqrProblem) -> Result<LqrSolution> {
     let mut p = problem.q.clone();
     let max_iter = 10_000;
     for it in 0..max_iter {
@@ -175,7 +159,7 @@ pub fn spectral_dynamics(eigs: &[Complex64]) -> Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eigen::spectral_radius;
+    use crate::eigen::eigenvalues;
 
     fn double_integrator(dt: f64) -> LqrProblem {
         LqrProblem::new(
@@ -192,7 +176,7 @@ mod tests {
         let sol = dlqr(&p).unwrap();
         // Closed loop A - BK must be Schur-stable.
         let acl = p.a.sub(&p.b.matmul(&sol.feedback).unwrap()).unwrap();
-        assert!(spectral_radius(&acl).unwrap() < 1.0);
+        assert!(eigenvalues(&acl).unwrap().iter().all(|e| e.abs() < 1.0));
     }
 
     #[test]
@@ -203,12 +187,18 @@ mod tests {
         let predicted = crate::vector::dot(&x, &sol.cost_to_go.matvec(&x).unwrap());
         let mut cost = 0.0;
         for _ in 0..400 {
-            let u = sol.control(&x).unwrap();
+            let u: Vec<f64> = sol
+                .feedback
+                .matvec(&x)
+                .unwrap()
+                .iter()
+                .map(|v| -v)
+                .collect();
             cost += crate::vector::dot(&x, &p.q.matvec(&x).unwrap())
                 + crate::vector::dot(&u, &p.r.matvec(&u).unwrap());
             let ax = p.a.matvec(&x).unwrap();
             let bu = p.b.matvec(&u).unwrap();
-            x = crate::vector::add(&ax, &bu);
+            x = ax.iter().zip(&bu).map(|(a, b)| a + b).collect();
         }
         assert!(
             crate::vector::norm(&x) < 1e-3,
@@ -259,15 +249,6 @@ mod tests {
         assert!(resid < 1e-8, "DARE residual {resid}");
         // Known: p = (1 + sqrt(5)) / 2 ≈ 1.618 (golden ratio).
         assert!((pv - 1.618_033_988_7).abs() < 1e-6);
-    }
-
-    #[test]
-    fn control_returns_negative_feedback() {
-        let p = double_integrator(0.1);
-        let sol = dlqr(&p).unwrap();
-        let u = sol.control(&[1.0, 0.0]).unwrap();
-        // Positive position error must push control negative.
-        assert!(u[0] < 0.0);
     }
 
     #[test]

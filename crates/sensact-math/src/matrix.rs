@@ -100,23 +100,8 @@ impl Matrix {
     }
 
     /// Whether the matrix is square.
-    pub fn is_square(&self) -> bool {
+    pub(crate) fn is_square(&self) -> bool {
         self.rows == self.cols
-    }
-
-    /// Borrow the row-major backing buffer.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Mutably borrow the row-major backing buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Consume into the row-major backing buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 
     /// Borrow row `r` as a slice.
@@ -130,7 +115,7 @@ impl Matrix {
     }
 
     /// Transposed copy (cache-blocked).
-    pub fn transpose(&self) -> Matrix {
+    pub(crate) fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
         crate::kernels::transpose_into(self.rows, self.cols, &self.data, &mut t.data);
         t
@@ -158,7 +143,7 @@ impl Matrix {
     ///
     /// Returns [`MathError::ShapeMismatch`] if `self.cols != other.rows` or
     /// `out` is not `self.rows × other.cols`.
-    pub fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
+    pub(crate) fn matmul_into(&self, other: &Matrix, out: &mut Matrix) -> Result<()> {
         if self.cols != other.rows {
             return Err(MathError::ShapeMismatch {
                 expected: (self.cols, other.cols),
@@ -229,7 +214,7 @@ impl Matrix {
     ///
     /// Returns [`MathError::ShapeMismatch`] if `v.len() != cols` or
     /// `out.len() != rows`.
-    pub fn matvec_into(&self, v: &[f64], out: &mut [f64]) -> Result<()> {
+    pub(crate) fn matvec_into(&self, v: &[f64], out: &mut [f64]) -> Result<()> {
         if v.len() != self.cols {
             return Err(MathError::ShapeMismatch {
                 expected: (self.cols, 1),
@@ -251,7 +236,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`MathError::ShapeMismatch`] on differing shapes.
-    pub fn add(&self, other: &Matrix) -> Result<Matrix> {
+    pub(crate) fn add(&self, other: &Matrix) -> Result<Matrix> {
         self.zip_with(other, |a, b| a + b)
     }
 
@@ -260,7 +245,7 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`MathError::ShapeMismatch`] on differing shapes.
-    pub fn sub(&self, other: &Matrix) -> Result<Matrix> {
+    pub(crate) fn sub(&self, other: &Matrix) -> Result<Matrix> {
         self.zip_with(other, |a, b| a - b)
     }
 
@@ -284,7 +269,7 @@ impl Matrix {
     }
 
     /// Scaled copy `alpha * self`.
-    pub fn scaled(&self, alpha: f64) -> Matrix {
+    pub(crate) fn scaled(&self, alpha: f64) -> Matrix {
         Matrix {
             rows: self.rows,
             cols: self.cols,
@@ -293,7 +278,8 @@ impl Matrix {
     }
 
     /// Maximum absolute entry.
-    pub fn max_abs(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
     }
 
@@ -302,7 +288,8 @@ impl Matrix {
     /// # Errors
     ///
     /// Returns [`MathError::NotSquare`] for non-square matrices.
-    pub fn trace(&self) -> Result<f64> {
+    #[cfg(test)]
+    pub(crate) fn trace(&self) -> Result<f64> {
         if !self.is_square() {
             return Err(MathError::NotSquare {
                 shape: self.shape(),
@@ -319,7 +306,7 @@ impl Matrix {
     /// [`MathError::NotSquare`] if the matrix is not square,
     /// [`MathError::ShapeMismatch`] if `b.rows() != rows`, or
     /// [`MathError::Singular`] when a pivot underflows.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
+    pub(crate) fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
         if !self.is_square() {
             return Err(MathError::NotSquare {
                 shape: self.shape(),
@@ -393,7 +380,8 @@ impl Matrix {
     /// # Errors
     ///
     /// [`MathError::NotSquare`] for non-square input.
-    pub fn determinant(&self) -> Result<f64> {
+    #[cfg(test)]
+    pub(crate) fn determinant(&self) -> Result<f64> {
         if !self.is_square() {
             return Err(MathError::NotSquare {
                 shape: self.shape(),
@@ -598,7 +586,7 @@ mod tests {
             let a = rand_invertible(&mut rng, 4);
             let x: Vec<f64> = (0..4).map(|_| rng.random_range(-5.0..5.0)).collect();
             let b = Matrix::from_vec(4, 1, a.matvec(&x).unwrap());
-            let x2 = a.solve_matrix(&b).unwrap().into_vec();
+            let x2 = a.solve_matrix(&b).unwrap().data;
             for (u, v) in x.iter().zip(&x2) {
                 assert!((u - v).abs() < 1e-6);
             }

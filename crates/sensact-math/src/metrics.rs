@@ -146,7 +146,7 @@ impl Aabb {
     }
 
     /// Box volume.
-    pub fn volume(&self) -> f64 {
+    pub(crate) fn volume(&self) -> f64 {
         (self.max[0] - self.min[0]) * (self.max[1] - self.min[1]) * (self.max[2] - self.min[2])
     }
 
@@ -201,20 +201,6 @@ pub fn endpoint_error(pred: &[(f64, f64)], truth: &[(f64, f64)]) -> f64 {
         .map(|(p, t)| ((p.0 - t.0).powi(2) + (p.1 - t.1).powi(2)).sqrt())
         .sum();
     sum / pred.len() as f64
-}
-
-/// Classification accuracy between predicted and true label slices.
-///
-/// # Panics
-///
-/// Panics on length mismatch; returns `0.0` for empty input.
-pub fn accuracy(pred: &[usize], truth: &[usize]) -> f64 {
-    assert_eq!(pred.len(), truth.len(), "accuracy: length mismatch");
-    if pred.is_empty() {
-        return 0.0;
-    }
-    let correct = pred.iter().zip(truth).filter(|(p, t)| p == t).count();
-    correct as f64 / pred.len() as f64
 }
 
 #[cfg(test)]
@@ -370,12 +356,6 @@ mod tests {
         assert_eq!(endpoint_error(&t, &t), 0.0);
         let p = vec![(2.0, 0.0), (0.0, 2.0)];
         assert!((endpoint_error(&p, &t) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accuracy_counts() {
-        assert_eq!(accuracy(&[1, 2, 3], &[1, 2, 0]), 2.0 / 3.0);
-        assert_eq!(accuracy(&[], &[]), 0.0);
     }
 
     #[test]

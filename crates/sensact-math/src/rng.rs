@@ -118,28 +118,6 @@ impl StdRng {
         range.sample(self)
     }
 
-    /// Gaussian sample with the given mean and standard deviation
-    /// (Box–Muller; one fresh pair per call, cosine branch).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        loop {
-            let u1 = self.gen_f64();
-            if u1 <= f64::MIN_POSITIVE {
-                continue;
-            }
-            let u2 = self.gen_f64();
-            let r = (-2.0 * u1.ln()).sqrt();
-            return mean + std_dev * r * (std::f64::consts::TAU * u2).cos();
-        }
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.random_range(0..=i);
-            xs.swap(i, j);
-        }
-    }
-
     /// Uniform u64 below `bound` via Lemire-style widening multiply with
     /// rejection (unbiased).
     #[inline]
@@ -307,28 +285,6 @@ mod tests {
     fn empty_range_panics() {
         let mut rng = StdRng::seed_from_u64(0);
         let _ = rng.random_range(5..5usize);
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 50_000;
-        let xs: Vec<f64> = (0..n).map(|_| rng.normal(1.0, 2.0)).collect();
-        let mean = xs.iter().sum::<f64>() / n as f64;
-        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
-        assert!((var - 4.0).abs() < 0.15, "var {var}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<u32>>());
-        assert_ne!(xs, (0..50).collect::<Vec<u32>>());
     }
 
     #[test]

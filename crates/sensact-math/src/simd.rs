@@ -14,7 +14,7 @@
 //! - **AVX2+FMA** (`6×8` f64 tile; 12 YMM accumulators):
 //!   fused multiply-add changes rounding versus the scalar kernels (one
 //!   rounding per step instead of two), so results differ from
-//!   [`gemm_naive`](crate::kernels::gemm_naive) by a forward error bounded
+//!   `gemm_naive` by a forward error bounded
 //!   by `2·γ_{k+2}·(|αA|·|B|)_ij` — `fma_panel_path_is_within_forward_error_bound`
 //!   checks this bound analytically per element.
 //! - **AVX** (`4×8` f64 tile, where AVX2 is present): multiply *then* add
@@ -78,9 +78,9 @@ use std::sync::OnceLock;
 
 /// Register-tile height of the AVX2+FMA microkernels (12 YMM accumulators
 /// out of 16 architectural registers — the classic 6-row DGEMM shape).
-pub const MR_FMA: usize = 6;
+pub(crate) const MR_FMA: usize = 6;
 /// Register-tile height of the portable `4×4` microkernel.
-pub const MR_SSE: usize = 4;
+pub(crate) const MR_SSE: usize = 4;
 /// Register-tile height of the AVX multiply-then-add microkernel (8 YMM
 /// accumulators; the unfused product needs a register of its own).
 #[cfg(target_arch = "x86_64")]
@@ -91,9 +91,9 @@ const MR_AVX: usize = 4;
 const MR_ZMM: usize = 8;
 /// Columns per packed B panel on the AVX2 and AVX-512 f64 paths (one ZMM,
 /// two YMM).
-pub const NR_F64: usize = 8;
+pub(crate) const NR_F64: usize = 8;
 /// Columns per packed B panel on the portable `4×4` f64 path.
-pub const NR_SSE: usize = 4;
+pub(crate) const NR_SSE: usize = 4;
 
 /// `k`-block depth: panels of `KC` rows of B (2 KiB per f64 column panel)
 /// stay L1/L2-resident while a C tile is updated.
@@ -132,7 +132,7 @@ impl CpuFeatures {
     /// tier, not a tile: an AVX-512 host computes the same bits as an AVX2
     /// one (module docs) and is `"avx2+fma"` too. Renaming it would make
     /// every golden check on such a host record instead of compare.
-    pub fn isa_name(&self) -> &'static str {
+    pub(crate) fn isa_name(&self) -> &'static str {
         if self.forced_scalar {
             "scalar"
         } else if self.avx2 && self.fma {
@@ -163,7 +163,7 @@ pub(crate) fn simd_f64_eligible(m: usize, n: usize, k: usize) -> bool {
 }
 
 /// Name of the rounding tier GEMM dispatch takes on this host
-/// (`"avx2+fma"`, `"sse2"` or `"scalar"`; see [`CpuFeatures::isa_name`]).
+/// (`"avx2+fma"`, `"sse2"` or `"scalar"`; see `CpuFeatures::isa_name`).
 pub fn isa_name() -> &'static str {
     cpu_features().isa_name()
 }

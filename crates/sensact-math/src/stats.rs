@@ -45,11 +45,6 @@ impl RunningStats {
         self.max = self.max.max(x);
     }
 
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
     /// Sample mean; `0.0` when empty.
     pub fn mean(&self) -> f64 {
         self.mean
@@ -96,26 +91,6 @@ impl RunningStats {
             max,
         }
     }
-
-    /// Merge another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &RunningStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let new_mean = self.mean + delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.mean = new_mean;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 impl Extend<f64> for RunningStats {
@@ -135,7 +110,8 @@ impl FromIterator<f64> for RunningStats {
 }
 
 /// Batch mean; `0.0` for empty input.
-pub fn mean(xs: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
@@ -144,17 +120,13 @@ pub fn mean(xs: &[f64]) -> f64 {
 }
 
 /// Batch unbiased variance; `0.0` for fewer than two samples.
-pub fn variance(xs: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn variance(xs: &[f64]) -> f64 {
     if xs.len() < 2 {
         return 0.0;
     }
     let m = mean(xs);
     xs.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (xs.len() - 1) as f64
-}
-
-/// Batch standard deviation.
-pub fn std_dev(xs: &[f64]) -> f64 {
-    variance(xs).sqrt()
 }
 
 /// Median (linear interpolation between middle elements for even counts);
@@ -196,7 +168,6 @@ mod tests {
     fn running_stats_matches_batch() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         let s: RunningStats = xs.iter().copied().collect();
-        assert_eq!(s.count(), 8);
         assert!((s.mean() - mean(&xs)).abs() < 1e-12);
         assert!((s.variance() - variance(&xs)).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
@@ -208,30 +179,6 @@ mod tests {
         let s = RunningStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_concatenation() {
-        let a_data = [1.0, 2.0, 3.0];
-        let b_data = [10.0, 20.0, 30.0, 40.0];
-        let mut a: RunningStats = a_data.iter().copied().collect();
-        let b: RunningStats = b_data.iter().copied().collect();
-        a.merge(&b);
-        let all: Vec<f64> = a_data.iter().chain(&b_data).copied().collect();
-        assert!((a.mean() - mean(&all)).abs() < 1e-12);
-        assert!((a.variance() - variance(&all)).abs() < 1e-10);
-        assert_eq!(a.count(), 7);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: RunningStats = [1.0, 2.0].iter().copied().collect();
-        let before = a;
-        a.merge(&RunningStats::new());
-        assert_eq!(a, before);
-        let mut e = RunningStats::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]
@@ -267,22 +214,6 @@ mod tests {
             let s: RunningStats = xs.iter().copied().collect();
             assert!((s.mean() - mean(&xs)).abs() < 1e-8);
             assert!((s.variance() - variance(&xs)).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn prop_merge_associative_mean() {
-        let mut rng = StdRng::seed_from_u64(0x57A702);
-        for _ in 0..256 {
-            let nx = rng.random_range(1..20usize);
-            let ny = rng.random_range(1..20usize);
-            let xs = random_vec(&mut rng, nx, -100.0, 100.0);
-            let ys = random_vec(&mut rng, ny, -100.0, 100.0);
-            let mut a: RunningStats = xs.iter().copied().collect();
-            let b: RunningStats = ys.iter().copied().collect();
-            a.merge(&b);
-            let all: Vec<f64> = xs.iter().chain(&ys).copied().collect();
-            assert!((a.mean() - mean(&all)).abs() < 1e-8);
         }
     }
 

@@ -28,36 +28,11 @@ pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// Squared Euclidean norm (avoids the square root).
-pub fn norm_sq(a: &[f64]) -> f64 {
-    dot(a, a)
-}
-
 /// Scale a vector in place by `alpha`.
-pub fn scale(alpha: f64, x: &mut [f64]) {
+pub(crate) fn scale(alpha: f64, x: &mut [f64]) {
     for xi in x.iter_mut() {
         *xi *= alpha;
     }
-}
-
-/// Element-wise sum of two slices into a new `Vec`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "add: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x + y).collect()
-}
-
-/// Element-wise difference `a - b` into a new `Vec`.
-///
-/// # Panics
-///
-/// Panics if lengths differ.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
-    assert_eq!(a.len(), b.len(), "sub: length mismatch");
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
 /// Normalize to unit L2 norm, returning the original norm.
@@ -103,7 +78,6 @@ mod tests {
         let a = [1.0, -2.0, 2.0];
         assert_eq!(dot(&a, &a), 9.0);
         assert_eq!(norm(&a), 3.0);
-        assert_eq!(norm_sq(&a), 9.0);
     }
 
     #[test]
@@ -111,12 +85,6 @@ mod tests {
         let mut y = [12.0, 24.0];
         scale(0.5, &mut y);
         assert_eq!(y, [6.0, 12.0]);
-    }
-
-    #[test]
-    fn add_sub() {
-        assert_eq!(add(&[1.0, 2.0], &[3.0, 4.0]), vec![4.0, 6.0]);
-        assert_eq!(sub(&[1.0, 2.0], &[3.0, 4.0]), vec![-2.0, -2.0]);
     }
 
     #[test]

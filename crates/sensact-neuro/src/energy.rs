@@ -36,24 +36,18 @@ pub struct EnergyLedger {
 
 impl EnergyLedger {
     /// Empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EnergyLedger::default()
     }
 
     /// Add MAC operations.
-    pub fn add_macs(&mut self, n: u64) {
+    pub(crate) fn add_macs(&mut self, n: u64) {
         self.macs += n;
     }
 
     /// Add accumulate operations.
-    pub fn add_acs(&mut self, n: u64) {
+    pub(crate) fn add_acs(&mut self, n: u64) {
         self.acs += n;
-    }
-
-    /// Merge another ledger.
-    pub fn merge(&mut self, other: &EnergyLedger) {
-        self.macs += other.macs;
-        self.acs += other.acs;
     }
 
     /// Total energy in microjoules under an [`OpEnergy`] model.
@@ -77,9 +71,7 @@ mod tests {
         let mut a = EnergyLedger::new();
         a.add_macs(1000);
         a.add_acs(500);
-        let mut b = EnergyLedger::new();
-        b.add_acs(500);
-        a.merge(&b);
+        a.add_acs(500);
         assert_eq!(a.macs, 1000);
         assert_eq!(a.acs, 1000);
     }

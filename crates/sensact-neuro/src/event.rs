@@ -46,7 +46,7 @@ impl EventStream {
 
     /// Bin events into `bins` time slices of a `[2 × height × width]`
     /// polarity grid each (the standard event-volume input encoding).
-    pub fn to_bins(&self, bins: usize) -> Vec<Vec<f64>> {
+    pub(crate) fn to_bins(&self, bins: usize) -> Vec<Vec<f64>> {
         let hw = self.height as usize * self.width as usize;
         let mut out = vec![vec![0.0; 2 * hw]; bins];
         if self.events.is_empty() {
@@ -95,7 +95,6 @@ impl Default for MovingSceneConfig {
 /// A rendered moving scene: frames, events and ground-truth flow.
 #[derive(Debug, Clone)]
 pub struct MovingScene {
-    config: MovingSceneConfig,
     /// First rendered intensity frame (for frame-based fusion models).
     pub first_frame: Vec<f64>,
     /// The event stream over the whole interval.
@@ -210,7 +209,6 @@ impl MovingScene {
         }
 
         MovingScene {
-            config,
             first_frame,
             events: EventStream {
                 width: WIDTH,
@@ -222,14 +220,9 @@ impl MovingScene {
         }
     }
 
-    /// The scene configuration.
-    pub fn config(&self) -> &MovingSceneConfig {
-        &self.config
-    }
-
     /// Mean ground-truth flow over `regions × regions` image tiles — the
     /// coarse prediction target of the Fig. 9 models.
-    pub fn region_flow(&self, regions: usize) -> Vec<(f64, f64)> {
+    pub(crate) fn region_flow(&self, regions: usize) -> Vec<(f64, f64)> {
         let (w, h) = (WIDTH as usize, HEIGHT as usize);
         let mut out = vec![(0.0, 0.0); regions * regions];
         let mut counts = vec![0usize; regions * regions];

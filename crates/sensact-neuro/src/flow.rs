@@ -21,9 +21,9 @@ use sensact_nn::optim::{Adam, Optimizer};
 use sensact_nn::{Initializer, Sequential, Tensor};
 
 /// Time bins per event volume.
-pub const TIME_BINS: usize = 4;
+pub(crate) const TIME_BINS: usize = 4;
 /// Flow regions per image side.
-pub const REGIONS: usize = 4;
+pub(crate) const REGIONS: usize = 4;
 
 /// Model family member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,7 +75,7 @@ impl FlowModel {
     }
 
     /// Build for `side × side` scenes.
-    pub fn with_dims(kind: FlowModelKind, hidden: usize, side: usize, seed: u64) -> Self {
+    pub(crate) fn with_dims(kind: FlowModelKind, hidden: usize, side: usize, seed: u64) -> Self {
         let mut init = Initializer::new(seed);
         let input_dim = 2 * side * side;
         let frame_dim = side * side;
@@ -128,11 +128,6 @@ impl FlowModel {
             hidden,
             opt: Adam::new(3e-3),
         }
-    }
-
-    /// The model family member.
-    pub fn kind(&self) -> FlowModelKind {
-        self.kind
     }
 
     /// Trainable parameter count.

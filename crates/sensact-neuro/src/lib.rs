@@ -23,7 +23,6 @@ pub mod event;
 pub mod flow;
 pub mod snn;
 
-pub use energy::{EnergyLedger, OpEnergy};
-pub use event::{Event, EventStream, MovingScene, MovingSceneConfig};
+pub use energy::OpEnergy;
+pub use event::{MovingScene, MovingSceneConfig};
 pub use flow::{FlowModel, FlowModelKind};
-pub use snn::SpikingDense;

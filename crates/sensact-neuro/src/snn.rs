@@ -1,6 +1,6 @@
 //! Spiking layers with surrogate-gradient BPTT.
 //!
-//! The unit is a [`SpikingDense`] layer: a shared dense synapse followed by
+//! The unit is a `SpikingDense` layer: a shared dense synapse followed by
 //! leaky integrate-and-fire neurons unrolled over the event-volume time bins.
 //! Membrane update (soft reset):
 //!
@@ -29,7 +29,7 @@ fn surrogate(v: f64, vth: f64) -> f64 {
 }
 
 /// A dense synapse + LIF population unrolled over time.
-pub struct SpikingDense {
+pub(crate) struct SpikingDense {
     synapse: Dense,
     /// Raw leak parameter; `λ = σ(leak_raw)`.
     leak_raw: Vec<f64>,
@@ -55,7 +55,7 @@ struct StepCache {
 impl SpikingDense {
     /// New layer with `in_dim → out_dim` synapses and initial `λ ≈ 0.82`,
     /// `v_th ≈ 0.69`.
-    pub fn new(in_dim: usize, out_dim: usize, init: &mut Initializer) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, init: &mut Initializer) -> Self {
         SpikingDense {
             synapse: Dense::new(in_dim, out_dim, init),
             leak_raw: vec![1.5; out_dim],
@@ -70,24 +70,24 @@ impl SpikingDense {
     }
 
     /// Output dimension.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.out_dim
     }
 
     /// Current leak values `λ = σ(raw)`.
-    pub fn leaks(&self) -> Vec<f64> {
+    pub(crate) fn leaks(&self) -> Vec<f64> {
         self.leak_raw.iter().map(|&r| sigmoid(r)).collect()
     }
 
     /// Current thresholds `v_th = softplus(raw)`.
-    pub fn thresholds(&self) -> Vec<f64> {
+    pub(crate) fn thresholds(&self) -> Vec<f64> {
         self.vth_raw.iter().map(|&r| (1.0 + r.exp()).ln()).collect()
     }
 
     /// Run the layer over a time sequence of `[batch, in]` tensors; returns
     /// the spike trains per step. Caches everything for
     /// [`SpikingDense::backward_sequence`].
-    pub fn forward_sequence(&mut self, inputs: &[Tensor]) -> Vec<Tensor> {
+    pub(crate) fn forward_sequence(&mut self, inputs: &[Tensor]) -> Vec<Tensor> {
         assert!(!inputs.is_empty(), "empty input sequence");
         let batch = inputs[0].shape()[0];
         self.cache.clear();
@@ -130,7 +130,7 @@ impl SpikingDense {
     /// # Panics
     ///
     /// Panics if the sequence lengths mismatch or forward was not run.
-    pub fn backward_sequence(&mut self, grads: &[Tensor], inputs: &[Tensor]) -> Vec<Tensor> {
+    pub(crate) fn backward_sequence(&mut self, grads: &[Tensor], inputs: &[Tensor]) -> Vec<Tensor> {
         assert_eq!(grads.len(), self.cache.len(), "grad/cache length mismatch");
         assert_eq!(
             inputs.len(),
@@ -194,7 +194,7 @@ impl SpikingDense {
 
     /// Visit trainable parameters: synapse weights, plus λ/v_th when
     /// `learnable_dynamics` is set.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         self.synapse.visit_params(f);
         if self.learnable_dynamics {
             f(&mut self.leak_raw, &mut self.grad_leak);
@@ -203,14 +203,14 @@ impl SpikingDense {
     }
 
     /// Zero all gradients.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.synapse.zero_grad();
         self.grad_leak.iter_mut().for_each(|g| *g = 0.0);
         self.grad_vth.iter_mut().for_each(|g| *g = 0.0);
     }
 
     /// Trainable parameter count.
-    pub fn param_count(&self) -> usize {
+    pub(crate) fn param_count(&self) -> usize {
         self.synapse.param_count()
             + if self.learnable_dynamics {
                 2 * self.out_dim
@@ -221,7 +221,7 @@ impl SpikingDense {
 
     /// Synaptic operations (accumulates) for one sequence: only *spiking*
     /// inputs trigger synapse work — the event-driven saving.
-    pub fn synaptic_ops(&self, inputs: &[Tensor]) -> u64 {
+    pub(crate) fn synaptic_ops(&self, inputs: &[Tensor]) -> u64 {
         let active: u64 = inputs
             .iter()
             .map(|x| x.as_slice().iter().filter(|&&v| v != 0.0).count() as u64)

@@ -916,7 +916,7 @@ impl Deconv3d {
     }
 
     /// Feature count of one input row (`cin · in_volume`).
-    pub fn in_features(&self) -> usize {
+    pub(crate) fn in_features(&self) -> usize {
         self.cin * self.in_dims.volume()
     }
 

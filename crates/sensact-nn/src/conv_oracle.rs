@@ -14,7 +14,7 @@ use sensact_math::kernels;
 /// A conv's sites are its output voxels and its grid the input; a deconv is
 /// the mirror image. Columns are laid out `[channel, kd, kh, kw]`.
 #[derive(Debug, Clone, Copy)]
-pub struct Win {
+pub(crate) struct Win {
     pub channels: usize,
     pub kernel: usize,
     pub stride: usize,
@@ -29,7 +29,13 @@ fn volume(e: [usize; 3]) -> usize {
 
 impl Win {
     /// A conv with `cin` input channels over `input`.
-    pub fn conv(cin: usize, kernel: usize, stride: usize, pad: usize, input: [usize; 3]) -> Win {
+    pub(crate) fn conv(
+        cin: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        input: [usize; 3],
+    ) -> Win {
         let out = input.map(|e| (e + 2 * pad - kernel) / stride + 1);
         Win {
             channels: cin,
@@ -42,7 +48,13 @@ impl Win {
     }
 
     /// A deconv with `cout` output channels over `input`.
-    pub fn deconv(cout: usize, kernel: usize, stride: usize, pad: usize, input: [usize; 3]) -> Win {
+    pub(crate) fn deconv(
+        cout: usize,
+        kernel: usize,
+        stride: usize,
+        pad: usize,
+        input: [usize; 3],
+    ) -> Win {
         let out = input.map(|e| (e - 1) * stride + kernel - 2 * pad);
         Win {
             channels: cout,
@@ -86,7 +98,7 @@ impl Win {
     }
 
     /// The `[sites × channels·k³]` column matrix of `src`, a row per site.
-    pub fn unfold(&self, src: &[f64], col: &mut [f64]) {
+    pub(crate) fn unfold(&self, src: &[f64], col: &mut [f64]) {
         let len = self.patch_len();
         for p in 0..volume(self.sites) {
             self.visit_site(p, |q, at| col[p * len + q] = at.map_or(0.0, |i| src[i]));
@@ -96,7 +108,7 @@ impl Win {
     /// The site-major fold: rows of `col` (one `channels·k³` row each) back
     /// onto `dst`, site `p` taking row `row` for each `(row, p)` of `sites`,
     /// one site after another, its taps in column order.
-    pub fn fold_add(
+    pub(crate) fn fold_add(
         &self,
         sites: impl IntoIterator<Item = (usize, usize)>,
         col: &[f64],
@@ -129,7 +141,7 @@ fn transa(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
 
 /// One conv row: `out` (`[cout, sites]`, fully overwritten) from `x`
 /// (`[cin, grid]`); `cout = bias.len()`.
-pub fn conv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
+pub(crate) fn conv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
     let (vol, ckk) = (volume(win.sites), win.patch_len());
     let mut col = vec![f64::NAN; vol * ckk];
     win.unfold(x, &mut col);
@@ -143,7 +155,7 @@ pub fn conv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &m
 /// row's gradients accumulated onto the last's from zero, as one backward
 /// over a batch adds them: the materialised unfold and `gemm` weight
 /// gradient, the site-major fold of `gᵀ·W`.
-pub fn conv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
+pub(crate) fn conv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
     let (vol, ckk) = (volume(win.sites), win.patch_len());
     let in_feat = win.channels * volume(win.grid);
     let batch = x.len() / in_feat;
@@ -172,7 +184,7 @@ pub fn conv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec<f
 
 /// One deconv row: `out` (`[cout, grid]`, fully overwritten) from `x`
 /// (`[cin, sites]`).
-pub fn deconv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
+pub(crate) fn deconv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
     let (pin, cokk) = (volume(win.sites), win.patch_len());
     let mut col = vec![f64::NAN; pin * cokk];
     transa(pin, cokk, x.len() / pin, x, weights, &mut col);
@@ -185,7 +197,7 @@ pub fn deconv_forward(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: 
 /// `(grad_in, grad_w, grad_b)` of `g.len() / (cout·grid)` deconv rows,
 /// accumulated as [`conv_backward`]'s: the materialised unfold of `g`, its
 /// `gemm` weight gradient and its `gemm_transb` input gradient.
-pub fn deconv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
+pub(crate) fn deconv_backward(win: &Win, weights: &[f64], x: &[f64], g: &[f64]) -> [Vec<f64>; 3] {
     let (pin, cokk) = (volume(win.sites), win.patch_len());
     let (vol, out_feat) = (volume(win.grid), win.channels * volume(win.grid));
     let batch = g.len() / out_feat;
@@ -248,7 +260,7 @@ fn scatter(
 
 /// [`scatter`] for a conv row: tap `t` of output `o` reads input
 /// `o·stride + t − pad`, so input `g` reaches `o = (g + pad − t) / stride`.
-pub fn conv_gather(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
+pub(crate) fn conv_gather(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
     let (k3, s, pad, cin) = (win.kernel.pow(3), win.stride, win.pad, win.channels);
     let reach = |g: usize, t: usize, n: usize| {
         let gp = (g + pad).checked_sub(t)?;
@@ -268,7 +280,7 @@ pub fn conv_gather(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mu
 
 /// [`scatter`] for a deconv row: tap `t` of input `i` lands on output
 /// `i·stride + t − pad`.
-pub fn deconv_gather(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
+pub(crate) fn deconv_gather(win: &Win, weights: &[f64], bias: &[f64], x: &[f64], out: &mut [f64]) {
     let (k3, s, pad, cout) = (win.kernel.pow(3), win.stride, win.pad, win.channels);
     let lands = |i: usize, t: usize, n: usize| (i * s + t).checked_sub(pad).filter(|&o| o < n);
     let weight = |ci, co, tap| weights[(ci * cout + co) * k3 + tap];

@@ -58,7 +58,7 @@ pub struct MacEnergyModel {
 
 impl MacEnergyModel {
     /// 45 nm-class default: 0.23 pJ per INT8 MAC (Horowitz ISSCC'14 scale).
-    pub fn default_45nm() -> Self {
+    pub(crate) fn default_45nm() -> Self {
         MacEnergyModel {
             pj_per_mac_int8: 0.23,
         }
@@ -69,7 +69,7 @@ impl MacEnergyModel {
     /// # Panics
     ///
     /// Panics if `bits == 0`.
-    pub fn pj_per_mac(&self, bits: u8) -> f64 {
+    pub(crate) fn pj_per_mac(&self, bits: u8) -> f64 {
         assert!(bits > 0, "bits must be positive");
         self.pj_per_mac_int8 * (bits as f64 / 8.0).powf(1.25)
     }

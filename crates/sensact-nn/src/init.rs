@@ -5,8 +5,7 @@
 
 use sensact_math::rng::StdRng;
 
-/// Seeded random source for weight init, dropout masks and reparameterization
-/// noise.
+/// Seeded random source for weight init and reparameterization noise.
 ///
 /// ```
 /// use sensact_nn::Initializer;
@@ -40,7 +39,7 @@ impl Initializer {
     }
 
     /// Standard normal sample (Box–Muller with spare caching).
-    pub fn gaussian(&mut self) -> f64 {
+    pub(crate) fn gaussian(&mut self) -> f64 {
         if let Some(g) = self.spare_gaussian.take() {
             return g;
         }
@@ -62,23 +61,8 @@ impl Initializer {
         mean + std_dev * self.gaussian()
     }
 
-    /// Bernoulli sample with probability `p` of `true`.
-    pub fn bernoulli(&mut self, p: f64) -> bool {
-        self.rng.random::<f64>() < p
-    }
-
-    /// Uniform integer in `[0, n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn index(&mut self, n: usize) -> usize {
-        assert!(n > 0, "index: empty range");
-        self.rng.random_range(0..n)
-    }
-
     /// Xavier/Glorot-uniform weight buffer for a `fan_in → fan_out` layer.
-    pub fn xavier(&mut self, fan_in: usize, fan_out: usize) -> Vec<f64> {
+    pub(crate) fn xavier(&mut self, fan_in: usize, fan_out: usize) -> Vec<f64> {
         let limit = (6.0 / (fan_in + fan_out) as f64).sqrt();
         (0..fan_in * fan_out)
             .map(|_| self.uniform(-limit, limit))
@@ -86,7 +70,7 @@ impl Initializer {
     }
 
     /// He-normal weight buffer (preferred before ReLU).
-    pub fn he(&mut self, fan_in: usize, count: usize) -> Vec<f64> {
+    pub(crate) fn he(&mut self, fan_in: usize, count: usize) -> Vec<f64> {
         let std = (2.0 / fan_in as f64).sqrt();
         (0..count).map(|_| self.normal(0.0, std)).collect()
     }
@@ -94,14 +78,6 @@ impl Initializer {
     /// Fork a child initializer with an independent stream.
     pub fn fork(&mut self) -> Initializer {
         Initializer::new(self.rng.random::<u64>())
-    }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.rng.random_range(0..=i);
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -160,26 +136,6 @@ mod tests {
     fn he_size() {
         let mut init = Initializer::new(3);
         assert_eq!(init.he(8, 24).len(), 24);
-    }
-
-    #[test]
-    fn index_in_range_and_bernoulli_extremes() {
-        let mut init = Initializer::new(11);
-        for _ in 0..100 {
-            assert!(init.index(5) < 5);
-        }
-        assert!(!init.bernoulli(0.0));
-        assert!(init.bernoulli(1.0));
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut init = Initializer::new(4);
-        let mut xs: Vec<u32> = (0..20).collect();
-        init.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..20).collect::<Vec<u32>>());
     }
 
     #[test]

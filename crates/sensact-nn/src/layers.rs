@@ -1,4 +1,4 @@
-//! Core layer trait and the dense, activation and dropout layers.
+//! Core layer trait and the dense and activation layers.
 //!
 //! Layers cache whatever `forward` state `backward` needs, and only on a
 //! training forward (`train = true`); calling `backward` without a preceding
@@ -22,9 +22,8 @@ use crate::tensor::Tensor;
 /// across the fleet runtime's worker threads; every layer is plain owned
 /// data, so this costs implementors nothing.
 pub trait Layer: Send {
-    /// Run the layer. `train` caches what `backward` needs and enables
-    /// stochastic behaviour (dropout); the output bits do not depend on it
-    /// otherwise.
+    /// Run the layer. `train` caches what `backward` needs; the output bits
+    /// do not depend on it.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Backpropagate. Returns the gradient with respect to the input.
@@ -83,11 +82,6 @@ impl Dense {
             grad_b: vec![0.0; out_dim],
             cached_input: None,
         }
-    }
-
-    /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
     }
 
     /// Forward pass without caching (inference-only helper). Lowers straight
@@ -313,96 +307,6 @@ impl Layer for Activation {
     }
 }
 
-/// Inverted dropout: scales kept activations by `1/(1-p)` during training,
-/// identity at inference.
-#[derive(Debug)]
-pub struct Dropout {
-    p: f64,
-    rng: Initializer,
-    /// The last training forward's mask, shaped as its input.
-    mask: Option<Tensor>,
-}
-
-impl Dropout {
-    /// Dropout with drop probability `p` and a dedicated noise stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0.0 <= p < 1.0`.
-    pub fn new(p: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "dropout probability must be in [0,1)"
-        );
-        Dropout {
-            p,
-            rng: Initializer::new(seed),
-            mask: None,
-        }
-    }
-}
-
-impl Layer for Dropout {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        if !train {
-            return input.clone();
-        }
-        if self.p == 0.0 {
-            self.mask = None;
-            return input.clone();
-        }
-        let keep = 1.0 - self.p;
-        let mask: Vec<f64> = (0..input.len())
-            .map(|_| {
-                if self.rng.bernoulli(keep) {
-                    1.0 / keep
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        let mask = Tensor::from_vec(input.shape().to_vec(), mask);
-        let mut out = input.clone();
-        for (o, m) in out.as_mut_slice().iter_mut().zip(mask.as_slice()) {
-            *o *= m;
-        }
-        self.mask = Some(mask);
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        match &self.mask {
-            None => grad_out.clone(),
-            Some(mask) => {
-                assert_eq!(
-                    grad_out.shape(),
-                    mask.shape(),
-                    "Dropout::backward: grad_out shape mismatch"
-                );
-                let mut g = grad_out.clone();
-                for (gi, m) in g.as_mut_slice().iter_mut().zip(mask.as_slice()) {
-                    *gi *= m;
-                }
-                g
-            }
-        }
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut [f64], &mut [f64])) {}
-
-    fn param_count(&self) -> usize {
-        0
-    }
-
-    fn macs(&self, _batch: usize) -> u64 {
-        0
-    }
-
-    fn name(&self) -> &'static str {
-        "Dropout"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -502,7 +406,7 @@ mod tests {
     #[test]
     fn relu_clamps_negative() {
         let mut a = Activation::new(ActKind::Relu);
-        let y = a.forward(&Tensor::from_slice(&[-1.0, 2.0]).reshape(vec![1, 2]), false);
+        let y = a.forward(&Tensor::from_vec(vec![1, 2], vec![-1.0, 2.0]), false);
         assert_eq!(y.as_slice(), &[0.0, 2.0]);
     }
 
@@ -516,49 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_inference_is_identity() {
-        let mut d = Dropout::new(0.5, 7);
-        let x = Tensor::from_vec(vec![1, 8], vec![1.0; 8]);
-        let y = d.forward(&x, false);
-        assert_eq!(y, x);
-    }
-
-    #[test]
-    fn dropout_training_preserves_expectation() {
-        let mut d = Dropout::new(0.5, 7);
-        let x = Tensor::from_vec(vec![1, 10_000], vec![1.0; 10_000]);
-        let y = d.forward(&x, true);
-        let mean = y.mean();
-        assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
-        // Dropped units are exactly zero; kept are scaled.
-        assert!(y
-            .as_slice()
-            .iter()
-            .all(|&v| v == 0.0 || (v - 2.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn dropout_backward_uses_same_mask() {
-        let mut d = Dropout::new(0.5, 9);
-        let x = Tensor::from_vec(vec![1, 16], vec![1.0; 16]);
-        let y = d.forward(&x, true);
-        let g = d.backward(&Tensor::full(vec![1, 16], 1.0));
-        for i in 0..16 {
-            assert_eq!(y[i] == 0.0, g[i] == 0.0);
-        }
-    }
-
-    /// A `grad_out` longer than the mask is refused, not left unmasked past
-    /// the mask's end.
-    #[test]
-    #[should_panic(expected = "grad_out shape mismatch")]
-    fn dropout_backward_refuses_a_grad_out_of_the_wrong_shape() {
-        let mut d = Dropout::new(0.5, 9);
-        let _ = d.forward(&Tensor::full(vec![1, 16], 1.0), true);
-        let _ = d.backward(&Tensor::full(vec![2, 16], 1.0));
-    }
-
-    #[test]
     fn param_counts_and_macs() {
         let mut init = Initializer::new(0);
         let d = Dense::new(10, 20, &mut init);
@@ -568,13 +429,12 @@ mod tests {
     }
 
     /// One row of the inference contract: a layer kind, a constructor that
-    /// builds the same weights on every call, its input width, and whether
-    /// its `backward` needs a cache (and so must panic without one).
+    /// builds the same weights on every call, and its input width. Every
+    /// layer's `backward` needs a cache, so each must panic without one.
     struct Case {
         name: &'static str,
         build: fn() -> Box<dyn Layer>,
         in_features: usize,
-        caches: bool,
     }
 
     fn conv() -> crate::conv::Conv3d {
@@ -596,49 +456,36 @@ mod tests {
                 name: "Dense",
                 build: || Box::new(Dense::new(5, 3, &mut Initializer::new(1))),
                 in_features: 5,
-                caches: true,
             },
             Case {
                 name: "ReLU",
                 build: || act(ActKind::Relu),
                 in_features: 6,
-                caches: true,
             },
             Case {
                 name: "LeakyReLU",
                 build: || act(ActKind::LeakyRelu),
                 in_features: 6,
-                caches: true,
             },
             Case {
                 name: "Tanh",
                 build: || act(ActKind::Tanh),
                 in_features: 6,
-                caches: true,
             },
             Case {
                 name: "Sigmoid",
                 build: || act(ActKind::Sigmoid),
                 in_features: 6,
-                caches: true,
-            },
-            Case {
-                name: "Dropout(p = 0)",
-                build: || Box::new(Dropout::new(0.0, 3)),
-                in_features: 6,
-                caches: false,
             },
             Case {
                 name: "Conv3d",
                 build: || Box::new(conv()),
                 in_features: 27,
-                caches: true,
             },
             Case {
                 name: "Deconv3d",
                 build: || Box::new(deconv()),
                 in_features: 16,
-                caches: true,
             },
             Case {
                 name: "Sequential",
@@ -648,13 +495,11 @@ mod tests {
                         act(ActKind::LeakyRelu),
                         Box::new(deconv()),
                         act(ActKind::Tanh),
-                        Box::new(Dropout::new(0.0, 4)),
                         Box::new(Dense::new(64, 3, &mut Initializer::new(2))),
                         act(ActKind::Sigmoid),
                     ]))
                 },
                 in_features: 27,
-                caches: true,
             },
         ]
     }
@@ -718,26 +563,24 @@ mod tests {
             }
 
             // Row 3: backward after inference only has no cache to use.
-            if case.caches {
-                let mut layer = (case.build)();
-                let _ = layer.forward(&x, false);
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    layer.backward(&g);
-                }));
-                let message = match &run {
-                    Ok(()) => String::new(),
-                    Err(payload) => payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_default(),
-                };
-                if !message.contains("before forward") {
-                    failures.push(format!(
-                        "{}: backward after inference did not panic",
-                        case.name
-                    ));
-                }
+            let mut layer = (case.build)();
+            let _ = layer.forward(&x, false);
+            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                layer.backward(&g);
+            }));
+            let message = match &run {
+                Ok(()) => String::new(),
+                Err(payload) => payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default(),
+            };
+            if !message.contains("before forward") {
+                failures.push(format!(
+                    "{}: backward after inference did not panic",
+                    case.name
+                ));
             }
         }
         assert!(failures.is_empty(), "{failures:#?}");

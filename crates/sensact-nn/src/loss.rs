@@ -135,7 +135,7 @@ mod tests {
 
     #[test]
     fn mse_zero_at_target() {
-        let t = Tensor::from_slice(&[1.0, 2.0]);
+        let t = Tensor::from_vec(vec![2], vec![1.0, 2.0]);
         let (l, g) = mse(&t, &t);
         assert_eq!(l, 0.0);
         assert!(g.as_slice().iter().all(|&v| v == 0.0));
@@ -154,13 +154,13 @@ mod tests {
 
     #[test]
     fn weighted_bce_upweights_positives() {
-        let logits = Tensor::from_slice(&[-1.0]);
-        let target = Tensor::from_slice(&[1.0]);
+        let logits = Tensor::from_vec(vec![1], vec![-1.0]);
+        let target = Tensor::from_vec(vec![1], vec![1.0]);
         let (l1, _) = bce_with_logits_weighted(&logits, &target, 1.0);
         let (l5, _) = bce_with_logits_weighted(&logits, &target, 5.0);
         assert!((l5 - 5.0 * l1).abs() < 1e-12);
         // Negative example unaffected by pos_weight.
-        let t0 = Tensor::from_slice(&[0.0]);
+        let t0 = Tensor::from_vec(vec![1], vec![0.0]);
         let (n1, _) = bce_with_logits_weighted(&logits, &t0, 1.0);
         let (n5, _) = bce_with_logits_weighted(&logits, &t0, 5.0);
         assert!((n1 - n5).abs() < 1e-12);
@@ -168,8 +168,8 @@ mod tests {
 
     #[test]
     fn weighted_bce_gradient_matches_numeric() {
-        let logits = Tensor::from_slice(&[0.3, -1.2]);
-        let target = Tensor::from_slice(&[1.0, 0.0]);
+        let logits = Tensor::from_vec(vec![2], vec![0.3, -1.2]);
+        let target = Tensor::from_vec(vec![2], vec![1.0, 0.0]);
         let (_, g) = bce_with_logits_weighted(&logits, &target, 3.0);
         let num = numeric_grad(
             &|p| bce_with_logits_weighted(p, &target, 3.0).0,

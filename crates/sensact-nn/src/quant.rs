@@ -58,7 +58,7 @@ impl std::fmt::Display for Precision {
 /// Result of quantizing a buffer: the scale used and the mean-squared
 /// quantization error.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantReport {
+pub(crate) struct QuantReport {
     /// Symmetric scale (max-abs / qmax).
     pub scale: f64,
     /// Mean squared error introduced.
@@ -77,7 +77,7 @@ pub struct QuantReport {
 /// the grid would clamp any out-of-range finite value. (Previously a single
 /// `inf` made the scale infinite and dequantized *every* entry to NaN via
 /// `0 × ∞`.)
-pub fn fake_quantize(buf: &mut [f64], precision: Precision) -> QuantReport {
+pub(crate) fn fake_quantize(buf: &mut [f64], precision: Precision) -> QuantReport {
     if precision == Precision::Full || buf.is_empty() {
         return QuantReport {
             scale: 1.0,

@@ -27,45 +27,10 @@ impl Sequential {
         Sequential { layers }
     }
 
-    /// Append a layer.
-    pub fn push(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the stack has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Borrow the layer list.
-    pub fn layers(&self) -> &[Box<dyn Layer>] {
-        &self.layers
-    }
-
     /// Mutably borrow the layer list (e.g. to tweak a specific layer's
     /// weights in tests).
     pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
         &mut self.layers
-    }
-
-    /// One-line-per-layer summary with parameter counts.
-    pub fn summary(&self) -> String {
-        let mut s = String::new();
-        for (i, l) in self.layers.iter().enumerate() {
-            s.push_str(&format!(
-                "{:2}: {:10} params={}\n",
-                i,
-                l.name(),
-                l.param_count()
-            ));
-        }
-        s.push_str(&format!("total params: {}", self.param_count()));
-        s
     }
 }
 
@@ -188,25 +153,7 @@ mod tests {
     #[test]
     fn empty_is_identity() {
         let mut net = Sequential::new(Vec::new());
-        assert!(net.is_empty());
         let x = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(net.forward(&x, false), x);
-    }
-
-    #[test]
-    fn summary_lists_layers() {
-        let net = tiny_net(0);
-        let s = net.summary();
-        assert!(s.contains("Dense"));
-        assert!(s.contains("Tanh"));
-        assert!(s.contains("total params"));
-    }
-
-    #[test]
-    fn push_grows_stack() {
-        let mut init = Initializer::new(0);
-        let mut net = Sequential::new(Vec::new());
-        net.push(Box::new(Dense::new(2, 2, &mut init)));
-        assert_eq!(net.len(), 1);
     }
 }

@@ -55,14 +55,6 @@ impl Tensor {
         Tensor { shape, data }
     }
 
-    /// A 1-D tensor from a slice.
-    pub fn from_slice(data: &[f64]) -> Self {
-        Tensor {
-            shape: vec![data.len()],
-            data: data.to_vec(),
-        }
-    }
-
     /// Shape of the tensor.
     pub fn shape(&self) -> &[usize] {
         &self.shape
@@ -79,7 +71,7 @@ impl Tensor {
     }
 
     /// Number of axes.
-    pub fn ndim(&self) -> usize {
+    pub(crate) fn ndim(&self) -> usize {
         self.shape.len()
     }
 
@@ -89,25 +81,13 @@ impl Tensor {
     }
 
     /// Mutable flat view of the backing buffer.
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
 
     /// Consume into the backing buffer.
     pub fn into_vec(self) -> Vec<f64> {
         self.data
-    }
-
-    /// Reinterpret with a new shape of the same element count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the products differ.
-    pub fn reshape(mut self, shape: Vec<usize>) -> Self {
-        let n: usize = shape.iter().product();
-        assert_eq!(n, self.data.len(), "reshape: element count mismatch");
-        self.shape = shape;
-        self
     }
 
     /// Rows of a 2-D tensor: `(batch, features)` view of row `r`.
@@ -147,7 +127,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn zip(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64) -> Tensor {
+    pub(crate) fn zip(&self, other: &Tensor, f: impl Fn(f64, f64) -> f64) -> Tensor {
         assert_eq!(self.shape, other.shape, "zip: shape mismatch");
         Tensor {
             shape: self.shape.clone(),
@@ -174,7 +154,7 @@ impl Tensor {
     /// # Panics
     ///
     /// Panics on shape mismatch.
-    pub fn sub(&self, other: &Tensor) -> Tensor {
+    pub(crate) fn sub(&self, other: &Tensor) -> Tensor {
         self.zip(other, |a, b| a - b)
     }
 
@@ -186,20 +166,6 @@ impl Tensor {
     /// Sum of all elements.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
-    }
-
-    /// Mean of all elements; `0.0` if empty.
-    pub fn mean(&self) -> f64 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f64
-        }
-    }
-
-    /// Maximum absolute element; `0.0` if empty.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0, |m, x| m.max(x.abs()))
     }
 
     /// Stack equal-length 1-D rows into a 2-D `[rows, cols]` tensor.
@@ -242,15 +208,7 @@ mod tests {
         assert_eq!(t.shape(), &[2, 3]);
         assert_eq!(t.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(t.sum(), 21.0);
-        assert_eq!(t.mean(), 3.5);
-        assert_eq!(t.max_abs(), 6.0);
-    }
-
-    #[test]
-    fn full_and_from_slice() {
         assert_eq!(Tensor::full(vec![3], 2.5).as_slice(), &[2.5, 2.5, 2.5]);
-        let t = Tensor::from_slice(&[1.0, 2.0]);
-        assert_eq!(t.shape(), &[2]);
     }
 
     #[test]
@@ -260,17 +218,9 @@ mod tests {
     }
 
     #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let r = t.clone().reshape(vec![3, 2]);
-        assert_eq!(r.shape(), &[3, 2]);
-        assert_eq!(r.as_slice(), t.as_slice());
-    }
-
-    #[test]
     fn elementwise_ops() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let b = Tensor::from_slice(&[3.0, 5.0]);
+        let a = Tensor::from_vec(vec![2], vec![1.0, 2.0]);
+        let b = Tensor::from_vec(vec![2], vec![3.0, 5.0]);
         assert_eq!(a.add(&b).as_slice(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).as_slice(), &[2.0, 3.0]);
         assert_eq!(a.scaled(2.0).as_slice(), &[2.0, 4.0]);

@@ -84,7 +84,7 @@ impl Vae {
     }
 
     /// Encode a batch to `(μ, log σ²)`.
-    pub fn encode(&mut self, x: &Tensor) -> (Tensor, Tensor) {
+    pub(crate) fn encode(&mut self, x: &Tensor) -> (Tensor, Tensor) {
         let h = self.enc.forward(x, false);
         let h = self.enc_act.forward(&h, false);
         let mu = self.mu_head.forward(&h, false);
@@ -93,16 +93,10 @@ impl Vae {
     }
 
     /// Decode latents to reconstructions.
-    pub fn decode(&mut self, z: &Tensor) -> Tensor {
+    pub(crate) fn decode(&mut self, z: &Tensor) -> Tensor {
         let h = self.dec.forward(z, false);
         let h = self.dec_act.forward(&h, false);
         self.dec_out.forward(&h, false)
-    }
-
-    /// Mean reconstruction (deterministic μ path) of a batch.
-    pub fn reconstruct(&mut self, x: &Tensor) -> Tensor {
-        let (mu, _) = self.encode(x);
-        self.decode(&mu)
     }
 
     /// Per-sample ELBO values (higher = more typical), using a single
@@ -231,7 +225,7 @@ impl Vae {
     }
 
     /// Visit every `(param, grad)` pair of the VAE (encoder, heads, decoder).
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+    pub(crate) fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         self.visit_encoder_params(f);
         self.dec.visit_params(f);
         self.dec_out.visit_params(f);
@@ -239,24 +233,15 @@ impl Vae {
 
     /// Visit only the **encoder-side** parameters (encoder + heads) — the
     /// subset STARNet perturbs when computing likelihood regret.
-    pub fn visit_encoder_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
+    pub(crate) fn visit_encoder_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         self.enc.visit_params(f);
         self.mu_head.visit_params(f);
         self.logvar_head.visit_params(f);
     }
 
     /// Zero all gradients.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.visit_params(&mut |_, g| g.fill(0.0));
-    }
-
-    /// Total parameter count.
-    pub fn param_count(&self) -> usize {
-        self.encoder_param_count() + self.dec.param_count() + self.dec_out.param_count()
-    }
-
-    fn encoder_param_count(&self) -> usize {
-        self.enc.param_count() + self.mu_head.param_count() + self.logvar_head.param_count()
     }
 
     /// Snapshot all parameters into a flat vector (for SPSA perturbation).
@@ -372,14 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn reconstruct_shape() {
-        let mut vae = Vae::new(5, 8, 2, 0);
-        let x = Tensor::zeros(vec![3, 5]);
-        let xr = vae.reconstruct(&x);
-        assert_eq!(xr.shape(), &[3, 5]);
-    }
-
-    #[test]
     fn kl_is_nonnegative() {
         let mut vae = Vae::new(4, 8, 2, 0);
         let x = toy_batch(2, 16, 4);
@@ -417,14 +394,5 @@ mod tests {
     fn set_params_wrong_length_panics() {
         let mut vae = Vae::new(4, 8, 2, 0);
         vae.set_encoder_params_flat(&[0.0; 3]);
-    }
-
-    #[test]
-    fn param_count_consistent_with_flat() {
-        let mut vae = Vae::new(4, 8, 2, 0);
-        let flat = vae.encoder_params_flat();
-        let enc_count = vae.encoder_param_count();
-        assert_eq!(flat.len(), enc_count);
-        assert!(vae.param_count() > enc_count);
     }
 }

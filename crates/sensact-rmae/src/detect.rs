@@ -29,7 +29,7 @@ pub struct Detection3d {
 
 /// Backbone capacity tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorStage {
+pub(crate) enum DetectorStage {
     /// Voxel-only single stage (SECOND-like).
     SingleStage,
     /// Point-refined two stage (PV-RCNN-like).
@@ -59,11 +59,6 @@ impl Detector {
             stage: DetectorStage::TwoStage,
             min_cluster: 2,
         }
-    }
-
-    /// The capacity tier.
-    pub fn stage(&self) -> DetectorStage {
-        self.stage
     }
 
     /// Detect objects in an occupancy grid. `points` (the raw observed

@@ -58,13 +58,6 @@ pub struct ApRow {
     pub recon_iou: f64,
 }
 
-impl ApRow {
-    /// Mean AP over the three classes.
-    pub fn mean(&self) -> f64 {
-        (self.car + self.pedestrian + self.cyclist) / 3.0
-    }
-}
-
 impl std::fmt::Display for ApRow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -422,6 +415,5 @@ mod tests {
         let s = row.to_string();
         assert!(s.contains("79.1"));
         assert!(s.contains("46.9"));
-        assert!((row.mean() - (0.791 + 0.469 + 0.677) / 3.0).abs() < 1e-12);
     }
 }

@@ -42,7 +42,7 @@ pub mod pretrain;
 #[allow(dead_code)]
 mod conv_oracle;
 
-pub use detect::{Detection3d, Detector, DetectorStage};
-pub use eval::{ApRow, PipelineConfig};
+pub use detect::Detector;
+pub use eval::PipelineConfig;
 pub use model::{RmaeConfig, RmaeModel};
 pub use pretrain::{Pretrainer, Strategy};

@@ -293,7 +293,7 @@ impl RmaeModel {
     /// observed objects) while discarding its failure mode (hallucinating
     /// plausible-but-unseen surfaces that would fuse the scene into one
     /// cluster).
-    pub fn reconstruct_guided(
+    pub(crate) fn reconstruct_guided(
         &mut self,
         observed: &sensact_lidar::voxel::VoxelGrid,
         threshold: f64,

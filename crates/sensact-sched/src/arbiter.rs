@@ -27,7 +27,7 @@ pub struct EnergyArbiter {
 
 impl EnergyArbiter {
     /// An arbiter with an optional fleet-average watts cap.
-    pub fn new(watts_cap: Option<f64>) -> Self {
+    pub(crate) fn new(watts_cap: Option<f64>) -> Self {
         EnergyArbiter {
             watts_cap,
             energy_j: 0.0,
@@ -41,7 +41,7 @@ impl EnergyArbiter {
     /// the loop's next release. Non-finite energy (a NaN-poisoned tick) is
     /// accounted as zero so one poisoned loop cannot throttle the fleet
     /// forever.
-    pub fn on_completion(&mut self, energy_j: f64, completion_s: f64) -> f64 {
+    pub(crate) fn on_completion(&mut self, energy_j: f64, completion_s: f64) -> f64 {
         if energy_j.is_finite() && energy_j > 0.0 {
             self.energy_j += energy_j;
         }
@@ -62,22 +62,13 @@ impl EnergyArbiter {
         self.stretch
     }
 
-    /// Fleet average power so far (watts; `0` before any time has passed).
-    pub fn watts(&self) -> f64 {
-        if self.now_s > 0.0 {
-            self.energy_j / self.now_s
-        } else {
-            0.0
-        }
-    }
-
     /// Total energy accounted (joules).
-    pub fn energy_j(&self) -> f64 {
+    pub(crate) fn energy_j(&self) -> f64 {
         self.energy_j
     }
 
     /// Completions that observed an over-cap fleet (throttled releases).
-    pub fn throttle_events(&self) -> u64 {
+    pub(crate) fn throttle_events(&self) -> u64 {
         self.throttle_events
     }
 
@@ -108,7 +99,7 @@ mod tests {
             assert_eq!(a.on_completion(1.0, k as f64 * 1e-3), 1.0);
         }
         assert_eq!(a.throttle_events(), 0);
-        assert!(a.watts() > 0.0);
+        assert!(a.energy_j / a.now_s > 0.0);
     }
 
     #[test]
@@ -121,7 +112,7 @@ mod tests {
         // Burning nothing for a while relaxes the stretch back toward 1.
         let s = a.on_completion(0.0, 4.0);
         assert!((s - 1.0).abs() < 1e-12, "relaxed stretch {s}");
-        assert!((a.watts() - 0.5).abs() < 1e-12);
+        assert!((a.energy_j / a.now_s - 0.5).abs() < 1e-12);
     }
 
     #[test]

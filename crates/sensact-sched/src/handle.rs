@@ -67,7 +67,7 @@ pub trait DynLoop: Any + Send {
 
     /// Attribute a scheduler-observed deadline miss to the loop through the
     /// existing [`StageError::Timeout`] fault path, so a tick that overran
-    /// its budget shows up in the loop's own [`FaultCounters`](sensact_core::FaultCounters)
+    /// its budget shows up in the loop's own `FaultCounters`
     /// instead of silently skewing the fleet.
     fn record_deadline_miss(&mut self, latency_s: f64, budget_s: f64);
 

@@ -69,8 +69,4 @@ mod queue;
 
 pub use arbiter::EnergyArbiter;
 pub use handle::{DynLoop, LoopHandle, TickOutcome};
-pub use sched::{
-    FleetConfig, FleetReport, FleetScheduler, Incident, IncidentReason, LoopId, LoopSpec,
-    LoopStats, LoopSummary, MemberTickOutcome, DEFAULT_QUEUE_CAPACITY, FLIGHT_RECORDER_CAPACITY,
-    HEALTH_WINDOW_TICKS, MAX_INCIDENTS,
-};
+pub use sched::{FleetConfig, FleetReport, FleetScheduler, LoopId, LoopSpec, LoopStats};

@@ -34,7 +34,7 @@ impl Release {
     /// would sort *after* every non-negative one and starve the release.
     /// Negative and NaN deadlines clamp to `0.0` (immediately due), with a
     /// `debug_assert` so debug builds surface the caller's arithmetic bug.
-    pub fn new(
+    pub(crate) fn new(
         deadline_s: f64,
         tie: u64,
         loop_idx: usize,

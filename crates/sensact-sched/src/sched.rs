@@ -42,14 +42,14 @@ use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 /// Default bound on a loop's pending-tick backlog.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 4;
+pub(crate) const DEFAULT_QUEUE_CAPACITY: usize = 4;
 
 /// Salt mixed into scheduler-owned trace ids, keeping tick traces disjoint
 /// from the federated round traces derived from the same fleet seed.
 const SCHED_TRACE_SALT: u64 = 0x5C4E_D71C;
 
 /// Bound on flight-recorder incidents one run will capture.
-pub const MAX_INCIDENTS: usize = 8;
+pub(crate) const MAX_INCIDENTS: usize = 8;
 
 /// A member loop's timing contract with the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -93,7 +93,7 @@ impl LoopSpec {
     /// latency budget past the release, or one period when no explicit
     /// budget is set. Public so admission-control layers (the serving
     /// front-end) can run the same arithmetic the scheduler enforces.
-    pub fn deadline_s(&self, release_s: f64) -> f64 {
+    pub(crate) fn deadline_s(&self, release_s: f64) -> f64 {
         release_s + self.latency_budget_s.unwrap_or(self.period_s)
     }
 }
@@ -217,7 +217,7 @@ pub enum IncidentReason {
 
 impl IncidentReason {
     /// Short static name for reports.
-    pub const fn name(self) -> &'static str {
+    pub(crate) const fn name(self) -> &'static str {
         match self {
             IncidentReason::MissStorm => "miss_storm",
             IncidentReason::HealthCollapse => "health_collapse",
@@ -280,7 +280,7 @@ pub struct FleetReport {
     /// Fleet-level roll-up of `loop_health`.
     pub health: FleetHealth,
     /// Flight-recorder dumps captured when an invariant tripped (tracing
-    /// enabled; bounded by [`MAX_INCIDENTS`]).
+    /// enabled; bounded by `MAX_INCIDENTS`).
     pub incidents: Vec<Incident>,
 }
 
@@ -295,23 +295,23 @@ impl FleetReport {
     }
 
     /// Fleet throughput in virtual time (ticks per simulated second).
-    pub fn throughput_ticks_per_vs(&self) -> f64 {
+    pub(crate) fn throughput_ticks_per_vs(&self) -> f64 {
         self.per_makespan_s(self.ticks as f64)
     }
 
     /// Utilization of worker `w`: executed latency over makespan.
-    pub fn utilization(&self, w: usize) -> f64 {
+    pub(crate) fn utilization(&self, w: usize) -> f64 {
         self.per_makespan_s(self.worker_busy_s.get(w).copied().unwrap_or(0.0))
     }
 
     /// Mean worker utilization.
-    pub fn mean_utilization(&self) -> f64 {
+    pub(crate) fn mean_utilization(&self) -> f64 {
         let workers = self.worker_busy_s.len();
         (0..workers).map(|w| self.utilization(w)).sum::<f64>() / workers.max(1) as f64
     }
 
     /// Fleet average power over the run (watts).
-    pub fn watts(&self) -> f64 {
+    pub(crate) fn watts(&self) -> f64 {
         self.per_makespan_s(self.energy_j)
     }
 
@@ -631,11 +631,6 @@ impl FleetScheduler {
             free: Vec::new(),
             tracer: Arc::new(FleetTracer::disabled()),
         }
-    }
-
-    /// The fleet configuration.
-    pub fn config(&self) -> &FleetConfig {
-        &self.config
     }
 
     /// Attach a shared [`FleetTracer`]: every executed release emits a
@@ -1183,12 +1178,12 @@ fn drive(
 const HEALTH_TRACE_SALT: u64 = 0x5C4E_D41F;
 
 /// Causal spans each worker's flight recorder retains (ring buffer).
-pub const FLIGHT_RECORDER_CAPACITY: usize = 32;
+pub(crate) const FLIGHT_RECORDER_CAPACITY: usize = 32;
 
 /// Per-loop completion window between health evaluations in a run — small
 /// enough to catch a storm mid-run, large enough for the rates to mean
 /// something.
-pub const HEALTH_WINDOW_TICKS: u64 = 16;
+pub(crate) const HEALTH_WINDOW_TICKS: u64 = 16;
 
 /// What a traced run observes beside one lane's schedule: each virtual
 /// worker keeps a flight recorder and a miss-storm window, and each loop's

@@ -62,7 +62,7 @@ impl BatchPlanner {
     }
 
     /// Observations waiting for the next flush.
-    pub fn pending(&self) -> usize {
+    pub(crate) fn pending(&self) -> usize {
         self.pending.len()
     }
 

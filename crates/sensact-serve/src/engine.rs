@@ -10,7 +10,7 @@
 //! [`SimClock`](sensact_core::trace::SimClock) without real I/O.
 //!
 //! A connection speaks either the binary frame protocol or HTTP/1.1; the
-//! first byte decides ([`wire::MAGIC`] is not a valid start of any HTTP
+//! first byte decides (`wire::MAGIC` is not a valid start of any HTTP
 //! method). In batched mode, observation frames are admitted (and possibly
 //! shed) inline but *executed* at the next [`ServeEngine::flush`] — the
 //! transport calls it once per ingress drain, which is the batching
@@ -80,7 +80,7 @@ impl ConnState {
 
     /// The connection hit a fatal protocol error; the transport should
     /// close it after writing the pending reply.
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead
     }
 }
@@ -385,7 +385,7 @@ impl ServeEngine {
     /// observation. Returns the expired lease ids (the transport forgets
     /// their routes). Observations still queued for a reaped lease are
     /// dropped and counted as shed.
-    pub fn expire(&mut self, now_s: f64) -> Vec<u64> {
+    pub(crate) fn expire(&mut self, now_s: f64) -> Vec<u64> {
         let expired = self.pool.expire(now_s);
         self.metrics.add(m::LEASES_EXPIRED, expired.len() as u64);
         let dropped = self.planner.discard(&expired);
@@ -393,20 +393,19 @@ impl ServeEngine {
         expired
     }
 
-    /// Snapshot a live lease for crash recovery.
-    pub fn snapshot_lease(&mut self, lease: u64) -> Result<Checkpoint, CheckpointError> {
-        self.pool.snapshot_lease(lease)
-    }
-
     /// Adopt a lease snapshot (e.g. on a freshly started replacement
     /// engine built from the same seed).
-    pub fn restore_lease(&mut self, ckpt: &Checkpoint, now_s: f64) -> Result<u64, CheckpointError> {
+    pub(crate) fn restore_lease(
+        &mut self,
+        ckpt: &Checkpoint,
+        now_s: f64,
+    ) -> Result<u64, CheckpointError> {
         self.pool.restore_lease(ckpt, now_s)
     }
 
     /// The `/metrics` scrape payload: refresh pool gauges, then render the
     /// registry through the standard Prometheus exposition.
-    pub fn metrics_text(&mut self) -> String {
+    pub(crate) fn metrics_text(&mut self) -> String {
         self.metrics
             .set(m::LEASES_ACTIVE, self.pool.active() as f64);
         self.metrics.set(m::UTILIZATION, self.pool.utilization());

@@ -2,10 +2,10 @@
 //! plane (`GET /metrics`, `GET /healthz`, `GET /stats`).
 //!
 //! Hand-rolled and dependency-free like everything else in the workspace;
-//! the parser is incremental ([`parse`] returns `Ok(None)` until the full
+//! the parser is incremental (`parse` returns `Ok(None)` until the full
 //! head — and body, if `Content-Length` says so — has arrived) and total:
 //! any byte sequence either parses, asks for more, or fails with a typed
-//! [`HttpError`]. Never panics (property-tested over truncations and
+//! `HttpError`. Never panics (property-tested over truncations and
 //! corruptions alongside the binary codec).
 //!
 //! A body is framed by `Content-Length` alone, and only an unambiguous one
@@ -17,14 +17,14 @@ use std::fmt;
 
 /// Cap on the request head (request line + headers) — a hostile client
 /// cannot balloon per-connection memory by never sending `\r\n\r\n`.
-pub const MAX_HEAD: usize = 8 * 1024;
+pub(crate) const MAX_HEAD: usize = 8 * 1024;
 
 /// Cap on a request body.
-pub const MAX_BODY: usize = 64 * 1024;
+pub(crate) const MAX_BODY: usize = 64 * 1024;
 
 /// A parsed HTTP/1.1 request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Request {
+pub(crate) struct Request {
     /// Request method, as sent (`GET`, `POST`, …).
     pub method: String,
     /// Request target (`/metrics`).
@@ -37,7 +37,7 @@ pub struct Request {
 
 /// Typed HTTP parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HttpError {
+pub(crate) enum HttpError {
     /// The request line is not `METHOD SP TARGET SP HTTP/1.x`.
     BadRequestLine,
     /// A header line has no `:` separator or a non-ASCII name, or the
@@ -73,7 +73,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 /// `Ok(Some((request, consumed)))` yields the request and how many bytes it
 /// used (pipelining-safe); `Err` means the bytes can never become a valid
 /// request.
-pub fn parse(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
+pub(crate) fn parse(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
     let head_end = match find_head_end(buf) {
         Some(e) => e,
         None => {
@@ -138,7 +138,7 @@ pub fn parse(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
 
 /// Build a complete HTTP/1.1 response with `Content-Length` and
 /// `Connection: keep-alive`.
-pub fn response(
+pub(crate) fn response(
     status: u16,
     reason: &str,
     content_type: &str,

@@ -471,7 +471,7 @@ impl LeasePool {
     }
 
     /// Record a heartbeat; `false` if the lease is unknown.
-    pub fn heartbeat(&mut self, lease: u64, now_s: f64) -> bool {
+    pub(crate) fn heartbeat(&mut self, lease: u64, now_s: f64) -> bool {
         match self.leases.get_mut(&lease) {
             Some(e) => {
                 e.last_seen_s = now_s;
@@ -509,7 +509,8 @@ impl LeasePool {
     }
 
     /// Cumulative scheduler-side stats of a lease.
-    pub fn lease_stats(&mut self, lease: u64) -> Option<sensact_sched::LoopStats> {
+    #[cfg(test)]
+    pub(crate) fn lease_stats(&mut self, lease: u64) -> Option<sensact_sched::LoopStats> {
         let id = self.leases.get(&lease)?.loop_id;
         Some(self.sched.loop_stats(id))
     }

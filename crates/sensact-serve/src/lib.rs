@@ -49,9 +49,9 @@ pub mod server;
 pub mod wire;
 
 pub use batch::BatchPlanner;
-pub use engine::{ConnState, IngestResult, ServeConfig, ServeEngine};
-pub use lease::{AdmitTicket, Admitted, LeaseError, LeasePool, ObsOutcome, PoolConfig};
+pub use engine::{ConnState, ServeConfig, ServeEngine};
+pub use lease::{Admitted, LeasePool, PoolConfig};
 pub use loopback::{ConnId, Loopback};
-pub use model::{ModelKind, ModelSpec, SharedPerceptor};
+pub use model::{ModelKind, SharedPerceptor};
 pub use server::ServeServer;
-pub use wire::{Frame, WireError};
+pub use wire::Frame;

@@ -118,11 +118,6 @@ impl Loopback {
         std::mem::take(&mut self.http_replies[conn])
     }
 
-    /// Whether the engine marked `conn` dead (fatal protocol error).
-    pub fn is_dead(&self, conn: ConnId) -> bool {
-        self.conns[conn].is_dead()
-    }
-
     /// Convenience: lease `model` with `seed`; returns
     /// `Ok((lease, obs_len, act_len))` on grant, `Err(retry_after_ms)` on
     /// rejection.
@@ -250,7 +245,7 @@ mod tests {
             sent += 1;
         }
         lb.send_bytes(c, &bytes, 1e-3);
-        assert!(!lb.is_dead(c), "complete frames are not a backlog");
+        assert!(!lb.conns[c].is_dead(), "complete frames are not a backlog");
         let replies = lb.take_frames(c);
         assert_eq!(replies.len() as u64, sent);
         for (i, reply) in replies.iter().enumerate() {
@@ -272,7 +267,7 @@ mod tests {
             let mut lb = loopback(false);
             let c = lb.connect();
             lb.send_bytes(c, &bytes, 0.0);
-            assert!(lb.is_dead(c));
+            assert!(lb.conns[c].is_dead());
             lb.send_bytes(c, &encode_to_vec(&Frame::Heartbeat { lease: 1 }), 0.0);
             assert!(
                 lb.take_frames(c).len() <= 1,
@@ -290,6 +285,6 @@ mod tests {
         lb.send_bytes(web, b"GET /metrics HTTP/1.1\r\n\r\n", 0.5);
         let text = String::from_utf8(lb.take_http(web)).unwrap();
         assert!(text.contains("serve_leases_granted 1"), "{text}");
-        assert!(!lb.is_dead(web));
+        assert!(!lb.conns[web].is_dead());
     }
 }

@@ -15,15 +15,15 @@ pub const LEASES_EXPIRED: &str = "serve.leases.expired";
 /// Leases released by their clients.
 pub const LEASES_RELEASED: &str = "serve.leases.released";
 /// Live leases (gauge).
-pub const LEASES_ACTIVE: &str = "serve.leases.active";
+pub(crate) const LEASES_ACTIVE: &str = "serve.leases.active";
 /// Admission demand as a fraction of worker capacity (gauge).
-pub const UTILIZATION: &str = "serve.utilization";
+pub(crate) const UTILIZATION: &str = "serve.utilization";
 /// Binary frames decoded from clients.
 pub const FRAMES_IN: &str = "serve.frames.in";
 /// Binary frames sent to clients.
 pub const FRAMES_OUT: &str = "serve.frames.out";
 /// Wire protocol errors (connection-fatal).
-pub const WIRE_ERRORS: &str = "serve.wire.errors";
+pub(crate) const WIRE_ERRORS: &str = "serve.wire.errors";
 /// Observations served (ticks executed).
 pub const OBS_SERVED: &str = "serve.obs.served";
 /// Observations shed at ingress.
@@ -31,9 +31,9 @@ pub const OBS_SHED: &str = "serve.obs.shed";
 /// HTTP control-plane requests.
 pub const HTTP_REQUESTS: &str = "serve.http.requests";
 /// HTTP parse errors (connection-fatal).
-pub const HTTP_ERRORS: &str = "serve.http.errors";
+pub(crate) const HTTP_ERRORS: &str = "serve.http.errors";
 /// Heartbeats received.
-pub const HEARTBEATS: &str = "serve.heartbeats";
+pub(crate) const HEARTBEATS: &str = "serve.heartbeats";
 /// Per-flush stacked-GEMM group occupancy (histogram).
 pub const BATCH_OCCUPANCY: &str = "serve.batch.occupancy";
 /// Client-visible response time per served observation (histogram,

@@ -60,10 +60,10 @@ pub struct ModelSpec {
 
 impl ModelKind {
     /// All served kinds, in wire order.
-    pub const ALL: [ModelKind; 2] = [ModelKind::LidarConv, ModelKind::Cartpole];
+    pub(crate) const ALL: [ModelKind; 2] = [ModelKind::LidarConv, ModelKind::Cartpole];
 
     /// Decode a wire discriminant.
-    pub fn from_wire(b: u8) -> Option<ModelKind> {
+    pub(crate) fn from_wire(b: u8) -> Option<ModelKind> {
         match b {
             0 => Some(ModelKind::LidarConv),
             1 => Some(ModelKind::Cartpole),
@@ -89,7 +89,7 @@ impl ModelKind {
 
     /// Whether leases of this kind share a perceptor whose forward passes
     /// can be stacked into one batched GEMM.
-    pub fn batchable(self) -> bool {
+    pub(crate) fn batchable(self) -> bool {
         matches!(self, ModelKind::LidarConv)
     }
 
@@ -171,7 +171,6 @@ impl ModelKind {
 /// called by `&mut` — the mutability below is only scratch reuse inside
 /// [`Conv3d`].
 pub struct SharedPerceptor {
-    kind: ModelKind,
     conv: Option<Conv3d>,
 }
 
@@ -187,12 +186,7 @@ impl SharedPerceptor {
             }
             ModelKind::Cartpole => None,
         };
-        SharedPerceptor { kind, conv }
-    }
-
-    /// The kind this perceptor serves.
-    pub fn kind(&self) -> ModelKind {
-        self.kind
+        SharedPerceptor { conv }
     }
 
     /// Per-loop forward: one observation row to one feature row. The

@@ -23,25 +23,25 @@ use std::fmt;
 
 /// First byte of every binary frame — also the byte the server sniffs to
 /// tell the binary protocol from HTTP (no HTTP method starts with `0xA5`).
-pub const MAGIC: u8 = 0xA5;
+pub(crate) const MAGIC: u8 = 0xA5;
 
 /// Frame header length: magic, kind, `u32` payload length.
-pub const HEADER_LEN: usize = 6;
+pub(crate) const HEADER_LEN: usize = 6;
 
 /// Upper bound on a frame payload; a hostile length prefix larger than
 /// this is rejected before any allocation happens.
-pub const MAX_PAYLOAD: usize = 1 << 20;
+pub(crate) const MAX_PAYLOAD: usize = 1 << 20;
 
 /// Protocol-level error codes carried by [`Frame::Error`].
 pub mod code {
     /// The lease id is unknown (never granted, expired, or released).
-    pub const UNKNOWN_LEASE: u16 = 1;
+    pub(crate) const UNKNOWN_LEASE: u16 = 1;
     /// Observation vector length does not match the leased model.
-    pub const BAD_OBS_LEN: u16 = 2;
+    pub(crate) const BAD_OBS_LEN: u16 = 2;
     /// The model id in a lease request is not served here.
-    pub const UNKNOWN_MODEL: u16 = 3;
+    pub(crate) const UNKNOWN_MODEL: u16 = 3;
     /// The frame was well-formed but meaningless in this state.
-    pub const PROTOCOL: u16 = 4;
+    pub(crate) const PROTOCOL: u16 = 4;
 }
 
 /// A decoded protocol frame.
@@ -134,7 +134,7 @@ pub enum Frame {
 
 impl Frame {
     /// Wire discriminant of the frame kind.
-    pub fn kind(&self) -> u8 {
+    pub(crate) fn kind(&self) -> u8 {
         match self {
             Frame::LeaseReq { .. } => 0x01,
             Frame::LeaseGrant { .. } => 0x02,
@@ -154,11 +154,11 @@ impl Frame {
 /// incomplete frame is not an error (see [`decode`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
-    /// First byte of a frame was not [`MAGIC`].
+    /// First byte of a frame was not `MAGIC`.
     BadMagic(u8),
     /// Unknown frame kind discriminant.
     BadKind(u8),
-    /// Length prefix exceeds [`MAX_PAYLOAD`].
+    /// Length prefix exceeds `MAX_PAYLOAD`.
     Oversize {
         /// The claimed payload length.
         len: usize,

@@ -9,9 +9,9 @@
 use sensact_lidar::PointCloud;
 
 /// Dimension of the feature descriptor.
-pub const FEATURE_DIM: usize = 19;
+pub(crate) const FEATURE_DIM: usize = 19;
 
-/// Extract the [`FEATURE_DIM`]-dimensional (19) normalized feature
+/// Extract the `FEATURE_DIM`-dimensional (19) normalized feature
 /// descriptor of a cloud.
 ///
 /// An empty cloud maps to the zero vector.

@@ -30,13 +30,13 @@ const MAX_RANGE: f64 = 14.0;
 /// floats: there is a vertical *gap* between it and whatever is below. Only
 /// points above 0.6 m and within 14 m need support, looked for within 0.8 m.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SnowFilter;
+pub(crate) struct SnowFilter;
 
 impl SnowFilter {
     /// Filter a cloud, returning the cleaned copy. Applied to a fixed point:
     /// removing a blob's unsupported bottom strips the support of its top,
     /// so passes repeat until nothing changes (≤ 4 iterations).
-    pub fn filter(&self, cloud: &PointCloud) -> PointCloud {
+    pub(crate) fn filter(&self, cloud: &PointCloud) -> PointCloud {
         let mut current = self.filter_once(cloud);
         for _ in 0..3 {
             let next = self.filter_once(&current);

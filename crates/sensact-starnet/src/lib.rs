@@ -29,8 +29,8 @@ pub mod regret;
 pub mod spsa;
 pub mod temporal;
 
-pub use features::{extract_features, FEATURE_DIM};
+pub use features::extract_features;
 pub use monitor::{Starnet, StarnetConfig};
 pub use regret::{likelihood_regret, RegretConfig};
-pub use spsa::{spsa_minimize, SpsaConfig};
+pub use spsa::SpsaConfig;
 pub use temporal::TemporalConsistency;

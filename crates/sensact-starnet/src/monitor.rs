@@ -123,7 +123,7 @@ impl Starnet {
     /// poisoning, overflow) are immediately [`Trust::Untrusted`] without
     /// scoring: a NaN would silently propagate through the VAE and produce a
     /// NaN score, which no threshold comparison can catch.
-    pub fn assess_features(&mut self, features: &[f64]) -> Trust {
+    pub(crate) fn assess_features(&mut self, features: &[f64]) -> Trust {
         if !features.iter().all(|x| x.is_finite()) {
             return Trust::Untrusted;
         }

@@ -39,7 +39,7 @@ impl Default for SpsaConfig {
 
 /// Result of an SPSA run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpsaResult {
+pub(crate) struct SpsaResult {
     /// The optimized parameter vector.
     pub theta: Vec<f64>,
     /// Objective value at `theta` (one final evaluation).
@@ -53,7 +53,7 @@ pub struct SpsaResult {
 /// # Panics
 ///
 /// Panics if `theta0` is empty or `config.iterations == 0`.
-pub fn spsa_minimize(
+pub(crate) fn spsa_minimize(
     mut f: impl FnMut(&[f64]) -> f64,
     theta0: &[f64],
     config: &SpsaConfig,

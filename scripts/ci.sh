@@ -175,11 +175,35 @@ if [[ -n "$offenders" ]]; then
     exit 1
 fi
 
-# Every `pub` fn / const / static under crates/*/src has a caller outside
-# its own unit tests, and every `pub` field of a `pub struct` with an
-# `impl Default` is set somewhere outside that impl — or either has an
-# allowlisted reason (scripts/surface.py).
-echo "== library surface: no pub item only its own tests call, no option nothing sets =="
+# Inside a crate, rustc's dead-code lint is the census (clippy -D warnings
+# below), so library code may not silence it: no `allow(dead_code)`,
+# `allow(unused…)` or `allow(clippy::len_without_is_empty)` attribute outside
+# `#[cfg(test)]` items. An attribute group (the `#[...]` lines above an item)
+# that carries `cfg(test)` is exempt, and so is the body of the item it opens.
+echo "== the dead-code lint stays on: no allow(dead_code / unused / len_without_is_empty) in library code =="
+offenders="$(git ls-files -- 'crates/*/src/*.rs' | xargs awk '
+    FNR == 1 { group = ""; test = 0; skip = 0 }
+    skip { depth += gsub(/[{]/, "{") - gsub(/[}]/, "}"); if (depth <= 0) skip = 0; next }
+    /^[[:space:]]*#!?\[/ {
+        group = group "\n" FILENAME ":" FNR ": " $0
+        if ($0 ~ /cfg\(test\)/) test = 1
+        next
+    }
+    {
+        if (!test && group ~ /allow\((dead_code|unused|clippy::len_without_is_empty)/) print group
+        if (test) { depth = gsub(/[{]/, "{") - gsub(/[}]/, "}"); skip = depth > 0 }
+        group = ""; test = 0
+    }')"
+if [[ -n "$offenders" ]]; then
+    echo "$offenders"
+    exit 1
+fi
+
+# Every `pub` fn / const / static under crates/*/src is named outside its
+# crate (other crates, bins, tests, examples, benchmark/src, doc tests), and
+# every `pub` field of a `pub struct` with an `impl Default` is set somewhere
+# outside that impl — or either has an allowlisted reason (scripts/surface.py).
+echo "== library surface: no pub item only its own crate uses, no option nothing sets =="
 python3 scripts/surface.py
 
 echo "== cargo fmt --check =="

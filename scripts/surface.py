@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
-"""Census of library surface nothing calls.
+"""Census of library surface nothing outside its crate uses.
 
     python3 scripts/surface.py
 
 Flags every line-start `pub fn`, `pub const` or `pub static` declared under
-`crates/*/src` whose name no other Rust file of the repository names and
-whose own file names only at its declaration. A `pub fn` declared inside an
-`impl` block (a method) counts only call-shaped uses instead: `.name(`,
-`.name::<`, or a path ending in `::name` (`Type::name`, `Self::name`, fn
-pointers included), so a method spelled like a field, a local or a common
-word is not called by those. Names are counted after dropping `//` and
-`/* */` comments (doc examples included), string and char literals and
-`pub use` lines; in the declaring file the `#[cfg(test)]` item bodies are
-dropped too, so an item only its own unit tests call is flagged, while a
-fixture other modules' tests build on is not. Files compiled only under
-`cfg(test)` (`#[path]`-included oracles) are neither scanned nor counted.
+`crates/*/src` that no Rust file outside its crate names. Outside means the
+other crates, the crate's own bins (`src/bin`), `crates/*/tests`, `tests/`,
+`examples/`, `src/` and `benchmark/src`. A `pub fn` declared inside an
+`impl` block (a method) counts only call-shaped uses: `.name(`, `.name::<`,
+or a path ending in `::name` (`Type::name`, fn pointers included). Names
+are counted after dropping `//` and `/* */` comments (doc examples
+included), string and char literals and `pub use` lines. Inside its crate an
+item is rustc's to judge: what nothing outside names is `pub(crate)`, and
+the `dead_code` lint flags it when nothing calls it. Methods match by name,
+not by type, so a method that shares its name with one called outside
+passes here. Files compiled only under `cfg(test)` (`#[path]`-included
+oracles) are neither scanned nor counted.
 
 Exits 1 on any flagged item that is not on ALLOW below, and on any ALLOW
 entry that is no longer flagged (a stale reason is surface too). Types are
@@ -38,12 +39,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Flagged on purpose: `file::name` -> one-line reason.
 ALLOW = {
-    "crates/sensact-core/src/budget.rs::with_deadline":
-        "its deadline_misses column is in the pinned checkpoints",
-    "crates/sensact-lidar/src/raycast.rs::scan_reference":
-        "test oracle: the untabled ray walk the trig-table scan must equal",
-    "crates/sensact-math/src/lqr.rs::dlqr":
-        "test oracle: the discrete Riccati iteration the controller tests compare to",
+    "crates/sensact-serve/src/server.rs::local_addr":
+        "with ServeServer::start, the real-socket ingress: a port-0 bind is reached through it",
     "crates/sensact-sched/src/sched.rs::rollup_metrics":
         "the documented operator API: one Prometheus page over a fleet",
     "crates/sensact-starnet/src/regret.rs::likelihood_regret":
@@ -110,27 +107,36 @@ def stripped(path):
     return strip(path.read_text())
 
 
-def lines_of(path, drop_tests):
+def lines_of(path):
     """The lines of `path` that count: no comments, strings or `pub use`
-    lines and, with `drop_tests`, no `#[cfg(test)]` item bodies. A line that
-    does not count is blanked, so line numbers hold."""
-    lines = stripped(path).split("\n")
-    keep, skip_indent = [], None
-    for line in lines:
-        indent = len(line) - len(line.lstrip())
-        body = line.strip()
-        if skip_indent is not None:
-            if indent == skip_indent and (body.startswith("}") or body.endswith(";")):
-                skip_indent = None
-            keep.append("")
-        elif drop_tests and body == "#[cfg(test)]":
-            skip_indent = indent
-            keep.append("")
-        elif re.match(r"pub(\([\w:]+\))?\s+use\b", body):
-            keep.append("")
-        else:
-            keep.append(line)
-    return keep
+    lines. A line that does not count is blanked, so line numbers hold."""
+    return [
+        "" if re.match(r"\s*pub(\([\w:]+\))?\s+use\b", line) else line
+        for line in stripped(path).split("\n")
+    ]
+
+
+def doc_tests(path):
+    """The code lines of `path`'s doc-test fences (rustdoc builds each as a
+    crate of its own, so what they name is named outside)."""
+    code, fence = [], None
+    for line in path.read_text().split("\n"):
+        m = re.match(r"\s*//[/!] ?(.*)", line)
+        if m and m.group(1).startswith("```"):
+            fence = None if fence is not None else m.group(1)[3:].strip()
+        elif m and fence in ("", "no_run"):
+            code.append(strip(m.group(1).removeprefix("# ")))
+        elif not m:
+            fence = None
+    return code
+
+
+def crate_of(path):
+    """The crate whose library `path` is part of; `None` outside any."""
+    parts = path.relative_to(ROOT).parts
+    if parts[0] == "crates" and parts[2] == "src" and parts[3] != "bin":
+        return parts[1]
+    return None
 
 
 def method_lines(lines):
@@ -147,14 +153,6 @@ def method_lines(lines):
 def call_names(lines):
     """The names `lines` use call-shaped: `.name(`, `.name::<`, `..::name`."""
     return {a or b for a, b in CALL.findall("\n".join(lines))}
-
-
-def word_counts(lines):
-    counts = {}
-    for line in lines:
-        for w in WORD.findall(line):
-            counts[w] = counts.get(w, 0) + 1
-    return counts
 
 
 def rust_files(*globs):
@@ -250,33 +248,30 @@ def options(lib, others):
 def main():
     # `#[path]`-included test oracles are compiled only under cfg(test).
     oracles = {ROOT / "crates/sensact-nn/src/conv_oracle.rs"}
-    lib = [p for p in rust_files("crates/*/src/**/*.rs") if p not in oracles]
-    others = rust_files(
-        "src/**/*.rs", "tests/**/*.rs", "examples/**/*.rs", "benchmark/src/**/*.rs",
-        "crates/*/tests/**/*.rs",
-    )
-    counted = {p: lines_of(p, drop_tests=False) for p in lib + others}
-    named = {p: word_counts(lines) for p, lines in counted.items()}
-    called_as = {p: call_names(lines) for p, lines in counted.items()}
+    files = [p for p in rust_files(
+        "crates/*/src/**/*.rs", "src/**/*.rs", "tests/**/*.rs", "examples/**/*.rs",
+        "benchmark/src/**/*.rs", "crates/*/tests/**/*.rs",
+    ) if p not in oracles]
+    lib = [p for p in files if crate_of(p)]
+    others = [p for p in files if not crate_of(p)]
+    named, called_as = {}, {}
+    for path in files:
+        lines = lines_of(path)
+        named[path], called_as[path] = set(WORD.findall("\n".join(lines))), call_names(lines)
+    docs = [line for path in files for line in doc_tests(path)]
+    named[None], called_as[None] = set(WORD.findall("\n".join(docs))), call_names(docs)
     flagged = []
     for path in lib:
-        lines = lines_of(path, drop_tests=True)
-        own, own_calls = word_counts(lines), call_names(lines)
+        crate = crate_of(path)
+        lines = lines_of(path)
         methods = method_lines(lines)
         for k, line in enumerate(lines):
             m = DECL.match(line)
             if not m:
                 continue
             name = next(g for g in m.groups() if g)
-            if m.group(1) and k in methods:
-                called = name in own_calls or any(
-                    name in c for p, c in called_as.items() if p != path
-                )
-            else:
-                called = own.get(name, 0) > 1 or any(
-                    name in w for p, w in named.items() if p != path
-                )
-            if not called:
+            uses = called_as if m.group(1) and k in methods else named
+            if not any(name in u for p, u in uses.items() if p is None or crate_of(p) != crate):
                 flagged.append(f"{path.relative_to(ROOT)}::{name}")
     bad = [f for f in flagged if f not in ALLOW]
     stale = [a for a in ALLOW if a not in flagged]
