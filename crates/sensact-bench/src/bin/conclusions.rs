@@ -37,25 +37,15 @@ fn main() {
     let coverage = fired as f64 / lidar.config().pulses_per_scan() as f64;
     let masked = radial_masked_cloud(&full, 3);
     let grid_cfg = model.config().grid;
-    let masked_flat = VoxelGrid::from_cloud(grid_cfg, &masked).occupancy_flat();
-    let full_flat = VoxelGrid::from_cloud(grid_cfg, &full).occupancy_flat();
-    let iou = model.reconstruction_iou(&masked_flat, &full_flat, 0.5);
-    let sparse_iou = {
-        // Without reconstruction, the sparse view itself.
-        let mut inter = 0usize;
-        let mut union = 0usize;
-        for (m, f) in masked_flat.iter().zip(&full_flat) {
-            let mo = *m > 0.5;
-            let fo = *f > 0.5;
-            if mo && fo {
-                inter += 1;
-            }
-            if mo || fo {
-                union += 1;
-            }
-        }
-        inter as f64 / union.max(1) as f64
-    };
+    let masked_grid = VoxelGrid::from_cloud(grid_cfg, &masked);
+    let full_grid = VoxelGrid::from_cloud(grid_cfg, &full);
+    let iou = model.reconstruction_iou(
+        &masked_grid.occupancy_flat(),
+        &full_grid.occupancy_flat(),
+        0.5,
+    );
+    // Without reconstruction, the sparse view itself.
+    let sparse_iou = masked_grid.occupancy_iou(&full_grid);
     compare(
         "active sensing fraction",
         "~8%",

@@ -2,12 +2,12 @@
 //! out.
 //!
 //! [`ServeEngine`] owns the [`LeasePool`], the [`BatchPlanner`], and the
-//! `serve.*` [`MetricsRegistry`]. Transports — the TCP front-end
-//! ([`server`](crate::server)) and the deterministic in-process loopback
-//! ([`loopback`](crate::loopback)) — feed it raw bytes per connection and
-//! route the reply buffers; the engine never touches a socket, which is
-//! what lets the whole integration surface run under
-//! [`SimClock`](sensact_core::trace::SimClock) without real I/O.
+//! `serve.*` [`MetricsRegistry`]. The transport core
+//! ([`loopback`](crate::loopback)) feeds it raw bytes per connection and
+//! routes the reply buffers, under a virtual clock or under the TCP
+//! front-end's wall clock ([`server`](crate::server)); the engine never
+//! touches a socket, which is what lets the whole integration surface run
+//! under [`SimClock`](sensact_core::trace::SimClock) without real I/O.
 //!
 //! A connection speaks either the binary frame protocol or HTTP/1.1; the
 //! first byte decides (`wire::MAGIC` is not a valid start of any HTTP
@@ -59,8 +59,8 @@ enum ConnKind {
     Http,
 }
 
-/// Per-connection parse state. The transport owns one per socket (or
-/// loopback client) and passes it to every [`ServeEngine::ingest`].
+/// Per-connection parse state. The transport core owns one per connection
+/// and passes it to every [`ServeEngine::ingest`].
 #[derive(Debug)]
 pub struct ConnState {
     buf: Vec<u8>,

@@ -28,10 +28,11 @@
 //!   checkpoint layer (controller state + telemetry + scheduler slot) and
 //!   a replacement server built from the same seed resumes it bit-exactly.
 //!
-//! Transports are pluggable around one [`ServeEngine`]: a thread-per-core
-//! TCP front-end ([`ServeServer`]) for real sockets, and a deterministic
-//! in-process [`Loopback`] that runs identical byte streams under a
-//! virtual clock for tests and benches.
+//! One transport core, [`Loopback`], owns the connections and the one
+//! lease → connection routing table around one [`ServeEngine`]. Tests and
+//! benches drive it under a virtual clock; the thread-per-core TCP
+//! front-end ([`ServeServer`]) is sockets, threads and the wall clock
+//! around it.
 //!
 //! [`FleetScheduler`]: sensact_sched::FleetScheduler
 

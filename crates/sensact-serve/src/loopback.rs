@@ -1,11 +1,13 @@
-//! Deterministic in-process loopback transport.
+//! The transport core, and its deterministic in-process form.
 //!
-//! Drives a [`ServeEngine`] exactly like the TCP front-end does — bytes
-//! in, bytes out, one flush per drain — but with no sockets and no wall
-//! clock: every call takes the caller's virtual `now_s` (typically a
-//! [`SimClock`](sensact_core::trace::SimClock) reading). Integration tests
-//! and benches use it to replay identical traffic against batched and
-//! unbatched engines and compare bits.
+//! [`Loopback`] owns one [`ServeEngine`], the connections, the one lease →
+//! connection routing table and each connection's outbound bytes: bytes
+//! in, bytes out, one flush per drain. Every call takes the caller's
+//! `now_s`. Integration tests and benches pass a virtual clock (a
+//! [`SimClock`](sensact_core::trace::SimClock) reading) to replay identical
+//! traffic against batched and unbatched engines and compare bits; the TCP
+//! front-end ([`server`](crate::server)) passes the wall clock and writes
+//! each connection's bytes to its socket, so its routing is this module's.
 
 use crate::engine::{ConnState, ServeConfig, ServeEngine};
 use crate::wire::{self, Frame};
@@ -18,12 +20,13 @@ pub type ConnId = usize;
 pub struct Loopback {
     engine: ServeEngine,
     conns: Vec<ConnState>,
-    /// Decoded binary frames awaiting pickup, per connection.
-    inboxes: Vec<Vec<Frame>>,
-    /// Raw HTTP reply bytes awaiting pickup, per connection.
-    http_replies: Vec<Vec<u8>>,
+    /// Reply bytes awaiting pickup, per connection: binary frames or HTTP
+    /// responses, as the connection's first byte chose.
+    out: Vec<Vec<u8>>,
     /// lease id → owning connection, for routing flushed replies.
     routes: BTreeMap<u64, ConnId>,
+    /// Ids [`Loopback::disconnect`] freed, for the next connect.
+    free: Vec<ConnId>,
 }
 
 impl Loopback {
@@ -32,9 +35,9 @@ impl Loopback {
         Loopback {
             engine: ServeEngine::new(cfg),
             conns: Vec::new(),
-            inboxes: Vec::new(),
-            http_replies: Vec::new(),
+            out: Vec::new(),
             routes: BTreeMap::new(),
+            free: Vec::new(),
         }
     }
 
@@ -45,16 +48,35 @@ impl Loopback {
 
     /// Open a new client connection.
     pub fn connect(&mut self) -> ConnId {
+        if let Some(conn) = self.free.pop() {
+            return conn;
+        }
         self.conns.push(ConnState::new());
-        self.inboxes.push(Vec::new());
-        self.http_replies.push(Vec::new());
+        self.out.push(Vec::new());
         self.conns.len() - 1
     }
 
+    /// Close `conn`: drop its routes, parse state and unread replies, and
+    /// free its id for the next [`Loopback::connect`], so the tables stay
+    /// as large as the live connections. Its leases stay in the pool until
+    /// released or expired; their replies go nowhere meanwhile.
+    pub(crate) fn disconnect(&mut self, conn: ConnId) {
+        self.routes.retain(|_, owner| *owner != conn);
+        self.conns[conn] = ConnState::new();
+        self.out[conn] = Vec::new();
+        self.free.push(conn);
+    }
+
+    /// Whether `conn` hit a fatal protocol error (close it once its
+    /// replies are written).
+    pub(crate) fn is_dead(&self, conn: ConnId) -> bool {
+        self.conns[conn].is_dead()
+    }
+
     /// Deliver raw bytes from `conn` at virtual time `now_s`. Inline
-    /// replies (grants, unbatched acts, errors, HTTP responses) land in the
-    /// connection's inbox immediately; batched observation replies arrive
-    /// at the next [`Loopback::flush`].
+    /// replies (grants, unbatched acts, errors, HTTP responses) wait on the
+    /// connection immediately; batched observation replies arrive at the
+    /// next [`Loopback::flush`].
     pub fn send_bytes(&mut self, conn: ConnId, bytes: &[u8], now_s: f64) {
         let result = self.engine.ingest(&mut self.conns[conn], bytes, now_s);
         for lease in &result.granted {
@@ -63,7 +85,7 @@ impl Loopback {
         for lease in &result.released {
             self.routes.remove(lease);
         }
-        self.deliver(conn, &result.reply);
+        self.out[conn].extend_from_slice(&result.reply);
     }
 
     /// Deliver one frame from `conn`.
@@ -77,8 +99,7 @@ impl Loopback {
     pub fn flush(&mut self, now_s: f64) {
         for (lease, bytes) in self.engine.flush(now_s) {
             if let Some(&conn) = self.routes.get(&lease) {
-                let reply = bytes;
-                self.deliver(conn, &reply);
+                self.out[conn].extend_from_slice(&bytes);
             }
         }
     }
@@ -108,14 +129,30 @@ impl Loopback {
         expired
     }
 
-    /// Take every decoded binary frame waiting on `conn`.
+    /// Take every binary frame waiting on `conn`, decoded (none on an HTTP
+    /// connection).
     pub fn take_frames(&mut self, conn: ConnId) -> Vec<Frame> {
-        std::mem::take(&mut self.inboxes[conn])
+        let out = &mut self.out[conn];
+        if out.first().is_some_and(|&b| b != wire::MAGIC) {
+            return Vec::new();
+        }
+        let mut frames = Vec::new();
+        let mut used = 0;
+        while let Some((frame, len)) =
+            wire::decode(&out[used..]).expect("server emits valid frames")
+        {
+            frames.push(frame);
+            used += len;
+        }
+        assert_eq!(used, out.len(), "server emitted a partial frame");
+        out.clear();
+        frames
     }
 
-    /// Take the raw HTTP reply bytes waiting on `conn`.
+    /// Take the raw reply bytes waiting on `conn`: an HTTP client's
+    /// responses, or what the TCP front-end writes to the socket next.
     pub fn take_http(&mut self, conn: ConnId) -> Vec<u8> {
-        std::mem::take(&mut self.http_replies[conn])
+        std::mem::take(&mut self.out[conn])
     }
 
     /// Convenience: lease `model` with `seed`; returns
@@ -140,19 +177,10 @@ impl Loopback {
         }
     }
 
-    fn deliver(&mut self, conn: ConnId, mut bytes: &[u8]) {
-        if bytes.is_empty() {
-            return;
-        }
-        if bytes[0] != wire::MAGIC {
-            self.http_replies[conn].extend_from_slice(bytes);
-            return;
-        }
-        while let Some((frame, used)) = wire::decode(bytes).expect("server emits valid frames") {
-            self.inboxes[conn].push(frame);
-            bytes = &bytes[used..];
-        }
-        assert!(bytes.is_empty(), "server emitted a partial frame");
+    /// The lease → connection routes.
+    #[cfg(test)]
+    pub(crate) fn routes(&self) -> &BTreeMap<u64, ConnId> {
+        &self.routes
     }
 }
 
@@ -225,6 +253,34 @@ mod tests {
         let _ = obs_len;
     }
 
+    /// A closed connection's id is reused, but its leases' routes are not:
+    /// an observation queued before the close is served into the void, and
+    /// the new connection reads only its own replies.
+    #[test]
+    fn a_reused_id_receives_no_reply_for_the_old_connections_leases() {
+        let mut lb = loopback(true);
+        let old = lb.connect();
+        let (gone, obs_len, _) = lb.request_lease(old, 1, 1, 0.0).unwrap();
+        let obs = |lease, seq| Frame::Obs {
+            lease,
+            seq,
+            values: vec![0.25; obs_len],
+        };
+        lb.send_frame(old, &obs(gone, 10), 1e-3);
+        lb.disconnect(old);
+        assert!(lb.routes.is_empty());
+        let new = lb.connect();
+        assert_eq!(new, old, "the freed id is reused");
+        let (mine, _, _) = lb.request_lease(new, 1, 2, 1e-3).unwrap();
+        lb.send_frame(new, &obs(mine, 20), 2e-3);
+        lb.flush(2e-3);
+        match &lb.take_frames(new)[..] {
+            [Frame::Act { lease, seq: 20, .. }] => assert_eq!(*lease, mine),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(lb.engine().metrics().counter("serve.obs.served"), 2);
+    }
+
     #[test]
     fn one_send_past_the_buffer_cap_is_served_frame_for_frame() {
         let mut lb = loopback(false);
@@ -245,7 +301,7 @@ mod tests {
             sent += 1;
         }
         lb.send_bytes(c, &bytes, 1e-3);
-        assert!(!lb.conns[c].is_dead(), "complete frames are not a backlog");
+        assert!(!lb.is_dead(c), "complete frames are not a backlog");
         let replies = lb.take_frames(c);
         assert_eq!(replies.len() as u64, sent);
         for (i, reply) in replies.iter().enumerate() {
@@ -267,7 +323,7 @@ mod tests {
             let mut lb = loopback(false);
             let c = lb.connect();
             lb.send_bytes(c, &bytes, 0.0);
-            assert!(lb.conns[c].is_dead());
+            assert!(lb.is_dead(c));
             lb.send_bytes(c, &encode_to_vec(&Frame::Heartbeat { lease: 1 }), 0.0);
             assert!(
                 lb.take_frames(c).len() <= 1,
@@ -285,6 +341,6 @@ mod tests {
         lb.send_bytes(web, b"GET /metrics HTTP/1.1\r\n\r\n", 0.5);
         let text = String::from_utf8(lb.take_http(web)).unwrap();
         assert!(text.contains("serve_leases_granted 1"), "{text}");
-        assert!(!lb.conns[web].is_dead());
+        assert!(!lb.is_dead(web));
     }
 }

@@ -1,25 +1,24 @@
-//! Thread-per-core TCP front-end.
+//! Thread-per-core TCP front-end: sockets, threads and the wall clock
+//! around one [`Loopback`].
 //!
 //! A shared nonblocking listener is accepted from by every worker thread
-//! (kernel-balanced), and each worker owns the connections it accepted:
-//! it drains their sockets, feeds the bytes to the shared [`ServeEngine`],
-//! and closes the batching window with one [`ServeEngine::flush`] per drain
-//! cycle. Flushed replies are routed through a shared per-lease outbox so a
-//! lease's actions always return on the connection that leased it,
-//! whichever worker flushed. Every reply goes through the connection's
-//! outbound buffer: the sockets are non-blocking, so what one cycle cannot
-//! write waits for the next.
-//!
-//! All protocol logic lives in the engine; this module is only sockets,
-//! threads, and the wall clock ([`Instant`] → seconds since start). The
-//! deterministic counterpart is [`loopback`](crate::loopback).
+//! (kernel-balanced), and each worker owns the sockets it accepted. Every
+//! protocol and routing decision is the transport core's: accepting a
+//! socket is [`Loopback::connect`], each read is [`Loopback::send_bytes`]
+//! at the wall clock ([`Instant`] → seconds since start), a drain that made
+//! progress closes the batching window with [`Loopback::flush`], worker 0
+//! reaps with [`Loopback::expire`], and a closed or dead socket is
+//! `Loopback::disconnect`. Whichever worker flushed, a lease's replies wait
+//! on its connection in the `Loopback`; the worker owning the socket
+//! writes them. The sockets are non-blocking, so what one cycle cannot
+//! write waits in the connection's outbound buffer for the next.
 
-use crate::engine::{ConnState, ServeConfig, ServeEngine, MAX_CONN_BUF};
-use std::collections::BTreeMap;
+use crate::engine::{ServeConfig, MAX_CONN_BUF};
+use crate::loopback::{ConnId, Loopback};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -28,29 +27,23 @@ const IDLE_SLEEP: Duration = Duration::from_micros(200);
 /// Socket read buffer size.
 const READ_BUF: usize = 64 * 1024;
 
-/// Replies produced by a flush on one worker, awaiting pickup by the
-/// worker that owns the lease's connection.
-type Outbox = Arc<Mutex<BTreeMap<u64, Vec<u8>>>>;
-
 struct Shared {
-    engine: Mutex<ServeEngine>,
-    outbox: Outbox,
-    /// One list per worker: lease ids worker 0 expired that the worker has
-    /// not yet dropped from the connections it owns.
-    expired: Vec<Mutex<Vec<u64>>>,
+    transport: Mutex<Loopback>,
     stop: AtomicBool,
     started: Instant,
 }
 
 impl Shared {
-    fn new(cfg: ServeConfig, workers: usize) -> Shared {
+    fn new(cfg: ServeConfig) -> Shared {
         Shared {
-            engine: Mutex::new(ServeEngine::new(cfg)),
-            outbox: Arc::new(Mutex::new(BTreeMap::new())),
-            expired: (0..workers).map(|_| Mutex::new(Vec::new())).collect(),
+            transport: Mutex::new(Loopback::new(cfg)),
             stop: AtomicBool::new(false),
             started: Instant::now(),
         }
+    }
+
+    fn transport(&self) -> MutexGuard<'_, Loopback> {
+        self.transport.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn now_s(&self) -> f64 {
@@ -71,10 +64,9 @@ impl ServeServer {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let threads = threads.max(1);
-        let shared = Arc::new(Shared::new(cfg, threads));
+        let shared = Arc::new(Shared::new(cfg));
         let mut workers = Vec::new();
-        for worker in 0..threads {
+        for worker in 0..threads.max(1) {
             let listener = listener.try_clone()?;
             let shared = Arc::clone(&shared);
             workers.push(
@@ -108,12 +100,12 @@ impl Drop for ServeServer {
 
 struct Conn {
     stream: TcpStream,
-    state: ConnState,
-    /// Leases granted on this connection (their flushed replies route
-    /// here).
-    leases: Vec<u64>,
+    id: ConnId,
     /// Reply bytes the socket has not accepted yet.
     out: Vec<u8>,
+    /// The peer hung up or the connection died: write once more, then
+    /// drop it.
+    closed: bool,
 }
 
 /// Write as much of `out` as `w` accepts now and keep the rest, in order,
@@ -150,10 +142,9 @@ fn worker_loop(worker: usize, listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
-/// One drain cycle of `worker`: accept, read and ingest, flush, route and
-/// write, drop the leases expired since the last cycle and, on worker 0,
-/// reap the next ones. Returns whether anything was accepted, read or
-/// closed.
+/// One drain cycle of `worker`: accept, read and ingest, flush, write what
+/// waits for each owned socket and, on worker 0, reap expired leases.
+/// Returns whether anything was accepted, read or closed.
 fn cycle(
     worker: usize,
     listener: &TcpListener,
@@ -163,141 +154,69 @@ fn cycle(
 ) -> bool {
     let mut progressed = false;
     // Accept whatever the kernel hands this worker.
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(true).is_ok() {
-                    conns.push(Conn {
-                        stream,
-                        state: ConnState::new(),
-                        leases: Vec::new(),
-                        out: Vec::new(),
-                    });
-                    progressed = true;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(_) => break,
+    while let Ok((stream, _)) = listener.accept() {
+        if stream.set_nonblocking(true).is_ok() {
+            let id = shared.transport().connect();
+            conns.push(Conn {
+                stream,
+                id,
+                out: Vec::new(),
+                closed: false,
+            });
+            progressed = true;
         }
     }
     let now_s = shared.now_s();
-    conns.retain_mut(|conn| match pump(conn, shared, buf, now_s) {
-        Pump::Idle => true,
-        Pump::Progressed => {
-            progressed = true;
-            true
-        }
-        Pump::Closed => {
-            // The engine expires abandoned leases by TTL; nothing to tear
-            // down eagerly here. Replies already produced (the error that
-            // killed the connection, say) get one best-effort write.
-            let _ = drain_out(&mut conn.stream, &mut conn.out);
-            progressed = true;
-            false
-        }
-    });
+    for conn in conns.iter_mut() {
+        progressed |= pump(conn, shared, buf, now_s);
+    }
+    let mut transport = shared.transport();
     if progressed {
         // Close the batching window for everything this drain ingested.
-        let flushed = shared
-            .engine
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .flush(now_s);
-        if !flushed.is_empty() {
-            let mut outbox = shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
-            for (lease, bytes) in flushed {
-                outbox.entry(lease).or_default().extend_from_slice(&bytes);
-            }
-        }
+        transport.flush(now_s);
     }
-    // Forget the leases worker 0 expired since this worker's last cycle, the
-    // way the loopback transport drops their routes, so a long-lived
-    // connection's list stays the leases it holds.
-    let expired = std::mem::take(
-        &mut *shared.expired[worker]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner()),
-    );
-    if !expired.is_empty() {
-        for conn in conns.iter_mut() {
-            conn.leases.retain(|l| !expired.contains(l));
-        }
+    for conn in conns.iter_mut() {
+        conn.out.extend(transport.take_http(conn.id));
     }
-    // Route flushed replies for the leases this worker owns, then write
-    // what each socket will take.
-    deliver_outbox(conns, &shared.outbox);
-    conns.retain_mut(|conn| drain_out(&mut conn.stream, &mut conn.out).is_ok());
+    drop(transport);
+    // A closed connection's replies (the error that killed it, say) get
+    // one best-effort write; its leases expire by TTL.
+    conns.retain_mut(|conn| {
+        let open = drain_out(&mut conn.stream, &mut conn.out).is_ok() && !conn.closed;
+        if !open {
+            shared.transport().disconnect(conn.id);
+        }
+        open
+    });
     if worker == 0 {
-        let expired = shared
-            .engine
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .expire(now_s);
-        if !expired.is_empty() {
-            let mut outbox = shared.outbox.lock().unwrap_or_else(|e| e.into_inner());
-            for lease in &expired {
-                outbox.remove(lease);
-            }
-            drop(outbox);
-            for list in &shared.expired {
-                list.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .extend_from_slice(&expired);
-            }
-        }
+        shared.transport().expire(now_s);
     }
     progressed
 }
 
-enum Pump {
-    Idle,
-    Progressed,
-    Closed,
-}
-
-fn pump(conn: &mut Conn, shared: &Shared, buf: &mut [u8], now_s: f64) -> Pump {
+/// Read and ingest everything `conn`'s socket holds; marks `conn` closed
+/// on end of stream, a read error or a dead connection. Returns whether
+/// anything was read or closed.
+fn pump(conn: &mut Conn, shared: &Shared, buf: &mut [u8], now_s: f64) -> bool {
     let mut progressed = false;
     loop {
         match conn.stream.read(buf) {
-            Ok(0) => return Pump::Closed,
+            Ok(0) => break,
             Ok(n) => {
                 progressed = true;
-                let result = shared
-                    .engine
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .ingest(&mut conn.state, &buf[..n], now_s);
-                conn.leases.extend_from_slice(&result.granted);
-                conn.leases.retain(|l| !result.released.contains(l));
-                conn.out.extend_from_slice(&result.reply);
-                if conn.state.is_dead() {
-                    return Pump::Closed;
+                let mut transport = shared.transport();
+                transport.send_bytes(conn.id, &buf[..n], now_s);
+                if transport.is_dead(conn.id) {
+                    break;
                 }
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => return Pump::Closed,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return progressed,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
         }
     }
-    if progressed {
-        Pump::Progressed
-    } else {
-        Pump::Idle
-    }
-}
-
-fn deliver_outbox(conns: &mut [Conn], outbox: &Outbox) {
-    for conn in conns {
-        if conn.leases.is_empty() {
-            continue;
-        }
-        let mut outbox = outbox.lock().unwrap_or_else(|e| e.into_inner());
-        for lease in &conn.leases {
-            if let Some(bytes) = outbox.remove(lease) {
-                conn.out.extend_from_slice(&bytes);
-            }
-        }
-    }
+    conn.closed = true;
+    true
 }
 
 #[cfg(test)]
@@ -476,55 +395,67 @@ mod tests {
         }
     }
 
-    /// Regression: worker 0 dropped an expired lease's outbox entry, but the
-    /// owning connection kept its id until an explicit `Release`, so a
-    /// long-lived connection with churn grew its lease list — and the walk
-    /// `deliver_outbox` does under the outbox lock — without bound.
+    /// Regression: worker 0 dropped an expired lease's queued replies, but
+    /// the owning connection kept its id until an explicit `Release`, so a
+    /// long-lived connection with churn grew its lease list without bound.
+    /// The routes now live only in the `Loopback`: once worker 0 reaps a
+    /// lease, its route is gone and the owning socket reads nothing more
+    /// for it — not even for an observation worker 1 ingested but had not
+    /// flushed when the reap landed.
     #[test]
-    fn expired_leases_leave_the_owning_connection() {
+    fn a_reaped_lease_leaves_no_route_and_sends_nothing_more() {
         let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
             eprintln!("skipping TCP test: bind failed");
             return;
         };
         listener.set_nonblocking(true).unwrap();
-        let shared = Shared::new(
-            ServeConfig {
-                pool: PoolConfig {
-                    lease_ttl_s: 1e-3,
-                    ..PoolConfig::default()
-                },
-                batched: true,
+        let shared = Shared::new(ServeConfig {
+            pool: PoolConfig {
+                lease_ttl_s: 1e-3,
+                ..PoolConfig::default()
             },
-            2,
-        );
+            batched: true,
+        });
         let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         // Worker 1 accepts and owns the connection; worker 0 reaps.
         let (mut reaper, mut owner) = (Vec::new(), Vec::new());
         let mut buf = vec![0u8; READ_BUF];
-        for lease in 1..=5u64 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while owner.is_empty() {
+            assert!(Instant::now() < deadline, "never accepted");
+            cycle(1, &listener, &shared, &mut owner, &mut buf);
+        }
+        let conn = owner[0].id;
+        for seed in 1..=5u64 {
             client
-                .write_all(&wire::encode_to_vec(&Frame::LeaseReq {
-                    model: 1,
-                    seed: lease,
-                }))
+                .write_all(&wire::encode_to_vec(&Frame::LeaseReq { model: 1, seed }))
                 .unwrap();
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while owner.first().and_then(|c: &Conn| c.leases.last()) != Some(&lease) {
-                assert!(Instant::now() < deadline, "lease {lease} never granted");
-                cycle(1, &listener, &shared, &mut owner, &mut buf);
+            while !cycle(1, &listener, &shared, &mut owner, &mut buf) {
+                assert!(Instant::now() < deadline, "seed {seed}: request never read");
             }
-            assert!(matches!(
-                read_frames(&mut client, 1)[..],
-                [Frame::LeaseGrant { lease: l, .. }] if l == lease
-            ));
+            // Exactly the grant: no reply for the lease reaped before it.
+            let (lease, obs_len) = match &read_frames(&mut client, 1)[..] {
+                [Frame::LeaseGrant { lease, obs_len, .. }] => (*lease, *obs_len as usize),
+                other => panic!("seed {seed}: {other:?}"),
+            };
+            let obs = Frame::Obs {
+                lease,
+                seq: 0,
+                values: vec![0.5; obs_len],
+            };
+            shared.transport().send_frame(conn, &obs, shared.now_s());
             // Fall silent past the TTL and let worker 0 reap the lease.
             std::thread::sleep(Duration::from_millis(3));
             cycle(0, &listener, &shared, &mut reaper, &mut buf);
+            assert_eq!(shared.transport().routes().get(&lease), None);
         }
+        shared.transport().flush(shared.now_s());
         cycle(1, &listener, &shared, &mut owner, &mut buf);
         assert_eq!(owner.len(), 1);
-        assert_eq!(owner[0].leases, Vec::<u64>::new());
-        assert!(shared.outbox.lock().unwrap().is_empty());
+        assert!(shared.transport().routes().is_empty());
+        client.set_nonblocking(true).unwrap();
+        let err = client.read(&mut [0u8; 64]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::WouldBlock);
     }
 
     #[test]

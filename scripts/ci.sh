@@ -27,6 +27,15 @@ fi
 echo "== threads are created by FleetScheduler::run and the TCP front-end only =="
 [[ "$(git grep -lE 'thread::(scope|spawn|Builder)|available_parallelism' -- 'crates/*/src/*' | xargs)" == "crates/sensact-sched/src/sched.rs crates/sensact-serve/src/server.rs" ]]
 
+# Which connection gets a lease's replies is decided once, in `Loopback`;
+# the TCP front-end is sockets, threads and the wall clock around it, so
+# `server.rs` above its tests keeps no route, outbox or lease list.
+echo "== one lease-routing table: server.rs routes no lease =="
+if awk '/^mod tests/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/sensact-serve/src/server.rs \
+    | grep -E 'granted|released|Outbox|BTreeMap'; then
+    exit 1
+fi
+
 # `[^_]` spares `record_with_precision`: the recorded column stays. An `if`,
 # because `set -e` ignores the status of a `!`-negated command.
 echo "== no runtime precision schedule: governor, policy and hint stay deleted =="

@@ -39,8 +39,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Flagged on purpose: `file::name` -> one-line reason.
 ALLOW = {
-    "crates/sensact-serve/src/server.rs::local_addr":
-        "with ServeServer::start, the real-socket ingress: a port-0 bind is reached through it",
     "crates/sensact-sched/src/sched.rs::rollup_metrics":
         "the documented operator API: one Prometheus page over a fleet",
     "crates/sensact-starnet/src/regret.rs::likelihood_regret":
