@@ -89,6 +89,7 @@ impl RadialMask {
     }
 
     /// Stage-1 decision: is the segment of this azimuth kept?
+    #[inline]
     pub(crate) fn segment_kept(&self, azimuth: u16) -> bool {
         match self.kept_azimuths.get(azimuth as usize) {
             Some(&kept) => kept,
@@ -104,6 +105,10 @@ impl RadialMask {
 
     /// Full two-stage decision for one pulse: stage 1 on the azimuth segment,
     /// stage 2 Bernoulli on the expected range. Mutates the internal RNG.
+    ///
+    /// Inlinable across crates: a scan calls it once per pulse, and most
+    /// pulses return at the stage-1 table lookup.
+    #[inline]
     pub fn fire(&mut self, azimuth: u16, expected_range: f64) -> bool {
         if !self.segment_kept(azimuth) {
             return false;
@@ -113,6 +118,12 @@ impl RadialMask {
             self.last_keep = (bits, self.keep_probability(expected_range));
         }
         self.rng.random::<f64>() < self.last_keep.1
+    }
+
+    /// The stage-2 RNG's state, for tests that compare draw streams.
+    #[cfg(test)]
+    pub(crate) fn rng_state(&self) -> [u64; 4] {
+        self.rng.state()
     }
 }
 

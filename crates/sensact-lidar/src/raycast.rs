@@ -187,30 +187,33 @@ impl Lidar {
         }
     }
 
-    /// Azimuth-bucket broad phase: for each azimuth column, the indices (in
-    /// scene order) of objects whose horizontal angular extent covers it.
+    /// The azimuth broad phase as one flat index: column `k`'s candidates
+    /// are `ids[offs[k]..offs[k + 1]]`, the indices (in scene order) of the
+    /// objects whose horizontal angular extent covers column `k`.
     ///
     /// The xy-projection of a pulse from the origin points at exactly the
     /// column's azimuth angle, so a box can only be hit from columns inside
     /// its angular interval — computed from the four xy-corners (the extent
     /// of a convex region not containing the origin is attained at its
     /// vertices) and dilated by one column on each side against rounding.
-    /// Culling is therefore exact: casting against a column's bucket returns
-    /// bit-identical results to casting against the whole scene.
-    fn azimuth_buckets(&self, scene: &Scene) -> Vec<Vec<u32>> {
+    /// Culling is therefore exact: casting against a column's candidates
+    /// returns bit-identical results to casting against the whole scene.
+    ///
+    /// Built per scan in at most three allocations whatever the scene: each
+    /// object's run of columns, then the counts summed into `offs`, then
+    /// `ids` filled from the back so each column keeps scene order.
+    fn column_index(&self, scene: &Scene) -> (Vec<u32>, Vec<u32>) {
         use std::f64::consts::{PI, TAU};
         let steps = self.config.azimuth_steps as usize;
-        let mut buckets = vec![Vec::new(); steps.max(1)];
-        for (idx, obj) in scene.objects().iter().enumerate() {
+        let everywhere = (0, steps as i64 - 1);
+        // Object `i` covers columns `runs[i].0..=runs[i].1`, each taken
+        // modulo `steps`; a run never wraps onto itself.
+        let mut runs = Vec::with_capacity(scene.objects().len());
+        for obj in scene.objects() {
             let bb = &obj.aabb;
-            let everywhere = |buckets: &mut Vec<Vec<u32>>| {
-                for b in buckets.iter_mut() {
-                    b.push(idx as u32);
-                }
-            };
             // The sensor axis pierces the box's xy footprint: all azimuths.
             if bb.min[0] <= 0.0 && bb.max[0] >= 0.0 && bb.min[1] <= 0.0 && bb.max[1] >= 0.0 {
-                everywhere(&mut buckets);
+                runs.push(everywhere);
                 continue;
             }
             let center = (0.5 * (bb.min[1] + bb.max[1])).atan2(0.5 * (bb.min[0] + bb.max[0]));
@@ -231,35 +234,41 @@ impl Lidar {
             let k0 = ((center + dmin) / TAU * steps as f64).floor() as i64 - 1;
             let k1 = ((center + dmax) / TAU * steps as f64).ceil() as i64 + 1;
             if k1 - k0 + 1 >= steps as i64 {
-                everywhere(&mut buckets);
+                runs.push(everywhere);
             } else {
-                for k in k0..=k1 {
-                    buckets[k.rem_euclid(steps as i64) as usize].push(idx as u32);
-                }
+                runs.push((k0, k1));
             }
         }
-        buckets
-    }
-
-    /// Cast one pulse against the azimuth bucket of its column.
-    fn cast_bucketed(
-        &self,
-        scene: &Scene,
-        buckets: &[Vec<u32>],
-        beam: u16,
-        azimuth: u16,
-    ) -> Option<Point> {
-        let objs = scene.objects();
-        self.cast_over(
-            buckets[azimuth as usize].iter().map(|&i| &objs[i as usize]),
-            beam,
-            azimuth,
-            self.table_direction(beam, azimuth),
-        )
+        let column = |k: i64| k.rem_euclid(steps as i64) as usize;
+        // `offs[k]` counts column `k`'s candidates, then (summed) ends them.
+        let mut offs = vec![0u32; steps + 1];
+        for &(k0, k1) in &runs {
+            for k in k0..=k1 {
+                offs[column(k)] += 1;
+            }
+        }
+        let mut total = 0;
+        for end in &mut offs[..steps] {
+            total += *end;
+            *end = total;
+        }
+        offs[steps] = total;
+        // Last object first, each placed just below its column's end: the
+        // column's ends walk down to its starts and scene order holds.
+        let mut ids = vec![0u32; total as usize];
+        for (idx, &(k0, k1)) in runs.iter().enumerate().rev() {
+            for k in k0..=k1 {
+                let at = &mut offs[column(k)];
+                *at -= 1;
+                ids[*at as usize] = idx as u32;
+            }
+        }
+        (offs, ids)
     }
 
     /// Full 360° scan: every (beam, azimuth) pulse, beam-major, over the
-    /// azimuth-bucket broad phase.
+    /// azimuth broad phase. Bit-identical to casting every pulse against
+    /// every scene object.
     pub fn scan(&self, scene: &Scene) -> PointCloud {
         self.scan_masked(scene, |_, _| true).0
     }
@@ -281,21 +290,40 @@ impl Lidar {
 
     /// Masked scan: fire only the pulses the mask selects; returns the cloud
     /// plus how many pulses were actually fired.
+    ///
+    /// `fire(beam, azimuth)` is called exactly once per pulse, beam-major
+    /// and in azimuth order, whatever it answers, so a stateful mask (a
+    /// [`RadialMask`](crate::mask::RadialMask) drawing from its RNG) sees
+    /// the same sequence as a per-pulse loop. The cloud holds the fired
+    /// pulses' returns in that same order, each bit-identical to casting
+    /// the pulse against every scene object. Casting scales with the
+    /// pulses fired: each beam first collects its fired azimuths, then
+    /// casts only those against their columns' candidates.
     pub fn scan_masked(
         &self,
         scene: &Scene,
         mut fire: impl FnMut(u16, u16) -> bool,
     ) -> (PointCloud, usize) {
-        let buckets = self.azimuth_buckets(scene);
+        let (offs, ids) = self.column_index(scene);
+        let objects = scene.objects();
         let mut cloud = PointCloud::new();
         let mut fired = 0usize;
+        // One beam's fired azimuths. Every azimuth is written and the count
+        // advances by the answer, so the walk has no branch on it (a mask's
+        // answers are close to random).
+        let mut lit = vec![0u16; self.config.azimuth_steps as usize];
         for beam in 0..self.config.beams {
+            let mut n = 0;
             for az in 0..self.config.azimuth_steps {
-                if !fire(beam, az) {
-                    continue;
-                }
-                fired += 1;
-                if let Some(p) = self.cast_bucketed(scene, &buckets, beam, az) {
+                lit[n] = az;
+                n += usize::from(fire(beam, az));
+            }
+            fired += n;
+            for &az in &lit[..n] {
+                let column = &ids[offs[az as usize] as usize..offs[az as usize + 1] as usize];
+                let candidates = column.iter().map(|&i| &objects[i as usize]);
+                let dir = self.table_direction(beam, az);
+                if let Some(p) = self.cast_over(candidates, beam, az, dir) {
                     cloud.push(p);
                 }
             }
@@ -573,7 +601,7 @@ mod prop_tests {
         }
     }
 
-    /// The azimuth-bucket broad phase is exact: scans of random box soups —
+    /// The azimuth broad phase is exact: scans of random box soups —
     /// including boxes straddling the ±π azimuth seam and boxes whose
     /// footprint covers the sensor axis — equal the cull-free reference
     /// bit for bit.
@@ -610,6 +638,171 @@ mod prop_tests {
             });
             assert_eq!(lidar.scan(&scene), lidar.scan_reference(&scene));
         }
+    }
+
+    /// A random box soup for case `case`: every third case clusters its
+    /// boxes on the ±π azimuth seam, and every fourth adds a box whose
+    /// footprint covers the sensor axis (low, high, or around the sensor).
+    fn random_scene(rng: &mut StdRng, case: usize) -> Scene {
+        let mut objects = Vec::new();
+        for _ in 0..rng.random_range(0..10usize) {
+            let (cx, cy) = if case.is_multiple_of(3) {
+                (rng.random_range(-30.0..-3.0), rng.random_range(-3.0..3.0))
+            } else {
+                (rng.random_range(-40.0..40.0), rng.random_range(-30.0..30.0))
+            };
+            let center = [cx, cy, rng.random_range(0.2..2.5)];
+            let size = [
+                rng.random_range(0.3..9.0),
+                rng.random_range(0.3..9.0),
+                rng.random_range(0.3..3.0),
+            ];
+            objects.push(SceneObject::new(
+                ObjectClass::Car,
+                Aabb::from_center_size(center, size),
+            ));
+        }
+        if case % 4 == 1 {
+            let center = [
+                rng.random_range(-1.0..1.0),
+                rng.random_range(-1.0..1.0),
+                rng.random_range(-0.5..4.0),
+            ];
+            let size = [
+                rng.random_range(2.5..12.0),
+                rng.random_range(2.5..12.0),
+                rng.random_range(0.2..2.0),
+            ];
+            let at = rng.random_range(0..=objects.len());
+            objects.insert(
+                at,
+                SceneObject::new(ObjectClass::Car, Aabb::from_center_size(center, size)),
+            );
+        }
+        Scene::from_objects(objects)
+    }
+
+    /// A random sensor: one beam every fifth case, 333 azimuth steps every
+    /// fourth.
+    fn random_config(rng: &mut StdRng, case: usize) -> LidarConfig {
+        LidarConfig {
+            beams: if case.is_multiple_of(5) {
+                1
+            } else {
+                rng.random_range(2..12u16)
+            },
+            azimuth_steps: if case.is_multiple_of(4) {
+                333
+            } else {
+                rng.random_range(1..200u16)
+            },
+            fov_down: rng.random_range(-0.6..-0.05),
+            fov_up: rng.random_range(-0.05..0.3),
+            max_range: rng.random_range(5.0..90.0),
+            mount_height: rng.random_range(0.3..3.0),
+        }
+    }
+
+    /// `scan_masked` under `fire` against a per-pulse loop under `oracle`
+    /// (its twin, in the same state), which casts each fired pulse against
+    /// every scene object: the same cloud, the same fired count, and
+    /// `fire` called once per pulse in beam-major order.
+    fn assert_scan_contract(
+        lidar: &Lidar,
+        scene: &Scene,
+        what: &str,
+        mut fire: impl FnMut(u16, u16) -> bool,
+        mut oracle: impl FnMut(u16, u16) -> bool,
+    ) {
+        let config = *lidar.config();
+        let mut calls = Vec::new();
+        let (cloud, fired) = lidar.scan_masked(scene, |beam, az| {
+            calls.push((beam, az));
+            fire(beam, az)
+        });
+        let (mut want, mut want_fired) = (PointCloud::new(), 0);
+        for beam in 0..config.beams {
+            for az in 0..config.azimuth_steps {
+                if oracle(beam, az) {
+                    want_fired += 1;
+                    if let Some(p) = lidar.cast(scene, beam, az) {
+                        want.push(p);
+                    }
+                }
+            }
+        }
+        assert_eq!(fired, want_fired, "{what}: fired count, {config:?}");
+        assert_eq!(cloud, want, "{what}: cloud, {config:?}");
+        let pulses = (0..config.beams).flat_map(|b| (0..config.azimuth_steps).map(move |a| (b, a)));
+        assert!(
+            calls.into_iter().eq(pulses),
+            "{what}: call sequence, {config:?}"
+        );
+    }
+
+    /// The scan contract over `cases` seeded random scenes and sensors,
+    /// under four closures: a stateful radial mask (whose RNG must end
+    /// where its per-pulse twin's does), a beam-dependent mask fed a prior
+    /// scan's ranges as `table2` does, all-false and all-true.
+    fn check_scan_contract(seed: u64, cases: usize) {
+        use crate::mask::{RadialMask, RadialMaskConfig};
+        use std::collections::HashMap;
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..cases {
+            let scene = random_scene(&mut rng, case);
+            let lidar = Lidar::new(random_config(&mut rng, case));
+            let steps = lidar.config().azimuth_steps;
+            let mask_config = RadialMaskConfig {
+                segment_keep: rng.random_range(0.03..1.0),
+            };
+            let mask_seed = rng.next_u64();
+            let range = rng.random_range(0.0..60.0);
+
+            let mut mask = RadialMask::sample(mask_config, steps, mask_seed);
+            let mut twin = RadialMask::sample(mask_config, steps, mask_seed);
+            assert_scan_contract(
+                &lidar,
+                &scene,
+                "radial mask",
+                |_, az| mask.fire(az, range),
+                |_, az| twin.fire(az, range),
+            );
+            assert_eq!(mask.rng_state(), twin.rng_state(), "case {case}");
+
+            let full = lidar.scan_reference(&scene);
+            let prior: HashMap<(u16, u16), f64> = full
+                .iter()
+                .map(|p| ((p.beam, p.azimuth), p.range))
+                .collect();
+            let expected = |beam, az| prior.get(&(beam, az)).copied().unwrap_or(full.mean_range());
+            let mut mask = RadialMask::sample(mask_config, steps, !mask_seed);
+            let mut twin = RadialMask::sample(mask_config, steps, !mask_seed);
+            assert_scan_contract(
+                &lidar,
+                &scene,
+                "prior-range mask",
+                |beam, az| mask.fire(az, expected(beam, az)),
+                |beam, az| twin.fire(az, expected(beam, az)),
+            );
+            assert_eq!(mask.rng_state(), twin.rng_state(), "case {case}");
+
+            assert_scan_contract(&lidar, &scene, "all-false", |_, _| false, |_, _| false);
+            assert_scan_contract(&lidar, &scene, "all-true", |_, _| true, |_, _| true);
+        }
+    }
+
+    /// `scan_masked` keeps its contract (see [`check_scan_contract`]).
+    #[test]
+    fn prop_masked_scan_matches_the_per_pulse_oracle() {
+        check_scan_contract(0x4AA804, 48);
+    }
+
+    /// Long mode of [`prop_masked_scan_matches_the_per_pulse_oracle`]:
+    /// `cargo test -p sensact-lidar --lib masked_scan -- --ignored`.
+    #[test]
+    #[ignore]
+    fn prop_masked_scan_matches_the_per_pulse_oracle_long() {
+        check_scan_contract(0x4AA805, 20_000);
     }
 
     /// Every return of a scan lies within max range and at/above ground.

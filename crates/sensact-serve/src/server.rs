@@ -458,6 +458,73 @@ mod tests {
         assert_eq!(err.kind(), ErrorKind::WouldBlock);
     }
 
+    /// Every worker closes the batching window for what it ingested. Here
+    /// worker 1 owns every socket and worker 0 never runs, so each client's
+    /// `Act` arrives only if worker 1 flushes. A server that flushed on
+    /// worker 0 alone still answered `tcp_clients_read_the_acts_a_loopback_serves`,
+    /// because worker 0's own clients kept closing the shared window.
+    #[test]
+    fn clients_of_worker_one_alone_read_their_acts() {
+        let Ok(listener) = TcpListener::bind("127.0.0.1:0") else {
+            eprintln!("skipping TCP test: bind failed");
+            return;
+        };
+        listener.set_nonblocking(true).unwrap();
+        let shared = Shared::new(ServeConfig {
+            pool: PoolConfig::default(),
+            batched: true,
+        });
+        let addr = listener.local_addr().unwrap();
+        let mut clients: Vec<TcpStream> =
+            (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let (mut owner, mut buf) = (Vec::new(), vec![0u8; READ_BUF]);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while owner.len() < clients.len() {
+            assert!(Instant::now() < deadline, "never accepted");
+            cycle(1, &listener, &shared, &mut owner, &mut buf);
+        }
+        // Send `frame`, then run worker 1 until the client reads one reply.
+        let mut exchange = |client: &mut TcpStream, frame: &Frame| {
+            client.write_all(&wire::encode_to_vec(frame)).unwrap();
+            client.set_nonblocking(true).unwrap();
+            let (mut acc, mut chunk) = (Vec::new(), [0u8; 4096]);
+            loop {
+                assert!(Instant::now() < deadline, "no reply to {frame:?}");
+                cycle(1, &listener, &shared, &mut owner, &mut buf);
+                match client.read(&mut chunk) {
+                    Ok(n) => acc.extend_from_slice(&chunk[..n]),
+                    Err(e) => assert_eq!(e.kind(), ErrorKind::WouldBlock),
+                }
+                if let Some((reply, _)) = wire::decode(&acc).unwrap() {
+                    return reply;
+                }
+            }
+        };
+        for (seed, client) in clients.iter_mut().enumerate() {
+            let (lease, obs_len) = match exchange(
+                client,
+                &Frame::LeaseReq {
+                    model: 1,
+                    seed: seed as u64,
+                },
+            ) {
+                Frame::LeaseGrant { lease, obs_len, .. } => (lease, obs_len as usize),
+                other => panic!("client {seed}: {other:?}"),
+            };
+            let obs = Frame::Obs {
+                lease,
+                seq: 1,
+                values: vec![0.25; obs_len],
+            };
+            match exchange(client, &obs) {
+                Frame::Act {
+                    lease: l, seq: 1, ..
+                } if l == lease => {}
+                other => panic!("client {seed}: {other:?}"),
+            }
+        }
+    }
+
     #[test]
     fn tcp_metrics_scrape_over_http() {
         let Some(server) = try_server(true) else {

@@ -36,6 +36,15 @@ if awk '/^mod tests/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/sensact
     exit 1
 fi
 
+# A masked scan costs what it fires: the azimuth broad phase is one flat
+# index (column offsets plus one id list) built per scan, so `raycast.rs`
+# above its tests keeps no vector per column.
+echo "== one broad phase: raycast.rs keeps no per-column vectors =="
+if awk '/^mod tests/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/sensact-lidar/src/raycast.rs \
+    | grep -E 'Vec<Vec<|azimuth_buckets'; then
+    exit 1
+fi
+
 # `[^_]` spares `record_with_precision`: the recorded column stays. An `if`,
 # because `set -e` ignores the status of a `!`-negated command.
 echo "== no runtime precision schedule: governor, policy and hint stay deleted =="

@@ -8,11 +8,12 @@
 //! `LoopHandle`) makes at most one heap allocation per tick once its record
 //! ring has wrapped. On the edge tick, an R-MAE reconstruct owns only the
 //! probabilities it returns and a STARNet score allocates nothing per SPSA
-//! iteration. An R-MAE train step writes no `[sites × c·k³]` column
-//! matrix, on any ISA, and once warm the conv lowerings reuse their halo
-//! and scratch instead of regrowing them. The counting allocator
-//! counts allocations and live bytes per thread, so tests running in
-//! parallel do not see each other's.
+//! iteration. A masked LiDAR scan makes a fixed number of allocations
+//! plus its cloud's growth. An R-MAE train step writes no
+//! `[sites × c·k³]` column matrix, on any ISA, and once warm the conv
+//! lowerings reuse their halo and scratch instead of regrowing them. The
+//! counting allocator counts allocations and live bytes per thread, so
+//! tests running in parallel do not see each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -24,6 +25,11 @@ use sensact::koopman::cartpole::{CartPole, CartPoleConfig, Disturbance, OBS_DIM}
 use sensact::koopman::control::LqrLatentController;
 use sensact::koopman::encoder::SpectralKoopman;
 use sensact::koopman::train::collect_dataset;
+use sensact::lidar::mask::RadialMaskConfig;
+use sensact::lidar::{
+    Lidar, LidarConfig, ObjectClass, PointCloud, RadialMask, Scene, SceneGenerator, SceneObject,
+};
+use sensact::math::metrics::Aabb;
 use sensact::nn::conv::{Conv3d, Dims3};
 use sensact::nn::init::Initializer;
 use sensact::nn::optim::Adam;
@@ -312,4 +318,42 @@ fn warm_starnet_score_allocates_nothing_per_spsa_iteration() {
         let (_, n) = allocations(|| monitor.score(features));
         assert!(n <= 11, "call {call}: score made {n} allocations");
     }
+}
+
+/// A warm masked scan of a default street, under the edge loop's radial
+/// mask, makes the same few allocations whatever its scene (the broad
+/// phase's flat index and one beam's fired azimuths) plus the cloud's
+/// growth, counted by pushing the same points into a fresh cloud. The
+/// street's scenes put boxes in over two hundred of the 512 azimuth
+/// columns, and a box over the sensor axis lands in every one. When the
+/// broad phase kept one `Vec` per column, these scans made 229 to 513
+/// allocations beyond the cloud's growth; now they make 4.
+#[test]
+fn masked_scan_allocates_a_constant_plus_the_clouds_growth() {
+    let lidar = Lidar::new(LidarConfig::default());
+    let mut scenes = SceneGenerator::new(21).generate_many(6);
+    scenes.push(Scene::from_objects(vec![SceneObject::new(
+        ObjectClass::Car,
+        Aabb::from_center_size([0.5, -0.5, 0.2], [6.0, 4.0, 0.4]),
+    )]));
+    let mask = |seed| RadialMask::sample(RadialMaskConfig::default(), 512, seed);
+    let mut warm = mask(0);
+    let _ = lidar.scan_masked(&scenes[0], |_, az| warm.fire(az, 25.0));
+    let mut fixed = Vec::new();
+    for (seed, scene) in scenes.iter().enumerate() {
+        let mut mask = mask(seed as u64);
+        let ((cloud, _), n) = allocations(|| lidar.scan_masked(scene, |_, az| mask.fire(az, 25.0)));
+        let (_, growth) = allocations(|| {
+            let mut grown = PointCloud::new();
+            for p in &cloud {
+                grown.push(*p);
+            }
+            grown
+        });
+        fixed.push(n - growth);
+    }
+    assert!(
+        fixed.iter().all(|&n| n == fixed[0] && n <= 4),
+        "allocations beyond the cloud's growth, per scene: {fixed:?}"
+    );
 }
