@@ -211,7 +211,6 @@ impl Client {
                 }
             });
             opt.step(&mut self.model);
-            self.model.zero_grad();
         }
         if self.precision != Precision::Full {
             let _ = quantize_layer(&mut self.model, self.precision);

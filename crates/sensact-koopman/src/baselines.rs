@@ -33,10 +33,6 @@ const PRED_WEIGHT: f64 = 1.0;
 pub trait LatentModel {
     /// Display name (Fig. 5 legend).
     fn name(&self) -> &'static str;
-    /// Latent dimension.
-    fn latent_dim(&self) -> usize {
-        Z_DIM
-    }
     /// Encode one observation.
     fn encode(&mut self, obs: &[f64]) -> Vec<f64>;
     /// Predict the next latent for `(z, u)`.
@@ -64,7 +60,6 @@ pub(crate) trait DynCore: Send {
     fn forward(&mut self, z: &Tensor, u: &[f64], ctx: &[Vec<Vec<f64>>]) -> Tensor;
     fn backward(&mut self, grad: &Tensor) -> Tensor;
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64]));
-    fn zero_grad(&mut self);
     fn macs_per_step(&self) -> u64;
     fn linear(&self) -> Option<(Matrix, Matrix)>;
     /// Single-sample rollout step (maintains windows/hidden state).
@@ -276,35 +271,11 @@ pub(crate) fn train_epoch_shared(
         let _ = body.encoder.backward(&g_all);
 
         // One optimizer step across all parts.
-        struct All<'a>(&'a mut Body, &'a mut dyn DynCore);
-        impl Layer for All<'_> {
-            fn forward(&mut self, i: &Tensor, _t: bool) -> Tensor {
-                i.clone()
-            }
-            fn backward(&mut self, g: &Tensor) -> Tensor {
-                g.clone()
-            }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-                self.0.encoder.visit_params(f);
-                self.0.readout.visit_params(f);
-                self.1.visit_params(f);
-            }
-            fn param_count(&self) -> usize {
-                0
-            }
-            fn macs(&self, _b: usize) -> u64 {
-                0
-            }
-            fn name(&self) -> &'static str {
-                "AllParams"
-            }
-        }
-        let mut opt = std::mem::replace(&mut body.opt, Adam::new(0.0));
-        opt.step(&mut All(body, dyn_core));
-        body.opt = opt;
-        body.encoder.zero_grad();
-        body.readout.zero_grad();
-        dyn_core.zero_grad();
+        body.opt.step_params(&mut |f| {
+            body.encoder.visit_params(f);
+            body.readout.visit_params(f);
+            dyn_core.visit_params(f);
+        });
 
         total += lp * PRED_WEIGHT + ls * READ_WEIGHT;
         batches += 1;
@@ -456,11 +427,6 @@ impl DynCore for DenseLinearCore {
         f(&mut self.b, &mut self.grad_b);
     }
 
-    fn zero_grad(&mut self) {
-        self.grad_a.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_b.iter_mut().for_each(|g| *g = 0.0);
-    }
-
     fn macs_per_step(&self) -> u64 {
         (Z_DIM * Z_DIM + Z_DIM) as u64
     }
@@ -542,10 +508,6 @@ impl DynCore for MlpCore {
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         self.net.visit_params(f);
-    }
-
-    fn zero_grad(&mut self) {
-        self.net.zero_grad();
     }
 
     fn macs_per_step(&self) -> u64 {
@@ -651,13 +613,6 @@ impl DynCore for RecurrentCore {
         self.hidden_proj.visit_params(f);
         self.input_proj.visit_params(f);
         self.out_proj.visit_params(f);
-    }
-
-    fn zero_grad(&mut self) {
-        self.init_proj.zero_grad();
-        self.hidden_proj.zero_grad();
-        self.input_proj.zero_grad();
-        self.out_proj.zero_grad();
     }
 
     fn macs_per_step(&self) -> u64 {
@@ -893,13 +848,6 @@ impl DynCore for TransformerCore {
         self.wk.visit_params(f);
         self.wv.visit_params(f);
         self.out.visit_params(f);
-    }
-
-    fn zero_grad(&mut self) {
-        self.wq.zero_grad();
-        self.wk.zero_grad();
-        self.wv.zero_grad();
-        self.out.zero_grad();
     }
 
     fn macs_per_step(&self) -> u64 {

@@ -16,6 +16,7 @@ use crate::baselines::{train_epoch_shared, Body, DynCore, LatentModel, ModelImpl
 use crate::train::Dataset;
 use sensact_math::{Complex64, Matrix};
 use sensact_nn::layers::Layer;
+use sensact_nn::optim::{Adam, Optimizer};
 use sensact_nn::{Initializer, Tensor};
 
 fn sigmoid(x: f64) -> f64 {
@@ -81,6 +82,29 @@ impl SpectralCore {
         }
         out
     }
+
+    /// Back-propagate one row of [`SpectralCore::apply`]: given the input
+    /// latent `z`, the action `u` and the output gradient `g`, accumulate the
+    /// ρ / ω / B gradients and write `Aᵀ g` into `g_z`.
+    fn backward_row(&mut self, z: &[f64], u: f64, g: &[f64], g_z: &mut [f64]) {
+        for i in 0..Z_DIM / 2 {
+            let sig = sigmoid(self.rho_raw[i]);
+            let rho = RHO_MAX * sig;
+            let (s, c) = self.omega[i].sin_cos();
+            let (z0, z1) = (z[2 * i], z[2 * i + 1]);
+            let (g0, g1) = (g[2 * i], g[2 * i + 1]);
+            // ∂L/∂ρ and ∂L/∂ω.
+            let d_rho = g0 * (c * z0 - s * z1) + g1 * (s * z0 + c * z1);
+            let d_omega = g0 * rho * (-s * z0 - c * z1) + g1 * rho * (c * z0 - s * z1);
+            self.grad_rho_raw[i] += d_rho * RHO_MAX * sig * (1.0 - sig);
+            self.grad_omega[i] += d_omega;
+            self.grad_b[2 * i] += g0 * u;
+            self.grad_b[2 * i + 1] += g1 * u;
+            // Aᵀ g.
+            g_z[2 * i] = rho * (c * g0 + s * g1);
+            g_z[2 * i + 1] = rho * (-s * g0 + c * g1);
+        }
+    }
 }
 
 impl DynCore for SpectralCore {
@@ -95,31 +119,13 @@ impl DynCore for SpectralCore {
     }
 
     fn backward(&mut self, grad: &Tensor) -> Tensor {
-        let (z, u) = self.cached.as_ref().expect("backward before forward");
+        let (z, u) = self.cached.take().expect("backward before forward");
         let batch = grad.shape()[0];
         let mut g_z = Tensor::zeros(vec![batch, Z_DIM]);
         for (r, &ur) in u.iter().enumerate().take(batch) {
-            let g = grad.row(r);
-            let zr = z.row(r);
-            for i in 0..Z_DIM / 2 {
-                let sig = sigmoid(self.rho_raw[i]);
-                let rho = RHO_MAX * sig;
-                let (s, c) = self.omega[i].sin_cos();
-                let (z0, z1) = (zr[2 * i], zr[2 * i + 1]);
-                let (g0, g1) = (g[2 * i], g[2 * i + 1]);
-                // ∂L/∂ρ and ∂L/∂ω.
-                let d_rho = g0 * (c * z0 - s * z1) + g1 * (s * z0 + c * z1);
-                let d_omega = g0 * rho * (-s * z0 - c * z1) + g1 * rho * (c * z0 - s * z1);
-                self.grad_rho_raw[i] += d_rho * RHO_MAX * sig * (1.0 - sig);
-                self.grad_omega[i] += d_omega;
-                self.grad_b[2 * i] += g0 * ur;
-                self.grad_b[2 * i + 1] += g1 * ur;
-                // Aᵀ g.
-                let gz = g_z.row_mut(r);
-                gz[2 * i] = rho * (c * g0 + s * g1);
-                gz[2 * i + 1] = rho * (-s * g0 + c * g1);
-            }
+            self.backward_row(z.row(r), ur, grad.row(r), g_z.row_mut(r));
         }
+        self.cached = Some((z, u));
         g_z
     }
 
@@ -127,12 +133,6 @@ impl DynCore for SpectralCore {
         f(&mut self.rho_raw, &mut self.grad_rho_raw);
         f(&mut self.omega, &mut self.grad_omega);
         f(&mut self.b, &mut self.grad_b);
-    }
-
-    fn zero_grad(&mut self) {
-        self.grad_rho_raw.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_omega.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_b.iter_mut().for_each(|g| *g = 0.0);
     }
 
     fn macs_per_step(&self) -> u64 {
@@ -155,8 +155,8 @@ impl DynCore for SpectralCore {
 pub struct SpectralKoopman {
     inner: ModelImpl<SpectralCore>,
     noise: Initializer,
-    contrastive_opt: sensact_nn::optim::Adam,
-    multistep_opt: sensact_nn::optim::Adam,
+    contrastive_opt: Adam,
+    multistep_opt: Adam,
     /// Weight of the InfoNCE term.
     pub contrastive_weight: f64,
     /// InfoNCE temperature.
@@ -174,8 +174,8 @@ impl SpectralKoopman {
                 name: "SpectralKoopman",
             },
             noise: Initializer::new(seed.wrapping_add(606)),
-            contrastive_opt: sensact_nn::optim::Adam::new(3e-4),
-            multistep_opt: sensact_nn::optim::Adam::new(1e-3),
+            contrastive_opt: Adam::new(3e-4),
+            multistep_opt: Adam::new(1e-3),
             contrastive_weight: 0.1,
             temperature: 0.5,
         }
@@ -262,24 +262,7 @@ impl SpectralKoopman {
             let u = &u_steps[h];
             let mut g_prev = Tensor::zeros(vec![b, Z_DIM]);
             for (r, &ur) in u.iter().enumerate().take(b) {
-                let zr = z_prev.row(r);
-                let gr = g.row(r).to_vec();
-                for i in 0..Z_DIM / 2 {
-                    let sig = sigmoid(core.rho_raw[i]);
-                    let rho = RHO_MAX * sig;
-                    let (s, c) = core.omega[i].sin_cos();
-                    let (z0v, z1v) = (zr[2 * i], zr[2 * i + 1]);
-                    let (g0, g1) = (gr[2 * i], gr[2 * i + 1]);
-                    let d_rho = g0 * (c * z0v - s * z1v) + g1 * (s * z0v + c * z1v);
-                    let d_omega = g0 * rho * (-s * z0v - c * z1v) + g1 * rho * (c * z0v - s * z1v);
-                    core.grad_rho_raw[i] += d_rho * RHO_MAX * sig * (1.0 - sig);
-                    core.grad_omega[i] += d_omega;
-                    core.grad_b[2 * i] += g0 * ur;
-                    core.grad_b[2 * i + 1] += g1 * ur;
-                    let gp = g_prev.row_mut(r);
-                    gp[2 * i] = rho * (c * g0 + s * g1);
-                    gp[2 * i + 1] = rho * (-s * g0 + c * g1);
-                }
+                core.backward_row(z_prev.row(r), ur, g.row(r), g_prev.row_mut(r));
             }
             g = g_prev;
         }
@@ -287,32 +270,10 @@ impl SpectralKoopman {
         let _ = self.inner.body.encoder.backward(&g);
 
         // One optimizer step over encoder + spectral params.
-        use sensact_nn::optim::Optimizer;
-        struct Facade<'a>(&'a mut ModelImpl<SpectralCore>);
-        impl Layer for Facade<'_> {
-            fn forward(&mut self, i: &Tensor, _t: bool) -> Tensor {
-                i.clone()
-            }
-            fn backward(&mut self, g: &Tensor) -> Tensor {
-                g.clone()
-            }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-                self.0.body.encoder.visit_params(f);
-                self.0.dynamics.visit_params(f);
-            }
-            fn param_count(&self) -> usize {
-                0
-            }
-            fn macs(&self, _b: usize) -> u64 {
-                0
-            }
-            fn name(&self) -> &'static str {
-                "spectral-multistep"
-            }
-        }
-        self.multistep_opt.step(&mut Facade(&mut self.inner));
-        self.inner.body.encoder.zero_grad();
-        self.inner.dynamics.zero_grad();
+        self.multistep_opt.step_params(&mut |f| {
+            self.inner.body.encoder.visit_params(f);
+            self.inner.dynamics.visit_params(f);
+        });
         loss
     }
 
@@ -373,9 +334,7 @@ impl SpectralKoopman {
             .body
             .encoder
             .backward(&grad_q.scaled(self.contrastive_weight));
-        use sensact_nn::optim::Optimizer;
         self.contrastive_opt.step(&mut self.inner.body.encoder);
-        self.inner.body.encoder.zero_grad();
         loss
     }
 }
@@ -512,7 +471,7 @@ mod tests {
             );
         }
         // Parameter gradient check (rho_raw[0]).
-        core.zero_grad();
+        core.visit_params(&mut |_, g| g.fill(0.0));
         let out = core.forward(&z, &u, &[]);
         let _ = core.backward(&out);
         let analytic = core.grad_rho_raw[0];
@@ -653,37 +612,24 @@ impl SpectralKoopman {
             let zr = &zs[h];
             let u = window[h].1;
             let mut g_prev = vec![0.0; Z_DIM];
-            for i in 0..Z_DIM / 2 {
-                let sig = sigmoid(core.rho_raw[i]);
-                let rho = RHO_MAX * sig;
-                let (sn, cs) = core.omega[i].sin_cos();
-                let (z0v, z1v) = (zr[2 * i], zr[2 * i + 1]);
-                let (g0, g1) = (g[2 * i], g[2 * i + 1]);
-                let d_rho = g0 * (cs * z0v - sn * z1v) + g1 * (sn * z0v + cs * z1v);
-                let d_omega = g0 * rho * (-sn * z0v - cs * z1v) + g1 * rho * (cs * z0v - sn * z1v);
-                core.grad_rho_raw[i] += d_rho * RHO_MAX * sig * (1.0 - sig);
-                core.grad_omega[i] += d_omega;
-                core.grad_b[2 * i] += g0 * u;
-                core.grad_b[2 * i + 1] += g1 * u;
-                g_prev[2 * i] = rho * (cs * g0 + sn * g1);
-                g_prev[2 * i + 1] = rho * (-sn * g0 + cs * g1);
-            }
+            core.backward_row(zr, u, &g, &mut g_prev);
             g = g_prev;
         }
-        // Clip the rollout gradient (it compounds through A^H), then one
-        // plain SGD step on the spectral parameters.
+        // Clip the rollout gradient (it compounds through A^H).
         let mut norm_sq = 0.0;
         core.visit_params(&mut |_, grads| {
             norm_sq += grads.iter().map(|v| v * v).sum::<f64>();
         });
         let norm = norm_sq.sqrt();
         let scale = if norm > 1.0 { 1.0 / norm } else { 1.0 };
+        // One plain SGD step on the spectral parameters; like an optimizer
+        // step, it zeroes each gradient it applies.
         core.visit_params(&mut |p, grads| {
-            for (pi, gi) in p.iter_mut().zip(grads.iter()) {
-                *pi -= learning_rate * scale * gi;
+            for (pi, gi) in p.iter_mut().zip(grads.iter_mut()) {
+                *pi -= learning_rate * scale * *gi;
+                *gi = 0.0;
             }
         });
-        core.zero_grad();
         err
     }
 }

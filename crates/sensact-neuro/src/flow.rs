@@ -275,53 +275,20 @@ impl FlowModel {
     }
 
     fn step_optimizer(&mut self) {
-        struct All<'a>(&'a mut FlowModel);
-        impl Layer for All<'_> {
-            fn forward(&mut self, i: &Tensor, _t: bool) -> Tensor {
-                i.clone()
-            }
-            fn backward(&mut self, g: &Tensor) -> Tensor {
-                g.clone()
-            }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-                match &mut self.0.encoder {
-                    Encoder::Ann(s) => s.visit_params(f),
-                    Encoder::Snn(l) => l.visit_params(f),
-                    Encoder::Snn2(a, b) => {
-                        a.visit_params(f);
-                        b.visit_params(f);
-                    }
+        self.opt.step_params(&mut |f| {
+            match &mut self.encoder {
+                Encoder::Ann(s) => s.visit_params(f),
+                Encoder::Snn(l) => l.visit_params(f),
+                Encoder::Snn2(a, b) => {
+                    a.visit_params(f);
+                    b.visit_params(f);
                 }
-                if let Some(fb) = &mut self.0.frame_branch {
-                    fb.visit_params(f);
-                }
-                self.0.decoder.visit_params(f);
             }
-            fn param_count(&self) -> usize {
-                0
+            if let Some(fb) = &mut self.frame_branch {
+                fb.visit_params(f);
             }
-            fn macs(&self, _b: usize) -> u64 {
-                0
-            }
-            fn name(&self) -> &'static str {
-                "flow"
-            }
-        }
-        let mut opt = std::mem::replace(&mut self.opt, Adam::new(0.0));
-        opt.step(&mut All(self));
-        self.opt = opt;
-        match &mut self.encoder {
-            Encoder::Ann(s) => s.zero_grad(),
-            Encoder::Snn(l) => l.zero_grad(),
-            Encoder::Snn2(a, b) => {
-                a.zero_grad();
-                b.zero_grad();
-            }
-        }
-        if let Some(fb) = &mut self.frame_branch {
-            fb.zero_grad();
-        }
-        self.decoder.zero_grad();
+            self.decoder.visit_params(f);
+        });
     }
 
     /// Mean average-endpoint-error over scenes.

@@ -202,13 +202,6 @@ impl SpikingDense {
         }
     }
 
-    /// Zero all gradients.
-    pub(crate) fn zero_grad(&mut self) {
-        self.synapse.zero_grad();
-        self.grad_leak.iter_mut().for_each(|g| *g = 0.0);
-        self.grad_vth.iter_mut().for_each(|g| *g = 0.0);
-    }
-
     /// Trainable parameter count.
     pub(crate) fn param_count(&self) -> usize {
         self.synapse.param_count()
@@ -297,28 +290,6 @@ mod tests {
         let mut opt = sensact_nn::optim::Adam::new(0.02);
         use sensact_nn::optim::Optimizer;
 
-        struct Facade<'a>(&'a mut SpikingDense);
-        impl Layer for Facade<'_> {
-            fn forward(&mut self, i: &Tensor, _t: bool) -> Tensor {
-                i.clone()
-            }
-            fn backward(&mut self, g: &Tensor) -> Tensor {
-                g.clone()
-            }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-                self.0.visit_params(f);
-            }
-            fn param_count(&self) -> usize {
-                0
-            }
-            fn macs(&self, _b: usize) -> u64 {
-                0
-            }
-            fn name(&self) -> &'static str {
-                "snn"
-            }
-        }
-
         let target = Tensor::full(vec![2, 4], 0.6);
         let loss_of = |outs: &[Tensor]| -> (f64, Vec<Tensor>) {
             // Mean spike rate across time vs target; grad split across steps.
@@ -341,8 +312,7 @@ mod tests {
             let (l, grads) = loss_of(&outs);
             last = l;
             let _ = layer.backward_sequence(&grads, &inputs);
-            opt.step(&mut Facade(&mut layer));
-            layer.zero_grad();
+            opt.step_params(&mut |f| layer.visit_params(f));
         }
         assert!(
             last <= first,

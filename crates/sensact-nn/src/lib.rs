@@ -15,6 +15,10 @@
 //!   ([`init::Initializer`]); experiments are reproducible bit-for-bit.
 //! * **Accountable** — every layer reports parameters and multiply-accumulate
 //!   operations ([`count`]), which is what Table II and Fig. 5a report.
+//! * **One optimizer step** — [`optim::Optimizer::step_params`] applies its
+//!   update to every `(param, grad)` pair a parameter walk visits, in visit
+//!   order, and zeroes each gradient right after applying it; a trainer hands
+//!   it a closure over its own parts, and no trainer zeroes gradients itself.
 //!
 //! ## Example
 //!
@@ -35,8 +39,7 @@
 //!     let pred = net.forward(&x, true);
 //!     let (_, grad) = loss::mse(&pred, &y);
 //!     net.backward(&grad);
-//!     opt.step(&mut net);
-//!     net.zero_grad();
+//!     opt.step(&mut net); // applies the gradients and zeroes them
 //! }
 //! let pred = net.forward(&x, false);
 //! let (final_loss, _) = loss::mse(&pred, &y);
@@ -87,7 +90,6 @@ mod tests {
             last = l;
             net.backward(&grad);
             opt.step(&mut net);
-            net.zero_grad();
         }
         assert!(last < 1e-3, "final loss {last}");
     }

@@ -1,21 +1,25 @@
-//! First-order optimizers operating over a layer's `(param, grad)` pairs.
+//! First-order optimizers stepping a parameter walk's `(param, grad)` pairs
+//! ([`Optimizer::step_params`]).
 //!
-//! Optimizer state is keyed by visitation order, which is stable for a fixed
+//! Optimizer state is keyed by visit order, which is stable for a fixed
 //! network structure — the only mode this crate supports.
 
 use crate::layers::Layer;
 
+/// A parameter walk: it calls the visitor it is given once per
+/// `(param, grad)` pair, as [`Layer::visit_params`] does.
+type Walk<'a> = dyn FnMut(&mut dyn FnMut(&mut [f64], &mut [f64])) + 'a;
+
 /// A gradient-based optimizer.
 pub trait Optimizer {
-    /// Apply one update step to every parameter of `layer` using the
-    /// gradients accumulated since the last `zero_grad`.
-    fn step(&mut self, layer: &mut dyn Layer);
+    /// Apply one update to every `(param, grad)` pair `walk` visits, in visit
+    /// order, zeroing each gradient right after applying it.
+    fn step_params(&mut self, walk: &mut Walk<'_>);
 
-    /// Current learning rate.
-    fn learning_rate(&self) -> f64;
-
-    /// Override the learning rate (e.g. for decay schedules).
-    fn set_learning_rate(&mut self, lr: f64);
+    /// [`Optimizer::step_params`] over `layer`'s [`Layer::visit_params`].
+    fn step(&mut self, layer: &mut dyn Layer) {
+        self.step_params(&mut |f| layer.visit_params(f));
+    }
 }
 
 /// Adam with bias correction (Kingma & Ba defaults).
@@ -46,7 +50,7 @@ impl Adam {
 }
 
 impl Optimizer for Adam {
-    fn step(&mut self, layer: &mut dyn Layer) {
+    fn step_params(&mut self, walk: &mut Walk<'_>) {
         self.t += 1;
         let mut slot = 0usize;
         let (lr, b1, b2, eps, t) = (self.lr, self.beta1, self.beta2, self.eps, self.t);
@@ -54,7 +58,7 @@ impl Optimizer for Adam {
         let bc2 = 1.0 - b2.powi(t as i32);
         let m_state = &mut self.m;
         let v_state = &mut self.v;
-        layer.visit_params(&mut |param, grad| {
+        walk(&mut |param, grad| {
             if m_state.len() <= slot {
                 m_state.push(vec![0.0; param.len()]);
                 v_state.push(vec![0.0; param.len()]);
@@ -68,17 +72,10 @@ impl Optimizer for Adam {
                 let mhat = m[i] / bc1;
                 let vhat = v[i] / bc2;
                 param[i] -= lr * mhat / (vhat.sqrt() + eps);
+                grad[i] = 0.0;
             }
             slot += 1;
         });
-    }
-
-    fn learning_rate(&self) -> f64 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f64) {
-        self.lr = lr;
     }
 }
 
@@ -88,6 +85,7 @@ mod tests {
     use crate::init::Initializer;
     use crate::layers::Dense;
     use crate::loss;
+    use crate::sequential::Sequential;
     use crate::tensor::Tensor;
 
     fn quadratic_fit(opt: &mut dyn Optimizer, iters: usize) -> f64 {
@@ -100,13 +98,11 @@ mod tests {
         let y = x.scaled(3.0);
         let mut last = f64::INFINITY;
         for _ in 0..iters {
-            use crate::layers::Layer;
             let pred = d.forward(&x, true);
             let (l, g) = loss::mse(&pred, &y);
             last = l;
             d.backward(&g);
             opt.step(&mut d);
-            d.zero_grad();
         }
         last
     }
@@ -117,11 +113,53 @@ mod tests {
         assert!(quadratic_fit(&mut opt, 300) < 1e-6);
     }
 
+    /// A step leaves every gradient it applied at `+0.0`, so the next
+    /// `backward` accumulates from nothing.
     #[test]
-    fn learning_rate_accessors() {
-        let mut opt = Adam::new(0.01);
-        assert_eq!(opt.learning_rate(), 0.01);
-        opt.set_learning_rate(0.001);
-        assert_eq!(opt.learning_rate(), 0.001);
+    fn a_step_consumes_the_gradients_it_applies() {
+        let mut d = Dense::new(3, 2, &mut Initializer::new(1));
+        let x = Tensor::from_vec(vec![4, 3], (0..12).map(|i| i as f64 / 6.0 - 1.0).collect());
+        let out = d.forward(&x, true);
+        d.backward(&out);
+        let before = d.weights.clone();
+        Adam::new(0.01).step(&mut d);
+        assert_ne!(d.weights, before, "the step applied nothing");
+        d.visit_params(&mut |_, g| assert!(g.iter().all(|v| v.to_bits() == 0), "{g:?}"));
+    }
+
+    /// Adam over a walk of two `Dense` layers is Adam over a `Sequential` of
+    /// the same two layers, bit for bit, after every one of eight steps.
+    #[test]
+    fn a_walk_of_two_layers_steps_like_their_sequential() {
+        let mut init = Initializer::new(5);
+        let (mut a, mut b) = (Dense::new(3, 4, &mut init), Dense::new(4, 2, &mut init));
+        let mut net = Sequential::new(vec![Box::new(a.clone()), Box::new(b.clone())]);
+        let x = Tensor::from_vec(
+            vec![5, 3],
+            (0..15).map(|i| (i as f64 * 0.7).sin()).collect(),
+        );
+        let y = Tensor::from_vec(
+            vec![5, 2],
+            (0..10).map(|i| (i as f64 * 0.3).cos()).collect(),
+        );
+        let (mut walk_opt, mut net_opt) = (Adam::new(0.05), Adam::new(0.05));
+        let bits = |l: &mut dyn Layer| {
+            let mut out = vec![];
+            l.visit_params(&mut |p, _| out.extend(p.iter().map(|v| v.to_bits())));
+            out
+        };
+        for step in 0..8 {
+            let (_, g) = loss::mse(&b.forward(&a.forward(&x, true), true), &y);
+            a.backward(&b.backward(&g));
+            walk_opt.step_params(&mut |f| {
+                a.visit_params(f);
+                b.visit_params(f);
+            });
+            let (_, g) = loss::mse(&net.forward(&x, true), &y);
+            net.backward(&g);
+            net_opt.step(&mut net);
+            let walked = [bits(&mut a), bits(&mut b)].concat();
+            assert_eq!(walked, bits(&mut net), "step {step}");
+        }
     }
 }

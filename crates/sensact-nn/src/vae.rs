@@ -83,38 +83,6 @@ impl Vae {
         self.input_dim
     }
 
-    /// Encode a batch to `(μ, log σ²)`.
-    pub(crate) fn encode(&mut self, x: &Tensor) -> (Tensor, Tensor) {
-        let h = self.enc.forward(x, false);
-        let h = self.enc_act.forward(&h, false);
-        let mu = self.mu_head.forward(&h, false);
-        let logvar = self.logvar_head.forward(&h, false);
-        (mu, logvar.map(|v| v.clamp(-10.0, 10.0)))
-    }
-
-    /// Decode latents to reconstructions.
-    pub(crate) fn decode(&mut self, z: &Tensor) -> Tensor {
-        let h = self.dec.forward(z, false);
-        let h = self.dec_act.forward(&h, false);
-        self.dec_out.forward(&h, false)
-    }
-
-    /// Per-sample ELBO values (higher = more typical), using a single
-    /// reparameterized latent sample per row.
-    pub fn elbo(&mut self, x: &Tensor) -> Vec<f64> {
-        let batch = x.shape()[0];
-        let (mu, logvar) = self.encode(x);
-        // Sample z.
-        let mut z = mu.clone();
-        for i in 0..z.len() {
-            z[i] += (0.5 * logvar[i]).exp() * self.noise.gaussian();
-        }
-        let xr = self.decode(&z);
-        (0..batch)
-            .map(|r| elbo_terms(x.row(r), xr.row(r), mu.row(r), logvar.row(r)))
-            .collect()
-    }
-
     /// Deterministic ELBO of one sample using the posterior mean (`z = μ`, no
     /// reparameterization noise). Slightly biased but noise-free — the right
     /// objective for per-sample optimization loops like likelihood regret.
@@ -196,30 +164,7 @@ impl Vae {
         let gh = self.enc_act.backward(&gh);
         let _ = self.enc.backward(&gh);
 
-        // Optimizer over all parts via a facade layer view.
-        struct All<'a>(&'a mut Vae);
-        impl Layer for All<'_> {
-            fn forward(&mut self, i: &Tensor, _t: bool) -> Tensor {
-                i.clone()
-            }
-            fn backward(&mut self, g: &Tensor) -> Tensor {
-                g.clone()
-            }
-            fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
-                self.0.visit_params(f);
-            }
-            fn param_count(&self) -> usize {
-                0
-            }
-            fn macs(&self, _b: usize) -> u64 {
-                0
-            }
-            fn name(&self) -> &'static str {
-                "VaeParams"
-            }
-        }
-        opt.step(&mut All(self));
-        self.zero_grad();
+        opt.step_params(&mut |f| self.visit_params(f));
 
         VaeLoss { total, recon, kl }
     }
@@ -237,11 +182,6 @@ impl Vae {
         self.enc.visit_params(f);
         self.mu_head.visit_params(f);
         self.logvar_head.visit_params(f);
-    }
-
-    /// Zero all gradients.
-    pub(crate) fn zero_grad(&mut self) {
-        self.visit_params(&mut |_, g| g.fill(0.0));
     }
 
     /// Snapshot all parameters into a flat vector (for SPSA perturbation).
@@ -349,8 +289,13 @@ mod tests {
             .map(|_| (0..6).map(|_| rng.normal(0.0, 2.0)).collect())
             .collect();
         let ood = Tensor::stack_rows(&ood_rows);
-        let e_in = vae.elbo(&in_dist);
-        let e_ood = vae.elbo(&ood);
+        let elbos = |vae: &mut Vae, x: &Tensor| -> Vec<f64> {
+            (0..x.shape()[0])
+                .map(|r| vae.elbo_deterministic(x.row(r)))
+                .collect()
+        };
+        let e_in = elbos(&mut vae, &in_dist);
+        let e_ood = elbos(&mut vae, &ood);
         let mean_in: f64 = e_in.iter().sum::<f64>() / e_in.len() as f64;
         let mean_ood: f64 = e_ood.iter().sum::<f64>() / e_ood.len() as f64;
         assert!(mean_in > mean_ood + 1.0, "in {mean_in} vs ood {mean_ood}");
@@ -380,13 +325,6 @@ mod tests {
         assert_eq!(back, modified);
         vae.set_encoder_params_flat(&flat);
         assert_eq!(vae.encoder_params_flat(), flat);
-    }
-
-    #[test]
-    fn elbo_count_matches_batch() {
-        let mut vae = Vae::new(4, 8, 2, 0);
-        let x = Tensor::zeros(vec![7, 4]);
-        assert_eq!(vae.elbo(&x).len(), 7);
     }
 
     #[test]

@@ -280,7 +280,6 @@ impl RmaeModel {
         let (loss, grad) = bce_with_logits_weighted(&logits, &target, self.config.pos_weight);
         self.net.backward(&grad);
         opt.step(&mut self.net);
-        self.net.zero_grad();
         loss
     }
 

@@ -254,7 +254,6 @@ mod tests {
                     ..SpsaConfig::default()
                 },
                 low_rank: Some(8),
-                elbo_samples: 0,
             },
         }
     }

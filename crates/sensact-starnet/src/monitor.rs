@@ -102,15 +102,8 @@ impl Starnet {
     pub fn score(&mut self, features: &[f64]) -> f64 {
         self.calls = self.calls.wrapping_add(1);
         let seed = self.score_seed.wrapping_add(self.calls);
-        let (lr, baseline) =
-            regret_and_baseline(&mut self.vae, features, &self.config.regret, seed);
-        // The deterministic baseline is the ELBO at the restored parameters;
-        // a sampled one is not the ELBO scored here.
-        let elbo = if self.config.regret.elbo_samples == 0 {
-            baseline
-        } else {
-            self.vae.elbo_deterministic(features)
-        };
+        // The baseline is the ELBO at the restored parameters.
+        let (lr, elbo) = regret_and_baseline(&mut self.vae, features, &self.config.regret, seed);
         lr - elbo
     }
 
@@ -231,7 +224,6 @@ mod tests {
                     ..crate::spsa::SpsaConfig::default()
                 },
                 low_rank: Some(12),
-                elbo_samples: 0,
             },
         }
     }

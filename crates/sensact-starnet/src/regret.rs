@@ -14,7 +14,6 @@ use crate::spsa::{spsa_minimize, SpsaConfig};
 use sensact_math::kernels;
 use sensact_math::rng::StdRng;
 use sensact_nn::vae::Vae;
-use sensact_nn::Tensor;
 
 /// Configuration of the regret computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,9 +23,6 @@ pub struct RegretConfig {
     /// Optional low-rank subspace dimension; `None` adapts the full encoder
     /// parameter vector.
     pub low_rank: Option<usize>,
-    /// ELBO samples averaged per evaluation; `0` uses the deterministic
-    /// (`z = μ`) ELBO, which is the recommended noise-free setting.
-    pub elbo_samples: usize,
 }
 
 impl Default for RegretConfig {
@@ -34,29 +30,16 @@ impl Default for RegretConfig {
         RegretConfig {
             spsa: SpsaConfig::default(),
             low_rank: Some(16),
-            elbo_samples: 0,
         }
     }
-}
-
-fn mean_elbo(vae: &mut Vae, x: &[f64], samples: usize) -> f64 {
-    // `samples == 0` selects the deterministic (z = μ) ELBO — noise-free,
-    // which makes the regret difference far better conditioned.
-    if samples == 0 {
-        return vae.elbo_deterministic(x);
-    }
-    let x_t = Tensor::from_vec(vec![1, x.len()], x.to_vec());
-    let mut total = 0.0;
-    for _ in 0..samples {
-        total += vae.elbo(&x_t)[0];
-    }
-    total / samples as f64
 }
 
 /// Compute the likelihood regret of one feature vector under a trained VAE.
 ///
 /// The VAE's encoder parameters are temporarily adapted (SPSA, optionally in
-/// a low-rank subspace) to maximize the sample's ELBO, then restored. Returns
+/// a low-rank subspace) to maximize the sample's deterministic (`z = μ`)
+/// ELBO, [`Vae::elbo_deterministic`] — noise-free, which makes the regret
+/// difference far better conditioned — then restored. Returns
 /// `max(0, ELBO_adapted − ELBO)`.
 ///
 /// # Panics
@@ -80,7 +63,7 @@ pub(crate) fn regret_and_baseline(
     seed: u64,
 ) -> (f64, f64) {
     assert_eq!(x.len(), vae.input_dim(), "feature dimension mismatch");
-    let baseline = mean_elbo(vae, x, config.elbo_samples);
+    let baseline = vae.elbo_deterministic(x);
     let theta0 = vae.encoder_params_flat();
 
     let adapted_elbo = match config.low_rank {
@@ -89,7 +72,7 @@ pub(crate) fn regret_and_baseline(
             let result = spsa_minimize(
                 |theta| {
                     vae.set_encoder_params_flat(theta);
-                    -mean_elbo(vae, x, config.elbo_samples)
+                    -vae.elbo_deterministic(x)
                 },
                 &theta0,
                 &config.spsa,
@@ -112,7 +95,7 @@ pub(crate) fn regret_and_baseline(
                     }
                     kernels::sign_fold(&theta0, &steps, &signs, &mut theta);
                     vae.set_encoder_params_flat(&theta);
-                    -mean_elbo(vae, x, config.elbo_samples)
+                    -vae.elbo_deterministic(x)
                 },
                 &vec![0.0; rank],
                 &config.spsa,
@@ -149,7 +132,7 @@ fn sign_basis(rank: usize, p: usize, seed: u64) -> Vec<u64> {
 mod tests {
     use super::*;
     use sensact_nn::optim::Adam;
-    use sensact_nn::Initializer;
+    use sensact_nn::{Initializer, Tensor};
 
     /// Train a small VAE on a 1-D manifold in 6-D.
     fn trained_vae(seed: u64) -> (Vae, Initializer) {
@@ -232,14 +215,14 @@ mod tests {
     /// `rank × p` basis of ±scale rows drawn with `gen_f64() < 0.5`, and a
     /// fresh `θ = θ₀ + Σᵢ vᵢ·Uᵢ` accumulated row by row per evaluation.
     fn oracle_regret(vae: &mut Vae, x: &[f64], config: &RegretConfig, seed: u64) -> f64 {
-        let baseline = mean_elbo(vae, x, config.elbo_samples);
+        let baseline = vae.elbo_deterministic(x);
         let theta0 = vae.encoder_params_flat();
         let adapted_elbo = match config.low_rank {
             None => {
                 let result = spsa_minimize(
                     |theta| {
                         vae.set_encoder_params_flat(theta);
-                        -mean_elbo(vae, x, config.elbo_samples)
+                        -vae.elbo_deterministic(x)
                     },
                     &theta0,
                     &config.spsa,
@@ -273,7 +256,7 @@ mod tests {
                             }
                         }
                         vae.set_encoder_params_flat(&theta);
-                        -mean_elbo(vae, x, config.elbo_samples)
+                        -vae.elbo_deterministic(x)
                     },
                     &vec![0.0; rank],
                     &config.spsa,
@@ -288,29 +271,25 @@ mod tests {
 
     /// The sign-plane walk is `to_bits`-equal to the basis oracle: ranks on
     /// both sides of one sign plane, three seeds, an on-manifold and a zero
-    /// feature vector, plus full-parameter SPSA and the sampled ELBO (which
-    /// also checks both walks draw the VAE's noise stream alike).
+    /// feature vector, plus full-parameter SPSA.
     #[test]
     fn sign_plane_walk_matches_the_basis_oracle() {
         let xs = [[0.1, 0.2, 0.3, 0.4, 0.5, 0.6], [0.0; 6]];
         let mut cases = vec![];
         for rank in [1, 12, 16, 64, 65] {
             for seed in [3u64, 40, 0x5EED] {
-                cases.push((Some(rank), 0, seed));
+                cases.push((Some(rank), seed));
             }
         }
-        cases.push((None, 0, 9));
-        cases.push((Some(16), 2, 9));
-        cases.push((None, 2, 9));
-        for (low_rank, elbo_samples, seed) in cases {
+        cases.push((None, 9));
+        for (low_rank, seed) in cases {
             let config = RegretConfig {
                 low_rank,
-                elbo_samples,
                 ..RegretConfig::default()
             };
             for x in &xs {
-                // The sampled ELBO advances the VAE's noise stream: each side
-                // gets its own identically trained VAE.
+                // Each side gets its own identically trained VAE, so neither
+                // walk leans on the other's parameter restore.
                 let (mut twin, _) = trained_vae(5);
                 let (mut vae, _) = trained_vae(5);
                 let want = oracle_regret(&mut twin, x, &config, seed);
@@ -318,7 +297,7 @@ mod tests {
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
-                    "{low_rank:?} samples={elbo_samples} seed={seed} x={x:?}: {got} vs {want}"
+                    "{low_rank:?} seed={seed} x={x:?}: {got} vs {want}"
                 );
             }
         }

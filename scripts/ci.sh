@@ -45,6 +45,32 @@ if awk '/^mod tests/ { exit } { print FILENAME ":" FNR ": " $0 }' crates/sensact
     exit 1
 fi
 
+# A trainer hands its optimizer a parameter walk (`Optimizer::step_params`,
+# a closure over its own parts), and the step zeroes each gradient it
+# applies. So no `Layer` impl under crates/*/src is a stub whose `forward`
+# returns its input's clone to carry parameters to `Optimizer::step`, and no
+# optimizer is swapped out for an `Adam::new(0.0)` placeholder to be stepped.
+echo "== one parameter walk: no pass-through Layer facade, no placeholder optimizer =="
+offenders="$(git ls-files -- 'crates/*/src/*.rs' | xargs awk '
+    FNR == 1 { on = 0; name = "" }
+    match($0, /^[[:space:]]*impl(<[^>]*>)?[[:space:]]+Layer[[:space:]]+for[[:space:]]/) {
+        on = 1; match($0, /^[[:space:]]*/); ind = substr($0, 1, RLENGTH); next
+    }
+    on && index($0, ind "}") == 1 { on = 0; name = ""; next }
+    name != "" {
+        if ($0 ~ ("^[[:space:]]*" name "\\.clone\\(\\)[[:space:]]*$")) print FILENAME ":" FNR ": " $0
+        name = ""
+    }
+    on && match($0, /fn forward\(&mut self, [A-Za-z_][A-Za-z0-9_]*/) {
+        name = substr($0, RSTART + 22, RLENGTH - 22)
+        if ($0 ~ ("[{][[:space:]]*" name "\\.clone\\(\\)[[:space:]]*[}]")) { print FILENAME ":" FNR ": " $0; name = "" }
+    }'
+    git grep -nE 'Adam::new\(0(\.0*)?\)' -- 'crates/*/src/*' || true)"
+if [[ -n "$offenders" ]]; then
+    echo "$offenders"
+    exit 1
+fi
+
 # `[^_]` spares `record_with_precision`: the recorded column stays. An `if`,
 # because `set -e` ignores the status of a `!`-negated command.
 echo "== no runtime precision schedule: governor, policy and hint stay deleted =="

@@ -85,7 +85,6 @@ pub fn fast_monitor_config() -> StarnetConfig {
                 ..SpsaConfig::default()
             },
             low_rank: Some(8),
-            elbo_samples: 0,
         },
     }
 }
