@@ -10,14 +10,12 @@ use crate::checkpoint::{Checkpoint, CheckpointError, Section, StageState};
 /// A consumable energy budget.
 ///
 /// Per-tick deadlines are the fleet scheduler's job (its `deadline_misses`
-/// column); this budget counts none. It still carries a `deadline_misses`
-/// word, read from and written back to its checkpoint section unchanged, so
-/// saved documents keep their bytes.
+/// column); this budget counts none. A `deadline_misses` word in an older
+/// checkpoint's budget section is ignored.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBudget {
     capacity_j: f64,
     consumed_j: f64,
-    deadline_misses: u64,
 }
 
 impl EnergyBudget {
@@ -31,7 +29,6 @@ impl EnergyBudget {
         EnergyBudget {
             capacity_j,
             consumed_j: 0.0,
-            deadline_misses: 0,
         }
     }
 
@@ -78,7 +75,6 @@ impl StageState for EnergyBudget {
         // policies — restoring it bit-exactly is what keeps a resumed loop's
         // adaptation decisions on the recorded trajectory.
         s.put_f64("consumed_j", self.consumed_j);
-        s.put_u64("deadline_misses", self.deadline_misses);
         ckpt.push(s);
     }
 
@@ -89,9 +85,7 @@ impl StageState for EnergyBudget {
         // negative value would refund the budget.
         let consumed_j = s.get_f64("consumed_j")?;
         s.check("consumed_j", consumed_j >= 0.0)?;
-        let deadline_misses = s.get_u64("deadline_misses")?;
         self.consumed_j = consumed_j;
-        self.deadline_misses = deadline_misses;
         Ok(())
     }
 }
@@ -121,28 +115,6 @@ mod tests {
         assert!(!b.exhausted());
     }
 
-    /// The `deadline_misses` column a checkpoint holds is read and written
-    /// back unchanged, `u64::MAX` included: save → restore → save keeps the
-    /// section's bytes.
-    #[test]
-    fn deadline_misses_column_round_trips_unchanged() {
-        for misses in [0, 7, u64::MAX] {
-            let mut s = Section::new("budget");
-            s.put_f64("consumed_j", 2.5);
-            s.put_u64("deadline_misses", misses);
-            let mut first = Checkpoint::new("b");
-            first.push(s);
-            let mut b = EnergyBudget::new(10.0);
-            b.restore_state(&first, "budget").unwrap();
-            b.consume(0.5);
-            let mut second = Checkpoint::new("b");
-            b.save_state(&mut second, "budget");
-            let section = second.section("budget").unwrap();
-            assert_eq!(section.get_u64("deadline_misses"), Ok(misses));
-            assert_eq!(section.get_f64("consumed_j"), Ok(3.0));
-        }
-    }
-
     #[test]
     fn negative_energy_ignored() {
         let mut b = EnergyBudget::new(10.0);
@@ -159,7 +131,6 @@ mod tests {
         let restore = |consumed_j: f64| {
             let mut s = Section::new("budget");
             s.put_f64("consumed_j", consumed_j);
-            s.put_u64("deadline_misses", 7);
             let mut ckpt = Checkpoint::new("b");
             ckpt.push(s);
             let mut b = live;

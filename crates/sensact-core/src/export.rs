@@ -314,7 +314,7 @@ pub fn text_report(name: &str, telemetry: &LoopTelemetry) -> String {
         "== loop '{name}' — {} ticks, {:.3e} J, mean tick latency {:.3e} s ==",
         telemetry.ticks(),
         telemetry.total_energy_j(),
-        telemetry.latency_stats().mean(),
+        telemetry.mean_latency_s(),
     );
     let _ = writeln!(
         out,

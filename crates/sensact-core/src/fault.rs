@@ -269,11 +269,11 @@ pub struct FaultInjector<T, V> {
     inner: T,
     profile: FaultProfile,
     /// Cached `profile.is_active()` so the fault-free fast path is a single
-    /// predictable branch per call.
+    /// predictable branch per call. Derived from the profile, so it never
+    /// travels in a checkpoint.
     active: bool,
     rng: StdRng,
     last_good: Option<V>,
-    injected: u64,
 }
 
 impl<T, V> FaultInjector<T, V> {
@@ -286,7 +286,6 @@ impl<T, V> FaultInjector<T, V> {
             active: profile.is_active(),
             rng: StdRng::seed_from_u64(seed ^ 0xFA_17),
             last_good: None,
-            injected: 0,
         }
     }
 }
@@ -306,24 +305,20 @@ impl<T, V: Clone + NanPoison> FaultInjector<T, V> {
         let p = self.profile;
         // Dropout: the stage never produces anything (and charges nothing).
         if p.dropout > 0.0 && self.rng.gen_f64() < p.dropout {
-            self.injected = self.injected.wrapping_add(1);
             return Err(StageError::Dropout);
         }
         // Stuck-at: silently replay the previous output. Only possible once
         // a good output exists.
         if p.stuck > 0.0 && self.rng.gen_f64() < p.stuck {
             if let Some(last) = &self.last_good {
-                self.injected = self.injected.wrapping_add(1);
                 return Ok(last.clone());
             }
         }
         let mut v = produce(&mut self.inner, ctx);
         if p.latency_spike > 0.0 && self.rng.gen_f64() < p.latency_spike {
-            self.injected = self.injected.wrapping_add(1);
             ctx.charge(0.0, p.spike_latency_s);
         }
         if p.nan > 0.0 && self.rng.gen_f64() < p.nan {
-            self.injected = self.injected.wrapping_add(1);
             v.poison();
             // A poisoned output is not retained as last-good.
             return Ok(v);
@@ -340,8 +335,6 @@ impl<T, V: Clone + NanPoison> FaultInjector<T, V> {
 impl<T: StageState, V: StateVec> StageState for FaultInjector<T, V> {
     fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
         let mut s = Section::new(ns);
-        s.put_bool("active", self.active);
-        s.put_u64("injected", self.injected);
         s.put_u64s("rng", &self.rng.state());
         put_opt_state(&mut s, "last_good", &self.last_good);
         ckpt.push(s);
@@ -351,16 +344,12 @@ impl<T: StageState, V: StateVec> StageState for FaultInjector<T, V> {
     fn restore_state(&mut self, ckpt: &Checkpoint, ns: &str) -> Result<(), CheckpointError> {
         let s = ckpt.section(ns)?;
         let rng = s.get_u64_array("rng")?;
-        let active = s.get_bool("active")?;
-        let injected = s.get_u64("injected")?;
         let last_good = get_opt_state(s, "last_good")?;
         // Resume the fault dice at their exact stream position. Reseeding
         // here would replay the fault sequence from tick 0 — the restored
         // run would see faults the recording never had (and vice versa),
         // and every downstream trust/adaptation decision would drift.
         self.rng = StdRng::from_state(rng);
-        self.active = active;
-        self.injected = injected;
         self.last_good = last_good;
         self.inner.restore_state(ckpt, &format!("{ns}.inner"))
     }
@@ -1075,7 +1064,6 @@ mod tests {
         // Stuck ticks repeat the previous value instead of advancing.
         let repeats = vals.windows(2).filter(|w| w[0] == w[1]).count();
         assert!(repeats > 4, "only {repeats} stuck repeats in {vals:?}");
-        assert!(inj.injected > 0);
         // Monotone non-decreasing: stuck-at never invents new values.
         assert!(vals.windows(2).all(|w| w[1] >= w[0]));
     }
@@ -1547,7 +1535,6 @@ mod tests {
                 let ckpt = Checkpoint::from_jsonl(&ckpt.to_jsonl()).unwrap();
                 let mut resumed = make(0xDEAD);
                 resumed.restore_state(&ckpt, "inj").unwrap();
-                assert_eq!(resumed.injected, original.injected);
                 let tail: Vec<String> = (cut..240)
                     .map(|i| outcome(resumed.try_sense(&(i as f64), &mut StageContext::new())))
                     .collect();
@@ -1560,9 +1547,40 @@ mod tests {
         }
     }
 
+    /// Whether an injector fires is its profile's business, not the
+    /// document's: a section carrying `active: b:0` (as older writers put
+    /// it) restored onto a dropout injector still faults exactly like the
+    /// uninterrupted twin.
+    #[test]
+    fn an_active_word_on_the_wire_cannot_silence_the_injector() {
+        let make = || FaultInjector::<_, f64>::new(scalar_sensor(), FaultProfile::dropout(0.4), 5);
+        let mut reference = make();
+        let full: Vec<String> = (0..64)
+            .map(|i| outcome(reference.try_sense(&(i as f64), &mut StageContext::new())))
+            .collect();
+        let mut original = make();
+        for i in 0..16 {
+            let _ = original.try_sense(&(i as f64), &mut StageContext::new());
+        }
+        let mut saved = Checkpoint::new("inj");
+        original.save_state(&mut saved, "inj");
+        let mut s = saved.section("inj").unwrap().clone();
+        s.put_bool("active", false);
+        s.put_u64("injected", 0);
+        let mut hostile = Checkpoint::new("inj");
+        hostile.push(s);
+        let mut resumed = make();
+        resumed.restore_state(&hostile, "inj").unwrap();
+        let tail: Vec<String> = (16..64)
+            .map(|i| outcome(resumed.try_sense(&(i as f64), &mut StageContext::new())))
+            .collect();
+        assert_eq!(tail, full[16..]);
+        assert!(tail.iter().any(|o| o.starts_with("err:")), "faults fire");
+    }
+
     /// A refused section leaves its component as it was, whichever field is
-    /// refused: an injector section missing `active` (which the reader met
-    /// after the RNG words) and a `loop` section missing `held` (after
+    /// refused: an injector section missing `last_good` (which the reader
+    /// meets after the RNG words) and a `loop` section missing `held` (after
     /// `staleness`) change nothing.
     #[test]
     fn a_refused_section_leaves_injector_and_loop_unchanged() {
@@ -1577,12 +1595,11 @@ mod tests {
         let mut hostile = Checkpoint::new("inj");
         let mut s = Section::new("inj");
         s.put_u64s("rng", &StdRng::seed_from_u64(99).state());
-        s.put_u64("injected", 3);
-        put_opt_state(&mut s, "last_good", &Some(1.5));
+        s.put_bool("last_good_some", true);
         hostile.push(s);
         assert_eq!(
             injector.restore_state(&hostile, "inj"),
-            Err(CheckpointError::MissingField("inj.active".into()))
+            Err(CheckpointError::MissingField("inj.last_good".into()))
         );
         assert_eq!(saved(&injector), before);
 

@@ -5,11 +5,11 @@
 //! energy/latency trends, trust degradation, consecutive-suspect streaks,
 //! and (for fallible loops) fault/retry/fallback counts.
 //!
-//! Aggregates are maintained *incrementally*: totals, suspect fractions and
-//! the energy/latency statistics are exact over **all** ticks and O(1) to
-//! query, while the per-tick [`TickRecord`] history is retained in a bounded
-//! ring buffer (capacity via [`LoopTelemetry::with_capacity`]) so a
-//! million-tick production run does not grow memory without bound. The ring
+//! Aggregates are maintained *incrementally*: totals, means, suspect
+//! fractions and histograms are exact over **all** ticks and O(1) to query,
+//! while the per-tick [`TickRecord`] history is retained in a bounded ring
+//! buffer (capacity via [`LoopTelemetry::with_capacity`]) so a million-tick
+//! production run does not grow memory without bound. The ring
 //! stores packed rows of only the columns the loop has ever used (16 B per
 //! tick for a loop that records totals alone, 112 B at most) and derives
 //! `tick` from a row's age.
@@ -27,7 +27,6 @@ use crate::metrics::{Histogram, MetricsRegistry};
 use crate::stage::Trust;
 use crate::trace::{StageBreakdown, StageId, STAGE_COUNT};
 use crate::Precision;
-use sensact_math::RunningStats;
 
 /// Default number of per-tick records retained by the ring buffer: the
 /// longest tail an in-tree reader takes from a default-capacity loop (a
@@ -139,8 +138,6 @@ pub struct LoopTelemetry {
     total_energy_j: f64,
     total_latency_s: f64,
     suspect_ticks: u64,
-    energy: RunningStats,
-    latency: RunningStats,
     suspect_streak: u32,
     max_suspect_streak: u32,
     counters: FaultCounters,
@@ -178,8 +175,6 @@ impl LoopTelemetry {
             total_energy_j: 0.0,
             total_latency_s: 0.0,
             suspect_ticks: 0,
-            energy: RunningStats::new(),
-            latency: RunningStats::new(),
             suspect_streak: 0,
             max_suspect_streak: 0,
             counters: FaultCounters::default(),
@@ -230,8 +225,6 @@ impl LoopTelemetry {
         self.ticks = self.ticks.wrapping_add(1);
         self.total_energy_j += energy_j;
         self.total_latency_s += latency_s;
-        self.energy.push(energy_j);
-        self.latency.push(latency_s);
         self.latency_hist.record(latency_s);
         let at_precision = &mut self.precision_ticks[precision.rank() as usize];
         *at_precision = at_precision.wrapping_add(1);
@@ -340,9 +333,12 @@ impl LoopTelemetry {
         self.total_latency_s
     }
 
-    /// Latency statistics across ticks.
-    pub(crate) fn latency_stats(&self) -> &RunningStats {
-        &self.latency
+    /// Mean tick latency over all ticks (seconds; 0 before the first tick).
+    pub(crate) fn mean_latency_s(&self) -> f64 {
+        if self.ticks == 0 {
+            return 0.0;
+        }
+        self.total_latency_s / self.ticks as f64
     }
 
     /// Per-stage energy/latency totals over all ticks; O(1).
@@ -695,20 +691,6 @@ fn precision_from_rank(rank: u64) -> Option<Precision> {
     Precision::ALL.into_iter().find(|p| p.rank() as u64 == rank)
 }
 
-fn save_stats(section: &mut Section, prefix: &str, stats: &RunningStats) {
-    let (count, mean, m2, min, max) = stats.raw_parts();
-    section.put_u64(&format!("{prefix}_count"), count);
-    section.put_f64s(&format!("{prefix}_acc"), &[mean, m2, min, max]);
-}
-
-fn restore_stats(section: &Section, prefix: &str) -> Result<RunningStats, CheckpointError> {
-    let count = section.get_u64(&format!("{prefix}_count"))?;
-    let acc = section.get_f64s_len(&format!("{prefix}_acc"), 4)?;
-    Ok(RunningStats::from_raw_parts(
-        count, acc[0], acc[1], acc[2], acc[3],
-    ))
-}
-
 impl StageState for LoopTelemetry {
     fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
         let mut s = Section::new(ns);
@@ -719,8 +701,6 @@ impl StageState for LoopTelemetry {
         s.put_u64("suspect_ticks", self.suspect_ticks);
         s.put_u64("suspect_streak", self.suspect_streak as u64);
         s.put_u64("max_suspect_streak", self.max_suspect_streak as u64);
-        save_stats(&mut s, "energy", &self.energy);
-        save_stats(&mut s, "latency", &self.latency);
         let c = &self.counters;
         s.put_u64s(
             "fault_counters",
@@ -777,8 +757,6 @@ impl StageState for LoopTelemetry {
         t.suspect_ticks = s.get_u64("suspect_ticks")?;
         t.suspect_streak = s.get_as("suspect_streak")?;
         t.max_suspect_streak = s.get_as("max_suspect_streak")?;
-        t.energy = restore_stats(s, "energy")?;
-        t.latency = restore_stats(s, "latency")?;
         let [faults, dropouts, timeouts, out_of_range, poisoned, retries, holds, fallbacks] =
             s.get_u64_array("fault_counters")?;
         t.counters = FaultCounters {
@@ -870,7 +848,7 @@ impl std::fmt::Display for LoopTelemetry {
             "{} ticks, {:.3e} J total, mean latency {:.3e} s, {:.0}% suspect",
             self.ticks(),
             self.total_energy_j(),
-            self.latency.mean(),
+            self.mean_latency_s(),
             self.suspect_fraction() * 100.0
         )?;
         if self.counters != FaultCounters::default() {
@@ -894,8 +872,7 @@ mod tests {
         t.record(3.0, 0.3, Trust::Suspect(0.5));
         assert_eq!(t.ticks(), 2);
         assert_eq!(t.total_energy_j(), 4.0);
-        assert_eq!(t.energy.mean(), 2.0);
-        assert_eq!(t.latency_stats().max(), 0.3);
+        assert_eq!(t.mean_latency_s(), 0.2);
         assert_eq!(t.records().nth(1).unwrap().tick, 1);
     }
 
@@ -965,7 +942,6 @@ mod tests {
         assert_eq!(t.total_energy_j(), 45.0);
         assert!((t.total_latency_s() - 1.0).abs() < 1e-12);
         assert_eq!(t.suspect_fraction(), 0.5);
-        assert_eq!(t.energy.mean(), 4.5);
         assert_eq!(t.latency_histogram().count(), 10);
     }
 
@@ -1180,7 +1156,10 @@ mod tests {
             back.total_energy_j().to_bits(),
             t.total_energy_j().to_bits()
         );
-        assert_eq!(back.energy.mean().to_bits(), t.energy.mean().to_bits());
+        assert_eq!(
+            back.total_latency_s().to_bits(),
+            t.total_latency_s().to_bits()
+        );
         assert_eq!(
             back.suspect_fraction().to_bits(),
             t.suspect_fraction().to_bits()

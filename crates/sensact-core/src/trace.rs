@@ -762,7 +762,7 @@ impl FleetTracer {
     }
 
     /// Number of retained spans (≤ capacity).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.lock().spans.len()
     }
 

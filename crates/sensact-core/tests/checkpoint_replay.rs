@@ -140,15 +140,55 @@ fn restore_mid_recording_replays_tail_with_zero_divergence() {
 /// The checkpoint wire, pinned: same section ids in the same order (`loop`
 /// first for the fallible runner), same key names, same
 /// `CHECKPOINT_VERSION`, same bytes.
-const PINNED_FALLIBLE: &str = include_str!("data/fallible_mid_hold.ckpt.jsonl");
-const PINNED_INFALLIBLE: &str = include_str!("data/sensing_action_mid_hold.ckpt.jsonl");
+const PINNED_FALLIBLE: &str = include_str!("data/fallible_mid_hold_trimmed.ckpt.jsonl");
+const PINNED_INFALLIBLE: &str = include_str!("data/sensing_action_mid_hold_trimmed.ckpt.jsonl");
+
+/// The same two scenarios as the runners wrote them while the wire also
+/// carried the [`RETIRED_KEYS`]. Kept as back-compat fixtures.
+const UNTRIMMED_FALLIBLE: &str = include_str!("data/fallible_mid_hold.ckpt.jsonl");
+const UNTRIMMED_INFALLIBLE: &str = include_str!("data/sensing_action_mid_hold.ckpt.jsonl");
 
 /// The same two scenarios as the runners wrote them while a precision
 /// schedule existed (adaptive policy on, a `governor` section on the wire,
-/// f32 / int8 ticks in the telemetry ring). Kept as back-compat fixtures.
+/// f32 / int8 ticks in the telemetry ring) and the wire carried the
+/// [`RETIRED_KEYS`]. Kept as back-compat fixtures.
 const GOVERNED_FALLIBLE: &str = include_str!("data/fallible_mid_hold_with_governor.ckpt.jsonl");
 const GOVERNED_INFALLIBLE: &str =
     include_str!("data/sensing_action_mid_hold_with_governor.ckpt.jsonl");
+
+/// Keys older writers put that no restore reads: telemetry's Welford
+/// accumulators (a mean the totals give, a spread nothing read), the
+/// budget's uncounted `deadline_misses`, the injector's test-only
+/// `injected` counter and its profile-derived `active` flag, and the drift
+/// tracker's baseline-derived `baseline_scale`.
+const RETIRED_KEYS: [&str; 8] = [
+    "energy_count",
+    "energy_acc",
+    "latency_count",
+    "latency_acc",
+    "deadline_misses",
+    "injected",
+    "active",
+    "baseline_scale",
+];
+
+/// `doc` with every [`RETIRED_KEYS`] field deleted, byte for byte otherwise
+/// (a document's keys and values hold neither `,` nor `"`).
+fn trimmed(doc: &str) -> String {
+    doc.lines()
+        .map(|line| {
+            let kept: Vec<&str> = line[1..line.len() - 1]
+                .split(',')
+                .filter(|field| {
+                    !RETIRED_KEYS
+                        .iter()
+                        .any(|k| field.starts_with(&format!("\"{k}\":")))
+                })
+                .collect();
+            format!("{{{}}}\n", kept.join(","))
+        })
+        .collect()
+}
 
 /// Ticks replayed after each pinned snapshot.
 const PIN_TAIL: usize = 64;
@@ -195,29 +235,40 @@ fn lines_outside<'a>(doc: &'a str, skip: &[&str]) -> Vec<&'a str> {
 }
 
 /// The precision schedule never touched energy, latency, trust, RNG position
-/// or spans: the document a governed runner wrote equals today's pin byte for
-/// byte in every section but `governor` (gone) and `telemetry` (whose
-/// precision columns held the schedule).
+/// or spans: the document a governed runner wrote, trimmed, equals today's
+/// pin byte for byte in every section but `governor` (gone) and `telemetry`
+/// (whose precision columns held the schedule).
 fn assert_governor_steered_nothing(governed: &str, pinned: &str) {
     let parsed = Checkpoint::from_jsonl(governed).unwrap();
     assert!(
         parsed.section("governor").is_ok(),
         "fixture lost its section"
     );
+    let governed = trimmed(governed);
     assert_eq!(
-        lines_outside(governed, &["governor", "telemetry"]),
+        lines_outside(&governed, &["governor", "telemetry"]),
         lines_outside(pinned, &["telemetry"])
     );
 }
 
+/// An older document is today's pin with exactly the retired keys added,
+/// and today's pin carries none of them.
+fn assert_trims_to_the_pin(untrimmed: &str, pinned: &str) {
+    assert_ne!(untrimmed, pinned);
+    assert_eq!(trimmed(untrimmed), pinned, "old pin minus the retired keys");
+    assert_eq!(trimmed(pinned), pinned, "the pin carries no retired key");
+}
+
 /// A pinned document writes back byte for byte: parsed and serialized, and
-/// restored onto a twin and snapshotted again — less the `governor` section
-/// a governed document carries, which no runner writes any more.
+/// restored onto a twin and snapshotted again — less the retired keys and
+/// the `governor` section an older document carries, which no runner writes
+/// any more.
 fn assert_re_saves(doc: &str, pinned: &Checkpoint, resumed: Checkpoint) {
     assert_eq!(pinned.to_jsonl(), doc, "parse -> serialize");
     let env = pinned.section("env").unwrap().get_f64("state").unwrap();
+    let current = Checkpoint::from_jsonl(&trimmed(doc)).unwrap();
     let mut expected = Checkpoint::new(pinned.name());
-    for s in pinned.sections().iter().filter(|s| s.id() != "governor") {
+    for s in current.sections().iter().filter(|s| s.id() != "governor") {
         expected.push(s.clone());
     }
     assert_eq!(
@@ -301,6 +352,7 @@ fn fallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores()
         "the snapshot must be byte-identical to the pinned document"
     );
     assert_governor_steered_nothing(GOVERNED_FALLIBLE, PINNED_FALLIBLE);
+    assert_trims_to_the_pin(UNTRIMMED_FALLIBLE, PINNED_FALLIBLE);
 
     let mut records = Vec::with_capacity(PIN_TAIL);
     for _ in 0..PIN_TAIL {
@@ -310,9 +362,9 @@ fn fallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores()
     }
     let mut tail = Recording::capture("pin-fallible", SEED, reference.telemetry());
     tail.ticks = records;
-    // The pin — and the file a governed runner wrote, through the lenient
+    // The pin — and the files older runners wrote, through the lenient
     // reader — restores and replays the recorded tail with zero divergence.
-    for doc in [PINNED_FALLIBLE, GOVERNED_FALLIBLE] {
+    for doc in [PINNED_FALLIBLE, UNTRIMMED_FALLIBLE, GOVERNED_FALLIBLE] {
         let pinned = Checkpoint::from_jsonl(doc).unwrap();
         let mut resumed = build();
         resumed.restore(&pinned).unwrap();
@@ -379,11 +431,12 @@ fn infallible_snapshot_is_byte_identical_to_the_pinned_wire_and_the_pin_restores
         "the snapshot must be byte-identical to the pinned document"
     );
     assert_governor_steered_nothing(GOVERNED_INFALLIBLE, PINNED_INFALLIBLE);
+    assert_trims_to_the_pin(UNTRIMMED_INFALLIBLE, PINNED_INFALLIBLE);
 
     let records = drive(&mut reference, &mut env, 26, 26 + PIN_TAIL);
     let mut tail = Recording::capture("pin-infallible", 0, reference.telemetry());
     tail.ticks = records;
-    for doc in [PINNED_INFALLIBLE, GOVERNED_INFALLIBLE] {
+    for doc in [PINNED_INFALLIBLE, UNTRIMMED_INFALLIBLE, GOVERNED_INFALLIBLE] {
         let pinned = Checkpoint::from_jsonl(doc).unwrap();
         let mut resumed = build();
         resumed.restore(&pinned).unwrap();

@@ -1,9 +1,8 @@
 //! Streaming and batch statistics.
 //!
-//! STARNet (paper §V) models "typical" feature distributions and flags
-//! deviations; the loop telemetry in `sensact-core` tracks running latency and
-//! energy. Both are built on the Welford-style [`RunningStats`] accumulator
-//! and the batch helpers here.
+//! STARNet (paper §V) calibrates its alarm thresholds on score quantiles
+//! (the batch helpers here), and the paper tables summarise per-seed columns
+//! with the Welford-style [`RunningStats`] accumulator.
 
 /// Numerically stable streaming mean/variance accumulator (Welford).
 ///
@@ -20,7 +19,6 @@ pub struct RunningStats {
     mean: f64,
     m2: f64,
     min: f64,
-    max: f64,
 }
 
 impl RunningStats {
@@ -31,7 +29,6 @@ impl RunningStats {
             mean: 0.0,
             m2: 0.0,
             min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
         }
     }
 
@@ -42,7 +39,6 @@ impl RunningStats {
         self.mean += delta / self.count as f64;
         self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Sample mean; `0.0` when empty.
@@ -67,29 +63,6 @@ impl RunningStats {
     /// Minimum observed value; `+∞` when empty.
     pub fn min(&self) -> f64 {
         self.min
-    }
-
-    /// Maximum observed value; `-∞` when empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// The raw accumulator words `(count, mean, m2, min, max)` — everything
-    /// needed to rebuild this exact accumulator with
-    /// [`RunningStats::from_raw_parts`] (checkpoint serialization).
-    pub fn raw_parts(&self) -> (u64, f64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuild an accumulator from [`RunningStats::raw_parts`], bit-exactly.
-    pub fn from_raw_parts(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        RunningStats {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
     }
 }
 
@@ -171,7 +144,6 @@ mod tests {
         assert!((s.mean() - mean(&xs)).abs() < 1e-12);
         assert!((s.variance() - variance(&xs)).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
     }
 
     #[test]

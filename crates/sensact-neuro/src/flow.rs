@@ -52,8 +52,8 @@ impl std::fmt::Display for FlowModelKind {
 
 enum Encoder {
     Ann(Sequential),
-    Snn(Box<SpikingDense>),
-    Snn2(Box<SpikingDense>, Box<SpikingDense>),
+    /// Spiking layers, each fed the previous layer's spike trains.
+    Snn(Vec<SpikingDense>),
 }
 
 /// A trainable flow model.
@@ -90,12 +90,12 @@ impl FlowModel {
                 hidden,
             ),
             FlowModelKind::HybridSnnAnn => (
-                Encoder::Snn(Box::new(SpikingDense::new(input_dim, hidden, &mut init))),
+                Encoder::Snn(vec![SpikingDense::new(input_dim, hidden, &mut init)]),
                 None,
                 hidden,
             ),
             FlowModelKind::Fusion => (
-                Encoder::Snn(Box::new(SpikingDense::new(input_dim, hidden, &mut init))),
+                Encoder::Snn(vec![SpikingDense::new(input_dim, hidden, &mut init)]),
                 Some(Dense::new(frame_dim, hidden / 2, &mut init)),
                 hidden + hidden / 2,
             ),
@@ -104,7 +104,7 @@ impl FlowModel {
                 let mut l2 = SpikingDense::new(hidden, hidden, &mut init);
                 l1.learnable_dynamics = true;
                 l2.learnable_dynamics = true;
-                (Encoder::Snn2(Box::new(l1), Box::new(l2)), None, hidden)
+                (Encoder::Snn(vec![l1, l2]), None, hidden)
             }
         };
         let decoder = match kind {
@@ -134,8 +134,7 @@ impl FlowModel {
     pub fn param_count(&self) -> usize {
         let enc = match &self.encoder {
             Encoder::Ann(s) => s.param_count(),
-            Encoder::Snn(l) => l.param_count(),
-            Encoder::Snn2(a, b) => a.param_count() + b.param_count(),
+            Encoder::Snn(layers) => layers.iter().map(SpikingDense::param_count).sum(),
         };
         enc + self.decoder.param_count() + self.frame_branch.as_ref().map_or(0, |f| f.param_count())
     }
@@ -150,14 +149,15 @@ impl FlowModel {
     }
 
     /// Forward to encoder features (and cache whatever training needs);
-    /// returns `(features, per-step inputs for BPTT)`.
+    /// returns `(features, each spiking layer's input sequence for BPTT)`.
     fn encode(
         &mut self,
         scene: &MovingScene,
         ledger: Option<&mut EnergyLedger>,
-    ) -> (Tensor, Vec<Tensor>) {
+    ) -> (Tensor, Vec<Vec<Tensor>>) {
         let inputs = self.event_inputs(scene);
         let mut ledger = ledger;
+        let mut layer_inputs = Vec::new();
         let features = match &mut self.encoder {
             Encoder::Ann(net) => {
                 // Time-collapse.
@@ -170,32 +170,23 @@ impl FlowModel {
                 }
                 net.forward(&sum, true)
             }
-            Encoder::Snn(layer) => {
-                let spikes = layer.forward_sequence(&inputs);
-                if let Some(l) = ledger.as_deref_mut() {
-                    l.add_acs(layer.synaptic_ops(&inputs));
+            Encoder::Snn(layers) => {
+                let mut spikes = inputs;
+                for layer in layers.iter_mut() {
+                    let next = layer.forward_sequence(&spikes);
+                    if let Some(l) = ledger.as_deref_mut() {
+                        l.add_acs(layer.synaptic_ops(&spikes));
+                    }
+                    layer_inputs.push(std::mem::replace(&mut spikes, next));
                 }
-                let mut sum = Tensor::zeros(vec![1, layer.out_dim()]);
+                let mut sum = Tensor::zeros(vec![1, self.hidden]);
                 for s in &spikes {
                     sum = sum.add(s);
                 }
                 sum.scaled(1.0 / TIME_BINS as f64)
             }
-            Encoder::Snn2(l1, l2) => {
-                let s1 = l1.forward_sequence(&inputs);
-                let s2 = l2.forward_sequence(&s1);
-                if let Some(l) = ledger {
-                    l.add_acs(l1.synaptic_ops(&inputs));
-                    l.add_acs(l2.synaptic_ops(&s1));
-                }
-                let mut sum = Tensor::zeros(vec![1, l2.out_dim()]);
-                for s in &s2 {
-                    sum = sum.add(s);
-                }
-                sum.scaled(1.0 / TIME_BINS as f64)
-            }
         };
-        (features, inputs)
+        (features, layer_inputs)
     }
 
     /// Predict region flow for a scene.
@@ -223,7 +214,7 @@ impl FlowModel {
                 .collect();
             let target = Tensor::from_vec(vec![1, target.len()], target);
 
-            let (features, inputs) = self.encode(scene, None);
+            let (features, layer_inputs) = self.encode(scene, None);
             // Frame branch (training forward).
             let (dec_in, frame_feat_len) = if let Some(fb) = &mut self.frame_branch {
                 let frame = Tensor::from_vec(vec![1, self.frame_dim], scene.first_frame.clone());
@@ -254,19 +245,12 @@ impl FlowModel {
                 Encoder::Ann(net) => {
                     let _ = net.backward(&g_enc);
                 }
-                Encoder::Snn(layer) => {
+                Encoder::Snn(layers) => {
                     let per_step = g_enc.scaled(1.0 / TIME_BINS as f64);
-                    let grads = vec![per_step; TIME_BINS];
-                    let _ = layer.backward_sequence(&grads, &inputs);
-                }
-                Encoder::Snn2(l1, l2) => {
-                    let per_step = g_enc.scaled(1.0 / TIME_BINS as f64);
-                    let grads = vec![per_step; TIME_BINS];
-                    // Need layer-1 spikes again for layer-2 backward inputs.
-                    let s1 = l1.forward_sequence(&inputs);
-                    let _ = l2.forward_sequence(&s1);
-                    let g_s1 = l2.backward_sequence(&grads, &s1);
-                    let _ = l1.backward_sequence(&g_s1, &inputs);
+                    let mut grads = vec![per_step; TIME_BINS];
+                    for (layer, inputs) in layers.iter_mut().zip(&layer_inputs).rev() {
+                        grads = layer.backward_sequence(&grads, inputs);
+                    }
                 }
             }
             self.step_optimizer();
@@ -278,11 +262,7 @@ impl FlowModel {
         self.opt.step_params(&mut |f| {
             match &mut self.encoder {
                 Encoder::Ann(s) => s.visit_params(f),
-                Encoder::Snn(l) => l.visit_params(f),
-                Encoder::Snn2(a, b) => {
-                    a.visit_params(f);
-                    b.visit_params(f);
-                }
+                Encoder::Snn(layers) => layers.iter_mut().for_each(|l| l.visit_params(f)),
             }
             if let Some(fb) = &mut self.frame_branch {
                 fb.visit_params(f);

@@ -42,8 +42,6 @@ pub(crate) struct SpikingDense {
     out_dim: usize,
     // Per-timestep caches for BPTT.
     cache: Vec<StepCache>,
-    /// Spikes emitted during the last forward sequence (for energy ledgers).
-    pub last_spike_count: u64,
 }
 
 struct StepCache {
@@ -65,13 +63,7 @@ impl SpikingDense {
             learnable_dynamics: true,
             out_dim,
             cache: Vec::new(),
-            last_spike_count: 0,
         }
-    }
-
-    /// Output dimension.
-    pub(crate) fn out_dim(&self) -> usize {
-        self.out_dim
     }
 
     /// Current leak values `λ = σ(raw)`.
@@ -91,7 +83,6 @@ impl SpikingDense {
         assert!(!inputs.is_empty(), "empty input sequence");
         let batch = inputs[0].shape()[0];
         self.cache.clear();
-        self.last_spike_count = 0;
         let leaks = self.leaks();
         let vths = self.thresholds();
         let mut v = Tensor::zeros(vec![batch, self.out_dim]);
@@ -108,7 +99,6 @@ impl SpikingDense {
                     v_new[idx] = vv;
                     if vv > vths[j] {
                         s_new[idx] = 1.0;
-                        self.last_spike_count += 1;
                     }
                 }
             }
@@ -262,7 +252,6 @@ mod tests {
         let outs = layer.forward_sequence(&constant_sequence(1.0, 4, 1, 4));
         let spikes: f64 = outs.iter().map(|o| o.sum()).sum();
         assert!(spikes > 0.0, "no spikes under strong drive");
-        assert_eq!(layer.last_spike_count, spikes as u64);
     }
 
     #[test]

@@ -429,7 +429,6 @@ impl ServeEngine {
                         400,
                         "Bad Request",
                         "text/plain",
-                        &[],
                         e.to_string().as_bytes(),
                     ));
                     conn.dead = true;
@@ -444,9 +443,9 @@ impl ServeEngine {
         match (req.method.as_str(), req.target.as_str()) {
             ("GET", "/metrics") => {
                 let body = self.metrics_text();
-                http::response(200, "OK", "text/plain; version=0.0.4", &[], body.as_bytes())
+                http::response(200, "OK", "text/plain; version=0.0.4", body.as_bytes())
             }
-            ("GET", "/healthz") => http::response(200, "OK", "text/plain", &[], b"ok"),
+            ("GET", "/healthz") => http::response(200, "OK", "text/plain", b"ok"),
             ("GET", "/stats") => {
                 let body = format!(
                     "leases_active {}\nutilization {:.6}\nbatched {}\n",
@@ -454,14 +453,13 @@ impl ServeEngine {
                     self.pool.utilization(),
                     self.batched
                 );
-                http::response(200, "OK", "text/plain", &[], body.as_bytes())
+                http::response(200, "OK", "text/plain", body.as_bytes())
             }
-            ("GET", _) => http::response(404, "Not Found", "text/plain", &[], b"not found"),
+            ("GET", _) => http::response(404, "Not Found", "text/plain", b"not found"),
             _ => http::response(
                 405,
                 "Method Not Allowed",
                 "text/plain",
-                &[],
                 b"method not allowed",
             ),
         }

@@ -22,17 +22,14 @@ pub(crate) const MAX_HEAD: usize = 8 * 1024;
 /// Cap on a request body.
 pub(crate) const MAX_BODY: usize = 64 * 1024;
 
-/// A parsed HTTP/1.1 request.
+/// A parsed HTTP/1.1 request: what the control-plane router reads. Headers
+/// are validated and a body is framed (and skipped), but neither is kept.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Request {
     /// Request method, as sent (`GET`, `POST`, …).
     pub method: String,
     /// Request target (`/metrics`).
     pub target: String,
-    /// Header name/value pairs in arrival order, names lower-cased.
-    pub headers: Vec<(String, String)>,
-    /// Request body (empty unless `Content-Length` was present).
-    pub body: Vec<u8>,
 }
 
 /// Typed HTTP parse failure.
@@ -100,60 +97,48 @@ pub(crate) fn parse(buf: &[u8]) -> Result<Option<(Request, usize)>, HttpError> {
     if !method.bytes().all(|b| b.is_ascii_alphabetic()) {
         return Err(HttpError::BadRequestLine);
     }
-    let mut headers = Vec::new();
-    for line in lines {
-        let (name, value) = line.split_once(':').ok_or(HttpError::BadHeader)?;
-        if name.is_empty() || !name.bytes().all(|b| b.is_ascii_graphic()) {
+    // Every header line is well-formed and none is `Transfer-Encoding`
+    // before any `Content-Length` is read.
+    for line in lines.clone() {
+        let (name, _) = line.split_once(':').ok_or(HttpError::BadHeader)?;
+        if name.is_empty()
+            || !name.bytes().all(|b| b.is_ascii_graphic())
+            || name.eq_ignore_ascii_case("transfer-encoding")
+        {
             return Err(HttpError::BadHeader);
         }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-    }
-    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
-        return Err(HttpError::BadHeader);
     }
     let mut content_length = None;
-    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
-        let n = Some(v)
+    for (name, value) in lines.filter_map(|line| line.split_once(':')) {
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let n = Some(value.trim())
             .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n <= MAX_BODY && content_length.is_none_or(|m| m == n))
             .ok_or(HttpError::BadContentLength)?;
         content_length = Some(n);
     }
-    let content_length = content_length.unwrap_or(0);
-    if buf.len() < head_end + content_length {
+    let consumed = head_end + content_length.unwrap_or(0);
+    if buf.len() < consumed {
         return Ok(None);
     }
-    let body = buf[head_end..head_end + content_length].to_vec();
-    Ok(Some((
-        Request {
-            method: method.to_string(),
-            target: target.to_string(),
-            headers,
-            body,
-        },
-        head_end + content_length,
-    )))
+    let request = Request {
+        method: method.to_string(),
+        target: target.to_string(),
+    };
+    Ok(Some((request, consumed)))
 }
 
 /// Build a complete HTTP/1.1 response with `Content-Length` and
 /// `Connection: keep-alive`.
-pub(crate) fn response(
-    status: u16,
-    reason: &str,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &[u8],
-) -> Vec<u8> {
+pub(crate) fn response(status: u16, reason: &str, content_type: &str, body: &[u8]) -> Vec<u8> {
     let mut out = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n",
+        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
         body.len()
     )
     .into_bytes();
-    for (k, v) in extra_headers {
-        out.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
-    }
-    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(body);
     out
 }
@@ -170,20 +155,19 @@ mod tests {
         assert_eq!(used, raw.len());
         assert_eq!(req.method, "GET");
         assert_eq!(req.target, "/metrics");
-        assert_eq!(
-            req.headers,
-            [("host", "edge"), ("accept", "*/*")].map(|(k, v)| (k.to_string(), v.to_string()))
-        );
-        assert!(req.body.is_empty());
     }
 
+    /// A body is consumed to its declared length, whatever the case of its
+    /// header, and what follows it parses as the next request.
     #[test]
     fn parses_a_post_with_body_and_pipelined_tail() {
-        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET / HTTP/1.1\r\n\r\n";
-        let (req, used) = parse(raw).unwrap().expect("complete");
-        assert_eq!(req.body, b"hello");
-        let (next, _) = parse(&raw[used..]).unwrap().expect("pipelined");
-        assert_eq!(next.target, "/");
+        let head = "POST /x HTTP/1.1\r\ncontent-LENGTH:  5 \r\n\r\n";
+        let raw = format!("{head}helloGET / HTTP/1.1\r\n\r\n");
+        let (req, used) = parse(raw.as_bytes()).unwrap().expect("complete");
+        assert_eq!((req.method.as_str(), req.target.as_str()), ("POST", "/x"));
+        assert_eq!(used, head.len() + 5);
+        let (next, rest) = parse(&raw.as_bytes()[used..]).unwrap().expect("pipelined");
+        assert_eq!((next.target.as_str(), used + rest), ("/", raw.len()));
     }
 
     #[test]
@@ -291,16 +275,9 @@ mod tests {
 
     #[test]
     fn response_builder_emits_well_formed_http() {
-        let resp = response(
-            429,
-            "Too Many Requests",
-            "text/plain",
-            &[("Retry-After", "1")],
-            b"busy",
-        );
+        let resp = response(429, "Too Many Requests", "text/plain", b"busy");
         let text = String::from_utf8(resp).unwrap();
         assert!(text.starts_with("HTTP/1.1 429 Too Many Requests\r\n"));
-        assert!(text.contains("Retry-After: 1\r\n"));
         assert!(text.contains("Content-Length: 4\r\n"));
         assert!(text.ends_with("\r\n\r\nbusy"));
     }

@@ -34,7 +34,6 @@ pub struct TemporalConsistency {
     baseline_sum: f64,
     baseline_count: usize,
     baseline: Option<f64>,
-    baseline_scale: f64,
     drift: f64,
     frames: u64,
 }
@@ -47,7 +46,6 @@ impl TemporalConsistency {
             baseline_sum: 0.0,
             baseline_count: 0,
             baseline: None,
-            baseline_scale: 1.0,
             drift: 0.0,
             frames: 0,
         }
@@ -71,13 +69,12 @@ impl TemporalConsistency {
                 if self.baseline_count >= BASELINE_FRAMES {
                     let mean = self.baseline_sum / self.baseline_count as f64;
                     self.baseline = Some(mean);
-                    self.baseline_scale = mean.abs().max(1e-6);
                 }
                 Trust::Trusted
             }
             Some(baseline) => {
                 // Normalized exceedance of the short-term mean over baseline.
-                let exceed = (self.short_mean - baseline) / self.baseline_scale;
+                let exceed = (self.short_mean - baseline) / baseline.abs().max(1e-6);
                 self.drift = (self.drift + exceed - SLACK).max(0.0);
                 if self.drift >= UNTRUSTED_DRIFT {
                     Trust::Untrusted
@@ -106,15 +103,14 @@ impl Default for TemporalConsistency {
 impl StageState for TemporalConsistency {
     fn save_state(&self, ckpt: &mut Checkpoint, ns: &str) {
         let mut s = Section::new(ns);
-        // Every mutable field travels: the frozen baseline and its scale are
-        // *state* (they depend on the frames seen before the snapshot), not
-        // configuration — dropping them would re-enter calibration and mask
-        // an in-progress drift alarm.
+        // Every mutable field travels: the frozen baseline is *state* (it
+        // depends on the frames seen before the snapshot), not configuration
+        // — dropping it would re-enter calibration and mask an in-progress
+        // drift alarm. Its scale is derived from it where it is used.
         s.put_f64("short_mean", self.short_mean);
         s.put_f64("baseline_sum", self.baseline_sum);
         s.put_u64("baseline_count", self.baseline_count as u64);
         put_opt_state(&mut s, "baseline", &self.baseline);
-        s.put_f64("baseline_scale", self.baseline_scale);
         s.put_f64("drift", self.drift);
         s.put_u64("frames", self.frames);
         ckpt.push(s);
@@ -127,7 +123,6 @@ impl StageState for TemporalConsistency {
             baseline_sum: s.get_f64("baseline_sum")?,
             baseline_count: s.get_as("baseline_count")?,
             baseline: get_opt_state(s, "baseline")?,
-            baseline_scale: s.get_f64("baseline_scale")?,
             drift: s.get_f64("drift")?,
             frames: s.get_u64("frames")?,
         };
@@ -232,6 +227,39 @@ mod tests {
         }
     }
 
+    /// The drift scale is the baseline's, not the document's: a section
+    /// carrying a `baseline_scale` of 0 or a negative value (as older writers
+    /// put one) restores onto a calibrated tracker that drifts exactly like
+    /// its uninterrupted twin, from trusted through to untrusted.
+    #[test]
+    fn a_scale_on_the_wire_cannot_bend_the_drift() {
+        const CUT: usize = 24;
+        let scores: Vec<f64> = (0..300)
+            .map(|t| 1.006f64.powi(t) * (0.9 + 0.01 * (t % 7) as f64))
+            .collect();
+        let mut reference = TemporalConsistency::new();
+        let full: Vec<Trust> = scores.iter().map(|s| reference.observe(*s)).collect();
+        assert_eq!(full[CUT], Trust::Trusted);
+        assert!(matches!(full.last(), Some(Trust::Untrusted)), "drift fires");
+        let mut a = TemporalConsistency::new();
+        for s in &scores[..CUT] {
+            let _ = a.observe(*s);
+        }
+        let mut saved = Checkpoint::new("tc");
+        a.save_state(&mut saved, "tc");
+        for scale in [0.0, -0.5] {
+            let mut s = saved.section("tc").unwrap().clone();
+            s.put_f64("baseline_scale", scale);
+            let mut hostile = Checkpoint::new("tc");
+            hostile.push(s);
+            let mut b = TemporalConsistency::new();
+            b.restore_state(&hostile, "tc").unwrap();
+            let tail: Vec<Trust> = scores[CUT..].iter().map(|s| b.observe(*s)).collect();
+            assert_eq!(tail, full[CUT..], "baseline_scale = {scale}");
+            assert_eq!(b.drift().to_bits(), reference.drift().to_bits());
+        }
+    }
+
     /// A section missing its last field (`frames`) is refused and the
     /// tracker keeps every field it had: the reader assigns nothing until
     /// the whole section has decoded.
@@ -248,7 +276,7 @@ mod tests {
         }
         let donor = saved(&donor).section("tc").unwrap().clone();
         let mut hostile = Section::new("tc");
-        for key in ["short_mean", "baseline_sum", "baseline_scale", "drift"] {
+        for key in ["short_mean", "baseline_sum", "drift"] {
             hostile.put_f64(key, donor.get_f64(key).unwrap());
         }
         hostile.put_u64("baseline_count", donor.get_u64("baseline_count").unwrap());

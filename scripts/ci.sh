@@ -71,6 +71,32 @@ if [[ -n "$offenders" ]]; then
     exit 1
 fi
 
+# A loop keeps, and its checkpoint carries, what its next tick or a reader
+# uses. So `telemetry.rs` above its tests keeps no `RunningStats` shadow of
+# its totals, and no writer under crates/*/src puts a retired key: the
+# Welford words `energy_count` / `energy_acc` / `latency_count` /
+# `latency_acc`, the injector's `injected` and profile-derived `active`, the
+# drift tracker's baseline-derived `baseline_scale`, and the budget's
+# uncounted `deadline_misses` (the scheduler's `sched.slot` counts its own).
+# Each file up to its `mod tests` is one text, so a call split across lines
+# is caught.
+echo "== the wire carries what a restore reads: no shadow accumulator, no retired checkpoint key =="
+offenders="$(git ls-files -- 'crates/*/src/*.rs' | xargs awk '
+    function flush() {
+        if (file ~ /sensact-core\/src\/telemetry\.rs$/ && text ~ /RunningStats/) print file ": names RunningStats"
+        if (text ~ /put_[a-z0-9_]*\([^;"]*"(energy_count|energy_acc|latency_count|latency_acc|injected|active|baseline_scale)"/) print file ": writes a retired key"
+        if (file ~ /sensact-core\/src\/budget\.rs$/ && text ~ /put_[a-z0-9_]*\([^;"]*"deadline_misses"/) print file ": writes deadline_misses"
+    }
+    FNR == 1 { if (file != "") flush(); file = FILENAME; text = ""; done = 0 }
+    done { next }
+    /^mod tests/ { done = 1; next }
+    { text = text "\n" $0 }
+    END { if (file != "") flush() }')"
+if [[ -n "$offenders" ]]; then
+    echo "$offenders"
+    exit 1
+fi
+
 # `[^_]` spares `record_with_precision`: the recorded column stays. An `if`,
 # because `set -e` ignores the status of a `!`-negated command.
 echo "== no runtime precision schedule: governor, policy and hint stay deleted =="

@@ -89,20 +89,29 @@ pub fn fast_monitor_config() -> StarnetConfig {
     }
 }
 
-/// `fallible_mid_hold.ckpt.jsonl`: written by [`pin_fallible`] on the
-/// first held tick from tick 24 on, environment as a scalar `f:` field.
+/// `fallible_mid_hold_trimmed.ckpt.jsonl`: written by [`pin_fallible`] on
+/// the first held tick from tick 24 on, environment as a scalar `f:` field.
 pub const PINNED_FALLIBLE: &str =
-    include_str!("../../crates/sensact-core/tests/data/fallible_mid_hold.ckpt.jsonl");
-/// `sensing_action_mid_hold.ckpt.jsonl`: written by [`pin_infallible`] at
-/// tick 26, two ticks into a suspect streak.
+    include_str!("../../crates/sensact-core/tests/data/fallible_mid_hold_trimmed.ckpt.jsonl");
+/// `sensing_action_mid_hold_trimmed.ckpt.jsonl`: written by
+/// [`pin_infallible`] at tick 26, two ticks into a suspect streak.
 pub const PINNED_INFALLIBLE: &str =
+    include_str!("../../crates/sensact-core/tests/data/sensing_action_mid_hold_trimmed.ckpt.jsonl");
+/// [`PINNED_FALLIBLE`] as written while the wire also carried keys no
+/// restore reads (telemetry's Welford accumulators, the budget's
+/// `deadline_misses`, the injector's `active` and `injected`).
+pub const UNTRIMMED_FALLIBLE: &str =
+    include_str!("../../crates/sensact-core/tests/data/fallible_mid_hold.ckpt.jsonl");
+/// [`PINNED_INFALLIBLE`] as written while the wire also carried keys no
+/// restore reads.
+pub const UNTRIMMED_INFALLIBLE: &str =
     include_str!("../../crates/sensact-core/tests/data/sensing_action_mid_hold.ckpt.jsonl");
-/// [`PINNED_FALLIBLE`] as written while a precision governor existed, with
-/// its `governor` section.
+/// [`UNTRIMMED_FALLIBLE`] as written while a precision governor existed,
+/// with its `governor` section.
 pub const GOVERNED_FALLIBLE: &str =
     include_str!("../../crates/sensact-core/tests/data/fallible_mid_hold_with_governor.ckpt.jsonl");
-/// [`PINNED_INFALLIBLE`] as written while a precision governor existed,
-/// with its `governor` section.
+/// [`UNTRIMMED_INFALLIBLE`] as written while a precision governor
+/// existed, with its `governor` section.
 pub const GOVERNED_INFALLIBLE: &str = include_str!(
     "../../crates/sensact-core/tests/data/sensing_action_mid_hold_with_governor.ckpt.jsonl"
 );

@@ -4,7 +4,7 @@
 //!
 //! Each case is a document and a target built the way its writer was:
 //!
-//! - the four pinned `.ckpt.jsonl` files, restored through a [`LoopHandle`]
+//! - the six pinned `.ckpt.jsonl` files, restored through a [`LoopHandle`]
 //!   closed over a [`Checkpointed`] runner (which restores the runner
 //!   through [`Snapshot::restore`](sensact::core::Snapshot::restore));
 //! - fresh checkpoints of two wall [`Tracer`]s holding spans and a pending
@@ -21,7 +21,8 @@
 //! NaN) appended, and the last item set to each scalar value of its kind.
 //! Every field is also removed, and every pair of same-prefix scalar fields
 //! in a section swapped. Sections the target does not write (the governor
-//! pins' `governor`) are skipped.
+//! pins' `governor`) and fields it does not write (the older pins' retired
+//! keys, which no restore reads) are skipped.
 //!
 //! The oracle, per mutation: never a panic. On `Err`, the error names a key
 //! of the mutated section, and that section of the target's re-save equals
@@ -39,7 +40,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use common::{
     fast_monitor_config, pin_fallible, pin_infallible, GOVERNED_FALLIBLE, GOVERNED_INFALLIBLE,
-    PINNED_FALLIBLE, PINNED_INFALLIBLE,
+    PINNED_FALLIBLE, PINNED_INFALLIBLE, UNTRIMMED_FALLIBLE, UNTRIMMED_INFALLIBLE,
 };
 use sensact::core::checkpoint::{Checkpoint, CheckpointError, StageState};
 use sensact::core::fault::StageError;
@@ -429,7 +430,8 @@ fn hunt(case: &str, doc: &Checkpoint, target: &mut dyn Target) -> Vec<String> {
             continue;
         };
         let own_keys: Vec<&String> = fields.iter().map(|(k, _)| k).chain(own.keys()).collect();
-        for m in mutations(fields) {
+        let written = |m: &Mutation| m.keys.iter().all(|k| own.contains_key(k));
+        for m in mutations(fields).into_iter().filter(written) {
             let mut mutated = sections.clone();
             mutated[at].1 = m.fields.clone();
             let ckpt = write_doc(&header, &mutated);
@@ -575,6 +577,11 @@ fn cases() -> Vec<(&'static str, Checkpoint, Box<dyn Target>)> {
     vec![
         ("fallible pin", pin(PINNED_FALLIBLE), handle(pin_fallible())),
         (
+            "fallible untrimmed pin",
+            pin(UNTRIMMED_FALLIBLE),
+            handle(pin_fallible()),
+        ),
+        (
             "fallible governed pin",
             pin(GOVERNED_FALLIBLE),
             handle(pin_fallible()),
@@ -582,6 +589,11 @@ fn cases() -> Vec<(&'static str, Checkpoint, Box<dyn Target>)> {
         (
             "infallible pin",
             pin(PINNED_INFALLIBLE),
+            handle(pin_infallible()),
+        ),
+        (
+            "infallible untrimmed pin",
+            pin(UNTRIMMED_INFALLIBLE),
             handle(pin_infallible()),
         ),
         (
