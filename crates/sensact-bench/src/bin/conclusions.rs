@@ -12,9 +12,8 @@ use sensact_fed::coverage::{AgentId, AgentProfile, CoverageCoordinator};
 use sensact_lidar::mask::{RadialMask, RadialMaskConfig};
 use sensact_lidar::raycast::{Lidar, LidarConfig};
 use sensact_lidar::scene::SceneGenerator;
-use sensact_lidar::voxel::VoxelGrid;
 use sensact_rmae::model::{RmaeConfig, RmaeModel};
-use sensact_rmae::pretrain::{radial_masked_cloud, Pretrainer, Strategy};
+use sensact_rmae::pretrain::{radial_pair, Pretrainer, Strategy};
 
 fn main() {
     header("Conclusion claim 1: ~8% active sensing suffices");
@@ -31,14 +30,11 @@ fn main() {
 
     let eval_scene = generator.generate();
     let full = lidar.scan(&eval_scene);
-    let mut mask = RadialMask::sample(RadialMaskConfig::default(), 512, 2);
+    let mut mask = RadialMask::sample(RadialMaskConfig::default(), lidar.config().azimuth_steps, 2);
     let expected = full.mean_range();
     let (_, fired) = lidar.scan_masked(&eval_scene, |_, az| mask.fire(az, expected));
     let coverage = fired as f64 / lidar.config().pulses_per_scan() as f64;
-    let masked = radial_masked_cloud(&full, 3);
-    let grid_cfg = model.config().grid;
-    let masked_grid = VoxelGrid::from_cloud(grid_cfg, &masked);
-    let full_grid = VoxelGrid::from_cloud(grid_cfg, &full);
+    let (full_grid, masked_grid) = radial_pair(model.config().grid, &full, 3);
     let iou = model.reconstruction_iou(
         &masked_grid.occupancy_flat(),
         &full_grid.occupancy_flat(),

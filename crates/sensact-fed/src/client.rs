@@ -201,7 +201,7 @@ impl Client {
             let logits = self.model.forward(&x, true);
             let (l, grad) = sensact_nn::loss::cross_entropy(&logits, &labels);
             last = l;
-            self.model.backward(&grad);
+            self.model.backward_params(&grad);
             // Keep gradients inside the subnetwork.
             let mut offset = 0;
             self.model.visit_params(&mut |_, g| {

@@ -107,6 +107,12 @@ impl Layer for Encoder {
         self.hidden.backward(&g)
     }
 
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let g = self.out.backward(grad_out);
+        let g = self.act.backward(&g);
+        self.hidden.backward_params(&g);
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         self.hidden.visit_params(f);
         self.out.visit_params(f);
@@ -268,7 +274,7 @@ pub(crate) fn train_epoch_shared(
                 *d += s;
             }
         }
-        let _ = body.encoder.backward(&g_all);
+        body.encoder.backward_params(&g_all);
 
         // One optimizer step across all parts.
         body.opt.step_params(&mut |f| {

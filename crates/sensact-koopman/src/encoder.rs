@@ -267,7 +267,7 @@ impl SpectralKoopman {
             g = g_prev;
         }
         // Encoder gradient through z0.
-        let _ = self.inner.body.encoder.backward(&g);
+        self.inner.body.encoder.backward_params(&g);
 
         // One optimizer step over encoder + spectral params.
         self.multistep_opt.step_params(&mut |f| {

@@ -5,6 +5,7 @@
 //! occupancy (plus point counts if desired) and the decoder predicts
 //! occupancy back.
 
+use crate::mask::RadialMask;
 use crate::pointcloud::PointCloud;
 
 /// Region of interest and resolution of the voxelizer.
@@ -44,7 +45,16 @@ impl VoxelizerConfig {
     /// Voxel index of a world point, if inside the region (a NaN coordinate
     /// is inside no region).
     pub(crate) fn index_of(&self, p: [f64; 3]) -> Option<(usize, usize, usize)> {
-        let (nx, ny, nz) = self.dims();
+        self.index_within(p, self.dims())
+    }
+
+    /// [`VoxelizerConfig::index_of`] given the grid's `dims`: a loop over a
+    /// cloud computes them once.
+    fn index_within(
+        &self,
+        p: [f64; 3],
+        (nx, ny, nz): (usize, usize, usize),
+    ) -> Option<(usize, usize, usize)> {
         let mut idx = [0usize; 3];
         for i in 0..3 {
             if !(self.min[i]..self.max[i]).contains(&p[i]) {
@@ -101,6 +111,31 @@ impl VoxelGrid {
             }
         }
         grid
+    }
+
+    /// Voxelize a cloud into two grids in one pass: every point, and the
+    /// points `mask` fires on. Each point's voxel is found once, and the
+    /// mask is asked once per point, in cloud order, points outside the
+    /// region included, so its RNG draws what a filter of the whole cloud
+    /// through `mask.fire` draws. The grids equal `from_cloud` of the cloud
+    /// and of that filtered cloud, which is never built.
+    pub fn pair_from_cloud(
+        config: VoxelizerConfig,
+        cloud: &PointCloud,
+        mask: &mut RadialMask,
+    ) -> (VoxelGrid, VoxelGrid) {
+        let (mut all, mut kept) = (VoxelGrid::new(config), VoxelGrid::new(config));
+        let dims = config.dims();
+        for p in cloud {
+            let voxel = config.index_within(p.position(), dims);
+            let keeps = mask.fire(p.azimuth, p.range);
+            if let Some((ix, iy, iz)) = voxel {
+                let flat = all.flat(ix, iy, iz);
+                all.counts[flat] += 1;
+                kept.counts[flat] += u32::from(keeps);
+            }
+        }
+        (all, kept)
     }
 
     #[inline]
@@ -372,5 +407,95 @@ mod tests {
     fn count_out_of_range_panics() {
         let grid = VoxelGrid::new(small_config());
         let _ = grid.count(10, 0, 0);
+    }
+
+    /// `pair_from_cloud` under a radial mask is `from_cloud` of the cloud
+    /// and of the cloud the same mask filters, and leaves the mask's RNG
+    /// where the filter leaves it: over seeded street scans, whose returns
+    /// reach past the region, and a cloud of NaN, ±∞, boundary and
+    /// out-of-region points on every azimuth.
+    #[test]
+    fn the_one_pass_pair_is_two_from_clouds_and_one_mask_stream() {
+        use crate::mask::RadialMaskConfig;
+        let config = VoxelizerConfig {
+            min: [0.0, -14.4, 0.0],
+            max: [48.0, 14.4, 3.2],
+            voxel_size: 0.8,
+        };
+        let lidar = Lidar::new(LidarConfig::default());
+        let mut clouds: Vec<PointCloud> = SceneGenerator::new(31)
+            .generate_many(4)
+            .iter()
+            .map(|scene| lidar.scan(scene))
+            .collect();
+        let odd = [
+            f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+            -0.0,
+            0.0,
+            3.2,
+            14.4,
+            48.0,
+            47.99,
+            1e9,
+        ];
+        clouds.push(
+            (0..512u16)
+                .map(|az| {
+                    let at = |k: u16| odd[usize::from(az * 7 + k) % odd.len()];
+                    Point {
+                        x: if az % 3 == 0 {
+                            at(0)
+                        } else {
+                            f64::from(az) * 0.09
+                        },
+                        y: if az % 5 == 0 {
+                            at(1)
+                        } else {
+                            f64::from(az) * 0.05 - 12.0
+                        },
+                        z: if az % 4 == 0 { at(2) } else { 1.0 },
+                        range: f64::from(az % 90),
+                        beam: az % 32,
+                        azimuth: az,
+                    }
+                })
+                .collect(),
+        );
+        let outside = clouds
+            .iter()
+            .flat_map(|c| c.iter())
+            .filter(|p| config.index_of(p.position()).is_none())
+            .count();
+        assert!(outside > 0, "no point outside the region");
+        for (i, cloud) in clouds.iter().enumerate() {
+            for seed in 0..3 {
+                let mask = || RadialMask::sample(RadialMaskConfig::default(), 512, seed);
+                let mut filter = mask();
+                let kept: PointCloud = cloud
+                    .iter()
+                    .filter(|p| filter.fire(p.azimuth, p.range))
+                    .copied()
+                    .collect();
+                let mut one_pass = mask();
+                let (all, masked) = VoxelGrid::pair_from_cloud(config, cloud, &mut one_pass);
+                assert_eq!(
+                    all,
+                    VoxelGrid::from_cloud(config, cloud),
+                    "cloud {i} seed {seed}"
+                );
+                assert_eq!(
+                    masked,
+                    VoxelGrid::from_cloud(config, &kept),
+                    "cloud {i} seed {seed}"
+                );
+                assert_eq!(
+                    one_pass.rng_state(),
+                    filter.rng_state(),
+                    "cloud {i} seed {seed}"
+                );
+            }
+        }
     }
 }

@@ -238,18 +238,18 @@ impl FlowModel {
                     vec![1, frame_feat_len],
                     g_dec_in.as_slice()[enc_len..].to_vec(),
                 );
-                let _ = fb.backward(&g_frame);
+                fb.backward_params(&g_frame);
             }
             // Encoder backward.
             match &mut self.encoder {
-                Encoder::Ann(net) => {
-                    let _ = net.backward(&g_enc);
-                }
+                Encoder::Ann(net) => net.backward_params(&g_enc),
                 Encoder::Snn(layers) => {
                     let per_step = g_enc.scaled(1.0 / TIME_BINS as f64);
                     let mut grads = vec![per_step; TIME_BINS];
-                    for (layer, inputs) in layers.iter_mut().zip(&layer_inputs).rev() {
-                        grads = layer.backward_sequence(&grads, inputs);
+                    let stack = layers.iter_mut().zip(&layer_inputs).enumerate();
+                    for (i, (layer, inputs)) in stack.rev() {
+                        // Layer 0's inputs are the event volume.
+                        grads = layer.backward_sequence(&grads, inputs, i > 0);
                     }
                 }
             }

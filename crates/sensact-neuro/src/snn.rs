@@ -115,12 +115,19 @@ impl SpikingDense {
     }
 
     /// BPTT backward: per-step gradients w.r.t. the spike outputs; returns
-    /// gradients w.r.t. the inputs. Accumulates synapse/dynamics gradients.
+    /// gradients w.r.t. the inputs when `input_grads` (a first layer's
+    /// inputs are events: it asks for none, and gets an empty `Vec`).
+    /// Accumulates synapse/dynamics gradients.
     ///
     /// # Panics
     ///
     /// Panics if the sequence lengths mismatch or forward was not run.
-    pub(crate) fn backward_sequence(&mut self, grads: &[Tensor], inputs: &[Tensor]) -> Vec<Tensor> {
+    pub(crate) fn backward_sequence(
+        &mut self,
+        grads: &[Tensor],
+        inputs: &[Tensor],
+        input_grads: bool,
+    ) -> Vec<Tensor> {
         assert_eq!(grads.len(), self.cache.len(), "grad/cache length mismatch");
         assert_eq!(
             inputs.len(),
@@ -131,7 +138,8 @@ impl SpikingDense {
         let batch = grads[0].shape()[0];
         let leaks = self.leaks();
         let vths = self.thresholds();
-        let mut grad_inputs = vec![Tensor::zeros(inputs[0].shape().to_vec()); t_max];
+        // Filled latest bin first.
+        let mut grad_inputs = Vec::with_capacity(if input_grads { t_max } else { 0 });
         // dL/dv_{t} carried backward through the recurrence.
         let mut g_v_next = Tensor::zeros(vec![batch, self.out_dim]);
 
@@ -160,15 +168,12 @@ impl SpikingDense {
                         self.grad_vth[j] += -grads[t][idx] * ds_dv * dvth_draw;
                     }
                     g_current[idx] = g_v;
-                    // Propagate to v_{t−1}: ∂v_t/∂v_{t−1} = λ(1−s_{t−1}).
-                    // (Stored for the next (earlier) iteration.)
-                    let _ = idx;
                 }
             }
-            // Synapse backward for this step: v_t depends on I_t = W x_t.
-            // Run forward to set the cache, then backward.
-            let _ = self.synapse.forward(&inputs[t], true);
-            grad_inputs[t] = self.synapse.backward(&g_current);
+            // Synapse backward for this step, against this bin's input: the
+            // forward kept no cache for it.
+            let grad_in = self.synapse.backprop(&inputs[t], &g_current, input_grads);
+            grad_inputs.extend(grad_in);
             // Prepare dL/dv_{t-1}.
             let mut g_v_prev = Tensor::zeros(vec![batch, self.out_dim]);
             for r in 0..batch {
@@ -179,6 +184,7 @@ impl SpikingDense {
             }
             g_v_next = g_v_prev;
         }
+        grad_inputs.reverse();
         grad_inputs
     }
 
@@ -300,7 +306,7 @@ mod tests {
             let outs = layer.forward_sequence(&inputs);
             let (l, grads) = loss_of(&outs);
             last = l;
-            let _ = layer.backward_sequence(&grads, &inputs);
+            let _ = layer.backward_sequence(&grads, &inputs, true);
             opt.step_params(&mut |f| layer.visit_params(f));
         }
         assert!(
@@ -345,5 +351,46 @@ mod tests {
         for v in layer.thresholds() {
             assert!(v > 0.0);
         }
+    }
+
+    fn wave(shape: [usize; 2], phase: f64) -> Tensor {
+        let n = shape[0] * shape[1];
+        Tensor::from_vec(
+            shape.to_vec(),
+            (0..n).map(|i| (i as f64 * 0.71 + phase).sin()).collect(),
+        )
+    }
+
+    fn grad_bits(layer: &mut SpikingDense) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        layer.visit_params(&mut |_, g| out.push(g.iter().map(|v| v.to_bits()).collect()));
+        out
+    }
+
+    /// A sequence backward that asks for no input gradients returns none
+    /// and accumulates the parameter-gradient bits of one that does.
+    #[test]
+    fn the_params_only_sequence_backward_keeps_the_gradients() {
+        let inputs: Vec<Tensor> = (0..4)
+            .map(|t| wave([2, 5], t as f64).map(|v| v.max(0.0)))
+            .collect();
+        let grads: Vec<Tensor> = (0..4).map(|t| wave([2, 6], 1.7 * t as f64)).collect();
+        let layer = || {
+            let mut l = SpikingDense::new(5, 6, &mut Initializer::new(8));
+            l.synapse.weights.iter_mut().for_each(|w| *w += 0.4);
+            let _ = l.forward_sequence(&inputs);
+            l
+        };
+        let (mut full, mut params_only) = (layer(), layer());
+        let grad_inputs = full.backward_sequence(&grads, &inputs, true);
+        assert!(params_only
+            .backward_sequence(&grads, &inputs, false)
+            .is_empty());
+        assert_eq!(grad_inputs.len(), 4);
+        assert_eq!(grad_bits(&mut params_only), grad_bits(&mut full));
+        assert!(grad_bits(&mut full)
+            .iter()
+            .flatten()
+            .any(|&b| f64::from_bits(b) != 0.0));
     }
 }

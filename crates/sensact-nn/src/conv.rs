@@ -739,6 +739,40 @@ impl Conv3d {
             }
         }
     }
+
+    /// The backward pass against the cached input: bias and weight
+    /// gradients always, and the input gradient when `input_grad`.
+    fn backprop(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("Conv3d::backward before forward");
+        let batch = input.shape()[0];
+        assert_eq!(
+            grad_out.shape(),
+            &[batch, self.out_features()],
+            "Conv3d::backward: grad_out shape mismatch"
+        );
+        let win = self.window();
+        let (vol, cout) = (win.sites.volume(), self.cout);
+        let mut grad_in =
+            input_grad.then(|| Tensor::zeros(vec![batch, self.cin * self.in_dims.volume()]));
+        for b in 0..batch {
+            let (xrow, grow) = (input.row(b), grad_out.row(b));
+            for (gb, g) in self.grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
+                *gb += g.iter().sum::<f64>();
+            }
+            // grad_w += g [cout, P] · unfold(x) [P, cin*k³]
+            let grad_w = &mut self.grad_w;
+            with_halo(&win, &[xrow], |x| win.weight_grad(cout, grow, x, grad_w));
+            // grad_in += fold(gᵀ W), W as [cout, cin*k³]
+            if let Some(grad_in) = grad_in.as_mut() {
+                let (w, scratch) = (&self.weights, &mut self.scratch);
+                win.fold_product(cout, grow, w, false, scratch, grad_in.row_mut(b));
+            }
+        }
+        grad_in
+    }
 }
 
 impl Layer for Conv3d {
@@ -760,32 +794,14 @@ impl Layer for Conv3d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Conv3d::backward before forward");
-        let batch = input.shape()[0];
-        assert_eq!(
-            grad_out.shape(),
-            &[batch, self.out_features()],
-            "Conv3d::backward: grad_out shape mismatch"
-        );
-        let win = self.window();
-        let (vol, cout) = (win.sites.volume(), self.cout);
-        let mut grad_in = Tensor::zeros(vec![batch, self.cin * self.in_dims.volume()]);
-        for b in 0..batch {
-            let (xrow, grow) = (input.row(b), grad_out.row(b));
-            for (gb, g) in self.grad_b.iter_mut().zip(grow.chunks_exact(vol)) {
-                *gb += g.iter().sum::<f64>();
-            }
-            // grad_w += g [cout, P] · unfold(x) [P, cin*k³]
-            let grad_w = &mut self.grad_w;
-            with_halo(&win, &[xrow], |x| win.weight_grad(cout, grow, x, grad_w));
-            // grad_in += fold(gᵀ W), W as [cout, cin*k³]
-            let (w, scratch) = (&self.weights, &mut self.scratch);
-            win.fold_product(cout, grow, w, false, scratch, grad_in.row_mut(b));
-        }
-        grad_in
+        self.backprop(grad_out, true)
+            .expect("the input gradient was asked for")
+    }
+
+    /// The bias and weight gradients alone: no `fold_product` into an
+    /// input gradient.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backprop(grad_out, false);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {

@@ -34,6 +34,18 @@ pub trait Layer: Send {
     /// (`train = true`) came first.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 
+    /// Backpropagate for the parameter gradients alone: accumulate the bits
+    /// [`Layer::backward`] accumulates and compute no input gradient. A
+    /// network's first layer, whose input gradient nothing reads, runs this
+    /// instead. The default runs `backward` and drops its result.
+    ///
+    /// # Panics
+    ///
+    /// As [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
+
     /// Visit every `(parameter, gradient)` buffer pair in a fixed order.
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64]));
 
@@ -114,25 +126,25 @@ impl Dense {
             out,
         );
     }
-}
 
-impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.apply(input);
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("Dense::backward called before forward");
+    /// Backpropagate `grad_out` against the input `input` it came from:
+    /// `grad_w += xᵀ g` and `grad_b += Σ g` always, and the input gradient
+    /// `g Wᵀ` when `input_grad`. [`Layer::backward`] runs it on the cached
+    /// input; a caller that holds the input itself (a synapse unrolled over
+    /// time bins) runs it with no forward to refill the cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes of `input` and `grad_out` do not fit the layer.
+    pub fn backprop(
+        &mut self,
+        input: &Tensor,
+        grad_out: &Tensor,
+        input_grad: bool,
+    ) -> Option<Tensor> {
         let batch = input.shape()[0];
+        assert_eq!(input.shape(), &[batch, self.in_dim]);
         assert_eq!(grad_out.shape(), &[batch, self.out_dim]);
-        // grad_w += xᵀ g ; grad_b += Σ g ; grad_x = g Wᵀ
         // Weight gradient accumulates in place (beta = 1.0) so repeated
         // backward calls keep summing, matching optimiser expectations.
         sensact_math::kernels::gemm_transa(
@@ -150,20 +162,52 @@ impl Layer for Dense {
                 *bg += gj;
             }
         }
-        // weights are stored [in_dim, out_dim] row-major, which is exactly the
-        // [n, k] layout gemm_transb expects for grad_in = grad_out · Wᵀ.
-        let mut grad_in = Tensor::zeros(vec![batch, self.in_dim]);
-        sensact_math::kernels::gemm_transb(
-            batch,
-            self.in_dim,
-            self.out_dim,
-            1.0,
-            grad_out.as_slice(),
-            &self.weights,
-            0.0,
-            grad_in.as_mut_slice(),
-        );
+        input_grad.then(|| {
+            // weights are stored [in_dim, out_dim] row-major, which is exactly
+            // the [n, k] layout gemm_transb expects for grad_in = grad_out · Wᵀ.
+            let mut grad_in = Tensor::zeros(vec![batch, self.in_dim]);
+            sensact_math::kernels::gemm_transb(
+                batch,
+                self.in_dim,
+                self.out_dim,
+                1.0,
+                grad_out.as_slice(),
+                &self.weights,
+                0.0,
+                grad_in.as_mut_slice(),
+            );
+            grad_in
+        })
+    }
+
+    /// [`Dense::backprop`] on the input the last training forward cached.
+    fn backprop_cached(&mut self, grad_out: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let input = self
+            .cached_input
+            .take()
+            .expect("Dense::backward called before forward");
+        let grad_in = self.backprop(&input, grad_out, input_grad);
+        self.cached_input = Some(input);
         grad_in
+    }
+}
+
+impl Layer for Dense {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        let out = self.apply(input);
+        if train {
+            self.cached_input = Some(input.clone());
+        }
+        out
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.backprop_cached(grad_out, true)
+            .expect("the input gradient was asked for")
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backprop_cached(grad_out, false);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
@@ -213,19 +257,20 @@ impl ActKind {
         }
     }
 
-    /// Derivative expressed in terms of the *output* value `y = f(x)` for
-    /// tanh/sigmoid and the input sign for (leaky-)ReLU.
-    fn derivative(self, x: f64, y: f64) -> f64 {
+    /// Derivative read off the *output* `y = f(x)` alone: tanh and sigmoid
+    /// are functions of `y`, and (leaky-)ReLU's `x > 0` is `y > 0` for
+    /// every input, ±0, NaN and ±∞ included.
+    fn derivative(self, y: f64) -> f64 {
         match self {
             ActKind::Relu => {
-                if x > 0.0 {
+                if y > 0.0 {
                     1.0
                 } else {
                     0.0
                 }
             }
             ActKind::LeakyRelu => {
-                if x > 0.0 {
+                if y > 0.0 {
                     1.0
                 } else {
                     0.01
@@ -237,11 +282,11 @@ impl ActKind {
     }
 }
 
-/// Pointwise activation layer.
+/// Pointwise activation layer. A training forward caches its output, the
+/// one tensor every derivative reads.
 #[derive(Debug, Clone)]
 pub struct Activation {
     kind: ActKind,
-    cached_in: Option<Tensor>,
     cached_out: Option<Tensor>,
 }
 
@@ -250,7 +295,6 @@ impl Activation {
     pub fn new(kind: ActKind) -> Self {
         Activation {
             kind,
-            cached_in: None,
             cached_out: None,
         }
     }
@@ -267,22 +311,21 @@ impl Layer for Activation {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let out = input.map(|x| self.kind.apply(x));
         if train {
-            self.cached_in = Some(input.clone());
             self.cached_out = Some(out.clone());
         }
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_in
+        let y = self
+            .cached_out
             .as_ref()
             .expect("Activation::backward before forward");
-        let y = self.cached_out.as_ref().unwrap();
-        assert_eq!(grad_out.shape(), x.shape());
+        assert_eq!(grad_out.shape(), y.shape());
         let mut grad = grad_out.clone();
-        for i in 0..grad.len() {
-            grad[i] *= self.kind.derivative(x[i], y[i]);
+        // A multiply even by 1.0 or 0.0, so a gradient keeps its sign bits.
+        for (g, &y) in grad.as_mut_slice().iter_mut().zip(y.as_slice()) {
+            *g *= self.kind.derivative(y);
         }
         grad
     }
@@ -592,5 +635,182 @@ mod tests {
         let mut init = Initializer::new(0);
         let mut d = Dense::new(2, 2, &mut init);
         let _ = d.backward(&Tensor::zeros(vec![1, 2]));
+    }
+
+    /// A value for the protocol's inputs and gradients: mostly finite, and
+    /// sometimes ±0.0, a subnormal, NaN or ±∞.
+    fn hostile(rng: &mut sensact_math::rng::StdRng) -> f64 {
+        match rng.random_range(0..16) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::MIN_POSITIVE / 8.0,
+            3 => -f64::MIN_POSITIVE / 8.0,
+            4 => f64::NAN,
+            5 => f64::INFINITY,
+            6 => f64::NEG_INFINITY,
+            _ => rng.random_range(-1.0..1.0),
+        }
+    }
+
+    /// `batch` rows of `n`: mostly finite values, hostile ones when asked.
+    fn drawn(rng: &mut sensact_math::rng::StdRng, batch: usize, n: usize, hot: bool) -> Tensor {
+        let data = (0..batch * n)
+            .map(|_| {
+                if hot {
+                    hostile(rng)
+                } else {
+                    rng.random_range(-1.0..1.0)
+                }
+            })
+            .collect();
+        Tensor::from_vec(vec![batch, n], data)
+    }
+
+    fn param_bits(layer: &mut dyn Layer) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        layer.visit_params(&mut |p, _| out.push(bits(p)));
+        out
+    }
+
+    /// Random interleavings of `forward(train)`, `forward(infer)`,
+    /// `backward`, `backward_params` and an Adam step, over random batch
+    /// sizes, on two twins of every contract layer: the reference always
+    /// runs `backward`, the subject runs `backward_params` or `backward` at
+    /// random. Outputs, parameter gradients and parameters must agree bit
+    /// for bit after every op. Gradients are hostile (±0, subnormals, NaN,
+    /// ±∞) in one run of three, inputs in another.
+    fn run_protocol(seeds: u64, ops: usize) {
+        use crate::optim::{Adam, Optimizer};
+        for seed in 0..seeds {
+            for case in contract_cases() {
+                let mut rng = sensact_math::rng::StdRng::seed_from_u64(seed);
+                let (hot_x, hot_g) = (seed % 3 == 1, seed % 3 == 2);
+                let (mut reference, mut subject) = ((case.build)(), (case.build)());
+                let (mut ref_opt, mut sub_opt) = (Adam::new(0.01), Adam::new(0.01));
+                let mut pending: Option<Vec<usize>> = None;
+                for op in 0..ops {
+                    let what = format!("{} seed {seed} op {op}", case.name);
+                    match rng.random_range(0..5) {
+                        0 | 1 => {
+                            let train = rng.random_range(0..2) == 0;
+                            let batch: usize = rng.random_range(1..4usize);
+                            let x = drawn(&mut rng, batch, case.in_features, hot_x);
+                            let want = reference.forward(&x, train);
+                            let got = subject.forward(&x, train);
+                            assert_eq!(
+                                bits(got.as_slice()),
+                                bits(want.as_slice()),
+                                "{what}: output"
+                            );
+                            if train {
+                                pending = Some(want.shape().to_vec());
+                            }
+                        }
+                        2 | 3 => {
+                            let Some(shape) = &pending else { continue };
+                            let g = drawn(&mut rng, shape[0], shape[1], hot_g);
+                            let _ = reference.backward(&g);
+                            if rng.random_range(0..4) == 0 {
+                                let _ = subject.backward(&g);
+                            } else {
+                                subject.backward_params(&g);
+                            }
+                            assert_eq!(
+                                param_grad_bits(subject.as_mut()),
+                                param_grad_bits(reference.as_mut()),
+                                "{what}: parameter gradients"
+                            );
+                        }
+                        _ => {
+                            ref_opt.step(reference.as_mut());
+                            sub_opt.step(subject.as_mut());
+                            assert_eq!(
+                                param_bits(subject.as_mut()),
+                                param_bits(reference.as_mut()),
+                                "{what}: parameters"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn params_only_backward_matches_backward_under_random_protocols() {
+        run_protocol(6, 40);
+    }
+
+    /// The long mode: `cargo test -p sensact-nn --lib protocol -- --ignored`.
+    #[test]
+    #[ignore]
+    fn params_only_backward_matches_backward_under_random_protocols_long() {
+        run_protocol(300, 200);
+    }
+
+    /// The output-only derivative gives, on every pair of hostile input and
+    /// gradient, the bits of the two-cache formula it replaced, which read
+    /// the input's sign for (leaky-)ReLU: `g · f'(x, y)`.
+    #[test]
+    fn output_only_derivative_keeps_the_two_cache_bits() {
+        fn two_cache(kind: ActKind, x: f64, y: f64) -> f64 {
+            match kind {
+                ActKind::Relu => f64::from(u8::from(x > 0.0)),
+                ActKind::LeakyRelu => {
+                    if x > 0.0 {
+                        1.0
+                    } else {
+                        0.01
+                    }
+                }
+                ActKind::Tanh => 1.0 - y * y,
+                ActKind::Sigmoid => y * (1.0 - y),
+            }
+        }
+        let values = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 1024.0,
+            -f64::MIN_POSITIVE / 1024.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            -f64::MAX,
+            1e-300,
+            -1e-300,
+            0.5,
+            -0.5,
+            40.0,
+            -40.0,
+        ];
+        let n = values.len();
+        let x = Tensor::from_vec(vec![n, n], (0..n * n).map(|i| values[i / n]).collect());
+        let g = Tensor::from_vec(vec![n, n], (0..n * n).map(|i| values[i % n]).collect());
+        for kind in [
+            ActKind::Relu,
+            ActKind::LeakyRelu,
+            ActKind::Tanh,
+            ActKind::Sigmoid,
+        ] {
+            let mut a = Activation::new(kind);
+            let y = a.forward(&x, true);
+            let got = a.backward(&g);
+            for i in 0..n * n {
+                let want = g[i] * two_cache(kind, x[i], y[i]);
+                assert_eq!(
+                    got[i].to_bits(),
+                    want.to_bits(),
+                    "{kind:?}: x {:e} g {:e}",
+                    x[i],
+                    g[i]
+                );
+            }
+        }
     }
 }

@@ -65,14 +65,20 @@ impl Optimizer for Adam {
             }
             let m = &mut m_state[slot];
             let v = &mut v_state[slot];
-            debug_assert_eq!(m.len(), param.len(), "optimizer state shape drift");
-            for i in 0..param.len() {
-                m[i] = b1 * m[i] + (1.0 - b1) * grad[i];
-                v[i] = b2 * v[i] + (1.0 - b2) * grad[i] * grad[i];
-                let mhat = m[i] / bc1;
-                let vhat = v[i] / bc2;
-                param[i] -= lr * mhat / (vhat.sqrt() + eps);
-                grad[i] = 0.0;
+            // Once per buffer: the zip below stops at the shortest slice, so
+            // a length drift would otherwise update a prefix silently.
+            assert_eq!(m.len(), param.len(), "optimizer state shape drift");
+            assert_eq!(grad.len(), param.len(), "gradient shape drift");
+            // Zipped, not indexed, so the loop vectorises: IEEE division and
+            // square root round per lane as they do one at a time.
+            let state = m.iter_mut().zip(v.iter_mut());
+            for ((p, g), (m, v)) in param.iter_mut().zip(grad.iter_mut()).zip(state) {
+                *m = b1 * *m + (1.0 - b1) * *g;
+                *v = b2 * *v + (1.0 - b2) * *g * *g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *p -= lr * mhat / (vhat.sqrt() + eps);
+                *g = 0.0;
             }
             slot += 1;
         });
@@ -160,6 +166,75 @@ mod tests {
             net_opt.step(&mut net);
             let walked = [bits(&mut a), bits(&mut b)].concat();
             assert_eq!(walked, bits(&mut net), "step {step}");
+        }
+    }
+
+    /// The zipped Adam step gives the indexed loop's bits: over buffers of
+    /// lengths that leave every vector width a remainder, for twelve steps
+    /// of gradients that hold ±0, subnormals, huge and tiny values.
+    #[test]
+    fn the_zipped_step_keeps_the_indexed_bits() {
+        fn indexed(
+            (lr, t): (f64, u64),
+            param: &mut [f64],
+            grad: &mut [f64],
+            m: &mut [f64],
+            v: &mut [f64],
+        ) {
+            let (b1, b2, eps) = (0.9f64, 0.999f64, 1e-8);
+            let bc1 = 1.0 - b1.powi(t as i32);
+            let bc2 = 1.0 - b2.powi(t as i32);
+            for i in 0..param.len() {
+                m[i] = b1 * m[i] + (1.0 - b1) * grad[i];
+                v[i] = b2 * v[i] + (1.0 - b2) * grad[i] * grad[i];
+                let mhat = m[i] / bc1;
+                let vhat = v[i] / bc2;
+                param[i] -= lr * mhat / (vhat.sqrt() + eps);
+                grad[i] = 0.0;
+            }
+        }
+        let lens = [1usize, 3, 7, 8, 13, 33];
+        let mut rng = sensact_math::rng::StdRng::seed_from_u64(17);
+        let mut params: Vec<Vec<f64>> = lens
+            .iter()
+            .map(|&n| (0..n).map(|_| rng.random_range(-2.0..2.0)).collect())
+            .collect();
+        let mut want = params.clone();
+        let mut state: Vec<(Vec<f64>, Vec<f64>)> =
+            lens.iter().map(|&n| (vec![0.0; n], vec![0.0; n])).collect();
+        let mut opt = Adam::new(0.003);
+        for t in 1..=12u64 {
+            let mut grads: Vec<Vec<f64>> = lens
+                .iter()
+                .map(|&n| {
+                    (0..n)
+                        .map(|_| match rng.random_range(0..8) {
+                            0 => 0.0,
+                            1 => -0.0,
+                            2 => f64::MIN_POSITIVE / 16.0,
+                            3 => rng.random_range(-1e150..1e150),
+                            4 => rng.random_range(-1e-150..1e-150),
+                            _ => rng.random_range(-1.0..1.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut want_grads = grads.clone();
+            for ((p, g), (m, v)) in want.iter_mut().zip(&mut want_grads).zip(&mut state) {
+                indexed((0.003, t), p, g, m, v);
+            }
+            opt.step_params(&mut |f| {
+                for (p, g) in params.iter_mut().zip(&mut grads) {
+                    f(p, g);
+                }
+            });
+            let bits = |xs: &[Vec<f64>]| -> Vec<Vec<u64>> {
+                xs.iter()
+                    .map(|x| x.iter().map(|v| v.to_bits()).collect())
+                    .collect()
+            };
+            assert_eq!(bits(&params), bits(&want), "step {t}: parameters");
+            assert_eq!(bits(&grads), bits(&want_grads), "step {t}: gradients");
         }
     }
 }

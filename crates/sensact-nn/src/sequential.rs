@@ -54,6 +54,19 @@ impl Layer for Sequential {
         g
     }
 
+    /// Backward down to the second layer, then the first layer's
+    /// parameter-only backward: no input gradient is computed.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g: Option<Tensor> = None;
+        for l in rest.iter_mut().rev() {
+            g = Some(l.backward(g.as_ref().unwrap_or(grad_out)));
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_out));
+    }
+
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
         for l in &mut self.layers {
             l.visit_params(f);

@@ -162,7 +162,7 @@ impl Vae {
         let gh_lv = self.logvar_head.backward(&grad_logvar);
         let gh = gh_mu.add(&gh_lv);
         let gh = self.enc_act.backward(&gh);
-        let _ = self.enc.backward(&gh);
+        self.enc.backward_params(&gh);
 
         opt.step_params(&mut |f| self.visit_params(f));
 

@@ -105,6 +105,19 @@ struct Net {
     deconv2: Deconv3d,
 }
 
+impl Net {
+    /// Backward through every stage above conv1: the gradient w.r.t. its
+    /// output.
+    fn backward_to_conv1(&mut self, grad_out: &Tensor) -> Tensor {
+        let g = self.deconv2.backward(grad_out);
+        let g = self.relu3.backward(&g);
+        let g = self.deconv1.backward(&g);
+        let g = self.relu2.backward(&g);
+        let g = self.conv2.backward(&g);
+        self.relu1.backward(&g)
+    }
+}
+
 impl Layer for Net {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let x = self.conv1.forward(input, train);
@@ -117,13 +130,14 @@ impl Layer for Net {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g = self.deconv2.backward(grad_out);
-        let g = self.relu3.backward(&g);
-        let g = self.deconv1.backward(&g);
-        let g = self.relu2.backward(&g);
-        let g = self.conv2.backward(&g);
-        let g = self.relu1.backward(&g);
+        let g = self.backward_to_conv1(grad_out);
         self.conv1.backward(&g)
+    }
+
+    /// What a train step runs: conv1's input gradient is nobody's.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let g = self.backward_to_conv1(grad_out);
+        self.conv1.backward_params(&g);
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut [f64], &mut [f64])) {
@@ -278,7 +292,7 @@ impl RmaeModel {
         let target = Tensor::from_vec(vec![1, full.len()], full.to_vec());
         let logits = self.net.forward(&x, true);
         let (loss, grad) = bce_with_logits_weighted(&logits, &target, self.config.pos_weight);
-        self.net.backward(&grad);
+        self.net.backward_params(&grad);
         opt.step(&mut self.net);
         loss
     }

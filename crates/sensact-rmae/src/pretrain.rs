@@ -14,7 +14,7 @@ use crate::model::RmaeModel;
 use sensact_lidar::mask::{RadialMask, RadialMaskConfig};
 use sensact_lidar::raycast::{Lidar, LidarConfig};
 use sensact_lidar::scene::Scene;
-use sensact_lidar::voxel::VoxelGrid;
+use sensact_lidar::voxel::{VoxelGrid, VoxelizerConfig};
 use sensact_lidar::PointCloud;
 use sensact_math::rng::StdRng;
 use sensact_nn::optim::Adam;
@@ -56,14 +56,30 @@ impl std::fmt::Display for Strategy {
     }
 }
 
+/// The deployment-time radial mask of one masked view, over the sensor's
+/// azimuth steps: the one place [`radial_masked_cloud`] and [`radial_pair`]
+/// sample it.
+fn radial_mask(seed: u64) -> RadialMask {
+    let steps = LidarConfig::default().azimuth_steps;
+    RadialMask::sample(RadialMaskConfig::default(), steps, seed)
+}
+
 /// Apply the deployment-time radial mask to a full scan (equivalent to masked
 /// firing: stage 1 on azimuth segments, stage 2 Bernoulli on per-return range).
 pub fn radial_masked_cloud(full: &PointCloud, seed: u64) -> PointCloud {
-    let mut mask = RadialMask::sample(RadialMaskConfig::default(), 512, seed);
+    let mut mask = radial_mask(seed);
     full.iter()
         .filter(|p| mask.fire(p.azimuth, p.range))
         .copied()
         .collect()
+}
+
+/// The `(full, radial-masked)` occupancy grids of a scan in one pass:
+/// `VoxelGrid::from_cloud` of `full` and of `radial_masked_cloud(full,
+/// seed)`, bit for bit and with the mask's draws in the same order, but the
+/// masked cloud is never built.
+pub fn radial_pair(grid: VoxelizerConfig, full: &PointCloud, seed: u64) -> (VoxelGrid, VoxelGrid) {
+    VoxelGrid::pair_from_cloud(grid, full, &mut radial_mask(seed))
 }
 
 /// Uniform per-pulse masking at a fixed keep probability — the DESIGN.md §5
@@ -110,18 +126,17 @@ impl Pretrainer {
     /// both input and "reconstruction" (no model involved downstream).
     pub fn masked_pair(&mut self, full_cloud: &PointCloud) -> (Vec<f64>, Vec<f64>) {
         let grid_cfg = self.model.config().grid;
-        let full_grid = VoxelGrid::from_cloud(grid_cfg, full_cloud);
-        let full_flat = full_grid.occupancy_flat();
-        let masked_flat = match self.strategy {
+        let keep = match self.strategy {
             Strategy::None | Strategy::RadialMae => {
                 let seed = self.rng.random::<u64>();
-                let masked = radial_masked_cloud(full_cloud, seed);
-                VoxelGrid::from_cloud(grid_cfg, &masked).occupancy_flat()
+                let (full, masked) = radial_pair(grid_cfg, full_cloud, seed);
+                return (masked.occupancy_flat(), full.occupancy_flat());
             }
-            Strategy::UniformMae => self.uniform_masked(&full_flat, 0.30),
-            Strategy::AlsoLike => self.uniform_masked(&full_flat, 0.50),
+            Strategy::UniformMae => 0.30,
+            Strategy::AlsoLike => 0.50,
         };
-        (masked_flat, full_flat)
+        let full_flat = VoxelGrid::from_cloud(grid_cfg, full_cloud).occupancy_flat();
+        (self.uniform_masked(&full_flat, keep), full_flat)
     }
 
     fn uniform_masked(&mut self, full: &[f64], keep: f64) -> Vec<f64> {
@@ -175,6 +190,38 @@ mod tests {
         let masked = radial_masked_cloud(&full, 0);
         let ratio = masked.len() as f64 / full.len() as f64;
         assert!((0.02..0.25).contains(&ratio), "kept ratio {ratio}");
+    }
+
+    /// `radial_pair` is `from_cloud` of the scan and of `radial_masked_cloud`
+    /// under the same seed, and `masked_pair` gives the occupancy of that
+    /// two-pass pair for each seed its RNG draws, call after call.
+    #[test]
+    fn the_radial_pair_is_the_two_pass_pair() {
+        let grid = RmaeConfig::full().grid;
+        let two_pass = |full: &PointCloud, seed| {
+            let masked = radial_masked_cloud(full, seed);
+            (
+                VoxelGrid::from_cloud(grid, full),
+                VoxelGrid::from_cloud(grid, &masked),
+            )
+        };
+        let mut draws = StdRng::seed_from_u64(9);
+        let mut trainer = Pretrainer::new(
+            RmaeModel::new(RmaeConfig::full(), 0),
+            Strategy::RadialMae,
+            9,
+        );
+        for scene in 0..4 {
+            let full = scan_one(40 + scene);
+            let (want_full, want_masked) = two_pass(&full, scene * 7);
+            assert_eq!(
+                radial_pair(grid, &full, scene * 7),
+                (want_full, want_masked)
+            );
+            let (want_full, want_masked) = two_pass(&full, draws.random::<u64>());
+            let pair = (want_masked.occupancy_flat(), want_full.occupancy_flat());
+            assert!(trainer.masked_pair(&full) == pair, "scene {scene}");
+        }
     }
 
     #[test]

@@ -71,6 +71,30 @@ if [[ -n "$offenders" ]]; then
     exit 1
 fi
 
+# A training step pays for what its backward reads. An activation caches its
+# output alone (every derivative reads `y`), so `layers.rs` declares no
+# `cached_in`; a spiking layer backpropagates its synapse against each time
+# bin's input, so `snn.rs` above its tests re-runs no `synapse.forward` to
+# refill a cache; and R-MAE's masked pair walks the scan once, so the bodies
+# of `masked_pair` and `radial_pair` (signatures aside) neither call
+# `radial_masked_cloud` nor name a `PointCloud`.
+echo "== a training step keeps what its backward reads =="
+offenders="$(grep -nwH 'cached_in' crates/sensact-nn/src/layers.rs || true
+    awk '/^mod tests/ { exit } /synapse[[:space:]]*\.[[:space:]]*forward/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/sensact-neuro/src/snn.rs
+    awk '
+        match($0, /^[[:space:]]*(pub[[:space:]]+)?fn (masked_pair|radial_pair)[(<]/) {
+            match($0, /^[[:space:]]*/); ind = substr($0, 1, RLENGTH); sig = 1
+        }
+        sig { if ($0 ~ /[{][[:space:]]*$/) { sig = 0; body = 1 } next }
+        body && index($0, ind "}") == 1 { body = 0; next }
+        body && /radial_masked_cloud|PointCloud/ { print FILENAME ":" FNR ": " $0 }' \
+        crates/sensact-rmae/src/pretrain.rs)"
+if [[ -n "$offenders" ]]; then
+    echo "$offenders"
+    exit 1
+fi
+
 # A loop keeps, and its checkpoint carries, what its next tick or a reader
 # uses. So `telemetry.rs` above its tests keeps no `RunningStats` shadow of
 # its totals, and no writer under crates/*/src puts a retired key: the
